@@ -38,7 +38,9 @@
 //! 2. per-host open-loop generation (`ceil(next_gen)`) and the head of
 //!    the closed-loop `scheduled` queue — excluding hosts currently
 //!    failed/unreachable, whose `host_ok` can only flip back at a fault
-//!    or reconfiguration cycle, which is itself a time source;
+//!    or reconfiguration cycle, which is itself a time source. Their
+//!    minimum is `Simulator::gen_due`, the gate the generation phase
+//!    maintains for itself; this module reads it and scans no host;
 //! 3. the next fault-plan event and the pending reconfiguration
 //!    completion;
 //! 4. the next telemetry sampling tick (utilization / occupancy /
@@ -120,24 +122,9 @@ impl Simulator<'_> {
         if let Some(wake) = sc.next_wake() {
             t = t.min(wake);
         }
-        for (h, nic) in self.nics.iter().enumerate() {
-            if let Some(f) = self.faults.as_deref() {
-                // Failed/unreachable hosts generate nothing; `host_ok`
-                // can only flip back at a fault or reconfiguration
-                // cycle, which is accounted below, and re-enabled hosts
-                // get `next_gen` re-seeded at that (executed) cycle.
-                if !f.host_ok[h] {
-                    continue;
-                }
-            }
-            if let Some(&(at, _)) = nic.scheduled.front() {
-                t = t.min(at);
-            }
-            if nic.next_gen != f64::MAX {
-                // Generation fires at the first integer cycle >= next_gen.
-                t = t.min(nic.next_gen.max(0.0).ceil() as u64);
-            }
-        }
+        // Generation and scheduled messages: the generation phase's own
+        // gate. It can be early, which only shortens the jump.
+        t = t.min(self.gen_due);
         if let Some(f) = self.faults.as_deref() {
             if let Some(ev) = f.events.get(f.next_event) {
                 t = t.min(ev.cycle);

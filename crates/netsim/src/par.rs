@@ -126,14 +126,14 @@ use regnet_topology::{SwitchId, Topology};
 use crate::channel::{self, Channel, Receiver, Sender, CTL_NONE, CTL_STOP};
 use crate::config::SimConfig;
 use crate::counters::Counters;
-use crate::events::{BlockCause, EventKind, NO_PACKET};
+use crate::events::EventKind;
 use crate::faultplan::FaultRuntime;
 use crate::nic::{Nic, RxState, TxKind, TxState};
 use crate::packet::{self, Packet};
 use crate::partition::ShardPlan;
 use crate::sched::ActiveSched;
 use crate::sim::MsgState;
-use crate::switch::{HeadState, InPkt, SwitchState};
+use crate::switch::{ports, HeadState, SwitchState};
 
 // ---------------------------------------------------------------------------
 // Worker pool
@@ -608,28 +608,10 @@ unsafe fn switch_rx(
     _cycle: u64,
 ) {
     sh.sched.activate_switch(sw);
-    let inp = (&mut (*ctx.switches.add(sw as usize)).inp)[port as usize]
-        .as_mut()
-        .expect("flit into unconnected port");
-    let continuation = inp
-        .queue
-        .back()
-        .map(|p| p.received < p.expected)
-        .unwrap_or(false);
-    if continuation {
-        let back = inp.queue.back_mut().unwrap();
-        debug_assert_eq!(back.pid, pid, "interleaved packets on one channel");
-        back.received += 1;
-    } else {
-        let expected = packet::raw::expected_at_next_receiver(pkt_ptr(ctx, pid));
-        debug_assert!(expected >= 2);
-        inp.queue.push_back(InPkt {
-            pid,
-            expected,
-            received: 1,
-            forwarded: 0,
-            header_consumed: false,
-        });
+    let (new_packet, ctl) = (*ctx.switches.add(sw as usize)).flit_in(port, pid, &*ctx.cfg, || {
+        packet::raw::expected_at_next_receiver(pkt_ptr(ctx, pid))
+    });
+    if new_packet {
         sh.counters.switch_arrivals += 1;
         if ctx.journal_on {
             sh.arr_fx.push((
@@ -641,9 +623,8 @@ unsafe fn switch_rx(
             ));
         }
     }
-    if let Some(ctl) = inp.on_flit_in(&*ctx.cfg) {
-        let chan = inp.in_chan;
-        emit_ctl_region_a(ctx, sh, s, chan, ctl);
+    if let Some((chan, sym)) = ctl {
+        emit_ctl_region_a(ctx, sh, s, chan, sym);
     }
 }
 
@@ -801,162 +782,91 @@ unsafe fn switch_phase(ctx: &ParCtx, sh: &mut ShardState, s_shard: usize, s: usi
         return;
     }
     let sw = &mut *ctx.switches.add(s);
-    let nports = sw.active_ports.len();
 
-    for k in 0..nports {
-        let p = sw.active_ports[k] as usize;
-        let inp = sw.inp[p].as_mut().unwrap();
-        match inp.head {
+    for p in ports(sw.rcu_ports()) {
+        match sw.head(p) {
             HeadState::Idle => {
-                if let Some(head) = inp.queue.front_mut() {
-                    if head.received >= 1 && !head.header_consumed {
-                        head.header_consumed = true;
-                        let pid = head.pid;
-                        let out = packet::raw::consume_port_byte(pkt_ptr(ctx, pid));
-                        inp.head_out = out;
-                        inp.head = HeadState::Routing {
-                            ready: cycle + cfg.switch_routing_cycles as u64,
-                        };
-                        if let Some(ctl) = inp.on_flit_out(cfg) {
-                            let chan = inp.in_chan;
-                            emit_ctl_region_b(ctx, sh, s_shard, chan, ctl);
-                        }
-                        if ctx.faults_on {
-                            // Routing towards a dead cable (or a port that
-                            // never existed in a stale route): the worm is
-                            // lost. Truncation is deferred to the loss
-                            // phase (see `Simulator::loss_phase`).
-                            let dead_out = match sw.outp.get(out as usize).and_then(|o| o.as_ref())
-                            {
-                                Some(o) => {
-                                    channel::raw::is_dead(ctx.channels.add(o.out_chan as usize))
-                                }
-                                None => true,
-                            };
-                            if dead_out {
-                                sh.sw_loss.push((s as u32, pid));
-                            }
-                        }
-                        sh.counters.route_lookups += 1;
+                let pid = sw.head_pid(p);
+                let out = packet::raw::consume_port_byte(pkt_ptr(ctx, pid));
+                let ready = cycle + cfg.switch_routing_cycles as u64;
+                if let Some((chan, sym)) = sw.start_routing(p, out, ready, cfg) {
+                    emit_ctl_region_b(ctx, sh, s_shard, chan, sym);
+                }
+                if ctx.faults_on {
+                    // Routing towards a dead cable (or a port that never
+                    // existed in a stale route): the worm is lost.
+                    // Truncation is deferred to the loss phase (see
+                    // `Simulator::loss_phase`).
+                    let dead_out = match sw.out_chan(out) {
+                        Some(c) => channel::raw::is_dead(ctx.channels.add(c as usize)),
+                        None => true,
+                    };
+                    if dead_out {
+                        sh.sw_loss.push((s as u32, pid));
+                    }
+                }
+                sh.counters.route_lookups += 1;
+                if ctx.journal_on {
+                    sh.sw_fx.push((
+                        s as u32,
+                        pid,
+                        EventKind::Route {
+                            sw: s as u32,
+                            port: p as u8,
+                            out,
+                        },
+                    ));
+                }
+            }
+            HeadState::Routing { ready } if cycle >= ready => {
+                sw.request_output(p);
+                if ctx.diag {
+                    if let Some(cause) = sw.block_cause(p) {
+                        sh.counters.worms_blocked += 1;
                         if ctx.journal_on {
                             sh.sw_fx.push((
                                 s as u32,
-                                pid,
-                                EventKind::Route {
+                                sw.head_pid(p),
+                                EventKind::Block {
                                     sw: s as u32,
-                                    port: p as u8,
-                                    out,
+                                    out: sw.head_out(p),
+                                    cause,
                                 },
                             ));
                         }
                     }
                 }
             }
-            HeadState::Routing { ready } => {
-                if cycle >= ready {
-                    inp.head = HeadState::Requesting;
-                    if ctx.diag {
-                        let out = inp.head_out;
-                        let pid = inp.queue.front().map(|q| q.pid).unwrap_or(NO_PACKET);
-                        let cause = match sw.outp.get(out as usize).and_then(|o| o.as_ref()) {
-                            Some(o) if o.conn_in.is_some() => Some(BlockCause::OutputBusy),
-                            Some(o) if o.stopped => Some(BlockCause::FlowStopped),
-                            Some(_) => {
-                                let contended = sw.active_ports.iter().any(|&q| {
-                                    q as usize != p
-                                        && sw.inp[q as usize].as_ref().is_some_and(|ip| {
-                                            ip.head == HeadState::Requesting && ip.head_out == out
-                                        })
-                                });
-                                contended.then_some(BlockCause::Arbitration)
-                            }
-                            None => None,
-                        };
-                        if let Some(cause) = cause {
-                            sh.counters.worms_blocked += 1;
-                            if ctx.journal_on {
-                                sh.sw_fx.push((
-                                    s as u32,
-                                    pid,
-                                    EventKind::Block {
-                                        sw: s as u32,
-                                        out,
-                                        cause,
-                                    },
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-            HeadState::Requesting | HeadState::Granted => {}
+            _ => {}
         }
     }
 
-    for k in 0..nports {
-        let p = sw.active_ports[k] as usize;
-        if sw.outp[p].as_ref().unwrap().conn_in.is_none() {
-            let rr = sw.outp[p].as_ref().unwrap().rr;
-            let start = sw
-                .active_ports
-                .iter()
-                .position(|&ap| ap == rr)
-                .map(|i| i + 1)
-                .unwrap_or(0);
-            let mut grant = None;
-            for off in 0..nports {
-                let cand = sw.active_ports[(start + off) % nports];
-                let inp = sw.inp[cand as usize].as_ref().unwrap();
-                if inp.head == HeadState::Requesting && inp.head_out as usize == p {
-                    grant = Some(cand);
-                    break;
-                }
-            }
-            if let Some(g) = grant {
-                let outp = sw.outp[p].as_mut().unwrap();
-                outp.conn_in = Some(g);
-                outp.rr = g;
-                sw.inp[g as usize].as_mut().unwrap().head = HeadState::Granted;
-                sh.counters.arbitration_grants += 1;
-                if ctx.journal_on {
-                    let pid = sw.inp[g as usize]
-                        .as_ref()
-                        .unwrap()
-                        .queue
-                        .front()
-                        .map(|q| q.pid)
-                        .unwrap_or(NO_PACKET);
-                    sh.sw_fx.push((
-                        s as u32,
-                        pid,
-                        EventKind::HeadAdvance {
-                            sw: s as u32,
-                            in_port: g,
-                            out: p as u8,
-                        },
-                    ));
-                }
+    for p in ports(sw.busy_outputs()) {
+        if let Some(g) = sw.arbitrate(p) {
+            sh.counters.arbitration_grants += 1;
+            if ctx.journal_on {
+                sh.sw_fx.push((
+                    s as u32,
+                    sw.head_pid(g as usize),
+                    EventKind::HeadAdvance {
+                        sw: s as u32,
+                        in_port: g,
+                        out: p as u8,
+                    },
+                ));
             }
         }
-        let outp = sw.outp[p].as_ref().unwrap();
-        let Some(g) = outp.conn_in else { continue };
-        if outp.stopped {
+        let Some((g, out_chan)) = sw.open_connection(p) else {
             continue;
-        }
-        let out_chan = outp.out_chan;
+        };
         if ctx.faults_on && channel::raw::is_dead(ctx.channels.add(out_chan as usize)) {
             // The granted head is already queued for loss handling;
             // never stream flits into a dead cable.
             continue;
         }
-        let inp = sw.inp[g as usize].as_mut().unwrap();
-        let head = inp.queue.front_mut().expect("granted without head");
-        if head.available() == 0 {
+        let Some((pid, ctl)) = sw.forward_flit(p, g, cfg) else {
             continue;
-        }
-        let pid = head.pid;
-        head.forwarded += 1;
-        let done = head.done();
+        };
         channel::raw::send(ctx.channels.add(out_chan as usize), cycle, pid);
         sh.activity = true;
         if *ctx.data_owner.add(out_chan as usize) as usize == s_shard {
@@ -965,14 +875,8 @@ unsafe fn switch_phase(ctx: &ParCtx, sh: &mut ShardState, s_shard: usize, s: usi
             sh.note_data_out.push(out_chan);
         }
         sh.counters.flits_forwarded += 1;
-        if let Some(ctl) = inp.on_flit_out(cfg) {
-            let chan = inp.in_chan;
-            emit_ctl_region_b(ctx, sh, s_shard, chan, ctl);
-        }
-        if done {
-            inp.queue.pop_front();
-            inp.head = HeadState::Idle;
-            sw.outp[p].as_mut().unwrap().conn_in = None;
+        if let Some((chan, sym)) = ctl {
+            emit_ctl_region_b(ctx, sh, s_shard, chan, sym);
         }
     }
 }

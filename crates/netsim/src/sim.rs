@@ -30,14 +30,14 @@ use regnet_traffic::{interarrival_cycles, Pattern};
 use crate::channel::{Channel, Receiver, Sender, CTL_NONE, CTL_STOP};
 use crate::config::{GenerationProcess, SimConfig, CYCLE_NS};
 use crate::counters::{CounterSnapshot, Counters};
-use crate::events::{BlockCause, EventJournal, EventKind, EventOptions, NO_PACKET};
+use crate::events::{EventJournal, EventKind, EventOptions, NO_PACKET};
 use crate::faultplan::{FaultEvent, FaultOptions, FaultRuntime, FaultTarget, ReliabilityStats};
 use crate::nic::{Nic, RxState, TxKind, TxState};
 use crate::packet::{Packet, PacketArena};
 use crate::par::{ArrFx, NicFx, ParCtx, ParEngine};
 use crate::profiler::{Phase, ProfileReport, Profiler, SpanReport, NO_SHARD};
 use crate::sched::{ActiveSched, Scheduler};
-use crate::switch::{HeadState, InPkt, InPort, OutPort, SwitchState};
+use crate::switch::{ports, HeadState, SwitchState};
 use crate::trace::{TraceOptions, TraceReport, TraceState};
 use crate::wfg::StallReport;
 
@@ -223,6 +223,13 @@ pub struct Simulator<'a> {
     /// `stop_generation` was called: never restart generators, even when a
     /// repaired host comes back.
     gen_frozen: bool,
+    /// No host creates a message before this cycle: the minimum, over the
+    /// hosts allowed to generate, of the next generation cycle and the
+    /// head of the `scheduled` queue. `gen_phase` returns at once below it
+    /// and recomputes it during each full scan; whatever makes a message
+    /// due earlier (`schedule_message`, a host coming back) lowers it. It
+    /// may be early — a scan with nothing due is a no-op — never late.
+    gen_due: u64,
     /// [`Scheduler::EventDriven`]: `run`/`run_until_drained` may jump the
     /// clock over provably idle spans (see `event.rs`). Only meaningful
     /// with `sched` set; mutually exclusive with `par`.
@@ -246,6 +253,12 @@ impl<'a> Simulator<'a> {
         seed: u64,
     ) -> Simulator<'a> {
         cfg.validate().expect("invalid simulation config");
+        assert!(
+            topo.max_ports() <= 64,
+            "the switch kernel tracks ports in u64 bitmasks: at most 64 ports per switch, \
+             this topology has {}",
+            topo.max_ports()
+        );
         let interarrival = interarrival_cycles(
             offered,
             topo.num_switches(),
@@ -302,27 +315,12 @@ impl<'a> Simulator<'a> {
         let switches: Vec<SwitchState> = topo
             .switches()
             .map(|s| {
-                let mut inp = Vec::with_capacity(ports);
-                let mut outp = Vec::with_capacity(ports);
-                let mut active = Vec::new();
-                for p in 0..ports {
+                SwitchState::new((0..ports).map(|p| {
                     let ic = sw_in[s.idx() * ports + p];
                     let oc = sw_out[s.idx() * ports + p];
                     debug_assert_eq!(ic == u32::MAX, oc == u32::MAX);
-                    if ic != u32::MAX {
-                        inp.push(Some(InPort::new(ic)));
-                        outp.push(Some(OutPort::new(oc)));
-                        active.push(p as u8);
-                    } else {
-                        inp.push(None);
-                        outp.push(None);
-                    }
-                }
-                SwitchState {
-                    inp,
-                    outp,
-                    active_ports: active,
-                }
+                    (ic != u32::MAX).then_some((ic, oc))
+                }))
             })
             .collect();
 
@@ -371,6 +369,7 @@ impl<'a> Simulator<'a> {
             pending_sw_loss: Vec::new(),
             pending_nic_drop: Vec::new(),
             gen_frozen: false,
+            gen_due: 0,
             time_skip: false,
             skipped_cycles: 0,
             skip_log: None,
@@ -567,6 +566,15 @@ impl<'a> Simulator<'a> {
         )
     }
 
+    /// Test oracle: recompute every switch's port summaries (the masks the
+    /// kernel iterates, the resident-packet count behind quiescence) from
+    /// the port state and panic on a mismatch. Valid between steps.
+    pub fn check_invariants(&self) {
+        for sw in &self.switches {
+            sw.check_invariants();
+        }
+    }
+
     /// Current simulation time, cycles.
     pub fn cycle(&self) -> u64 {
         self.cycle
@@ -718,27 +726,27 @@ impl<'a> Simulator<'a> {
         for (s, sw) in self.switches.iter().enumerate() {
             for &p in &sw.active_ports {
                 let inp = sw.inp[p as usize].as_ref().unwrap();
-                if !inp.queue.is_empty() {
-                    let head = inp.queue.front().unwrap();
+                if let Some(head) = inp.queue().front() {
                     let _ = writeln!(
                         out,
                         "  sw {s} in p{p}: q={} occ={} head pid={} exp={} rx={} fwd={} state={:?} out={}",
-                        inp.queue.len(),
+                        inp.queue().len(),
                         inp.occ,
                         head.pid,
                         head.expected,
                         head.received,
                         head.forwarded,
-                        inp.head,
-                        inp.head_out
+                        inp.head(),
+                        inp.head_out()
                     );
                 }
                 let outp = sw.outp[p as usize].as_ref().unwrap();
-                if outp.conn_in.is_some() || outp.stopped {
+                if outp.conn_in().is_some() || outp.stopped {
                     let _ = writeln!(
                         out,
                         "  sw {s} out p{p}: conn={:?} stopped={}",
-                        outp.conn_in, outp.stopped
+                        outp.conn_in(),
+                        outp.stopped
                     );
                 }
             }
@@ -1216,11 +1224,18 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Phase 5: message generation.
+    /// Phase 5: message generation. Nothing is due before `gen_due`, so
+    /// most cycles return at once; a cycle that scans the hosts learns the
+    /// next due cycle from them as it goes.
     fn gen_phase(&mut self, cycle: u64) {
-        for h in 0..self.nics.len() {
-            self.nic_gen(h, cycle);
+        if cycle < self.gen_due {
+            return;
         }
+        let mut due = u64::MAX;
+        for h in 0..self.nics.len() {
+            due = due.min(self.nic_gen(h, cycle));
+        }
+        self.gen_due = due;
     }
 
     /// Watchdog + per-cycle observer work. `trace_ns`, when profiling,
@@ -1268,31 +1283,11 @@ impl<'a> Simulator<'a> {
             // the active set.
             sc.activate_switch(sw);
         }
-        let inp = self.switches[sw as usize].inp[port as usize]
-            .as_mut()
-            .expect("flit into unconnected port");
-        // Contiguity: a channel carries one packet's flits back-to-back
-        // (possibly with bubbles), so an incomplete tail entry means
-        // continuation.
-        let continuation = inp
-            .queue
-            .back()
-            .map(|p| p.received < p.expected)
-            .unwrap_or(false);
-        if continuation {
-            let back = inp.queue.back_mut().unwrap();
-            debug_assert_eq!(back.pid, pid, "interleaved packets on one channel");
-            back.received += 1;
-        } else {
-            let expected = self.arena.get(pid).expected_at_next_receiver();
-            debug_assert!(expected >= 2);
-            inp.queue.push_back(InPkt {
-                pid,
-                expected,
-                received: 1,
-                forwarded: 0,
-                header_consumed: false,
-            });
+        let arena = &self.arena;
+        let (new_packet, ctl) = self.switches[sw as usize].flit_in(port, pid, &self.cfg, || {
+            arena.get(pid).expected_at_next_receiver()
+        });
+        if new_packet {
             if let Some(c) = &mut self.counters {
                 c.switch_arrivals += 1;
             }
@@ -1300,19 +1295,21 @@ impl<'a> Simulator<'a> {
                 j.record(cycle, pid, EventKind::SwitchArrival { sw, port });
             }
         }
-        if let Some(ctl) = inp.on_flit_in(&self.cfg) {
-            let chan = inp.in_chan;
-            self.channels[chan as usize].send_ctl(cycle, ctl);
+        if let Some((chan, sym)) = ctl {
+            self.channels[chan as usize].send_ctl(cycle, sym);
             if let Some(sc) = self.sched.as_deref_mut() {
                 sc.note_ctl(cycle, chan);
             }
         }
     }
 
-    /// One switch's routing + arbitration + transfer work. `timing`, when
-    /// profiling, accumulates (routing-units, arbitration+crossbar) ns —
-    /// a single pass with optional timestamps, never a restructured loop,
-    /// so journal record order is identical profiled or not.
+    /// One switch's routing + arbitration + transfer work, touching only
+    /// ports with work: both loops walk a port bitmask of the switch in
+    /// ascending port order — the order the full scan over `active_ports`
+    /// visited them, so journal records come out identically. `timing`,
+    /// when profiling, accumulates (routing-units, arbitration+crossbar)
+    /// ns — a single pass with optional timestamps, never a restructured
+    /// loop, so journal record order is identical profiled or not.
     fn switch_phase(&mut self, s: usize, cycle: u64, mut timing: Option<&mut (u64, u64)>) {
         let faults_on = self.faults.is_some();
         // A dead switch routes nothing (its resident packets were purged
@@ -1329,106 +1326,72 @@ impl<'a> Simulator<'a> {
         }
         let cfg = &self.cfg;
         let sw = &mut self.switches[s];
-        let nports = sw.active_ports.len();
         let mut mark = timing.as_ref().map(|_| std::time::Instant::now());
 
         // Routing control units: consume the header byte of each head
         // packet and start the 150 ns routing delay.
-        for k in 0..nports {
-            let p = sw.active_ports[k] as usize;
-            let inp = sw.inp[p].as_mut().unwrap();
-            match inp.head {
+        for p in ports(sw.rcu_ports()) {
+            match sw.head(p) {
                 HeadState::Idle => {
-                    if let Some(head) = inp.queue.front_mut() {
-                        if head.received >= 1 && !head.header_consumed {
-                            head.header_consumed = true;
-                            let pid = head.pid;
-                            let out = self.arena.get_mut(pid).consume_port_byte();
-                            inp.head_out = out;
-                            inp.head = HeadState::Routing {
-                                ready: cycle + cfg.switch_routing_cycles as u64,
-                            };
-                            if let Some(ctl) = inp.on_flit_out(cfg) {
-                                let chan = inp.in_chan;
-                                self.channels[chan as usize].send_ctl(cycle, ctl);
-                                if let Some(sc) = self.sched.as_deref_mut() {
-                                    sc.note_ctl(cycle, chan);
-                                }
-                            }
-                            if faults_on {
-                                // Routing towards a dead cable (or a port
-                                // that never existed in a stale route):
-                                // the worm is lost. Truncation is deferred
-                                // to the loss phase (see `loss_phase`).
-                                let dead_out =
-                                    match sw.outp.get(out as usize).and_then(|o| o.as_ref()) {
-                                        Some(o) => self.channels[o.out_chan as usize].is_dead(),
-                                        None => true,
-                                    };
-                                if dead_out {
-                                    self.pending_sw_loss.push((s as u32, pid));
-                                }
-                            }
+                    let pid = sw.head_pid(p);
+                    let out = self.arena.get_mut(pid).consume_port_byte();
+                    let ready = cycle + cfg.switch_routing_cycles as u64;
+                    if let Some((chan, sym)) = sw.start_routing(p, out, ready, cfg) {
+                        self.channels[chan as usize].send_ctl(cycle, sym);
+                        if let Some(sc) = self.sched.as_deref_mut() {
+                            sc.note_ctl(cycle, chan);
+                        }
+                    }
+                    if faults_on {
+                        // Routing towards a dead cable (or a port that
+                        // never existed in a stale route): the worm is
+                        // lost. Truncation is deferred to the loss phase
+                        // (see `loss_phase`).
+                        let dead_out = match sw.out_chan(out) {
+                            Some(c) => self.channels[c as usize].is_dead(),
+                            None => true,
+                        };
+                        if dead_out {
+                            self.pending_sw_loss.push((s as u32, pid));
+                        }
+                    }
+                    if let Some(c) = &mut self.counters {
+                        c.route_lookups += 1;
+                    }
+                    if let Some(j) = &mut self.journal {
+                        j.record(
+                            cycle,
+                            pid,
+                            EventKind::Route {
+                                sw: s as u32,
+                                port: p as u8,
+                                out,
+                            },
+                        );
+                    }
+                }
+                HeadState::Routing { ready } if cycle >= ready => {
+                    sw.request_output(p);
+                    if self.counters.is_some() || self.journal.is_some() {
+                        if let Some(cause) = sw.block_cause(p) {
                             if let Some(c) = &mut self.counters {
-                                c.route_lookups += 1;
+                                c.worms_blocked += 1;
                             }
                             if let Some(j) = &mut self.journal {
                                 j.record(
                                     cycle,
-                                    pid,
-                                    EventKind::Route {
+                                    sw.head_pid(p),
+                                    EventKind::Block {
                                         sw: s as u32,
-                                        port: p as u8,
-                                        out,
+                                        out: sw.head_out(p),
+                                        cause,
                                     },
                                 );
                             }
                         }
                     }
                 }
-                HeadState::Routing { ready } => {
-                    if cycle >= ready {
-                        inp.head = HeadState::Requesting;
-                        if self.counters.is_some() || self.journal.is_some() {
-                            let out = inp.head_out;
-                            let pid = inp.queue.front().map(|q| q.pid).unwrap_or(NO_PACKET);
-                            // Why can't the head advance right now? Busy or
-                            // stopped output, or another requesting head.
-                            let cause = match sw.outp.get(out as usize).and_then(|o| o.as_ref()) {
-                                Some(o) if o.conn_in.is_some() => Some(BlockCause::OutputBusy),
-                                Some(o) if o.stopped => Some(BlockCause::FlowStopped),
-                                Some(_) => {
-                                    let contended = sw.active_ports.iter().any(|&q| {
-                                        q as usize != p
-                                            && sw.inp[q as usize].as_ref().is_some_and(|ip| {
-                                                ip.head == HeadState::Requesting
-                                                    && ip.head_out == out
-                                            })
-                                    });
-                                    contended.then_some(BlockCause::Arbitration)
-                                }
-                                None => None,
-                            };
-                            if let Some(cause) = cause {
-                                if let Some(c) = &mut self.counters {
-                                    c.worms_blocked += 1;
-                                }
-                                if let Some(j) = &mut self.journal {
-                                    j.record(
-                                        cycle,
-                                        pid,
-                                        EventKind::Block {
-                                            sw: s as u32,
-                                            out,
-                                            cause,
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                HeadState::Requesting | HeadState::Granted => {}
+                _ => {}
             }
         }
         if let (Some(t), Some(m)) = (timing.as_deref_mut(), mark.as_mut()) {
@@ -1439,76 +1402,34 @@ impl<'a> Simulator<'a> {
 
         // Output ports: arbitrate (demand-slotted round-robin over the
         // requesting inputs) and transfer one flit per connected port.
-        for k in 0..nports {
-            let p = sw.active_ports[k] as usize;
-            // Arbitration.
-            if sw.outp[p].as_ref().unwrap().conn_in.is_none() {
-                let rr = sw.outp[p].as_ref().unwrap().rr;
-                // Find the first requesting input after `rr` in round-robin
-                // order over the active ports.
-                let start = sw
-                    .active_ports
-                    .iter()
-                    .position(|&ap| ap == rr)
-                    .map(|i| i + 1)
-                    .unwrap_or(0);
-                let mut grant = None;
-                for off in 0..nports {
-                    let cand = sw.active_ports[(start + off) % nports];
-                    let inp = sw.inp[cand as usize].as_ref().unwrap();
-                    if inp.head == HeadState::Requesting && inp.head_out as usize == p {
-                        grant = Some(cand);
-                        break;
-                    }
+        for p in ports(sw.busy_outputs()) {
+            if let Some(g) = sw.arbitrate(p) {
+                if let Some(c) = &mut self.counters {
+                    c.arbitration_grants += 1;
                 }
-                if let Some(g) = grant {
-                    let outp = sw.outp[p].as_mut().unwrap();
-                    outp.conn_in = Some(g);
-                    outp.rr = g;
-                    sw.inp[g as usize].as_mut().unwrap().head = HeadState::Granted;
-                    if let Some(c) = &mut self.counters {
-                        c.arbitration_grants += 1;
-                    }
-                    if let Some(j) = &mut self.journal {
-                        let pid = sw.inp[g as usize]
-                            .as_ref()
-                            .unwrap()
-                            .queue
-                            .front()
-                            .map(|q| q.pid)
-                            .unwrap_or(NO_PACKET);
-                        j.record(
-                            cycle,
-                            pid,
-                            EventKind::HeadAdvance {
-                                sw: s as u32,
-                                in_port: g,
-                                out: p as u8,
-                            },
-                        );
-                    }
+                if let Some(j) = &mut self.journal {
+                    j.record(
+                        cycle,
+                        sw.head_pid(g as usize),
+                        EventKind::HeadAdvance {
+                            sw: s as u32,
+                            in_port: g,
+                            out: p as u8,
+                        },
+                    );
                 }
             }
-            // Transfer.
-            let outp = sw.outp[p].as_ref().unwrap();
-            let Some(g) = outp.conn_in else { continue };
-            if outp.stopped {
+            let Some((g, out_chan)) = sw.open_connection(p) else {
                 continue;
-            }
-            let out_chan = outp.out_chan;
+            };
             if faults_on && self.channels[out_chan as usize].is_dead() {
                 // The granted head is already queued for loss handling;
                 // never stream flits into a dead cable.
                 continue;
             }
-            let inp = sw.inp[g as usize].as_mut().unwrap();
-            let head = inp.queue.front_mut().expect("granted without head");
-            if head.available() == 0 {
+            let Some((pid, ctl)) = sw.forward_flit(p, g, cfg) else {
                 continue;
-            }
-            let pid = head.pid;
-            head.forwarded += 1;
-            let done = head.done();
+            };
             self.channels[out_chan as usize].send(cycle, pid);
             self.last_activity = cycle;
             if let Some(sc) = self.sched.as_deref_mut() {
@@ -1517,17 +1438,11 @@ impl<'a> Simulator<'a> {
             if let Some(c) = &mut self.counters {
                 c.flits_forwarded += 1;
             }
-            if let Some(ctl) = inp.on_flit_out(cfg) {
-                let chan = inp.in_chan;
-                self.channels[chan as usize].send_ctl(cycle, ctl);
+            if let Some((chan, sym)) = ctl {
+                self.channels[chan as usize].send_ctl(cycle, sym);
                 if let Some(sc) = self.sched.as_deref_mut() {
                     sc.note_ctl(cycle, chan);
                 }
-            }
-            if done {
-                inp.queue.pop_front();
-                inp.head = HeadState::Idle;
-                sw.outp[p].as_mut().unwrap().conn_in = None;
             }
         }
         if let (Some(t), Some(m)) = (timing, mark) {
@@ -1843,6 +1758,7 @@ impl<'a> Simulator<'a> {
             );
         }
         nic.scheduled.push_back((at_cycle, dst.0));
+        self.gen_due = self.gen_due.min(at_cycle);
     }
 
     /// Step until no packet is live or `max_cycles` elapse; returns the
@@ -1926,12 +1842,16 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    fn nic_gen(&mut self, h: usize, cycle: u64) {
+    /// Create the messages host `h` has due at `cycle`; returns the first
+    /// later cycle at which it can have one due (`u64::MAX`: never, as far
+    /// as this host can tell).
+    fn nic_gen(&mut self, h: usize, cycle: u64) -> u64 {
         if let Some(f) = self.faults.as_deref() {
             // Dead or unreachable hosts generate nothing (their backlog was
-            // stranded when they went down).
+            // stranded when they went down) until `apply_host_ok` brings
+            // them back, which lowers `gen_due` itself.
             if !f.host_ok[h] {
-                return;
+                return u64::MAX;
             }
         }
         // Explicitly scheduled messages first.
@@ -1943,15 +1863,23 @@ impl<'a> Simulator<'a> {
             let src = regnet_topology::HostId(h as u32);
             self.create_message(src, regnet_topology::HostId(dst), at);
         }
+        let scheduled_due = self.nics[h]
+            .scheduled
+            .front()
+            .map_or(u64::MAX, |&(at, _)| at);
         loop {
-            if self.nics[h].next_gen > cycle as f64 {
-                return;
+            let next_gen = self.nics[h].next_gen;
+            if next_gen > cycle as f64 {
+                // Generation fires at the first integer cycle >= next_gen
+                // (the cast saturates: `f64::MAX`, a silent host, is never).
+                return scheduled_due.min(next_gen.ceil() as u64);
             }
             if self.nics[h].local_queue.len() >= self.cfg.source_queue_cap {
+                // Stalled on a full source queue: counted every cycle.
                 if self.measure.on {
                     self.measure.gen_stall_cycles += 1;
                 }
-                return;
+                return cycle + 1;
             }
             let src = regnet_topology::HostId(h as u32);
             let gen_cycle = self.nics[h].next_gen.max(0.0) as u64;
@@ -1971,7 +1899,7 @@ impl<'a> Simulator<'a> {
             let Some(dst) = dst else {
                 // Silent host under a permutation pattern: stop for good.
                 self.nics[h].next_gen = f64::MAX;
-                return;
+                return scheduled_due;
             };
             let unreachable = match self.faults.as_deref() {
                 Some(f) => {
@@ -2195,7 +2123,7 @@ impl<'a> Simulator<'a> {
                 continue;
             }
             for inp in self.switches[s].inp.iter().flatten() {
-                victims.extend(inp.queue.iter().map(|q| q.pid));
+                victims.extend(inp.queue().iter().map(|q| q.pid));
             }
         }
     }
@@ -2208,7 +2136,7 @@ impl<'a> Simulator<'a> {
             Receiver::SwitchIn { sw, port } => {
                 // A partially received packet can never get its tail.
                 if let Some(inp) = self.switches[sw as usize].inp[port as usize].as_ref() {
-                    if let Some(back) = inp.queue.back() {
+                    if let Some(back) = inp.queue().back() {
                         if back.received < back.expected {
                             victims.push(back.pid);
                         }
@@ -2226,8 +2154,8 @@ impl<'a> Simulator<'a> {
                 // Any head routed towards this output loses its worm: flits
                 // already sent are gone and the remainder can never follow.
                 for inp in self.switches[sw as usize].inp.iter().flatten() {
-                    if inp.head != HeadState::Idle && inp.head_out == port {
-                        if let Some(head) = inp.queue.front() {
+                    if inp.head() != HeadState::Idle && inp.head_out() == port {
+                        if let Some(head) = inp.queue().front() {
                             victims.push(head.pid);
                         }
                     }
@@ -2290,6 +2218,9 @@ impl<'a> Simulator<'a> {
             }
             self.faults.as_deref_mut().unwrap().host_ok[h] = ok;
             if ok {
+                // Its generator restarts and its `scheduled` backlog is
+                // due again: have this cycle's generation phase look.
+                self.gen_due = self.gen_due.min(cycle);
                 self.restart_generation(h, cycle);
             } else {
                 self.strand_host_traffic(h, cycle);
@@ -2440,48 +2371,17 @@ impl<'a> Simulator<'a> {
             ch.purge(pid);
         }
         for s in 0..self.switches.len() {
-            let nports = self.switches[s].active_ports.len();
-            for k in 0..nports {
-                let p = self.switches[s].active_ports[k] as usize;
-                let Some(inp) = self.switches[s].inp[p].as_mut() else {
-                    continue;
-                };
-                let Some(pos) = inp.queue.iter().position(|q| q.pid == pid) else {
-                    continue;
-                };
-                let entry = inp.queue.remove(pos).unwrap();
-                let flits = entry.available() as u16;
-                let mut clear_out: Option<u8> = None;
-                if pos == 0 && inp.head != HeadState::Idle {
-                    if inp.head == HeadState::Granted {
-                        clear_out = Some(inp.head_out);
-                    }
-                    inp.head = HeadState::Idle;
-                }
-                let ctl = if flits > 0 {
-                    inp.on_flits_purged(flits, &self.cfg)
-                } else {
-                    None
-                };
-                let in_chan = inp.in_chan;
-                if let Some(sym) = ctl {
-                    // The purge can run in phase 0, before this cycle's
-                    // control arrivals were taken; discard any symbol
-                    // arriving right now explicitly (the scan loop used to
-                    // overwrite it in place) so `send_ctl`'s call-order
-                    // check holds.
-                    let ch = &mut self.channels[in_chan as usize];
-                    let _ = ch.take_ctl_arrival(cycle);
-                    ch.send_ctl(cycle, sym);
-                    self.sched_note_ctl(cycle, in_chan);
-                }
-                if let Some(po) = clear_out {
-                    if let Some(o) = self.switches[s].outp[po as usize].as_mut() {
-                        if o.conn_in == Some(p as u8) {
-                            o.conn_in = None;
-                        }
-                    }
-                }
+            let mut ctl = Vec::new();
+            self.switches[s].purge(pid, &self.cfg, |c| ctl.push(c));
+            for (in_chan, sym) in ctl {
+                // The purge can run in phase 0, before this cycle's control
+                // arrivals were taken; discard any symbol arriving right
+                // now explicitly (the scan loop used to overwrite it in
+                // place) so `send_ctl`'s call-order check holds.
+                let ch = &mut self.channels[in_chan as usize];
+                let _ = ch.take_ctl_arrival(cycle);
+                ch.send_ctl(cycle, sym);
+                self.sched_note_ctl(cycle, in_chan);
             }
         }
         for h in 0..self.nics.len() {
@@ -2534,6 +2434,7 @@ impl<'a> Simulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faultplan::FaultPlan;
     use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme};
     use regnet_topology::{gen, SwitchId, TopologyBuilder};
     use regnet_traffic::PatternSpec;
@@ -2922,6 +2823,215 @@ mod tests {
         let window = sim.cycle;
         let stats = sim.end_measurement(window);
         assert_eq!(stats.delivered, 1);
+    }
+
+    /// Step `cycles` cycles; `ungated` clears the generation gate before
+    /// each one, which is the scan of every host on every cycle that
+    /// `gen_phase` ran before it had a gate.
+    fn step_n(sim: &mut Simulator, cycles: u64, ungated: bool) {
+        for _ in 0..cycles {
+            if ungated {
+                sim.gen_due = 0;
+            }
+            sim.step();
+        }
+    }
+
+    #[test]
+    fn generation_gate_changes_nothing_at_saturation() {
+        let topo = build_ring4();
+        let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let run = |ungated: bool| {
+            let mut sim = Simulator::new(&topo, &db, &pattern, small_cfg(), 0.5, 5);
+            step_n(&mut sim, 5_000, ungated);
+            sim.begin_measurement();
+            step_n(&mut sim, 30_000, ungated);
+            sim.end_measurement(30_000)
+        };
+        let gated = run(false);
+        assert!(gated.gen_stall_cycles > 0, "sources should be backlogged");
+        assert_eq!(gated, run(true));
+    }
+
+    #[test]
+    fn scheduled_message_before_the_cached_gate_fires_on_its_cycle() {
+        let topo = build_ring4();
+        let db = RouteDb::build(&topo, RoutingScheme::UpDown, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        for scheduler in [Scheduler::Scan, Scheduler::EventDriven] {
+            // Interarrival of ~1e8 cycles: after the first scan the gate
+            // sits far in the future.
+            let mut sim = Simulator::new(&topo, &db, &pattern, small_cfg(), 1e-9, 1);
+            sim.set_scheduler(scheduler);
+            sim.begin_measurement();
+            sim.run(100);
+            assert!(sim.gen_due > 1_000_000, "gate at {}", sim.gen_due);
+            assert_eq!(sim.measure.generated, 0);
+            sim.schedule_message(HostId(0), HostId(5), 140);
+            assert_eq!(sim.gen_due, 140);
+            sim.run(40);
+            assert_eq!((sim.cycle, sim.measure.generated), (140, 0));
+            sim.run(1);
+            assert_eq!(sim.measure.generated, 1, "{scheduler:?}");
+            assert!(sim.gen_due > 1_000_000, "gate not recomputed");
+            assert_eq!(sim.run_until_drained(10_000).map(|c| c > 141), Some(true));
+        }
+    }
+
+    #[test]
+    fn stop_generation_is_honoured_through_the_gate() {
+        let topo = build_ring4();
+        let db = RouteDb::build(&topo, RoutingScheme::ItbSp, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let mut sim = Simulator::new(&topo, &db, &pattern, small_cfg(), 0.01, 9);
+        sim.begin_measurement();
+        sim.run(10_000);
+        let generated = sim.measure.generated;
+        assert!(generated > 0);
+        sim.stop_generation();
+        assert!(sim.run_until_drained(1_000_000).is_some());
+        sim.run(10_000);
+        assert_eq!(sim.measure.generated, generated);
+        assert_eq!(sim.gen_due, u64::MAX);
+    }
+
+    #[test]
+    fn repaired_host_generates_again_through_the_gate() {
+        let topo = build_ring4();
+        let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let cfg = SimConfig {
+            reconfig_latency_cycles: 300,
+            ..small_cfg()
+        };
+        let run = |ungated: bool| {
+            let mut plan = FaultPlan::new();
+            plan.fail_host(2_000, HostId(3));
+            plan.repair_host(6_000, HostId(3));
+            let mut sim = Simulator::new(&topo, &db, &pattern, cfg.clone(), 0.01, 4);
+            sim.enable_faults(FaultOptions::with_plan(plan));
+            // Every generator silent (but not frozen, as `stop_generation`
+            // would): the first scan finds nothing due, ever.
+            for nic in &mut sim.nics {
+                nic.next_gen = f64::MAX;
+            }
+            sim.begin_measurement();
+            step_n(&mut sim, 6_000, ungated);
+            assert!(ungated || sim.gen_due == u64::MAX);
+            // Back after repair + reconfiguration latency, with a fresh
+            // phase — the only host that generates.
+            step_n(&mut sim, 301, ungated);
+            assert!(sim.faults.as_deref().unwrap().host_ok[3]);
+            let restart = sim.nics[3].next_gen;
+            assert!((6_300.0..9_000.0).contains(&restart), "{restart}");
+            assert!(ungated || sim.gen_due == restart.ceil() as u64);
+            step_n(&mut sim, 20_000, ungated);
+            (sim.end_measurement(sim.cycle), sim.reliability())
+        };
+        let gated = run(false);
+        assert_eq!(gated.1.host_failures, 1);
+        assert!(gated.0.generated > 3, "host 3 never generated again");
+        assert_eq!(gated, run(true));
+    }
+
+    /// A packet resident in a switch, one per purge case not exercised
+    /// yet: head `Idle` / `Routing` / `Requesting` / `Granted`, or (4) a
+    /// queue entry behind the head.
+    fn next_purge_case(sim: &Simulator, seen: &[bool; 5]) -> Option<(usize, u32)> {
+        for sw in &sim.switches {
+            for inp in sw.inp.iter().flatten() {
+                for (pos, entry) in inp.queue().iter().enumerate() {
+                    let case = match (pos, inp.head()) {
+                        (0, HeadState::Idle) => 0,
+                        (0, HeadState::Routing { .. }) => 1,
+                        (0, HeadState::Requesting) => 2,
+                        (0, HeadState::Granted) => 3,
+                        _ => 4,
+                    };
+                    if !seen[case] {
+                        return Some((case, entry.pid));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn switch_summaries_hold_through_faults_on_every_engine() {
+        let topo = gen::torus_2d(4, 4, 2).unwrap();
+        let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let link = topo.links().iter().find(|l| l.is_switch_link()).unwrap().id;
+        let cfg = SimConfig {
+            reconfig_latency_cycles: 400,
+            ..small_cfg()
+        };
+        let run = |scheduler: Scheduler| {
+            // A cable and a whole switch die under saturating load and
+            // come back: `fail_channel`, the purge of a dead switch's
+            // buffers, both repairs and four reconfigurations.
+            let mut plan = FaultPlan::new();
+            plan.fail_link(1_500, link);
+            plan.fail_switch(2_500, SwitchId(5));
+            plan.repair_link(4_000, link);
+            plan.repair_switch(5_000, SwitchId(5));
+            let mut sim = Simulator::new(&topo, &db, &pattern, cfg.clone(), 0.08, 3);
+            sim.set_scheduler(scheduler);
+            sim.enable_faults(FaultOptions::with_plan(plan));
+            sim.begin_measurement();
+            let mut seen = [false; 5];
+            for _ in 0..7_000 {
+                // Between the plan's events, lose packets by hand until
+                // every purge case has happened at least once. The switch
+                // state is engine-invariant, so every engine picks the
+                // same victims.
+                if sim.cycle.is_multiple_of(64) {
+                    if let Some((case, pid)) = next_purge_case(&sim, &seen) {
+                        seen[case] = true;
+                        sim.handle_loss(pid, sim.cycle);
+                        sim.check_invariants();
+                    }
+                }
+                sim.run(1);
+                sim.check_invariants();
+            }
+            assert_eq!(seen, [true; 5], "{scheduler:?}: purge cases exercised");
+            let rel = sim.reliability();
+            assert_eq!(
+                (rel.link_failures, rel.switch_failures, rel.repairs),
+                (1, 1, 2)
+            );
+            assert!(
+                rel.worms_truncated > 5 && rel.reconfigurations >= 2,
+                "{rel:?}"
+            );
+            (sim.end_measurement(7_000), rel)
+        };
+        let reference = run(Scheduler::Scan);
+        assert!(reference.0.delivered > 100);
+        for scheduler in [
+            Scheduler::ActiveSet,
+            Scheduler::EventDriven,
+            Scheduler::Parallel { threads: 1 },
+            Scheduler::Parallel { threads: 4 },
+        ] {
+            assert_eq!(reference, run(scheduler), "{scheduler:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 ports per switch")]
+    fn more_than_64_ports_is_refused_up_front() {
+        let mut b = TopologyBuilder::new("wide", 65);
+        b.add_switches(2);
+        b.connect(SwitchId(0), SwitchId(1)).unwrap();
+        b.attach_hosts_everywhere(1).unwrap();
+        let topo = b.build().unwrap();
+        let db = RouteDb::build(&topo, RoutingScheme::UpDown, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        Simulator::new(&topo, &db, &pattern, SimConfig::default(), 0.001, 1);
     }
 
     #[test]

@@ -95,12 +95,12 @@ pub(crate) fn build_wait_edges(switches: &[SwitchState]) -> Vec<WaitEdge> {
     for (s, sw) in switches.iter().enumerate() {
         for &p in &sw.active_ports {
             let inp = sw.inp[p as usize].as_ref().unwrap();
-            let granted = match inp.head {
+            let granted = match inp.head() {
                 HeadState::Requesting => false,
                 HeadState::Granted => true,
                 HeadState::Idle | HeadState::Routing { .. } => continue,
             };
-            let out = inp.head_out as usize;
+            let out = inp.head_out() as usize;
             let Some(outp) = sw.outp.get(out).and_then(|o| o.as_ref()) else {
                 // A corrupt route requested a nonexistent port; nothing to
                 // wait for, and the arbitration loop will never grant it.

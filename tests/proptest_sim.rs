@@ -37,13 +37,19 @@ proptest! {
         let cfg = SimConfig { payload_flits: payload, ..SimConfig::default() };
         let mut sim = Simulator::new(&topo, &db, &pattern, cfg, load, seed);
         sim.begin_measurement();
-        sim.run(25_000);
+        // After every step, the port summaries the switch kernel iterates
+        // must equal what the port state says.
+        for _ in 0..25_000 {
+            sim.step();
+            sim.check_invariants();
+        }
         sim.stop_generation();
         let mut guard = 0;
         while sim.packets_in_flight() > 0 {
-            sim.run(2_000);
+            sim.step();
+            sim.check_invariants();
             guard += 1;
-            prop_assert!(guard < 1_000, "drain failed:\n{}", sim.dump_state());
+            prop_assert!(guard < 2_000_000, "drain failed:\n{}", sim.dump_state());
         }
         let stats = sim.end_measurement(25_000);
         prop_assert_eq!(stats.delivered, stats.generated);
