@@ -26,62 +26,38 @@ pub const CTL_NONE: u8 = 0;
 pub const CTL_STOP: u8 = 1;
 pub const CTL_GO: u8 = 2;
 
-/// One unidirectional channel: a delay line of `delay` flit slots, plus a
-/// parallel delay line for stop/go control symbols flowing the opposite way
-/// (Myrinet encodes control symbols inline; they do not consume data
-/// bandwidth).
+/// The data half of a channel: a delay line of `delay` flit slots, written
+/// by the channel's sender and drained by its receiver.
+///
+/// A channel is two lanes so that the two components at its ends can each
+/// hold one exclusively: under the shard-parallel engine (`crate::par`) the
+/// sender and the receiver may live in different shards, and within one
+/// region of a cycle each lane has exactly one of them working on it. Each
+/// lane therefore carries its own copy of the cable's `delay` and `dead`
+/// state (`dead` changes only in the fault phase, on the main thread).
 #[derive(Debug)]
-pub struct Channel {
-    pub sender: Sender,
-    pub receiver: Receiver,
+pub struct DataLane {
     delay: u32,
-    /// `data[c % delay]` is the flit that *arrives* at cycle `c`; a flit
-    /// written at cycle `c` (same index, after the arrival was consumed)
-    /// arrives at `c + delay`.
-    data: Box<[u32]>,
-    /// Same discipline for control symbols (written by the receiver side,
-    /// read by the sender side).
-    ctl: Box<[u8]>,
-    /// Data flits observed during the measurement window (utilization).
-    pub busy_cycles: u64,
     /// A dead channel drops every flit offered to it (cable fault).
     dead: bool,
-    /// Cycle of the last `send_ctl`, used by the call-order check: a slot
-    /// may only be overwritten by a second symbol sent in the *same* cycle
-    /// (a deliberate supersede); anything else would silently destroy an
-    /// undelivered symbol.
-    ctl_written_at: u64,
+    /// `slots[c % delay]` is the flit that *arrives* at cycle `c`; a flit
+    /// written at cycle `c` (same index, after the arrival was consumed)
+    /// arrives at `c + delay`.
+    slots: Box<[u32]>,
+    /// Data flits observed during the measurement window (utilization).
+    busy_cycles: u64,
 }
 
-impl Channel {
-    pub fn new(sender: Sender, receiver: Receiver, delay: u32) -> Channel {
-        assert!(delay > 0);
-        Channel {
-            sender,
-            receiver,
-            delay,
-            data: vec![NO_PACKET; delay as usize].into_boxed_slice(),
-            ctl: vec![CTL_NONE; delay as usize].into_boxed_slice(),
-            busy_cycles: 0,
-            dead: false,
-            ctl_written_at: 0,
-        }
-    }
-
-    #[inline]
-    fn slot(&self, cycle: u64) -> usize {
-        (cycle % self.delay as u64) as usize
-    }
-
+impl DataLane {
     /// Take the data flit arriving this cycle (if any), freeing the slot.
     #[inline]
     pub fn take_arrival(&mut self, cycle: u64) -> Option<u32> {
-        let s = self.slot(cycle);
-        let v = self.data[s];
+        let s = (cycle % self.delay as u64) as usize;
+        let v = self.slots[s];
         if v == NO_PACKET {
             None
         } else {
-            self.data[s] = NO_PACKET;
+            self.slots[s] = NO_PACKET;
             self.busy_cycles += 1;
             Some(v)
         }
@@ -96,82 +72,142 @@ impl Channel {
         if self.dead {
             return;
         }
-        let s = self.slot(cycle);
-        debug_assert_eq!(self.data[s], NO_PACKET, "channel slot collision");
-        self.data[s] = packet;
+        let s = (cycle % self.delay as u64) as usize;
+        debug_assert_eq!(self.slots[s], NO_PACKET, "channel slot collision");
+        self.slots[s] = packet;
     }
 
+    #[inline]
+    pub fn is_dead(&self) -> bool {
+        self.dead
+    }
+}
+
+/// The control half of a channel: the same delay line for stop/go symbols
+/// flowing against the data direction, written by the channel's receiver
+/// and drained by its sender (Myrinet encodes control symbols inline; they
+/// do not consume data bandwidth).
+#[derive(Debug)]
+pub struct CtlLane {
+    delay: u32,
+    /// Control symbols die with the cable too.
+    dead: bool,
+    slots: Box<[u8]>,
+    /// Cycle of the last `send`, used by the call-order check: a slot may
+    /// only be overwritten by a second symbol sent in the *same* cycle (a
+    /// deliberate supersede); anything else would silently destroy an
+    /// undelivered symbol.
+    written_at: u64,
+}
+
+impl CtlLane {
     /// Take the control symbol arriving this cycle.
     #[inline]
-    pub fn take_ctl_arrival(&mut self, cycle: u64) -> u8 {
-        let s = self.slot(cycle);
-        let v = self.ctl[s];
-        self.ctl[s] = CTL_NONE;
-        v
+    pub fn take_arrival(&mut self, cycle: u64) -> u8 {
+        let s = (cycle % self.delay as u64) as usize;
+        std::mem::replace(&mut self.slots[s], CTL_NONE)
     }
 
     /// Emit a stop/go symbol towards the sender; arrives `delay` cycles
-    /// from now. Control symbols die with the cable too.
+    /// from now.
     ///
-    /// Must be called after [`take_ctl_arrival`](Channel::take_ctl_arrival)
-    /// for the same cycle: the write reuses the slot the current cycle's
-    /// arrival occupies, so calling out of order would silently drop that
-    /// symbol. The only legal overwrite is superseding a symbol sent
-    /// earlier in the *same* cycle (e.g. a purge's GO replacing this
-    /// cycle's STOP), which the debug assertion below permits.
+    /// Must be called after [`take_arrival`](CtlLane::take_arrival) for the
+    /// same cycle: the write reuses the slot the current cycle's arrival
+    /// occupies, so calling out of order would silently drop that symbol.
+    /// The only legal overwrite is superseding a symbol sent earlier in the
+    /// *same* cycle (e.g. a purge's GO replacing this cycle's STOP), which
+    /// the debug assertion below permits.
     #[inline]
-    pub fn send_ctl(&mut self, cycle: u64, symbol: u8) {
+    pub fn send(&mut self, cycle: u64, symbol: u8) {
         if self.dead {
             return;
         }
-        let s = self.slot(cycle);
+        let s = (cycle % self.delay as u64) as usize;
         debug_assert!(
-            self.ctl[s] == CTL_NONE || self.ctl_written_at == cycle,
-            "send_ctl would clobber an undelivered control symbol \
-             (call take_ctl_arrival for this cycle first)"
+            self.slots[s] == CTL_NONE || self.written_at == cycle,
+            "send would clobber an undelivered control symbol \
+             (call take_arrival for this cycle first)"
         );
-        self.ctl[s] = symbol;
-        self.ctl_written_at = cycle;
+        self.slots[s] = symbol;
+        self.written_at = cycle;
+    }
+}
+
+/// One unidirectional channel: a [`DataLane`] in the data direction plus a
+/// [`CtlLane`] for the stop/go symbols flowing the opposite way. The
+/// per-cycle operations are the lanes'; the methods below are the
+/// whole-cable ones (inspection, faults).
+#[derive(Debug)]
+pub struct Channel {
+    pub sender: Sender,
+    pub receiver: Receiver,
+    pub data: DataLane,
+    pub ctl: CtlLane,
+}
+
+impl Channel {
+    pub fn new(sender: Sender, receiver: Receiver, delay: u32) -> Channel {
+        assert!(delay > 0);
+        Channel {
+            sender,
+            receiver,
+            data: DataLane {
+                delay,
+                dead: false,
+                slots: vec![NO_PACKET; delay as usize].into_boxed_slice(),
+                busy_cycles: 0,
+            },
+            ctl: CtlLane {
+                delay,
+                dead: false,
+                slots: vec![CTL_NONE; delay as usize].into_boxed_slice(),
+                written_at: 0,
+            },
+        }
     }
 
     /// Any data flits still in flight?
     pub fn has_data_in_flight(&self) -> bool {
-        self.data.iter().any(|&v| v != NO_PACKET)
+        self.data.slots.iter().any(|&v| v != NO_PACKET)
     }
 
     /// Any control symbols (STOP/GO/purge) still in flight? Used by the
     /// event-driven driver's pending-work oracle.
     pub fn has_ctl_in_flight(&self) -> bool {
-        self.ctl.iter().any(|&v| v != CTL_NONE)
+        self.ctl.slots.iter().any(|&v| v != CTL_NONE)
+    }
+
+    /// Data flits observed since the last [`reset_busy`](Channel::reset_busy).
+    pub fn busy_cycles(&self) -> u64 {
+        self.data.busy_cycles
     }
 
     /// Reset the utilization counter (start of the measurement window).
     pub fn reset_busy(&mut self) {
-        self.busy_cycles = 0;
+        self.data.busy_cycles = 0;
     }
 
     /// Kill the channel: every in-flight flit is lost. Returns the distinct
     /// packet ids whose flits were destroyed (the victims' worms have been
     /// truncated — the upstream state must be purged by the caller).
     pub fn fail(&mut self) -> Vec<u32> {
-        self.dead = true;
         let mut victims: Vec<u32> = self
             .data
+            .slots
             .iter()
             .copied()
             .filter(|&v| v != NO_PACKET)
             .collect();
         victims.sort_unstable();
         victims.dedup();
-        self.data.fill(NO_PACKET);
-        self.ctl.fill(CTL_NONE);
+        self.set_dead(true);
         victims
     }
 
     /// Drop every in-flight flit of one packet (its worm is being purged
     /// after a fault elsewhere on its path).
     pub fn purge(&mut self, pid: u32) {
-        for slot in self.data.iter_mut() {
+        for slot in self.data.slots.iter_mut() {
             if *slot == pid {
                 *slot = NO_PACKET;
             }
@@ -180,93 +216,19 @@ impl Channel {
 
     /// Bring a repaired channel back into service, empty.
     pub fn repair(&mut self) {
-        self.dead = false;
-        self.data.fill(NO_PACKET);
-        self.ctl.fill(CTL_NONE);
+        self.set_dead(false);
+    }
+
+    /// Flip both lanes' `dead` flag, emptying them.
+    fn set_dead(&mut self, dead: bool) {
+        self.data.dead = dead;
+        self.ctl.dead = dead;
+        self.data.slots.fill(NO_PACKET);
+        self.ctl.slots.fill(CTL_NONE);
     }
 
     pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-}
-
-/// Raw-pointer projections for the shard-parallel engine (`crate::par`).
-///
-/// Within one region of a parallel cycle a channel can be touched by two
-/// shards at once, but always through *disjoint fields*: the shard owning
-/// the receiver drains `data`/`busy_cycles` while the shard owning the
-/// sender drains `ctl`, and in the switch/NIC region the channel's unique
-/// data sender writes `data` while the receiving in-port's shard writes
-/// `ctl`/`ctl_written_at`. These helpers therefore never materialize a
-/// `&mut Channel`; each accesses only the fields named in its body
-/// (`sender`, `receiver` and `delay` are immutable; `dead` mutates only
-/// in the fault phase, which runs on the main thread with the workers
-/// parked). Keep them in lockstep with the methods above.
-pub(crate) mod raw {
-    use super::{Channel, CTL_NONE};
-    use crate::packet::NO_PACKET;
-
-    #[inline]
-    unsafe fn slot(c: *const Channel, cycle: u64) -> usize {
-        (cycle % (*c).delay as u64) as usize
-    }
-
-    /// Mirror of [`Channel::take_arrival`].
-    #[inline]
-    pub(crate) unsafe fn take_arrival(c: *mut Channel, cycle: u64) -> Option<u32> {
-        let s = slot(c, cycle);
-        let v = (*c).data[s];
-        if v == NO_PACKET {
-            None
-        } else {
-            (*c).data[s] = NO_PACKET;
-            (*c).busy_cycles += 1;
-            Some(v)
-        }
-    }
-
-    /// Mirror of [`Channel::send`].
-    #[inline]
-    pub(crate) unsafe fn send(c: *mut Channel, cycle: u64, packet: u32) {
-        if (*c).dead {
-            return;
-        }
-        let s = slot(c, cycle);
-        debug_assert_eq!((*c).data[s], NO_PACKET, "channel slot collision");
-        (*c).data[s] = packet;
-    }
-
-    /// Mirror of [`Channel::is_dead`]. `dead` only changes in the fault
-    /// phase (main thread, workers parked), so reading it from a region
-    /// is race-free.
-    #[inline]
-    pub(crate) unsafe fn is_dead(c: *const Channel) -> bool {
-        (*c).dead
-    }
-
-    /// Mirror of [`Channel::take_ctl_arrival`].
-    #[inline]
-    pub(crate) unsafe fn take_ctl_arrival(c: *mut Channel, cycle: u64) -> u8 {
-        let s = slot(c, cycle);
-        let v = (*c).ctl[s];
-        (*c).ctl[s] = CTL_NONE;
-        v
-    }
-
-    /// Mirror of [`Channel::send_ctl`].
-    #[inline]
-    pub(crate) unsafe fn send_ctl(c: *mut Channel, cycle: u64, symbol: u8) {
-        if (*c).dead {
-            return;
-        }
-        let s = slot(c, cycle);
-        debug_assert!(
-            (*c).ctl[s] == CTL_NONE || (*c).ctl_written_at == cycle,
-            "send_ctl would clobber an undelivered control symbol \
-             (call take_ctl_arrival for this cycle first)"
-        );
-        (*c).ctl[s] = symbol;
-        (*c).ctl_written_at = cycle;
+        self.data.dead
     }
 }
 
@@ -285,12 +247,12 @@ mod tests {
     #[test]
     fn flit_takes_delay_cycles() {
         let mut c = chan();
-        c.send(100, 42);
+        c.data.send(100, 42);
         for cyc in 101..108 {
-            assert_eq!(c.take_arrival(cyc), None);
+            assert_eq!(c.data.take_arrival(cyc), None);
         }
-        assert_eq!(c.take_arrival(108), Some(42));
-        assert_eq!(c.take_arrival(108), None, "slot freed after take");
+        assert_eq!(c.data.take_arrival(108), Some(42));
+        assert_eq!(c.data.take_arrival(108), None, "slot freed after take");
         assert!(!c.has_data_in_flight());
     }
 
@@ -299,53 +261,53 @@ mod tests {
         let mut c = chan();
         for i in 0..20u64 {
             // Receiver first, sender second, every cycle.
-            let got = c.take_arrival(i);
+            let got = c.data.take_arrival(i);
             if i >= 8 {
                 assert_eq!(got, Some((i - 8) as u32));
             } else {
                 assert_eq!(got, None);
             }
-            c.send(i, i as u32);
+            c.data.send(i, i as u32);
         }
-        assert_eq!(c.busy_cycles, 12);
+        assert_eq!(c.busy_cycles(), 12);
     }
 
     #[test]
     fn control_symbols_travel_independently() {
         let mut c = chan();
-        c.send(50, 7);
-        c.send_ctl(50, CTL_STOP);
-        assert_eq!(c.take_ctl_arrival(57), CTL_NONE);
-        assert_eq!(c.take_ctl_arrival(58), CTL_STOP);
-        assert_eq!(c.take_ctl_arrival(58), CTL_NONE);
-        assert_eq!(c.take_arrival(58), Some(7));
+        c.data.send(50, 7);
+        c.ctl.send(50, CTL_STOP);
+        assert_eq!(c.ctl.take_arrival(57), CTL_NONE);
+        assert_eq!(c.ctl.take_arrival(58), CTL_STOP);
+        assert_eq!(c.ctl.take_arrival(58), CTL_NONE);
+        assert_eq!(c.data.take_arrival(58), Some(7));
     }
 
     #[test]
     #[should_panic(expected = "slot collision")]
     fn double_send_panics_in_debug() {
         let mut c = chan();
-        c.send(10, 1);
-        c.send(10, 2);
+        c.data.send(10, 1);
+        c.data.send(10, 2);
     }
 
     #[test]
     #[should_panic(expected = "undelivered control symbol")]
     fn misordered_ctl_send_panics_in_debug() {
         let mut c = chan();
-        c.send_ctl(10, CTL_STOP);
+        c.ctl.send(10, CTL_STOP);
         // Cycle 18 reuses slot 10 % 8, and the STOP arriving right now has
         // not been taken: without the check it would vanish silently.
-        c.send_ctl(18, CTL_GO);
+        c.ctl.send(18, CTL_GO);
     }
 
     #[test]
     fn ctl_send_after_take_is_ordered() {
         let mut c = chan();
-        c.send_ctl(10, CTL_STOP);
-        assert_eq!(c.take_ctl_arrival(18), CTL_STOP);
-        c.send_ctl(18, CTL_GO); // slot freed by the take: legal
-        assert_eq!(c.take_ctl_arrival(26), CTL_GO);
+        c.ctl.send(10, CTL_STOP);
+        assert_eq!(c.ctl.take_arrival(18), CTL_STOP);
+        c.ctl.send(18, CTL_GO); // slot freed by the take: legal
+        assert_eq!(c.ctl.take_arrival(26), CTL_GO);
     }
 
     #[test]
@@ -353,41 +315,41 @@ mod tests {
         let mut c = chan();
         // A purge's GO may overwrite a STOP sent earlier the same cycle;
         // the receiver sees only the final symbol.
-        c.send_ctl(5, CTL_STOP);
-        c.send_ctl(5, CTL_GO);
-        assert_eq!(c.take_ctl_arrival(13), CTL_GO);
+        c.ctl.send(5, CTL_STOP);
+        c.ctl.send(5, CTL_GO);
+        assert_eq!(c.ctl.take_arrival(13), CTL_GO);
     }
 
     #[test]
     fn fail_truncates_and_repair_restores() {
         let mut c = chan();
-        c.send(0, 5);
-        c.send(1, 5);
-        c.send(2, 9);
-        c.send_ctl(2, CTL_STOP);
+        c.data.send(0, 5);
+        c.data.send(1, 5);
+        c.data.send(2, 9);
+        c.ctl.send(2, CTL_STOP);
         assert_eq!(c.fail(), vec![5, 9], "distinct in-flight victims");
         assert!(c.is_dead());
         assert!(!c.has_data_in_flight());
         // A dead cable eats everything offered to it.
-        c.send(3, 11);
-        c.send_ctl(3, CTL_GO);
+        c.data.send(3, 11);
+        c.ctl.send(3, CTL_GO);
         for cyc in 4..30 {
-            assert_eq!(c.take_arrival(cyc), None);
-            assert_eq!(c.take_ctl_arrival(cyc), CTL_NONE);
+            assert_eq!(c.data.take_arrival(cyc), None);
+            assert_eq!(c.ctl.take_arrival(cyc), CTL_NONE);
         }
         c.repair();
         assert!(!c.is_dead());
-        c.send(30, 1);
-        assert_eq!(c.take_arrival(38), Some(1));
+        c.data.send(30, 1);
+        assert_eq!(c.data.take_arrival(38), Some(1));
     }
 
     #[test]
     fn reset_busy() {
         let mut c = chan();
-        c.send(0, 1);
-        c.take_arrival(8);
-        assert_eq!(c.busy_cycles, 1);
+        c.data.send(0, 1);
+        c.data.take_arrival(8);
+        assert_eq!(c.busy_cycles(), 1);
         c.reset_busy();
-        assert_eq!(c.busy_cycles, 0);
+        assert_eq!(c.busy_cycles(), 0);
     }
 }

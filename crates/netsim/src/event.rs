@@ -99,13 +99,15 @@ impl Simulator<'_> {
         if t <= c {
             return;
         }
-        if let Some(f) = self.faults.as_deref_mut() {
+        if self
+            .faults
+            .as_deref()
+            .is_some_and(|f| f.reconfig_due.is_some())
+        {
             // The scan loop ticks the stall counter once per cycle while
             // a reconfiguration is pending; `t` is clamped to the
             // completion cycle, so the whole span counts.
-            if f.reconfig_due.is_some() {
-                f.rel.reconfig_stall_cycles += t - c;
-            }
+            self.rel.reconfig_stall_cycles += t - c;
         }
         self.skipped_cycles += t - c;
         if let Some(log) = &mut self.skip_log {

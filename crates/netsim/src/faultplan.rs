@@ -18,11 +18,11 @@
 //! which the tagless wake wheel handles because all channels share one
 //! delay. Exactly two hook sites exist (the purge's ctl fix-up and the
 //! retransmission wake-up), and both dispatch through the simulator's
-//! `sched_note_ctl`/`sched_wake_nic_at` helpers, which route either to
-//! the sequential `ActiveSched` or to the owning shard's scheduler when
-//! the shard-parallel engine is installed — fault plans run natively on
-//! every engine, and mid-cycle losses are deferred to a deterministic
-//! replay point after NIC tx (see `par.rs` `# Faults`).
+//! `ctl_sched`/`nic_sched` helpers, which pick either the sequential
+//! `ActiveSched` or the owning shard's scheduler when the shard-parallel
+//! engine is installed — fault plans run natively on every engine, and
+//! mid-cycle losses are deferred to a deterministic replay point after
+//! NIC tx (`Simulator::loss_phase`).
 //! `tests/scheduler_equivalence.rs` pins cross-engine equality under a
 //! fault plan on every paper topology × scheme.
 
@@ -259,7 +259,6 @@ pub(crate) struct FaultRuntime {
     pub reconfig_due: Option<u64>,
     /// Rebuilt physical routing tables; `None` until the first rebuild.
     pub routes: Option<PhysicalRoutes>,
-    pub rel: ReliabilityStats,
 }
 
 impl FaultRuntime {
@@ -277,7 +276,6 @@ impl FaultRuntime {
             host_ok: vec![true; n_hosts],
             reconfig_due: None,
             routes: None,
-            rel: ReliabilityStats::default(),
         }
     }
 }

@@ -1,0 +1,1045 @@
+//! The Myrinet switch/NIC cycle, written once.
+//!
+//! Everything the paper's results come out of — control symbols flipping
+//! sender flags, flits entering slack buffers, the 150 ns routing delay,
+//! demand-slotted round-robin arbitration, stop&go, in-transit eject and
+//! re-injection — lives in the functions of this module and nowhere else.
+//! They are safe, generic and monomorphised per engine: each takes the
+//! component it advances (`&mut SwitchState` / `&mut Nic`) and a [`Sink`],
+//! through which it reaches the packets, messages and channels it touches
+//! and *emits* every other consequence of the cycle.
+//!
+//! A sink decides *when* an effect lands, never *how* a cycle works:
+//!
+//! * the sequential engines' sink (`sim.rs`) is a bundle of disjoint
+//!   `&mut` borrows of the simulator's fields and applies every effect on
+//!   the spot;
+//! * the shard-parallel engine's sink (`par.rs`) applies what is private
+//!   to its shard, buffers the rest under the [`At`] key it was emitted
+//!   at, and the barrier fold feeds the buffer to the sequential sink in
+//!   `At` order.
+//!
+//! The phase loops at the bottom walk the active-set scheduler's wake
+//! wheels and active lists; they reach components through [`Parts`], which
+//! lends one component together with the sink for everything else. The
+//! full-scan reference engine (`Scheduler::Scan`) keeps its own loops in
+//! `sim.rs` and calls the per-component functions directly.
+
+use std::cmp::Reverse;
+
+use regnet_core::{RouteDb, SegmentEnd, SrcSelector};
+use regnet_topology::{HostId, SwitchId, Topology};
+
+use crate::channel::{Receiver, Sender, CTL_NONE, CTL_STOP};
+use crate::config::SimConfig;
+use crate::counters::Counters;
+use crate::events::EventKind;
+use crate::faultplan::FaultRuntime;
+use crate::nic::{Nic, RxState, TxKind, TxState};
+use crate::packet::Packet;
+use crate::sched::ActiveSched;
+use crate::sim::MsgState;
+use crate::switch::{ports, HeadState, SwitchState};
+
+/// Where in a cycle's sequential visit order an effect was emitted: the
+/// arrival phase visits channels in ascending index order, then the switch
+/// phase visits switches, then the transmit phase visits NICs — which is
+/// exactly the derived ordering. Buffered effects stably sorted by `At`
+/// are therefore in the order the sequential engines apply them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum At {
+    Chan(u32),
+    Switch(u32),
+    Nic(u32),
+}
+
+/// The effects whose order across components is observable: journal
+/// records, the trace hooks of an in-transit eject and of a re-injection
+/// starting (each also journaled), and a delivery — the packet leaves the
+/// arena and its message may complete, so arena and message free-list
+/// reuse follow this order too. They are data so that a sink can buffer
+/// them under their [`At`] and apply them later.
+///
+/// `Lose` says `pid` cannot go on: its worm was routed into a dead output
+/// (`At::Switch`) or it became unroutable at its source (`At::Nic`). No
+/// sink applies it; it is recorded, and the loss phase replays the records
+/// after NIC transmission so every engine mutates the arenas in one order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Fx {
+    Journal { pid: u32, kind: EventKind },
+    ItbEject { pid: u32, host: u32, overflow: bool },
+    Reinject { pid: u32, host: u32 },
+    Deliver { pid: u32, host: u32 },
+    Lose { pid: u32 },
+}
+
+/// Measurement-window tallies the kernel feeds (sums and a max, so folding
+/// per-shard copies is order-free).
+#[derive(Debug, Default)]
+pub(crate) struct KernelMeasure {
+    pub max_pool_flits: u32,
+    pub itb_overflows: u64,
+    pub reinject_bubbles: u64,
+}
+
+impl KernelMeasure {
+    /// Fold `other` into `self`, leaving `other` zeroed.
+    pub(crate) fn absorb(&mut self, other: &mut KernelMeasure) {
+        let o = std::mem::take(other);
+        self.max_pool_flits = self.max_pool_flits.max(o.max_pool_flits);
+        self.itb_overflows += o.itb_overflows;
+        self.reinject_bubbles += o.reinject_bubbles;
+    }
+}
+
+/// What is fixed for the duration of one cycle. The fault state mutates
+/// only in the fault phase (phase 0, main thread), so for the kernel
+/// phases it is plain shared data under every engine.
+#[derive(Clone, Copy)]
+pub(crate) struct Tick<'a> {
+    pub cycle: u64,
+    pub cfg: &'a SimConfig,
+    /// `None` unless fault injection is armed: every fault branch of the
+    /// kernel hangs off this one test.
+    pub faults: Option<&'a FaultRuntime>,
+    /// The table fresh and retransmitted packets route from: the
+    /// reconfigured tables once installed, the build-time ones before.
+    pub db: &'a RouteDb,
+    pub topo: &'a Topology,
+}
+
+/// The two child spans the profiler shows below the switch phase.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum SwitchSpan {
+    Routing = 0,
+    Crossbar = 1,
+}
+
+/// Everything a kernel function needs besides the component it advances:
+/// access to the packets, messages and channels it touches, and a place to
+/// emit every effect of the cycle. Implementations hold the current cycle.
+pub(crate) trait Sink {
+    // ---- Access. ----
+
+    /// A live packet.
+    fn pkt(&mut self, pid: u32) -> &mut Packet;
+    /// A live message.
+    fn msg(&mut self, midx: u32) -> &mut MsgState;
+    /// Path-selection state of source host `src`.
+    fn selector(&mut self, src: HostId) -> &mut SrcSelector;
+    /// Has channel `ci`'s cable failed?
+    fn is_dead(&self, ci: u32) -> bool;
+
+    // ---- Effects. ----
+
+    /// One flit of `pid` leaves on channel `ci` (and is noted on the data
+    /// wheel for its arrival).
+    fn send(&mut self, ci: u32, pid: u32);
+    /// A stop/go symbol goes back on channel `ci` (and is noted on the
+    /// control wheel).
+    fn send_ctl(&mut self, ci: u32, symbol: u8);
+    /// Switch `sw` holds a flit: keep it in the active set.
+    fn activate_switch(&mut self, sw: u32);
+    /// NIC `host` has a re-injection becoming ready at `ready`.
+    fn wake_nic_at(&mut self, ready: u64, host: u32);
+    /// A flit or control symbol moved (watchdog feed).
+    fn activity(&mut self);
+    /// Bump the counter registry, if counting.
+    fn count(&mut self, bump: impl FnOnce(&mut Counters));
+    /// Counters or journal are on: block causes are worth computing.
+    fn diag(&self) -> bool;
+    /// Update the measurement tallies, if a window is open.
+    fn measure(&mut self, update: impl FnOnce(&mut KernelMeasure));
+    /// Is the event journal on?
+    fn journal_on(&self) -> bool;
+    /// An order-sensitive effect happened at `at`.
+    fn fx(&mut self, at: At, fx: Fx);
+    /// [`Fx::Journal`] of `(packet, event)` if journaling; `event` is not
+    /// evaluated otherwise.
+    #[inline]
+    fn journal(&mut self, at: At, event: impl FnOnce() -> (u32, EventKind)) {
+        if self.journal_on() {
+            let (pid, kind) = event();
+            self.fx(at, Fx::Journal { pid, kind });
+        }
+    }
+
+    /// Profiler hook around the two loops of [`switch_phase`]: if child
+    /// spans are being collected, charge the time since the last lap to
+    /// `span` (`None`: just start the clock).
+    #[inline]
+    fn span_lap(&mut self, _span: Option<SwitchSpan>) {}
+}
+
+/// What the per-channel deliveries and the phase loops walk: the channels'
+/// arrivals, and the components, each lent together with the sink its
+/// kernel emits into so that both can be borrowed at once.
+pub(crate) trait Parts {
+    type Sink: Sink;
+    fn sink(&mut self) -> &mut Self::Sink;
+    fn switch(&mut self, sw: u32) -> (&mut SwitchState, &mut Self::Sink);
+    fn nic(&mut self, host: u32) -> (&mut Nic, &mut Self::Sink);
+    /// Who drives and who receives channel `ci`.
+    fn ends(&self, ci: u32) -> (Sender, Receiver);
+    /// The control symbol arriving on `ci` this cycle (`CTL_NONE`: none).
+    fn take_ctl_arrival(&mut self, ci: u32) -> u8;
+    /// The flit arriving on `ci` this cycle.
+    fn take_arrival(&mut self, ci: u32) -> Option<u32>;
+    /// The wake wheels and active lists the phase loops drain. Only the
+    /// active-set engines have them; the scan loops never ask.
+    fn sched(&mut self) -> &mut ActiveSched;
+}
+
+// ---------------------------------------------------------------------------
+// Per-component kernels
+// ---------------------------------------------------------------------------
+
+/// Phase 1, one channel: deliver the control symbol arriving on `ci`, if
+/// any, to the channel's sender. Control traffic counts as activity for
+/// the watchdog: a long STOP/GO exchange with no data arrivals is a
+/// flow-controlled network, not a stall.
+#[inline]
+pub(crate) fn deliver_ctl<P: Parts>(p: &mut P, ci: u32) {
+    let symbol = p.take_ctl_arrival(ci);
+    if symbol == CTL_NONE {
+        return;
+    }
+    let stopped = symbol == CTL_STOP;
+    let k = p.sink();
+    k.count(|c| {
+        if stopped {
+            c.ctl_stops += 1;
+        } else {
+            c.ctl_gos += 1;
+        }
+    });
+    k.activity();
+    match p.ends(ci).0 {
+        Sender::SwitchOut { sw, port } => {
+            p.switch(sw).0.outp[port as usize]
+                .as_mut()
+                .expect("ctl for unconnected port")
+                .stopped = stopped;
+        }
+        Sender::Nic { host } => p.nic(host).0.stopped = stopped,
+    }
+}
+
+/// Phase 2, one channel: hand the flit arriving on `ci`, if any, to the
+/// channel's receiver.
+#[inline]
+pub(crate) fn deliver_data<P: Parts>(p: &mut P, ci: u32, t: &Tick) {
+    let Some(pid) = p.take_arrival(ci) else {
+        return;
+    };
+    p.sink().activity();
+    match p.ends(ci).1 {
+        Receiver::SwitchIn { sw, port } => {
+            let (s, k) = p.switch(sw);
+            switch_rx(s, sw, port, pid, ci, t, k);
+        }
+        Receiver::Nic { host } => {
+            let (nic, k) = p.nic(host);
+            nic_rx(nic, host, pid, ci, t, k);
+        }
+    }
+}
+
+/// One flit of `pid` enters input `port` of switch `id` from channel `ci`.
+#[inline]
+pub(crate) fn switch_rx<S: Sink>(
+    sw: &mut SwitchState,
+    id: u32,
+    port: u8,
+    pid: u32,
+    ci: u32,
+    t: &Tick,
+    k: &mut S,
+) {
+    // A flit in an input buffer is exactly what keeps a switch in the
+    // active set.
+    k.activate_switch(id);
+    let (new_packet, ctl) = sw.flit_in(port, pid, t.cfg, || k.pkt(pid).expected_at_next_receiver());
+    if new_packet {
+        k.count(|c| c.switch_arrivals += 1);
+        k.journal(At::Chan(ci), || {
+            (pid, EventKind::SwitchArrival { sw: id, port })
+        });
+    }
+    if let Some((chan, sym)) = ctl {
+        k.send_ctl(chan, sym);
+    }
+}
+
+/// One flit of `pid` enters NIC `host` from channel `ci`: the header
+/// decides between delivery and in-transit processing, the last flit
+/// completes a delivery.
+pub(crate) fn nic_rx<S: Sink>(nic: &mut Nic, host: u32, pid: u32, ci: u32, t: &Tick, k: &mut S) {
+    let (at, cfg) = (At::Chan(ci), t.cfg);
+    // New packet or continuation?
+    let is_new = match nic.rx {
+        Some(rx) => {
+            debug_assert_eq!(rx.pid, pid, "interleaved packets into NIC");
+            false
+        }
+        None => true,
+    };
+    if is_new {
+        let pkt = k.pkt(pid);
+        let expected = pkt.expected_at_next_receiver();
+        let end = pkt.journey.segments[pkt.seg as usize].end;
+        debug_assert!(!pkt.on_final_segment() || matches!(end, SegmentEnd::Deliver));
+        let deliver = match end {
+            SegmentEnd::Deliver => {
+                debug_assert_eq!(pkt.journey.dst.0, host, "misrouted packet");
+                true
+            }
+            SegmentEnd::Itb(itb_host) => {
+                debug_assert_eq!(itb_host.0, host, "misrouted in-transit packet");
+                // In-transit processing: recognise the packet (275 ns),
+                // program the DMA (200 ns), reserve pool space.
+                pkt.itbs_used += 1;
+                let mut ready = t.cycle + (cfg.itb_detect_cycles + cfg.itb_dma_cycles) as u64;
+                let overflow = nic.pool_used + expected > cfg.itb_pool_flits;
+                if overflow {
+                    // Overflow to host memory: considerably more overhead
+                    // (paper section 3).
+                    pkt.pool_reserved = 0;
+                    ready += cfg.itb_overflow_penalty_cycles as u64;
+                } else {
+                    nic.pool_used += expected;
+                    pkt.pool_reserved = expected;
+                }
+                // The packet enters its next segment (the ITB mark is
+                // stripped by this NIC).
+                pkt.seg += 1;
+                pkt.hop = 0;
+                let pool_used = nic.pool_used;
+                k.measure(|m| {
+                    if overflow {
+                        m.itb_overflows += 1;
+                    } else {
+                        m.max_pool_flits = m.max_pool_flits.max(pool_used);
+                    }
+                });
+                nic.reinject.push(Reverse((ready, pid)));
+                k.wake_nic_at(ready, host);
+                k.count(|c| {
+                    c.itb_ejections += 1;
+                    c.itb_overflows += u64::from(overflow);
+                });
+                let eject = Fx::ItbEject {
+                    pid,
+                    host,
+                    overflow,
+                };
+                k.fx(at, eject);
+                false
+            }
+        };
+        nic.rx = Some(RxState {
+            pid,
+            received: 0,
+            expected,
+            deliver,
+        });
+    }
+
+    let rx = nic.rx.as_mut().unwrap();
+    rx.received += 1;
+    if rx.received == rx.expected {
+        let deliver = rx.deliver;
+        nic.rx = None;
+        if deliver {
+            k.fx(at, Fx::Deliver { pid, host });
+        }
+    }
+}
+
+/// Phase 3, one switch: routing, arbitration and transfer, touching only
+/// ports with work. Both loops walk a port bitmask of the switch in
+/// ascending port order — the order a full scan over `active_ports`
+/// visits them, so journal records come out identically. The profiler's
+/// child spans are optional timestamps around the same single pass, never
+/// a restructured loop.
+pub(crate) fn switch_phase<S: Sink>(sw: &mut SwitchState, id: u32, t: &Tick, k: &mut S) {
+    // A dead switch routes nothing (its resident packets were purged when
+    // it failed).
+    if t.faults
+        .is_some_and(|f| !f.active.is_switch_alive(SwitchId(id)))
+    {
+        return;
+    }
+    let (at, cfg, cycle) = (At::Switch(id), t.cfg, t.cycle);
+    k.span_lap(None);
+
+    // Routing control units: consume the header byte of each head packet
+    // and start the 150 ns routing delay.
+    for p in ports(sw.rcu_ports()) {
+        match sw.head(p) {
+            HeadState::Idle => {
+                let pid = sw.head_pid(p);
+                let out = k.pkt(pid).consume_port_byte();
+                let ready = cycle + cfg.switch_routing_cycles as u64;
+                if let Some((chan, sym)) = sw.start_routing(p, out, ready, cfg) {
+                    k.send_ctl(chan, sym);
+                }
+                // Routing towards a dead cable (or a port that never
+                // existed in a stale route): the worm is lost.
+                if t.faults.is_some() && sw.out_chan(out).is_none_or(|c| k.is_dead(c)) {
+                    k.fx(at, Fx::Lose { pid });
+                }
+                k.count(|c| c.route_lookups += 1);
+                k.journal(at, || {
+                    let port = p as u8;
+                    (pid, EventKind::Route { sw: id, port, out })
+                });
+            }
+            HeadState::Routing { ready } if cycle >= ready => {
+                sw.request_output(p);
+                if k.diag() {
+                    if let Some(cause) = sw.block_cause(p) {
+                        k.count(|c| c.worms_blocked += 1);
+                        k.journal(at, || {
+                            let out = sw.head_out(p);
+                            (sw.head_pid(p), EventKind::Block { sw: id, out, cause })
+                        });
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    k.span_lap(Some(SwitchSpan::Routing));
+
+    // Output ports: arbitrate (demand-slotted round-robin over the
+    // requesting inputs) and transfer one flit per connected port.
+    for p in ports(sw.busy_outputs()) {
+        if let Some(g) = sw.arbitrate(p) {
+            k.count(|c| c.arbitration_grants += 1);
+            k.journal(at, || {
+                let (in_port, out) = (g, p as u8);
+                let kind = EventKind::HeadAdvance {
+                    sw: id,
+                    in_port,
+                    out,
+                };
+                (sw.head_pid(g as usize), kind)
+            });
+        }
+        let Some((g, out_chan)) = sw.open_connection(p) else {
+            continue;
+        };
+        if t.faults.is_some() && k.is_dead(out_chan) {
+            // The granted head is already queued for loss handling; never
+            // stream flits into a dead cable.
+            continue;
+        }
+        let Some((pid, ctl)) = sw.forward_flit(p, g, cfg) else {
+            continue;
+        };
+        k.send(out_chan, pid);
+        k.activity();
+        k.count(|c| c.flits_forwarded += 1);
+        if let Some((chan, sym)) = ctl {
+            k.send_ctl(chan, sym);
+        }
+    }
+    k.span_lap(Some(SwitchSpan::Crossbar));
+}
+
+/// Phase 4, one NIC: pick the next packet if idle, then send one flit of
+/// the current one if flow control and (for a re-injection) cut-through
+/// availability allow.
+pub(crate) fn nic_tx<S: Sink>(nic: &mut Nic, h: u32, t: &Tick, k: &mut S) {
+    let (at, cfg, cycle) = (At::Nic(h), t.cfg, t.cycle);
+    if let Some(f) = t.faults {
+        // Sources freeze while the mapper redistributes routes; the
+        // transmission already in progress may finish.
+        if f.reconfig_due.is_some() && nic.tx.is_none() {
+            return;
+        }
+        // A NIC on a dead host link cannot move flits at all.
+        if k.is_dead(nic.out_chan) {
+            return;
+        }
+    }
+    if nic.tx.is_none() {
+        while let Some((pid, kind)) = nic.pick_next_tx(cycle, cfg.itb_priority) {
+            // Fresh and retransmitted packets route from scratch: under
+            // faults, re-validate the pair and — once a rebuild has been
+            // installed — re-select the journey from the current tables
+            // (in-transit packets keep their remaining route).
+            if let (Some(f), true) = (t.faults, kind != TxKind::Reinject) {
+                let journey = &k.pkt(pid).journey;
+                let (src, dst) = (journey.src, journey.dst);
+                let routable = f.host_ok[src.idx()]
+                    && f.host_ok[dst.idx()]
+                    && t.db
+                        .has_route(t.topo.host_switch(src), t.topo.host_switch(dst));
+                if !routable {
+                    // Skip it now (the NIC still transmits the next
+                    // routable packet this cycle).
+                    k.fx(at, Fx::Lose { pid });
+                    continue;
+                }
+                if f.routes.is_some() {
+                    let journey = t.db.select_from(t.topo, src, dst, k.selector(src));
+                    let pkt = k.pkt(pid);
+                    pkt.journey = journey;
+                    pkt.seg = 0;
+                    pkt.hop = 0;
+                }
+            }
+            nic.tx = Some(TxState {
+                pid,
+                sent: 0,
+                total: k.pkt(pid).wire_len_current_segment(),
+                reinjection: kind == TxKind::Reinject,
+            });
+            break;
+        }
+    }
+    let Some(tx) = nic.tx else { return };
+    if nic.stopped {
+        return;
+    }
+    // Cut-through availability: a re-injected packet can only send flits
+    // that have already arrived *at this NIC* (minus the consumed ITB
+    // mark). The count comes from this NIC's own reception state — if our
+    // rx has moved on, the packet arrived here completely. (A packet can
+    // span several NICs at once when cut-through chains through
+    // consecutive in-transit hosts, so the count must be per-NIC, not
+    // per-packet.)
+    let available = if tx.reinjection {
+        let arrived_here = match nic.rx {
+            Some(rx) if rx.pid == tx.pid => rx.received,
+            _ => tx.total + 1, // fully received (wire included the ITB mark)
+        };
+        if cfg.itb_cut_through {
+            arrived_here.saturating_sub(1)
+        } else if arrived_here > tx.total {
+            tx.total
+        } else {
+            0
+        }
+    } else {
+        tx.total
+    };
+    if tx.sent >= available {
+        if tx.reinjection && tx.sent > 0 {
+            // Mid-packet bubble: the tail has not arrived yet.
+            k.measure(|m| m.reinject_bubbles += 1);
+        }
+        return;
+    }
+    if tx.sent == 0 && !tx.reinjection {
+        let pkt = k.pkt(tx.pid);
+        pkt.inject_cycle = cycle;
+        let (midx, src, dst) = (pkt.msg, pkt.journey.src.0, pkt.journey.dst.0);
+        let ms = k.msg(midx);
+        if ms.first_inject == u64::MAX {
+            ms.first_inject = cycle;
+        }
+        k.journal(at, || (tx.pid, EventKind::Inject { src, dst }));
+    }
+    k.send(nic.out_chan, tx.pid);
+    k.activity();
+    k.count(|c| c.flits_injected += 1);
+    if tx.sent == 0 && tx.reinjection {
+        k.count(|c| c.itb_reinjections += 1);
+        let (pid, host) = (tx.pid, h);
+        k.fx(at, Fx::Reinject { pid, host });
+    }
+    let tx = nic.tx.as_mut().unwrap();
+    tx.sent += 1;
+    if tx.sent == tx.total {
+        if tx.reinjection {
+            // The tail left: give the in-transit pool space back.
+            nic.pool_used -= std::mem::take(&mut k.pkt(tx.pid).pool_reserved);
+        }
+        nic.tx = None;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Phase loops of the active-set engines
+// ---------------------------------------------------------------------------
+
+/// Phase 1: drain this cycle's control-wheel bucket (sorted, so channels
+/// are visited in scan order).
+#[inline]
+pub(crate) fn ctl_phase<P: Parts>(p: &mut P, t: &Tick) {
+    let bucket = p.sched().take_ctl(t.cycle);
+    for &ci in &bucket {
+        deliver_ctl(p, ci);
+    }
+    p.sched().recycle(bucket);
+}
+
+/// Phase 2: drain this cycle's data-wheel bucket.
+#[inline]
+pub(crate) fn arrival_phase<P: Parts>(p: &mut P, t: &Tick) {
+    let bucket = p.sched().take_data(t.cycle);
+    for &ci in &bucket {
+        deliver_data(p, ci, t);
+    }
+    p.sched().recycle(bucket);
+}
+
+/// Phase 3: visit the active switches in ascending order, retiring those
+/// left quiescent (a per-component predicate, so it shards cleanly).
+#[inline]
+pub(crate) fn switches_phase<P: Parts>(p: &mut P, t: &Tick) {
+    let mut list = p.sched().take_active_switches();
+    list.sort_unstable();
+    list.retain(|&s| {
+        let (sw, k) = p.switch(s);
+        switch_phase(sw, s, t, k);
+        let retire = sw.is_quiescent();
+        if retire {
+            p.sched().retire_switch(s);
+        }
+        !retire
+    });
+    p.sched().merge_switches(list);
+}
+
+/// Phase 4: wake the NICs whose timers fired, then visit the active NICs
+/// in ascending order, retiring those with nothing left to send.
+#[inline]
+pub(crate) fn nic_tx_phase<P: Parts>(p: &mut P, t: &Tick) {
+    p.sched().drain_wakes(t.cycle);
+    let mut list = p.sched().take_active_nics();
+    list.sort_unstable();
+    list.retain(|&h| {
+        let (nic, k) = p.nic(h);
+        nic_tx(nic, h, t, k);
+        let retire = nic.quiescent_for_tx(t.cycle);
+        if retire {
+            p.sched().retire_nic(h);
+        }
+        !retire
+    });
+    p.sched().merge_nics(list);
+}
+
+#[cfg(test)]
+mod tests {
+    //! The kernel against a sink that only writes down what it is told:
+    //! effect order without an engine around it.
+
+    use super::*;
+    use crate::channel::{CTL_GO, CTL_STOP};
+    use crate::events::BlockCause;
+    use crate::faultplan::{FaultOptions, FaultPlan};
+    use regnet_core::{Journey, RouteDbConfig, RoutingScheme, Segment};
+    use regnet_topology::{Port, TopologyBuilder};
+
+    #[derive(Debug, PartialEq)]
+    enum Rec {
+        Send(u32, u32),
+        Ctl(u32, u8),
+        Activate(u32),
+        Wake(u64, u32),
+        Activity,
+        Did(At, Fx),
+    }
+    use Rec::*;
+
+    /// Packets and messages by index, a list of dead channels, and a log.
+    #[derive(Default)]
+    struct Recorder {
+        pkts: Vec<Packet>,
+        msgs: Vec<MsgState>,
+        dead: Vec<u32>,
+        log: Vec<Rec>,
+        counters: Counters,
+        measure: KernelMeasure,
+    }
+
+    impl Recorder {
+        fn with(pkts: Vec<Packet>) -> Recorder {
+            Recorder {
+                pkts,
+                ..Recorder::default()
+            }
+        }
+        /// The log so far, emptied.
+        fn take(&mut self) -> Vec<Rec> {
+            std::mem::take(&mut self.log)
+        }
+    }
+
+    impl Sink for Recorder {
+        fn pkt(&mut self, pid: u32) -> &mut Packet {
+            &mut self.pkts[pid as usize]
+        }
+        fn msg(&mut self, midx: u32) -> &mut MsgState {
+            &mut self.msgs[midx as usize]
+        }
+        fn selector(&mut self, _: HostId) -> &mut SrcSelector {
+            unreachable!("no test installs reconfigured routes")
+        }
+        fn is_dead(&self, ci: u32) -> bool {
+            self.dead.contains(&ci)
+        }
+        fn send(&mut self, ci: u32, pid: u32) {
+            self.log.push(Send(ci, pid));
+        }
+        fn send_ctl(&mut self, ci: u32, symbol: u8) {
+            self.log.push(Ctl(ci, symbol));
+        }
+        fn activate_switch(&mut self, sw: u32) {
+            self.log.push(Activate(sw));
+        }
+        fn wake_nic_at(&mut self, ready: u64, host: u32) {
+            self.log.push(Wake(ready, host));
+        }
+        fn activity(&mut self) {
+            self.log.push(Activity);
+        }
+        fn count(&mut self, bump: impl FnOnce(&mut Counters)) {
+            bump(&mut self.counters);
+        }
+        fn diag(&self) -> bool {
+            true
+        }
+        fn measure(&mut self, update: impl FnOnce(&mut KernelMeasure)) {
+            update(&mut self.measure);
+        }
+        fn journal_on(&self) -> bool {
+            true
+        }
+        fn fx(&mut self, at: At, fx: Fx) {
+            self.log.push(Did(at, fx));
+        }
+    }
+
+    const SW: u32 = 7;
+    const AT: At = At::Switch(SW);
+
+    /// Switch 7 with ports 0..3; port `p` receives on channel `10 + p` and
+    /// drives channel `20 + p`.
+    fn switch() -> SwitchState {
+        SwitchState::new((0..3).map(|p| Some((10 + p, 20 + p))))
+    }
+
+    /// Three flits each of packet 0 into input 0 and packet 1 into input 1.
+    fn feed_two_worms(sw: &mut SwitchState, t: &Tick, k: &mut Recorder) {
+        for (port, pid) in [(0u8, 0u32), (1, 1)] {
+            for _ in 0..3 {
+                switch_rx(sw, SW, port, pid, 10 + port as u32, t, k);
+            }
+        }
+    }
+
+    /// NIC driving channel 40.
+    fn nic() -> Nic {
+        use rand::SeedableRng;
+        Nic::new(40, rand::rngs::SmallRng::seed_from_u64(0))
+    }
+
+    /// A packet of message 0 from host 0 to host 9, one journey segment per
+    /// port list; every segment but the last ends in host 4's in-transit
+    /// buffer.
+    fn packet(payload: u32, segments: &[&[u8]]) -> Packet {
+        let segments = segments.iter().enumerate().map(|(i, ports)| Segment {
+            switches: (0..=ports.len() as u32).map(SwitchId).collect(),
+            ports: ports.iter().map(|&p| Port(p)).collect(),
+            end: if i + 1 < segments.len() {
+                SegmentEnd::Itb(HostId(4))
+            } else {
+                SegmentEnd::Deliver
+            },
+        });
+        Packet {
+            msg: 0,
+            journey: Journey {
+                src: HostId(0),
+                dst: HostId(9),
+                segments: segments.collect(),
+            },
+            payload,
+            seg: 0,
+            hop: 0,
+            inject_cycle: u64::MAX,
+            itbs_used: 0,
+            pool_reserved: 0,
+            retries: 0,
+        }
+    }
+
+    fn lose(at: At, pid: u32) -> Rec {
+        Did(at, Fx::Lose { pid })
+    }
+
+    fn journal(at: At, pid: u32, kind: EventKind) -> Rec {
+        Did(at, Fx::Journal { pid, kind })
+    }
+
+    fn route(port: u8, pid: u32, out: u8) -> Rec {
+        journal(AT, pid, EventKind::Route { sw: SW, port, out })
+    }
+
+    fn grant(in_port: u8, pid: u32) -> Rec {
+        let (sw, out) = (SW, 2);
+        journal(AT, pid, EventKind::HeadAdvance { sw, in_port, out })
+    }
+
+    /// What a [`Tick`] borrows: a two-switch line with one host each.
+    struct World {
+        cfg: SimConfig,
+        topo: Topology,
+        db: RouteDb,
+        faults: Option<FaultRuntime>,
+    }
+
+    impl World {
+        fn new() -> World {
+            let mut b = TopologyBuilder::new("line2", 4);
+            b.add_switches(2);
+            b.connect(SwitchId(0), SwitchId(1)).unwrap();
+            b.attach_hosts_everywhere(1).unwrap();
+            let topo = b.build().unwrap();
+            World {
+                cfg: SimConfig::default(),
+                db: RouteDb::build(&topo, RoutingScheme::UpDown, &RouteDbConfig::default()),
+                topo,
+                faults: None,
+            }
+        }
+
+        /// Fault injection armed, nothing failed, hosts usable as given.
+        fn faulted(host_ok: [bool; 2]) -> World {
+            let mut faults = FaultRuntime::new(FaultOptions::with_plan(FaultPlan::new()), 2);
+            faults.host_ok = host_ok.to_vec();
+            World {
+                faults: Some(faults),
+                ..World::new()
+            }
+        }
+
+        fn tick(&self, cycle: u64) -> Tick<'_> {
+            Tick {
+                cycle,
+                cfg: &self.cfg,
+                faults: self.faults.as_ref(),
+                db: &self.db,
+                topo: &self.topo,
+            }
+        }
+    }
+
+    #[test]
+    fn switch_emits_route_block_grant_and_flit_in_journal_order() {
+        let w = World::new();
+        let mut sw = switch();
+        // Two worms, both leaving through port 2.
+        let mut k = Recorder::with(vec![packet(30, &[&[2, 0]]), packet(30, &[&[2, 1]])]);
+        feed_two_worms(&mut sw, &w.tick(0), &mut k);
+        let arrival = |port: u8, pid| {
+            let at = At::Chan(10 + port as u32);
+            journal(at, pid, EventKind::SwitchArrival { sw: SW, port })
+        };
+        // Every flit keeps the switch active; only the header is journaled.
+        let (a, b) = (arrival(0, 0), arrival(1, 1));
+        let on = || Activate(SW);
+        assert_eq!(k.take(), [on(), a, on(), on(), on(), b, on(), on()]);
+
+        // Cycle 0: both routing units consume their header byte, in
+        // ascending port order; then 150 ns = 24 cycles of nothing.
+        switch_phase(&mut sw, SW, &w.tick(0), &mut k);
+        assert_eq!(k.take(), [route(0, 0, 2), route(1, 1, 2)]);
+        assert_eq!((k.pkts[0].hop, k.pkts[1].hop), (1, 1));
+        switch_phase(&mut sw, SW, &w.tick(23), &mut k);
+        assert_eq!(k.take(), []);
+
+        // Cycle 24: input 0 requests the free port unopposed; input 1 then
+        // finds a rival (Block); the first grant of a fresh round-robin
+        // pointer goes to the first requester after port 0, input 1, whose
+        // first buffered flit crosses at once.
+        switch_phase(&mut sw, SW, &w.tick(24), &mut k);
+        let (out, cause) = (2, BlockCause::Arbitration);
+        let block = journal(AT, 1, EventKind::Block { sw: SW, out, cause });
+        assert_eq!(k.take(), [block, grant(1, 1), Send(22, 1), Activity]);
+
+        // One more flit; input 0 keeps waiting, silently (a block is
+        // recorded once, when the request is made). Then input 1 has
+        // nothing buffered: no transfer, no activity.
+        switch_phase(&mut sw, SW, &w.tick(25), &mut k);
+        assert_eq!(k.take(), [Send(22, 1), Activity]);
+        switch_phase(&mut sw, SW, &w.tick(26), &mut k);
+        assert_eq!(k.take(), []);
+        let c = &k.counters;
+        assert_eq!(
+            (c.switch_arrivals, c.route_lookups, c.worms_blocked),
+            (2, 2, 1)
+        );
+        assert_eq!((c.arbitration_grants, c.flits_forwarded), (1, 2));
+        sw.check_invariants();
+    }
+
+    #[test]
+    fn stop_leaves_on_arrival_and_go_after_the_flit_that_earned_it() {
+        let w = World::new();
+        let mut sw = switch();
+        let mut k = Recorder::with(vec![packet(100, &[&[2, 0]])]);
+        // The 57th buffered flit crosses the STOP threshold (56).
+        for n in 1..=57 {
+            switch_rx(&mut sw, SW, 1, 0, 11, &w.tick(0), &mut k);
+            let stop = k.take().contains(&Ctl(11, CTL_STOP));
+            assert_eq!(stop, n == 57, "flit {n}");
+        }
+        switch_phase(&mut sw, SW, &w.tick(0), &mut k);
+        switch_phase(&mut sw, SW, &w.tick(24), &mut k);
+        k.take();
+        // Header consumed (56 left) and one flit forwarded (55): GO goes
+        // back when occupancy falls below 40, i.e. with the 17th flit —
+        // after that flit and its activity mark, never before.
+        for n in 2..=17 {
+            switch_phase(&mut sw, SW, &w.tick(23 + n), &mut k);
+            let go = (n == 17).then_some(Ctl(11, CTL_GO));
+            let want: Vec<Rec> = [Send(22, 0), Activity].into_iter().chain(go).collect();
+            assert_eq!(k.take(), want, "flit {n}");
+        }
+    }
+
+    #[test]
+    fn itb_eject_reserves_pool_space_and_reinjects_cut_through() {
+        let w = World::new();
+        let mut nic = nic();
+        let mut k = Recorder::with(vec![packet(20, &[&[1], &[3, 2]])]);
+        k.pkts[0].hop = 1; // the one switch of segment 0 is behind it
+        let wire = 1 + 2 + 1 + 20; // ITB mark, segment 1's ports, type, payload
+        let (pid, host, overflow) = (0, 4, false);
+        nic_rx(&mut nic, 4, 0, 31, &w.tick(100), &mut k);
+        // Recognition (44) + DMA set-up (32) cycles after the header.
+        let eject = Fx::ItbEject {
+            pid,
+            host,
+            overflow,
+        };
+        assert_eq!(k.take(), [Wake(176, 4), Did(At::Chan(31), eject)]);
+        let p = &k.pkts[0];
+        assert_eq!(
+            (p.seg, p.hop, p.itbs_used, p.pool_reserved),
+            (1, 0, 1, wire)
+        );
+        assert_eq!((nic.pool_used, k.measure.max_pool_flits), (wire, wire));
+        assert_eq!((k.counters.itb_ejections, k.counters.itb_overflows), (1, 0));
+
+        // Not ready before cycle 176; then ready, but only the header has
+        // arrived and the ITB mark is not forwarded: nothing to cut
+        // through yet, and no bubble counted before the first flit.
+        for cycle in [175, 176] {
+            nic_tx(&mut nic, 4, &w.tick(cycle), &mut k);
+            assert_eq!(k.take(), []);
+        }
+        assert_eq!(nic.tx.map(|tx| (tx.sent, tx.total)), Some((0, wire - 1)));
+        // A second flit arrives; one leaves, announced as a re-injection.
+        nic_rx(&mut nic, 4, 0, 31, &w.tick(177), &mut k);
+        nic_tx(&mut nic, 4, &w.tick(177), &mut k);
+        let reinject = Did(At::Nic(4), Fx::Reinject { pid, host });
+        assert_eq!(k.take(), [Send(40, 0), Activity, reinject]);
+        // Starved again: a mid-packet bubble.
+        nic_tx(&mut nic, 4, &w.tick(178), &mut k);
+        assert_eq!((k.take(), k.measure.reinject_bubbles), (vec![], 1));
+        // The rest arrives (an in-transit packet is never delivered here)
+        // and leaves; the tail gives the pool space back.
+        for cycle in 179..177 + wire as u64 {
+            nic_rx(&mut nic, 4, 0, 31, &w.tick(cycle), &mut k);
+            nic_tx(&mut nic, 4, &w.tick(cycle), &mut k);
+            assert_eq!(k.take(), [Send(40, 0), Activity]);
+        }
+        assert!(nic.rx.is_none() && nic.tx.is_none());
+        assert_eq!((nic.pool_used, k.pkts[0].pool_reserved), (0, 0));
+        assert_eq!(k.counters.itb_reinjections, 1);
+        assert_eq!(k.counters.flits_injected, wire as u64 - 1);
+    }
+
+    #[test]
+    fn itb_eject_into_a_full_pool_overflows_to_host_memory() {
+        let mut w = World::new();
+        w.cfg.itb_pool_flits = 30;
+        let mut nic = nic();
+        nic.pool_used = 10;
+        let mut k = Recorder::with(vec![packet(20, &[&[1], &[3, 2]])]);
+        k.pkts[0].hop = 1;
+        nic_rx(&mut nic, 4, 0, 31, &w.tick(100), &mut k);
+        // 10 + 24 > 30: nothing reserved, and the overflow penalty (160)
+        // on top of recognition + DMA.
+        let (pid, host, overflow) = (0, 4, true);
+        let eject = Fx::ItbEject {
+            pid,
+            host,
+            overflow,
+        };
+        assert_eq!(k.take(), [Wake(336, 4), Did(At::Chan(31), eject)]);
+        assert_eq!((nic.pool_used, k.pkts[0].pool_reserved), (10, 0));
+        assert_eq!((k.measure.itb_overflows, k.measure.max_pool_flits), (1, 0));
+        assert_eq!((k.counters.itb_ejections, k.counters.itb_overflows), (1, 1));
+    }
+
+    #[test]
+    fn delivery_is_emitted_once_with_the_last_flit() {
+        let w = World::new();
+        let mut nic = nic();
+        let mut k = Recorder::with(vec![packet(5, &[&[1]])]);
+        k.pkts[0].hop = 1;
+        for n in 1..=6 {
+            nic_rx(&mut nic, 9, 0, 31, &w.tick(n), &mut k);
+            let deliver = Did(At::Chan(31), Fx::Deliver { pid: 0, host: 9 });
+            let want = (n == 6).then_some(deliver);
+            assert_eq!(k.take(), Vec::from_iter(want), "flit {n}");
+        }
+        assert!(nic.rx.is_none());
+    }
+
+    #[test]
+    fn a_worm_routed_into_a_dead_output_is_recorded_lost_and_never_streamed() {
+        let w = World::faulted([true, true]);
+        let mut sw = switch();
+        let mut k = Recorder::with(vec![packet(30, &[&[2, 0]]), packet(30, &[&[5, 0]])]);
+        // Channel 22 (output 2) is dead; port 5 does not exist at all.
+        k.dead = vec![22];
+        feed_two_worms(&mut sw, &w.tick(0), &mut k);
+        k.take();
+        switch_phase(&mut sw, SW, &w.tick(0), &mut k);
+        let want = [lose(AT, 0), route(0, 0, 2), lose(AT, 1), route(1, 1, 5)];
+        assert_eq!(k.take(), want);
+        // Recorded, not applied: both worms stay where they are, the
+        // one facing a real port even wins it, and no flit enters the
+        // dead cable. Purging them is the loss phase's business.
+        switch_phase(&mut sw, SW, &w.tick(24), &mut k);
+        assert_eq!(k.take(), [grant(0, 0)]);
+        switch_phase(&mut sw, SW, &w.tick(25), &mut k);
+        assert_eq!(k.take(), []);
+        assert!(!sw.is_quiescent());
+        sw.check_invariants();
+    }
+
+    #[test]
+    fn an_unroutable_packet_is_recorded_lost_and_the_next_one_transmits() {
+        // Host 1 is down: packet 0 (to host 1) cannot go, packet 1 can.
+        let w = World::faulted([true, false]);
+        let mut nic = nic();
+        let mut k = Recorder::with(vec![packet(8, &[&[0, 1]]), packet(8, &[&[0]])]);
+        k.pkts[0].journey.dst = HostId(1);
+        k.pkts[1].journey.dst = HostId(0);
+        k.msgs = vec![MsgState {
+            remaining: 2,
+            gen_cycle: 0,
+            first_inject: u64::MAX,
+            itbs: 0,
+            failed: false,
+        }];
+        nic.local_queue.extend([0, 1]);
+        nic_tx(&mut nic, 0, &w.tick(50), &mut k);
+        let at = At::Nic(0);
+        let inject = journal(at, 1, EventKind::Inject { src: 0, dst: 0 });
+        assert_eq!(k.take(), [lose(at, 0), inject, Send(40, 1), Activity]);
+        assert_eq!((k.msgs[0].first_inject, k.pkts[1].inject_cycle), (50, 50));
+        assert_eq!(k.pkts[0].inject_cycle, u64::MAX, "only recorded");
+    }
+}

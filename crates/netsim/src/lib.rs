@@ -59,6 +59,7 @@ pub mod counters;
 pub mod events;
 pub mod experiment;
 pub mod faultplan;
+mod kernel;
 mod nic;
 mod packet;
 mod par;

@@ -59,57 +59,28 @@ impl Packet {
     }
 }
 
-/// Raw-pointer projections of the accessors above, for the shard-parallel
-/// engine (`crate::par`).
-///
-/// During one region of a parallel cycle, two shards can touch the *same*
-/// packet concurrently — but always through disjoint fields (e.g. a
-/// downstream switch advancing `hop` while the upstream NIC reads
-/// `pool_reserved`; `journey` is never rewritten while a packet is in
-/// flight on the fault-free parallel path). These helpers therefore never
-/// materialize a `&mut Packet`: every access goes through a field place
-/// expression on the raw pointer, so the references that do get created
-/// (e.g. into `journey`'s vectors) cover only the field actually read.
-/// Keep them in lockstep with the safe methods above.
-pub(crate) mod raw {
-    use super::Packet;
-
-    /// Mirror of [`Packet::wire_len_current_segment`].
-    #[inline]
-    pub(crate) unsafe fn wire_len_current_segment(p: *const Packet) -> u32 {
-        let journey = &(*p).journey;
-        journey.wire_len_entering_segment((*p).seg as usize, (*p).payload as usize) as u32
-    }
-
-    /// Mirror of [`Packet::expected_at_next_receiver`].
-    #[inline]
-    pub(crate) unsafe fn expected_at_next_receiver(p: *const Packet) -> u32 {
-        wire_len_current_segment(p) - (*p).hop as u32
-    }
-
-    /// Mirror of [`Packet::consume_port_byte`].
-    #[inline]
-    pub(crate) unsafe fn consume_port_byte(p: *mut Packet) -> u8 {
-        let out = (&(*p).journey.segments)[(*p).seg as usize].ports[(*p).hop as usize].0;
-        (*p).hop += 1;
-        out
-    }
-}
-
-/// A simple slab arena for packets: stable u32 ids, O(1) alloc/free.
-#[derive(Debug, Default)]
-pub struct PacketArena {
-    slots: Vec<Option<Packet>>,
+/// A simple slab arena: stable u32 ids, O(1) alloc/free, freed slots reused
+/// last-freed-first (so the order of removals decides every later id).
+#[derive(Debug)]
+pub struct Arena<T> {
+    slots: Vec<Option<T>>,
     free: Vec<u32>,
     live: usize,
 }
 
-impl PacketArena {
-    pub fn new() -> PacketArena {
-        PacketArena::default()
+/// The packets in flight.
+pub type PacketArena = Arena<Packet>;
+
+impl<T> Arena<T> {
+    pub fn new() -> Arena<T> {
+        Arena {
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+        }
     }
 
-    pub fn insert(&mut self, p: Packet) -> u32 {
+    pub fn insert(&mut self, p: T) -> u32 {
         self.live += 1;
         if let Some(id) = self.free.pop() {
             self.slots[id as usize] = Some(p);
@@ -120,7 +91,7 @@ impl PacketArena {
         }
     }
 
-    pub fn remove(&mut self, id: u32) -> Packet {
+    pub fn remove(&mut self, id: u32) -> T {
         let p = self.slots[id as usize].take().expect("double free");
         self.live -= 1;
         self.free.push(id);
@@ -128,25 +99,25 @@ impl PacketArena {
     }
 
     #[inline]
-    pub fn get(&self, id: u32) -> &Packet {
-        self.slots[id as usize].as_ref().expect("stale packet id")
+    pub fn get(&self, id: u32) -> &T {
+        self.slots[id as usize].as_ref().expect("stale id")
     }
 
     #[inline]
-    pub fn get_mut(&mut self, id: u32) -> &mut Packet {
-        self.slots[id as usize].as_mut().expect("stale packet id")
+    pub fn get_mut(&mut self, id: u32) -> &mut T {
+        self.slots[id as usize].as_mut().expect("stale id")
     }
 
-    /// Packets currently alive.
+    /// Entries currently alive.
     pub fn live(&self) -> usize {
         self.live
     }
 
     /// Base pointer of the slot array, for the shard-parallel engine.
-    /// Workers only read/write packets that already exist (`insert`/`remove`
+    /// Workers only read/write entries that already exist (`insert`/`remove`
     /// stay on the main thread), so the `Vec` itself never reallocates
     /// while the pointer is in use.
-    pub(crate) fn raw_slots(&mut self) -> *mut Option<Packet> {
+    pub(crate) fn raw_slots(&mut self) -> *mut Option<T> {
         self.slots.as_mut_ptr()
     }
 }

@@ -1,111 +1,70 @@
 //! The shard-parallel cycle engine behind [`Scheduler::Parallel`].
 //!
-//! # Architecture
+//! This module adds no simulation logic. The cycle itself — what a control
+//! symbol, a flit, a switch and a NIC do — is `crate::kernel`, the same
+//! monomorphised functions the sequential engines run. What lives here is
+//! *when* the kernel's effects land: a worker pool that runs the kernel's
+//! phase loops per shard, and the [`ShardSink`] through which a shard's
+//! kernels reach shared state. DESIGN.md §4f tabulates, for every effect,
+//! where the sequential sink applies it and under which key this one
+//! buffers it, and carries the argument for bit-identity; in short:
 //!
 //! The topology is cut into `threads` shards ([`crate::partition`]); each
-//! shard owns its switches, the NICs attached to them, and runs a private
-//! [`ActiveSched`] over them. A cycle executes as two barrier-separated
-//! regions on a persistent [`WorkerPool`]:
+//! shard owns its switches, the NICs attached to them, and a private
+//! [`ActiveSched`] over them. A cycle is two barrier-separated regions on
+//! a persistent [`WorkerPool`]:
 //!
-//! * **Region A** — per shard: drain the shard's ctl wheel and flip sender
-//!   flags (phase 1), then drain its data wheel and deliver arrivals
-//!   (phase 2). The two sequential phases fuse safely because arrival
-//!   processing never reads a `stopped` flag.
+//! * **Region A** — per shard: `kernel::ctl_phase` then
+//!   `kernel::arrival_phase` (sequential phases 1 + 2). The fusion is
+//!   safe: arrival processing never reads the flags control delivery
+//!   flips, and each shard drains its own control bucket before its own
+//!   arrivals, so an intra-shard `send_ctl` finds its slot already taken —
+//!   the sequential call-order contract.
 //! * **Mid-barrier** (main thread) — apply cross-shard control symbols
 //!   emitted during region A, in ascending channel order. They cannot be
 //!   written in-region: the owner of the channel's *sender* side may still
 //!   be draining that very slot.
-//! * **Region B** — per shard: advance its switches (phase 3) and transmit
-//!   from its NICs (phase 4), with the same sorted-active-list visit order
-//!   as the sequential active-set engine.
-//! * **Fold** (main thread) — apply cross-shard timing-wheel notes, replay
-//!   the deferred observable effects in sequential order, merge per-shard
-//!   counter/measure deltas, then run generation and observers inline.
+//! * **Region B** — per shard: `kernel::switches_phase` then
+//!   `kernel::nic_tx_phase` (sequential phases 3 + 4).
+//! * **Fold** (main thread) — apply cross-shard timing-wheel notes, merge
+//!   the shards' buffered effects, sort them stably by `kernel::At` and
+//!   replay them into the sequential sink, sum the counter/measure
+//!   deltas. Fault events (before region A), the loss phase, generation
+//!   and observers run on the main thread with the workers parked.
 //!
-//! # Why results are bit-identical to the sequential engines
-//!
-//! *Lookahead.* Every channel has `delay ≥ 1` (asserted in
-//! `Channel::new`), so anything sent at cycle `t` is consumed at `t+delay
-//! ≥ t+1`: a region never reads a same-cycle write of another shard. The
-//! only same-cycle cross-shard interactions are the control-symbol
-//! supersede (handled by the mid-barrier) and the timing-wheel notes
-//! (applied at the fold, before cycle `t+1` starts; buckets are
-//! sorted+dedup'd at drain, so note insertion order is immaterial).
-//!
-//! * **State.** Each switch, NIC and per-shard scheduler is touched by
-//!   exactly one shard per region. Channels and packets can be touched by
-//!   two shards, but only through disjoint fields (see `channel::raw`,
-//!   `packet::raw`).
-//! * **Visit order.** Within a shard, components are visited in ascending
-//!   index order (sorted buckets/lists), exactly like the sequential
-//!   engines; effects that are order-sensitive *across* shards (journal
-//!   records, trace digest folds, delivery completions — the arena and
-//!   message free-lists reuse slots in removal order) are buffered
-//!   per-shard keyed by channel/switch/NIC index and replayed at the fold
-//!   in one stream per phase, stably sorted by key. BFS shards are not
-//!   index-contiguous, so the sort (not concatenation) is what
-//!   reconstructs the global sequential order.
-//! * **Order-free folds.** Counters and the measurement deltas folded at
-//!   the barrier are sums/maxes; `last_activity` is "any shard moved a
-//!   flit this cycle ⇒ cycle", matching the sequential last-writer value.
-//! * **RNG and generation.** Message generation stays on the main thread
-//!   (phase 5), so per-NIC RNG draws happen in the sequential order.
-//!
-//! The number of live executors is [`crate::threads::par_executors`] —
-//! capped by the host's cores (override: `REGNET_PAR_WORKERS`) — and each
-//! executor processes shards `e, e+E, e+2E, …` in order. Because every
-//! cross-shard effect is buffered and folded deterministically, results
-//! depend only on the shard count, never on the executor count or
-//! interleaving: `Parallel { threads: 4 }` is bit-identical on a 1-core
-//! and a 64-core host. `tests/scheduler_equivalence.rs` pins all of this
-//! against `ActiveSet`.
-//!
-//! # Faults
-//!
-//! Fault injection runs shard-parallel and stays bit-identical to the
-//! sequential engines. The cross-shard pieces of the fault machinery are
-//! confined to the main thread; the work splits by phase:
-//!
-//! * **Phase 0** (main thread, workers parked, before region A) — fault
-//!   events fire, their victims are purged globally and reconfiguration
-//!   advances, exactly as in the sequential engines. Purge control
-//!   fix-ups and retransmission timers route their wakes to the owner
-//!   shard's scheduler (`Simulator::sched_note_ctl` /
-//!   `sched_wake_nic_at`).
-//! * **Regions** — the mirrors below carry the same fault branches as
-//!   their sequential counterparts: dead-switch skip, dead-output
-//!   detection at routing, the dead-cable transfer gate, the
-//!   reconfiguration source freeze, and the per-packet routability check
-//!   with journey re-selection. All fault state read in-region
-//!   (`FaultSet`, `host_ok`, the installed tables) only mutates in phase
-//!   0, and path-selection state is sharded per source host
-//!   ([`regnet_core::SrcSelector`]), so nothing here crosses a shard.
-//! * **Loss phase** (main thread, after the fold) — mid-cycle worm
-//!   truncations and source drops are *never* applied in-region, in any
-//!   engine: the switch/NIC phases record `(component, packet)` pairs
-//!   ([`ShardState::sw_loss`] / [`ShardState::nic_drop`] here, the
-//!   simulator's pending lists sequentially) and `Simulator::loss_phase`
-//!   replays them stably sorted by component index after NIC
-//!   transmission. The packet/message arenas therefore mutate in the
-//!   same within-cycle order — deliveries, then losses, then generation
-//!   — under every scheduler, keeping free-list reuse bit-identical.
+//! Every channel has `delay ≥ 1`, so nothing sent at cycle `t` is consumed
+//! before `t+1`: a region never reads a same-cycle write of another shard.
+//! Each executor processes shards `e, e+E, e+2E, …`; since every
+//! cross-shard effect is buffered and folded in a fixed order, results
+//! depend on the shard count alone, never on the executor count.
 //!
 //! # Safety model
 //!
-//! Workers address simulator state through [`ParCtx`], a bundle of raw
-//! pointers built fresh each cycle from `&mut Simulator`. Soundness
-//! arguments, in one place:
+//! Workers address simulator state through [`ParCtx`]: shared references
+//! for what is read-only in a region (configuration, fault state — it
+//! mutates only in the fault phase), raw pointers to the arrays shards
+//! write into. [`ShardSink`] is the only code that dereferences them, and
+//! each dereference yields a reference to one whole object:
 //!
-//! * Different elements of the `channels`/`switches`/`nics`/packet-slot
-//!   arrays are disjoint objects; two shards never form `&mut` to the same
-//!   element (same-element access goes through the field-disjoint raw
-//!   helpers in `channel::raw`/`packet::raw`).
-//! * Resolving a packet id momentarily materializes `&mut Packet` to take
-//!   its address ([`pkt_ptr`]). Creating a reference is not a memory
-//!   access; all real loads/stores after it go through field-disjoint
-//!   places, so no data race exists. (This pattern is stricter-aliasing
-//!   folklore rather than a formal guarantee; it is confined to this
-//!   module on purpose.)
+//! * Different elements of the `switches`/`nics`/`shards`/selector and
+//!   message-slot arrays are disjoint objects, and each is used by one
+//!   shard per region (a message's `first_inject` is stamped only by its
+//!   source NIC), so the `&mut` a shard forms is unique.
+//! * A channel is used by at most two shards per region, one per lane: in
+//!   region A the sender's shard drains the `CtlLane` and the receiver's
+//!   the `DataLane`; in region B the sender writes the `DataLane` and the
+//!   receiver the `CtlLane`. The `&mut` to a lane is unique, and no `&mut
+//!   Channel` is ever formed. `sender`, `receiver` and the lanes' `dead`
+//!   flags change only on the main thread.
+//! * A packet is the exception. In region B the NIC re-injecting a worm's
+//!   tail (releasing `pool_reserved`) and a downstream switch routing its
+//!   head (advancing `hop`) can hold `&mut Packet` to the same packet at
+//!   once. They touch disjoint fields, so there is no data race, but two
+//!   live `&mut` to one object is stricter-aliasing folklore rather than
+//!   a formal guarantee; it is confined to [`ShardSink::pkt`] on purpose.
+//!   Everywhere else a packet has one toucher per region: only the
+//!   receiver of its *head* flit reads it in region A, and `journey` is
+//!   rewritten only while the packet still sits whole in its source NIC.
 //! * `Vec`s never grow/shrink while raw pointers are live: arena/message
 //!   inserts and removes happen only on the main thread between regions.
 //! * The pool's job pointer is valid for the duration of `run` because
@@ -114,26 +73,23 @@
 //!   store matched by the workers' acquire loads.
 
 use std::cell::UnsafeCell;
-use std::cmp::Reverse;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use regnet_core::{RouteDb, SegmentEnd, SrcSelector};
-use regnet_topology::{SwitchId, Topology};
+use regnet_core::SrcSelector;
+use regnet_topology::{HostId, Topology};
 
-use crate::channel::{self, Channel, Receiver, Sender, CTL_NONE, CTL_STOP};
-use crate::config::SimConfig;
+use crate::channel::{Channel, Receiver, Sender};
 use crate::counters::Counters;
-use crate::events::EventKind;
-use crate::faultplan::FaultRuntime;
-use crate::nic::{Nic, RxState, TxKind, TxState};
-use crate::packet::{self, Packet};
+use crate::kernel::{self, At, Fx, KernelMeasure, Parts, Sink, Tick};
+use crate::nic::Nic;
+use crate::packet::Packet;
 use crate::partition::ShardPlan;
 use crate::sched::ActiveSched;
 use crate::sim::MsgState;
-use crate::switch::{ports, HeadState, SwitchState};
+use crate::switch::SwitchState;
 
 // ---------------------------------------------------------------------------
 // Worker pool
@@ -194,16 +150,22 @@ impl WorkerPool {
 
     /// Run `job(e)` once per executor `e ∈ 0..executors`, on this thread
     /// for `e = 0`; returns when every executor finished.
-    pub(crate) fn run(&self, job: &Job) {
+    pub(crate) fn run(&self, job: &(dyn Fn(usize) + Sync)) {
         let n = self.handles.len();
         if n == 0 {
             job(0);
             return;
         }
         // SAFETY: workers are idle (previous run drained `done`), so the
-        // cell is unobserved; the raw pointer outlives the call because we
-        // block on `done` below before `job` can go out of scope.
-        unsafe { *self.shared.job.get() = Some(job as *const Job) };
+        // cell is unobserved. The transmute only erases the borrow's
+        // lifetime from the pointer's type: the pointer is not used past
+        // this call, because we block on `done` below before `job` can go
+        // out of scope.
+        unsafe {
+            *self.shared.job.get() = Some(
+                std::mem::transmute::<&(dyn Fn(usize) + Sync), *const Job>(job),
+            );
+        }
         self.shared.done.store(0, Ordering::Relaxed);
         self.shared.epoch.fetch_add(1, Ordering::Release);
         for h in &self.handles {
@@ -269,63 +231,46 @@ fn worker_loop(shared: &PoolShared, executor: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Deferred cross-shard effects
+// Per-shard state
 // ---------------------------------------------------------------------------
 
-/// Observable side effect of an arrival (region A), replayed at the fold
-/// in ascending-channel order so journal/trace/free-list mutations happen
-/// exactly as the sequential arrival phase would.
-pub(crate) enum ArrFx {
-    /// Journal-only record (switch arrival).
-    Journal { pid: u32, kind: EventKind },
-    /// ITB ejection: trace hook + journal record.
-    ItbEject { pid: u32, host: u32, overflow: bool },
-    /// Packet fully received at its destination: the entire delivery
-    /// completion (arena/message bookkeeping, measurement, trace digest)
-    /// is replayed by `Simulator::complete_delivery`.
-    Deliver { pid: u32, host: u32 },
-}
-
-/// Observable NIC-transmit side effect (region B), keyed by NIC index.
-pub(crate) enum NicFx {
-    Inject { pid: u32, src: u32, dst: u32 },
-    Reinject { pid: u32, host: u32 },
+/// Something a shard's region leaves to the main thread because it lands
+/// in another shard. Sorts by kind, then channel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Out {
+    /// Region A: symbol `.1` for channel `.0`, whose sender's shard may
+    /// still be draining that very slot. Written and noted at the
+    /// mid-barrier, in ascending channel order.
+    Ctl(u32, u8),
+    /// Region B: wheel note for a control symbol this shard wrote into a
+    /// channel whose control side another shard drains.
+    NoteCtl(u32),
+    /// Region B: wheel note for a flit sent into another shard.
+    NoteData(u32),
 }
 
 /// One shard's private scheduler plus its per-cycle outboxes. Everything
 /// here is written by exactly one executor per region and drained by the
-/// main thread at the barriers.
+/// main thread at the barriers. Aligned so that two shards' states never
+/// share a cache line: neighbours in the `Vec` are written by different
+/// executors (measured: +18 % wall time on `parallel:2` without it).
+#[repr(align(128))]
 pub(crate) struct ShardState {
     pub(crate) sched: ActiveSched,
     /// Event counts this cycle; folded into the global registry (sums).
     pub(crate) counters: Counters,
     /// Any flit/ctl movement this cycle (watchdog feed).
     pub(crate) activity: bool,
-    // Measurement deltas (only maintained while measuring).
-    pub(crate) max_pool_flits: u32,
-    pub(crate) itb_overflows: u64,
-    pub(crate) reinject_bubbles: u64,
-    /// Region A cross-shard control symbols `(channel, symbol)`; applied
-    /// by the main thread at the mid-barrier in ascending channel order.
-    pub(crate) ctl_out: Vec<(u32, u8)>,
-    /// Cross-shard ctl-wheel notes (region B sends; region A cross-shard
-    /// sends are noted when the mid-barrier applies them).
-    pub(crate) note_ctl_out: Vec<u32>,
-    /// Cross-shard data-wheel notes (region B sends into another shard).
-    pub(crate) note_data_out: Vec<u32>,
-    /// Deferred effects, keyed for the stable global replay sort.
-    pub(crate) arr_fx: Vec<(u32, ArrFx)>,
-    pub(crate) sw_fx: Vec<(u32, u32, EventKind)>,
-    pub(crate) nic_fx: Vec<(u32, NicFx)>,
-    /// Worms routed into a dead output this cycle `(switch, packet)`;
-    /// truncated by `Simulator::loss_phase` after the fold.
-    pub(crate) sw_loss: Vec<(u32, u32)>,
-    /// Unroutable packets skipped at their source NIC `(host, packet)`;
-    /// dropped by `Simulator::loss_phase` after the fold.
-    pub(crate) nic_drop: Vec<(u32, u32)>,
+    /// Measurement deltas (only maintained while measuring).
+    pub(crate) measure: KernelMeasure,
+    /// What this region could not do in place; applied by the main thread
+    /// at the next barrier.
+    pub(crate) out: Vec<Out>,
+    /// Buffered order-sensitive effects, keyed for the fold's stable sort.
+    pub(crate) fx: Vec<(At, Fx)>,
     /// Per-shard span wall time this cycle, ns: ctl deliveries, data
     /// arrivals (region A), switch advance, NIC transmit (region B).
-    /// Written only when `ParCtx::prof_on`; drained by `step_parallel`.
+    /// Written only when `ParCtx::prof_on`; drained by the main thread.
     pub(crate) span_ns: [u64; 4],
 }
 
@@ -335,17 +280,9 @@ impl ShardState {
             sched: ActiveSched::new(delay, n_switches, n_nics),
             counters: Counters::new(),
             activity: false,
-            max_pool_flits: 0,
-            itb_overflows: 0,
-            reinject_bubbles: 0,
-            ctl_out: Vec::new(),
-            note_ctl_out: Vec::new(),
-            note_data_out: Vec::new(),
-            arr_fx: Vec::new(),
-            sw_fx: Vec::new(),
-            nic_fx: Vec::new(),
-            sw_loss: Vec::new(),
-            nic_drop: Vec::new(),
+            measure: KernelMeasure::default(),
+            out: Vec::new(),
+            fx: Vec::new(),
             span_ns: [0; 4],
         }
     }
@@ -368,17 +305,21 @@ pub(crate) struct ParEngine {
     /// Shard that drains each channel's ctl side (owner of the sender,
     /// whose `stopped` flags the symbols flip).
     pub(crate) ctl_owner: Vec<u32>,
-    // Reused fold scratch.
-    pub(crate) merged_ctl: Vec<(u32, u8)>,
-    pub(crate) merged_arr: Vec<(u32, ArrFx)>,
-    pub(crate) merged_sw: Vec<(u32, u32, EventKind)>,
-    pub(crate) merged_nic: Vec<(u32, NicFx)>,
+    // Reused barrier scratch.
+    pub(crate) merged_out: Vec<Out>,
+    pub(crate) merged_fx: Vec<(At, Fx)>,
 }
 
 impl ParEngine {
+    /// `executors` sizes the worker pool; `None` is one per shard, capped
+    /// by the host's cores, so a 4-shard run on a 1-core machine
+    /// multiplexes its shards instead of oversubscribing the host. The
+    /// shard count — and with it every simulation result — comes from
+    /// `requested` alone.
     pub(crate) fn new(
         topo: &Topology,
         requested: usize,
+        executors: Option<usize>,
         delay: u32,
         channels: &[Channel],
         n_switches: usize,
@@ -391,29 +332,26 @@ impl ParEngine {
             // inserts its own components.
             .map(|_| ShardState::new(delay, n_switches, n_nics))
             .collect();
-        let shard_of = |end: ComponentRef| match end {
-            ComponentRef::Switch(sw) => plan.switch_shard(sw as usize) as u32,
-            ComponentRef::Nic(host) => plan.nic_shard(host as usize) as u32,
-        };
         let data_owner = channels
             .iter()
-            .map(|c| {
-                shard_of(match c.receiver {
-                    Receiver::SwitchIn { sw, .. } => ComponentRef::Switch(sw),
-                    Receiver::Nic { host } => ComponentRef::Nic(host),
-                })
+            .map(|c| match c.receiver {
+                Receiver::SwitchIn { sw, .. } => plan.switch_shard(sw as usize) as u32,
+                Receiver::Nic { host } => plan.nic_shard(host as usize) as u32,
             })
             .collect();
         let ctl_owner = channels
             .iter()
-            .map(|c| {
-                shard_of(match c.sender {
-                    Sender::SwitchOut { sw, .. } => ComponentRef::Switch(sw),
-                    Sender::Nic { host } => ComponentRef::Nic(host),
-                })
+            .map(|c| match c.sender {
+                Sender::SwitchOut { sw, .. } => plan.switch_shard(sw as usize) as u32,
+                Sender::Nic { host } => plan.nic_shard(host as usize) as u32,
             })
             .collect();
-        let pool = WorkerPool::new(crate::threads::par_executors(plan.n_shards()));
+        let executors = executors.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        });
+        let pool = WorkerPool::new(executors.clamp(1, plan.n_shards()));
         ParEngine {
             requested,
             plan,
@@ -421,594 +359,275 @@ impl ParEngine {
             pool,
             data_owner,
             ctl_owner,
-            merged_ctl: Vec::new(),
-            merged_arr: Vec::new(),
-            merged_sw: Vec::new(),
-            merged_nic: Vec::new(),
+            merged_out: Vec::new(),
+            merged_fx: Vec::new(),
         }
+    }
+
+    /// The scheduler of the shard that drains channel `ci`'s control side.
+    pub(crate) fn ctl_sched(&mut self, ci: u32) -> &mut ActiveSched {
+        &mut self.shards[self.ctl_owner[ci as usize] as usize].sched
+    }
+
+    /// The scheduler of the shard that drains channel `ci`'s data side.
+    pub(crate) fn data_sched(&mut self, ci: u32) -> &mut ActiveSched {
+        &mut self.shards[self.data_owner[ci as usize] as usize].sched
     }
 }
 
-enum ComponentRef {
-    Switch(u32),
-    Nic(u32),
+/// The two barrier-separated halves of a parallel cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Region {
+    /// Control deliveries + data arrivals.
+    A,
+    /// Switch advance + NIC transmission.
+    B,
 }
 
-/// Raw-pointer view of the simulator for one parallel cycle. Built by
-/// `Simulator::step_parallel`; see the module-level safety notes.
-pub(crate) struct ParCtx {
+/// The simulator as one parallel region sees it. Built by `par_ctx` in
+/// `sim.rs`; see the module-level safety notes.
+pub(crate) struct ParCtx<'a> {
+    pub(crate) tick: Tick<'a>,
     pub(crate) channels: *mut Channel,
     pub(crate) switches: *mut SwitchState,
     pub(crate) nics: *mut Nic,
     pub(crate) pkt_slots: *mut Option<Packet>,
     pub(crate) msg_slots: *mut Option<MsgState>,
-    pub(crate) shards: *mut ShardState,
-    pub(crate) n_shards: usize,
-    pub(crate) executors: usize,
-    pub(crate) data_owner: *const u32,
-    pub(crate) ctl_owner: *const u32,
-    pub(crate) cfg: *const SimConfig,
-    pub(crate) topo: *const Topology,
-    /// Faults armed. When false, `faults` is null and every fault branch
-    /// below is dead.
-    pub(crate) faults_on: bool,
-    /// Read-only in-region: `FaultSet`/`host_ok`/`reconfig_due` and the
-    /// installed tables only mutate in phase 0 (main thread, workers
-    /// parked). Null when `faults_on` is false.
-    pub(crate) faults: *const FaultRuntime,
-    /// The table fresh/retransmitted packets route from: the
-    /// reconfigured tables once installed, the build-time `RouteDb`
-    /// otherwise. Always valid.
-    pub(crate) eff_db: *const RouteDb,
-    /// Reconfigured tables are installed: re-select journeys at the
-    /// source NIC (mirror of the sequential `f.routes.is_some()` branch).
-    pub(crate) reselect: bool,
     /// Per-source path-selection state, indexed by host. A shard only
     /// touches the entries of hosts it owns, so selection is race-free
     /// and draws the same per-source sequence as the sequential engines.
     pub(crate) selectors: *mut SrcSelector,
-    pub(crate) cycle: u64,
+    pub(crate) shards: *mut ShardState,
+    pub(crate) n_shards: usize,
+    pub(crate) pool: &'a WorkerPool,
+    pub(crate) data_owner: &'a [u32],
+    pub(crate) ctl_owner: &'a [u32],
     pub(crate) measure_on: bool,
     /// Counters or journal enabled: compute block-cause diagnostics.
     pub(crate) diag: bool,
     pub(crate) journal_on: bool,
     pub(crate) trace_on: bool,
-    /// Profiler enabled: workers time their region sub-drains into
+    /// Profiler enabled: workers time their phases into
     /// `ShardState::span_ns` (no `Instant` calls otherwise).
     pub(crate) prof_on: bool,
 }
 
-// SAFETY: shared across executors for the duration of one region; the
-// disjointness discipline is documented at module level.
-unsafe impl Sync for ParCtx {}
+// SAFETY: shared across executors for the duration of one region. The
+// references point at data nothing mutates while a region runs; what the
+// pointers reach is partitioned among the shards as documented at module
+// level.
+unsafe impl Sync for ParCtx<'_> {}
 
-/// Resolve a live packet id to a raw pointer. Materializes a transient
-/// `&mut Packet` (see the module safety notes); all subsequent access must
-/// go through field places / `packet::raw`.
-#[inline]
-unsafe fn pkt_ptr(ctx: &ParCtx, pid: u32) -> *mut Packet {
-    match &mut *ctx.pkt_slots.add(pid as usize) {
-        Some(p) => p as *mut Packet,
-        None => panic!("stale packet id"),
-    }
-}
-
-#[inline]
-unsafe fn msg_ptr(ctx: &ParCtx, midx: u32) -> *mut MsgState {
-    match &mut *ctx.msg_slots.add(midx as usize) {
-        Some(m) => m as *mut MsgState,
-        None => panic!("stale message id"),
-    }
-}
-
-/// Run the region-A job for every shard of `executor`.
-pub(crate) fn run_region_a(ctx: &ParCtx, executor: usize) {
-    let mut s = executor;
-    while s < ctx.n_shards {
-        unsafe { region_a(ctx, s) };
-        s += ctx.executors;
-    }
-}
-
-/// Run the region-B job for every shard of `executor`.
-pub(crate) fn run_region_b(ctx: &ParCtx, executor: usize) {
-    let mut s = executor;
-    while s < ctx.n_shards {
-        unsafe { region_b(ctx, s) };
-        s += ctx.executors;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Region A: ctl deliveries + data arrivals (sequential phases 1 + 2)
-// ---------------------------------------------------------------------------
-
-/// Mirrors `Simulator::ctl_phase` + `arrival_phase` for one shard. The
-/// fusion is safe: arrival processing never reads the flags ctl delivery
-/// flips, and each shard drains its own ctl before its own arrivals so
-/// intra-shard `send_ctl` calls find their slot already taken — exactly
-/// the sequential call-order contract.
-unsafe fn region_a(ctx: &ParCtx, s: usize) {
-    let cycle = ctx.cycle;
-    let sh = &mut *ctx.shards.add(s);
-    let mut mark = ctx.prof_on.then(std::time::Instant::now);
-
-    let bucket = sh.sched.take_ctl(cycle);
-    for &ci in &bucket {
-        let c = ctx.channels.add(ci as usize);
-        let symbol = channel::raw::take_ctl_arrival(c, cycle);
-        if symbol != CTL_NONE {
-            // Mirror of `Simulator::deliver_ctl`.
-            let stopped = symbol == CTL_STOP;
-            if stopped {
-                sh.counters.ctl_stops += 1;
-            } else {
-                sh.counters.ctl_gos += 1;
+impl ParCtx<'_> {
+    /// Run `region` for every shard on the pool: executor `e` takes shards
+    /// `e, e+E, e+2E, …`. Returns when all are done.
+    pub(crate) fn run(&self, region: Region) {
+        let executors = self.pool.executors();
+        self.pool.run(&|e| {
+            for s in (e..self.n_shards).step_by(executors) {
+                // SAFETY: shard `s` is processed by this executor alone.
+                let sh = unsafe { &mut *self.shards.add(s) };
+                let mut sink = ShardSink {
+                    ctx: self,
+                    sh,
+                    shard: s as u32,
+                    region,
+                };
+                sink.run();
             }
-            sh.activity = true;
-            match (*c).sender {
-                Sender::SwitchOut { sw, port } => {
-                    (&mut (*ctx.switches.add(sw as usize)).outp)[port as usize]
-                        .as_mut()
-                        .expect("ctl for unconnected port")
-                        .stopped = stopped;
-                }
-                Sender::Nic { host } => (*ctx.nics.add(host as usize)).stopped = stopped,
-            }
-        }
-    }
-    sh.sched.recycle(bucket);
-    if let Some(m) = mark.as_mut() {
-        let now = std::time::Instant::now();
-        sh.span_ns[0] += (now - *m).as_nanos() as u64;
-        *m = now;
-    }
-
-    let bucket = sh.sched.take_data(cycle);
-    for &ci in &bucket {
-        let c = ctx.channels.add(ci as usize);
-        if let Some(pid) = channel::raw::take_arrival(c, cycle) {
-            sh.activity = true;
-            match (*c).receiver {
-                Receiver::SwitchIn { sw, port } => switch_rx(ctx, sh, s, ci, sw, port, pid, cycle),
-                Receiver::Nic { host } => nic_rx(ctx, sh, ci, host, pid, cycle),
-            }
-        }
-    }
-    sh.sched.recycle(bucket);
-    if let Some(m) = mark {
-        sh.span_ns[1] += m.elapsed().as_nanos() as u64;
-    }
-}
-
-/// Emit a control symbol from region A. Intra-shard (this shard owns the
-/// sender side too, so it already drained the slot): write directly.
-/// Cross-shard: the owner may not have drained yet — defer to the
-/// mid-barrier.
-#[inline]
-unsafe fn emit_ctl_region_a(ctx: &ParCtx, sh: &mut ShardState, s: usize, ci: u32, sym: u8) {
-    if *ctx.ctl_owner.add(ci as usize) as usize == s {
-        channel::raw::send_ctl(ctx.channels.add(ci as usize), ctx.cycle, sym);
-        sh.sched.note_ctl(ctx.cycle, ci);
-    } else {
-        sh.ctl_out.push((ci, sym));
-    }
-}
-
-/// Mirror of `Simulator::switch_rx`.
-#[allow(clippy::too_many_arguments)]
-unsafe fn switch_rx(
-    ctx: &ParCtx,
-    sh: &mut ShardState,
-    s: usize,
-    ci: u32,
-    sw: u32,
-    port: u8,
-    pid: u32,
-    _cycle: u64,
-) {
-    sh.sched.activate_switch(sw);
-    let (new_packet, ctl) = (*ctx.switches.add(sw as usize)).flit_in(port, pid, &*ctx.cfg, || {
-        packet::raw::expected_at_next_receiver(pkt_ptr(ctx, pid))
-    });
-    if new_packet {
-        sh.counters.switch_arrivals += 1;
-        if ctx.journal_on {
-            sh.arr_fx.push((
-                ci,
-                ArrFx::Journal {
-                    pid,
-                    kind: EventKind::SwitchArrival { sw, port },
-                },
-            ));
-        }
-    }
-    if let Some((chan, sym)) = ctl {
-        emit_ctl_region_a(ctx, sh, s, chan, sym);
-    }
-}
-
-/// Mirror of `Simulator::nic_rx`, with the delivery completion deferred to
-/// the fold (`ArrFx::Deliver`): it mutates globally shared state (arena
-/// and message free-lists, measurement, trace digest) whose order across
-/// shards must match the sequential channel order.
-unsafe fn nic_rx(ctx: &ParCtx, sh: &mut ShardState, ci: u32, host: u32, pid: u32, cycle: u64) {
-    let cfg = &*ctx.cfg;
-    let nic = &mut *ctx.nics.add(host as usize);
-    let is_new = match nic.rx {
-        Some(rx) => {
-            debug_assert_eq!(rx.pid, pid, "interleaved packets into NIC");
-            false
-        }
-        None => true,
-    };
-    if is_new {
-        let pkt = pkt_ptr(ctx, pid);
-        let expected = packet::raw::expected_at_next_receiver(pkt);
-        let deliver = match (&(*pkt).journey.segments)[(*pkt).seg as usize].end {
-            SegmentEnd::Deliver => {
-                debug_assert_eq!((*pkt).journey.dst.0, host, "misrouted packet");
-                true
-            }
-            SegmentEnd::Itb(itb_host) => {
-                debug_assert_eq!(itb_host.0, host, "misrouted in-transit packet");
-                (*pkt).itbs_used += 1;
-                let mut ready = cycle + (cfg.itb_detect_cycles + cfg.itb_dma_cycles) as u64;
-                let overflow = nic.pool_used + expected > cfg.itb_pool_flits;
-                if !overflow {
-                    nic.pool_used += expected;
-                    (*pkt).pool_reserved = expected;
-                    if ctx.measure_on {
-                        sh.max_pool_flits = sh.max_pool_flits.max(nic.pool_used);
-                    }
-                } else {
-                    (*pkt).pool_reserved = 0;
-                    ready += cfg.itb_overflow_penalty_cycles as u64;
-                    if ctx.measure_on {
-                        sh.itb_overflows += 1;
-                    }
-                }
-                (*pkt).seg += 1;
-                (*pkt).hop = 0;
-                nic.reinject.push(Reverse((ready, pid)));
-                sh.sched.wake_nic_at(ready, host);
-                sh.counters.itb_ejections += 1;
-                if overflow {
-                    sh.counters.itb_overflows += 1;
-                }
-                if ctx.trace_on || ctx.journal_on {
-                    sh.arr_fx.push((
-                        ci,
-                        ArrFx::ItbEject {
-                            pid,
-                            host,
-                            overflow,
-                        },
-                    ));
-                }
-                false
-            }
-        };
-        nic.rx = Some(RxState {
-            pid,
-            received: 0,
-            expected,
-            deliver,
         });
     }
-
-    let rx = nic.rx.as_mut().unwrap();
-    rx.received += 1;
-    let finished = rx.received == rx.expected;
-    let deliver = rx.deliver;
-    if finished {
-        nic.rx = None;
-        if deliver {
-            sh.arr_fx.push((ci, ArrFx::Deliver { pid, host }));
-        }
-    }
 }
 
-// ---------------------------------------------------------------------------
-// Region B: switch advance + NIC transmit (sequential phases 3 + 4)
-// ---------------------------------------------------------------------------
-
-/// Mirrors `Simulator::switches_phase` + `nic_tx_phase` for one shard,
-/// with the active-set retire/merge discipline intact (quiescence is a
-/// per-component predicate, so it shards cleanly).
-unsafe fn region_b(ctx: &ParCtx, s: usize) {
-    let cycle = ctx.cycle;
-    let sh = &mut *ctx.shards.add(s);
-    let mut mark = ctx.prof_on.then(std::time::Instant::now);
-
-    let mut list = sh.sched.take_active_switches();
-    list.sort_unstable();
-    list.retain(|&sw| {
-        switch_phase(ctx, sh, s, sw as usize, cycle);
-        if (*ctx.switches.add(sw as usize)).is_quiescent() {
-            sh.sched.retire_switch(sw);
-            false
-        } else {
-            true
-        }
-    });
-    sh.sched.merge_switches(list);
-    if let Some(m) = mark.as_mut() {
-        let now = std::time::Instant::now();
-        sh.span_ns[2] += (now - *m).as_nanos() as u64;
-        *m = now;
-    }
-
-    sh.sched.drain_wakes(cycle);
-    let mut list = sh.sched.take_active_nics();
-    list.sort_unstable();
-    list.retain(|&h| {
-        nic_tx(ctx, sh, s, h as usize, cycle);
-        if (*ctx.nics.add(h as usize)).quiescent_for_tx(cycle) {
-            sh.sched.retire_nic(h);
-            false
-        } else {
-            true
-        }
-    });
-    sh.sched.merge_nics(list);
-    if let Some(m) = mark {
-        sh.span_ns[3] += m.elapsed().as_nanos() as u64;
-    }
+/// One shard's [`Sink`] (and [`Parts`]) for one region of one cycle;
+/// DESIGN.md §4f tabulates what each effect does here.
+struct ShardSink<'a> {
+    ctx: &'a ParCtx<'a>,
+    sh: &'a mut ShardState,
+    shard: u32,
+    region: Region,
 }
 
-/// Emit a control symbol from region B. The write is always direct — this
-/// shard's in-port is the channel's unique ctl writer this region and
-/// nothing reads ctl until next cycle's region A (the mid-barrier applied
-/// region A's cross-shard symbols *before* region B, preserving the
-/// STOP-then-GO supersede order). Only the wheel note can be cross-shard.
-#[inline]
-unsafe fn emit_ctl_region_b(ctx: &ParCtx, sh: &mut ShardState, s: usize, ci: u32, sym: u8) {
-    channel::raw::send_ctl(ctx.channels.add(ci as usize), ctx.cycle, sym);
-    if *ctx.ctl_owner.add(ci as usize) as usize == s {
-        sh.sched.note_ctl(ctx.cycle, ci);
-    } else {
-        sh.note_ctl_out.push(ci);
-    }
-}
-
-/// Mirror of `Simulator::switch_phase`, fault branches included; losses
-/// are recorded in `ShardState::sw_loss` for the deferred loss phase.
-unsafe fn switch_phase(ctx: &ParCtx, sh: &mut ShardState, s_shard: usize, s: usize, cycle: u64) {
-    let cfg = &*ctx.cfg;
-    // A dead switch routes nothing (its resident packets were purged
-    // when it failed).
-    if ctx.faults_on && !(*ctx.faults).active.is_switch_alive(SwitchId(s as u32)) {
-        return;
-    }
-    let sw = &mut *ctx.switches.add(s);
-
-    for p in ports(sw.rcu_ports()) {
-        match sw.head(p) {
-            HeadState::Idle => {
-                let pid = sw.head_pid(p);
-                let out = packet::raw::consume_port_byte(pkt_ptr(ctx, pid));
-                let ready = cycle + cfg.switch_routing_cycles as u64;
-                if let Some((chan, sym)) = sw.start_routing(p, out, ready, cfg) {
-                    emit_ctl_region_b(ctx, sh, s_shard, chan, sym);
-                }
-                if ctx.faults_on {
-                    // Routing towards a dead cable (or a port that never
-                    // existed in a stale route): the worm is lost.
-                    // Truncation is deferred to the loss phase (see
-                    // `Simulator::loss_phase`).
-                    let dead_out = match sw.out_chan(out) {
-                        Some(c) => channel::raw::is_dead(ctx.channels.add(c as usize)),
-                        None => true,
-                    };
-                    if dead_out {
-                        sh.sw_loss.push((s as u32, pid));
-                    }
-                }
-                sh.counters.route_lookups += 1;
-                if ctx.journal_on {
-                    sh.sw_fx.push((
-                        s as u32,
-                        pid,
-                        EventKind::Route {
-                            sw: s as u32,
-                            port: p as u8,
-                            out,
-                        },
-                    ));
-                }
+impl ShardSink<'_> {
+    /// The region's two kernel phases, each timed into `span_ns` when
+    /// profiling.
+    fn run(&mut self) {
+        let t = &self.ctx.tick;
+        let mut mark = self.ctx.prof_on.then(Instant::now);
+        let mut lap = |sh: &mut ShardState, span: usize| {
+            if let Some(m) = mark.as_mut() {
+                let now = Instant::now();
+                sh.span_ns[span] += (now - *m).as_nanos() as u64;
+                *m = now;
             }
-            HeadState::Routing { ready } if cycle >= ready => {
-                sw.request_output(p);
-                if ctx.diag {
-                    if let Some(cause) = sw.block_cause(p) {
-                        sh.counters.worms_blocked += 1;
-                        if ctx.journal_on {
-                            sh.sw_fx.push((
-                                s as u32,
-                                sw.head_pid(p),
-                                EventKind::Block {
-                                    sw: s as u32,
-                                    out: sw.head_out(p),
-                                    cause,
-                                },
-                            ));
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    for p in ports(sw.busy_outputs()) {
-        if let Some(g) = sw.arbitrate(p) {
-            sh.counters.arbitration_grants += 1;
-            if ctx.journal_on {
-                sh.sw_fx.push((
-                    s as u32,
-                    sw.head_pid(g as usize),
-                    EventKind::HeadAdvance {
-                        sw: s as u32,
-                        in_port: g,
-                        out: p as u8,
-                    },
-                ));
-            }
-        }
-        let Some((g, out_chan)) = sw.open_connection(p) else {
-            continue;
         };
-        if ctx.faults_on && channel::raw::is_dead(ctx.channels.add(out_chan as usize)) {
-            // The granted head is already queued for loss handling;
-            // never stream flits into a dead cable.
-            continue;
+        match self.region {
+            Region::A => {
+                kernel::ctl_phase(self, t);
+                lap(self.sh, 0);
+                kernel::arrival_phase(self, t);
+                lap(self.sh, 1);
+            }
+            Region::B => {
+                kernel::switches_phase(self, t);
+                lap(self.sh, 2);
+                kernel::nic_tx_phase(self, t);
+                lap(self.sh, 3);
+            }
         }
-        let Some((pid, ctl)) = sw.forward_flit(p, g, cfg) else {
-            continue;
-        };
-        channel::raw::send(ctx.channels.add(out_chan as usize), cycle, pid);
-        sh.activity = true;
-        if *ctx.data_owner.add(out_chan as usize) as usize == s_shard {
-            sh.sched.note_data(cycle, out_chan);
-        } else {
-            sh.note_data_out.push(out_chan);
-        }
-        sh.counters.flits_forwarded += 1;
-        if let Some((chan, sym)) = ctl {
-            emit_ctl_region_b(ctx, sh, s_shard, chan, sym);
-        }
+    }
+
+    #[inline]
+    fn chan(&self, ci: u32) -> *mut Channel {
+        // SAFETY: `ci` indexes the channel array; forming the element
+        // pointer dereferences nothing.
+        unsafe { self.ctx.channels.add(ci as usize) }
     }
 }
 
-/// Mirror of `Simulator::nic_tx`, fault branches included; unroutable
-/// packets are recorded in `ShardState::nic_drop` for the deferred loss
-/// phase. A NIC's access channel always stays intra-shard (the NIC lives
-/// in its host switch's shard), so the data note is direct.
-unsafe fn nic_tx(ctx: &ParCtx, sh: &mut ShardState, _s_shard: usize, h: usize, cycle: u64) {
-    let cfg = &*ctx.cfg;
-    let nic = &mut *ctx.nics.add(h);
-    if ctx.faults_on {
-        let f = &*ctx.faults;
-        // Sources freeze while the mapper redistributes routes; the
-        // transmission already in progress may finish.
-        if f.reconfig_due.is_some() && nic.tx.is_none() {
+impl Parts for ShardSink<'_> {
+    type Sink = Self;
+    #[inline]
+    fn sink(&mut self) -> &mut Self {
+        self
+    }
+    #[inline]
+    fn switch(&mut self, sw: u32) -> (&mut SwitchState, &mut Self) {
+        // SAFETY: the kernel loops only name switches of this shard (its
+        // own active list, the receivers and senders of its own buckets).
+        (unsafe { &mut *self.ctx.switches.add(sw as usize) }, self)
+    }
+    #[inline]
+    fn nic(&mut self, host: u32) -> (&mut Nic, &mut Self) {
+        // SAFETY: as for `switch`.
+        (unsafe { &mut *self.ctx.nics.add(host as usize) }, self)
+    }
+    #[inline]
+    fn ends(&self, ci: u32) -> (Sender, Receiver) {
+        // SAFETY: both fields are immutable after construction.
+        unsafe { ((*self.chan(ci)).sender, (*self.chan(ci)).receiver) }
+    }
+    #[inline]
+    fn take_ctl_arrival(&mut self, ci: u32) -> u8 {
+        // SAFETY: `ci` came from this shard's ctl bucket: it owns the
+        // sender, in region A the one user of the ctl lane.
+        unsafe { &mut (*self.chan(ci)).ctl }.take_arrival(self.ctx.tick.cycle)
+    }
+    #[inline]
+    fn take_arrival(&mut self, ci: u32) -> Option<u32> {
+        // SAFETY: `ci` came from this shard's data bucket: it owns the
+        // receiver, in region A the one user of the data lane.
+        unsafe { &mut (*self.chan(ci)).data }.take_arrival(self.ctx.tick.cycle)
+    }
+    #[inline]
+    fn sched(&mut self) -> &mut ActiveSched {
+        &mut self.sh.sched
+    }
+}
+
+impl Sink for ShardSink<'_> {
+    #[inline]
+    fn pkt(&mut self, pid: u32) -> &mut Packet {
+        // SAFETY: the slot array does not move while a region runs. For
+        // the aliasing of the `&mut Packet` see *Safety model*.
+        unsafe { &mut *self.ctx.pkt_slots.add(pid as usize) }
+            .as_mut()
+            .expect("stale id")
+    }
+    #[inline]
+    fn msg(&mut self, midx: u32) -> &mut MsgState {
+        // SAFETY: only the message's source NIC, which this shard owns,
+        // touches it in a region.
+        unsafe { &mut *self.ctx.msg_slots.add(midx as usize) }
+            .as_mut()
+            .expect("stale id")
+    }
+    #[inline]
+    fn selector(&mut self, src: HostId) -> &mut SrcSelector {
+        // SAFETY: `src` is the host of the NIC being advanced, so the
+        // entry is this shard's.
+        unsafe { &mut *self.ctx.selectors.add(src.idx()) }
+    }
+    #[inline]
+    fn is_dead(&self, ci: u32) -> bool {
+        // SAFETY: asked by the channel's sender, in region B the one user
+        // of its data lane.
+        unsafe { &(*self.chan(ci)).data }.is_dead()
+    }
+    // Forced inline, as in the sequential sink (see there).
+    #[inline(always)]
+    fn send(&mut self, ci: u32, pid: u32) {
+        let cycle = self.ctx.tick.cycle;
+        // SAFETY: only region B sends, and the sender is then the one user
+        // of the data lane.
+        unsafe { &mut (*self.chan(ci)).data }.send(cycle, pid);
+        if self.ctx.data_owner[ci as usize] == self.shard {
+            self.sh.sched.note_data(cycle, ci);
+        } else {
+            self.sh.out.push(Out::NoteData(ci));
+        }
+    }
+    #[inline(always)]
+    fn send_ctl(&mut self, ci: u32, symbol: u8) {
+        let cycle = self.ctx.tick.cycle;
+        let own = self.ctx.ctl_owner[ci as usize] == self.shard;
+        if self.region == Region::A && !own {
+            // The owner may not have drained this slot yet.
+            self.sh.out.push(Out::Ctl(ci, symbol));
             return;
         }
-        // A NIC on a dead host link cannot move flits at all.
-        if channel::raw::is_dead(ctx.channels.add(nic.out_chan as usize)) {
-            return;
-        }
-    }
-    if nic.tx.is_none() {
-        while let Some((pid, kind)) = nic.pick_next_tx(cycle, cfg.itb_priority) {
-            // Fresh and retransmitted packets route from scratch: under
-            // faults, re-validate the pair and — once a rebuild has been
-            // installed — re-select the journey from the current tables
-            // (in-transit packets keep their remaining route).
-            if ctx.faults_on && kind != TxKind::Reinject {
-                let f = &*ctx.faults;
-                let topo = &*ctx.topo;
-                let db = &*ctx.eff_db;
-                let pkt = pkt_ptr(ctx, pid);
-                let (src, dst) = ((*pkt).journey.src, (*pkt).journey.dst);
-                let routable = f.host_ok[src.idx()]
-                    && f.host_ok[dst.idx()]
-                    && db.has_route(topo.host_switch(src), topo.host_switch(dst));
-                if !routable {
-                    // Skip it now (the NIC still transmits the next
-                    // routable packet this cycle); the drop bookkeeping
-                    // runs in the loss phase.
-                    sh.nic_drop.push((h as u32, pid));
-                    continue;
-                }
-                if ctx.reselect {
-                    // `src` is this NIC's host, so the selector entry is
-                    // shard-owned.
-                    let journey =
-                        db.select_from(topo, src, dst, &mut *ctx.selectors.add(src.idx()));
-                    (*pkt).journey = journey;
-                    (*pkt).seg = 0;
-                    (*pkt).hop = 0;
-                }
-            }
-            let total = packet::raw::wire_len_current_segment(pkt_ptr(ctx, pid));
-            nic.tx = Some(TxState {
-                pid,
-                sent: 0,
-                total,
-                reinjection: kind == TxKind::Reinject,
-            });
-            break;
-        }
-    }
-    let Some(tx) = nic.tx else { return };
-    if nic.stopped {
-        return;
-    }
-    let pkt = pkt_ptr(ctx, tx.pid);
-    let available = if tx.reinjection {
-        let arrived_here = match nic.rx {
-            Some(rx) if rx.pid == tx.pid => rx.received,
-            _ => tx.total + 1, // fully received (wire included the ITB mark)
-        };
-        if cfg.itb_cut_through {
-            arrived_here.saturating_sub(1)
-        } else if arrived_here > tx.total {
-            tx.total
+        // SAFETY: region A, own channel: this shard already drained the
+        // slot and nobody else uses the ctl lane. Region B: the receiver
+        // — this shard — is the lane's one user, and nothing reads control
+        // until next cycle's region A.
+        unsafe { &mut (*self.chan(ci)).ctl }.send(cycle, symbol);
+        if own {
+            self.sh.sched.note_ctl(cycle, ci);
         } else {
-            0
-        }
-    } else {
-        tx.total
-    };
-    if tx.sent >= available {
-        if tx.reinjection && tx.sent > 0 && ctx.measure_on {
-            sh.reinject_bubbles += 1;
-        }
-        return;
-    }
-    if tx.sent == 0 && !tx.reinjection {
-        (*pkt).inject_cycle = cycle;
-        let ms = msg_ptr(ctx, (*pkt).msg);
-        if (*ms).first_inject == u64::MAX {
-            (*ms).first_inject = cycle;
-        }
-        if ctx.journal_on {
-            sh.nic_fx.push((
-                h as u32,
-                NicFx::Inject {
-                    pid: tx.pid,
-                    src: (*pkt).journey.src.0,
-                    dst: (*pkt).journey.dst.0,
-                },
-            ));
+            self.sh.out.push(Out::NoteCtl(ci));
         }
     }
-    channel::raw::send(ctx.channels.add(nic.out_chan as usize), cycle, tx.pid);
-    sh.activity = true;
-    sh.sched.note_data(cycle, nic.out_chan);
-    sh.counters.flits_injected += 1;
-    if tx.sent == 0 && tx.reinjection {
-        sh.counters.itb_reinjections += 1;
-        if ctx.trace_on || ctx.journal_on {
-            sh.nic_fx.push((
-                h as u32,
-                NicFx::Reinject {
-                    pid: tx.pid,
-                    host: h as u32,
-                },
-            ));
+    #[inline]
+    fn activate_switch(&mut self, sw: u32) {
+        self.sh.sched.activate_switch(sw);
+    }
+    #[inline]
+    fn wake_nic_at(&mut self, ready: u64, host: u32) {
+        self.sh.sched.wake_nic_at(ready, host);
+    }
+    #[inline]
+    fn activity(&mut self) {
+        self.sh.activity = true;
+    }
+    #[inline]
+    fn count(&mut self, bump: impl FnOnce(&mut Counters)) {
+        bump(&mut self.sh.counters);
+    }
+    #[inline]
+    fn diag(&self) -> bool {
+        self.ctx.diag
+    }
+    #[inline]
+    fn measure(&mut self, update: impl FnOnce(&mut KernelMeasure)) {
+        if self.ctx.measure_on {
+            update(&mut self.sh.measure);
         }
     }
-    let tx_ref = nic.tx.as_mut().unwrap();
-    tx_ref.sent += 1;
-    if tx_ref.sent == tx_ref.total {
-        if tx_ref.reinjection && (*pkt).pool_reserved > 0 {
-            nic.pool_used -= (*pkt).pool_reserved;
-            (*pkt).pool_reserved = 0;
+    #[inline]
+    fn journal_on(&self) -> bool {
+        self.ctx.journal_on
+    }
+    #[inline]
+    fn fx(&mut self, at: At, fx: Fx) {
+        // The in-transit hooks feed only the trace observers and the
+        // journal; everything else always counts (`journal` has checked).
+        let wanted = match fx {
+            Fx::ItbEject { .. } | Fx::Reinject { .. } => self.ctx.trace_on || self.ctx.journal_on,
+            _ => true,
+        };
+        if wanted {
+            self.sh.fx.push((at, fx));
         }
-        nic.tx = None;
     }
 }
 

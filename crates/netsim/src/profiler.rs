@@ -3,9 +3,9 @@
 //!
 //! Answers "where does the engine spend its time" — routing and
 //! arbitration vs channel bookkeeping vs generation vs observer overhead —
-//! without an external profiler. When enabled, `Simulator::step` takes a
-//! timestamped path that wraps each phase with `Instant::now()`; disabled
-//! (the default), the fast path has no timing calls at all.
+//! without an external profiler. When enabled, `Simulator::step` ends
+//! each phase with a lap (`Instant::now()`); disabled (the default), the
+//! same phase sequence makes no timing calls at all.
 //!
 //! Two views of the same data:
 //!

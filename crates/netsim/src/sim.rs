@@ -14,30 +14,37 @@
 //!    (new injection or in-transit re-injection) if flow control allows.
 //! 5. **Generation** — hosts create new messages according to the offered
 //!    load.
+//!
+//! What phases 1–4 *do* is `crate::kernel`, shared by every engine; this
+//! file owns the simulator's state, the phase sequence ([`Simulator::step`]),
+//! the sequential engines' sink for the kernel's effects, generation and
+//! the fault machinery.
 
 use std::cmp::Reverse;
+use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use regnet_core::{PathSelector, RouteDb, SegmentEnd};
+use regnet_core::{PathSelector, RouteDb, SrcSelector};
 use regnet_mapper::{rebuild_physical_routes, FaultSet, PhysicalRoutes};
 use regnet_metrics::{Histogram, RunningStats};
 use regnet_topology::{HostId, LinkEnd, NodeId, SwitchId, Topology};
 use regnet_traffic::{interarrival_cycles, Pattern};
 
-use crate::channel::{Channel, Receiver, Sender, CTL_NONE, CTL_STOP};
+use crate::channel::{Channel, Receiver, Sender};
 use crate::config::{GenerationProcess, SimConfig, CYCLE_NS};
 use crate::counters::{CounterSnapshot, Counters};
 use crate::events::{EventJournal, EventKind, EventOptions, NO_PACKET};
 use crate::faultplan::{FaultEvent, FaultOptions, FaultRuntime, FaultTarget, ReliabilityStats};
-use crate::nic::{Nic, RxState, TxKind, TxState};
-use crate::packet::{Packet, PacketArena};
-use crate::par::{ArrFx, NicFx, ParCtx, ParEngine};
+use crate::kernel::{self, At, Fx, KernelMeasure, Parts, Sink, SwitchSpan, Tick};
+use crate::nic::Nic;
+use crate::packet::{Arena, Packet, PacketArena};
+use crate::par::{Out, ParCtx, ParEngine, Region};
 use crate::profiler::{Phase, ProfileReport, Profiler, SpanReport, NO_SHARD};
 use crate::sched::{ActiveSched, Scheduler};
-use crate::switch::{ports, HeadState, SwitchState};
+use crate::switch::{HeadState, SwitchState};
 use crate::trace::{TraceOptions, TraceReport, TraceState};
 use crate::wfg::StallReport;
 
@@ -105,15 +112,12 @@ struct Measure {
     delivered_payload_flits: u64,
     generated: u64,
     itb_sum: u64,
-    itb_overflows: u64,
-    reinject_bubbles: u64,
     gen_stall_cycles: u64,
-    max_pool_flits: u32,
+    /// ITB overflows, re-injection bubbles and the pool high-water mark.
+    kernel: KernelMeasure,
 }
 
-/// Reassembly state of one message (one or more packets). `pub(crate)`
-/// for the shard-parallel engine, which stamps `first_inject` through a
-/// raw pointer (see `crate::par`).
+/// Reassembly state of one message (one or more packets).
 #[derive(Debug)]
 pub(crate) struct MsgState {
     pub(crate) remaining: u16,
@@ -125,51 +129,347 @@ pub(crate) struct MsgState {
     pub(crate) failed: bool,
 }
 
-/// Slab of in-flight messages.
-#[derive(Default)]
-struct MsgArena {
-    slots: Vec<Option<MsgState>>,
-    free: Vec<u32>,
+/// The tables new routes are drawn from: the reconfigured ones once a
+/// rebuild has installed some, the build-time ones before.
+fn route_db<'a>(faults: Option<&'a FaultRuntime>, built: &'a RouteDb) -> &'a RouteDb {
+    let rebuilt = faults.and_then(|f| f.routes.as_ref());
+    rebuilt.map_or(built, |r| &r.db)
 }
 
-impl MsgArena {
-    /// Base pointer of the slot array, for the shard-parallel engine.
-    /// Insert/remove stay on the main thread, so no reallocation happens
-    /// while workers hold the pointer.
-    fn raw_slots(&mut self) -> *mut Option<MsgState> {
-        self.slots.as_mut_ptr()
-    }
-
-    fn insert(&mut self, m: MsgState) -> u32 {
-        if let Some(i) = self.free.pop() {
-            self.slots[i as usize] = Some(m);
-            i
-        } else {
-            self.slots.push(Some(m));
-            (self.slots.len() - 1) as u32
-        }
-    }
-
-    fn get_mut(&mut self, i: u32) -> &mut MsgState {
-        self.slots[i as usize].as_mut().expect("stale message id")
-    }
-
-    fn remove(&mut self, i: u32) -> MsgState {
-        let m = self.slots[i as usize].take().expect("double message free");
-        self.free.push(i);
-        m
+/// Profiler lap: charge the time since `mark` to `phase`. A no-op — and
+/// no `Instant::now()` — unless profiling is on (`mark` is `Some`).
+#[inline]
+fn lap(prof: &mut Option<Box<Profiler>>, mark: &mut Option<Instant>, phase: Phase) {
+    if let Some(m) = mark {
+        let now = Instant::now();
+        let p = prof.as_deref_mut().expect("a mark without a profiler");
+        p.add(phase, (now - *m).as_nanos() as u64);
+        *m = now;
     }
 }
 
-/// Profiler lap for the parallel step: no-op (and no `Instant::now()`)
-/// unless profiling is on.
-fn lap_par(prof: &mut Option<Box<Profiler>>, mark: &mut Option<std::time::Instant>, phase: Phase) {
-    if let Some(p) = prof.as_deref_mut() {
-        let now = std::time::Instant::now();
-        if let Some(m) = mark {
-            p.add(phase, (now - *m).as_nanos() as u64);
+/// The sequential engines' [`Sink`]: disjoint `&mut` borrows of the
+/// simulator's fields, every effect applied the moment the kernel emits it
+/// (so the [`At`] keys go unused). The parallel engine's barrier fold
+/// replays its buffered effects into one of these too.
+struct SeqSink<'s> {
+    cycle: u64,
+    channels: &'s mut [Channel],
+    arena: &'s mut PacketArena,
+    msgs: &'s mut Arena<MsgState>,
+    selector: &'s mut PathSelector,
+    sched: Option<&'s mut ActiveSched>,
+    counters: Option<&'s mut Counters>,
+    journal: Option<&'s mut EventJournal>,
+    trace: Option<&'s mut TraceState>,
+    measure: &'s mut Measure,
+    rel: &'s mut ReliabilityStats,
+    last_activity: &'s mut u64,
+    pending_loss: &'s mut Vec<(At, u32)>,
+    /// Iff profiling: the last span lap, and the (routing, crossbar) ns
+    /// inside the switch phase this cycle.
+    spans: Option<(Instant, [u64; 2])>,
+}
+
+impl SeqSink<'_> {
+    #[inline]
+    fn record(&mut self, pid: u32, kind: EventKind) {
+        if let Some(j) = self.journal.as_deref_mut() {
+            j.record(self.cycle, pid, kind);
         }
-        *mark = Some(now);
+    }
+
+    /// Arena/message bookkeeping, measurement, counters, journal and trace
+    /// hooks of a completed delivery. The parallel fold replays deliveries
+    /// in ascending channel order, so the arena and message free-lists
+    /// reuse slots exactly as the sequential arrival phase does.
+    fn complete_delivery(&mut self, pid: u32, host: u32) {
+        let cycle = self.cycle;
+        let pkt = self.arena.remove(pid);
+        let ms = self.msgs.get_mut(pkt.msg);
+        ms.remaining -= 1;
+        ms.itbs += pkt.itbs_used as u16;
+        let done = ms.remaining == 0;
+        if self.measure.on {
+            let m = &mut *self.measure;
+            m.delivered_packets += 1;
+            m.delivered_payload_flits += pkt.payload as u64;
+        }
+        self.count(|c| c.packets_delivered += 1);
+        self.record(pid, EventKind::Deliver { dst: host });
+        if !done {
+            return;
+        }
+        // All packets of the message reassembled: the message is delivered
+        // (with mtu_flits = None this is every packet, the paper's model).
+        let ms = self.msgs.remove(pkt.msg);
+        if ms.failed {
+            // A sibling packet was dropped by a fault (only possible with
+            // MTU segmentation): the message never completes at the
+            // receiver.
+            self.rel.dropped_messages += 1;
+            return;
+        }
+        if self.measure.on {
+            let m = &mut *self.measure;
+            m.delivered += 1;
+            m.itb_sum += ms.itbs as u64;
+            m.latency.push((cycle - ms.first_inject) as f64);
+            m.hist.record(cycle - ms.first_inject);
+            m.total_latency.push((cycle - ms.gen_cycle) as f64);
+        }
+        self.count(|c| c.messages_delivered += 1);
+        if let Some(tr) = self.trace.as_deref_mut() {
+            tr.on_message_delivered(
+                cycle,
+                pkt.journey.src.0,
+                pkt.journey.dst.0,
+                pkt.payload as u64,
+                ms.itbs as u64,
+                ms.first_inject,
+            );
+        }
+    }
+}
+
+impl Sink for SeqSink<'_> {
+    #[inline]
+    fn pkt(&mut self, pid: u32) -> &mut Packet {
+        self.arena.get_mut(pid)
+    }
+    #[inline]
+    fn msg(&mut self, midx: u32) -> &mut MsgState {
+        self.msgs.get_mut(midx)
+    }
+    #[inline]
+    fn selector(&mut self, src: HostId) -> &mut SrcSelector {
+        self.selector.src_mut(src)
+    }
+    #[inline]
+    fn is_dead(&self, ci: u32) -> bool {
+        self.channels[ci as usize].is_dead()
+    }
+
+    // `send` and `send_ctl` are forced inline: the kernel is instantiated
+    // once per sink, and with a mere hint LLVM outlines these two (and
+    // `SwitchState::forward_flit`) from the switch loop — measured at +7 %
+    // wall time on the saturated torus.
+    #[inline(always)]
+    fn send(&mut self, ci: u32, pid: u32) {
+        self.channels[ci as usize].data.send(self.cycle, pid);
+        if let Some(sc) = self.sched.as_deref_mut() {
+            sc.note_data(self.cycle, ci);
+        }
+    }
+    #[inline(always)]
+    fn send_ctl(&mut self, ci: u32, symbol: u8) {
+        self.channels[ci as usize].ctl.send(self.cycle, symbol);
+        if let Some(sc) = self.sched.as_deref_mut() {
+            sc.note_ctl(self.cycle, ci);
+        }
+    }
+    #[inline]
+    fn activate_switch(&mut self, sw: u32) {
+        if let Some(sc) = self.sched.as_deref_mut() {
+            sc.activate_switch(sw);
+        }
+    }
+    #[inline]
+    fn wake_nic_at(&mut self, ready: u64, host: u32) {
+        if let Some(sc) = self.sched.as_deref_mut() {
+            sc.wake_nic_at(ready, host);
+        }
+    }
+    #[inline]
+    fn activity(&mut self) {
+        *self.last_activity = self.cycle;
+    }
+    #[inline]
+    fn count(&mut self, bump: impl FnOnce(&mut Counters)) {
+        if let Some(c) = self.counters.as_deref_mut() {
+            bump(c);
+        }
+    }
+    #[inline]
+    fn diag(&self) -> bool {
+        self.counters.is_some() || self.journal.is_some()
+    }
+    #[inline]
+    fn measure(&mut self, update: impl FnOnce(&mut KernelMeasure)) {
+        if self.measure.on {
+            update(&mut self.measure.kernel);
+        }
+    }
+    #[inline]
+    fn journal_on(&self) -> bool {
+        self.journal.is_some()
+    }
+    #[inline]
+    fn fx(&mut self, at: At, fx: Fx) {
+        match fx {
+            Fx::Journal { pid, kind } => self.record(pid, kind),
+            Fx::ItbEject {
+                pid,
+                host,
+                overflow,
+            } => {
+                if let Some(tr) = self.trace.as_deref_mut() {
+                    tr.on_itb_eject(self.cycle, pid);
+                }
+                self.record(pid, EventKind::ItbEject { host, overflow });
+            }
+            Fx::Reinject { pid, host } => {
+                if let Some(tr) = self.trace.as_deref_mut() {
+                    tr.on_reinject_start(self.cycle, pid);
+                }
+                self.record(pid, EventKind::Reinject { host });
+            }
+            Fx::Deliver { pid, host } => self.complete_delivery(pid, host),
+            Fx::Lose { pid } => self.pending_loss.push((at, pid)),
+        }
+    }
+    #[inline]
+    fn span_lap(&mut self, span: Option<SwitchSpan>) {
+        if let Some((mark, acc)) = self.spans.as_mut() {
+            let now = Instant::now();
+            if let Some(span) = span {
+                acc[span as usize] += (now - *mark).as_nanos() as u64;
+            }
+            *mark = now;
+        }
+    }
+}
+
+/// The sequential engines' [`Parts`]: the component arrays next to the
+/// sink that borrows everything else.
+struct SeqParts<'s> {
+    switches: &'s mut [SwitchState],
+    nics: &'s mut [Nic],
+    sink: SeqSink<'s>,
+}
+
+impl<'s> Parts for SeqParts<'s> {
+    type Sink = SeqSink<'s>;
+    #[inline]
+    fn sink(&mut self) -> &mut SeqSink<'s> {
+        &mut self.sink
+    }
+    #[inline]
+    fn switch(&mut self, sw: u32) -> (&mut SwitchState, &mut SeqSink<'s>) {
+        (&mut self.switches[sw as usize], &mut self.sink)
+    }
+    #[inline]
+    fn nic(&mut self, host: u32) -> (&mut Nic, &mut SeqSink<'s>) {
+        (&mut self.nics[host as usize], &mut self.sink)
+    }
+    #[inline]
+    fn ends(&self, ci: u32) -> (Sender, Receiver) {
+        let c = &self.sink.channels[ci as usize];
+        (c.sender, c.receiver)
+    }
+    #[inline]
+    fn take_ctl_arrival(&mut self, ci: u32) -> u8 {
+        self.sink.channels[ci as usize]
+            .ctl
+            .take_arrival(self.sink.cycle)
+    }
+    #[inline]
+    fn take_arrival(&mut self, ci: u32) -> Option<u32> {
+        self.sink.channels[ci as usize]
+            .data
+            .take_arrival(self.sink.cycle)
+    }
+    #[inline]
+    fn sched(&mut self) -> &mut ActiveSched {
+        let sched = self.sink.sched.as_deref_mut();
+        sched.expect("phase loop without wake state")
+    }
+}
+
+/// The simulator as the shard workers see it for one region (see
+/// `crate::par` for the safety argument). Rebuilt per region, so no pointer
+/// survives a main-thread barrier mutation.
+fn par_ctx<'s>(p: &'s mut SeqParts<'_>, tick: Tick<'s>, pe: &'s mut ParEngine) -> ParCtx<'s> {
+    let k = &mut p.sink;
+    ParCtx {
+        tick,
+        channels: k.channels.as_mut_ptr(),
+        switches: p.switches.as_mut_ptr(),
+        nics: p.nics.as_mut_ptr(),
+        pkt_slots: k.arena.raw_slots(),
+        msg_slots: k.msgs.raw_slots(),
+        selectors: k.selector.per_src_mut().as_mut_ptr(),
+        shards: pe.shards.as_mut_ptr(),
+        n_shards: pe.shards.len(),
+        pool: &pe.pool,
+        data_owner: &pe.data_owner,
+        ctl_owner: &pe.ctl_owner,
+        measure_on: k.measure.on,
+        diag: k.diag(),
+        journal_on: k.journal_on(),
+        trace_on: k.trace.is_some(),
+        prof_on: k.spans.is_some(),
+    }
+}
+
+/// At a barrier of the parallel cycle: do what the shards could not do in
+/// place. Region A leaves control symbols, applied in ascending channel
+/// order (a fault-free cycle emits at most one per channel, so the order
+/// is total); region B leaves wheel notes, whose order is immaterial
+/// (buckets are sorted + dedup'd at drain time) and which go unsorted.
+fn apply_outboxes(k: &mut SeqSink<'_>, pe: &mut ParEngine, region: Region) {
+    let mut out = std::mem::take(&mut pe.merged_out);
+    for sh in &mut pe.shards {
+        out.append(&mut sh.out);
+    }
+    if region == Region::A {
+        out.sort_unstable();
+    }
+    for o in out.drain(..) {
+        match o {
+            Out::Ctl(ci, sym) => {
+                k.channels[ci as usize].ctl.send(k.cycle, sym);
+                pe.ctl_sched(ci).note_ctl(k.cycle, ci);
+            }
+            Out::NoteCtl(ci) => pe.ctl_sched(ci).note_ctl(k.cycle, ci),
+            Out::NoteData(ci) => pe.data_sched(ci).note_data(k.cycle, ci),
+        }
+    }
+    pe.merged_out = out;
+}
+
+/// The parallel cycle's barrier fold: empty the outboxes, feed the buffered
+/// effects to the sequential sink in the sequential visit order, and merge
+/// the per-shard counter/measurement deltas.
+fn fold_parallel(k: &mut SeqSink<'_>, pe: &mut ParEngine) {
+    apply_outboxes(k, pe, Region::B);
+
+    // Buffered effects, stably sorted by the `At` they were emitted at:
+    // BFS shards are not index-contiguous, so the sort — not shard
+    // concatenation — reconstructs the global sequential visit order.
+    // Deliveries run here, before generation, so the arena and message
+    // free-lists reuse slots in the exact sequential order. The deferred
+    // losses join the engine-shared list; `loss_phase` sorts and replays
+    // them after the fold, where the sequential engines do.
+    let mut merged = std::mem::take(&mut pe.merged_fx);
+    for sh in &mut pe.shards {
+        merged.append(&mut sh.fx);
+    }
+    merged.sort_by_key(|&(at, _)| at);
+    for (at, fx) in merged.drain(..) {
+        k.fx(at, fx);
+    }
+    pe.merged_fx = merged;
+
+    // Order-free folds: counters are sums, the measurement deltas are
+    // sums/maxes, activity is an "any shard moved something" flag.
+    for sh in &mut pe.shards {
+        k.count(|c| c.add(&sh.counters));
+        sh.counters.reset();
+        k.measure.kernel.absorb(&mut sh.measure);
+        if std::mem::take(&mut sh.activity) {
+            k.activity();
+        }
     }
 }
 
@@ -186,7 +486,7 @@ pub struct Simulator<'a> {
     switches: Vec<SwitchState>,
     nics: Vec<Nic>,
     arena: PacketArena,
-    msgs: MsgArena,
+    msgs: Arena<MsgState>,
     selector: PathSelector,
     measure: Measure,
     last_activity: u64,
@@ -196,6 +496,8 @@ pub struct Simulator<'a> {
     /// Fault-injection runtime; `None` (the default) keeps the fault hooks
     /// in the hot path down to a single branch.
     faults: Option<Box<FaultRuntime>>,
+    /// Dependability counters; all zeros unless faults are armed.
+    rel: ReliabilityStats,
     /// Counter registry; `None` (the default) costs one branch per hook.
     counters: Option<Box<Counters>>,
     /// Structured event journal; `None` (the default) costs one branch per
@@ -212,14 +514,12 @@ pub struct Simulator<'a> {
     par: Option<Box<ParEngine>>,
     /// Directed channel indices per physical link (both directions).
     link_chans: Vec<[u32; 2]>,
-    /// Worms that hit a dead output this cycle, as `(switch, packet)`;
-    /// truncated in the loss phase after NIC transmission so every engine
-    /// mutates the arenas in the same order (see `loss_phase`).
-    pending_sw_loss: Vec<(u32, u32)>,
-    /// Packets that became unroutable at their source NIC this cycle, as
-    /// `(host, packet)`; dropped in the loss phase alongside the worm
-    /// truncations.
-    pending_nic_drop: Vec<(u32, u32)>,
+    /// This cycle's deferred losses: worms that hit a dead output
+    /// (`At::Switch`) and packets that became unroutable at their source
+    /// NIC (`At::Nic`). Truncated or dropped in the loss phase after NIC
+    /// transmission so every engine mutates the arenas in the same order
+    /// (see `loss_phase`).
+    pending_loss: Vec<(At, u32)>,
     /// `stop_generation` was called: never restart generators, even when a
     /// repaired host comes back.
     gen_frozen: bool,
@@ -354,20 +654,20 @@ impl<'a> Simulator<'a> {
             switches,
             nics,
             arena: PacketArena::new(),
-            msgs: MsgArena::default(),
+            msgs: Arena::new(),
             selector,
             measure: Measure::default(),
             last_activity: 0,
             trace: None,
             faults: None,
+            rel: ReliabilityStats::default(),
             counters: None,
             journal: None,
             profiler: None,
             sched: None,
             par: None,
             link_chans,
-            pending_sw_loss: Vec::new(),
-            pending_nic_drop: Vec::new(),
+            pending_loss: Vec::new(),
             gen_frozen: false,
             gen_due: 0,
             time_skip: false,
@@ -383,6 +683,22 @@ impl<'a> Simulator<'a> {
     /// the experiment driver applies `RunOptions::scheduler` (default
     /// [`Scheduler::ActiveSet`]).
     pub fn set_scheduler(&mut self, s: Scheduler) {
+        self.install_scheduler(s, None);
+    }
+
+    /// Test hook: select `Scheduler::Parallel { threads: shards }` with a
+    /// worker pool of `executors` executors (at most one per shard)
+    /// whatever the host's core count, and return the pool's size. Results
+    /// never depend on it; the equivalence suite uses it to prove that on
+    /// a really multi-threaded pool.
+    #[doc(hidden)]
+    pub fn set_parallel_with_executors(&mut self, shards: usize, executors: usize) -> usize {
+        self.install_scheduler(Scheduler::Parallel { threads: shards }, Some(executors));
+        let pe = self.par.as_deref().expect("just installed");
+        pe.pool.executors()
+    }
+
+    fn install_scheduler(&mut self, s: Scheduler, executors: Option<usize>) {
         assert_eq!(
             self.cycle, 0,
             "scheduler must be selected before the first cycle"
@@ -403,6 +719,7 @@ impl<'a> Simulator<'a> {
                 self.par = Some(Box::new(ParEngine::new(
                     self.topo,
                     threads,
+                    executors,
                     self.cfg.link_delay_cycles,
                     &self.channels,
                     self.switches.len(),
@@ -502,10 +819,7 @@ impl<'a> Simulator<'a> {
     /// Dependability counters so far; all zeros when faults were never
     /// enabled.
     pub fn reliability(&self) -> ReliabilityStats {
-        self.faults
-            .as_deref()
-            .map(|f| f.rel.clone())
-            .unwrap_or_default()
+        self.rel.clone()
     }
 
     /// The routing tables installed by the last successful mid-run
@@ -670,11 +984,11 @@ impl<'a> Simulator<'a> {
             } else {
                 0.0
             },
-            itb_overflows: m.itb_overflows,
-            reinject_bubbles: m.reinject_bubbles,
+            itb_overflows: m.kernel.itb_overflows,
+            reinject_bubbles: m.kernel.reinject_bubbles,
             gen_stall_cycles: m.gen_stall_cycles,
-            max_pool_flits: m.max_pool_flits,
-            channel_busy: self.channels.iter().map(|c| c.busy_cycles).collect(),
+            max_pool_flits: m.kernel.max_pool_flits,
+            channel_busy: self.channels.iter().map(|c| c.busy_cycles()).collect(),
             counters: self.counter_snapshot(),
         }
     }
@@ -754,474 +1068,173 @@ impl<'a> Simulator<'a> {
         out
     }
 
-    /// Advance one cycle.
+    /// Advance one cycle: the one phase sequence every engine runs. Phases
+    /// 1–4 are the kernel's (`crate::kernel`), driven sequentially or on
+    /// the shard pool; the rest is engine-independent. With the profiler
+    /// on, each phase ends in a lap; off, `mark` stays `None` and no
+    /// `Instant::now()` is ever called.
     pub fn step(&mut self) {
-        if self.par.is_some() {
-            self.step_parallel();
-            self.cycle += 1;
-            return;
+        let cycle = self.cycle;
+        let mut mark = self.profiler.as_ref().map(|_| Instant::now());
+        // ---- Phase 0: fault events, purges, reconfig. Under the parallel
+        // engine this is the main thread with the workers parked; purges
+        // route their control fix-ups and wakes to the owner shards (see
+        // `ctl_sched` / `nic_sched`).
+        if self.faults.is_some() {
+            self.fault_phase(cycle);
         }
-        if self.profiler.is_some() {
-            self.step_profiled();
+        lap(&mut self.profiler, &mut mark, Phase::Faults);
+        // ---- Phases 1-4: control, arrivals, switches, NIC transmission.
+        if self.par.is_some() {
+            self.parallel_phases(cycle, &mut mark);
         } else {
-            let cycle = self.cycle;
-            // ---- Phase 0: fault events, purges, reconfig. ----
-            if self.faults.is_some() {
-                self.fault_phase(cycle);
-            }
-            self.ctl_phase(cycle);
-            self.arrival_phase(cycle);
-            self.switches_phase(cycle, None);
-            self.nic_tx_phase(cycle);
-            // ---- Phase 6: deferred mid-cycle losses (faulted runs). ----
-            if self.faults.is_some() {
-                self.loss_phase(cycle);
-            }
-            self.gen_phase(cycle);
-            self.observer_phase(cycle, None);
+            self.sequential_phases(cycle, &mut mark);
+        }
+        // ---- Phase 6: deferred mid-cycle losses (faulted runs).
+        if self.faults.is_some() {
+            self.loss_phase(cycle);
+        }
+        lap(&mut self.profiler, &mut mark, Phase::Faults);
+        self.gen_phase(cycle);
+        lap(&mut self.profiler, &mut mark, Phase::Generation);
+        let mut trace_ns = 0u64;
+        self.observer_phase(cycle, mark.is_some().then_some(&mut trace_ns));
+        lap(&mut self.profiler, &mut mark, Phase::Observers);
+        if let Some(p) = self.profiler.as_deref_mut() {
+            p.add_child(Phase::Observers, NO_SHARD, "trace", trace_ns);
+            p.cycles += 1;
         }
         self.cycle += 1;
     }
 
-    /// `step` with each phase wrapped in wall-clock timing. Kept separate
-    /// so the default path carries no `Instant::now()` calls.
-    fn step_profiled(&mut self) {
-        use std::time::Instant;
-        let cycle = self.cycle;
-        let mut mark = Instant::now();
-        let mut lap = |prof: &mut Profiler, phase: Phase| {
-            let now = Instant::now();
-            prof.add(phase, (now - mark).as_nanos() as u64);
-            mark = now;
-        };
-        if self.faults.is_some() {
-            self.fault_phase(cycle);
-        }
-        let mut prof = self
-            .profiler
-            .take()
-            .expect("profiled step without profiler");
-        lap(&mut prof, Phase::Faults);
-        self.ctl_phase(cycle);
-        lap(&mut prof, Phase::Control);
-        self.arrival_phase(cycle);
-        lap(&mut prof, Phase::Arrivals);
-        // (routing control units, arbitration + crossbar transfer) ns.
-        let mut sw_timing = (0u64, 0u64);
-        self.switches_phase(cycle, Some(&mut sw_timing));
-        lap(&mut prof, Phase::Switches);
-        prof.add_child(Phase::Switches, NO_SHARD, "routing", sw_timing.0);
-        prof.add_child(Phase::Switches, NO_SHARD, "crossbar", sw_timing.1);
-        self.nic_tx_phase(cycle);
-        lap(&mut prof, Phase::NicTx);
-        if self.faults.is_some() {
-            self.loss_phase(cycle);
-        }
-        lap(&mut prof, Phase::Faults);
-        self.gen_phase(cycle);
-        lap(&mut prof, Phase::Generation);
-        let mut trace_ns = 0u64;
-        self.observer_phase(cycle, Some(&mut trace_ns));
-        lap(&mut prof, Phase::Observers);
-        prof.add_child(Phase::Observers, NO_SHARD, "trace", trace_ns);
-        prof.cycles += 1;
-        self.profiler = Some(prof);
-    }
-
-    /// Build the raw-pointer context workers use for one region (see
-    /// `crate::par` for the safety argument). Rebuilt per region, so no
-    /// pointer survives a main-thread barrier mutation.
-    fn par_ctx(&mut self, pe: &mut ParEngine, cycle: u64) -> ParCtx {
-        // Fault state is read-only while workers run: the fault phase — the
-        // only mutator of `FaultSet` / `host_ok` / the installed routes —
-        // runs on the main thread before region A.
-        let (faults_on, faults, eff_db, reselect) = match self.faults.as_deref() {
-            Some(f) => (
-                true,
-                f as *const FaultRuntime,
-                f.routes.as_ref().map(|r| &r.db).unwrap_or(self.db) as *const RouteDb,
-                f.routes.is_some(),
-            ),
-            None => (
-                false,
-                std::ptr::null::<FaultRuntime>(),
-                self.db as *const RouteDb,
-                false,
-            ),
-        };
-        ParCtx {
-            channels: self.channels.as_mut_ptr(),
-            switches: self.switches.as_mut_ptr(),
-            nics: self.nics.as_mut_ptr(),
-            pkt_slots: self.arena.raw_slots(),
-            msg_slots: self.msgs.raw_slots(),
-            shards: pe.shards.as_mut_ptr(),
-            n_shards: pe.shards.len(),
-            executors: pe.pool.executors(),
-            data_owner: pe.data_owner.as_ptr(),
-            ctl_owner: pe.ctl_owner.as_ptr(),
-            cfg: &self.cfg,
-            topo: self.topo,
-            faults_on,
-            faults,
-            eff_db,
-            reselect,
-            selectors: self.selector.per_src_mut().as_mut_ptr(),
+    /// Split the simulator into what the kernel phases of one cycle work
+    /// on — the component arrays next to the sink that borrows everything
+    /// they emit into, and the cycle's constants — plus the profiler, for
+    /// the laps in between.
+    #[inline]
+    fn split(&mut self, cycle: u64) -> (SeqParts<'_>, Tick<'_>, &mut Option<Box<Profiler>>) {
+        let faults = self.faults.as_deref();
+        let tick = Tick {
             cycle,
-            measure_on: self.measure.on,
-            diag: self.counters.is_some() || self.journal.is_some(),
-            journal_on: self.journal.is_some(),
-            trace_on: self.trace.is_some(),
-            // The profiler is temporarily taken out during step_parallel,
-            // so the caller overrides this from its local handle.
-            prof_on: false,
-        }
+            cfg: &self.cfg,
+            faults,
+            db: route_db(faults, self.db),
+            topo: self.topo,
+        };
+        let sink = SeqSink {
+            cycle,
+            channels: &mut self.channels,
+            arena: &mut self.arena,
+            msgs: &mut self.msgs,
+            selector: &mut self.selector,
+            sched: self.sched.as_deref_mut(),
+            counters: self.counters.as_deref_mut(),
+            journal: self.journal.as_deref_mut(),
+            trace: self.trace.as_deref_mut(),
+            measure: &mut self.measure,
+            rel: &mut self.rel,
+            last_activity: &mut self.last_activity,
+            pending_loss: &mut self.pending_loss,
+            spans: self.profiler.as_ref().map(|_| (Instant::now(), [0; 2])),
+        };
+        let parts = SeqParts {
+            switches: &mut self.switches,
+            nics: &mut self.nics,
+            sink,
+        };
+        (parts, tick, &mut self.profiler)
     }
 
-    /// One cycle of the shard-parallel engine: region A (ctl + arrivals)
-    /// on the worker pool, the cross-shard control mid-barrier, region B
-    /// (switches + NIC tx) on the pool, the deterministic fold, then
-    /// generation and observers inline. See `crate::par` for the design
-    /// and the bit-identity argument.
-    fn step_parallel(&mut self) {
-        use std::time::Instant;
-        let cycle = self.cycle;
+    /// Phases 1-4 on this thread. The active-set engines run the kernel's
+    /// wheel-drain and active-list loops; `Scheduler::Scan`, the reference
+    /// the equivalence suites diff against, visits every channel, switch
+    /// and NIC in index order instead — same kernel, every component.
+    fn sequential_phases(&mut self, cycle: u64, mark: &mut Option<Instant>) {
+        let n_channels = self.channels.len() as u32;
+        let n_switches = self.switches.len() as u32;
+        let n_nics = self.nics.len() as u32;
+        let (mut p, t, prof) = self.split(cycle);
+        let scan = p.sink.sched.is_none();
+        if scan {
+            (0..n_channels).for_each(|ci| kernel::deliver_ctl(&mut p, ci));
+        } else {
+            kernel::ctl_phase(&mut p, &t);
+        }
+        lap(prof, mark, Phase::Control);
+        if scan {
+            (0..n_channels).for_each(|ci| kernel::deliver_data(&mut p, ci, &t));
+        } else {
+            kernel::arrival_phase(&mut p, &t);
+        }
+        lap(prof, mark, Phase::Arrivals);
+        if scan {
+            for s in 0..n_switches {
+                let (sw, k) = p.switch(s);
+                kernel::switch_phase(sw, s, &t, k);
+            }
+        } else {
+            kernel::switches_phase(&mut p, &t);
+        }
+        lap(prof, mark, Phase::Switches);
+        if let (Some(pr), Some((_, [routing, crossbar]))) = (prof.as_deref_mut(), p.sink.spans) {
+            pr.add_child(Phase::Switches, NO_SHARD, "routing", routing);
+            pr.add_child(Phase::Switches, NO_SHARD, "crossbar", crossbar);
+        }
+        if scan {
+            for h in 0..n_nics {
+                let (nic, k) = p.nic(h);
+                kernel::nic_tx(nic, h, &t, k);
+            }
+        } else {
+            kernel::nic_tx_phase(&mut p, &t);
+        }
+        lap(prof, mark, Phase::NicTx);
+    }
+
+    /// Phases 1-4 on the shard pool: region A (ctl + arrivals), the
+    /// cross-shard control mid-barrier, region B (switches + NIC tx), then
+    /// the deterministic fold. See `crate::par` for the design and the
+    /// bit-identity argument.
+    ///
+    /// Coarse profiler mapping: region A → Arrivals, mid-barrier →
+    /// Control, region B → Switches, fold → NicTx (the fused regions
+    /// cannot be split into the sequential engines' finer phases).
+    /// Shard-level spans below the two regions come from the workers' own
+    /// `span_ns` accumulators, drained after region B.
+    fn parallel_phases(&mut self, cycle: u64, mark: &mut Option<Instant>) {
         let mut pe = self.par.take().expect("parallel step without engine");
-        let mut prof = self.profiler.take();
-        let prof_on = prof.is_some();
-        // Coarse profiler mapping: region A → Arrivals, mid-barrier →
-        // Control, region B → Switches, fold → NicTx (the fused regions
-        // cannot be split into the sequential engine's finer phases).
-        // Shard-level spans below the two regions come from the workers'
-        // own `span_ns` accumulators, drained after region B.
-        let mut mark = prof.as_ref().map(|_| Instant::now());
+        let (mut p, t, prof) = self.split(cycle);
+        par_ctx(&mut p, t, &mut pe).run(Region::A);
+        lap(prof, mark, Phase::Arrivals);
 
-        // ---- Phase 0: fault events, purges, reconfig — main thread,
-        // workers parked. Purges route their control fix-ups and wakes to
-        // the owner shards (see `sched_note_ctl` / `sched_wake_nic_at`);
-        // the engine is put back first so those helpers can reach it.
-        if self.faults.is_some() {
-            self.par = Some(pe);
-            self.fault_phase(cycle);
-            pe = self.par.take().expect("fault phase consumed the engine");
-        }
-        lap_par(&mut prof, &mut mark, Phase::Faults);
+        // Mid-barrier: region A's cross-shard control symbols — before
+        // region B, so a region-B GO can supersede a region-A STOP on the
+        // same channel exactly as the sequential phase order allows.
+        apply_outboxes(&mut p.sink, &mut pe, Region::A);
+        lap(prof, mark, Phase::Control);
 
-        {
-            let mut ctx = self.par_ctx(&mut pe, cycle);
-            ctx.prof_on = prof_on;
-            pe.pool.run(&move |e| crate::par::run_region_a(&ctx, e));
-        }
-        lap_par(&mut prof, &mut mark, Phase::Arrivals);
-
-        // Mid-barrier: apply cross-shard region-A control symbols in
-        // ascending channel order — before region B, so a region-B GO can
-        // supersede a region-A STOP on the same channel exactly as the
-        // sequential phase order allows. (A fault-free cycle emits at most
-        // one region-A symbol per channel, so the order is total.)
-        let mut merged = std::mem::take(&mut pe.merged_ctl);
-        merged.clear();
-        for sh in &mut pe.shards {
-            merged.append(&mut sh.ctl_out);
-        }
-        merged.sort_unstable_by_key(|&(ci, _)| ci);
-        for &(ci, sym) in &merged {
-            self.channels[ci as usize].send_ctl(cycle, sym);
-            let owner = pe.ctl_owner[ci as usize] as usize;
-            pe.shards[owner].sched.note_ctl(cycle, ci);
-        }
-        pe.merged_ctl = merged;
-        lap_par(&mut prof, &mut mark, Phase::Control);
-
-        {
-            let mut ctx = self.par_ctx(&mut pe, cycle);
-            ctx.prof_on = prof_on;
-            pe.pool.run(&move |e| crate::par::run_region_b(&ctx, e));
-        }
-        lap_par(&mut prof, &mut mark, Phase::Switches);
+        par_ctx(&mut p, t, &mut pe).run(Region::B);
+        lap(prof, mark, Phase::Switches);
 
         // Drain the workers' shard-span accumulators: region A buckets
         // nest under Arrivals, region B buckets under Switches (matching
         // the coarse mapping above).
-        if let Some(p) = prof.as_deref_mut() {
+        if let Some(pr) = prof.as_deref_mut() {
             for (k, sh) in pe.shards.iter_mut().enumerate() {
-                let [ctl, arr, sw, nic] = sh.span_ns;
-                p.add_child(Phase::Arrivals, k as u32, "control", ctl);
-                p.add_child(Phase::Arrivals, k as u32, "arrivals", arr);
-                p.add_child(Phase::Switches, k as u32, "switches", sw);
-                p.add_child(Phase::Switches, k as u32, "nic_tx", nic);
-                sh.span_ns = [0; 4];
+                let [ctl, arr, sw, nic] = std::mem::take(&mut sh.span_ns);
+                pr.add_child(Phase::Arrivals, k as u32, "control", ctl);
+                pr.add_child(Phase::Arrivals, k as u32, "arrivals", arr);
+                pr.add_child(Phase::Switches, k as u32, "switches", sw);
+                pr.add_child(Phase::Switches, k as u32, "nic_tx", nic);
             }
         }
 
-        self.fold_parallel(&mut pe, cycle);
-        lap_par(&mut prof, &mut mark, Phase::NicTx);
-
-        // The engine goes back in place before the loss phase: purges and
-        // retransmission timers route their wakes to the shard schedulers,
-        // and `create_message` activates source NICs in theirs.
+        fold_parallel(&mut p.sink, &mut pe);
+        lap(prof, mark, Phase::NicTx);
+        // Back in place before the loss phase: purges and retransmission
+        // timers route their wakes to the shard schedulers, and
+        // `create_message` activates source NICs in theirs.
         self.par = Some(pe);
-        if self.faults.is_some() {
-            self.loss_phase(cycle);
-        }
-        lap_par(&mut prof, &mut mark, Phase::Faults);
-        self.gen_phase(cycle);
-        lap_par(&mut prof, &mut mark, Phase::Generation);
-        let mut trace_ns = 0u64;
-        self.observer_phase(cycle, prof_on.then_some(&mut trace_ns));
-        lap_par(&mut prof, &mut mark, Phase::Observers);
-        if let Some(p) = prof.as_deref_mut() {
-            p.add_child(Phase::Observers, NO_SHARD, "trace", trace_ns);
-            p.cycles += 1;
-        }
-        self.profiler = prof;
-    }
-
-    /// The parallel cycle's barrier fold: route cross-shard timing-wheel
-    /// notes to their owner shards, replay the deferred observable effects
-    /// in the sequential phase-and-index order, and merge the per-shard
-    /// counter/measurement deltas.
-    fn fold_parallel(&mut self, pe: &mut ParEngine, cycle: u64) {
-        // Cross-shard wheel notes. Buckets are sorted + dedup'd at drain
-        // time, so insertion order is irrelevant.
-        for s in 0..pe.shards.len() {
-            let mut notes = std::mem::take(&mut pe.shards[s].note_data_out);
-            for ci in notes.drain(..) {
-                let owner = pe.data_owner[ci as usize] as usize;
-                pe.shards[owner].sched.note_data(cycle, ci);
-            }
-            pe.shards[s].note_data_out = notes;
-            let mut notes = std::mem::take(&mut pe.shards[s].note_ctl_out);
-            for ci in notes.drain(..) {
-                let owner = pe.ctl_owner[ci as usize] as usize;
-                pe.shards[owner].sched.note_ctl(cycle, ci);
-            }
-            pe.shards[s].note_ctl_out = notes;
-        }
-
-        // Deferred effects, one stream per sequential phase, each stably
-        // sorted by its component key: BFS shards are not index-contiguous,
-        // so the sort — not shard concatenation — reconstructs the global
-        // sequential visit order. Deliveries run here, before generation,
-        // so the arena and message free-lists reuse slots in the exact
-        // sequential order.
-        pe.merged_arr.clear();
-        for sh in &mut pe.shards {
-            pe.merged_arr.append(&mut sh.arr_fx);
-        }
-        pe.merged_arr.sort_by_key(|e| e.0);
-        let mut arr = std::mem::take(&mut pe.merged_arr);
-        for (_, fx) in arr.drain(..) {
-            match fx {
-                ArrFx::Journal { pid, kind } => {
-                    if let Some(j) = &mut self.journal {
-                        j.record(cycle, pid, kind);
-                    }
-                }
-                ArrFx::ItbEject {
-                    pid,
-                    host,
-                    overflow,
-                } => {
-                    if let Some(tr) = &mut self.trace {
-                        tr.on_itb_eject(cycle, pid);
-                    }
-                    if let Some(j) = &mut self.journal {
-                        j.record(cycle, pid, EventKind::ItbEject { host, overflow });
-                    }
-                }
-                ArrFx::Deliver { pid, host } => self.complete_delivery(pid, host, cycle),
-            }
-        }
-        pe.merged_arr = arr;
-
-        pe.merged_sw.clear();
-        for sh in &mut pe.shards {
-            pe.merged_sw.append(&mut sh.sw_fx);
-        }
-        pe.merged_sw.sort_by_key(|e| e.0);
-        for &(_, pid, kind) in &pe.merged_sw {
-            if let Some(j) = &mut self.journal {
-                j.record(cycle, pid, kind);
-            }
-        }
-        pe.merged_sw.clear();
-
-        pe.merged_nic.clear();
-        for sh in &mut pe.shards {
-            pe.merged_nic.append(&mut sh.nic_fx);
-        }
-        pe.merged_nic.sort_by_key(|e| e.0);
-        let mut nic_fx = std::mem::take(&mut pe.merged_nic);
-        for (_, fx) in nic_fx.drain(..) {
-            match fx {
-                NicFx::Inject { pid, src, dst } => {
-                    if let Some(j) = &mut self.journal {
-                        j.record(cycle, pid, EventKind::Inject { src, dst });
-                    }
-                }
-                NicFx::Reinject { pid, host } => {
-                    if let Some(tr) = &mut self.trace {
-                        tr.on_reinject_start(cycle, pid);
-                    }
-                    if let Some(j) = &mut self.journal {
-                        j.record(cycle, pid, EventKind::Reinject { host });
-                    }
-                }
-            }
-        }
-        pe.merged_nic = nic_fx;
-
-        // Deferred losses: collect the shards' records into the engine-
-        // shared pending lists; `loss_phase` sorts and replays them after
-        // the fold, exactly where the sequential engines do.
-        for sh in &mut pe.shards {
-            self.pending_sw_loss.append(&mut sh.sw_loss);
-            self.pending_nic_drop.append(&mut sh.nic_drop);
-        }
-
-        // Order-free folds: counters are sums, the measurement deltas are
-        // sums/maxes, activity is an "any shard moved something" flag.
-        if let Some(c) = &mut self.counters {
-            for sh in &pe.shards {
-                c.add(&sh.counters);
-            }
-        }
-        for sh in &mut pe.shards {
-            sh.counters.reset();
-            if self.measure.on {
-                self.measure.itb_overflows += sh.itb_overflows;
-                self.measure.reinject_bubbles += sh.reinject_bubbles;
-                self.measure.max_pool_flits = self.measure.max_pool_flits.max(sh.max_pool_flits);
-            }
-            sh.itb_overflows = 0;
-            sh.reinject_bubbles = 0;
-            sh.max_pool_flits = 0;
-            if sh.activity {
-                self.last_activity = cycle;
-                sh.activity = false;
-            }
-        }
-    }
-
-    /// Phase 1: control-symbol arrivals flip sender flags.
-    fn ctl_phase(&mut self, cycle: u64) {
-        if self.sched.is_some() {
-            let bucket = self.sched.as_mut().unwrap().take_ctl(cycle);
-            for &ci in &bucket {
-                let symbol = self.channels[ci as usize].take_ctl_arrival(cycle);
-                if symbol != CTL_NONE {
-                    self.deliver_ctl(ci as usize, symbol, cycle);
-                }
-            }
-            self.sched.as_mut().unwrap().recycle(bucket);
-        } else {
-            for i in 0..self.channels.len() {
-                let symbol = self.channels[i].take_ctl_arrival(cycle);
-                if symbol != CTL_NONE {
-                    self.deliver_ctl(i, symbol, cycle);
-                }
-            }
-        }
-    }
-
-    /// Deliver one control symbol to channel `i`'s sender. Control traffic
-    /// counts as activity for the watchdog: a long STOP/GO exchange with no
-    /// data arrivals is a flow-controlled network, not a stall.
-    fn deliver_ctl(&mut self, i: usize, symbol: u8, cycle: u64) {
-        let stopped = symbol == CTL_STOP;
-        if let Some(c) = &mut self.counters {
-            if stopped {
-                c.ctl_stops += 1;
-            } else {
-                c.ctl_gos += 1;
-            }
-        }
-        self.last_activity = cycle;
-        match self.channels[i].sender {
-            Sender::SwitchOut { sw, port } => {
-                self.switches[sw as usize].outp[port as usize]
-                    .as_mut()
-                    .expect("ctl for unconnected port")
-                    .stopped = stopped;
-            }
-            Sender::Nic { host } => self.nics[host as usize].stopped = stopped,
-        }
-    }
-
-    /// Phase 2: data arrivals.
-    fn arrival_phase(&mut self, cycle: u64) {
-        if self.sched.is_some() {
-            let bucket = self.sched.as_mut().unwrap().take_data(cycle);
-            for &ci in &bucket {
-                if let Some(pid) = self.channels[ci as usize].take_arrival(cycle) {
-                    self.deliver_data(ci as usize, pid, cycle);
-                }
-            }
-            self.sched.as_mut().unwrap().recycle(bucket);
-        } else {
-            for i in 0..self.channels.len() {
-                if let Some(pid) = self.channels[i].take_arrival(cycle) {
-                    self.deliver_data(i, pid, cycle);
-                }
-            }
-        }
-    }
-
-    fn deliver_data(&mut self, i: usize, pid: u32, cycle: u64) {
-        self.last_activity = cycle;
-        match self.channels[i].receiver {
-            Receiver::SwitchIn { sw, port } => self.switch_rx(sw, port, pid, cycle),
-            Receiver::Nic { host } => self.nic_rx(host, pid, cycle),
-        }
-    }
-
-    /// Phase 3: switches route, arbitrate and transfer. `timing`, when
-    /// profiling, accumulates (routing, arbitration+crossbar) ns across
-    /// all switches visited this cycle.
-    fn switches_phase(&mut self, cycle: u64, mut timing: Option<&mut (u64, u64)>) {
-        if self.sched.is_some() {
-            let mut list = self.sched.as_mut().unwrap().take_active_switches();
-            list.sort_unstable();
-            list.retain(|&s| {
-                self.switch_phase(s as usize, cycle, timing.as_deref_mut());
-                if self.switches[s as usize].is_quiescent() {
-                    self.sched.as_mut().unwrap().retire_switch(s);
-                    false
-                } else {
-                    true
-                }
-            });
-            self.sched.as_mut().unwrap().merge_switches(list);
-        } else {
-            for s in 0..self.switches.len() {
-                self.switch_phase(s, cycle, timing.as_deref_mut());
-            }
-        }
-    }
-
-    /// Phase 4: NIC transmission.
-    fn nic_tx_phase(&mut self, cycle: u64) {
-        if self.sched.is_some() {
-            let sc = self.sched.as_mut().unwrap();
-            sc.drain_wakes(cycle);
-            let mut list = sc.take_active_nics();
-            list.sort_unstable();
-            list.retain(|&h| {
-                self.nic_tx(h as usize, cycle);
-                if self.nics[h as usize].quiescent_for_tx(cycle) {
-                    self.sched.as_mut().unwrap().retire_nic(h);
-                    false
-                } else {
-                    true
-                }
-            });
-            self.sched.as_mut().unwrap().merge_nics(list);
-        } else {
-            for h in 0..self.nics.len() {
-                self.nic_tx(h, cycle);
-            }
-        }
     }
 
     /// Phase 5: message generation. Nothing is due before `gen_due`, so
@@ -1274,469 +1287,6 @@ impl<'a> Simulator<'a> {
             if let (Some(acc), Some(m)) = (trace_ns, mark) {
                 *acc += m.elapsed().as_nanos() as u64;
             }
-        }
-    }
-
-    fn switch_rx(&mut self, sw: u32, port: u8, pid: u32, cycle: u64) {
-        if let Some(sc) = self.sched.as_deref_mut() {
-            // A flit in an input buffer is exactly what keeps a switch in
-            // the active set.
-            sc.activate_switch(sw);
-        }
-        let arena = &self.arena;
-        let (new_packet, ctl) = self.switches[sw as usize].flit_in(port, pid, &self.cfg, || {
-            arena.get(pid).expected_at_next_receiver()
-        });
-        if new_packet {
-            if let Some(c) = &mut self.counters {
-                c.switch_arrivals += 1;
-            }
-            if let Some(j) = &mut self.journal {
-                j.record(cycle, pid, EventKind::SwitchArrival { sw, port });
-            }
-        }
-        if let Some((chan, sym)) = ctl {
-            self.channels[chan as usize].send_ctl(cycle, sym);
-            if let Some(sc) = self.sched.as_deref_mut() {
-                sc.note_ctl(cycle, chan);
-            }
-        }
-    }
-
-    /// One switch's routing + arbitration + transfer work, touching only
-    /// ports with work: both loops walk a port bitmask of the switch in
-    /// ascending port order — the order the full scan over `active_ports`
-    /// visited them, so journal records come out identically. `timing`,
-    /// when profiling, accumulates (routing-units, arbitration+crossbar)
-    /// ns — a single pass with optional timestamps, never a restructured
-    /// loop, so journal record order is identical profiled or not.
-    fn switch_phase(&mut self, s: usize, cycle: u64, mut timing: Option<&mut (u64, u64)>) {
-        let faults_on = self.faults.is_some();
-        // A dead switch routes nothing (its resident packets were purged
-        // when it failed).
-        if faults_on
-            && !self
-                .faults
-                .as_deref()
-                .unwrap()
-                .active
-                .is_switch_alive(SwitchId(s as u32))
-        {
-            return;
-        }
-        let cfg = &self.cfg;
-        let sw = &mut self.switches[s];
-        let mut mark = timing.as_ref().map(|_| std::time::Instant::now());
-
-        // Routing control units: consume the header byte of each head
-        // packet and start the 150 ns routing delay.
-        for p in ports(sw.rcu_ports()) {
-            match sw.head(p) {
-                HeadState::Idle => {
-                    let pid = sw.head_pid(p);
-                    let out = self.arena.get_mut(pid).consume_port_byte();
-                    let ready = cycle + cfg.switch_routing_cycles as u64;
-                    if let Some((chan, sym)) = sw.start_routing(p, out, ready, cfg) {
-                        self.channels[chan as usize].send_ctl(cycle, sym);
-                        if let Some(sc) = self.sched.as_deref_mut() {
-                            sc.note_ctl(cycle, chan);
-                        }
-                    }
-                    if faults_on {
-                        // Routing towards a dead cable (or a port that
-                        // never existed in a stale route): the worm is
-                        // lost. Truncation is deferred to the loss phase
-                        // (see `loss_phase`).
-                        let dead_out = match sw.out_chan(out) {
-                            Some(c) => self.channels[c as usize].is_dead(),
-                            None => true,
-                        };
-                        if dead_out {
-                            self.pending_sw_loss.push((s as u32, pid));
-                        }
-                    }
-                    if let Some(c) = &mut self.counters {
-                        c.route_lookups += 1;
-                    }
-                    if let Some(j) = &mut self.journal {
-                        j.record(
-                            cycle,
-                            pid,
-                            EventKind::Route {
-                                sw: s as u32,
-                                port: p as u8,
-                                out,
-                            },
-                        );
-                    }
-                }
-                HeadState::Routing { ready } if cycle >= ready => {
-                    sw.request_output(p);
-                    if self.counters.is_some() || self.journal.is_some() {
-                        if let Some(cause) = sw.block_cause(p) {
-                            if let Some(c) = &mut self.counters {
-                                c.worms_blocked += 1;
-                            }
-                            if let Some(j) = &mut self.journal {
-                                j.record(
-                                    cycle,
-                                    sw.head_pid(p),
-                                    EventKind::Block {
-                                        sw: s as u32,
-                                        out: sw.head_out(p),
-                                        cause,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        if let (Some(t), Some(m)) = (timing.as_deref_mut(), mark.as_mut()) {
-            let now = std::time::Instant::now();
-            t.0 += (now - *m).as_nanos() as u64;
-            *m = now;
-        }
-
-        // Output ports: arbitrate (demand-slotted round-robin over the
-        // requesting inputs) and transfer one flit per connected port.
-        for p in ports(sw.busy_outputs()) {
-            if let Some(g) = sw.arbitrate(p) {
-                if let Some(c) = &mut self.counters {
-                    c.arbitration_grants += 1;
-                }
-                if let Some(j) = &mut self.journal {
-                    j.record(
-                        cycle,
-                        sw.head_pid(g as usize),
-                        EventKind::HeadAdvance {
-                            sw: s as u32,
-                            in_port: g,
-                            out: p as u8,
-                        },
-                    );
-                }
-            }
-            let Some((g, out_chan)) = sw.open_connection(p) else {
-                continue;
-            };
-            if faults_on && self.channels[out_chan as usize].is_dead() {
-                // The granted head is already queued for loss handling;
-                // never stream flits into a dead cable.
-                continue;
-            }
-            let Some((pid, ctl)) = sw.forward_flit(p, g, cfg) else {
-                continue;
-            };
-            self.channels[out_chan as usize].send(cycle, pid);
-            self.last_activity = cycle;
-            if let Some(sc) = self.sched.as_deref_mut() {
-                sc.note_data(cycle, out_chan);
-            }
-            if let Some(c) = &mut self.counters {
-                c.flits_forwarded += 1;
-            }
-            if let Some((chan, sym)) = ctl {
-                self.channels[chan as usize].send_ctl(cycle, sym);
-                if let Some(sc) = self.sched.as_deref_mut() {
-                    sc.note_ctl(cycle, chan);
-                }
-            }
-        }
-        if let (Some(t), Some(m)) = (timing, mark) {
-            t.1 += m.elapsed().as_nanos() as u64;
-        }
-    }
-
-    fn nic_rx(&mut self, host: u32, pid: u32, cycle: u64) {
-        let h = host as usize;
-        // New packet or continuation?
-        let is_new = match self.nics[h].rx {
-            Some(rx) => {
-                debug_assert_eq!(rx.pid, pid, "interleaved packets into NIC");
-                false
-            }
-            None => true,
-        };
-        if is_new {
-            let pkt = self.arena.get_mut(pid);
-            let expected = pkt.expected_at_next_receiver();
-            debug_assert!(
-                !pkt.on_final_segment()
-                    || matches!(
-                        pkt.journey.segments[pkt.seg as usize].end,
-                        SegmentEnd::Deliver
-                    )
-            );
-            let deliver = match pkt.journey.segments[pkt.seg as usize].end {
-                SegmentEnd::Deliver => {
-                    debug_assert_eq!(pkt.journey.dst.0, host, "misrouted packet");
-                    true
-                }
-                SegmentEnd::Itb(itb_host) => {
-                    debug_assert_eq!(itb_host.0, host, "misrouted in-transit packet");
-                    // In-transit processing: recognise the packet (275 ns),
-                    // program the DMA (200 ns), reserve pool space.
-                    pkt.itbs_used += 1;
-                    let mut ready =
-                        cycle + (self.cfg.itb_detect_cycles + self.cfg.itb_dma_cycles) as u64;
-                    let nic = &mut self.nics[h];
-                    let overflow = nic.pool_used + expected > self.cfg.itb_pool_flits;
-                    if !overflow {
-                        nic.pool_used += expected;
-                        pkt.pool_reserved = expected;
-                        if self.measure.on {
-                            self.measure.max_pool_flits =
-                                self.measure.max_pool_flits.max(nic.pool_used);
-                        }
-                    } else {
-                        // Overflow to host memory: considerably more
-                        // overhead (paper section 3).
-                        pkt.pool_reserved = 0;
-                        ready += self.cfg.itb_overflow_penalty_cycles as u64;
-                        if self.measure.on {
-                            self.measure.itb_overflows += 1;
-                        }
-                    }
-                    // The packet enters its next segment (the ITB mark is
-                    // stripped by this NIC).
-                    pkt.seg += 1;
-                    pkt.hop = 0;
-                    self.nics[h].reinject.push(std::cmp::Reverse((ready, pid)));
-                    if let Some(sc) = self.sched.as_deref_mut() {
-                        sc.wake_nic_at(ready, host);
-                    }
-                    if let Some(tr) = &mut self.trace {
-                        tr.on_itb_eject(cycle, pid);
-                    }
-                    if let Some(c) = &mut self.counters {
-                        c.itb_ejections += 1;
-                        if overflow {
-                            c.itb_overflows += 1;
-                        }
-                    }
-                    if let Some(j) = &mut self.journal {
-                        j.record(cycle, pid, EventKind::ItbEject { host, overflow });
-                    }
-                    false
-                }
-            };
-            self.nics[h].rx = Some(RxState {
-                pid,
-                received: 0,
-                expected,
-                deliver,
-            });
-        }
-
-        let rx = self.nics[h].rx.as_mut().unwrap();
-        rx.received += 1;
-        let finished = rx.received == rx.expected;
-        let deliver = rx.deliver;
-        if finished {
-            self.nics[h].rx = None;
-            if deliver {
-                self.complete_delivery(pid, host, cycle);
-            }
-        }
-    }
-
-    /// A packet finished arriving at its destination NIC: arena/message
-    /// bookkeeping, measurement, counters, journal and trace hooks. Shared
-    /// by the sequential `nic_rx` and the parallel fold, which replays
-    /// deliveries in ascending channel order so the arena and message
-    /// free-lists reuse slots exactly as the sequential arrival phase does.
-    fn complete_delivery(&mut self, pid: u32, host: u32, cycle: u64) {
-        let pkt = self.arena.remove(pid);
-        let ms = self.msgs.get_mut(pkt.msg);
-        ms.remaining -= 1;
-        ms.itbs += pkt.itbs_used as u16;
-        let done = ms.remaining == 0;
-        if self.measure.on {
-            let m = &mut self.measure;
-            m.delivered_packets += 1;
-            m.delivered_payload_flits += pkt.payload as u64;
-        }
-        if let Some(c) = &mut self.counters {
-            c.packets_delivered += 1;
-        }
-        if let Some(j) = &mut self.journal {
-            j.record(cycle, pid, EventKind::Deliver { dst: host });
-        }
-        if done {
-            // All packets of the message reassembled: the message is
-            // delivered (with mtu_flits = None this is every packet, the
-            // paper's model).
-            let ms = self.msgs.remove(pkt.msg);
-            if ms.failed {
-                // A sibling packet was dropped by a fault (only possible
-                // with MTU segmentation): the message never completes at
-                // the receiver.
-                if let Some(f) = self.faults.as_deref_mut() {
-                    f.rel.dropped_messages += 1;
-                }
-            } else {
-                if self.measure.on {
-                    let m = &mut self.measure;
-                    m.delivered += 1;
-                    m.itb_sum += ms.itbs as u64;
-                    m.latency.push((cycle - ms.first_inject) as f64);
-                    m.hist.record(cycle - ms.first_inject);
-                    m.total_latency.push((cycle - ms.gen_cycle) as f64);
-                }
-                if let Some(c) = &mut self.counters {
-                    c.messages_delivered += 1;
-                }
-                if let Some(tr) = &mut self.trace {
-                    tr.on_message_delivered(
-                        cycle,
-                        pkt.journey.src.0,
-                        pkt.journey.dst.0,
-                        pkt.payload as u64,
-                        ms.itbs as u64,
-                        ms.first_inject,
-                    );
-                }
-            }
-        }
-    }
-
-    fn nic_tx(&mut self, h: usize, cycle: u64) {
-        if let Some(f) = self.faults.as_deref() {
-            // Sources freeze while the mapper redistributes routes; the
-            // transmission already in progress may finish.
-            if f.reconfig_due.is_some() && self.nics[h].tx.is_none() {
-                return;
-            }
-            // A NIC on a dead host link cannot move flits at all.
-            if self.channels[self.nics[h].out_chan as usize].is_dead() {
-                return;
-            }
-        }
-        if self.nics[h].tx.is_none() {
-            let itb_priority = self.cfg.itb_priority;
-            while let Some((pid, kind)) = self.nics[h].pick_next_tx(cycle, itb_priority) {
-                // Fresh and retransmitted packets route from scratch: under
-                // faults, re-validate the pair and — once a rebuild has
-                // been installed — re-select the journey from the current
-                // tables (in-transit packets keep their remaining route).
-                if kind != TxKind::Reinject {
-                    if let Some(f) = self.faults.as_deref() {
-                        let (src, dst) = {
-                            let p = self.arena.get(pid);
-                            (p.journey.src, p.journey.dst)
-                        };
-                        let db = f.routes.as_ref().map(|r| &r.db).unwrap_or(self.db);
-                        let routable = f.host_ok[src.idx()]
-                            && f.host_ok[dst.idx()]
-                            && db.has_route(self.topo.host_switch(src), self.topo.host_switch(dst));
-                        if !routable {
-                            // Skip it now (the NIC still transmits the next
-                            // routable packet this cycle); the drop
-                            // bookkeeping runs in the loss phase.
-                            self.pending_nic_drop.push((h as u32, pid));
-                            continue;
-                        }
-                        if f.routes.is_some() {
-                            let journey = db.select(self.topo, src, dst, &mut self.selector);
-                            let pkt = self.arena.get_mut(pid);
-                            pkt.journey = journey;
-                            pkt.seg = 0;
-                            pkt.hop = 0;
-                        }
-                    }
-                }
-                let total = self.arena.get(pid).wire_len_current_segment();
-                self.nics[h].tx = Some(TxState {
-                    pid,
-                    sent: 0,
-                    total,
-                    reinjection: kind == TxKind::Reinject,
-                });
-                break;
-            }
-        }
-        let nic = &mut self.nics[h];
-        let Some(tx) = nic.tx else { return };
-        if nic.stopped {
-            return;
-        }
-        let pkt = self.arena.get_mut(tx.pid);
-        // Cut-through availability: a re-injected packet can only send
-        // flits that have already arrived *at this NIC* (minus the consumed
-        // ITB mark). The count comes from this NIC's own reception state —
-        // if our rx has moved on, the packet arrived here completely. (A
-        // packet can span several NICs at once when cut-through chains
-        // through consecutive in-transit hosts, so the count must be
-        // per-NIC, not per-packet.)
-        let available = if tx.reinjection {
-            let arrived_here = match nic.rx {
-                Some(rx) if rx.pid == tx.pid => rx.received,
-                _ => tx.total + 1, // fully received (wire included the ITB mark)
-            };
-            if self.cfg.itb_cut_through {
-                arrived_here.saturating_sub(1)
-            } else if arrived_here > tx.total {
-                tx.total
-            } else {
-                0
-            }
-        } else {
-            tx.total
-        };
-        if tx.sent >= available {
-            if tx.reinjection && tx.sent > 0 && self.measure.on {
-                // Mid-packet bubble: the tail has not arrived yet.
-                self.measure.reinject_bubbles += 1;
-            }
-            return;
-        }
-        if tx.sent == 0 && !tx.reinjection {
-            pkt.inject_cycle = cycle;
-            let ms = self.msgs.get_mut(pkt.msg);
-            if ms.first_inject == u64::MAX {
-                ms.first_inject = cycle;
-            }
-            if let Some(j) = &mut self.journal {
-                j.record(
-                    cycle,
-                    tx.pid,
-                    EventKind::Inject {
-                        src: pkt.journey.src.0,
-                        dst: pkt.journey.dst.0,
-                    },
-                );
-            }
-        }
-        self.channels[nic.out_chan as usize].send(cycle, tx.pid);
-        self.last_activity = cycle;
-        if let Some(sc) = self.sched.as_deref_mut() {
-            sc.note_data(cycle, nic.out_chan);
-        }
-        if let Some(c) = &mut self.counters {
-            c.flits_injected += 1;
-        }
-        if tx.sent == 0 && tx.reinjection {
-            if let Some(tr) = &mut self.trace {
-                tr.on_reinject_start(cycle, tx.pid);
-            }
-            if let Some(c) = &mut self.counters {
-                c.itb_reinjections += 1;
-            }
-            if let Some(j) = &mut self.journal {
-                j.record(cycle, tx.pid, EventKind::Reinject { host: h as u32 });
-            }
-        }
-        let tx_ref = nic.tx.as_mut().unwrap();
-        tx_ref.sent += 1;
-        if tx_ref.sent == tx_ref.total {
-            if tx_ref.reinjection && pkt.pool_reserved > 0 {
-                nic.pool_used -= pkt.pool_reserved;
-                pkt.pool_reserved = 0;
-            }
-            nic.tx = None;
         }
     }
 
@@ -1807,12 +1357,7 @@ impl<'a> Simulator<'a> {
         while left > 0 {
             let chunk = left.min(mtu);
             left -= chunk;
-            let db = self
-                .faults
-                .as_ref()
-                .and_then(|f| f.routes.as_ref())
-                .map(|r| &r.db)
-                .unwrap_or(self.db);
+            let db = route_db(self.faults.as_deref(), self.db);
             let journey = db.select(self.topo, src, dst, &mut self.selector);
             let pkt = Packet {
                 msg: midx,
@@ -1828,11 +1373,8 @@ impl<'a> Simulator<'a> {
             let pid = self.arena.insert(pkt);
             self.nics[src.idx()].local_queue.push_back(pid);
         }
-        if let Some(sc) = self.sched.as_deref_mut() {
+        if let Some(sc) = self.nic_sched(src.0) {
             sc.activate_nic(src.0);
-        } else if let Some(pe) = self.par.as_deref_mut() {
-            let shard = pe.plan.nic_shard(src.idx());
-            pe.shards[shard].sched.activate_nic(src.0);
         }
         if self.measure.on {
             self.measure.generated += 1;
@@ -1903,7 +1445,7 @@ impl<'a> Simulator<'a> {
             };
             let unreachable = match self.faults.as_deref() {
                 Some(f) => {
-                    let db = f.routes.as_ref().map(|r| &r.db).unwrap_or(self.db);
+                    let db = route_db(Some(f), self.db);
                     !f.host_ok[dst.idx()]
                         || !db.has_route(self.topo.host_switch(src), self.topo.host_switch(dst))
                 }
@@ -1912,7 +1454,7 @@ impl<'a> Simulator<'a> {
             if unreachable {
                 // The pair cannot communicate right now: the message is
                 // refused at the API (the generation clock still advances).
-                self.faults.as_deref_mut().unwrap().rel.unreachable_drops += 1;
+                self.rel.unreachable_drops += 1;
                 continue;
             }
             self.create_message(src, dst, gen_cycle);
@@ -1921,56 +1463,48 @@ impl<'a> Simulator<'a> {
 
     // ---- Fault machinery (phases 0 and 6). ----
 
-    /// Route a control-wake to whichever scheduler drives the loop: the
-    /// sequential active set, or the owner shard's set under the parallel
-    /// engine. Fault handling runs on the main thread with the workers
-    /// parked, so the shard schedulers are safely reachable.
-    fn sched_note_ctl(&mut self, cycle: u64, ci: u32) {
-        if let Some(sc) = self.sched.as_deref_mut() {
-            sc.note_ctl(cycle, ci);
-        } else if let Some(pe) = self.par.as_deref_mut() {
-            let owner = pe.ctl_owner[ci as usize] as usize;
-            pe.shards[owner].sched.note_ctl(cycle, ci);
+    /// The wake state that covers NIC `host`, outside the kernel phases
+    /// (generation, fault handling — main thread, workers parked): the
+    /// sequential active set, the owner shard's under the parallel engine,
+    /// none under `Scan`.
+    fn nic_sched(&mut self, host: u32) -> Option<&mut ActiveSched> {
+        match self.par.as_deref_mut() {
+            Some(pe) => Some(&mut pe.shards[pe.plan.nic_shard(host as usize)].sched),
+            None => self.sched.as_deref_mut(),
         }
     }
 
-    /// Route a timed NIC wake-up (retransmission timer) to the driving
-    /// scheduler — under the parallel engine, the shard that owns the NIC.
-    fn sched_wake_nic_at(&mut self, due: u64, host: u32) {
-        if let Some(sc) = self.sched.as_deref_mut() {
-            sc.wake_nic_at(due, host);
-        } else if let Some(pe) = self.par.as_deref_mut() {
-            let shard = pe.plan.nic_shard(host as usize);
-            pe.shards[shard].sched.wake_nic_at(due, host);
+    /// Likewise for the control side of channel `ci` (its sender's shard).
+    fn ctl_sched(&mut self, ci: u32) -> Option<&mut ActiveSched> {
+        match self.par.as_deref_mut() {
+            Some(pe) => Some(pe.ctl_sched(ci)),
+            None => self.sched.as_deref_mut(),
         }
     }
 
     /// Phase 6, faulted runs only: replay this cycle's deferred losses.
     /// The switch and NIC phases never truncate or drop in place — they
-    /// record `(component, packet)` pairs — and this phase replays the
-    /// records sorted (stably) by component index. Every engine therefore
-    /// mutates the packet/message arenas in the same within-cycle order —
-    /// deliveries in channel order, then switch truncations in switch
-    /// order, then source drops in NIC order, then generation — which is
-    /// what keeps free-list reuse, and with it every downstream id, bit-
-    /// identical between the sequential engines and the parallel fold.
+    /// record `(At, packet)` pairs — and this phase replays the records
+    /// sorted (stably) by `At`. Every engine therefore mutates the
+    /// packet/message arenas in the same within-cycle order — deliveries
+    /// in channel order, then switch truncations in switch order, then
+    /// source drops in NIC order, then generation — which is what keeps
+    /// free-list reuse, and with it every downstream id, bit-identical
+    /// between the sequential engines and the parallel fold.
     fn loss_phase(&mut self, cycle: u64) {
-        if !self.pending_sw_loss.is_empty() {
-            let mut lost = std::mem::take(&mut self.pending_sw_loss);
-            lost.sort_by_key(|&(s, _)| s);
-            for (_, pid) in lost.drain(..) {
-                self.handle_loss(pid, cycle);
-            }
-            self.pending_sw_loss = lost;
+        if self.pending_loss.is_empty() {
+            return;
         }
-        if !self.pending_nic_drop.is_empty() {
-            let mut dropped = std::mem::take(&mut self.pending_nic_drop);
-            dropped.sort_by_key(|&(h, _)| h);
-            for (_, pid) in dropped.drain(..) {
-                self.drop_packet(pid, cycle);
+        let mut lost = std::mem::take(&mut self.pending_loss);
+        lost.sort_by_key(|&(at, _)| at);
+        for (at, pid) in lost.drain(..) {
+            match at {
+                At::Switch(_) => self.handle_loss(pid, cycle),
+                At::Nic(_) => self.drop_packet(pid, cycle),
+                At::Chan(_) => unreachable!("the arrival phase loses nothing"),
             }
-            self.pending_nic_drop = dropped;
         }
+        self.pending_loss = lost;
     }
 
     /// Apply every fault event due at `cycle`, purge the truncated worms,
@@ -2008,13 +1542,7 @@ impl<'a> Simulator<'a> {
         }
         match self.faults.as_deref().unwrap().reconfig_due {
             Some(due) if cycle >= due => self.complete_reconfiguration(cycle),
-            Some(_) => {
-                self.faults
-                    .as_deref_mut()
-                    .unwrap()
-                    .rel
-                    .reconfig_stall_cycles += 1
-            }
+            Some(_) => self.rel.reconfig_stall_cycles += 1,
             None => {}
         }
     }
@@ -2039,30 +1567,30 @@ impl<'a> Simulator<'a> {
         match (ev.target, ev.fail) {
             (FaultTarget::Link(l), true) => {
                 f.active.kill_link(l);
-                f.rel.link_failures += 1;
+                self.rel.link_failures += 1;
             }
             (FaultTarget::Link(l), false) => {
                 f.active.revive_link(l);
-                f.rel.repairs += 1;
+                self.rel.repairs += 1;
             }
             (FaultTarget::Switch(s), true) => {
                 f.active.kill_switch(s);
-                f.rel.switch_failures += 1;
+                self.rel.switch_failures += 1;
             }
             (FaultTarget::Switch(s), false) => {
                 f.active.revive_switch(s);
-                f.rel.repairs += 1;
+                self.rel.repairs += 1;
             }
             (FaultTarget::Host(h), true) => {
                 f.active.kill_host(h);
-                f.rel.host_failures += 1;
+                self.rel.host_failures += 1;
                 f.host_up[h.idx()] = false;
                 f.host_ok[h.idx()] = false;
                 self.kill_host_nic(h.idx(), victims);
             }
             (FaultTarget::Host(h), false) => {
                 f.active.revive_host(h);
-                f.rel.repairs += 1;
+                self.rel.repairs += 1;
                 // Powered back on; reachability (and generation restart)
                 // is decided when host_ok is next refreshed.
                 f.host_up[h.idx()] = true;
@@ -2226,10 +1754,10 @@ impl<'a> Simulator<'a> {
                 self.strand_host_traffic(h, cycle);
             }
         }
-        let f = self.faults.as_deref_mut().unwrap();
+        let f = self.faults.as_deref().unwrap();
         let live = f.host_ok.iter().filter(|&&ok| ok).count() as u64;
         let total = n as u64;
-        f.rel.unreachable_pairs = total * (total - 1) - live * (live - 1);
+        self.rel.unreachable_pairs = total * (total - 1) - live * (live - 1);
     }
 
     /// A repaired (or re-connected) host resumes generating with a fresh
@@ -2294,13 +1822,12 @@ impl<'a> Simulator<'a> {
                         .map(|h| f.host_up[h] && pr.reachable_hosts[h])
                         .collect()
                 };
-                let f = self.faults.as_deref_mut().unwrap();
-                f.rel.reconfigurations += 1;
-                f.routes = Some(pr);
+                self.rel.reconfigurations += 1;
+                self.faults.as_deref_mut().unwrap().routes = Some(pr);
                 self.apply_host_ok(new_ok, cycle);
             }
             None => {
-                self.faults.as_deref_mut().unwrap().rel.reconfig_failures += 1;
+                self.rel.reconfig_failures += 1;
                 self.refresh_direct_host_ok(cycle);
             }
         }
@@ -2310,7 +1837,7 @@ impl<'a> Simulator<'a> {
     /// of it, then either queue a source retransmission or drop it for good.
     fn handle_loss(&mut self, pid: u32, cycle: u64) {
         self.purge_packet(pid, cycle);
-        self.faults.as_deref_mut().unwrap().rel.worms_truncated += 1;
+        self.rel.worms_truncated += 1;
         let (src, retries) = {
             let p = self.arena.get(pid);
             (p.journey.src, p.retries)
@@ -2327,8 +1854,10 @@ impl<'a> Simulator<'a> {
             pkt.inject_cycle = u64::MAX;
             let due = cycle + self.cfg.retransmit_timeout_cycles;
             self.nics[src.idx()].retransmit.push(Reverse((due, pid)));
-            self.sched_wake_nic_at(due, src.0);
-            self.faults.as_deref_mut().unwrap().rel.retransmissions += 1;
+            if let Some(sc) = self.nic_sched(src.0) {
+                sc.wake_nic_at(due, src.0);
+            }
+            self.rel.retransmissions += 1;
             if let Some(c) = &mut self.counters {
                 c.retransmits += 1;
             }
@@ -2356,10 +1885,9 @@ impl<'a> Simulator<'a> {
         if done {
             self.msgs.remove(pkt.msg);
         }
-        let f = self.faults.as_deref_mut().unwrap();
-        f.rel.dropped_packets += 1;
+        self.rel.dropped_packets += 1;
         if done {
-            f.rel.dropped_messages += 1;
+            self.rel.dropped_messages += 1;
         }
     }
 
@@ -2379,9 +1907,11 @@ impl<'a> Simulator<'a> {
                 // now explicitly (the scan loop used to overwrite it in
                 // place) so `send_ctl`'s call-order check holds.
                 let ch = &mut self.channels[in_chan as usize];
-                let _ = ch.take_ctl_arrival(cycle);
-                ch.send_ctl(cycle, sym);
-                self.sched_note_ctl(cycle, in_chan);
+                let _ = ch.ctl.take_arrival(cycle);
+                ch.ctl.send(cycle, sym);
+                if let Some(sc) = self.ctl_sched(in_chan) {
+                    sc.note_ctl(cycle, in_chan);
+                }
             }
         }
         for h in 0..self.nics.len() {
@@ -2802,7 +2332,7 @@ mod tests {
         for _ in 0..1_000 {
             let c = sim.cycle;
             sim.step();
-            sim.channels[stop_chan].send_ctl(c, CTL_STOP);
+            sim.channels[stop_chan].ctl.send(c, CTL_STOP);
         }
         assert!(sim.nics[0].stopped, "STOP stream should hold the NIC");
         assert!(
@@ -2814,7 +2344,7 @@ mod tests {
         // Release the worm and check it completes.
         let c = sim.cycle;
         sim.step();
-        sim.channels[stop_chan].send_ctl(c, CTL_GO);
+        sim.channels[stop_chan].ctl.send(c, CTL_GO);
         assert!(
             sim.run_until_drained(100_000).is_some(),
             "worm failed to finish after GO:\n{}",

@@ -468,7 +468,9 @@ impl SwitchState {
     /// crossbar to output `out`; `None` when no flit is buffered. Returns
     /// the packet and the GO to send if the threshold was crossed. The
     /// worm's last flit releases the connection (`Granted` → `Idle`).
-    #[inline]
+    /// Forced inline: called once per forwarded flit from each
+    /// instantiation of the kernel, where a hint alone no longer suffices.
+    #[inline(always)]
     pub fn forward_flit(
         &mut self,
         out: usize,

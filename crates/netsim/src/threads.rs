@@ -32,29 +32,6 @@ pub fn threads_from(override_var: Option<&str>) -> usize {
         .unwrap_or(4)
 }
 
-/// Live OS threads the parallel cycle engine runs on for a requested shard
-/// count. The shard count — and therefore every simulation result — comes
-/// from `Scheduler::Parallel { threads }` alone; this only caps how many
-/// executors the persistent pool spawns, so a 4-shard run on a 1-core
-/// machine multiplexes its shards instead of oversubscribing the host.
-/// `REGNET_PAR_WORKERS=<n>` forces the executor count (used by tests to
-/// exercise true multi-threaded execution regardless of the host).
-pub(crate) fn par_executors(shards: usize) -> usize {
-    static WORKERS: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    let forced = *WORKERS.get_or_init(|| {
-        std::env::var("REGNET_PAR_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-    });
-    let cap = forced.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
-    shards.min(cap).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,12 +44,5 @@ mod tests {
         assert!(detected >= 1);
         assert_eq!(threads_from(Some("0")), detected, "0 is invalid");
         assert_eq!(threads_from(Some("nope")), detected);
-    }
-
-    #[test]
-    fn executors_never_exceed_shards() {
-        assert_eq!(par_executors(1), 1);
-        assert!(par_executors(4) <= 4);
-        assert!(par_executors(16) >= 1);
     }
 }

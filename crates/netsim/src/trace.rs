@@ -332,7 +332,7 @@ impl TraceState {
         if cycle + 1 >= self.util_next_flush {
             let interval = self.opts.channel_util_interval.unwrap_or(u64::MAX);
             for (i, ch) in channels.iter().enumerate() {
-                let now = ch.busy_cycles;
+                let now = ch.busy_cycles();
                 let delta = now.saturating_sub(self.util_snapshot[i]);
                 self.util_snapshot[i] = now;
                 self.util_busy[i].push(delta.min(interval) as u32);

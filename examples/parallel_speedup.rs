@@ -8,9 +8,9 @@
 //! The shard count is fixed by `Scheduler::Parallel { threads }` and is
 //! part of the simulation configuration only in the sense that it picks
 //! the partition — the results are bit-identical to the sequential
-//! engines at every thread count. The live OS thread count is capped by
-//! the host (override with `REGNET_PAR_WORKERS`), so the speedup you see
-//! depends on the machine; the determinism never does.
+//! engines at every thread count. The live OS thread count is one per
+//! shard, capped by the host's cores, so the speedup you see depends on
+//! the machine; the determinism never does.
 
 use std::time::Instant;
 

@@ -137,39 +137,73 @@ fn chrome_trace_export_schedulers_agree() {
     assert_equivalent_observed(|| gen::torus_2d(4, 4, 4).unwrap(), RoutingScheme::ItbRr);
 }
 
-/// Force the pool to actually use multiple OS executors (the default on a
-/// small CI host may collapse to one) and re-check bit-identity. The
-/// engine buffers every cross-shard effect and folds it in a fixed order,
-/// so the executor count must be invisible in the results.
+/// One measured run driven through `Simulator` directly, on the 8×8 torus
+/// under ITB-RR with the harness's options: `install` selects the engine.
+/// `faulted` arms the harness's fail-and-repair plan.
+fn run_direct(
+    faulted: bool,
+    install: impl FnOnce(&mut Simulator),
+) -> (RunStats, ReliabilityStats, Option<u64>, u64) {
+    let topo = torus();
+    let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
+    let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+    let o = opts(Scheduler::Scan);
+    let mut sim = Simulator::new(&topo, &db, &pattern, cfg(), 0.01, o.seed);
+    install(&mut sim);
+    sim.enable_trace(o.trace);
+    sim.enable_counters();
+    if faulted {
+        let link = topo.links().iter().find(|l| l.is_switch_link()).unwrap().id;
+        let mut plan = FaultPlan::single_link(link, 4_000);
+        plan.repair_link(9_000, link);
+        sim.enable_faults(FaultOptions::with_plan(plan));
+    }
+    sim.run(o.warmup_cycles);
+    sim.begin_measurement();
+    sim.run(o.measure_cycles);
+    let stats = sim.end_measurement(o.measure_cycles);
+    let trace = sim.trace_report().expect("digest observer was enabled");
+    (stats, sim.reliability(), trace.digest, trace.digest_events)
+}
+
+/// Four shards on a pool forced to four executors — the default on a
+/// small CI host collapses to one or two — which the run asserts it got.
+fn run_forced(faulted: bool) -> (RunStats, ReliabilityStats, Option<u64>, u64) {
+    run_direct(faulted, |sim| {
+        // At least one executor, at most one per shard.
+        assert_eq!(sim.set_parallel_with_executors(2, 16), 2);
+        assert_eq!(sim.set_parallel_with_executors(4, 0), 1);
+        assert_eq!(
+            sim.set_parallel_with_executors(4, 4),
+            4,
+            "the pool must really have 4 executors"
+        );
+        assert_eq!(sim.scheduler(), Scheduler::Parallel { threads: 4 });
+    })
+}
+
+/// Really use multiple OS executors and re-check bit-identity. The engine
+/// buffers every cross-shard effect and folds it in a fixed order, so the
+/// executor count must be invisible in the results.
 #[test]
 fn parallel_forced_multi_worker_agrees() {
-    // SAFETY: test processes are single-threaded at this point aside from
-    // the harness; the variable is read once per `ParEngine::new`.
-    std::env::set_var("REGNET_PAR_WORKERS", "4");
-    let (s_active, d_active, n_active) =
-        run_once(torus, RoutingScheme::ItbRr, Scheduler::ActiveSet);
-    let (s_par, d_par, n_par) = run_once(
-        torus,
-        RoutingScheme::ItbRr,
-        Scheduler::Parallel { threads: 4 },
-    );
-    std::env::remove_var("REGNET_PAR_WORKERS");
-    assert_eq!(s_active, s_par, "RunStats diverged with forced workers");
-    assert_eq!(
-        (d_active, n_active),
-        (d_par, n_par),
-        "trace digest diverged with forced workers"
-    );
+    let scan = run_direct(false, |sim| sim.set_scheduler(reference()));
+    assert!(scan.3 > 0, "expected deliveries during the window");
+    assert_eq!(scan, run_forced(false), "diverged with forced workers");
 }
 
 /// The forced-multi-executor check again, but with the fault plan armed:
 /// phase 0 mutates fault state with the workers parked, and the loss
-/// replay folds shard-local `(component, packet)` pairs in component
-/// order, so a real 4-executor pool must still match the active set bit
-/// for bit on a faulted run.
+/// replay folds shard-local `(At, packet)` pairs in component order, so a
+/// real 4-executor pool must still match the reference bit for bit on a
+/// faulted run.
 #[test]
 fn parallel_forced_multi_worker_faulted_agrees() {
-    std::env::set_var("REGNET_PAR_WORKERS", "4");
-    assert_equivalent_faulted(torus, RoutingScheme::ItbRr);
-    std::env::remove_var("REGNET_PAR_WORKERS");
+    let scan = run_direct(true, |sim| sim.set_scheduler(reference()));
+    assert!(
+        scan.1.link_failures == 1 && scan.1.repairs == 1,
+        "the plan must have fired: {:?}",
+        scan.1
+    );
+    assert_eq!(scan, run_forced(true), "diverged with forced workers");
 }
