@@ -6,9 +6,11 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme};
+use regnet_mapper::{rebuild_physical_routes, FaultSet};
 use regnet_netsim::{SimConfig, Simulator, TraceOptions};
-use regnet_routing::{minimal, LegalDistances};
-use regnet_topology::{gen, DistanceMatrix, Orientation, SwitchId};
+use regnet_routing::minimal::{self, MinimalDag, PathSet};
+use regnet_routing::LegalDistances;
+use regnet_topology::{gen, DistanceMatrix, HostId, Orientation, SwitchId};
 use regnet_traffic::{Pattern, PatternSpec};
 
 fn sim_cycles(c: &mut Criterion) {
@@ -87,6 +89,26 @@ fn route_db_build(c: &mut Criterion) {
             ))
         })
     });
+    // What a running simulator pays per fault: discovery, the build above
+    // on the re-mapped network, and the translation back to physical ids.
+    let dead = paper
+        .links()
+        .iter()
+        .find(|l| l.is_switch_link())
+        .unwrap()
+        .id;
+    let faults = FaultSet::link(dead);
+    group.bench_function("torus8x8_ITB-RR_rebuild_physical_routes", |b| {
+        b.iter(|| {
+            black_box(rebuild_physical_routes(
+                black_box(&paper),
+                &faults,
+                HostId(0),
+                RoutingScheme::ItbRr,
+                &RouteDbConfig::default(),
+            ))
+        })
+    });
     group.finish();
 }
 
@@ -107,6 +129,8 @@ fn routing_primitives(c: &mut Criterion) {
             ))
         })
     });
+    // One pair through the convenience wrapper (a fresh DAG and owned
+    // paths per call) ...
     group.bench_function("k_minimal_paths_10", |b| {
         b.iter(|| {
             black_box(minimal::k_minimal_paths(
@@ -117,6 +141,20 @@ fn routing_primitives(c: &mut Criterion) {
                 10,
                 7,
             ))
+        })
+    });
+    // ... and as `RouteDb::build` asks: one DAG per destination, queried
+    // for every source into a reused `PathSet`.
+    group.bench_function("minimal_dag_all_sources_10", |b| {
+        let mut paths = PathSet::default();
+        b.iter(|| {
+            let mut dag = MinimalDag::new(&topo, &dm, black_box(SwitchId(36)));
+            let mut found = 0;
+            for s in topo.switches() {
+                dag.k_paths(s, 10, 7, &mut paths);
+                found += paths.len();
+            }
+            black_box(found)
         })
     });
     group.bench_function("distance_matrix", |b| {

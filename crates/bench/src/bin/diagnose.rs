@@ -7,7 +7,9 @@
 //! `--metrics <path>` dumps the run as Prometheus text exposition (the
 //! whole 200k-cycle run becomes the measurement window).
 
-use regnet_bench::{parse_fail_links, parse_flag_value, save_chrome_trace};
+use regnet_bench::{
+    describe_route_table, parse_fail_links, parse_flag_value, route_table_gauges, save_chrome_trace,
+};
 use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme};
 use regnet_netsim::experiment::RunObservation;
 use regnet_netsim::{EventOptions, FaultOptions, SimConfig, Simulator};
@@ -19,7 +21,9 @@ fn main() {
     let events_path = parse_flag_value(&args, "--events");
     let metrics_path = parse_flag_value(&args, "--metrics");
     let topo = gen::torus_2d(8, 8, 8).unwrap();
+    let t0 = std::time::Instant::now();
     let db = RouteDb::build(&topo, RoutingScheme::ItbSp, &RouteDbConfig::default());
+    println!("{}", describe_route_table(&db, t0.elapsed()));
     let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
     let mut sim = Simulator::new(&topo, &db, &pattern, SimConfig::default(), 0.001, 1);
     sim.enable_counters();
@@ -59,7 +63,9 @@ fn main() {
             journal: None,
             effective_scheduler: sim.effective_scheduler(),
         };
-        match std::fs::write(path, obs.metrics_registry().to_prometheus()) {
+        let mut reg = obs.metrics_registry();
+        route_table_gauges(&mut reg, &db);
+        match std::fs::write(path, reg.to_prometheus()) {
             Ok(()) => println!("metrics exposition -> {path}"),
             Err(e) => eprintln!("diagnose: cannot write {path}: {e}"),
         }

@@ -10,7 +10,9 @@
 //! (`flamegraph.pl`/inferno-compatible), both with the same per-scheme
 //! file suffixing as `--events`.
 
-use regnet_bench::{parse_fail_links, parse_flag_value, save_chrome_trace};
+use regnet_bench::{
+    describe_route_table, parse_fail_links, parse_flag_value, route_table_gauges, save_chrome_trace,
+};
 use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme};
 use regnet_netsim::experiment::RunObservation;
 use regnet_netsim::{EventOptions, FaultOptions, SimConfig, Simulator, TraceOptions};
@@ -45,6 +47,7 @@ fn main() {
     ] {
         let t0 = std::time::Instant::now();
         let db = RouteDb::build(&topo, scheme, &RouteDbConfig::default());
+        let table_build = t0.elapsed();
         let mut sim = Simulator::new(&topo, &db, &pattern, SimConfig::default(), offered, 1);
         sim.enable_trace(TraceOptions {
             packet_lifetimes: true,
@@ -79,6 +82,7 @@ fn main() {
             build,
             run
         );
+        println!("         {}", describe_route_table(&db, table_build));
         if let Some(report) = sim.trace_report() {
             if let Some(l) = &report.lifetime {
                 println!(
@@ -129,7 +133,9 @@ fn main() {
                 effective_scheduler: sim.effective_scheduler(),
             };
             let out = scheme_path(path, scheme);
-            match std::fs::write(&out, obs.metrics_registry().to_prometheus()) {
+            let mut reg = obs.metrics_registry();
+            route_table_gauges(&mut reg, &db);
+            match std::fs::write(&out, reg.to_prometheus()) {
                 Ok(()) => println!("         metrics exposition -> {out}"),
                 Err(e) => eprintln!("probe: cannot write {out}: {e}"),
             }

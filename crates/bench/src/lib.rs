@@ -206,6 +206,33 @@ pub fn save_curves(name: &str, curves: &[Curve]) {
     }
 }
 
+/// What a route table holds and cost to build, as `probe`/`diagnose`
+/// print it.
+pub fn describe_route_table(db: &regnet_core::RouteDb, built_in: std::time::Duration) -> String {
+    format!(
+        "route table: {} (built in {built_in:?}, fingerprint {:016x})",
+        db.footprint(),
+        db.fingerprint()
+    )
+}
+
+/// Say what a route table costs, next to whatever else a run exports:
+/// `regnet_routedb_{routes,bytes}` gauges from
+/// [`RouteDb::footprint`](regnet_core::RouteDb::footprint).
+pub fn route_table_gauges(reg: &mut regnet_metrics::MetricsRegistry, db: &regnet_core::RouteDb) {
+    let fp = db.footprint();
+    reg.gauge(
+        "regnet_routedb_routes",
+        "Routes in the routing table, over all ordered switch pairs",
+        fp.routes as f64,
+    );
+    reg.gauge(
+        "regnet_routedb_bytes",
+        "Heap bytes held by the routing table",
+        fp.bytes as f64,
+    );
+}
+
 /// Write a telemetry time series (e.g. per-link utilization over time) to
 /// `target/experiments/<name>.{json,dat,gp}`; prints the path.
 pub fn save_time_series(name: &str, ts: &regnet_metrics::TimeSeries) {

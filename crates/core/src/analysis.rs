@@ -6,7 +6,7 @@ use regnet_topology::{DistanceMatrix, HostId, Topology};
 use serde::{Deserialize, Serialize};
 
 use crate::journey::SegmentEnd;
-use crate::scheme::RouteDb;
+use crate::table::RouteDb;
 
 /// Summary statistics of a [`RouteDb`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -45,7 +45,7 @@ impl RouteStats {
             }
             pairs += 1;
             alt_sum += alts.len();
-            if alts[0].total_links() == dm.get(s, d) as usize {
+            if alts.get(0).total_links() == dm.get(s, d) as usize {
                 minimal_first += 1;
             }
             // Per-pair averages across alternatives, so pairs with many
@@ -79,7 +79,7 @@ pub fn itb_host_load(topo: &Topology, db: &RouteDb) -> Vec<(HostId, usize)> {
     let mut load = vec![0usize; topo.num_hosts()];
     for (_, _, alts) in db.iter_pairs() {
         for t in alts {
-            for seg in &t.segments {
+            for seg in t.segments() {
                 if let SegmentEnd::Itb(h) = seg.end {
                     load[h.idx()] += 1;
                 }

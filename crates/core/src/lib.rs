@@ -47,7 +47,11 @@ pub mod analysis;
 mod journey;
 mod scheme;
 mod split;
+mod table;
 
 pub use journey::{Journey, JourneyTemplate, Segment, SegmentEnd};
-pub use scheme::{PathSelector, RouteDb, RouteDbConfig, RoutingScheme, SrcSelector};
+pub use scheme::{PathSelector, RouteDbConfig, RoutingScheme, SrcSelector};
 pub use split::{split_minimal_path, try_split_minimal_path, ItbHostPicker};
+pub use table::{
+    Alternatives, RouteDb, RouteDbBuilder, RouteFootprint, RouteRef, Routes, SegmentRef,
+};

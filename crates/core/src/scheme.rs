@@ -1,11 +1,13 @@
 //! Route databases for the three routing schemes evaluated in the paper.
 
-use regnet_routing::{minimal, simple_routes, SimpleRoutesConfig};
+use regnet_routing::minimal::{MinimalDag, PathSet};
+use regnet_routing::{simple_routes, SimpleRoutesConfig, SwitchPath};
 use regnet_topology::{DistanceMatrix, HostId, Orientation, SwitchId, Topology};
 use serde::{Deserialize, Serialize};
 
-use crate::journey::{Journey, JourneyTemplate, Segment, SegmentEnd};
-use crate::split::{split_minimal_path, try_split_minimal_path, ItbHostPicker};
+use crate::journey::{Journey, Segment, SegmentEnd};
+use crate::split::{no_itb_host, split_into, ItbHostPicker};
+use crate::table::{RouteDb, RouteDbBuilder};
 
 /// The routing schemes compared in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -165,40 +167,37 @@ impl PathSelector {
     }
 }
 
-/// The routing table of the whole network for one scheme: for every ordered
-/// switch pair, the list of alternative [`JourneyTemplate`]s.
-///
-/// Templates are stored per *switch* pair and materialised per *host* pair
-/// on demand (the only host-specific byte is the final port).
-#[derive(Debug, Clone)]
-pub struct RouteDb {
-    scheme: RoutingScheme,
-    n_switches: usize,
-    n_hosts: usize,
-    templates: Vec<Vec<JourneyTemplate>>,
-}
-
 impl RouteDb {
     /// Compute the routing tables for `scheme` over `topo`.
     pub fn build(topo: &Topology, scheme: RoutingScheme, cfg: &RouteDbConfig) -> RouteDb {
         let orient = Orientation::compute(topo, cfg.root);
-        let n = topo.num_switches();
-        let mut templates: Vec<Vec<JourneyTemplate>> = Vec::with_capacity(n * n);
+        let mut table = RouteDbBuilder::new(scheme, topo.num_switches(), topo.num_hosts());
+        // The next route of the open pair: `path`, split — unless it needs
+        // an in-transit buffer at a hostless switch.
+        let add_route = |table: &mut RouteDbBuilder, path: &[SwitchId]| {
+            let usable = split_into(topo, &orient, path, cfg.itb_picker, table);
+            if usable {
+                table.end_route();
+            } else {
+                table.abort_route();
+            }
+            usable
+        };
+        // up*/down* routes never need one, so they always split — into
+        // exactly one segment.
+        let legal_route = |table: &mut RouteDbBuilder, path: &SwitchPath| {
+            debug_assert!(path.is_legal(&orient), "{path} must not need ITBs");
+            let usable = add_route(table, path.switches());
+            assert!(usable, "{}", no_itb_host(path.switches()));
+        };
 
         match scheme {
             RoutingScheme::UpDown => {
                 let routes = simple_routes(topo, &orient, &cfg.simple);
                 for s in topo.switches() {
                     for d in topo.switches() {
-                        let path = routes.get(s, d);
-                        // Legal paths split into exactly one segment.
-                        let t = split_minimal_path(topo, &orient, path, cfg.itb_picker);
-                        debug_assert_eq!(
-                            t.num_itbs(),
-                            0,
-                            "up*/down* route {path} must not need ITBs"
-                        );
-                        templates.push(vec![t]);
+                        legal_route(&mut table, routes.get(s, d));
+                        table.end_pair();
                     }
                 }
             }
@@ -209,6 +208,11 @@ impl RouteDb {
                 // fixed choices are spread across the path space rather
                 // than biased to low switch ids.
                 let k = cfg.max_alternatives;
+                let mut dags: Vec<MinimalDag> = topo
+                    .switches()
+                    .map(|d| MinimalDag::new(topo, &dm, d))
+                    .collect();
+                let mut paths = PathSet::default();
                 // Legal fallback routes, computed lazily: only needed when
                 // *every* minimal path of a pair requires an in-transit
                 // buffer at a hostless switch (possible on degraded or
@@ -216,112 +220,26 @@ impl RouteDb {
                 let mut fallback: Option<regnet_routing::PairPaths> = None;
                 for s in topo.switches() {
                     for d in topo.switches() {
-                        let paths = minimal::k_minimal_paths(topo, &dm, s, d, k, cfg.seed);
-                        let mut alts: Vec<JourneyTemplate> = paths
-                            .iter()
-                            .filter_map(|p| {
-                                try_split_minimal_path(topo, &orient, p, cfg.itb_picker)
-                            })
-                            .collect();
-                        if alts.is_empty() {
+                        dags[d.idx()].k_paths(s, k, cfg.seed, &mut paths);
+                        for p in paths.iter() {
+                            add_route(&mut table, p);
+                        }
+                        if table.routes_in_pair() == 0 {
                             let routes = fallback
                                 .get_or_insert_with(|| simple_routes(topo, &orient, &cfg.simple));
-                            let legal = routes.get(s, d);
-                            let t = split_minimal_path(topo, &orient, legal, cfg.itb_picker);
-                            debug_assert_eq!(t.num_itbs(), 0);
-                            alts.push(t);
+                            legal_route(&mut table, routes.get(s, d));
                         }
-                        templates.push(alts);
+                        table.end_pair();
                     }
                 }
             }
         }
-
-        RouteDb {
-            scheme,
-            n_switches: n,
-            n_hosts: topo.num_hosts(),
-            templates,
-        }
-    }
-
-    /// Build a database directly from per-switch-pair templates, bypassing
-    /// route computation. `templates` is indexed `src.idx() * n_switches +
-    /// dst.idx()` and every pair must have at least one alternative.
-    ///
-    /// This deliberately performs **no legality checking**: tests use it to
-    /// inject route sets with cyclic channel dependencies and verify that
-    /// the simulator's wait-for-graph analyzer detects the resulting
-    /// deadlock. Don't use it for real routing tables — `build` is the
-    /// checked path.
-    pub fn from_templates(
-        scheme: RoutingScheme,
-        n_switches: usize,
-        n_hosts: usize,
-        templates: Vec<Vec<JourneyTemplate>>,
-    ) -> RouteDb {
-        assert_eq!(
-            templates.len(),
-            n_switches * n_switches,
-            "one template list per ordered switch pair"
-        );
-        assert!(
-            templates.iter().all(|alts| !alts.is_empty()),
-            "every pair needs at least one alternative"
-        );
-        RouteDb {
-            scheme,
-            n_switches,
-            n_hosts,
-            templates,
-        }
-    }
-
-    /// Like [`from_templates`](RouteDb::from_templates), but pairs are
-    /// allowed to have *no* alternative at all — the shape a degraded
-    /// network produces when some switch pairs are unreachable (the mapper's
-    /// runtime reconfiguration builds these). Callers must check
-    /// [`has_route`](RouteDb::has_route) before [`select`](RouteDb::select).
-    pub fn from_templates_partial(
-        scheme: RoutingScheme,
-        n_switches: usize,
-        n_hosts: usize,
-        templates: Vec<Vec<JourneyTemplate>>,
-    ) -> RouteDb {
-        assert_eq!(
-            templates.len(),
-            n_switches * n_switches,
-            "one template list per ordered switch pair"
-        );
-        RouteDb {
-            scheme,
-            n_switches,
-            n_hosts,
-            templates,
-        }
-    }
-
-    /// Does the table hold at least one route for this ordered switch pair?
-    /// Always true for databases built by [`build`](RouteDb::build); may be
-    /// false for [`from_templates_partial`](RouteDb::from_templates_partial)
-    /// tables on a partitioned network.
-    pub fn has_route(&self, src: SwitchId, dst: SwitchId) -> bool {
-        !self.templates[src.idx() * self.n_switches + dst.idx()].is_empty()
-    }
-
-    /// The scheme this database implements.
-    pub fn scheme(&self) -> RoutingScheme {
-        self.scheme
-    }
-
-    /// Alternative templates for an ordered switch pair.
-    pub fn alternatives(&self, src: SwitchId, dst: SwitchId) -> &[JourneyTemplate] {
-        &self.templates[src.idx() * self.n_switches + dst.idx()]
+        table.finish()
     }
 
     /// Fresh per-pair selection state (one per simulation run).
     pub fn selector(&self) -> PathSelector {
-        PathSelector::new(self.n_hosts)
+        PathSelector::new(self.num_hosts())
     }
 
     /// Materialise the route a packet from `src` to `dst` should take now,
@@ -349,14 +267,14 @@ impl RouteDb {
     ) -> Journey {
         let (ss, ds) = (topo.host_switch(src), topo.host_switch(dst));
         let alts = self.alternatives(ss, ds);
-        let idx = match self.scheme {
+        let idx = match self.scheme() {
             RoutingScheme::UpDown => 0,
             // Fixed per pair, but spread across pairs.
             RoutingScheme::ItbSp => (fxhash(src.0 as u64, dst.0 as u64) as usize) % alts.len(),
             RoutingScheme::ItbRr => selector.next(dst, alts.len()),
             RoutingScheme::ItbRandom => rand::Rng::gen_range(&mut selector.rng, 0..alts.len()),
         };
-        alts[idx].materialise(src, dst, topo.host_port(dst))
+        alts.get(idx).materialise(src, dst, topo.host_port(dst))
     }
 
     /// A journey for intra-switch traffic (source and destination hosts on
@@ -375,21 +293,6 @@ impl RouteDb {
                 end: SegmentEnd::Deliver,
             }],
         }
-    }
-
-    /// Iterate every (src switch, dst switch, alternatives) triple.
-    pub fn iter_pairs(
-        &self,
-    ) -> impl Iterator<Item = (SwitchId, SwitchId, &[JourneyTemplate])> + '_ {
-        (0..self.n_switches).flat_map(move |s| {
-            (0..self.n_switches).map(move |d| {
-                (
-                    SwitchId(s as u32),
-                    SwitchId(d as u32),
-                    self.templates[s * self.n_switches + d].as_slice(),
-                )
-            })
-        })
     }
 }
 
@@ -416,7 +319,7 @@ mod tests {
         let db = RouteDb::build(&topo, RoutingScheme::UpDown, &RouteDbConfig::default());
         for (_, _, alts) in db.iter_pairs() {
             assert_eq!(alts.len(), 1);
-            assert_eq!(alts[0].num_itbs(), 0);
+            assert_eq!(alts.get(0).num_itbs(), 0);
         }
     }
 
@@ -475,7 +378,7 @@ mod tests {
         let db = RouteDb::build(&topo, RoutingScheme::UpDown, &RouteDbConfig::default());
         let longer = db
             .iter_pairs()
-            .filter(|(s, d, alts)| alts[0].total_links() > dm.get(*s, *d) as usize)
+            .filter(|(s, d, alts)| alts.get(0).total_links() > dm.get(*s, *d) as usize)
             .count();
         assert!(
             longer > 0,
@@ -573,12 +476,12 @@ mod tests {
         let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
         let alts = db.alternatives(SwitchId(2), SwitchId(4));
         assert_eq!(alts.len(), 1, "only the fallback should remain");
-        assert_eq!(alts[0].num_itbs(), 0);
-        assert_eq!(alts[0].total_links(), 4, "legal detour around the gap");
+        assert_eq!(alts.get(0).num_itbs(), 0);
+        assert_eq!(alts.get(0).total_links(), 4, "legal detour around the gap");
         // The reverse direction 4->3->2 has the same problem, same cure.
         let rev = db.alternatives(SwitchId(4), SwitchId(2));
-        assert_eq!(rev[0].num_itbs(), 0);
-        assert_eq!(rev[0].total_links(), 4);
+        assert_eq!(rev.get(0).num_itbs(), 0);
+        assert_eq!(rev.get(0).total_links(), 4);
         // Materialised journeys still validate.
         let mut sel = db.selector();
         let (src, dst) = (topo.hosts_of(SwitchId(2))[0], topo.hosts_of(SwitchId(4))[0]);

@@ -2,10 +2,10 @@
 //! hosts at the forbidden transitions — the heart of the ITB mechanism.
 
 use regnet_routing::SwitchPath;
-use regnet_topology::{HostId, Orientation, SwitchId, Topology};
+use regnet_topology::{HostId, Orientation, Port, SwitchId, Topology};
 
-use crate::journey::{Segment, SegmentEnd};
-use crate::JourneyTemplate;
+use crate::journey::{JourneyTemplate, Segment, SegmentEnd};
+use crate::table::RouteDbBuilder;
 
 /// Strategy for picking which of a switch's hosts serves as the in-transit
 /// host. The paper attaches 8 hosts per switch; spreading in-transit load
@@ -57,9 +57,8 @@ pub fn split_minimal_path(
     path: &SwitchPath,
     picker: ItbHostPicker,
 ) -> JourneyTemplate {
-    try_split_minimal_path(topo, orient, path, picker).unwrap_or_else(|| {
-        panic!("in-transit buffer needs a host at a transition switch of {path}, but it has none")
-    })
+    try_split_minimal_path(topo, orient, path, picker)
+        .unwrap_or_else(|| panic!("{}", no_itb_host(path.switches())))
 }
 
 /// Like [`split_minimal_path`], but returns `None` when the path needs an
@@ -72,52 +71,115 @@ pub fn try_split_minimal_path(
     path: &SwitchPath,
     picker: ItbHostPicker,
 ) -> Option<JourneyTemplate> {
-    let switches = path.switches();
-    let (src_sw, dst_sw) = (path.src(), path.dst());
-    let mut segments: Vec<Segment> = Vec::new();
-    let mut seg_switches: Vec<SwitchId> = vec![switches[0]];
-    let mut seg_ports = Vec::new();
+    let mut template = TemplateSink {
+        done: Vec::new(),
+        open: (Vec::with_capacity(path.switches().len()), Vec::new()),
+    };
+    split_into(topo, orient, path.switches(), picker, &mut template).then_some(JourneyTemplate {
+        segments: template.done,
+    })
+}
+
+/// Where [`split_into`] writes a route: segment by segment, the switches
+/// visited and the port bytes taken. A [`RouteDbBuilder`] when a table is
+/// being built, an owned [`JourneyTemplate`] for one-path callers.
+pub(crate) trait SplitSink {
+    fn switch(&mut self, s: SwitchId);
+    fn port(&mut self, p: Port);
+    fn end_segment(&mut self, end: SegmentEnd);
+}
+
+impl SplitSink for RouteDbBuilder {
+    fn switch(&mut self, s: SwitchId) {
+        RouteDbBuilder::switch(self, s);
+    }
+    fn port(&mut self, p: Port) {
+        RouteDbBuilder::port(self, p);
+    }
+    fn end_segment(&mut self, end: SegmentEnd) {
+        RouteDbBuilder::end_segment(self, end);
+    }
+}
+
+struct TemplateSink {
+    done: Vec<Segment>,
+    /// Switches and ports of the segment being written.
+    open: (Vec<SwitchId>, Vec<Port>),
+}
+
+impl SplitSink for TemplateSink {
+    fn switch(&mut self, s: SwitchId) {
+        self.open.0.push(s);
+    }
+    fn port(&mut self, p: Port) {
+        self.open.1.push(p);
+    }
+    fn end_segment(&mut self, end: SegmentEnd) {
+        let (switches, ports) = std::mem::take(&mut self.open);
+        self.done.push(Segment {
+            switches,
+            ports,
+            end,
+        });
+    }
+}
+
+/// The splitter itself: write the split of the path visiting `switches`
+/// into `route`. Returns `false`, part-way through, when the path needs an
+/// in-transit buffer at a hostless switch; what was written so far is the
+/// caller's to discard.
+pub(crate) fn split_into(
+    topo: &Topology,
+    orient: &Orientation,
+    switches: &[SwitchId],
+    picker: ItbHostPicker,
+    route: &mut impl SplitSink,
+) -> bool {
+    let (src_sw, dst_sw) = (switches[0], switches[switches.len() - 1]);
     let mut seen_down = false;
     let mut parallel_select = pair_key(src_sw, dst_sw) as usize;
 
-    for (hop_idx, (a, b)) in path.hops().enumerate() {
+    route.switch(src_sw);
+    for (hop_idx, w) in switches.windows(2).enumerate() {
+        let (a, b) = (w[0], w[1]);
         let up = orient.is_up_move(a, b);
         if seen_down && up {
             // Forbidden transition: eject at `a` into an in-transit host.
             let key = pair_key(src_sw, dst_sw) ^ (hop_idx as u64) << 1;
-            let itb_host = picker.pick(topo, a, key)?;
+            let Some(itb_host) = picker.pick(topo, a, key) else {
+                return false;
+            };
             debug_assert_eq!(topo.host_switch(itb_host), a);
-            seg_ports.push(topo.host_port(itb_host));
-            segments.push(Segment {
-                switches: std::mem::take(&mut seg_switches),
-                ports: std::mem::take(&mut seg_ports),
-                end: SegmentEnd::Itb(itb_host),
-            });
-            seg_switches.push(a);
+            route.port(topo.host_port(itb_host));
+            route.end_segment(SegmentEnd::Itb(itb_host));
+            route.switch(a);
             seen_down = false;
         }
         if !up {
             seen_down = true;
         }
         // Port from a to b (spread across parallel links deterministically).
-        let choices = topo.ports_to(a, b);
-        debug_assert!(!choices.is_empty(), "path not connected at {a}->{b}");
-        seg_ports.push(choices[parallel_select % choices.len()]);
+        let parallel = topo.ports_to(a, b).count();
+        debug_assert!(parallel > 0, "path not connected at {a}->{b}");
+        route.port(
+            topo.ports_to(a, b)
+                .nth(parallel_select % parallel)
+                .expect("taken modulo the count"),
+        );
         parallel_select = parallel_select.wrapping_add(1);
-        seg_switches.push(b);
+        route.switch(b);
     }
-
     // Final segment: one port byte short (destination host port appended at
     // materialisation time).
-    segments.push(Segment {
-        switches: seg_switches,
-        ports: seg_ports,
-        end: SegmentEnd::Deliver,
-    });
+    route.end_segment(SegmentEnd::Deliver);
+    true
+}
 
-    let t = JourneyTemplate { segments };
-    debug_assert_eq!(t.total_links(), path.len_links());
-    Some(t)
+pub(crate) fn no_itb_host(switches: &[SwitchId]) -> String {
+    format!(
+        "in-transit buffer needs a host at a transition switch of {}, but it has none",
+        SwitchPath::new(switches.to_vec())
+    )
 }
 
 fn pair_key(a: SwitchId, b: SwitchId) -> u64 {

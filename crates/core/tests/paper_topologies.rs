@@ -16,13 +16,14 @@ fn check_db(topo: &Topology, scheme: RoutingScheme) {
         assert!(!alts.is_empty(), "{scheme} {s}->{d}: no route");
         for t in alts {
             // Segment chain: starts at s, ends at d, hands over at ITBs.
-            assert_eq!(t.segments[0].switches[0], s);
-            assert_eq!(*t.segments.last().unwrap().switches.last().unwrap(), d);
-            for w in t.segments.windows(2) {
+            let segments: Vec<_> = t.segments().collect();
+            assert_eq!(segments[0].switches[0], s);
+            assert_eq!(*segments.last().unwrap().switches.last().unwrap(), d);
+            for w in segments.windows(2) {
                 assert_eq!(*w[0].switches.last().unwrap(), w[1].switches[0]);
             }
-            for seg in &t.segments {
-                let p = SwitchPath::new(seg.switches.clone());
+            for seg in &segments {
+                let p = SwitchPath::new(seg.switches.to_vec());
                 assert!(p.is_connected(topo), "{scheme} {s}->{d}: segment {p}");
                 assert!(
                     p.is_legal(&orient),
@@ -103,10 +104,48 @@ fn alternative_roots_keep_invariants() {
         for (s, d, alts) in db.iter_pairs() {
             for t in alts {
                 assert_eq!(t.total_links(), dm.get(s, d) as usize);
-                for seg in &t.segments {
-                    assert!(SwitchPath::new(seg.switches.clone()).is_legal(&orient));
+                for seg in t.segments() {
+                    assert!(SwitchPath::new(seg.switches.to_vec()).is_legal(&orient));
                 }
             }
+        }
+    }
+}
+
+/// The tables themselves, not only the runs that use them: FNV-1a
+/// fingerprints ([`RouteDb::fingerprint`]) of every table of the paper's
+/// networks, recorded from the per-pair, nested-`Vec` builder this one
+/// replaced. A one-byte change in any port choice moves them. The three
+/// ITB schemes share one table (they differ in how a source picks from it).
+#[test]
+fn paper_tables_are_pinned() {
+    let pinned: [(&str, Topology, [u64; 2]); 3] = [
+        (
+            "torus",
+            gen::torus_2d(8, 8, 8).unwrap(),
+            [0x27eb20e7b6ab96f8, 0x3d1e813ebb51eb84],
+        ),
+        (
+            "express",
+            gen::torus_2d_express(8, 8, 8).unwrap(),
+            [0x0ab4caf4b548a247, 0x9f13351cdb6f3257],
+        ),
+        (
+            "cplant",
+            gen::cplant().unwrap(),
+            [0x9a74d0fef55cf304, 0x58ef4932f2349115],
+        ),
+    ];
+    for (name, topo, [updown, itb]) in pinned {
+        for scheme in RoutingScheme::extended() {
+            let db = RouteDb::build(&topo, scheme, &RouteDbConfig::default());
+            let want = if scheme.uses_itbs() { itb } else { updown };
+            assert_eq!(
+                db.fingerprint(),
+                want,
+                "{name} {scheme}: got {:#018x}",
+                db.fingerprint()
+            );
         }
     }
 }

@@ -8,13 +8,13 @@
 //! mid-flight. [`rebuild_physical_routes`] bridges the two worlds: it runs
 //! discovery, builds a fresh [`RouteDb`] for the requested scheme on the
 //! discovered topology (root = the seed's switch, exactly what the MCP's
-//! re-mapping would elect), and rewrites every route template with physical
-//! switch ids, physical port bytes and physical in-transit host ids. Pairs
-//! that ended up in different components simply have no route — the
-//! resulting table is *partial* (see [`RouteDb::from_templates_partial`]).
+//! re-mapping would elect), and rewrites every route with physical switch
+//! ids, physical port bytes and physical in-transit host ids. Pairs that
+//! ended up in different components simply have no route — the resulting
+//! table is *partial* (check [`RouteDb::has_route`]).
 
-use regnet_core::{JourneyTemplate, RouteDb, RouteDbConfig, RoutingScheme, Segment, SegmentEnd};
-use regnet_routing::SwitchPath;
+use regnet_core::{RouteDb, RouteDbBuilder, RouteDbConfig, RoutingScheme, SegmentEnd};
+use regnet_routing::{first_violation, SwitchPath};
 use regnet_topology::{HostId, Orientation, Port, PortTarget, SwitchId, Topology};
 
 use crate::discovery::{discover, DiscoveredNetwork, MapperError};
@@ -60,26 +60,33 @@ impl PhysicalRoutes {
     pub fn verify(&self, physical: &Topology, faults: &FaultSet) -> Result<(), String> {
         // Legality in discovered coordinates (where the up*/down* tree
         // lives; the root is the seed's switch = discovered switch 0).
-        let orient = Orientation::compute(&self.discovered.topo, SwitchId(0));
+        let mapped = &self.discovered.topo;
+        let orient = Orientation::compute(mapped, SwitchId(0));
         for (s, d, alts) in self.mapped_db.iter_pairs() {
             for t in alts {
-                for seg in &t.segments {
-                    let path = SwitchPath::new(seg.switches.clone());
-                    if !path.is_connected(&self.discovered.topo) {
-                        return Err(format!("{s}->{d}: segment not connected: {path}"));
+                for seg in t.segments() {
+                    let path = || SwitchPath::new(seg.switches.to_vec());
+                    let mut hops = seg.switches.windows(2);
+                    if !hops.all(|w| mapped.port_to(w[0], w[1]).is_some()) {
+                        return Err(format!("{s}->{d}: segment not connected: {}", path()));
                     }
-                    if !path.is_legal(&orient) {
-                        return Err(format!("{s}->{d}: illegal segment: {path}"));
+                    if first_violation(seg.switches, &orient).is_some() {
+                        return Err(format!("{s}->{d}: illegal segment: {}", path()));
                     }
                 }
             }
         }
         // Physical translation: ports, links and in-transit hosts.
+        let link_alive: Vec<bool> = physical
+            .links()
+            .iter()
+            .map(|l| faults.is_link_alive(physical, l.id))
+            .collect();
         for (ps, pd, alts) in self.db.iter_pairs() {
             for t in alts {
                 let mut entry_switch: Option<SwitchId> = None;
-                for (si, seg) in t.segments.iter().enumerate() {
-                    let is_final = si == t.segments.len() - 1;
+                for (si, seg) in t.segments().enumerate() {
+                    let is_final = si == t.num_segments() - 1;
                     let expect_ports = seg.switches.len() - usize::from(is_final);
                     if seg.ports.len() != expect_ports {
                         return Err(format!("{ps}->{pd}: segment {si} port count"));
@@ -92,8 +99,7 @@ impl PhysicalRoutes {
                     for i in 0..seg.switches.len() - 1 {
                         match physical.port_target(seg.switches[i], seg.ports[i]) {
                             Some(PortTarget::Switch { to, link, .. })
-                                if to == seg.switches[i + 1]
-                                    && faults.is_link_alive(physical, link) => {}
+                                if to == seg.switches[i + 1] && link_alive[link.idx()] => {}
                             other => {
                                 return Err(format!(
                                     "{ps}->{pd}: segment {si} hop {i} does not cross a live \
@@ -125,64 +131,6 @@ impl PhysicalRoutes {
     }
 }
 
-/// Lowest-numbered port of `from` that reaches `to` over a live link
-/// (parallel links: a dead sibling is skipped).
-fn pick_live_port(
-    physical: &Topology,
-    faults: &FaultSet,
-    from: SwitchId,
-    to: SwitchId,
-) -> Option<Port> {
-    physical.ports_of(from).find_map(|(p, t)| match t {
-        PortTarget::Switch { to: next, link, .. }
-            if next == to && faults.is_link_alive(physical, link) =>
-        {
-            Some(p)
-        }
-        _ => None,
-    })
-}
-
-fn translate_template(
-    physical: &Topology,
-    faults: &FaultSet,
-    d: &DiscoveredNetwork,
-    t: &JourneyTemplate,
-) -> JourneyTemplate {
-    let segments = t
-        .segments
-        .iter()
-        .map(|seg| {
-            let switches: Vec<SwitchId> = seg
-                .switches
-                .iter()
-                .map(|s| d.switch_from_new[s.idx()])
-                .collect();
-            let mut ports: Vec<Port> = switches
-                .windows(2)
-                .map(|w| {
-                    pick_live_port(physical, faults, w[0], w[1])
-                        .expect("discovered link lost its physical counterpart")
-                })
-                .collect();
-            let end = match seg.end {
-                SegmentEnd::Deliver => SegmentEnd::Deliver,
-                SegmentEnd::Itb(h) => {
-                    let ph = d.host_from_new[h.idx()];
-                    ports.push(physical.host_port(ph));
-                    SegmentEnd::Itb(ph)
-                }
-            };
-            Segment {
-                switches,
-                ports,
-                end,
-            }
-        })
-        .collect();
-    JourneyTemplate { segments }
-}
-
 /// Re-map the network after `faults` and rebuild `scheme`'s routing tables
 /// in **physical** coordinates (see the module docs). `cfg.root` is
 /// ignored: the up\*/down\* root is the seed's switch, as a real
@@ -199,27 +147,58 @@ pub fn rebuild_physical_routes(
     db_cfg.root = SwitchId(0);
     let mapped_db = RouteDb::build(&discovered.topo, scheme, &db_cfg);
 
+    // Which port each hop of a translated route leaves through: the
+    // lowest-numbered port of `from` that reaches `to` over a live link
+    // (parallel links: a dead sibling is skipped).
     let n = physical.num_switches();
-    let mut templates: Vec<Vec<JourneyTemplate>> = vec![Vec::new(); n * n];
-    for ps in physical.switches() {
-        let Some(ns) = discovered.switch_to_new[ps.idx()] else {
-            continue;
-        };
-        for pd in physical.switches() {
-            let Some(nd) = discovered.switch_to_new[pd.idx()] else {
-                continue;
-            };
-            templates[ps.idx() * n + pd.idx()] = mapped_db
-                .alternatives(ns, nd)
-                .iter()
-                .map(|t| translate_template(physical, faults, &discovered, t))
-                .collect();
+    let mut live_port: Vec<Option<Port>> = vec![None; n * n];
+    for from in physical.switches() {
+        for (port, to, link) in physical.switch_neighbors(from) {
+            let slot = &mut live_port[from.idx() * n + to.idx()];
+            if slot.is_none() && faults.is_link_alive(physical, link) {
+                *slot = Some(port);
+            }
         }
     }
-    let db = RouteDb::from_templates_partial(scheme, n, physical.num_hosts(), templates);
+
+    let d = &discovered;
+    let mut table = RouteDbBuilder::new(scheme, n, physical.num_hosts());
+    for ps in physical.switches() {
+        for pd in physical.switches() {
+            if let (Some(ns), Some(nd)) = (d.switch_to_new[ps.idx()], d.switch_to_new[pd.idx()]) {
+                for route in mapped_db.alternatives(ns, nd) {
+                    for seg in route.segments() {
+                        let mut from: Option<SwitchId> = None;
+                        for s in seg.switches {
+                            let to = d.switch_from_new[s.idx()];
+                            if let Some(from) = from {
+                                table.port(
+                                    live_port[from.idx() * n + to.idx()]
+                                        .expect("discovered link lost its physical counterpart"),
+                                );
+                            }
+                            table.switch(to);
+                            from = Some(to);
+                        }
+                        let end = match seg.end {
+                            SegmentEnd::Deliver => SegmentEnd::Deliver,
+                            SegmentEnd::Itb(h) => {
+                                let ph = d.host_from_new[h.idx()];
+                                table.port(physical.host_port(ph));
+                                SegmentEnd::Itb(ph)
+                            }
+                        };
+                        table.end_segment(end);
+                    }
+                    table.end_route();
+                }
+            }
+            table.end_pair();
+        }
+    }
     let reachable_hosts: Vec<bool> = discovered.host_to_new.iter().map(|h| h.is_some()).collect();
     Ok(PhysicalRoutes {
-        db,
+        db: table.finish(),
         reachable_hosts,
         discovered,
         mapped_db,
@@ -279,7 +258,7 @@ mod tests {
             let (a, b) = physical.link(l).switch_ends().unwrap();
             for (_, _, alts) in pr.db.iter_pairs() {
                 for t in alts {
-                    for seg in &t.segments {
+                    for seg in t.segments() {
                         for (i, w) in seg.switches.windows(2).enumerate() {
                             if w == [a, b] || w == [b, a] {
                                 // A parallel live link is fine; the exact

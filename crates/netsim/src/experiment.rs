@@ -302,6 +302,9 @@ impl Default for ThroughputSearch {
 pub struct Experiment {
     topo: Topology,
     db: RouteDb,
+    /// What `db` was built with, and what every mid-run reconfiguration
+    /// rebuilds with.
+    db_cfg: RouteDbConfig,
     pattern: Pattern,
     cfg: SimConfig,
     scheme: RoutingScheme,
@@ -322,6 +325,7 @@ impl Experiment {
         Ok(Experiment {
             topo,
             db,
+            db_cfg,
             pattern,
             cfg,
             scheme,
@@ -426,7 +430,13 @@ impl Experiment {
         sim.set_scheduler(opts.scheduler);
         sim.enable_trace(opts.trace.clone());
         if let Some(faults) = &opts.faults {
-            sim.enable_faults(faults.clone());
+            // The tables a fault swaps in are built like the ones it
+            // replaces (same alternative cap, in-transit host picker and
+            // seed), whatever the options' own `db_cfg` says.
+            sim.enable_faults(FaultOptions {
+                db_cfg: self.db_cfg.clone(),
+                ..faults.clone()
+            });
         }
         if opts.counters {
             sim.enable_counters();
@@ -605,6 +615,38 @@ mod tests {
         assert!(p.delivered > 10);
         assert!((p.accepted - 0.003).abs() / 0.003 < 0.15);
         assert!(p.avg_latency_ns > 0.0);
+    }
+
+    #[test]
+    fn reconfiguration_keeps_the_experiments_route_configuration() {
+        use crate::faultplan::FaultPlan;
+        let topo = gen::torus_2d(4, 4, 2).unwrap();
+        let link = topo.links().iter().find(|l| l.is_switch_link()).unwrap().id;
+        let exp = Experiment::new(
+            topo,
+            RoutingScheme::ItbRr,
+            RouteDbConfig {
+                max_alternatives: 1,
+                ..RouteDbConfig::default()
+            },
+            PatternSpec::Uniform,
+            SimConfig::default(),
+        )
+        .unwrap();
+        let mut plan = FaultPlan::new();
+        plan.fail_link(2_000, link).repair_link(30_000, link);
+        let opts = RunOptions {
+            // The caller did not repeat the configuration here.
+            faults: Some(FaultOptions::with_plan(plan)),
+            ..quick_opts()
+        };
+        let mut sim = exp.make_sim(0.003, &opts);
+        sim.run(60_000);
+        assert_eq!(sim.reliability().reconfigurations, 2);
+        let rebuilt = &sim.reconfigured_routes().expect("tables were swapped").db;
+        for (s, d, alts) in rebuilt.iter_pairs() {
+            assert_eq!(alts.len(), 1, "{s}->{d} after the repair");
+        }
     }
 
     #[test]

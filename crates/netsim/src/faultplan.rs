@@ -183,7 +183,10 @@ pub struct FaultOptions {
     /// never updated (ablation: pure retransmission).
     pub reconfigure: bool,
     /// Route-build parameters for reconfigurations (the root is overridden
-    /// by the seed's switch, as a real re-mapping would elect).
+    /// by the seed's switch, as a real re-mapping would elect). Honoured as
+    /// given by [`Simulator::enable_faults`](crate::Simulator::enable_faults);
+    /// an [`Experiment`](crate::experiment::Experiment) overrides it with
+    /// the configuration its own tables were built with.
     pub db_cfg: RouteDbConfig,
     /// Host the management process runs on; discovery starts here. Falls
     /// back to the lowest-numbered live host if this one is down.

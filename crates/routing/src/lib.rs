@@ -50,5 +50,5 @@ mod path;
 mod simple;
 
 pub use legal::{LegalDistances, Phase};
-pub use path::SwitchPath;
+pub use path::{first_violation, SwitchPath};
 pub use simple::{simple_routes, PairPaths, SimpleRoutesConfig};

@@ -51,17 +51,7 @@ impl SwitchPath {
     /// Does the path satisfy the up\*/down\* rule (zero or more up moves
     /// followed by zero or more down moves)?
     pub fn is_legal(&self, orient: &Orientation) -> bool {
-        let mut seen_down = false;
-        for (a, b) in self.hops() {
-            if orient.is_up_move(a, b) {
-                if seen_down {
-                    return false;
-                }
-            } else {
-                seen_down = true;
-            }
-        }
-        true
+        self.first_violation(orient).is_none()
     }
 
     /// Is the path as short as any path between its endpoints?
@@ -72,17 +62,7 @@ impl SwitchPath {
     /// Index of the first hop that performs a forbidden down→up transition,
     /// if any. This is where an in-transit buffer must be inserted.
     pub fn first_violation(&self, orient: &Orientation) -> Option<usize> {
-        let mut seen_down = false;
-        for (i, (a, b)) in self.hops().enumerate() {
-            if orient.is_up_move(a, b) {
-                if seen_down {
-                    return Some(i);
-                }
-            } else {
-                seen_down = true;
-            }
-        }
-        None
+        first_violation(&self.0, orient)
     }
 
     /// Materialise the Myrinet source-route header for this path: one output
@@ -95,14 +75,34 @@ impl SwitchPath {
     pub fn port_sequence(&self, topo: &Topology, dst_host: HostId, select: usize) -> Vec<Port> {
         let mut ports = Vec::with_capacity(self.0.len());
         for (a, b) in self.hops() {
-            let choices = topo.ports_to(a, b);
-            debug_assert!(!choices.is_empty(), "path not connected at {a}->{b}");
-            ports.push(choices[select % choices.len()]);
+            let parallel = topo.ports_to(a, b).count();
+            debug_assert!(parallel > 0, "path not connected at {a}->{b}");
+            ports.push(
+                topo.ports_to(a, b)
+                    .nth(select % parallel)
+                    .expect("taken modulo the count"),
+            );
         }
         debug_assert_eq!(topo.host_switch(dst_host), self.dst());
         ports.push(topo.host_port(dst_host));
         ports
     }
+}
+
+/// [`SwitchPath::first_violation`] for a borrowed switch sequence (a
+/// segment read in place from a route table).
+pub fn first_violation(switches: &[SwitchId], orient: &Orientation) -> Option<usize> {
+    let mut seen_down = false;
+    for (i, w) in switches.windows(2).enumerate() {
+        if orient.is_up_move(w[0], w[1]) {
+            if seen_down {
+                return Some(i);
+            }
+        } else {
+            seen_down = true;
+        }
+    }
+    None
 }
 
 impl std::fmt::Display for SwitchPath {

@@ -286,6 +286,44 @@ pub fn irregular_random(
     b.build()
 }
 
+/// A random connected network of the shapes a degraded, re-mapped network
+/// takes: a random spanning tree plus `extra_links` random links that may
+/// double existing ones (parallel links), with hosts on only some of the
+/// switches (always on switches 0 and 1). Deterministic for a given `seed`.
+pub fn irregular_multigraph(
+    n_switches: usize,
+    extra_links: usize,
+    seed: u64,
+) -> Result<Topology, TopologyError> {
+    if n_switches < 2 {
+        return Err(TopologyError::BadParameters(
+            "need at least 2 switches".into(),
+        ));
+    }
+    let mut b = TopologyBuilder::new(
+        format!("multigraph-{n_switches}-x{extra_links}-s{seed}"),
+        (n_switches + extra_links).clamp(MYRINET_PORTS as usize, u8::MAX as usize) as u8,
+    );
+    b.add_switches(n_switches);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for s in 1..n_switches {
+        b.connect(SwitchId(rng.gen_range(0..s) as u32), SwitchId(s as u32))?;
+    }
+    for _ in 0..extra_links {
+        let a = rng.gen_range(0..n_switches) as u32;
+        let c = rng.gen_range(0..n_switches) as u32;
+        if a != c {
+            b.connect(SwitchId(a), SwitchId(c))?;
+        }
+    }
+    for s in 0..n_switches {
+        if s < 2 || rng.gen_bool(0.6) {
+            b.attach_host(SwitchId(s as u32))?;
+        }
+    }
+    b.build()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,9 +474,25 @@ mod tests {
     }
 
     #[test]
+    fn multigraph_has_parallel_links_and_hostless_switches() {
+        let (mut parallel, mut hostless) = (false, false);
+        for seed in 0..20 {
+            let t = irregular_multigraph(8, 10, seed).unwrap();
+            assert!(t.num_hosts() >= 2);
+            for a in t.switches() {
+                hostless |= t.hosts_of(a).is_empty();
+                for (_, b, _) in t.switch_neighbors(a) {
+                    parallel |= t.ports_to(a, b).count() > 1;
+                }
+            }
+        }
+        assert!(parallel && hostless);
+    }
+
+    #[test]
     fn two_ary_torus_has_parallel_links() {
         let t = torus_2d(2, 2, 1).unwrap();
         // Each ring of size 2 produces a doubled link.
-        assert_eq!(t.ports_to(SwitchId(0), SwitchId(1)).len(), 2);
+        assert_eq!(t.ports_to(SwitchId(0), SwitchId(1)).count(), 2);
     }
 }

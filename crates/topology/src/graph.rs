@@ -67,6 +67,10 @@ struct SwitchNode {
     ports: Vec<Option<PortTarget>>,
     /// Hosts attached to this switch, in attachment order.
     hosts: Vec<HostId>,
+    /// The switch-facing ports as `(port, neighbour, link)` in port order —
+    /// `ports` without the host and empty entries. Filled once by
+    /// [`TopologyBuilder::build`]; what every graph walk iterates.
+    neighbors: Vec<(Port, SwitchId, LinkId)>,
 }
 
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -162,10 +166,7 @@ impl Topology {
         &self,
         sw: SwitchId,
     ) -> impl Iterator<Item = (Port, SwitchId, LinkId)> + '_ {
-        self.ports_of(sw).filter_map(|(p, t)| match t {
-            PortTarget::Switch { to, link, .. } => Some((p, to, link)),
-            PortTarget::Host { .. } => None,
-        })
+        self.switches[sw.idx()].neighbors.iter().copied()
     }
 
     /// The hosts attached to a switch, in attachment order.
@@ -189,19 +190,16 @@ impl Topology {
     }
 
     /// All ports on `from` whose link leads to switch `to` (several with
-    /// parallel links).
-    pub fn ports_to(&self, from: SwitchId, to: SwitchId) -> Vec<Port> {
+    /// parallel links), in port order.
+    pub fn ports_to(&self, from: SwitchId, to: SwitchId) -> impl Iterator<Item = Port> + '_ {
         self.switch_neighbors(from)
-            .filter(|&(_, n, _)| n == to)
+            .filter(move |&(_, n, _)| n == to)
             .map(|(p, _, _)| p)
-            .collect()
     }
 
     /// First port on `from` leading to `to`, if adjacent.
     pub fn port_to(&self, from: SwitchId, to: SwitchId) -> Option<Port> {
-        self.switch_neighbors(from)
-            .find(|&(_, n, _)| n == to)
-            .map(|(p, _, _)| p)
+        self.ports_to(from, to).next()
     }
 
     /// Number of occupied ports on a switch.
@@ -250,6 +248,7 @@ impl TopologyBuilder {
         self.switches.extend((0..n).map(|_| SwitchNode {
             ports: vec![None; self.max_ports as usize],
             hosts: Vec::new(),
+            neighbors: Vec::new(),
         }));
         SwitchId(first)
     }
@@ -356,10 +355,22 @@ impl TopologyBuilder {
                 total: n,
             });
         }
+        let mut switches = self.switches;
+        for node in &mut switches {
+            node.neighbors = node
+                .ports
+                .iter()
+                .enumerate()
+                .filter_map(|(i, t)| match *t {
+                    Some(PortTarget::Switch { to, link, .. }) => Some((Port(i as u8), to, link)),
+                    _ => None,
+                })
+                .collect();
+        }
         Ok(Topology {
             name: self.name,
             max_ports: self.max_ports,
-            switches: self.switches,
+            switches,
             hosts: self.hosts,
             links: self.links,
         })
@@ -478,7 +489,7 @@ mod tests {
         b.connect(SwitchId(0), SwitchId(1)).unwrap();
         b.attach_hosts_everywhere(1).unwrap();
         let t = b.build().unwrap();
-        assert_eq!(t.ports_to(SwitchId(0), SwitchId(1)).len(), 2);
+        assert_eq!(t.ports_to(SwitchId(0), SwitchId(1)).count(), 2);
         assert_eq!(t.num_switch_links(), 2);
     }
 

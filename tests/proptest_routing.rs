@@ -4,9 +4,13 @@
 
 use proptest::prelude::*;
 
-use regnet::core::{split_minimal_path, ItbHostPicker, RouteDb, RouteDbConfig, RoutingScheme};
+use regnet::core::{
+    split_minimal_path, try_split_minimal_path, ItbHostPicker, RouteDb, RouteDbConfig,
+    RoutingScheme,
+};
+use regnet::mapper::discover;
 use regnet::prelude::*;
-use regnet::routing::minimal;
+use regnet::routing::{minimal, simple_routes, SimpleRoutesConfig};
 
 /// Strategy: a random connected irregular topology.
 fn arb_topology() -> impl Strategy<Value = Topology> {
@@ -15,8 +19,85 @@ fn arb_topology() -> impl Strategy<Value = Topology> {
     })
 }
 
+/// Strategy: a random connected network with parallel links and hostless
+/// switches, where the paper's topologies do not reach.
+fn arb_multigraph() -> impl Strategy<Value = Topology> {
+    (3usize..14, 0usize..16, any::<u64>()).prop_map(|(n, extra, seed)| {
+        gen::irregular_multigraph(n, extra, seed).expect("multigraph generator")
+    })
+}
+
+/// Strategy: a re-mapped network — `arb_multigraph` with up to three links
+/// failed, as discovery from host 0 renumbers what survives.
+fn arb_discovered() -> impl Strategy<Value = Topology> {
+    (
+        arb_multigraph(),
+        proptest::collection::vec(any::<u32>(), 0..4),
+    )
+        .prop_map(|(physical, dead)| {
+            let mut faults = FaultSet::new();
+            for pick in dead {
+                let link = &physical.links()[pick as usize % physical.num_links()];
+                if link.is_switch_link() {
+                    faults.kill_link(link.id);
+                }
+            }
+            match discover(&physical, &faults, HostId(0)) {
+                Ok(d) => d.topo,
+                Err(_) => physical,
+            }
+        })
+}
+
+/// The flat table against the per-pair public functions it is built from:
+/// every pair holds exactly the usable splits of its sampled minimal
+/// paths, a pair with none falls back to the `simple_routes` path, and the
+/// table survives a trip through owned templates.
+fn assert_table_is_the_per_pair_composition(topo: &Topology) -> Result<(), TestCaseError> {
+    let cfg = RouteDbConfig::default();
+    let orient = Orientation::compute(topo, cfg.root);
+    let dm = DistanceMatrix::compute(topo);
+    let legal = simple_routes(topo, &orient, &SimpleRoutesConfig::default());
+    let db = RouteDb::build(topo, RoutingScheme::ItbRr, &cfg);
+    for (s, d, alts) in db.iter_pairs() {
+        let usable: Vec<JourneyTemplate> =
+            minimal::k_minimal_paths(topo, &dm, s, d, cfg.max_alternatives, cfg.seed)
+                .iter()
+                .filter_map(|p| try_split_minimal_path(topo, &orient, p, cfg.itb_picker))
+                .collect();
+        if usable.is_empty() {
+            // Every minimal path needs an in-transit buffer at a hostless
+            // switch: one legal route, no ITBs.
+            let fallback = split_minimal_path(topo, &orient, legal.get(s, d), cfg.itb_picker);
+            prop_assert_eq!(fallback.num_itbs(), 0);
+            prop_assert_eq!(alts.to_owned(), vec![fallback], "{}->{} fallback", s, d);
+        } else {
+            prop_assert_eq!(alts.to_owned(), usable, "{}->{}", s, d);
+        }
+    }
+    let again = RouteDb::from_templates(
+        db.scheme(),
+        topo.num_switches(),
+        topo.num_hosts(),
+        db.to_templates(),
+    );
+    prop_assert_eq!(again.fingerprint(), db.fingerprint());
+    prop_assert!(again == db, "flat store round trip");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn flat_table_matches_per_pair_functions_on_multigraphs(topo in arb_multigraph()) {
+        assert_table_is_the_per_pair_composition(&topo)?;
+    }
+
+    #[test]
+    fn flat_table_matches_per_pair_functions_on_discovered_topologies(topo in arb_discovered()) {
+        assert_table_is_the_per_pair_composition(&topo)?;
+    }
 
     /// The up-direction graph of any orientation is acyclic — the property
     /// that makes up*/down* deadlock-free.
