@@ -11,7 +11,8 @@
 //! file suffixing as `--events`.
 
 use regnet_bench::{
-    describe_route_table, parse_fail_links, parse_flag_value, route_table_gauges, save_chrome_trace,
+    describe_route_table, parse_fail_links, parse_flag_value, parse_probe_load, route_table_gauges,
+    save_chrome_trace,
 };
 use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme};
 use regnet_netsim::experiment::RunObservation;
@@ -30,9 +31,10 @@ fn scheme_path(path: &str, scheme: RoutingScheme) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let offered: f64 = parse_flag_value(&args, "--load")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.015);
+    let offered = parse_probe_load(&args).unwrap_or_else(|e| {
+        eprintln!("probe: {e}");
+        std::process::exit(2);
+    });
     let events_path = parse_flag_value(&args, "--events");
     let metrics_path = parse_flag_value(&args, "--metrics");
     let flame_path = parse_flag_value(&args, "--flame");

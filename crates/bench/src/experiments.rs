@@ -1,20 +1,142 @@
-//! One function per table and figure of the paper's evaluation section.
+//! One entry per table and figure of the paper's evaluation section.
 //!
-//! Each function runs the corresponding experiment and returns structured
-//! results; the `bin/` wrappers print them and save JSON. Quick mode keeps
-//! the same workloads and sweep shapes with shorter measurement windows.
+//! [`FIGURES`] is the `paper` binary's subcommand table. Each entry runs
+//! its experiment, prints the paper's presentation of it and saves the
+//! curves and series under `target/experiments/`. Quick mode keeps the
+//! same workloads and sweep shapes with shorter measurement windows.
 
 use rand::SeedableRng;
-use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme};
-use regnet_metrics::{Curve, TimeSeries, UtilizationSummary};
-use regnet_netsim::experiment::RunOptions;
+use regnet_core::{ItbHostPicker, RouteDb, RouteDbConfig, RoutingScheme};
+use regnet_metrics::{Curve, CurvePoint, TimeSeries, UtilizationSummary};
+use regnet_netsim::experiment::{Experiment, RunOptions};
 use regnet_netsim::trace::ChannelUtilSeries;
-use regnet_netsim::ChannelDesc;
-use regnet_topology::{HostId, NodeId, SwitchId};
+use regnet_netsim::{ChannelDesc, SimConfig};
+use regnet_topology::{gen, HostId, NodeId, SwitchId, Topology};
 use regnet_traffic::{random_hotspots, PatternSpec};
 use serde::Serialize;
 
-use crate::{experiment, load_ladder, table_search, threads, Mode, Topo};
+use crate::{
+    experiment, load_ladder, save_curves, save_time_series, table_search, threads, Mode, Topo,
+};
+
+/// Where a figure writes its text: stdout as it is produced, and a copy
+/// that `paper all` saves as the combined report.
+#[derive(Debug, Default)]
+pub struct Tee {
+    pub report: String,
+}
+
+impl Tee {
+    pub fn put(&mut self, text: impl AsRef<str>) {
+        print!("{}", text.as_ref());
+        self.report.push_str(text.as_ref());
+    }
+}
+
+/// What a [`Figure`] is asked to run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Request {
+    pub mode: Mode,
+    /// One panel per topology, for the figures that have panels.
+    pub topos: Vec<Topo>,
+    /// Figure 12 only: also run the 4-switch-radius variant.
+    pub radius4: bool,
+}
+
+/// One `paper` subcommand.
+#[derive(Debug)]
+pub struct Figure {
+    pub name: &'static str,
+    /// Stems of the files it writes, `target/experiments/<stem>_*`.
+    pub stems: &'static [&'static str],
+    /// The `--topo` values it accepts, which are also its default panels;
+    /// empty for a figure defined on one topology.
+    pub topos: &'static [Topo],
+    pub run: fn(&Request, &mut Tee),
+}
+
+/// Every subcommand, in the order `paper all` runs them.
+pub const FIGURES: &[Figure] = &[
+    Figure {
+        name: "routes",
+        stems: &[],
+        topos: &[],
+        run: run_routes,
+    },
+    Figure {
+        name: "fig07",
+        stems: &["fig07"],
+        topos: &Topo::ALL,
+        run: run_fig07,
+    },
+    Figure {
+        name: "fig10",
+        stems: &["fig10"],
+        // CPLANT's 400 hosts are not a power of two, as the paper notes.
+        topos: &[Topo::Torus, Topo::Express],
+        run: run_fig10,
+    },
+    Figure {
+        name: "fig12",
+        stems: &["fig12", "fig12r4"],
+        topos: &Topo::ALL,
+        run: run_fig12,
+    },
+    Figure {
+        name: "fig08",
+        stems: &["fig08"],
+        topos: &[],
+        run: run_fig08,
+    },
+    Figure {
+        name: "fig09",
+        stems: &["fig09"],
+        topos: &[],
+        run: run_fig09,
+    },
+    Figure {
+        name: "fig11",
+        stems: &["fig11"],
+        topos: &[],
+        run: run_fig11,
+    },
+    Figure {
+        name: "table1",
+        stems: &[],
+        topos: &[],
+        run: run_table1,
+    },
+    Figure {
+        name: "table2",
+        stems: &[],
+        topos: &[],
+        run: run_table2,
+    },
+    Figure {
+        name: "table3",
+        stems: &[],
+        topos: &[],
+        run: run_table3,
+    },
+    Figure {
+        name: "msgsize",
+        stems: &[],
+        topos: &[],
+        run: run_msgsize,
+    },
+    Figure {
+        name: "irregular",
+        stems: &[],
+        topos: &[],
+        run: run_irregular,
+    },
+    Figure {
+        name: "ablation",
+        stems: &[],
+        topos: &[],
+        run: run_ablation,
+    },
+];
 
 /// A latency-vs-traffic figure: one curve per routing scheme.
 #[derive(Debug, Serialize)]
@@ -166,6 +288,13 @@ fn sweep_schemes(
     FigureResult { name, curves }
 }
 
+/// Print one panel of a latency-vs-traffic figure and save its curves as
+/// `<stem>_<topo>`.
+fn emit_panel(fig: &FigureResult, stem: &str, topo: Topo, out: &mut Tee) {
+    out.put(fig.render());
+    save_curves(&format!("{stem}_{}", topo.tag()), &fig.curves);
+}
+
 /// **Figure 7** — uniform traffic, latency vs accepted traffic.
 /// 7a: 2-D torus; 7b: torus + express channels; 7c: CPLANT.
 pub fn fig07(topo: Topo, mode: Mode) -> FigureResult {
@@ -176,6 +305,12 @@ pub fn fig07(topo: Topo, mode: Mode) -> FigureResult {
         mode,
         7,
     )
+}
+
+fn run_fig07(req: &Request, out: &mut Tee) {
+    for &topo in &req.topos {
+        emit_panel(&fig07(topo, req.mode), "fig07", topo, out);
+    }
 }
 
 /// **Figure 10** — bit-reversal traffic (torus and express only; CPLANT's
@@ -189,6 +324,12 @@ pub fn fig10(topo: Topo, mode: Mode) -> FigureResult {
         mode,
         10,
     )
+}
+
+fn run_fig10(req: &Request, out: &mut Tee) {
+    for &topo in &req.topos {
+        emit_panel(&fig10(topo, req.mode), "fig10", topo, out);
+    }
 }
 
 /// **Figure 12** — local traffic (destinations at most 3 switches away).
@@ -211,6 +352,15 @@ pub fn fig12_radius4(topo: Topo, mode: Mode) -> FigureResult {
         mode,
         13,
     )
+}
+
+fn run_fig12(req: &Request, out: &mut Tee) {
+    for &topo in &req.topos {
+        emit_panel(&fig12(topo, req.mode), "fig12", topo, out);
+        if req.radius4 {
+            emit_panel(&fig12_radius4(topo, req.mode), "fig12r4", topo, out);
+        }
+    }
 }
 
 /// Sampling interval (cycles) for the utilization time series of the
@@ -266,6 +416,25 @@ fn util_snapshot(
     }
 }
 
+/// Print a link-utilization figure on the 8×8 torus: the histograms, then
+/// per snapshot its `lead_in`, the per-switch grid (the paper's greyscale
+/// maps as text) and the `<stem>_util_<i>` time series.
+fn emit_util_report(
+    report: &UtilReport,
+    stem: &str,
+    lead_in: fn(&UtilSnapshot) -> String,
+    out: &mut Tee,
+) {
+    out.put(report.render());
+    for (i, snap) in report.snapshots.iter().enumerate() {
+        out.put(lead_in(snap));
+        out.put(format!("{}\n", switch_grid_map(snap, 8, 64)));
+        if let Some(ts) = &snap.util_series {
+            save_time_series(&format!("{stem}_util_{i}"), ts);
+        }
+    }
+}
+
 /// **Figure 8** — link utilization in the 2-D torus under uniform traffic:
 /// UP/DOWN at its saturation point (0.015), ITB-RR at the same load, and
 /// ITB-RR near its own saturation (0.03).
@@ -298,6 +467,10 @@ pub fn fig08(mode: Mode) -> UtilReport {
     }
 }
 
+fn run_fig08(req: &Request, out: &mut Tee) {
+    emit_util_report(&fig08(req.mode), "fig08", |_| "\n".into(), out);
+}
+
 /// **Figure 9** — link utilization in the torus with express channels at
 /// UP/DOWN's saturation point (0.066).
 pub fn fig09(mode: Mode) -> UtilReport {
@@ -322,12 +495,42 @@ pub fn fig09(mode: Mode) -> UtilReport {
     }
 }
 
+/// Mean utilization of the express channels (which connect switches two
+/// hops apart in a torus dimension) and of the ordinary torus links; the
+/// paper reads express ≈25 %, local links ≈10 % under ITB-RR.
+fn express_split(snap: &UtilSnapshot) -> String {
+    let (mut ex, mut nex) = (Vec::new(), Vec::new());
+    for (d, &u) in snap.descs.iter().zip(&snap.summary.per_channel) {
+        if let (NodeId::Switch(SwitchId(a)), NodeId::Switch(SwitchId(b))) = (d.from, d.to) {
+            let (ra, ca) = ((a / 8) as i32, (a % 8) as i32);
+            let (rb, cb) = ((b / 8) as i32, (b % 8) as i32);
+            let dr = (ra - rb).rem_euclid(8).min((rb - ra).rem_euclid(8));
+            let dc = (ca - cb).rem_euclid(8).min((cb - ca).rem_euclid(8));
+            if dr + dc == 2 {
+                ex.push(u);
+            } else {
+                nex.push(u);
+            }
+        }
+    }
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
+    format!(
+        "\n{}: express channels mean {:.1}%  ordinary links mean {:.1}%\n",
+        snap.label,
+        mean(&ex) * 100.0,
+        mean(&nex) * 100.0
+    )
+}
+
+fn run_fig09(req: &Request, out: &mut Tee) {
+    emit_util_report(&fig09(req.mode), "fig09", express_split, out);
+}
+
 /// **Figure 11** — link utilization in the torus with 10% hotspot traffic
 /// at UP/DOWN's saturation point (~0.0123).
 pub fn fig11(mode: Mode) -> UtilReport {
     let topo = Topo::Torus.build();
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(1111);
-    let hotspot = random_hotspots(&topo, 1, &mut rng)[0];
+    let hotspot = fig11_hotspot(&topo);
     let pattern = PatternSpec::Hotspot {
         fraction: 0.10,
         host: hotspot,
@@ -341,6 +544,27 @@ pub fn fig11(mode: Mode) -> UtilReport {
             util_snapshot(Topo::Torus, RoutingScheme::UpDown, pattern, 0.0123, mode),
             util_snapshot(Topo::Torus, RoutingScheme::ItbRr, pattern, 0.0123, mode),
         ],
+    }
+}
+
+fn fig11_hotspot(topo: &Topology) -> HostId {
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(1111);
+    random_hotspots(topo, 1, &mut rng)[0]
+}
+
+fn run_fig11(req: &Request, out: &mut Tee) {
+    emit_util_report(&fig11(req.mode), "fig11", |_| "\n".into(), out);
+    out.put("(root switch is s0, top-left of the grid)\n");
+}
+
+/// Throughput searches need less precision per point than latency curves:
+/// half of `mode`'s windows.
+fn search_options(mode: Mode, seed: u64) -> RunOptions {
+    let full = mode.run_options(seed);
+    RunOptions {
+        warmup_cycles: full.warmup_cycles / 2,
+        measure_cycles: full.measure_cycles / 2,
+        ..full
     }
 }
 
@@ -364,13 +588,7 @@ fn hotspot_table(
             header.push(format!("{}% {}", (f * 100.0).round(), scheme.label()));
         }
     }
-    // Throughput searches need less precision per point than latency curves.
-    let opts = RunOptions {
-        warmup_cycles: mode.run_options(0).warmup_cycles / 2,
-        measure_cycles: mode.run_options(0).measure_cycles / 2,
-        seed: 21,
-        ..RunOptions::default()
-    };
+    let opts = search_options(mode, 21);
     let mut rows = Vec::new();
     for (i, &hs) in hotspots.iter().enumerate() {
         let mut vals = Vec::new();
@@ -389,6 +607,32 @@ fn hotspot_table(
     TableResult { name, header, rows }
 }
 
+/// Print a hotspot table and, per hotspot fraction, the ITB schemes'
+/// throughput factor over UP/DOWN next to the paper's.
+fn emit_table(t: &TableResult, blocks: &[&str], paper: &str, out: &mut Tee) {
+    out.put(t.render());
+    let avg = t.averages();
+    let factors = |b: usize| {
+        let ud = avg[b * 3];
+        format!(
+            "ITB-SP x{:.2}  ITB-RR x{:.2}",
+            avg[b * 3 + 1] / ud,
+            avg[b * 3 + 2] / ud
+        )
+    };
+    if blocks.len() == 1 {
+        out.put(format!(
+            "\nthroughput factors vs UP/DOWN: {}   (paper: {paper})\n",
+            factors(0)
+        ));
+    } else {
+        out.put("\nthroughput factors vs UP/DOWN:\n");
+        for (b, label) in blocks.iter().enumerate() {
+            out.put(format!("  {label}: {}   (paper: {paper})\n", factors(b)));
+        }
+    }
+}
+
 /// **Table 1** — throughput under hotspot traffic in the 2-D torus, for
 /// 5% and 10% hotspot load, over several random hotspot locations.
 pub fn table1(mode: Mode) -> TableResult {
@@ -399,6 +643,15 @@ pub fn table1(mode: Mode) -> TableResult {
         0.004,
         mode,
     )
+}
+
+fn run_table1(req: &Request, out: &mut Tee) {
+    emit_table(
+        &table1(req.mode),
+        &["5% hotspot", "10% hotspot"],
+        "x2.13 / x2.19 at 5%, x1.40 / x1.48 at 10%",
+        out,
+    );
 }
 
 /// **Table 2** — hotspot throughput in the torus with express channels,
@@ -413,6 +666,15 @@ pub fn table2(mode: Mode) -> TableResult {
     )
 }
 
+fn run_table2(req: &Request, out: &mut Tee) {
+    emit_table(
+        &table2(req.mode),
+        &["3% hotspot", "5% hotspot"],
+        "x1.13 / x1.12 at 3%, x1.08 / x1.07 at 5%",
+        out,
+    );
+}
+
 /// **Table 3** — hotspot throughput in CPLANT, 5% hotspot load.
 pub fn table3(mode: Mode) -> TableResult {
     hotspot_table(
@@ -422,6 +684,10 @@ pub fn table3(mode: Mode) -> TableResult {
         0.008,
         mode,
     )
+}
+
+fn run_table3(req: &Request, out: &mut Tee) {
+    emit_table(&table3(req.mode), &["5% hotspot"], "x1.24 / x1.32", out);
 }
 
 /// Route-level statistics quoted in section 4.7.1 of the paper.
@@ -463,6 +729,187 @@ pub fn route_stats() -> RouteStatsReport {
     RouteStatsReport { rows }
 }
 
+fn run_routes(_: &Request, out: &mut Tee) {
+    out.put(route_stats().render());
+    out.put(
+        "\npaper reference points:\n  \
+         torus UP/DOWN: 80% minimal, avg distance 4.57; minimal avg 4.06\n  \
+         express UP/DOWN: 94% minimal; CPLANT UP/DOWN: 100% minimal\n  \
+         ITB torus: 0.43 (SP) / 0.54 (RR) in-transit buffers per message\n",
+    );
+}
+
+/// Saturation throughput of each scheme of [`RoutingScheme::all`] on
+/// `topo` under uniform traffic, by the hotspot tables' search.
+fn saturation_row(topo: &Topology, cfg: &SimConfig, opts: &RunOptions) -> Vec<f64> {
+    RoutingScheme::all()
+        .into_iter()
+        .map(|scheme| {
+            let exp = Experiment::new(
+                topo.clone(),
+                scheme,
+                RouteDbConfig::default(),
+                PatternSpec::Uniform,
+                cfg.clone(),
+            )
+            .expect("experiment");
+            exp.find_throughput(&table_search(0.004), opts)
+        })
+        .collect()
+}
+
+/// The paper's message-size claim (section 4.2): "for message length, 32,
+/// 512, and 1024-byte messages have been considered ... the obtained
+/// results are qualitatively similar". The UP/DOWN vs ITB ordering and
+/// rough factor must hold at every size.
+fn run_msgsize(req: &Request, out: &mut Tee) {
+    out.put("saturation throughput (flits/ns/switch), 2-D torus, uniform traffic\n\n");
+    out.put("msg bytes   UP/DOWN    ITB-SP    ITB-RR    ITB-RR/UD\n");
+    let topo = Topo::Torus.build();
+    for payload in [32usize, 512, 1024] {
+        let cfg = SimConfig {
+            payload_flits: payload,
+            ..SimConfig::default()
+        };
+        let row = saturation_row(&topo, &cfg, &search_options(req.mode, 31));
+        out.put(format!(
+            "{payload:>9}   {:.4}    {:.4}    {:.4}    x{:.2}\n",
+            row[0],
+            row[1],
+            row[2],
+            row[2] / row[0]
+        ));
+    }
+    out.put("\npaper: results qualitatively similar across sizes; ITB ~2x UP/DOWN.\n");
+}
+
+/// Extension: the ITB mechanism on *irregular* networks (the setting of
+/// the authors' companion papers [5, 6], which this paper generalises
+/// from). The up*/down* restriction bites harder as a random connected
+/// network grows, so the ITB gain should widen.
+fn run_irregular(req: &Request, out: &mut Tee) {
+    out.put("irregular networks, uniform traffic, 512-byte messages, 4 hosts/switch\n\n");
+    out.put(format!(
+        "{:>8} {:>10} {:>10} {:>10} {:>10} {:>12}\n",
+        "switches", "UP/DOWN", "ITB-SP", "ITB-RR", "RR gain", "minimal% UD"
+    ));
+    for n_switches in [8usize, 16, 24, 32] {
+        let topo = gen::irregular_random(n_switches, 4, 4, 2026).expect("topology");
+        // Route-level restriction: how many UP/DOWN routes are minimal?
+        let db = RouteDb::build(&topo, RoutingScheme::UpDown, &RouteDbConfig::default());
+        let stats = regnet_core::analysis::RouteStats::compute(&topo, &db);
+        let row = saturation_row(&topo, &SimConfig::default(), &search_options(req.mode, 41));
+        out.put(format!(
+            "{:>8} {:>10.4} {:>10.4} {:>10.4} {:>11.2}x {:>11.1}%\n",
+            n_switches,
+            row[0],
+            row[1],
+            row[2],
+            row[2] / row[0],
+            stats.minimal_fraction * 100.0
+        ));
+    }
+    out.put("\ncompanion-paper trend: the ITB gain grows with network size as\n");
+    out.put("up*/down* forbids an increasing share of minimal paths.\n");
+}
+
+/// The design choices called out in DESIGN.md §8, one ITB-RR point each
+/// on a 4×4 torus (4 hosts per switch, 64-flit messages, offered 0.012):
+/// re-injection priority, cut-through vs store-and-forward re-injection,
+/// the alternative-route cap, the in-transit pool size, the spanning-tree
+/// root, the in-transit host picker and — with the seeded-random ITB-RND
+/// extension — the path-selection policy.
+pub fn ablations() -> Vec<(String, CurvePoint)> {
+    let sim = SimConfig {
+        payload_flits: 64,
+        ..SimConfig::default()
+    };
+    let db = RouteDbConfig::default();
+    let rr = RoutingScheme::ItbRr;
+    let mut cells = Vec::new();
+    let mut cell = |name: String, scheme: RoutingScheme, sim: &SimConfig, db: &RouteDbConfig| {
+        cells.push((name, scheme, sim.clone(), db.clone()));
+    };
+    for (name, itb_priority) in [("priority", true), ("fifo", false)] {
+        let sim = SimConfig {
+            itb_priority,
+            ..sim.clone()
+        };
+        cell(format!("ablation_itb_priority/{name}"), rr, &sim, &db);
+    }
+    for (name, itb_cut_through) in [("cut_through", true), ("store_and_forward", false)] {
+        let sim = SimConfig {
+            itb_cut_through,
+            ..sim.clone()
+        };
+        cell(format!("ablation_reinjection/{name}"), rr, &sim, &db);
+    }
+    for max_alternatives in [1usize, 2, 4, 10, 32] {
+        let db = RouteDbConfig {
+            max_alternatives,
+            ..db.clone()
+        };
+        let name = format!("ablation_route_cap/cap_{max_alternatives}");
+        cell(name, rr, &sim, &db);
+    }
+    // 90 KB is the paper's pool; 2 KB exercises the host-memory overflow.
+    for (name, itb_pool_flits) in [
+        ("pool_2kb", 2 * 1024),
+        ("pool_90kb", 90 * 1024),
+        ("pool_1mb", 1024 * 1024),
+    ] {
+        let sim = SimConfig {
+            itb_pool_flits,
+            ..sim.clone()
+        };
+        cell(format!("ablation_itb_pool/{name}"), rr, &sim, &db);
+    }
+    for (name, root) in [("corner_s0", SwitchId(0)), ("centre_s5", SwitchId(5))] {
+        let db = RouteDbConfig { root, ..db.clone() };
+        cell(format!("ablation_root/{name}"), rr, &sim, &db);
+    }
+    for (name, itb_picker) in [
+        ("first", ItbHostPicker::First),
+        ("spread", ItbHostPicker::Spread),
+    ] {
+        let db = RouteDbConfig {
+            itb_picker,
+            ..db.clone()
+        };
+        cell(format!("ablation_itb_picker/{name}"), rr, &sim, &db);
+    }
+    for scheme in RoutingScheme::extended() {
+        if scheme != RoutingScheme::UpDown {
+            let name = format!("ablation_policy/{}", scheme.label());
+            cell(name, scheme, &sim, &db);
+        }
+    }
+    let opts = RunOptions {
+        warmup_cycles: 3_000,
+        measure_cycles: 12_000,
+        seed: 2,
+        ..RunOptions::default()
+    };
+    let topo = gen::torus_2d(4, 4, 4).expect("torus");
+    cells
+        .into_iter()
+        .map(|(name, scheme, sim, db)| {
+            let exp = Experiment::new(topo.clone(), scheme, db, PatternSpec::Uniform, sim)
+                .expect("experiment");
+            (name, exp.run_point(0.012, &opts))
+        })
+        .collect()
+}
+
+fn run_ablation(_: &Request, out: &mut Tee) {
+    for (name, p) in ablations() {
+        out.put(format!(
+            "[{name}] accepted {:.4} latency {:.0} ns itbs {:.2}\n",
+            p.accepted, p.avg_latency_ns, p.avg_itbs_per_msg
+        ));
+    }
+}
+
 /// Render an 8×8 per-switch utilization map (average utilization of the
 /// switch-link channels leaving each switch) for torus-shaped topologies —
 /// the textual analogue of the paper's greyscale link maps.
@@ -493,13 +940,6 @@ pub fn switch_grid_map(snapshot: &UtilSnapshot, cols: usize, n_switches: usize) 
     out
 }
 
-/// Locate a host id's switch in the paper torus (row, col) — helper for
-/// hotspot map rendering.
-pub fn torus_coords(topo: &regnet_topology::Topology, host: HostId, cols: usize) -> (usize, usize) {
-    let s = topo.host_switch(host).idx();
-    (s / cols, s % cols)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,6 +958,71 @@ mod tests {
             Mode::Quick,
         );
         assert!(*l.last().unwrap() > 0.13);
+    }
+
+    #[test]
+    fn every_figure_is_one_subcommand() {
+        for (i, a) in FIGURES.iter().enumerate() {
+            assert_ne!(a.name, "all", "reserved for the whole table");
+            for b in &FIGURES[i + 1..] {
+                assert_ne!(a.name, b.name);
+                assert_ne!(
+                    a.run as usize, b.run as usize,
+                    "{} and {} run the same body",
+                    a.name, b.name
+                );
+                // Both write `target/experiments/<stem>_*`.
+                for stem in a.stems {
+                    assert!(
+                        !b.stems.contains(stem),
+                        "{} and {} both write {stem}_*",
+                        a.name,
+                        b.name
+                    );
+                }
+            }
+        }
+    }
+
+    /// `campaigns/paper_figs.json` says its cells are the fig07/fig11
+    /// points bit for bit; hold it to that.
+    #[test]
+    fn paper_figs_campaign_is_the_quick_figures() {
+        let text = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../campaigns/paper_figs.json"
+        ))
+        .expect("campaigns/paper_figs.json is committed");
+        let spec = regnet_campaign::CampaignSpec::from_json_str(&text).unwrap();
+        let sweep = |group: &str| {
+            spec.sweeps
+                .iter()
+                .find(|s| s.group == group)
+                .unwrap_or_else(|| panic!("no sweep {group:?}"))
+        };
+        let bits = |loads: &[f64]| loads.iter().map(|l| l.to_bits()).collect::<Vec<u64>>();
+        let opts = Mode::Quick.run_options(7);
+        for topo in Topo::ALL {
+            let s = sweep(&format!("fig07 {} uniform", topo.tag()));
+            assert_eq!(
+                bits(&s.loads),
+                bits(&ladder_for(topo, &PatternSpec::Uniform, Mode::Quick)),
+                "fig07 {} loads",
+                topo.tag()
+            );
+            assert_eq!(s.seeds, [opts.seed]);
+            assert_eq!(s.defaults.warmup_cycles, opts.warmup_cycles);
+            assert_eq!(s.defaults.measure_cycles, opts.measure_cycles);
+            assert_eq!(s.patterns, [PatternSpec::Uniform]);
+            assert_eq!(s.schemes, RoutingScheme::all());
+        }
+        assert_eq!(
+            sweep("fig11 torus hotspot").patterns,
+            [PatternSpec::Hotspot {
+                fraction: 0.10,
+                host: fig11_hotspot(&Topo::Torus.build()),
+            }]
+        );
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Shared experiment harness for the paper-reproduction binaries and
-//! Criterion benches: topology construction by name, standard sweep
-//! parameters, result formatting, and JSON output.
+//! Shared experiment harness for the `paper` runner and the development
+//! binaries: topology construction by name, command-line parsing, standard
+//! sweep parameters, result formatting, and JSON output.
 
 pub mod experiments;
-pub mod report;
 
 use std::io::Write;
 use std::path::Path;
 
+use experiments::{Figure, Request, FIGURES};
 use regnet_core::{RouteDbConfig, RoutingScheme};
 use regnet_metrics::Curve;
 use regnet_netsim::experiment::{Experiment, RunOptions, ThroughputSearch};
@@ -27,6 +27,8 @@ pub enum Topo {
 }
 
 impl Topo {
+    pub const ALL: [Topo; 3] = [Topo::Torus, Topo::Express, Topo::Cplant];
+
     pub fn build(self) -> Topology {
         match self {
             Topo::Torus => gen::torus_2d(8, 8, 8).expect("torus"),
@@ -35,21 +37,12 @@ impl Topo {
         }
     }
 
-    /// A scaled-down variant for quick runs and Criterion benches.
-    pub fn build_small(self) -> Topology {
+    /// The name `--topo` takes and output file names carry.
+    pub fn tag(self) -> &'static str {
         match self {
-            Topo::Torus => gen::torus_2d(4, 4, 4).expect("torus"),
-            Topo::Express => gen::torus_2d_express(4, 4, 4).expect("express torus"),
-            Topo::Cplant => gen::cplant().expect("cplant"),
-        }
-    }
-
-    pub fn parse(s: &str) -> Option<Topo> {
-        match s {
-            "torus" => Some(Topo::Torus),
-            "express" => Some(Topo::Express),
-            "cplant" => Some(Topo::Cplant),
-            _ => None,
+            Topo::Torus => "torus",
+            Topo::Express => "express",
+            Topo::Cplant => "cplant",
         }
     }
 
@@ -72,14 +65,6 @@ pub enum Mode {
 }
 
 impl Mode {
-    pub fn from_args() -> Mode {
-        if std::env::args().any(|a| a == "--full") {
-            Mode::Full
-        } else {
-            Mode::Quick
-        }
-    }
-
     pub fn run_options(self, seed: u64) -> RunOptions {
         match self {
             Mode::Quick => RunOptions {
@@ -148,6 +133,98 @@ pub fn parse_flag_value(args: &[String], flag: &str) -> Option<String> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .cloned()
+}
+
+/// `probe`'s offered load: the value after `--load` in flits/ns/switch,
+/// 0.015 (UP/DOWN's saturation point on the torus) when the flag is absent.
+pub fn parse_probe_load(args: &[String]) -> Result<f64, String> {
+    let Some(i) = args.iter().position(|a| a == "--load") else {
+        return Ok(0.015);
+    };
+    let value = args.get(i + 1).ok_or("--load needs a value")?;
+    match value.parse::<f64>() {
+        Ok(load) if load > 0.0 && load.is_finite() => Ok(load),
+        _ => Err(format!(
+            "bad --load {value:?}: expected a positive number of flits/ns/switch"
+        )),
+    }
+}
+
+/// A parsed `paper` command line.
+#[derive(Debug)]
+pub struct PaperArgs {
+    /// The subcommand; `None` is `all`.
+    pub figure: Option<&'static Figure>,
+    pub topo: Option<Topo>,
+    pub radius4: bool,
+    pub mode: Mode,
+}
+
+impl PaperArgs {
+    /// The figures to run, in order.
+    pub fn figures(&self) -> &'static [Figure] {
+        self.figure.map_or(FIGURES, std::slice::from_ref)
+    }
+
+    /// What `figure` is asked to do: the `--topo` panel, or all of its.
+    pub fn request(&self, figure: &Figure) -> Request {
+        Request {
+            mode: self.mode,
+            topos: self.topo.map_or(figure.topos.to_vec(), |t| vec![t]),
+            radius4: self.radius4,
+        }
+    }
+}
+
+pub fn paper_usage() -> String {
+    let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+    format!(
+        "usage: paper <{}|all> [--topo torus|express|cplant] [--radius4] [--full]\n  \
+         --topo     one panel of fig07/fig10/fig12 (fig10: torus|express)\n  \
+         --radius4  fig12 only: also the 4-switch-radius variant\n  \
+         --full     paper-fidelity windows (default: quick)",
+        names.join("|")
+    )
+}
+
+/// Parse `paper`'s arguments (without the program name). Anything a
+/// subcommand would ignore is an error, so a typo cannot silently run the
+/// default.
+pub fn parse_paper_args(args: &[String]) -> Result<PaperArgs, String> {
+    let (sub, flags) = args.split_first().ok_or("missing subcommand")?;
+    let figure = match sub.as_str() {
+        "all" => None,
+        name => Some(
+            FIGURES
+                .iter()
+                .find(|f| f.name == name)
+                .ok_or_else(|| format!("unknown subcommand {name:?}"))?,
+        ),
+    };
+    let panels = figure.map_or(&[][..], |f| f.topos);
+    let mut parsed = PaperArgs {
+        figure,
+        topo: None,
+        radius4: false,
+        mode: Mode::Quick,
+    };
+    let mut flags = flags.iter();
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
+            "--full" => parsed.mode = Mode::Full,
+            "--radius4" if sub == "fig12" => parsed.radius4 = true,
+            "--topo" if !panels.is_empty() => {
+                let value = flags.next().ok_or("--topo needs a value")?;
+                let topo = panels.iter().find(|t| t.tag() == value).ok_or_else(|| {
+                    let tags: Vec<&str> = panels.iter().map(|t| t.tag()).collect();
+                    format!("bad --topo {value:?}: {sub} takes {}", tags.join("|"))
+                })?;
+                parsed.topo = Some(*topo);
+            }
+            other => return Err(format!("{sub} does not take {other:?}")),
+        }
+    }
+    Ok(parsed)
 }
 
 /// Dump an event journal as Chrome `trace_event` JSON to `path` (load it
@@ -243,27 +320,101 @@ pub fn save_time_series(name: &str, ts: &regnet_metrics::TimeSeries) {
     }
 }
 
-/// Print a curve in the paper's presentation format.
-pub fn print_curve(curve: &Curve) {
-    println!("{}", curve.to_table());
-    println!(
-        "  -> throughput (max accepted): {:.4} flits/ns/switch\n",
-        curve.throughput()
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
-    fn topo_parsing_and_sizes() {
-        assert_eq!(Topo::parse("torus"), Some(Topo::Torus));
-        assert_eq!(Topo::parse("express"), Some(Topo::Express));
-        assert_eq!(Topo::parse("cplant"), Some(Topo::Cplant));
-        assert_eq!(Topo::parse("nope"), None);
+    fn topo_sizes() {
         assert_eq!(Topo::Torus.build().num_hosts(), 512);
         assert_eq!(Topo::Cplant.build().num_hosts(), 400);
+    }
+
+    #[test]
+    fn probe_load_is_validated() {
+        assert_eq!(parse_probe_load(&strings(&["probe"])), Ok(0.015));
+        assert_eq!(
+            parse_probe_load(&strings(&["probe", "--load", "0.03"])),
+            Ok(0.03)
+        );
+        for bad in ["garbage", "0", "-0.01", "nan", "inf", ""] {
+            let err = parse_probe_load(&strings(&["probe", "--load", bad])).unwrap_err();
+            assert!(err.contains("--load"), "{bad:?}: {err}");
+        }
+        assert!(parse_probe_load(&strings(&["probe", "--load"])).is_err());
+    }
+
+    #[test]
+    fn paper_args_accepted() {
+        let a = parse_paper_args(&strings(&["fig08"])).unwrap();
+        assert_eq!(a.figure.unwrap().name, "fig08");
+        assert_eq!((a.topo, a.radius4, a.mode), (None, false, Mode::Quick));
+        assert_eq!(a.figures().len(), 1);
+        assert!(a.request(&a.figures()[0]).topos.is_empty());
+
+        let a = parse_paper_args(&strings(&[
+            "fig12",
+            "--full",
+            "--topo",
+            "cplant",
+            "--radius4",
+        ]))
+        .unwrap();
+        assert_eq!(
+            a.request(a.figure.unwrap()),
+            Request {
+                mode: Mode::Full,
+                topos: vec![Topo::Cplant],
+                radius4: true,
+            }
+        );
+
+        // Without --topo a panelled figure runs every panel it has.
+        let a = parse_paper_args(&strings(&["fig10"])).unwrap();
+        assert_eq!(
+            a.request(a.figure.unwrap()).topos,
+            [Topo::Torus, Topo::Express]
+        );
+
+        let a = parse_paper_args(&strings(&["all", "--full"])).unwrap();
+        assert!(a.figure.is_none());
+        assert_eq!(a.mode, Mode::Full);
+        assert_eq!(a.figures().len(), FIGURES.len());
+    }
+
+    #[test]
+    fn paper_args_rejected() {
+        for (args, needle) in [
+            (&[][..], "missing subcommand"),
+            (&["bogus"], "unknown subcommand"),
+            (&["--full"], "unknown subcommand"),
+            (&["fig07_uniform"], "unknown subcommand"),
+            (&["fig08", "--ful"], "--ful"),
+            (&["fig08", "extra"], "extra"),
+            (&["fig07", "--topo"], "needs a value"),
+            (&["fig07", "--topo", "mesh"], "torus|express|cplant"),
+            (&["fig07", "--topo", "all"], "torus|express|cplant"),
+            (&["fig10", "--topo", "cplant"], "fig10 takes torus|express"),
+            (&["fig08", "--topo", "torus"], "--topo"),
+            (&["all", "--topo", "torus"], "--topo"),
+            (&["fig07", "--radius4"], "--radius4"),
+            (&["all", "--radius4"], "--radius4"),
+        ] {
+            let err = parse_paper_args(&strings(args)).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn usage_names_every_subcommand() {
+        let usage = paper_usage();
+        for f in FIGURES {
+            assert!(usage.contains(f.name), "{}", f.name);
+        }
     }
 
     #[test]

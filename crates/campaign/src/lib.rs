@@ -24,7 +24,7 @@
 //!   saturation load for this topology+scheme+fault?") that caches every
 //!   probe through the same store instead of running a full grid.
 //! * [`progress`] — the shared stderr progress/ETA printer also used by
-//!   the `fault_sweep` and `bench_report` binaries.
+//!   the `fault_sweep` binary.
 //! * [`status`] — the live `status.json` protocol: an atomically
 //!   republished snapshot of counts, per-worker state, ETA and recent
 //!   errors, rendered by `campaign --watch` and validated in CI.

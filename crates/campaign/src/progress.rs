@@ -1,5 +1,5 @@
 //! One shared stderr progress printer for every long-running binary
-//! (`campaign`, `fault_sweep`, `bench_report`), replacing their
+//! (`campaign`, `fault_sweep`), replacing their
 //! hand-rolled status lines: `[label] done/total (elapsed, ETA) detail`,
 //! with the ETA extrapolated from completed-item wall times.
 

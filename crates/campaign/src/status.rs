@@ -1,7 +1,7 @@
 //! Live status files: a machine-readable `status.json` that long-running
 //! tools republish as work lands.
 //!
-//! The campaign runner (and the `fault_sweep`/`bench_report` binaries)
+//! The campaign runner (and the `fault_sweep` binary)
 //! can take hours; their stderr progress lines are useless to anything
 //! but a human tail. A [`StatusBoard`] mirrors the same information into
 //! a JSON snapshot — counts, per-worker state, ETA, recent completions,

@@ -1,13 +1,12 @@
 //! A minimal JSON reader.
 //!
 //! The workspace's vendored `serde_json` stand-in only *writes* JSON;
-//! nothing in the reproduction needed to read any until the bench
-//! pipeline grew a `--check <baseline>` mode (compare a fresh
-//! `BENCH_netsim.json` against the committed one) and the trace tests
-//! needed to validate exported Chrome `trace_event` files. This module is
-//! that reader: a strict RFC 8259 recursive-descent parser into a
-//! [`JsonValue`] tree, plus the handful of accessors those two consumers
-//! use. It is not a serde implementation and does not try to be fast.
+//! nothing in the reproduction needed to read any until campaign files,
+//! cell checkpoints and status snapshots had to be loaded back and the
+//! trace tests needed to validate exported Chrome `trace_event` files.
+//! This module is that reader: a strict RFC 8259 recursive-descent parser
+//! into a [`JsonValue`] tree, plus the handful of accessors those
+//! consumers use. It is not a serde implementation and does not try to be fast.
 
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]

@@ -514,24 +514,8 @@ impl Experiment {
         offered: f64,
         opts: &RunOptions,
     ) -> (UtilizationSummary, Vec<ChannelDesc>) {
-        let mut sim = self.make_sim(offered, opts);
-        let descs = sim.channel_descriptors();
-        sim.run(opts.warmup_cycles);
-        sim.begin_measurement();
-        sim.run(opts.measure_cycles);
-        let stats = sim.end_measurement(opts.measure_cycles);
-        let mut busy = Vec::new();
-        let mut kept = Vec::new();
-        for (d, &b) in descs.iter().zip(&stats.channel_busy) {
-            if d.switch_link {
-                busy.push(b);
-                kept.push(*d);
-            }
-        }
-        (
-            UtilizationSummary::from_busy_cycles(&busy, opts.measure_cycles),
-            kept,
-        )
+        let (summary, descs, _) = self.link_utilization_traced(offered, opts);
+        (summary, descs)
     }
 
     /// [`link_utilization`](Experiment::link_utilization) plus the

@@ -9,8 +9,8 @@
 //!
 //! Two views of the same data:
 //!
-//! * [`ProfileReport`] — the flat per-phase table (`bench_report`'s
-//!   committed baseline format; unchanged layout).
+//! * [`ProfileReport`] — the flat per-phase table (what `benchmark/`
+//!   reports as `netsim.phase.*`).
 //! * [`SpanReport`] — the hierarchical tree *phase → shard → component
 //!   bucket* with a collapsed-stack export ([`SpanReport::to_collapsed`],
 //!   `inferno`/`flamegraph.pl`-compatible), which says where *inside* the
