@@ -20,6 +20,10 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let events_path = parse_flag_value(&args, "--events");
     let metrics_path = parse_flag_value(&args, "--metrics");
+    let fault_plan = parse_fail_links(&args).unwrap_or_else(|e| {
+        eprintln!("diagnose: {e}");
+        std::process::exit(2);
+    });
     let topo = gen::torus_2d(8, 8, 8).unwrap();
     let t0 = std::time::Instant::now();
     let db = RouteDb::build(&topo, RoutingScheme::ItbSp, &RouteDbConfig::default());
@@ -30,12 +34,10 @@ fn main() {
     if events_path.is_some() {
         sim.enable_events(EventOptions::default());
     }
-    let faulted = if let Some(plan) = parse_fail_links(&args) {
+    let faulted = fault_plan.is_some();
+    if let Some(plan) = fault_plan {
         sim.enable_faults(FaultOptions::with_plan(plan));
-        true
-    } else {
-        false
-    };
+    }
     if metrics_path.is_some() {
         // Counters are freshly zeroed, so starting the window up front
         // leaves the diagnostic output unchanged.

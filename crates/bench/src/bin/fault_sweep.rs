@@ -19,7 +19,9 @@
 //! default active-set) — faulted runs are bit-identical across engines,
 //! so this only changes wall-clock time.
 
-use regnet_bench::{parse_flag_value, save_curves, save_time_series, threads, Topo};
+use regnet_bench::{
+    parse_fault_sweep_args, save_curves, save_time_series, threads, FaultSweepArgs, Mode,
+};
 use regnet_campaign::{Progress, StatusBoard};
 use regnet_core::{RouteDbConfig, RoutingScheme};
 use regnet_metrics::{Curve, CurvePoint, TimeSeries};
@@ -29,7 +31,7 @@ use regnet_topology::{gen, LinkId, Topology};
 use regnet_traffic::PatternSpec;
 
 struct Params {
-    topo: fn() -> Topology,
+    topo: Topology,
     /// Suffix for output file names.
     topo_name: String,
     offered: f64,
@@ -44,30 +46,23 @@ struct Params {
     scheduler: Scheduler,
 }
 
-fn params() -> Params {
-    let args: Vec<String> = std::env::args().collect();
-    let sel = args
-        .iter()
-        .position(|a| a == "--topo")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str())
-        .unwrap_or("torus")
-        .to_string();
-    let topo: fn() -> Topology = match sel.as_str() {
-        "torus" => || Topo::Torus.build(),
-        "express" => || Topo::Express.build(),
-        "cplant" => || Topo::Cplant.build(),
-        other => panic!("unknown --topo {other:?} (torus|express|cplant)"),
-    };
-    let scheduler = match parse_flag_value(&args, "--scheduler") {
-        Some(s) => Scheduler::parse(&s).unwrap_or_else(|| {
-            panic!("unknown --scheduler {s:?} (scan|active-set|event|parallel[:N])")
-        }),
-        None => Scheduler::ActiveSet,
-    };
-    if args.iter().any(|a| a == "--smoke") {
-        Params {
-            topo: || gen::torus_2d(4, 4, 2).expect("torus"),
+const USAGE: &str =
+    "usage: fault_sweep [--smoke|--full] [--topo torus|express|cplant] [--scheduler <label>]\n  \
+     --smoke      4x4 torus and tiny windows for CI (ignores --topo and --full)\n  \
+     --full       longer windows (default: quick)\n  \
+     --topo       the paper topology to sweep (default torus)\n  \
+     --scheduler  scan|active-set|event|parallel[:N] (default active-set)";
+
+fn params(args: FaultSweepArgs) -> Params {
+    let FaultSweepArgs {
+        topo,
+        scheduler,
+        smoke,
+        mode,
+    } = args;
+    if smoke {
+        return Params {
+            topo: gen::torus_2d(4, 4, 2).expect("torus"),
             topo_name: "smoke".to_string(),
             offered: 0.01,
             warmup: 4_000,
@@ -81,31 +76,22 @@ fn params() -> Params {
                 ..SimConfig::default()
             },
             scheduler,
-        }
-    } else if args.iter().any(|a| a == "--full") {
-        Params {
-            topo,
-            topo_name: sel.clone(),
-            offered: 0.01,
-            warmup: 100_000,
-            measure: 300_000,
-            ks: vec![0, 1, 2, 4, 8, 16],
-            interval: 5_000,
-            cfg: SimConfig::default(),
-            scheduler,
-        }
-    } else {
-        Params {
-            topo,
-            topo_name: sel,
-            offered: 0.01,
-            warmup: 40_000,
-            measure: 100_000,
-            ks: vec![0, 1, 2, 4, 8],
-            interval: 2_500,
-            cfg: SimConfig::default(),
-            scheduler,
-        }
+        };
+    }
+    let (warmup, measure, ks, interval) = match mode {
+        Mode::Full => (100_000, 300_000, vec![0, 1, 2, 4, 8, 16], 5_000),
+        Mode::Quick => (40_000, 100_000, vec![0, 1, 2, 4, 8], 2_500),
+    };
+    Params {
+        topo: topo.build(),
+        topo_name: topo.tag().to_string(),
+        offered: 0.01,
+        warmup,
+        measure,
+        ks,
+        interval,
+        cfg: SimConfig::default(),
+        scheduler,
     }
 }
 
@@ -123,7 +109,7 @@ fn spaced_switch_links(topo: &Topology, k: usize) -> Vec<LinkId> {
 
 fn experiment(p: &Params, scheme: RoutingScheme) -> Experiment {
     Experiment::new(
-        (p.topo)(),
+        p.topo.clone(),
         scheme,
         RouteDbConfig::default(),
         PatternSpec::Uniform,
@@ -264,7 +250,11 @@ fn goodput_dip(p: &Params, board: &mut StatusBoard) {
 }
 
 fn main() {
-    let p = params();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let p = params(parse_fault_sweep_args(&args).unwrap_or_else(|e| {
+        eprintln!("fault_sweep: {e}\n{USAGE}");
+        std::process::exit(2);
+    }));
     Progress::announce(
         "fault-sweep",
         &format!(

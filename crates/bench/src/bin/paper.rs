@@ -2,7 +2,7 @@
 //! (`fig07` … `fig12`, `table1` … `table3`), the route statistics of
 //! section 4.7.1 (`routes`), the message-size check of section 4.2
 //! (`msgsize`), the irregular-network extension (`irregular`) and the
-//! DESIGN.md §8 ablations (`ablation`). `all` runs every one of them and
+//! DESIGN.md §14 ablations (`ablation`). `all` runs every one of them and
 //! also saves what they print as `target/experiments/report.txt`.
 //!
 //! Quick mode (the default) takes seconds to a minute per subcommand in a

@@ -38,7 +38,10 @@ fn main() {
     let events_path = parse_flag_value(&args, "--events");
     let metrics_path = parse_flag_value(&args, "--metrics");
     let flame_path = parse_flag_value(&args, "--flame");
-    let fault_plan = parse_fail_links(&args);
+    let fault_plan = parse_fail_links(&args).unwrap_or_else(|e| {
+        eprintln!("probe: {e}");
+        std::process::exit(2);
+    });
     let (warmup_cycles, measure_cycles) = (60_000u64, 150_000u64);
     let topo = gen::torus_2d(8, 8, 8).expect("torus");
     let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).expect("pattern");

@@ -813,7 +813,7 @@ fn run_irregular(req: &Request, out: &mut Tee) {
     out.put("up*/down* forbids an increasing share of minimal paths.\n");
 }
 
-/// The design choices called out in DESIGN.md §8, one ITB-RR point each
+/// The design choices called out in DESIGN.md §14, one ITB-RR point each
 /// on a 4×4 torus (4 hosts per switch, 64-flit messages, offered 0.012):
 /// re-injection priority, cut-through vs store-and-forward re-injection,
 /// the alternative-route cap, the in-transit pool size, the spanning-tree

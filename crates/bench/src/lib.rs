@@ -11,8 +11,8 @@ use experiments::{Figure, Request, FIGURES};
 use regnet_core::{RouteDbConfig, RoutingScheme};
 use regnet_metrics::Curve;
 use regnet_netsim::experiment::{Experiment, RunOptions, ThroughputSearch};
-use regnet_netsim::SimConfig;
-use regnet_topology::{gen, Topology};
+use regnet_netsim::{FaultPlan, Scheduler, SimConfig};
+use regnet_topology::{gen, LinkId, Topology};
 use regnet_traffic::PatternSpec;
 
 /// The three topologies of the paper's evaluation.
@@ -104,26 +104,21 @@ pub use regnet_netsim::threads::{threads, threads_from};
 /// Parse every `--fail-link <id>@<cycle>` occurrence in `args` into a
 /// fault plan; `None` when the flag is absent. Shared by the probe and
 /// diagnose binaries.
-pub fn parse_fail_links(args: &[String]) -> Option<regnet_netsim::FaultPlan> {
-    let mut plan = regnet_netsim::FaultPlan::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--fail-link" {
-            let spec = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("--fail-link needs <id>@<cycle>"));
-            let (id, cycle) = spec
-                .split_once('@')
-                .unwrap_or_else(|| panic!("bad --fail-link {spec:?}: expected <id>@<cycle>"));
-            let id: u32 = id.parse().expect("link id must be an integer");
-            let cycle: u64 = cycle.parse().expect("cycle must be an integer");
-            plan.fail_link(cycle, regnet_topology::LinkId(id));
-            i += 2;
-        } else {
-            i += 1;
+pub fn parse_fail_links(args: &[String]) -> Result<Option<FaultPlan>, String> {
+    let mut plan = FaultPlan::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if arg != "--fail-link" {
+            continue;
         }
+        let spec = args.next().ok_or("--fail-link needs <id>@<cycle>")?;
+        let bad = || format!("bad --fail-link {spec:?}: expected <id>@<cycle>");
+        let (id, cycle) = spec.split_once('@').ok_or_else(bad)?;
+        let id = id.parse::<u32>().map_err(|_| bad())?;
+        let cycle = cycle.parse::<u64>().map_err(|_| bad())?;
+        plan.fail_link(cycle, LinkId(id));
     }
-    (!plan.is_empty()).then_some(plan)
+    Ok((!plan.is_empty()).then_some(plan))
 }
 
 /// Value following `flag` in `args` (e.g. `--events trace.json`); `None`
@@ -214,14 +209,64 @@ pub fn parse_paper_args(args: &[String]) -> Result<PaperArgs, String> {
             "--full" => parsed.mode = Mode::Full,
             "--radius4" if sub == "fig12" => parsed.radius4 = true,
             "--topo" if !panels.is_empty() => {
-                let value = flags.next().ok_or("--topo needs a value")?;
-                let topo = panels.iter().find(|t| t.tag() == value).ok_or_else(|| {
-                    let tags: Vec<&str> = panels.iter().map(|t| t.tag()).collect();
-                    format!("bad --topo {value:?}: {sub} takes {}", tags.join("|"))
-                })?;
-                parsed.topo = Some(*topo);
+                parsed.topo = Some(topo_among(panels, flags.next(), sub)?);
             }
             other => return Err(format!("{sub} does not take {other:?}")),
+        }
+    }
+    Ok(parsed)
+}
+
+/// The `--topo` value among the `panels` that `who` takes.
+fn topo_among(panels: &[Topo], value: Option<&String>, who: &str) -> Result<Topo, String> {
+    let value = value.ok_or("--topo needs a value")?;
+    panels
+        .iter()
+        .copied()
+        .find(|t| t.tag() == value)
+        .ok_or_else(|| {
+            let tags: Vec<&str> = panels.iter().map(|t| t.tag()).collect();
+            format!("bad --topo {value:?}: {who} takes {}", tags.join("|"))
+        })
+}
+
+/// A parsed `fault_sweep` command line.
+#[derive(Debug, PartialEq)]
+pub struct FaultSweepArgs {
+    pub topo: Topo,
+    /// Cycle-loop engine for every run in the sweep.
+    pub scheduler: Scheduler,
+    /// `--smoke`: tiny topology and windows for CI; wins over `mode`.
+    pub smoke: bool,
+    pub mode: Mode,
+}
+
+/// Parse `fault_sweep`'s arguments (without the program name), as strictly
+/// as [`parse_paper_args`].
+pub fn parse_fault_sweep_args(args: &[String]) -> Result<FaultSweepArgs, String> {
+    let mut parsed = FaultSweepArgs {
+        topo: Topo::Torus,
+        scheduler: Scheduler::default(),
+        smoke: false,
+        mode: Mode::Quick,
+    };
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--smoke" => parsed.smoke = true,
+            "--full" => parsed.mode = Mode::Full,
+            "--topo" => {
+                parsed.topo = topo_among(&Topo::ALL, args.next(), "fault_sweep")?;
+            }
+            "--scheduler" => {
+                let value = args.next().ok_or("--scheduler needs a value")?;
+                parsed.scheduler = Scheduler::parse(value).ok_or_else(|| {
+                    format!(
+                        "bad --scheduler {value:?}: expected scan|active-set|event|parallel[:N]"
+                    )
+                })?;
+            }
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
     Ok(parsed)
@@ -407,6 +452,40 @@ mod tests {
             let err = parse_paper_args(&strings(args)).unwrap_err();
             assert!(err.contains(needle), "{args:?}: {err}");
         }
+        // fault_sweep is as strict, and its good lines still parse.
+        for (args, needle) in [
+            (&["--topo"][..], "needs a value"),
+            (&["--topo", "mesh"], "torus|express|cplant"),
+            (&["--topo", "--smoke"], "torus|express|cplant"),
+            (&["--scheduler"], "needs a value"),
+            (
+                &["--scheduler", "fast"],
+                "scan|active-set|event|parallel[:N]",
+            ),
+            (&["--scheduler", "parallel:0"], "parallel:0"),
+            (&["--smok"], "--smok"),
+            (&["torus"], "torus"),
+        ] {
+            let err = parse_fault_sweep_args(&strings(args)).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
+        assert_eq!(
+            parse_fault_sweep_args(&strings(&[
+                "--smoke",
+                "--topo",
+                "cplant",
+                "--scheduler",
+                "parallel:4",
+                "--full",
+            ])),
+            Ok(FaultSweepArgs {
+                topo: Topo::Cplant,
+                scheduler: Scheduler::Parallel { threads: 4 },
+                smoke: true,
+                mode: Mode::Full,
+            })
+        );
+        assert!(!parse_fault_sweep_args(&[]).unwrap().smoke);
     }
 
     #[test]
@@ -431,9 +510,20 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let plan = parse_fail_links(&args).expect("two events");
+        let plan = parse_fail_links(&args).unwrap().expect("two events");
         assert_eq!(plan.len(), 2);
-        assert!(parse_fail_links(&["x".to_string()]).is_none());
+        assert_eq!(parse_fail_links(&strings(&["x"])), Ok(None));
+        for bad in [
+            &["--fail-link"][..],
+            &["--fail-link", "3"],
+            &["--fail-link", "x@5000"],
+            &["--fail-link", "3@soon"],
+            &["--fail-link", "-3@5000"],
+            &["--fail-link", "3@5000", "--fail-link"],
+        ] {
+            let err = parse_fail_links(&strings(bad)).unwrap_err();
+            assert!(err.contains("<id>@<cycle>"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -118,15 +118,13 @@ pub fn parse_scheme(s: &str) -> Result<RoutingScheme, String> {
     }
 }
 
-/// Parse a traffic pattern: `uniform`, `bit-reversal`, `transpose`,
-/// `complement`, `local:<max-switch-dist>`, `hotspot:<fraction>@<host>`.
+/// Parse a traffic pattern: `uniform`, `bit-reversal`,
+/// `local:<max-switch-dist>`, `hotspot:<fraction>@<host>`.
 pub fn parse_pattern(s: &str) -> Result<PatternSpec, String> {
     let s = s.trim();
     match s {
         "uniform" => return Ok(PatternSpec::Uniform),
         "bit-reversal" | "bitreversal" | "bitrev" => return Ok(PatternSpec::BitReversal),
-        "transpose" => return Ok(PatternSpec::Transpose),
-        "complement" => return Ok(PatternSpec::Complement),
         _ => {}
     }
     if let Some(d) = s.strip_prefix("local:") {
@@ -158,7 +156,7 @@ pub fn parse_pattern(s: &str) -> Result<PatternSpec, String> {
         });
     }
     Err(format!(
-        "unknown pattern {s:?} (uniform|bit-reversal|transpose|complement|local:<d>|hotspot:<f>@<host>)"
+        "unknown pattern {s:?} (uniform|bit-reversal|local:<d>|hotspot:<f>@<host>)"
     ))
 }
 
@@ -167,8 +165,6 @@ pub fn pattern_key(p: &PatternSpec) -> String {
     match p {
         PatternSpec::Uniform => "uniform".into(),
         PatternSpec::BitReversal => "bit-reversal".into(),
-        PatternSpec::Transpose => "transpose".into(),
-        PatternSpec::Complement => "complement".into(),
         PatternSpec::Local { max_switch_dist } => format!("local:{max_switch_dist}"),
         PatternSpec::Hotspot { fraction, host } => format!("hotspot:{fraction}@{}", host.0),
     }
@@ -825,7 +821,13 @@ mod tests {
         );
         assert_eq!(pattern_key(&h), "hotspot:0.1@37");
         assert!(parse_pattern("hotspot:2.0@1").is_err());
-        assert!(parse_pattern("nearest").is_err());
+        for unknown in ["nearest", "transpose", "complement"] {
+            let err = parse_pattern(unknown).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown pattern {unknown:?}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -967,6 +969,12 @@ mod tests {
             {"topos": ["torus"], "schemes": ["XY"], "patterns": ["uniform"], "loads": [0.01]}
         ]}"#;
         assert!(CampaignSpec::from_json_str(bad_scheme).is_err());
+        // A file written against the old grammar fails here, naming the string.
+        let old_pattern = bad_scheme
+            .replace("XY", "ITB-RR")
+            .replace("uniform", "transpose");
+        let err = CampaignSpec::from_json_str(&old_pattern).unwrap_err();
+        assert!(err.contains(r#"unknown pattern "transpose""#), "{err}");
         let bad_schema = r#"{"schema": "regnet-campaign-v9", "name": "x", "sweeps": [
             {"topos": ["torus"], "schemes": ["ITB-RR"], "patterns": ["uniform"], "loads": [0.01]}
         ]}"#;

@@ -75,13 +75,6 @@ impl FaultSet {
         self
     }
 
-    /// Merge another fault set into this one (faults accumulate).
-    pub fn merge(&mut self, other: &FaultSet) {
-        self.dead_links.extend(&other.dead_links);
-        self.dead_switches.extend(&other.dead_switches);
-        self.dead_hosts.extend(&other.dead_hosts);
-    }
-
     pub fn is_switch_alive(&self, s: SwitchId) -> bool {
         !self.dead_switches.contains(&s)
     }
@@ -105,15 +98,6 @@ impl FaultSet {
 
     pub fn is_empty(&self) -> bool {
         self.dead_links.is_empty() && self.dead_switches.is_empty() && self.dead_hosts.is_empty()
-    }
-
-    /// Counts of (links, switches, hosts) explicitly marked dead.
-    pub fn counts(&self) -> (usize, usize, usize) {
-        (
-            self.dead_links.len(),
-            self.dead_switches.len(),
-            self.dead_hosts.len(),
-        )
     }
 }
 
@@ -157,15 +141,5 @@ mod tests {
         let h = topo.hosts_of(SwitchId(7))[0];
         let f = FaultSet::link(topo.host_link(h));
         assert!(!f.is_host_alive(&topo, h));
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = FaultSet::link(LinkId(1));
-        let b = FaultSet::switch(SwitchId(2));
-        a.merge(&b);
-        assert_eq!(a.counts(), (1, 1, 0));
-        assert!(!a.is_empty());
-        assert!(FaultSet::new().is_empty());
     }
 }

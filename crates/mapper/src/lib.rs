@@ -9,32 +9,39 @@
 //!   host, producing a fresh, renumbered [`Topology`](regnet_topology::Topology) plus the id maps
 //!   between the physical and the discovered network (the real Myrinet
 //!   mapper also renumbers after re-mapping).
-//! * [`ManagedNetwork`] — the full maintenance loop: inject faults,
-//!   re-map, rebuild the routing tables for any
-//!   [`RoutingScheme`](regnet_core::RoutingScheme), and
-//!   report what was lost.
+//! * [`rebuild_physical_routes`] — the maintenance step a running network
+//!   takes after every fault: re-map, rebuild the routing tables for any
+//!   [`RoutingScheme`](regnet_core::RoutingScheme) and translate them back
+//!   into physical ids, as [`PhysicalRoutes`]. The simulator's fault
+//!   machinery (`regnet_netsim::faultplan`) calls it on every
+//!   reconfiguration.
 //!
 //! # Example
 //!
 //! ```
-//! use regnet_topology::{gen, LinkId, HostId};
-//! use regnet_core::RoutingScheme;
-//! use regnet_mapper::{FaultSet, ManagedNetwork};
+//! use regnet_topology::{gen, HostId, LinkId};
+//! use regnet_core::{RouteDbConfig, RoutingScheme};
+//! use regnet_mapper::{rebuild_physical_routes, FaultSet};
 //!
 //! let physical = gen::torus_2d(4, 4, 2).unwrap();
-//! let mut net = ManagedNetwork::new(physical, RoutingScheme::ItbRr).unwrap();
-//! // A cable dies; the mapper re-explores and rebuilds the routes.
-//! let report = net.inject(FaultSet::link(LinkId(0))).unwrap();
-//! assert_eq!(report.lost_hosts, 0);
-//! assert!(net.route_db().iter_pairs().count() > 0);
+//! // A cable dies; the mapper re-explores from host 0 and rebuilds the routes.
+//! let faults = FaultSet::link(LinkId(0));
+//! let routes = rebuild_physical_routes(
+//!     &physical,
+//!     &faults,
+//!     HostId(0),
+//!     RoutingScheme::ItbRr,
+//!     &RouteDbConfig::default(),
+//! )
+//! .unwrap();
+//! assert_eq!(routes.lost_hosts(), 0);
+//! routes.verify(&physical, &faults).unwrap();
 //! ```
 
 mod discovery;
 mod fault;
-mod managed;
 mod runtime;
 
 pub use discovery::{discover, DiscoveredNetwork, MapperError};
 pub use fault::FaultSet;
-pub use managed::{ManagedNetwork, ReconfigReport};
 pub use runtime::{rebuild_physical_routes, PhysicalRoutes};

@@ -4,7 +4,7 @@ use crate::packet::NO_PACKET;
 
 /// Who receives the data flits of a channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Receiver {
+pub(crate) enum Receiver {
     /// A switch input buffer.
     SwitchIn { sw: u32, port: u8 },
     /// A host NIC.
@@ -14,7 +14,7 @@ pub enum Receiver {
 /// Who drives the data flits of a channel (and therefore receives its
 /// stop/go control flits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sender {
+pub(crate) enum Sender {
     /// A switch output port.
     SwitchOut { sw: u32, port: u8 },
     /// A host NIC.
@@ -22,9 +22,9 @@ pub enum Sender {
 }
 
 /// Stop/go control symbols travelling against the data direction.
-pub const CTL_NONE: u8 = 0;
-pub const CTL_STOP: u8 = 1;
-pub const CTL_GO: u8 = 2;
+pub(crate) const CTL_NONE: u8 = 0;
+pub(crate) const CTL_STOP: u8 = 1;
+pub(crate) const CTL_GO: u8 = 2;
 
 /// The data half of a channel: a delay line of `delay` flit slots, written
 /// by the channel's sender and drained by its receiver.
@@ -36,7 +36,7 @@ pub const CTL_GO: u8 = 2;
 /// lane therefore carries its own copy of the cable's `delay` and `dead`
 /// state (`dead` changes only in the fault phase, on the main thread).
 #[derive(Debug)]
-pub struct DataLane {
+pub(crate) struct DataLane {
     delay: u32,
     /// A dead channel drops every flit offered to it (cable fault).
     dead: bool,
@@ -51,7 +51,7 @@ pub struct DataLane {
 impl DataLane {
     /// Take the data flit arriving this cycle (if any), freeing the slot.
     #[inline]
-    pub fn take_arrival(&mut self, cycle: u64) -> Option<u32> {
+    pub(crate) fn take_arrival(&mut self, cycle: u64) -> Option<u32> {
         let s = (cycle % self.delay as u64) as usize;
         let v = self.slots[s];
         if v == NO_PACKET {
@@ -68,7 +68,7 @@ impl DataLane {
     /// channel silently eats the flit — the sender cannot tell (Myrinet
     /// links carry no acknowledgement; loss is detected end-to-end).
     #[inline]
-    pub fn send(&mut self, cycle: u64, packet: u32) {
+    pub(crate) fn send(&mut self, cycle: u64, packet: u32) {
         if self.dead {
             return;
         }
@@ -78,7 +78,7 @@ impl DataLane {
     }
 
     #[inline]
-    pub fn is_dead(&self) -> bool {
+    pub(crate) fn is_dead(&self) -> bool {
         self.dead
     }
 }
@@ -88,7 +88,7 @@ impl DataLane {
 /// and drained by its sender (Myrinet encodes control symbols inline; they
 /// do not consume data bandwidth).
 #[derive(Debug)]
-pub struct CtlLane {
+pub(crate) struct CtlLane {
     delay: u32,
     /// Control symbols die with the cable too.
     dead: bool,
@@ -103,7 +103,7 @@ pub struct CtlLane {
 impl CtlLane {
     /// Take the control symbol arriving this cycle.
     #[inline]
-    pub fn take_arrival(&mut self, cycle: u64) -> u8 {
+    pub(crate) fn take_arrival(&mut self, cycle: u64) -> u8 {
         let s = (cycle % self.delay as u64) as usize;
         std::mem::replace(&mut self.slots[s], CTL_NONE)
     }
@@ -118,7 +118,7 @@ impl CtlLane {
     /// *same* cycle (e.g. a purge's GO replacing this cycle's STOP), which
     /// the debug assertion below permits.
     #[inline]
-    pub fn send(&mut self, cycle: u64, symbol: u8) {
+    pub(crate) fn send(&mut self, cycle: u64, symbol: u8) {
         if self.dead {
             return;
         }
@@ -138,7 +138,7 @@ impl CtlLane {
 /// per-cycle operations are the lanes'; the methods below are the
 /// whole-cable ones (inspection, faults).
 #[derive(Debug)]
-pub struct Channel {
+pub(crate) struct Channel {
     pub sender: Sender,
     pub receiver: Receiver,
     pub data: DataLane,
@@ -146,7 +146,7 @@ pub struct Channel {
 }
 
 impl Channel {
-    pub fn new(sender: Sender, receiver: Receiver, delay: u32) -> Channel {
+    pub(crate) fn new(sender: Sender, receiver: Receiver, delay: u32) -> Channel {
         assert!(delay > 0);
         Channel {
             sender,
@@ -167,30 +167,30 @@ impl Channel {
     }
 
     /// Any data flits still in flight?
-    pub fn has_data_in_flight(&self) -> bool {
+    pub(crate) fn has_data_in_flight(&self) -> bool {
         self.data.slots.iter().any(|&v| v != NO_PACKET)
     }
 
     /// Any control symbols (STOP/GO/purge) still in flight? Used by the
     /// event-driven driver's pending-work oracle.
-    pub fn has_ctl_in_flight(&self) -> bool {
+    pub(crate) fn has_ctl_in_flight(&self) -> bool {
         self.ctl.slots.iter().any(|&v| v != CTL_NONE)
     }
 
     /// Data flits observed since the last [`reset_busy`](Channel::reset_busy).
-    pub fn busy_cycles(&self) -> u64 {
+    pub(crate) fn busy_cycles(&self) -> u64 {
         self.data.busy_cycles
     }
 
     /// Reset the utilization counter (start of the measurement window).
-    pub fn reset_busy(&mut self) {
+    pub(crate) fn reset_busy(&mut self) {
         self.data.busy_cycles = 0;
     }
 
     /// Kill the channel: every in-flight flit is lost. Returns the distinct
     /// packet ids whose flits were destroyed (the victims' worms have been
     /// truncated — the upstream state must be purged by the caller).
-    pub fn fail(&mut self) -> Vec<u32> {
+    pub(crate) fn fail(&mut self) -> Vec<u32> {
         let mut victims: Vec<u32> = self
             .data
             .slots
@@ -206,7 +206,7 @@ impl Channel {
 
     /// Drop every in-flight flit of one packet (its worm is being purged
     /// after a fault elsewhere on its path).
-    pub fn purge(&mut self, pid: u32) {
+    pub(crate) fn purge(&mut self, pid: u32) {
         for slot in self.data.slots.iter_mut() {
             if *slot == pid {
                 *slot = NO_PACKET;
@@ -215,7 +215,7 @@ impl Channel {
     }
 
     /// Bring a repaired channel back into service, empty.
-    pub fn repair(&mut self) {
+    pub(crate) fn repair(&mut self) {
         self.set_dead(false);
     }
 
@@ -227,7 +227,7 @@ impl Channel {
         self.ctl.slots.fill(CTL_NONE);
     }
 
-    pub fn is_dead(&self) -> bool {
+    pub(crate) fn is_dead(&self) -> bool {
         self.data.dead
     }
 }

@@ -508,18 +508,8 @@ impl Experiment {
     }
 
     /// Link-utilization summary at one offered load, restricted to
-    /// switch↔switch channels (what the paper's Figures 8/9/11 map).
-    pub fn link_utilization(
-        &self,
-        offered: f64,
-        opts: &RunOptions,
-    ) -> (UtilizationSummary, Vec<ChannelDesc>) {
-        let (summary, descs, _) = self.link_utilization_traced(offered, opts);
-        (summary, descs)
-    }
-
-    /// [`link_utilization`](Experiment::link_utilization) plus the
-    /// per-channel utilization *time series* recorded by the
+    /// switch↔switch channels (what the paper's Figures 8/9/11 map), plus
+    /// the per-channel utilization *time series* recorded by the
     /// `channel_util_interval` observer (rows filtered to switch↔switch
     /// channels, parallel to the returned descriptors). The series is
     /// `None` when `opts.trace.channel_util_interval` is unset.
@@ -690,7 +680,7 @@ mod tests {
     #[test]
     fn link_utilization_switch_links_only() {
         let exp = small_exp(RoutingScheme::UpDown);
-        let (util, descs) = exp.link_utilization(0.006, &quick_opts());
+        let (util, descs, _) = exp.link_utilization_traced(0.006, &quick_opts());
         // 4x4 torus: 32 switch links = 64 directed channels.
         assert_eq!(descs.len(), 64);
         assert_eq!(util.per_channel.len(), 64);

@@ -8,7 +8,7 @@
 //!
 //! The simulator consumes the plan through
 //! [`Simulator::enable_faults`](crate::Simulator::enable_faults); the
-//! runtime bookkeeping lives in [`FaultRuntime`] (crate-private).
+//! runtime bookkeeping lives in `FaultRuntime` (crate-private).
 //!
 //! Fault execution is a scheduler hook site: purging a worm resends GO
 //! symbols and hands arrivals/grants to components the active-set
@@ -265,7 +265,7 @@ pub(crate) struct FaultRuntime {
 }
 
 impl FaultRuntime {
-    pub fn new(opts: FaultOptions, n_hosts: usize) -> FaultRuntime {
+    pub(crate) fn new(opts: FaultOptions, n_hosts: usize) -> FaultRuntime {
         let mut plan = opts.plan;
         plan.normalize();
         FaultRuntime {

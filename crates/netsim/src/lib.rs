@@ -53,7 +53,6 @@
 //! ```
 
 mod channel;
-pub mod collective;
 mod config;
 pub mod counters;
 pub mod events;

@@ -8,7 +8,7 @@ use rand::rngs::SmallRng;
 
 /// Reception progress for the packet currently streaming into this NIC.
 #[derive(Debug, Clone, Copy)]
-pub struct RxState {
+pub(crate) struct RxState {
     pub pid: u32,
     pub received: u32,
     pub expected: u32,
@@ -19,7 +19,7 @@ pub struct RxState {
 
 /// Transmission progress for the packet currently leaving this NIC.
 #[derive(Debug, Clone, Copy)]
-pub struct TxState {
+pub(crate) struct TxState {
     pub pid: u32,
     pub sent: u32,
     pub total: u32,
@@ -28,7 +28,7 @@ pub struct TxState {
 
 /// What kind of transmission a [`Nic::pick_next_tx`] winner is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxKind {
+pub(crate) enum TxKind {
     /// A locally generated packet leaving for the first time.
     Fresh,
     /// An in-transit packet continuing its journey (holds pool space).
@@ -40,7 +40,7 @@ pub enum TxKind {
 
 /// One host's network interface.
 #[derive(Debug)]
-pub struct Nic {
+pub(crate) struct Nic {
     /// Channel into the switch (data out).
     pub out_chan: u32,
     /// STOP received from the switch input buffer we feed.
@@ -66,7 +66,7 @@ pub struct Nic {
 }
 
 impl Nic {
-    pub fn new(out_chan: u32, rng: SmallRng) -> Nic {
+    pub(crate) fn new(out_chan: u32, rng: SmallRng) -> Nic {
         Nic {
             out_chan,
             stopped: false,
@@ -90,7 +90,7 @@ impl Nic {
     /// Retransmissions slot in between: they carry already-late traffic, so
     /// they outrank fresh injections, but never preempt in-transit packets
     /// holding pool space.
-    pub fn pick_next_tx(&mut self, cycle: u64, itb_priority: bool) -> Option<(u32, TxKind)> {
+    pub(crate) fn pick_next_tx(&mut self, cycle: u64, itb_priority: bool) -> Option<(u32, TxKind)> {
         let ready = |heap: &BinaryHeap<Reverse<(u64, u32)>>| {
             heap.peek()
                 .filter(|Reverse((ready, _))| *ready <= cycle)
@@ -122,7 +122,7 @@ impl Nic {
     /// ready later are covered by the scheduler's wake-up heap (one entry
     /// per insertion), so the active-set scheduler may retire a NIC for
     /// which this holds.
-    pub fn quiescent_for_tx(&self, cycle: u64) -> bool {
+    pub(crate) fn quiescent_for_tx(&self, cycle: u64) -> bool {
         let ready = |heap: &BinaryHeap<Reverse<(u64, u32)>>| {
             heap.peek().is_some_and(|Reverse((r, _))| *r <= cycle)
         };
@@ -133,7 +133,7 @@ impl Nic {
     }
 
     /// Anything left to do at this NIC?
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.tx.is_none()
             && self.rx.is_none()
             && self.local_queue.is_empty()

@@ -3,12 +3,12 @@
 use regnet_core::Journey;
 
 /// Sentinel for "no packet".
-pub const NO_PACKET: u32 = u32::MAX;
+pub(crate) const NO_PACKET: u32 = u32::MAX;
 
 /// A message in flight. One message = one packet (the paper's messages are
 /// single packets of 32–1024 bytes).
 #[derive(Debug)]
-pub struct Packet {
+pub(crate) struct Packet {
     pub journey: Journey,
     /// Message this packet belongs to (index into the simulator's message
     /// table). Multiple packets share a message when segmentation is on.
@@ -34,19 +34,19 @@ pub struct Packet {
 impl Packet {
     /// Wire length (flits) of this packet at the start of its current
     /// segment.
-    pub fn wire_len_current_segment(&self) -> u32 {
+    pub(crate) fn wire_len_current_segment(&self) -> u32 {
         self.journey
             .wire_len_entering_segment(self.seg as usize, self.payload as usize) as u32
     }
 
     /// Flits that will arrive at the receiver the packet is currently
     /// heading into, given `hop` port bytes of the segment were consumed.
-    pub fn expected_at_next_receiver(&self) -> u32 {
+    pub(crate) fn expected_at_next_receiver(&self) -> u32 {
         self.wire_len_current_segment() - self.hop as u32
     }
 
     /// The output port the current switch must use, advancing the cursor.
-    pub fn consume_port_byte(&mut self) -> u8 {
+    pub(crate) fn consume_port_byte(&mut self) -> u8 {
         let seg = &self.journey.segments[self.seg as usize];
         let p = seg.ports[self.hop as usize];
         self.hop += 1;
@@ -54,7 +54,7 @@ impl Packet {
     }
 
     /// Is the packet on its final segment?
-    pub fn on_final_segment(&self) -> bool {
+    pub(crate) fn on_final_segment(&self) -> bool {
         self.seg as usize == self.journey.segments.len() - 1
     }
 }
@@ -62,17 +62,17 @@ impl Packet {
 /// A simple slab arena: stable u32 ids, O(1) alloc/free, freed slots reused
 /// last-freed-first (so the order of removals decides every later id).
 #[derive(Debug)]
-pub struct Arena<T> {
+pub(crate) struct Arena<T> {
     slots: Vec<Option<T>>,
     free: Vec<u32>,
     live: usize,
 }
 
 /// The packets in flight.
-pub type PacketArena = Arena<Packet>;
+pub(crate) type PacketArena = Arena<Packet>;
 
 impl<T> Arena<T> {
-    pub fn new() -> Arena<T> {
+    pub(crate) fn new() -> Arena<T> {
         Arena {
             slots: Vec::new(),
             free: Vec::new(),
@@ -80,7 +80,7 @@ impl<T> Arena<T> {
         }
     }
 
-    pub fn insert(&mut self, p: T) -> u32 {
+    pub(crate) fn insert(&mut self, p: T) -> u32 {
         self.live += 1;
         if let Some(id) = self.free.pop() {
             self.slots[id as usize] = Some(p);
@@ -91,7 +91,7 @@ impl<T> Arena<T> {
         }
     }
 
-    pub fn remove(&mut self, id: u32) -> T {
+    pub(crate) fn remove(&mut self, id: u32) -> T {
         let p = self.slots[id as usize].take().expect("double free");
         self.live -= 1;
         self.free.push(id);
@@ -99,17 +99,17 @@ impl<T> Arena<T> {
     }
 
     #[inline]
-    pub fn get(&self, id: u32) -> &T {
+    pub(crate) fn get(&self, id: u32) -> &T {
         self.slots[id as usize].as_ref().expect("stale id")
     }
 
     #[inline]
-    pub fn get_mut(&mut self, id: u32) -> &mut T {
+    pub(crate) fn get_mut(&mut self, id: u32) -> &mut T {
         self.slots[id as usize].as_mut().expect("stale id")
     }
 
     /// Entries currently alive.
-    pub fn live(&self) -> usize {
+    pub(crate) fn live(&self) -> usize {
         self.live
     }
 

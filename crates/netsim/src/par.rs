@@ -5,7 +5,7 @@
 //! monomorphised functions the sequential engines run. What lives here is
 //! *when* the kernel's effects land: a worker pool that runs the kernel's
 //! phase loops per shard, and the [`ShardSink`] through which a shard's
-//! kernels reach shared state. DESIGN.md §4f tabulates, for every effect,
+//! kernels reach shared state. DESIGN.md §6 tabulates, for every effect,
 //! where the sequential sink applies it and under which key this one
 //! buffers it, and carries the argument for bit-identity; in short:
 //!
@@ -440,7 +440,7 @@ impl ParCtx<'_> {
 }
 
 /// One shard's [`Sink`] (and [`Parts`]) for one region of one cycle;
-/// DESIGN.md §4f tabulates what each effect does here.
+/// DESIGN.md §6 tabulates what each effect does here.
 struct ShardSink<'a> {
     ctx: &'a ParCtx<'a>,
     sh: &'a mut ShardState,

@@ -156,7 +156,7 @@ pub(crate) struct ActiveSched {
 }
 
 impl ActiveSched {
-    pub fn new(delay: u32, n_switches: usize, n_nics: usize) -> ActiveSched {
+    pub(crate) fn new(delay: u32, n_switches: usize, n_nics: usize) -> ActiveSched {
         assert!(delay > 0);
         let delay = delay as u64;
         ActiveSched {
@@ -177,7 +177,7 @@ impl ActiveSched {
     /// A data flit was written on channel `ci` at `cycle`; it arrives at
     /// `cycle + delay`, whose bucket is the same `cycle % delay` index.
     #[inline]
-    pub fn note_data(&mut self, cycle: u64, ci: u32) {
+    pub(crate) fn note_data(&mut self, cycle: u64, ci: u32) {
         let idx = (cycle % self.delay) as usize;
         self.data_wheel[idx].push(ci);
         self.data_entries += 1;
@@ -189,7 +189,7 @@ impl ActiveSched {
     /// by *this* cycle's control phase, exactly when the scan loop would
     /// read the (shared) slot.
     #[inline]
-    pub fn note_ctl(&mut self, cycle: u64, ci: u32) {
+    pub(crate) fn note_ctl(&mut self, cycle: u64, ci: u32) {
         let idx = (cycle % self.delay) as usize;
         self.ctl_wheel[idx].push(ci);
         self.ctl_entries += 1;
@@ -198,7 +198,7 @@ impl ActiveSched {
     /// Drain the data bucket for `cycle`: sorted and dedup'd so the caller
     /// visits channels in scan (index) order. Return the bucket to
     /// [`recycle`](ActiveSched::recycle) after processing.
-    pub fn take_data(&mut self, cycle: u64) -> Vec<u32> {
+    pub(crate) fn take_data(&mut self, cycle: u64) -> Vec<u32> {
         let idx = (cycle % self.delay) as usize;
         let empty = self.spare.pop().unwrap_or_default();
         let mut v = std::mem::replace(&mut self.data_wheel[idx], empty);
@@ -209,7 +209,7 @@ impl ActiveSched {
     }
 
     /// Drain the control bucket for `cycle` (see `take_data`).
-    pub fn take_ctl(&mut self, cycle: u64) -> Vec<u32> {
+    pub(crate) fn take_ctl(&mut self, cycle: u64) -> Vec<u32> {
         let idx = (cycle % self.delay) as usize;
         let empty = self.spare.pop().unwrap_or_default();
         let mut v = std::mem::replace(&mut self.ctl_wheel[idx], empty);
@@ -219,13 +219,13 @@ impl ActiveSched {
         v
     }
 
-    pub fn recycle(&mut self, mut bucket: Vec<u32>) {
+    pub(crate) fn recycle(&mut self, mut bucket: Vec<u32>) {
         bucket.clear();
         self.spare.push(bucket);
     }
 
     #[inline]
-    pub fn activate_switch(&mut self, sw: u32) {
+    pub(crate) fn activate_switch(&mut self, sw: u32) {
         if !self.sw_is_active[sw as usize] {
             self.sw_is_active[sw as usize] = true;
             self.sw_active.push(sw);
@@ -233,7 +233,7 @@ impl ActiveSched {
     }
 
     #[inline]
-    pub fn activate_nic(&mut self, h: u32) {
+    pub(crate) fn activate_nic(&mut self, h: u32) {
         if !self.nic_is_active[h as usize] {
             self.nic_is_active[h as usize] = true;
             self.nic_active.push(h);
@@ -244,12 +244,12 @@ impl ActiveSched {
     /// `ready`). Stale wake-ups (the packet was purged meanwhile) cost one
     /// no-op visit.
     #[inline]
-    pub fn wake_nic_at(&mut self, ready: u64, h: u32) {
+    pub(crate) fn wake_nic_at(&mut self, ready: u64, h: u32) {
         self.nic_wake.push(Reverse((ready, h)));
     }
 
     /// Move every wake-up due at or before `cycle` into the active list.
-    pub fn drain_wakes(&mut self, cycle: u64) {
+    pub(crate) fn drain_wakes(&mut self, cycle: u64) {
         while let Some(&Reverse((ready, h))) = self.nic_wake.peek() {
             if ready > cycle {
                 break;
@@ -262,39 +262,39 @@ impl ActiveSched {
     /// Take the switch active list for this cycle's visit; members the
     /// caller retires must be flagged via `retire_switch`, and the
     /// still-active remainder merged back with `merge_switches`.
-    pub fn take_active_switches(&mut self) -> Vec<u32> {
+    pub(crate) fn take_active_switches(&mut self) -> Vec<u32> {
         std::mem::take(&mut self.sw_active)
     }
 
-    pub fn retire_switch(&mut self, sw: u32) {
+    pub(crate) fn retire_switch(&mut self, sw: u32) {
         self.sw_is_active[sw as usize] = false;
     }
 
-    pub fn merge_switches(&mut self, mut kept: Vec<u32>) {
+    pub(crate) fn merge_switches(&mut self, mut kept: Vec<u32>) {
         self.sw_active.append(&mut kept);
     }
 
-    pub fn take_active_nics(&mut self) -> Vec<u32> {
+    pub(crate) fn take_active_nics(&mut self) -> Vec<u32> {
         std::mem::take(&mut self.nic_active)
     }
 
-    pub fn retire_nic(&mut self, h: u32) {
+    pub(crate) fn retire_nic(&mut self, h: u32) {
         self.nic_is_active[h as usize] = false;
     }
 
-    pub fn merge_nics(&mut self, mut kept: Vec<u32>) {
+    pub(crate) fn merge_nics(&mut self, mut kept: Vec<u32>) {
         self.nic_active.append(&mut kept);
     }
 
     // ---- Quiescence accessors for the event-driven driver (`event.rs`).
 
     /// No flit or control symbol is parked in either wake wheel. O(1).
-    pub fn wheels_empty(&self) -> bool {
+    pub(crate) fn wheels_empty(&self) -> bool {
         self.data_entries == 0 && self.ctl_entries == 0
     }
 
     /// No switch or NIC is in an active list. O(1).
-    pub fn active_lists_empty(&self) -> bool {
+    pub(crate) fn active_lists_empty(&self) -> bool {
         self.sw_active.is_empty() && self.nic_active.is_empty()
     }
 
@@ -302,7 +302,7 @@ impl ActiveSched {
     /// purged meanwhile) still count: waking to a no-op visit is harmless,
     /// and treating the peek as a time bound keeps the skip target
     /// conservative.
-    pub fn next_wake(&self) -> Option<u64> {
+    pub(crate) fn next_wake(&self) -> Option<u64> {
         self.nic_wake.peek().map(|&Reverse((ready, _))| ready)
     }
 }

@@ -1290,7 +1290,7 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Schedule an explicit message (closed-loop / collective workloads).
+    /// Schedule an explicit message (the scripted traffic of the tests).
     /// Messages at each host must be scheduled with non-decreasing
     /// `at_cycle`; they are injected in order once the cycle is reached.
     pub fn schedule_message(

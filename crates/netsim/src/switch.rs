@@ -9,7 +9,7 @@ use crate::events::{BlockCause, NO_PACKET};
 
 /// A packet resident (partially or fully) in one input buffer.
 #[derive(Debug)]
-pub struct InPkt {
+pub(crate) struct InPkt {
     pub pid: u32,
     /// Flits that will arrive at this input for this packet.
     pub expected: u32,
@@ -23,20 +23,20 @@ pub struct InPkt {
 impl InPkt {
     /// Flits buffered and ready to forward right now.
     #[inline]
-    pub fn available(&self) -> u32 {
+    pub(crate) fn available(&self) -> u32 {
         self.received - u32::from(self.header_consumed) - self.forwarded
     }
 
     /// Has every forwardable flit been forwarded?
     #[inline]
-    pub fn done(&self) -> bool {
+    pub(crate) fn done(&self) -> bool {
         self.forwarded == self.expected - 1
     }
 }
 
 /// Routing progress of the packet at the head of an input queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HeadState {
+pub(crate) enum HeadState {
     /// Waiting for the head packet's first flit (or no packet at all).
     Idle,
     /// The routing control unit is processing the header (150 ns).
@@ -51,7 +51,7 @@ pub enum HeadState {
 /// and the head's routing state are private: they change only through the
 /// [`SwitchState`] transitions, which keep the port bitmasks in step.
 #[derive(Debug)]
-pub struct InPort {
+pub(crate) struct InPort {
     /// Channel whose flits arrive here (index into the simulator's channel
     /// table); stop/go symbols are sent back on it.
     pub in_chan: u32,
@@ -68,7 +68,7 @@ pub struct InPort {
 }
 
 impl InPort {
-    pub fn new(in_chan: u32) -> InPort {
+    pub(crate) fn new(in_chan: u32) -> InPort {
         InPort {
             in_chan,
             occ: 0,
@@ -80,24 +80,24 @@ impl InPort {
     }
 
     /// Packets in arrival order; only the head can be routed/forwarded.
-    pub fn queue(&self) -> &VecDeque<InPkt> {
+    pub(crate) fn queue(&self) -> &VecDeque<InPkt> {
         &self.queue
     }
 
     /// Routing state of the head packet.
-    pub fn head(&self) -> HeadState {
+    pub(crate) fn head(&self) -> HeadState {
         self.head
     }
 
     /// Output port requested by the head packet (valid once routed).
-    pub fn head_out(&self) -> u8 {
+    pub(crate) fn head_out(&self) -> u8 {
         self.head_out
     }
 
     /// Account one arriving flit; returns `Some(CTL_STOP)` when the STOP
     /// threshold is crossed.
     #[inline]
-    pub fn on_flit_in(&mut self, cfg: &SimConfig) -> Option<u8> {
+    pub(crate) fn on_flit_in(&mut self, cfg: &SimConfig) -> Option<u8> {
         self.occ += 1;
         debug_assert!(
             self.occ <= cfg.slack_buffer_flits,
@@ -115,7 +115,7 @@ impl InPort {
     /// Account one flit leaving the buffer (forwarded or consumed); returns
     /// `Some(CTL_GO)` when the GO threshold is crossed.
     #[inline]
-    pub fn on_flit_out(&mut self, cfg: &SimConfig) -> Option<u8> {
+    pub(crate) fn on_flit_out(&mut self, cfg: &SimConfig) -> Option<u8> {
         debug_assert!(self.occ > 0);
         self.occ -= 1;
         if self.occ < cfg.go_threshold && self.stop_sent {
@@ -128,7 +128,7 @@ impl InPort {
 
     /// Remove `flits` buffered flits at once (a packet purged after a
     /// fault); returns `Some(CTL_GO)` when the GO threshold is crossed.
-    pub fn on_flits_purged(&mut self, flits: u16, cfg: &SimConfig) -> Option<u8> {
+    pub(crate) fn on_flits_purged(&mut self, flits: u16, cfg: &SimConfig) -> Option<u8> {
         debug_assert!(self.occ >= flits);
         self.occ -= flits;
         if self.occ < cfg.go_threshold && self.stop_sent {
@@ -142,7 +142,7 @@ impl InPort {
 
 /// One switch output port.
 #[derive(Debug)]
-pub struct OutPort {
+pub(crate) struct OutPort {
     /// Channel this port drives.
     pub out_chan: u32,
     /// Input port currently connected through the crossbar.
@@ -155,7 +155,7 @@ pub struct OutPort {
 }
 
 impl OutPort {
-    pub fn new(out_chan: u32) -> OutPort {
+    pub(crate) fn new(out_chan: u32) -> OutPort {
         OutPort {
             out_chan,
             conn_in: None,
@@ -165,18 +165,18 @@ impl OutPort {
     }
 
     /// Input port currently connected through the crossbar.
-    pub fn conn_in(&self) -> Option<u8> {
+    pub(crate) fn conn_in(&self) -> Option<u8> {
         self.conn_in
     }
 }
 
 /// A flow-control symbol to send back on a channel: `(channel, symbol)`.
-pub type CtlOut = (u32, u8);
+pub(crate) type CtlOut = (u32, u8);
 
 /// The ports in a port mask, ascending — the order a scan over
 /// `active_ports` visits them.
 #[inline]
-pub fn ports(mut mask: u64) -> impl Iterator<Item = usize> {
+pub(crate) fn ports(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (mask != 0).then(|| {
             let p = mask.trailing_zeros() as usize;
@@ -218,7 +218,7 @@ fn rr_grant(want: u64, rr: u8) -> Option<u8> {
 /// * `conn` — outputs holding a crossbar connection;
 /// * `resident` — packets in all input queues.
 #[derive(Debug)]
-pub struct SwitchState {
+pub(crate) struct SwitchState {
     /// Indexed by port; `None` where nothing is connected.
     pub inp: Vec<Option<InPort>>,
     pub outp: Vec<Option<OutPort>>,
@@ -234,7 +234,7 @@ pub struct SwitchState {
 impl SwitchState {
     /// A switch with one port per item: `Some((in_chan, out_chan))` where a
     /// cable is attached, `None` where the port is unconnected.
-    pub fn new(ports: impl Iterator<Item = Option<(u32, u32)>>) -> SwitchState {
+    pub(crate) fn new(ports: impl Iterator<Item = Option<(u32, u32)>>) -> SwitchState {
         let mut inp = Vec::new();
         let mut outp = Vec::new();
         let mut active_ports = Vec::new();
@@ -266,7 +266,7 @@ impl SwitchState {
     /// purged) — so the active-set scheduler may retire the switch until
     /// the next flit arrives.
     #[inline]
-    pub fn is_quiescent(&self) -> bool {
+    pub(crate) fn is_quiescent(&self) -> bool {
         debug_assert!(
             self.resident != 0 || (self.rcu | self.want_any | self.conn) == 0,
             "empty input queues with routing, requests or a connection pending"
@@ -304,7 +304,7 @@ impl SwitchState {
     /// receiver) a new packet. Returns whether a packet was queued and the
     /// STOP to send if the threshold was crossed.
     #[inline]
-    pub fn flit_in(
+    pub(crate) fn flit_in(
         &mut self,
         port: u8,
         pid: u32,
@@ -345,26 +345,26 @@ impl SwitchState {
 
     /// Inputs whose routing control unit has work this cycle.
     #[inline]
-    pub fn rcu_ports(&self) -> u64 {
+    pub(crate) fn rcu_ports(&self) -> u64 {
         self.rcu
     }
 
     /// Routing state of input `p`'s head packet.
     #[inline]
-    pub fn head(&self, p: usize) -> HeadState {
+    pub(crate) fn head(&self, p: usize) -> HeadState {
         self.inp[p].as_ref().expect("unconnected input port").head
     }
 
     /// The packet at the head of input `p` ([`NO_PACKET`] if none).
     #[inline]
-    pub fn head_pid(&self, p: usize) -> u32 {
+    pub(crate) fn head_pid(&self, p: usize) -> u32 {
         let inp = self.inp[p].as_ref().expect("unconnected input port");
         inp.queue.front().map_or(NO_PACKET, |q| q.pid)
     }
 
     /// Output port requested by input `p`'s head packet.
     #[inline]
-    pub fn head_out(&self, p: usize) -> u8 {
+    pub(crate) fn head_out(&self, p: usize) -> u8 {
         self.inp[p]
             .as_ref()
             .expect("unconnected input port")
@@ -374,7 +374,7 @@ impl SwitchState {
     /// The channel output `out` drives; `None` for a port that does not
     /// exist (a stale route under faults).
     #[inline]
-    pub fn out_chan(&self, out: u8) -> Option<u32> {
+    pub(crate) fn out_chan(&self, out: u8) -> Option<u32> {
         let o = self.outp.get(out as usize)?.as_ref()?;
         Some(o.out_chan)
     }
@@ -383,7 +383,7 @@ impl SwitchState {
     /// the head packet's header byte, which named output `out`, and is busy
     /// until `ready`. Returns the GO to send if the threshold was crossed.
     #[inline]
-    pub fn start_routing(
+    pub(crate) fn start_routing(
         &mut self,
         p: usize,
         out: u8,
@@ -402,7 +402,7 @@ impl SwitchState {
 
     /// `Routing` → `Requesting`: input `p`'s head now waits for its output.
     #[inline]
-    pub fn request_output(&mut self, p: usize) {
+    pub(crate) fn request_output(&mut self, p: usize) {
         let inp = self.inp_mut(p);
         debug_assert!(matches!(inp.head, HeadState::Routing { .. }));
         inp.head = HeadState::Requesting;
@@ -418,7 +418,7 @@ impl SwitchState {
 
     /// Why input `p`'s `Requesting` head cannot advance right now: busy or
     /// stopped output, or another head requesting the same free output.
-    pub fn block_cause(&self, p: usize) -> Option<BlockCause> {
+    pub(crate) fn block_cause(&self, p: usize) -> Option<BlockCause> {
         let out = self.head_out(p) as usize;
         let o = self.outp.get(out)?.as_ref()?;
         if o.conn_in.is_some() {
@@ -433,7 +433,7 @@ impl SwitchState {
     /// Outputs with arbitration or transfer work this cycle: requested or
     /// connected.
     #[inline]
-    pub fn busy_outputs(&self) -> u64 {
+    pub(crate) fn busy_outputs(&self) -> u64 {
         self.want_any | self.conn
     }
 
@@ -441,7 +441,7 @@ impl SwitchState {
     /// over the inputs requesting it. `Requesting` → `Granted` for the
     /// winner, which is returned.
     #[inline]
-    pub fn arbitrate(&mut self, out: usize) -> Option<u8> {
+    pub(crate) fn arbitrate(&mut self, out: usize) -> Option<u8> {
         if self.conn & (1 << out) != 0 {
             return None;
         }
@@ -458,7 +458,7 @@ impl SwitchState {
     /// The input connected to output `out` and the channel it streams
     /// into, unless the output is unconnected or held by STOP.
     #[inline]
-    pub fn open_connection(&self, out: usize) -> Option<(u8, u32)> {
+    pub(crate) fn open_connection(&self, out: usize) -> Option<(u8, u32)> {
         let o = self.outp[out].as_ref().expect("unconnected output port");
         let g = o.conn_in?;
         (!o.stopped).then_some((g, o.out_chan))
@@ -471,7 +471,7 @@ impl SwitchState {
     /// Forced inline: called once per forwarded flit from each
     /// instantiation of the kernel, where a hint alone no longer suffices.
     #[inline(always)]
-    pub fn forward_flit(
+    pub(crate) fn forward_flit(
         &mut self,
         out: usize,
         g: u8,
@@ -504,7 +504,7 @@ impl SwitchState {
     /// or not, in any head state, releasing its request or connection.
     /// `emit` receives the GO of each input the purge drains below the
     /// threshold, in ascending port order.
-    pub fn purge(&mut self, pid: u32, cfg: &SimConfig, mut emit: impl FnMut(CtlOut)) {
+    pub(crate) fn purge(&mut self, pid: u32, cfg: &SimConfig, mut emit: impl FnMut(CtlOut)) {
         if self.resident == 0 {
             return;
         }
@@ -543,7 +543,7 @@ impl SwitchState {
     /// Test oracle: recompute every summary from the port state and assert
     /// it equals the maintained one, plus the head/queue/connection
     /// consistency the kernel relies on.
-    pub fn check_invariants(&self) {
+    pub(crate) fn check_invariants(&self) {
         let n = self.inp.len();
         let (mut rcu, mut conn, mut want_any, mut resident) = (0u64, 0u64, 0u64, 0usize);
         let mut want = vec![0u64; n];

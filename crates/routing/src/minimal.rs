@@ -243,7 +243,7 @@ mod tests {
     // route tables were built with, so `MinimalDag` must reproduce them
     // path for path.
 
-    pub fn reference_count_minimal_paths(
+    pub(super) fn reference_count_minimal_paths(
         topo: &Topology,
         dm: &DistanceMatrix,
         src: SwitchId,
@@ -272,7 +272,7 @@ mod tests {
         counts[src.idx()]
     }
 
-    pub fn reference_k_minimal_paths(
+    pub(super) fn reference_k_minimal_paths(
         topo: &Topology,
         dm: &DistanceMatrix,
         src: SwitchId,

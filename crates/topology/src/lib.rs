@@ -36,7 +36,6 @@
 //! ```
 
 mod distance;
-pub mod dot;
 mod error;
 mod graph;
 mod ids;

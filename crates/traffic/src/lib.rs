@@ -1,12 +1,10 @@
 //! Synthetic traffic patterns and offered-load bookkeeping.
 //!
 //! Implements the four destination distributions of the paper's evaluation
-//! (uniform, bit-reversal, hotspot, local) plus two classical extras
-//! (transpose, complement), and the unit conversions between the paper's
-//! load metric (flits/ns/switch) and the simulator's per-host message
-//! interarrival times.
+//! (uniform, bit-reversal, hotspot, local) and the unit conversions between
+//! the paper's load metric (flits/ns/switch) and the simulator's per-host
+//! message interarrival times.
 
-pub mod collectives;
 mod load;
 mod pattern;
 

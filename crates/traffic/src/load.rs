@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Duration of one flit time on a Myrinet link, in nanoseconds.
-pub const CYCLE_NS: f64 = 6.25;
+pub(crate) const CYCLE_NS: f64 = 6.25;
 
 /// An offered load expressed in the paper's unit.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -20,11 +20,6 @@ pub enum PatternSpec {
     /// Destination is uniform among hosts at most `max_switch_dist` switch
     /// links away (the paper studies 3 and 4).
     Local { max_switch_dist: u16 },
-    /// Classical matrix-transpose permutation on the host id bits
-    /// (extension, not in the paper's evaluation).
-    Transpose,
-    /// Destination is the bit-complement of the source id (extension).
-    Complement,
 }
 
 impl PatternSpec {
@@ -37,8 +32,6 @@ impl PatternSpec {
                 format!("hotspot-{:.0}%-at-{host}", fraction * 100.0)
             }
             PatternSpec::Local { max_switch_dist } => format!("local-{max_switch_dist}"),
-            PatternSpec::Transpose => "transpose".into(),
-            PatternSpec::Complement => "complement".into(),
         }
     }
 }
@@ -50,8 +43,7 @@ impl PatternSpec {
 pub struct Pattern {
     spec: PatternSpec,
     n_hosts: u32,
-    /// For `BitReversal`/`Transpose`/`Complement`: dest per source
-    /// (u32::MAX = silent host).
+    /// For `BitReversal`: dest per source (u32::MAX = silent host).
     fixed: Option<Vec<u32>>,
     /// For `Local`: candidate hosts per source switch (may include the
     /// source host; `dest` redraws).
@@ -86,36 +78,6 @@ impl Pattern {
                         })
                         .collect(),
                 );
-            }
-            PatternSpec::Transpose => {
-                if !n.is_power_of_two() || !n.trailing_zeros().is_multiple_of(2) {
-                    return Err(format!(
-                        "transpose needs an even power-of-two host count, got {n}"
-                    ));
-                }
-                let half = n.trailing_zeros() / 2;
-                let mask = (1u32 << half) - 1;
-                fixed = Some(
-                    (0..n)
-                        .map(|src| {
-                            let t = ((src & mask) << half) | (src >> half);
-                            if t == src {
-                                u32::MAX
-                            } else {
-                                t
-                            }
-                        })
-                        .collect(),
-                );
-            }
-            PatternSpec::Complement => {
-                if !n.is_power_of_two() {
-                    return Err(format!(
-                        "complement needs a power-of-two host count, got {n}"
-                    ));
-                }
-                let mask = n - 1;
-                fixed = Some((0..n).map(|src| (!src) & mask).collect());
             }
             PatternSpec::Hotspot { fraction, host } => {
                 if !(0.0..=1.0).contains(&fraction) {
@@ -155,11 +117,11 @@ impl Pattern {
     /// Draw the destination for a message from `src`.
     ///
     /// Returns `None` when the host does not generate traffic under this
-    /// pattern (bit-reversal/transpose hosts that map to themselves).
+    /// pattern (bit-reversal hosts that map to themselves).
     pub fn dest(&self, src: HostId, topo: &Topology, rng: &mut impl Rng) -> Option<HostId> {
         match self.spec {
             PatternSpec::Uniform => Some(self.uniform_other(src, rng)),
-            PatternSpec::BitReversal | PatternSpec::Transpose | PatternSpec::Complement => {
+            PatternSpec::BitReversal => {
                 let d = self.fixed.as_ref().expect("resolved")[src.idx()];
                 if d == u32::MAX {
                     None
@@ -356,26 +318,6 @@ mod tests {
             let dist = dm.get(topo.host_switch(src), topo.host_switch(d));
             assert!(dist <= 3, "dest {dist} switches away");
         }
-    }
-
-    #[test]
-    fn complement_has_no_fixed_points() {
-        let topo = gen::torus_2d(4, 4, 8).unwrap(); // 128 hosts
-        let p = Pattern::resolve(PatternSpec::Complement, &topo).unwrap();
-        assert_eq!(p.silent_hosts(), 0);
-        let mut rng = rng();
-        assert_eq!(p.dest(HostId(0), &topo, &mut rng), Some(HostId(127)));
-    }
-
-    #[test]
-    fn transpose_permutation() {
-        let topo = gen::torus_2d(4, 4, 1).unwrap(); // 16 hosts = 4 bits
-        let p = Pattern::resolve(PatternSpec::Transpose, &topo).unwrap();
-        let mut rng = rng();
-        // host 1 = 0b0001 -> 0b0100 = 4
-        assert_eq!(p.dest(HostId(1), &topo, &mut rng), Some(HostId(4)));
-        // host 5 = 0b0101 -> itself: silent.
-        assert_eq!(p.dest(HostId(5), &topo, &mut rng), None);
     }
 
     #[test]

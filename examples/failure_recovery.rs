@@ -1,76 +1,80 @@
 //! Failure recovery: the Myrinet maintenance loop in action. A link dies,
 //! then a switch (including the up*/down* root!), and after each event the
 //! mapper re-explores the surviving network, rebuilds the routing tables
-//! and traffic keeps flowing.
+//! and traffic keeps flowing — the same fault machinery every faulted run
+//! in the repository uses (`fault_sweep`, `probe --fail-link`).
 //!
 //! Run with: `cargo run --release --example failure_recovery`
 
-use regnet::mapper::{FaultSet, ManagedNetwork};
 use regnet::prelude::*;
 
-fn measure(net: &ManagedNetwork, label: &str) {
-    let topo = net.topology().clone();
-    let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
-    let cfg = SimConfig {
-        payload_flits: 256,
-        ..SimConfig::default()
+fn measure(exp: &Experiment, plan: &FaultPlan, label: &str) {
+    let opts = RunOptions {
+        warmup_cycles: 15_000,
+        measure_cycles: 60_000,
+        seed: 17,
+        faults: Some(FaultOptions {
+            // Manage from a host that survives everything we break below.
+            seed_host: HostId(60),
+            ..FaultOptions::with_plan(plan.clone())
+        }),
+        ..RunOptions::default()
     };
-    let mut sim = Simulator::new(&topo, net.route_db(), &pattern, cfg, 0.01, 17);
-    sim.run(15_000);
-    sim.begin_measurement();
-    sim.run(60_000);
-    let stats = sim.end_measurement(60_000);
+    let (stats, rel, _) = exp.run_reliability(0.01, &opts);
     println!(
-        "{label:<28} {} switches / {} hosts  accepted {:.4} fl/ns/sw  latency {:>6.0} ns  itbs {:.2}",
-        topo.num_switches(),
-        topo.num_hosts(),
-        stats.accepted_flits_per_ns_per_switch(topo.num_switches()),
+        "{label:<28} accepted {:.4} fl/ns/sw  latency {:>6.0} ns  itbs {:.2}  \
+         rebuilds {}  dropped {}  lost pairs {}",
+        stats.accepted_flits_per_ns_per_switch(exp.topology().num_switches()),
         stats.avg_latency_ns,
-        stats.avg_itbs_per_msg
+        stats.avg_itbs_per_msg,
+        rel.reconfigurations,
+        rel.dropped_packets,
+        rel.unreachable_pairs,
     );
 }
 
 fn main() {
     let physical = gen::torus_2d(4, 4, 4).unwrap();
-    // Manage from a host that will survive everything we break below.
-    let mut net = ManagedNetwork::with_config(
-        physical,
-        RoutingScheme::ItbRr,
-        RouteDbConfig::default(),
-        HostId(60),
-    )
-    .unwrap();
-
-    measure(&net, "healthy network");
-
-    // A cable dies.
-    let link = net
-        .physical()
+    let link = physical
         .links()
         .iter()
         .find(|l| l.is_switch_link())
         .unwrap()
         .id;
-    let report = net.inject(FaultSet::link(link)).unwrap();
-    println!(
-        "  -> link {link:?} down: lost {} hosts, {} switch links remain",
-        report.lost_hosts, report.live_switch_links
-    );
-    measure(&net, "after link failure");
+    let exp = Experiment::new(
+        physical,
+        RoutingScheme::ItbRr,
+        RouteDbConfig::default(),
+        PatternSpec::Uniform,
+        SimConfig {
+            payload_flits: 256,
+            // Short windows: let the re-mapping finish well inside warmup.
+            reconfig_latency_cycles: 2_000,
+            ..SimConfig::default()
+        },
+    )
+    .unwrap();
+
+    // Faults accumulate; each fires at cycle 0, so the measurement window
+    // sees the reconfigured steady state.
+    let mut plan = FaultPlan::new();
+    measure(&exp, &plan, "healthy network");
+
+    // A cable dies.
+    plan.fail_link(0, link);
+    println!("  -> link {link:?} down");
+    measure(&exp, &plan, "after link failure");
 
     // The root switch of the up*/down* tree dies: a whole new spanning
     // tree, a whole new set of in-transit buffer placements.
-    let report = net.inject(FaultSet::switch(SwitchId(0))).unwrap();
-    println!(
-        "  -> switch s0 (the up*/down* root!) down: lost {} hosts",
-        report.lost_hosts
-    );
-    measure(&net, "after root switch failure");
+    plan.fail_switch(0, SwitchId(0));
+    println!("  -> switch s0 (the up*/down* root!) down");
+    measure(&exp, &plan, "after root switch failure");
 
     // And one more arbitrary switch.
-    let report = net.inject(FaultSet::switch(SwitchId(9))).unwrap();
-    println!("  -> switch s9 down: lost {} hosts", report.lost_hosts);
-    measure(&net, "after second switch failure");
+    plan.fail_switch(0, SwitchId(9));
+    println!("  -> switch s9 down");
+    measure(&exp, &plan, "after second switch failure");
 
     println!("\nevery reconfiguration rebuilt minimal ITB routes on the survivors;");
     println!("traffic never deadlocks because ejection at in-transit hosts still");

@@ -15,9 +15,11 @@
 //! | [`topology`] | `regnet-topology` | switch/host/link graphs, torus / express-torus / CPLANT / mesh / hypercube / irregular generators, spanning trees, up/down orientation |
 //! | [`routing`] | `regnet-routing` | up\*/down\* legal paths, `simple_routes` emulation, minimal-path enumeration |
 //! | [`core`] | `regnet-core` | the ITB mechanism: journey splitting, route databases, path-selection policies, route analysis |
-//! | [`netsim`] | `regnet-netsim` | the flit-level simulator (pipelined links, stop&go, cut-through switches, ITB NICs) and the experiment driver |
 //! | [`traffic`] | `regnet-traffic` | uniform / bit-reversal / hotspot / local patterns, offered-load conversion |
-//! | [`metrics`] | `regnet-metrics` | latency statistics, curves, saturation detection, link-utilization summaries |
+//! | [`mapper`] | `regnet-mapper` | fault sets, network discovery, and the re-map + route-rebuild step every faulted run takes |
+//! | [`netsim`] | `regnet-netsim` | the flit-level simulator (pipelined links, stop&go, cut-through switches, ITB NICs), fault plans and the experiment driver |
+//! | [`metrics`] | `regnet-metrics` | latency statistics, curves, saturation detection, link-utilization summaries, exporters |
+//! | — | `regnet-campaign` | declarative, resumable experiment campaigns (not re-exported; used by `regnet-bench`) |
 //!
 //! ## Quickstart
 //!
@@ -79,8 +81,8 @@ pub mod prelude {
     };
     pub use regnet_routing::{LegalDistances, SwitchPath};
     pub use regnet_topology::{
-        gen, DistanceMatrix, HostId, LinkId, NodeId, Orientation, Port, SpanningTree, SwitchId,
-        Topology, TopologyBuilder,
+        gen, DistanceMatrix, HostId, LinkId, Orientation, Port, SpanningTree, SwitchId, Topology,
+        TopologyBuilder,
     };
     pub use regnet_traffic::{Pattern, PatternSpec};
 }

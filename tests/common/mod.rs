@@ -10,7 +10,7 @@
 //! automatically.
 //!
 //! The scan loop stays in the tree precisely so these suites have a
-//! ground truth to diff against; see `DESIGN.md` §4e.
+//! ground truth to diff against; see `DESIGN.md` §6.
 
 #![allow(dead_code)]
 
@@ -23,8 +23,8 @@ pub fn reference() -> Scheduler {
 
 /// Every non-reference cycle-loop driver. The parallel engine is checked
 /// at shard counts 1, 2 and 4 (executor-count-invariant by construction;
-/// see `DESIGN.md` §4f), the event-driven driver exercises time skipping
-/// (`DESIGN.md` §4g).
+/// see `DESIGN.md` §6), the event-driven driver exercises time skipping
+/// (`DESIGN.md` §6).
 pub fn contenders() -> Vec<Scheduler> {
     vec![
         Scheduler::ActiveSet,
@@ -123,7 +123,7 @@ pub fn assert_equivalent(build: fn() -> Topology, scheme: RoutingScheme) {
 /// Faulted-run obligation: a single link fails and is repaired, and
 /// every contender — including every `Parallel` shard count, which runs
 /// the real sharded engine with purges replayed at the epoch barrier
-/// (`DESIGN.md` §4f) — must agree on `RunStats`, the unified counter
+/// (`DESIGN.md` §6) — must agree on `RunStats`, the unified counter
 /// snapshot, `ReliabilityStats` and the delivered-message digest, bit
 /// for bit.
 pub fn assert_equivalent_faulted(build: fn() -> Topology, scheme: RoutingScheme) {

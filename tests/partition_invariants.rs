@@ -3,7 +3,7 @@
 //! shard counts, the plan must cover every component exactly once, keep
 //! the shards balanced, and only ever put the pipelined (delay ≥ 1)
 //! switch↔switch links across a shard boundary — the lookahead the
-//! engine's two-region barrier design depends on (`DESIGN.md` §4f).
+//! engine's two-region barrier design depends on (`DESIGN.md` §6).
 
 use proptest::prelude::*;
 
