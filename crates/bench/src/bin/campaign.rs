@@ -23,7 +23,7 @@
 
 use std::process::ExitCode;
 
-use regnet_bench::parse_flag_value;
+use regnet_bench::{parse_campaign_args, CampaignArgs};
 use regnet_campaign::{
     export_campaign, parse_pattern, parse_scheme, render_status, run_plan, validate_status_json,
     what_if, CampaignSpec, CellDefaults, CellSpec, FaultSpec, Progress, ResultStore, RunPlan,
@@ -88,7 +88,14 @@ fn main() -> ExitCode {
         println!("{}", usage());
         return ExitCode::SUCCESS;
     }
-    match run(&args) {
+    let args = match parse_campaign_args(&args) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("campaign: {e}\n{}", usage());
+            return ExitCode::from(2);
+        }
+    };
+    match run(args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("campaign: {e}");
@@ -97,46 +104,37 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    if let Some(path) = parse_flag_value(args, "--check-status") {
-        return check_status(&path);
+fn run(args: CampaignArgs) -> Result<(), String> {
+    if let Some(path) = &args.check_status {
+        return check_status(path);
     }
-    if let Some(path) = parse_flag_value(args, "--watch") {
-        return watch_status(&path);
+    if let Some(path) = &args.watch {
+        return watch_status(path);
     }
-    let quiet = args.iter().any(|a| a == "--quiet");
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let quiet = args.quiet;
 
-    let (name_hint, text) = if smoke {
+    let (name_hint, text) = if args.smoke {
         ("smoke".to_string(), SMOKE_CAMPAIGN.to_string())
     } else {
-        let file = args
-            .iter()
-            .find(|a| !a.starts_with("--") && !is_flag_value(args, a))
-            .ok_or_else(|| format!("no campaign file given\n{}", usage()))?;
-        let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-        (file.clone(), text)
+        let file = args.file.expect("the argument parser demands a file");
+        let text =
+            std::fs::read_to_string(&file).map_err(|e| format!("cannot read {file}: {e}"))?;
+        (file, text)
     };
 
     let spec = CampaignSpec::from_json_str(&text).map_err(|e| format!("{name_hint}: {e}"))?;
     let plan = spec.expand()?;
 
-    let out = parse_flag_value(args, "--out")
+    let out = args
+        .out
         .unwrap_or_else(|| format!("target/campaigns/{}", spec.name));
-    let threads = match parse_flag_value(args, "--threads") {
-        Some(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("--threads {v:?} is not a positive integer"))?,
-        None => regnet_bench::threads(),
-    };
+    let threads = args.threads.unwrap_or_else(regnet_bench::threads);
 
-    if let Some(query) = parse_flag_value(args, "--what-if") {
-        return run_what_if(&query, &out, quiet);
+    if let Some(query) = &args.what_if {
+        return run_what_if(query, &out, quiet);
     }
 
-    if args.iter().any(|a| a == "--dry-run") {
+    if args.dry_run {
         println!("campaign {:?}: {} cells", plan.name, plan.len());
         for cell in &plan.cells {
             println!("{}  {}", cell.hash, cell.key);
@@ -144,23 +142,15 @@ fn run(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    let stop_after = match parse_flag_value(args, "--stop-after") {
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("--stop-after {v:?} is not an integer"))?,
-        ),
-        None => None,
-    };
-
     let store = ResultStore::open(&out)?;
-    if args.iter().any(|a| a == "--fresh") {
+    if args.fresh {
         store.clear()?;
         if !quiet {
             Progress::announce("campaign", &format!("cleared checkpoints under {out}"));
         }
     }
 
-    run_campaign(&plan, &store, threads, stop_after, quiet)
+    run_campaign(&plan, &store, threads, args.stop_after, quiet)
 }
 
 /// Run (or resume) `plan` against `store`, streaming curve exports after
@@ -422,21 +412,4 @@ fn parse_num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String> {
 fn parse_float(key: &str, v: &str) -> Result<f64, String> {
     v.parse::<f64>()
         .map_err(|_| format!("what-if {key}={v:?} is not a number"))
-}
-
-/// Is `arg` the value slot of a `--flag VALUE` pair (not a free operand)?
-fn is_flag_value(args: &[String], arg: &String) -> bool {
-    const VALUE_FLAGS: [&str; 6] = [
-        "--out",
-        "--threads",
-        "--stop-after",
-        "--what-if",
-        "--watch",
-        "--check-status",
-    ];
-    args.iter()
-        .position(|a| std::ptr::eq(a, arg))
-        .and_then(|i| i.checked_sub(1))
-        .and_then(|i| args.get(i))
-        .is_some_and(|prev| VALUE_FLAGS.contains(&prev.as_str()))
 }

@@ -14,10 +14,7 @@
 //! Modes: default = quick (reduced windows), `--full` = longer windows,
 //! `--smoke` = tiny topology and windows for CI (seconds).
 //! `--topo torus|express|cplant` picks the paper topology (default torus);
-//! output file names carry the topology. `--scheduler <label>` selects the
-//! cycle-loop engine (`scan`, `active-set`, `event`, `parallel[:N]`;
-//! default active-set) — faulted runs are bit-identical across engines,
-//! so this only changes wall-clock time.
+//! output file names carry the topology.
 
 use regnet_bench::{
     parse_fault_sweep_args, save_curves, save_time_series, threads, FaultSweepArgs, Mode,
@@ -26,7 +23,7 @@ use regnet_campaign::{Progress, StatusBoard};
 use regnet_core::{RouteDbConfig, RoutingScheme};
 use regnet_metrics::{Curve, CurvePoint, TimeSeries};
 use regnet_netsim::experiment::{par_map, Experiment, RunOptions};
-use regnet_netsim::{FaultOptions, FaultPlan, Scheduler, SimConfig, TraceOptions, CYCLE_NS};
+use regnet_netsim::{FaultOptions, FaultPlan, SimConfig, TraceOptions, CYCLE_NS};
 use regnet_topology::{gen, LinkId, Topology};
 use regnet_traffic::PatternSpec;
 
@@ -42,24 +39,15 @@ struct Params {
     /// Goodput sampling interval, cycles.
     interval: u64,
     cfg: SimConfig,
-    /// Cycle-loop engine for every run in the sweep.
-    scheduler: Scheduler,
 }
 
-const USAGE: &str =
-    "usage: fault_sweep [--smoke|--full] [--topo torus|express|cplant] [--scheduler <label>]\n  \
+const USAGE: &str = "usage: fault_sweep [--smoke|--full] [--topo torus|express|cplant]\n  \
      --smoke      4x4 torus and tiny windows for CI (ignores --topo and --full)\n  \
      --full       longer windows (default: quick)\n  \
-     --topo       the paper topology to sweep (default torus)\n  \
-     --scheduler  scan|active-set|event|parallel[:N] (default active-set)";
+     --topo       the paper topology to sweep (default torus)";
 
 fn params(args: FaultSweepArgs) -> Params {
-    let FaultSweepArgs {
-        topo,
-        scheduler,
-        smoke,
-        mode,
-    } = args;
+    let FaultSweepArgs { topo, smoke, mode } = args;
     if smoke {
         return Params {
             topo: gen::torus_2d(4, 4, 2).expect("torus"),
@@ -75,7 +63,6 @@ fn params(args: FaultSweepArgs) -> Params {
                 reconfig_latency_cycles: 2_000,
                 ..SimConfig::default()
             },
-            scheduler,
         };
     }
     let (warmup, measure, ks, interval) = match mode {
@@ -91,7 +78,6 @@ fn params(args: FaultSweepArgs) -> Params {
         ks,
         interval,
         cfg: SimConfig::default(),
-        scheduler,
     }
 }
 
@@ -143,7 +129,6 @@ fn throughput_vs_failed_links(p: &Params, board: &mut StatusBoard) {
                 measure_cycles: p.measure,
                 seed: 1,
                 faults: Some(FaultOptions::with_plan(plan)),
-                scheduler: p.scheduler,
                 ..RunOptions::default()
             };
             exp.run_reliability(p.offered, &opts)
@@ -219,7 +204,6 @@ fn goodput_dip(p: &Params, board: &mut StatusBoard) {
                 ..TraceOptions::default()
             },
             faults: Some(FaultOptions::with_plan(plan)),
-            scheduler: p.scheduler,
             ..RunOptions::default()
         };
         let (_, rel, report) = exp.run_reliability(p.offered, &opts);
@@ -258,12 +242,8 @@ fn main() {
     Progress::announce(
         "fault-sweep",
         &format!(
-            "offered {:.4}, warmup {}, measure {}, ks {:?}, scheduler {}",
-            p.offered,
-            p.warmup,
-            p.measure,
-            p.ks,
-            p.scheduler.label()
+            "offered {:.4}, warmup {}, measure {}, ks {:?}",
+            p.offered, p.warmup, p.measure, p.ks
         ),
     );
     // Live status file beside the curve outputs (3 schemes × 2 figures).

@@ -11,7 +11,7 @@ use experiments::{Figure, Request, FIGURES};
 use regnet_core::{RouteDbConfig, RoutingScheme};
 use regnet_metrics::Curve;
 use regnet_netsim::experiment::{Experiment, RunOptions, ThroughputSearch};
-use regnet_netsim::{FaultPlan, Scheduler, SimConfig};
+use regnet_netsim::{FaultPlan, SimConfig};
 use regnet_topology::{gen, LinkId, Topology};
 use regnet_traffic::PatternSpec;
 
@@ -96,9 +96,9 @@ pub fn experiment(topo: Topology, scheme: RoutingScheme, pattern: PatternSpec) -
     .expect("experiment construction")
 }
 
-// Worker-thread sizing (`REGNET_THREADS`) now lives next to the parallel
-// cycle engine that shares it; re-exported here so the bench binaries and
-// downstream callers keep their `regnet_bench::threads()` spelling.
+// Worker-thread sizing (`REGNET_THREADS`) lives next to the sweeps that
+// share it; re-exported here so the bench binaries and downstream callers
+// keep their `regnet_bench::threads()` spelling.
 pub use regnet_netsim::threads::{threads, threads_from};
 
 /// Parse every `--fail-link <id>@<cycle>` occurrence in `args` into a
@@ -234,8 +234,6 @@ fn topo_among(panels: &[Topo], value: Option<&String>, who: &str) -> Result<Topo
 #[derive(Debug, PartialEq)]
 pub struct FaultSweepArgs {
     pub topo: Topo,
-    /// Cycle-loop engine for every run in the sweep.
-    pub scheduler: Scheduler,
     /// `--smoke`: tiny topology and windows for CI; wins over `mode`.
     pub smoke: bool,
     pub mode: Mode,
@@ -246,7 +244,6 @@ pub struct FaultSweepArgs {
 pub fn parse_fault_sweep_args(args: &[String]) -> Result<FaultSweepArgs, String> {
     let mut parsed = FaultSweepArgs {
         topo: Topo::Torus,
-        scheduler: Scheduler::default(),
         smoke: false,
         mode: Mode::Quick,
     };
@@ -258,16 +255,67 @@ pub fn parse_fault_sweep_args(args: &[String]) -> Result<FaultSweepArgs, String>
             "--topo" => {
                 parsed.topo = topo_among(&Topo::ALL, args.next(), "fault_sweep")?;
             }
-            "--scheduler" => {
-                let value = args.next().ok_or("--scheduler needs a value")?;
-                parsed.scheduler = Scheduler::parse(value).ok_or_else(|| {
-                    format!(
-                        "bad --scheduler {value:?}: expected scan|active-set|event|parallel[:N]"
-                    )
-                })?;
-            }
             other => return Err(format!("unknown argument {other:?}")),
         }
+    }
+    Ok(parsed)
+}
+
+/// A parsed `campaign` command line.
+#[derive(Debug, Default, PartialEq)]
+pub struct CampaignArgs {
+    /// The campaign file; `None` under `--smoke`, `--watch` and
+    /// `--check-status`, which need none.
+    pub file: Option<String>,
+    pub out: Option<String>,
+    pub threads: Option<usize>,
+    pub stop_after: Option<usize>,
+    pub what_if: Option<String>,
+    pub watch: Option<String>,
+    pub check_status: Option<String>,
+    pub fresh: bool,
+    pub dry_run: bool,
+    pub quiet: bool,
+    pub smoke: bool,
+}
+
+/// Parse `campaign`'s arguments (without the program name), as strictly as
+/// [`parse_paper_args`]: a misspelt `--stop-after` must not run the whole
+/// campaign.
+pub fn parse_campaign_args(args: &[String]) -> Result<CampaignArgs, String> {
+    let mut parsed = CampaignArgs::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
+        match arg.as_str() {
+            "--out" => parsed.out = Some(value()?.clone()),
+            "--what-if" => parsed.what_if = Some(value()?.clone()),
+            "--watch" => parsed.watch = Some(value()?.clone()),
+            "--check-status" => parsed.check_status = Some(value()?.clone()),
+            "--threads" => {
+                let v = value()?;
+                let n = v.parse::<usize>().ok().filter(|&n| n >= 1);
+                let n = n.ok_or_else(|| format!("--threads {v:?} is not a positive integer"))?;
+                parsed.threads = Some(n);
+            }
+            "--stop-after" => {
+                let v = value()?;
+                let n = v.parse::<usize>();
+                let n = n.map_err(|_| format!("--stop-after {v:?} is not an integer"))?;
+                parsed.stop_after = Some(n);
+            }
+            "--fresh" => parsed.fresh = true,
+            "--dry-run" => parsed.dry_run = true,
+            "--quiet" => parsed.quiet = true,
+            "--smoke" => parsed.smoke = true,
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
+            file if parsed.file.is_none() => parsed.file = Some(file.to_string()),
+            extra => return Err(format!("unexpected argument {extra:?}")),
+        }
+    }
+    let needs_file = !parsed.smoke && parsed.watch.is_none() && parsed.check_status.is_none();
+    if needs_file && parsed.file.is_none() {
+        return Err("no campaign file given".to_string());
     }
     Ok(parsed)
 }
@@ -457,12 +505,10 @@ mod tests {
             (&["--topo"][..], "needs a value"),
             (&["--topo", "mesh"], "torus|express|cplant"),
             (&["--topo", "--smoke"], "torus|express|cplant"),
-            (&["--scheduler"], "needs a value"),
             (
-                &["--scheduler", "fast"],
-                "scan|active-set|event|parallel[:N]",
+                &["--scheduler", "event"],
+                "unknown argument \"--scheduler\"",
             ),
-            (&["--scheduler", "parallel:0"], "parallel:0"),
             (&["--smok"], "--smok"),
             (&["torus"], "torus"),
         ] {
@@ -470,22 +516,72 @@ mod tests {
             assert!(err.contains(needle), "{args:?}: {err}");
         }
         assert_eq!(
-            parse_fault_sweep_args(&strings(&[
-                "--smoke",
-                "--topo",
-                "cplant",
-                "--scheduler",
-                "parallel:4",
-                "--full",
-            ])),
+            parse_fault_sweep_args(&strings(&["--smoke", "--topo", "cplant", "--full"])),
             Ok(FaultSweepArgs {
                 topo: Topo::Cplant,
-                scheduler: Scheduler::Parallel { threads: 4 },
                 smoke: true,
                 mode: Mode::Full,
             })
         );
         assert!(!parse_fault_sweep_args(&[]).unwrap().smoke);
+        // So is campaign: a typo'd flag must not run the whole campaign.
+        for (args, needle) in [
+            (&[][..], "no campaign file given"),
+            (&["--dry-run"], "no campaign file given"),
+            (
+                &["--smoke", "--dry-run", "--stop-afer", "4"],
+                "unknown flag \"--stop-afer\"",
+            ),
+            (&["c.json", "-q"], "unknown flag \"-q\""),
+            (&["c.json", "--stop-after"], "--stop-after needs a value"),
+            (&["c.json", "--stop-after", "soon"], "not an integer"),
+            (&["c.json", "--threads", "0"], "not a positive integer"),
+            (&["c.json", "--out"], "--out needs a value"),
+            (&["--check-status"], "--check-status needs a value"),
+            (&["c.json", "d.json"], "unexpected argument \"d.json\""),
+        ] {
+            let err = parse_campaign_args(&strings(args)).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
+        for (args, want) in [
+            (
+                &["c.json", "--threads", "2", "--stop-after", "4", "--fresh"][..],
+                CampaignArgs {
+                    file: Some("c.json".into()),
+                    threads: Some(2),
+                    stop_after: Some(4),
+                    fresh: true,
+                    ..CampaignArgs::default()
+                },
+            ),
+            (
+                &["--quiet", "--out", "d", "c.json", "--what-if", "topo=torus"],
+                CampaignArgs {
+                    file: Some("c.json".into()),
+                    out: Some("d".into()),
+                    what_if: Some("topo=torus".into()),
+                    quiet: true,
+                    ..CampaignArgs::default()
+                },
+            ),
+            (
+                &["--smoke", "--dry-run"],
+                CampaignArgs {
+                    smoke: true,
+                    dry_run: true,
+                    ..CampaignArgs::default()
+                },
+            ),
+            (
+                &["--check-status", "s.json"],
+                CampaignArgs {
+                    check_status: Some("s.json".into()),
+                    ..CampaignArgs::default()
+                },
+            ),
+        ] {
+            assert_eq!(parse_campaign_args(&strings(args)), Ok(want), "{args:?}");
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub fn aggregate(plan: &RunPlan, results: &BTreeMap<String, CellResult>) -> Aggr
     // How many distinct seeds/schedulers a group spans (labels mention
     // them only when they actually distinguish cells).
     let mut group_seeds: BTreeMap<&str, std::collections::BTreeSet<u64>> = BTreeMap::new();
-    let mut group_scheds: BTreeMap<&str, std::collections::BTreeSet<String>> = BTreeMap::new();
+    let mut group_scheds: BTreeMap<&str, std::collections::BTreeSet<&str>> = BTreeMap::new();
     let mut done = 0usize;
     for cell in &plan.cells {
         if !results.contains_key(&cell.hash) {
@@ -88,7 +88,7 @@ pub fn aggregate(plan: &RunPlan, results: &BTreeMap<String, CellResult>) -> Aggr
             group_scheds
                 .entry(group)
                 .or_default()
-                .insert(crate::spec::scheduler_key(cell.spec.scheduler));
+                .insert(cell.spec.scheduler.label());
         }
     }
     for cell in &plan.cells {
@@ -118,10 +118,7 @@ pub fn aggregate(plan: &RunPlan, results: &BTreeMap<String, CellResult>) -> Aggr
                 label.push_str(&format!(" seed={}", spec.seed));
             }
             if many_scheds {
-                label.push_str(&format!(
-                    " [{}]",
-                    crate::spec::scheduler_key(spec.scheduler)
-                ));
+                label.push_str(&format!(" [{}]", spec.scheduler.label()));
             }
             if let Some(f) = &spec.faults {
                 label.push_str(&format!(" +{}", f.label));

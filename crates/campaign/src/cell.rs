@@ -336,30 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn faulty_parallel_cell_matches_active_set() {
-        // Regression: faulted Parallel cells used to silently run on the
-        // active-set engine. The label assertion in `run_cell` now fires
-        // on any substitution, and the results must be bit-identical to
-        // the active-set cell (same key modulo scheduler, so compare
-        // field by field rather than via `same_results`).
-        let mut reference = tiny_cell();
-        reference.faults = Some(FaultSpec::parse("one-link", "fail_link:3@6000").unwrap());
-        let mut parallel = reference.clone();
-        parallel.scheduler = Scheduler::Parallel { threads: 4 };
-        let a = run_cell(&reference).unwrap();
-        let p = run_cell(&parallel).unwrap();
-        assert_eq!(p.reliability.link_failures, 1);
-        assert_eq!(a.digest, p.digest);
-        assert_eq!(a.digest_events, p.digest_events);
-        assert_eq!(a.reliability, p.reliability);
-        assert_eq!(a.delivered, p.delivered);
-        assert_eq!(a.generated, p.generated);
-        assert_eq!(a.accepted, p.accepted);
-        assert_eq!(a.avg_latency_ns, p.avg_latency_ns);
-        assert_eq!(a.goodput, p.goodput);
-    }
-
-    #[test]
     fn bad_checkpoint_is_rejected() {
         assert!(CellResult::from_json_str("{}").is_err());
         assert!(CellResult::from_json_str("not json").is_err());

@@ -49,9 +49,8 @@ pub use cell::{run_cell, CellResult};
 pub use progress::Progress;
 pub use runner::{run_plan, CellDone, RunOutcome, RunnerEvent, RunnerOptions};
 pub use spec::{
-    fnv1a64, parse_pattern, parse_scheme, pattern_key, scheduler_key, CampaignSpec, CellDefaults,
-    CellSpec, FaultKind, FaultSpec, FaultSpecEvent, PlannedCell, RunPlan, Sweep, TopoSpec,
-    CAMPAIGN_SCHEMA,
+    fnv1a64, parse_pattern, parse_scheme, pattern_key, CampaignSpec, CellDefaults, CellSpec,
+    FaultKind, FaultSpec, FaultSpecEvent, PlannedCell, RunPlan, Sweep, TopoSpec, CAMPAIGN_SCHEMA,
 };
 pub use status::{
     render_status, validate_status_json, StatusBoard, StatusSnapshot, StatusWriter, WorkerStatus,

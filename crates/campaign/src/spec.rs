@@ -314,16 +314,6 @@ pub struct CellSpec {
     pub faults: Option<FaultSpec>,
 }
 
-/// Scheduler spelling for the config hash (`parallel` carries its shard
-/// count: shard count determines nothing about the results, but it *is*
-/// part of the declared spec).
-pub fn scheduler_key(s: Scheduler) -> String {
-    match s.parallel_threads() {
-        Some(n) => format!("parallel:{n}"),
-        None => s.label().to_string(),
-    }
-}
-
 impl CellSpec {
     /// Canonical key: a fixed-order rendering of every result-relevant
     /// field. Floats use Rust's shortest-roundtrip formatting, which is
@@ -341,7 +331,7 @@ impl CellSpec {
             self.warmup_cycles,
             self.measure_cycles,
             self.payload_flits,
-            scheduler_key(self.scheduler),
+            self.scheduler.label(),
             self.goodput_interval.map_or("off".into(), |i| i.to_string()),
             self.reconfig_latency_cycles
                 .map_or("default".into(), |i| i.to_string()),
@@ -975,6 +965,19 @@ mod tests {
             .replace("uniform", "transpose");
         let err = CampaignSpec::from_json_str(&old_pattern).unwrap_err();
         assert!(err.contains(r#"unknown pattern "transpose""#), "{err}");
+        // So do the spellings of the deleted shard-parallel engine.
+        let old_sweep = bad_scheme.replace(
+            r#""schemes": ["XY"]"#,
+            r#""schemes": ["ITB-RR"], "schedulers": ["parallel:4"]"#,
+        );
+        let err = CampaignSpec::from_json_str(&old_sweep).unwrap_err();
+        assert!(err.contains(r#"unknown scheduler "parallel:4""#), "{err}");
+        let old_default = bad_scheme.replace("XY", "ITB-RR").replace(
+            r#""sweeps""#,
+            r#""defaults": {"scheduler": "parallel"}, "sweeps""#,
+        );
+        let err = CampaignSpec::from_json_str(&old_default).unwrap_err();
+        assert!(err.contains(r#"unknown scheduler "parallel""#), "{err}");
         let bad_schema = r#"{"schema": "regnet-campaign-v9", "name": "x", "sweeps": [
             {"topos": ["torus"], "schemes": ["ITB-RR"], "patterns": ["uniform"], "loads": [0.01]}
         ]}"#;

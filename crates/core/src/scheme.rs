@@ -102,10 +102,9 @@ impl Default for RouteDbConfig {
 
 /// Path-selection state owned by one *source* host.
 ///
-/// Selection state is sharded by source so that engines which process
-/// hosts on different threads can each mutate their own sources' state
-/// without sharing: every selection a host makes reads and writes only
-/// its own `SrcSelector`.
+/// Selection state is grouped by source: every selection a host makes
+/// reads and writes only its own `SrcSelector`, so the simulator's kernel
+/// can borrow one source's state without the whole [`PathSelector`].
 #[derive(Debug, Clone)]
 pub struct SrcSelector {
     /// ITB-RR: one round-robin counter per destination.
@@ -157,13 +156,6 @@ impl PathSelector {
     /// The selection state of one source host.
     pub fn src_mut(&mut self, src: HostId) -> &mut SrcSelector {
         &mut self.per_src[src.idx()]
-    }
-
-    /// All per-source selection states, indexed by source host. The
-    /// parallel engine uses this to hand each shard raw access to the
-    /// selectors of the hosts it owns.
-    pub fn per_src_mut(&mut self) -> &mut [SrcSelector] {
-        &mut self.per_src
     }
 }
 
@@ -255,9 +247,8 @@ impl RouteDb {
     }
 
     /// [`select`](RouteDb::select), given only the source host's own
-    /// selection state. This is the form the parallel engine calls: each
-    /// shard holds the `SrcSelector`s of exactly the hosts it owns, so
-    /// re-selection after a fault never touches another shard's state.
+    /// selection state. This is the form the simulator's kernel calls
+    /// (its sink lends one `SrcSelector` at a time).
     pub fn select_from(
         &self,
         topo: &Topology,

@@ -30,11 +30,10 @@ pub(crate) const CTL_GO: u8 = 2;
 /// by the channel's sender and drained by its receiver.
 ///
 /// A channel is two lanes so that the two components at its ends can each
-/// hold one exclusively: under the shard-parallel engine (`crate::par`) the
-/// sender and the receiver may live in different shards, and within one
-/// region of a cycle each lane has exactly one of them working on it. Each
+/// borrow one exclusively: the data lane is written by the sender and
+/// drained by the receiver, the control lane the other way round. Each
 /// lane therefore carries its own copy of the cable's `delay` and `dead`
-/// state (`dead` changes only in the fault phase, on the main thread).
+/// state (`dead` changes only in the fault phase).
 #[derive(Debug)]
 pub(crate) struct DataLane {
     delay: u32,
@@ -75,11 +74,6 @@ impl DataLane {
         let s = (cycle % self.delay as u64) as usize;
         debug_assert_eq!(self.slots[s], NO_PACKET, "channel slot collision");
         self.slots[s] = packet;
-    }
-
-    #[inline]
-    pub(crate) fn is_dead(&self) -> bool {
-        self.dead
     }
 }
 

@@ -180,32 +180,6 @@ impl Counters {
         *self = Counters::default();
     }
 
-    /// Fold another registry into this one (shard-parallel engine: each
-    /// shard counts into a private registry, merged at the cycle barrier).
-    /// Counters are pure sums, so fold order cannot affect the snapshot.
-    pub(crate) fn add(&mut self, other: &Counters) {
-        self.flits_forwarded += other.flits_forwarded;
-        self.flits_injected += other.flits_injected;
-        self.route_lookups += other.route_lookups;
-        self.arbitration_grants += other.arbitration_grants;
-        self.worms_blocked += other.worms_blocked;
-        self.switch_arrivals += other.switch_arrivals;
-        self.ctl_stops += other.ctl_stops;
-        self.ctl_gos += other.ctl_gos;
-        self.messages_generated += other.messages_generated;
-        self.messages_delivered += other.messages_delivered;
-        self.packets_delivered += other.packets_delivered;
-        self.packets_dropped += other.packets_dropped;
-        self.itb_ejections += other.itb_ejections;
-        self.itb_reinjections += other.itb_reinjections;
-        self.itb_overflows += other.itb_overflows;
-        self.retransmits += other.retransmits;
-        self.fault_fires += other.fault_fires;
-        self.fault_repairs += other.fault_repairs;
-        self.wfg_invocations
-            .set(self.wfg_invocations.get() + other.wfg_invocations.get());
-    }
-
     pub(crate) fn snapshot(&self) -> CounterSnapshot {
         CounterSnapshot {
             flits_forwarded: self.flits_forwarded,

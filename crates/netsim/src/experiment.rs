@@ -73,13 +73,13 @@ pub struct RunObservation {
     pub reliability: ReliabilityStats,
     pub trace: Option<TraceReport>,
     pub profile: Option<ProfileReport>,
-    /// Hierarchical view of `profile` (phase → shard → component bucket).
+    /// Hierarchical view of `profile` (phase → component bucket).
     pub spans: Option<SpanReport>,
     pub journal: Option<Box<EventJournal>>,
     /// The cycle-loop driver that actually ran
-    /// ([`Simulator::effective_scheduler`]). Always equals
-    /// `RunOptions::scheduler`; recorded so result writers can assert the
-    /// label they store matches the engine that produced the numbers.
+    /// ([`Simulator::effective_scheduler`]). Equals `RunOptions::scheduler`
+    /// for every engine that exists; recorded so result writers can assert
+    /// the label they store matches the engine that produced the numbers.
     pub effective_scheduler: Scheduler,
 }
 

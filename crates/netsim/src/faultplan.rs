@@ -17,12 +17,10 @@
 //! with the scheduler — including *same cycle* (phase 0) ctl deliveries,
 //! which the tagless wake wheel handles because all channels share one
 //! delay. Exactly two hook sites exist (the purge's ctl fix-up and the
-//! retransmission wake-up), and both dispatch through the simulator's
-//! `ctl_sched`/`nic_sched` helpers, which pick either the sequential
-//! `ActiveSched` or the owning shard's scheduler when the shard-parallel
-//! engine is installed — fault plans run natively on every engine, and
-//! mid-cycle losses are deferred to a deterministic replay point after
-//! NIC tx (`Simulator::loss_phase`).
+//! retransmission wake-up), and both note their wake in the simulator's
+//! `ActiveSched` when one is installed — fault plans run natively on
+//! every engine, and mid-cycle losses are deferred to a deterministic
+//! replay point after NIC tx (`Simulator::loss_phase`).
 //! `tests/scheduler_equivalence.rs` pins cross-engine equality under a
 //! fault plan on every paper topology × scheme.
 

@@ -9,15 +9,11 @@
 //! through which it reaches the packets, messages and channels it touches
 //! and *emits* every other consequence of the cycle.
 //!
-//! A sink decides *when* an effect lands, never *how* a cycle works:
-//!
-//! * the sequential engines' sink (`sim.rs`) is a bundle of disjoint
-//!   `&mut` borrows of the simulator's fields and applies every effect on
-//!   the spot;
-//! * the shard-parallel engine's sink (`par.rs`) applies what is private
-//!   to its shard, buffers the rest under the [`At`] key it was emitted
-//!   at, and the barrier fold feeds the buffer to the sequential sink in
-//!   `At` order.
+//! A sink decides *when* an effect lands, never *how* a cycle works. The
+//! engines' one sink (`sim.rs`) is a bundle of disjoint `&mut` borrows of
+//! the simulator's fields and applies every effect on the spot, deferring
+//! only the losses of a faulted cycle (by their [`At`] key); the kernel
+//! tests' recording sink keeps the effects as data instead.
 //!
 //! The phase loops at the bottom walk the active-set scheduler's wake
 //! wheels and active lists; they reach components through [`Parts`], which
@@ -45,7 +41,7 @@ use crate::switch::{ports, HeadState, SwitchState};
 /// arrival phase visits channels in ascending index order, then the switch
 /// phase visits switches, then the transmit phase visits NICs — which is
 /// exactly the derived ordering. Buffered effects stably sorted by `At`
-/// are therefore in the order the sequential engines apply them.
+/// are therefore in the order the engines apply them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum At {
     Chan(u32),
@@ -73,8 +69,7 @@ pub(crate) enum Fx {
     Lose { pid: u32 },
 }
 
-/// Measurement-window tallies the kernel feeds (sums and a max, so folding
-/// per-shard copies is order-free).
+/// Measurement-window tallies the kernel feeds.
 #[derive(Debug, Default)]
 pub(crate) struct KernelMeasure {
     pub max_pool_flits: u32,
@@ -82,19 +77,9 @@ pub(crate) struct KernelMeasure {
     pub reinject_bubbles: u64,
 }
 
-impl KernelMeasure {
-    /// Fold `other` into `self`, leaving `other` zeroed.
-    pub(crate) fn absorb(&mut self, other: &mut KernelMeasure) {
-        let o = std::mem::take(other);
-        self.max_pool_flits = self.max_pool_flits.max(o.max_pool_flits);
-        self.itb_overflows += o.itb_overflows;
-        self.reinject_bubbles += o.reinject_bubbles;
-    }
-}
-
 /// What is fixed for the duration of one cycle. The fault state mutates
-/// only in the fault phase (phase 0, main thread), so for the kernel
-/// phases it is plain shared data under every engine.
+/// only in the fault phase (phase 0), so for the kernel phases it is
+/// plain shared data.
 #[derive(Clone, Copy)]
 pub(crate) struct Tick<'a> {
     pub cycle: u64,
@@ -588,7 +573,7 @@ pub(crate) fn arrival_phase<P: Parts>(p: &mut P, t: &Tick) {
 }
 
 /// Phase 3: visit the active switches in ascending order, retiring those
-/// left quiescent (a per-component predicate, so it shards cleanly).
+/// left quiescent (a per-component predicate).
 #[inline]
 pub(crate) fn switches_phase<P: Parts>(p: &mut P, t: &Tick) {
     let mut list = p.sched().take_active_switches();

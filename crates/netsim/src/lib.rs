@@ -61,8 +61,6 @@ pub mod faultplan;
 mod kernel;
 mod nic;
 mod packet;
-mod par;
-pub mod partition;
 pub mod profiler;
 mod sched;
 mod sim;
@@ -76,7 +74,6 @@ pub use counters::CounterSnapshot;
 pub use events::{BlockCause, Event, EventJournal, EventKind, EventMask, EventOptions, NO_PACKET};
 pub use experiment::{par_map, Experiment, RunObservation, RunOptions, ThroughputSearch};
 pub use faultplan::{FaultEvent, FaultOptions, FaultPlan, FaultTarget, ReliabilityStats};
-pub use partition::ShardPlan;
 pub use profiler::{PhaseProfile, ProfileReport, SpanNode, SpanReport, PHASE_NAMES};
 pub use sched::Scheduler;
 pub use sim::{ChannelDesc, RunStats, Simulator};

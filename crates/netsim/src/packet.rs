@@ -112,14 +112,6 @@ impl<T> Arena<T> {
     pub(crate) fn live(&self) -> usize {
         self.live
     }
-
-    /// Base pointer of the slot array, for the shard-parallel engine.
-    /// Workers only read/write entries that already exist (`insert`/`remove`
-    /// stay on the main thread), so the `Vec` itself never reallocates
-    /// while the pointer is in use.
-    pub(crate) fn raw_slots(&mut self) -> *mut Option<T> {
-        self.slots.as_mut_ptr()
-    }
 }
 
 #[cfg(test)]

@@ -11,10 +11,10 @@
 //!
 //! * [`ProfileReport`] — the flat per-phase table (what `benchmark/`
 //!   reports as `netsim.phase.*`).
-//! * [`SpanReport`] — the hierarchical tree *phase → shard → component
-//!   bucket* with a collapsed-stack export ([`SpanReport::to_collapsed`],
+//! * [`SpanReport`] — the hierarchical tree *phase → component bucket*
+//!   with a collapsed-stack export ([`SpanReport::to_collapsed`],
 //!   `inferno`/`flamegraph.pl`-compatible), which says where *inside* the
-//!   switch phase a mega-scale run spends its time.
+//!   switch phase a run spends its time.
 //!
 //! Wall-clock figures are host-machine noise, so they are kept strictly
 //! out of `RunStats` (which must be bit-identical across same-seed runs);
@@ -38,10 +38,6 @@ pub const PHASE_NAMES: [&str; 7] = [
 
 pub(crate) const N_PHASES: usize = PHASE_NAMES.len();
 
-/// Shard index used for child spans recorded by the sequential engines
-/// (no shard level in the tree).
-pub(crate) const NO_SHARD: u32 = u32::MAX;
-
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Phase {
     Faults = 0,
@@ -54,14 +50,14 @@ pub(crate) enum Phase {
 }
 
 /// Accumulated nanoseconds per phase, plus child-span buckets keyed by
-/// `(phase, shard, label)`. The flat array stays authoritative: child
+/// `(phase, label)`. The flat array stays authoritative: child
 /// spans are timed independently inside the phase and reconciled against
 /// the phase total at report time.
 #[derive(Debug, Default)]
 pub(crate) struct Profiler {
     pub ns: [u64; N_PHASES],
     pub cycles: u64,
-    children: BTreeMap<(u8, u32, &'static str), u64>,
+    children: BTreeMap<(u8, &'static str), u64>,
 }
 
 impl Profiler {
@@ -74,14 +70,10 @@ impl Profiler {
         self.ns[phase as usize] += ns;
     }
 
-    /// Accumulate a child span under `phase`. Use [`NO_SHARD`] for spans
-    /// recorded outside the shard-parallel engine.
+    /// Accumulate a child span under `phase`.
     #[inline]
-    pub(crate) fn add_child(&mut self, phase: Phase, shard: u32, label: &'static str, ns: u64) {
-        *self
-            .children
-            .entry((phase as u8, shard, label))
-            .or_insert(0) += ns;
+    pub(crate) fn add_child(&mut self, phase: Phase, label: &'static str, ns: u64) {
+        *self.children.entry((phase as u8, label)).or_insert(0) += ns;
     }
 
     pub(crate) fn report(&self) -> ProfileReport {
@@ -116,51 +108,31 @@ impl Profiler {
         let mut roots = Vec::with_capacity(N_PHASES);
         for (p, &phase_name) in PHASE_NAMES.iter().enumerate() {
             let phase_ns = self.ns[p];
-            // BTreeMap order: shards ascending, labels alphabetical,
-            // NO_SHARD (u32::MAX) last — deterministic.
-            let mut leaves: Vec<(u32, &'static str, u64)> = self
+            // BTreeMap order: labels alphabetical — deterministic.
+            let mut leaves: Vec<(&'static str, u64)> = self
                 .children
                 .iter()
-                .filter(|&(&(ph, _, _), _)| ph == p as u8)
-                .map(|(&(_, shard, label), &ns)| (shard, label, ns))
+                .filter(|&(&(ph, _), _)| ph == p as u8)
+                .map(|(&(_, label), &ns)| (label, ns))
                 .collect();
-            let sum: u64 = leaves.iter().map(|&(_, _, ns)| ns).sum();
+            let sum: u64 = leaves.iter().map(|&(_, ns)| ns).sum();
             let self_ns = if sum > phase_ns {
                 let mut scaled_sum = 0u64;
                 for l in &mut leaves {
-                    l.2 = ((l.2 as u128 * phase_ns as u128) / sum as u128) as u64;
-                    scaled_sum += l.2;
+                    l.1 = ((l.1 as u128 * phase_ns as u128) / sum as u128) as u64;
+                    scaled_sum += l.1;
                 }
-                if let Some(largest) = leaves.iter_mut().max_by_key(|l| l.2) {
-                    largest.2 += phase_ns - scaled_sum;
+                if let Some(largest) = leaves.iter_mut().max_by_key(|l| l.1) {
+                    largest.1 += phase_ns - scaled_sum;
                 }
                 0
             } else {
                 phase_ns - sum
             };
-            let mut children = Vec::new();
-            let mut i = 0;
-            while i < leaves.len() {
-                let (shard, label, ns) = leaves[i];
-                if shard == NO_SHARD {
-                    children.push(SpanNode::leaf(label, ns));
-                    i += 1;
-                    continue;
-                }
-                let mut kids = Vec::new();
-                let mut shard_total = 0u64;
-                while i < leaves.len() && leaves[i].0 == shard {
-                    shard_total += leaves[i].2;
-                    kids.push(SpanNode::leaf(leaves[i].1, leaves[i].2));
-                    i += 1;
-                }
-                children.push(SpanNode {
-                    name: format!("shard{shard}"),
-                    total_ns: shard_total,
-                    self_ns: 0,
-                    children: kids,
-                });
-            }
+            let children = leaves
+                .iter()
+                .map(|&(label, ns)| SpanNode::leaf(label, ns))
+                .collect();
             roots.push(SpanNode {
                 name: phase_name.to_string(),
                 total_ns: phase_ns,
@@ -364,8 +336,8 @@ mod tests {
         let mut p = Profiler::new();
         p.cycles = 5;
         p.add(Phase::Switches, 1000);
-        p.add_child(Phase::Switches, NO_SHARD, "routing", 600);
-        p.add_child(Phase::Switches, NO_SHARD, "crossbar", 300);
+        p.add_child(Phase::Switches, "routing", 600);
+        p.add_child(Phase::Switches, "crossbar", 300);
         p.add(Phase::Observers, 50);
         let spans = p.span_report();
         let flat = p.report();
@@ -389,9 +361,9 @@ mod tests {
         let mut p = Profiler::new();
         p.add(Phase::Arrivals, 1000);
         // Children sum to 1003 > 1000 (separate Instant pairs drift).
-        p.add_child(Phase::Arrivals, 0, "control", 500);
-        p.add_child(Phase::Arrivals, 0, "arrivals", 200);
-        p.add_child(Phase::Arrivals, 1, "control", 303);
+        p.add_child(Phase::Arrivals, "control", 500);
+        p.add_child(Phase::Arrivals, "arrivals", 200);
+        p.add_child(Phase::Arrivals, "purge", 303);
         let spans = p.span_report();
         let arr = &spans.roots[Phase::Arrivals as usize];
         assert_eq!(arr.total_ns, 1000);
@@ -399,25 +371,21 @@ mod tests {
         let child_sum: u64 = arr.children.iter().map(|c| c.total_ns).sum();
         assert_eq!(child_sum, 1000, "scaled children must sum exactly");
         assert_node_invariant(arr);
-        // Shard grouping: two shard intermediates with self 0.
-        assert_eq!(arr.children[0].name, "shard0");
-        assert_eq!(arr.children[1].name, "shard1");
-        assert_eq!(arr.children[0].self_ns, 0);
-        assert_eq!(arr.children[0].children.len(), 2);
+        assert_eq!(arr.children.len(), 3);
     }
 
     #[test]
     fn collapsed_stacks_cover_the_total() {
         let mut p = Profiler::new();
         p.add(Phase::Switches, 1000);
-        p.add_child(Phase::Switches, 2, "switches", 700);
-        p.add_child(Phase::Switches, 2, "nic_tx", 100);
+        p.add_child(Phase::Switches, "routing", 700);
+        p.add_child(Phase::Switches, "crossbar", 100);
         p.add(Phase::Generation, 50);
         let spans = p.span_report();
         let collapsed = spans.to_collapsed();
         assert!(collapsed.contains("engine;switches 200\n"));
-        assert!(collapsed.contains("engine;switches;shard2;switches 700\n"));
-        assert!(collapsed.contains("engine;switches;shard2;nic_tx 100\n"));
+        assert!(collapsed.contains("engine;switches;routing 700\n"));
+        assert!(collapsed.contains("engine;switches;crossbar 100\n"));
         assert!(collapsed.contains("engine;generation 50\n"));
         // Every line's value is a self time; they sum to the grand total.
         let sum: u64 = collapsed
@@ -425,6 +393,6 @@ mod tests {
             .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
             .sum();
         assert_eq!(sum, spans.total_ns);
-        assert!(spans.to_table().contains("shard2"));
+        assert!(spans.to_table().contains("crossbar"));
     }
 }

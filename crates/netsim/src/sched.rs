@@ -1,7 +1,7 @@
 //! Cycle-loop scheduling strategies.
 //!
 //! The simulator's four hot phases (control arrivals, data arrivals,
-//! switches, NIC transmission) can be driven four ways:
+//! switches, NIC transmission) can be driven three ways:
 //!
 //! * [`Scheduler::Scan`] — the reference implementation: visit every
 //!   channel, switch and NIC on every cycle. Trivially correct, O(network
@@ -19,19 +19,12 @@
 //!   cycle at which *anything* can happen (wake heap, generation clocks,
 //!   fault plan, reconfiguration deadline, trace sampling, watchdog
 //!   boundary) and advances the clock straight to it (see `event.rs`).
-//! * [`Scheduler::Parallel`] — shard-parallel: the topology is cut into
-//!   `threads` contiguous blocks of a BFS order over the switch graph
-//!   (see [`crate::partition`]), each shard runs the active-set machinery
-//!   on its own components on a persistent barrier-synchronized worker
-//!   pool, and cross-shard effects are buffered and merged in
-//!   deterministic channel-id order at the barriers (see `par.rs`).
 //!
 //! All schedulers are bit-identical: same `RunStats`, counters, event
 //! journal and trace digest. The scan loop's observable ordering (channel,
 //! switch and NIC index order within each phase) is reproduced by sorting
 //! each drained wheel bucket and each active list before visiting it, so
-//! the active set is a strict subsequence of the scan order, and the
-//! parallel engine's merge keys reproduce the same order shard-blind. The
+//! the active set is a strict subsequence of the scan order. The
 //! determinism suite runs under any via `REGNET_SCHEDULER`, and the
 //! `scheduler_equivalence` integration test diffs all engines end-to-end.
 
@@ -54,22 +47,21 @@ pub enum Scheduler {
     /// load. See `crates/netsim/src/event.rs` for the skip-safety
     /// argument.
     EventDriven,
-    /// Shard-parallel active sets on a persistent worker pool.
-    /// Bit-identical to the sequential engines for any `threads`; the
-    /// shard count (and therefore every result) is `threads` alone, while
-    /// the live OS-thread count is capped at the host's parallelism.
-    /// Fault plans run natively: the fault phase executes on the main
-    /// thread with the workers parked, and mid-cycle losses are replayed
-    /// at a deterministic point after NIC tx (see `par.rs` `# Faults`).
+    /// Retired label, not an engine. The shard-parallel cycle engine lost
+    /// to `ActiveSet` on every benchmark workload and was deleted; this
+    /// variant is the one shim left, kept only because the frozen
+    /// `benchmark/` package names it. Selecting it installs `ActiveSet`
+    /// and [`crate::Simulator::scheduler`] says so. It goes when the next
+    /// benchmark PR drops its `parallel-2` row.
+    #[doc(hidden)]
     Parallel {
-        /// Shard count; `0` means "auto" ([`crate::threads::threads`]).
+        /// Ignored.
         threads: usize,
     },
 }
 
 impl Scheduler {
-    /// Stable label (bench reports, CI matrix keys). Thread counts are
-    /// reported separately (the label identifies the engine).
+    /// Stable label (bench reports, CI matrix keys).
     pub fn label(self) -> &'static str {
         match self {
             Scheduler::Scan => "scan",
@@ -80,37 +72,14 @@ impl Scheduler {
     }
 
     /// Parse a label as written in bench reports or the
-    /// `REGNET_SCHEDULER` environment variable. `parallel` uses the shared
-    /// `REGNET_THREADS`/detected-parallelism rule; `parallel:<n>` pins the
-    /// shard count.
+    /// `REGNET_SCHEDULER` environment variable.
     pub fn parse(s: &str) -> Option<Scheduler> {
-        let s = s.trim().to_ascii_lowercase();
-        if let Some(n) = s.strip_prefix("parallel:") {
-            let threads = n.trim().parse::<usize>().ok().filter(|&n| n >= 1)?;
-            return Some(Scheduler::Parallel { threads });
-        }
-        match s.as_str() {
+        match s.trim().to_ascii_lowercase().as_str() {
             "scan" => Some(Scheduler::Scan),
             "active" | "active-set" | "activeset" | "active_set" => Some(Scheduler::ActiveSet),
             "event" | "event-driven" | "eventdriven" | "event_driven" => {
                 Some(Scheduler::EventDriven)
             }
-            "parallel" => Some(Scheduler::Parallel {
-                threads: crate::threads::threads(),
-            }),
-            _ => None,
-        }
-    }
-
-    /// The shard count a [`Scheduler::Parallel`] run would use (resolving
-    /// `threads: 0` to the auto rule); `None` for the sequential engines.
-    pub fn parallel_threads(self) -> Option<usize> {
-        match self {
-            Scheduler::Parallel { threads } => Some(if threads == 0 {
-                crate::threads::threads()
-            } else {
-                threads
-            }),
             _ => None,
         }
     }
@@ -327,30 +296,10 @@ mod tests {
         );
         assert_eq!(Scheduler::parse("nonsense"), None);
         assert_eq!(Scheduler::default(), Scheduler::ActiveSet);
-        assert_eq!(Scheduler::EventDriven.parallel_threads(), None);
-    }
-
-    #[test]
-    fn parallel_parsing() {
-        assert_eq!(
-            Scheduler::parse("parallel:4"),
-            Some(Scheduler::Parallel { threads: 4 })
-        );
-        assert_eq!(
-            Scheduler::parse(" Parallel:2 "),
-            Some(Scheduler::Parallel { threads: 2 })
-        );
-        assert_eq!(Scheduler::parse("parallel:0"), None);
-        assert_eq!(Scheduler::parse("parallel:x"), None);
-        // Bare "parallel" resolves the thread count via the shared rule.
-        let auto = Scheduler::parse("parallel").unwrap();
-        assert_eq!(auto.label(), "parallel");
-        assert!(auto.parallel_threads().unwrap() >= 1);
-        assert_eq!(
-            Scheduler::Parallel { threads: 3 }.parallel_threads(),
-            Some(3)
-        );
-        assert_eq!(Scheduler::ActiveSet.parallel_threads(), None);
+        // The retired shard-parallel spellings no longer select anything.
+        for gone in ["parallel", "parallel:4", "parallel:0"] {
+            assert_eq!(Scheduler::parse(gone), None, "{gone}");
+        }
     }
 
     #[test]

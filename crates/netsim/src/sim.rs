@@ -17,7 +17,7 @@
 //!
 //! What phases 1–4 *do* is `crate::kernel`, shared by every engine; this
 //! file owns the simulator's state, the phase sequence ([`Simulator::step`]),
-//! the sequential engines' sink for the kernel's effects, generation and
+//! the engines' sink for the kernel's effects, generation and
 //! the fault machinery.
 
 use std::cmp::Reverse;
@@ -41,8 +41,7 @@ use crate::faultplan::{FaultEvent, FaultOptions, FaultRuntime, FaultTarget, Reli
 use crate::kernel::{self, At, Fx, KernelMeasure, Parts, Sink, SwitchSpan, Tick};
 use crate::nic::Nic;
 use crate::packet::{Arena, Packet, PacketArena};
-use crate::par::{Out, ParCtx, ParEngine, Region};
-use crate::profiler::{Phase, ProfileReport, Profiler, SpanReport, NO_SHARD};
+use crate::profiler::{Phase, ProfileReport, Profiler, SpanReport};
 use crate::sched::{ActiveSched, Scheduler};
 use crate::switch::{HeadState, SwitchState};
 use crate::trace::{TraceOptions, TraceReport, TraceState};
@@ -148,10 +147,9 @@ fn lap(prof: &mut Option<Box<Profiler>>, mark: &mut Option<Instant>, phase: Phas
     }
 }
 
-/// The sequential engines' [`Sink`]: disjoint `&mut` borrows of the
-/// simulator's fields, every effect applied the moment the kernel emits it
-/// (so the [`At`] keys go unused). The parallel engine's barrier fold
-/// replays its buffered effects into one of these too.
+/// The engines' [`Sink`]: disjoint `&mut` borrows of the simulator's
+/// fields, every effect applied the moment the kernel emits it (only the
+/// deferred losses keep their [`At`] key).
 struct SeqSink<'s> {
     cycle: u64,
     channels: &'s mut [Channel],
@@ -180,9 +178,7 @@ impl SeqSink<'_> {
     }
 
     /// Arena/message bookkeeping, measurement, counters, journal and trace
-    /// hooks of a completed delivery. The parallel fold replays deliveries
-    /// in ascending channel order, so the arena and message free-lists
-    /// reuse slots exactly as the sequential arrival phase does.
+    /// hooks of a completed delivery.
     fn complete_delivery(&mut self, pid: u32, host: u32) {
         let cycle = self.cycle;
         let pkt = self.arena.remove(pid);
@@ -340,7 +336,7 @@ impl Sink for SeqSink<'_> {
     }
 }
 
-/// The sequential engines' [`Parts`]: the component arrays next to the
+/// The engines' [`Parts`]: the component arrays next to the
 /// sink that borrows everything else.
 struct SeqParts<'s> {
     switches: &'s mut [SwitchState],
@@ -386,93 +382,6 @@ impl<'s> Parts for SeqParts<'s> {
     }
 }
 
-/// The simulator as the shard workers see it for one region (see
-/// `crate::par` for the safety argument). Rebuilt per region, so no pointer
-/// survives a main-thread barrier mutation.
-fn par_ctx<'s>(p: &'s mut SeqParts<'_>, tick: Tick<'s>, pe: &'s mut ParEngine) -> ParCtx<'s> {
-    let k = &mut p.sink;
-    ParCtx {
-        tick,
-        channels: k.channels.as_mut_ptr(),
-        switches: p.switches.as_mut_ptr(),
-        nics: p.nics.as_mut_ptr(),
-        pkt_slots: k.arena.raw_slots(),
-        msg_slots: k.msgs.raw_slots(),
-        selectors: k.selector.per_src_mut().as_mut_ptr(),
-        shards: pe.shards.as_mut_ptr(),
-        n_shards: pe.shards.len(),
-        pool: &pe.pool,
-        data_owner: &pe.data_owner,
-        ctl_owner: &pe.ctl_owner,
-        measure_on: k.measure.on,
-        diag: k.diag(),
-        journal_on: k.journal_on(),
-        trace_on: k.trace.is_some(),
-        prof_on: k.spans.is_some(),
-    }
-}
-
-/// At a barrier of the parallel cycle: do what the shards could not do in
-/// place. Region A leaves control symbols, applied in ascending channel
-/// order (a fault-free cycle emits at most one per channel, so the order
-/// is total); region B leaves wheel notes, whose order is immaterial
-/// (buckets are sorted + dedup'd at drain time) and which go unsorted.
-fn apply_outboxes(k: &mut SeqSink<'_>, pe: &mut ParEngine, region: Region) {
-    let mut out = std::mem::take(&mut pe.merged_out);
-    for sh in &mut pe.shards {
-        out.append(&mut sh.out);
-    }
-    if region == Region::A {
-        out.sort_unstable();
-    }
-    for o in out.drain(..) {
-        match o {
-            Out::Ctl(ci, sym) => {
-                k.channels[ci as usize].ctl.send(k.cycle, sym);
-                pe.ctl_sched(ci).note_ctl(k.cycle, ci);
-            }
-            Out::NoteCtl(ci) => pe.ctl_sched(ci).note_ctl(k.cycle, ci),
-            Out::NoteData(ci) => pe.data_sched(ci).note_data(k.cycle, ci),
-        }
-    }
-    pe.merged_out = out;
-}
-
-/// The parallel cycle's barrier fold: empty the outboxes, feed the buffered
-/// effects to the sequential sink in the sequential visit order, and merge
-/// the per-shard counter/measurement deltas.
-fn fold_parallel(k: &mut SeqSink<'_>, pe: &mut ParEngine) {
-    apply_outboxes(k, pe, Region::B);
-
-    // Buffered effects, stably sorted by the `At` they were emitted at:
-    // BFS shards are not index-contiguous, so the sort — not shard
-    // concatenation — reconstructs the global sequential visit order.
-    // Deliveries run here, before generation, so the arena and message
-    // free-lists reuse slots in the exact sequential order. The deferred
-    // losses join the engine-shared list; `loss_phase` sorts and replays
-    // them after the fold, where the sequential engines do.
-    let mut merged = std::mem::take(&mut pe.merged_fx);
-    for sh in &mut pe.shards {
-        merged.append(&mut sh.fx);
-    }
-    merged.sort_by_key(|&(at, _)| at);
-    for (at, fx) in merged.drain(..) {
-        k.fx(at, fx);
-    }
-    pe.merged_fx = merged;
-
-    // Order-free folds: counters are sums, the measurement deltas are
-    // sums/maxes, activity is an "any shard moved something" flag.
-    for sh in &mut pe.shards {
-        k.count(|c| c.add(&sh.counters));
-        sh.counters.reset();
-        k.measure.kernel.absorb(&mut sh.measure);
-        if std::mem::take(&mut sh.activity) {
-            k.activity();
-        }
-    }
-}
-
 /// The simulator: a concrete network (topology + routing tables + traffic
 /// pattern) driven cycle by cycle.
 pub struct Simulator<'a> {
@@ -507,11 +416,8 @@ pub struct Simulator<'a> {
     /// the untimed fast path.
     profiler: Option<Box<Profiler>>,
     /// Active-set scheduler state; `None` runs the reference full-scan
-    /// cycle loop (see [`Scheduler`]). Mutually exclusive with `par`.
+    /// cycle loop (see [`Scheduler`]).
     sched: Option<Box<ActiveSched>>,
-    /// Shard-parallel engine state ([`Scheduler::Parallel`]); when set,
-    /// `sched` is `None` and `step` runs the two-region barrier cycle.
-    par: Option<Box<ParEngine>>,
     /// Directed channel indices per physical link (both directions).
     link_chans: Vec<[u32; 2]>,
     /// This cycle's deferred losses: worms that hit a dead output
@@ -532,7 +438,7 @@ pub struct Simulator<'a> {
     gen_due: u64,
     /// [`Scheduler::EventDriven`]: `run`/`run_until_drained` may jump the
     /// clock over provably idle spans (see `event.rs`). Only meaningful
-    /// with `sched` set; mutually exclusive with `par`.
+    /// with `sched` set.
     time_skip: bool,
     /// Total cycles jumped over by the event-driven driver.
     skipped_cycles: u64,
@@ -665,7 +571,6 @@ impl<'a> Simulator<'a> {
             journal: None,
             profiler: None,
             sched: None,
-            par: None,
             link_chans,
             pending_loss: Vec::new(),
             gen_frozen: false,
@@ -683,49 +588,23 @@ impl<'a> Simulator<'a> {
     /// the experiment driver applies `RunOptions::scheduler` (default
     /// [`Scheduler::ActiveSet`]).
     pub fn set_scheduler(&mut self, s: Scheduler) {
-        self.install_scheduler(s, None);
-    }
-
-    /// Test hook: select `Scheduler::Parallel { threads: shards }` with a
-    /// worker pool of `executors` executors (at most one per shard)
-    /// whatever the host's core count, and return the pool's size. Results
-    /// never depend on it; the equivalence suite uses it to prove that on
-    /// a really multi-threaded pool.
-    #[doc(hidden)]
-    pub fn set_parallel_with_executors(&mut self, shards: usize, executors: usize) -> usize {
-        self.install_scheduler(Scheduler::Parallel { threads: shards }, Some(executors));
-        let pe = self.par.as_deref().expect("just installed");
-        pe.pool.executors()
-    }
-
-    fn install_scheduler(&mut self, s: Scheduler, executors: Option<usize>) {
         assert_eq!(
             self.cycle, 0,
             "scheduler must be selected before the first cycle"
         );
-        self.par = None;
         self.time_skip = false;
         self.sched = match s {
             Scheduler::Scan => None,
-            Scheduler::ActiveSet => Some(Box::new(self.new_active_sched())),
+            // The second is a retired label, not an engine (see its
+            // doc comment): it runs, and reports as, the active set.
+            Scheduler::ActiveSet | Scheduler::Parallel { .. } => {
+                Some(Box::new(self.new_active_sched()))
+            }
             Scheduler::EventDriven => {
                 // The active-set machinery provides the wake state; the
                 // `run` loops additionally jump over provably idle spans.
                 self.time_skip = true;
                 Some(Box::new(self.new_active_sched()))
-            }
-            Scheduler::Parallel { .. } => {
-                let threads = s.parallel_threads().unwrap();
-                self.par = Some(Box::new(ParEngine::new(
-                    self.topo,
-                    threads,
-                    executors,
-                    self.cfg.link_delay_cycles,
-                    &self.channels,
-                    self.switches.len(),
-                    self.nics.len(),
-                )));
-                None
             }
         };
     }
@@ -740,11 +619,7 @@ impl<'a> Simulator<'a> {
 
     /// The cycle-loop driver in effect.
     pub fn scheduler(&self) -> Scheduler {
-        if let Some(pe) = &self.par {
-            Scheduler::Parallel {
-                threads: pe.requested,
-            }
-        } else if self.sched.is_some() {
+        if self.sched.is_some() {
             if self.time_skip {
                 Scheduler::EventDriven
             } else {
@@ -755,10 +630,11 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// The cycle-loop driver that actually runs the simulation. No code
-    /// path substitutes a different engine than the one requested, so this
-    /// always equals the `set_scheduler` argument; it exists so result
-    /// records can *assert* that, instead of trusting the requested label.
+    /// The cycle-loop driver that actually runs the simulation. It equals
+    /// the `set_scheduler` argument for every engine that exists; the
+    /// retired `parallel` label reports `ActiveSet`. Result records
+    /// *assert* the equality instead of trusting the requested label, so
+    /// a hand-built cell under the retired label fails loudly.
     pub fn effective_scheduler(&self) -> Scheduler {
         self.scheduler()
     }
@@ -803,8 +679,8 @@ impl<'a> Simulator<'a> {
         self.profiler.as_deref().map(|p| p.report())
     }
 
-    /// Hierarchical span view of the same profile (phase → shard →
-    /// component bucket); `None` when profiling was never enabled.
+    /// Hierarchical span view of the same profile (phase → component
+    /// bucket); `None` when profiling was never enabled.
     pub fn span_report(&self) -> Option<SpanReport> {
         self.profiler.as_deref().map(|p| p.span_report())
     }
@@ -1069,27 +945,19 @@ impl<'a> Simulator<'a> {
     }
 
     /// Advance one cycle: the one phase sequence every engine runs. Phases
-    /// 1–4 are the kernel's (`crate::kernel`), driven sequentially or on
-    /// the shard pool; the rest is engine-independent. With the profiler
-    /// on, each phase ends in a lap; off, `mark` stays `None` and no
-    /// `Instant::now()` is ever called.
+    /// 1–4 are the kernel's (`crate::kernel`); the rest is
+    /// engine-independent. With the profiler on, each phase ends in a lap;
+    /// off, `mark` stays `None` and no `Instant::now()` is ever called.
     pub fn step(&mut self) {
         let cycle = self.cycle;
         let mut mark = self.profiler.as_ref().map(|_| Instant::now());
-        // ---- Phase 0: fault events, purges, reconfig. Under the parallel
-        // engine this is the main thread with the workers parked; purges
-        // route their control fix-ups and wakes to the owner shards (see
-        // `ctl_sched` / `nic_sched`).
+        // ---- Phase 0: fault events, purges, reconfig.
         if self.faults.is_some() {
             self.fault_phase(cycle);
         }
         lap(&mut self.profiler, &mut mark, Phase::Faults);
         // ---- Phases 1-4: control, arrivals, switches, NIC transmission.
-        if self.par.is_some() {
-            self.parallel_phases(cycle, &mut mark);
-        } else {
-            self.sequential_phases(cycle, &mut mark);
-        }
+        self.kernel_phases(cycle, &mut mark);
         // ---- Phase 6: deferred mid-cycle losses (faulted runs).
         if self.faults.is_some() {
             self.loss_phase(cycle);
@@ -1101,7 +969,7 @@ impl<'a> Simulator<'a> {
         self.observer_phase(cycle, mark.is_some().then_some(&mut trace_ns));
         lap(&mut self.profiler, &mut mark, Phase::Observers);
         if let Some(p) = self.profiler.as_deref_mut() {
-            p.add_child(Phase::Observers, NO_SHARD, "trace", trace_ns);
+            p.add_child(Phase::Observers, "trace", trace_ns);
             p.cycles += 1;
         }
         self.cycle += 1;
@@ -1145,11 +1013,11 @@ impl<'a> Simulator<'a> {
         (parts, tick, &mut self.profiler)
     }
 
-    /// Phases 1-4 on this thread. The active-set engines run the kernel's
-    /// wheel-drain and active-list loops; `Scheduler::Scan`, the reference
-    /// the equivalence suites diff against, visits every channel, switch
-    /// and NIC in index order instead — same kernel, every component.
-    fn sequential_phases(&mut self, cycle: u64, mark: &mut Option<Instant>) {
+    /// Phases 1-4. The active-set engines run the kernel's wheel-drain and
+    /// active-list loops; `Scheduler::Scan`, the reference the equivalence
+    /// suites diff against, visits every channel, switch and NIC in index
+    /// order instead — same kernel, every component.
+    fn kernel_phases(&mut self, cycle: u64, mark: &mut Option<Instant>) {
         let n_channels = self.channels.len() as u32;
         let n_switches = self.switches.len() as u32;
         let n_nics = self.nics.len() as u32;
@@ -1177,8 +1045,8 @@ impl<'a> Simulator<'a> {
         }
         lap(prof, mark, Phase::Switches);
         if let (Some(pr), Some((_, [routing, crossbar]))) = (prof.as_deref_mut(), p.sink.spans) {
-            pr.add_child(Phase::Switches, NO_SHARD, "routing", routing);
-            pr.add_child(Phase::Switches, NO_SHARD, "crossbar", crossbar);
+            pr.add_child(Phase::Switches, "routing", routing);
+            pr.add_child(Phase::Switches, "crossbar", crossbar);
         }
         if scan {
             for h in 0..n_nics {
@@ -1189,52 +1057,6 @@ impl<'a> Simulator<'a> {
             kernel::nic_tx_phase(&mut p, &t);
         }
         lap(prof, mark, Phase::NicTx);
-    }
-
-    /// Phases 1-4 on the shard pool: region A (ctl + arrivals), the
-    /// cross-shard control mid-barrier, region B (switches + NIC tx), then
-    /// the deterministic fold. See `crate::par` for the design and the
-    /// bit-identity argument.
-    ///
-    /// Coarse profiler mapping: region A → Arrivals, mid-barrier →
-    /// Control, region B → Switches, fold → NicTx (the fused regions
-    /// cannot be split into the sequential engines' finer phases).
-    /// Shard-level spans below the two regions come from the workers' own
-    /// `span_ns` accumulators, drained after region B.
-    fn parallel_phases(&mut self, cycle: u64, mark: &mut Option<Instant>) {
-        let mut pe = self.par.take().expect("parallel step without engine");
-        let (mut p, t, prof) = self.split(cycle);
-        par_ctx(&mut p, t, &mut pe).run(Region::A);
-        lap(prof, mark, Phase::Arrivals);
-
-        // Mid-barrier: region A's cross-shard control symbols — before
-        // region B, so a region-B GO can supersede a region-A STOP on the
-        // same channel exactly as the sequential phase order allows.
-        apply_outboxes(&mut p.sink, &mut pe, Region::A);
-        lap(prof, mark, Phase::Control);
-
-        par_ctx(&mut p, t, &mut pe).run(Region::B);
-        lap(prof, mark, Phase::Switches);
-
-        // Drain the workers' shard-span accumulators: region A buckets
-        // nest under Arrivals, region B buckets under Switches (matching
-        // the coarse mapping above).
-        if let Some(pr) = prof.as_deref_mut() {
-            for (k, sh) in pe.shards.iter_mut().enumerate() {
-                let [ctl, arr, sw, nic] = std::mem::take(&mut sh.span_ns);
-                pr.add_child(Phase::Arrivals, k as u32, "control", ctl);
-                pr.add_child(Phase::Arrivals, k as u32, "arrivals", arr);
-                pr.add_child(Phase::Switches, k as u32, "switches", sw);
-                pr.add_child(Phase::Switches, k as u32, "nic_tx", nic);
-            }
-        }
-
-        fold_parallel(&mut p.sink, &mut pe);
-        lap(prof, mark, Phase::NicTx);
-        // Back in place before the loss phase: purges and retransmission
-        // timers route their wakes to the shard schedulers, and
-        // `create_message` activates source NICs in theirs.
-        self.par = Some(pe);
     }
 
     /// Phase 5: message generation. Nothing is due before `gen_due`, so
@@ -1373,7 +1195,7 @@ impl<'a> Simulator<'a> {
             let pid = self.arena.insert(pkt);
             self.nics[src.idx()].local_queue.push_back(pid);
         }
-        if let Some(sc) = self.nic_sched(src.0) {
+        if let Some(sc) = self.sched.as_deref_mut() {
             sc.activate_nic(src.0);
         }
         if self.measure.on {
@@ -1463,25 +1285,6 @@ impl<'a> Simulator<'a> {
 
     // ---- Fault machinery (phases 0 and 6). ----
 
-    /// The wake state that covers NIC `host`, outside the kernel phases
-    /// (generation, fault handling — main thread, workers parked): the
-    /// sequential active set, the owner shard's under the parallel engine,
-    /// none under `Scan`.
-    fn nic_sched(&mut self, host: u32) -> Option<&mut ActiveSched> {
-        match self.par.as_deref_mut() {
-            Some(pe) => Some(&mut pe.shards[pe.plan.nic_shard(host as usize)].sched),
-            None => self.sched.as_deref_mut(),
-        }
-    }
-
-    /// Likewise for the control side of channel `ci` (its sender's shard).
-    fn ctl_sched(&mut self, ci: u32) -> Option<&mut ActiveSched> {
-        match self.par.as_deref_mut() {
-            Some(pe) => Some(pe.ctl_sched(ci)),
-            None => self.sched.as_deref_mut(),
-        }
-    }
-
     /// Phase 6, faulted runs only: replay this cycle's deferred losses.
     /// The switch and NIC phases never truncate or drop in place — they
     /// record `(At, packet)` pairs — and this phase replays the records
@@ -1490,7 +1293,7 @@ impl<'a> Simulator<'a> {
     /// in channel order, then switch truncations in switch order, then
     /// source drops in NIC order, then generation — which is what keeps
     /// free-list reuse, and with it every downstream id, bit-identical
-    /// between the sequential engines and the parallel fold.
+    /// across engines.
     fn loss_phase(&mut self, cycle: u64) {
         if self.pending_loss.is_empty() {
             return;
@@ -1854,7 +1657,7 @@ impl<'a> Simulator<'a> {
             pkt.inject_cycle = u64::MAX;
             let due = cycle + self.cfg.retransmit_timeout_cycles;
             self.nics[src.idx()].retransmit.push(Reverse((due, pid)));
-            if let Some(sc) = self.nic_sched(src.0) {
+            if let Some(sc) = self.sched.as_deref_mut() {
                 sc.wake_nic_at(due, src.0);
             }
             self.rel.retransmissions += 1;
@@ -1909,7 +1712,7 @@ impl<'a> Simulator<'a> {
                 let ch = &mut self.channels[in_chan as usize];
                 let _ = ch.ctl.take_arrival(cycle);
                 ch.ctl.send(cycle, sym);
-                if let Some(sc) = self.ctl_sched(in_chan) {
+                if let Some(sc) = self.sched.as_deref_mut() {
                     sc.note_ctl(cycle, in_chan);
                 }
             }
@@ -2541,12 +2344,7 @@ mod tests {
         };
         let reference = run(Scheduler::Scan);
         assert!(reference.0.delivered > 100);
-        for scheduler in [
-            Scheduler::ActiveSet,
-            Scheduler::EventDriven,
-            Scheduler::Parallel { threads: 1 },
-            Scheduler::Parallel { threads: 4 },
-        ] {
+        for scheduler in [Scheduler::ActiveSet, Scheduler::EventDriven] {
             assert_eq!(reference, run(scheduler), "{scheduler:?}");
         }
     }
@@ -2580,5 +2378,28 @@ mod tests {
         let scan = run(Scheduler::Scan);
         let active = run(Scheduler::ActiveSet);
         assert_eq!(scan, active, "schedulers must be bit-identical");
+    }
+
+    /// The one shim: the retired label selects, and reports as, the
+    /// active-set engine.
+    #[test]
+    fn retired_parallel_label_runs_the_active_set() {
+        let topo = build_ring4();
+        let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let run = |scheduler: Scheduler| {
+            let mut sim = Simulator::new(&topo, &db, &pattern, small_cfg(), 0.01, 11);
+            sim.set_scheduler(scheduler);
+            assert_eq!(sim.scheduler(), Scheduler::ActiveSet);
+            assert_eq!(sim.effective_scheduler(), Scheduler::ActiveSet);
+            sim.enable_trace(TraceOptions::digest_only());
+            sim.begin_measurement();
+            sim.run(5_000);
+            let digest = sim.trace_report().unwrap().digest;
+            (sim.end_measurement(5_000), digest)
+        };
+        let active = run(Scheduler::ActiveSet);
+        assert!(active.0.delivered > 0 && active.1.is_some());
+        assert_eq!(active, run(Scheduler::Parallel { threads: 2 }));
     }
 }

@@ -1,10 +1,9 @@
 //! Shared worker-thread sizing: one implementation of the
-//! `REGNET_THREADS` override used by the parallel cycle engine
-//! ([`Scheduler::Parallel`](crate::Scheduler)), the experiment sweeps
-//! (`experiment::par_map`) and the bench binaries (re-exported from
-//! `regnet-bench` for compatibility).
+//! `REGNET_THREADS` override used by the experiment sweeps
+//! (`experiment::par_map`), the campaign worker pool and the bench
+//! binaries (re-exported from `regnet-bench` for compatibility).
 
-/// Number of worker threads for sweeps and the parallel cycle engine.
+/// Number of worker threads for sweeps and campaign cells.
 /// `REGNET_THREADS=<n>` overrides the detected parallelism (useful for CI
 /// runners and reproducible timings).
 ///

@@ -3,7 +3,7 @@
 //! Every cycle-loop driver the simulator offers registers here once, in
 //! [`contenders`], and every equivalence suite — the topology × scheme
 //! matrix, the faulted runs, the Chrome-trace export, the time-skip
-//! property tests — iterates that single list. Adding a fifth scheduler
+//! property tests — iterates that single list. Adding a scheduler
 //! means adding one line here; the whole proof obligation (same
 //! `RunStats`, same unified counters, same delivered-message digest,
 //! same Chrome trace, with and without faults) then applies to it
@@ -17,25 +17,17 @@
 use regnet::prelude::*;
 
 /// The ground-truth driver every contender is diffed against.
-pub fn reference() -> Scheduler {
+pub(crate) fn reference() -> Scheduler {
     Scheduler::Scan
 }
 
-/// Every non-reference cycle-loop driver. The parallel engine is checked
-/// at shard counts 1, 2 and 4 (executor-count-invariant by construction;
-/// see `DESIGN.md` §6), the event-driven driver exercises time skipping
-/// (`DESIGN.md` §6).
-pub fn contenders() -> Vec<Scheduler> {
-    vec![
-        Scheduler::ActiveSet,
-        Scheduler::EventDriven,
-        Scheduler::Parallel { threads: 1 },
-        Scheduler::Parallel { threads: 2 },
-        Scheduler::Parallel { threads: 4 },
-    ]
+/// Every non-reference cycle-loop driver; the event-driven one exercises
+/// time skipping (`DESIGN.md` §6).
+pub(crate) fn contenders() -> Vec<Scheduler> {
+    vec![Scheduler::ActiveSet, Scheduler::EventDriven]
 }
 
-pub fn opts(scheduler: Scheduler) -> RunOptions {
+pub(crate) fn opts(scheduler: Scheduler) -> RunOptions {
     RunOptions {
         warmup_cycles: 2_000,
         measure_cycles: 10_000,
@@ -47,27 +39,27 @@ pub fn opts(scheduler: Scheduler) -> RunOptions {
     }
 }
 
-pub fn cfg() -> SimConfig {
+pub(crate) fn cfg() -> SimConfig {
     SimConfig {
         payload_flits: 64,
         ..SimConfig::default()
     }
 }
 
-pub fn torus() -> Topology {
+pub(crate) fn torus() -> Topology {
     gen::torus_2d(8, 8, 8).unwrap()
 }
 
-pub fn express() -> Topology {
+pub(crate) fn express() -> Topology {
     gen::torus_2d_express(8, 8, 8).unwrap()
 }
 
-pub fn cplant() -> Topology {
+pub(crate) fn cplant() -> Topology {
     gen::cplant().unwrap()
 }
 
 /// One measured run: stats plus the delivered-message trace digest.
-pub fn run_once(
+pub(crate) fn run_once(
     build: fn() -> Topology,
     scheme: RoutingScheme,
     scheduler: Scheduler,
@@ -91,7 +83,7 @@ pub fn run_once(
 
 /// The core obligation: every contender must be bit-identical to the
 /// scan reference on this topology × scheme point.
-pub fn assert_equivalent(build: fn() -> Topology, scheme: RoutingScheme) {
+pub(crate) fn assert_equivalent(build: fn() -> Topology, scheme: RoutingScheme) {
     let (s_scan, d_scan, n_scan) = run_once(build, scheme, reference());
     let name = build().name().to_string();
     for sched in contenders() {
@@ -121,19 +113,17 @@ pub fn assert_equivalent(build: fn() -> Topology, scheme: RoutingScheme) {
 }
 
 /// Faulted-run obligation: a single link fails and is repaired, and
-/// every contender — including every `Parallel` shard count, which runs
-/// the real sharded engine with purges replayed at the epoch barrier
-/// (`DESIGN.md` §6) — must agree on `RunStats`, the unified counter
+/// every contender must agree on `RunStats`, the unified counter
 /// snapshot, `ReliabilityStats` and the delivered-message digest, bit
 /// for bit.
-pub fn assert_equivalent_faulted(build: fn() -> Topology, scheme: RoutingScheme) {
+pub(crate) fn assert_equivalent_faulted(build: fn() -> Topology, scheme: RoutingScheme) {
     assert_equivalent_faulted_with(build, scheme, cfg());
 }
 
 /// [`assert_equivalent_faulted`] with a caller-supplied `SimConfig`, so
 /// suites can e.g. shrink `reconfig_latency_cycles` to force a full
 /// reconfiguration inside the measurement window.
-pub fn assert_equivalent_faulted_with(
+pub(crate) fn assert_equivalent_faulted_with(
     build: fn() -> Topology,
     scheme: RoutingScheme,
     config: SimConfig,
@@ -201,7 +191,7 @@ pub fn assert_equivalent_faulted_with(
 
 /// Full-observer obligation: the event journal exported as a Chrome
 /// trace must come out byte-identical under every contender.
-pub fn assert_equivalent_observed(build: fn() -> Topology, scheme: RoutingScheme) {
+pub(crate) fn assert_equivalent_observed(build: fn() -> Topology, scheme: RoutingScheme) {
     let run = |scheduler: Scheduler| {
         let exp = Experiment::new(
             build(),

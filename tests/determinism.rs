@@ -9,7 +9,7 @@
 use regnet::prelude::*;
 
 /// Cycle-loop scheduler under test. CI runs the whole suite once per
-/// scheduler by setting `REGNET_SCHEDULER=scan|active-set|event|parallel:N`;
+/// scheduler by setting `REGNET_SCHEDULER=scan|active-set|event`;
 /// unset means the default ([`Scheduler::ActiveSet`]).
 fn scheduler() -> Scheduler {
     match std::env::var("REGNET_SCHEDULER") {

@@ -2,7 +2,8 @@
 //! `--bin <name>` and `paper <subcommand>` that README.md, DESIGN.md or
 //! EXPERIMENTS.md puts in back-ticks or in a fenced block must resolve
 //! against the working tree, `examples/`, `crates/bench/src/bin/` and the
-//! `FIGURES` table of `crates/bench/src/experiments.rs`.
+//! `FIGURES` table of `crates/bench/src/experiments.rs`, and every `--flag`
+//! written after a bench binary's name must be one that binary parses.
 //!
 //! Text only — nothing is built or simulated. What counts as a path: a
 //! word with a `/` whose first component is a top-level entry or a crate
@@ -85,6 +86,52 @@ fn paper_subcommands() -> BTreeSet<String> {
     names
 }
 
+/// The bench binaries, each with the argument parsers it calls in
+/// `crates/bench/src/lib.rs`.
+const BINARIES: [(&str, &[&str]); 5] = [
+    ("paper", &["parse_paper_args"]),
+    ("campaign", &["parse_campaign_args"]),
+    ("fault_sweep", &["parse_fault_sweep_args"]),
+    ("probe", &["parse_fail_links", "parse_probe_load"]),
+    ("diagnose", &["parse_fail_links"]),
+];
+
+/// The text a binary's flags are spelled in: its own source plus the
+/// bodies of its parsers.
+fn flag_tables() -> Vec<(&'static str, String)> {
+    let lib = read("crates/bench/src/lib.rs");
+    let tables = BINARIES.iter().map(|&(bin, parsers)| {
+        let mut table = read(&format!("crates/bench/src/bin/{bin}.rs"));
+        for parser in parsers {
+            let body = lib
+                .split_once(&format!("pub fn {parser}("))
+                .and_then(|(_, rest)| rest.split_once("\n}\n"))
+                .unwrap_or_else(|| panic!("no {parser} in crates/bench/src/lib.rs"));
+            table.push_str(body.0);
+        }
+        (bin, table)
+    });
+    tables.collect()
+}
+
+/// The `--flags` of the command that starts at `words[at]`: the words up
+/// to the end of its line, continuation lines (`\`) included.
+fn flags_after<'a>(words: &[(usize, &'a str)], at: usize) -> Vec<&'a str> {
+    let mut line = words[at].0;
+    let mut flags = Vec::new();
+    for pair in words[at..].windows(2) {
+        let ((_, prev), (n, word)) = (pair[0], pair[1]);
+        if n != line && prev != "\\" {
+            break;
+        }
+        line = n;
+        if word.len() > 2 && word.starts_with("--") {
+            flags.push(word);
+        }
+    }
+    flags
+}
+
 #[test]
 fn documents_name_only_what_exists() {
     let ignored = read(".gitignore");
@@ -98,6 +145,7 @@ fn documents_name_only_what_exists() {
     let mut files = BTreeSet::new();
     file_names_below(root(), &ignored, &mut files);
     let subcommands = paper_subcommands();
+    let flag_tables = flag_tables();
 
     let (mut checked, mut lies) = (0, Vec::new());
     for doc in DOCS {
@@ -123,6 +171,13 @@ fn documents_name_only_what_exists() {
                     if sub.starts_with(|c: char| c.is_ascii_lowercase()) {
                         let known = subcommands.contains(sub);
                         check(known, format!("`paper` has no subcommand {sub:?}"));
+                    }
+                }
+                let binary = word.rsplit('/').next().unwrap();
+                if let Some((_, table)) = flag_tables.iter().find(|(bin, _)| *bin == binary) {
+                    for flag in flags_after(&words, i) {
+                        let known = table.contains(&format!("\"{flag}\""));
+                        check(known, format!("`{binary}` takes no {flag}"));
                     }
                 }
                 if word.contains(['<', '>', '*', '{', '}', '$', '…']) {

@@ -159,11 +159,7 @@ fn metrics_series_is_scheduler_invariant() {
     };
     let reference = run(Scheduler::ActiveSet);
     assert!(!reference.samples.is_empty());
-    for scheduler in [
-        Scheduler::Scan,
-        Scheduler::EventDriven,
-        Scheduler::Parallel { threads: 2 },
-    ] {
+    for scheduler in [Scheduler::Scan, Scheduler::EventDriven] {
         assert_eq!(
             reference,
             run(scheduler),
