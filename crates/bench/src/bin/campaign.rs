@@ -355,7 +355,6 @@ fn parse_what_if(s: &str) -> Result<WhatIfQuery, String> {
         warmup_cycles: defaults.warmup_cycles,
         measure_cycles: defaults.measure_cycles,
         payload_flits: defaults.payload_flits,
-        scheduler: defaults.scheduler,
         goodput_interval: None,
         reconfig_latency_cycles: None,
         faults: None,

@@ -63,7 +63,6 @@ fn main() {
             profile: sim.profile_report(),
             spans: sim.span_report(),
             journal: None,
-            effective_scheduler: sim.effective_scheduler(),
         };
         let mut reg = obs.metrics_registry();
         route_table_gauges(&mut reg, &db);

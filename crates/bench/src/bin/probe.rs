@@ -135,7 +135,6 @@ fn main() {
                 profile: sim.profile_report(),
                 spans: sim.span_report(),
                 journal: None,
-                effective_scheduler: sim.effective_scheduler(),
             };
             let out = scheme_path(path, scheme);
             let mut reg = obs.metrics_registry();

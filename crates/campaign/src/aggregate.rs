@@ -73,10 +73,9 @@ fn to_point(r: &CellResult) -> CurvePoint {
 pub fn aggregate(plan: &RunPlan, results: &BTreeMap<String, CellResult>) -> Aggregates {
     // group → family key → (display label, points).
     let mut groups: BTreeMap<&str, BTreeMap<String, (String, Vec<CurvePoint>)>> = BTreeMap::new();
-    // How many distinct seeds/schedulers a group spans (labels mention
-    // them only when they actually distinguish cells).
+    // How many distinct seeds a group spans (labels mention them only
+    // when they actually distinguish cells).
     let mut group_seeds: BTreeMap<&str, std::collections::BTreeSet<u64>> = BTreeMap::new();
-    let mut group_scheds: BTreeMap<&str, std::collections::BTreeSet<&str>> = BTreeMap::new();
     let mut done = 0usize;
     for cell in &plan.cells {
         if !results.contains_key(&cell.hash) {
@@ -85,10 +84,6 @@ pub fn aggregate(plan: &RunPlan, results: &BTreeMap<String, CellResult>) -> Aggr
         done += 1;
         for group in &cell.groups {
             group_seeds.entry(group).or_default().insert(cell.spec.seed);
-            group_scheds
-                .entry(group)
-                .or_default()
-                .insert(cell.spec.scheduler.label());
         }
     }
     for cell in &plan.cells {
@@ -105,9 +100,6 @@ pub fn aggregate(plan: &RunPlan, results: &BTreeMap<String, CellResult>) -> Aggr
             .join(";");
         for group in &cell.groups {
             let many_seeds = group_seeds.get(group.as_str()).is_some_and(|s| s.len() > 1);
-            let many_scheds = group_scheds
-                .get(group.as_str())
-                .is_some_and(|s| s.len() > 1);
             let mut label = format!(
                 "{} {} {}",
                 spec.topo.key(),
@@ -116,9 +108,6 @@ pub fn aggregate(plan: &RunPlan, results: &BTreeMap<String, CellResult>) -> Aggr
             );
             if many_seeds {
                 label.push_str(&format!(" seed={}", spec.seed));
-            }
-            if many_scheds {
-                label.push_str(&format!(" [{}]", spec.scheduler.label()));
             }
             if let Some(f) = &spec.faults {
                 label.push_str(&format!(" +{}", f.label));

@@ -194,7 +194,7 @@ pub fn build_experiment(spec: &CellSpec) -> Result<Experiment, String> {
     .map_err(|e| format!("cell {}: {e}", spec.canonical_key()))
 }
 
-/// The [`RunOptions`] a cell runs under: the spec's window/seed/scheduler
+/// The [`RunOptions`] a cell runs under: the spec's window and seed
 /// plus the always-on determinism digest (observers never perturb
 /// results) and the optional goodput series.
 pub fn run_options(spec: &CellSpec) -> RunOptions {
@@ -211,7 +211,6 @@ pub fn run_options(spec: &CellSpec) -> RunOptions {
             .faults
             .as_ref()
             .map(|f| FaultOptions::with_plan(f.to_plan())),
-        scheduler: spec.scheduler,
         ..RunOptions::default()
     }
 }
@@ -223,15 +222,6 @@ pub fn run_cell(spec: &CellSpec) -> Result<CellResult, String> {
     let started = Instant::now();
     let obs = exp.run_observed(spec.load, &opts);
     let wall_ms = started.elapsed().as_millis() as u64;
-    // The cell key records the requested scheduler; a checkpoint whose
-    // label does not match the engine that actually ran would poison
-    // resumed campaigns with mislabelled results.
-    assert_eq!(
-        obs.effective_scheduler.label(),
-        spec.scheduler.label(),
-        "cell {}: engine substituted a different scheduler",
-        spec.canonical_key()
-    );
     let n_switches = exp.topology().num_switches();
     let accepted = obs.stats.accepted_flits_per_ns_per_switch(n_switches);
     // Switch-link utilization summary (the paper's Figures 8/9/11 view).
@@ -281,7 +271,6 @@ mod tests {
     use super::*;
     use crate::spec::{FaultSpec, TopoSpec};
     use regnet_core::RoutingScheme;
-    use regnet_netsim::Scheduler;
     use regnet_traffic::PatternSpec;
 
     fn tiny_cell() -> CellSpec {
@@ -298,7 +287,6 @@ mod tests {
             warmup_cycles: 4_000,
             measure_cycles: 20_000,
             payload_flits: 64,
-            scheduler: Scheduler::ActiveSet,
             goodput_interval: Some(5_000),
             reconfig_latency_cycles: Some(2_000),
             faults: None,

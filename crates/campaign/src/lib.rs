@@ -30,10 +30,10 @@
 //!   errors, rendered by `campaign --watch` and validated in CI.
 //!
 //! Determinism contract: a cell's results depend only on its spec (the
-//! simulator is bit-deterministic for a given seed on every scheduler),
-//! so the store keyed by config hash is invariant to worker count and
-//! completion order, and a killed-then-resumed campaign converges to the
-//! same results directory as an uninterrupted one.
+//! simulator is bit-deterministic for a given seed), so the store keyed
+//! by config hash is invariant to worker count and completion order, and
+//! a killed-then-resumed campaign converges to the same results directory
+//! as an uninterrupted one.
 
 pub mod aggregate;
 pub mod cell;

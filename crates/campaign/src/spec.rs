@@ -12,7 +12,7 @@
 
 use regnet_core::RoutingScheme;
 use regnet_metrics::JsonValue;
-use regnet_netsim::{FaultPlan, Scheduler, SimConfig};
+use regnet_netsim::{FaultPlan, SimConfig};
 use regnet_topology::{gen, HostId, LinkId, SwitchId, Topology};
 use regnet_traffic::PatternSpec;
 
@@ -301,9 +301,6 @@ pub struct CellSpec {
     pub warmup_cycles: u64,
     pub measure_cycles: u64,
     pub payload_flits: usize,
-    /// Cycle-loop driver. Part of the key so switching drivers re-runs
-    /// cells (all drivers are bit-identical, but the spec is the spec).
-    pub scheduler: Scheduler,
     /// Goodput time-series sampling interval; observers do not perturb
     /// results, but a cached cell without the series cannot serve a
     /// campaign that wants it, so it is part of the key.
@@ -320,9 +317,14 @@ impl CellSpec {
     /// injective over distinct values, so distinct loads always produce
     /// distinct keys. Field order in the *JSON file* is irrelevant by
     /// construction — parsing goes through the struct.
+    ///
+    /// The `sched=active-set` segment is a constant: the engine stopped
+    /// being selectable, but the key format is pinned by the committed
+    /// goldens and by every existing result store, whose cell hashes are
+    /// taken over this exact text.
     pub fn canonical_key(&self) -> String {
         format!(
-            "topo={};scheme={};pattern={};load={};seed={};warmup={};measure={};payload={};sched={};goodput={};reconfig={};faults={}",
+            "topo={};scheme={};pattern={};load={};seed={};warmup={};measure={};payload={};sched=active-set;goodput={};reconfig={};faults={}",
             self.topo.key(),
             self.scheme.label(),
             pattern_key(&self.pattern),
@@ -331,7 +333,6 @@ impl CellSpec {
             self.warmup_cycles,
             self.measure_cycles,
             self.payload_flits,
-            self.scheduler.label(),
             self.goodput_interval.map_or("off".into(), |i| i.to_string()),
             self.reconfig_latency_cycles
                 .map_or("default".into(), |i| i.to_string()),
@@ -370,7 +371,6 @@ pub struct CellDefaults {
     pub measure_cycles: u64,
     pub seed: u64,
     pub payload_flits: usize,
-    pub scheduler: Scheduler,
     pub goodput_interval: Option<u64>,
     pub reconfig_latency_cycles: Option<u64>,
 }
@@ -382,7 +382,6 @@ impl Default for CellDefaults {
             measure_cycles: 150_000,
             seed: 1,
             payload_flits: SimConfig::default().payload_flits,
-            scheduler: Scheduler::default(),
             goodput_interval: None,
             reconfig_latency_cycles: None,
         }
@@ -400,7 +399,6 @@ pub struct Sweep {
     pub patterns: Vec<PatternSpec>,
     pub loads: Vec<f64>,
     pub seeds: Vec<u64>,
-    pub schedulers: Vec<Scheduler>,
     /// Fault plans; `None` entries are fault-free cells. Defaults to one
     /// fault-free entry.
     pub faults: Vec<Option<FaultSpec>>,
@@ -447,6 +445,11 @@ impl CampaignSpec {
     /// Parse a campaign file.
     pub fn from_json_str(text: &str) -> Result<CampaignSpec, String> {
         let doc = JsonValue::parse(text).map_err(|e| format!("campaign file is not JSON: {e}"))?;
+        check_keys(
+            &doc,
+            &["schema", "name", "defaults", "sweeps"],
+            "campaign file",
+        )?;
         if let Some(schema) = doc.get("schema").and_then(|v| v.as_str()) {
             if schema != CAMPAIGN_SCHEMA {
                 return Err(format!(
@@ -459,7 +462,11 @@ impl CampaignSpec {
             .and_then(|v| v.as_str())
             .ok_or("campaign file needs a string \"name\"")?
             .to_string();
-        let defaults = parse_defaults(doc.get("defaults"), &CellDefaults::default())?;
+        let defaults_json = doc.get("defaults");
+        if let Some(d) = defaults_json {
+            check_keys(d, &DEFAULTS_KEYS, "defaults")?;
+        }
+        let defaults = parse_defaults(defaults_json, &CellDefaults::default())?;
         let sweeps_json = doc
             .get("sweeps")
             .and_then(|v| v.as_array())
@@ -496,42 +503,39 @@ impl CampaignSpec {
                                 ));
                             }
                             for &seed in &sweep.seeds {
-                                for &scheduler in &sweep.schedulers {
-                                    for fault in &sweep.faults {
-                                        let spec = CellSpec {
-                                            topo: *topo,
-                                            scheme: *scheme,
-                                            pattern: *pattern,
-                                            load,
-                                            seed,
-                                            warmup_cycles: sweep.defaults.warmup_cycles,
-                                            measure_cycles: sweep.defaults.measure_cycles,
-                                            payload_flits: sweep.defaults.payload_flits,
-                                            scheduler,
-                                            goodput_interval: sweep.defaults.goodput_interval,
-                                            reconfig_latency_cycles: sweep
-                                                .defaults
-                                                .reconfig_latency_cycles,
-                                            faults: fault.clone(),
-                                        };
-                                        let hash = spec.hash_hex();
-                                        match by_hash.entry(hash.clone()) {
-                                            std::collections::hash_map::Entry::Occupied(mut e) => {
-                                                let cell = e.get_mut();
-                                                if !cell.groups.contains(&sweep.group) {
-                                                    cell.groups.push(sweep.group.clone());
-                                                }
+                                for fault in &sweep.faults {
+                                    let spec = CellSpec {
+                                        topo: *topo,
+                                        scheme: *scheme,
+                                        pattern: *pattern,
+                                        load,
+                                        seed,
+                                        warmup_cycles: sweep.defaults.warmup_cycles,
+                                        measure_cycles: sweep.defaults.measure_cycles,
+                                        payload_flits: sweep.defaults.payload_flits,
+                                        goodput_interval: sweep.defaults.goodput_interval,
+                                        reconfig_latency_cycles: sweep
+                                            .defaults
+                                            .reconfig_latency_cycles,
+                                        faults: fault.clone(),
+                                    };
+                                    let hash = spec.hash_hex();
+                                    match by_hash.entry(hash.clone()) {
+                                        std::collections::hash_map::Entry::Occupied(mut e) => {
+                                            let cell = e.get_mut();
+                                            if !cell.groups.contains(&sweep.group) {
+                                                cell.groups.push(sweep.group.clone());
                                             }
-                                            std::collections::hash_map::Entry::Vacant(e) => {
-                                                let key = spec.canonical_key();
-                                                e.insert(PlannedCell {
-                                                    spec,
-                                                    hash: hash.clone(),
-                                                    key,
-                                                    groups: vec![sweep.group.clone()],
-                                                });
-                                                order.push(hash);
-                                            }
+                                        }
+                                        std::collections::hash_map::Entry::Vacant(e) => {
+                                            let key = spec.canonical_key();
+                                            e.insert(PlannedCell {
+                                                spec,
+                                                hash: hash.clone(),
+                                                key,
+                                                groups: vec![sweep.group.clone()],
+                                            });
+                                            order.push(hash);
                                         }
                                     }
                                 }
@@ -567,6 +571,45 @@ fn get_u64(obj: &JsonValue, key: &str, what: &str) -> Result<Option<u64>, String
     }
 }
 
+/// The keys a `"defaults"` object may hold; a sweep may hold them too.
+const DEFAULTS_KEYS: [&str; 6] = [
+    "warmup_cycles",
+    "measure_cycles",
+    "seed",
+    "payload_flits",
+    "goodput_interval",
+    "reconfig_latency_cycles",
+];
+
+/// The keys of a sweep besides [`DEFAULTS_KEYS`].
+const SWEEP_KEYS: [&str; 7] = [
+    "group", "topos", "schemes", "patterns", "loads", "seeds", "faults",
+];
+
+/// Refuse every member of `obj` that is neither in `known` nor a
+/// `"_comment"`: the parsers below only look up the keys they know, so a
+/// misspelt or retired key would otherwise run something other than what
+/// the file says.
+fn check_keys(obj: &JsonValue, known: &[&str], what: &str) -> Result<(), String> {
+    let members = obj
+        .as_object()
+        .ok_or_else(|| format!("{what}: must be a JSON object"))?;
+    for (key, _) in members {
+        if key == "scheduler" || key == "schedulers" {
+            return Err(format!(
+                "{what}: {key:?}: the engine is no longer selectable; delete the key"
+            ));
+        }
+        if key != "_comment" && !known.contains(&key.as_str()) {
+            return Err(format!(
+                "{what}: unknown key {key:?} (known: {})",
+                known.join(", ")
+            ));
+        }
+    }
+    Ok(())
+}
+
 fn parse_defaults(v: Option<&JsonValue>, base: &CellDefaults) -> Result<CellDefaults, String> {
     let mut d = base.clone();
     let Some(v) = v else { return Ok(d) };
@@ -588,13 +631,6 @@ fn parse_defaults(v: Option<&JsonValue>, base: &CellDefaults) -> Result<CellDefa
     }
     if let Some(r) = get_u64(v, "reconfig_latency_cycles", what)? {
         d.reconfig_latency_cycles = Some(r);
-    }
-    if let Some(s) = v.get("scheduler") {
-        let s = s
-            .as_str()
-            .ok_or("defaults: \"scheduler\" must be a string")?;
-        d.scheduler =
-            Scheduler::parse(s).ok_or_else(|| format!("defaults: unknown scheduler {s:?}"))?;
     }
     Ok(d)
 }
@@ -619,6 +655,7 @@ fn parse_sweep(v: &JsonValue, campaign: &CellDefaults, index: usize) -> Result<S
         .map(String::from)
         .unwrap_or_else(|| format!("sweep{index}"));
     let what = format!("sweep {group:?}");
+    check_keys(v, &[&DEFAULTS_KEYS[..], &SWEEP_KEYS[..]].concat(), &what)?;
     let defaults = parse_defaults(Some(v), campaign).map_err(|e| format!("{what}: {e}"))?;
 
     let topos = string_list(v, "topos", &what)?
@@ -660,13 +697,6 @@ fn parse_sweep(v: &JsonValue, campaign: &CellDefaults, index: usize) -> Result<S
             })
             .collect::<Result<Vec<_>, _>>()?,
     };
-    let schedulers = match v.get("schedulers") {
-        None => vec![defaults.scheduler],
-        Some(_) => string_list(v, "schedulers", &what)?
-            .into_iter()
-            .map(|s| Scheduler::parse(s).ok_or_else(|| format!("{what}: unknown scheduler {s:?}")))
-            .collect::<Result<Vec<_>, _>>()?,
-    };
     let faults = match v.get("faults") {
         None => vec![None],
         Some(arr) => {
@@ -690,7 +720,6 @@ fn parse_sweep(v: &JsonValue, campaign: &CellDefaults, index: usize) -> Result<S
         ("patterns", patterns.is_empty()),
         ("loads", loads.is_empty()),
         ("seeds", seeds.is_empty()),
-        ("schedulers", schedulers.is_empty()),
     ] {
         if axis.1 {
             return Err(format!("{what}: axis {:?} is empty", axis.0));
@@ -703,7 +732,6 @@ fn parse_sweep(v: &JsonValue, campaign: &CellDefaults, index: usize) -> Result<S
         patterns,
         loads,
         seeds,
-        schedulers,
         faults,
         defaults,
     })
@@ -772,7 +800,6 @@ mod tests {
             warmup_cycles: 60_000,
             measure_cycles: 150_000,
             payload_flits: 512,
-            scheduler: Scheduler::ActiveSet,
             goodput_interval: None,
             reconfig_latency_cycles: None,
             faults: None,
@@ -895,10 +922,6 @@ mod tests {
                 ..base.clone()
             },
             CellSpec {
-                scheduler: Scheduler::EventDriven,
-                ..base.clone()
-            },
-            CellSpec {
                 goodput_interval: Some(1000),
                 ..base.clone()
             },
@@ -914,6 +937,21 @@ mod tests {
                 v.canonical_key()
             );
         }
+    }
+
+    /// The key text and its hash are the identity of every checkpoint in
+    /// every existing result store and of the benchmark's campaign golden:
+    /// neither may move, engine field or no engine field.
+    #[test]
+    fn canonical_key_and_hash_are_pinned() {
+        let c = cell();
+        assert_eq!(
+            c.canonical_key(),
+            "topo=torus;scheme=ITB-RR;pattern=uniform;load=0.015;seed=8;warmup=60000;\
+             measure=150000;payload=512;sched=active-set;goodput=off;reconfig=default;\
+             faults=none"
+        );
+        assert_eq!(c.hash_hex(), "0ac12bd81c1036cf");
     }
 
     #[test]
@@ -965,19 +1003,6 @@ mod tests {
             .replace("uniform", "transpose");
         let err = CampaignSpec::from_json_str(&old_pattern).unwrap_err();
         assert!(err.contains(r#"unknown pattern "transpose""#), "{err}");
-        // So do the spellings of the deleted shard-parallel engine.
-        let old_sweep = bad_scheme.replace(
-            r#""schemes": ["XY"]"#,
-            r#""schemes": ["ITB-RR"], "schedulers": ["parallel:4"]"#,
-        );
-        let err = CampaignSpec::from_json_str(&old_sweep).unwrap_err();
-        assert!(err.contains(r#"unknown scheduler "parallel:4""#), "{err}");
-        let old_default = bad_scheme.replace("XY", "ITB-RR").replace(
-            r#""sweeps""#,
-            r#""defaults": {"scheduler": "parallel"}, "sweeps""#,
-        );
-        let err = CampaignSpec::from_json_str(&old_default).unwrap_err();
-        assert!(err.contains(r#"unknown scheduler "parallel""#), "{err}");
         let bad_schema = r#"{"schema": "regnet-campaign-v9", "name": "x", "sweeps": [
             {"topos": ["torus"], "schemes": ["ITB-RR"], "patterns": ["uniform"], "loads": [0.01]}
         ]}"#;
@@ -991,6 +1016,56 @@ mod tests {
             .is_err());
     }
 
+    /// A key the parsers would never look up is refused, at each of the
+    /// three levels, with the key and the place named.
+    #[test]
+    fn unknown_and_retired_keys_are_refused() {
+        // `extra` goes into the top level (0), `defaults` (1) or the sweep (2).
+        let file = |level: usize, extra: &str| {
+            let at = |l: usize| if l == level { extra } else { "" };
+            format!(
+                r#"{{"name": "x"{}, "defaults": {{"seed": 3{}}}, "sweeps": [
+                    {{"group": "g", "topos": ["torus"], "schemes": ["ITB-RR"],
+                      "patterns": ["uniform"], "loads": [0.01]{}}}
+                ]}}"#,
+                at(0),
+                at(1),
+                at(2)
+            )
+        };
+        for level in 0..3 {
+            assert!(CampaignSpec::from_json_str(&file(level, "")).is_ok());
+            let comment = r#", "_comment": ["free text"]"#;
+            assert!(CampaignSpec::from_json_str(&file(level, comment)).is_ok());
+        }
+        let gone = "the engine is no longer selectable; delete the key";
+        for (level, extra, expect) in [
+            (0, r#""sweep": []"#, r#"campaign file: unknown key "sweep""#),
+            (0, r#""scheduler": "scan""#, gone),
+            (1, r#""warmup": 100"#, r#"defaults: unknown key "warmup""#),
+            (1, r#""seeds": [1, 2]"#, r#"defaults: unknown key "seeds""#),
+            (
+                1,
+                r#""scheduler": "scan""#,
+                r#"defaults: "scheduler": the engine"#,
+            ),
+            (2, r#""load": [0.02]"#, r#"sweep "g": unknown key "load""#),
+            (
+                2,
+                r#""scheduler": "event""#,
+                r#"sweep "g": "scheduler": the engine"#,
+            ),
+            (2, r#""schedulers": ["scan"]"#, gone),
+        ] {
+            let text = file(level, &format!(", {extra}"));
+            let err = CampaignSpec::from_json_str(&text).unwrap_err();
+            assert!(err.contains(expect), "{expect:?} not in {err:?}");
+        }
+        let not_objects = r#"{"name": "x", "defaults": 3, "sweeps": [1]}"#;
+        let err = CampaignSpec::from_json_str(not_objects).unwrap_err();
+        assert!(err.contains("defaults: must be a JSON object"), "{err}");
+    }
+
     #[test]
     fn sweep_overrides_campaign_defaults() {
         let spec = CampaignSpec::from_json_str(
@@ -1000,7 +1075,7 @@ mod tests {
                 "sweeps": [
                     {"group": "a", "topos": ["torus"], "schemes": ["ITB-RR"],
                      "patterns": ["uniform"], "loads": [0.01],
-                     "measure_cycles": 999, "scheduler": "event"}
+                     "measure_cycles": 999}
                 ]
             }"#,
         )
@@ -1009,6 +1084,5 @@ mod tests {
         assert_eq!(plan.cells[0].spec.warmup_cycles, 100);
         assert_eq!(plan.cells[0].spec.measure_cycles, 999);
         assert_eq!(plan.cells[0].spec.payload_flits, 64);
-        assert_eq!(plan.cells[0].spec.scheduler, Scheduler::EventDriven);
     }
 }

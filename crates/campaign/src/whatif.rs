@@ -14,7 +14,7 @@ use crate::store::ResultStore;
 
 /// A saturation-point query. The `cell` is the template: its `load`
 /// field is ignored (the search sets it per probe); everything else —
-/// topology, scheme, pattern, seed, window, scheduler, faults — defines
+/// topology, scheme, pattern, seed, window, faults — defines
 /// the scenario being asked about.
 #[derive(Debug, Clone)]
 pub struct WhatIfQuery {
@@ -212,7 +212,6 @@ mod tests {
     use super::*;
     use crate::spec::TopoSpec;
     use regnet_core::RoutingScheme;
-    use regnet_netsim::Scheduler;
     use regnet_traffic::PatternSpec;
 
     fn template() -> CellSpec {
@@ -229,7 +228,6 @@ mod tests {
             warmup_cycles: 3_000,
             measure_cycles: 15_000,
             payload_flits: 64,
-            scheduler: Scheduler::ActiveSet,
             goodput_interval: None,
             reconfig_latency_cycles: None,
             faults: None,

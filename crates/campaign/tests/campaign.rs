@@ -9,7 +9,7 @@ use std::path::PathBuf;
 
 use regnet_campaign::{run_plan, CampaignSpec, CellSpec, ResultStore, RunnerOptions, TopoSpec};
 use regnet_core::{RouteDbConfig, RoutingScheme};
-use regnet_netsim::{Experiment, RunOptions, Scheduler, SimConfig, TraceOptions};
+use regnet_netsim::{Experiment, RunOptions, SimConfig, TraceOptions};
 use regnet_traffic::PatternSpec;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -162,7 +162,6 @@ fn campaign_cell_matches_direct_experiment() {
         warmup_cycles: 5_000,
         measure_cycles: 20_000,
         payload_flits: SimConfig::default().payload_flits,
-        scheduler: Scheduler::ActiveSet,
         goodput_interval: None,
         reconfig_latency_cycles: None,
         faults: None,

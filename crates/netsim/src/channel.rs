@@ -166,7 +166,7 @@ impl Channel {
     }
 
     /// Any control symbols (STOP/GO/purge) still in flight? Used by the
-    /// event-driven driver's pending-work oracle.
+    /// time skip's pending-work cross-check.
     pub(crate) fn has_ctl_in_flight(&self) -> bool {
         self.ctl.slots.iter().any(|&v| v != CTL_NONE)
     }

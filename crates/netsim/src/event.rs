@@ -1,14 +1,15 @@
-//! Event-driven time skipping — the engine behind
-//! [`Scheduler::EventDriven`](crate::sched::Scheduler::EventDriven).
+//! Time skipping — the first branch of the default cycle loop.
 //!
-//! The active-set scheduler already visits only channels, switches and
-//! NICs with work, but it still *ticks every cycle*: at very low load or
-//! while a fault-recovery stall empties the network, millions of cycles
-//! execute seven empty phases each. This module adds the classic
-//! discrete-event shortcut on top of the same wake state: whenever the
-//! network is **provably idle** — both wake wheels drained and every
-//! active list empty — the run loop computes the earliest future cycle
-//! that can possibly have work and jumps the clock straight to it.
+//! The active-set engine visits only channels, switches and NICs with
+//! work, but ticking every cycle would still execute seven empty phases
+//! per idle cycle: at very low load, or while a fault-recovery stall
+//! empties the network, that is millions of them. So `run` and
+//! `run_until_drained` take the classic discrete-event shortcut over the
+//! engine's own wake state: whenever the network is **provably idle** —
+//! both wake wheels drained and every active list empty — they compute
+//! the earliest future cycle that can possibly have work and jump the
+//! clock straight to it. The `Scan` oracle has no wake state and never
+//! skips.
 //!
 //! # Why a skip is effect-free
 //!
@@ -55,15 +56,15 @@
 //! Skipping happens at the top of `run`/`run_until_drained` — never
 //! inside `step` — and the skip telemetry (`skipped_cycles`, the
 //! optional skip log) lives outside `RunStats` and the counter registry,
-//! so result equality across schedulers is preserved by construction.
+//! so result equality with the oracle is preserved by construction.
 //! `tests/proptest_timeskip.rs` checks the quiescence predicate against
-//! a tick-every-cycle twin, and the shared harness in `tests/common/`
-//! enforces bit-identical results on every paper topology.
+//! a tick-every-cycle `Scan` twin, and the shared harness in
+//! `tests/common/` enforces bit-identical results on every paper topology.
 
 use super::Simulator;
 
 impl Simulator<'_> {
-    /// Total cycles jumped over by the event-driven driver so far.
+    /// Total cycles jumped over so far (always 0 under the `Scan` oracle).
     pub fn skipped_cycles(&self) -> u64 {
         self.skipped_cycles
     }
@@ -110,6 +111,11 @@ impl Simulator<'_> {
             self.rel.reconfig_stall_cycles += t - c;
         }
         self.skipped_cycles += t - c;
+        if let Some(p) = self.profiler.as_deref_mut() {
+            // Simulated, not stepped: the report's cycles-per-second
+            // divides by wall time, which the jump also covers.
+            p.cycles += t - c;
+        }
         if let Some(log) = &mut self.skip_log {
             log.push((c, t));
         }
@@ -119,7 +125,7 @@ impl Simulator<'_> {
     /// The earliest cycle at which any time source can create work.
     /// `u64::MAX` when nothing is pending (callers clamp to a run limit).
     fn next_cycle_with_work(&self) -> u64 {
-        let sc = self.sched.as_deref().expect("event driver without sched");
+        let sc = self.sched.as_deref().expect("time skip without wake state");
         let mut t = u64::MAX;
         if let Some(wake) = sc.next_wake() {
             t = t.min(wake);
@@ -143,7 +149,7 @@ impl Simulator<'_> {
         if self.arena.live() > 0 {
             // First cycle the watchdog can trip; quiescence with live
             // packets is exactly the state it exists to catch, so the
-            // panic must land on the same cycle as the other schedulers.
+            // panic must land on the same cycle as under the oracle.
             t = t.min(self.last_activity + self.cfg.watchdog_cycles + 1);
         }
         t

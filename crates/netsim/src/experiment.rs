@@ -42,9 +42,10 @@ pub struct RunOptions {
     /// Enable the per-phase wall-time self-profiler; the report comes back
     /// through [`Experiment::run_observed`].
     pub profile: bool,
-    /// Cycle-loop driver (default [`Scheduler::ActiveSet`]). Results are
-    /// bit-identical across drivers; [`Scheduler::Scan`] remains available
-    /// as the reference implementation the equivalence suite diffs against.
+    /// Oracle switch for the equivalence suites: `Scheduler::Scan` runs
+    /// the reference loop instead of the engine, with bit-identical
+    /// results. Everything else leaves the default.
+    #[doc(hidden)]
     pub scheduler: Scheduler,
 }
 
@@ -76,11 +77,6 @@ pub struct RunObservation {
     /// Hierarchical view of `profile` (phase → component bucket).
     pub spans: Option<SpanReport>,
     pub journal: Option<Box<EventJournal>>,
-    /// The cycle-loop driver that actually ran
-    /// ([`Simulator::effective_scheduler`]). Equals `RunOptions::scheduler`
-    /// for every engine that exists; recorded so result writers can assert
-    /// the label they store matches the engine that produced the numbers.
-    pub effective_scheduler: Scheduler,
 }
 
 impl RunObservation {
@@ -402,7 +398,6 @@ impl Experiment {
     /// `begin_measurement` — covers exactly the measurement window.
     pub fn run_observed(&self, offered: f64, opts: &RunOptions) -> RunObservation {
         let mut sim = self.make_sim(offered, opts);
-        let effective_scheduler = sim.effective_scheduler();
         sim.run(opts.warmup_cycles);
         sim.begin_measurement();
         sim.run(opts.measure_cycles);
@@ -414,7 +409,6 @@ impl Experiment {
             profile: sim.profile_report(),
             spans: sim.span_report(),
             journal: sim.take_journal(),
-            effective_scheduler,
         }
     }
 

@@ -14,14 +14,14 @@
 //! symbols and hands arrivals/grants to components the active-set
 //! scheduler may have retired as quiescent, so every mutation the fault
 //! phase makes re-registers the affected channels, switches and NICs
-//! with the scheduler — including *same cycle* (phase 0) ctl deliveries,
+//! with the active set — including *same cycle* (phase 0) ctl deliveries,
 //! which the tagless wake wheel handles because all channels share one
 //! delay. Exactly two hook sites exist (the purge's ctl fix-up and the
 //! retransmission wake-up), and both note their wake in the simulator's
 //! `ActiveSched` when one is installed — fault plans run natively on
-//! every engine, and mid-cycle losses are deferred to a deterministic
+//! the engine and its scan oracle, and mid-cycle losses are deferred to a deterministic
 //! replay point after NIC tx (`Simulator::loss_phase`).
-//! `tests/scheduler_equivalence.rs` pins cross-engine equality under a
+//! `tests/scheduler_equivalence.rs` pins engine/oracle equality under a
 //! fault plan on every paper topology × scheme.
 
 use rand::rngs::SmallRng;

@@ -4,22 +4,21 @@
 //! sender flags, flits entering slack buffers, the 150 ns routing delay,
 //! demand-slotted round-robin arbitration, stop&go, in-transit eject and
 //! re-injection — lives in the functions of this module and nowhere else.
-//! They are safe, generic and monomorphised per engine: each takes the
+//! They are safe and generic over the sink: each takes the
 //! component it advances (`&mut SwitchState` / `&mut Nic`) and a [`Sink`],
 //! through which it reaches the packets, messages and channels it touches
 //! and *emits* every other consequence of the cycle.
 //!
 //! A sink decides *when* an effect lands, never *how* a cycle works. The
-//! engines' one sink (`sim.rs`) is a bundle of disjoint `&mut` borrows of
-//! the simulator's fields and applies every effect on the spot, deferring
-//! only the losses of a faulted cycle (by their [`At`] key); the kernel
-//! tests' recording sink keeps the effects as data instead.
+//! simulator's sink (`sim.rs`) is a bundle of disjoint `&mut` borrows of
+//! its fields and applies every effect on the spot, deferring only the
+//! losses of a faulted cycle (by their [`At`] key); the kernel tests'
+//! recording sink keeps the effects as data instead.
 //!
-//! The phase loops at the bottom walk the active-set scheduler's wake
-//! wheels and active lists; they reach components through [`Parts`], which
-//! lends one component together with the sink for everything else. The
-//! full-scan reference engine (`Scheduler::Scan`) keeps its own loops in
-//! `sim.rs` and calls the per-component functions directly.
+//! The phase loops at the bottom walk the engine's wake wheels and active
+//! lists over the simulator's `SeqParts`: the component arrays next to
+//! that sink. The full-scan oracle (`Scheduler::Scan`) keeps its own loops
+//! in `sim.rs` and calls the per-component functions directly.
 
 use std::cmp::Reverse;
 
@@ -33,15 +32,14 @@ use crate::events::EventKind;
 use crate::faultplan::FaultRuntime;
 use crate::nic::{Nic, RxState, TxKind, TxState};
 use crate::packet::Packet;
-use crate::sched::ActiveSched;
-use crate::sim::MsgState;
+use crate::sim::{MsgState, SeqParts};
 use crate::switch::{ports, HeadState, SwitchState};
 
 /// Where in a cycle's sequential visit order an effect was emitted: the
 /// arrival phase visits channels in ascending index order, then the switch
 /// phase visits switches, then the transmit phase visits NICs — which is
 /// exactly the derived ordering. Buffered effects stably sorted by `At`
-/// are therefore in the order the engines apply them.
+/// are therefore in the order the simulator applies them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum At {
     Chan(u32),
@@ -59,7 +57,7 @@ pub(crate) enum At {
 /// `Lose` says `pid` cannot go on: its worm was routed into a dead output
 /// (`At::Switch`) or it became unroutable at its source (`At::Nic`). No
 /// sink applies it; it is recorded, and the loss phase replays the records
-/// after NIC transmission so every engine mutates the arenas in one order.
+/// after NIC transmission so engine and oracle mutate the arenas in one order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Fx {
     Journal { pid: u32, kind: EventKind },
@@ -156,25 +154,6 @@ pub(crate) trait Sink {
     fn span_lap(&mut self, _span: Option<SwitchSpan>) {}
 }
 
-/// What the per-channel deliveries and the phase loops walk: the channels'
-/// arrivals, and the components, each lent together with the sink its
-/// kernel emits into so that both can be borrowed at once.
-pub(crate) trait Parts {
-    type Sink: Sink;
-    fn sink(&mut self) -> &mut Self::Sink;
-    fn switch(&mut self, sw: u32) -> (&mut SwitchState, &mut Self::Sink);
-    fn nic(&mut self, host: u32) -> (&mut Nic, &mut Self::Sink);
-    /// Who drives and who receives channel `ci`.
-    fn ends(&self, ci: u32) -> (Sender, Receiver);
-    /// The control symbol arriving on `ci` this cycle (`CTL_NONE`: none).
-    fn take_ctl_arrival(&mut self, ci: u32) -> u8;
-    /// The flit arriving on `ci` this cycle.
-    fn take_arrival(&mut self, ci: u32) -> Option<u32>;
-    /// The wake wheels and active lists the phase loops drain. Only the
-    /// active-set engines have them; the scan loops never ask.
-    fn sched(&mut self) -> &mut ActiveSched;
-}
-
 // ---------------------------------------------------------------------------
 // Per-component kernels
 // ---------------------------------------------------------------------------
@@ -184,13 +163,15 @@ pub(crate) trait Parts {
 /// the watchdog: a long STOP/GO exchange with no data arrivals is a
 /// flow-controlled network, not a stall.
 #[inline]
-pub(crate) fn deliver_ctl<P: Parts>(p: &mut P, ci: u32) {
-    let symbol = p.take_ctl_arrival(ci);
+pub(crate) fn deliver_ctl(p: &mut SeqParts, ci: u32) {
+    let k = &mut p.sink;
+    let ch = &mut k.channels[ci as usize];
+    let symbol = ch.ctl.take_arrival(k.cycle);
     if symbol == CTL_NONE {
         return;
     }
+    let sender = ch.sender;
     let stopped = symbol == CTL_STOP;
-    let k = p.sink();
     k.count(|c| {
         if stopped {
             c.ctl_stops += 1;
@@ -199,34 +180,33 @@ pub(crate) fn deliver_ctl<P: Parts>(p: &mut P, ci: u32) {
         }
     });
     k.activity();
-    match p.ends(ci).0 {
+    match sender {
         Sender::SwitchOut { sw, port } => {
-            p.switch(sw).0.outp[port as usize]
+            p.switches[sw as usize].outp[port as usize]
                 .as_mut()
                 .expect("ctl for unconnected port")
                 .stopped = stopped;
         }
-        Sender::Nic { host } => p.nic(host).0.stopped = stopped,
+        Sender::Nic { host } => p.nics[host as usize].stopped = stopped,
     }
 }
 
 /// Phase 2, one channel: hand the flit arriving on `ci`, if any, to the
 /// channel's receiver.
 #[inline]
-pub(crate) fn deliver_data<P: Parts>(p: &mut P, ci: u32, t: &Tick) {
-    let Some(pid) = p.take_arrival(ci) else {
+pub(crate) fn deliver_data(p: &mut SeqParts, ci: u32, t: &Tick) {
+    let k = &mut p.sink;
+    let ch = &mut k.channels[ci as usize];
+    let Some(pid) = ch.data.take_arrival(k.cycle) else {
         return;
     };
-    p.sink().activity();
-    match p.ends(ci).1 {
+    let receiver = ch.receiver;
+    k.activity();
+    match receiver {
         Receiver::SwitchIn { sw, port } => {
-            let (s, k) = p.switch(sw);
-            switch_rx(s, sw, port, pid, ci, t, k);
+            switch_rx(&mut p.switches[sw as usize], sw, port, pid, ci, t, k);
         }
-        Receiver::Nic { host } => {
-            let (nic, k) = p.nic(host);
-            nic_rx(nic, host, pid, ci, t, k);
-        }
+        Receiver::Nic { host } => nic_rx(&mut p.nics[host as usize], host, pid, ci, t, k),
     }
 }
 
@@ -548,13 +528,13 @@ pub(crate) fn nic_tx<S: Sink>(nic: &mut Nic, h: u32, t: &Tick, k: &mut S) {
 }
 
 // ---------------------------------------------------------------------------
-// Phase loops of the active-set engines
+// Phase loops of the engine
 // ---------------------------------------------------------------------------
 
 /// Phase 1: drain this cycle's control-wheel bucket (sorted, so channels
 /// are visited in scan order).
 #[inline]
-pub(crate) fn ctl_phase<P: Parts>(p: &mut P, t: &Tick) {
+pub(crate) fn ctl_phase(p: &mut SeqParts, t: &Tick) {
     let bucket = p.sched().take_ctl(t.cycle);
     for &ci in &bucket {
         deliver_ctl(p, ci);
@@ -564,7 +544,7 @@ pub(crate) fn ctl_phase<P: Parts>(p: &mut P, t: &Tick) {
 
 /// Phase 2: drain this cycle's data-wheel bucket.
 #[inline]
-pub(crate) fn arrival_phase<P: Parts>(p: &mut P, t: &Tick) {
+pub(crate) fn arrival_phase(p: &mut SeqParts, t: &Tick) {
     let bucket = p.sched().take_data(t.cycle);
     for &ci in &bucket {
         deliver_data(p, ci, t);
@@ -575,12 +555,12 @@ pub(crate) fn arrival_phase<P: Parts>(p: &mut P, t: &Tick) {
 /// Phase 3: visit the active switches in ascending order, retiring those
 /// left quiescent (a per-component predicate).
 #[inline]
-pub(crate) fn switches_phase<P: Parts>(p: &mut P, t: &Tick) {
+pub(crate) fn switches_phase(p: &mut SeqParts, t: &Tick) {
     let mut list = p.sched().take_active_switches();
     list.sort_unstable();
     list.retain(|&s| {
-        let (sw, k) = p.switch(s);
-        switch_phase(sw, s, t, k);
+        let sw = &mut p.switches[s as usize];
+        switch_phase(sw, s, t, &mut p.sink);
         let retire = sw.is_quiescent();
         if retire {
             p.sched().retire_switch(s);
@@ -593,13 +573,13 @@ pub(crate) fn switches_phase<P: Parts>(p: &mut P, t: &Tick) {
 /// Phase 4: wake the NICs whose timers fired, then visit the active NICs
 /// in ascending order, retiring those with nothing left to send.
 #[inline]
-pub(crate) fn nic_tx_phase<P: Parts>(p: &mut P, t: &Tick) {
+pub(crate) fn nic_tx_phase(p: &mut SeqParts, t: &Tick) {
     p.sched().drain_wakes(t.cycle);
     let mut list = p.sched().take_active_nics();
     list.sort_unstable();
     list.retain(|&h| {
-        let (nic, k) = p.nic(h);
-        nic_tx(nic, h, t, k);
+        let nic = &mut p.nics[h as usize];
+        nic_tx(nic, h, t, &mut p.sink);
         let retire = nic.quiescent_for_tx(t.cycle);
         if retire {
             p.sched().retire_nic(h);

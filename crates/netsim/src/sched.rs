@@ -1,88 +1,62 @@
-//! Cycle-loop scheduling strategies.
+//! The cycle loop and its oracle.
 //!
 //! The simulator's four hot phases (control arrivals, data arrivals,
-//! switches, NIC transmission) can be driven three ways:
+//! switches, NIC transmission) are driven by one engine, with a second
+//! loop kept as its executable specification:
 //!
-//! * [`Scheduler::Scan`] — the reference implementation: visit every
-//!   channel, switch and NIC on every cycle. Trivially correct, O(network
-//!   size) per cycle regardless of load.
-//! * [`Scheduler::ActiveSet`] — event-driven: every channel write registers
+//! * [`Scheduler::ActiveSet`] — the engine. Every channel write registers
 //!   the channel in a per-cycle timing wheel (the arrival cycle is known at
 //!   send time because all channels share one pipeline delay), and
 //!   switches/NICs live in dedup'd active lists that members leave only
 //!   when provably quiescent. Per cycle the loop touches only components
-//!   with work, which at low offered load is a small fraction of the
-//!   network.
-//! * [`Scheduler::EventDriven`] — the active-set machinery plus discrete
-//!   time skipping: whenever both wake wheels are empty, both active lists
-//!   are empty and no NIC wake-up is due, the run loop computes the next
-//!   cycle at which *anything* can happen (wake heap, generation clocks,
-//!   fault plan, reconfiguration deadline, trace sampling, watchdog
-//!   boundary) and advances the clock straight to it (see `event.rs`).
+//!   with work, and whenever both wheels and both lists are empty the run
+//!   loop jumps the clock to the next cycle at which *anything* can happen
+//!   (wake heap, generation clocks, fault plan, reconfiguration deadline,
+//!   trace sampling, watchdog boundary; see `event.rs`).
+//! * `Scheduler::Scan` — the oracle: visit every channel, switch and NIC on
+//!   every cycle, never skip. Trivially correct, O(network size) per cycle
+//!   regardless of load; nothing but the equivalence suites selects it.
 //!
-//! All schedulers are bit-identical: same `RunStats`, counters, event
-//! journal and trace digest. The scan loop's observable ordering (channel,
-//! switch and NIC index order within each phase) is reproduced by sorting
-//! each drained wheel bucket and each active list before visiting it, so
-//! the active set is a strict subsequence of the scan order. The
-//! determinism suite runs under any via `REGNET_SCHEDULER`, and the
-//! `scheduler_equivalence` integration test diffs all engines end-to-end.
+//! The two are bit-identical: same `RunStats`, counters, event journal and
+//! trace digest. The scan loop's observable ordering (channel, switch and
+//! NIC index order within each phase) is reproduced by sorting each
+//! drained wheel bucket and each active list before visiting it, so the
+//! active set is a strict subsequence of the scan order. The
+//! `scheduler_equivalence` integration test diffs them end-to-end, and CI
+//! runs the determinism suite once more under `REGNET_SCHEDULER=scan`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Which cycle-loop driver [`crate::Simulator`] uses. See the module docs
-/// for the contract between the engines.
+/// Which cycle loop [`crate::Simulator`] runs: the engine every simulator
+/// starts on, or the oracle the equivalence suites diff it against. See
+/// the module docs for the contract between the two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
-    /// Full scan of every component every cycle (reference implementation).
+    /// Full scan of every component every cycle, no time skipping: the
+    /// reference implementation. For tests; nothing else should select it.
+    #[doc(hidden)]
     Scan,
-    /// Timing-wheel wake-ups + dedup'd active lists (default; bit-identical
-    /// to `Scan`, much faster at low load).
+    /// Timing-wheel wake-ups + dedup'd active lists, with provably idle
+    /// spans jumped in O(1) (the engine; bit-identical to `Scan`).
     #[default]
     ActiveSet,
-    /// [`Scheduler::ActiveSet`] plus discrete-event time skipping: provably
-    /// idle spans are jumped in O(1) instead of ticked cycle by cycle.
-    /// Bit-identical to the other engines; near-O(traffic) cost at low
-    /// load. See `crates/netsim/src/event.rs` for the skip-safety
-    /// argument.
+    /// Retired label, not an engine: time skipping used to be a third
+    /// engine under this name and is now part of `ActiveSet`. Selecting it
+    /// installs `ActiveSet` and [`crate::Simulator::scheduler`] says so.
+    /// Kept only because the frozen `benchmark/` package names it; it goes
+    /// when the next benchmark PR drops its `event` row.
+    #[doc(hidden)]
     EventDriven,
     /// Retired label, not an engine. The shard-parallel cycle engine lost
-    /// to `ActiveSet` on every benchmark workload and was deleted; this
-    /// variant is the one shim left, kept only because the frozen
-    /// `benchmark/` package names it. Selecting it installs `ActiveSet`
-    /// and [`crate::Simulator::scheduler`] says so. It goes when the next
-    /// benchmark PR drops its `parallel-2` row.
+    /// to `ActiveSet` on every benchmark workload and was deleted.
+    /// Selecting it installs `ActiveSet`; it goes with `EventDriven`, when
+    /// the next benchmark PR drops its `parallel-2` row.
     #[doc(hidden)]
     Parallel {
         /// Ignored.
         threads: usize,
     },
-}
-
-impl Scheduler {
-    /// Stable label (bench reports, CI matrix keys).
-    pub fn label(self) -> &'static str {
-        match self {
-            Scheduler::Scan => "scan",
-            Scheduler::ActiveSet => "active-set",
-            Scheduler::EventDriven => "event",
-            Scheduler::Parallel { .. } => "parallel",
-        }
-    }
-
-    /// Parse a label as written in bench reports or the
-    /// `REGNET_SCHEDULER` environment variable.
-    pub fn parse(s: &str) -> Option<Scheduler> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scan" => Some(Scheduler::Scan),
-            "active" | "active-set" | "activeset" | "active_set" => Some(Scheduler::ActiveSet),
-            "event" | "event-driven" | "eventdriven" | "event_driven" => {
-                Some(Scheduler::EventDriven)
-            }
-            _ => None,
-        }
-    }
 }
 
 /// Run-time state of the active-set scheduler.
@@ -107,7 +81,7 @@ pub(crate) struct ActiveSched {
     data_wheel: Vec<Vec<u32>>,
     ctl_wheel: Vec<Vec<u32>>,
     /// Entries currently parked across all `data_wheel` buckets. Kept so
-    /// the event-driven driver can test "both wheels drained" in O(1); the
+    /// the time skip can test "both wheels drained" in O(1); the
     /// count covers raw (pre-dedup) entries, which is exactly what makes
     /// zero mean "no bucket holds anything".
     data_entries: usize,
@@ -255,7 +229,7 @@ impl ActiveSched {
         self.nic_active.append(&mut kept);
     }
 
-    // ---- Quiescence accessors for the event-driven driver (`event.rs`).
+    // ---- Quiescence accessors for the time skip (`event.rs`).
 
     /// No flit or control symbol is parked in either wake wheel. O(1).
     pub(crate) fn wheels_empty(&self) -> bool {
@@ -279,28 +253,6 @@ impl ActiveSched {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_roundtrip() {
-        for s in [
-            Scheduler::Scan,
-            Scheduler::ActiveSet,
-            Scheduler::EventDriven,
-        ] {
-            assert_eq!(Scheduler::parse(s.label()), Some(s));
-        }
-        assert_eq!(Scheduler::parse("active"), Some(Scheduler::ActiveSet));
-        assert_eq!(
-            Scheduler::parse("event-driven"),
-            Some(Scheduler::EventDriven)
-        );
-        assert_eq!(Scheduler::parse("nonsense"), None);
-        assert_eq!(Scheduler::default(), Scheduler::ActiveSet);
-        // The retired shard-parallel spellings no longer select anything.
-        for gone in ["parallel", "parallel:4", "parallel:0"] {
-            assert_eq!(Scheduler::parse(gone), None, "{gone}");
-        }
-    }
 
     #[test]
     fn wheel_buckets_sort_and_dedup() {
@@ -409,7 +361,7 @@ mod tests {
         assert!(s.wheels_empty());
     }
 
-    /// The O(1) quiescence accessors used by the event-driven driver:
+    /// The O(1) quiescence accessors used by the time skip:
     /// raw entry counters track note/take exactly, including dup'd
     /// entries that dedup would hide.
     #[test]

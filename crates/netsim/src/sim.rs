@@ -15,10 +15,10 @@
 //! 5. **Generation** — hosts create new messages according to the offered
 //!    load.
 //!
-//! What phases 1–4 *do* is `crate::kernel`, shared by every engine; this
-//! file owns the simulator's state, the phase sequence ([`Simulator::step`]),
-//! the engines' sink for the kernel's effects, generation and
-//! the fault machinery.
+//! What phases 1–4 *do* is `crate::kernel`, shared by the engine and its
+//! scan oracle; this file owns the simulator's state, the phase sequence
+//! ([`Simulator::step`]), the sink for the kernel's effects, generation
+//! and the fault machinery.
 
 use std::cmp::Reverse;
 use std::time::Instant;
@@ -38,7 +38,7 @@ use crate::config::{GenerationProcess, SimConfig, CYCLE_NS};
 use crate::counters::{CounterSnapshot, Counters};
 use crate::events::{EventJournal, EventKind, EventOptions, NO_PACKET};
 use crate::faultplan::{FaultEvent, FaultOptions, FaultRuntime, FaultTarget, ReliabilityStats};
-use crate::kernel::{self, At, Fx, KernelMeasure, Parts, Sink, SwitchSpan, Tick};
+use crate::kernel::{self, At, Fx, KernelMeasure, Sink, SwitchSpan, Tick};
 use crate::nic::Nic;
 use crate::packet::{Arena, Packet, PacketArena};
 use crate::profiler::{Phase, ProfileReport, Profiler, SpanReport};
@@ -47,9 +47,9 @@ use crate::switch::{HeadState, SwitchState};
 use crate::trace::{TraceOptions, TraceReport, TraceState};
 use crate::wfg::StallReport;
 
-// The event-driven time-skip driver ([`Scheduler::EventDriven`]) lives in
-// its own file for readability, but is a *child* module of `sim` so it can
-// reach the simulator's internals without widening their visibility.
+// The run loops' time skip lives in its own file for readability, but is a
+// *child* module of `sim` so it can reach the simulator's internals without
+// widening their visibility.
 #[path = "event.rs"]
 mod event;
 
@@ -147,12 +147,12 @@ fn lap(prof: &mut Option<Box<Profiler>>, mark: &mut Option<Instant>, phase: Phas
     }
 }
 
-/// The engines' [`Sink`]: disjoint `&mut` borrows of the simulator's
-/// fields, every effect applied the moment the kernel emits it (only the
-/// deferred losses keep their [`At`] key).
-struct SeqSink<'s> {
-    cycle: u64,
-    channels: &'s mut [Channel],
+/// The simulator's [`Sink`]: disjoint `&mut` borrows of its fields, every
+/// effect applied the moment the kernel emits it (only the deferred losses
+/// keep their [`At`] key).
+pub(crate) struct SeqSink<'s> {
+    pub(crate) cycle: u64,
+    pub(crate) channels: &'s mut [Channel],
     arena: &'s mut PacketArena,
     msgs: &'s mut Arena<MsgState>,
     selector: &'s mut PathSelector,
@@ -336,47 +336,20 @@ impl Sink for SeqSink<'_> {
     }
 }
 
-/// The engines' [`Parts`]: the component arrays next to the
-/// sink that borrows everything else.
-struct SeqParts<'s> {
-    switches: &'s mut [SwitchState],
-    nics: &'s mut [Nic],
-    sink: SeqSink<'s>,
+/// What the kernel's per-channel deliveries and phase loops walk: the
+/// component arrays next to the sink that borrows everything else, so
+/// that one component and the sink can be borrowed at once.
+pub(crate) struct SeqParts<'s> {
+    pub(crate) switches: &'s mut [SwitchState],
+    pub(crate) nics: &'s mut [Nic],
+    pub(crate) sink: SeqSink<'s>,
 }
 
-impl<'s> Parts for SeqParts<'s> {
-    type Sink = SeqSink<'s>;
+impl SeqParts<'_> {
+    /// The wake wheels and active lists the phase loops drain. The scan
+    /// oracle has none and never asks.
     #[inline]
-    fn sink(&mut self) -> &mut SeqSink<'s> {
-        &mut self.sink
-    }
-    #[inline]
-    fn switch(&mut self, sw: u32) -> (&mut SwitchState, &mut SeqSink<'s>) {
-        (&mut self.switches[sw as usize], &mut self.sink)
-    }
-    #[inline]
-    fn nic(&mut self, host: u32) -> (&mut Nic, &mut SeqSink<'s>) {
-        (&mut self.nics[host as usize], &mut self.sink)
-    }
-    #[inline]
-    fn ends(&self, ci: u32) -> (Sender, Receiver) {
-        let c = &self.sink.channels[ci as usize];
-        (c.sender, c.receiver)
-    }
-    #[inline]
-    fn take_ctl_arrival(&mut self, ci: u32) -> u8 {
-        self.sink.channels[ci as usize]
-            .ctl
-            .take_arrival(self.sink.cycle)
-    }
-    #[inline]
-    fn take_arrival(&mut self, ci: u32) -> Option<u32> {
-        self.sink.channels[ci as usize]
-            .data
-            .take_arrival(self.sink.cycle)
-    }
-    #[inline]
-    fn sched(&mut self) -> &mut ActiveSched {
+    pub(crate) fn sched(&mut self) -> &mut ActiveSched {
         let sched = self.sink.sched.as_deref_mut();
         sched.expect("phase loop without wake state")
     }
@@ -415,15 +388,15 @@ pub struct Simulator<'a> {
     /// Per-phase wall-time profiler; `None` (the default) keeps `step` on
     /// the untimed fast path.
     profiler: Option<Box<Profiler>>,
-    /// Active-set scheduler state; `None` runs the reference full-scan
-    /// cycle loop (see [`Scheduler`]).
+    /// The engine's wake state; `None` runs the full-scan oracle loop (see
+    /// [`Scheduler`]).
     sched: Option<Box<ActiveSched>>,
     /// Directed channel indices per physical link (both directions).
     link_chans: Vec<[u32; 2]>,
     /// This cycle's deferred losses: worms that hit a dead output
     /// (`At::Switch`) and packets that became unroutable at their source
     /// NIC (`At::Nic`). Truncated or dropped in the loss phase after NIC
-    /// transmission so every engine mutates the arenas in the same order
+    /// transmission so engine and oracle mutate the arenas in the same order
     /// (see `loss_phase`).
     pending_loss: Vec<(At, u32)>,
     /// `stop_generation` was called: never restart generators, even when a
@@ -436,11 +409,7 @@ pub struct Simulator<'a> {
     /// due earlier (`schedule_message`, a host coming back) lowers it. It
     /// may be early — a scan with nothing due is a no-op — never late.
     gen_due: u64,
-    /// [`Scheduler::EventDriven`]: `run`/`run_until_drained` may jump the
-    /// clock over provably idle spans (see `event.rs`). Only meaningful
-    /// with `sched` set.
-    time_skip: bool,
-    /// Total cycles jumped over by the event-driven driver.
+    /// Total cycles `run`/`run_until_drained` jumped over (see `event.rs`).
     skipped_cycles: u64,
     /// Optional `(from, to)` record of every jump — test instrumentation,
     /// never enters `RunStats` or the counter snapshot.
@@ -549,7 +518,7 @@ impl<'a> Simulator<'a> {
         }
 
         let selector = db.selector();
-        Simulator {
+        let mut sim = Simulator {
             topo,
             db,
             pattern,
@@ -575,68 +544,45 @@ impl<'a> Simulator<'a> {
             pending_loss: Vec::new(),
             gen_frozen: false,
             gen_due: 0,
-            time_skip: false,
             skipped_cycles: 0,
             skip_log: None,
-        }
+        };
+        sim.set_scheduler(Scheduler::default());
+        sim
     }
 
-    /// Choose the cycle-loop driver. Must be called before the first
-    /// [`step`](Simulator::step): the active-set scheduler derives its
-    /// wake-ups from channel writes it observed, so it can only take over
-    /// an empty network. `Simulator::new` starts on [`Scheduler::Scan`];
-    /// the experiment driver applies `RunOptions::scheduler` (default
-    /// [`Scheduler::ActiveSet`]).
+    /// Swap the cycle loop for the `Scan` oracle (or back). A simulator
+    /// starts on the engine, [`Scheduler::ActiveSet`]; only the equivalence
+    /// suites have a reason to call this. Must be called before the first
+    /// [`step`](Simulator::step): the engine derives its wake-ups from
+    /// channel writes it observed, so it can only take over an empty
+    /// network.
     pub fn set_scheduler(&mut self, s: Scheduler) {
         assert_eq!(
             self.cycle, 0,
             "scheduler must be selected before the first cycle"
         );
-        self.time_skip = false;
         self.sched = match s {
             Scheduler::Scan => None,
-            // The second is a retired label, not an engine (see its
-            // doc comment): it runs, and reports as, the active set.
-            Scheduler::ActiveSet | Scheduler::Parallel { .. } => {
-                Some(Box::new(self.new_active_sched()))
-            }
-            Scheduler::EventDriven => {
-                // The active-set machinery provides the wake state; the
-                // `run` loops additionally jump over provably idle spans.
-                self.time_skip = true;
-                Some(Box::new(self.new_active_sched()))
+            // The last two are retired labels, not engines (see their doc
+            // comments): they run, and report as, the active set.
+            Scheduler::ActiveSet | Scheduler::EventDriven | Scheduler::Parallel { .. } => {
+                Some(Box::new(ActiveSched::new(
+                    self.cfg.link_delay_cycles,
+                    self.switches.len(),
+                    self.nics.len(),
+                )))
             }
         };
     }
 
-    fn new_active_sched(&self) -> ActiveSched {
-        ActiveSched::new(
-            self.cfg.link_delay_cycles,
-            self.switches.len(),
-            self.nics.len(),
-        )
-    }
-
-    /// The cycle-loop driver in effect.
+    /// The cycle loop in effect.
     pub fn scheduler(&self) -> Scheduler {
         if self.sched.is_some() {
-            if self.time_skip {
-                Scheduler::EventDriven
-            } else {
-                Scheduler::ActiveSet
-            }
+            Scheduler::ActiveSet
         } else {
             Scheduler::Scan
         }
-    }
-
-    /// The cycle-loop driver that actually runs the simulation. It equals
-    /// the `set_scheduler` argument for every engine that exists; the
-    /// retired `parallel` label reports `ActiveSet`. Result records
-    /// *assert* the equality instead of trusting the requested label, so
-    /// a hand-built cell under the retired label fails loudly.
-    pub fn effective_scheduler(&self) -> Scheduler {
-        self.scheduler()
     }
 
     /// Enable the unified counter registry. Counting from this point on;
@@ -799,17 +745,15 @@ impl<'a> Simulator<'a> {
             .collect()
     }
 
-    /// Run for `cycles` cycles. Under [`Scheduler::EventDriven`] idle
-    /// spans are jumped over, but the loop still stops exactly at
-    /// `cycle + cycles`, so measurement-window boundaries are unaffected.
+    /// Run for `cycles` cycles. Idle spans are jumped over, but the loop
+    /// still stops exactly at `cycle + cycles`, so measurement-window
+    /// boundaries are unaffected.
     pub fn run(&mut self, cycles: u64) {
         let end = self.cycle + cycles;
         while self.cycle < end {
-            if self.time_skip {
-                self.try_time_skip(end);
-                if self.cycle >= end {
-                    break;
-                }
+            self.try_time_skip(end);
+            if self.cycle >= end {
+                break;
             }
             self.step();
         }
@@ -944,9 +888,9 @@ impl<'a> Simulator<'a> {
         out
     }
 
-    /// Advance one cycle: the one phase sequence every engine runs. Phases
-    /// 1–4 are the kernel's (`crate::kernel`); the rest is
-    /// engine-independent. With the profiler on, each phase ends in a lap;
+    /// Advance one cycle: the one phase sequence both loops run. Phases
+    /// 1–4 are the kernel's (`crate::kernel`); the rest is the same code
+    /// under either. With the profiler on, each phase ends in a lap;
     /// off, `mark` stays `None` and no `Instant::now()` is ever called.
     pub fn step(&mut self) {
         let cycle = self.cycle;
@@ -1013,10 +957,10 @@ impl<'a> Simulator<'a> {
         (parts, tick, &mut self.profiler)
     }
 
-    /// Phases 1-4. The active-set engines run the kernel's wheel-drain and
-    /// active-list loops; `Scheduler::Scan`, the reference the equivalence
-    /// suites diff against, visits every channel, switch and NIC in index
-    /// order instead — same kernel, every component.
+    /// Phases 1-4. The engine runs the kernel's wheel-drain and active-list
+    /// loops; `Scheduler::Scan`, the oracle the equivalence suites diff
+    /// against, visits every channel, switch and NIC in index order
+    /// instead — same kernel, every component.
     fn kernel_phases(&mut self, cycle: u64, mark: &mut Option<Instant>) {
         let n_channels = self.channels.len() as u32;
         let n_switches = self.switches.len() as u32;
@@ -1037,8 +981,7 @@ impl<'a> Simulator<'a> {
         lap(prof, mark, Phase::Arrivals);
         if scan {
             for s in 0..n_switches {
-                let (sw, k) = p.switch(s);
-                kernel::switch_phase(sw, s, &t, k);
+                kernel::switch_phase(&mut p.switches[s as usize], s, &t, &mut p.sink);
             }
         } else {
             kernel::switches_phase(&mut p, &t);
@@ -1050,8 +993,7 @@ impl<'a> Simulator<'a> {
         }
         if scan {
             for h in 0..n_nics {
-                let (nic, k) = p.nic(h);
-                kernel::nic_tx(nic, h, &t, k);
+                kernel::nic_tx(&mut p.nics[h as usize], h, &t, &mut p.sink);
             }
         } else {
             kernel::nic_tx_phase(&mut p, &t);
@@ -1143,12 +1085,10 @@ impl<'a> Simulator<'a> {
             }
             // Not drained yet: a skip cannot change that (nothing executes
             // inside the jumped span), so the drained cycle this returns is
-            // identical to the tick-every-cycle schedulers'.
-            if self.time_skip {
-                self.try_time_skip(end);
-                if self.cycle >= end {
-                    break;
-                }
+            // identical to the tick-every-cycle oracle's.
+            self.try_time_skip(end);
+            if self.cycle >= end {
+                break;
             }
             self.step();
         }
@@ -1288,12 +1228,12 @@ impl<'a> Simulator<'a> {
     /// Phase 6, faulted runs only: replay this cycle's deferred losses.
     /// The switch and NIC phases never truncate or drop in place — they
     /// record `(At, packet)` pairs — and this phase replays the records
-    /// sorted (stably) by `At`. Every engine therefore mutates the
+    /// sorted (stably) by `At`. Engine and oracle therefore mutate the
     /// packet/message arenas in the same within-cycle order — deliveries
     /// in channel order, then switch truncations in switch order, then
     /// source drops in NIC order, then generation — which is what keeps
     /// free-list reuse, and with it every downstream id, bit-identical
-    /// across engines.
+    /// between the two.
     fn loss_phase(&mut self, cycle: u64) {
         if self.pending_loss.is_empty() {
             return;
@@ -2131,11 +2071,18 @@ mod tests {
         // source NIC for 1_000 cycles — five watchdog windows. The flits
         // already in flight drain within a few dozen cycles; from then on
         // the STOP stream is the only activity in the network.
-        let stop_chan = sim.nics[0].out_chan as usize;
+        let stop_chan = sim.nics[0].out_chan;
+        // A symbol written by hand bypasses the sink, so note it on the
+        // control wheel as the sink would.
+        let send_ctl = |sim: &mut Simulator, cycle: u64, symbol: u8| {
+            sim.channels[stop_chan as usize].ctl.send(cycle, symbol);
+            let wheels = sim.sched.as_deref_mut().expect("default engine");
+            wheels.note_ctl(cycle, stop_chan);
+        };
         for _ in 0..1_000 {
             let c = sim.cycle;
             sim.step();
-            sim.channels[stop_chan].ctl.send(c, CTL_STOP);
+            send_ctl(&mut sim, c, CTL_STOP);
         }
         assert!(sim.nics[0].stopped, "STOP stream should hold the NIC");
         assert!(
@@ -2147,7 +2094,7 @@ mod tests {
         // Release the worm and check it completes.
         let c = sim.cycle;
         sim.step();
-        sim.channels[stop_chan].ctl.send(c, CTL_GO);
+        send_ctl(&mut sim, c, CTL_GO);
         assert!(
             sim.run_until_drained(100_000).is_some(),
             "worm failed to finish after GO:\n{}",
@@ -2192,7 +2139,7 @@ mod tests {
         let topo = build_ring4();
         let db = RouteDb::build(&topo, RoutingScheme::UpDown, &RouteDbConfig::default());
         let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
-        for scheduler in [Scheduler::Scan, Scheduler::EventDriven] {
+        for scheduler in [Scheduler::Scan, Scheduler::ActiveSet] {
             // Interarrival of ~1e8 cycles: after the first scan the gate
             // sits far in the future.
             let mut sim = Simulator::new(&topo, &db, &pattern, small_cfg(), 1e-9, 1);
@@ -2292,7 +2239,7 @@ mod tests {
     }
 
     #[test]
-    fn switch_summaries_hold_through_faults_on_every_engine() {
+    fn switch_summaries_hold_through_faults_under_engine_and_oracle() {
         let topo = gen::torus_2d(4, 4, 2).unwrap();
         let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
         let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
@@ -2318,7 +2265,7 @@ mod tests {
             for _ in 0..7_000 {
                 // Between the plan's events, lose packets by hand until
                 // every purge case has happened at least once. The switch
-                // state is engine-invariant, so every engine picks the
+                // state is the same under both loops, so both pick the
                 // same victims.
                 if sim.cycle.is_multiple_of(64) {
                     if let Some((case, pid)) = next_purge_case(&sim, &seen) {
@@ -2344,9 +2291,7 @@ mod tests {
         };
         let reference = run(Scheduler::Scan);
         assert!(reference.0.delivered > 100);
-        for scheduler in [Scheduler::ActiveSet, Scheduler::EventDriven] {
-            assert_eq!(reference, run(scheduler), "{scheduler:?}");
-        }
+        assert_eq!(reference, run(Scheduler::ActiveSet));
     }
 
     #[test]
@@ -2380,10 +2325,42 @@ mod tests {
         assert_eq!(scan, active, "schedulers must be bit-identical");
     }
 
-    /// The one shim: the retired label selects, and reports as, the
+    /// A fresh simulator is on the engine, not the oracle: `probe`,
+    /// `diagnose` and every other direct `Simulator::new` caller get the
+    /// same loop `Experiment` runs.
+    #[test]
+    fn a_new_simulator_runs_the_default_engine() {
+        let topo = build_ring4();
+        let db = RouteDb::build(&topo, RoutingScheme::UpDown, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let mut sim = Simulator::new(&topo, &db, &pattern, small_cfg(), 0.01, 1);
+        assert_eq!(sim.scheduler(), Scheduler::ActiveSet);
+        assert_eq!(Scheduler::default(), Scheduler::ActiveSet);
+        sim.set_scheduler(Scheduler::Scan);
+        assert_eq!(sim.scheduler(), Scheduler::Scan);
+    }
+
+    /// A profiled run reports simulated cycles, not stepped ones: the
+    /// spans the run loop jumps are credited to the profiler.
+    #[test]
+    fn profiled_cycles_count_skipped_spans() {
+        let topo = gen::torus_2d(8, 8, 8).unwrap();
+        let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let mut sim = Simulator::new(&topo, &db, &pattern, small_cfg(), 0.0005, 11);
+        sim.enable_profiler();
+        sim.run(2_000);
+        sim.begin_measurement();
+        sim.run(10_000);
+        assert!(sim.skipped_cycles() > 0, "low load must leave idle spans");
+        assert_eq!(sim.profile_report().unwrap().cycles, 12_000);
+        assert_eq!(sim.span_report().unwrap().cycles, 12_000);
+    }
+
+    /// The two shims: each retired label selects, and reports as, the
     /// active-set engine.
     #[test]
-    fn retired_parallel_label_runs_the_active_set() {
+    fn retired_labels_run_the_active_set() {
         let topo = build_ring4();
         let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
         let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
@@ -2391,15 +2368,15 @@ mod tests {
             let mut sim = Simulator::new(&topo, &db, &pattern, small_cfg(), 0.01, 11);
             sim.set_scheduler(scheduler);
             assert_eq!(sim.scheduler(), Scheduler::ActiveSet);
-            assert_eq!(sim.effective_scheduler(), Scheduler::ActiveSet);
             sim.enable_trace(TraceOptions::digest_only());
             sim.begin_measurement();
             sim.run(5_000);
             let digest = sim.trace_report().unwrap().digest;
-            (sim.end_measurement(5_000), digest)
+            (sim.end_measurement(5_000), digest, sim.skipped_cycles())
         };
         let active = run(Scheduler::ActiveSet);
         assert!(active.0.delivered > 0 && active.1.is_some());
+        assert_eq!(active, run(Scheduler::EventDriven));
         assert_eq!(active, run(Scheduler::Parallel { threads: 2 }));
     }
 }

@@ -375,7 +375,7 @@ impl TraceState {
 
     /// The earliest cycle boundary at which `on_cycle_end` will flush a
     /// sample. A flush guarded by `cycle + 1 >= next` executes during cycle
-    /// `next - 1`, so the event-driven driver clamps its skip target to
+    /// `next - 1`, so the run loop's time skip clamps its target to
     /// `next_tick() - 1`. `u64::MAX` when no sampling observer is armed.
     pub(crate) fn next_tick(&self) -> u64 {
         self.util_next_flush

@@ -1,13 +1,11 @@
-//! Shared cross-scheduler equivalence harness.
+//! Shared engine-vs-oracle equivalence harness.
 //!
-//! Every cycle-loop driver the simulator offers registers here once, in
-//! [`contenders`], and every equivalence suite — the topology × scheme
-//! matrix, the faulted runs, the Chrome-trace export, the time-skip
-//! property tests — iterates that single list. Adding a scheduler
-//! means adding one line here; the whole proof obligation (same
-//! `RunStats`, same unified counters, same delivered-message digest,
-//! same Chrome trace, with and without faults) then applies to it
-//! automatically.
+//! The simulator has one engine (the active set with its time skip) and
+//! one oracle (the scan loop). Every equivalence suite — the topology ×
+//! scheme matrix, the faulted runs, the Chrome-trace export — runs
+//! [`contenders`] against [`reference`], so the whole proof obligation
+//! (same `RunStats`, same unified counters, same delivered-message
+//! digest, same Chrome trace, with and without faults) sits in one place.
 //!
 //! The scan loop stays in the tree precisely so these suites have a
 //! ground truth to diff against; see `DESIGN.md` §6.
@@ -21,10 +19,10 @@ pub(crate) fn reference() -> Scheduler {
     Scheduler::Scan
 }
 
-/// Every non-reference cycle-loop driver; the event-driven one exercises
-/// time skipping (`DESIGN.md` §6).
+/// What is diffed against the reference: the default engine, time skip
+/// included (`DESIGN.md` §6).
 pub(crate) fn contenders() -> Vec<Scheduler> {
-    vec![Scheduler::ActiveSet, Scheduler::EventDriven]
+    vec![Scheduler::default()]
 }
 
 pub(crate) fn opts(scheduler: Scheduler) -> RunOptions {

@@ -8,15 +8,13 @@
 
 use regnet::prelude::*;
 
-/// Cycle-loop scheduler under test. CI runs the whole suite once per
-/// scheduler by setting `REGNET_SCHEDULER=scan|active-set|event`;
-/// unset means the default ([`Scheduler::ActiveSet`]).
+/// Cycle loop under test: the default engine, or — CI runs the whole
+/// suite a second time with `REGNET_SCHEDULER=scan` — its oracle.
 fn scheduler() -> Scheduler {
-    match std::env::var("REGNET_SCHEDULER") {
-        Ok(v) => {
-            Scheduler::parse(&v).unwrap_or_else(|| panic!("unknown REGNET_SCHEDULER value {v:?}"))
-        }
+    match std::env::var("REGNET_SCHEDULER").as_deref() {
         Err(_) => Scheduler::default(),
+        Ok("scan") => Scheduler::Scan,
+        Ok(v) => panic!("REGNET_SCHEDULER={v:?}: the only accepted value is \"scan\""),
     }
 }
 

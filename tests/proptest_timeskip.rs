@@ -1,9 +1,9 @@
-//! Property tests for event-driven time skipping: on random small
+//! Property tests for the default engine's time skipping: on random small
 //! topologies × routing schemes × loads × fault plans, the skip target
-//! must never overshoot. The proof runs twice — once under
-//! `Scheduler::EventDriven` with the skip log armed, once under the
-//! tick-every-cycle active set — and checks, via the raw-state oracle
-//! `Simulator::cycle_has_pending_work` (independent of the scheduler
+//! must never overshoot. The proof runs twice — once on the default
+//! engine with the skip log armed, once on its tick-every-cycle twin, the
+//! `Scan` oracle — and checks, via the raw-state predicate
+//! `Simulator::cycle_has_pending_work` (independent of the engine's
 //! bookkeeping), that no cycle inside a skipped span had anything to do,
 //! and that both runs end in bit-identical results.
 
@@ -59,9 +59,8 @@ proptest! {
         let mk_cfg = || SimConfig { payload_flits: payload, ..SimConfig::default() };
         let plan = plan_for(&topo, faulty);
 
-        // Event-driven run, skip log armed.
+        // Default engine, skip log armed.
         let mut ev = Simulator::new(&topo, &db, &pattern, mk_cfg(), load, seed);
-        ev.set_scheduler(Scheduler::EventDriven);
         if let Some(p) = plan.clone() {
             ev.enable_faults(FaultOptions::with_plan(p));
         }
@@ -84,10 +83,11 @@ proptest! {
         }
         prop_assert_eq!(total, ev.skipped_cycles());
 
-        // Re-run with skipping disabled: bit-identical results, and the
-        // raw-state oracle confirms every skipped cycle really was idle.
+        // Re-run on the oracle, which never skips: bit-identical results,
+        // and the raw-state predicate confirms every skipped cycle really
+        // was idle.
         let mut tw = Simulator::new(&topo, &db, &pattern, mk_cfg(), load, seed);
-        tw.set_scheduler(Scheduler::ActiveSet);
+        tw.set_scheduler(Scheduler::Scan);
         if let Some(p) = plan {
             tw.enable_faults(FaultOptions::with_plan(p));
         }
@@ -111,6 +111,6 @@ proptest! {
         let s_tw = tw.end_measurement(RUN_CYCLES);
         prop_assert_eq!(s_ev, s_tw, "RunStats diverged from the tick-every-cycle twin");
         prop_assert_eq!(ev.reliability(), tw.reliability());
-        prop_assert_eq!(tw.skipped_cycles(), 0, "the active set must never skip");
+        prop_assert_eq!(tw.skipped_cycles(), 0, "the oracle must never skip");
     }
 }

@@ -1,10 +1,10 @@
-//! Scheduler equivalence suite: every cycle-loop driver — active set,
-//! event-driven time skipping — must be bit-identical to the full-scan
-//! reference: same `RunStats`, same unified counters, same
-//! delivered-message trace digest, same exported Chrome trace, on every
-//! paper topology × routing scheme, with and without faults.
+//! Scheduler equivalence suite: the default engine — active set plus time
+//! skipping — must be bit-identical to the full-scan oracle: same
+//! `RunStats`, same unified counters, same delivered-message trace
+//! digest, same exported Chrome trace, on every paper topology × routing
+//! scheme, with and without faults.
 //!
-//! The driver list and the proof obligations live in the shared harness
+//! The proof obligations live in the shared harness
 //! (`tests/common/mod.rs`); this file only enumerates the matrix points.
 
 mod common;
@@ -59,9 +59,9 @@ fn cplant_itb_rr_schedulers_agree() {
 
 /// Faults exercise the phase-0 control path (purge GO symbols delivered
 /// the same cycle), the deferred loss replay after NIC transmission, the
-/// retransmission wake-ups and — for the event-driven driver — the
-/// fault/reconfiguration time sources; every scheduler must agree there
-/// too, on every paper topology × routing scheme.
+/// retransmission wake-ups and the time skip's fault/reconfiguration
+/// time sources; engine and oracle must agree there too, on every paper
+/// topology × routing scheme.
 #[test]
 fn faulted_torus_updown_schedulers_agree() {
     assert_equivalent_faulted(torus, RoutingScheme::UpDown);
@@ -112,7 +112,7 @@ fn faulted_cplant_itb_rr_schedulers_agree() {
 /// a route-table swap. Shrink the latency so both the failure and the
 /// repair reconfigure *inside* the window — the swap rebuilds the
 /// effective `RouteDb` and re-runs path selection, all of which must
-/// stay bit-identical across engines.
+/// stay bit-identical between engine and oracle.
 #[test]
 fn faulted_reconfiguration_mid_run_schedulers_agree() {
     let rel = assert_equivalent_faulted_with(
@@ -131,7 +131,7 @@ fn faulted_reconfiguration_mid_run_schedulers_agree() {
 }
 
 /// The full observability stack — event journal exported as a Chrome
-/// trace — must come out byte-identical under every scheduler.
+/// trace — must come out byte-identical under engine and oracle.
 #[test]
 fn chrome_trace_export_schedulers_agree() {
     assert_equivalent_observed(|| gen::torus_2d(4, 4, 4).unwrap(), RoutingScheme::ItbRr);

@@ -1,8 +1,9 @@
-//! Boundary regressions for event-driven time skipping: the watchdog
-//! must trip at the *same cycle* as under the active set even when the
-//! stall lies inside a span the driver would otherwise jump over, and
-//! `begin`/`end_measurement` (plus `run_until_drained`) must land on
-//! identical cycles, with sampling observers emitting identical series.
+//! Boundary regressions for the default engine's time skipping, against
+//! its tick-every-cycle twin, the `Scan` oracle: the watchdog must trip
+//! at the *same cycle* even when the stall lies inside a span the run
+//! loop would otherwise jump over, and `begin`/`end_measurement` (plus
+//! `run_until_drained`) must land on identical cycles, with sampling
+//! observers emitting identical series.
 
 use regnet::prelude::*;
 
@@ -11,7 +12,7 @@ use regnet::prelude::*;
 /// retransmission timer and the reconfiguration completion are pushed
 /// far beyond the watchdog horizon, so the truncated packet sits live in
 /// a quiescent network — exactly the state the watchdog exists to catch
-/// — and the panic must land on the same cycle under every driver.
+/// — and the panic must land on the same cycle under engine and oracle.
 fn watchdog_panic(scheduler: Scheduler) -> String {
     let result = std::panic::catch_unwind(|| {
         let topo = gen::torus_2d(4, 4, 2).unwrap();
@@ -61,15 +62,15 @@ fn watchdog_panic(scheduler: Scheduler) -> String {
 /// so string equality pins both).
 #[test]
 fn watchdog_fires_at_identical_cycle_across_schedulers() {
-    let reference = watchdog_panic(Scheduler::ActiveSet);
+    let reference = watchdog_panic(Scheduler::Scan);
     assert!(
         reference.contains("watchdog: no flit moved"),
         "unexpected panic: {reference}"
     );
-    let event = watchdog_panic(Scheduler::EventDriven);
+    let skipping = watchdog_panic(Scheduler::default());
     assert_eq!(
-        reference, event,
-        "watchdog panic diverged between the active set and the event driver"
+        reference, skipping,
+        "watchdog panic diverged between the scan oracle and the default engine"
     );
 }
 
@@ -103,11 +104,11 @@ fn low_load_run(scheduler: Scheduler) -> (RunStats, Option<TraceReport>, u64, u6
 
 /// Measurement-window boundaries land on identical cycles and every
 /// sampled time series (utilization, occupancy, goodput) is identical —
-/// and the event driver really did skip.
+/// and the default engine really did skip.
 #[test]
 fn measurement_windows_and_series_identical_at_low_load() {
-    let (s_a, t_a, w_a, e_a) = low_load_run(Scheduler::ActiveSet);
-    let (s_e, t_e, w_e, e_e) = low_load_run(Scheduler::EventDriven);
+    let (s_a, t_a, w_a, e_a) = low_load_run(Scheduler::Scan);
+    let (s_e, t_e, w_e, e_e) = low_load_run(Scheduler::default());
     assert_eq!((w_a, e_a), (5_000, 25_000), "run boundaries must be exact");
     assert_eq!((w_e, e_e), (5_000, 25_000), "run boundaries must be exact");
     assert_eq!(s_a, s_e, "RunStats diverged at low load");
@@ -123,7 +124,6 @@ fn measurement_windows_and_series_identical_at_low_load() {
         ..SimConfig::default()
     };
     let mut sim = Simulator::new(&topo, &db, &pattern, cfg, 0.0005, 11);
-    sim.set_scheduler(Scheduler::EventDriven);
     sim.run(25_000);
     assert!(
         sim.skipped_cycles() > 0,
@@ -133,7 +133,8 @@ fn measurement_windows_and_series_identical_at_low_load() {
 
 /// `run_until_drained` reports the same drain cycle: the not-drained
 /// state persists across skipped spans, so the returned cycle must be
-/// identical to the tick-every-cycle drivers'.
+/// identical to the tick-every-cycle oracle's: `Scan` never skips, the
+/// default engine does, same drain cycle.
 #[test]
 fn drain_cycle_identical_across_schedulers() {
     let drain = |scheduler: Scheduler| {
@@ -152,12 +153,12 @@ fn drain_cycle_identical_across_schedulers() {
         let drained = sim.run_until_drained(50_000).expect("network must drain");
         (drained, sim.skipped_cycles())
     };
-    let (d_active, skipped_active) = drain(Scheduler::ActiveSet);
-    let (d_event, skipped_event) = drain(Scheduler::EventDriven);
-    assert_eq!(d_active, d_event, "drain cycle diverged");
-    assert_eq!(skipped_active, 0);
+    let (d_scan, skipped_scan) = drain(Scheduler::Scan);
+    let (d_default, skipped_default) = drain(Scheduler::default());
+    assert_eq!(d_scan, d_default, "drain cycle diverged");
+    assert_eq!(skipped_scan, 0);
     assert!(
-        skipped_event > 0,
+        skipped_default > 0,
         "the gaps before cycle 2000 and between the messages must be skipped"
     );
 }
