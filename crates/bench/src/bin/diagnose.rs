@@ -8,7 +8,7 @@
 //! whole 200k-cycle run becomes the measurement window).
 
 use regnet_bench::{
-    describe_route_table, parse_fail_links, parse_flag_value, route_table_gauges, save_chrome_trace,
+    describe_route_table, parse_diagnose_args, route_table_gauges, save_chrome_trace,
 };
 use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme};
 use regnet_netsim::experiment::RunObservation;
@@ -16,14 +16,18 @@ use regnet_netsim::{EventOptions, FaultOptions, SimConfig, Simulator};
 use regnet_topology::gen;
 use regnet_traffic::{Pattern, PatternSpec};
 
+const USAGE: &str = "usage: diagnose [--events P] [--metrics P] [--fail-link ID@CYCLE]...\n  \
+     --events     Chrome trace JSON of the event journal\n  \
+     --metrics    Prometheus exposition of the whole run\n  \
+     --fail-link  fail link ID at CYCLE (repeatable)";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let events_path = parse_flag_value(&args, "--events");
-    let metrics_path = parse_flag_value(&args, "--metrics");
-    let fault_plan = parse_fail_links(&args).unwrap_or_else(|e| {
-        eprintln!("diagnose: {e}");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_diagnose_args(&args).unwrap_or_else(|e| {
+        eprintln!("diagnose: {e}\n{USAGE}");
         std::process::exit(2);
     });
+    let (events_path, metrics_path, fault_plan) = (args.events, args.metrics, args.faults);
     let topo = gen::torus_2d(8, 8, 8).unwrap();
     let t0 = std::time::Instant::now();
     let db = RouteDb::build(&topo, RoutingScheme::ItbSp, &RouteDbConfig::default());

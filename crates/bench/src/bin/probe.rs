@@ -10,10 +10,7 @@
 //! (`flamegraph.pl`/inferno-compatible), both with the same per-scheme
 //! file suffixing as `--events`.
 
-use regnet_bench::{
-    describe_route_table, parse_fail_links, parse_flag_value, parse_probe_load, route_table_gauges,
-    save_chrome_trace,
-};
+use regnet_bench::{describe_route_table, parse_probe_args, route_table_gauges, save_chrome_trace};
 use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme};
 use regnet_netsim::experiment::RunObservation;
 use regnet_netsim::{EventOptions, FaultOptions, SimConfig, Simulator, TraceOptions};
@@ -29,19 +26,23 @@ fn scheme_path(path: &str, scheme: RoutingScheme) -> String {
     }
 }
 
+const USAGE: &str = "usage: probe [--load L] [--events P] [--metrics P] [--flame P] \
+                     [--fail-link ID@CYCLE]...\n  \
+     --load       offered load, flits/ns/switch (default 0.015)\n  \
+     --events     Chrome trace JSON of each scheme's event journal\n  \
+     --metrics    Prometheus exposition of each scheme's run\n  \
+     --flame      self-profile each run; collapsed stacks to P\n  \
+     --fail-link  fail link ID at CYCLE (repeatable)";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let offered = parse_probe_load(&args).unwrap_or_else(|e| {
-        eprintln!("probe: {e}");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_probe_args(&args).unwrap_or_else(|e| {
+        eprintln!("probe: {e}\n{USAGE}");
         std::process::exit(2);
     });
-    let events_path = parse_flag_value(&args, "--events");
-    let metrics_path = parse_flag_value(&args, "--metrics");
-    let flame_path = parse_flag_value(&args, "--flame");
-    let fault_plan = parse_fail_links(&args).unwrap_or_else(|e| {
-        eprintln!("probe: {e}");
-        std::process::exit(2);
-    });
+    let offered = args.load;
+    let (events_path, metrics_path, flame_path) = (args.events, args.metrics, args.flame);
+    let fault_plan = args.faults;
     let (warmup_cycles, measure_cycles) = (60_000u64, 150_000u64);
     let topo = gen::torus_2d(8, 8, 8).expect("torus");
     let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).expect("pattern");

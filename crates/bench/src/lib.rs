@@ -101,48 +101,81 @@ pub fn experiment(topo: Topology, scheme: RoutingScheme, pattern: PatternSpec) -
 // keep their `regnet_bench::threads()` spelling.
 pub use regnet_netsim::threads::{threads, threads_from};
 
-/// Parse every `--fail-link <id>@<cycle>` occurrence in `args` into a
-/// fault plan; `None` when the flag is absent. Shared by the probe and
-/// diagnose binaries.
-pub fn parse_fail_links(args: &[String]) -> Result<Option<FaultPlan>, String> {
+/// A parsed `probe` or `diagnose` command line. Every flag takes a value.
+#[derive(Debug, PartialEq)]
+pub struct DevArgs {
+    /// `probe --load`, flits/ns/switch: 0.015 (UP/DOWN's saturation point
+    /// on the torus) when absent. `diagnose` runs at a fixed 0.001.
+    pub load: f64,
+    /// `--events <path>`: Chrome trace JSON of the event journal.
+    pub events: Option<String>,
+    /// `--metrics <path>`: Prometheus text exposition.
+    pub metrics: Option<String>,
+    /// `probe --flame <path>`: collapsed stacks of the self-profiler.
+    pub flame: Option<String>,
+    /// Every `--fail-link <id>@<cycle>`; `None` when there is none.
+    pub faults: Option<FaultPlan>,
+}
+
+/// Parse `probe`'s arguments (without the program name), as strictly as
+/// [`parse_paper_args`]: `probe 0.03` must not run the default load.
+pub fn parse_probe_args(args: &[String]) -> Result<DevArgs, String> {
+    parse_dev_args(
+        args,
+        &["--load", "--events", "--metrics", "--flame", "--fail-link"],
+    )
+}
+
+/// Parse `diagnose`'s arguments (without the program name), as strictly
+/// as [`parse_paper_args`].
+pub fn parse_diagnose_args(args: &[String]) -> Result<DevArgs, String> {
+    parse_dev_args(args, &["--events", "--metrics", "--fail-link"])
+}
+
+/// Parse `args` against the flags a binary `takes`.
+fn parse_dev_args(args: &[String], takes: &[&str]) -> Result<DevArgs, String> {
+    let mut parsed = DevArgs {
+        load: 0.015,
+        events: None,
+        metrics: None,
+        flame: None,
+        faults: None,
+    };
     let mut plan = FaultPlan::new();
     let mut args = args.iter();
     while let Some(arg) = args.next() {
-        if arg != "--fail-link" {
-            continue;
+        if !takes.contains(&arg.as_str()) {
+            return Err(if arg.starts_with('-') {
+                format!("unknown flag {arg:?}")
+            } else {
+                format!("unexpected argument {arg:?}")
+            });
         }
-        let spec = args.next().ok_or("--fail-link needs <id>@<cycle>")?;
-        let bad = || format!("bad --fail-link {spec:?}: expected <id>@<cycle>");
-        let (id, cycle) = spec.split_once('@').ok_or_else(bad)?;
-        let id = id.parse::<u32>().map_err(|_| bad())?;
-        let cycle = cycle.parse::<u64>().map_err(|_| bad())?;
-        plan.fail_link(cycle, LinkId(id));
+        let value = args.next().ok_or_else(|| format!("{arg} needs a value"))?;
+        match arg.as_str() {
+            "--load" => {
+                let load = value
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|l| *l > 0.0 && l.is_finite());
+                parsed.load = load.ok_or_else(|| {
+                    format!("bad --load {value:?}: expected a positive number of flits/ns/switch")
+                })?;
+            }
+            "--events" => parsed.events = Some(value.clone()),
+            "--metrics" => parsed.metrics = Some(value.clone()),
+            "--flame" => parsed.flame = Some(value.clone()),
+            _ => {
+                let bad = || format!("bad --fail-link {value:?}: expected <id>@<cycle>");
+                let (id, cycle) = value.split_once('@').ok_or_else(bad)?;
+                let id = id.parse::<u32>().map_err(|_| bad())?;
+                let cycle = cycle.parse::<u64>().map_err(|_| bad())?;
+                plan.fail_link(cycle, LinkId(id));
+            }
+        }
     }
-    Ok((!plan.is_empty()).then_some(plan))
-}
-
-/// Value following `flag` in `args` (e.g. `--events trace.json`); `None`
-/// when the flag is absent. Shared by the probe/diagnose binaries.
-pub fn parse_flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// `probe`'s offered load: the value after `--load` in flits/ns/switch,
-/// 0.015 (UP/DOWN's saturation point on the torus) when the flag is absent.
-pub fn parse_probe_load(args: &[String]) -> Result<f64, String> {
-    let Some(i) = args.iter().position(|a| a == "--load") else {
-        return Ok(0.015);
-    };
-    let value = args.get(i + 1).ok_or("--load needs a value")?;
-    match value.parse::<f64>() {
-        Ok(load) if load > 0.0 && load.is_finite() => Ok(load),
-        _ => Err(format!(
-            "bad --load {value:?}: expected a positive number of flits/ns/switch"
-        )),
-    }
+    parsed.faults = (!plan.is_empty()).then_some(plan);
+    Ok(parsed)
 }
 
 /// A parsed `paper` command line.
@@ -428,20 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_load_is_validated() {
-        assert_eq!(parse_probe_load(&strings(&["probe"])), Ok(0.015));
-        assert_eq!(
-            parse_probe_load(&strings(&["probe", "--load", "0.03"])),
-            Ok(0.03)
-        );
-        for bad in ["garbage", "0", "-0.01", "nan", "inf", ""] {
-            let err = parse_probe_load(&strings(&["probe", "--load", bad])).unwrap_err();
-            assert!(err.contains("--load"), "{bad:?}: {err}");
-        }
-        assert!(parse_probe_load(&strings(&["probe", "--load"])).is_err());
-    }
-
-    #[test]
     fn paper_args_accepted() {
         let a = parse_paper_args(&strings(&["fig08"])).unwrap();
         assert_eq!(a.figure.unwrap().name, "fig08");
@@ -585,40 +604,89 @@ mod tests {
     }
 
     #[test]
+    fn probe_and_diagnose_args() {
+        // Neither runs a default when it was given something it ignores.
+        for (args, needle) in [
+            (&["0.03"][..], "unexpected argument \"0.03\""),
+            (&["--lod", "0.03"], "unknown flag \"--lod\""),
+            (&["--load"], "--load needs a value"),
+            (&["--flame"], "--flame needs a value"),
+            (
+                &["--events", "t.json", "extra"],
+                "unexpected argument \"extra\"",
+            ),
+            (&["--fail-link"], "--fail-link needs a value"),
+            (&["--fail-link", "3"], "<id>@<cycle>"),
+            (&["--fail-link", "x@5000"], "<id>@<cycle>"),
+            (&["--fail-link", "3@soon"], "<id>@<cycle>"),
+            (&["--fail-link", "-3@5000"], "<id>@<cycle>"),
+        ] {
+            let err = parse_probe_args(&strings(args)).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
+        for bad in ["garbage", "0", "-0.01", "nan", "inf", ""] {
+            let err = parse_probe_args(&strings(&["--load", bad])).unwrap_err();
+            assert!(err.contains("bad --load"), "{bad:?}: {err}");
+        }
+        for (args, needle) in [
+            (&["--bogus"][..], "unknown flag \"--bogus\""),
+            (&["--load", "0.03"], "unknown flag \"--load\""),
+            (&["--flame", "p.folded"], "unknown flag \"--flame\""),
+            (&["--metrics"], "--metrics needs a value"),
+            (&["run"], "unexpected argument \"run\""),
+        ] {
+            let err = parse_diagnose_args(&strings(args)).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
+
+        let defaults = DevArgs {
+            load: 0.015,
+            events: None,
+            metrics: None,
+            flame: None,
+            faults: None,
+        };
+        assert_eq!(parse_probe_args(&[]), Ok(defaults));
+        let mut plan = FaultPlan::new();
+        plan.fail_link(5_000, LinkId(3));
+        plan.fail_link(9_000, LinkId(7));
+        let args = [
+            "--fail-link",
+            "3@5000",
+            "--load",
+            "0.03",
+            "--flame",
+            "p.folded",
+            "--fail-link",
+            "7@9000",
+        ];
+        let want = DevArgs {
+            load: 0.03,
+            events: None,
+            metrics: None,
+            flame: Some("p.folded".into()),
+            faults: Some(plan),
+        };
+        assert_eq!(parse_probe_args(&strings(&args)), Ok(want));
+        let args = [
+            "--events",
+            "t.json",
+            "--metrics",
+            "m.prom",
+            "--fail-link",
+            "3@5000",
+        ];
+        let diagnose = parse_diagnose_args(&strings(&args)).unwrap();
+        assert_eq!(diagnose.events.as_deref(), Some("t.json"));
+        assert_eq!(diagnose.metrics.as_deref(), Some("m.prom"));
+        assert_eq!(diagnose.faults.map(|p| p.len()), Some(1));
+    }
+
+    #[test]
     fn usage_names_every_subcommand() {
         let usage = paper_usage();
         for f in FIGURES {
             assert!(usage.contains(f.name), "{}", f.name);
-        }
-    }
-
-    #[test]
-    fn fail_link_parsing() {
-        let args: Vec<String> = [
-            "x",
-            "--fail-link",
-            "3@5000",
-            "--load",
-            "0.01",
-            "--fail-link",
-            "7@9000",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let plan = parse_fail_links(&args).unwrap().expect("two events");
-        assert_eq!(plan.len(), 2);
-        assert_eq!(parse_fail_links(&strings(&["x"])), Ok(None));
-        for bad in [
-            &["--fail-link"][..],
-            &["--fail-link", "3"],
-            &["--fail-link", "x@5000"],
-            &["--fail-link", "3@soon"],
-            &["--fail-link", "-3@5000"],
-            &["--fail-link", "3@5000", "--fail-link"],
-        ] {
-            let err = parse_fail_links(&strings(bad)).unwrap_err();
-            assert!(err.contains("<id>@<cycle>"), "{bad:?}: {err}");
         }
     }
 

@@ -7,6 +7,13 @@
 //! each phase with a lap (`Instant::now()`); disabled (the default), the
 //! same phase sequence makes no timing calls at all.
 //!
+//! The seven phase laps run on every stepped cycle. The child spans
+//! below them (`routing`/`crossbar` per switch, `trace`) cost a clock
+//! read per switch, and timed on every cycle they more than doubled the
+//! run and landed inside the very phase they measured. They are timed on
+//! a hashed one-in-`SPAN_SAMPLE` (64) sample of cycles and scaled to the
+//! phase totals at report time.
+//!
 //! Two views of the same data:
 //!
 //! * [`ProfileReport`] — the flat per-phase table (what `benchmark/`
@@ -38,6 +45,28 @@ pub const PHASE_NAMES: [&str; 7] = [
 
 pub(crate) const N_PHASES: usize = PHASE_NAMES.len();
 
+/// One cycle in `SPAN_SAMPLE`, on average, has its child spans timed.
+pub(crate) const SPAN_SAMPLE: u64 = 64;
+
+/// Are `cycle`'s child spans timed? A stateless hash of the cycle index:
+/// deterministic, never a draw from the simulation RNG, and blind to time
+/// skips. Unlike a fixed stride it does not alias with the trace
+/// intervals: a cycle ≡ 0 (mod 64) is never the cycle ≡ 999 (mod 1000) on
+/// which a `full(1000)` trace flushes, so a strided `trace` child would
+/// never time a flush.
+#[inline]
+pub(crate) fn times_children(cycle: u64) -> bool {
+    splitmix64(cycle).is_multiple_of(SPAN_SAMPLE)
+}
+
+/// The SplitMix64 finaliser: a bijective mix of every input bit.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Phase {
     Faults = 0,
@@ -51,13 +80,17 @@ pub(crate) enum Phase {
 
 /// Accumulated nanoseconds per phase, plus child-span buckets keyed by
 /// `(phase, label)`. The flat array stays authoritative: child
-/// spans are timed independently inside the phase and reconciled against
-/// the phase total at report time.
+/// spans are timed independently inside the phase, on sampled cycles
+/// only, and reconciled against the phase total at report time.
 #[derive(Debug, Default)]
 pub(crate) struct Profiler {
     pub ns: [u64; N_PHASES],
     pub cycles: u64,
     children: BTreeMap<(u8, &'static str), u64>,
+    /// Per phase, the ns of the cycles whose children were timed: the
+    /// base the sampled children scale from.
+    child_base: [u64; N_PHASES],
+    sampled_cycles: u64,
 }
 
 impl Profiler {
@@ -74,6 +107,15 @@ impl Profiler {
     #[inline]
     pub(crate) fn add_child(&mut self, phase: Phase, label: &'static str, ns: u64) {
         *self.children.entry((phase as u8, label)).or_insert(0) += ns;
+    }
+
+    /// Close a cycle whose children were timed: the phase time it added
+    /// since `before` (the `ns` of when it began) joins the child base.
+    pub(crate) fn end_sample(&mut self, before: [u64; N_PHASES]) {
+        for (base, (&now, then)) in self.child_base.iter_mut().zip(self.ns.iter().zip(before)) {
+            *base += now - then;
+        }
+        self.sampled_cycles += 1;
     }
 
     pub(crate) fn report(&self) -> ProfileReport {
@@ -97,13 +139,16 @@ impl Profiler {
         }
     }
 
-    /// Build the hierarchical view. Per phase the child spans are
-    /// reconciled against the flat phase total: children and phases are
+    /// Build the hierarchical view. Per phase the sampled children are
+    /// scaled by `phase_ns / child_base`, from the cycles they were timed
+    /// on to the whole phase (floor division). Children and phases are
     /// timed by separate `Instant` pairs, so clock granularity can push
-    /// the child sum a hair past the phase wall time — in that case the
-    /// children are scaled down proportionally (floor division, remainder
-    /// to the largest child) so `self + Σ child.total == total` holds
-    /// *exactly* at every node and phase totals equal [`ProfileReport`]'s.
+    /// the child sum a hair past its base — in that case the children are
+    /// scaled to exactly the phase total instead (remainder to the largest
+    /// child). Either way `self + Σ child.total == total` holds *exactly*
+    /// at every node and phase totals equal [`ProfileReport`]'s. A phase
+    /// without a base (no cycle sampled yet, or children fed by hand)
+    /// counts as timed throughout.
     pub(crate) fn span_report(&self) -> SpanReport {
         let mut roots = Vec::with_capacity(N_PHASES);
         for (p, &phase_name) in PHASE_NAMES.iter().enumerate() {
@@ -116,18 +161,24 @@ impl Profiler {
                 .map(|(&(_, label), &ns)| (label, ns))
                 .collect();
             let sum: u64 = leaves.iter().map(|&(_, ns)| ns).sum();
-            let self_ns = if sum > phase_ns {
-                let mut scaled_sum = 0u64;
-                for l in &mut leaves {
-                    l.1 = ((l.1 as u128 * phase_ns as u128) / sum as u128) as u64;
-                    scaled_sum += l.1;
-                }
+            let base = match self.child_base[p] {
+                0 => phase_ns,
+                b => b,
+            };
+            // At least 1: a zero base and sum mean all-zero children.
+            let denom = base.max(sum).max(1);
+            let mut scaled_sum = 0u64;
+            for l in &mut leaves {
+                l.1 = ((l.1 as u128 * phase_ns as u128) / denom as u128) as u64;
+                scaled_sum += l.1;
+            }
+            let self_ns = if sum < base {
+                phase_ns - scaled_sum
+            } else {
                 if let Some(largest) = leaves.iter_mut().max_by_key(|l| l.1) {
                     largest.1 += phase_ns - scaled_sum;
                 }
                 0
-            } else {
-                phase_ns - sum
             };
             let children = leaves
                 .iter()
@@ -142,6 +193,7 @@ impl Profiler {
         }
         SpanReport {
             cycles: self.cycles,
+            sampled_cycles: self.sampled_cycles,
             total_ns: self.ns.iter().sum(),
             roots,
         }
@@ -160,7 +212,8 @@ pub struct PhaseProfile {
 /// Everything the profiler measured.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProfileReport {
-    /// Cycles stepped while profiling.
+    /// Cycles simulated while profiling, idle spans the run loop jumped
+    /// over included.
     pub cycles: u64,
     /// Total profiled wall time, ns.
     pub total_ns: u64,
@@ -224,8 +277,12 @@ impl SpanNode {
 /// phase totals equal the flat [`ProfileReport`] exactly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanReport {
-    /// Cycles stepped while profiling.
+    /// Cycles simulated while profiling, idle spans the run loop jumped
+    /// over included.
     pub cycles: u64,
+    /// Stepped cycles whose child spans were timed (about one in 64);
+    /// the children are scaled from these to their whole phase.
+    pub sampled_cycles: u64,
     /// Total profiled wall time, ns (== Σ root totals).
     pub total_ns: u64,
     pub roots: Vec<SpanNode>,
@@ -277,9 +334,11 @@ impl SpanReport {
             }
         }
         let mut out = format!(
-            "span profile: {} cycles in {:.3} s\n",
+            "span profile: {} cycles in {:.3} s\n  (children timed on {} of {} cycles)\n",
             self.cycles,
-            self.total_ns as f64 / 1e9
+            self.total_ns as f64 / 1e9,
+            self.sampled_cycles,
+            self.cycles
         );
         for root in &self.roots {
             walk(&mut out, root, 0, self.total_ns);
@@ -289,10 +348,10 @@ impl SpanReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn assert_node_invariant(n: &SpanNode) {
+    pub(crate) fn assert_node_invariant(n: &SpanNode) {
         let child_sum: u64 = n.children.iter().map(|c| c.total_ns).sum();
         assert_eq!(
             n.self_ns + child_sum,
@@ -332,28 +391,85 @@ mod tests {
     }
 
     #[test]
-    fn span_tree_reconciles_with_flat_phases() {
-        let mut p = Profiler::new();
-        p.cycles = 5;
-        p.add(Phase::Switches, 1000);
-        p.add_child(Phase::Switches, "routing", 600);
-        p.add_child(Phase::Switches, "crossbar", 300);
-        p.add(Phase::Observers, 50);
-        let spans = p.span_report();
-        let flat = p.report();
-        assert_eq!(spans.total_ns, flat.total_ns);
-        for (root, phase) in spans.roots.iter().zip(&flat.phases) {
-            assert_eq!(root.name, phase.name);
-            assert_eq!(root.total_ns, phase.ns);
-            assert_node_invariant(root);
+    fn sampled_cycles_are_one_in_64_and_alias_with_no_interval() {
+        // Hits on the last cycle of every period P — where a `full(P)`
+        // trace flushes — must be ~1/P of all hits.
+        fn alias_free(hits: &[u64]) -> bool {
+            [2u64, 8, 64, 100, 1000, 1024].iter().all(|&p| {
+                let on_last = hits.iter().filter(|&&c| c % p == p - 1).count() as f64;
+                let want = hits.len() as f64 / p as f64;
+                (on_last - want).abs() <= 0.25 * want
+            })
         }
-        // Unattributed phase time shows up as self time.
+        let n = 1_000_000u64;
+        let hits: Vec<u64> = (0..n).filter(|&c| times_children(c)).collect();
+        let want = (n / SPAN_SAMPLE) as f64;
+        assert!(
+            (hits.len() as f64 - want).abs() <= 0.1 * want,
+            "{} of {n} cycles sampled",
+            hits.len()
+        );
+        assert!(alias_free(&hits));
+        let strided: Vec<u64> = (0..n).filter(|c| c.is_multiple_of(SPAN_SAMPLE)).collect();
+        assert!(!alias_free(&strided), "a fixed stride aliases");
+    }
+
+    #[test]
+    fn span_tree_reconciles_with_flat_phases() {
+        // (child base, routing, crossbar) → (self, routing, crossbar) of a
+        // 1000 ns switch phase. Base 0: children fed by hand, timed
+        // throughout; base < phase: timed on a sample, scaled up.
+        for (base, timed, want) in [
+            (0, (600, 300), (100, 600, 300)),
+            (1000, (600, 300), (100, 600, 300)),
+            (250, (150, 75), (100, 600, 300)),
+            (300, (100, 100), (334, 333, 333)),
+        ] {
+            let mut p = Profiler::new();
+            p.cycles = 5;
+            p.add(Phase::Switches, 1000);
+            p.child_base[Phase::Switches as usize] = base;
+            p.add_child(Phase::Switches, "routing", timed.0);
+            p.add_child(Phase::Switches, "crossbar", timed.1);
+            p.add(Phase::Observers, 50);
+            let spans = p.span_report();
+            let flat = p.report();
+            assert_eq!(spans.total_ns, flat.total_ns);
+            for (root, phase) in spans.roots.iter().zip(&flat.phases) {
+                assert_eq!(root.name, phase.name);
+                assert_eq!(root.total_ns, phase.ns);
+                assert_node_invariant(root);
+            }
+            // Unattributed phase time shows up as self time.
+            let sw = &spans.roots[Phase::Switches as usize];
+            assert_eq!(sw.children.len(), 2);
+            // BTreeMap label order: crossbar before routing.
+            assert_eq!(sw.children[0].name, "crossbar");
+            assert_eq!(sw.children[1].name, "routing");
+            let got = (sw.self_ns, sw.children[1].total_ns, sw.children[0].total_ns);
+            assert_eq!(got, want, "child base {base}");
+        }
+    }
+
+    #[test]
+    fn end_sample_credits_the_cycles_phase_time() {
+        let mut p = Profiler::new();
+        p.add(Phase::Switches, 700);
+        let before = p.ns;
+        p.add(Phase::Switches, 300);
+        p.add(Phase::Observers, 40);
+        p.add_child(Phase::Switches, "routing", 150);
+        p.end_sample(before);
+        p.cycles = 64;
+        assert_eq!(p.child_base[Phase::Switches as usize], 300);
+        assert_eq!(p.child_base[Phase::Observers as usize], 40);
+        let spans = p.span_report();
+        assert_eq!(spans.sampled_cycles, 1);
         let sw = &spans.roots[Phase::Switches as usize];
-        assert_eq!(sw.self_ns, 100);
-        assert_eq!(sw.children.len(), 2);
-        // BTreeMap label order: crossbar before routing.
-        assert_eq!(sw.children[0].name, "crossbar");
-        assert_eq!(sw.children[1].name, "routing");
+        assert_eq!((sw.self_ns, sw.children[0].total_ns), (500, 500));
+        assert!(spans
+            .to_table()
+            .contains("children timed on 1 of 64 cycles"));
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::faultplan::{FaultEvent, FaultOptions, FaultRuntime, FaultTarget, Reli
 use crate::kernel::{self, At, Fx, KernelMeasure, Sink, SwitchSpan, Tick};
 use crate::nic::Nic;
 use crate::packet::{Arena, Packet, PacketArena};
-use crate::profiler::{Phase, ProfileReport, Profiler, SpanReport};
+use crate::profiler::{times_children, Phase, ProfileReport, Profiler, SpanReport};
 use crate::sched::{ActiveSched, Scheduler};
 use crate::switch::{HeadState, SwitchState};
 use crate::trace::{TraceOptions, TraceReport, TraceState};
@@ -164,8 +164,8 @@ pub(crate) struct SeqSink<'s> {
     rel: &'s mut ReliabilityStats,
     last_activity: &'s mut u64,
     pending_loss: &'s mut Vec<(At, u32)>,
-    /// Iff profiling: the last span lap, and the (routing, crossbar) ns
-    /// inside the switch phase this cycle.
+    /// Iff profiling and this cycle is sampled: the last span lap, and the
+    /// (routing, crossbar) ns inside the switch phase this cycle.
     spans: Option<(Instant, [u64; 2])>,
 }
 
@@ -890,10 +890,17 @@ impl<'a> Simulator<'a> {
 
     /// Advance one cycle: the one phase sequence both loops run. Phases
     /// 1–4 are the kernel's (`crate::kernel`); the rest is the same code
-    /// under either. With the profiler on, each phase ends in a lap;
-    /// off, `mark` stays `None` and no `Instant::now()` is ever called.
+    /// under either. With the profiler on, each phase ends in a lap, and a
+    /// hashed sample of cycles also times the child spans (`sample` holds
+    /// the phase totals that cycle began from); off, `mark` stays `None`
+    /// and no `Instant::now()` is ever called.
     pub fn step(&mut self) {
         let cycle = self.cycle;
+        let sample = self
+            .profiler
+            .as_deref()
+            .filter(|_| times_children(cycle))
+            .map(|p| p.ns);
         let mut mark = self.profiler.as_ref().map(|_| Instant::now());
         // ---- Phase 0: fault events, purges, reconfig.
         if self.faults.is_some() {
@@ -901,7 +908,7 @@ impl<'a> Simulator<'a> {
         }
         lap(&mut self.profiler, &mut mark, Phase::Faults);
         // ---- Phases 1-4: control, arrivals, switches, NIC transmission.
-        self.kernel_phases(cycle, &mut mark);
+        self.kernel_phases(cycle, &mut mark, sample.is_some());
         // ---- Phase 6: deferred mid-cycle losses (faulted runs).
         if self.faults.is_some() {
             self.loss_phase(cycle);
@@ -910,10 +917,13 @@ impl<'a> Simulator<'a> {
         self.gen_phase(cycle);
         lap(&mut self.profiler, &mut mark, Phase::Generation);
         let mut trace_ns = 0u64;
-        self.observer_phase(cycle, mark.is_some().then_some(&mut trace_ns));
+        self.observer_phase(cycle, sample.is_some().then_some(&mut trace_ns));
         lap(&mut self.profiler, &mut mark, Phase::Observers);
         if let Some(p) = self.profiler.as_deref_mut() {
-            p.add_child(Phase::Observers, "trace", trace_ns);
+            if let Some(before) = sample {
+                p.add_child(Phase::Observers, "trace", trace_ns);
+                p.end_sample(before);
+            }
             p.cycles += 1;
         }
         self.cycle += 1;
@@ -922,9 +932,13 @@ impl<'a> Simulator<'a> {
     /// Split the simulator into what the kernel phases of one cycle work
     /// on — the component arrays next to the sink that borrows everything
     /// they emit into, and the cycle's constants — plus the profiler, for
-    /// the laps in between.
+    /// the laps in between. `timed`: the sink times the switch spans.
     #[inline]
-    fn split(&mut self, cycle: u64) -> (SeqParts<'_>, Tick<'_>, &mut Option<Box<Profiler>>) {
+    fn split(
+        &mut self,
+        cycle: u64,
+        timed: bool,
+    ) -> (SeqParts<'_>, Tick<'_>, &mut Option<Box<Profiler>>) {
         let faults = self.faults.as_deref();
         let tick = Tick {
             cycle,
@@ -947,7 +961,7 @@ impl<'a> Simulator<'a> {
             rel: &mut self.rel,
             last_activity: &mut self.last_activity,
             pending_loss: &mut self.pending_loss,
-            spans: self.profiler.as_ref().map(|_| (Instant::now(), [0; 2])),
+            spans: timed.then(|| (Instant::now(), [0; 2])),
         };
         let parts = SeqParts {
             switches: &mut self.switches,
@@ -961,11 +975,11 @@ impl<'a> Simulator<'a> {
     /// loops; `Scheduler::Scan`, the oracle the equivalence suites diff
     /// against, visits every channel, switch and NIC in index order
     /// instead — same kernel, every component.
-    fn kernel_phases(&mut self, cycle: u64, mark: &mut Option<Instant>) {
+    fn kernel_phases(&mut self, cycle: u64, mark: &mut Option<Instant>, timed: bool) {
         let n_channels = self.channels.len() as u32;
         let n_switches = self.switches.len() as u32;
         let n_nics = self.nics.len() as u32;
-        let (mut p, t, prof) = self.split(cycle);
+        let (mut p, t, prof) = self.split(cycle, timed);
         let scan = p.sink.sched.is_none();
         if scan {
             (0..n_channels).for_each(|ci| kernel::deliver_ctl(&mut p, ci));
@@ -1015,7 +1029,7 @@ impl<'a> Simulator<'a> {
         self.gen_due = due;
     }
 
-    /// Watchdog + per-cycle observer work. `trace_ns`, when profiling,
+    /// Watchdog + per-cycle observer work. `trace_ns`, on a sampled cycle,
     /// accumulates the wall time of the trace observer's end-of-cycle hook
     /// (the "trace" child span under the observers phase).
     fn observer_phase(&mut self, cycle: u64, trace_ns: Option<&mut u64>) {
@@ -2355,6 +2369,38 @@ mod tests {
         assert!(sim.skipped_cycles() > 0, "low load must leave idle spans");
         assert_eq!(sim.profile_report().unwrap().cycles, 12_000);
         assert_eq!(sim.span_report().unwrap().cycles, 12_000);
+    }
+
+    /// A real profiled run fills every child span from its sample of
+    /// cycles and still reconciles with the flat phases at every node.
+    #[test]
+    fn sampled_child_spans_survive_a_saturated_run() {
+        let topo = gen::torus_2d(4, 4, 2).unwrap();
+        let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let mut sim = Simulator::new(&topo, &db, &pattern, small_cfg(), 0.08, 3);
+        sim.enable_trace(TraceOptions::full(1_000));
+        sim.enable_profiler();
+        sim.run(20_000);
+        let (flat, spans) = (sim.profile_report().unwrap(), sim.span_report().unwrap());
+        assert_eq!(spans.cycles, 20_000);
+        let sampled = spans.sampled_cycles;
+        assert!((20_000 / 128..=20_000 / 32).contains(&sampled), "{sampled}");
+        assert_eq!(spans.total_ns, flat.total_ns);
+        for (root, phase) in spans.roots.iter().zip(&flat.phases) {
+            assert_eq!(root.total_ns, phase.ns);
+            crate::profiler::tests::assert_node_invariant(root);
+        }
+        let child = |phase: Phase, name: &str| {
+            let root = &spans.roots[phase as usize];
+            root.children
+                .iter()
+                .find(|c| c.name == name)
+                .map_or(0, |c| c.total_ns)
+        };
+        assert!(child(Phase::Switches, "routing") > 0);
+        assert!(child(Phase::Switches, "crossbar") > 0);
+        assert!(child(Phase::Observers, "trace") > 0);
     }
 
     /// The two shims: each retired label selects, and reports as, the

@@ -92,8 +92,8 @@ const BINARIES: [(&str, &[&str]); 5] = [
     ("paper", &["parse_paper_args"]),
     ("campaign", &["parse_campaign_args"]),
     ("fault_sweep", &["parse_fault_sweep_args"]),
-    ("probe", &["parse_fail_links", "parse_probe_load"]),
-    ("diagnose", &["parse_fail_links"]),
+    ("probe", &["parse_probe_args"]),
+    ("diagnose", &["parse_diagnose_args"]),
 ];
 
 /// The text a binary's flags are spelled in: its own source plus the

@@ -2,14 +2,22 @@
 //! with the full flight-recorder stack on (counters, metrics sampler,
 //! occupancy + lifetime probes, digest, self-profiler) produces the same
 //! `RunStats` as a bare run with no observers at all, and the same
-//! delivered-message digest as a digest-only run.
+//! delivered-message digest as a digest-only run — on the scan oracle and
+//! on the engine users run, whose time skip credits the profiler and
+//! whose sampled child spans branch on the cycle.
 
 mod common;
 
-use common::{cfg, opts, reference};
+use common::{cfg, contenders, opts, reference};
 use regnet::prelude::*;
 
 fn assert_telemetry_invisible(build: fn() -> Topology, scheme: RoutingScheme) {
+    for scheduler in std::iter::once(reference()).chain(contenders()) {
+        assert_invisible_on(build, scheme, scheduler);
+    }
+}
+
+fn assert_invisible_on(build: fn() -> Topology, scheme: RoutingScheme, scheduler: Scheduler) {
     let run = |trace: TraceOptions, counters: bool, profile: bool| {
         let exp = Experiment::new(
             build(),
@@ -25,9 +33,12 @@ fn assert_telemetry_invisible(build: fn() -> Topology, scheme: RoutingScheme) {
                 trace,
                 counters,
                 profile,
-                ..opts(reference())
+                ..opts(scheduler)
             },
         );
+        if profile {
+            assert!(obs.spans.is_some_and(|s| s.sampled_cycles > 0));
+        }
         let mut stats = obs.stats;
         stats.counters = None;
         (stats, obs.trace.and_then(|t| t.digest))
@@ -44,10 +55,16 @@ fn assert_telemetry_invisible(build: fn() -> Topology, scheme: RoutingScheme) {
         channel_util_interval: Some(1_000),
     };
     let (observed, observed_digest) = run(full, true, true);
-    assert_eq!(bare, minimal, "the digest observer perturbed the run");
-    assert_eq!(bare, observed, "the flight recorder perturbed the run");
+    assert_eq!(bare, minimal, "the digest observer perturbed {scheduler:?}");
+    assert_eq!(
+        bare, observed,
+        "the flight recorder perturbed {scheduler:?}"
+    );
     assert!(digest.is_some());
-    assert_eq!(digest, observed_digest, "telemetry changed the digest");
+    assert_eq!(
+        digest, observed_digest,
+        "telemetry changed the digest on {scheduler:?}"
+    );
 }
 
 #[test]
