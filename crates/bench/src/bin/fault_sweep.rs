@@ -131,10 +131,11 @@ fn throughput_vs_failed_links(p: &Params, board: &mut StatusBoard) {
                 faults: Some(FaultOptions::with_plan(plan)),
                 ..RunOptions::default()
             };
-            exp.run_reliability(p.offered, &opts)
+            exp.run_observed(p.offered, &opts)
         });
         let mut curve = Curve::new(format!("{} vs failed links", scheme.label()));
-        for (&k, (stats, rel, _)) in p.ks.iter().zip(&results) {
+        for (&k, obs) in p.ks.iter().zip(&results) {
+            let (stats, rel) = (&obs.stats, &obs.reliability);
             let accepted = stats.accepted_flits_per_ns_per_switch(exp.topology().num_switches());
             println!(
                 "{:8} k={:2} accepted {:.4} lat {:8.0} ns delivered {:6} dropped {:4} \
@@ -206,8 +207,10 @@ fn goodput_dip(p: &Params, board: &mut StatusBoard) {
             faults: Some(FaultOptions::with_plan(plan)),
             ..RunOptions::default()
         };
-        let (_, rel, report) = exp.run_reliability(p.offered, &opts);
-        let g = report
+        let obs = exp.run_observed(p.offered, &opts);
+        let rel = obs.reliability;
+        let g = obs
+            .trace
             .and_then(|r| r.goodput)
             .expect("goodput observer was enabled");
         // Payload flits per bucket -> flits/ns, comparable across intervals.

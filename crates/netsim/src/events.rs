@@ -209,7 +209,10 @@ impl EventJournal {
         }
     }
 
-    #[inline]
+    // Out of line: every caller tests that a journal exists first, and
+    // the body inlined at the kernel's journal sites slows the untraced
+    // switch loop.
+    #[inline(never)]
     pub(crate) fn record(&mut self, cycle: u64, pid: u32, kind: EventKind) {
         if !self.opts.mask.contains(Self::family(&kind)) {
             return;

@@ -26,21 +26,20 @@ pub struct RunOptions {
     /// RNG seed (generation phases, destination draws, path sampling).
     pub seed: u64,
     /// Telemetry observers to enable for the run (default: all off, which
-    /// costs nothing). Results come back through
-    /// [`Experiment::run_traced`].
+    /// costs nothing). Results come back in [`RunObservation::trace`].
     pub trace: TraceOptions,
     /// Fault schedule to inject (default: `None`, a fault-free run). The
-    /// dependability counters come back through
-    /// [`Experiment::run_reliability`].
+    /// dependability counters come back in
+    /// [`RunObservation::reliability`].
     pub faults: Option<FaultOptions>,
     /// Enable the unified counter registry; the snapshot over the
     /// measurement window rides in [`RunStats::counters`].
     pub counters: bool,
     /// Enable the structured event journal (default: `None`, no journal).
-    /// The journal comes back through [`Experiment::run_observed`].
+    /// The journal comes back in [`RunObservation::journal`].
     pub events: Option<EventOptions>,
     /// Enable the per-phase wall-time self-profiler; the report comes back
-    /// through [`Experiment::run_observed`].
+    /// in [`RunObservation::profile`].
     pub profile: bool,
     /// Oracle switch for the equivalence suites: `Scheduler::Scan` runs
     /// the reference loop instead of the engine, with bit-identical
@@ -346,8 +345,8 @@ impl Experiment {
 
     /// Static descriptors of every directed channel, in
     /// [`RunStats::channel_busy`] order. Builds a throwaway simulator (no
-    /// cycles are run), so callers that only have `run_*` results can
-    /// still map `channel_busy` entries to links.
+    /// cycles are run), so callers that only have run results can still
+    /// map `channel_busy` entries to links.
     pub fn channel_descriptors(&self) -> Vec<ChannelDesc> {
         Simulator::new(
             &self.topo,
@@ -360,42 +359,16 @@ impl Experiment {
         .channel_descriptors()
     }
 
-    /// Run the raw simulation at one offered load and return the full
-    /// [`RunStats`] (latency, ITB counters, per-channel utilization).
-    pub fn run_stats(&self, offered: f64, opts: &RunOptions) -> RunStats {
-        self.run_traced(offered, opts).0
-    }
-
-    /// Like [`run_stats`](Experiment::run_stats), but also returns the
-    /// [`TraceReport`] collected by the observers selected in
-    /// `opts.trace` (`None` when they are all off). Observers are enabled
-    /// before warmup, so the trace digest covers the entire run — exactly
-    /// what the determinism regression suite compares.
-    pub fn run_traced(&self, offered: f64, opts: &RunOptions) -> (RunStats, Option<TraceReport>) {
-        let (stats, _, report) = self.run_reliability(offered, opts);
-        (stats, report)
-    }
-
-    /// Like [`run_traced`](Experiment::run_traced), plus the run's
-    /// [`ReliabilityStats`] — all zeros unless `opts.faults` schedules
-    /// something.
-    pub fn run_reliability(
-        &self,
-        offered: f64,
-        opts: &RunOptions,
-    ) -> (RunStats, ReliabilityStats, Option<TraceReport>) {
-        let obs = self.run_observed(offered, opts);
-        (obs.stats, obs.reliability, obs.trace)
-    }
-
     /// Run one point with every observer selected in `opts` and return the
-    /// full [`RunObservation`]: stats, reliability, trace report, profiler
-    /// breakdown and event journal. This is the superset entry point; the
-    /// other `run_*` methods are thin projections of it.
+    /// full [`RunObservation`]: stats, reliability (all zeros unless
+    /// `opts.faults` schedules something), trace report, profiler
+    /// breakdown and event journal. Every run of an experiment goes
+    /// through here.
     ///
-    /// Observers are enabled before warmup, so the journal sees the whole
-    /// run (warmup included) while `RunStats.counters` — reset at
-    /// `begin_measurement` — covers exactly the measurement window.
+    /// Observers are enabled before warmup, so the journal and the trace
+    /// digest see the whole run (warmup included) while
+    /// `RunStats.counters` — reset at `begin_measurement` — covers exactly
+    /// the measurement window.
     pub fn run_observed(&self, offered: f64, opts: &RunOptions) -> RunObservation {
         let mut sim = self.make_sim(offered, opts);
         sim.run(opts.warmup_cycles);
@@ -446,7 +419,7 @@ impl Experiment {
 
     /// Run one offered-load point and summarise it as a [`CurvePoint`].
     pub fn run_point(&self, offered: f64, opts: &RunOptions) -> CurvePoint {
-        let stats = self.run_stats(offered, opts);
+        let stats = self.run_observed(offered, opts).stats;
         self.to_point(offered, &stats)
     }
 
@@ -516,13 +489,9 @@ impl Experiment {
         Vec<ChannelDesc>,
         Option<ChannelUtilSeries>,
     ) {
-        let mut sim = self.make_sim(offered, opts);
-        let descs = sim.channel_descriptors();
-        sim.run(opts.warmup_cycles);
-        sim.begin_measurement();
-        sim.run(opts.measure_cycles);
-        let stats = sim.end_measurement(opts.measure_cycles);
-        let series = sim.trace_report().and_then(|r| r.channel_util);
+        let obs = self.run_observed(offered, opts);
+        let (stats, descs) = (obs.stats, self.channel_descriptors());
+        let series = obs.trace.and_then(|r| r.channel_util);
         let mut busy = Vec::new();
         let mut kept = Vec::new();
         let mut kept_rows = Vec::new();

@@ -7,18 +7,20 @@
 //! They are safe and generic over the sink: each takes the
 //! component it advances (`&mut SwitchState` / `&mut Nic`) and a [`Sink`],
 //! through which it reaches the packets, messages and channels it touches
-//! and *emits* every other consequence of the cycle.
+//! and *emits* every other consequence of the cycle, one named method per
+//! effect.
 //!
-//! A sink decides *when* an effect lands, never *how* a cycle works. The
-//! simulator's sink (`sim.rs`) is a bundle of disjoint `&mut` borrows of
-//! its fields and applies every effect on the spot, deferring only the
-//! losses of a faulted cycle (by their [`At`] key); the kernel tests'
-//! recording sink keeps the effects as data instead.
+//! The simulator's sink (`sim/sink.rs`) is a bundle of disjoint `&mut`
+//! borrows of its fields and applies every effect the moment it is
+//! emitted. The two losses are the exception: it records them, and the
+//! loss phase replays the records in recording order after NIC
+//! transmission. The kernel tests' recording sink logs every effect
+//! instead.
 //!
 //! The phase loops at the bottom walk the engine's wake wheels and active
 //! lists over the simulator's `SeqParts`: the component arrays next to
 //! that sink. The full-scan oracle (`Scheduler::Scan`) keeps its own loops
-//! in `sim.rs` and calls the per-component functions directly.
+//! in `sim/mod.rs` and calls the per-component functions directly.
 
 use std::cmp::Reverse;
 
@@ -34,38 +36,6 @@ use crate::nic::{Nic, RxState, TxKind, TxState};
 use crate::packet::Packet;
 use crate::sim::{MsgState, SeqParts};
 use crate::switch::{ports, HeadState, SwitchState};
-
-/// Where in a cycle's sequential visit order an effect was emitted: the
-/// arrival phase visits channels in ascending index order, then the switch
-/// phase visits switches, then the transmit phase visits NICs — which is
-/// exactly the derived ordering. Buffered effects stably sorted by `At`
-/// are therefore in the order the simulator applies them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum At {
-    Chan(u32),
-    Switch(u32),
-    Nic(u32),
-}
-
-/// The effects whose order across components is observable: journal
-/// records, the trace hooks of an in-transit eject and of a re-injection
-/// starting (each also journaled), and a delivery — the packet leaves the
-/// arena and its message may complete, so arena and message free-list
-/// reuse follow this order too. They are data so that a sink can buffer
-/// them under their [`At`] and apply them later.
-///
-/// `Lose` says `pid` cannot go on: its worm was routed into a dead output
-/// (`At::Switch`) or it became unroutable at its source (`At::Nic`). No
-/// sink applies it; it is recorded, and the loss phase replays the records
-/// after NIC transmission so engine and oracle mutate the arenas in one order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Fx {
-    Journal { pid: u32, kind: EventKind },
-    ItbEject { pid: u32, host: u32, overflow: bool },
-    Reinject { pid: u32, host: u32 },
-    Deliver { pid: u32, host: u32 },
-    Lose { pid: u32 },
-}
 
 /// Measurement-window tallies the kernel feeds.
 #[derive(Debug, Default)]
@@ -133,19 +103,21 @@ pub(crate) trait Sink {
     fn diag(&self) -> bool;
     /// Update the measurement tallies, if a window is open.
     fn measure(&mut self, update: impl FnOnce(&mut KernelMeasure));
-    /// Is the event journal on?
-    fn journal_on(&self) -> bool;
-    /// An order-sensitive effect happened at `at`.
-    fn fx(&mut self, at: At, fx: Fx);
-    /// [`Fx::Journal`] of `(packet, event)` if journaling; `event` is not
-    /// evaluated otherwise.
-    #[inline]
-    fn journal(&mut self, at: At, event: impl FnOnce() -> (u32, EventKind)) {
-        if self.journal_on() {
-            let (pid, kind) = event();
-            self.fx(at, Fx::Journal { pid, kind });
-        }
-    }
+    /// Journal `(packet, event)` if journaling; `event` is not evaluated
+    /// otherwise.
+    fn journal(&mut self, event: impl FnOnce() -> (u32, EventKind));
+    /// `pid` was ejected into NIC `host`'s in-transit buffer (`overflow`:
+    /// into host memory).
+    fn itb_eject(&mut self, pid: u32, host: u32, overflow: bool);
+    /// NIC `host` sent the first flit of re-injected `pid`.
+    fn reinject(&mut self, pid: u32, host: u32);
+    /// The tail of `pid` reached its destination NIC `host`: the packet
+    /// leaves the arena and its message may complete.
+    fn deliver(&mut self, pid: u32, host: u32);
+    /// `pid`'s worm was routed into a dead output and cannot go on.
+    fn lose_worm(&mut self, pid: u32);
+    /// `pid` became unroutable at its source NIC and is dropped.
+    fn drop_unroutable(&mut self, pid: u32);
 
     /// Profiler hook around the two loops of [`switch_phase`]: if child
     /// spans are being collected, charge the time since the last lap to
@@ -204,20 +176,19 @@ pub(crate) fn deliver_data(p: &mut SeqParts, ci: u32, t: &Tick) {
     k.activity();
     match receiver {
         Receiver::SwitchIn { sw, port } => {
-            switch_rx(&mut p.switches[sw as usize], sw, port, pid, ci, t, k);
+            switch_rx(&mut p.switches[sw as usize], sw, port, pid, t, k);
         }
-        Receiver::Nic { host } => nic_rx(&mut p.nics[host as usize], host, pid, ci, t, k),
+        Receiver::Nic { host } => nic_rx(&mut p.nics[host as usize], host, pid, t, k),
     }
 }
 
-/// One flit of `pid` enters input `port` of switch `id` from channel `ci`.
+/// One flit of `pid` enters input `port` of switch `id`.
 #[inline]
 pub(crate) fn switch_rx<S: Sink>(
     sw: &mut SwitchState,
     id: u32,
     port: u8,
     pid: u32,
-    ci: u32,
     t: &Tick,
     k: &mut S,
 ) {
@@ -227,20 +198,17 @@ pub(crate) fn switch_rx<S: Sink>(
     let (new_packet, ctl) = sw.flit_in(port, pid, t.cfg, || k.pkt(pid).expected_at_next_receiver());
     if new_packet {
         k.count(|c| c.switch_arrivals += 1);
-        k.journal(At::Chan(ci), || {
-            (pid, EventKind::SwitchArrival { sw: id, port })
-        });
+        k.journal(|| (pid, EventKind::SwitchArrival { sw: id, port }));
     }
     if let Some((chan, sym)) = ctl {
         k.send_ctl(chan, sym);
     }
 }
 
-/// One flit of `pid` enters NIC `host` from channel `ci`: the header
-/// decides between delivery and in-transit processing, the last flit
-/// completes a delivery.
-pub(crate) fn nic_rx<S: Sink>(nic: &mut Nic, host: u32, pid: u32, ci: u32, t: &Tick, k: &mut S) {
-    let (at, cfg) = (At::Chan(ci), t.cfg);
+/// One flit of `pid` enters NIC `host`: the header decides between
+/// delivery and in-transit processing, the last flit completes a delivery.
+pub(crate) fn nic_rx<S: Sink>(nic: &mut Nic, host: u32, pid: u32, t: &Tick, k: &mut S) {
+    let cfg = t.cfg;
     // New packet or continuation?
     let is_new = match nic.rx {
         Some(rx) => {
@@ -293,12 +261,7 @@ pub(crate) fn nic_rx<S: Sink>(nic: &mut Nic, host: u32, pid: u32, ci: u32, t: &T
                     c.itb_ejections += 1;
                     c.itb_overflows += u64::from(overflow);
                 });
-                let eject = Fx::ItbEject {
-                    pid,
-                    host,
-                    overflow,
-                };
-                k.fx(at, eject);
+                k.itb_eject(pid, host, overflow);
                 false
             }
         };
@@ -316,7 +279,7 @@ pub(crate) fn nic_rx<S: Sink>(nic: &mut Nic, host: u32, pid: u32, ci: u32, t: &T
         let deliver = rx.deliver;
         nic.rx = None;
         if deliver {
-            k.fx(at, Fx::Deliver { pid, host });
+            k.deliver(pid, host);
         }
     }
 }
@@ -335,7 +298,7 @@ pub(crate) fn switch_phase<S: Sink>(sw: &mut SwitchState, id: u32, t: &Tick, k: 
     {
         return;
     }
-    let (at, cfg, cycle) = (At::Switch(id), t.cfg, t.cycle);
+    let (cfg, cycle) = (t.cfg, t.cycle);
     k.span_lap(None);
 
     // Routing control units: consume the header byte of each head packet
@@ -352,10 +315,10 @@ pub(crate) fn switch_phase<S: Sink>(sw: &mut SwitchState, id: u32, t: &Tick, k: 
                 // Routing towards a dead cable (or a port that never
                 // existed in a stale route): the worm is lost.
                 if t.faults.is_some() && sw.out_chan(out).is_none_or(|c| k.is_dead(c)) {
-                    k.fx(at, Fx::Lose { pid });
+                    k.lose_worm(pid);
                 }
                 k.count(|c| c.route_lookups += 1);
-                k.journal(at, || {
+                k.journal(|| {
                     let port = p as u8;
                     (pid, EventKind::Route { sw: id, port, out })
                 });
@@ -365,7 +328,7 @@ pub(crate) fn switch_phase<S: Sink>(sw: &mut SwitchState, id: u32, t: &Tick, k: 
                 if k.diag() {
                     if let Some(cause) = sw.block_cause(p) {
                         k.count(|c| c.worms_blocked += 1);
-                        k.journal(at, || {
+                        k.journal(|| {
                             let out = sw.head_out(p);
                             (sw.head_pid(p), EventKind::Block { sw: id, out, cause })
                         });
@@ -382,7 +345,7 @@ pub(crate) fn switch_phase<S: Sink>(sw: &mut SwitchState, id: u32, t: &Tick, k: 
     for p in ports(sw.busy_outputs()) {
         if let Some(g) = sw.arbitrate(p) {
             k.count(|c| c.arbitration_grants += 1);
-            k.journal(at, || {
+            k.journal(|| {
                 let (in_port, out) = (g, p as u8);
                 let kind = EventKind::HeadAdvance {
                     sw: id,
@@ -417,7 +380,7 @@ pub(crate) fn switch_phase<S: Sink>(sw: &mut SwitchState, id: u32, t: &Tick, k: 
 /// the current one if flow control and (for a re-injection) cut-through
 /// availability allow.
 pub(crate) fn nic_tx<S: Sink>(nic: &mut Nic, h: u32, t: &Tick, k: &mut S) {
-    let (at, cfg, cycle) = (At::Nic(h), t.cfg, t.cycle);
+    let (cfg, cycle) = (t.cfg, t.cycle);
     if let Some(f) = t.faults {
         // Sources freeze while the mapper redistributes routes; the
         // transmission already in progress may finish.
@@ -445,7 +408,7 @@ pub(crate) fn nic_tx<S: Sink>(nic: &mut Nic, h: u32, t: &Tick, k: &mut S) {
                 if !routable {
                     // Skip it now (the NIC still transmits the next
                     // routable packet this cycle).
-                    k.fx(at, Fx::Lose { pid });
+                    k.drop_unroutable(pid);
                     continue;
                 }
                 if f.routes.is_some() {
@@ -506,15 +469,14 @@ pub(crate) fn nic_tx<S: Sink>(nic: &mut Nic, h: u32, t: &Tick, k: &mut S) {
         if ms.first_inject == u64::MAX {
             ms.first_inject = cycle;
         }
-        k.journal(at, || (tx.pid, EventKind::Inject { src, dst }));
+        k.journal(|| (tx.pid, EventKind::Inject { src, dst }));
     }
     k.send(nic.out_chan, tx.pid);
     k.activity();
     k.count(|c| c.flits_injected += 1);
     if tx.sent == 0 && tx.reinjection {
         k.count(|c| c.itb_reinjections += 1);
-        let (pid, host) = (tx.pid, h);
-        k.fx(at, Fx::Reinject { pid, host });
+        k.reinject(tx.pid, h);
     }
     let tx = nic.tx.as_mut().unwrap();
     tx.sent += 1;
@@ -608,7 +570,12 @@ mod tests {
         Activate(u32),
         Wake(u64, u32),
         Activity,
-        Did(At, Fx),
+        Journal(u32, EventKind),
+        ItbEject(u32, u32, bool),
+        Reinject(u32, u32),
+        Deliver(u32, u32),
+        LoseWorm(u32),
+        DropUnroutable(u32),
     }
     use Rec::*;
 
@@ -673,16 +640,28 @@ mod tests {
         fn measure(&mut self, update: impl FnOnce(&mut KernelMeasure)) {
             update(&mut self.measure);
         }
-        fn journal_on(&self) -> bool {
-            true
+        fn journal(&mut self, event: impl FnOnce() -> (u32, EventKind)) {
+            let (pid, kind) = event();
+            self.log.push(Journal(pid, kind));
         }
-        fn fx(&mut self, at: At, fx: Fx) {
-            self.log.push(Did(at, fx));
+        fn itb_eject(&mut self, pid: u32, host: u32, overflow: bool) {
+            self.log.push(ItbEject(pid, host, overflow));
+        }
+        fn reinject(&mut self, pid: u32, host: u32) {
+            self.log.push(Reinject(pid, host));
+        }
+        fn deliver(&mut self, pid: u32, host: u32) {
+            self.log.push(Deliver(pid, host));
+        }
+        fn lose_worm(&mut self, pid: u32) {
+            self.log.push(LoseWorm(pid));
+        }
+        fn drop_unroutable(&mut self, pid: u32) {
+            self.log.push(DropUnroutable(pid));
         }
     }
 
     const SW: u32 = 7;
-    const AT: At = At::Switch(SW);
 
     /// Switch 7 with ports 0..3; port `p` receives on channel `10 + p` and
     /// drives channel `20 + p`.
@@ -694,7 +673,7 @@ mod tests {
     fn feed_two_worms(sw: &mut SwitchState, t: &Tick, k: &mut Recorder) {
         for (port, pid) in [(0u8, 0u32), (1, 1)] {
             for _ in 0..3 {
-                switch_rx(sw, SW, port, pid, 10 + port as u32, t, k);
+                switch_rx(sw, SW, port, pid, t, k);
             }
         }
     }
@@ -735,21 +714,13 @@ mod tests {
         }
     }
 
-    fn lose(at: At, pid: u32) -> Rec {
-        Did(at, Fx::Lose { pid })
-    }
-
-    fn journal(at: At, pid: u32, kind: EventKind) -> Rec {
-        Did(at, Fx::Journal { pid, kind })
-    }
-
     fn route(port: u8, pid: u32, out: u8) -> Rec {
-        journal(AT, pid, EventKind::Route { sw: SW, port, out })
+        Journal(pid, EventKind::Route { sw: SW, port, out })
     }
 
     fn grant(in_port: u8, pid: u32) -> Rec {
         let (sw, out) = (SW, 2);
-        journal(AT, pid, EventKind::HeadAdvance { sw, in_port, out })
+        Journal(pid, EventKind::HeadAdvance { sw, in_port, out })
     }
 
     /// What a [`Tick`] borrows: a two-switch line with one host each.
@@ -803,10 +774,7 @@ mod tests {
         // Two worms, both leaving through port 2.
         let mut k = Recorder::with(vec![packet(30, &[&[2, 0]]), packet(30, &[&[2, 1]])]);
         feed_two_worms(&mut sw, &w.tick(0), &mut k);
-        let arrival = |port: u8, pid| {
-            let at = At::Chan(10 + port as u32);
-            journal(at, pid, EventKind::SwitchArrival { sw: SW, port })
-        };
+        let arrival = |port: u8, pid| Journal(pid, EventKind::SwitchArrival { sw: SW, port });
         // Every flit keeps the switch active; only the header is journaled.
         let (a, b) = (arrival(0, 0), arrival(1, 1));
         let on = || Activate(SW);
@@ -826,7 +794,7 @@ mod tests {
         // first buffered flit crosses at once.
         switch_phase(&mut sw, SW, &w.tick(24), &mut k);
         let (out, cause) = (2, BlockCause::Arbitration);
-        let block = journal(AT, 1, EventKind::Block { sw: SW, out, cause });
+        let block = Journal(1, EventKind::Block { sw: SW, out, cause });
         assert_eq!(k.take(), [block, grant(1, 1), Send(22, 1), Activity]);
 
         // One more flit; input 0 keeps waiting, silently (a block is
@@ -852,7 +820,7 @@ mod tests {
         let mut k = Recorder::with(vec![packet(100, &[&[2, 0]])]);
         // The 57th buffered flit crosses the STOP threshold (56).
         for n in 1..=57 {
-            switch_rx(&mut sw, SW, 1, 0, 11, &w.tick(0), &mut k);
+            switch_rx(&mut sw, SW, 1, 0, &w.tick(0), &mut k);
             let stop = k.take().contains(&Ctl(11, CTL_STOP));
             assert_eq!(stop, n == 57, "flit {n}");
         }
@@ -877,15 +845,9 @@ mod tests {
         let mut k = Recorder::with(vec![packet(20, &[&[1], &[3, 2]])]);
         k.pkts[0].hop = 1; // the one switch of segment 0 is behind it
         let wire = 1 + 2 + 1 + 20; // ITB mark, segment 1's ports, type, payload
-        let (pid, host, overflow) = (0, 4, false);
-        nic_rx(&mut nic, 4, 0, 31, &w.tick(100), &mut k);
+        nic_rx(&mut nic, 4, 0, &w.tick(100), &mut k);
         // Recognition (44) + DMA set-up (32) cycles after the header.
-        let eject = Fx::ItbEject {
-            pid,
-            host,
-            overflow,
-        };
-        assert_eq!(k.take(), [Wake(176, 4), Did(At::Chan(31), eject)]);
+        assert_eq!(k.take(), [Wake(176, 4), ItbEject(0, 4, false)]);
         let p = &k.pkts[0];
         assert_eq!(
             (p.seg, p.hop, p.itbs_used, p.pool_reserved),
@@ -903,17 +865,16 @@ mod tests {
         }
         assert_eq!(nic.tx.map(|tx| (tx.sent, tx.total)), Some((0, wire - 1)));
         // A second flit arrives; one leaves, announced as a re-injection.
-        nic_rx(&mut nic, 4, 0, 31, &w.tick(177), &mut k);
+        nic_rx(&mut nic, 4, 0, &w.tick(177), &mut k);
         nic_tx(&mut nic, 4, &w.tick(177), &mut k);
-        let reinject = Did(At::Nic(4), Fx::Reinject { pid, host });
-        assert_eq!(k.take(), [Send(40, 0), Activity, reinject]);
+        assert_eq!(k.take(), [Send(40, 0), Activity, Reinject(0, 4)]);
         // Starved again: a mid-packet bubble.
         nic_tx(&mut nic, 4, &w.tick(178), &mut k);
         assert_eq!((k.take(), k.measure.reinject_bubbles), (vec![], 1));
         // The rest arrives (an in-transit packet is never delivered here)
         // and leaves; the tail gives the pool space back.
         for cycle in 179..177 + wire as u64 {
-            nic_rx(&mut nic, 4, 0, 31, &w.tick(cycle), &mut k);
+            nic_rx(&mut nic, 4, 0, &w.tick(cycle), &mut k);
             nic_tx(&mut nic, 4, &w.tick(cycle), &mut k);
             assert_eq!(k.take(), [Send(40, 0), Activity]);
         }
@@ -931,16 +892,10 @@ mod tests {
         nic.pool_used = 10;
         let mut k = Recorder::with(vec![packet(20, &[&[1], &[3, 2]])]);
         k.pkts[0].hop = 1;
-        nic_rx(&mut nic, 4, 0, 31, &w.tick(100), &mut k);
+        nic_rx(&mut nic, 4, 0, &w.tick(100), &mut k);
         // 10 + 24 > 30: nothing reserved, and the overflow penalty (160)
         // on top of recognition + DMA.
-        let (pid, host, overflow) = (0, 4, true);
-        let eject = Fx::ItbEject {
-            pid,
-            host,
-            overflow,
-        };
-        assert_eq!(k.take(), [Wake(336, 4), Did(At::Chan(31), eject)]);
+        assert_eq!(k.take(), [Wake(336, 4), ItbEject(0, 4, true)]);
         assert_eq!((nic.pool_used, k.pkts[0].pool_reserved), (10, 0));
         assert_eq!((k.measure.itb_overflows, k.measure.max_pool_flits), (1, 0));
         assert_eq!((k.counters.itb_ejections, k.counters.itb_overflows), (1, 1));
@@ -953,9 +908,8 @@ mod tests {
         let mut k = Recorder::with(vec![packet(5, &[&[1]])]);
         k.pkts[0].hop = 1;
         for n in 1..=6 {
-            nic_rx(&mut nic, 9, 0, 31, &w.tick(n), &mut k);
-            let deliver = Did(At::Chan(31), Fx::Deliver { pid: 0, host: 9 });
-            let want = (n == 6).then_some(deliver);
+            nic_rx(&mut nic, 9, 0, &w.tick(n), &mut k);
+            let want = (n == 6).then_some(Deliver(0, 9));
             assert_eq!(k.take(), Vec::from_iter(want), "flit {n}");
         }
         assert!(nic.rx.is_none());
@@ -971,7 +925,7 @@ mod tests {
         feed_two_worms(&mut sw, &w.tick(0), &mut k);
         k.take();
         switch_phase(&mut sw, SW, &w.tick(0), &mut k);
-        let want = [lose(AT, 0), route(0, 0, 2), lose(AT, 1), route(1, 1, 5)];
+        let want = [LoseWorm(0), route(0, 0, 2), LoseWorm(1), route(1, 1, 5)];
         assert_eq!(k.take(), want);
         // Recorded, not applied: both worms stay where they are, the
         // one facing a real port even wins it, and no flit enters the
@@ -1001,9 +955,8 @@ mod tests {
         }];
         nic.local_queue.extend([0, 1]);
         nic_tx(&mut nic, 0, &w.tick(50), &mut k);
-        let at = At::Nic(0);
-        let inject = journal(at, 1, EventKind::Inject { src: 0, dst: 0 });
-        assert_eq!(k.take(), [lose(at, 0), inject, Send(40, 1), Activity]);
+        let inject = Journal(1, EventKind::Inject { src: 0, dst: 0 });
+        assert_eq!(k.take(), [DropUnroutable(0), inject, Send(40, 1), Activity]);
         assert_eq!((k.msgs[0].first_inject, k.pkts[1].inject_cycle), (50, 50));
         assert_eq!(k.pkts[0].inject_cycle, u64::MAX, "only recorded");
     }

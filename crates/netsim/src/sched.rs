@@ -12,10 +12,12 @@
 //!   with work, and whenever both wheels and both lists are empty the run
 //!   loop jumps the clock to the next cycle at which *anything* can happen
 //!   (wake heap, generation clocks, fault plan, reconfiguration deadline,
-//!   trace sampling, watchdog boundary; see `event.rs`).
+//!   trace sampling, watchdog boundary; see `sim/skip.rs`).
 //! * `Scheduler::Scan` — the oracle: visit every channel, switch and NIC on
-//!   every cycle, never skip. Trivially correct, O(network size) per cycle
-//!   regardless of load; nothing but the equivalence suites selects it.
+//!   every cycle, never skip (its loops sit beside the engine's calls in
+//!   `Simulator::kernel_phases`, `sim/mod.rs`). Trivially correct,
+//!   O(network size) per cycle regardless of load; nothing but the
+//!   equivalence suites selects it.
 //!
 //! The two are bit-identical: same `RunStats`, counters, event journal and
 //! trace digest. The scan loop's observable ordering (channel, switch and
@@ -229,7 +231,7 @@ impl ActiveSched {
         self.nic_active.append(&mut kept);
     }
 
-    // ---- Quiescence accessors for the time skip (`event.rs`).
+    // ---- Quiescence accessors for the time skip (`sim/skip.rs`).
 
     /// No flit or control symbol is parked in either wake wheel. O(1).
     pub(crate) fn wheels_empty(&self) -> bool {

@@ -1,0 +1,608 @@
+//! The fault machinery: phase 0 (fault events, purges, reconfiguration)
+//! and the replay of the kernel's deferred losses after NIC transmission.
+
+use std::cmp::Reverse;
+
+use rand::Rng;
+
+use regnet_mapper::{rebuild_physical_routes, FaultSet, PhysicalRoutes};
+use regnet_topology::{HostId, SwitchId};
+
+use super::Simulator;
+use crate::channel::{Receiver, Sender};
+use crate::events::{EventKind, NO_PACKET};
+use crate::faultplan::{FaultEvent, FaultOptions, FaultRuntime, FaultTarget, ReliabilityStats};
+use crate::nic::Nic;
+use crate::switch::HeadState;
+
+/// How the loss phase disposes of a packet the kernel could not move on.
+pub(super) enum Loss {
+    /// Its worm was routed into a dead output: truncated, then
+    /// retransmitted or dropped (`handle_loss`).
+    Worm,
+    /// It became unroutable at its source NIC: dropped (`drop_packet`).
+    Unroutable,
+}
+
+/// Every packet `nic` holds for transmission — the one it is sending, its
+/// source queue, its pending re-injections and retransmissions — plus,
+/// with `rx`, the one it is receiving.
+fn nic_victims(nic: &Nic, rx: bool, victims: &mut Vec<u32>) {
+    victims.extend(nic.tx.map(|tx| tx.pid));
+    victims.extend(nic.rx.filter(|_| rx).map(|rx| rx.pid));
+    victims.extend(nic.local_queue.iter().copied());
+    victims.extend(nic.reinject.iter().map(|&Reverse((_, pid))| pid));
+    victims.extend(nic.retransmit.iter().map(|&Reverse((_, pid))| pid));
+}
+
+/// Ordered pairs of distinct hosts among `n`.
+fn pairs(n: u64) -> u64 {
+    n * n.saturating_sub(1)
+}
+
+impl Simulator<'_> {
+    /// Arm the fault-injection runtime with `opts` (see [`FaultOptions`]).
+    /// Call before running; events earlier than the current cycle fire
+    /// immediately on the next step.
+    pub fn enable_faults(&mut self, opts: FaultOptions) {
+        self.faults = Some(Box::new(FaultRuntime::new(opts, self.topo.num_hosts())));
+    }
+
+    /// Dependability counters so far; all zeros when faults were never
+    /// enabled.
+    pub fn reliability(&self) -> ReliabilityStats {
+        self.rel.clone()
+    }
+
+    /// The routing tables installed by the last successful mid-run
+    /// reconfiguration, if any.
+    pub fn reconfigured_routes(&self) -> Option<&PhysicalRoutes> {
+        self.faults.as_deref().and_then(|f| f.routes.as_ref())
+    }
+
+    /// The faults currently in force, if fault injection is enabled.
+    pub fn active_faults(&self) -> Option<&FaultSet> {
+        self.faults.as_deref().map(|f| &f.active)
+    }
+
+    /// Faulted runs only: replay this cycle's deferred losses. The switch
+    /// and NIC phases never truncate or drop in place — they record
+    /// `(Loss, packet)` pairs — and this phase replays them in recording
+    /// order, which is visit order: switches before NICs, each ascending,
+    /// under both loops. Engine and oracle therefore mutate the
+    /// packet/message arenas in the same within-cycle order — deliveries
+    /// in channel order, then switch truncations in switch order, then
+    /// source drops in NIC order, then generation — which is what keeps
+    /// free-list reuse, and with it every downstream id, bit-identical
+    /// between the two.
+    pub(super) fn loss_phase(&mut self, cycle: u64) {
+        let mut lost = std::mem::take(&mut self.pending_loss);
+        for (loss, pid) in lost.drain(..) {
+            match loss {
+                Loss::Worm => self.handle_loss(pid, cycle),
+                Loss::Unroutable => self.drop_packet(pid, cycle),
+            }
+        }
+        self.pending_loss = lost;
+    }
+
+    /// Apply every fault event due at `cycle`, purge the truncated worms,
+    /// and drive the pending reconfiguration if one is in flight.
+    pub(super) fn fault_phase(&mut self, cycle: u64) {
+        let mut victims: Vec<u32> = Vec::new();
+        let mut applied = false;
+        loop {
+            let f = self.faults.as_deref().unwrap();
+            let Some(&ev) = f.events.get(f.next_event) else {
+                break;
+            };
+            if ev.cycle > cycle {
+                break;
+            }
+            self.faults.as_deref_mut().unwrap().next_event += 1;
+            self.apply_fault_event(ev, &mut victims);
+            applied = true;
+        }
+        if applied {
+            self.sync_channels_to_faults(&mut victims);
+            self.lose_all(victims, cycle);
+            if self.faults.as_deref().unwrap().reconfigure {
+                // The management process re-maps the network; the new
+                // tables take effect after the reconfiguration latency.
+                self.faults.as_deref_mut().unwrap().reconfig_due =
+                    Some(cycle + self.cfg.reconfig_latency_cycles);
+            } else {
+                self.refresh_direct_host_ok(cycle);
+            }
+        }
+        match self.faults.as_deref().unwrap().reconfig_due {
+            Some(due) if cycle >= due => self.complete_reconfiguration(cycle),
+            Some(_) => self.rel.reconfig_stall_cycles += 1,
+            None => {}
+        }
+    }
+
+    /// Hand every victim, once each and in id order, to `handle_loss`.
+    fn lose_all(&mut self, mut victims: Vec<u32>, cycle: u64) {
+        victims.sort_unstable();
+        victims.dedup();
+        for pid in victims {
+            self.handle_loss(pid, cycle);
+        }
+    }
+
+    fn apply_fault_event(&mut self, ev: FaultEvent, victims: &mut Vec<u32>) {
+        if let Some(c) = &mut self.counters {
+            if ev.fail {
+                c.fault_fires += 1;
+            } else {
+                c.fault_repairs += 1;
+            }
+        }
+        if let Some(j) = &mut self.journal {
+            let kind = if ev.fail {
+                EventKind::FaultFire { target: ev.target }
+            } else {
+                EventKind::FaultRepair { target: ev.target }
+            };
+            j.record(ev.cycle, NO_PACKET, kind);
+        }
+        let f = self.faults.as_deref_mut().unwrap();
+        match (ev.target, ev.fail) {
+            (FaultTarget::Link(l), true) => {
+                f.active.kill_link(l);
+                self.rel.link_failures += 1;
+            }
+            (FaultTarget::Link(l), false) => {
+                f.active.revive_link(l);
+                self.rel.repairs += 1;
+            }
+            (FaultTarget::Switch(s), true) => {
+                f.active.kill_switch(s);
+                self.rel.switch_failures += 1;
+            }
+            (FaultTarget::Switch(s), false) => {
+                f.active.revive_switch(s);
+                self.rel.repairs += 1;
+            }
+            (FaultTarget::Host(h), true) => {
+                f.active.kill_host(h);
+                self.rel.host_failures += 1;
+                f.host_up[h.idx()] = false;
+                f.host_ok[h.idx()] = false;
+                self.kill_host_nic(h.idx(), victims);
+            }
+            (FaultTarget::Host(h), false) => {
+                f.active.revive_host(h);
+                self.rel.repairs += 1;
+                // Powered back on; reachability (and generation restart)
+                // is decided when host_ok is next refreshed.
+                f.host_up[h.idx()] = true;
+            }
+        }
+    }
+
+    /// A host died: everything its NIC holds is lost, and it generates
+    /// nothing until repaired.
+    fn kill_host_nic(&mut self, h: usize, victims: &mut Vec<u32>) {
+        let nic = &mut self.nics[h];
+        nic.next_gen = f64::MAX;
+        nic.scheduled.clear();
+        nic.stopped = false;
+        nic_victims(nic, true, victims);
+    }
+
+    /// Bring every channel's dead/alive state in line with the active fault
+    /// set (a dead switch or host implicitly kills its cables), collecting
+    /// the packets truncated in the process.
+    fn sync_channels_to_faults(&mut self, victims: &mut Vec<u32>) {
+        for i in 0..self.topo.num_links() {
+            let lid = self.topo.links()[i].id;
+            let alive = self
+                .faults
+                .as_deref()
+                .unwrap()
+                .active
+                .is_link_alive(self.topo, lid);
+            let pair = self.link_chans[i];
+            for ci in pair {
+                let ci = ci as usize;
+                if !alive && !self.channels[ci].is_dead() {
+                    let mut v = self.fail_channel(ci);
+                    victims.append(&mut v);
+                } else if alive && self.channels[ci].is_dead() {
+                    self.repair_channel(ci);
+                }
+            }
+        }
+        // Packets resident in a freshly dead switch's buffers die with it.
+        for s in 0..self.switches.len() {
+            if self
+                .faults
+                .as_deref()
+                .unwrap()
+                .active
+                .is_switch_alive(SwitchId(s as u32))
+            {
+                continue;
+            }
+            for inp in self.switches[s].inp.iter().flatten() {
+                victims.extend(inp.queue().iter().map(|q| q.pid));
+            }
+        }
+    }
+
+    /// Kill one directed channel: flits in flight are destroyed, and the
+    /// worms cut at either end of the cable are victims too.
+    fn fail_channel(&mut self, ci: usize) -> Vec<u32> {
+        let mut victims = self.channels[ci].fail();
+        match self.channels[ci].receiver {
+            Receiver::SwitchIn { sw, port } => {
+                // A partially received packet can never get its tail.
+                if let Some(inp) = self.switches[sw as usize].inp[port as usize].as_ref() {
+                    if let Some(back) = inp.queue().back() {
+                        if back.received < back.expected {
+                            victims.push(back.pid);
+                        }
+                    }
+                }
+            }
+            Receiver::Nic { host } => {
+                if let Some(rx) = self.nics[host as usize].rx {
+                    victims.push(rx.pid);
+                }
+            }
+        }
+        match self.channels[ci].sender {
+            Sender::SwitchOut { sw, port } => {
+                // Any head routed towards this output loses its worm: flits
+                // already sent are gone and the remainder can never follow.
+                for inp in self.switches[sw as usize].inp.iter().flatten() {
+                    if inp.head() != HeadState::Idle && inp.head_out() == port {
+                        if let Some(head) = inp.queue().front() {
+                            victims.push(head.pid);
+                        }
+                    }
+                }
+            }
+            Sender::Nic { host } => {
+                if let Some(tx) = self.nics[host as usize].tx {
+                    victims.push(tx.pid);
+                }
+            }
+        }
+        victims
+    }
+
+    /// Bring a repaired channel back and re-sync the sender's stop/go flag
+    /// with the receiver's current state (control symbols in flight died
+    /// with the cable; without the re-sync a stale STOP wedges the link).
+    fn repair_channel(&mut self, ci: usize) {
+        self.channels[ci].repair();
+        let stopped = match self.channels[ci].receiver {
+            Receiver::SwitchIn { sw, port } => self.switches[sw as usize].inp[port as usize]
+                .as_ref()
+                .map(|p| p.stop_sent)
+                .unwrap_or(false),
+            Receiver::Nic { .. } => false,
+        };
+        match self.channels[ci].sender {
+            Sender::SwitchOut { sw, port } => {
+                if let Some(o) = self.switches[sw as usize].outp[port as usize].as_mut() {
+                    o.stopped = stopped;
+                }
+            }
+            Sender::Nic { host } => self.nics[host as usize].stopped = stopped,
+        }
+    }
+
+    /// Recompute host_ok straight from the fault set (no mapper): a host is
+    /// ok iff it is powered on and its own access path is alive. Used when
+    /// reconfiguration is disabled or failed.
+    fn refresh_direct_host_ok(&mut self, cycle: u64) {
+        let new_ok: Vec<bool> = {
+            let f = self.faults.as_deref().unwrap();
+            self.topo
+                .hosts()
+                .map(|h| f.host_up[h.idx()] && f.active.is_host_alive(self.topo, h))
+                .collect()
+        };
+        self.apply_host_ok(new_ok, cycle);
+    }
+
+    /// Install a new host_ok vector, reacting to the edges: a host coming
+    /// back restarts its generator; a host dropping out strands the traffic
+    /// queued at its NIC.
+    fn apply_host_ok(&mut self, new_ok: Vec<bool>, cycle: u64) {
+        let n = new_ok.len();
+        for (h, &ok) in new_ok.iter().enumerate() {
+            let old = self.faults.as_deref().unwrap().host_ok[h];
+            if old == ok {
+                continue;
+            }
+            self.faults.as_deref_mut().unwrap().host_ok[h] = ok;
+            if ok {
+                // Its generator restarts and its `scheduled` backlog is
+                // due again: have this cycle's generation phase look.
+                self.gen_due = self.gen_due.min(cycle);
+                self.restart_generation(h, cycle);
+            } else {
+                self.strand_host_traffic(h, cycle);
+            }
+        }
+        let f = self.faults.as_deref().unwrap();
+        let live = f.host_ok.iter().filter(|&&ok| ok).count() as u64;
+        let total = n as u64;
+        self.rel.unreachable_pairs = pairs(total) - pairs(live);
+    }
+
+    /// A repaired (or re-connected) host resumes generating with a fresh
+    /// random phase — no burst to catch up on the downtime.
+    fn restart_generation(&mut self, h: usize, cycle: u64) {
+        if self.gen_frozen || !self.pattern.host_generates(HostId(h as u32)) {
+            return;
+        }
+        let nic = &mut self.nics[h];
+        nic.next_gen = cycle as f64 + nic.rng.gen::<f64>() * self.interarrival;
+    }
+
+    /// A host became unreachable (but may still be powered on): everything
+    /// queued at its NIC can no longer leave; treat it as lost so sources
+    /// elsewhere can retransmit and the network still drains.
+    fn strand_host_traffic(&mut self, h: usize, cycle: u64) {
+        let mut victims: Vec<u32> = Vec::new();
+        nic_victims(&self.nics[h], false, &mut victims);
+        self.lose_all(victims, cycle);
+    }
+
+    /// The reconfiguration latency elapsed: run the mapper on the surviving
+    /// network and swap the rebuilt tables in atomically.
+    fn complete_reconfiguration(&mut self, cycle: u64) {
+        let scheme = self.db.scheme();
+        let (seed_host, db_cfg) = {
+            let f = self.faults.as_deref_mut().unwrap();
+            f.reconfig_due = None;
+            (f.seed_host, f.db_cfg.clone())
+        };
+        let rebuilt = {
+            let f = self.faults.as_deref().unwrap();
+            let seed = if f.host_up[seed_host.idx()] && f.active.is_host_alive(self.topo, seed_host)
+            {
+                Some(seed_host)
+            } else {
+                // The management host itself is down: the lowest-numbered
+                // live host takes over.
+                self.topo
+                    .hosts()
+                    .find(|&h| f.host_up[h.idx()] && f.active.is_host_alive(self.topo, h))
+            };
+            seed.and_then(|s| {
+                rebuild_physical_routes(self.topo, &f.active, s, scheme, &db_cfg).ok()
+            })
+        };
+        match rebuilt {
+            Some(pr) => {
+                let new_ok: Vec<bool> = {
+                    let f = self.faults.as_deref().unwrap();
+                    (0..self.topo.num_hosts())
+                        .map(|h| f.host_up[h] && pr.reachable_hosts[h])
+                        .collect()
+                };
+                self.rel.reconfigurations += 1;
+                self.faults.as_deref_mut().unwrap().routes = Some(pr);
+                self.apply_host_ok(new_ok, cycle);
+            }
+            None => {
+                self.rel.reconfig_failures += 1;
+                self.refresh_direct_host_ok(cycle);
+            }
+        }
+    }
+
+    /// A packet's worm was truncated somewhere: purge every remaining trace
+    /// of it, then either queue a source retransmission or drop it for good.
+    fn handle_loss(&mut self, pid: u32, cycle: u64) {
+        self.purge_packet(pid, cycle);
+        self.rel.worms_truncated += 1;
+        let (src, retries) = {
+            let p = self.arena.get(pid);
+            (p.journey.src, p.retries)
+        };
+        let can_retry = self.cfg.nic_retransmission
+            && retries < self.cfg.max_retransmits
+            && self.faults.as_deref().unwrap().host_ok[src.idx()];
+        if can_retry {
+            let pkt = self.arena.get_mut(pid);
+            pkt.retries += 1;
+            pkt.seg = 0;
+            pkt.hop = 0;
+            pkt.itbs_used = 0;
+            pkt.inject_cycle = u64::MAX;
+            let due = cycle + self.cfg.retransmit_timeout_cycles;
+            self.nics[src.idx()].retransmit.push(Reverse((due, pid)));
+            if let Some(sc) = self.sched.as_deref_mut() {
+                sc.wake_nic_at(due, src.0);
+            }
+            self.rel.retransmissions += 1;
+            if let Some(c) = &mut self.counters {
+                c.retransmits += 1;
+            }
+            if let Some(j) = &mut self.journal {
+                j.record(cycle, pid, EventKind::Retransmit { src: src.0 });
+            }
+        } else {
+            self.drop_packet(pid, cycle);
+        }
+    }
+
+    /// Give up on a packet: its message can never complete.
+    fn drop_packet(&mut self, pid: u32, cycle: u64) {
+        if let Some(c) = &mut self.counters {
+            c.packets_dropped += 1;
+        }
+        if let Some(j) = &mut self.journal {
+            j.record(cycle, pid, EventKind::Drop);
+        }
+        let pkt = self.arena.remove(pid);
+        let ms = self.msgs.get_mut(pkt.msg);
+        ms.remaining -= 1;
+        ms.failed = true;
+        let done = ms.remaining == 0;
+        if done {
+            self.msgs.remove(pkt.msg);
+        }
+        self.rel.dropped_packets += 1;
+        if done {
+            self.rel.dropped_messages += 1;
+        }
+    }
+
+    /// Remove every trace of `pid` from the fabric — channels, switch input
+    /// buffers (with flow-control accounting), crossbar connections and NIC
+    /// queues — leaving the packet itself in the arena for the caller.
+    fn purge_packet(&mut self, pid: u32, cycle: u64) {
+        for ch in &mut self.channels {
+            ch.purge(pid);
+        }
+        for s in 0..self.switches.len() {
+            let mut ctl = Vec::new();
+            self.switches[s].purge(pid, &self.cfg, |c| ctl.push(c));
+            for (in_chan, sym) in ctl {
+                // The purge can run in phase 0, before this cycle's control
+                // arrivals were taken; discard any symbol arriving right
+                // now explicitly (the scan loop used to overwrite it in
+                // place) so `send_ctl`'s call-order check holds.
+                let ch = &mut self.channels[in_chan as usize];
+                let _ = ch.ctl.take_arrival(cycle);
+                ch.ctl.send(cycle, sym);
+                if let Some(sc) = self.sched.as_deref_mut() {
+                    sc.note_ctl(cycle, in_chan);
+                }
+            }
+        }
+        for h in 0..self.nics.len() {
+            let mut release = false;
+            {
+                let nic = &mut self.nics[h];
+                if let Some(tx) = nic.tx {
+                    if tx.pid == pid {
+                        release = tx.reinjection;
+                        nic.tx = None;
+                    }
+                }
+                if let Some(rx) = nic.rx {
+                    if rx.pid == pid {
+                        nic.rx = None;
+                    }
+                }
+                nic.local_queue.retain(|&q| q != pid);
+                // The heaps' entries are distinct `(cycle, pid)` pairs, so
+                // their pop order is total and no rebuild can change it.
+                let queued = nic.reinject.len();
+                nic.reinject.retain(|&Reverse((_, q))| q != pid);
+                release |= nic.reinject.len() != queued;
+                nic.retransmit.retain(|&Reverse((_, q))| q != pid);
+            }
+            if release {
+                // The packet held in-transit pool space at this NIC.
+                let pkt = self.arena.get_mut(pid);
+                if pkt.pool_reserved > 0 {
+                    self.nics[h].pool_used =
+                        self.nics[h].pool_used.saturating_sub(pkt.pool_reserved);
+                    pkt.pool_reserved = 0;
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::small_cfg;
+    use super::*;
+    use crate::config::SimConfig;
+    use crate::faultplan::FaultPlan;
+    use crate::sched::Scheduler;
+    use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme};
+    use regnet_topology::gen;
+    use regnet_traffic::{Pattern, PatternSpec};
+
+    /// A packet resident in a switch, one per purge case not exercised
+    /// yet: head `Idle` / `Routing` / `Requesting` / `Granted`, or (4) a
+    /// queue entry behind the head.
+    fn next_purge_case(sim: &Simulator, seen: &[bool; 5]) -> Option<(usize, u32)> {
+        for sw in &sim.switches {
+            for inp in sw.inp.iter().flatten() {
+                for (pos, entry) in inp.queue().iter().enumerate() {
+                    let case = match (pos, inp.head()) {
+                        (0, HeadState::Idle) => 0,
+                        (0, HeadState::Routing { .. }) => 1,
+                        (0, HeadState::Requesting) => 2,
+                        (0, HeadState::Granted) => 3,
+                        _ => 4,
+                    };
+                    if !seen[case] {
+                        return Some((case, entry.pid));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn switch_summaries_hold_through_faults_under_engine_and_oracle() {
+        let topo = gen::torus_2d(4, 4, 2).unwrap();
+        let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let link = topo.links().iter().find(|l| l.is_switch_link()).unwrap().id;
+        let cfg = SimConfig {
+            reconfig_latency_cycles: 400,
+            ..small_cfg()
+        };
+        let run = |scheduler: Scheduler| {
+            // A cable and a whole switch die under saturating load and
+            // come back: `fail_channel`, the purge of a dead switch's
+            // buffers, both repairs and four reconfigurations.
+            let mut plan = FaultPlan::new();
+            plan.fail_link(1_500, link);
+            plan.fail_switch(2_500, SwitchId(5));
+            plan.repair_link(4_000, link);
+            plan.repair_switch(5_000, SwitchId(5));
+            let mut sim = Simulator::new(&topo, &db, &pattern, cfg.clone(), 0.08, 3);
+            sim.set_scheduler(scheduler);
+            sim.enable_faults(FaultOptions::with_plan(plan));
+            sim.begin_measurement();
+            let mut seen = [false; 5];
+            for _ in 0..7_000 {
+                // Between the plan's events, lose packets by hand until
+                // every purge case has happened at least once. The switch
+                // state is the same under both loops, so both pick the
+                // same victims.
+                if sim.cycle.is_multiple_of(64) {
+                    if let Some((case, pid)) = next_purge_case(&sim, &seen) {
+                        seen[case] = true;
+                        sim.handle_loss(pid, sim.cycle);
+                        sim.check_invariants();
+                    }
+                }
+                sim.run(1);
+                sim.check_invariants();
+            }
+            assert_eq!(seen, [true; 5], "{scheduler:?}: purge cases exercised");
+            let rel = sim.reliability();
+            assert_eq!(
+                (rel.link_failures, rel.switch_failures, rel.repairs),
+                (1, 1, 2)
+            );
+            assert!(
+                rel.worms_truncated > 5 && rel.reconfigurations >= 2,
+                "{rel:?}"
+            );
+            (sim.end_measurement(7_000), rel)
+        };
+        let reference = run(Scheduler::Scan);
+        assert!(reference.0.delivered > 100);
+        assert_eq!(reference, run(Scheduler::ActiveSet));
+    }
+}

@@ -1,0 +1,224 @@
+//! The simulator's [`Sink`]: where the kernel's effects land.
+
+use std::time::Instant;
+
+use regnet_core::{PathSelector, SrcSelector};
+use regnet_topology::HostId;
+
+use super::faults::Loss;
+use super::measure::Measure;
+use super::MsgState;
+use crate::channel::Channel;
+use crate::counters::Counters;
+use crate::events::{EventJournal, EventKind};
+use crate::faultplan::ReliabilityStats;
+use crate::kernel::{KernelMeasure, Sink, SwitchSpan};
+use crate::nic::Nic;
+use crate::packet::{Arena, Packet, PacketArena};
+use crate::sched::ActiveSched;
+use crate::switch::SwitchState;
+use crate::trace::TraceState;
+
+/// Disjoint `&mut` borrows of the simulator's fields. Every effect is
+/// applied the moment the kernel emits it, except the two losses, which
+/// are recorded for the loss phase.
+pub(crate) struct SeqSink<'s> {
+    pub(crate) cycle: u64,
+    pub(crate) channels: &'s mut [Channel],
+    pub(super) arena: &'s mut PacketArena,
+    pub(super) msgs: &'s mut Arena<MsgState>,
+    pub(super) selector: &'s mut PathSelector,
+    pub(super) sched: Option<&'s mut ActiveSched>,
+    pub(super) counters: Option<&'s mut Counters>,
+    pub(super) journal: Option<&'s mut EventJournal>,
+    pub(super) trace: Option<&'s mut TraceState>,
+    pub(super) measure: &'s mut Measure,
+    pub(super) rel: &'s mut ReliabilityStats,
+    pub(super) last_activity: &'s mut u64,
+    pub(super) pending_loss: &'s mut Vec<(Loss, u32)>,
+    /// Iff profiling and this cycle is sampled: the last span lap, and the
+    /// (routing, crossbar) ns inside the switch phase this cycle.
+    pub(super) spans: Option<(Instant, [u64; 2])>,
+}
+
+// The effects below `journal` happen per packet or more rarely, so they
+// stay out of line (`EventJournal::record` too): inlined into the switch
+// and NIC loops they grow `switch_phase` by a sixth and cost ~7 % wall
+// time on the saturated torus.
+impl Sink for SeqSink<'_> {
+    #[inline]
+    fn pkt(&mut self, pid: u32) -> &mut Packet {
+        self.arena.get_mut(pid)
+    }
+    #[inline]
+    fn msg(&mut self, midx: u32) -> &mut MsgState {
+        self.msgs.get_mut(midx)
+    }
+    #[inline]
+    fn selector(&mut self, src: HostId) -> &mut SrcSelector {
+        self.selector.src_mut(src)
+    }
+    #[inline]
+    fn is_dead(&self, ci: u32) -> bool {
+        self.channels[ci as usize].is_dead()
+    }
+
+    // `send` and `send_ctl` are forced inline: the kernel is instantiated
+    // once per sink, and with a mere hint LLVM outlines these two (and
+    // `SwitchState::forward_flit`) from the switch loop — measured at +7 %
+    // wall time on the saturated torus.
+    #[inline(always)]
+    fn send(&mut self, ci: u32, pid: u32) {
+        self.channels[ci as usize].data.send(self.cycle, pid);
+        if let Some(sc) = self.sched.as_deref_mut() {
+            sc.note_data(self.cycle, ci);
+        }
+    }
+    #[inline(always)]
+    fn send_ctl(&mut self, ci: u32, symbol: u8) {
+        self.channels[ci as usize].ctl.send(self.cycle, symbol);
+        if let Some(sc) = self.sched.as_deref_mut() {
+            sc.note_ctl(self.cycle, ci);
+        }
+    }
+    #[inline]
+    fn activate_switch(&mut self, sw: u32) {
+        if let Some(sc) = self.sched.as_deref_mut() {
+            sc.activate_switch(sw);
+        }
+    }
+    #[inline]
+    fn wake_nic_at(&mut self, ready: u64, host: u32) {
+        if let Some(sc) = self.sched.as_deref_mut() {
+            sc.wake_nic_at(ready, host);
+        }
+    }
+    #[inline]
+    fn activity(&mut self) {
+        *self.last_activity = self.cycle;
+    }
+    #[inline]
+    fn count(&mut self, bump: impl FnOnce(&mut Counters)) {
+        if let Some(c) = self.counters.as_deref_mut() {
+            bump(c);
+        }
+    }
+    #[inline]
+    fn diag(&self) -> bool {
+        self.counters.is_some() || self.journal.is_some()
+    }
+    #[inline]
+    fn measure(&mut self, update: impl FnOnce(&mut KernelMeasure)) {
+        if self.measure.on {
+            update(&mut self.measure.kernel);
+        }
+    }
+    #[inline]
+    fn journal(&mut self, event: impl FnOnce() -> (u32, EventKind)) {
+        if let Some(j) = self.journal.as_deref_mut() {
+            let (pid, kind) = event();
+            j.record(self.cycle, pid, kind);
+        }
+    }
+    #[inline(never)]
+    fn itb_eject(&mut self, pid: u32, host: u32, overflow: bool) {
+        if let Some(tr) = self.trace.as_deref_mut() {
+            tr.on_itb_eject(self.cycle, pid);
+        }
+        self.journal(|| (pid, EventKind::ItbEject { host, overflow }));
+    }
+    #[inline(never)]
+    fn reinject(&mut self, pid: u32, host: u32) {
+        if let Some(tr) = self.trace.as_deref_mut() {
+            tr.on_reinject_start(self.cycle, pid);
+        }
+        self.journal(|| (pid, EventKind::Reinject { host }));
+    }
+    /// Arena/message bookkeeping, measurement, counters, journal and trace
+    /// hooks of a completed delivery.
+    #[inline(never)]
+    fn deliver(&mut self, pid: u32, host: u32) {
+        let cycle = self.cycle;
+        let pkt = self.arena.remove(pid);
+        let ms = self.msgs.get_mut(pkt.msg);
+        ms.remaining -= 1;
+        ms.itbs += pkt.itbs_used as u16;
+        let done = ms.remaining == 0;
+        if self.measure.on {
+            let m = &mut *self.measure;
+            m.delivered_packets += 1;
+            m.delivered_payload_flits += pkt.payload as u64;
+        }
+        self.count(|c| c.packets_delivered += 1);
+        self.journal(|| (pid, EventKind::Deliver { dst: host }));
+        if !done {
+            return;
+        }
+        // All packets of the message reassembled: the message is delivered
+        // (with mtu_flits = None this is every packet, the paper's model).
+        let ms = self.msgs.remove(pkt.msg);
+        if ms.failed {
+            // A sibling packet was dropped by a fault (only possible with
+            // MTU segmentation): the message never completes at the
+            // receiver.
+            self.rel.dropped_messages += 1;
+            return;
+        }
+        if self.measure.on {
+            let m = &mut *self.measure;
+            m.delivered += 1;
+            m.itb_sum += ms.itbs as u64;
+            m.latency.push((cycle - ms.first_inject) as f64);
+            m.hist.record(cycle - ms.first_inject);
+            m.total_latency.push((cycle - ms.gen_cycle) as f64);
+        }
+        self.count(|c| c.messages_delivered += 1);
+        if let Some(tr) = self.trace.as_deref_mut() {
+            tr.on_message_delivered(
+                cycle,
+                pkt.journey.src.0,
+                pkt.journey.dst.0,
+                pkt.payload as u64,
+                ms.itbs as u64,
+                ms.first_inject,
+            );
+        }
+    }
+    #[inline(never)]
+    fn lose_worm(&mut self, pid: u32) {
+        self.pending_loss.push((Loss::Worm, pid));
+    }
+    #[inline(never)]
+    fn drop_unroutable(&mut self, pid: u32) {
+        self.pending_loss.push((Loss::Unroutable, pid));
+    }
+    #[inline]
+    fn span_lap(&mut self, span: Option<SwitchSpan>) {
+        if let Some((mark, acc)) = self.spans.as_mut() {
+            let now = Instant::now();
+            if let Some(span) = span {
+                acc[span as usize] += (now - *mark).as_nanos() as u64;
+            }
+            *mark = now;
+        }
+    }
+}
+
+/// What the kernel's per-channel deliveries and phase loops walk: the
+/// component arrays next to the sink that borrows everything else, so
+/// that one component and the sink can be borrowed at once.
+pub(crate) struct SeqParts<'s> {
+    pub(crate) switches: &'s mut [SwitchState],
+    pub(crate) nics: &'s mut [Nic],
+    pub(crate) sink: SeqSink<'s>,
+}
+
+impl SeqParts<'_> {
+    /// The wake wheels and active lists the phase loops drain. The scan
+    /// oracle has none and never asks.
+    #[inline]
+    pub(crate) fn sched(&mut self) -> &mut ActiveSched {
+        let sched = self.sink.sched.as_deref_mut();
+        sched.expect("phase loop without wake state")
+    }
+}

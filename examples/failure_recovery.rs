@@ -20,7 +20,8 @@ fn measure(exp: &Experiment, plan: &FaultPlan, label: &str) {
         }),
         ..RunOptions::default()
     };
-    let (stats, rel, _) = exp.run_reliability(0.01, &opts);
+    let obs = exp.run_observed(0.01, &opts);
+    let (stats, rel) = (obs.stats, obs.reliability);
     println!(
         "{label:<28} accepted {:.4} fl/ns/sw  latency {:>6.0} ns  itbs {:.2}  \
          rebuilds {}  dropped {}  lost pairs {}",

@@ -70,10 +70,10 @@ pub(crate) fn run_once(
         cfg(),
     )
     .unwrap();
-    let (stats, trace) = exp.run_traced(0.01, &opts(scheduler));
-    let trace = trace.expect("digest observer was enabled");
+    let obs = exp.run_observed(0.01, &opts(scheduler));
+    let trace = obs.trace.expect("digest observer was enabled");
     (
-        stats,
+        obs.stats,
         trace.digest.expect("digest recorded"),
         trace.digest_events,
     )
@@ -148,7 +148,8 @@ pub(crate) fn assert_equivalent_faulted_with(
             faults: Some(FaultOptions::with_plan(plan)),
             ..opts(scheduler)
         };
-        exp.run_reliability(0.01, &run_opts)
+        let obs = exp.run_observed(0.01, &run_opts);
+        (obs.stats, obs.reliability, obs.trace)
     };
     let (s_scan, r_scan, t_scan) = run(reference());
     let t_scan = t_scan.unwrap();

@@ -42,16 +42,23 @@ fn run_once(topo: Topology, scheme: RoutingScheme, seed: u64) -> (RunStats, u64,
         cfg,
     )
     .unwrap();
-    let (stats, trace) = exp.run_traced(0.01, &opts(seed));
-    let trace = trace.expect("digest observer was enabled");
+    let obs = exp.run_observed(0.01, &opts(seed));
+    let trace = obs.trace.expect("digest observer was enabled");
     (
-        stats,
+        obs.stats,
         trace.digest.expect("digest recorded"),
         trace.digest_events,
     )
 }
 
-fn assert_deterministic(build: fn() -> Topology, scheme: RoutingScheme) {
+/// What a seed-42 row must reproduce, literally: `(digest, digest_events,
+/// delivered, generated)`. Re-running only shows that a run repeats
+/// itself, and the engine-vs-oracle suites diff two loops that share the
+/// kernel and the sink; these literals pin the results across commits, so
+/// a refactor that moves one changed the model.
+type Pin = (u64, u64, u64, u64);
+
+fn assert_deterministic(build: fn() -> Topology, scheme: RoutingScheme, pin: Pin) {
     let (s1, d1, n1) = run_once(build(), scheme, 42);
     let (s2, d2, n2) = run_once(build(), scheme, 42);
     assert_eq!(
@@ -69,6 +76,8 @@ fn assert_deterministic(build: fn() -> Topology, scheme: RoutingScheme) {
         scheme
     );
     assert!(n1 > 0, "expected deliveries during the window");
+    let got = (d1, n1, s1.delivered, s1.generated);
+    assert_eq!(got, pin, "{} {scheme:?} moved off its pin", build().name());
 }
 
 fn torus() -> Topology {
@@ -85,47 +94,83 @@ fn cplant() -> Topology {
 
 #[test]
 fn torus_updown_is_deterministic() {
-    assert_deterministic(torus, RoutingScheme::UpDown);
+    assert_deterministic(
+        torus,
+        RoutingScheme::UpDown,
+        (0x9dac07dadcdf2b10, 728, 612, 614),
+    );
 }
 
 #[test]
 fn torus_itb_sp_is_deterministic() {
-    assert_deterministic(torus, RoutingScheme::ItbSp);
+    assert_deterministic(
+        torus,
+        RoutingScheme::ItbSp,
+        (0xf36c5d20edddbb28, 726, 612, 614),
+    );
 }
 
 #[test]
 fn torus_itb_rr_is_deterministic() {
-    assert_deterministic(torus, RoutingScheme::ItbRr);
+    assert_deterministic(
+        torus,
+        RoutingScheme::ItbRr,
+        (0x47f1147abf1476d2, 727, 611, 614),
+    );
 }
 
 #[test]
 fn express_updown_is_deterministic() {
-    assert_deterministic(express, RoutingScheme::UpDown);
+    assert_deterministic(
+        express,
+        RoutingScheme::UpDown,
+        (0x365b215f416d9cc1, 731, 608, 614),
+    );
 }
 
 #[test]
 fn express_itb_sp_is_deterministic() {
-    assert_deterministic(express, RoutingScheme::ItbSp);
+    assert_deterministic(
+        express,
+        RoutingScheme::ItbSp,
+        (0x3783b04c22974680, 729, 607, 614),
+    );
 }
 
 #[test]
 fn express_itb_rr_is_deterministic() {
-    assert_deterministic(express, RoutingScheme::ItbRr);
+    assert_deterministic(
+        express,
+        RoutingScheme::ItbRr,
+        (0x63aa53ecf786111f, 729, 608, 614),
+    );
 }
 
 #[test]
 fn cplant_updown_is_deterministic() {
-    assert_deterministic(cplant, RoutingScheme::UpDown);
+    assert_deterministic(
+        cplant,
+        RoutingScheme::UpDown,
+        (0x56437d1d022d49d2, 577, 479, 481),
+    );
 }
 
 #[test]
 fn cplant_itb_sp_is_deterministic() {
-    assert_deterministic(cplant, RoutingScheme::ItbSp);
+    assert_deterministic(
+        cplant,
+        RoutingScheme::ItbSp,
+        (0x9c8f623a68823252, 576, 480, 481),
+    );
 }
 
 #[test]
 fn cplant_itb_rr_is_deterministic() {
-    assert_deterministic(cplant, RoutingScheme::ItbRr);
+    assert_deterministic(
+        cplant,
+        RoutingScheme::ItbRr,
+        (0x6225ee389395397d, 578, 481, 481),
+    );
 }
 
 /// The digest must actually depend on the traffic: different seeds produce
@@ -216,7 +261,7 @@ fn observers_do_not_perturb_the_simulation() {
             o.trace.itb_occupancy_interval = Some(750);
             o.trace.packet_lifetimes = true;
         }
-        let mut stats = exp.run_stats(0.01, &o);
+        let mut stats = exp.run_observed(0.01, &o).stats;
         stats.counters = None;
         stats
     };
@@ -241,6 +286,19 @@ fn faulted_plan(topo: &Topology) -> FaultPlan {
     plan
 }
 
+/// What [`faulted_plan`] does to every scheme's run: the cable fails and
+/// is repaired with no worm on it, and the rebuild the failure schedules
+/// (16k cycles later) never lands in the 12k-cycle run, so sources stall
+/// from cycle 4,000 to the end.
+fn link_outage() -> ReliabilityStats {
+    ReliabilityStats {
+        link_failures: 1,
+        repairs: 1,
+        reconfig_stall_cycles: 8_000,
+        ..ReliabilityStats::default()
+    }
+}
+
 fn run_faulted(
     topo: Topology,
     scheme: RoutingScheme,
@@ -263,17 +321,23 @@ fn run_faulted(
         faults: Some(FaultOptions::with_plan(plan)),
         ..opts(seed)
     };
-    let (stats, rel, trace) = exp.run_reliability(0.01, &run_opts);
-    let trace = trace.expect("digest observer was enabled");
+    let obs = exp.run_observed(0.01, &run_opts);
+    let trace = obs.trace.expect("digest observer was enabled");
     (
-        stats,
-        rel,
+        obs.stats,
+        obs.reliability,
         trace.digest.expect("digest recorded"),
         trace.digest_events,
     )
 }
 
-fn assert_faulted_deterministic(build: fn() -> Topology, scheme: RoutingScheme) {
+/// A faulted row pins its [`Pin`] and its whole `ReliabilityStats` too.
+fn assert_faulted_deterministic(
+    build: fn() -> Topology,
+    scheme: RoutingScheme,
+    pin: Pin,
+    rel: ReliabilityStats,
+) {
     let (s1, r1, d1, n1) = run_faulted(build(), scheme, 42);
     let (s2, r2, d2, n2) = run_faulted(build(), scheme, 42);
     assert_eq!(s1, s2, "RunStats diverged under faults ({scheme:?})");
@@ -291,21 +355,39 @@ fn assert_faulted_deterministic(build: fn() -> Topology, scheme: RoutingScheme) 
         "the plan must have fired: {r1:?}"
     );
     assert!(n1 > 0, "expected deliveries during the window");
+    let got = (d1, n1, s1.delivered, s1.generated);
+    assert_eq!(got, pin, "faulted {scheme:?} moved off its pin");
+    assert_eq!(r1, rel, "faulted {scheme:?} reliability moved off its pin");
 }
 
 #[test]
 fn faulted_torus_updown_is_deterministic() {
-    assert_faulted_deterministic(torus, RoutingScheme::UpDown);
+    assert_faulted_deterministic(
+        torus,
+        RoutingScheme::UpDown,
+        (0x486f9390ad0f1010, 243, 127, 614),
+        link_outage(),
+    );
 }
 
 #[test]
 fn faulted_torus_itb_sp_is_deterministic() {
-    assert_faulted_deterministic(torus, RoutingScheme::ItbSp);
+    assert_faulted_deterministic(
+        torus,
+        RoutingScheme::ItbSp,
+        (0xf0f7183255f75847, 237, 123, 614),
+        link_outage(),
+    );
 }
 
 #[test]
 fn faulted_torus_itb_rr_is_deterministic() {
-    assert_faulted_deterministic(torus, RoutingScheme::ItbRr);
+    assert_faulted_deterministic(
+        torus,
+        RoutingScheme::ItbRr,
+        (0x595c67134613901d, 237, 121, 614),
+        link_outage(),
+    );
 }
 
 // ---- The campaign work queue must not be a new source of nondeterminism. ----
@@ -407,14 +489,14 @@ fn faulted_mtbf_plan_is_deterministic() {
             faults: Some(FaultOptions::with_plan(plan)),
             ..opts(11)
         };
-        exp.run_reliability(0.01, &run_opts)
+        let obs = exp.run_observed(0.01, &run_opts);
+        (obs.stats, obs.reliability, obs.trace.unwrap())
     };
     let (s1, r1, t1) = run();
     let (s2, r2, t2) = run();
     assert_eq!(s1, s2);
     assert_eq!(r1, r2);
     assert!(r1.link_failures > 0, "the MTBF plan must fire: {r1:?}");
-    let (t1, t2) = (t1.unwrap(), t2.unwrap());
     assert!(
         t1.digest_events > 0,
         "expected deliveries during the window"
@@ -424,4 +506,21 @@ fn faulted_mtbf_plan_is_deterministic() {
         (t2.digest, t2.digest_events),
         "digest diverged under an MTBF plan"
     );
+    // Pinned like the rows above; this is the one row that truncates a
+    // worm and retransmits it.
+    let got = (t1.digest.unwrap(), t1.digest_events);
+    assert_eq!(
+        (got, s1.delivered, s1.generated),
+        ((0x996d8165d93c242a, 563), 493, 478)
+    );
+    let pinned = ReliabilityStats {
+        link_failures: 4,
+        repairs: 3,
+        worms_truncated: 1,
+        retransmissions: 1,
+        reconfigurations: 5,
+        reconfig_stall_cycles: 5_387,
+        ..ReliabilityStats::default()
+    };
+    assert_eq!(r1, pinned);
 }

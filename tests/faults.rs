@@ -168,17 +168,54 @@ fn empty_plan_matches_fault_free_run() {
         )
         .unwrap()
     };
-    let (base_stats, base_trace) = exp().run_traced(0.01, &opts);
+    let base = exp().run_observed(0.01, &opts);
     let faulted_opts = RunOptions {
         faults: Some(FaultOptions::with_plan(FaultPlan::new())),
         ..opts
     };
-    let (stats, rel, trace) = exp().run_reliability(0.01, &faulted_opts);
-    assert_eq!(stats, base_stats, "an empty plan changed the run");
-    assert_eq!(rel, ReliabilityStats::default());
+    let obs = exp().run_observed(0.01, &faulted_opts);
+    assert_eq!(obs.stats, base.stats, "an empty plan changed the run");
+    assert_eq!(obs.reliability, ReliabilityStats::default());
     assert_eq!(
-        trace.unwrap().digest,
-        base_trace.unwrap().digest,
+        obs.trace.unwrap().digest,
+        base.trace.unwrap().digest,
         "an empty plan changed the delivery stream"
+    );
+}
+
+/// Every switch dies, so no host is usable: the rebuild finds no host to
+/// map from and fails, and every ordered host pair is unreachable. The
+/// count of usable pairs, `live * (live - 1)`, must not underflow at
+/// `live == 0`.
+#[test]
+fn losing_every_host_leaves_every_pair_unreachable() {
+    let topo = gen::torus_2d(2, 2, 1).unwrap();
+    let mut plan = FaultPlan::new();
+    for s in topo.switches() {
+        plan.fail_switch(1_000, s);
+    }
+    let exp = Experiment::new(
+        topo,
+        RoutingScheme::UpDown,
+        RouteDbConfig::default(),
+        PatternSpec::Uniform,
+        cfg(),
+    )
+    .unwrap();
+    let opts = RunOptions {
+        warmup_cycles: 2_000,
+        measure_cycles: 20_000,
+        faults: Some(FaultOptions::with_plan(plan)),
+        ..RunOptions::default()
+    };
+    let rel = exp.run_observed(0.005, &opts).reliability;
+    assert_eq!(
+        (
+            rel.switch_failures,
+            rel.reconfig_failures,
+            rel.unreachable_pairs
+        ),
+        (4, 1, 12),
+        "{rel:?}"
     );
 }
