@@ -128,7 +128,7 @@ fn run(args: CampaignArgs) -> Result<(), String> {
     let out = args
         .out
         .unwrap_or_else(|| format!("target/campaigns/{}", spec.name));
-    let threads = args.threads.unwrap_or_else(regnet_bench::threads);
+    let threads = args.threads.unwrap_or_else(regnet_netsim::threads::threads);
 
     if let Some(query) = &args.what_if {
         return run_what_if(query, &out, quiet);

@@ -1,14 +1,17 @@
 //! Regenerates the paper's evaluation: one subcommand per figure and table
 //! (`fig07` … `fig12`, `table1` … `table3`), the route statistics of
 //! section 4.7.1 (`routes`), the message-size check of section 4.2
-//! (`msgsize`), the irregular-network extension (`irregular`) and the
-//! DESIGN.md §14 ablations (`ablation`). `all` runs every one of them and
-//! also saves what they print as `target/experiments/report.txt`.
+//! (`msgsize`), the irregular-network extension (`irregular`), the
+//! DESIGN.md §14 ablations (`ablation`) and the fault sweep (`faults`,
+//! `--smoke` for CI). `all` runs every one of them and also saves what
+//! they print as `target/experiments/report.txt`.
 //!
 //! Quick mode (the default) takes seconds to a minute per subcommand in a
-//! release build; `--full` is paper-fidelity.
+//! release build; `--full` is paper-fidelity. Load ladders and the fault
+//! sweep fan their cells across `REGNET_THREADS` workers (default: every
+//! core) and publish `target/experiments/status.json` as cells land.
 
-use regnet_bench::experiments::Tee;
+use regnet_bench::experiments::Output;
 use regnet_bench::{paper_usage, parse_paper_args};
 
 fn main() {
@@ -17,7 +20,7 @@ fn main() {
         eprintln!("paper: {e}\n{}", paper_usage());
         std::process::exit(2);
     });
-    let mut out = Tee::default();
+    let mut out = Output::default();
     for figure in parsed.figures() {
         (figure.run)(&parsed.request(figure), &mut out);
     }

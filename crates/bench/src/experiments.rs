@@ -4,32 +4,111 @@
 //! its experiment, prints the paper's presentation of it and saves the
 //! curves and series under `target/experiments/`. Quick mode keeps the
 //! same workloads and sweep shapes with shorter measurement windows.
+//!
+//! The load ladders (figures 7, 10, 12) and the fault sweep are grids of
+//! independent points, so they run as campaign cells: one plan per
+//! subcommand on `regnet_campaign::run_plan`'s worker pool, checkpointed
+//! under `target/experiments/cells/` with a live
+//! `target/experiments/status.json`. Single points and sequential
+//! searches (the utilization maps, tables, `msgsize`, `irregular`,
+//! `ablation`) call [`Experiment`] directly.
 
 use rand::SeedableRng;
+use regnet_campaign::{
+    run_plan, CampaignSpec, CellDefaults, CellResult, FaultSpec, Progress, ResultStore,
+    RunnerEvent, RunnerOptions, StatusBoard, Sweep, TopoSpec,
+};
 use regnet_core::{ItbHostPicker, RouteDb, RouteDbConfig, RoutingScheme};
 use regnet_metrics::{Curve, CurvePoint, TimeSeries, UtilizationSummary};
 use regnet_netsim::experiment::{Experiment, RunOptions};
+use regnet_netsim::threads::threads;
 use regnet_netsim::trace::ChannelUtilSeries;
-use regnet_netsim::{ChannelDesc, SimConfig};
-use regnet_topology::{gen, HostId, NodeId, SwitchId, Topology};
+use regnet_netsim::{ChannelDesc, SimConfig, CYCLE_NS};
+use regnet_topology::{gen, HostId, LinkId, NodeId, SwitchId, Topology};
 use regnet_traffic::{random_hotspots, PatternSpec};
 use serde::Serialize;
 
-use crate::{
-    experiment, load_ladder, save_curves, save_time_series, table_search, threads, Mode, Topo,
-};
+use crate::{experiment, load_ladder, save_curves, save_time_series, table_search, Mode, Topo};
 
-/// Where a figure writes its text: stdout as it is produced, and a copy
-/// that `paper all` saves as the combined report.
-#[derive(Debug, Default)]
-pub struct Tee {
+/// Where a figure's output goes: its text to stdout and to the report
+/// `paper all` saves, its cells to the store under `target/experiments/`.
+#[derive(Default)]
+pub struct Output {
     pub report: String,
+    /// Opened, and emptied, by the first figure that runs cells, so no
+    /// checkpoint outlives the invocation that computed it.
+    store: Option<ResultStore>,
 }
 
-impl Tee {
+impl Output {
     pub fn put(&mut self, text: impl AsRef<str>) {
         print!("{}", text.as_ref());
         self.report.push_str(text.as_ref());
+    }
+
+    /// Run every cell of `sweeps` on the campaign runner with [`threads`]
+    /// workers, publishing `status.json` as cells land, and return each
+    /// sweep's results in its own cell order (scheme, then load, then
+    /// fault plan).
+    fn run_sweeps(&mut self, label: &str, sweeps: &[Sweep]) -> Vec<Vec<CellResult>> {
+        let plan = |sweeps: &[Sweep]| {
+            let spec = CampaignSpec {
+                name: label.to_string(),
+                defaults: CellDefaults::default(),
+                sweeps: sweeps.to_vec(),
+            };
+            spec.expand().expect("paper's sweeps expand")
+        };
+        let store = self.store.get_or_insert_with(|| {
+            let store = ResultStore::open("target/experiments").expect("open the cell store");
+            store.clear().expect("empty the cell store");
+            store
+        });
+        let all = plan(sweeps);
+        let pending = all
+            .cells
+            .iter()
+            .filter(|c| !store.contains(&c.hash))
+            .count();
+        let workers = threads().clamp(1, pending.max(1));
+        let status = store.root().join("status.json");
+        let mut board = StatusBoard::new(status, "paper", pending, workers);
+        let mut progress = Progress::start(label, pending);
+        let opts = RunnerOptions {
+            threads: workers,
+            stop_after: None,
+        };
+        let outcome = run_plan(&all, store, &opts, |ev| match ev {
+            RunnerEvent::Started { worker, cell } => board.started(worker, &cell.key),
+            RunnerEvent::Done(done) => {
+                board.done(done.worker, &done.cell.key);
+                let r = done.result;
+                let line = format!(
+                    "{} accepted {:.5} avg {:.0}ns",
+                    r.hash, r.accepted, r.avg_latency_ns
+                );
+                progress.step(&line);
+            }
+            RunnerEvent::Failed {
+                worker,
+                cell,
+                error,
+            } => board.failed(worker, &cell.key, error),
+        });
+        board.finish(if outcome.is_ok() { "done" } else { "failed" });
+        if let Err(e) = outcome {
+            panic!("{label}: {e}");
+        }
+        progress.finish("");
+        let load = |hash: &str| store.load(hash).expect("a cell this plan ran");
+        let results = |s: &Sweep| {
+            plan(std::slice::from_ref(s))
+                .cells
+                .iter()
+                .map(|c| load(&c.hash))
+                .collect()
+        };
+        sweeps.iter().map(results).collect()
     }
 }
 
@@ -41,6 +120,8 @@ pub struct Request {
     pub topos: Vec<Topo>,
     /// Figure 12 only: also run the 4-switch-radius variant.
     pub radius4: bool,
+    /// The fault sweep only: its 4x4 CI grid instead of the panels.
+    pub smoke: bool,
 }
 
 /// One `paper` subcommand.
@@ -52,7 +133,7 @@ pub struct Figure {
     /// The `--topo` values it accepts, which are also its default panels;
     /// empty for a figure defined on one topology.
     pub topos: &'static [Topo],
-    pub run: fn(&Request, &mut Tee),
+    pub run: fn(&Request, &mut Output),
 }
 
 /// Every subcommand, in the order `paper all` runs them.
@@ -136,28 +217,13 @@ pub const FIGURES: &[Figure] = &[
         topos: &[],
         run: run_ablation,
     },
+    Figure {
+        name: "faults",
+        stems: &["fault_throughput_vs_failed_links", "fault_goodput_dip"],
+        topos: &Topo::ALL,
+        run: run_faults,
+    },
 ];
-
-/// A latency-vs-traffic figure: one curve per routing scheme.
-#[derive(Debug, Serialize)]
-pub struct FigureResult {
-    pub name: String,
-    pub curves: Vec<Curve>,
-}
-
-impl FigureResult {
-    pub fn render(&self) -> String {
-        let mut out = format!("== {} ==\n", self.name);
-        for c in &self.curves {
-            out.push_str(&c.to_table());
-            out.push_str(&format!(
-                "  -> throughput (max accepted): {:.4} flits/ns/switch\n\n",
-                c.throughput()
-            ));
-        }
-        out
-    }
-}
 
 /// A hotspot-throughput table (Tables 1–3 of the paper).
 #[derive(Debug, Serialize)]
@@ -269,98 +335,135 @@ fn ladder_for(topo: Topo, pattern: &PatternSpec, mode: Mode) -> Vec<f64> {
     load_ladder(lo, hi, n)
 }
 
-fn sweep_schemes(
-    name: String,
-    topo: Topo,
+/// One curve family of a latency-vs-traffic figure (7, 10, 12): a load
+/// ladder per routing scheme on each requested topology.
+struct Ladder {
+    /// Files go to `target/experiments/<stem>_<topo>.*`.
+    stem: &'static str,
+    /// The panel is titled `<figure> (<topology>) — <traffic>`.
+    figure: &'static str,
+    traffic: &'static str,
     pattern: PatternSpec,
-    mode: Mode,
     seed: u64,
-) -> FigureResult {
-    let loads = ladder_for(topo, &pattern, mode);
-    let opts = mode.run_options(seed);
-    let curves = RoutingScheme::all()
-        .into_iter()
-        .map(|scheme| {
-            let exp = experiment(topo.build(), scheme, pattern);
-            exp.sweep(&loads, &opts, threads())
-        })
-        .collect();
-    FigureResult { name, curves }
 }
 
-/// Print one panel of a latency-vs-traffic figure and save its curves as
-/// `<stem>_<topo>`.
-fn emit_panel(fig: &FigureResult, stem: &str, topo: Topo, out: &mut Tee) {
-    out.put(fig.render());
-    save_curves(&format!("{stem}_{}", topo.tag()), &fig.curves);
+impl Ladder {
+    /// The panel's cells: every scheme of [`RoutingScheme::all`] at every
+    /// load of [`ladder_for`], with `mode`'s windows.
+    fn cells(&self, topo: Topo, mode: Mode) -> Sweep {
+        let opts = mode.run_options(self.seed);
+        Sweep {
+            group: format!("{}_{}", self.stem, topo.tag()),
+            topos: vec![topo.spec()],
+            schemes: RoutingScheme::all().to_vec(),
+            patterns: vec![self.pattern],
+            loads: ladder_for(topo, &self.pattern, mode),
+            seeds: vec![self.seed],
+            faults: vec![None],
+            defaults: CellDefaults {
+                warmup_cycles: opts.warmup_cycles,
+                measure_cycles: opts.measure_cycles,
+                seed: self.seed,
+                ..CellDefaults::default()
+            },
+        }
+    }
 }
 
 /// **Figure 7** — uniform traffic, latency vs accepted traffic.
 /// 7a: 2-D torus; 7b: torus + express channels; 7c: CPLANT.
-pub fn fig07(topo: Topo, mode: Mode) -> FigureResult {
-    sweep_schemes(
-        format!("Figure 7 ({}) — uniform", topo.label()),
-        topo,
-        PatternSpec::Uniform,
-        mode,
-        7,
-    )
-}
-
-fn run_fig07(req: &Request, out: &mut Tee) {
-    for &topo in &req.topos {
-        emit_panel(&fig07(topo, req.mode), "fig07", topo, out);
-    }
-}
+const FIG07: Ladder = Ladder {
+    stem: "fig07",
+    figure: "Figure 7",
+    traffic: "uniform",
+    pattern: PatternSpec::Uniform,
+    seed: 7,
+};
 
 /// **Figure 10** — bit-reversal traffic (torus and express only; CPLANT's
 /// 400 hosts are not a power of two, as the paper notes).
-pub fn fig10(topo: Topo, mode: Mode) -> FigureResult {
-    assert!(topo != Topo::Cplant, "bit-reversal needs 2^k hosts");
-    sweep_schemes(
-        format!("Figure 10 ({}) — bit-reversal", topo.label()),
-        topo,
-        PatternSpec::BitReversal,
-        mode,
-        10,
-    )
-}
-
-fn run_fig10(req: &Request, out: &mut Tee) {
-    for &topo in &req.topos {
-        emit_panel(&fig10(topo, req.mode), "fig10", topo, out);
-    }
-}
+const FIG10: Ladder = Ladder {
+    stem: "fig10",
+    figure: "Figure 10",
+    traffic: "bit-reversal",
+    pattern: PatternSpec::BitReversal,
+    seed: 10,
+};
 
 /// **Figure 12** — local traffic (destinations at most 3 switches away).
-pub fn fig12(topo: Topo, mode: Mode) -> FigureResult {
-    sweep_schemes(
-        format!("Figure 12 ({}) — local(3)", topo.label()),
-        topo,
-        PatternSpec::Local { max_switch_dist: 3 },
-        mode,
-        12,
-    )
-}
+const FIG12: Ladder = Ladder {
+    stem: "fig12",
+    figure: "Figure 12",
+    traffic: "local(3)",
+    pattern: PatternSpec::Local { max_switch_dist: 3 },
+    seed: 12,
+};
 
 /// The paper also studies local traffic with 4-switch radius (section 4.2).
-pub fn fig12_radius4(topo: Topo, mode: Mode) -> FigureResult {
-    sweep_schemes(
-        format!("Figure 12 variant ({}) — local(4)", topo.label()),
-        topo,
-        PatternSpec::Local { max_switch_dist: 4 },
-        mode,
-        13,
-    )
+const FIG12_RADIUS4: Ladder = Ladder {
+    stem: "fig12r4",
+    figure: "Figure 12 variant",
+    traffic: "local(4)",
+    pattern: PatternSpec::Local { max_switch_dist: 4 },
+    seed: 13,
+};
+
+/// Run `ladders` on every requested topology as one plan, then print each
+/// panel and save its curves as `<stem>_<topo>`, topology by topology.
+fn run_ladders(req: &Request, out: &mut Output, ladders: &[&Ladder]) {
+    let panels: Vec<(Topo, &Ladder)> = req
+        .topos
+        .iter()
+        .flat_map(|&topo| ladders.iter().map(move |&l| (topo, l)))
+        .collect();
+    let sweeps: Vec<Sweep> = panels.iter().map(|&(t, l)| l.cells(t, req.mode)).collect();
+    let results = out.run_sweeps(ladders[0].stem, &sweeps);
+    for ((topo, ladder), cells) in panels.into_iter().zip(results) {
+        let name = topo.build().name().to_string();
+        let schemes = RoutingScheme::all();
+        let per_scheme = cells.chunks(cells.len() / schemes.len());
+        let curves: Vec<Curve> = schemes
+            .into_iter()
+            .zip(per_scheme)
+            .map(|(scheme, cells)| {
+                let label = format!("{name} / {} / {}", scheme.label(), ladder.pattern.label());
+                Curve::from_points(label, cells.iter().map(CellResult::curve_point).collect())
+            })
+            .collect();
+        let title = format!("{} ({}) — {}", ladder.figure, topo.label(), ladder.traffic);
+        out.put(render_panel(&title, &curves));
+        save_curves(&format!("{}_{}", ladder.stem, topo.tag()), &curves);
+    }
 }
 
-fn run_fig12(req: &Request, out: &mut Tee) {
-    for &topo in &req.topos {
-        emit_panel(&fig12(topo, req.mode), "fig12", topo, out);
-        if req.radius4 {
-            emit_panel(&fig12_radius4(topo, req.mode), "fig12r4", topo, out);
-        }
+/// A latency-vs-traffic panel as text: one table per scheme's curve.
+fn render_panel(title: &str, curves: &[Curve]) -> String {
+    let mut out = format!("== {title} ==\n");
+    for c in curves {
+        out.push_str(&c.to_table());
+        out.push_str(&format!(
+            "  -> throughput (max accepted): {:.4} flits/ns/switch\n\n",
+            c.throughput()
+        ));
     }
+    out
+}
+
+fn run_fig07(req: &Request, out: &mut Output) {
+    run_ladders(req, out, &[&FIG07]);
+}
+
+fn run_fig10(req: &Request, out: &mut Output) {
+    run_ladders(req, out, &[&FIG10]);
+}
+
+fn run_fig12(req: &Request, out: &mut Output) {
+    let ladders: &[&Ladder] = if req.radius4 {
+        &[&FIG12, &FIG12_RADIUS4]
+    } else {
+        &[&FIG12]
+    };
+    run_ladders(req, out, ladders);
 }
 
 /// Sampling interval (cycles) for the utilization time series of the
@@ -423,7 +526,7 @@ fn emit_util_report(
     report: &UtilReport,
     stem: &str,
     lead_in: fn(&UtilSnapshot) -> String,
-    out: &mut Tee,
+    out: &mut Output,
 ) {
     out.put(report.render());
     for (i, snap) in report.snapshots.iter().enumerate() {
@@ -467,7 +570,7 @@ pub fn fig08(mode: Mode) -> UtilReport {
     }
 }
 
-fn run_fig08(req: &Request, out: &mut Tee) {
+fn run_fig08(req: &Request, out: &mut Output) {
     emit_util_report(&fig08(req.mode), "fig08", |_| "\n".into(), out);
 }
 
@@ -522,7 +625,7 @@ fn express_split(snap: &UtilSnapshot) -> String {
     )
 }
 
-fn run_fig09(req: &Request, out: &mut Tee) {
+fn run_fig09(req: &Request, out: &mut Output) {
     emit_util_report(&fig09(req.mode), "fig09", express_split, out);
 }
 
@@ -552,7 +655,7 @@ fn fig11_hotspot(topo: &Topology) -> HostId {
     random_hotspots(topo, 1, &mut rng)[0]
 }
 
-fn run_fig11(req: &Request, out: &mut Tee) {
+fn run_fig11(req: &Request, out: &mut Output) {
     emit_util_report(&fig11(req.mode), "fig11", |_| "\n".into(), out);
     out.put("(root switch is s0, top-left of the grid)\n");
 }
@@ -609,7 +712,7 @@ fn hotspot_table(
 
 /// Print a hotspot table and, per hotspot fraction, the ITB schemes'
 /// throughput factor over UP/DOWN next to the paper's.
-fn emit_table(t: &TableResult, blocks: &[&str], paper: &str, out: &mut Tee) {
+fn emit_table(t: &TableResult, blocks: &[&str], paper: &str, out: &mut Output) {
     out.put(t.render());
     let avg = t.averages();
     let factors = |b: usize| {
@@ -645,7 +748,7 @@ pub fn table1(mode: Mode) -> TableResult {
     )
 }
 
-fn run_table1(req: &Request, out: &mut Tee) {
+fn run_table1(req: &Request, out: &mut Output) {
     emit_table(
         &table1(req.mode),
         &["5% hotspot", "10% hotspot"],
@@ -666,7 +769,7 @@ pub fn table2(mode: Mode) -> TableResult {
     )
 }
 
-fn run_table2(req: &Request, out: &mut Tee) {
+fn run_table2(req: &Request, out: &mut Output) {
     emit_table(
         &table2(req.mode),
         &["3% hotspot", "5% hotspot"],
@@ -686,7 +789,7 @@ pub fn table3(mode: Mode) -> TableResult {
     )
 }
 
-fn run_table3(req: &Request, out: &mut Tee) {
+fn run_table3(req: &Request, out: &mut Output) {
     emit_table(&table3(req.mode), &["5% hotspot"], "x1.24 / x1.32", out);
 }
 
@@ -729,7 +832,7 @@ pub fn route_stats() -> RouteStatsReport {
     RouteStatsReport { rows }
 }
 
-fn run_routes(_: &Request, out: &mut Tee) {
+fn run_routes(_: &Request, out: &mut Output) {
     out.put(route_stats().render());
     out.put(
         "\npaper reference points:\n  \
@@ -762,7 +865,7 @@ fn saturation_row(topo: &Topology, cfg: &SimConfig, opts: &RunOptions) -> Vec<f6
 /// 512, and 1024-byte messages have been considered ... the obtained
 /// results are qualitatively similar". The UP/DOWN vs ITB ordering and
 /// rough factor must hold at every size.
-fn run_msgsize(req: &Request, out: &mut Tee) {
+fn run_msgsize(req: &Request, out: &mut Output) {
     out.put("saturation throughput (flits/ns/switch), 2-D torus, uniform traffic\n\n");
     out.put("msg bytes   UP/DOWN    ITB-SP    ITB-RR    ITB-RR/UD\n");
     let topo = Topo::Torus.build();
@@ -787,7 +890,7 @@ fn run_msgsize(req: &Request, out: &mut Tee) {
 /// the authors' companion papers [5, 6], which this paper generalises
 /// from). The up*/down* restriction bites harder as a random connected
 /// network grows, so the ITB gain should widen.
-fn run_irregular(req: &Request, out: &mut Tee) {
+fn run_irregular(req: &Request, out: &mut Output) {
     out.put("irregular networks, uniform traffic, 512-byte messages, 4 hosts/switch\n\n");
     out.put(format!(
         "{:>8} {:>10} {:>10} {:>10} {:>10} {:>12}\n",
@@ -901,12 +1004,199 @@ pub fn ablations() -> Vec<(String, CurvePoint)> {
         .collect()
 }
 
-fn run_ablation(_: &Request, out: &mut Tee) {
+fn run_ablation(_: &Request, out: &mut Output) {
     for (name, p) in ablations() {
         out.put(format!(
             "[{name}] accepted {:.4} latency {:.0} ns itbs {:.2}\n",
             p.accepted, p.avg_latency_ns, p.avg_itbs_per_msg
         ));
+    }
+}
+
+/// The fault sweep on one topology, every scheme of
+/// [`RoutingScheme::all`] at offered 0.01 with NIC retransmission and
+/// online reconfiguration: accepted traffic against the number of links
+/// failed at cycle 0 (so the window sees the reconfigured steady state),
+/// and goodput over time through one link's fail/repair cycle.
+struct FaultGrid {
+    topo: TopoSpec,
+    /// Files go to `target/experiments/fault_*_<tag>.*`.
+    tag: &'static str,
+    /// Numbers of simultaneously failed links.
+    ks: Vec<usize>,
+    /// Goodput sampling interval, cycles.
+    interval: u64,
+    /// Windows, seed and reconfiguration latency of every cell.
+    defaults: CellDefaults,
+}
+
+impl FaultGrid {
+    fn new(topo: Topo, mode: Mode) -> FaultGrid {
+        let (warmup_cycles, measure_cycles, ks, interval) = match mode {
+            Mode::Full => (100_000, 300_000, vec![0, 1, 2, 4, 8, 16], 5_000),
+            Mode::Quick => (40_000, 100_000, vec![0, 1, 2, 4, 8], 2_500),
+        };
+        FaultGrid {
+            topo: topo.spec(),
+            tag: topo.tag(),
+            ks,
+            interval,
+            defaults: CellDefaults {
+                warmup_cycles,
+                measure_cycles,
+                seed: 1,
+                ..CellDefaults::default()
+            },
+        }
+    }
+
+    /// `--smoke`: a 4×4 torus and windows short enough for CI. They are
+    /// far shorter than the default 100 µs mapper latency, so that is
+    /// scaled down for reconfiguration to complete inside them.
+    fn smoke() -> FaultGrid {
+        FaultGrid {
+            topo: TopoSpec::parse("torus:4x4:2").expect("a topology"),
+            tag: "smoke",
+            ks: vec![0, 1, 2],
+            interval: 1_000,
+            defaults: CellDefaults {
+                warmup_cycles: 4_000,
+                measure_cycles: 12_000,
+                seed: 1,
+                reconfig_latency_cycles: Some(2_000),
+                ..CellDefaults::default()
+            },
+        }
+    }
+
+    /// The cycles the goodput cells' link fails and comes back at.
+    fn fail_repair(&self) -> (u64, u64) {
+        let (warmup, measure) = (self.defaults.warmup_cycles, self.defaults.measure_cycles);
+        (warmup + measure / 4, warmup + 3 * measure / 4)
+    }
+
+    /// The throughput cells (scheme × k) and the goodput cells (scheme).
+    fn cells(&self) -> [Sweep; 2] {
+        let topo = self.topo.build().expect("a fault-sweep topology");
+        // k = 0 is the fault-free cell, with no fault plan at all.
+        let failed = self.ks.iter().map(|&k| {
+            let links = spaced_switch_links(&topo, k).into_iter();
+            let events: Vec<String> = links.map(|l| format!("fail_link:{}@0", l.0)).collect();
+            let plan = || FaultSpec::parse(&format!("{k} failed"), &events.join("+"));
+            (k > 0).then(|| plan().expect("a fault plan"))
+        });
+        let link = spaced_switch_links(&topo, 1)[0].0;
+        let (fail_at, repair_at) = self.fail_repair();
+        let cycle = format!("fail_link:{link}@{fail_at}+repair_link:{link}@{repair_at}");
+        let cycle = FaultSpec::parse("fail/repair", &cycle).expect("a fault plan");
+        let sweep = |faults: Vec<Option<FaultSpec>>, goodput_interval| Sweep {
+            group: format!("faults_{}", self.tag),
+            topos: vec![self.topo],
+            schemes: RoutingScheme::all().to_vec(),
+            patterns: vec![PatternSpec::Uniform],
+            loads: vec![0.01],
+            seeds: vec![self.defaults.seed],
+            faults,
+            defaults: CellDefaults {
+                goodput_interval,
+                ..self.defaults.clone()
+            },
+        };
+        [
+            sweep(failed.collect(), None),
+            sweep(vec![Some(cycle)], Some(self.interval)),
+        ]
+    }
+
+    /// Print both figures and save them as
+    /// `fault_{throughput_vs_failed_links,goodput_dip}_<tag>`.
+    fn emit(&self, throughput: &[CellResult], goodput: &[CellResult], out: &mut Output) {
+        let schemes = RoutingScheme::all();
+        let mut curves = Vec::new();
+        for (scheme, cells) in schemes.iter().zip(throughput.chunks(self.ks.len())) {
+            let mut points = Vec::new();
+            for (&k, r) in self.ks.iter().zip(cells) {
+                let rel = &r.reliability;
+                out.put(format!(
+                    "{:8} k={:2} accepted {:.4} lat {:8.0} ns delivered {:6} dropped {:4} \
+                     reconfigs {} lost-pairs {}\n",
+                    scheme.label(),
+                    k,
+                    r.accepted,
+                    r.avg_latency_ns,
+                    r.delivered,
+                    rel.dropped_packets,
+                    rel.reconfigurations,
+                    rel.unreachable_pairs,
+                ));
+                let offered = k as f64; // the x axis of this figure is k
+                points.push(CurvePoint {
+                    offered,
+                    ..r.curve_point()
+                });
+            }
+            let label = format!("{} vs failed links", scheme.label());
+            curves.push(Curve::from_points(label, points));
+        }
+        save_curves(
+            &format!("fault_throughput_vs_failed_links_{}", self.tag),
+            &curves,
+        );
+
+        let (fail_at, repair_at) = self.fail_repair();
+        let title = format!("goodput through a link fail/repair ({fail_at}/{repair_at})");
+        let mut ts = TimeSeries::new(title, self.interval);
+        let total = self.defaults.warmup_cycles + self.defaults.measure_cycles;
+        for (scheme, r) in schemes.iter().zip(goodput) {
+            let g = r.goodput.as_ref().expect("goodput cells record a series");
+            // Payload flits per bucket -> flits/ns, comparable across intervals.
+            let per_ns: Vec<f64> = g
+                .samples
+                .iter()
+                .map(|&s| s as f64 / (g.interval as f64 * CYCLE_NS))
+                .collect();
+            let rel = &r.reliability;
+            out.put(format!(
+                "{:8} {} samples over {total} cycles; truncated {} retransmitted {} dropped {}\n",
+                scheme.label(),
+                per_ns.len(),
+                rel.worms_truncated,
+                rel.retransmissions,
+                rel.dropped_packets,
+            ));
+            ts.push(scheme.label(), per_ns);
+        }
+        save_time_series(&format!("fault_goodput_dip_{}", self.tag), &ts);
+    }
+}
+
+/// `k` switch links spread evenly across the topology (deterministic).
+fn spaced_switch_links(topo: &Topology, k: usize) -> Vec<LinkId> {
+    let links: Vec<LinkId> = topo
+        .links()
+        .iter()
+        .filter(|l| l.is_switch_link())
+        .map(|l| l.id)
+        .collect();
+    assert!(k <= links.len(), "cannot fail {k} of {} links", links.len());
+    (0..k).map(|i| links[i * links.len() / k.max(1)]).collect()
+}
+
+/// **Fault sweep** (an extension): every requested panel, or the
+/// `--smoke` grid, as one plan.
+fn run_faults(req: &Request, out: &mut Output) {
+    let grids: Vec<FaultGrid> = if req.smoke {
+        vec![FaultGrid::smoke()]
+    } else {
+        req.topos
+            .iter()
+            .map(|&t| FaultGrid::new(t, req.mode))
+            .collect()
+    };
+    let sweeps: Vec<Sweep> = grids.iter().flat_map(FaultGrid::cells).collect();
+    let results = out.run_sweeps("faults", &sweeps);
+    for (grid, cells) in grids.iter().zip(results.chunks(2)) {
+        grid.emit(&cells[0], &cells[1], out);
     }
 }
 
@@ -984,8 +1274,8 @@ mod tests {
         }
     }
 
-    /// `campaigns/paper_figs.json` says its cells are the fig07/fig11
-    /// points bit for bit; hold it to that.
+    /// `campaigns/paper_figs.json` says its fig07 groups are the quick
+    /// fig07 panels cell for cell; hold it to that, hash for hash.
     #[test]
     fn paper_figs_campaign_is_the_quick_figures() {
         let text = std::fs::read_to_string(concat!(
@@ -993,31 +1283,33 @@ mod tests {
             "/../../campaigns/paper_figs.json"
         ))
         .expect("campaigns/paper_figs.json is committed");
-        let spec = regnet_campaign::CampaignSpec::from_json_str(&text).unwrap();
-        let sweep = |group: &str| {
-            spec.sweeps
+        let spec = CampaignSpec::from_json_str(&text).unwrap();
+        let plan = spec.expand().unwrap();
+        let group = |name: &str| -> Vec<&str> {
+            let cells = plan
+                .cells
                 .iter()
-                .find(|s| s.group == group)
-                .unwrap_or_else(|| panic!("no sweep {group:?}"))
+                .filter(|c| c.groups.iter().any(|g| g == name));
+            cells.map(|c| c.hash.as_str()).collect()
         };
-        let bits = |loads: &[f64]| loads.iter().map(|l| l.to_bits()).collect::<Vec<u64>>();
-        let opts = Mode::Quick.run_options(7);
         for topo in Topo::ALL {
-            let s = sweep(&format!("fig07 {} uniform", topo.tag()));
-            assert_eq!(
-                bits(&s.loads),
-                bits(&ladder_for(topo, &PatternSpec::Uniform, Mode::Quick)),
-                "fig07 {} loads",
-                topo.tag()
-            );
-            assert_eq!(s.seeds, [opts.seed]);
-            assert_eq!(s.defaults.warmup_cycles, opts.warmup_cycles);
-            assert_eq!(s.defaults.measure_cycles, opts.measure_cycles);
-            assert_eq!(s.patterns, [PatternSpec::Uniform]);
-            assert_eq!(s.schemes, RoutingScheme::all());
+            let paper = CampaignSpec {
+                name: "fig07".into(),
+                defaults: CellDefaults::default(),
+                sweeps: vec![FIG07.cells(topo, Mode::Quick)],
+            }
+            .expand()
+            .unwrap();
+            let paper: Vec<&str> = paper.cells.iter().map(|c| c.hash.as_str()).collect();
+            assert_eq!(paper.len(), 24);
+            assert_eq!(paper, group(&format!("fig07 {} uniform", topo.tag())));
         }
+        let hotspot = spec
+            .sweeps
+            .iter()
+            .find(|s| s.group == "fig11 torus hotspot");
         assert_eq!(
-            sweep("fig11 torus hotspot").patterns,
+            hotspot.expect("a fig11 group").patterns,
             [PatternSpec::Hotspot {
                 fraction: 0.10,
                 host: fig11_hotspot(&Topo::Torus.build()),

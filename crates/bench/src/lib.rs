@@ -8,11 +8,12 @@ use std::io::Write;
 use std::path::Path;
 
 use experiments::{Figure, Request, FIGURES};
+use regnet_campaign::TopoSpec;
 use regnet_core::{RouteDbConfig, RoutingScheme};
 use regnet_metrics::Curve;
 use regnet_netsim::experiment::{Experiment, RunOptions, ThroughputSearch};
 use regnet_netsim::{FaultPlan, SimConfig};
-use regnet_topology::{gen, LinkId, Topology};
+use regnet_topology::{LinkId, Topology};
 use regnet_traffic::PatternSpec;
 
 /// The three topologies of the paper's evaluation.
@@ -29,12 +30,17 @@ pub enum Topo {
 impl Topo {
     pub const ALL: [Topo; 3] = [Topo::Torus, Topo::Express, Topo::Cplant];
 
-    pub fn build(self) -> Topology {
+    /// The campaign spelling of this topology, which is what builds it.
+    pub fn spec(self) -> TopoSpec {
         match self {
-            Topo::Torus => gen::torus_2d(8, 8, 8).expect("torus"),
-            Topo::Express => gen::torus_2d_express(8, 8, 8).expect("express torus"),
-            Topo::Cplant => gen::cplant().expect("cplant"),
+            Topo::Torus => TopoSpec::Torus,
+            Topo::Express => TopoSpec::Express,
+            Topo::Cplant => TopoSpec::Cplant,
         }
+    }
+
+    pub fn build(self) -> Topology {
+        self.spec().build().expect("a paper topology")
     }
 
     /// The name `--topo` takes and output file names carry.
@@ -95,11 +101,6 @@ pub fn experiment(topo: Topology, scheme: RoutingScheme, pattern: PatternSpec) -
     )
     .expect("experiment construction")
 }
-
-// Worker-thread sizing (`REGNET_THREADS`) lives next to the sweeps that
-// share it; re-exported here so the bench binaries and downstream callers
-// keep their `regnet_bench::threads()` spelling.
-pub use regnet_netsim::threads::{threads, threads_from};
 
 /// A parsed `probe` or `diagnose` command line. Every flag takes a value.
 #[derive(Debug, PartialEq)]
@@ -185,6 +186,7 @@ pub struct PaperArgs {
     pub figure: Option<&'static Figure>,
     pub topo: Option<Topo>,
     pub radius4: bool,
+    pub smoke: bool,
     pub mode: Mode,
 }
 
@@ -200,6 +202,7 @@ impl PaperArgs {
             mode: self.mode,
             topos: self.topo.map_or(figure.topos.to_vec(), |t| vec![t]),
             radius4: self.radius4,
+            smoke: self.smoke,
         }
     }
 }
@@ -207,10 +210,11 @@ impl PaperArgs {
 pub fn paper_usage() -> String {
     let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
     format!(
-        "usage: paper <{}|all> [--topo torus|express|cplant] [--radius4] [--full]\n  \
-         --topo     one panel of fig07/fig10/fig12 (fig10: torus|express)\n  \
+        "usage: paper <{}|all> [--topo torus|express|cplant] [--radius4] [--full|--smoke]\n  \
+         --topo     one panel of fig07/fig10/fig12/faults (fig10: torus|express)\n  \
          --radius4  fig12 only: also the 4-switch-radius variant\n  \
-         --full     paper-fidelity windows (default: quick)",
+         --full     paper-fidelity windows (default: quick)\n  \
+         --smoke    faults only: a 4x4 torus and tiny windows, for CI",
         names.join("|")
     )
 }
@@ -234,6 +238,7 @@ pub fn parse_paper_args(args: &[String]) -> Result<PaperArgs, String> {
         figure,
         topo: None,
         radius4: false,
+        smoke: false,
         mode: Mode::Quick,
     };
     let mut flags = flags.iter();
@@ -241,11 +246,15 @@ pub fn parse_paper_args(args: &[String]) -> Result<PaperArgs, String> {
         match flag.as_str() {
             "--full" => parsed.mode = Mode::Full,
             "--radius4" if sub == "fig12" => parsed.radius4 = true,
+            "--smoke" if sub == "faults" => parsed.smoke = true,
             "--topo" if !panels.is_empty() => {
                 parsed.topo = Some(topo_among(panels, flags.next(), sub)?);
             }
             other => return Err(format!("{sub} does not take {other:?}")),
         }
+    }
+    if parsed.smoke && (parsed.topo.is_some() || parsed.mode == Mode::Full) {
+        return Err("--smoke runs its own 4x4 torus and windows: no --topo or --full".into());
     }
     Ok(parsed)
 }
@@ -261,37 +270,6 @@ fn topo_among(panels: &[Topo], value: Option<&String>, who: &str) -> Result<Topo
             let tags: Vec<&str> = panels.iter().map(|t| t.tag()).collect();
             format!("bad --topo {value:?}: {who} takes {}", tags.join("|"))
         })
-}
-
-/// A parsed `fault_sweep` command line.
-#[derive(Debug, PartialEq)]
-pub struct FaultSweepArgs {
-    pub topo: Topo,
-    /// `--smoke`: tiny topology and windows for CI; wins over `mode`.
-    pub smoke: bool,
-    pub mode: Mode,
-}
-
-/// Parse `fault_sweep`'s arguments (without the program name), as strictly
-/// as [`parse_paper_args`].
-pub fn parse_fault_sweep_args(args: &[String]) -> Result<FaultSweepArgs, String> {
-    let mut parsed = FaultSweepArgs {
-        topo: Topo::Torus,
-        smoke: false,
-        mode: Mode::Quick,
-    };
-    let mut args = args.iter();
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--smoke" => parsed.smoke = true,
-            "--full" => parsed.mode = Mode::Full,
-            "--topo" => {
-                parsed.topo = topo_among(&Topo::ALL, args.next(), "fault_sweep")?;
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    Ok(parsed)
 }
 
 /// A parsed `campaign` command line.
@@ -482,6 +460,7 @@ mod tests {
                 mode: Mode::Full,
                 topos: vec![Topo::Cplant],
                 radius4: true,
+                smoke: false,
             }
         );
 
@@ -519,30 +498,28 @@ mod tests {
             let err = parse_paper_args(&strings(args)).unwrap_err();
             assert!(err.contains(needle), "{args:?}: {err}");
         }
-        // fault_sweep is as strict, and its good lines still parse.
+        // --smoke is the fault sweep's CI mode and nothing else's.
         for (args, needle) in [
-            (&["--topo"][..], "needs a value"),
-            (&["--topo", "mesh"], "torus|express|cplant"),
-            (&["--topo", "--smoke"], "torus|express|cplant"),
+            (&["fig07", "--smoke"][..], "fig07 does not take \"--smoke\""),
+            (&["all", "--smoke"], "all does not take \"--smoke\""),
             (
-                &["--scheduler", "event"],
-                "unknown argument \"--scheduler\"",
+                &["faults", "--radius4"],
+                "faults does not take \"--radius4\"",
             ),
-            (&["--smok"], "--smok"),
-            (&["torus"], "torus"),
+            (&["faults", "--smok"], "--smok"),
+            (&["faults", "--smoke", "--full"], "no --topo or --full"),
+            (
+                &["faults", "--topo", "cplant", "--smoke"],
+                "no --topo or --full",
+            ),
+            (&["faults", "--topo", "mesh"], "torus|express|cplant"),
         ] {
-            let err = parse_fault_sweep_args(&strings(args)).unwrap_err();
+            let err = parse_paper_args(&strings(args)).unwrap_err();
             assert!(err.contains(needle), "{args:?}: {err}");
         }
-        assert_eq!(
-            parse_fault_sweep_args(&strings(&["--smoke", "--topo", "cplant", "--full"])),
-            Ok(FaultSweepArgs {
-                topo: Topo::Cplant,
-                smoke: true,
-                mode: Mode::Full,
-            })
-        );
-        assert!(!parse_fault_sweep_args(&[]).unwrap().smoke);
+        let a = parse_paper_args(&strings(&["faults", "--smoke"])).unwrap();
+        assert_eq!((a.smoke, a.mode, a.topo), (true, Mode::Quick, None));
+        assert!(!parse_paper_args(&strings(&["faults"])).unwrap().smoke);
         // So is campaign: a typo'd flag must not run the whole campaign.
         for (args, needle) in [
             (&[][..], "no campaign file given"),
@@ -688,23 +665,6 @@ mod tests {
         for f in FIGURES {
             assert!(usage.contains(f.name), "{}", f.name);
         }
-    }
-
-    #[test]
-    fn threads_env_override() {
-        // The override rules are tested through the pure function — no
-        // process-global env mutation, so this cannot race with other
-        // tests (or with threads()' one-shot env read).
-        assert_eq!(threads_from(Some("3")), 3);
-        assert_eq!(threads_from(Some(" 8 ")), 8, "whitespace is trimmed");
-        assert!(
-            threads_from(Some("zero")) >= 1,
-            "bad override falls back to detection"
-        );
-        assert!(threads_from(Some("0")) >= 1, "zero threads is rejected");
-        assert!(threads_from(None) >= 1);
-        // The cached entry point agrees with some valid configuration.
-        assert!(threads() >= 1);
     }
 
     #[test]

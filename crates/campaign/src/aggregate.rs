@@ -56,18 +56,6 @@ pub struct Aggregates {
 /// convention: a point is saturated when accepted < 0.92 × offered).
 pub const SATURATION_RATIO: f64 = 0.92;
 
-fn to_point(r: &CellResult) -> CurvePoint {
-    CurvePoint {
-        offered: r.offered,
-        accepted: r.accepted,
-        avg_latency_ns: r.avg_latency_ns,
-        p99_latency_ns: r.p99_latency_ns,
-        avg_total_latency_ns: r.avg_total_latency_ns,
-        avg_itbs_per_msg: r.avg_itbs_per_msg,
-        delivered: r.delivered,
-    }
-}
-
 /// Compute the aggregates for every result present in `results` (partial
 /// campaigns are fine — that is the streaming case).
 pub fn aggregate(plan: &RunPlan, results: &BTreeMap<String, CellResult>) -> Aggregates {
@@ -118,7 +106,7 @@ pub fn aggregate(plan: &RunPlan, results: &BTreeMap<String, CellResult>) -> Aggr
                 .entry(family.clone())
                 .or_insert_with(|| (label, Vec::new()))
                 .1
-                .push(to_point(result));
+                .push(result.curve_point());
         }
     }
 

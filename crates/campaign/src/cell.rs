@@ -12,9 +12,10 @@
 use std::time::Instant;
 
 use regnet_core::RouteDbConfig;
-use regnet_metrics::JsonValue;
+use regnet_metrics::{CurvePoint, JsonValue};
 use regnet_netsim::{
-    Experiment, FaultOptions, GoodputSeries, ReliabilityStats, RunOptions, SimConfig, TraceOptions,
+    ChannelDesc, Experiment, FaultOptions, GoodputSeries, ReliabilityStats, RunOptions, SimConfig,
+    TraceOptions,
 };
 use serde::Serialize;
 
@@ -74,6 +75,19 @@ impl CellResult {
         a == b
     }
 
+    /// The cell as one point of a latency-vs-traffic curve.
+    pub fn curve_point(&self) -> CurvePoint {
+        CurvePoint {
+            offered: self.offered,
+            accepted: self.accepted,
+            avg_latency_ns: self.avg_latency_ns,
+            p99_latency_ns: self.p99_latency_ns,
+            avg_total_latency_ns: self.avg_total_latency_ns,
+            avg_itbs_per_msg: self.avg_itbs_per_msg,
+            delivered: self.delivered,
+        }
+    }
+
     /// Serialize for checkpointing.
     pub fn to_json_string(&self) -> String {
         serde_json::to_string_pretty(self).expect("CellResult serialization is infallible")
@@ -87,7 +101,11 @@ impl CellResult {
                 .and_then(|x| x.as_f64())
                 .ok_or_else(|| format!("cell checkpoint missing number {k:?}"))
         };
-        let u = |k: &str| -> Result<u64, String> { Ok(f(k)? as u64) };
+        let u = |k: &str| -> Result<u64, String> {
+            v.get(k).and_then(|x| x.as_u64()).ok_or_else(|| {
+                format!("cell checkpoint {k:?} is missing or not an integer in 0..2^53")
+            })
+        };
         let s = |k: &str| -> Result<String, String> {
             v.get(k)
                 .and_then(|x| x.as_str())
@@ -106,10 +124,9 @@ impl CellResult {
             .get("reliability")
             .ok_or("cell checkpoint missing reliability")?;
         let ru = |k: &str| -> Result<u64, String> {
-            rel.get(k)
-                .and_then(|x| x.as_f64())
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("cell checkpoint reliability missing {k:?}"))
+            rel.get(k).and_then(|x| x.as_u64()).ok_or_else(|| {
+                format!("cell checkpoint reliability {k:?} is missing or not an integer in 0..2^53")
+            })
         };
         let reliability = ReliabilityStats {
             link_failures: ru("link_failures")?,
@@ -129,19 +146,18 @@ impl CellResult {
         let goodput = match v.get("goodput") {
             None | Some(JsonValue::Null) => None,
             Some(g) => {
-                let interval =
-                    g.get("interval")
-                        .and_then(|x| x.as_f64())
-                        .ok_or("goodput series missing interval")? as u64;
+                let interval = g
+                    .get("interval")
+                    .and_then(|x| x.as_u64())
+                    .ok_or("goodput series interval is missing or not an integer in 0..2^53")?;
                 let samples = g
                     .get("samples")
                     .and_then(|x| x.as_array())
                     .ok_or("goodput series missing samples")?
                     .iter()
                     .map(|x| {
-                        x.as_f64()
-                            .map(|n| n as u64)
-                            .ok_or_else(|| "goodput samples must be numbers".to_string())
+                        x.as_u64()
+                            .ok_or("goodput samples must be integers in 0..2^53")
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 Some(GoodputSeries { interval, samples })
@@ -168,7 +184,10 @@ impl CellResult {
             goodput,
             wall_ms: u("wall_ms")?,
             // Absent in pre-v5 checkpoints; default keeps resume working.
-            peak_rss_kb: v.get("peak_rss_kb").and_then(|x| x.as_f64()).unwrap_or(0.0) as u64,
+            peak_rss_kb: match v.get("peak_rss_kb") {
+                None => 0,
+                Some(_) => u("peak_rss_kb")?,
+            },
         })
     }
 }
@@ -225,7 +244,7 @@ pub fn run_cell(spec: &CellSpec) -> Result<CellResult, String> {
     let n_switches = exp.topology().num_switches();
     let accepted = obs.stats.accepted_flits_per_ns_per_switch(n_switches);
     // Switch-link utilization summary (the paper's Figures 8/9/11 view).
-    let descs = exp.channel_descriptors();
+    let descs = ChannelDesc::of(exp.topology());
     let mut util_sum = 0.0f64;
     let mut util_max = 0.0f64;
     let mut n_links = 0u64;
@@ -327,5 +346,28 @@ mod tests {
     fn bad_checkpoint_is_rejected() {
         assert!(CellResult::from_json_str("{}").is_err());
         assert!(CellResult::from_json_str("not json").is_err());
+        // A count that is negative, fractional or past 2^53 is corrupt: it
+        // must not load as 0, 1 or u64::MAX.
+        let mut cell = run_cell(&tiny_cell()).unwrap();
+        (cell.delivered, cell.wall_ms, cell.peak_rss_kb) = (77, 5, 9);
+        let good = cell.to_json_string();
+        for (from, to) in [
+            ("\"delivered\": 77", "\"delivered\": -3"),
+            ("\"delivered\": 77", "\"delivered\": 1.5"),
+            ("\"delivered\": 77", "\"delivered\": 1e300"),
+            ("\"delivered\": 77", "\"delivered\": 9007199254740992"),
+            ("\"link_failures\": 0", "\"link_failures\": -1"),
+            ("\"interval\": 5000", "\"interval\": 5000.5"),
+            ("\"wall_ms\": 5", "\"wall_ms\": -5"),
+            ("\"peak_rss_kb\": 9", "\"peak_rss_kb\": 9.5"),
+        ] {
+            assert!(good.contains(from), "{from}");
+            let bad = good.replacen(from, to, 1);
+            let err = CellResult::from_json_str(&bad);
+            assert!(err.is_err(), "{to:?} loaded as {err:?}");
+        }
+        let samples = good.replacen("\"samples\": [", "\"samples\": [0.25, ", 1);
+        assert!(CellResult::from_json_str(&samples).is_err());
+        assert!(CellResult::from_json_str(&good).is_ok());
     }
 }

@@ -16,15 +16,17 @@
 //! * [`runner`] — the work-queue that fans pending cells across a
 //!   `std::thread::scope` worker pool sized by
 //!   [`regnet_netsim::threads`], streaming completions back in
-//!   completion order while keeping aggregation deterministic.
+//!   completion order while keeping aggregation deterministic. It is the
+//!   workspace's only worker pool: `paper` runs its load ladders and
+//!   fault sweep through it too.
 //! * [`aggregate`] — derived curves (latency-vs-load per group,
 //!   saturation summary, goodput-dip time series) exported through
 //!   `regnet_metrics` as `.dat`/`.gp`/JSON.
 //! * [`whatif`] — targeted saturation-point bisection ("what's the
 //!   saturation load for this topology+scheme+fault?") that caches every
 //!   probe through the same store instead of running a full grid.
-//! * [`progress`] — the shared stderr progress/ETA printer also used by
-//!   the `fault_sweep` binary.
+//! * [`progress`] — the shared stderr progress/ETA printer of the
+//!   `campaign` and `paper` binaries.
 //! * [`status`] — the live `status.json` protocol: an atomically
 //!   republished snapshot of counts, per-worker state, ETA and recent
 //!   errors, rendered by `campaign --watch` and validated in CI.

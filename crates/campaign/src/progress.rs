@@ -1,5 +1,5 @@
 //! One shared stderr progress printer for every long-running binary
-//! (`campaign`, `fault_sweep`), replacing their
+//! (`campaign`, `paper`), replacing their
 //! hand-rolled status lines: `[label] done/total (elapsed, ETA) detail`,
 //! with the ETA extrapolated from completed-item wall times.
 

@@ -557,18 +557,12 @@ impl CampaignSpec {
 }
 
 fn get_u64(obj: &JsonValue, key: &str, what: &str) -> Result<Option<u64>, String> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => {
-            let n = v
-                .as_f64()
-                .ok_or_else(|| format!("{what}: {key:?} must be a number"))?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!("{what}: {key:?} must be a non-negative integer"));
-            }
-            Ok(Some(n as u64))
-        }
-    }
+    obj.get(key)
+        .map(|v| {
+            v.as_u64()
+                .ok_or_else(|| format!("{what}: {key:?} must be an integer in 0..2^53"))
+        })
+        .transpose()
 }
 
 /// The keys a `"defaults"` object may hold; a sweep may hold them too.
@@ -690,10 +684,8 @@ fn parse_sweep(v: &JsonValue, campaign: &CellDefaults, index: usize) -> Result<S
             .ok_or_else(|| format!("{what}: \"seeds\" must be an array"))?
             .iter()
             .map(|s| {
-                s.as_f64()
-                    .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                    .map(|n| n as u64)
-                    .ok_or_else(|| format!("{what}: seeds must be non-negative integers"))
+                s.as_u64()
+                    .ok_or_else(|| format!("{what}: seeds must be integers in 0..2^53"))
             })
             .collect::<Result<Vec<_>, _>>()?,
     };
@@ -1014,6 +1006,12 @@ mod tests {
             .unwrap()
             .expand()
             .is_err());
+        // Integral, but past 2^53: it would run u64::MAX cycles.
+        for key in [r#""measure_cycles": 1e300"#, r#""seeds": [1e300]"#] {
+            let huge = zero_load.replace("[0.0]", &format!("[0.01], {key}"));
+            let err = CampaignSpec::from_json_str(&huge).unwrap_err();
+            assert!(err.contains("0..2^53"), "{key}: {err}");
+        }
     }
 
     /// A key the parsers would never look up is refused, at each of the

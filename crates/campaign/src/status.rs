@@ -1,8 +1,8 @@
 //! Live status files: a machine-readable `status.json` that long-running
 //! tools republish as work lands.
 //!
-//! The campaign runner (and the `fault_sweep` binary)
-//! can take hours; their stderr progress lines are useless to anything
+//! A campaign, or a `paper` figure run as campaign cells, can take
+//! hours; their stderr progress lines are useless to anything
 //! but a human tail. A [`StatusBoard`] mirrors the same information into
 //! a JSON snapshot — counts, per-worker state, ETA, recent completions,
 //! last errors — written with the store's atomic tmp+rename discipline,
@@ -45,7 +45,7 @@ pub struct WorkerStatus {
 pub struct StatusSnapshot {
     /// Always [`STATUS_SCHEMA`].
     pub schema: String,
-    /// Which binary is publishing (`"campaign"`, `"fault_sweep"`, ...).
+    /// Which binary is publishing (`"campaign"` or `"paper"`).
     pub tool: String,
     /// `"running"`, `"done"`, `"failed"` or `"stopped"` (`--stop-after`).
     pub state: String,
@@ -90,9 +90,8 @@ impl StatusSnapshot {
         };
         let u = |k: &str| -> Result<u64, String> {
             v.get(k)
-                .and_then(|x| x.as_f64())
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("status file missing number {k:?}"))
+                .and_then(|x| x.as_u64())
+                .ok_or_else(|| format!("status file {k:?} is missing or not an integer in 0..2^53"))
         };
         let f = |k: &str| -> Result<f64, String> {
             v.get(k)
@@ -120,8 +119,8 @@ impl StatusSnapshot {
                 Ok(WorkerStatus {
                     worker: w
                         .get("worker")
-                        .and_then(|x| x.as_f64())
-                        .ok_or("worker entry missing index")? as u64,
+                        .and_then(|x| x.as_u64())
+                        .ok_or("worker index is missing or not an integer in 0..2^53")?,
                     state: w
                         .get("state")
                         .and_then(|x| x.as_str())
@@ -457,7 +456,7 @@ mod tests {
     #[test]
     fn snapshot_roundtrips_through_json() {
         let path = temp_status("rt");
-        let mut board = StatusBoard::new(&path, "fault_sweep", 2, 1);
+        let mut board = StatusBoard::new(&path, "paper", 2, 1);
         board.started(0, "k=1");
         board.done(0, "k=1");
         let text = fs::read_to_string(&path).unwrap();
@@ -482,6 +481,19 @@ mod tests {
         // Unknown run state.
         let bad = good.replace("\"running\"", "\"jogging\"");
         assert!(validate_status_json(&bad).is_err());
+        // Counts and worker indices that are not exact non-negative
+        // integers: loaded as 0, 1 or u64::MAX they would add up.
+        for (from, to) in [
+            ("\"total\": 1", "\"total\": 1.5"),
+            ("\"pending\": 1", "\"pending\": -1"),
+            ("\"done\": 0", "\"done\": 1e300"),
+            ("\"worker\": 0", "\"worker\": -2"),
+            ("\"worker\": 0", "\"worker\": 0.5"),
+        ] {
+            assert!(good.contains(from), "{from}");
+            let bad = good.replace(from, to);
+            assert!(validate_status_json(&bad).is_err(), "{to}");
+        }
         assert!(validate_status_json(&good).is_ok());
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }

@@ -53,6 +53,17 @@ impl JsonValue {
         }
     }
 
+    /// A count or id: a number that is non-negative, integral and below
+    /// 2^53, so the f64 it was parsed into holds it exactly. Anything
+    /// else (`-3`, `1.5`, `1e300`) is `None`, never a clamped or
+    /// truncated value.
+    pub fn as_u64(&self) -> Option<u64> {
+        const LIMIT: f64 = (1u64 << 53) as f64;
+        self.as_f64()
+            .filter(|n| (0.0..LIMIT).contains(n) && n.fract() == 0.0)
+            .map(|n| n as u64)
+    }
+
     pub fn as_str(&self) -> Option<&str> {
         match self {
             JsonValue::String(s) => Some(s),
@@ -304,6 +315,25 @@ mod tests {
             JsonValue::parse("\"a\\nb\"").unwrap(),
             JsonValue::String("a\nb".into())
         );
+    }
+
+    #[test]
+    fn counts_are_exact_or_refused() {
+        let count = |text: &str| JsonValue::parse(text).unwrap().as_u64();
+        assert_eq!(count("0"), Some(0));
+        assert_eq!(count("12345"), Some(12345));
+        assert_eq!(count("9007199254740991"), Some((1 << 53) - 1));
+        for bad in [
+            "-3",
+            "1.5",
+            "9007199254740992",
+            "1e300",
+            "-0.5",
+            "\"7\"",
+            "null",
+        ] {
+            assert_eq!(count(bad), None, "{bad}");
+        }
     }
 
     #[test]

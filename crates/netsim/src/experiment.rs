@@ -1,9 +1,9 @@
-//! High-level experiment driver: one offered-load point, a full
-//! latency/throughput curve, or a saturation-throughput search — the three
-//! operations behind every table and figure of the paper.
+//! High-level experiment API: one offered-load point or a
+//! saturation-throughput search. Load ladders run one point per campaign
+//! cell (`regnet-campaign`), which fans them across its worker pool.
 
 use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme};
-use regnet_metrics::{Curve, CurvePoint, MetricsRegistry, UtilizationSummary};
+use regnet_metrics::{CurvePoint, MetricsRegistry, UtilizationSummary};
 use regnet_topology::Topology;
 use regnet_traffic::{Pattern, PatternSpec};
 
@@ -215,55 +215,6 @@ impl RunObservation {
     }
 }
 
-/// Run `f(0..n)` on `threads` OS threads (1 = sequential) and return the
-/// results in index order. Work is handed out through a shared counter, so
-/// an expensive index does not stall the others; `f` must be deterministic
-/// per index for the output to be reproducible.
-pub fn par_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads.min(n) {
-            let next = &next;
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let mut mine = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    mine.push((i, f(i)));
-                }
-                mine
-            }));
-        }
-        for h in handles {
-            // Propagate a worker panic with its original payload (message,
-            // location context) instead of a generic "worker panicked".
-            match h.join() {
-                Ok(results) => {
-                    for (i, v) in results {
-                        out[i] = Some(v);
-                    }
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    out.into_iter()
-        .map(|v| v.expect("missing par_map result"))
-        .collect()
-}
-
 /// Options for [`Experiment::find_throughput`].
 #[derive(Debug, Clone)]
 pub struct ThroughputSearch {
@@ -293,7 +244,7 @@ impl Default for ThroughputSearch {
 
 /// A fully prepared experiment: topology, routing tables, traffic pattern
 /// and hardware parameters. Cheap to query repeatedly at different offered
-/// loads; immutable, so sweeps can run points from several threads.
+/// loads, and immutable.
 pub struct Experiment {
     topo: Topology,
     db: RouteDb,
@@ -341,22 +292,6 @@ impl Experiment {
 
     pub fn sim_config(&self) -> &SimConfig {
         &self.cfg
-    }
-
-    /// Static descriptors of every directed channel, in
-    /// [`RunStats::channel_busy`] order. Builds a throwaway simulator (no
-    /// cycles are run), so callers that only have run results can still
-    /// map `channel_busy` entries to links.
-    pub fn channel_descriptors(&self) -> Vec<ChannelDesc> {
-        Simulator::new(
-            &self.topo,
-            &self.db,
-            &self.pattern,
-            self.cfg.clone(),
-            0.001,
-            1,
-        )
-        .channel_descriptors()
     }
 
     /// Run one point with every observer selected in `opts` and return the
@@ -435,21 +370,6 @@ impl Experiment {
         }
     }
 
-    /// Sweep a latency/throughput curve over `loads`, running points on
-    /// `threads` OS threads (1 = sequential).
-    pub fn sweep(&self, loads: &[f64], opts: &RunOptions, threads: usize) -> Curve {
-        let mut curve = Curve::new(format!(
-            "{} / {} / {}",
-            self.topo.name(),
-            self.scheme.label(),
-            self.pattern.spec().label()
-        ));
-        for p in par_map(loads.len(), threads, |i| self.run_point(loads[i], opts)) {
-            curve.push(p);
-        }
-        curve
-    }
-
     /// Search for the saturation throughput (the paper's per-table
     /// "throughput" numbers): climb a geometric load ladder until the
     /// network stops accepting the offered traffic, and report the highest
@@ -490,7 +410,7 @@ impl Experiment {
         Option<ChannelUtilSeries>,
     ) {
         let obs = self.run_observed(offered, opts);
-        let (stats, descs) = (obs.stats, self.channel_descriptors());
+        let (stats, descs) = (obs.stats, ChannelDesc::of(&self.topo));
         let series = obs.trace.and_then(|r| r.channel_util);
         let mut busy = Vec::new();
         let mut kept = Vec::new();
@@ -586,43 +506,27 @@ mod tests {
         }
     }
 
+    /// The descriptors come from the topology alone and match, channel for
+    /// channel, what a simulator built on it reports.
     #[test]
-    fn sweep_parallel_equals_sequential() {
-        let exp = small_exp(RoutingScheme::UpDown);
-        let loads = [0.002, 0.004, 0.006];
-        let seq = exp.sweep(&loads, &quick_opts(), 1);
-        let par = exp.sweep(&loads, &quick_opts(), 3);
-        assert_eq!(seq.points.len(), par.points.len());
-        for (a, b) in seq.points.iter().zip(&par.points) {
-            assert_eq!(
-                a.delivered, b.delivered,
-                "parallel sweep must be deterministic"
-            );
-            assert_eq!(a.avg_latency_ns, b.avg_latency_ns);
+    fn topology_channel_descriptors_match_the_simulators() {
+        for topo in [
+            gen::torus_2d(8, 8, 8).unwrap(),
+            gen::torus_2d_express(8, 8, 8).unwrap(),
+            gen::cplant().unwrap(),
+        ] {
+            let exp = Experiment::new(
+                topo,
+                RoutingScheme::UpDown,
+                RouteDbConfig::default(),
+                PatternSpec::Uniform,
+                SimConfig::default(),
+            )
+            .unwrap();
+            let sim = exp.make_sim(0.001, &RunOptions::default());
+            assert_eq!(ChannelDesc::of(&exp.topo), sim.channel_descriptors());
+            assert_eq!(sim.channel_descriptors().len(), 2 * exp.topo.num_links());
         }
-    }
-
-    #[test]
-    fn par_map_surfaces_worker_panic_message() {
-        let err = std::panic::catch_unwind(|| {
-            par_map(8, 3, |i| {
-                if i == 5 {
-                    panic!("index 5 exploded");
-                }
-                i * 2
-            })
-        })
-        .expect_err("the worker panic must propagate");
-        let msg = err
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .expect("panic payload should be a string");
-        assert!(
-            msg.contains("index 5 exploded"),
-            "original panic message lost: {msg:?}"
-        );
     }
 
     #[test]

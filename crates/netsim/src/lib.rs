@@ -23,9 +23,8 @@
 //!   pool overflows to host memory at a configurable penalty.
 //!
 //! The [`experiment`] module provides the high-level API used by the
-//! examples and the paper-reproduction harness: run one offered-load point,
-//! sweep a latency/throughput curve, or search for the saturation
-//! throughput.
+//! examples and the paper-reproduction harness: run one offered-load point
+//! or search for the saturation throughput.
 //!
 //! # Quickstart
 //!
@@ -72,7 +71,7 @@ pub mod wfg;
 pub use config::{GenerationProcess, SimConfig, CYCLE_NS};
 pub use counters::CounterSnapshot;
 pub use events::{BlockCause, Event, EventJournal, EventKind, EventMask, EventOptions, NO_PACKET};
-pub use experiment::{par_map, Experiment, RunObservation, RunOptions, ThroughputSearch};
+pub use experiment::{Experiment, RunObservation, RunOptions, ThroughputSearch};
 pub use faultplan::{FaultEvent, FaultOptions, FaultPlan, FaultTarget, ReliabilityStats};
 pub use profiler::{PhaseProfile, ProfileReport, SpanNode, SpanReport, PHASE_NAMES};
 pub use sched::Scheduler;

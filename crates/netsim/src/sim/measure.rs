@@ -5,7 +5,7 @@
 use serde::{Deserialize, Serialize};
 
 use regnet_metrics::{Histogram, RunningStats};
-use regnet_topology::{HostId, NodeId, SwitchId};
+use regnet_topology::{HostId, LinkEnd, NodeId, SwitchId, Topology};
 
 use super::Simulator;
 use crate::channel::{Receiver, Sender};
@@ -25,6 +25,27 @@ pub struct ChannelDesc {
     /// True for switch↔switch channels (the ones the paper's link
     /// utilization figures show).
     pub switch_link: bool,
+}
+
+/// Every directed channel of `topo` as `(sender end, receiver end)`, in
+/// the simulator's channel order: links in id order, `ends[0] → ends[1]`
+/// before `ends[1] → ends[0]`. The one definition of that order.
+pub(super) fn directed_channels(topo: &Topology) -> impl Iterator<Item = (LinkEnd, LinkEnd)> + '_ {
+    let links = topo.links().iter();
+    links.flat_map(|l| [(l.ends[0], l.ends[1]), (l.ends[1], l.ends[0])])
+}
+
+impl ChannelDesc {
+    /// Descriptors of every directed channel of `topo`, parallel to
+    /// [`RunStats::channel_busy`], without building a simulator.
+    pub fn of(topo: &Topology) -> Vec<ChannelDesc> {
+        let desc = |(from, to): (LinkEnd, LinkEnd)| ChannelDesc {
+            from: from.node(),
+            to: to.node(),
+            switch_link: matches!((from, to), (LinkEnd::Switch { .. }, LinkEnd::Switch { .. })),
+        };
+        directed_channels(topo).map(desc).collect()
+    }
 }
 
 /// Aggregated results of one measurement window.
@@ -268,7 +289,9 @@ impl Simulator<'_> {
         )
     }
 
-    /// Static channel descriptors (parallel to [`RunStats::channel_busy`]).
+    /// Static channel descriptors (parallel to [`RunStats::channel_busy`]),
+    /// read off the channels this simulator built; equal to
+    /// [`ChannelDesc::of`] its topology.
     pub fn channel_descriptors(&self) -> Vec<ChannelDesc> {
         self.channels
             .iter()

@@ -55,7 +55,7 @@ mod sink;
 mod skip;
 
 use faults::Loss;
-use measure::Measure;
+use measure::{directed_channels, Measure};
 pub use measure::{ChannelDesc, RunStats};
 pub(crate) use sink::SeqParts;
 use sink::SeqSink;
@@ -177,7 +177,8 @@ impl<'a> Simulator<'a> {
             cfg.payload_flits,
         );
 
-        // Build channels: two directed channels per physical link.
+        // Build channels: two directed channels per physical link, so link
+        // `l`'s are `2l` and `2l + 1`.
         let mut channels: Vec<Channel> = Vec::with_capacity(topo.num_links() * 2);
         // (sw, port) -> (in_chan, out_chan)
         let ports = topo.max_ports() as usize;
@@ -198,30 +199,23 @@ impl<'a> Simulator<'a> {
             },
             LinkEnd::Host { host } => Receiver::Nic { host: host.0 },
         };
-        let mut link_chans: Vec<[u32; 2]> = Vec::with_capacity(topo.num_links());
-        for link in topo.links() {
-            let mut pair = [u32::MAX; 2];
-            for (k, (s, r)) in [(0usize, 1usize), (1, 0)].into_iter().enumerate() {
-                let idx = channels.len() as u32;
-                pair[k] = idx;
-                let sender = end_sender(&link.ends[s]);
-                let receiver = end_receiver(&link.ends[r]);
-                channels.push(Channel::new(sender, receiver, cfg.link_delay_cycles));
-                match sender {
-                    Sender::SwitchOut { sw, port } => {
-                        sw_out[sw as usize * ports + port as usize] = idx
-                    }
-                    Sender::Nic { host } => nic_out[host as usize] = idx,
-                }
-                match receiver {
-                    Receiver::SwitchIn { sw, port } => {
-                        sw_in[sw as usize * ports + port as usize] = idx
-                    }
-                    Receiver::Nic { .. } => {}
-                }
+        for (from, to) in directed_channels(topo) {
+            let idx = channels.len() as u32;
+            let sender = end_sender(&from);
+            let receiver = end_receiver(&to);
+            channels.push(Channel::new(sender, receiver, cfg.link_delay_cycles));
+            match sender {
+                Sender::SwitchOut { sw, port } => sw_out[sw as usize * ports + port as usize] = idx,
+                Sender::Nic { host } => nic_out[host as usize] = idx,
             }
-            link_chans.push(pair);
+            match receiver {
+                Receiver::SwitchIn { sw, port } => sw_in[sw as usize * ports + port as usize] = idx,
+                Receiver::Nic { .. } => {}
+            }
         }
+        let link_chans = (0..topo.num_links() as u32)
+            .map(|l| [2 * l, 2 * l + 1])
+            .collect();
 
         let switches: Vec<SwitchState> = topo
             .switches()

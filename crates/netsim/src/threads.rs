@@ -1,9 +1,7 @@
-//! Shared worker-thread sizing: one implementation of the
-//! `REGNET_THREADS` override used by the experiment sweeps
-//! (`experiment::par_map`), the campaign worker pool and the bench
-//! binaries (re-exported from `regnet-bench` for compatibility).
+//! Worker-thread sizing: the one implementation of the `REGNET_THREADS`
+//! override, read by the bench binaries to size the campaign worker pool.
 
-/// Number of worker threads for sweeps and campaign cells.
+/// Number of worker threads for campaign cells.
 /// `REGNET_THREADS=<n>` overrides the detected parallelism (useful for CI
 /// runners and reproducible timings).
 ///

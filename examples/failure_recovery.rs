@@ -2,7 +2,7 @@
 //! then a switch (including the up*/down* root!), and after each event the
 //! mapper re-explores the surviving network, rebuilds the routing tables
 //! and traffic keeps flowing — the same fault machinery every faulted run
-//! in the repository uses (`fault_sweep`, `probe --fail-link`).
+//! in the repository uses (`paper faults`, `probe --fail-link`).
 //!
 //! Run with: `cargo run --release --example failure_recovery`
 

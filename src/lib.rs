@@ -70,9 +70,7 @@ pub mod prelude {
     };
     pub use regnet_mapper::{rebuild_physical_routes, FaultSet, PhysicalRoutes};
     pub use regnet_metrics::{ChromeTrace, Curve, CurvePoint, UtilizationSummary};
-    pub use regnet_netsim::experiment::{
-        par_map, Experiment, RunObservation, RunOptions, ThroughputSearch,
-    };
+    pub use regnet_netsim::experiment::{Experiment, RunObservation, RunOptions, ThroughputSearch};
     pub use regnet_netsim::{
         BlockCause, CounterSnapshot, EventJournal, EventKind, EventMask, EventOptions, FaultEvent,
         FaultOptions, FaultPlan, FaultTarget, GenerationProcess, ProfileReport, ReliabilityStats,

@@ -88,10 +88,9 @@ fn paper_subcommands() -> BTreeSet<String> {
 
 /// The bench binaries, each with the argument parsers it calls in
 /// `crates/bench/src/lib.rs`.
-const BINARIES: [(&str, &[&str]); 5] = [
+const BINARIES: [(&str, &[&str]); 4] = [
     ("paper", &["parse_paper_args"]),
     ("campaign", &["parse_campaign_args"]),
-    ("fault_sweep", &["parse_fault_sweep_args"]),
     ("probe", &["parse_probe_args"]),
     ("diagnose", &["parse_diagnose_args"]),
 ];
