@@ -10,17 +10,12 @@
 //! [`Simulator::enable_faults`](crate::Simulator::enable_faults); the
 //! runtime bookkeeping lives in `FaultRuntime` (crate-private).
 //!
-//! Fault execution is a scheduler hook site: purging a worm resends GO
-//! symbols and hands arrivals/grants to components the active-set
-//! scheduler may have retired as quiescent, so every mutation the fault
-//! phase makes re-registers the affected channels, switches and NICs
-//! with the active set — including *same cycle* (phase 0) ctl deliveries,
-//! which the tagless wake wheel handles because all channels share one
-//! delay. Exactly two hook sites exist (the purge's ctl fix-up and the
-//! retransmission wake-up), and both note their wake in the simulator's
-//! `ActiveSched` when one is installed — fault plans run natively on
-//! the engine and its scan oracle, and mid-cycle losses are deferred to a deterministic
-//! replay point after NIC tx (`Simulator::loss_phase`).
+//! Fault execution needs one scheduler hook: a retransmission wakes its
+//! source NIC through the simulator's `ActiveSched`. The GO symbols a
+//! purge resends are plain channel-table writes, so a phase-0 purge's
+//! symbol is delivered by that same cycle's control phase under the
+//! engine and its scan oracle alike. Mid-cycle losses are deferred to a
+//! deterministic replay point after NIC tx (`Simulator::loss_phase`).
 //! `tests/scheduler_equivalence.rs` pins engine/oracle equality under a
 //! fault plan on every paper topology × scheme.
 

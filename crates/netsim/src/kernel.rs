@@ -17,17 +17,18 @@
 //! transmission. The kernel tests' recording sink logs every effect
 //! instead.
 //!
-//! The phase loops at the bottom walk the engine's wake wheels and active
-//! lists over the simulator's `SeqParts`: the component arrays next to
-//! that sink. The full-scan oracle (`Scheduler::Scan`) keeps its own loops
-//! in `sim/mod.rs` and calls the per-component functions directly.
+//! The phase loops at the bottom walk the channel table's current row and
+//! the engine's active lists over the simulator's `SeqParts`: the
+//! component arrays next to that sink. The full-scan oracle
+//! (`Scheduler::Scan`) keeps its own loops in `sim/mod.rs` and calls the
+//! per-component functions directly.
 
 use std::cmp::Reverse;
 
 use regnet_core::{RouteDb, SegmentEnd, SrcSelector};
 use regnet_topology::{HostId, SwitchId, Topology};
 
-use crate::channel::{Receiver, Sender, CTL_NONE, CTL_STOP};
+use crate::channel::{Drain, Receiver, Sender, CTL_STOP};
 use crate::config::SimConfig;
 use crate::counters::Counters;
 use crate::events::EventKind;
@@ -85,11 +86,10 @@ pub(crate) trait Sink {
 
     // ---- Effects. ----
 
-    /// One flit of `pid` leaves on channel `ci` (and is noted on the data
-    /// wheel for its arrival).
+    /// One flit of `pid` leaves on channel `ci`: it is written into the
+    /// channel table's row of its arrival cycle.
     fn send(&mut self, ci: u32, pid: u32);
-    /// A stop/go symbol goes back on channel `ci` (and is noted on the
-    /// control wheel).
+    /// A stop/go symbol goes back on channel `ci`, the same way.
     fn send_ctl(&mut self, ci: u32, symbol: u8);
     /// Switch `sw` holds a flit: keep it in the active set.
     fn activate_switch(&mut self, sw: u32);
@@ -130,19 +130,14 @@ pub(crate) trait Sink {
 // Per-component kernels
 // ---------------------------------------------------------------------------
 
-/// Phase 1, one channel: deliver the control symbol arriving on `ci`, if
-/// any, to the channel's sender. Control traffic counts as activity for
-/// the watchdog: a long STOP/GO exchange with no data arrivals is a
-/// flow-controlled network, not a stall.
+/// Phase 1, one channel: deliver `symbol`, which arrived on `ci`, to the
+/// channel's sender. Control traffic counts as activity for the watchdog:
+/// a long STOP/GO exchange with no data arrivals is a flow-controlled
+/// network, not a stall.
 #[inline]
-pub(crate) fn deliver_ctl(p: &mut SeqParts, ci: u32) {
+pub(crate) fn deliver_ctl(p: &mut SeqParts, ci: u32, symbol: u8) {
     let k = &mut p.sink;
-    let ch = &mut k.channels[ci as usize];
-    let symbol = ch.ctl.take_arrival(k.cycle);
-    if symbol == CTL_NONE {
-        return;
-    }
-    let sender = ch.sender;
+    let sender = k.channels.sender(ci);
     let stopped = symbol == CTL_STOP;
     k.count(|c| {
         if stopped {
@@ -163,18 +158,13 @@ pub(crate) fn deliver_ctl(p: &mut SeqParts, ci: u32) {
     }
 }
 
-/// Phase 2, one channel: hand the flit arriving on `ci`, if any, to the
-/// channel's receiver.
+/// Phase 2, one channel: hand the flit of `pid` that arrived on `ci` to
+/// the channel's receiver.
 #[inline]
-pub(crate) fn deliver_data(p: &mut SeqParts, ci: u32, t: &Tick) {
+pub(crate) fn deliver_data(p: &mut SeqParts, ci: u32, pid: u32, t: &Tick) {
     let k = &mut p.sink;
-    let ch = &mut k.channels[ci as usize];
-    let Some(pid) = ch.data.take_arrival(k.cycle) else {
-        return;
-    };
-    let receiver = ch.receiver;
     k.activity();
-    match receiver {
+    match k.channels.receiver(ci) {
         Receiver::SwitchIn { sw, port } => {
             switch_rx(&mut p.switches[sw as usize], sw, port, pid, t, k);
         }
@@ -493,25 +483,24 @@ pub(crate) fn nic_tx<S: Sink>(nic: &mut Nic, h: u32, t: &Tick, k: &mut S) {
 // Phase loops of the engine
 // ---------------------------------------------------------------------------
 
-/// Phase 1: drain this cycle's control-wheel bucket (sorted, so channels
-/// are visited in scan order).
+/// Phase 1: deliver this cycle's control symbols, walking the set bits of
+/// the channel table's row in ascending channel order (scan order).
 #[inline]
 pub(crate) fn ctl_phase(p: &mut SeqParts, t: &Tick) {
-    let bucket = p.sched().take_ctl(t.cycle);
-    for &ci in &bucket {
-        deliver_ctl(p, ci);
+    let mut row = Drain::default();
+    while let Some((ci, symbol)) = p.sink.channels.next_ctl(t.cycle, &mut row) {
+        deliver_ctl(p, ci, symbol);
     }
-    p.sched().recycle(bucket);
 }
 
-/// Phase 2: drain this cycle's data-wheel bucket.
+/// Phase 2: the same for data flits. A visit sends no data, and its
+/// control symbols land in the row phase 1 has already drained.
 #[inline]
 pub(crate) fn arrival_phase(p: &mut SeqParts, t: &Tick) {
-    let bucket = p.sched().take_data(t.cycle);
-    for &ci in &bucket {
-        deliver_data(p, ci, t);
+    let mut row = Drain::default();
+    while let Some((ci, pid)) = p.sink.channels.next_data(t.cycle, &mut row) {
+        deliver_data(p, ci, pid, t);
     }
-    p.sched().recycle(bucket);
 }
 
 /// Phase 3: visit the active switches in ascending order, retiring those

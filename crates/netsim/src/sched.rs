@@ -4,15 +4,15 @@
 //! switches, NIC transmission) are driven by one engine, with a second
 //! loop kept as its executable specification:
 //!
-//! * [`Scheduler::ActiveSet`] — the engine. Every channel write registers
-//!   the channel in a per-cycle timing wheel (the arrival cycle is known at
-//!   send time because all channels share one pipeline delay), and
-//!   switches/NICs live in dedup'd active lists that members leave only
-//!   when provably quiescent. Per cycle the loop touches only components
-//!   with work, and whenever both wheels and both lists are empty the run
-//!   loop jumps the clock to the next cycle at which *anything* can happen
-//!   (wake heap, generation clocks, fault plan, reconfiguration deadline,
-//!   trace sampling, watchdog boundary; see `sim/skip.rs`).
+//! * [`Scheduler::ActiveSet`] — the engine. The channel table
+//!   (`channel.rs`) is indexed by arrival cycle, so the arrival phases walk
+//!   the set occupancy bits of the current row; switches/NICs live in
+//!   dedup'd active lists that members leave only when provably quiescent.
+//!   Per cycle the loop touches only components with work, and whenever
+//!   nothing is in flight and both lists are empty the run loop jumps the
+//!   clock to the next cycle at which *anything* can happen (wake heap,
+//!   generation clocks, fault plan, reconfiguration deadline, trace
+//!   sampling, watchdog boundary; see `sim/skip.rs`).
 //! * `Scheduler::Scan` — the oracle: visit every channel, switch and NIC on
 //!   every cycle, never skip (its loops sit beside the engine's calls in
 //!   `Simulator::kernel_phases`, `sim/mod.rs`). Trivially correct,
@@ -21,11 +21,12 @@
 //!
 //! The two are bit-identical: same `RunStats`, counters, event journal and
 //! trace digest. The scan loop's observable ordering (channel, switch and
-//! NIC index order within each phase) is reproduced by sorting each
-//! drained wheel bucket and each active list before visiting it, so the
-//! active set is a strict subsequence of the scan order. The
-//! `scheduler_equivalence` integration test diffs them end-to-end, and CI
-//! runs the determinism suite once more under `REGNET_SCHEDULER=scan`.
+//! NIC index order within each phase) is reproduced by walking each row's
+//! occupancy bits in ascending order and sorting each active list before
+//! visiting it, so the active set is a strict subsequence of the scan
+//! order. The `scheduler_equivalence` integration test diffs them
+//! end-to-end, and CI runs the determinism suite once more under
+//! `REGNET_SCHEDULER=scan`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -39,7 +40,7 @@ pub enum Scheduler {
     /// reference implementation. For tests; nothing else should select it.
     #[doc(hidden)]
     Scan,
-    /// Timing-wheel wake-ups + dedup'd active lists, with provably idle
+    /// Occupancy-bit arrivals + dedup'd active lists, with provably idle
     /// spans jumped in O(1) (the engine; bit-identical to `Scan`).
     #[default]
     ActiveSet,
@@ -61,13 +62,11 @@ pub enum Scheduler {
     },
 }
 
-/// Run-time state of the active-set scheduler.
+/// Run-time state of the active-set scheduler: who the switch and NIC
+/// phases visit. The channels need no such state: the channel table's
+/// occupancy bits already say which of them have an arrival (`channel.rs`).
 ///
 /// Invariants:
-/// * A channel index appears in `data_wheel[c % delay]` whenever a flit was
-///   written that arrives at cycle `c` (`ctl_wheel` likewise for control
-///   symbols). Stale entries (the flit was purged or the cable died after
-///   registration) are harmless: the drain finds the slot empty and skips.
 /// * `sw_active` holds exactly the switch ids whose `sw_is_active` flag is
 ///   set; a switch is listed whenever any of its input buffers holds a
 ///   packet (a switch with empty input queues provably has idle heads and
@@ -79,18 +78,6 @@ pub enum Scheduler {
 ///   heap insertion.
 #[derive(Debug)]
 pub(crate) struct ActiveSched {
-    delay: u64,
-    data_wheel: Vec<Vec<u32>>,
-    ctl_wheel: Vec<Vec<u32>>,
-    /// Entries currently parked across all `data_wheel` buckets. Kept so
-    /// the time skip can test "both wheels drained" in O(1); the
-    /// count covers raw (pre-dedup) entries, which is exactly what makes
-    /// zero mean "no bucket holds anything".
-    data_entries: usize,
-    /// `ctl_wheel` counterpart of `data_entries`.
-    ctl_entries: usize,
-    /// Recycled bucket storage (capacity reuse across drains).
-    spare: Vec<Vec<u32>>,
     sw_active: Vec<u32>,
     sw_is_active: Vec<bool>,
     nic_active: Vec<u32>,
@@ -101,72 +88,14 @@ pub(crate) struct ActiveSched {
 }
 
 impl ActiveSched {
-    pub(crate) fn new(delay: u32, n_switches: usize, n_nics: usize) -> ActiveSched {
-        assert!(delay > 0);
-        let delay = delay as u64;
+    pub(crate) fn new(n_switches: usize, n_nics: usize) -> ActiveSched {
         ActiveSched {
-            delay,
-            data_wheel: (0..delay).map(|_| Vec::new()).collect(),
-            ctl_wheel: (0..delay).map(|_| Vec::new()).collect(),
-            data_entries: 0,
-            ctl_entries: 0,
-            spare: Vec::new(),
             sw_active: Vec::new(),
             sw_is_active: vec![false; n_switches],
             nic_active: Vec::new(),
             nic_is_active: vec![false; n_nics],
             nic_wake: BinaryHeap::new(),
         }
-    }
-
-    /// A data flit was written on channel `ci` at `cycle`; it arrives at
-    /// `cycle + delay`, whose bucket is the same `cycle % delay` index.
-    #[inline]
-    pub(crate) fn note_data(&mut self, cycle: u64, ci: u32) {
-        let idx = (cycle % self.delay) as usize;
-        self.data_wheel[idx].push(ci);
-        self.data_entries += 1;
-    }
-
-    /// A control symbol was written on channel `ci` at `cycle`. Same bucket
-    /// arithmetic as `note_data` — which also covers the fault-phase case:
-    /// a symbol written in phase 0 of cycle `c` lands in the bucket drained
-    /// by *this* cycle's control phase, exactly when the scan loop would
-    /// read the (shared) slot.
-    #[inline]
-    pub(crate) fn note_ctl(&mut self, cycle: u64, ci: u32) {
-        let idx = (cycle % self.delay) as usize;
-        self.ctl_wheel[idx].push(ci);
-        self.ctl_entries += 1;
-    }
-
-    /// Drain the data bucket for `cycle`: sorted and dedup'd so the caller
-    /// visits channels in scan (index) order. Return the bucket to
-    /// [`recycle`](ActiveSched::recycle) after processing.
-    pub(crate) fn take_data(&mut self, cycle: u64) -> Vec<u32> {
-        let idx = (cycle % self.delay) as usize;
-        let empty = self.spare.pop().unwrap_or_default();
-        let mut v = std::mem::replace(&mut self.data_wheel[idx], empty);
-        self.data_entries -= v.len();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
-    /// Drain the control bucket for `cycle` (see `take_data`).
-    pub(crate) fn take_ctl(&mut self, cycle: u64) -> Vec<u32> {
-        let idx = (cycle % self.delay) as usize;
-        let empty = self.spare.pop().unwrap_or_default();
-        let mut v = std::mem::replace(&mut self.ctl_wheel[idx], empty);
-        self.ctl_entries -= v.len();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
-    pub(crate) fn recycle(&mut self, mut bucket: Vec<u32>) {
-        bucket.clear();
-        self.spare.push(bucket);
     }
 
     #[inline]
@@ -233,11 +162,6 @@ impl ActiveSched {
 
     // ---- Quiescence accessors for the time skip (`sim/skip.rs`).
 
-    /// No flit or control symbol is parked in either wake wheel. O(1).
-    pub(crate) fn wheels_empty(&self) -> bool {
-        self.data_entries == 0 && self.ctl_entries == 0
-    }
-
     /// No switch or NIC is in an active list. O(1).
     pub(crate) fn active_lists_empty(&self) -> bool {
         self.sw_active.is_empty() && self.nic_active.is_empty()
@@ -255,26 +179,30 @@ impl ActiveSched {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::tests::{drain_ctl, drain_data, table};
+    use crate::channel::{CTL_GO, CTL_STOP};
 
+    /// A row of the channel table comes out in ascending channel order,
+    /// each channel once: a same-cycle control supersede is one slot and
+    /// one bit, not two entries.
     #[test]
     fn wheel_buckets_sort_and_dedup() {
-        let mut s = ActiveSched::new(4, 1, 1);
-        s.note_data(10, 7);
-        s.note_data(10, 3);
-        s.note_data(10, 7);
-        // Cycle 14 maps to the same bucket (10 % 4 == 14 % 4).
-        assert_eq!(s.take_data(14), vec![3, 7]);
-        let b = s.take_data(14);
-        assert!(b.is_empty(), "bucket drained");
-        s.recycle(b);
-        // Recycled storage is reused.
-        s.note_ctl(0, 9);
-        assert_eq!(s.take_ctl(4), vec![9]);
+        let mut c = table(70, 4);
+        c.send(10, 67, 1);
+        c.send(10, 3, 2);
+        c.send(10, 7, 3);
+        c.send_ctl(10, 7, CTL_STOP);
+        c.send_ctl(10, 7, CTL_GO);
+        // Cycle 14 is the arrival cycle of everything sent at 10.
+        assert_eq!(drain_data(&mut c, 14), [(3, 2), (7, 3), (67, 1)]);
+        assert!(drain_data(&mut c, 14).is_empty(), "row drained");
+        assert_eq!(drain_ctl(&mut c, 14), [(7, CTL_GO)]);
+        assert_eq!(c.in_flight(), 0);
     }
 
     #[test]
     fn active_lists_dedup_and_retire() {
-        let mut s = ActiveSched::new(1, 3, 2);
+        let mut s = ActiveSched::new(3, 2);
         s.activate_switch(2);
         s.activate_switch(0);
         s.activate_switch(2);
@@ -288,7 +216,7 @@ mod tests {
 
     #[test]
     fn nic_wakes_fire_in_order() {
-        let mut s = ActiveSched::new(1, 1, 4);
+        let mut s = ActiveSched::new(1, 4);
         s.wake_nic_at(20, 1);
         s.wake_nic_at(10, 3);
         s.wake_nic_at(15, 1);
@@ -307,7 +235,7 @@ mod tests {
     /// woken twice for the same cycle appears exactly once.
     #[test]
     fn drain_wakes_duplicate_entries_collapse() {
-        let mut s = ActiveSched::new(1, 1, 4);
+        let mut s = ActiveSched::new(1, 4);
         s.wake_nic_at(12, 2);
         s.wake_nic_at(12, 2);
         s.wake_nic_at(12, 2);
@@ -328,7 +256,7 @@ mod tests {
     /// retire must not cancel *future* wakes for the same host.
     #[test]
     fn stale_wake_after_purge_is_harmless() {
-        let mut s = ActiveSched::new(1, 1, 4);
+        let mut s = ActiveSched::new(1, 4);
         s.wake_nic_at(10, 1); // retransmit timer, packet later purged
         s.wake_nic_at(30, 1); // unrelated later wake for the same host
         s.drain_wakes(10);
@@ -339,47 +267,52 @@ mod tests {
         assert_eq!(s.take_active_nics(), vec![1]);
     }
 
-    /// Wheel wraparound at slot boundaries: with delay d, cycles c and
-    /// c + d share a bucket. Entries noted for the *next* lap must be
-    /// visible when that lap's cycle drains the slot, and a drain at
-    /// cycle c must hand over everything in the bucket (the simulator
-    /// never notes more than one lap ahead, so this is safe).
+    /// Row wraparound: with delay d, cycles c and c + d share a row. A
+    /// symbol sent for the *next* lap must be there when that lap drains
+    /// the row, and a drain at cycle c hands over everything in it.
     #[test]
     fn wheel_wraparound_at_slot_boundaries() {
-        let mut s = ActiveSched::new(3, 1, 1);
-        // Slot 0 holds cycles 0, 3, 6, ...
-        s.note_data(3, 5);
-        assert!(!s.wheels_empty());
-        assert_eq!(s.take_data(3), vec![5]);
-        assert!(s.wheels_empty());
-        // Next lap reuses the slot cleanly after a drain.
-        s.note_data(6, 8);
-        s.note_data(6, 2);
-        assert_eq!(s.take_data(6), vec![2, 8]);
-        // The last slot wraps to cycle delay-1 + k*delay.
-        s.note_ctl(2, 4);
-        s.note_ctl(5, 1);
-        assert_eq!(s.take_ctl(5), vec![1, 4], "same slot, both laps drain");
-        assert!(s.wheels_empty());
+        let mut c = table(9, 3);
+        // Row 0 holds cycles 0, 3, 6, ...
+        c.send(0, 5, 1);
+        assert_eq!(c.in_flight(), 1);
+        assert_eq!(drain_data(&mut c, 3), [(5, 1)]);
+        assert_eq!(c.in_flight(), 0);
+        // The next lap reuses the row cleanly after a drain.
+        c.send(3, 8, 2);
+        c.send(3, 2, 3);
+        assert_eq!(drain_data(&mut c, 6), [(2, 3), (8, 2)]);
+        // The last row wraps to cycle delay-1 + k*delay.
+        c.send_ctl(2, 4, CTL_STOP);
+        assert_eq!(drain_ctl(&mut c, 5), [(4, CTL_STOP)]);
+        c.send_ctl(5, 1, CTL_GO);
+        c.send_ctl(5, 4, CTL_GO);
+        assert_eq!(
+            drain_ctl(&mut c, 8),
+            [(1, CTL_GO), (4, CTL_GO)],
+            "same row, next lap"
+        );
+        assert_eq!(c.in_flight(), 0);
     }
 
-    /// The O(1) quiescence accessors used by the time skip:
-    /// raw entry counters track note/take exactly, including dup'd
-    /// entries that dedup would hide.
+    /// The O(1) quiescence accessors used by the time skip: the table's
+    /// count of set bits tracks sends and drains exactly.
     #[test]
     fn quiescence_accessors_track_raw_entries() {
-        let mut s = ActiveSched::new(4, 2, 2);
-        assert!(s.wheels_empty());
+        let (mut c, mut s) = (table(8, 4), ActiveSched::new(2, 2));
+        assert_eq!(c.in_flight(), 0);
         assert!(s.active_lists_empty());
         assert_eq!(s.next_wake(), None);
-        s.note_data(1, 6);
-        s.note_data(1, 6); // duplicate still counts until drained
-        s.note_ctl(2, 3);
-        assert!(!s.wheels_empty());
-        assert_eq!(s.take_data(1), vec![6]);
-        assert!(!s.wheels_empty(), "ctl entry still pending");
-        assert_eq!(s.take_ctl(2), vec![3]);
-        assert!(s.wheels_empty());
+        c.send(1, 6, 9);
+        c.send_ctl(1, 6, CTL_STOP);
+        c.send_ctl(2, 3, CTL_GO);
+        assert_eq!(c.in_flight(), 3);
+        assert_eq!(drain_data(&mut c, 5), [(6, 9)]);
+        assert_eq!(c.in_flight(), 2, "control symbols still pending");
+        assert_eq!(drain_ctl(&mut c, 5), [(6, CTL_STOP)]);
+        assert_eq!(c.in_flight(), 1);
+        assert_eq!(drain_ctl(&mut c, 6), [(3, CTL_GO)]);
+        assert_eq!(c.in_flight(), 0);
         s.activate_nic(1);
         assert!(!s.active_lists_empty());
         s.retire_nic(1);

@@ -206,11 +206,10 @@ impl Simulator<'_> {
                 .is_link_alive(self.topo, lid);
             let pair = self.link_chans[i];
             for ci in pair {
-                let ci = ci as usize;
-                if !alive && !self.channels[ci].is_dead() {
+                if !alive && !self.channels.is_dead(ci) {
                     let mut v = self.fail_channel(ci);
                     victims.append(&mut v);
-                } else if alive && self.channels[ci].is_dead() {
+                } else if alive && self.channels.is_dead(ci) {
                     self.repair_channel(ci);
                 }
             }
@@ -234,9 +233,9 @@ impl Simulator<'_> {
 
     /// Kill one directed channel: flits in flight are destroyed, and the
     /// worms cut at either end of the cable are victims too.
-    fn fail_channel(&mut self, ci: usize) -> Vec<u32> {
-        let mut victims = self.channels[ci].fail();
-        match self.channels[ci].receiver {
+    fn fail_channel(&mut self, ci: u32) -> Vec<u32> {
+        let mut victims = self.channels.fail(ci);
+        match self.channels.receiver(ci) {
             Receiver::SwitchIn { sw, port } => {
                 // A partially received packet can never get its tail.
                 if let Some(inp) = self.switches[sw as usize].inp[port as usize].as_ref() {
@@ -253,7 +252,7 @@ impl Simulator<'_> {
                 }
             }
         }
-        match self.channels[ci].sender {
+        match self.channels.sender(ci) {
             Sender::SwitchOut { sw, port } => {
                 // Any head routed towards this output loses its worm: flits
                 // already sent are gone and the remainder can never follow.
@@ -277,16 +276,16 @@ impl Simulator<'_> {
     /// Bring a repaired channel back and re-sync the sender's stop/go flag
     /// with the receiver's current state (control symbols in flight died
     /// with the cable; without the re-sync a stale STOP wedges the link).
-    fn repair_channel(&mut self, ci: usize) {
-        self.channels[ci].repair();
-        let stopped = match self.channels[ci].receiver {
+    fn repair_channel(&mut self, ci: u32) {
+        self.channels.repair(ci);
+        let stopped = match self.channels.receiver(ci) {
             Receiver::SwitchIn { sw, port } => self.switches[sw as usize].inp[port as usize]
                 .as_ref()
                 .map(|p| p.stop_sent)
                 .unwrap_or(false),
             Receiver::Nic { .. } => false,
         };
-        match self.channels[ci].sender {
+        match self.channels.sender(ci) {
             Sender::SwitchOut { sw, port } => {
                 if let Some(o) = self.switches[sw as usize].outp[port as usize].as_mut() {
                     o.stopped = stopped;
@@ -461,23 +460,18 @@ impl Simulator<'_> {
     /// buffers (with flow-control accounting), crossbar connections and NIC
     /// queues — leaving the packet itself in the arena for the caller.
     fn purge_packet(&mut self, pid: u32, cycle: u64) {
-        for ch in &mut self.channels {
-            ch.purge(pid);
-        }
+        self.channels.purge(pid);
         for s in 0..self.switches.len() {
             let mut ctl = Vec::new();
             self.switches[s].purge(pid, &self.cfg, |c| ctl.push(c));
             for (in_chan, sym) in ctl {
                 // The purge can run in phase 0, before this cycle's control
-                // arrivals were taken; discard any symbol arriving right
-                // now explicitly (the scan loop used to overwrite it in
-                // place) so `send_ctl`'s call-order check holds.
-                let ch = &mut self.channels[in_chan as usize];
-                let _ = ch.ctl.take_arrival(cycle);
-                ch.ctl.send(cycle, sym);
-                if let Some(sc) = self.sched.as_deref_mut() {
-                    sc.note_ctl(cycle, in_chan);
-                }
+                // arrivals were taken: the symbol arriving right now is
+                // overwritten, so take it first for `send_ctl`'s call-order
+                // check. In phase 0, `sym` lands in the row phase 1 drains
+                // this very cycle, under the engine and the oracle alike.
+                self.channels.take_ctl(cycle, in_chan);
+                self.channels.send_ctl(cycle, in_chan, sym);
             }
         }
         for h in 0..self.nics.len() {

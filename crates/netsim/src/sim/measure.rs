@@ -170,9 +170,7 @@ impl Simulator<'_> {
             on: true,
             ..Measure::default()
         };
-        for ch in &mut self.channels {
-            ch.reset_busy();
-        }
+        self.channels.reset_busy();
         if let Some(tr) = &mut self.trace {
             tr.on_busy_reset();
         }
@@ -213,7 +211,7 @@ impl Simulator<'_> {
             reinject_bubbles: m.kernel.reinject_bubbles,
             gen_stall_cycles: m.gen_stall_cycles,
             max_pool_flits: m.kernel.max_pool_flits,
-            channel_busy: self.channels.iter().map(|c| c.busy_cycles()).collect(),
+            channel_busy: self.channels.busy().to_vec(),
             counters: self.counter_snapshot(),
         }
     }
@@ -246,7 +244,7 @@ impl Simulator<'_> {
             let live = self.arena.live() as u64;
             tr.on_cycle_end(
                 cycle,
-                &self.channels,
+                self.channels.busy(),
                 &self.nics,
                 live,
                 self.counters.as_deref(),
@@ -293,14 +291,13 @@ impl Simulator<'_> {
     /// read off the channels this simulator built; equal to
     /// [`ChannelDesc::of`] its topology.
     pub fn channel_descriptors(&self) -> Vec<ChannelDesc> {
-        self.channels
-            .iter()
-            .map(|c| {
-                let from = match c.sender {
+        (0..self.channels.len() as u32)
+            .map(|ci| {
+                let from = match self.channels.sender(ci) {
                     Sender::SwitchOut { sw, .. } => NodeId::Switch(SwitchId(sw)),
                     Sender::Nic { host } => NodeId::Host(HostId(host)),
                 };
-                let to = match c.receiver {
+                let to = match self.channels.receiver(ci) {
                     Receiver::SwitchIn { sw, .. } => NodeId::Switch(SwitchId(sw)),
                     Receiver::Nic { host } => NodeId::Host(HostId(host)),
                 };
@@ -327,10 +324,8 @@ impl Simulator<'_> {
             self.arena.live(),
             self.last_activity
         );
-        let in_flight = self
-            .channels
-            .iter()
-            .filter(|c| c.has_data_in_flight())
+        let in_flight = (0..self.channels.len() as u32)
+            .filter(|&ci| self.channels.has_data_in_flight(ci))
             .count();
         let _ = writeln!(out, "channels with data in flight: {in_flight}");
         for (h, nic) in self.nics.iter().enumerate() {
@@ -546,12 +541,8 @@ mod tests {
         // already in flight drain within a few dozen cycles; from then on
         // the STOP stream is the only activity in the network.
         let stop_chan = sim.nics[0].out_chan;
-        // A symbol written by hand bypasses the sink, so note it on the
-        // control wheel as the sink would.
         let send_ctl = |sim: &mut Simulator, cycle: u64, symbol: u8| {
-            sim.channels[stop_chan as usize].ctl.send(cycle, symbol);
-            let wheels = sim.sched.as_deref_mut().expect("default engine");
-            wheels.note_ctl(cycle, stop_chan);
+            sim.channels.send_ctl(cycle, stop_chan, symbol);
         };
         for _ in 0..1_000 {
             let c = sim.cycle;

@@ -35,7 +35,7 @@ use regnet_core::{PathSelector, RouteDb};
 use regnet_topology::{HostId, LinkEnd, Topology};
 use regnet_traffic::{interarrival_cycles, Pattern};
 
-use crate::channel::{Channel, Receiver, Sender};
+use crate::channel::{Channels, Receiver, Sender, CTL_NONE};
 use crate::config::SimConfig;
 use crate::counters::Counters;
 use crate::events::EventJournal;
@@ -100,7 +100,7 @@ pub struct Simulator<'a> {
     cfg: SimConfig,
     interarrival: f64,
     cycle: u64,
-    channels: Vec<Channel>,
+    channels: Channels,
     switches: Vec<SwitchState>,
     nics: Vec<Nic>,
     arena: PacketArena,
@@ -179,7 +179,7 @@ impl<'a> Simulator<'a> {
 
         // Build channels: two directed channels per physical link, so link
         // `l`'s are `2l` and `2l + 1`.
-        let mut channels: Vec<Channel> = Vec::with_capacity(topo.num_links() * 2);
+        let mut ends = Vec::with_capacity(topo.num_links() * 2);
         // (sw, port) -> (in_chan, out_chan)
         let ports = topo.max_ports() as usize;
         let mut sw_in = vec![u32::MAX; topo.num_switches() * ports];
@@ -200,10 +200,9 @@ impl<'a> Simulator<'a> {
             LinkEnd::Host { host } => Receiver::Nic { host: host.0 },
         };
         for (from, to) in directed_channels(topo) {
-            let idx = channels.len() as u32;
-            let sender = end_sender(&from);
-            let receiver = end_receiver(&to);
-            channels.push(Channel::new(sender, receiver, cfg.link_delay_cycles));
+            let idx = ends.len() as u32;
+            let (sender, receiver) = (end_sender(&from), end_receiver(&to));
+            ends.push((sender, receiver));
             match sender {
                 Sender::SwitchOut { sw, port } => sw_out[sw as usize * ports + port as usize] = idx,
                 Sender::Nic { host } => nic_out[host as usize] = idx,
@@ -213,6 +212,7 @@ impl<'a> Simulator<'a> {
                 Receiver::Nic { .. } => {}
             }
         }
+        let channels = Channels::new(ends, cfg.link_delay_cycles);
         let link_chans = (0..topo.num_links() as u32)
             .map(|l| [2 * l, 2 * l + 1])
             .collect();
@@ -284,9 +284,9 @@ impl<'a> Simulator<'a> {
     /// Swap the cycle loop for the `Scan` oracle (or back). A simulator
     /// starts on the engine, [`Scheduler::ActiveSet`]; only the equivalence
     /// suites have a reason to call this. Must be called before the first
-    /// [`step`](Simulator::step): the engine derives its wake-ups from
-    /// channel writes it observed, so it can only take over an empty
-    /// network.
+    /// [`step`](Simulator::step): the engine's active lists hold only the
+    /// switches and NICs it saw receive work, so it can only take over an
+    /// empty network.
     pub fn set_scheduler(&mut self, s: Scheduler) {
         assert_eq!(
             self.cycle, 0,
@@ -296,13 +296,9 @@ impl<'a> Simulator<'a> {
             Scheduler::Scan => None,
             // The last two are retired labels, not engines (see their doc
             // comments): they run, and report as, the active set.
-            Scheduler::ActiveSet | Scheduler::EventDriven | Scheduler::Parallel { .. } => {
-                Some(Box::new(ActiveSched::new(
-                    self.cfg.link_delay_cycles,
-                    self.switches.len(),
-                    self.nics.len(),
-                )))
-            }
+            Scheduler::ActiveSet | Scheduler::EventDriven | Scheduler::Parallel { .. } => Some(
+                Box::new(ActiveSched::new(self.switches.len(), self.nics.len())),
+            ),
         };
     }
 
@@ -451,10 +447,10 @@ impl<'a> Simulator<'a> {
         (parts, tick, &mut self.profiler)
     }
 
-    /// Phases 1-4. The engine runs the kernel's wheel-drain and active-list
+    /// Phases 1-4. The engine runs the kernel's row walks and active-list
     /// loops; `Scheduler::Scan`, the oracle the equivalence suites diff
-    /// against, visits every channel, switch and NIC in index order
-    /// instead — same kernel, every component.
+    /// against, reads the same row for every channel and visits every
+    /// switch and NIC, in index order — same kernel, every component.
     fn kernel_phases(&mut self, cycle: u64, mark: &mut Option<Instant>, timed: bool) {
         let n_channels = self.channels.len() as u32;
         let n_switches = self.switches.len() as u32;
@@ -462,13 +458,22 @@ impl<'a> Simulator<'a> {
         let (mut p, t, prof) = self.split(cycle, timed);
         let scan = p.sink.sched.is_none();
         if scan {
-            (0..n_channels).for_each(|ci| kernel::deliver_ctl(&mut p, ci));
+            for ci in 0..n_channels {
+                let symbol = p.sink.channels.take_ctl(cycle, ci);
+                if symbol != CTL_NONE {
+                    kernel::deliver_ctl(&mut p, ci, symbol);
+                }
+            }
         } else {
             kernel::ctl_phase(&mut p, &t);
         }
         lap(prof, mark, Phase::Control);
         if scan {
-            (0..n_channels).for_each(|ci| kernel::deliver_data(&mut p, ci, &t));
+            for ci in 0..n_channels {
+                if let Some(pid) = p.sink.channels.take_data(cycle, ci) {
+                    kernel::deliver_data(&mut p, ci, pid, &t);
+                }
+            }
         } else {
             kernel::arrival_phase(&mut p, &t);
         }

@@ -8,7 +8,7 @@ use regnet_topology::HostId;
 use super::faults::Loss;
 use super::measure::Measure;
 use super::MsgState;
-use crate::channel::Channel;
+use crate::channel::Channels;
 use crate::counters::Counters;
 use crate::events::{EventJournal, EventKind};
 use crate::faultplan::ReliabilityStats;
@@ -24,7 +24,7 @@ use crate::trace::TraceState;
 /// are recorded for the loss phase.
 pub(crate) struct SeqSink<'s> {
     pub(crate) cycle: u64,
-    pub(crate) channels: &'s mut [Channel],
+    pub(crate) channels: &'s mut Channels,
     pub(super) arena: &'s mut PacketArena,
     pub(super) msgs: &'s mut Arena<MsgState>,
     pub(super) selector: &'s mut PathSelector,
@@ -60,7 +60,7 @@ impl Sink for SeqSink<'_> {
     }
     #[inline]
     fn is_dead(&self, ci: u32) -> bool {
-        self.channels[ci as usize].is_dead()
+        self.channels.is_dead(ci)
     }
 
     // `send` and `send_ctl` are forced inline: the kernel is instantiated
@@ -69,17 +69,11 @@ impl Sink for SeqSink<'_> {
     // wall time on the saturated torus.
     #[inline(always)]
     fn send(&mut self, ci: u32, pid: u32) {
-        self.channels[ci as usize].data.send(self.cycle, pid);
-        if let Some(sc) = self.sched.as_deref_mut() {
-            sc.note_data(self.cycle, ci);
-        }
+        self.channels.send(self.cycle, ci, pid);
     }
     #[inline(always)]
     fn send_ctl(&mut self, ci: u32, symbol: u8) {
-        self.channels[ci as usize].ctl.send(self.cycle, symbol);
-        if let Some(sc) = self.sched.as_deref_mut() {
-            sc.note_ctl(self.cycle, ci);
-        }
+        self.channels.send_ctl(self.cycle, ci, symbol);
     }
     #[inline]
     fn activate_switch(&mut self, sw: u32) {
@@ -214,7 +208,7 @@ pub(crate) struct SeqParts<'s> {
 }
 
 impl SeqParts<'_> {
-    /// The wake wheels and active lists the phase loops drain. The scan
+    /// The active lists the switch and NIC phase loops drain. The scan
     /// oracle has none and never asks.
     #[inline]
     pub(crate) fn sched(&mut self) -> &mut ActiveSched {

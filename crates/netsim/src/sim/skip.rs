@@ -6,16 +6,16 @@
 //! empties the network, that is millions of them. So `run` and
 //! `run_until_drained` take the classic discrete-event shortcut over the
 //! engine's own wake state: whenever the network is **provably idle** —
-//! both wake wheels drained and every active list empty — they compute
-//! the earliest future cycle that can possibly have work and jump the
-//! clock straight to it. The `Scan` oracle has no wake state and never
-//! skips.
+//! no occupancy bit set in the channel table and every active list empty —
+//! they compute the earliest future cycle that can possibly have work and
+//! jump the clock straight to it. The `Scan` oracle has no wake state and
+//! never skips.
 //!
 //! # Why a skip is effect-free
 //!
 //! A cycle with no flit in flight, no control symbol in flight, no busy
 //! switch and no eligible NIC executes seven phases that touch nothing:
-//! the control/arrival phases iterate empty buckets, the switch/NIC
+//! the control/arrival phases walk empty rows, the switch/NIC
 //! phases iterate empty active lists, and generation/fault/observer work
 //! only happens at cycles this module treats as *time sources* (below).
 //! Jumping over such cycles therefore leaves every piece of simulator
@@ -89,10 +89,10 @@ impl Simulator<'_> {
             return;
         };
         // O(1) quiescence gate: any in-flight flit or control symbol has
-        // a wheel entry, and any busy switch or eligible NIC is on an
-        // active list. Wake-ups already due but not yet drained are
+        // its occupancy bit set, and any busy switch or eligible NIC is on
+        // an active list. Wake-ups already due but not yet drained are
         // covered by `next_wake` clamping the target to "now".
-        if !(sc.wheels_empty() && sc.active_lists_empty()) {
+        if !(self.channels.in_flight() == 0 && sc.active_lists_empty()) {
             return;
         }
         let c = self.cycle;
@@ -172,11 +172,7 @@ impl Simulator<'_> {
     /// already covered.
     pub fn cycle_has_pending_work(&self) -> bool {
         let c = self.cycle;
-        if self
-            .channels
-            .iter()
-            .any(|ch| ch.has_data_in_flight() || ch.has_ctl_in_flight())
-        {
+        if self.channels.any_slot_full() {
             return true;
         }
         if self.switches.iter().any(|sw| !sw.is_quiescent()) {

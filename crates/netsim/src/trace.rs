@@ -23,7 +23,6 @@ use serde::{Deserialize, Serialize};
 
 use regnet_metrics::Histogram;
 
-use crate::channel::Channel;
 use crate::counters::{CounterSnapshot, Counters};
 use crate::nic::Nic;
 
@@ -324,15 +323,14 @@ impl TraceState {
     pub(crate) fn on_cycle_end(
         &mut self,
         cycle: u64,
-        channels: &[Channel],
+        busy: &[u64],
         nics: &[Nic],
         live_packets: u64,
         counters: Option<&Counters>,
     ) {
         if cycle + 1 >= self.util_next_flush {
             let interval = self.opts.channel_util_interval.unwrap_or(u64::MAX);
-            for (i, ch) in channels.iter().enumerate() {
-                let now = ch.busy_cycles();
+            for (i, &now) in busy.iter().enumerate() {
                 let delta = now.saturating_sub(self.util_snapshot[i]);
                 self.util_snapshot[i] = now;
                 self.util_busy[i].push(delta.min(interval) as u32);

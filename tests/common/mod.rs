@@ -56,11 +56,13 @@ pub(crate) fn cplant() -> Topology {
     gen::cplant().unwrap()
 }
 
-/// One measured run: stats plus the delivered-message trace digest.
+/// One measured run over `(warmup, measure)` cycles: stats plus the
+/// delivered-message trace digest.
 pub(crate) fn run_once(
     build: fn() -> Topology,
     scheme: RoutingScheme,
     scheduler: Scheduler,
+    (warmup_cycles, measure_cycles): (u64, u64),
 ) -> (RunStats, u64, u64) {
     let exp = Experiment::new(
         build(),
@@ -70,7 +72,12 @@ pub(crate) fn run_once(
         cfg(),
     )
     .unwrap();
-    let obs = exp.run_observed(0.01, &opts(scheduler));
+    let run_opts = RunOptions {
+        warmup_cycles,
+        measure_cycles,
+        ..opts(scheduler)
+    };
+    let obs = exp.run_observed(0.01, &run_opts);
     let trace = obs.trace.expect("digest observer was enabled");
     (
         obs.stats,
@@ -82,10 +89,21 @@ pub(crate) fn run_once(
 /// The core obligation: every contender must be bit-identical to the
 /// scan reference on this topology × scheme point.
 pub(crate) fn assert_equivalent(build: fn() -> Topology, scheme: RoutingScheme) {
-    let (s_scan, d_scan, n_scan) = run_once(build, scheme, reference());
+    assert_equivalent_over(build, scheme, (2_000, 10_000));
+}
+
+/// [`assert_equivalent`] over a `(warmup, measure)` window of the caller's
+/// choosing, so that large networks stay quick in a debug build. Returns
+/// the reference's stats.
+pub(crate) fn assert_equivalent_over(
+    build: fn() -> Topology,
+    scheme: RoutingScheme,
+    window: (u64, u64),
+) -> RunStats {
+    let (s_scan, d_scan, n_scan) = run_once(build, scheme, reference(), window);
     let name = build().name().to_string();
     for sched in contenders() {
-        let (s_other, d_other, n_other) = run_once(build, scheme, sched);
+        let (s_other, d_other, n_other) = run_once(build, scheme, sched, window);
         assert_eq!(
             s_scan.counters, s_other.counters,
             "counter snapshots diverged between schedulers ({name} {scheme:?} {sched:?})"
@@ -108,6 +126,7 @@ pub(crate) fn assert_equivalent(build: fn() -> Topology, scheme: RoutingScheme) 
             .is_some_and(|c| c.total_events() > 0),
         "the equivalence must cover real traffic"
     );
+    s_scan
 }
 
 /// Faulted-run obligation: a single link fails and is repaired, and

@@ -57,6 +57,18 @@ fn cplant_itb_rr_schedulers_agree() {
     assert_equivalent(cplant, RoutingScheme::ItbRr);
 }
 
+/// The channel table has no channel-count limit: a 24×24 torus with 8
+/// hosts per switch has 11,520 directed channels, so each row's occupancy
+/// bits need more than the one summary word that covers 4,096 channels.
+#[test]
+fn torus_24x24_above_4096_channels_schedulers_agree() {
+    let torus_24x24 = || gen::torus_2d(24, 24, 8).unwrap();
+    let stats = assert_equivalent_over(torus_24x24, RoutingScheme::UpDown, (500, 1_500));
+    assert_eq!(stats.channel_busy.len(), 11_520);
+    // Flits crossed channels in the third summary word (8,192 and up).
+    assert!(stats.channel_busy[8_192..].iter().any(|&b| b > 0));
+}
+
 /// Faults exercise the phase-0 control path (purge GO symbols delivered
 /// the same cycle), the deferred loss replay after NIC transmission, the
 /// retransmission wake-ups and the time skip's fault/reconfiguration
