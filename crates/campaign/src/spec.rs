@@ -352,6 +352,23 @@ impl CellSpec {
     }
 }
 
+/// Refuse a zero measurement window or goodput interval, naming the key.
+/// A zero window makes a cell's `accepted` 0/0, a NaN its checkpoint
+/// cannot be read back from; a zero interval samples every cycle and
+/// divides by zero on export.
+pub(crate) fn check_windows(
+    measure_cycles: u64,
+    goodput_interval: Option<u64>,
+) -> Result<(), String> {
+    if measure_cycles == 0 {
+        return Err("\"measure_cycles\" must be positive".into());
+    }
+    if goodput_interval == Some(0) {
+        return Err("\"goodput_interval\" must be positive".into());
+    }
+    Ok(())
+}
+
 /// FNV-1a 64-bit (same family the trace digest uses).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -492,6 +509,9 @@ impl CampaignSpec {
         let mut by_hash: std::collections::HashMap<String, PlannedCell> =
             std::collections::HashMap::new();
         for sweep in &self.sweeps {
+            let d = &sweep.defaults;
+            check_windows(d.measure_cycles, d.goodput_interval)
+                .map_err(|e| format!("sweep {:?}: {e}", sweep.group))?;
             for topo in &sweep.topos {
                 for scheme in &sweep.schemes {
                     for pattern in &sweep.patterns {
@@ -1006,6 +1026,23 @@ mod tests {
             .unwrap()
             .expand()
             .is_err());
+        // A zero window would checkpoint a NaN `accepted`; a zero goodput
+        // interval divides by zero on export. Both are refused by name,
+        // from the campaign defaults or from a sweep.
+        for key in ["measure_cycles", "goodput_interval"] {
+            let in_sweep = zero_load.replace("[0.0]", &format!("[0.01], \"{key}\": 0"));
+            let in_defaults = in_sweep.replace(&format!(", \"{key}\": 0"), "").replace(
+                "\"sweeps\"",
+                &format!("\"defaults\": {{\"{key}\": 0}}, \"sweeps\""),
+            );
+            for text in [in_sweep, in_defaults] {
+                let err = CampaignSpec::from_json_str(&text)
+                    .unwrap()
+                    .expand()
+                    .unwrap_err();
+                assert!(err.contains(&format!("{key:?} must be positive")), "{err}");
+            }
+        }
         // Integral, but past 2^53: it would run u64::MAX cycles.
         for key in [r#""measure_cycles": 1e300"#, r#""seeds": [1e300]"#] {
             let huge = zero_load.replace("[0.0]", &format!("[0.01], {key}"));

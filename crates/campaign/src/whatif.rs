@@ -9,7 +9,7 @@
 //! from cache (zero cells run).
 
 use crate::cell::{run_cell, CellResult};
-use crate::spec::CellSpec;
+use crate::spec::{check_windows, CellSpec};
 use crate::store::ResultStore;
 
 /// A saturation-point query. The `cell` is the template: its `load`
@@ -93,6 +93,8 @@ pub fn what_if(
             query.start
         ));
     }
+    check_windows(query.cell.measure_cycles, query.cell.goodput_interval)
+        .map_err(|e| format!("what-if: {e}"))?;
     let mut ran = 0usize;
     let mut cached = 0usize;
     let mut probes: Vec<CellResult> = Vec::new();
@@ -275,6 +277,30 @@ mod tests {
         let mut q = WhatIfQuery::new(template());
         q.start = 0.0;
         assert!(what_if(&q, &store, |_, _, _| {}).is_err());
+        // A zero window or goodput interval is refused before any probe
+        // runs, so nothing lands in the store.
+        for (key, cell) in [
+            (
+                "measure_cycles",
+                CellSpec {
+                    measure_cycles: 0,
+                    ..template()
+                },
+            ),
+            (
+                "goodput_interval",
+                CellSpec {
+                    goodput_interval: Some(0),
+                    ..template()
+                },
+            ),
+        ] {
+            let err = what_if(&WhatIfQuery::new(cell), &store, |_, _, _| {
+                panic!("{key}: a probe ran")
+            })
+            .unwrap_err();
+            assert!(err.contains(key), "{key}: {err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

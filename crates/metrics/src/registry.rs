@@ -1,5 +1,5 @@
 //! A unified metrics registry: named counters, gauges and summaries with
-//! deterministic ordering, exported as Prometheus text exposition or JSONL.
+//! deterministic ordering, exported as Prometheus text exposition.
 //!
 //! The registry is a *snapshot* container, not a live concurrent store:
 //! producers (the simulator, the campaign runner, the bench harness) build
@@ -8,8 +8,6 @@
 //! keep the order they were added in, so two runs that record the same
 //! values produce byte-identical exposition — which is what lets the
 //! Prometheus output be golden-tested.
-
-use crate::stats::Histogram;
 
 /// The Prometheus type of a metric family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,27 +137,6 @@ impl MetricsRegistry {
         );
     }
 
-    /// Record a summary straight from a log-bucketed [`Histogram`]
-    /// (p50/p90/p99/max; the histogram does not track an exact sum, so
-    /// `sum` is approximated as `mean-of-quantiles × count` — pass an
-    /// explicit summary instead when an exact sum is available).
-    pub fn summary_from_histogram(&mut self, name: &str, help: &str, h: &Histogram) {
-        let quantiles = [
-            (0.5, h.quantile(0.5) as f64),
-            (0.9, h.quantile(0.9) as f64),
-            (0.99, h.quantile(0.99) as f64),
-            (1.0, h.quantile(1.0) as f64),
-        ];
-        let approx_mean = quantiles.iter().map(|&(_, v)| v).sum::<f64>() / quantiles.len() as f64;
-        self.summary(
-            name,
-            help,
-            h.count(),
-            approx_mean * h.count() as f64,
-            &quantiles,
-        );
-    }
-
     /// Look a family up by name.
     pub fn get(&self, name: &str) -> Option<&MetricFamily> {
         self.families.iter().find(|f| f.name == name)
@@ -269,65 +246,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Render as JSONL: one JSON object per point, insertion order.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for f in &self.families {
-            for p in &f.points {
-                out.push_str("{\"name\":");
-                push_json_str(&mut out, &f.name);
-                out.push_str(",\"kind\":\"");
-                out.push_str(f.kind.as_str());
-                out.push('"');
-                if !p.labels.is_empty() {
-                    out.push_str(",\"labels\":{");
-                    for (i, (k, v)) in p.labels.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        push_json_str(&mut out, k);
-                        out.push(':');
-                        push_json_str(&mut out, v);
-                    }
-                    out.push('}');
-                }
-                match &p.value {
-                    MetricValue::Counter(v) => {
-                        out.push_str(",\"value\":");
-                        out.push_str(&v.to_string());
-                    }
-                    MetricValue::Gauge(v) => {
-                        out.push_str(",\"value\":");
-                        out.push_str(&fmt_f64(*v));
-                    }
-                    MetricValue::Summary {
-                        count,
-                        sum,
-                        quantiles,
-                    } => {
-                        out.push_str(",\"count\":");
-                        out.push_str(&count.to_string());
-                        out.push_str(",\"sum\":");
-                        out.push_str(&fmt_f64(*sum));
-                        out.push_str(",\"quantiles\":{");
-                        for (i, &(q, v)) in quantiles.iter().enumerate() {
-                            if i > 0 {
-                                out.push(',');
-                            }
-                            out.push('"');
-                            out.push_str(&fmt_f64(q));
-                            out.push_str("\":");
-                            out.push_str(&fmt_f64(v));
-                        }
-                        out.push('}');
-                    }
-                }
-                out.push_str("}\n");
-            }
-        }
-        out
-    }
 }
 
 /// Format an `f64` deterministically: integers without a trailing `.0`
@@ -384,26 +302,9 @@ fn render_labels(out: &mut String, labels: &[(String, String)], quantile: Option
     out.push('}');
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::JsonValue;
 
     #[test]
     fn counters_and_gauges_render_in_insertion_order() {
@@ -467,43 +368,6 @@ regnet_drops_total{scheme=\"itb-sp\"} 3
         assert!(text.contains("lat_ns{quantile=\"0.99\"} 900\n"));
         assert!(text.contains("lat_ns_sum 1234.5\n"));
         assert!(text.contains("lat_ns_count 10\n"));
-    }
-
-    #[test]
-    fn summary_from_histogram_carries_the_quantiles() {
-        let mut h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        let mut r = MetricsRegistry::new();
-        r.summary_from_histogram("life", "Lifetimes", &h);
-        let text = r.to_prometheus();
-        assert!(text.contains("life_count 1000\n"));
-        assert!(text.contains("quantile=\"0.5\""));
-        assert!(text.contains("quantile=\"1\""));
-    }
-
-    #[test]
-    fn jsonl_lines_parse_with_the_strict_reader() {
-        let mut r = MetricsRegistry::new();
-        r.counter("a_total", "A", 5);
-        r.gauge_with("b", "B \"quoted\"", &[("topo", "torus\n8x8")], 0.25);
-        r.summary("c", "C", 2, 3.0, &[(0.5, 1.5)]);
-        let jsonl = r.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 3);
-        for line in &lines {
-            let v = JsonValue::parse(line).expect("each JSONL line is valid JSON");
-            assert!(v.get("name").and_then(|n| n.as_str()).is_some());
-        }
-        let b = JsonValue::parse(lines[1]).unwrap();
-        assert_eq!(
-            b.get("labels")
-                .and_then(|l| l.get("topo"))
-                .and_then(|t| t.as_str()),
-            Some("torus\n8x8")
-        );
-        assert_eq!(b.get("value").and_then(|v| v.as_f64()), Some(0.25));
     }
 
     #[test]

@@ -7,23 +7,12 @@ use serde::{Deserialize, Serialize};
 /// one-byte flits.
 pub const CYCLE_NS: f64 = 6.25;
 
-/// Message generation process at each host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GenerationProcess {
-    /// Constant interarrival time with a random per-host phase (the paper:
-    /// "message generation rate is constant and the same for all the
-    /// hosts").
-    Constant,
-    /// Poisson arrivals (exponential interarrival), for sensitivity
-    /// studies.
-    Poisson,
-}
-
 /// All timing and sizing parameters of the simulated hardware.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Payload flits (= bytes) per message. The paper evaluates 32, 512 and
-    /// 1024 and reports 512.
+    /// 1024 and reports 512. A message is one packet. Every host generates
+    /// at the same constant rate, with a random initial phase.
     pub payload_flits: usize,
     /// Cable pipeline depth in flits. 10 m LAN cable at 4.92 ns/m ≈ 8 flit
     /// times ("there will be a maximum of 8 flits on the link").
@@ -53,23 +42,15 @@ pub struct SimConfig {
     /// Re-inject with cut-through (start before the tail has arrived); when
     /// false the NIC stores the whole packet first (ablation).
     pub itb_cut_through: bool,
-    /// Maximum packet payload, flits. Messages larger than this are
-    /// segmented into multiple packets and reassembled at the destination
-    /// (as GM does above the MTU). `None` = one packet per message, the
-    /// paper's model.
-    pub mtu_flits: Option<usize>,
-    /// Message generation process.
-    pub generation: GenerationProcess,
     /// Cap on locally queued messages per host; beyond it, generation stalls
     /// (only relevant beyond saturation; keeps overload runs bounded).
     pub source_queue_cap: usize,
     /// Abort if no flit moves for this many cycles while packets are in
     /// flight — a deadlock would be a simulator or routing bug.
     pub watchdog_cycles: u64,
-    /// Source NICs retransmit packets lost to faults (the Myrinet control
-    /// program's end-to-end recovery). Off = lost packets are just dropped.
-    pub nic_retransmission: bool,
-    /// Send-timeout: cycles after the loss before the source retransmits.
+    /// Send-timeout: cycles after a packet is lost to a fault before its
+    /// source NIC retransmits it (the Myrinet control program's end-to-end
+    /// recovery).
     pub retransmit_timeout_cycles: u64,
     /// Per-packet retry budget; once exhausted the packet is dropped and
     /// counted in `ReliabilityStats::dropped_packets`.
@@ -96,11 +77,8 @@ impl Default for SimConfig {
             itb_overflow_penalty_cycles: 160,
             itb_priority: true,
             itb_cut_through: true,
-            mtu_flits: None,
-            generation: GenerationProcess::Constant,
             source_queue_cap: 512,
             watchdog_cycles: 2_000_000,
-            nic_retransmission: true,
             retransmit_timeout_cycles: 4_096,
             max_retransmits: 16,
             reconfig_latency_cycles: 16_000,
@@ -123,9 +101,6 @@ impl SimConfig {
         }
         if self.go_threshold >= self.stop_threshold {
             return Err("go threshold must be below the stop threshold".into());
-        }
-        if self.mtu_flits == Some(0) {
-            return Err("mtu_flits must be positive when set".into());
         }
         if self.retransmit_timeout_cycles == 0 {
             return Err("retransmit_timeout_cycles must be positive".into());
@@ -176,10 +151,6 @@ mod tests {
             },
             SimConfig {
                 go_threshold: 60,
-                ..SimConfig::default()
-            },
-            SimConfig {
-                mtu_flits: Some(0),
                 ..SimConfig::default()
             },
             SimConfig {

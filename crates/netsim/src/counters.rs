@@ -1,10 +1,11 @@
 //! Unified event-counter registry.
 //!
-//! A single boxed struct of plain `u64` counters, owned by the simulator as
-//! `Option<Box<Counters>>` — the same pattern as the trace observers, so a
-//! disabled registry costs one branch per hook site and no memory. Unlike
-//! the histogram/time-series observers in [`trace`](crate::trace), counters
-//! are pure event counts: incrementing them never perturbs simulation
+//! A single boxed struct of plain `u64` counters, owned by the simulator
+//! as `Option<Box<CounterSnapshot>>` — the same pattern as the trace
+//! observers, so a disabled registry costs one branch per hook site and no
+//! memory. Unlike the histogram/time-series observers in
+//! [`trace`](crate::trace), counters are pure event counts: incrementing
+//! them never perturbs simulation
 //! state, so two same-seed runs produce identical snapshots (asserted by
 //! the determinism suite). The hook sites sit inside the shared
 //! per-component delivery/advance helpers, *below* the scheduler's
@@ -13,17 +14,16 @@
 //! ascending-index order, so snapshots are also identical across
 //! [`Scheduler`](crate::Scheduler) modes (`tests/scheduler_equivalence.rs`).
 //!
-//! [`CounterSnapshot`] is the frozen, serializable view: it rides inside
+//! The hook sites count straight into the [`CounterSnapshot`] the
+//! simulator owns; a snapshot is a copy of it. It rides inside
 //! [`RunStats`](crate::RunStats) and is printed by the `probe`/`diagnose`
 //! binaries.
 
-use std::cell::Cell;
-
 use serde::{Deserialize, Serialize};
 
-/// Immutable counter values at a point in time. Field order matches
-/// [`CounterSnapshot::NAMES`]; iterate with
-/// [`as_pairs`](CounterSnapshot::as_pairs).
+/// Counter values: live inside the simulator, a copy of them at a point in
+/// time everywhere else. Field order matches [`CounterSnapshot::NAMES`];
+/// iterate with [`as_pairs`](CounterSnapshot::as_pairs).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterSnapshot {
     /// Flits moved through a switch crossbar.
@@ -46,9 +46,10 @@ pub struct CounterSnapshot {
     pub ctl_gos: u64,
     /// Messages created by the generators.
     pub messages_generated: u64,
-    /// Messages fully reassembled at their destination.
+    /// Messages delivered at their destination.
     pub messages_delivered: u64,
-    /// Packets delivered (== messages unless MTU segmentation is on).
+    /// Packets delivered (== `messages_delivered`: a message is one
+    /// packet).
     pub packets_delivered: u64,
     /// Packets abandoned for good (fault machinery).
     pub packets_dropped: u64,
@@ -144,84 +145,19 @@ impl CounterSnapshot {
     }
 }
 
-/// Live registry, boxed inside the simulator when counting is on. Fields
-/// are incremented inline at the hook sites; `wfg_invocations` is a `Cell`
-/// because [`Simulator::analyze_stall`](crate::Simulator::analyze_stall)
-/// takes `&self`.
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    pub flits_forwarded: u64,
-    pub flits_injected: u64,
-    pub route_lookups: u64,
-    pub arbitration_grants: u64,
-    pub worms_blocked: u64,
-    pub switch_arrivals: u64,
-    pub ctl_stops: u64,
-    pub ctl_gos: u64,
-    pub messages_generated: u64,
-    pub messages_delivered: u64,
-    pub packets_delivered: u64,
-    pub packets_dropped: u64,
-    pub itb_ejections: u64,
-    pub itb_reinjections: u64,
-    pub itb_overflows: u64,
-    pub retransmits: u64,
-    pub fault_fires: u64,
-    pub fault_repairs: u64,
-    pub wfg_invocations: Cell<u64>,
-}
-
-impl Counters {
-    pub(crate) fn new() -> Counters {
-        Counters::default()
-    }
-
-    pub(crate) fn reset(&mut self) {
-        *self = Counters::default();
-    }
-
-    pub(crate) fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            flits_forwarded: self.flits_forwarded,
-            flits_injected: self.flits_injected,
-            route_lookups: self.route_lookups,
-            arbitration_grants: self.arbitration_grants,
-            worms_blocked: self.worms_blocked,
-            switch_arrivals: self.switch_arrivals,
-            ctl_stops: self.ctl_stops,
-            ctl_gos: self.ctl_gos,
-            messages_generated: self.messages_generated,
-            messages_delivered: self.messages_delivered,
-            packets_delivered: self.packets_delivered,
-            packets_dropped: self.packets_dropped,
-            itb_ejections: self.itb_ejections,
-            itb_reinjections: self.itb_reinjections,
-            itb_overflows: self.itb_overflows,
-            retransmits: self.retransmits,
-            fault_fires: self.fault_fires,
-            fault_repairs: self.fault_repairs,
-            wfg_invocations: self.wfg_invocations.get(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_mirrors_registry() {
-        let mut c = Counters::new();
-        c.flits_forwarded = 10;
-        c.worms_blocked = 3;
-        c.wfg_invocations.set(2);
-        let s = c.snapshot();
-        assert_eq!(s.flits_forwarded, 10);
-        assert_eq!(s.worms_blocked, 3);
-        assert_eq!(s.wfg_invocations, 2);
+    fn total_events_sums_every_counter() {
+        let s = CounterSnapshot {
+            flits_forwarded: 10,
+            worms_blocked: 3,
+            wfg_invocations: 2,
+            ..CounterSnapshot::default()
+        };
         assert_eq!(s.total_events(), 15);
-        c.reset();
-        assert_eq!(c.snapshot(), CounterSnapshot::default());
     }
 
     #[test]

@@ -125,56 +125,23 @@ impl Event {
     }
 }
 
-/// Which event families the journal keeps. Combine with `|`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventMask(pub u16);
-
-impl EventMask {
-    pub const INJECT: EventMask = EventMask(1 << 0);
-    /// Switch arrivals, routes and head advances.
-    pub const SWITCH: EventMask = EventMask(1 << 1);
-    pub const BLOCK: EventMask = EventMask(1 << 2);
-    /// ITB ejections and re-injections.
-    pub const ITB: EventMask = EventMask(1 << 3);
-    /// Deliveries, drops and retransmission queuing.
-    pub const DELIVER: EventMask = EventMask(1 << 4);
-    pub const FAULT: EventMask = EventMask(1 << 5);
-    pub const ALL: EventMask = EventMask(0x3f);
-
-    pub fn contains(self, other: EventMask) -> bool {
-        self.0 & other.0 == other.0
-    }
-}
-
-impl std::ops::BitOr for EventMask {
-    type Output = EventMask;
-    fn bitor(self, rhs: EventMask) -> EventMask {
-        EventMask(self.0 | rhs.0)
-    }
-}
-
 /// Journal configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventOptions {
     /// Ring capacity in events; the oldest entries are evicted beyond it.
     pub capacity: usize,
-    /// Event families to record.
-    pub mask: EventMask,
 }
 
 impl Default for EventOptions {
     fn default() -> Self {
-        EventOptions {
-            capacity: 1 << 16,
-            mask: EventMask::ALL,
-        }
+        EventOptions { capacity: 1 << 16 }
     }
 }
 
 /// The ring-buffered journal.
 #[derive(Debug)]
 pub struct EventJournal {
-    opts: EventOptions,
+    capacity: usize,
     ring: VecDeque<Event>,
     recorded: u64,
     evicted: u64,
@@ -182,30 +149,12 @@ pub struct EventJournal {
 
 impl EventJournal {
     pub fn new(opts: EventOptions) -> EventJournal {
-        let cap = opts.capacity.max(1);
+        let capacity = opts.capacity.max(1);
         EventJournal {
-            ring: VecDeque::with_capacity(cap.min(1 << 20)),
-            opts: EventOptions {
-                capacity: cap,
-                ..opts
-            },
+            ring: VecDeque::with_capacity(capacity.min(1 << 20)),
+            capacity,
             recorded: 0,
             evicted: 0,
-        }
-    }
-
-    fn family(kind: &EventKind) -> EventMask {
-        match kind {
-            EventKind::Inject { .. } => EventMask::INJECT,
-            EventKind::SwitchArrival { .. }
-            | EventKind::Route { .. }
-            | EventKind::HeadAdvance { .. } => EventMask::SWITCH,
-            EventKind::Block { .. } => EventMask::BLOCK,
-            EventKind::ItbEject { .. } | EventKind::Reinject { .. } => EventMask::ITB,
-            EventKind::Deliver { .. } | EventKind::Drop | EventKind::Retransmit { .. } => {
-                EventMask::DELIVER
-            }
-            EventKind::FaultFire { .. } | EventKind::FaultRepair { .. } => EventMask::FAULT,
         }
     }
 
@@ -214,10 +163,7 @@ impl EventJournal {
     // switch loop.
     #[inline(never)]
     pub(crate) fn record(&mut self, cycle: u64, pid: u32, kind: EventKind) {
-        if !self.opts.mask.contains(Self::family(&kind)) {
-            return;
-        }
-        if self.ring.len() == self.opts.capacity {
+        if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.evicted += 1;
         }
@@ -498,10 +444,7 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest() {
-        let mut j = EventJournal::new(EventOptions {
-            capacity: 3,
-            mask: EventMask::ALL,
-        });
+        let mut j = EventJournal::new(EventOptions { capacity: 3 });
         for c in 0..5u64 {
             j.record(c, c as u32, EventKind::Drop);
         }
@@ -510,37 +453,6 @@ mod tests {
         assert_eq!(j.evicted(), 2);
         let cycles: Vec<u64> = j.events().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn mask_filters_families() {
-        let mut j = EventJournal::new(EventOptions {
-            capacity: 16,
-            mask: EventMask::BLOCK | EventMask::ITB,
-        });
-        j.record(1, 0, EventKind::Inject { src: 0, dst: 1 });
-        j.record(
-            2,
-            0,
-            EventKind::Block {
-                sw: 0,
-                out: 1,
-                cause: BlockCause::OutputBusy,
-            },
-        );
-        j.record(
-            3,
-            0,
-            EventKind::ItbEject {
-                host: 2,
-                overflow: false,
-            },
-        );
-        j.record(4, 0, EventKind::Deliver { dst: 1 });
-        assert_eq!(j.len(), 2);
-        assert!(j
-            .events()
-            .all(|e| matches!(e.kind, EventKind::Block { .. } | EventKind::ItbEject { .. })));
     }
 
     #[test]

@@ -220,7 +220,9 @@ pub struct ReliabilityStats {
     /// Packets dropped for good (retry budget exhausted, source dead, or
     /// destination unreachable).
     pub dropped_packets: u64,
-    /// Messages with at least one dropped packet.
+    /// Messages lost with their packet: always equal to `dropped_packets`,
+    /// since a message is one packet. Kept because cell checkpoints, the
+    /// benchmark goldens and the `.prom` exposition carry it.
     pub dropped_messages: u64,
     /// Generation attempts suppressed because the destination was
     /// unreachable under the current routing tables.

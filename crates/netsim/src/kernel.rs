@@ -6,7 +6,7 @@
 //! re-injection — lives in the functions of this module and nowhere else.
 //! They are safe and generic over the sink: each takes the
 //! component it advances (`&mut SwitchState` / `&mut Nic`) and a [`Sink`],
-//! through which it reaches the packets, messages and channels it touches
+//! through which it reaches the packets and channels it touches
 //! and *emits* every other consequence of the cycle, one named method per
 //! effect.
 //!
@@ -30,12 +30,12 @@ use regnet_topology::{HostId, SwitchId, Topology};
 
 use crate::channel::{Drain, Receiver, Sender, CTL_STOP};
 use crate::config::SimConfig;
-use crate::counters::Counters;
+use crate::counters::CounterSnapshot;
 use crate::events::EventKind;
 use crate::faultplan::FaultRuntime;
 use crate::nic::{Nic, RxState, TxKind, TxState};
 use crate::packet::Packet;
-use crate::sim::{MsgState, SeqParts};
+use crate::sim::SeqParts;
 use crate::switch::{ports, HeadState, SwitchState};
 
 /// Measurement-window tallies the kernel feeds.
@@ -70,15 +70,13 @@ pub(crate) enum SwitchSpan {
 }
 
 /// Everything a kernel function needs besides the component it advances:
-/// access to the packets, messages and channels it touches, and a place to
+/// access to the packets and channels it touches, and a place to
 /// emit every effect of the cycle. Implementations hold the current cycle.
 pub(crate) trait Sink {
     // ---- Access. ----
 
     /// A live packet.
     fn pkt(&mut self, pid: u32) -> &mut Packet;
-    /// A live message.
-    fn msg(&mut self, midx: u32) -> &mut MsgState;
     /// Path-selection state of source host `src`.
     fn selector(&mut self, src: HostId) -> &mut SrcSelector;
     /// Has channel `ci`'s cable failed?
@@ -98,7 +96,7 @@ pub(crate) trait Sink {
     /// A flit or control symbol moved (watchdog feed).
     fn activity(&mut self);
     /// Bump the counter registry, if counting.
-    fn count(&mut self, bump: impl FnOnce(&mut Counters));
+    fn count(&mut self, bump: impl FnOnce(&mut CounterSnapshot));
     /// Counters or journal are on: block causes are worth computing.
     fn diag(&self) -> bool;
     /// Update the measurement tallies, if a window is open.
@@ -111,8 +109,8 @@ pub(crate) trait Sink {
     fn itb_eject(&mut self, pid: u32, host: u32, overflow: bool);
     /// NIC `host` sent the first flit of re-injected `pid`.
     fn reinject(&mut self, pid: u32, host: u32);
-    /// The tail of `pid` reached its destination NIC `host`: the packet
-    /// leaves the arena and its message may complete.
+    /// The tail of `pid` reached its destination NIC `host`: the packet,
+    /// and with it its message, is delivered and leaves the arena.
     fn deliver(&mut self, pid: u32, host: u32);
     /// `pid`'s worm was routed into a dead output and cannot go on.
     fn lose_worm(&mut self, pid: u32);
@@ -453,12 +451,10 @@ pub(crate) fn nic_tx<S: Sink>(nic: &mut Nic, h: u32, t: &Tick, k: &mut S) {
     }
     if tx.sent == 0 && !tx.reinjection {
         let pkt = k.pkt(tx.pid);
-        pkt.inject_cycle = cycle;
-        let (midx, src, dst) = (pkt.msg, pkt.journey.src.0, pkt.journey.dst.0);
-        let ms = k.msg(midx);
-        if ms.first_inject == u64::MAX {
-            ms.first_inject = cycle;
+        if pkt.first_inject == u64::MAX {
+            pkt.first_inject = cycle;
         }
+        let (src, dst) = (pkt.journey.src.0, pkt.journey.dst.0);
         k.journal(|| (tx.pid, EventKind::Inject { src, dst }));
     }
     k.send(nic.out_chan, tx.pid);
@@ -568,14 +564,13 @@ mod tests {
     }
     use Rec::*;
 
-    /// Packets and messages by index, a list of dead channels, and a log.
+    /// Packets by index, a list of dead channels, and a log.
     #[derive(Default)]
     struct Recorder {
         pkts: Vec<Packet>,
-        msgs: Vec<MsgState>,
         dead: Vec<u32>,
         log: Vec<Rec>,
-        counters: Counters,
+        counters: CounterSnapshot,
         measure: KernelMeasure,
     }
 
@@ -595,9 +590,6 @@ mod tests {
     impl Sink for Recorder {
         fn pkt(&mut self, pid: u32) -> &mut Packet {
             &mut self.pkts[pid as usize]
-        }
-        fn msg(&mut self, midx: u32) -> &mut MsgState {
-            &mut self.msgs[midx as usize]
         }
         fn selector(&mut self, _: HostId) -> &mut SrcSelector {
             unreachable!("no test installs reconfigured routes")
@@ -620,7 +612,7 @@ mod tests {
         fn activity(&mut self) {
             self.log.push(Activity);
         }
-        fn count(&mut self, bump: impl FnOnce(&mut Counters)) {
+        fn count(&mut self, bump: impl FnOnce(&mut CounterSnapshot)) {
             bump(&mut self.counters);
         }
         fn diag(&self) -> bool {
@@ -673,7 +665,7 @@ mod tests {
         Nic::new(40, rand::rngs::SmallRng::seed_from_u64(0))
     }
 
-    /// A packet of message 0 from host 0 to host 9, one journey segment per
+    /// A packet from host 0 to host 9, one journey segment per
     /// port list; every segment but the last ends in host 4's in-transit
     /// buffer.
     fn packet(payload: u32, segments: &[&[u8]]) -> Packet {
@@ -687,7 +679,6 @@ mod tests {
             },
         });
         Packet {
-            msg: 0,
             journey: Journey {
                 src: HostId(0),
                 dst: HostId(9),
@@ -696,7 +687,8 @@ mod tests {
             payload,
             seg: 0,
             hop: 0,
-            inject_cycle: u64::MAX,
+            gen_cycle: 0,
+            first_inject: u64::MAX,
             itbs_used: 0,
             pool_reserved: 0,
             retries: 0,
@@ -935,18 +927,29 @@ mod tests {
         let mut k = Recorder::with(vec![packet(8, &[&[0, 1]]), packet(8, &[&[0]])]);
         k.pkts[0].journey.dst = HostId(1);
         k.pkts[1].journey.dst = HostId(0);
-        k.msgs = vec![MsgState {
-            remaining: 2,
-            gen_cycle: 0,
-            first_inject: u64::MAX,
-            itbs: 0,
-            failed: false,
-        }];
         nic.local_queue.extend([0, 1]);
         nic_tx(&mut nic, 0, &w.tick(50), &mut k);
         let inject = Journal(1, EventKind::Inject { src: 0, dst: 0 });
         assert_eq!(k.take(), [DropUnroutable(0), inject, Send(40, 1), Activity]);
-        assert_eq!((k.msgs[0].first_inject, k.pkts[1].inject_cycle), (50, 50));
-        assert_eq!(k.pkts[0].inject_cycle, u64::MAX, "only recorded");
+        assert_eq!(k.pkts[1].first_inject, 50);
+        assert_eq!(k.pkts[0].first_inject, u64::MAX, "only recorded");
+    }
+
+    #[test]
+    fn a_retransmission_keeps_the_first_injection_cycle() {
+        let w = World::new();
+        let mut nic = nic();
+        let mut k = Recorder::with(vec![packet(8, &[&[1]])]);
+        // First sent at cycle 50, lost, and due again at cycle 4_000.
+        k.pkts[0].first_inject = 50;
+        k.pkts[0].retries = 1;
+        nic.retransmit.push(Reverse((4_000, 0)));
+        nic_tx(&mut nic, 0, &w.tick(4_000), &mut k);
+        let inject = Journal(0, EventKind::Inject { src: 0, dst: 9 });
+        assert_eq!(k.take(), [inject, Send(40, 0), Activity]);
+        assert_eq!(
+            k.pkts[0].first_inject, 50,
+            "latency counts from the first try"
+        );
     }
 }

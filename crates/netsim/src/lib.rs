@@ -68,9 +68,9 @@ pub mod threads;
 pub mod trace;
 pub mod wfg;
 
-pub use config::{GenerationProcess, SimConfig, CYCLE_NS};
+pub use config::{SimConfig, CYCLE_NS};
 pub use counters::CounterSnapshot;
-pub use events::{BlockCause, Event, EventJournal, EventKind, EventMask, EventOptions, NO_PACKET};
+pub use events::{BlockCause, Event, EventJournal, EventKind, EventOptions, NO_PACKET};
 pub use experiment::{Experiment, RunObservation, RunOptions, ThroughputSearch};
 pub use faultplan::{FaultEvent, FaultOptions, FaultPlan, FaultTarget, ReliabilityStats};
 pub use profiler::{PhaseProfile, ProfileReport, SpanNode, SpanReport, PHASE_NAMES};

@@ -6,23 +6,24 @@ use regnet_core::Journey;
 pub(crate) const NO_PACKET: u32 = u32::MAX;
 
 /// A message in flight. One message = one packet (the paper's messages are
-/// single packets of 32–1024 bytes).
+/// single packets of 32–1024 bytes), so the packet carries the message's
+/// timestamps.
 #[derive(Debug)]
 pub(crate) struct Packet {
     pub journey: Journey,
-    /// Message this packet belongs to (index into the simulator's message
-    /// table). Multiple packets share a message when segmentation is on.
-    pub msg: u32,
     /// Payload flits.
     pub payload: u32,
     /// Current segment of the journey.
     pub seg: u8,
     /// Port bytes of the current segment already consumed by switches.
     pub hop: u8,
-    /// Cycle the first flit entered the network at the source NIC.
-    /// (`u64::MAX` until injection; generation time lives on the message.)
-    pub inject_cycle: u64,
-    /// In-transit buffers visited so far.
+    /// Cycle the generator created the message.
+    pub gen_cycle: u64,
+    /// Cycle the first flit of the first transmission entered the network
+    /// at the source NIC (`u64::MAX` until then). A retransmission keeps
+    /// it, so network latency counts from the first attempt.
+    pub first_inject: u64,
+    /// In-transit buffers visited so far (reset by a retransmission).
     pub itbs_used: u8,
     /// Flits reserved in the in-transit pool of the NIC currently holding
     /// this packet (0 when it overflowed to host memory).
@@ -59,28 +60,26 @@ impl Packet {
     }
 }
 
-/// A simple slab arena: stable u32 ids, O(1) alloc/free, freed slots reused
-/// last-freed-first (so the order of removals decides every later id).
+/// The packets in flight, in a slab: stable u32 ids, O(1) alloc/free,
+/// freed slots reused last-freed-first (so the order of removals decides
+/// every later id).
 #[derive(Debug)]
-pub(crate) struct Arena<T> {
-    slots: Vec<Option<T>>,
+pub(crate) struct PacketArena {
+    slots: Vec<Option<Packet>>,
     free: Vec<u32>,
     live: usize,
 }
 
-/// The packets in flight.
-pub(crate) type PacketArena = Arena<Packet>;
-
-impl<T> Arena<T> {
-    pub(crate) fn new() -> Arena<T> {
-        Arena {
+impl PacketArena {
+    pub(crate) fn new() -> PacketArena {
+        PacketArena {
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
         }
     }
 
-    pub(crate) fn insert(&mut self, p: T) -> u32 {
+    pub(crate) fn insert(&mut self, p: Packet) -> u32 {
         self.live += 1;
         if let Some(id) = self.free.pop() {
             self.slots[id as usize] = Some(p);
@@ -91,7 +90,7 @@ impl<T> Arena<T> {
         }
     }
 
-    pub(crate) fn remove(&mut self, id: u32) -> T {
+    pub(crate) fn remove(&mut self, id: u32) -> Packet {
         let p = self.slots[id as usize].take().expect("double free");
         self.live -= 1;
         self.free.push(id);
@@ -99,12 +98,12 @@ impl<T> Arena<T> {
     }
 
     #[inline]
-    pub(crate) fn get(&self, id: u32) -> &T {
+    pub(crate) fn get(&self, id: u32) -> &Packet {
         self.slots[id as usize].as_ref().expect("stale id")
     }
 
     #[inline]
-    pub(crate) fn get_mut(&mut self, id: u32) -> &mut T {
+    pub(crate) fn get_mut(&mut self, id: u32) -> &mut Packet {
         self.slots[id as usize].as_mut().expect("stale id")
     }
 
@@ -122,7 +121,6 @@ mod tests {
 
     fn packet() -> Packet {
         Packet {
-            msg: 0,
             journey: Journey {
                 src: HostId(0),
                 dst: HostId(9),
@@ -142,7 +140,8 @@ mod tests {
             payload: 64,
             seg: 0,
             hop: 0,
-            inject_cycle: 0,
+            gen_cycle: 0,
+            first_inject: u64::MAX,
             itbs_used: 0,
             pool_reserved: 0,
             retries: 0,

@@ -69,12 +69,12 @@ impl Simulator<'_> {
     /// and NIC phases never truncate or drop in place — they record
     /// `(Loss, packet)` pairs — and this phase replays them in recording
     /// order, which is visit order: switches before NICs, each ascending,
-    /// under both loops. Engine and oracle therefore mutate the
-    /// packet/message arenas in the same within-cycle order — deliveries
-    /// in channel order, then switch truncations in switch order, then
-    /// source drops in NIC order, then generation — which is what keeps
-    /// free-list reuse, and with it every downstream id, bit-identical
-    /// between the two.
+    /// under both loops. Engine and oracle therefore mutate the packet
+    /// arena in the same within-cycle order — deliveries in channel
+    /// order, then switch truncations in switch order, then source drops
+    /// in NIC order, then generation — which is what keeps free-list
+    /// reuse, and with it every downstream id, bit-identical between the
+    /// two.
     pub(super) fn loss_phase(&mut self, cycle: u64) {
         let mut lost = std::mem::take(&mut self.pending_loss);
         for (loss, pid) in lost.drain(..) {
@@ -407,8 +407,7 @@ impl Simulator<'_> {
             let p = self.arena.get(pid);
             (p.journey.src, p.retries)
         };
-        let can_retry = self.cfg.nic_retransmission
-            && retries < self.cfg.max_retransmits
+        let can_retry = retries < self.cfg.max_retransmits
             && self.faults.as_deref().unwrap().host_ok[src.idx()];
         if can_retry {
             let pkt = self.arena.get_mut(pid);
@@ -416,7 +415,6 @@ impl Simulator<'_> {
             pkt.seg = 0;
             pkt.hop = 0;
             pkt.itbs_used = 0;
-            pkt.inject_cycle = u64::MAX;
             let due = cycle + self.cfg.retransmit_timeout_cycles;
             self.nics[src.idx()].retransmit.push(Reverse((due, pid)));
             if let Some(sc) = self.sched.as_deref_mut() {
@@ -434,7 +432,7 @@ impl Simulator<'_> {
         }
     }
 
-    /// Give up on a packet: its message can never complete.
+    /// Give up on a packet, and with it on its message.
     fn drop_packet(&mut self, pid: u32, cycle: u64) {
         if let Some(c) = &mut self.counters {
             c.packets_dropped += 1;
@@ -442,18 +440,9 @@ impl Simulator<'_> {
         if let Some(j) = &mut self.journal {
             j.record(cycle, pid, EventKind::Drop);
         }
-        let pkt = self.arena.remove(pid);
-        let ms = self.msgs.get_mut(pkt.msg);
-        ms.remaining -= 1;
-        ms.failed = true;
-        let done = ms.remaining == 0;
-        if done {
-            self.msgs.remove(pkt.msg);
-        }
+        self.arena.remove(pid);
         self.rel.dropped_packets += 1;
-        if done {
-            self.rel.dropped_messages += 1;
-        }
+        self.rel.dropped_messages += 1;
     }
 
     /// Remove every trace of `pid` from the fabric — channels, switch input

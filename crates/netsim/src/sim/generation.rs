@@ -1,12 +1,9 @@
 //! Phase 5, message generation: the `gen_due` gate, the open-loop
 //! generators and the scripted messages of the tests.
 
-use rand::Rng;
-
 use regnet_topology::HostId;
 
-use super::{route_db, MsgState, Simulator};
-use crate::config::GenerationProcess;
+use super::{route_db, Simulator};
 use crate::packet::Packet;
 
 impl Simulator<'_> {
@@ -50,41 +47,23 @@ impl Simulator<'_> {
         }
     }
 
-    /// Create one message from `src` to `dst`: a single packet, or several
-    /// when MTU segmentation is configured (each packet routes
-    /// independently, so ITB-RR spreads a large message over alternative
-    /// paths).
+    /// Create one message from `src` to `dst`: one packet, on a journey
+    /// drawn from the current tables.
     fn create_message(&mut self, src: HostId, dst: HostId, gen_cycle: u64) {
-        let payload_total = self.cfg.payload_flits;
-        let mtu = self.cfg.mtu_flits.unwrap_or(payload_total).max(1);
-        let n_packets = payload_total.div_ceil(mtu);
-        let midx = self.msgs.insert(MsgState {
-            remaining: n_packets as u16,
+        let db = route_db(self.faults.as_deref(), self.db);
+        let journey = db.select(self.topo, src, dst, &mut self.selector);
+        let pid = self.arena.insert(Packet {
+            journey,
+            payload: self.cfg.payload_flits as u32,
+            seg: 0,
+            hop: 0,
             gen_cycle,
             first_inject: u64::MAX,
-            itbs: 0,
-            failed: false,
+            itbs_used: 0,
+            pool_reserved: 0,
+            retries: 0,
         });
-        let mut left = payload_total;
-        while left > 0 {
-            let chunk = left.min(mtu);
-            left -= chunk;
-            let db = route_db(self.faults.as_deref(), self.db);
-            let journey = db.select(self.topo, src, dst, &mut self.selector);
-            let pkt = Packet {
-                msg: midx,
-                journey,
-                payload: chunk as u32,
-                seg: 0,
-                hop: 0,
-                inject_cycle: u64::MAX,
-                itbs_used: 0,
-                pool_reserved: 0,
-                retries: 0,
-            };
-            let pid = self.arena.insert(pkt);
-            self.nics[src.idx()].local_queue.push_back(pid);
-        }
+        self.nics[src.idx()].local_queue.push_back(pid);
         if let Some(sc) = self.sched.as_deref_mut() {
             sc.activate_nic(src.0);
         }
@@ -142,14 +121,7 @@ impl Simulator<'_> {
                 self.pattern.dest(src, self.topo, &mut nic.rng)
             };
             // Advance the generation clock.
-            let step = match self.cfg.generation {
-                GenerationProcess::Constant => self.interarrival,
-                GenerationProcess::Poisson => {
-                    let u: f64 = self.nics[h].rng.gen::<f64>().max(1e-12);
-                    -u.ln() * self.interarrival
-                }
-            };
-            self.nics[h].next_gen += step;
+            self.nics[h].next_gen += self.interarrival;
             let Some(dst) = dst else {
                 // Silent host under a permutation pattern: stop for good.
                 self.nics[h].next_gen = f64::MAX;
@@ -176,24 +148,13 @@ impl Simulator<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{build_ring4, run_once, small_cfg};
+    use super::super::tests::{build_ring4, small_cfg};
     use super::*;
     use crate::config::SimConfig;
     use crate::faultplan::{FaultOptions, FaultPlan};
     use crate::sched::Scheduler;
     use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme};
     use regnet_traffic::{Pattern, PatternSpec};
-
-    #[test]
-    fn poisson_generation_works() {
-        let topo = build_ring4();
-        let cfg = SimConfig {
-            generation: GenerationProcess::Poisson,
-            ..small_cfg()
-        };
-        let stats = run_once(&topo, RoutingScheme::ItbRr, 0.01, cfg, 5_000, 50_000);
-        assert!(stats.delivered > 50);
-    }
 
     /// Step `cycles` cycles; `ungated` clears the generation gate before
     /// each one, which is the scan of every host on every cycle that

@@ -10,7 +10,7 @@ use regnet_topology::{HostId, LinkEnd, NodeId, SwitchId, Topology};
 use super::Simulator;
 use crate::channel::{Receiver, Sender};
 use crate::config::CYCLE_NS;
-use crate::counters::{CounterSnapshot, Counters};
+use crate::counters::CounterSnapshot;
 use crate::events::{EventJournal, EventOptions};
 use crate::kernel::KernelMeasure;
 use crate::profiler::{ProfileReport, Profiler, SpanReport};
@@ -52,10 +52,8 @@ impl ChannelDesc {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunStats {
     pub window_cycles: u64,
-    /// Messages fully delivered (all their packets reassembled).
+    /// Messages delivered (a message is one packet).
     pub delivered: u64,
-    /// Packets delivered (== `delivered` unless MTU segmentation is on).
-    pub delivered_packets: u64,
     pub delivered_payload_flits: u64,
     pub generated: u64,
     /// Network latency (injection → delivery), paper footnote 4.
@@ -93,7 +91,6 @@ pub(super) struct Measure {
     pub(super) total_latency: RunningStats,
     pub(super) hist: Histogram,
     pub(super) delivered: u64,
-    pub(super) delivered_packets: u64,
     pub(super) delivered_payload_flits: u64,
     pub(super) generated: u64,
     pub(super) itb_sum: u64,
@@ -107,12 +104,12 @@ impl Simulator<'_> {
     /// [`begin_measurement`](Simulator::begin_measurement) resets it so the
     /// snapshot in [`RunStats`] covers exactly the measurement window.
     pub fn enable_counters(&mut self) {
-        self.counters = Some(Box::new(Counters::new()));
+        self.counters = Some(Box::default());
     }
 
     /// Current counter values; `None` when counting was never enabled.
     pub fn counter_snapshot(&self) -> Option<CounterSnapshot> {
-        self.counters.as_deref().map(|c| c.snapshot())
+        self.counters.as_deref().cloned()
     }
 
     /// Enable the structured event journal (see [`EventOptions`]).
@@ -175,7 +172,7 @@ impl Simulator<'_> {
             tr.on_busy_reset();
         }
         if let Some(c) = &mut self.counters {
-            c.reset();
+            **c = CounterSnapshot::default();
         }
     }
 
@@ -186,7 +183,6 @@ impl Simulator<'_> {
         RunStats {
             window_cycles,
             delivered,
-            delivered_packets: m.delivered_packets,
             delivered_payload_flits: m.delivered_payload_flits,
             generated: m.generated,
             // An empty window reports 0.0, not NaN: RunStats must stay
@@ -273,9 +269,9 @@ impl Simulator<'_> {
     /// [`Active`](crate::wfg::StallClass::Active), a true cyclic-dependency
     /// [`Deadlock`](crate::wfg::StallClass::Deadlock) (naming the cycle's
     /// channels), or [`Starvation`](crate::wfg::StallClass::Starvation).
-    pub fn analyze_stall(&self) -> StallReport {
-        if let Some(c) = self.counters.as_deref() {
-            c.wfg_invocations.set(c.wfg_invocations.get() + 1);
+    pub fn analyze_stall(&mut self) -> StallReport {
+        if let Some(c) = self.counters.as_deref_mut() {
+            c.wfg_invocations += 1;
         }
         crate::wfg::analyze(
             &self.switches,

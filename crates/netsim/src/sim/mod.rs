@@ -37,12 +37,12 @@ use regnet_traffic::{interarrival_cycles, Pattern};
 
 use crate::channel::{Channels, Receiver, Sender, CTL_NONE};
 use crate::config::SimConfig;
-use crate::counters::Counters;
+use crate::counters::CounterSnapshot;
 use crate::events::EventJournal;
 use crate::faultplan::{FaultRuntime, ReliabilityStats};
 use crate::kernel::{self, Tick};
 use crate::nic::Nic;
-use crate::packet::{Arena, PacketArena};
+use crate::packet::PacketArena;
 use crate::profiler::{times_children, Phase, Profiler};
 use crate::sched::{ActiveSched, Scheduler};
 use crate::switch::SwitchState;
@@ -59,18 +59,6 @@ use measure::{directed_channels, Measure};
 pub use measure::{ChannelDesc, RunStats};
 pub(crate) use sink::SeqParts;
 use sink::SeqSink;
-
-/// Reassembly state of one message (one or more packets).
-#[derive(Debug)]
-pub(crate) struct MsgState {
-    pub(crate) remaining: u16,
-    pub(crate) gen_cycle: u64,
-    pub(crate) first_inject: u64,
-    pub(crate) itbs: u16,
-    /// At least one packet of this message was dropped by a fault; the
-    /// message can never complete.
-    pub(crate) failed: bool,
-}
 
 /// The tables new routes are drawn from: the reconfigured ones once a
 /// rebuild has installed some, the build-time ones before.
@@ -104,7 +92,6 @@ pub struct Simulator<'a> {
     switches: Vec<SwitchState>,
     nics: Vec<Nic>,
     arena: PacketArena,
-    msgs: Arena<MsgState>,
     selector: PathSelector,
     measure: Measure,
     last_activity: u64,
@@ -117,7 +104,7 @@ pub struct Simulator<'a> {
     /// Dependability counters; all zeros unless faults are armed.
     rel: ReliabilityStats,
     /// Counter registry; `None` (the default) costs one branch per hook.
-    counters: Option<Box<Counters>>,
+    counters: Option<Box<CounterSnapshot>>,
     /// Structured event journal; `None` (the default) costs one branch per
     /// hook.
     journal: Option<Box<EventJournal>>,
@@ -259,7 +246,6 @@ impl<'a> Simulator<'a> {
             switches,
             nics,
             arena: PacketArena::new(),
-            msgs: Arena::new(),
             selector,
             measure: Measure::default(),
             last_activity: 0,
@@ -427,14 +413,12 @@ impl<'a> Simulator<'a> {
             cycle,
             channels: &mut self.channels,
             arena: &mut self.arena,
-            msgs: &mut self.msgs,
             selector: &mut self.selector,
             sched: self.sched.as_deref_mut(),
             counters: self.counters.as_deref_mut(),
             journal: self.journal.as_deref_mut(),
             trace: self.trace.as_deref_mut(),
             measure: &mut self.measure,
-            rel: &mut self.rel,
             last_activity: &mut self.last_activity,
             pending_loss: &mut self.pending_loss,
             spans: timed.then(|| (Instant::now(), [0; 2])),

@@ -7,14 +7,12 @@ use regnet_topology::HostId;
 
 use super::faults::Loss;
 use super::measure::Measure;
-use super::MsgState;
 use crate::channel::Channels;
-use crate::counters::Counters;
+use crate::counters::CounterSnapshot;
 use crate::events::{EventJournal, EventKind};
-use crate::faultplan::ReliabilityStats;
 use crate::kernel::{KernelMeasure, Sink, SwitchSpan};
 use crate::nic::Nic;
-use crate::packet::{Arena, Packet, PacketArena};
+use crate::packet::{Packet, PacketArena};
 use crate::sched::ActiveSched;
 use crate::switch::SwitchState;
 use crate::trace::TraceState;
@@ -26,14 +24,12 @@ pub(crate) struct SeqSink<'s> {
     pub(crate) cycle: u64,
     pub(crate) channels: &'s mut Channels,
     pub(super) arena: &'s mut PacketArena,
-    pub(super) msgs: &'s mut Arena<MsgState>,
     pub(super) selector: &'s mut PathSelector,
     pub(super) sched: Option<&'s mut ActiveSched>,
-    pub(super) counters: Option<&'s mut Counters>,
+    pub(super) counters: Option<&'s mut CounterSnapshot>,
     pub(super) journal: Option<&'s mut EventJournal>,
     pub(super) trace: Option<&'s mut TraceState>,
     pub(super) measure: &'s mut Measure,
-    pub(super) rel: &'s mut ReliabilityStats,
     pub(super) last_activity: &'s mut u64,
     pub(super) pending_loss: &'s mut Vec<(Loss, u32)>,
     /// Iff profiling and this cycle is sampled: the last span lap, and the
@@ -49,10 +45,6 @@ impl Sink for SeqSink<'_> {
     #[inline]
     fn pkt(&mut self, pid: u32) -> &mut Packet {
         self.arena.get_mut(pid)
-    }
-    #[inline]
-    fn msg(&mut self, midx: u32) -> &mut MsgState {
-        self.msgs.get_mut(midx)
     }
     #[inline]
     fn selector(&mut self, src: HostId) -> &mut SrcSelector {
@@ -92,7 +84,7 @@ impl Sink for SeqSink<'_> {
         *self.last_activity = self.cycle;
     }
     #[inline]
-    fn count(&mut self, bump: impl FnOnce(&mut Counters)) {
+    fn count(&mut self, bump: impl FnOnce(&mut CounterSnapshot)) {
         if let Some(c) = self.counters.as_deref_mut() {
             bump(c);
         }
@@ -128,53 +120,35 @@ impl Sink for SeqSink<'_> {
         }
         self.journal(|| (pid, EventKind::Reinject { host }));
     }
-    /// Arena/message bookkeeping, measurement, counters, journal and trace
-    /// hooks of a completed delivery.
+    /// Arena bookkeeping, measurement, counters, journal and trace hooks
+    /// of a completed delivery: the packet is the whole message, so its
+    /// delivery is the message's.
     #[inline(never)]
     fn deliver(&mut self, pid: u32, host: u32) {
         let cycle = self.cycle;
         let pkt = self.arena.remove(pid);
-        let ms = self.msgs.get_mut(pkt.msg);
-        ms.remaining -= 1;
-        ms.itbs += pkt.itbs_used as u16;
-        let done = ms.remaining == 0;
-        if self.measure.on {
-            let m = &mut *self.measure;
-            m.delivered_packets += 1;
-            m.delivered_payload_flits += pkt.payload as u64;
-        }
-        self.count(|c| c.packets_delivered += 1);
-        self.journal(|| (pid, EventKind::Deliver { dst: host }));
-        if !done {
-            return;
-        }
-        // All packets of the message reassembled: the message is delivered
-        // (with mtu_flits = None this is every packet, the paper's model).
-        let ms = self.msgs.remove(pkt.msg);
-        if ms.failed {
-            // A sibling packet was dropped by a fault (only possible with
-            // MTU segmentation): the message never completes at the
-            // receiver.
-            self.rel.dropped_messages += 1;
-            return;
-        }
         if self.measure.on {
             let m = &mut *self.measure;
             m.delivered += 1;
-            m.itb_sum += ms.itbs as u64;
-            m.latency.push((cycle - ms.first_inject) as f64);
-            m.hist.record(cycle - ms.first_inject);
-            m.total_latency.push((cycle - ms.gen_cycle) as f64);
+            m.delivered_payload_flits += pkt.payload as u64;
+            m.itb_sum += pkt.itbs_used as u64;
+            m.latency.push((cycle - pkt.first_inject) as f64);
+            m.hist.record(cycle - pkt.first_inject);
+            m.total_latency.push((cycle - pkt.gen_cycle) as f64);
         }
-        self.count(|c| c.messages_delivered += 1);
+        self.count(|c| {
+            c.packets_delivered += 1;
+            c.messages_delivered += 1;
+        });
+        self.journal(|| (pid, EventKind::Deliver { dst: host }));
         if let Some(tr) = self.trace.as_deref_mut() {
             tr.on_message_delivered(
                 cycle,
                 pkt.journey.src.0,
                 pkt.journey.dst.0,
                 pkt.payload as u64,
-                ms.itbs as u64,
-                ms.first_inject,
+                pkt.itbs_used as u64,
+                pkt.first_inject,
             );
         }
     }

@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use regnet_metrics::Histogram;
 
-use crate::counters::{CounterSnapshot, Counters};
+use crate::counters::CounterSnapshot;
 use crate::nic::Nic;
 
 /// Which observers to enable. `Default` is everything off — the simulator
@@ -136,25 +136,6 @@ impl MetricsSeries {
         let mut names = vec!["live_packets".to_string(), "itb_pool_flits".to_string()];
         names.extend(CounterSnapshot::NAMES.iter().map(|s| s.to_string()));
         names
-    }
-
-    /// One JSON object per sample, e.g.
-    /// `{"cycle":4999,"live_packets":3,...}` — loadable row-by-row without
-    /// holding the whole series.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for s in &self.samples {
-            out.push_str("{\"cycle\":");
-            out.push_str(&s.cycle.to_string());
-            for (name, v) in self.names.iter().zip(&s.values) {
-                out.push_str(",\"");
-                out.push_str(name);
-                out.push_str("\":");
-                out.push_str(&v.to_string());
-            }
-            out.push_str("}\n");
-        }
-        out
     }
 }
 
@@ -282,7 +263,7 @@ impl TraceState {
         dst: u32,
         payload_flits: u64,
         itbs: u64,
-        inject_cycle: u64,
+        first_inject: u64,
     ) {
         if self.opts.digest {
             self.fold(cycle);
@@ -291,8 +272,8 @@ impl TraceState {
             self.fold(itbs);
             self.digest_events += 1;
         }
-        if self.opts.packet_lifetimes && inject_cycle != u64::MAX && cycle >= inject_cycle {
-            self.lifetime.record(cycle - inject_cycle);
+        if self.opts.packet_lifetimes && first_inject != u64::MAX && cycle >= first_inject {
+            self.lifetime.record(cycle - first_inject);
         }
         if self.opts.goodput_interval.is_some() {
             self.goodput_acc += payload_flits;
@@ -319,14 +300,14 @@ impl TraceState {
     /// Called once per cycle from `Simulator::step` (the only per-cycle
     /// cost; everything else is event-driven). `live_packets` is the
     /// arena's live-packet count; `counters` is the simulator's counter
-    /// registry when enabled (snapshot only on a metrics flush).
+    /// registry when enabled (read only on a metrics flush).
     pub(crate) fn on_cycle_end(
         &mut self,
         cycle: u64,
         busy: &[u64],
         nics: &[Nic],
         live_packets: u64,
-        counters: Option<&Counters>,
+        counters: Option<&CounterSnapshot>,
     ) {
         if cycle + 1 >= self.util_next_flush {
             let interval = self.opts.channel_util_interval.unwrap_or(u64::MAX);
@@ -361,7 +342,7 @@ impl TraceState {
             match counters {
                 // Fixed column layout: zeros when the registry is off, so
                 // the series shape never depends on other observers.
-                Some(c) => values.extend(c.snapshot().as_pairs().iter().map(|&(_, v)| v)),
+                Some(c) => values.extend(c.as_pairs().iter().map(|&(_, v)| v)),
                 None => values.extend(std::iter::repeat_n(0, CounterSnapshot::NAMES.len())),
             }
             self.met_samples.push(MetricsSample { cycle, values });
@@ -539,8 +520,5 @@ mod tests {
         assert_eq!(m.samples[1].cycle, 199);
         // Counter columns are present but zero when the registry is off.
         assert!(m.samples[0].values[2..].iter().all(|&v| v == 0));
-        let jsonl = m.to_jsonl();
-        assert_eq!(jsonl.lines().count(), 2);
-        assert!(jsonl.starts_with("{\"cycle\":99,\"live_packets\":99,"));
     }
 }

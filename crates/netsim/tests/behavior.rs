@@ -1,5 +1,6 @@
 //! Behavioural tests of the simulated hardware: arbitration fairness, flow
-//! control under pressure, hotspot serialisation, and link-class usage.
+//! control under pressure, hotspot serialisation, link-class usage, and
+//! one packet per message.
 
 use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme};
 use regnet_netsim::{SimConfig, Simulator};
@@ -179,6 +180,31 @@ fn payload_scales_latency_linearly() {
     let l64 = run(64);
     let l1024 = run(1024);
     assert_eq!((l1024 - l64).round() as i64, 960);
+}
+
+/// A message is one packet: on a counted, drained run every delivered
+/// message is exactly one delivered packet.
+#[test]
+fn every_message_is_one_packet() {
+    let topo = gen::torus_2d(4, 4, 2).unwrap();
+    let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
+    let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+    let cfg = SimConfig {
+        payload_flits: 256,
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(&topo, &db, &pattern, cfg, 0.008, 11);
+    sim.enable_counters();
+    sim.begin_measurement();
+    sim.run(40_000);
+    sim.stop_generation();
+    let drained = sim.run_until_drained(2_000_000).expect("must drain");
+    let stats = sim.end_measurement(drained);
+    let c = stats.counters.expect("counting was on");
+    assert!(c.messages_delivered > 20, "{c:?}");
+    assert_eq!(c.packets_delivered, c.messages_delivered);
+    assert_eq!(c.messages_delivered, stats.delivered);
+    assert_eq!(stats.delivered_payload_flits, stats.delivered * 256);
 }
 
 /// Scheduled messages respect their release cycles.

@@ -22,10 +22,7 @@ fn main() {
     // parked behind busy outputs, which is exactly what we want to dissect.
     let mut sim = Simulator::new(&topo, &db, &pattern, SimConfig::default(), 0.1, 11);
     sim.enable_counters();
-    sim.enable_events(EventOptions {
-        capacity: 1 << 18,
-        ..EventOptions::default()
-    });
+    sim.enable_events(EventOptions { capacity: 1 << 18 });
     sim.run(30_000);
 
     let journal = sim.journal().expect("journal enabled");

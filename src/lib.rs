@@ -72,10 +72,9 @@ pub mod prelude {
     pub use regnet_metrics::{ChromeTrace, Curve, CurvePoint, UtilizationSummary};
     pub use regnet_netsim::experiment::{Experiment, RunObservation, RunOptions, ThroughputSearch};
     pub use regnet_netsim::{
-        BlockCause, CounterSnapshot, EventJournal, EventKind, EventMask, EventOptions, FaultEvent,
-        FaultOptions, FaultPlan, FaultTarget, GenerationProcess, ProfileReport, ReliabilityStats,
-        RunStats, Scheduler, SimConfig, Simulator, StallClass, StallReport, TraceOptions,
-        TraceReport,
+        BlockCause, CounterSnapshot, EventJournal, EventKind, EventOptions, FaultEvent,
+        FaultOptions, FaultPlan, FaultTarget, ProfileReport, ReliabilityStats, RunStats, Scheduler,
+        SimConfig, Simulator, StallClass, StallReport, TraceOptions, TraceReport,
     };
     pub use regnet_routing::{LegalDistances, SwitchPath};
     pub use regnet_topology::{

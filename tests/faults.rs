@@ -107,6 +107,8 @@ fn switch_and_host_faults_account_for_every_message() {
         rel.dropped_messages > 0,
         "a dead switch plus a dead host must cost something: {rel:?}"
     );
+    // A message is one packet: losing the packet loses the message.
+    assert_eq!(rel.dropped_packets, rel.dropped_messages, "{rel:?}");
     assert_eq!(
         stats.delivered + rel.dropped_messages,
         stats.generated,
