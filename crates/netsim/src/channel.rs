@@ -46,6 +46,14 @@ impl Slot for u8 {
     const EMPTY: u8 = CTL_NONE;
 }
 
+/// A cycle and its row of the table, `cycle % delay`: the one division a
+/// step makes ([`Channels::row`]), however many flits and symbols it moves.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row {
+    cycle: u64,
+    idx: usize,
+}
+
 /// A walk over one row: its summary word, and the occupancy word it copied
 /// out minus the channels already visited.
 #[derive(Debug, Default)]
@@ -184,9 +192,11 @@ impl Channels {
         }
     }
 
+    /// The row `cycle`'s arrivals are read from and its sends written to.
     #[inline]
-    fn row(&self, cycle: u64) -> usize {
-        (cycle % self.delay) as usize
+    pub(crate) fn row(&self, cycle: u64) -> Row {
+        let idx = (cycle % self.delay) as usize;
+        Row { cycle, idx }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -208,16 +218,17 @@ impl Channels {
         self.dead[ci as usize]
     }
 
-    /// Send one flit of `packet` on `ci`; it arrives `delay` cycles from
-    /// now. Must be called after this cycle's arrivals were taken. A dead
-    /// channel silently eats the flit — the sender cannot tell (Myrinet
-    /// links carry no acknowledgement; loss is detected end-to-end).
+    /// Send one flit of `packet` on `ci` at `row`'s cycle; it arrives
+    /// `delay` cycles later. Must be called after that cycle's arrivals
+    /// were taken. A dead channel silently eats the flit — the sender
+    /// cannot tell (Myrinet links carry no acknowledgement; loss is
+    /// detected end-to-end).
     #[inline]
-    pub(crate) fn send(&mut self, cycle: u64, ci: u32, packet: u32) {
+    pub(crate) fn send(&mut self, row: Row, ci: u32, packet: u32) {
         if self.dead[ci as usize] {
             return;
         }
-        let old = self.data.put(self.row(cycle), ci, packet);
+        let old = self.data.put(row.idx, ci, packet);
         debug_assert_eq!(old, NO_PACKET, "channel slot collision");
     }
 
@@ -227,49 +238,49 @@ impl Channels {
     /// only legal overwrite is a supersede within the *same* cycle (e.g. a
     /// purge's GO replacing this cycle's STOP).
     #[inline]
-    pub(crate) fn send_ctl(&mut self, cycle: u64, ci: u32, symbol: u8) {
+    pub(crate) fn send_ctl(&mut self, row: Row, ci: u32, symbol: u8) {
         if self.dead[ci as usize] {
             return;
         }
-        let old = self.ctl.put(self.row(cycle), ci, symbol);
+        let old = self.ctl.put(row.idx, ci, symbol);
         debug_assert!(
-            old == CTL_NONE || self.ctl_sent_at[ci as usize] == cycle,
+            old == CTL_NONE || self.ctl_sent_at[ci as usize] == row.cycle,
             "send would clobber an undelivered control symbol \
              (call take_ctl for this cycle first)"
         );
-        self.ctl_sent_at[ci as usize] = cycle;
+        self.ctl_sent_at[ci as usize] = row.cycle;
     }
 
-    /// Take the data flit arriving on `ci` this cycle, if any: the scan
-    /// oracle's visit.
+    /// Take the data flit arriving on `ci` at `row`'s cycle, if any: the
+    /// scan oracle's visit.
     #[inline]
-    pub(crate) fn take_data(&mut self, cycle: u64, ci: u32) -> Option<u32> {
-        let pid = self.data.take(self.row(cycle), ci);
+    pub(crate) fn take_data(&mut self, row: Row, ci: u32) -> Option<u32> {
+        let pid = self.data.take(row.idx, ci);
         self.busy[ci as usize] += u64::from(pid != NO_PACKET);
         (pid != NO_PACKET).then_some(pid)
     }
 
-    /// Take the control symbol arriving on `ci` this cycle (`CTL_NONE` if
-    /// there is none).
+    /// Take the control symbol arriving on `ci` at `row`'s cycle
+    /// (`CTL_NONE` if there is none).
     #[inline]
-    pub(crate) fn take_ctl(&mut self, cycle: u64, ci: u32) -> u8 {
-        self.ctl.take(self.row(cycle), ci)
+    pub(crate) fn take_ctl(&mut self, row: Row, ci: u32) -> u8 {
+        self.ctl.take(row.idx, ci)
     }
 
     /// The engine's visit: the next `(channel, packet)` whose flit arrives
-    /// this cycle, in ascending channel order. Nothing may send data until
-    /// the walk has returned `None`.
+    /// at `row`'s cycle, in ascending channel order. Nothing may send data
+    /// until the walk has returned `None`.
     #[inline]
-    pub(crate) fn next_data(&mut self, cycle: u64, d: &mut Drain) -> Option<(u32, u32)> {
-        let (ci, pid) = self.data.next(self.row(cycle), d)?;
+    pub(crate) fn next_data(&mut self, row: Row, d: &mut Drain) -> Option<(u32, u32)> {
+        let (ci, pid) = self.data.next(row.idx, d)?;
         self.busy[ci as usize] += 1;
         Some((ci, pid))
     }
 
     /// [`next_data`](Channels::next_data) for the control symbols.
     #[inline]
-    pub(crate) fn next_ctl(&mut self, cycle: u64, d: &mut Drain) -> Option<(u32, u8)> {
-        self.ctl.next(self.row(cycle), d)
+    pub(crate) fn next_ctl(&mut self, row: Row, d: &mut Drain) -> Option<(u32, u8)> {
+        self.ctl.next(row.idx, d)
     }
 
     /// Flits and control symbols in flight: the full slots of every row.
@@ -353,13 +364,13 @@ pub(crate) mod tests {
     /// The engine's walk over this cycle's data row.
     pub(crate) fn drain_data(c: &mut Channels, cycle: u64) -> Vec<(u32, u32)> {
         let mut d = Drain::default();
-        std::iter::from_fn(|| c.next_data(cycle, &mut d)).collect()
+        std::iter::from_fn(|| c.next_data(c.row(cycle), &mut d)).collect()
     }
 
     /// The engine's walk over this cycle's control row.
     pub(crate) fn drain_ctl(c: &mut Channels, cycle: u64) -> Vec<(u32, u8)> {
         let mut d = Drain::default();
-        std::iter::from_fn(|| c.next_ctl(cycle, &mut d)).collect()
+        std::iter::from_fn(|| c.next_ctl(c.row(cycle), &mut d)).collect()
     }
 
     fn chan() -> Channels {
@@ -369,12 +380,12 @@ pub(crate) mod tests {
     #[test]
     fn flit_takes_delay_cycles() {
         let mut c = chan();
-        c.send(100, 0, 42);
+        c.send(c.row(100), 0, 42);
         for cyc in 101..108 {
-            assert_eq!(c.take_data(cyc, 0), None);
+            assert_eq!(c.take_data(c.row(cyc), 0), None);
         }
-        assert_eq!(c.take_data(108, 0), Some(42));
-        assert_eq!(c.take_data(108, 0), None, "slot freed after take");
+        assert_eq!(c.take_data(c.row(108), 0), Some(42));
+        assert_eq!(c.take_data(c.row(108), 0), None, "slot freed after take");
         assert!(!c.has_data_in_flight(0));
         assert_eq!(c.in_flight(), 0);
     }
@@ -384,13 +395,13 @@ pub(crate) mod tests {
         let mut c = chan();
         for i in 0..20u64 {
             // Receiver first, sender second, every cycle.
-            let got = c.take_data(i, 0);
+            let got = c.take_data(c.row(i), 0);
             if i >= 8 {
                 assert_eq!(got, Some((i - 8) as u32));
             } else {
                 assert_eq!(got, None);
             }
-            c.send(i, 0, i as u32);
+            c.send(c.row(i), 0, i as u32);
         }
         assert_eq!(c.busy(), [12]);
     }
@@ -398,12 +409,12 @@ pub(crate) mod tests {
     #[test]
     fn control_symbols_travel_independently() {
         let mut c = chan();
-        c.send(50, 0, 7);
-        c.send_ctl(50, 0, CTL_STOP);
-        assert_eq!(c.take_ctl(57, 0), CTL_NONE);
-        assert_eq!(c.take_ctl(58, 0), CTL_STOP);
-        assert_eq!(c.take_ctl(58, 0), CTL_NONE);
-        assert_eq!(c.take_data(58, 0), Some(7));
+        c.send(c.row(50), 0, 7);
+        c.send_ctl(c.row(50), 0, CTL_STOP);
+        assert_eq!(c.take_ctl(c.row(57), 0), CTL_NONE);
+        assert_eq!(c.take_ctl(c.row(58), 0), CTL_STOP);
+        assert_eq!(c.take_ctl(c.row(58), 0), CTL_NONE);
+        assert_eq!(c.take_data(c.row(58), 0), Some(7));
     }
 
     #[test]
@@ -411,8 +422,8 @@ pub(crate) mod tests {
     #[cfg_attr(not(debug_assertions), ignore = "a debug assertion")]
     fn double_send_panics_in_debug() {
         let mut c = chan();
-        c.send(10, 0, 1);
-        c.send(10, 0, 2);
+        c.send(c.row(10), 0, 1);
+        c.send(c.row(10), 0, 2);
     }
 
     #[test]
@@ -420,19 +431,19 @@ pub(crate) mod tests {
     #[cfg_attr(not(debug_assertions), ignore = "a debug assertion")]
     fn misordered_ctl_send_panics_in_debug() {
         let mut c = chan();
-        c.send_ctl(10, 0, CTL_STOP);
+        c.send_ctl(c.row(10), 0, CTL_STOP);
         // Cycle 18 reuses row 10 % 8, and the STOP arriving right now has
         // not been taken: without the check it would vanish silently.
-        c.send_ctl(18, 0, CTL_GO);
+        c.send_ctl(c.row(18), 0, CTL_GO);
     }
 
     #[test]
     fn ctl_send_after_take_is_ordered() {
         let mut c = chan();
-        c.send_ctl(10, 0, CTL_STOP);
-        assert_eq!(c.take_ctl(18, 0), CTL_STOP);
-        c.send_ctl(18, 0, CTL_GO); // slot freed by the take: legal
-        assert_eq!(c.take_ctl(26, 0), CTL_GO);
+        c.send_ctl(c.row(10), 0, CTL_STOP);
+        assert_eq!(c.take_ctl(c.row(18), 0), CTL_STOP);
+        c.send_ctl(c.row(18), 0, CTL_GO); // slot freed by the take: legal
+        assert_eq!(c.take_ctl(c.row(26), 0), CTL_GO);
     }
 
     #[test]
@@ -440,8 +451,8 @@ pub(crate) mod tests {
         let mut c = chan();
         // A purge's GO may overwrite a STOP sent earlier the same cycle;
         // the receiver sees only the final symbol.
-        c.send_ctl(5, 0, CTL_STOP);
-        c.send_ctl(5, 0, CTL_GO);
+        c.send_ctl(c.row(5), 0, CTL_STOP);
+        c.send_ctl(c.row(5), 0, CTL_GO);
         assert_eq!(c.in_flight(), 1, "one slot, one bit");
         assert_eq!(drain_ctl(&mut c, 13), [(0, CTL_GO)]);
     }
@@ -449,25 +460,25 @@ pub(crate) mod tests {
     #[test]
     fn fail_truncates_and_repair_restores() {
         let mut c = chan();
-        c.send(0, 0, 5);
-        c.send(1, 0, 5);
-        c.send(2, 0, 9);
-        c.send_ctl(2, 0, CTL_STOP);
+        c.send(c.row(0), 0, 5);
+        c.send(c.row(1), 0, 5);
+        c.send(c.row(2), 0, 9);
+        c.send_ctl(c.row(2), 0, CTL_STOP);
         assert_eq!(c.fail(0), vec![5, 9], "distinct in-flight victims");
         assert!(c.is_dead(0));
         assert!(!c.has_data_in_flight(0));
         assert_eq!(c.in_flight(), 0);
         // A dead cable eats everything offered to it.
-        c.send(3, 0, 11);
-        c.send_ctl(3, 0, CTL_GO);
+        c.send(c.row(3), 0, 11);
+        c.send_ctl(c.row(3), 0, CTL_GO);
         for cyc in 4..30 {
-            assert_eq!(c.take_data(cyc, 0), None);
-            assert_eq!(c.take_ctl(cyc, 0), CTL_NONE);
+            assert_eq!(c.take_data(c.row(cyc), 0), None);
+            assert_eq!(c.take_ctl(c.row(cyc), 0), CTL_NONE);
         }
         c.repair(0);
         assert!(!c.is_dead(0));
-        c.send(30, 0, 1);
-        assert_eq!(c.take_data(38, 0), Some(1));
+        c.send(c.row(30), 0, 1);
+        assert_eq!(c.take_data(c.row(38), 0), Some(1));
     }
 
     /// STOP and GO sent into a failed cable leave neither a slot nor an
@@ -475,10 +486,10 @@ pub(crate) mod tests {
     #[test]
     fn a_dead_cable_records_no_control_symbol() {
         let mut c = table(3, 8);
-        c.send_ctl(4, 1, CTL_STOP);
+        c.send_ctl(c.row(4), 1, CTL_STOP);
         assert!(c.fail(1).is_empty());
-        c.send_ctl(5, 1, CTL_STOP);
-        c.send_ctl(6, 1, CTL_GO);
+        c.send_ctl(c.row(5), 1, CTL_STOP);
+        c.send_ctl(c.row(6), 1, CTL_GO);
         assert_eq!(c.in_flight(), 0);
         assert!(!c.any_slot_full());
         assert!((5..30).all(|cyc| drain_ctl(&mut c, cyc).is_empty()));
@@ -487,8 +498,8 @@ pub(crate) mod tests {
     #[test]
     fn reset_busy() {
         let mut c = chan();
-        c.send(0, 0, 1);
-        c.take_data(8, 0);
+        c.send(c.row(0), 0, 1);
+        c.take_data(c.row(8), 0);
         assert_eq!(c.busy(), [1]);
         c.reset_busy();
         assert_eq!(c.busy(), [0]);
@@ -645,11 +656,11 @@ pub(crate) mod tests {
                         t.purge(b % 4);
                         m.purge(b % 4);
                     }
-                    3 => prop_assert_eq!(t.take_data(cycle, ci), m.take_data(cycle, ci)),
+                    3 => prop_assert_eq!(t.take_data(t.row(cycle), ci), m.take_data(cycle, ci)),
                     4 => {
                         let symbol = [CTL_STOP, CTL_GO][b as usize % 2];
-                        prop_assert_eq!(t.take_ctl(cycle, ci), m.take_ctl(cycle, ci));
-                        t.send_ctl(cycle, ci, symbol);
+                        prop_assert_eq!(t.take_ctl(t.row(cycle), ci), m.take_ctl(cycle, ci));
+                        t.send_ctl(t.row(cycle), ci, symbol);
                         m.send_ctl(cycle, ci, symbol);
                     }
                     _ => {}
@@ -662,9 +673,9 @@ pub(crate) mod tests {
                     .filter_map(|ci| Some((ci, m.take_data(cycle, ci)?)))
                     .collect();
                 let (got_ctl, got_data) = if op >= 128 {
-                    let ctl = (0..n as u32).map(|ci| (ci, t.take_ctl(cycle, ci)));
+                    let ctl = (0..n as u32).map(|ci| (ci, t.take_ctl(t.row(cycle), ci)));
                     let ctl = ctl.filter(|&(_, s)| s != CTL_NONE).collect();
-                    let data = (0..n as u32).filter_map(|ci| Some((ci, t.take_data(cycle, ci)?)));
+                    let data = (0..n as u32).filter_map(|ci| Some((ci, t.take_data(t.row(cycle), ci)?)));
                     (ctl, data.collect())
                 } else {
                     (drain_ctl(&mut t, cycle), drain_data(&mut t, cycle))
@@ -676,11 +687,11 @@ pub(crate) mod tests {
                 for (x, pid, sym) in sends {
                     let ci = pick(n, x);
                     if sym % 3 == 0 && m.can_send(cycle, ci) {
-                        t.send(cycle, ci, pid % 4);
+                        t.send(t.row(cycle), ci, pid % 4);
                         m.send(cycle, ci, pid % 4);
                     } else if sym % 3 != 0 && m.can_send_ctl(cycle, ci) {
                         let symbol = [CTL_STOP, CTL_GO][sym as usize % 2];
-                        t.send_ctl(cycle, ci, symbol);
+                        t.send_ctl(t.row(cycle), ci, symbol);
                         m.send_ctl(cycle, ci, symbol);
                     }
                 }

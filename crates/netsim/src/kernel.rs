@@ -147,12 +147,15 @@ pub(crate) fn deliver_ctl(p: &mut SeqParts, ci: u32, symbol: u8) {
     k.activity();
     match sender {
         Sender::SwitchOut { sw, port } => {
-            p.switches[sw as usize].outp[port as usize]
-                .as_mut()
-                .expect("ctl for unconnected port")
-                .stopped = stopped;
+            p.switches[sw as usize].set_stopped(port as usize, stopped)
         }
-        Sender::Nic { host } => p.nics[host as usize].stopped = stopped,
+        Sender::Nic { host } => {
+            p.nics[host as usize].stopped = stopped;
+            // A NIC held by STOP sleeps until this GO (`nic_tx_phase`).
+            if let (false, Some(sc)) = (stopped, k.sched.as_deref_mut()) {
+                sc.activate_nic(host);
+            }
+        }
     }
 }
 
@@ -482,9 +485,9 @@ pub(crate) fn nic_tx<S: Sink>(nic: &mut Nic, h: u32, t: &Tick, k: &mut S) {
 /// Phase 1: deliver this cycle's control symbols, walking the set bits of
 /// the channel table's row in ascending channel order (scan order).
 #[inline]
-pub(crate) fn ctl_phase(p: &mut SeqParts, t: &Tick) {
+pub(crate) fn ctl_phase(p: &mut SeqParts) {
     let mut row = Drain::default();
-    while let Some((ci, symbol)) = p.sink.channels.next_ctl(t.cycle, &mut row) {
+    while let Some((ci, symbol)) = p.sink.channels.next_ctl(p.sink.row, &mut row) {
         deliver_ctl(p, ci, symbol);
     }
 }
@@ -494,7 +497,7 @@ pub(crate) fn ctl_phase(p: &mut SeqParts, t: &Tick) {
 #[inline]
 pub(crate) fn arrival_phase(p: &mut SeqParts, t: &Tick) {
     let mut row = Drain::default();
-    while let Some((ci, pid)) = p.sink.channels.next_data(t.cycle, &mut row) {
+    while let Some((ci, pid)) = p.sink.channels.next_data(p.sink.row, &mut row) {
         deliver_data(p, ci, pid, t);
     }
 }
@@ -518,7 +521,8 @@ pub(crate) fn switches_phase(p: &mut SeqParts, t: &Tick) {
 }
 
 /// Phase 4: wake the NICs whose timers fired, then visit the active NICs
-/// in ascending order, retiring those with nothing left to send.
+/// in ascending order, retiring those with nothing left to send and those
+/// held by STOP until GO wakes them.
 #[inline]
 pub(crate) fn nic_tx_phase(p: &mut SeqParts, t: &Tick) {
     p.sched().drain_wakes(t.cycle);
@@ -527,7 +531,7 @@ pub(crate) fn nic_tx_phase(p: &mut SeqParts, t: &Tick) {
     list.retain(|&h| {
         let nic = &mut p.nics[h as usize];
         nic_tx(nic, h, t, &mut p.sink);
-        let retire = nic.quiescent_for_tx(t.cycle);
+        let retire = nic.quiescent_for_tx(t.cycle) || nic.held_by_stop();
         if retire {
             p.sched().retire_nic(h);
         }

@@ -116,12 +116,11 @@ impl Nic {
     }
 
     /// Nothing for the transmit phase to do at `cycle` — no transmission in
-    /// flight (a stopped NIC with a worm in progress must keep being
-    /// visited so it resumes on GO), no queued local packet, and no
-    /// re-injection or retransmission ready yet. Heap entries that become
-    /// ready later are covered by the scheduler's wake-up heap (one entry
-    /// per insertion), so the active-set scheduler may retire a NIC for
-    /// which this holds.
+    /// flight, no queued local packet, and no re-injection or
+    /// retransmission ready yet. Heap entries that become ready later are
+    /// covered by the scheduler's wake-up heap (one entry per insertion),
+    /// so the active-set scheduler may retire a NIC for which this holds.
+    /// It may also retire one [`held_by_stop`](Nic::held_by_stop).
     pub(crate) fn quiescent_for_tx(&self, cycle: u64) -> bool {
         let ready = |heap: &BinaryHeap<Reverse<(u64, u32)>>| {
             heap.peek().is_some_and(|Reverse((r, _))| *r <= cycle)
@@ -130,6 +129,14 @@ impl Nic {
             && self.local_queue.is_empty()
             && !ready(&self.reinject)
             && !ready(&self.retransmit)
+    }
+
+    /// A worm in progress, held by STOP: a transmit-phase visit is a no-op
+    /// until GO arrives or the worm is purged, and both wake the NIC. (A
+    /// dead host or cable has its worm purged; a NIC starts none while its
+    /// cable is dead, so a repair finds nothing held.)
+    pub(crate) fn held_by_stop(&self) -> bool {
+        self.stopped && self.tx.is_some()
     }
 
     /// Anything left to do at this NIC?

@@ -7,7 +7,8 @@
 //! * [`Scheduler::ActiveSet`] — the engine. The channel table
 //!   (`channel.rs`) is indexed by arrival cycle, so the arrival phases walk
 //!   the set occupancy bits of the current row; switches/NICs live in
-//!   dedup'd active lists that members leave only when provably quiescent.
+//!   dedup'd active lists that members leave only when provably quiescent
+//!   (or, for a NIC, asleep under STOP until GO).
 //!   Per cycle the loop touches only components with work, and whenever
 //!   nothing is in flight and both lists are empty the run loop jumps the
 //!   clock to the next cycle at which *anything* can happen (wake heap,
@@ -73,9 +74,13 @@ pub enum Scheduler {
 ///   no crossbar connections, so visiting it is a no-op).
 /// * `nic_active`/`nic_is_active` likewise; a NIC is listed whenever its
 ///   transmit phase has work *now* (in-flight tx, queued local packet,
-///   ready re-injection or retransmission). Heap entries that become ready
-///   in the future are covered by `nic_wake`, which gets an entry at every
-///   heap insertion.
+///   ready re-injection or retransmission), except while STOP holds its
+///   worm in progress: then every visit is a no-op, and both events that
+///   end the hold list it again (the GO's arrival, a purge of the worm).
+///   Heap entries that become ready in the future are covered by
+///   `nic_wake`, which gets an entry at every heap insertion.
+///
+/// `Simulator::check_invariants` checks both against the component state.
 #[derive(Debug)]
 pub(crate) struct ActiveSched {
     sw_active: Vec<u32>,
@@ -160,6 +165,24 @@ impl ActiveSched {
         self.nic_active.append(&mut kept);
     }
 
+    /// Test oracle: each active list holds exactly the ids its flags set,
+    /// once each. Returns the flags, `(switches, nics)`.
+    pub(crate) fn check_invariants(&self) -> (&[bool], &[bool]) {
+        for (list, flags) in [
+            (&self.sw_active, &self.sw_is_active),
+            (&self.nic_active, &self.nic_is_active),
+        ] {
+            let mut ids = list.clone();
+            ids.sort_unstable();
+            let flagged = (0..flags.len() as u32).filter(|&i| flags[i as usize]);
+            assert!(
+                ids.into_iter().eq(flagged),
+                "active list and flags disagree"
+            );
+        }
+        (&self.sw_is_active, &self.nic_is_active)
+    }
+
     // ---- Quiescence accessors for the time skip (`sim/skip.rs`).
 
     /// No switch or NIC is in an active list. O(1).
@@ -188,11 +211,11 @@ mod tests {
     #[test]
     fn wheel_buckets_sort_and_dedup() {
         let mut c = table(70, 4);
-        c.send(10, 67, 1);
-        c.send(10, 3, 2);
-        c.send(10, 7, 3);
-        c.send_ctl(10, 7, CTL_STOP);
-        c.send_ctl(10, 7, CTL_GO);
+        c.send(c.row(10), 67, 1);
+        c.send(c.row(10), 3, 2);
+        c.send(c.row(10), 7, 3);
+        c.send_ctl(c.row(10), 7, CTL_STOP);
+        c.send_ctl(c.row(10), 7, CTL_GO);
         // Cycle 14 is the arrival cycle of everything sent at 10.
         assert_eq!(drain_data(&mut c, 14), [(3, 2), (7, 3), (67, 1)]);
         assert!(drain_data(&mut c, 14).is_empty(), "row drained");
@@ -274,19 +297,19 @@ mod tests {
     fn wheel_wraparound_at_slot_boundaries() {
         let mut c = table(9, 3);
         // Row 0 holds cycles 0, 3, 6, ...
-        c.send(0, 5, 1);
+        c.send(c.row(0), 5, 1);
         assert_eq!(c.in_flight(), 1);
         assert_eq!(drain_data(&mut c, 3), [(5, 1)]);
         assert_eq!(c.in_flight(), 0);
         // The next lap reuses the row cleanly after a drain.
-        c.send(3, 8, 2);
-        c.send(3, 2, 3);
+        c.send(c.row(3), 8, 2);
+        c.send(c.row(3), 2, 3);
         assert_eq!(drain_data(&mut c, 6), [(2, 3), (8, 2)]);
         // The last row wraps to cycle delay-1 + k*delay.
-        c.send_ctl(2, 4, CTL_STOP);
+        c.send_ctl(c.row(2), 4, CTL_STOP);
         assert_eq!(drain_ctl(&mut c, 5), [(4, CTL_STOP)]);
-        c.send_ctl(5, 1, CTL_GO);
-        c.send_ctl(5, 4, CTL_GO);
+        c.send_ctl(c.row(5), 1, CTL_GO);
+        c.send_ctl(c.row(5), 4, CTL_GO);
         assert_eq!(
             drain_ctl(&mut c, 8),
             [(1, CTL_GO), (4, CTL_GO)],
@@ -303,9 +326,9 @@ mod tests {
         assert_eq!(c.in_flight(), 0);
         assert!(s.active_lists_empty());
         assert_eq!(s.next_wake(), None);
-        c.send(1, 6, 9);
-        c.send_ctl(1, 6, CTL_STOP);
-        c.send_ctl(2, 3, CTL_GO);
+        c.send(c.row(1), 6, 9);
+        c.send_ctl(c.row(1), 6, CTL_STOP);
+        c.send_ctl(c.row(2), 3, CTL_GO);
         assert_eq!(c.in_flight(), 3);
         assert_eq!(drain_data(&mut c, 5), [(6, 9)]);
         assert_eq!(c.in_flight(), 2, "control symbols still pending");

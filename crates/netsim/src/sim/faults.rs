@@ -287,9 +287,7 @@ impl Simulator<'_> {
         };
         match self.channels.sender(ci) {
             Sender::SwitchOut { sw, port } => {
-                if let Some(o) = self.switches[sw as usize].outp[port as usize].as_mut() {
-                    o.stopped = stopped;
-                }
+                self.switches[sw as usize].set_stopped(port as usize, stopped)
             }
             Sender::Nic { host } => self.nics[host as usize].stopped = stopped,
         }
@@ -323,7 +321,7 @@ impl Simulator<'_> {
             if ok {
                 // Its generator restarts and its `scheduled` backlog is
                 // due again: have this cycle's generation phase look.
-                self.gen_due = self.gen_due.min(cycle);
+                self.gen_heap.push(Reverse((cycle, h as u32)));
                 self.restart_generation(h, cycle);
             } else {
                 self.strand_host_traffic(h, cycle);
@@ -450,6 +448,7 @@ impl Simulator<'_> {
     /// queues — leaving the packet itself in the arena for the caller.
     fn purge_packet(&mut self, pid: u32, cycle: u64) {
         self.channels.purge(pid);
+        let row = self.channels.row(cycle);
         for s in 0..self.switches.len() {
             let mut ctl = Vec::new();
             self.switches[s].purge(pid, &self.cfg, |c| ctl.push(c));
@@ -459,20 +458,22 @@ impl Simulator<'_> {
                 // overwritten, so take it first for `send_ctl`'s call-order
                 // check. In phase 0, `sym` lands in the row phase 1 drains
                 // this very cycle, under the engine and the oracle alike.
-                self.channels.take_ctl(cycle, in_chan);
-                self.channels.send_ctl(cycle, in_chan, sym);
+                self.channels.take_ctl(row, in_chan);
+                self.channels.send_ctl(row, in_chan, sym);
             }
         }
         for h in 0..self.nics.len() {
             let mut release = false;
+            if let Some(tx) = self.nics[h].tx.filter(|tx| tx.pid == pid) {
+                release = tx.reinjection;
+                self.nics[h].tx = None;
+                // It may have been asleep, held by STOP.
+                if let Some(sc) = self.sched.as_deref_mut() {
+                    sc.activate_nic(h as u32);
+                }
+            }
             {
                 let nic = &mut self.nics[h];
-                if let Some(tx) = nic.tx {
-                    if tx.pid == pid {
-                        release = tx.reinjection;
-                        nic.tx = None;
-                    }
-                }
                 if let Some(rx) = nic.rx {
                     if rx.pid == pid {
                         nic.rx = None;
@@ -501,7 +502,7 @@ impl Simulator<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::small_cfg;
+    use super::super::tests::{build_ring4, small_cfg};
     use super::*;
     use crate::config::SimConfig;
     use crate::faultplan::FaultPlan;
@@ -531,6 +532,34 @@ mod tests {
             }
         }
         None
+    }
+
+    /// A NIC asleep under STOP with packets queued behind its worm must
+    /// wake when the worm is lost: the GO that would have woken it may
+    /// never come (the purge can leave the switch's buffer above the GO
+    /// threshold, or the cable dead).
+    #[test]
+    fn losing_a_stop_held_worm_wakes_its_nic() {
+        let topo = build_ring4();
+        let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let mut sim = Simulator::new(&topo, &db, &pattern, small_cfg(), 0.5, 3);
+        sim.enable_faults(FaultOptions::with_plan(FaultPlan::new()));
+        // Asleep: held, and not listed since.
+        let held = |sim: &Simulator| {
+            let (_, listed) = sim.sched.as_deref().unwrap().check_invariants();
+            let mut nics = sim.nics.iter().enumerate();
+            nics.find(|&(h, n)| n.held_by_stop() && !n.local_queue.is_empty() && !listed[h])
+                .map(|(h, n)| (h, n.tx.unwrap().pid))
+        };
+        while held(&sim).is_none() {
+            assert!(sim.cycle < 20_000, "no NIC ever held by STOP");
+            sim.step();
+        }
+        let (h, pid) = held(&sim).unwrap();
+        sim.handle_loss(pid, sim.cycle);
+        assert!(sim.nics[h].tx.is_none());
+        sim.check_invariants();
     }
 
     #[test]

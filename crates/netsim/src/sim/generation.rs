@@ -1,5 +1,7 @@
-//! Phase 5, message generation: the `gen_due` gate, the open-loop
+//! Phase 5, message generation: the heap of due hosts, the open-loop
 //! generators and the scripted messages of the tests.
+
+use std::cmp::Reverse;
 
 use regnet_topology::HostId;
 
@@ -7,18 +9,35 @@ use super::{route_db, Simulator};
 use crate::packet::Packet;
 
 impl Simulator<'_> {
-    /// Phase 5: message generation. Nothing is due before `gen_due`, so
-    /// most cycles return at once; a cycle that scans the hosts learns the
-    /// next due cycle from them as it goes.
+    /// Phase 5: message generation. Visits the hosts due by `cycle` once
+    /// each, in ascending order — the order a scan of every host visits
+    /// them, so packet ids and RNG draws do not depend on the heap — and
+    /// pushes back each one's next due cycle.
     pub(super) fn gen_phase(&mut self, cycle: u64) {
-        if cycle < self.gen_due {
-            return;
+        let mut due = Vec::new();
+        while let Some(&Reverse((at, h))) = self.gen_heap.peek() {
+            if at > cycle {
+                break;
+            }
+            self.gen_heap.pop();
+            due.push(h);
         }
-        let mut due = u64::MAX;
-        for h in 0..self.nics.len() {
-            due = due.min(self.nic_gen(h, cycle));
+        due.sort_unstable();
+        due.dedup();
+        for h in due {
+            let next = self.nic_gen(h as usize, cycle);
+            if next != u64::MAX {
+                self.gen_heap.push(Reverse((next, h)));
+            }
         }
-        self.gen_due = due;
+    }
+
+    /// No host creates a message before this cycle (`u64::MAX`: none ever
+    /// will, as far as the hosts can tell). It may be early, never late.
+    pub(super) fn gen_due(&self) -> u64 {
+        self.gen_heap
+            .peek()
+            .map_or(u64::MAX, |&Reverse((at, _))| at)
     }
 
     /// Schedule an explicit message (the scripted traffic of the tests).
@@ -34,7 +53,7 @@ impl Simulator<'_> {
             );
         }
         nic.scheduled.push_back((at_cycle, dst.0));
-        self.gen_due = self.gen_due.min(at_cycle);
+        self.gen_heap.push(Reverse((at_cycle, src.0)));
     }
 
     /// Permanently stop message generation at every host. Used to drain
@@ -82,7 +101,7 @@ impl Simulator<'_> {
         if let Some(f) = self.faults.as_deref() {
             // Dead or unreachable hosts generate nothing (their backlog was
             // stranded when they went down) until `apply_host_ok` brings
-            // them back, which lowers `gen_due` itself.
+            // them back, which pushes them onto the heap itself.
             if !f.host_ok[h] {
                 return u64::MAX;
             }
@@ -156,13 +175,13 @@ mod tests {
     use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme};
     use regnet_traffic::{Pattern, PatternSpec};
 
-    /// Step `cycles` cycles; `ungated` clears the generation gate before
-    /// each one, which is the scan of every host on every cycle that
-    /// `gen_phase` ran before it had a gate.
+    /// Step `cycles` cycles; `ungated` makes every host due on every
+    /// cycle, so `gen_phase` visits them all, as it did before the heap.
     fn step_n(sim: &mut Simulator, cycles: u64, ungated: bool) {
         for _ in 0..cycles {
             if ungated {
-                sim.gen_due = 0;
+                let every = (0..sim.nics.len() as u32).map(|h| Reverse((sim.cycle, h)));
+                sim.gen_heap = every.collect();
             }
             sim.step();
         }
@@ -185,6 +204,33 @@ mod tests {
         assert_eq!(gated, run(true));
     }
 
+    /// Four hosts due on one cycle, one of them through an entry from an
+    /// earlier cycle: they are visited in host order, as the scan twin
+    /// visits them, so packet ids follow host ids.
+    #[test]
+    fn hosts_due_on_one_cycle_are_visited_in_host_order() {
+        let topo = build_ring4();
+        let db = RouteDb::build(&topo, RoutingScheme::UpDown, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let run = |ungated: bool| {
+            let mut sim = Simulator::new(&topo, &db, &pattern, small_cfg(), 1e-9, 2);
+            for h in [5, 1] {
+                sim.nics[h].next_gen = 49.5;
+            }
+            sim.schedule_message(HostId(2), HostId(0), 50);
+            step_n(&mut sim, 50, ungated);
+            // Due in the past: its heap entry pops ahead of cycle 50's.
+            sim.schedule_message(HostId(6), HostId(0), 45);
+            step_n(&mut sim, 1, ungated);
+            let fronts = sim.nics.iter().map(|n| n.local_queue.front().copied());
+            fronts.collect::<Vec<_>>()
+        };
+        let queued = run(false);
+        let want = [None, Some(0), Some(1), None, None, Some(2), Some(3), None];
+        assert_eq!(queued, want);
+        assert_eq!(queued, run(true));
+    }
+
     #[test]
     fn scheduled_message_before_the_cached_gate_fires_on_its_cycle() {
         let topo = build_ring4();
@@ -197,15 +243,15 @@ mod tests {
             sim.set_scheduler(scheduler);
             sim.begin_measurement();
             sim.run(100);
-            assert!(sim.gen_due > 1_000_000, "gate at {}", sim.gen_due);
+            assert!(sim.gen_due() > 1_000_000, "gate at {}", sim.gen_due());
             assert_eq!(sim.measure.generated, 0);
             sim.schedule_message(HostId(0), HostId(5), 140);
-            assert_eq!(sim.gen_due, 140);
+            assert_eq!(sim.gen_due(), 140);
             sim.run(40);
             assert_eq!((sim.cycle, sim.measure.generated), (140, 0));
             sim.run(1);
             assert_eq!(sim.measure.generated, 1, "{scheduler:?}");
-            assert!(sim.gen_due > 1_000_000, "gate not recomputed");
+            assert!(sim.gen_due() > 1_000_000, "gate not recomputed");
             assert_eq!(sim.run_until_drained(10_000).map(|c| c > 141), Some(true));
         }
     }
@@ -224,7 +270,7 @@ mod tests {
         assert!(sim.run_until_drained(1_000_000).is_some());
         sim.run(10_000);
         assert_eq!(sim.measure.generated, generated);
-        assert_eq!(sim.gen_due, u64::MAX);
+        assert_eq!(sim.gen_due(), u64::MAX);
     }
 
     #[test]
@@ -249,14 +295,14 @@ mod tests {
             }
             sim.begin_measurement();
             step_n(&mut sim, 6_000, ungated);
-            assert!(ungated || sim.gen_due == u64::MAX);
+            assert!(ungated || sim.gen_due() == u64::MAX);
             // Back after repair + reconfiguration latency, with a fresh
             // phase — the only host that generates.
             step_n(&mut sim, 301, ungated);
             assert!(sim.faults.as_deref().unwrap().host_ok[3]);
             let restart = sim.nics[3].next_gen;
             assert!((6_300.0..9_000.0).contains(&restart), "{restart}");
-            assert!(ungated || sim.gen_due == restart.ceil() as u64);
+            assert!(ungated || sim.gen_due() == restart.ceil() as u64);
             step_n(&mut sim, 20_000, ungated);
             (sim.end_measurement(sim.cycle), sim.reliability())
         };

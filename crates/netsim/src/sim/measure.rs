@@ -357,14 +357,10 @@ impl Simulator<'_> {
                         inp.head_out()
                     );
                 }
-                let outp = sw.outp[p as usize].as_ref().unwrap();
-                if outp.conn_in().is_some() || outp.stopped {
-                    let _ = writeln!(
-                        out,
-                        "  sw {s} out p{p}: conn={:?} stopped={}",
-                        outp.conn_in(),
-                        outp.stopped
-                    );
+                let conn = sw.outp[p as usize].as_ref().unwrap().conn_in();
+                let stopped = sw.is_stopped(p as usize);
+                if conn.is_some() || stopped {
+                    let _ = writeln!(out, "  sw {s} out p{p}: conn={conn:?} stopped={stopped}");
                 }
             }
         }
@@ -538,7 +534,8 @@ mod tests {
         // the STOP stream is the only activity in the network.
         let stop_chan = sim.nics[0].out_chan;
         let send_ctl = |sim: &mut Simulator, cycle: u64, symbol: u8| {
-            sim.channels.send_ctl(cycle, stop_chan, symbol);
+            let row = sim.channels.row(cycle);
+            sim.channels.send_ctl(row, stop_chan, symbol);
         };
         for _ in 0..1_000 {
             let c = sim.cycle;

@@ -22,10 +22,12 @@
 //!
 //! * `sink.rs` — the sink the kernel emits its effects into;
 //! * `faults.rs` — the fault phase, the loss replay and reconfiguration;
-//! * `generation.rs` — the generation phase and its `gen_due` gate;
+//! * `generation.rs` — the generation phase and its heap of due hosts;
 //! * `measure.rs` — the measurement window, observers and diagnostics;
 //! * `skip.rs` — the run loops' time skip.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
@@ -125,13 +127,12 @@ pub struct Simulator<'a> {
     /// `stop_generation` was called: never restart generators, even when a
     /// repaired host comes back.
     gen_frozen: bool,
-    /// No host creates a message before this cycle: the minimum, over the
-    /// hosts allowed to generate, of the next generation cycle and the
-    /// head of the `scheduled` queue. `gen_phase` returns at once below it
-    /// and recomputes it during each full scan; whatever makes a message
-    /// due earlier (`schedule_message`, a host coming back) lowers it. It
-    /// may be early — a scan with nothing due is a no-op — never late.
-    gen_due: u64,
+    /// `(cycle, host)`: `host` may have a message due at `cycle`. Every
+    /// host allowed to generate has an entry no later than its next due
+    /// cycle; whatever makes a message due earlier (`schedule_message`, a
+    /// host coming back) pushes one. An entry may be early or stale —
+    /// visiting a host with nothing due is a no-op — never late.
+    gen_heap: BinaryHeap<Reverse<(u64, u32)>>,
     /// Total cycles `run`/`run_until_drained` jumped over (see `skip.rs`).
     skipped_cycles: u64,
     /// Optional `(from, to)` record of every jump — test instrumentation,
@@ -259,7 +260,9 @@ impl<'a> Simulator<'a> {
             link_chans,
             pending_loss: Vec::new(),
             gen_frozen: false,
-            gen_due: 0,
+            gen_heap: (0..topo.num_hosts() as u32)
+                .map(|h| Reverse((0, h)))
+                .collect(),
             skipped_cycles: 0,
             skip_log: None,
         };
@@ -299,10 +302,33 @@ impl<'a> Simulator<'a> {
 
     /// Test oracle: recompute every switch's port summaries (the masks the
     /// kernel iterates, the resident-packet count behind quiescence) from
-    /// the port state and panic on a mismatch. Valid between steps.
+    /// the port state, and check that the engine lists every switch
+    /// holding a packet and every NIC with something to send that is not
+    /// asleep under STOP; panic on a mismatch. Valid between steps.
     pub fn check_invariants(&self) {
         for sw in &self.switches {
             sw.check_invariants();
+        }
+        let Some(sc) = self.sched.as_deref() else {
+            return;
+        };
+        let (switches, nics) = sc.check_invariants();
+        for (s, sw) in self.switches.iter().enumerate() {
+            assert!(
+                switches[s] || sw.is_quiescent(),
+                "switch {s} holds a packet, unlisted"
+            );
+        }
+        // What became ready by the last cycle stepped was visited then;
+        // later readiness is the wake heap's.
+        let last = self.cycle.saturating_sub(1);
+        for (h, nic) in self.nics.iter().enumerate() {
+            let idle = nic.quiescent_for_tx(last) || nic.held_by_stop();
+            assert!(
+                nics[h] || idle,
+                "NIC {h} has work, unlisted:\n{}",
+                self.dump_state()
+            );
         }
     }
 
@@ -411,6 +437,7 @@ impl<'a> Simulator<'a> {
         };
         let sink = SeqSink {
             cycle,
+            row: self.channels.row(cycle),
             channels: &mut self.channels,
             arena: &mut self.arena,
             selector: &mut self.selector,
@@ -443,18 +470,18 @@ impl<'a> Simulator<'a> {
         let scan = p.sink.sched.is_none();
         if scan {
             for ci in 0..n_channels {
-                let symbol = p.sink.channels.take_ctl(cycle, ci);
+                let symbol = p.sink.channels.take_ctl(p.sink.row, ci);
                 if symbol != CTL_NONE {
                     kernel::deliver_ctl(&mut p, ci, symbol);
                 }
             }
         } else {
-            kernel::ctl_phase(&mut p, &t);
+            kernel::ctl_phase(&mut p);
         }
         lap(prof, mark, Phase::Control);
         if scan {
             for ci in 0..n_channels {
-                if let Some(pid) = p.sink.channels.take_data(cycle, ci) {
+                if let Some(pid) = p.sink.channels.take_data(p.sink.row, ci) {
                     kernel::deliver_data(&mut p, ci, pid, &t);
                 }
             }

@@ -7,7 +7,7 @@ use regnet_topology::HostId;
 
 use super::faults::Loss;
 use super::measure::Measure;
-use crate::channel::Channels;
+use crate::channel::{Channels, Row};
 use crate::counters::CounterSnapshot;
 use crate::events::{EventJournal, EventKind};
 use crate::kernel::{KernelMeasure, Sink, SwitchSpan};
@@ -22,10 +22,12 @@ use crate::trace::TraceState;
 /// are recorded for the loss phase.
 pub(crate) struct SeqSink<'s> {
     pub(crate) cycle: u64,
+    /// `cycle`'s row of the channel table.
+    pub(crate) row: Row,
     pub(crate) channels: &'s mut Channels,
     pub(super) arena: &'s mut PacketArena,
     pub(super) selector: &'s mut PathSelector,
-    pub(super) sched: Option<&'s mut ActiveSched>,
+    pub(crate) sched: Option<&'s mut ActiveSched>,
     pub(super) counters: Option<&'s mut CounterSnapshot>,
     pub(super) journal: Option<&'s mut EventJournal>,
     pub(super) trace: Option<&'s mut TraceState>,
@@ -61,11 +63,11 @@ impl Sink for SeqSink<'_> {
     // wall time on the saturated torus.
     #[inline(always)]
     fn send(&mut self, ci: u32, pid: u32) {
-        self.channels.send(self.cycle, ci, pid);
+        self.channels.send(self.row, ci, pid);
     }
     #[inline(always)]
     fn send_ctl(&mut self, ci: u32, symbol: u8) {
-        self.channels.send_ctl(self.cycle, ci, symbol);
+        self.channels.send_ctl(self.row, ci, symbol);
     }
     #[inline]
     fn activate_switch(&mut self, sw: u32) {

@@ -26,8 +26,10 @@
 //!   reconfiguration is pending, so a jump of `t - c` cycles adds
 //!   `t - c` to it (the jump target is clamped to the reconfiguration
 //!   completion, so the whole span is pending time).
-//! * `gen_stall_cycles` needs no compensation: a full source queue
-//!   implies a non-quiescent NIC, which blocks skipping entirely.
+//! * `gen_stall_cycles` needs no compensation: a stalled host is due
+//!   again the next cycle, so `gen_due` blocks skipping entirely. Its NIC
+//!   is busy too: listed, or asleep under STOP, which implies a packet
+//!   resident at its switch (an active switch) or a GO in flight.
 //!
 //! # Time sources
 //!
@@ -39,9 +41,10 @@
 //! 2. per-host open-loop generation (`ceil(next_gen)`) and the head of
 //!    the closed-loop `scheduled` queue — excluding hosts currently
 //!    failed/unreachable, whose `host_ok` can only flip back at a fault
-//!    or reconfiguration cycle, which is itself a time source. Their
-//!    minimum is `Simulator::gen_due`, the gate the generation phase
-//!    maintains for itself; this module reads it and scans no host;
+//!    or reconfiguration cycle, which is itself a time source.
+//!    `Simulator::gen_due`, the top of the generation phase's heap of due
+//!    hosts, is at most their minimum; this module reads it and scans no
+//!    host;
 //! 3. the next fault-plan event and the pending reconfiguration
 //!    completion;
 //! 4. the next telemetry sampling tick (utilization / occupancy /
@@ -130,9 +133,9 @@ impl Simulator<'_> {
         if let Some(wake) = sc.next_wake() {
             t = t.min(wake);
         }
-        // Generation and scheduled messages: the generation phase's own
-        // gate. It can be early, which only shortens the jump.
-        t = t.min(self.gen_due);
+        // Generation and scheduled messages: the top of the generation
+        // phase's heap. It can be early, which only shortens the jump.
+        t = t.min(self.gen_due());
         if let Some(f) = self.faults.as_deref() {
             if let Some(ev) = f.events.get(f.next_event) {
                 t = t.min(ev.cycle);
@@ -165,6 +168,9 @@ impl Simulator<'_> {
     /// symbols in flight, busy switches, NICs with something to send,
     /// generation or scheduled messages due, a fault event or completed
     /// reconfiguration due, a telemetry flush due, or a watchdog trip.
+    /// A NIC whose worm STOP holds counts as work although the engine lets
+    /// it sleep: STOP implies a packet resident at its switch or a GO in
+    /// flight, either of which blocks the skip.
     /// The per-cycle `reconfig_stall_cycles` tick of a *pending*
     /// reconfiguration is excluded — the skip path compensates it
     /// exactly. A partially reassembled `rx` worm is also excluded: its

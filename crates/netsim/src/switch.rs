@@ -8,7 +8,7 @@ use crate::config::SimConfig;
 use crate::events::{BlockCause, NO_PACKET};
 
 /// A packet resident (partially or fully) in one input buffer.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct InPkt {
     pub pid: u32,
     /// Flits that will arrive at this input for this packet.
@@ -31,6 +31,74 @@ impl InPkt {
     #[inline]
     pub(crate) fn done(&self) -> bool {
         self.forwarded == self.expected - 1
+    }
+}
+
+/// An input port's packets in arrival order. The head lives inline and
+/// the packets behind it out of line: an incomplete head has nothing
+/// behind it (a channel carries one packet's flits back to back), so
+/// neither a continuation flit's arrival nor a crossbar transfer touches
+/// the out-of-line buffer.
+#[derive(Debug, Default)]
+pub(crate) struct PortQueue {
+    head: Option<InPkt>,
+    rest: VecDeque<InPkt>,
+}
+
+impl PortQueue {
+    #[inline]
+    pub(crate) fn front(&self) -> Option<&InPkt> {
+        self.head.as_ref()
+    }
+
+    pub(crate) fn back(&self) -> Option<&InPkt> {
+        self.rest.back().or(self.head.as_ref())
+    }
+
+    #[inline]
+    fn back_mut(&mut self) -> Option<&mut InPkt> {
+        if self.rest.is_empty() {
+            self.head.as_mut()
+        } else {
+            self.rest.back_mut()
+        }
+    }
+
+    #[inline]
+    fn push_back(&mut self, pkt: InPkt) {
+        if self.head.is_none() {
+            self.head = Some(pkt);
+        } else {
+            self.rest.push_back(pkt);
+        }
+    }
+
+    #[inline]
+    fn pop_front(&mut self) -> Option<InPkt> {
+        let head = self.head.take();
+        self.head = self.rest.pop_front();
+        head
+    }
+
+    /// Remove the packet at `pos` (0 is the head).
+    fn remove(&mut self, pos: usize) -> Option<InPkt> {
+        match pos {
+            0 => self.pop_front(),
+            _ => self.rest.remove(pos - 1),
+        }
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &InPkt> {
+        self.head.iter().chain(&self.rest)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        usize::from(self.head.is_some()) + self.rest.len()
+    }
+
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.head.is_none()
     }
 }
 
@@ -58,7 +126,7 @@ pub(crate) struct InPort {
     /// Buffer occupancy in flits.
     pub occ: u16,
     /// Packets in arrival order; only the head can be routed/forwarded.
-    queue: VecDeque<InPkt>,
+    queue: PortQueue,
     /// Routing state of `queue[0]`.
     head: HeadState,
     /// Output port requested by `queue[0]` (valid once routed).
@@ -72,7 +140,7 @@ impl InPort {
         InPort {
             in_chan,
             occ: 0,
-            queue: VecDeque::new(),
+            queue: PortQueue::default(),
             head: HeadState::Idle,
             head_out: 0,
             stop_sent: false,
@@ -80,7 +148,7 @@ impl InPort {
     }
 
     /// Packets in arrival order; only the head can be routed/forwarded.
-    pub(crate) fn queue(&self) -> &VecDeque<InPkt> {
+    pub(crate) fn queue(&self) -> &PortQueue {
         &self.queue
     }
 
@@ -147,8 +215,6 @@ pub(crate) struct OutPort {
     pub out_chan: u32,
     /// Input port currently connected through the crossbar.
     conn_in: Option<u8>,
-    /// STOP received from the downstream receiver.
-    pub stopped: bool,
     /// Round-robin pointer for demand-slotted arbitration: the input
     /// granted last (0 before the first grant).
     rr: u8,
@@ -159,7 +225,6 @@ impl OutPort {
         OutPort {
             out_chan,
             conn_in: None,
-            stopped: false,
             rr: 0,
         }
     }
@@ -208,7 +273,9 @@ fn rr_grant(want: u64, rr: u8) -> Option<u8> {
 /// the port state (recomputed and compared by
 /// [`check_invariants`](SwitchState::check_invariants)) and is maintained
 /// by the transition methods below, the only code that can change a
-/// queue, a head state or a crossbar connection:
+/// queue, a head state or a crossbar connection. A fifth mask is state,
+/// not a summary: `stopped`, the outputs whose downstream receiver last
+/// sent STOP, written only by [`set_stopped`](SwitchState::set_stopped).
 ///
 /// * `rcu` — inputs whose routing control unit has work: a queued packet
 ///   whose head is `Idle` (header not consumed yet) or `Routing`;
@@ -217,6 +284,9 @@ fn rr_grant(want: u64, rr: u8) -> Option<u8> {
 ///   non-empty;
 /// * `conn` — outputs holding a crossbar connection;
 /// * `resident` — packets in all input queues.
+///
+/// An output that is both connected and stopped has no work: it neither
+/// arbitrates nor transfers until GO.
 #[derive(Debug)]
 pub(crate) struct SwitchState {
     /// Indexed by port; `None` where nothing is connected.
@@ -228,6 +298,7 @@ pub(crate) struct SwitchState {
     want: Vec<u64>,
     want_any: u64,
     conn: u64,
+    stopped: u64,
     resident: u32,
 }
 
@@ -254,6 +325,7 @@ impl SwitchState {
             rcu: 0,
             want_any: 0,
             conn: 0,
+            stopped: 0,
             resident: 0,
         }
     }
@@ -371,6 +443,19 @@ impl SwitchState {
             .head_out
     }
 
+    /// Has output `out`'s downstream receiver sent STOP (and no GO since)?
+    #[inline]
+    pub(crate) fn is_stopped(&self, out: usize) -> bool {
+        self.stopped & (1 << out) != 0
+    }
+
+    /// Output `out` received STOP (`true`) or GO (`false`).
+    #[inline]
+    pub(crate) fn set_stopped(&mut self, out: usize, stopped: bool) {
+        debug_assert!(self.outp[out].is_some(), "ctl for unconnected port");
+        self.stopped = (self.stopped & !(1 << out)) | (u64::from(stopped) << out);
+    }
+
     /// The channel output `out` drives; `None` for a port that does not
     /// exist (a stale route under faults).
     #[inline]
@@ -392,7 +477,7 @@ impl SwitchState {
     ) -> Option<CtlOut> {
         let inp = self.inp_mut(p);
         debug_assert_eq!(inp.head, HeadState::Idle);
-        let head = inp.queue.front_mut().expect("routing without a packet");
+        let head = inp.queue.head.as_mut().expect("routing without a packet");
         debug_assert!(head.received >= 1 && !head.header_consumed);
         head.header_consumed = true;
         inp.head_out = out;
@@ -423,7 +508,7 @@ impl SwitchState {
         let o = self.outp.get(out)?.as_ref()?;
         if o.conn_in.is_some() {
             Some(BlockCause::OutputBusy)
-        } else if o.stopped {
+        } else if self.is_stopped(out) {
             Some(BlockCause::FlowStopped)
         } else {
             (self.want[out] & !(1 << p) != 0).then_some(BlockCause::Arbitration)
@@ -431,10 +516,10 @@ impl SwitchState {
     }
 
     /// Outputs with arbitration or transfer work this cycle: requested or
-    /// connected.
+    /// connected, and not both connected and stopped.
     #[inline]
     pub(crate) fn busy_outputs(&self) -> u64 {
-        self.want_any | self.conn
+        (self.want_any | self.conn) & !(self.conn & self.stopped)
     }
 
     /// Arbitrate output `out` if it is free: demand-slotted round-robin
@@ -461,7 +546,7 @@ impl SwitchState {
     pub(crate) fn open_connection(&self, out: usize) -> Option<(u8, u32)> {
         let o = self.outp[out].as_ref().expect("unconnected output port");
         let g = o.conn_in?;
-        (!o.stopped).then_some((g, o.out_chan))
+        (!self.is_stopped(out)).then_some((g, o.out_chan))
     }
 
     /// Move one buffered flit of input `g`'s `Granted` head through the
@@ -478,7 +563,7 @@ impl SwitchState {
         cfg: &SimConfig,
     ) -> Option<(u32, Option<CtlOut>)> {
         let inp = self.inp_mut(g as usize);
-        let head = inp.queue.front_mut().expect("granted without head");
+        let head = inp.queue.head.as_mut().expect("granted without head");
         if head.available() == 0 {
             return None;
         }
@@ -572,6 +657,10 @@ impl SwitchState {
             }
         }
         for (o, outp) in self.outp.iter().enumerate() {
+            assert!(
+                outp.is_some() || !self.is_stopped(o),
+                "STOP on missing p{o}"
+            );
             let Some(g) = outp.as_ref().and_then(|o| o.conn_in) else {
                 continue;
             };
@@ -596,6 +685,7 @@ impl SwitchState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// The arbitration the kernel ran before the port masks: find `rr` in
     /// `active_ports`, then scan the ports after it in cyclic order for the
@@ -837,6 +927,49 @@ mod tests {
         }
         for _ in 0..20 {
             assert_eq!(p.on_flit_out(&cfg), None);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The inline-head queue against the plain `VecDeque` it replaced:
+        /// the same packets, in the same order, after every operation.
+        #[test]
+        fn port_queue_matches_a_vecdeque(script in prop::collection::vec((0u8..5, any::<u8>()), 1..60)) {
+            let (mut q, mut model) = (PortQueue::default(), VecDeque::new());
+            for (i, (op, x)) in script.into_iter().enumerate() {
+                let pkt = InPkt {
+                    pid: i as u32,
+                    expected: 8,
+                    received: u32::from(x % 8),
+                    forwarded: 0,
+                    header_consumed: x % 2 == 0,
+                };
+                match op {
+                    0 => {
+                        q.push_back(pkt);
+                        model.push_back(pkt);
+                    }
+                    1 => prop_assert_eq!(q.pop_front(), model.pop_front()),
+                    2 => {
+                        let pos = usize::from(x) % (model.len() + 1);
+                        prop_assert_eq!(q.remove(pos), model.remove(pos));
+                    }
+                    3 => {
+                        if let Some(back) = q.back_mut() {
+                            back.received += 1;
+                        }
+                        if let Some(back) = model.back_mut() {
+                            back.received += 1;
+                        }
+                    }
+                    _ => prop_assert_eq!(q.front(), model.front()),
+                }
+                prop_assert!(q.iter().eq(model.iter()));
+                prop_assert_eq!((q.front(), q.back()), (model.front(), model.back()));
+                prop_assert_eq!((q.len(), q.is_empty()), (model.len(), model.is_empty()));
+            }
         }
     }
 

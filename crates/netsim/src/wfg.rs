@@ -113,7 +113,7 @@ pub(crate) fn build_wait_edges(switches: &[SwitchState]) -> Vec<WaitEdge> {
                 from_chan: inp.in_chan,
                 to_chan: outp.out_chan,
                 granted,
-                out_stopped: outp.stopped,
+                out_stopped: sw.is_stopped(out),
             });
         }
     }

@@ -56,12 +56,13 @@ pub(crate) fn cplant() -> Topology {
     gen::cplant().unwrap()
 }
 
-/// One measured run over `(warmup, measure)` cycles: stats plus the
-/// delivered-message trace digest.
+/// One measured run of `config` at `load` over `(warmup, measure)`
+/// cycles: stats plus the delivered-message trace digest.
 pub(crate) fn run_once(
     build: fn() -> Topology,
     scheme: RoutingScheme,
     scheduler: Scheduler,
+    (config, load): (&SimConfig, f64),
     (warmup_cycles, measure_cycles): (u64, u64),
 ) -> (RunStats, u64, u64) {
     let exp = Experiment::new(
@@ -69,7 +70,7 @@ pub(crate) fn run_once(
         scheme,
         RouteDbConfig::default(),
         PatternSpec::Uniform,
-        cfg(),
+        config.clone(),
     )
     .unwrap();
     let run_opts = RunOptions {
@@ -77,7 +78,7 @@ pub(crate) fn run_once(
         measure_cycles,
         ..opts(scheduler)
     };
-    let obs = exp.run_observed(0.01, &run_opts);
+    let obs = exp.run_observed(load, &run_opts);
     let trace = obs.trace.expect("digest observer was enabled");
     (
         obs.stats,
@@ -100,10 +101,21 @@ pub(crate) fn assert_equivalent_over(
     scheme: RoutingScheme,
     window: (u64, u64),
 ) -> RunStats {
-    let (s_scan, d_scan, n_scan) = run_once(build, scheme, reference(), window);
+    assert_equivalent_at(build, scheme, (&cfg(), 0.01), window)
+}
+
+/// [`assert_equivalent_over`] for a `(config, load)` point of the caller's
+/// choosing.
+pub(crate) fn assert_equivalent_at(
+    build: fn() -> Topology,
+    scheme: RoutingScheme,
+    point: (&SimConfig, f64),
+    window: (u64, u64),
+) -> RunStats {
+    let (s_scan, d_scan, n_scan) = run_once(build, scheme, reference(), point, window);
     let name = build().name().to_string();
     for sched in contenders() {
-        let (s_other, d_other, n_other) = run_once(build, scheme, sched, window);
+        let (s_other, d_other, n_other) = run_once(build, scheme, sched, point, window);
         assert_eq!(
             s_scan.counters, s_other.counters,
             "counter snapshots diverged between schedulers ({name} {scheme:?} {sched:?})"

@@ -69,6 +69,22 @@ fn torus_24x24_above_4096_channels_schedulers_agree() {
     assert!(stats.channel_busy[8_192..].iter().any(|&b| b > 0));
 }
 
+/// The matrix above runs 64-flit packets below saturation, where STOP
+/// fires a few hundred times per window at most. Past the Fig. 7a knee,
+/// with the paper's 512-flit packets, most senders are held by STOP: the
+/// engine lets them sleep until GO, and that must change nothing.
+#[test]
+fn saturated_torus_itb_rr_schedulers_agree() {
+    let stats = assert_equivalent_at(
+        torus,
+        RoutingScheme::ItbRr,
+        (&SimConfig::default(), 0.045),
+        (10_000, 20_000),
+    );
+    let stops = stats.counters.as_ref().map_or(0, |c| c.ctl_stops);
+    assert!(stops >= 1_000, "STOP must fire often: {stops}");
+}
+
 /// Faults exercise the phase-0 control path (purge GO symbols delivered
 /// the same cycle), the deferred loss replay after NIC transmission, the
 /// retransmission wake-ups and the time skip's fault/reconfiguration
