@@ -201,26 +201,17 @@ fn run_campaign(
         threads.clamp(1, pending.max(1)),
     );
     let mut export_err: Option<String> = None;
-    let outcome = run_plan(plan, store, &opts, |ev| match ev {
-        RunnerEvent::Started { worker, cell } => board.started(worker, &cell.key),
-        RunnerEvent::Done(done) => {
-            board.done(done.worker, &done.cell.key);
+    let outcome = run_plan(plan, store, &opts, |ev| {
+        board.record(&ev);
+        progress.record(&ev);
+        if let RunnerEvent::Done(done) = ev {
             results.insert(done.result.hash.clone(), done.result.clone());
-            progress.step(&format!(
-                "{} accepted {:.5} avg {:.0}ns",
-                done.cell.hash, done.result.accepted, done.result.avg_latency_ns
-            ));
             if export_err.is_none() {
                 if let Err(e) = export_campaign(plan, &results, &out_dir) {
                     export_err = Some(e);
                 }
             }
         }
-        RunnerEvent::Failed {
-            worker,
-            cell,
-            error,
-        } => board.failed(worker, &cell.key, error),
     });
     match &outcome {
         Err(_) => board.finish("failed"),
@@ -320,18 +311,23 @@ fn run_what_if(spec_str: &str, out: &str, quiet: bool) -> Result<(), String> {
             );
         }
     })?;
-    println!(
-        "saturation load in [{:.6}, {:.6}], estimate {:.6} (throughput {:.5} flits/ns/switch)",
-        result.lo,
-        result.hi,
-        result.saturation_load(),
-        result.throughput
-    );
+    let s = &result.saturation;
+    match (s.hi, s.estimate()) {
+        (Some(hi), Some(estimate)) => println!(
+            "saturation load in [{:.6}, {hi:.6}], estimate {estimate:.6} \
+             (throughput {:.5} flits/ns/switch)",
+            s.lo, s.throughput
+        ),
+        _ => println!(
+            "saturation load above {:.6} (throughput {:.5} flits/ns/switch)",
+            s.lo, s.throughput
+        ),
+    }
     println!(
         "probes: {} simulated, {} from cache{}",
         result.ran,
         result.cached,
-        if result.converged {
+        if s.converged {
             ""
         } else {
             " — probe budget exhausted before convergence"
@@ -346,7 +342,7 @@ fn parse_what_if(s: &str) -> Result<WhatIfQuery, String> {
     let mut topo: Option<TopoSpec> = None;
     let mut scheme = None;
     let mut pattern = None;
-    let mut cell = CellSpec {
+    let mut query = WhatIfQuery::new(CellSpec {
         topo: TopoSpec::Torus,
         scheme: regnet_core::RoutingScheme::UpDown,
         pattern: regnet_traffic::PatternSpec::Uniform,
@@ -358,11 +354,8 @@ fn parse_what_if(s: &str) -> Result<WhatIfQuery, String> {
         goodput_interval: None,
         reconfig_latency_cycles: None,
         faults: None,
-    };
-    let mut start = None;
-    let mut growth = None;
-    let mut tol = None;
-    let mut probes = None;
+    });
+    let (cell, search) = (&mut query.cell, &mut query.search);
     for part in s.split(',').filter(|p| !p.trim().is_empty()) {
         let (k, v) = part
             .split_once('=')
@@ -377,29 +370,16 @@ fn parse_what_if(s: &str) -> Result<WhatIfQuery, String> {
             "measure" => cell.measure_cycles = parse_num(k, v)?,
             "payload" => cell.payload_flits = parse_num(k, v)?,
             "fault" => cell.faults = Some(FaultSpec::parse("what-if", v)?),
-            "start" => start = Some(parse_float(k, v)?),
-            "growth" => growth = Some(parse_float(k, v)?),
-            "tol" => tol = Some(parse_float(k, v)?),
-            "probes" => probes = Some(parse_num(k, v)?),
+            "start" => search.start = parse_float(k, v)?,
+            "growth" => search.growth = parse_float(k, v)?,
+            "tol" => search.rel_tol = parse_float(k, v)?,
+            "probes" => search.max_probes = parse_num(k, v)?,
             other => return Err(format!("unknown what-if field {other:?}")),
         }
     }
     cell.topo = topo.ok_or("what-if needs topo=...")?;
     cell.scheme = scheme.ok_or("what-if needs scheme=...")?;
     cell.pattern = pattern.ok_or("what-if needs pattern=...")?;
-    let mut query = WhatIfQuery::new(cell);
-    if let Some(v) = start {
-        query.start = v;
-    }
-    if let Some(v) = growth {
-        query.growth = v;
-    }
-    if let Some(v) = tol {
-        query.rel_tol = v;
-    }
-    if let Some(v) = probes {
-        query.max_probes = v;
-    }
     Ok(query)
 }
 

@@ -5,21 +5,22 @@
 //! curves and series under `target/experiments/`. Quick mode keeps the
 //! same workloads and sweep shapes with shorter measurement windows.
 //!
-//! The load ladders (figures 7, 10, 12) and the fault sweep are grids of
-//! independent points, so they run as campaign cells: one plan per
-//! subcommand on `regnet_campaign::run_plan`'s worker pool, checkpointed
-//! under `target/experiments/cells/` with a live
-//! `target/experiments/status.json`. Single points and sequential
-//! searches (the utilization maps, tables, `msgsize`, `irregular`,
-//! `ablation`) call [`Experiment`] directly.
+//! Everything that simulates more than one point runs as campaign cells
+//! on `regnet_campaign`'s worker pool, checkpointed under
+//! `target/experiments/cells/` with a live `target/experiments/status.json`:
+//! the load ladders (figures 7, 10, 12) and the fault sweep as one plan
+//! per subcommand, the saturation searches (tables, `msgsize`,
+//! `irregular`) as `what_if_all` rounds. Single points (the utilization
+//! maps, `ablation`) call [`Experiment`] directly.
 
 use rand::SeedableRng;
 use regnet_campaign::{
-    run_plan, CampaignSpec, CellDefaults, CellResult, FaultSpec, Progress, ResultStore,
-    RunnerEvent, RunnerOptions, StatusBoard, Sweep, TopoSpec,
+    run_plan, what_if_all, CampaignSpec, CellDefaults, CellResult, CellSpec, FaultSpec, Progress,
+    ResultStore, RunnerEvent, RunnerOptions, StatusBoard, Sweep, TopoSpec, WhatIfEvent,
+    WhatIfQuery,
 };
 use regnet_core::{ItbHostPicker, RouteDb, RouteDbConfig, RoutingScheme};
-use regnet_metrics::{Curve, CurvePoint, TimeSeries, UtilizationSummary};
+use regnet_metrics::{Curve, CurvePoint, SaturationSearch, TimeSeries, UtilizationSummary};
 use regnet_netsim::experiment::{Experiment, RunOptions};
 use regnet_netsim::threads::threads;
 use regnet_netsim::trace::ChannelUtilSeries;
@@ -28,7 +29,7 @@ use regnet_topology::{gen, HostId, LinkId, NodeId, SwitchId, Topology};
 use regnet_traffic::{random_hotspots, PatternSpec};
 use serde::Serialize;
 
-use crate::{experiment, load_ladder, save_curves, save_time_series, table_search, Mode, Topo};
+use crate::{experiment, load_ladder, save_curves, save_time_series, Mode, Topo};
 
 /// Where a figure's output goes: its text to stdout and to the report
 /// `paper all` saves, its cells to the store under `target/experiments/`.
@@ -40,10 +41,48 @@ pub struct Output {
     store: Option<ResultStore>,
 }
 
+/// One `paper` plan's `status.json` and stderr progress line.
+struct Tracker {
+    board: StatusBoard,
+    progress: Progress,
+}
+
+impl Tracker {
+    fn new(store: &ResultStore, label: &str, pending: usize, workers: usize) -> Tracker {
+        let status = store.root().join("status.json");
+        Tracker {
+            board: StatusBoard::new(status, "paper", pending, workers),
+            progress: Progress::start(label, pending),
+        }
+    }
+
+    fn on(&mut self, ev: RunnerEvent<'_>) {
+        self.board.record(&ev);
+        self.progress.record(&ev);
+    }
+
+    /// Publish the final state; a failed plan ends the figure.
+    fn finish<T>(mut self, label: &str, outcome: Result<T, String>) -> T {
+        self.board
+            .finish(if outcome.is_ok() { "done" } else { "failed" });
+        let value = outcome.unwrap_or_else(|e| panic!("{label}: {e}"));
+        self.progress.finish("");
+        value
+    }
+}
+
 impl Output {
     pub fn put(&mut self, text: impl AsRef<str>) {
         print!("{}", text.as_ref());
         self.report.push_str(text.as_ref());
+    }
+
+    fn store(&mut self) -> &ResultStore {
+        self.store.get_or_insert_with(|| {
+            let store = ResultStore::open("target/experiments").expect("open the cell store");
+            store.clear().expect("empty the cell store");
+            store
+        })
     }
 
     /// Run every cell of `sweeps` on the campaign runner with [`threads`]
@@ -59,11 +98,7 @@ impl Output {
             };
             spec.expand().expect("paper's sweeps expand")
         };
-        let store = self.store.get_or_insert_with(|| {
-            let store = ResultStore::open("target/experiments").expect("open the cell store");
-            store.clear().expect("empty the cell store");
-            store
-        });
+        let store = self.store();
         let all = plan(sweeps);
         let pending = all
             .cells
@@ -71,35 +106,13 @@ impl Output {
             .filter(|c| !store.contains(&c.hash))
             .count();
         let workers = threads().clamp(1, pending.max(1));
-        let status = store.root().join("status.json");
-        let mut board = StatusBoard::new(status, "paper", pending, workers);
-        let mut progress = Progress::start(label, pending);
+        let mut tracker = Tracker::new(store, label, pending, workers);
         let opts = RunnerOptions {
             threads: workers,
             stop_after: None,
         };
-        let outcome = run_plan(&all, store, &opts, |ev| match ev {
-            RunnerEvent::Started { worker, cell } => board.started(worker, &cell.key),
-            RunnerEvent::Done(done) => {
-                board.done(done.worker, &done.cell.key);
-                let r = done.result;
-                let line = format!(
-                    "{} accepted {:.5} avg {:.0}ns",
-                    r.hash, r.accepted, r.avg_latency_ns
-                );
-                progress.step(&line);
-            }
-            RunnerEvent::Failed {
-                worker,
-                cell,
-                error,
-            } => board.failed(worker, &cell.key, error),
-        });
-        board.finish(if outcome.is_ok() { "done" } else { "failed" });
-        if let Err(e) = outcome {
-            panic!("{label}: {e}");
-        }
-        progress.finish("");
+        let outcome = run_plan(&all, store, &opts, |ev| tracker.on(ev));
+        tracker.finish(label, outcome);
         let load = |hash: &str| store.load(hash).expect("a cell this plan ran");
         let results = |s: &Sweep| {
             plan(std::slice::from_ref(s))
@@ -109,6 +122,25 @@ impl Output {
                 .collect()
         };
         sweeps.iter().map(results).collect()
+    }
+
+    /// Run every query's saturation search to its end with [`threads`]
+    /// workers, publishing `status.json` as probes land, and return what
+    /// each found as the paper reports it: the highest accepted traffic.
+    fn run_searches(&mut self, label: &str, queries: &[WhatIfQuery]) -> Vec<f64> {
+        let store = self.store();
+        let workers = threads();
+        let mut tracker = Tracker::new(store, label, 0, workers);
+        let outcome = what_if_all(queries, store, workers, |ev| match ev {
+            WhatIfEvent::Round { cells } => {
+                tracker.board.add(cells);
+                tracker.progress.add(cells);
+            }
+            WhatIfEvent::Cell(ev) => tracker.on(ev),
+            WhatIfEvent::Probe { .. } => {}
+        });
+        let found = tracker.finish(label, outcome);
+        found.iter().map(|r| r.saturation.throughput).collect()
     }
 }
 
@@ -185,19 +217,19 @@ pub const FIGURES: &[Figure] = &[
         name: "table1",
         stems: &[],
         topos: &[],
-        run: run_table1,
+        run: |req, out| TABLE1.emit(req, out),
     },
     Figure {
         name: "table2",
         stems: &[],
         topos: &[],
-        run: run_table2,
+        run: |req, out| TABLE2.emit(req, out),
     },
     Figure {
         name: "table3",
         stems: &[],
         topos: &[],
-        run: run_table3,
+        run: |req, out| TABLE3.emit(req, out),
     },
     Figure {
         name: "msgsize",
@@ -542,30 +574,14 @@ fn emit_util_report(
 /// UP/DOWN at its saturation point (0.015), ITB-RR at the same load, and
 /// ITB-RR near its own saturation (0.03).
 pub fn fig08(mode: Mode) -> UtilReport {
+    let snap =
+        |scheme, offered| util_snapshot(Topo::Torus, scheme, PatternSpec::Uniform, offered, mode);
     UtilReport {
         name: "Figure 8 — link utilization, 2-D torus, uniform".into(),
         snapshots: vec![
-            util_snapshot(
-                Topo::Torus,
-                RoutingScheme::UpDown,
-                PatternSpec::Uniform,
-                0.015,
-                mode,
-            ),
-            util_snapshot(
-                Topo::Torus,
-                RoutingScheme::ItbRr,
-                PatternSpec::Uniform,
-                0.015,
-                mode,
-            ),
-            util_snapshot(
-                Topo::Torus,
-                RoutingScheme::ItbRr,
-                PatternSpec::Uniform,
-                0.03,
-                mode,
-            ),
+            snap(RoutingScheme::UpDown, 0.015),
+            snap(RoutingScheme::ItbRr, 0.015),
+            snap(RoutingScheme::ItbRr, 0.03),
         ],
     }
 }
@@ -577,24 +593,10 @@ fn run_fig08(req: &Request, out: &mut Output) {
 /// **Figure 9** — link utilization in the torus with express channels at
 /// UP/DOWN's saturation point (0.066).
 pub fn fig09(mode: Mode) -> UtilReport {
+    let snap = |scheme| util_snapshot(Topo::Express, scheme, PatternSpec::Uniform, 0.066, mode);
     UtilReport {
         name: "Figure 9 — link utilization, torus+express, uniform".into(),
-        snapshots: vec![
-            util_snapshot(
-                Topo::Express,
-                RoutingScheme::UpDown,
-                PatternSpec::Uniform,
-                0.066,
-                mode,
-            ),
-            util_snapshot(
-                Topo::Express,
-                RoutingScheme::ItbRr,
-                PatternSpec::Uniform,
-                0.066,
-                mode,
-            ),
-        ],
+        snapshots: vec![snap(RoutingScheme::UpDown), snap(RoutingScheme::ItbRr)],
     }
 }
 
@@ -660,138 +662,139 @@ fn run_fig11(req: &Request, out: &mut Output) {
     out.put("(root switch is s0, top-left of the grid)\n");
 }
 
-/// Throughput searches need less precision per point than latency curves:
-/// half of `mode`'s windows.
-fn search_options(mode: Mode, seed: u64) -> RunOptions {
-    let full = mode.run_options(seed);
-    RunOptions {
-        warmup_cycles: full.warmup_cycles / 2,
-        measure_cycles: full.measure_cycles / 2,
-        ..full
-    }
+/// One saturation search per scheme of [`RoutingScheme::all`] on `topo`
+/// under `pattern`, from `start`, with paper-default hardware and half of
+/// `mode`'s windows: a search needs less precision per point than a
+/// latency curve.
+fn throughput_searches(
+    topo: TopoSpec,
+    pattern: PatternSpec,
+    start: f64,
+    seed: u64,
+    mode: Mode,
+) -> Vec<WhatIfQuery> {
+    let opts = mode.run_options(seed);
+    let query = |scheme| WhatIfQuery {
+        cell: CellSpec {
+            topo,
+            scheme,
+            pattern,
+            load: 0.0,
+            seed,
+            warmup_cycles: opts.warmup_cycles / 2,
+            measure_cycles: opts.measure_cycles / 2,
+            payload_flits: SimConfig::default().payload_flits,
+            goodput_interval: None,
+            reconfig_latency_cycles: None,
+            faults: None,
+        },
+        search: SaturationSearch::new(start),
+    };
+    RoutingScheme::all().into_iter().map(query).collect()
 }
 
-fn hotspot_table(
-    name: String,
+/// A hotspot-throughput table (Tables 1–3 of the paper): every scheme's
+/// saturation throughput at each hotspot fraction, over random hotspot
+/// locations.
+struct HotspotTable {
+    name: &'static str,
     topo: Topo,
-    fractions: &[f64],
-    search_start: f64,
-    mode: Mode,
-) -> TableResult {
-    let t = topo.build();
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(0xB07);
-    let count = match mode {
-        Mode::Quick => 3,
-        Mode::Full => 10,
-    };
-    let hotspots = random_hotspots(&t, count, &mut rng);
-    let mut header = Vec::new();
-    for f in fractions {
-        for scheme in RoutingScheme::all() {
-            header.push(format!("{}% {}", (f * 100.0).round(), scheme.label()));
-        }
-    }
-    let opts = search_options(mode, 21);
-    let mut rows = Vec::new();
-    for (i, &hs) in hotspots.iter().enumerate() {
-        let mut vals = Vec::new();
-        for &f in fractions {
-            let pattern = PatternSpec::Hotspot {
-                fraction: f,
-                host: hs,
-            };
+    /// Hotspot fractions, one block of scheme columns each, with the
+    /// block's label.
+    fractions: &'static [(f64, &'static str)],
+    /// First offered load of every search.
+    start: f64,
+    /// The paper's ITB throughput factors over UP/DOWN.
+    paper: &'static str,
+}
+
+impl HotspotTable {
+    /// Search every entry, then print the table and, per hotspot
+    /// fraction, the ITB schemes' throughput factor over UP/DOWN next to
+    /// the paper's.
+    fn emit(&self, req: &Request, out: &mut Output) {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0xB07);
+        let count = match req.mode {
+            Mode::Quick => 3,
+            Mode::Full => 10,
+        };
+        let hotspots = random_hotspots(&self.topo.build(), count, &mut rng);
+        let mut header = Vec::new();
+        for &(f, _) in self.fractions {
             for scheme in RoutingScheme::all() {
-                let exp = experiment(topo.build(), scheme, pattern);
-                vals.push(exp.find_throughput(&table_search(search_start), &opts));
+                header.push(format!("{}% {}", (f * 100.0).round(), scheme.label()));
             }
         }
-        rows.push((format!("{} ({hs})", i + 1), vals));
-    }
-    TableResult { name, header, rows }
-}
-
-/// Print a hotspot table and, per hotspot fraction, the ITB schemes'
-/// throughput factor over UP/DOWN next to the paper's.
-fn emit_table(t: &TableResult, blocks: &[&str], paper: &str, out: &mut Output) {
-    out.put(t.render());
-    let avg = t.averages();
-    let factors = |b: usize| {
-        let ud = avg[b * 3];
-        format!(
-            "ITB-SP x{:.2}  ITB-RR x{:.2}",
-            avg[b * 3 + 1] / ud,
-            avg[b * 3 + 2] / ud
-        )
-    };
-    if blocks.len() == 1 {
-        out.put(format!(
-            "\nthroughput factors vs UP/DOWN: {}   (paper: {paper})\n",
-            factors(0)
-        ));
-    } else {
-        out.put("\nthroughput factors vs UP/DOWN:\n");
-        for (b, label) in blocks.iter().enumerate() {
-            out.put(format!("  {label}: {}   (paper: {paper})\n", factors(b)));
+        let mut queries = Vec::new();
+        for &host in &hotspots {
+            for &(fraction, _) in self.fractions {
+                let pattern = PatternSpec::Hotspot { fraction, host };
+                let topo = self.topo.spec();
+                queries.extend(throughput_searches(topo, pattern, self.start, 21, req.mode));
+            }
+        }
+        let found = out.run_searches(self.name, &queries);
+        let rows = hotspots.iter().zip(found.chunks(header.len())).enumerate();
+        let t = TableResult {
+            name: self.name.into(),
+            header,
+            rows: rows
+                .map(|(i, (hs, row))| (format!("{} ({hs})", i + 1), row.to_vec()))
+                .collect(),
+        };
+        out.put(t.render());
+        let avg = t.averages();
+        let factors = |b: usize| {
+            let ud = avg[b * 3];
+            format!(
+                "ITB-SP x{:.2}  ITB-RR x{:.2}",
+                avg[b * 3 + 1] / ud,
+                avg[b * 3 + 2] / ud
+            )
+        };
+        let paper = self.paper;
+        if let [_] = self.fractions {
+            out.put(format!(
+                "\nthroughput factors vs UP/DOWN: {}   (paper: {paper})\n",
+                factors(0)
+            ));
+        } else {
+            out.put("\nthroughput factors vs UP/DOWN:\n");
+            for (b, (_, label)) in self.fractions.iter().enumerate() {
+                out.put(format!("  {label}: {}   (paper: {paper})\n", factors(b)));
+            }
         }
     }
 }
 
 /// **Table 1** — throughput under hotspot traffic in the 2-D torus, for
 /// 5% and 10% hotspot load, over several random hotspot locations.
-pub fn table1(mode: Mode) -> TableResult {
-    hotspot_table(
-        "Table 1 — hotspot throughput, 2-D torus".into(),
-        Topo::Torus,
-        &[0.05, 0.10],
-        0.004,
-        mode,
-    )
-}
-
-fn run_table1(req: &Request, out: &mut Output) {
-    emit_table(
-        &table1(req.mode),
-        &["5% hotspot", "10% hotspot"],
-        "x2.13 / x2.19 at 5%, x1.40 / x1.48 at 10%",
-        out,
-    );
-}
+const TABLE1: HotspotTable = HotspotTable {
+    name: "Table 1 — hotspot throughput, 2-D torus",
+    topo: Topo::Torus,
+    fractions: &[(0.05, "5% hotspot"), (0.10, "10% hotspot")],
+    start: 0.004,
+    paper: "x2.13 / x2.19 at 5%, x1.40 / x1.48 at 10%",
+};
 
 /// **Table 2** — hotspot throughput in the torus with express channels,
 /// 3% and 5% hotspot load.
-pub fn table2(mode: Mode) -> TableResult {
-    hotspot_table(
-        "Table 2 — hotspot throughput, torus+express".into(),
-        Topo::Express,
-        &[0.03, 0.05],
-        0.01,
-        mode,
-    )
-}
-
-fn run_table2(req: &Request, out: &mut Output) {
-    emit_table(
-        &table2(req.mode),
-        &["3% hotspot", "5% hotspot"],
-        "x1.13 / x1.12 at 3%, x1.08 / x1.07 at 5%",
-        out,
-    );
-}
+const TABLE2: HotspotTable = HotspotTable {
+    name: "Table 2 — hotspot throughput, torus+express",
+    topo: Topo::Express,
+    fractions: &[(0.03, "3% hotspot"), (0.05, "5% hotspot")],
+    start: 0.01,
+    paper: "x1.13 / x1.12 at 3%, x1.08 / x1.07 at 5%",
+};
 
 /// **Table 3** — hotspot throughput in CPLANT, 5% hotspot load.
-pub fn table3(mode: Mode) -> TableResult {
-    hotspot_table(
-        "Table 3 — hotspot throughput, CPLANT".into(),
-        Topo::Cplant,
-        &[0.05],
-        0.008,
-        mode,
-    )
-}
-
-fn run_table3(req: &Request, out: &mut Output) {
-    emit_table(&table3(req.mode), &["5% hotspot"], "x1.24 / x1.32", out);
-}
+const TABLE3: HotspotTable = HotspotTable {
+    name: "Table 3 — hotspot throughput, CPLANT",
+    topo: Topo::Cplant,
+    fractions: &[(0.05, "5% hotspot")],
+    start: 0.008,
+    paper: "x1.24 / x1.32",
+};
 
 /// Route-level statistics quoted in section 4.7.1 of the paper.
 #[derive(Debug, Serialize)]
@@ -842,25 +845,6 @@ fn run_routes(_: &Request, out: &mut Output) {
     );
 }
 
-/// Saturation throughput of each scheme of [`RoutingScheme::all`] on
-/// `topo` under uniform traffic, by the hotspot tables' search.
-fn saturation_row(topo: &Topology, cfg: &SimConfig, opts: &RunOptions) -> Vec<f64> {
-    RoutingScheme::all()
-        .into_iter()
-        .map(|scheme| {
-            let exp = Experiment::new(
-                topo.clone(),
-                scheme,
-                RouteDbConfig::default(),
-                PatternSpec::Uniform,
-                cfg.clone(),
-            )
-            .expect("experiment");
-            exp.find_throughput(&table_search(0.004), opts)
-        })
-        .collect()
-}
-
 /// The paper's message-size claim (section 4.2): "for message length, 32,
 /// 512, and 1024-byte messages have been considered ... the obtained
 /// results are qualitatively similar". The UP/DOWN vs ITB ordering and
@@ -868,13 +852,17 @@ fn saturation_row(topo: &Topology, cfg: &SimConfig, opts: &RunOptions) -> Vec<f6
 fn run_msgsize(req: &Request, out: &mut Output) {
     out.put("saturation throughput (flits/ns/switch), 2-D torus, uniform traffic\n\n");
     out.put("msg bytes   UP/DOWN    ITB-SP    ITB-RR    ITB-RR/UD\n");
-    let topo = Topo::Torus.build();
-    for payload in [32usize, 512, 1024] {
-        let cfg = SimConfig {
-            payload_flits: payload,
-            ..SimConfig::default()
-        };
-        let row = saturation_row(&topo, &cfg, &search_options(req.mode, 31));
+    let sizes = [32usize, 512, 1024];
+    let mut queries = Vec::new();
+    for payload in sizes {
+        let uniform = PatternSpec::Uniform;
+        for mut q in throughput_searches(TopoSpec::Torus, uniform, 0.004, 31, req.mode) {
+            q.cell.payload_flits = payload;
+            queries.push(q);
+        }
+    }
+    let found = out.run_searches("msgsize", &queries);
+    for (payload, row) in sizes.iter().zip(found.chunks(3)) {
         out.put(format!(
             "{payload:>9}   {:.4}    {:.4}    {:.4}    x{:.2}\n",
             row[0],
@@ -896,15 +884,25 @@ fn run_irregular(req: &Request, out: &mut Output) {
         "{:>8} {:>10} {:>10} {:>10} {:>10} {:>12}\n",
         "switches", "UP/DOWN", "ITB-SP", "ITB-RR", "RR gain", "minimal% UD"
     ));
-    for n_switches in [8usize, 16, 24, 32] {
-        let topo = gen::irregular_random(n_switches, 4, 4, 2026).expect("topology");
+    let topos = [8, 16, 24, 32].map(|switches| TopoSpec::Irregular {
+        switches,
+        degree: 4,
+        hosts: 4,
+        seed: 2026,
+    });
+    let queries: Vec<WhatIfQuery> = topos
+        .iter()
+        .flat_map(|&topo| throughput_searches(topo, PatternSpec::Uniform, 0.004, 41, req.mode))
+        .collect();
+    let found = out.run_searches("irregular", &queries);
+    for (spec, row) in topos.iter().zip(found.chunks(3)) {
         // Route-level restriction: how many UP/DOWN routes are minimal?
+        let topo = spec.build().expect("an irregular topology");
         let db = RouteDb::build(&topo, RoutingScheme::UpDown, &RouteDbConfig::default());
         let stats = regnet_core::analysis::RouteStats::compute(&topo, &db);
-        let row = saturation_row(&topo, &SimConfig::default(), &search_options(req.mode, 41));
         out.put(format!(
             "{:>8} {:>10.4} {:>10.4} {:>10.4} {:>11.2}x {:>11.1}%\n",
-            n_switches,
+            topo.num_switches(),
             row[0],
             row[1],
             row[2],

@@ -11,7 +11,7 @@ use experiments::{Figure, Request, FIGURES};
 use regnet_campaign::TopoSpec;
 use regnet_core::{RouteDbConfig, RoutingScheme};
 use regnet_metrics::Curve;
-use regnet_netsim::experiment::{Experiment, RunOptions, ThroughputSearch};
+use regnet_netsim::experiment::{Experiment, RunOptions};
 use regnet_netsim::{FaultPlan, SimConfig};
 use regnet_topology::{LinkId, Topology};
 use regnet_traffic::PatternSpec;
@@ -351,17 +351,6 @@ pub fn load_ladder(lo: f64, hi: f64, n: usize) -> Vec<f64> {
     assert!(n >= 2 && hi > lo && lo > 0.0);
     let ratio = (hi / lo).powf(1.0 / (n - 1) as f64);
     (0..n).map(|i| lo * ratio.powi(i as i32)).collect()
-}
-
-/// Standard throughput search for the hotspot tables.
-pub fn table_search(start: f64) -> ThroughputSearch {
-    ThroughputSearch {
-        start,
-        growth: 1.3,
-        saturated_points: 2,
-        ratio: 0.92,
-        max_points: 20,
-    }
 }
 
 /// Write curves to `target/experiments/<name>.json` (machine-readable) and

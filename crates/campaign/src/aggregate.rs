@@ -14,7 +14,9 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use regnet_metrics::{write_figure, write_time_series, Curve, CurvePoint, TimeSeries};
+use regnet_metrics::{
+    write_figure, write_time_series, Curve, CurvePoint, TimeSeries, SATURATION_RATIO,
+};
 use serde::Serialize;
 
 use crate::cell::CellResult;
@@ -34,7 +36,7 @@ pub struct SaturationRow {
     pub label: String,
     /// Highest accepted traffic seen across the family's loads.
     pub throughput: f64,
-    /// First offered load with accepted < ratio × offered, if any.
+    /// First offered load that saturated ([`SATURATION_RATIO`]), if any.
     pub saturation_offered: Option<f64>,
     pub zero_load_latency_ns: Option<f64>,
     /// Points aggregated so far (grows as the campaign streams).
@@ -51,10 +53,6 @@ pub struct Aggregates {
     pub cells_done: usize,
     pub cells_total: usize,
 }
-
-/// Saturation ratio used in the summary (the repo's paper-wide
-/// convention: a point is saturated when accepted < 0.92 × offered).
-pub const SATURATION_RATIO: f64 = 0.92;
 
 /// Compute the aggregates for every result present in `results` (partial
 /// campaigns are fine — that is the streaming case).
@@ -120,7 +118,7 @@ pub fn aggregate(plan: &RunPlan, results: &BTreeMap<String, CellResult>) -> Aggr
                 group: group.to_string(),
                 label: curve.label.clone(),
                 throughput: curve.throughput(),
-                saturation_offered: curve.saturation_offered(SATURATION_RATIO),
+                saturation_offered: curve.saturation_offered(),
                 zero_load_latency_ns: curve.zero_load_latency_ns(),
                 points: curve.points.len(),
             });

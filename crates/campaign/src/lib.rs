@@ -17,14 +17,17 @@
 //!   `std::thread::scope` worker pool sized by
 //!   [`regnet_netsim::threads`], streaming completions back in
 //!   completion order while keeping aggregation deterministic. It is the
-//!   workspace's only worker pool: `paper` runs its load ladders and
-//!   fault sweep through it too.
+//!   workspace's only worker pool: `paper` runs its load ladders, fault
+//!   sweep and saturation searches through it too.
 //! * [`aggregate`] — derived curves (latency-vs-load per group,
 //!   saturation summary, goodput-dip time series) exported through
 //!   `regnet_metrics` as `.dat`/`.gp`/JSON.
-//! * [`whatif`] — targeted saturation-point bisection ("what's the
-//!   saturation load for this topology+scheme+fault?") that caches every
-//!   probe through the same store instead of running a full grid.
+//! * [`whatif`] — the workspace's one saturation search ("what's the
+//!   saturation load for this topology+scheme+fault?"): many
+//!   [`regnet_metrics::SaturationSearch`]es advanced in lockstep, every
+//!   probe a cell cached through the same store and run on the same
+//!   pool. `campaign --what-if` asks one query; `paper`'s tables,
+//!   `msgsize` and `irregular` ask theirs all at once.
 //! * [`progress`] — the shared stderr progress/ETA printer of the
 //!   `campaign` and `paper` binaries.
 //! * [`status`] — the live `status.json` protocol: an atomically
@@ -59,4 +62,4 @@ pub use status::{
     STATUS_SCHEMA,
 };
 pub use store::ResultStore;
-pub use whatif::{what_if, WhatIfQuery, WhatIfResult};
+pub use whatif::{what_if, what_if_all, WhatIfEvent, WhatIfQuery, WhatIfResult};

@@ -5,6 +5,8 @@
 
 use std::time::Instant;
 
+use crate::runner::RunnerEvent;
+
 /// Incremental progress over a known number of items.
 pub struct Progress {
     label: String,
@@ -57,6 +59,24 @@ impl Progress {
     /// One-off status line in the same style (phase announcements).
     pub fn announce(label: &str, msg: &str) {
         eprintln!("[{label}] {msg}");
+    }
+
+    /// `items` more joined the work (a search's next round).
+    pub fn add(&mut self, items: usize) {
+        self.total += items;
+    }
+
+    /// Follow the worker pool: step on every landed cell, naming its hash,
+    /// accepted traffic and mean latency.
+    pub fn record(&mut self, ev: &RunnerEvent<'_>) {
+        if let RunnerEvent::Done(done) = ev {
+            let r = done.result;
+            let line = format!(
+                "{} accepted {:.5} avg {:.0}ns",
+                r.hash, r.accepted, r.avg_latency_ns
+            );
+            self.step(&line);
+        }
     }
 
     /// Record one finished item and print the updated line.

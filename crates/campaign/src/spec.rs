@@ -19,8 +19,9 @@ use regnet_traffic::PatternSpec;
 /// Current campaign-file schema identifier.
 pub const CAMPAIGN_SCHEMA: &str = "regnet-campaign-v1";
 
-/// Topology selector: the paper's three named topologies, or a parametric
-/// torus / express torus for scaled campaigns.
+/// Topology selector: the paper's three named topologies, a parametric
+/// torus / express torus for scaled campaigns, or a seeded random
+/// irregular network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopoSpec {
     /// 8×8 2-D torus, 8 hosts/switch (the paper's Figure 4).
@@ -33,6 +34,14 @@ pub enum TopoSpec {
     TorusCustom { rows: u32, cols: u32, hosts: u32 },
     /// `express:<rows>x<cols>:<hosts-per-switch>`.
     ExpressCustom { rows: u32, cols: u32, hosts: u32 },
+    /// `irregular:<switches>:<degree>:<hosts-per-switch>:<seed>`, built by
+    /// [`gen::irregular_random`].
+    Irregular {
+        switches: u32,
+        degree: u32,
+        hosts: u32,
+        seed: u64,
+    },
 }
 
 impl TopoSpec {
@@ -46,19 +55,39 @@ impl TopoSpec {
             _ => {}
         }
         let (kind, rest) = s.split_once(':').ok_or_else(|| {
-            format!("unknown topology {s:?} (torus|express|cplant|torus:RxC:H|express:RxC:H)")
+            format!(
+                "unknown topology {s:?} \
+                 (torus|express|cplant|torus:RxC:H|express:RxC:H|irregular:N:D:H:SEED)"
+            )
         })?;
+        let parse_u32 = |v: &str, what: &str| {
+            v.trim()
+                .parse::<u32>()
+                .map_err(|_| format!("bad {what} {v:?} in topology {s:?}"))
+        };
+        if kind == "irregular" {
+            let fields: Vec<&str> = rest.split(':').collect();
+            let [switches, degree, hosts, seed] = fields[..] else {
+                return Err(format!(
+                    "bad topology {s:?}: expected irregular:<switches>:<degree>:<hosts>:<seed>"
+                ));
+            };
+            return Ok(TopoSpec::Irregular {
+                switches: parse_u32(switches, "switches")?,
+                degree: parse_u32(degree, "degree")?,
+                hosts: parse_u32(hosts, "hosts-per-switch")?,
+                seed: seed
+                    .trim()
+                    .parse::<u64>()
+                    .map_err(|_| format!("bad seed {seed:?} in topology {s:?}"))?,
+            });
+        }
         let (grid, hosts) = rest
             .split_once(':')
             .ok_or_else(|| format!("bad topology {s:?}: expected {kind}:<rows>x<cols>:<hosts>"))?;
         let (r, c) = grid
             .split_once('x')
             .ok_or_else(|| format!("bad topology grid {grid:?}: expected <rows>x<cols>"))?;
-        let parse_u32 = |v: &str, what: &str| {
-            v.trim()
-                .parse::<u32>()
-                .map_err(|_| format!("bad {what} {v:?} in topology {s:?}"))
-        };
         let rows = parse_u32(r, "rows")?;
         let cols = parse_u32(c, "cols")?;
         let hosts = parse_u32(hosts, "hosts-per-switch")?;
@@ -79,6 +108,12 @@ impl TopoSpec {
             TopoSpec::ExpressCustom { rows, cols, hosts } => {
                 format!("express:{rows}x{cols}:{hosts}")
             }
+            TopoSpec::Irregular {
+                switches,
+                degree,
+                hosts,
+                seed,
+            } => format!("irregular:{switches}:{degree}:{hosts}:{seed}"),
         }
     }
 
@@ -94,6 +129,12 @@ impl TopoSpec {
             TopoSpec::ExpressCustom { rows, cols, hosts } => {
                 gen::torus_2d_express(rows as usize, cols as usize, hosts as usize)
             }
+            TopoSpec::Irregular {
+                switches,
+                degree,
+                hosts,
+                seed,
+            } => gen::irregular_random(switches as usize, degree as usize, hosts as usize, seed),
         };
         built.map_err(|e| format!("cannot build topology {}: {e}", self.key()))
     }
@@ -516,9 +557,11 @@ impl CampaignSpec {
                 for scheme in &sweep.schemes {
                     for pattern in &sweep.patterns {
                         for &load in &sweep.loads {
-                            if load.is_nan() || load <= 0.0 {
+                            // An infinite load checkpoints `"offered": null`,
+                            // which no later run of the store can read back.
+                            if !(load.is_finite() && load > 0.0) {
                                 return Err(format!(
-                                    "sweep {:?}: load {load} must be positive",
+                                    "sweep {:?}: \"loads\" entry {load} must be positive and finite",
                                     sweep.group
                                 ));
                             }
@@ -757,6 +800,7 @@ fn parse_fault(v: &JsonValue, what: &str) -> Result<Option<FaultSpec>, String> {
         }
         return FaultSpec::parse(s, s).map(Some);
     }
+    check_keys(v, &["label", "events"], &format!("{what}: fault object"))?;
     let label = v
         .get("label")
         .and_then(|l| l.as_str())
@@ -766,31 +810,41 @@ fn parse_fault(v: &JsonValue, what: &str) -> Result<Option<FaultSpec>, String> {
         .get("events")
         .and_then(|e| e.as_array())
         .ok_or_else(|| format!("{what}: fault objects need an \"events\" array"))?;
+    let kinds = [
+        FaultKind::FailLink,
+        FaultKind::RepairLink,
+        FaultKind::FailSwitch,
+        FaultKind::RepairSwitch,
+        FaultKind::FailHost,
+        FaultKind::RepairHost,
+    ];
+    let names = kinds.map(FaultKind::name);
+    let keys = [&["cycle"][..], &names[..]].concat();
+    let event_what = format!("{what}: fault event");
     let mut events = Vec::new();
     for e in events_json {
+        check_keys(e, &keys, &event_what)?;
         let cycle = get_u64(e, "cycle", what)?
             .ok_or_else(|| format!("{what}: fault events need a \"cycle\""))?;
-        let mut found = None;
-        for kind in [
-            FaultKind::FailLink,
-            FaultKind::RepairLink,
-            FaultKind::FailSwitch,
-            FaultKind::RepairSwitch,
-            FaultKind::FailHost,
-            FaultKind::RepairHost,
-        ] {
+        let mut found = Vec::new();
+        for kind in kinds {
             if let Some(id) = get_u64(e, kind.name(), what)? {
-                found = Some(FaultSpecEvent {
-                    cycle,
-                    kind,
-                    id: id as u32,
-                });
-                break;
+                let id = u32::try_from(id).map_err(|_| {
+                    format!("{event_what}: {:?} id {id} is past 2^32 - 1", kind.name())
+                })?;
+                found.push(FaultSpecEvent { cycle, kind, id });
             }
         }
-        events.push(found.ok_or_else(|| {
-            format!("{what}: fault event needs one of fail_link/repair_link/fail_switch/repair_switch/fail_host/repair_host")
-        })?);
+        match found[..] {
+            [event] => events.push(event),
+            _ => {
+                return Err(format!(
+                    "{event_what}: needs exactly one of {}, has {}",
+                    names.join("/"),
+                    found.len()
+                ))
+            }
+        }
     }
     if events.is_empty() {
         return Err(format!("{what}: fault {label:?} has no events"));
@@ -820,13 +874,26 @@ mod tests {
 
     #[test]
     fn topo_parse_roundtrip() {
-        for s in ["torus", "express", "cplant", "torus:4x4:2", "express:6x6:3"] {
+        for s in [
+            "torus",
+            "express",
+            "cplant",
+            "torus:4x4:2",
+            "express:6x6:3",
+            "irregular:8:4:4:2026",
+        ] {
             let t = TopoSpec::parse(s).unwrap();
             assert_eq!(t.key(), s);
         }
         assert!(TopoSpec::parse("mesh").is_err());
         assert!(TopoSpec::parse("torus:4y4:2").is_err());
         assert!(TopoSpec::parse("torus:4x4").is_err());
+        assert!(TopoSpec::parse("irregular:8:4:4").is_err());
+        assert!(TopoSpec::parse("irregular:8:4:4:-1").is_err());
+        // The spelling builds exactly what the generator builds.
+        let built = TopoSpec::parse("irregular:16:4:4:2026").unwrap().build();
+        let direct = gen::irregular_random(16, 4, 4, 2026).unwrap();
+        assert_eq!(built.unwrap().links(), direct.links());
     }
 
     #[test]
@@ -1026,6 +1093,46 @@ mod tests {
             .unwrap()
             .expand()
             .is_err());
+        // An infinite load would checkpoint `"offered": null` and poison
+        // every later run of the store.
+        let err = CampaignSpec::from_json_str(&zero_load.replace("[0.0]", "[0.01, 1e999]"))
+            .unwrap()
+            .expand()
+            .unwrap_err();
+        assert!(err.contains("\"loads\" entry inf"), "{err}");
+        // A fault object is held to its keys like the rest of the file, an
+        // event names exactly one action, and an id must fit the u32 the
+        // string form parses.
+        for (faults, expect) in [
+            (
+                r#"{"label": "x", "event": [{"cycle": 0, "fail_link": 3}]}"#,
+                r#"fault object: unknown key "event""#,
+            ),
+            (
+                r#"{"events": [{"cycle": 0, "fail_lnk": 3}]}"#,
+                r#"fault event: unknown key "fail_lnk""#,
+            ),
+            (
+                r#"{"events": [{"cycle": 0, "fail_link": 3, "repair_link": 3}]}"#,
+                "needs exactly one of fail_link/",
+            ),
+            (
+                r#"{"events": [{"cycle": 0}]}"#,
+                "needs exactly one of fail_link/",
+            ),
+            (
+                r#"{"events": [{"cycle": 0, "fail_link": 4294967299}]}"#,
+                r#""fail_link" id 4294967299 is past 2^32 - 1"#,
+            ),
+        ] {
+            let text = zero_load.replace("[0.0]", &format!("[0.01], \"faults\": [{faults}]"));
+            let err = CampaignSpec::from_json_str(&text).unwrap_err();
+            assert!(err.contains(expect), "{expect:?} not in {err:?}");
+        }
+        let max_id = r#"{"events": [{"cycle": 0, "fail_link": 4294967295}]}"#;
+        let text = zero_load.replace("[0.0]", &format!("[0.01], \"faults\": [{max_id}]"));
+        let faults = &CampaignSpec::from_json_str(&text).unwrap().sweeps[0].faults;
+        assert_eq!(faults[0].as_ref().unwrap().events[0].id, u32::MAX);
         // A zero window would checkpoint a NaN `accepted`; a zero goodput
         // interval divides by zero on export. Both are refused by name,
         // from the campaign defaults or from a sweep.

@@ -22,6 +22,7 @@ use regnet_metrics::JsonValue;
 use serde::Serialize;
 
 use crate::progress::fmt_duration;
+use crate::runner::RunnerEvent;
 
 /// Schema tag every status file carries.
 pub const STATUS_SCHEMA: &str = "regnet-status-v1";
@@ -327,6 +328,26 @@ impl StatusBoard {
         board
     }
 
+    /// Follow the worker pool: a cell started, landed or failed.
+    pub fn record(&mut self, ev: &RunnerEvent<'_>) {
+        match ev {
+            RunnerEvent::Started { worker, cell } => self.started(*worker, &cell.key),
+            RunnerEvent::Done(done) => self.done(done.worker, &done.cell.key),
+            RunnerEvent::Failed {
+                worker,
+                cell,
+                error,
+            } => self.failed(*worker, &cell.key, error),
+        }
+    }
+
+    /// `items` more joined the invocation's work (a search's next round).
+    pub fn add(&mut self, items: usize) {
+        self.snap.total += items as u64;
+        self.snap.pending += items as u64;
+        self.publish();
+    }
+
     /// A worker began an item.
     pub fn started(&mut self, worker: usize, item: &str) {
         self.set_worker(worker, "running", Some(item.to_string()));
@@ -508,6 +529,27 @@ mod tests {
         let s = read(&path);
         assert_eq!(s.state, "stopped");
         assert_eq!((s.done, s.pending), (1, 3));
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// A search's board learns its work round by round and must add up
+    /// after every round.
+    #[test]
+    fn work_added_per_round_keeps_the_counts_consistent() {
+        let path = temp_status("add");
+        let mut board = StatusBoard::new(&path, "paper", 0, 2);
+        for round in 1..=2 {
+            board.add(2);
+            assert_eq!(read(&path).pending, 2);
+            board.done(0, "a");
+            board.done(1, "b");
+            assert_eq!(
+                (read(&path).done, read(&path).total),
+                (2 * round, 2 * round)
+            );
+        }
+        board.finish("done");
+        assert_eq!(read(&path).state, "done");
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 

@@ -1,15 +1,22 @@
 //! Targeted "what-if" queries: *given this topology, scheme, pattern and
-//! fault plan, what is the saturation load?* — answered by a geometric
-//! bracket-and-bisect search over offered load instead of running a full
-//! grid.
+//! fault plan, what is the saturation load?* — answered by a
+//! [`SaturationSearch`] (a geometric bracket, then bisection) over offered
+//! load instead of running a full grid.
 //!
 //! Every probe is an ordinary campaign cell run through the same
 //! [`ResultStore`], so probes are checkpointed, deduplicated against any
 //! grid cells that already landed, and a repeated query answers entirely
-//! from cache (zero cells run).
+//! from cache (zero cells run). [`what_if_all`] advances many searches in
+//! lockstep: each round's uncached probes are one plan on [`run_plan`]'s
+//! worker pool.
 
-use crate::cell::{run_cell, CellResult};
-use crate::spec::{check_windows, CellSpec};
+use std::collections::HashMap;
+
+use regnet_metrics::{Saturation, SaturationSearch};
+
+use crate::cell::CellResult;
+use crate::runner::{run_plan, RunnerEvent, RunnerOptions};
+use crate::spec::{check_windows, CellSpec, PlannedCell, RunPlan};
 use crate::store::ResultStore;
 
 /// A saturation-point query. The `cell` is the template: its `load`
@@ -19,64 +26,142 @@ use crate::store::ResultStore;
 #[derive(Debug, Clone)]
 pub struct WhatIfQuery {
     pub cell: CellSpec,
-    /// First offered load probed (flits/ns/switch).
-    pub start: f64,
-    /// Bracket expansion/shrink factor (> 1).
-    pub growth: f64,
-    /// A probe is saturated when accepted < ratio × offered (same 0.92
-    /// convention as the aggregate summary).
-    pub ratio: f64,
-    /// Stop once `hi/lo - 1 <= rel_tol`.
-    pub rel_tol: f64,
-    /// Hard cap on probes (bracketing + bisection combined).
-    pub max_probes: usize,
+    /// Where the search starts, how it steps and when it stops.
+    pub search: SaturationSearch,
 }
 
 impl WhatIfQuery {
     pub fn new(cell: CellSpec) -> WhatIfQuery {
         WhatIfQuery {
             cell,
-            start: 0.004,
-            growth: 2.0,
-            ratio: crate::aggregate::SATURATION_RATIO,
-            rel_tol: 0.05,
-            max_probes: 24,
+            search: SaturationSearch::new(0.004),
         }
     }
 }
 
-/// The bisection's answer: saturation lies in `[lo, hi]`.
+/// The search's answer and the probes it took to get there.
 #[derive(Debug)]
 pub struct WhatIfResult {
-    /// Highest probed load that was *not* saturated (0.0 if even the
-    /// smallest probe saturated).
-    pub lo: f64,
-    /// Lowest probed load that *was* saturated.
-    pub hi: f64,
-    /// Best throughput (accepted traffic) seen across the probes.
-    pub throughput: f64,
+    pub saturation: Saturation,
     /// Every probe, in execution order.
     pub probes: Vec<CellResult>,
     /// Probes actually simulated by this query.
     pub ran: usize,
     /// Probes answered from the store.
     pub cached: usize,
-    /// True when the bracket converged to `rel_tol` (false = probe
-    /// budget exhausted first; `[lo, hi]` is still a valid bracket).
-    pub converged: bool,
 }
 
-impl WhatIfResult {
-    /// Point estimate: geometric midpoint of the bracket.
-    pub fn saturation_load(&self) -> f64 {
-        if self.lo <= 0.0 {
-            return self.hi;
-        }
-        (self.lo * self.hi).sqrt()
+/// What [`what_if_all`] tells its caller, on the calling thread.
+pub enum WhatIfEvent<'a> {
+    /// A round is about to simulate `cells` probes.
+    Round { cells: usize },
+    /// The worker pool's events for those probes.
+    Cell(RunnerEvent<'a>),
+    /// A query recorded its probe at `load`.
+    Probe {
+        load: f64,
+        saturated: bool,
+        cached: bool,
+    },
+}
+
+/// Run every query's search to its end, in lockstep rounds: each round
+/// takes every unfinished search's next load, runs the ones the store
+/// lacks as one plan on `threads` workers, then records all of them.
+/// Parameters and windows are checked before any probe runs.
+pub fn what_if_all(
+    queries: &[WhatIfQuery],
+    store: &ResultStore,
+    threads: usize,
+    mut on_event: impl FnMut(WhatIfEvent<'_>),
+) -> Result<Vec<WhatIfResult>, String> {
+    for q in queries {
+        q.search.check().map_err(|e| format!("what-if: {e}"))?;
+        check_windows(q.cell.measure_cycles, q.cell.goodput_interval)
+            .map_err(|e| format!("what-if: {e}"))?;
     }
+    let mut searches: Vec<SaturationSearch> = queries.iter().map(|q| q.search.clone()).collect();
+    let mut results: Vec<WhatIfResult> = searches
+        .iter()
+        .map(|s| WhatIfResult {
+            saturation: s.saturation(),
+            probes: Vec::new(),
+            ran: 0,
+            cached: 0,
+        })
+        .collect();
+    let opts = RunnerOptions {
+        threads,
+        stop_after: None,
+    };
+    loop {
+        let round: Vec<(usize, PlannedCell)> = searches
+            .iter()
+            .zip(queries)
+            .enumerate()
+            .filter_map(|(i, (s, q))| {
+                let spec = CellSpec {
+                    load: s.next_load()?,
+                    ..q.cell.clone()
+                };
+                let cell = PlannedCell {
+                    hash: spec.hash_hex(),
+                    key: spec.canonical_key(),
+                    spec,
+                    groups: Vec::new(),
+                };
+                Some((i, cell))
+            })
+            .collect();
+        if round.is_empty() {
+            break;
+        }
+        let mut plan = RunPlan {
+            name: "what-if".into(),
+            cells: Vec::new(),
+        };
+        for (_, cell) in &round {
+            if !store.contains(&cell.hash) && plan.cells.iter().all(|c| c.hash != cell.hash) {
+                plan.cells.push(cell.clone());
+            }
+        }
+        on_event(WhatIfEvent::Round { cells: plan.len() });
+        let mut fresh: HashMap<String, CellResult> = HashMap::new();
+        run_plan(&plan, store, &opts, |ev| {
+            if let RunnerEvent::Done(done) = &ev {
+                fresh.insert(done.result.hash.clone(), done.result.clone());
+            }
+            on_event(WhatIfEvent::Cell(ev));
+        })?;
+        for (i, cell) in round {
+            // The first probe of a cell ran it; any other reads the store.
+            let (result, cached) = match fresh.remove(&cell.hash) {
+                Some(r) => (r, false),
+                None => (store.load(&cell.hash)?, true),
+            };
+            let load = cell.spec.load;
+            let saturated = searches[i].record(load, result.accepted);
+            let r = &mut results[i];
+            if cached {
+                r.cached += 1;
+            } else {
+                r.ran += 1;
+            }
+            r.probes.push(result);
+            on_event(WhatIfEvent::Probe {
+                load,
+                saturated,
+                cached,
+            });
+        }
+    }
+    for (r, s) in results.iter_mut().zip(&searches) {
+        r.saturation = s.saturation();
+    }
+    Ok(results)
 }
 
-/// Run the query. Probes go through `store` (read *and* write), so a
+/// Run one query. Probes go through `store` (read *and* write), so a
 /// second identical query runs zero cells; `on_probe` fires after each
 /// probe with (load, saturated?, from-cache?).
 pub fn what_if(
@@ -84,129 +169,17 @@ pub fn what_if(
     store: &ResultStore,
     mut on_probe: impl FnMut(f64, bool, bool),
 ) -> Result<WhatIfResult, String> {
-    if query.growth.is_nan() || query.growth <= 1.0 {
-        return Err(format!("what-if growth {} must be > 1", query.growth));
-    }
-    if query.start.is_nan() || query.start <= 0.0 {
-        return Err(format!(
-            "what-if start load {} must be positive",
-            query.start
-        ));
-    }
-    check_windows(query.cell.measure_cycles, query.cell.goodput_interval)
-        .map_err(|e| format!("what-if: {e}"))?;
-    let mut ran = 0usize;
-    let mut cached = 0usize;
-    let mut probes: Vec<CellResult> = Vec::new();
-    let mut throughput = 0.0f64;
-
-    let mut probe = |load: f64,
-                     ran: &mut usize,
-                     cached: &mut usize,
-                     probes: &mut Vec<CellResult>,
-                     throughput: &mut f64|
-     -> Result<bool, String> {
-        let spec = CellSpec {
+    let mut results = what_if_all(std::slice::from_ref(query), store, 1, |ev| {
+        if let WhatIfEvent::Probe {
             load,
-            ..query.cell.clone()
-        };
-        let hash = spec.hash_hex();
-        let (result, from_cache) = if store.contains(&hash) {
-            (store.load(&hash)?, true)
-        } else {
-            let r = run_cell(&spec)?;
-            store.save(&r)?;
-            (r, false)
-        };
-        if from_cache {
-            *cached += 1;
-        } else {
-            *ran += 1;
-        }
-        let saturated = result.accepted < load * query.ratio;
-        *throughput = throughput.max(result.accepted);
-        on_probe(load, saturated, from_cache);
-        probes.push(result);
-        Ok(saturated)
-    };
-
-    // Phase 1: bracket. Expand upward from `start` until a saturated
-    // load appears; if `start` itself is saturated, shrink downward
-    // until an unsaturated load appears (or give up at lo = 0).
-    let mut lo;
-    let mut hi;
-    let budget = query.max_probes;
-    if probe(
-        query.start,
-        &mut ran,
-        &mut cached,
-        &mut probes,
-        &mut throughput,
-    )? {
-        hi = query.start;
-        lo = 0.0;
-        let mut load = query.start / query.growth;
-        while probes.len() < budget {
-            if probe(load, &mut ran, &mut cached, &mut probes, &mut throughput)? {
-                hi = load;
-                load /= query.growth;
-            } else {
-                lo = load;
-                break;
-            }
-        }
-    } else {
-        lo = query.start;
-        hi = f64::INFINITY;
-        let mut load = query.start * query.growth;
-        while probes.len() < budget {
-            if probe(load, &mut ran, &mut cached, &mut probes, &mut throughput)? {
-                hi = load;
-                break;
-            } else {
-                lo = load;
-                load *= query.growth;
-            }
-        }
-    }
-    if !hi.is_finite() || lo <= 0.0 {
-        // No bracket inside the budget; report what we know.
-        return Ok(WhatIfResult {
-            lo,
-            hi: if hi.is_finite() {
-                hi
-            } else {
-                lo * query.growth
-            },
-            throughput,
-            probes,
-            ran,
+            saturated,
             cached,
-            converged: false,
-        });
-    }
-
-    // Phase 2: bisect the bracket on the geometric midpoint.
-    let mut converged = hi / lo - 1.0 <= query.rel_tol;
-    while !converged && probes.len() < budget {
-        let mid = (lo * hi).sqrt();
-        if probe(mid, &mut ran, &mut cached, &mut probes, &mut throughput)? {
-            hi = mid;
-        } else {
-            lo = mid;
+        } = ev
+        {
+            on_probe(load, saturated, cached);
         }
-        converged = hi / lo - 1.0 <= query.rel_tol;
-    }
-
-    Ok(WhatIfResult {
-        lo,
-        hi,
-        throughput,
-        probes,
-        ran,
-        cached,
-        converged,
-    })
+    })?;
+    Ok(results.pop().expect("one query, one result"))
 }
 
 #[cfg(test)]
@@ -241,20 +214,19 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("regnet-whatif-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = ResultStore::open(&dir).unwrap();
-        let query = WhatIfQuery {
-            start: 0.004,
-            rel_tol: 0.25,
-            ..WhatIfQuery::new(template())
-        };
+        let mut query = WhatIfQuery::new(template());
+        query.search.start = 0.004;
+        query.search.rel_tol = 0.25;
         let first = what_if(&query, &store, |_, _, _| {}).unwrap();
+        let s = first.saturation;
         assert!(first.ran > 0);
         assert_eq!(first.cached, 0);
-        assert!(first.hi > first.lo, "bracket must be ordered");
-        assert!(first.lo > 0.0, "a 4x4 torus accepts 0.004 easily");
-        assert!(first.converged, "0.25 tolerance should converge in budget");
-        let sat = first.saturation_load();
-        assert!(sat >= first.lo && sat <= first.hi);
-        assert!(first.throughput > 0.0);
+        assert!(s.hi.unwrap() > s.lo, "bracket must be ordered");
+        assert!(s.lo > 0.0, "a 4x4 torus accepts 0.004 easily");
+        assert!(s.converged, "0.25 tolerance should converge in budget");
+        let sat = s.estimate().unwrap();
+        assert!(sat >= s.lo && sat <= s.hi.unwrap());
+        assert!(s.throughput > 0.0);
         // Re-ask: every probe must come from the store.
         let second = what_if(&query, &store, |_, _, from_cache| {
             assert!(from_cache, "second query must not simulate anything")
@@ -262,45 +234,54 @@ mod tests {
         .unwrap();
         assert_eq!(second.ran, 0);
         assert_eq!(second.cached, first.ran + first.cached);
-        assert_eq!(second.lo, first.lo);
-        assert_eq!(second.hi, first.hi);
+        assert_eq!(second.saturation.lo, s.lo);
+        assert_eq!(second.saturation.hi, s.hi);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn rejects_bad_parameters() {
         let dir = std::env::temp_dir().join(format!("regnet-whatif2-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let store = ResultStore::open(&dir).unwrap();
         let mut q = WhatIfQuery::new(template());
-        q.growth = 0.9;
+        q.search.growth = 0.9;
         assert!(what_if(&q, &store, |_, _, _| {}).is_err());
         let mut q = WhatIfQuery::new(template());
-        q.start = 0.0;
+        q.search.start = 0.0;
         assert!(what_if(&q, &store, |_, _, _| {}).is_err());
-        // A zero window or goodput interval is refused before any probe
-        // runs, so nothing lands in the store.
-        for (key, cell) in [
+        // A zero window or goodput interval, an infinite load or step, a
+        // tolerance the bracket can never meet and an empty budget are
+        // refused before any probe runs, so nothing lands in the store.
+        let search = |edit: fn(&mut SaturationSearch)| {
+            let mut q = WhatIfQuery::new(template());
+            edit(&mut q.search);
+            q
+        };
+        for (key, query) in [
             (
                 "measure_cycles",
-                CellSpec {
+                WhatIfQuery::new(CellSpec {
                     measure_cycles: 0,
                     ..template()
-                },
+                }),
             ),
             (
                 "goodput_interval",
-                CellSpec {
+                WhatIfQuery::new(CellSpec {
                     goodput_interval: Some(0),
                     ..template()
-                },
+                }),
             ),
+            ("start", search(|s| s.start = f64::INFINITY)),
+            ("growth", search(|s| s.growth = f64::INFINITY)),
+            ("rel_tol", search(|s| s.rel_tol = f64::NAN)),
+            ("max_probes", search(|s| s.max_probes = 0)),
         ] {
-            let err = what_if(&WhatIfQuery::new(cell), &store, |_, _, _| {
-                panic!("{key}: a probe ran")
-            })
-            .unwrap_err();
+            let err = what_if(&query, &store, |_, _, _| panic!("{key}: a probe ran")).unwrap_err();
             assert!(err.contains(key), "{key}: {err}");
         }
+        assert_eq!(store.len(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

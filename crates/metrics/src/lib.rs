@@ -1,6 +1,6 @@
 //! Measurement and reporting for `regnet` simulations: streaming statistics,
 //! latency histograms, latency-vs-throughput curves with saturation
-//! detection, and link-utilization summaries.
+//! detection, the saturation search, and link-utilization summaries.
 
 pub mod chrome;
 mod curve;
@@ -12,7 +12,9 @@ pub mod sys;
 mod util;
 
 pub use chrome::{Arg as ChromeArg, ChromeTrace};
-pub use curve::{Curve, CurvePoint, NamedSeries, TimeSeries};
+pub use curve::{
+    Curve, CurvePoint, NamedSeries, Saturation, SaturationSearch, TimeSeries, SATURATION_RATIO,
+};
 pub use export::{curve_to_dat, write_figure, write_time_series};
 pub use json::JsonValue;
 pub use registry::{MetricFamily, MetricKind, MetricPoint, MetricValue, MetricsRegistry};

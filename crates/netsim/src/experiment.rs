@@ -1,6 +1,8 @@
-//! High-level experiment API: one offered-load point or a
-//! saturation-throughput search. Load ladders run one point per campaign
-//! cell (`regnet-campaign`), which fans them across its worker pool.
+//! High-level experiment API: one offered-load point, observed as much as
+//! the caller asks. Load ladders and saturation searches run one point
+//! per campaign cell (`regnet-campaign`), which fans them across its
+//! worker pool; a search over a topology no campaign can name drives
+//! `regnet_metrics::SaturationSearch` with [`Experiment::run_point`].
 
 use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme};
 use regnet_metrics::{CurvePoint, MetricsRegistry, UtilizationSummary};
@@ -215,33 +217,6 @@ impl RunObservation {
     }
 }
 
-/// Options for [`Experiment::find_throughput`].
-#[derive(Debug, Clone)]
-pub struct ThroughputSearch {
-    /// First offered load probed (flits/ns/switch).
-    pub start: f64,
-    /// Multiplicative step of the load ladder.
-    pub growth: f64,
-    /// Stop after this many saturated points in a row.
-    pub saturated_points: usize,
-    /// A point counts as saturated when accepted < ratio × offered.
-    pub ratio: f64,
-    /// Hard cap on probed points.
-    pub max_points: usize,
-}
-
-impl Default for ThroughputSearch {
-    fn default() -> Self {
-        ThroughputSearch {
-            start: 0.002,
-            growth: 1.35,
-            saturated_points: 2,
-            ratio: 0.92,
-            max_points: 24,
-        }
-    }
-}
-
 /// A fully prepared experiment: topology, routing tables, traffic pattern
 /// and hardware parameters. Cheap to query repeatedly at different offered
 /// loads, and immutable.
@@ -368,30 +343,6 @@ impl Experiment {
             avg_itbs_per_msg: stats.avg_itbs_per_msg,
             delivered: stats.delivered,
         }
-    }
-
-    /// Search for the saturation throughput (the paper's per-table
-    /// "throughput" numbers): climb a geometric load ladder until the
-    /// network stops accepting the offered traffic, and report the highest
-    /// accepted traffic seen.
-    pub fn find_throughput(&self, search: &ThroughputSearch, opts: &RunOptions) -> f64 {
-        let mut best = 0.0f64;
-        let mut offered = search.start;
-        let mut saturated_run = 0;
-        for _ in 0..search.max_points {
-            let p = self.run_point(offered, opts);
-            best = best.max(p.accepted);
-            if p.accepted < offered * search.ratio {
-                saturated_run += 1;
-                if saturated_run >= search.saturated_points {
-                    break;
-                }
-            } else {
-                saturated_run = 0;
-            }
-            offered *= search.growth;
-        }
-        best
     }
 
     /// Link-utilization summary at one offered load, restricted to
@@ -527,21 +478,6 @@ mod tests {
             assert_eq!(ChannelDesc::of(&exp.topo), sim.channel_descriptors());
             assert_eq!(sim.channel_descriptors().len(), 2 * exp.topo.num_links());
         }
-    }
-
-    #[test]
-    fn find_throughput_converges() {
-        let exp = small_exp(RoutingScheme::UpDown);
-        let t = exp.find_throughput(
-            &ThroughputSearch {
-                start: 0.004,
-                growth: 1.6,
-                ..ThroughputSearch::default()
-            },
-            &quick_opts(),
-        );
-        assert!(t > 0.004, "throughput {t} too small");
-        assert!(t < 0.5, "throughput {t} unreasonably large");
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   pool overflows to host memory at a configurable penalty.
 //!
 //! The [`experiment`] module provides the high-level API used by the
-//! examples and the paper-reproduction harness: run one offered-load point
-//! or search for the saturation throughput.
+//! examples and the paper-reproduction harness: run one offered-load
+//! point. Sweeps and saturation searches are grids of such points, run
+//! by `regnet-campaign`.
 //!
 //! # Quickstart
 //!
@@ -71,7 +72,7 @@ pub mod wfg;
 pub use config::{SimConfig, CYCLE_NS};
 pub use counters::CounterSnapshot;
 pub use events::{BlockCause, Event, EventJournal, EventKind, EventOptions, NO_PACKET};
-pub use experiment::{Experiment, RunObservation, RunOptions, ThroughputSearch};
+pub use experiment::{Experiment, RunObservation, RunOptions};
 pub use faultplan::{FaultEvent, FaultOptions, FaultPlan, FaultTarget, ReliabilityStats};
 pub use profiler::{PhaseProfile, ProfileReport, SpanNode, SpanReport, PHASE_NAMES};
 pub use sched::Scheduler;

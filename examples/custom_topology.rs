@@ -64,11 +64,6 @@ fn main() {
         seed: 11,
         ..RunOptions::default()
     };
-    let search = ThroughputSearch {
-        start: 0.005,
-        growth: 1.4,
-        ..ThroughputSearch::default()
-    };
     println!("\nsaturation throughput (flits/ns/switch):");
     for scheme in RoutingScheme::all() {
         let exp = Experiment::new(
@@ -79,10 +74,16 @@ fn main() {
             cfg.clone(),
         )
         .unwrap();
+        // No campaign cell can name a hand-built topology, so drive the
+        // saturation search with single points here.
+        let mut search = SaturationSearch::new(0.005);
+        while let Some(load) = search.next_load() {
+            search.record(load, exp.run_point(load, &opts).accepted);
+        }
         println!(
             "  {:8} {:.4}",
             scheme.label(),
-            exp.find_throughput(&search, &opts)
+            search.saturation().throughput
         );
     }
 }

@@ -18,7 +18,7 @@
 //! | [`traffic`] | `regnet-traffic` | uniform / bit-reversal / hotspot / local patterns, offered-load conversion |
 //! | [`mapper`] | `regnet-mapper` | fault sets, network discovery, and the re-map + route-rebuild step every faulted run takes |
 //! | [`netsim`] | `regnet-netsim` | the flit-level simulator (pipelined links, stop&go, cut-through switches, ITB NICs), fault plans and the experiment driver |
-//! | [`metrics`] | `regnet-metrics` | latency statistics, curves, saturation detection, link-utilization summaries, exporters |
+//! | [`metrics`] | `regnet-metrics` | latency statistics, curves, saturation detection and search, link-utilization summaries, exporters |
 //! | — | `regnet-campaign` | declarative, resumable experiment campaigns (not re-exported; used by `regnet-bench`) |
 //!
 //! ## Quickstart
@@ -69,8 +69,10 @@ pub mod prelude {
         RoutingScheme, Segment, SegmentEnd,
     };
     pub use regnet_mapper::{rebuild_physical_routes, FaultSet, PhysicalRoutes};
-    pub use regnet_metrics::{ChromeTrace, Curve, CurvePoint, UtilizationSummary};
-    pub use regnet_netsim::experiment::{Experiment, RunObservation, RunOptions, ThroughputSearch};
+    pub use regnet_metrics::{
+        ChromeTrace, Curve, CurvePoint, SaturationSearch, UtilizationSummary,
+    };
+    pub use regnet_netsim::experiment::{Experiment, RunObservation, RunOptions};
     pub use regnet_netsim::{
         BlockCause, CounterSnapshot, EventJournal, EventKind, EventOptions, FaultEvent,
         FaultOptions, FaultPlan, FaultTarget, ProfileReport, ReliabilityStats, RunStats, Scheduler,
