@@ -3,7 +3,8 @@
 //!
 //! ```text
 //! campaign <file.json> [--out DIR] [--threads N] [--stop-after N]
-//!                      [--fresh] [--dry-run] [--quiet]
+//!                      [--fresh] [--quiet]
+//! campaign <file.json> --dry-run              print the plan and exit
 //! campaign --smoke     [same options; built-in tiny campaign]
 //! campaign <file.json> --what-if "topo=torus,scheme=ITB-RR,pattern=uniform[,start=0.004,...]"
 //! campaign --watch <out>/status.json          live terminal dashboard
@@ -26,8 +27,8 @@ use std::process::ExitCode;
 use regnet_bench::{parse_campaign_args, CampaignArgs};
 use regnet_campaign::{
     export_campaign, parse_pattern, parse_scheme, render_status, run_plan, validate_status_json,
-    what_if, CampaignSpec, CellDefaults, CellSpec, FaultSpec, Progress, ResultStore, RunPlan,
-    RunnerEvent, RunnerOptions, StatusBoard, TopoSpec, WhatIfQuery,
+    what_if, CampaignSpec, CellDefaults, CellSpec, FaultSpec, ResultStore, RunPlan, RunnerEvent,
+    RunnerOptions, StatusBoard, TopoSpec, WhatIfQuery,
 };
 
 /// The built-in `--smoke` campaign: 2 topologies × 2 schemes × 2 loads on
@@ -146,7 +147,7 @@ fn run(args: CampaignArgs) -> Result<(), String> {
     if args.fresh {
         store.clear()?;
         if !quiet {
-            Progress::announce("campaign", &format!("cleared checkpoints under {out}"));
+            eprintln!("[campaign] cleared checkpoints under {out}");
         }
     }
 
@@ -170,25 +171,17 @@ fn run_campaign(
     results.retain(|h, _| planned.contains(h.as_str()));
     let resumed = results.len();
     if !quiet {
-        Progress::announce(
-            "campaign",
-            &format!(
-                "{:?}: {} cells, {} already checkpointed, {} threads, results under {}",
-                plan.name,
-                plan.len(),
-                resumed,
-                threads,
-                store.root().display()
-            ),
+        eprintln!(
+            "[campaign] {:?}: {} cells, {} already checkpointed, {} threads, results under {}",
+            plan.name,
+            plan.len(),
+            resumed,
+            threads,
+            store.root().display()
         );
     }
 
     let pending = plan.len() - resumed;
-    let mut progress = if quiet {
-        Progress::start_quiet("campaign", pending)
-    } else {
-        Progress::start("campaign", pending)
-    };
     let opts = RunnerOptions {
         threads,
         stop_after,
@@ -200,10 +193,12 @@ fn run_campaign(
         pending,
         threads.clamp(1, pending.max(1)),
     );
+    if !quiet {
+        board = board.echo("campaign");
+    }
     let mut export_err: Option<String> = None;
     let outcome = run_plan(plan, store, &opts, |ev| {
         board.record(&ev);
-        progress.record(&ev);
         if let RunnerEvent::Done(done) = ev {
             results.insert(done.result.hash.clone(), done.result.clone());
             if export_err.is_none() {
@@ -229,18 +224,21 @@ fn run_campaign(
         export_campaign(plan, &results, &out_dir)?;
     }
 
+    if quiet {
+        return Ok(());
+    }
     if outcome.complete() {
-        progress.finish(&format!(
-            "campaign complete ({} ran, {} resumed); curves under {}",
+        eprintln!(
+            "[campaign] campaign complete ({} ran, {} resumed); curves under {}",
             outcome.ran,
             outcome.skipped,
             out_dir.join("curves").display()
-        ));
+        );
     } else {
-        progress.finish(&format!(
-            "stopped early: {} cells still pending; re-run to resume",
+        eprintln!(
+            "[campaign] stopped early: {} cells still pending; re-run to resume",
             outcome.remaining
-        ));
+        );
     }
     Ok(())
 }
@@ -290,24 +288,18 @@ fn run_what_if(spec_str: &str, out: &str, quiet: bool) -> Result<(), String> {
     let query = parse_what_if(spec_str)?;
     let store = ResultStore::open(out)?;
     if !quiet {
-        Progress::announce(
-            "what-if",
-            &format!(
-                "bisecting saturation of {} (probes cached under {})",
-                query.cell.canonical_key(),
-                store.root().display()
-            ),
+        eprintln!(
+            "[what-if] bisecting saturation of {} (probes cached under {})",
+            query.cell.canonical_key(),
+            store.root().display()
         );
     }
     let result = what_if(&query, &store, |load, saturated, cached| {
         if !quiet {
-            Progress::announce(
-                "what-if",
-                &format!(
-                    "probe load {load:.6}: {}{}",
-                    if saturated { "saturated" } else { "ok" },
-                    if cached { " (cached)" } else { "" }
-                ),
+            eprintln!(
+                "[what-if] probe load {load:.6}: {}{}",
+                if saturated { "saturated" } else { "ok" },
+                if cached { " (cached)" } else { "" }
             );
         }
     })?;
@@ -370,9 +362,9 @@ fn parse_what_if(s: &str) -> Result<WhatIfQuery, String> {
             "measure" => cell.measure_cycles = parse_num(k, v)?,
             "payload" => cell.payload_flits = parse_num(k, v)?,
             "fault" => cell.faults = Some(FaultSpec::parse("what-if", v)?),
-            "start" => search.start = parse_float(k, v)?,
-            "growth" => search.growth = parse_float(k, v)?,
-            "tol" => search.rel_tol = parse_float(k, v)?,
+            "start" => search.start = parse_num(k, v)?,
+            "growth" => search.growth = parse_num(k, v)?,
+            "tol" => search.rel_tol = parse_num(k, v)?,
             "probes" => search.max_probes = parse_num(k, v)?,
             other => return Err(format!("unknown what-if field {other:?}")),
         }
@@ -386,9 +378,4 @@ fn parse_what_if(s: &str) -> Result<WhatIfQuery, String> {
 fn parse_num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String> {
     v.parse::<T>()
         .map_err(|_| format!("what-if {key}={v:?} is not a valid number"))
-}
-
-fn parse_float(key: &str, v: &str) -> Result<f64, String> {
-    v.parse::<f64>()
-        .map_err(|_| format!("what-if {key}={v:?} is not a number"))
 }

@@ -15,19 +15,17 @@
 
 use rand::SeedableRng;
 use regnet_campaign::{
-    run_plan, what_if_all, CampaignSpec, CellDefaults, CellResult, CellSpec, FaultSpec, Progress,
-    ResultStore, RunnerEvent, RunnerOptions, StatusBoard, Sweep, TopoSpec, WhatIfEvent,
-    WhatIfQuery,
+    run_plan, what_if_all, CampaignSpec, CellDefaults, CellResult, CellSpec, FaultSpec,
+    ResultStore, RunnerOptions, StatusBoard, Sweep, TopoSpec, WhatIfEvent, WhatIfQuery,
 };
 use regnet_core::{ItbHostPicker, RouteDb, RouteDbConfig, RoutingScheme};
 use regnet_metrics::{Curve, CurvePoint, SaturationSearch, TimeSeries, UtilizationSummary};
 use regnet_netsim::experiment::{Experiment, RunOptions};
 use regnet_netsim::threads::threads;
 use regnet_netsim::trace::ChannelUtilSeries;
-use regnet_netsim::{ChannelDesc, SimConfig, CYCLE_NS};
+use regnet_netsim::{ChannelDesc, FaultPlan, SimConfig, CYCLE_NS};
 use regnet_topology::{gen, HostId, LinkId, NodeId, SwitchId, Topology};
 use regnet_traffic::{random_hotspots, PatternSpec};
-use serde::Serialize;
 
 use crate::{experiment, load_ladder, save_curves, save_time_series, Mode, Topo};
 
@@ -39,36 +37,6 @@ pub struct Output {
     /// Opened, and emptied, by the first figure that runs cells, so no
     /// checkpoint outlives the invocation that computed it.
     store: Option<ResultStore>,
-}
-
-/// One `paper` plan's `status.json` and stderr progress line.
-struct Tracker {
-    board: StatusBoard,
-    progress: Progress,
-}
-
-impl Tracker {
-    fn new(store: &ResultStore, label: &str, pending: usize, workers: usize) -> Tracker {
-        let status = store.root().join("status.json");
-        Tracker {
-            board: StatusBoard::new(status, "paper", pending, workers),
-            progress: Progress::start(label, pending),
-        }
-    }
-
-    fn on(&mut self, ev: RunnerEvent<'_>) {
-        self.board.record(&ev);
-        self.progress.record(&ev);
-    }
-
-    /// Publish the final state; a failed plan ends the figure.
-    fn finish<T>(mut self, label: &str, outcome: Result<T, String>) -> T {
-        self.board
-            .finish(if outcome.is_ok() { "done" } else { "failed" });
-        let value = outcome.unwrap_or_else(|e| panic!("{label}: {e}"));
-        self.progress.finish("");
-        value
-    }
 }
 
 impl Output {
@@ -106,13 +74,13 @@ impl Output {
             .filter(|c| !store.contains(&c.hash))
             .count();
         let workers = threads().clamp(1, pending.max(1));
-        let mut tracker = Tracker::new(store, label, pending, workers);
+        let mut board = status_board(store, label, pending, workers);
         let opts = RunnerOptions {
             threads: workers,
             stop_after: None,
         };
-        let outcome = run_plan(&all, store, &opts, |ev| tracker.on(ev));
-        tracker.finish(label, outcome);
+        let outcome = run_plan(&all, store, &opts, |ev| board.record(&ev));
+        finish(board, label, outcome);
         let load = |hash: &str| store.load(hash).expect("a cell this plan ran");
         let results = |s: &Sweep| {
             plan(std::slice::from_ref(s))
@@ -130,18 +98,27 @@ impl Output {
     fn run_searches(&mut self, label: &str, queries: &[WhatIfQuery]) -> Vec<f64> {
         let store = self.store();
         let workers = threads();
-        let mut tracker = Tracker::new(store, label, 0, workers);
+        let mut board = status_board(store, label, 0, workers);
         let outcome = what_if_all(queries, store, workers, |ev| match ev {
-            WhatIfEvent::Round { cells } => {
-                tracker.board.add(cells);
-                tracker.progress.add(cells);
-            }
-            WhatIfEvent::Cell(ev) => tracker.on(ev),
+            WhatIfEvent::Round { cells } => board.add(cells),
+            WhatIfEvent::Cell(ev) => board.record(&ev),
             WhatIfEvent::Probe { .. } => {}
         });
-        let found = tracker.finish(label, outcome);
+        let found = finish(board, label, outcome);
         found.iter().map(|r| r.saturation.throughput).collect()
     }
+}
+
+/// One `paper` plan's `status.json`, echoed to stderr under `label`.
+fn status_board(store: &ResultStore, label: &str, pending: usize, workers: usize) -> StatusBoard {
+    let status = store.root().join("status.json");
+    StatusBoard::new(status, "paper", pending, workers).echo(label)
+}
+
+/// Publish the plan's final state; a failed plan ends the figure.
+fn finish<T>(mut board: StatusBoard, label: &str, outcome: Result<T, String>) -> T {
+    board.finish(if outcome.is_ok() { "done" } else { "failed" });
+    outcome.unwrap_or_else(|e| panic!("{label}: {e}"))
 }
 
 /// What a [`Figure`] is asked to run.
@@ -258,7 +235,7 @@ pub const FIGURES: &[Figure] = &[
 ];
 
 /// A hotspot-throughput table (Tables 1–3 of the paper).
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct TableResult {
     pub name: String,
     /// Column labels after the first ("Hotspot") column.
@@ -304,7 +281,7 @@ impl TableResult {
 }
 
 /// A link-utilization experiment (Figures 8, 9, 11): labelled snapshots.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct UtilSnapshot {
     pub label: String,
     pub offered: f64,
@@ -315,7 +292,7 @@ pub struct UtilSnapshot {
     pub util_series: Option<TimeSeries>,
 }
 
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct UtilReport {
     pub name: String,
     pub snapshots: Vec<UtilSnapshot>,
@@ -797,7 +774,7 @@ const TABLE3: HotspotTable = HotspotTable {
 };
 
 /// Route-level statistics quoted in section 4.7.1 of the paper.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct RouteStatsReport {
     pub rows: Vec<(String, regnet_core::analysis::RouteStats)>,
 }
@@ -1078,15 +1055,17 @@ impl FaultGrid {
         let topo = self.topo.build().expect("a fault-sweep topology");
         // k = 0 is the fault-free cell, with no fault plan at all.
         let failed = self.ks.iter().map(|&k| {
-            let links = spaced_switch_links(&topo, k).into_iter();
-            let events: Vec<String> = links.map(|l| format!("fail_link:{}@0", l.0)).collect();
-            let plan = || FaultSpec::parse(&format!("{k} failed"), &events.join("+"));
-            (k > 0).then(|| plan().expect("a fault plan"))
+            let mut plan = FaultPlan::new();
+            for l in spaced_switch_links(&topo, k) {
+                plan.fail_link(0, l);
+            }
+            (k > 0).then(|| FaultSpec::new(format!("{k} failed"), plan))
         });
-        let link = spaced_switch_links(&topo, 1)[0].0;
+        let link = spaced_switch_links(&topo, 1)[0];
         let (fail_at, repair_at) = self.fail_repair();
-        let cycle = format!("fail_link:{link}@{fail_at}+repair_link:{link}@{repair_at}");
-        let cycle = FaultSpec::parse("fail/repair", &cycle).expect("a fault plan");
+        let mut plan = FaultPlan::new();
+        plan.fail_link(fail_at, link).repair_link(repair_at, link);
+        let cycle = FaultSpec::new("fail/repair", plan);
         let sweep = |faults: Vec<Option<FaultSpec>>, goodput_interval| Sweep {
             group: format!("faults_{}", self.tag),
             topos: vec![self.topo],

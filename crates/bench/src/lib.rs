@@ -295,6 +295,7 @@ pub struct CampaignArgs {
 /// campaign.
 pub fn parse_campaign_args(args: &[String]) -> Result<CampaignArgs, String> {
     let mut parsed = CampaignArgs::default();
+    let given = args.len();
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
@@ -324,8 +325,30 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignArgs, String> {
             extra => return Err(format!("unexpected argument {extra:?}")),
         }
     }
-    let needs_file = !parsed.smoke && parsed.watch.is_none() && parsed.check_status.is_none();
-    if needs_file && parsed.file.is_none() {
+    let reads_status = parsed.watch.is_some() || parsed.check_status.is_some();
+    if reads_status && given > 2 {
+        return Err("--watch and --check-status take their path and nothing else".to_string());
+    }
+    // What a run would do with them; a what-if query and a dry run do
+    // not run the plan (a single query always runs on one worker).
+    let run_flags = [
+        (parsed.dry_run, "--dry-run"),
+        (parsed.fresh, "--fresh"),
+        (parsed.stop_after.is_some(), "--stop-after"),
+        (parsed.threads.is_some(), "--threads"),
+    ];
+    for (mode, name, ignored) in [
+        (parsed.what_if.is_some(), "--what-if", &run_flags[..]),
+        (parsed.dry_run, "--dry-run", &run_flags[1..]),
+    ] {
+        if let Some((_, flag)) = ignored.iter().find(|(set, _)| mode && *set) {
+            return Err(format!("{name} does not take {flag}"));
+        }
+    }
+    if parsed.smoke && parsed.file.is_some() {
+        return Err("--smoke runs the built-in campaign: no campaign file".to_string());
+    }
+    if !parsed.smoke && !reads_status && parsed.file.is_none() {
         return Err("no campaign file given".to_string());
     }
     Ok(parsed)
@@ -524,6 +547,42 @@ mod tests {
             (&["c.json", "--out"], "--out needs a value"),
             (&["--check-status"], "--check-status needs a value"),
             (&["c.json", "d.json"], "unexpected argument \"d.json\""),
+            // Flags the mode they are given to would silently ignore.
+            (&["--check-status", "s.json", "--quiet"], "nothing else"),
+            (&["--watch", "s.json", "c.json"], "nothing else"),
+            (
+                &["--check-status", "s.json", "--watch", "t.json"],
+                "nothing else",
+            ),
+            (
+                &["c.json", "--what-if", "topo=torus", "--dry-run"],
+                "--what-if does not take --dry-run",
+            ),
+            (
+                &["c.json", "--what-if", "topo=torus", "--fresh"],
+                "--what-if does not take --fresh",
+            ),
+            (
+                &["--smoke", "--what-if", "topo=torus", "--stop-after", "2"],
+                "--what-if does not take --stop-after",
+            ),
+            (
+                &["--smoke", "--what-if", "topo=torus", "--threads", "2"],
+                "--what-if does not take --threads",
+            ),
+            (
+                &["--smoke", "--dry-run", "--fresh"],
+                "--dry-run does not take --fresh",
+            ),
+            (
+                &["c.json", "--dry-run", "--stop-after", "4"],
+                "--dry-run does not take --stop-after",
+            ),
+            (
+                &["c.json", "--dry-run", "--threads", "2"],
+                "--dry-run does not take --threads",
+            ),
+            (&["--smoke", "c.json"], "--smoke runs the built-in campaign"),
         ] {
             let err = parse_campaign_args(&strings(args)).unwrap_err();
             assert!(err.contains(needle), "{args:?}: {err}");

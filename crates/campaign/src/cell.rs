@@ -229,7 +229,7 @@ pub fn run_options(spec: &CellSpec) -> RunOptions {
         faults: spec
             .faults
             .as_ref()
-            .map(|f| FaultOptions::with_plan(f.to_plan())),
+            .map(|f| FaultOptions::with_plan(f.plan.clone())),
         ..RunOptions::default()
     }
 }

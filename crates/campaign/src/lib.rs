@@ -6,7 +6,9 @@
 //!
 //! * [`spec`] — a declarative JSON campaign file parsed into a
 //!   [`CampaignSpec`], expanded into deduplicated [`CellSpec`] cells
-//!   keyed by a deterministic FNV-1a config hash.
+//!   keyed by a deterministic FNV-1a config hash. A cell's fault plan is
+//!   the simulator's own [`regnet_netsim::FaultPlan`] under a label
+//!   ([`FaultSpec`]).
 //! * [`cell`] — runs one cell through [`regnet_netsim::Experiment`] and
 //!   captures a serializable [`CellResult`] (RunStats + reliability +
 //!   run digest + utilization + goodput series).
@@ -28,11 +30,12 @@
 //!   probe a cell cached through the same store and run on the same
 //!   pool. `campaign --what-if` asks one query; `paper`'s tables,
 //!   `msgsize` and `irregular` ask theirs all at once.
-//! * [`progress`] — the shared stderr progress/ETA printer of the
-//!   `campaign` and `paper` binaries.
-//! * [`status`] — the live `status.json` protocol: an atomically
-//!   republished snapshot of counts, per-worker state, ETA and recent
-//!   errors, rendered by `campaign --watch` and validated in CI.
+//! * [`status`] — the live `status.json` protocol: a [`StatusBoard`]
+//!   follows the pool and atomically republishes a snapshot of counts,
+//!   per-worker state, ETA and recent errors, rendered by
+//!   `campaign --watch` and validated in CI. It is the one progress
+//!   tracker: the `campaign` and `paper` binaries' stderr progress lines
+//!   are its opt-in echo.
 //!
 //! Determinism contract: a cell's results depend only on its spec (the
 //! simulator is bit-deterministic for a given seed), so the store keyed
@@ -42,7 +45,6 @@
 
 pub mod aggregate;
 pub mod cell;
-pub mod progress;
 pub mod runner;
 pub mod spec;
 pub mod status;
@@ -51,15 +53,13 @@ pub mod whatif;
 
 pub use aggregate::{export_campaign, Aggregates};
 pub use cell::{run_cell, CellResult};
-pub use progress::Progress;
 pub use runner::{run_plan, CellDone, RunOutcome, RunnerEvent, RunnerOptions};
 pub use spec::{
     fnv1a64, parse_pattern, parse_scheme, pattern_key, CampaignSpec, CellDefaults, CellSpec,
-    FaultKind, FaultSpec, FaultSpecEvent, PlannedCell, RunPlan, Sweep, TopoSpec, CAMPAIGN_SCHEMA,
+    FaultSpec, PlannedCell, RunPlan, Sweep, TopoSpec, CAMPAIGN_SCHEMA,
 };
 pub use status::{
-    render_status, validate_status_json, StatusBoard, StatusSnapshot, StatusWriter, WorkerStatus,
-    STATUS_SCHEMA,
+    render_status, validate_status_json, StatusBoard, StatusSnapshot, WorkerStatus, STATUS_SCHEMA,
 };
 pub use store::ResultStore;
 pub use whatif::{what_if, what_if_all, WhatIfEvent, WhatIfQuery, WhatIfResult};

@@ -12,7 +12,7 @@
 
 use regnet_core::RoutingScheme;
 use regnet_metrics::JsonValue;
-use regnet_netsim::{FaultPlan, SimConfig};
+use regnet_netsim::{FaultEvent, FaultPlan, FaultTarget, SimConfig};
 use regnet_topology::{gen, HostId, LinkId, SwitchId, Topology};
 use regnet_traffic::PatternSpec;
 
@@ -211,47 +211,39 @@ pub fn pattern_key(p: &PatternSpec) -> String {
     }
 }
 
-/// One scripted fault event of a cell's fault plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct FaultSpecEvent {
-    pub cycle: u64,
-    pub kind: FaultKind,
-    pub id: u32,
+/// The six fault actions, in canonical order: a plan's events on one
+/// cycle sort by their row here, and each is spelt `<name>:<id>@<cycle>`
+/// in a key and `{"cycle": <cycle>, "<name>": <id>}` in a campaign file.
+const FAULT_ACTIONS: [&str; 6] = [
+    "fail_link",
+    "repair_link",
+    "fail_switch",
+    "repair_switch",
+    "fail_host",
+    "repair_host",
+];
+
+/// An event's row in [`FAULT_ACTIONS`] and the id it acts on.
+fn fault_action(e: &FaultEvent) -> (usize, u32) {
+    let (row, id) = match e.target {
+        FaultTarget::Link(l) => (0, l.0),
+        FaultTarget::Switch(s) => (2, s.0),
+        FaultTarget::Host(h) => (4, h.0),
+    };
+    (row + usize::from(!e.fail), id)
 }
 
-/// Fault action kinds supported in campaign files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum FaultKind {
-    FailLink,
-    RepairLink,
-    FailSwitch,
-    RepairSwitch,
-    FailHost,
-    RepairHost,
-}
-
-impl FaultKind {
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::FailLink => "fail_link",
-            FaultKind::RepairLink => "repair_link",
-            FaultKind::FailSwitch => "fail_switch",
-            FaultKind::RepairSwitch => "repair_switch",
-            FaultKind::FailHost => "fail_host",
-            FaultKind::RepairHost => "repair_host",
-        }
-    }
-
-    pub fn parse(s: &str) -> Option<FaultKind> {
-        match s {
-            "fail_link" => Some(FaultKind::FailLink),
-            "repair_link" => Some(FaultKind::RepairLink),
-            "fail_switch" => Some(FaultKind::FailSwitch),
-            "repair_switch" => Some(FaultKind::RepairSwitch),
-            "fail_host" => Some(FaultKind::FailHost),
-            "repair_host" => Some(FaultKind::RepairHost),
-            _ => None,
-        }
+/// The event of [`FAULT_ACTIONS`] row `row` on element `id` at `cycle`.
+fn fault_event(row: usize, id: u32, cycle: u64) -> FaultEvent {
+    let target = match row / 2 {
+        0 => FaultTarget::Link(LinkId(id)),
+        1 => FaultTarget::Switch(SwitchId(id)),
+        _ => FaultTarget::Host(HostId(id)),
+    };
+    FaultEvent {
+        cycle,
+        target,
+        fail: row.is_multiple_of(2),
     }
 }
 
@@ -261,41 +253,48 @@ impl FaultKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSpec {
     pub label: String,
-    /// Events, canonically sorted by (cycle, kind, id).
-    pub events: Vec<FaultSpecEvent>,
+    /// The plan, its events in canonical order: by cycle, then fail_link
+    /// < repair_link < fail_switch < repair_switch < fail_host <
+    /// repair_host, then id.
+    pub plan: FaultPlan,
 }
 
 impl FaultSpec {
-    pub fn new(label: impl Into<String>, mut events: Vec<FaultSpecEvent>) -> FaultSpec {
-        events.sort();
+    pub fn new(label: impl Into<String>, mut plan: FaultPlan) -> FaultSpec {
+        plan.events.sort_by_key(|e| {
+            let (row, id) = fault_action(e);
+            (e.cycle, row, id)
+        });
         FaultSpec {
             label: label.into(),
-            events,
+            plan,
         }
     }
 
     /// Canonical spelling: `fail_link:3@0+repair_link:3@4000`.
     pub fn key(&self) -> String {
-        self.events
+        self.plan
+            .events
             .iter()
-            .map(|e| format!("{}:{}@{}", e.kind.name(), e.id, e.cycle))
+            .map(|e| {
+                let (row, id) = fault_action(e);
+                format!("{}:{id}@{}", FAULT_ACTIONS[row], e.cycle)
+            })
             .collect::<Vec<_>>()
             .join("+")
     }
 
     /// Parse the canonical spelling (used by `--what-if fault=` queries).
     pub fn parse(label: &str, s: &str) -> Result<FaultSpec, String> {
-        let mut events = Vec::new();
+        let mut plan = FaultPlan::new();
         for part in s.split('+').filter(|p| !p.trim().is_empty()) {
-            let (kind, rest) = part
-                .trim()
-                .split_once(':')
-                .ok_or_else(|| format!("bad fault event {part:?}: expected <kind>:<id>@<cycle>"))?;
-            let kind = FaultKind::parse(kind)
+            let bad = || format!("bad fault event {part:?}: expected <kind>:<id>@<cycle>");
+            let (kind, rest) = part.trim().split_once(':').ok_or_else(bad)?;
+            let row = FAULT_ACTIONS
+                .iter()
+                .position(|&name| name == kind)
                 .ok_or_else(|| format!("unknown fault kind {kind:?} in {part:?}"))?;
-            let (id, cycle) = rest
-                .split_once('@')
-                .ok_or_else(|| format!("bad fault event {part:?}: expected <kind>:<id>@<cycle>"))?;
+            let (id, cycle) = rest.split_once('@').ok_or_else(bad)?;
             let id = id
                 .trim()
                 .parse::<u32>()
@@ -304,28 +303,12 @@ impl FaultSpec {
                 .trim()
                 .parse::<u64>()
                 .map_err(|_| format!("bad cycle in fault event {part:?}"))?;
-            events.push(FaultSpecEvent { cycle, kind, id });
+            plan.push(fault_event(row, id, cycle));
         }
-        if events.is_empty() {
+        if plan.is_empty() {
             return Err(format!("fault spec {s:?} has no events"));
         }
-        Ok(FaultSpec::new(label, events))
-    }
-
-    /// Lower into the simulator's [`FaultPlan`].
-    pub fn to_plan(&self) -> FaultPlan {
-        let mut plan = FaultPlan::new();
-        for e in &self.events {
-            match e.kind {
-                FaultKind::FailLink => plan.fail_link(e.cycle, LinkId(e.id)),
-                FaultKind::RepairLink => plan.repair_link(e.cycle, LinkId(e.id)),
-                FaultKind::FailSwitch => plan.fail_switch(e.cycle, SwitchId(e.id)),
-                FaultKind::RepairSwitch => plan.repair_switch(e.cycle, SwitchId(e.id)),
-                FaultKind::FailHost => plan.fail_host(e.cycle, HostId(e.id)),
-                FaultKind::RepairHost => plan.repair_host(e.cycle, HostId(e.id)),
-            };
-        }
-        plan
+        Ok(FaultSpec::new(label, plan))
     }
 }
 
@@ -810,46 +793,36 @@ fn parse_fault(v: &JsonValue, what: &str) -> Result<Option<FaultSpec>, String> {
         .get("events")
         .and_then(|e| e.as_array())
         .ok_or_else(|| format!("{what}: fault objects need an \"events\" array"))?;
-    let kinds = [
-        FaultKind::FailLink,
-        FaultKind::RepairLink,
-        FaultKind::FailSwitch,
-        FaultKind::RepairSwitch,
-        FaultKind::FailHost,
-        FaultKind::RepairHost,
-    ];
-    let names = kinds.map(FaultKind::name);
-    let keys = [&["cycle"][..], &names[..]].concat();
+    let keys = [&["cycle"][..], &FAULT_ACTIONS[..]].concat();
     let event_what = format!("{what}: fault event");
-    let mut events = Vec::new();
+    let mut plan = FaultPlan::new();
     for e in events_json {
         check_keys(e, &keys, &event_what)?;
         let cycle = get_u64(e, "cycle", what)?
             .ok_or_else(|| format!("{what}: fault events need a \"cycle\""))?;
         let mut found = Vec::new();
-        for kind in kinds {
-            if let Some(id) = get_u64(e, kind.name(), what)? {
-                let id = u32::try_from(id).map_err(|_| {
-                    format!("{event_what}: {:?} id {id} is past 2^32 - 1", kind.name())
-                })?;
-                found.push(FaultSpecEvent { cycle, kind, id });
+        for (row, name) in FAULT_ACTIONS.iter().enumerate() {
+            if let Some(id) = get_u64(e, name, what)? {
+                let id = u32::try_from(id)
+                    .map_err(|_| format!("{event_what}: {name:?} id {id} is past 2^32 - 1"))?;
+                found.push(fault_event(row, id, cycle));
             }
         }
         match found[..] {
-            [event] => events.push(event),
+            [event] => plan.push(event),
             _ => {
                 return Err(format!(
                     "{event_what}: needs exactly one of {}, has {}",
-                    names.join("/"),
+                    FAULT_ACTIONS.join("/"),
                     found.len()
                 ))
             }
-        }
+        };
     }
-    if events.is_empty() {
+    if plan.is_empty() {
         return Err(format!("{what}: fault {label:?} has no events"));
     }
-    Ok(Some(FaultSpec::new(label, events)))
+    Ok(Some(FaultSpec::new(label, plan)))
 }
 
 #[cfg(test)]
@@ -928,26 +901,14 @@ mod tests {
 
     #[test]
     fn fault_spec_canonical_order_and_roundtrip() {
-        let a = FaultSpec::new(
-            "x",
-            vec![
-                FaultSpecEvent {
-                    cycle: 100,
-                    kind: FaultKind::RepairLink,
-                    id: 3,
-                },
-                FaultSpecEvent {
-                    cycle: 0,
-                    kind: FaultKind::FailLink,
-                    id: 3,
-                },
-            ],
-        );
+        let mut plan = FaultPlan::new();
+        plan.repair_link(100, LinkId(3)).fail_link(0, LinkId(3));
+        let a = FaultSpec::new("x", plan);
         assert_eq!(a.key(), "fail_link:3@0+repair_link:3@100");
         let b = FaultSpec::parse("y", &a.key()).unwrap();
-        assert_eq!(a.events, b.events);
+        assert_eq!(a.plan, b.plan);
         assert_eq!(a.key(), b.key());
-        assert_eq!(b.to_plan().len(), 2);
+        assert_eq!(b.plan.len(), 2);
         assert!(FaultSpec::parse("z", "melt_link:3@0").is_err());
     }
 
@@ -1031,6 +992,60 @@ mod tests {
              faults=none"
         );
         assert_eq!(c.hash_hex(), "0ac12bd81c1036cf");
+    }
+
+    /// A faulted cell's identity: kinds mixed on one cycle and given out
+    /// of order sort by cycle, then action, then id.
+    #[test]
+    fn faulted_key_and_hash_are_pinned() {
+        let mut plan = FaultPlan::new();
+        plan.repair_link(0, LinkId(3))
+            .fail_host(0, HostId(2))
+            .fail_link(0, LinkId(5))
+            .fail_switch(0, SwitchId(1))
+            .fail_link(100, LinkId(3));
+        let parsed = FaultSpec::parse(
+            "parsed",
+            "repair_link:3@0+fail_host:2@0+fail_link:5@0+fail_switch:1@0+fail_link:3@100",
+        )
+        .unwrap();
+        let built = FaultSpec::new("built", plan);
+        assert_eq!(parsed.plan, built.plan);
+        let mut c = cell();
+        c.faults = Some(built);
+        assert_eq!(
+            c.canonical_key(),
+            "topo=torus;scheme=ITB-RR;pattern=uniform;load=0.015;seed=8;warmup=60000;\
+             measure=150000;payload=512;sched=active-set;goodput=off;reconfig=default;\
+             faults=fail_link:5@0+repair_link:3@0+fail_switch:1@0+fail_host:2@0+fail_link:3@100"
+        );
+        assert_eq!(c.hash_hex(), "dfcf9922ddb8c56c");
+    }
+
+    /// A campaign file may spell one plan as a string or as an object
+    /// (both as EXPERIMENTS.md writes them); they are one cell.
+    #[test]
+    fn fault_string_and_object_forms_are_one_cell() {
+        let spec = CampaignSpec::from_json_str(
+            r#"{"name": "x", "sweeps": [
+                {"topos": ["torus"], "schemes": ["ITB-RR"], "patterns": ["uniform"],
+                 "loads": [0.01],
+                 "faults": ["fail_link:3@0+repair_link:3@100",
+                            {"label": "one-link",
+                             "events": [{"cycle": 0, "fail_link": 3},
+                                        {"cycle": 100, "repair_link": 3}]}]}
+            ]}"#,
+        )
+        .unwrap();
+        let faults = &spec.sweeps[0].faults;
+        let (string, object) = (faults[0].as_ref().unwrap(), faults[1].as_ref().unwrap());
+        assert_eq!(string.plan, object.plan);
+        assert_eq!(object.label, "one-link");
+        let plan = spec.expand().unwrap();
+        assert_eq!(plan.len(), 1);
+        assert!(plan.cells[0]
+            .key
+            .ends_with(";faults=fail_link:3@0+repair_link:3@100"));
     }
 
     #[test]
@@ -1132,7 +1147,10 @@ mod tests {
         let max_id = r#"{"events": [{"cycle": 0, "fail_link": 4294967295}]}"#;
         let text = zero_load.replace("[0.0]", &format!("[0.01], \"faults\": [{max_id}]"));
         let faults = &CampaignSpec::from_json_str(&text).unwrap().sweeps[0].faults;
-        assert_eq!(faults[0].as_ref().unwrap().events[0].id, u32::MAX);
+        assert_eq!(
+            faults[0].as_ref().unwrap().plan.events[0].target,
+            FaultTarget::Link(LinkId(u32::MAX))
+        );
         // A zero window would checkpoint a NaN `accepted`; a zero goodput
         // interval divides by zero on export. Both are refused by name,
         // from the campaign defaults or from a sweep.

@@ -2,27 +2,26 @@
 //! tools republish as work lands.
 //!
 //! A campaign, or a `paper` figure run as campaign cells, can take
-//! hours; their stderr progress lines are useless to anything
-//! but a human tail. A [`StatusBoard`] mirrors the same information into
-//! a JSON snapshot — counts, per-worker state, ETA, recent completions,
-//! last errors — written with the store's atomic tmp+rename discipline,
-//! so a reader never observes a torn file. `campaign --watch` renders the
-//! snapshot as a terminal dashboard ([`render_status`]) and CI validates
-//! it mid-run and after completion ([`validate_status_json`]).
+//! hours. A [`StatusBoard`] follows the worker pool and keeps its state
+//! in a JSON snapshot — counts, per-worker state, ETA, recent
+//! completions, last errors — written with the store's atomic tmp+rename
+//! discipline, so a reader never observes a torn file. `campaign --watch`
+//! renders the snapshot as a terminal dashboard ([`render_status`]) and
+//! CI validates it mid-run and after completion
+//! ([`validate_status_json`]). A board can also echo its progress to
+//! stderr for a human tail ([`StatusBoard::echo`]), from the same counts.
 //!
 //! Wall-clock only lives here (`elapsed_secs`, `eta_secs`, timestamps):
 //! the status file is presentation, never an input to results.
 
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use regnet_metrics::JsonValue;
 use serde::Serialize;
 
-use crate::progress::fmt_duration;
 use crate::runner::RunnerEvent;
+use crate::store::write_atomically;
 
 /// Schema tag every status file carries.
 pub const STATUS_SCHEMA: &str = "regnet-status-v1";
@@ -201,22 +200,58 @@ pub fn validate_status_json(text: &str) -> Result<StatusSnapshot, String> {
     Ok(snap)
 }
 
+/// Render a duration compactly (`850ms`, `12.3s`, `4m07s`).
+fn fmt_duration(secs: f64) -> String {
+    if secs < 1.0 {
+        format!("{:.0}ms", secs * 1000.0)
+    } else if secs < 120.0 {
+        format!("{secs:.1}s")
+    } else {
+        let m = (secs / 60.0).floor();
+        format!("{m:.0}m{:02.0}s", secs - m * 60.0)
+    }
+}
+
+/// The `, ETA …` field of a running snapshot: the estimate, or a
+/// `--:--` placeholder while work is pending but nothing has landed.
+fn eta_field(s: &StatusSnapshot) -> String {
+    match (s.state.as_str(), s.eta_secs) {
+        ("running", Some(e)) => format!(", ETA {}", fmt_duration(e)),
+        ("running", None) if s.pending > 0 => ", ETA --:--".to_string(),
+        _ => String::new(),
+    }
+}
+
+/// A board's stderr echo line for snapshot `s`: the opening line before
+/// anything landed, `[label] done/total (elapsed, ETA …) detail` after
+/// each landed item, and the closing line once the run left "running".
+fn echo_line(label: &str, s: &StatusSnapshot, detail: &str) -> String {
+    let elapsed = fmt_duration(s.elapsed_secs);
+    if s.state != "running" {
+        format!("[{label}] done: {}/{} in {elapsed}", s.done, s.total)
+    } else if s.done == 0 {
+        format!("[{label}] 0/{} (ETA --:--)", s.total)
+    } else {
+        let eta = eta_field(s);
+        format!(
+            "[{label}] {}/{} ({elapsed} elapsed{eta}) {detail}",
+            s.done, s.total
+        )
+    }
+}
+
 /// Render a snapshot as the `--watch` terminal dashboard.
 pub fn render_status(s: &StatusSnapshot) -> String {
     let mut out = String::new();
     out.push_str(&format!("[{}] {}\n", s.tool, s.state));
-    let eta = match (s.state.as_str(), s.eta_secs) {
-        ("running", Some(e)) => format!(", ETA {}", fmt_duration(e)),
-        ("running", None) if s.pending > 0 => ", ETA --:--".to_string(),
-        _ => String::new(),
-    };
     out.push_str(&format!(
-        "  {}/{} done, {} failed, {} pending ({} elapsed{eta})\n",
+        "  {}/{} done, {} failed, {} pending ({} elapsed{})\n",
         s.done,
         s.total,
         s.failed,
         s.pending,
-        fmt_duration(s.elapsed_secs)
+        fmt_duration(s.elapsed_secs),
+        eta_field(s)
     ));
     if !s.workers.is_empty() {
         out.push_str("  workers:\n");
@@ -249,56 +284,27 @@ fn unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// Atomic publisher: `status.json` is replaced via tmp + rename, never
-/// truncated in place.
-pub struct StatusWriter {
-    path: PathBuf,
-}
-
-impl StatusWriter {
-    pub fn new(path: impl Into<PathBuf>) -> StatusWriter {
-        StatusWriter { path: path.into() }
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Write the snapshot atomically (same discipline as the cell store).
-    pub fn publish(&self, snap: &StatusSnapshot) -> Result<(), String> {
-        let tmp = self.path.with_extension("json.tmp");
-        {
-            let mut f = fs::File::create(&tmp)
-                .map_err(|e| format!("cannot create {}: {e}", tmp.display()))?;
-            f.write_all(snap.to_json_string().as_bytes())
-                .and_then(|_| f.write_all(b"\n"))
-                .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-            f.sync_all()
-                .map_err(|e| format!("cannot sync {}: {e}", tmp.display()))?;
-        }
-        fs::rename(&tmp, &self.path)
-            .map_err(|e| format!("cannot commit status {}: {e}", self.path.display()))
-    }
-}
-
-/// Tracks one invocation's live state and republishes on every change.
+/// Tracks one invocation's live state and republishes on every change;
+/// the one follower of a pool run.
 ///
 /// Publish errors are remembered (and printed once to stderr) rather than
 /// propagated: a broken status file must never kill a campaign.
 pub struct StatusBoard {
-    writer: StatusWriter,
+    path: PathBuf,
     snap: StatusSnapshot,
     started: Instant,
     publish_failed: bool,
+    /// Label of the stderr echo; `None` keeps the board silent.
+    echo: Option<String>,
 }
 
 impl StatusBoard {
-    /// Start a board for `tool` over `total` work items with `workers`
-    /// worker slots, and publish the initial "running" snapshot.
+    /// Start a silent board for `tool` over `total` work items with
+    /// `workers` worker slots, and publish the initial "running" snapshot.
     pub fn new(path: impl Into<PathBuf>, tool: &str, total: usize, workers: usize) -> StatusBoard {
         let now = unix_ms();
         let mut board = StatusBoard {
-            writer: StatusWriter::new(path),
+            path: path.into(),
             snap: StatusSnapshot {
                 schema: STATUS_SCHEMA.to_string(),
                 tool: tool.to_string(),
@@ -323,16 +329,39 @@ impl StatusBoard {
             },
             started: Instant::now(),
             publish_failed: false,
+            echo: None,
         };
         board.publish();
         board
+    }
+
+    /// Echo progress to stderr under `label`: an opening line if work is
+    /// already known, one line per landed cell naming its hash, accepted
+    /// traffic and mean latency, and a closing line on [`finish`](Self::finish).
+    pub fn echo(mut self, label: impl Into<String>) -> StatusBoard {
+        let label = label.into();
+        if self.snap.total > 0 {
+            eprintln!("{}", echo_line(&label, &self.snap, ""));
+        }
+        self.echo = Some(label);
+        self
     }
 
     /// Follow the worker pool: a cell started, landed or failed.
     pub fn record(&mut self, ev: &RunnerEvent<'_>) {
         match ev {
             RunnerEvent::Started { worker, cell } => self.started(*worker, &cell.key),
-            RunnerEvent::Done(done) => self.done(done.worker, &done.cell.key),
+            RunnerEvent::Done(done) => {
+                self.done(done.worker, &done.cell.key);
+                if let Some(label) = &self.echo {
+                    let r = done.result;
+                    let detail = format!(
+                        "{} accepted {:.5} avg {:.0}ns",
+                        r.hash, r.accepted, r.avg_latency_ns
+                    );
+                    eprintln!("{}", echo_line(label, &self.snap, &detail));
+                }
+            }
             RunnerEvent::Failed {
                 worker,
                 cell,
@@ -382,6 +411,9 @@ impl StatusBoard {
             w.cell = None;
         }
         self.publish();
+        if let Some(label) = &self.echo {
+            eprintln!("{}", echo_line(label, &self.snap, ""));
+        }
     }
 
     /// The current snapshot (tests, callers that want the counts).
@@ -404,7 +436,7 @@ impl StatusBoard {
         } else {
             None
         };
-        if let Err(e) = self.writer.publish(&self.snap) {
+        if let Err(e) = write_atomically(&self.path, &self.snap.to_json_string()) {
             if !self.publish_failed {
                 eprintln!("warning: {e} (status updates disabled)");
                 self.publish_failed = true;
@@ -424,6 +456,7 @@ fn push_capped(v: &mut Vec<String>, item: String) {
 mod tests {
     use super::*;
     use std::fs;
+    use std::path::Path;
 
     fn temp_status(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("regnet-status-{tag}-{}", std::process::id()));
@@ -466,12 +499,48 @@ mod tests {
 
         board.started(0, "cell-c");
         board.done(0, "cell-c");
+        let s = read(&path);
+        assert_eq!(s.pending, 0);
+        assert_eq!(s.eta_secs, None, "no ETA once nothing is pending");
         board.finish("done");
         let s = read(&path);
         assert_eq!(s.state, "done");
         assert_eq!((s.done, s.failed, s.pending), (2, 1, 0));
+        assert_eq!(s.eta_secs, None);
         assert!(s.workers.iter().all(|w| w.state == "idle"));
         let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// The echo's three kinds of line, from fixed snapshots.
+    #[test]
+    fn echo_lines_follow_the_board() {
+        let path = temp_status("echo");
+        let board = StatusBoard::new(&path, "paper", 4, 1);
+        let mut s = board.snapshot().clone();
+        assert_eq!(echo_line("fig07", &s, ""), "[fig07] 0/4 (ETA --:--)");
+        s.done = 1;
+        s.pending = 3;
+        s.elapsed_secs = 0.25;
+        s.eta_secs = Some(0.75);
+        assert_eq!(
+            echo_line("fig07", &s, "2269ecc28a2a79b5 accepted 0.00981 avg 3912ns"),
+            "[fig07] 1/4 (250ms elapsed, ETA 750ms) 2269ecc28a2a79b5 accepted 0.00981 avg 3912ns"
+        );
+        s.done = 4;
+        s.pending = 0;
+        s.elapsed_secs = 12.34;
+        s.eta_secs = None;
+        assert_eq!(echo_line("fig07", &s, "d"), "[fig07] 4/4 (12.3s elapsed) d");
+        s.state = "done".to_string();
+        assert_eq!(echo_line("fig07", &s, ""), "[fig07] done: 4/4 in 12.3s");
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn duration_formatting() {
+        assert_eq!(fmt_duration(0.25), "250ms");
+        assert_eq!(fmt_duration(12.34), "12.3s");
+        assert_eq!(fmt_duration(247.0), "4m07s");
     }
 
     #[test]

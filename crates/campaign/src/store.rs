@@ -63,19 +63,7 @@ impl ResultStore {
 
     /// Checkpoint one cell atomically (tmp file + rename).
     pub fn save(&self, result: &CellResult) -> Result<(), String> {
-        let path = self.cell_path(&result.hash);
-        let tmp = self.cells.join(format!("{}.json.tmp", result.hash));
-        {
-            let mut f = fs::File::create(&tmp)
-                .map_err(|e| format!("cannot create {}: {e}", tmp.display()))?;
-            f.write_all(result.to_json_string().as_bytes())
-                .and_then(|_| f.write_all(b"\n"))
-                .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-            f.sync_all()
-                .map_err(|e| format!("cannot sync {}: {e}", tmp.display()))?;
-        }
-        fs::rename(&tmp, &path)
-            .map_err(|e| format!("cannot commit checkpoint {}: {e}", path.display()))
+        write_atomically(&self.cell_path(&result.hash), &result.to_json_string())
     }
 
     /// Load every checkpointed cell, keyed by hash. `BTreeMap` so the
@@ -138,6 +126,23 @@ impl ResultStore {
         }
         Ok(())
     }
+}
+
+/// Write `text` and a newline to `<path>.tmp`, sync it and rename it over
+/// `path` (a `.json` file), so a reader sees the old file or the new one
+/// and never a torn one.
+pub(crate) fn write_atomically(path: &Path, text: &str) -> Result<(), String> {
+    let tmp = path.with_extension("json.tmp");
+    {
+        let mut f =
+            fs::File::create(&tmp).map_err(|e| format!("cannot create {}: {e}", tmp.display()))?;
+        f.write_all(text.as_bytes())
+            .and_then(|_| f.write_all(b"\n"))
+            .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
+        f.sync_all()
+            .map_err(|e| format!("cannot sync {}: {e}", tmp.display()))?;
+    }
+    fs::rename(&tmp, path).map_err(|e| format!("cannot commit {}: {e}", path.display()))
 }
 
 #[cfg(test)]

@@ -3,13 +3,12 @@
 //! of in-transit buffers per route).
 
 use regnet_topology::{DistanceMatrix, HostId, Topology};
-use serde::{Deserialize, Serialize};
 
 use crate::journey::SegmentEnd;
 use crate::table::RouteDb;
 
 /// Summary statistics of a [`RouteDb`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouteStats {
     /// Fraction of ordered distinct switch pairs whose (first-alternative)
     /// route is minimal. The paper reports 80% for up\*/down\* on the 2-D

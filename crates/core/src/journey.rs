@@ -20,12 +20,10 @@
 //! ITB mark before re-injection. This module does the flit accounting that
 //! the simulator relies on.
 
-use serde::{Deserialize, Serialize};
-
 use regnet_topology::{HostId, Port, SwitchId};
 
 /// How a segment ends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentEnd {
     /// The packet is delivered: this is the final segment.
     Deliver,
@@ -35,7 +33,7 @@ pub enum SegmentEnd {
 }
 
 /// One up\*/down\*-legal leg of a journey.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
     /// Switches traversed by this segment, in order. The first segment
     /// starts at the source host's switch; later segments start at the
@@ -56,7 +54,7 @@ impl Segment {
 }
 
 /// A fully materialised source route from one host to another.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Journey {
     pub src: HostId,
     pub dst: HostId,
@@ -144,7 +142,7 @@ impl Journey {
 /// concrete destination host. Templates are shared by all host pairs that
 /// live on the same ordered switch pair, which keeps the route database
 /// small (switch-pair count, not host-pair count).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JourneyTemplate {
     /// All segments; the final segment's `ports` is one byte *short* (the
     /// destination host port is appended at materialisation).

@@ -3,14 +3,13 @@
 use regnet_routing::minimal::{MinimalDag, PathSet};
 use regnet_routing::{simple_routes, SimpleRoutesConfig, SwitchPath};
 use regnet_topology::{DistanceMatrix, HostId, Orientation, SwitchId, Topology};
-use serde::{Deserialize, Serialize};
 
 use crate::journey::{Journey, Segment, SegmentEnd};
 use crate::split::{no_itb_host, split_into, ItbHostPicker};
 use crate::table::{RouteDb, RouteDbBuilder};
 
 /// The routing schemes compared in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoutingScheme {
     /// Original Myrinet routing: one balanced up\*/down\* path per pair
     /// (the `simple_routes` selection). Called **UP/DOWN** in the paper.

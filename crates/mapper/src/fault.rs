@@ -2,14 +2,12 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use regnet_topology::{HostId, LinkEnd, LinkId, SwitchId, Topology};
 
 /// The set of failed network elements. A dead switch implicitly kills all
 /// its links and the reachability of its hosts; a dead host kills its NIC
 /// (and its link); a dead link kills just the cable.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSet {
     dead_links: BTreeSet<LinkId>,
     dead_switches: BTreeSet<SwitchId>,

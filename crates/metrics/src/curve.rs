@@ -1,9 +1,9 @@
 //! Latency-vs-accepted-traffic curves, the paper's main presentation format.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One simulated point of a latency/throughput curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CurvePoint {
     /// Offered load, flits/ns/switch.
     pub offered: f64,
@@ -24,7 +24,7 @@ pub struct CurvePoint {
 
 /// A full latency/throughput curve for one (topology, scheme, pattern)
 /// combination.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Curve {
     pub label: String,
     pub points: Vec<CurvePoint>,
@@ -256,7 +256,7 @@ impl SaturationSearch {
 }
 
 /// One named series of a [`TimeSeries`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct NamedSeries {
     pub name: String,
     pub values: Vec<f64>,
@@ -266,7 +266,7 @@ pub struct NamedSeries {
 /// every series covers cycles `[i*interval_cycles, (i+1)*interval_cycles)`.
 /// Produced from simulator telemetry (e.g. per-link utilization over time)
 /// and exported by [`export::write_time_series`](crate::export::write_time_series).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TimeSeries {
     pub label: String,
     /// Sampling interval, cycles.

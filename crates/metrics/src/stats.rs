@@ -1,9 +1,7 @@
 //! Streaming statistics and log-bucketed histograms.
 
-use serde::{Deserialize, Serialize};
-
 /// Welford-style streaming mean/variance plus min/max.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
@@ -90,7 +88,7 @@ impl RunningStats {
 /// A histogram with logarithmically spaced buckets, good for latency
 /// distributions spanning several orders of magnitude. Sub-bucket linear
 /// resolution keeps the quantile error under ~3%.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     /// 32 sub-buckets per power of two.
     counts: Vec<u64>,

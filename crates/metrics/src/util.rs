@@ -1,11 +1,9 @@
 //! Link-utilization summaries (the paper's Figures 8, 9 and 11).
 
-use serde::{Deserialize, Serialize};
-
 /// Utilization of every directed channel over a measurement window, plus the
 /// aggregate statistics the paper quotes ("65% of links have a utilization
 /// less than 10%", "utilization ranges from 14% to 29%", …).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UtilizationSummary {
     /// Busy fraction per directed channel, in [0, 1].
     pub per_channel: Vec<f64>,

@@ -1,14 +1,12 @@
 //! Simulation parameters. Defaults are the Myrinet figures from the paper's
 //! sections 4.3–4.5.
 
-use serde::{Deserialize, Serialize};
-
 /// Nanoseconds per cycle: one flit per link per cycle at 160 MB/s with
 /// one-byte flits.
 pub const CYCLE_NS: f64 = 6.25;
 
 /// All timing and sizing parameters of the simulated hardware.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Payload flits (= bytes) per message. The paper evaluates 32, 512 and
     /// 1024 and reports 512. A message is one packet. Every host generates

@@ -19,12 +19,10 @@
 //! [`RunStats`](crate::RunStats) and is printed by the `probe`/`diagnose`
 //! binaries.
 
-use serde::{Deserialize, Serialize};
-
 /// Counter values: live inside the simulator, a copy of them at a point in
 /// time everywhere else. Field order matches [`CounterSnapshot::NAMES`];
 /// iterate with [`as_pairs`](CounterSnapshot::as_pairs).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CounterSnapshot {
     /// Flits moved through a switch crossbar.
     pub flits_forwarded: u64,

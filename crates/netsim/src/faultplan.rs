@@ -21,14 +21,14 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use regnet_core::RouteDbConfig;
 use regnet_mapper::{FaultSet, PhysicalRoutes};
 use regnet_topology::{HostId, LinkId, SwitchId};
 
 /// What a fault event acts on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultTarget {
     Link(LinkId),
     Switch(SwitchId),
@@ -36,7 +36,7 @@ pub enum FaultTarget {
 }
 
 /// One scheduled change of a network element's health.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Simulation cycle the event takes effect (start of the cycle).
     pub cycle: u64,
@@ -46,7 +46,7 @@ pub struct FaultEvent {
 }
 
 /// A deterministic schedule of fail/repair events.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     pub events: Vec<FaultEvent>,
 }
@@ -207,7 +207,7 @@ impl FaultOptions {
 }
 
 /// Dependability counters for one run. All zeros when the plan is empty.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct ReliabilityStats {
     pub link_failures: u64,
     pub switch_failures: u64,

@@ -30,8 +30,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// The per-cycle phases the profiler distinguishes, in execution order.
 pub const PHASE_NAMES: [&str; 7] = [
     "faults",     // fault events, loss handling, reconfiguration
@@ -201,7 +199,7 @@ impl Profiler {
 }
 
 /// Wall time attributed to one phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseProfile {
     pub name: String,
     pub ns: u64,
@@ -210,7 +208,7 @@ pub struct PhaseProfile {
 }
 
 /// Everything the profiler measured.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
     /// Cycles simulated while profiling, idle spans the run loop jumped
     /// over included.
@@ -252,7 +250,7 @@ impl ProfileReport {
 
 /// One node of the span tree. Invariant (enforced at construction):
 /// `self_ns + Σ children.total_ns == total_ns`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpanNode {
     pub name: String,
     /// Wall time of this span including its children, ns.
@@ -275,7 +273,7 @@ impl SpanNode {
 
 /// The hierarchical profile: one root span per phase, in execution order;
 /// phase totals equal the flat [`ProfileReport`] exactly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpanReport {
     /// Cycles simulated while profiling, idle spans the run loop jumped
     /// over included.

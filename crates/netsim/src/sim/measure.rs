@@ -2,8 +2,6 @@
 //! observers' switches and reports, the per-cycle watchdog and trace hook,
 //! and the diagnostics (stall analysis, state dump, channel map).
 
-use serde::{Deserialize, Serialize};
-
 use regnet_metrics::{Histogram, RunningStats};
 use regnet_topology::{HostId, LinkEnd, NodeId, SwitchId, Topology};
 
@@ -18,7 +16,7 @@ use crate::trace::{TraceOptions, TraceReport, TraceState};
 use crate::wfg::StallReport;
 
 /// Static description of a directed channel, for utilization maps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelDesc {
     pub from: NodeId,
     pub to: NodeId,
@@ -49,7 +47,7 @@ impl ChannelDesc {
 }
 
 /// Aggregated results of one measurement window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
     pub window_cycles: u64,
     /// Messages delivered (a message is one packet).
@@ -186,7 +184,8 @@ impl Simulator<'_> {
             delivered_payload_flits: m.delivered_payload_flits,
             generated: m.generated,
             // An empty window reports 0.0, not NaN: RunStats must stay
-            // comparable with `==` (determinism suite) and serializable.
+            // comparable with `==` (determinism suite) and finite in the
+            // cell checkpoints written from it.
             avg_latency_ns: if delivered > 0 {
                 m.latency.mean() * CYCLE_NS
             } else {

@@ -19,7 +19,7 @@
 //!   of the same seeded configuration must produce identical digests; the
 //!   determinism regression suite is built on this.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use regnet_metrics::Histogram;
 
@@ -28,7 +28,7 @@ use crate::nic::Nic;
 
 /// Which observers to enable. `Default` is everything off — the simulator
 /// then allocates no trace state at all.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceOptions {
     /// Sample per-channel busy cycles every this many cycles.
     pub channel_util_interval: Option<u64>,
@@ -83,7 +83,7 @@ impl TraceOptions {
 /// Busy-cycle time series for every directed channel, bucketed on a fixed
 /// interval. `busy[ch][b]` is the number of busy cycles of channel `ch`
 /// during bucket `b`; divide by `interval` for utilization in `[0, 1]`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelUtilSeries {
     pub interval: u64,
     pub buckets: u64,
@@ -92,7 +92,7 @@ pub struct ChannelUtilSeries {
 
 /// Total ITB pool occupancy (reserved flits over all NICs), sampled every
 /// `interval` cycles.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OccupancySeries {
     pub interval: u64,
     pub samples: Vec<u64>,
@@ -102,7 +102,7 @@ pub struct OccupancySeries {
 /// Delivered payload flits per bucket of `interval` cycles. Divide by
 /// `interval` for goodput in flits/cycle; a fault shows up as a dip, the
 /// reconfiguration as the recovery.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct GoodputSeries {
     pub interval: u64,
     pub samples: Vec<u64>,
@@ -110,7 +110,7 @@ pub struct GoodputSeries {
 
 /// One row of the unified metrics series: every column of
 /// [`MetricsSeries::names`] sampled at the end of `cycle`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSample {
     /// The cycle the row was sampled at (end-of-cycle).
     pub cycle: u64,
@@ -123,7 +123,7 @@ pub struct MetricsSample {
 /// since the last counter reset; zero columns when the counter registry
 /// is off). The column layout is fixed so the series is deterministic
 /// regardless of which observers are enabled.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSeries {
     pub interval: u64,
     pub names: Vec<String>,
@@ -140,7 +140,7 @@ impl MetricsSeries {
 }
 
 /// Quantile summary of one histogramed latency population (cycles).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencySummary {
     pub count: u64,
     pub p50_cycles: u64,
@@ -160,7 +160,7 @@ impl LatencySummary {
 }
 
 /// Everything the enabled observers recorded, snapshot at collection time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceReport {
     /// FNV-1a fold of delivered-message events; `None` when the digest
     /// observer was off.

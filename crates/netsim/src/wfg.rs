@@ -26,8 +26,6 @@
 //! flit moved anywhere for longer than the worst-case forward-progress
 //! bound (`quiescence_threshold`) — before reporting [`StallClass::Deadlock`].
 
-use serde::{Deserialize, Serialize};
-
 use regnet_topology::NodeId;
 
 use crate::sim::ChannelDesc;
@@ -35,7 +33,7 @@ use crate::switch::{HeadState, SwitchState};
 
 /// One wait-for dependency: the head packet of the input buffer fed by
 /// `from_chan` needs the output port driving `to_chan`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitEdge {
     pub sw: u32,
     pub in_port: u8,
@@ -51,7 +49,7 @@ pub struct WaitEdge {
 }
 
 /// What a stalled (or not) network looks like.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StallClass {
     /// No live packets: nothing to diagnose.
     Idle,
@@ -68,7 +66,7 @@ pub enum StallClass {
 }
 
 /// Full stall diagnosis, produced by `Simulator::analyze_stall`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StallReport {
     pub class: StallClass,
     pub live_packets: usize,

@@ -1,14 +1,12 @@
 //! Switch-level paths and their properties.
 
-use serde::{Deserialize, Serialize};
-
 use regnet_topology::{DistanceMatrix, HostId, Orientation, Port, SwitchId, Topology};
 
 /// A path through the switch graph: the ordered list of switches traversed.
 ///
 /// A path with a single switch (`[s]`) represents intra-switch traffic
 /// (source and destination hosts attached to the same switch).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SwitchPath(Vec<SwitchId>);
 
 impl SwitchPath {

@@ -1,12 +1,10 @@
 //! The immutable network graph and its builder.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TopologyError;
 use crate::ids::{HostId, LinkId, NodeId, Port, SwitchId};
 
 /// What sits on the far side of a switch port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortTarget {
     /// Another switch, reached through `link`; `to_port` is the port on the
     /// remote switch.
@@ -20,7 +18,7 @@ pub enum PortTarget {
 }
 
 /// One end of a physical link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkEnd {
     Switch { sw: SwitchId, port: Port },
     Host { host: HostId },
@@ -38,7 +36,7 @@ impl LinkEnd {
 
 /// A physical, bidirectional link (a cable): either switch↔switch or
 /// switch↔host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Link {
     pub id: LinkId,
     pub ends: [LinkEnd; 2],
@@ -62,7 +60,7 @@ impl Link {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct SwitchNode {
     ports: Vec<Option<PortTarget>>,
     /// Hosts attached to this switch, in attachment order.
@@ -73,7 +71,7 @@ struct SwitchNode {
     neighbors: Vec<(Port, SwitchId, LinkId)>,
 }
 
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct HostNode {
     switch: SwitchId,
     /// Port on `switch` where this host is attached.
@@ -84,7 +82,7 @@ struct HostNode {
 /// An immutable, validated network of switches, hosts and links.
 ///
 /// Build one with a [generator](crate::gen) or with [`TopologyBuilder`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     name: String,
     max_ports: u8,

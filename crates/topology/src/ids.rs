@@ -1,29 +1,27 @@
 //! Strongly-typed identifiers for the entities of a [`Topology`](crate::Topology).
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a switch. Switches are numbered densely from zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SwitchId(pub u32);
 
 /// Identifier of a host (workstation / NIC). Hosts are numbered densely from
 /// zero across the whole network, in switch order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HostId(pub u32);
 
 /// Identifier of a physical (bidirectional) link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u32);
 
 /// A port index on a switch. Myrinet switches in the paper have 16 ports.
 ///
 /// In a Myrinet source route, the header carries one `Port` byte per switch
 /// traversed: the output port that switch must use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Port(pub u8);
 
 /// Either endpoint type a link can attach to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeId {
     Switch(SwitchId),
     Host(HostId),

@@ -6,13 +6,11 @@
 //! normalised by the switch count. One flit is one byte; one link cycle is
 //! 6.25 ns (160 MB/s).
 
-use serde::{Deserialize, Serialize};
-
 /// Duration of one flit time on a Myrinet link, in nanoseconds.
 pub(crate) const CYCLE_NS: f64 = 6.25;
 
 /// An offered load expressed in the paper's unit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OfferedLoad {
     /// Payload flits per nanosecond per switch.
     pub flits_per_ns_per_switch: f64,

@@ -1,12 +1,11 @@
 //! Message destination distributions.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use regnet_topology::{DistanceMatrix, HostId, Topology};
 
 /// Declarative description of a traffic pattern (section 4.2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PatternSpec {
     /// Every other host is equally likely ("the most widely used pattern").
     Uniform,
