@@ -6,6 +6,8 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use rand::rngs::SmallRng;
 
+use crate::faultplan::FaultRuntime;
+
 /// Reception progress for the packet currently streaming into this NIC.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RxState {
@@ -120,7 +122,8 @@ impl Nic {
     /// retransmission ready yet. Heap entries that become ready later are
     /// covered by the scheduler's wake-up heap (one entry per insertion),
     /// so the active-set scheduler may retire a NIC for which this holds.
-    /// It may also retire one [`held_by_stop`](Nic::held_by_stop).
+    /// It may also retire one asleep: [`held_by_stop`](Nic::held_by_stop)
+    /// or [`frozen`](Nic::frozen).
     pub(crate) fn quiescent_for_tx(&self, cycle: u64) -> bool {
         let ready = |heap: &BinaryHeap<Reverse<(u64, u32)>>| {
             heap.peek().is_some_and(|Reverse((r, _))| *r <= cycle)
@@ -137,6 +140,15 @@ impl Nic {
     /// cable is dead, so a repair finds nothing held.)
     pub(crate) fn held_by_stop(&self) -> bool {
         self.stopped && self.tx.is_some()
+    }
+
+    /// Frozen by a pending reconfiguration: sources stall while the mapper
+    /// redistributes routes, and only a worm already in progress may
+    /// finish. A transmit-phase visit is a no-op until the new tables
+    /// land, and landing them lists every NIC with work again
+    /// (`Simulator::complete_reconfiguration`).
+    pub(crate) fn frozen(&self, faults: Option<&FaultRuntime>) -> bool {
+        faults.is_some_and(|f| f.reconfig_due.is_some()) && self.tx.is_none()
     }
 
     /// Anything left to do at this NIC?
