@@ -398,6 +398,18 @@ impl RouteDbBuilder {
         }
     }
 
+    /// Reserve room for a table the size of `like` up front, so that
+    /// appending one does not grow the seven vectors by doubling.
+    pub fn reserve_like(&mut self, like: &RouteDb) {
+        let (db, n) = (&mut self.db, |v: usize| v.saturating_sub(1));
+        db.route_segs.reserve_exact(n(like.route_segs.len()));
+        db.seg_switches.reserve_exact(n(like.seg_switches.len()));
+        db.seg_ports.reserve_exact(n(like.seg_ports.len()));
+        db.seg_end.reserve_exact(like.seg_end.len());
+        db.switches.reserve_exact(like.switches.len());
+        db.ports.reserve_exact(like.ports.len());
+    }
+
     /// The open segment visits `s` next.
     pub fn switch(&mut self, s: SwitchId) {
         self.db.switches.push(s);

@@ -162,7 +162,12 @@ pub fn rebuild_physical_routes(
     }
 
     let d = &discovered;
+    // Every route of `mapped_db` is translated hop for hop, so its size
+    // bounds the physical table's. Reserving it keeps each rebuild to one
+    // allocation per vector: growth by doubling left freed blocks behind
+    // that raised the heap's high-water mark mid-run.
     let mut table = RouteDbBuilder::new(scheme, n, physical.num_hosts());
+    table.reserve_like(&mapped_db);
     for ps in physical.switches() {
         for pd in physical.switches() {
             if let (Some(ns), Some(nd)) = (d.switch_to_new[ps.idx()], d.switch_to_new[pd.idx()]) {
