@@ -157,6 +157,15 @@ pub(crate) fn assert_equivalent_faulted_with(
     scheme: RoutingScheme,
     config: SimConfig,
 ) -> ReliabilityStats {
+    assert_equivalent_faulted_at(build, scheme, (config, 0.01))
+}
+
+/// [`assert_equivalent_faulted_with`] at a load of the caller's choosing.
+pub(crate) fn assert_equivalent_faulted_at(
+    build: fn() -> Topology,
+    scheme: RoutingScheme,
+    (config, load): (SimConfig, f64),
+) -> ReliabilityStats {
     let run = |scheduler: Scheduler| {
         let topo = build();
         let link = topo
@@ -179,7 +188,7 @@ pub(crate) fn assert_equivalent_faulted_with(
             faults: Some(FaultOptions::with_plan(plan)),
             ..opts(scheduler)
         };
-        let obs = exp.run_observed(0.01, &run_opts);
+        let obs = exp.run_observed(load, &run_opts);
         (obs.stats, obs.reliability, obs.trace)
     };
     let (s_scan, r_scan, t_scan) = run(reference());
