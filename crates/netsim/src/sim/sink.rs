@@ -184,8 +184,8 @@ pub(crate) struct SeqParts<'s> {
 }
 
 impl SeqParts<'_> {
-    /// The active lists the switch and NIC phase loops drain. The scan
-    /// oracle has none and never asks.
+    /// The wake state whose listed switches and NICs the phase loops
+    /// walk. The scan oracle has none and never asks.
     #[inline]
     pub(crate) fn sched(&mut self) -> &mut ActiveSched {
         let sched = self.sink.sched.as_deref_mut();
