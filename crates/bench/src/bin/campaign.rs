@@ -379,3 +379,23 @@ fn parse_num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String> {
     v.parse::<T>()
         .map_err(|_| format!("what-if {key}={v:?} is not a valid number"))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `payload=` reaches the same pre-run check as a campaign file's
+    /// `payload_flits`: 0 and past the simulator's bound are refused by
+    /// key before any probe runs.
+    #[test]
+    fn what_if_refuses_an_out_of_range_payload_by_key() {
+        let dir =
+            std::env::temp_dir().join(format!("regnet-whatif-payload-{}", std::process::id()));
+        for payload in ["0", "1073741825", "4294967808"] {
+            let spec = format!("topo=torus:4x4:2,scheme=ITB-RR,pattern=uniform,payload={payload}");
+            let err = run_what_if(&spec, dir.to_str().unwrap(), true).unwrap_err();
+            assert!(err.contains("\"payload_flits\""), "{payload}: {err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -12,7 +12,7 @@
 
 use regnet_core::RoutingScheme;
 use regnet_metrics::JsonValue;
-use regnet_netsim::{FaultEvent, FaultPlan, FaultTarget, SimConfig};
+use regnet_netsim::{FaultEvent, FaultPlan, FaultTarget, SimConfig, MAX_PAYLOAD_FLITS};
 use regnet_topology::{gen, HostId, LinkId, SwitchId, Topology};
 use regnet_traffic::PatternSpec;
 
@@ -376,19 +376,27 @@ impl CellSpec {
     }
 }
 
-/// Refuse a zero measurement window or goodput interval, naming the key.
+/// Refuse a zero measurement window or goodput interval and a payload
+/// the simulator cannot hold, naming the key, before any cell runs.
 /// A zero window makes a cell's `accepted` 0/0, a NaN its checkpoint
 /// cannot be read back from; a zero interval samples every cycle and
-/// divides by zero on export.
-pub(crate) fn check_windows(
+/// divides by zero on export; a payload past [`MAX_PAYLOAD_FLITS`] would
+/// not fit the simulator's 32-bit flit counts.
+pub(crate) fn check_cell_values(
     measure_cycles: u64,
     goodput_interval: Option<u64>,
+    payload_flits: usize,
 ) -> Result<(), String> {
     if measure_cycles == 0 {
         return Err("\"measure_cycles\" must be positive".into());
     }
     if goodput_interval == Some(0) {
         return Err("\"goodput_interval\" must be positive".into());
+    }
+    if !(1..=MAX_PAYLOAD_FLITS).contains(&payload_flits) {
+        return Err(format!(
+            "\"payload_flits\" {payload_flits} must be in 1..={MAX_PAYLOAD_FLITS}"
+        ));
     }
     Ok(())
 }
@@ -534,7 +542,7 @@ impl CampaignSpec {
             std::collections::HashMap::new();
         for sweep in &self.sweeps {
             let d = &sweep.defaults;
-            check_windows(d.measure_cycles, d.goodput_interval)
+            check_cell_values(d.measure_cycles, d.goodput_interval, d.payload_flits)
                 .map_err(|e| format!("sweep {:?}: {e}", sweep.group))?;
             for topo in &sweep.topos {
                 for scheme in &sweep.schemes {
@@ -1167,6 +1175,19 @@ mod tests {
                     .unwrap_err();
                 assert!(err.contains(&format!("{key:?} must be positive")), "{err}");
             }
+        }
+        // A payload of 0 or past the simulator's bound is refused by name
+        // too; 2^32 + 512 used to run 512-flit packets.
+        for payload in [0, MAX_PAYLOAD_FLITS + 1, (1 << 32) + 512] {
+            let text = zero_load.replace("[0.0]", &format!("[0.01], \"payload_flits\": {payload}"));
+            let err = CampaignSpec::from_json_str(&text)
+                .unwrap()
+                .expand()
+                .unwrap_err();
+            assert!(
+                err.contains(&format!("\"payload_flits\" {payload} must be in")),
+                "{err}"
+            );
         }
         // Integral, but past 2^53: it would run u64::MAX cycles.
         for key in [r#""measure_cycles": 1e300"#, r#""seeds": [1e300]"#] {

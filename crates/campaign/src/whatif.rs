@@ -16,7 +16,7 @@ use regnet_metrics::{Saturation, SaturationSearch};
 
 use crate::cell::CellResult;
 use crate::runner::{run_plan, RunnerEvent, RunnerOptions};
-use crate::spec::{check_windows, CellSpec, PlannedCell, RunPlan};
+use crate::spec::{check_cell_values, CellSpec, PlannedCell, RunPlan};
 use crate::store::ResultStore;
 
 /// A saturation-point query. The `cell` is the template: its `load`
@@ -77,8 +77,12 @@ pub fn what_if_all(
 ) -> Result<Vec<WhatIfResult>, String> {
     for q in queries {
         q.search.check().map_err(|e| format!("what-if: {e}"))?;
-        check_windows(q.cell.measure_cycles, q.cell.goodput_interval)
-            .map_err(|e| format!("what-if: {e}"))?;
+        check_cell_values(
+            q.cell.measure_cycles,
+            q.cell.goodput_interval,
+            q.cell.payload_flits,
+        )
+        .map_err(|e| format!("what-if: {e}"))?;
     }
     let mut searches: Vec<SaturationSearch> = queries.iter().map(|q| q.search.clone()).collect();
     let mut results: Vec<WhatIfResult> = searches
@@ -250,9 +254,10 @@ mod tests {
         let mut q = WhatIfQuery::new(template());
         q.search.start = 0.0;
         assert!(what_if(&q, &store, |_, _, _| {}).is_err());
-        // A zero window or goodput interval, an infinite load or step, a
-        // tolerance the bracket can never meet and an empty budget are
-        // refused before any probe runs, so nothing lands in the store.
+        // A zero window or goodput interval, an over-bound payload, an
+        // infinite load or step, a tolerance the bracket can never meet and
+        // an empty budget are refused before any probe runs, so nothing
+        // lands in the store.
         let search = |edit: fn(&mut SaturationSearch)| {
             let mut q = WhatIfQuery::new(template());
             edit(&mut q.search);
@@ -270,6 +275,13 @@ mod tests {
                 "goodput_interval",
                 WhatIfQuery::new(CellSpec {
                     goodput_interval: Some(0),
+                    ..template()
+                }),
+            ),
+            (
+                "payload_flits",
+                WhatIfQuery::new(CellSpec {
+                    payload_flits: regnet_netsim::MAX_PAYLOAD_FLITS + 1,
                     ..template()
                 }),
             ),

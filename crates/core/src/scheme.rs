@@ -83,8 +83,6 @@ pub struct RouteDbConfig {
     pub itb_picker: ItbHostPicker,
     /// Seed for the minimal-path sampling.
     pub seed: u64,
-    /// Options forwarded to the `simple_routes` emulation.
-    pub simple: SimpleRoutesConfig,
 }
 
 impl Default for RouteDbConfig {
@@ -94,7 +92,6 @@ impl Default for RouteDbConfig {
             root: SwitchId(0),
             itb_picker: ItbHostPicker::Spread,
             seed: 0xC0FFEE,
-            simple: SimpleRoutesConfig::default(),
         }
     }
 }
@@ -184,7 +181,7 @@ impl RouteDb {
 
         match scheme {
             RoutingScheme::UpDown => {
-                let routes = simple_routes(topo, &orient, &cfg.simple);
+                let routes = simple_routes(topo, &orient, &SimpleRoutesConfig::default());
                 for s in topo.switches() {
                     for d in topo.switches() {
                         legal_route(&mut table, routes.get(s, d));
@@ -216,8 +213,9 @@ impl RouteDb {
                             add_route(&mut table, p);
                         }
                         if table.routes_in_pair() == 0 {
-                            let routes = fallback
-                                .get_or_insert_with(|| simple_routes(topo, &orient, &cfg.simple));
+                            let routes = fallback.get_or_insert_with(|| {
+                                simple_routes(topo, &orient, &SimpleRoutesConfig::default())
+                            });
                             legal_route(&mut table, routes.get(s, d));
                         }
                         table.end_pair();

@@ -1,38 +1,56 @@
-//! Simulation parameters. Defaults are the Myrinet figures from the paper's
-//! sections 4.3–4.5.
+//! Simulation parameters. The Myrinet hardware figures of the paper's
+//! sections 4.3–4.5 are constants; [`SimConfig`] holds the values an
+//! experiment varies, with the paper's figures as defaults.
 
-/// Nanoseconds per cycle: one flit per link per cycle at 160 MB/s with
-/// one-byte flits.
-pub const CYCLE_NS: f64 = 6.25;
+pub use regnet_traffic::CYCLE_NS;
 
-/// All timing and sizing parameters of the simulated hardware.
+/// Cable pipeline depth in flits. 10 m LAN cable at 4.92 ns/m ≈ 8 flit
+/// times ("there will be a maximum of 8 flits on the link").
+pub(crate) const LINK_DELAY_CYCLES: u32 = 8;
+/// Slack buffer size per switch input, flits (Myrinet: 80 bytes).
+pub(crate) const SLACK_BUFFER_FLITS: u16 = 80;
+/// Send STOP when the input buffer fills beyond this (56 bytes).
+pub(crate) const STOP_THRESHOLD: u16 = 56;
+/// Send GO when the input buffer drains below this (40 bytes).
+pub(crate) const GO_THRESHOLD: u16 = 40;
+/// First-flit routing latency through a switch (150 ns = 24 cycles).
+pub(crate) const SWITCH_ROUTING_CYCLES: u64 = 24;
+/// Cycles to recognise an in-transit packet at the NIC (275 ns = 44
+/// bytes received).
+pub(crate) const ITB_DETECT_CYCLES: u64 = 44;
+/// Cycles to program the re-injection DMA (200 ns = 32 further bytes).
+pub(crate) const ITB_DMA_CYCLES: u64 = 32;
+/// Extra delay when an in-transit packet overflows to host memory
+/// ("considerably increasing the overhead"; 1 µs = 160 cycles).
+pub(crate) const ITB_OVERFLOW_PENALTY_CYCLES: u64 = 160;
+/// Cap on locally queued messages per host; beyond it, generation stalls
+/// (only relevant beyond saturation; keeps overload runs bounded).
+pub(crate) const SOURCE_QUEUE_CAP: usize = 512;
+/// Per-packet retry budget; once exhausted the packet is dropped and
+/// counted in `ReliabilityStats::dropped_packets`.
+pub(crate) const MAX_RETRANSMITS: u32 = 16;
+
+// Stop&go must order its thresholds inside the slack buffer, and after
+// STOP is emitted up to 2 × link delay more flits may arrive (flits in
+// flight plus flits sent while STOP crosses the cable): the margin above
+// the STOP threshold must absorb them.
+const _: () = assert!(GO_THRESHOLD < STOP_THRESHOLD && STOP_THRESHOLD < SLACK_BUFFER_FLITS);
+const _: () = assert!((SLACK_BUFFER_FLITS - STOP_THRESHOLD) as u32 >= 2 * LINK_DELAY_CYCLES);
+
+/// Largest accepted [`SimConfig::payload_flits`] (2^30, far above the
+/// paper's 32–1024 bytes). It keeps every packet and wire length exact in
+/// the simulator's 32-bit flit counts.
+pub const MAX_PAYLOAD_FLITS: usize = 1 << 30;
+
+/// The settable parameters of the simulated hardware.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Payload flits (= bytes) per message. The paper evaluates 32, 512 and
     /// 1024 and reports 512. A message is one packet. Every host generates
     /// at the same constant rate, with a random initial phase.
     pub payload_flits: usize,
-    /// Cable pipeline depth in flits. 10 m LAN cable at 4.92 ns/m ≈ 8 flit
-    /// times ("there will be a maximum of 8 flits on the link").
-    pub link_delay_cycles: u32,
-    /// Slack buffer size per switch input, flits (Myrinet: 80 bytes).
-    pub slack_buffer_flits: u16,
-    /// Send STOP when the input buffer fills beyond this (56 bytes).
-    pub stop_threshold: u16,
-    /// Send GO when the input buffer drains below this (40 bytes).
-    pub go_threshold: u16,
-    /// First-flit routing latency through a switch (150 ns = 24 cycles).
-    pub switch_routing_cycles: u32,
-    /// Cycles to recognise an in-transit packet at the NIC (275 ns = 44
-    /// bytes received).
-    pub itb_detect_cycles: u32,
-    /// Cycles to program the re-injection DMA (200 ns = 32 further bytes).
-    pub itb_dma_cycles: u32,
     /// Capacity of the in-transit buffer pool per NIC, in flits (90 KB).
     pub itb_pool_flits: u32,
-    /// Extra delay when an in-transit packet overflows to host memory
-    /// ("considerably increasing the overhead"; default 1 µs = 160 cycles).
-    pub itb_overflow_penalty_cycles: u32,
     /// Give re-injected packets priority over locally generated ones at the
     /// NIC output ("the in-transit host will re-inject packets as soon as
     /// possible").
@@ -40,9 +58,6 @@ pub struct SimConfig {
     /// Re-inject with cut-through (start before the tail has arrived); when
     /// false the NIC stores the whole packet first (ablation).
     pub itb_cut_through: bool,
-    /// Cap on locally queued messages per host; beyond it, generation stalls
-    /// (only relevant beyond saturation; keeps overload runs bounded).
-    pub source_queue_cap: usize,
     /// Abort if no flit moves for this many cycles while packets are in
     /// flight — a deadlock would be a simulator or routing bug.
     pub watchdog_cycles: u64,
@@ -50,9 +65,6 @@ pub struct SimConfig {
     /// source NIC retransmits it (the Myrinet control program's end-to-end
     /// recovery).
     pub retransmit_timeout_cycles: u64,
-    /// Per-packet retry budget; once exhausted the packet is dropped and
-    /// counted in `ReliabilityStats::dropped_packets`.
-    pub max_retransmits: u32,
     /// Cycles between a fault and the re-mapped routing tables taking
     /// effect (discovery + route distribution; sources stall meanwhile).
     /// The default 16 000 cycles = 100 µs is optimistic but keeps the
@@ -64,60 +76,26 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             payload_flits: 512,
-            link_delay_cycles: 8,
-            slack_buffer_flits: 80,
-            stop_threshold: 56,
-            go_threshold: 40,
-            switch_routing_cycles: 24,
-            itb_detect_cycles: 44,
-            itb_dma_cycles: 32,
             itb_pool_flits: 90 * 1024,
-            itb_overflow_penalty_cycles: 160,
             itb_priority: true,
             itb_cut_through: true,
-            source_queue_cap: 512,
             watchdog_cycles: 2_000_000,
             retransmit_timeout_cycles: 4_096,
-            max_retransmits: 16,
             reconfig_latency_cycles: 16_000,
         }
     }
 }
 
 impl SimConfig {
-    /// Validate parameter consistency (e.g. the stop margin must fit in the
-    /// slack buffer given the round-trip flits in flight).
+    /// Validate parameter consistency.
     pub fn validate(&self) -> Result<(), String> {
-        if self.payload_flits == 0 {
-            return Err("payload_flits must be positive".into());
-        }
-        if self.link_delay_cycles == 0 {
-            return Err("link_delay_cycles must be positive".into());
-        }
-        if self.stop_threshold >= self.slack_buffer_flits {
-            return Err("stop threshold must be below the slack buffer size".into());
-        }
-        if self.go_threshold >= self.stop_threshold {
-            return Err("go threshold must be below the stop threshold".into());
+        if !(1..=MAX_PAYLOAD_FLITS).contains(&self.payload_flits) {
+            return Err(format!("payload_flits must be in 1..={MAX_PAYLOAD_FLITS}"));
         }
         if self.retransmit_timeout_cycles == 0 {
             return Err("retransmit_timeout_cycles must be positive".into());
         }
-        // After STOP is emitted, up to 2*link_delay more flits may arrive
-        // (flits in flight plus flits sent while STOP crosses the cable).
-        let margin = self.slack_buffer_flits - self.stop_threshold;
-        if (margin as u32) < 2 * self.link_delay_cycles {
-            return Err(format!(
-                "slack margin {margin} cannot absorb 2x link delay {}",
-                self.link_delay_cycles
-            ));
-        }
         Ok(())
-    }
-
-    /// Convert cycles to nanoseconds.
-    pub fn cycles_to_ns(&self, cycles: u64) -> f64 {
-        cycles as f64 * CYCLE_NS
     }
 }
 
@@ -130,47 +108,47 @@ mod tests {
         let c = SimConfig::default();
         c.validate().unwrap();
         assert_eq!(c.payload_flits, 512);
-        // 150 ns at 6.25 ns/cycle.
-        assert_eq!(c.switch_routing_cycles, 24);
-        // 275 ns and 200 ns.
-        assert_eq!(c.itb_detect_cycles, 44);
-        assert_eq!(c.itb_dma_cycles, 32);
         assert_eq!(c.itb_pool_flits, 92_160);
-        assert_eq!(c.slack_buffer_flits, 80);
-        assert_eq!((c.stop_threshold, c.go_threshold), (56, 40));
+        // 150 ns at 6.25 ns/cycle.
+        assert_eq!(SWITCH_ROUTING_CYCLES, 24);
+        assert_eq!(SWITCH_ROUTING_CYCLES as f64 * CYCLE_NS, 150.0);
+        // 275 ns and 200 ns.
+        assert_eq!((ITB_DETECT_CYCLES, ITB_DMA_CYCLES), (44, 32));
+        assert_eq!(ITB_DETECT_CYCLES as f64 * CYCLE_NS, 275.0);
+        assert_eq!(ITB_DMA_CYCLES as f64 * CYCLE_NS, 200.0);
+        assert_eq!(SLACK_BUFFER_FLITS, 80);
+        assert_eq!((STOP_THRESHOLD, GO_THRESHOLD), (56, 40));
+        assert_eq!(LINK_DELAY_CYCLES, 8);
     }
 
     #[test]
     fn validation_catches_bad_configs() {
         let bad = [
             SimConfig {
-                stop_threshold: 90,
-                ..SimConfig::default()
-            },
-            SimConfig {
-                go_threshold: 60,
-                ..SimConfig::default()
-            },
-            SimConfig {
                 payload_flits: 0,
                 ..SimConfig::default()
             },
-            // 2*20 > 80-56: STOP cannot protect the slack buffer.
             SimConfig {
-                link_delay_cycles: 20,
+                payload_flits: MAX_PAYLOAD_FLITS + 1,
+                ..SimConfig::default()
+            },
+            // Stored as `payload as u32`, this ran 512-flit packets.
+            SimConfig {
+                payload_flits: (1 << 32) + 512,
+                ..SimConfig::default()
+            },
+            SimConfig {
+                retransmit_timeout_cycles: 0,
                 ..SimConfig::default()
             },
         ];
         for c in bad {
             assert!(c.validate().is_err(), "{c:?} should be rejected");
         }
-    }
-
-    #[test]
-    fn cycle_conversion() {
-        let c = SimConfig::default();
-        assert_eq!(c.cycles_to_ns(24), 150.0);
-        assert_eq!(c.cycles_to_ns(44), 275.0);
-        assert_eq!(c.cycles_to_ns(32), 200.0);
+        let largest = SimConfig {
+            payload_flits: MAX_PAYLOAD_FLITS,
+            ..SimConfig::default()
+        };
+        largest.validate().unwrap();
     }
 }

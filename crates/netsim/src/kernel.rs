@@ -29,7 +29,10 @@ use regnet_core::{RouteDb, SegmentEnd, SrcSelector};
 use regnet_topology::{HostId, SwitchId, Topology};
 
 use crate::channel::{Drain, Receiver, Sender, CTL_STOP};
-use crate::config::SimConfig;
+use crate::config::{
+    SimConfig, ITB_DETECT_CYCLES, ITB_DMA_CYCLES, ITB_OVERFLOW_PENALTY_CYCLES,
+    SWITCH_ROUTING_CYCLES,
+};
 use crate::counters::CounterSnapshot;
 use crate::events::EventKind;
 use crate::faultplan::FaultRuntime;
@@ -168,7 +171,7 @@ pub(crate) fn deliver_data(p: &mut SeqParts, ci: u32, pid: u32, t: &Tick) {
     k.activity();
     match k.channels.receiver(ci) {
         Receiver::SwitchIn { sw, port } => {
-            switch_rx(&mut p.switches[sw as usize], sw, port, pid, t, k);
+            switch_rx(&mut p.switches[sw as usize], sw, port, pid, k);
         }
         Receiver::Nic { host } => nic_rx(&mut p.nics[host as usize], host, pid, t, k),
     }
@@ -176,18 +179,11 @@ pub(crate) fn deliver_data(p: &mut SeqParts, ci: u32, pid: u32, t: &Tick) {
 
 /// One flit of `pid` enters input `port` of switch `id`.
 #[inline]
-pub(crate) fn switch_rx<S: Sink>(
-    sw: &mut SwitchState,
-    id: u32,
-    port: u8,
-    pid: u32,
-    t: &Tick,
-    k: &mut S,
-) {
+pub(crate) fn switch_rx<S: Sink>(sw: &mut SwitchState, id: u32, port: u8, pid: u32, k: &mut S) {
     // A flit in an input buffer is exactly what keeps a switch in the
     // active set.
     k.activate_switch(id);
-    let (new_packet, ctl) = sw.flit_in(port, pid, t.cfg, || k.pkt(pid).expected_at_next_receiver());
+    let (new_packet, ctl) = sw.flit_in(port, pid, || k.pkt(pid).expected_at_next_receiver());
     if new_packet {
         k.count(|c| c.switch_arrivals += 1);
         k.journal(|| (pid, EventKind::SwitchArrival { sw: id, port }));
@@ -224,13 +220,15 @@ pub(crate) fn nic_rx<S: Sink>(nic: &mut Nic, host: u32, pid: u32, t: &Tick, k: &
                 // In-transit processing: recognise the packet (275 ns),
                 // program the DMA (200 ns), reserve pool space.
                 pkt.itbs_used += 1;
-                let mut ready = t.cycle + (cfg.itb_detect_cycles + cfg.itb_dma_cycles) as u64;
-                let overflow = nic.pool_used + expected > cfg.itb_pool_flits;
+                let mut ready = t.cycle + ITB_DETECT_CYCLES + ITB_DMA_CYCLES;
+                // `pool_used` never exceeds the pool, so the difference
+                // cannot underflow where the sum could overflow.
+                let overflow = expected > cfg.itb_pool_flits - nic.pool_used;
                 if overflow {
                     // Overflow to host memory: considerably more overhead
                     // (paper section 3).
                     pkt.pool_reserved = 0;
-                    ready += cfg.itb_overflow_penalty_cycles as u64;
+                    ready += ITB_OVERFLOW_PENALTY_CYCLES;
                 } else {
                     nic.pool_used += expected;
                     pkt.pool_reserved = expected;
@@ -290,7 +288,7 @@ pub(crate) fn switch_phase<S: Sink>(sw: &mut SwitchState, id: u32, t: &Tick, k: 
     {
         return;
     }
-    let (cfg, cycle) = (t.cfg, t.cycle);
+    let cycle = t.cycle;
     k.span_lap(None);
 
     // Routing control units: consume the header byte of each head packet
@@ -300,8 +298,8 @@ pub(crate) fn switch_phase<S: Sink>(sw: &mut SwitchState, id: u32, t: &Tick, k: 
             HeadState::Idle => {
                 let pid = sw.head_pid(p);
                 let out = k.pkt(pid).consume_port_byte();
-                let ready = cycle + cfg.switch_routing_cycles as u64;
-                if let Some((chan, sym)) = sw.start_routing(p, out, ready, cfg) {
+                let ready = cycle + SWITCH_ROUTING_CYCLES;
+                if let Some((chan, sym)) = sw.start_routing(p, out, ready) {
                     k.send_ctl(chan, sym);
                 }
                 // Routing towards a dead cable (or a port that never
@@ -355,7 +353,7 @@ pub(crate) fn switch_phase<S: Sink>(sw: &mut SwitchState, id: u32, t: &Tick, k: 
             // stream flits into a dead cable.
             continue;
         }
-        let Some((pid, ctl)) = sw.forward_flit(p, g, cfg) else {
+        let Some((pid, ctl)) = sw.forward_flit(p, g) else {
             continue;
         };
         k.send(out_chan, pid);
@@ -668,10 +666,10 @@ mod tests {
     }
 
     /// Three flits each of packet 0 into input 0 and packet 1 into input 1.
-    fn feed_two_worms(sw: &mut SwitchState, t: &Tick, k: &mut Recorder) {
+    fn feed_two_worms(sw: &mut SwitchState, k: &mut Recorder) {
         for (port, pid) in [(0u8, 0u32), (1, 1)] {
             for _ in 0..3 {
-                switch_rx(sw, SW, port, pid, t, k);
+                switch_rx(sw, SW, port, pid, k);
             }
         }
     }
@@ -771,7 +769,7 @@ mod tests {
         let mut sw = switch();
         // Two worms, both leaving through port 2.
         let mut k = Recorder::with(vec![packet(30, &[&[2, 0]]), packet(30, &[&[2, 1]])]);
-        feed_two_worms(&mut sw, &w.tick(0), &mut k);
+        feed_two_worms(&mut sw, &mut k);
         let arrival = |port: u8, pid| Journal(pid, EventKind::SwitchArrival { sw: SW, port });
         // Every flit keeps the switch active; only the header is journaled.
         let (a, b) = (arrival(0, 0), arrival(1, 1));
@@ -818,7 +816,7 @@ mod tests {
         let mut k = Recorder::with(vec![packet(100, &[&[2, 0]])]);
         // The 57th buffered flit crosses the STOP threshold (56).
         for n in 1..=57 {
-            switch_rx(&mut sw, SW, 1, 0, &w.tick(0), &mut k);
+            switch_rx(&mut sw, SW, 1, 0, &mut k);
             let stop = k.take().contains(&Ctl(11, CTL_STOP));
             assert_eq!(stop, n == 57, "flit {n}");
         }
@@ -920,7 +918,7 @@ mod tests {
         let mut k = Recorder::with(vec![packet(30, &[&[2, 0]]), packet(30, &[&[5, 0]])]);
         // Channel 22 (output 2) is dead; port 5 does not exist at all.
         k.dead = vec![22];
-        feed_two_worms(&mut sw, &w.tick(0), &mut k);
+        feed_two_worms(&mut sw, &mut k);
         k.take();
         switch_phase(&mut sw, SW, &w.tick(0), &mut k);
         let want = [LoseWorm(0), route(0, 0, 2), LoseWorm(1), route(1, 1, 5)];

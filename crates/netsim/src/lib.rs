@@ -5,7 +5,7 @@
 //! one-byte flits):
 //!
 //! * **Links** are pipelined: a 10 m LAN cable holds up to 8 flits in
-//!   flight ([`SimConfig::link_delay_cycles`]).
+//!   flight.
 //! * **Flow control** is Myrinet's hardware stop&go: each switch input has
 //!   an 80-byte slack buffer that emits STOP when it fills beyond 56 bytes
 //!   and GO when it drains below 40; control flits cross the cable in the
@@ -20,7 +20,7 @@
 //!   deadlock cycle), recognised after 44 bytes (275 ns), its re-injection
 //!   DMA programmed after 32 further bytes (200 ns), and re-injected —
 //!   cut-through — as soon as the output channel is free. The 90 KB ITB
-//!   pool overflows to host memory at a configurable penalty.
+//!   pool overflows to host memory at a 1 µs penalty.
 //!
 //! The [`experiment`] module provides the high-level API used by the
 //! examples and the paper-reproduction harness: run one offered-load
@@ -69,7 +69,7 @@ pub mod threads;
 pub mod trace;
 pub mod wfg;
 
-pub use config::{SimConfig, CYCLE_NS};
+pub use config::{SimConfig, CYCLE_NS, MAX_PAYLOAD_FLITS};
 pub use counters::CounterSnapshot;
 pub use events::{BlockCause, Event, EventJournal, EventKind, EventOptions, NO_PACKET};
 pub use experiment::{Experiment, RunObservation, RunOptions};

@@ -10,6 +10,7 @@ use regnet_topology::{HostId, SwitchId};
 
 use super::Simulator;
 use crate::channel::{Receiver, Sender};
+use crate::config::MAX_RETRANSMITS;
 use crate::events::{EventKind, NO_PACKET};
 use crate::faultplan::{FaultEvent, FaultOptions, FaultRuntime, FaultTarget, ReliabilityStats};
 use crate::nic::Nic;
@@ -414,8 +415,8 @@ impl Simulator<'_> {
             let p = self.arena.get(pid);
             (p.journey.src, p.retries)
         };
-        let can_retry = retries < self.cfg.max_retransmits
-            && self.faults.as_deref().unwrap().host_ok[src.idx()];
+        let can_retry =
+            retries < MAX_RETRANSMITS && self.faults.as_deref().unwrap().host_ok[src.idx()];
         if can_retry {
             let pkt = self.arena.get_mut(pid);
             pkt.retries += 1;
@@ -460,7 +461,7 @@ impl Simulator<'_> {
         let row = self.channels.row(cycle);
         for s in 0..self.switches.len() {
             let mut ctl = Vec::new();
-            self.switches[s].purge(pid, &self.cfg, |c| ctl.push(c));
+            self.switches[s].purge(pid, |c| ctl.push(c));
             for (in_chan, sym) in ctl {
                 // The purge can run in phase 0, before this cycle's control
                 // arrivals were taken: the symbol arriving right now is

@@ -6,6 +6,7 @@ use std::cmp::Reverse;
 use regnet_topology::HostId;
 
 use super::{route_db, Simulator};
+use crate::config::SOURCE_QUEUE_CAP;
 use crate::packet::Packet;
 
 impl Simulator<'_> {
@@ -126,7 +127,7 @@ impl Simulator<'_> {
                 // (the cast saturates: `f64::MAX`, a silent host, is never).
                 return scheduled_due.min(next_gen.ceil() as u64);
             }
-            if self.nics[h].local_queue.len() >= self.cfg.source_queue_cap {
+            if self.nics[h].local_queue.len() >= SOURCE_QUEUE_CAP {
                 // Stalled on a full source queue: counted every cycle.
                 if self.measure.on {
                     self.measure.gen_stall_cycles += 1;

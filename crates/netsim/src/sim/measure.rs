@@ -7,13 +7,28 @@ use regnet_topology::{HostId, LinkEnd, NodeId, SwitchId, Topology};
 
 use super::Simulator;
 use crate::channel::{Receiver, Sender};
-use crate::config::CYCLE_NS;
+use crate::config::{
+    CYCLE_NS, ITB_DETECT_CYCLES, ITB_DMA_CYCLES, ITB_OVERFLOW_PENALTY_CYCLES, LINK_DELAY_CYCLES,
+    SWITCH_ROUTING_CYCLES,
+};
 use crate::counters::CounterSnapshot;
 use crate::events::{EventJournal, EventOptions};
 use crate::kernel::KernelMeasure;
 use crate::profiler::{ProfileReport, Profiler, SpanReport};
 use crate::trace::{TraceOptions, TraceReport, TraceState};
 use crate::wfg::StallReport;
+
+/// Worst-case number of quiet cycles the engine can legitimately go
+/// through while still making progress (routing delays, cable crossings,
+/// in-transit detection + DMA + overflow handling), with generous slack.
+/// Quiescence beyond this means nothing is coming.
+const QUIESCENCE_THRESHOLD: u64 = 4
+    * (LINK_DELAY_CYCLES as u64
+        + SWITCH_ROUTING_CYCLES
+        + ITB_DETECT_CYCLES
+        + ITB_DMA_CYCLES
+        + ITB_OVERFLOW_PENALTY_CYCLES)
+    + 64;
 
 /// Static description of a directed channel, for utilization maps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -250,19 +265,6 @@ impl Simulator<'_> {
         }
     }
 
-    /// Worst-case number of quiet cycles the engine can legitimately go
-    /// through while still making progress (routing delays, cable
-    /// crossings, in-transit detection + DMA + overflow handling), with
-    /// generous slack. Quiescence beyond this means nothing is coming.
-    fn quiescence_threshold(&self) -> u64 {
-        4 * (self.cfg.link_delay_cycles as u64
-            + self.cfg.switch_routing_cycles as u64
-            + self.cfg.itb_detect_cycles as u64
-            + self.cfg.itb_dma_cycles as u64
-            + self.cfg.itb_overflow_penalty_cycles as u64)
-            + 64
-    }
-
     /// Build the channel wait-for graph and classify the network's current
     /// state: [`Idle`](crate::wfg::StallClass::Idle),
     /// [`Active`](crate::wfg::StallClass::Active), a true cyclic-dependency
@@ -277,7 +279,7 @@ impl Simulator<'_> {
             self.arena.live(),
             self.cycle,
             self.last_activity,
-            self.quiescence_threshold(),
+            QUIESCENCE_THRESHOLD,
             &self.channel_descriptors(),
         )
     }

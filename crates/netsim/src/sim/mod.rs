@@ -38,7 +38,7 @@ use regnet_topology::{HostId, LinkEnd, Topology};
 use regnet_traffic::{interarrival_cycles, Pattern};
 
 use crate::channel::{Channels, Receiver, Sender, CTL_NONE};
-use crate::config::SimConfig;
+use crate::config::{SimConfig, LINK_DELAY_CYCLES};
 use crate::counters::CounterSnapshot;
 use crate::events::EventJournal;
 use crate::faultplan::{FaultRuntime, ReliabilityStats};
@@ -200,7 +200,7 @@ impl<'a> Simulator<'a> {
                 Receiver::Nic { .. } => {}
             }
         }
-        let channels = Channels::new(ends, cfg.link_delay_cycles);
+        let channels = Channels::new(ends, LINK_DELAY_CYCLES);
         let link_chans = (0..topo.num_links() as u32)
             .map(|l| [2 * l, 2 * l + 1])
             .collect();

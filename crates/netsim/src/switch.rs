@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 
 use crate::channel::{CTL_GO, CTL_STOP};
-use crate::config::SimConfig;
+use crate::config::{GO_THRESHOLD, SLACK_BUFFER_FLITS, STOP_THRESHOLD};
 use crate::events::{BlockCause, NO_PACKET};
 
 /// A packet resident (partially or fully) in one input buffer.
@@ -165,14 +165,14 @@ impl InPort {
     /// Account one arriving flit; returns `Some(CTL_STOP)` when the STOP
     /// threshold is crossed.
     #[inline]
-    pub(crate) fn on_flit_in(&mut self, cfg: &SimConfig) -> Option<u8> {
+    pub(crate) fn on_flit_in(&mut self) -> Option<u8> {
         self.occ += 1;
         debug_assert!(
-            self.occ <= cfg.slack_buffer_flits,
+            self.occ <= SLACK_BUFFER_FLITS,
             "slack buffer overflow: flow control failed (occ {})",
             self.occ
         );
-        if self.occ > cfg.stop_threshold && !self.stop_sent {
+        if self.occ > STOP_THRESHOLD && !self.stop_sent {
             self.stop_sent = true;
             Some(CTL_STOP)
         } else {
@@ -183,10 +183,10 @@ impl InPort {
     /// Account one flit leaving the buffer (forwarded or consumed); returns
     /// `Some(CTL_GO)` when the GO threshold is crossed.
     #[inline]
-    pub(crate) fn on_flit_out(&mut self, cfg: &SimConfig) -> Option<u8> {
+    pub(crate) fn on_flit_out(&mut self) -> Option<u8> {
         debug_assert!(self.occ > 0);
         self.occ -= 1;
-        if self.occ < cfg.go_threshold && self.stop_sent {
+        if self.occ < GO_THRESHOLD && self.stop_sent {
             self.stop_sent = false;
             Some(CTL_GO)
         } else {
@@ -196,10 +196,10 @@ impl InPort {
 
     /// Remove `flits` buffered flits at once (a packet purged after a
     /// fault); returns `Some(CTL_GO)` when the GO threshold is crossed.
-    pub(crate) fn on_flits_purged(&mut self, flits: u16, cfg: &SimConfig) -> Option<u8> {
+    pub(crate) fn on_flits_purged(&mut self, flits: u16) -> Option<u8> {
         debug_assert!(self.occ >= flits);
         self.occ -= flits;
-        if self.occ < cfg.go_threshold && self.stop_sent {
+        if self.occ < GO_THRESHOLD && self.stop_sent {
             self.stop_sent = false;
             Some(CTL_GO)
         } else {
@@ -380,7 +380,6 @@ impl SwitchState {
         &mut self,
         port: u8,
         pid: u32,
-        cfg: &SimConfig,
         expected: impl FnOnce() -> u32,
     ) -> (bool, Option<CtlOut>) {
         let p = port as usize;
@@ -407,7 +406,7 @@ impl SwitchState {
                 true
             }
         };
-        let ctl = inp.on_flit_in(cfg).map(|sym| (inp.in_chan, sym));
+        let ctl = inp.on_flit_in().map(|sym| (inp.in_chan, sym));
         if new_packet {
             self.resident += 1;
             self.sync_rcu(p);
@@ -468,13 +467,7 @@ impl SwitchState {
     /// the head packet's header byte, which named output `out`, and is busy
     /// until `ready`. Returns the GO to send if the threshold was crossed.
     #[inline]
-    pub(crate) fn start_routing(
-        &mut self,
-        p: usize,
-        out: u8,
-        ready: u64,
-        cfg: &SimConfig,
-    ) -> Option<CtlOut> {
+    pub(crate) fn start_routing(&mut self, p: usize, out: u8, ready: u64) -> Option<CtlOut> {
         let inp = self.inp_mut(p);
         debug_assert_eq!(inp.head, HeadState::Idle);
         let head = inp.queue.head.as_mut().expect("routing without a packet");
@@ -482,7 +475,7 @@ impl SwitchState {
         head.header_consumed = true;
         inp.head_out = out;
         inp.head = HeadState::Routing { ready };
-        inp.on_flit_out(cfg).map(|sym| (inp.in_chan, sym))
+        inp.on_flit_out().map(|sym| (inp.in_chan, sym))
     }
 
     /// `Routing` → `Requesting`: input `p`'s head now waits for its output.
@@ -556,12 +549,7 @@ impl SwitchState {
     /// Forced inline: called once per forwarded flit from each
     /// instantiation of the kernel, where a hint alone no longer suffices.
     #[inline(always)]
-    pub(crate) fn forward_flit(
-        &mut self,
-        out: usize,
-        g: u8,
-        cfg: &SimConfig,
-    ) -> Option<(u32, Option<CtlOut>)> {
+    pub(crate) fn forward_flit(&mut self, out: usize, g: u8) -> Option<(u32, Option<CtlOut>)> {
         let inp = self.inp_mut(g as usize);
         let head = inp.queue.head.as_mut().expect("granted without head");
         if head.available() == 0 {
@@ -570,7 +558,7 @@ impl SwitchState {
         let pid = head.pid;
         head.forwarded += 1;
         let done = head.done();
-        let ctl = inp.on_flit_out(cfg).map(|sym| (inp.in_chan, sym));
+        let ctl = inp.on_flit_out().map(|sym| (inp.in_chan, sym));
         if done {
             inp.queue.pop_front();
             inp.head = HeadState::Idle;
@@ -589,7 +577,7 @@ impl SwitchState {
     /// or not, in any head state, releasing its request or connection.
     /// `emit` receives the GO of each input the purge drains below the
     /// threshold, in ascending port order.
-    pub(crate) fn purge(&mut self, pid: u32, cfg: &SimConfig, mut emit: impl FnMut(CtlOut)) {
+    pub(crate) fn purge(&mut self, pid: u32, mut emit: impl FnMut(CtlOut)) {
         if self.resident == 0 {
             return;
         }
@@ -604,7 +592,7 @@ impl SwitchState {
             let released = (pos == 0).then(|| std::mem::replace(&mut inp.head, HeadState::Idle));
             let out = inp.head_out as usize;
             if flits > 0 {
-                if let Some(sym) = inp.on_flits_purged(flits, cfg) {
+                if let Some(sym) = inp.on_flits_purged(flits) {
                     emit((inp.in_chan, sym));
                 }
             }
@@ -761,16 +749,15 @@ mod tests {
     }
 
     /// Queue `pid` (4 flits at this receiver) at input `p`, all received.
-    fn arrive(sw: &mut SwitchState, p: u8, pid: u32, cfg: &SimConfig) {
+    fn arrive(sw: &mut SwitchState, p: u8, pid: u32) {
         for _ in 0..4 {
-            sw.flit_in(p, pid, cfg, || 4);
+            sw.flit_in(p, pid, || 4);
         }
         sw.check_invariants();
     }
 
     #[test]
     fn transitions_keep_the_masks_in_step() {
-        let cfg = SimConfig::default();
         let mut sw = switch4();
         assert_eq!(sw.active_ports, vec![0, 1, 3]);
         sw.check_invariants();
@@ -778,14 +765,14 @@ mod tests {
 
         // Two worms for output 3 on inputs 0 and 1, a second packet queued
         // behind the first on input 0.
-        arrive(&mut sw, 0, 7, &cfg);
-        arrive(&mut sw, 0, 8, &cfg);
-        arrive(&mut sw, 1, 9, &cfg);
+        arrive(&mut sw, 0, 7);
+        arrive(&mut sw, 0, 8);
+        arrive(&mut sw, 1, 9);
         assert!(!sw.is_quiescent());
         assert_eq!(sw.rcu_ports(), 0b011);
         for p in [0, 1] {
             assert_eq!(sw.head(p), HeadState::Idle);
-            sw.start_routing(p, 3, 24, &cfg);
+            sw.start_routing(p, 3, 24);
             sw.check_invariants();
             sw.request_output(p);
             sw.check_invariants();
@@ -803,13 +790,13 @@ mod tests {
         // Three forwardable flits (the header byte was consumed); the last
         // one releases the connection and empties input 1.
         for left in (0..3).rev() {
-            assert_eq!(sw.forward_flit(3, 1, &cfg), Some((9, None)));
+            assert_eq!(sw.forward_flit(3, 1), Some((9, None)));
             sw.check_invariants();
             assert_eq!(sw.open_connection(3).is_some(), left > 0);
         }
         assert_eq!(sw.arbitrate(3), Some(0));
         for _ in 0..3 {
-            sw.forward_flit(3, 0, &cfg);
+            sw.forward_flit(3, 0);
             sw.check_invariants();
         }
         // Packet 8 moved up to the head of input 0: routing work again.
@@ -818,11 +805,10 @@ mod tests {
 
     #[test]
     fn requesting_a_port_that_does_not_exist_stays_resident() {
-        let cfg = SimConfig::default();
         for out in [2u8, 4, 200] {
             let mut sw = switch4();
-            arrive(&mut sw, 0, 7, &cfg);
-            sw.start_routing(0, out, 24, &cfg);
+            arrive(&mut sw, 0, 7);
+            sw.start_routing(0, out, 24);
             assert_eq!(sw.out_chan(out), None);
             sw.request_output(0);
             sw.check_invariants();
@@ -831,7 +817,7 @@ mod tests {
             assert_eq!((sw.rcu_ports(), sw.busy_outputs()), (0, 0));
             assert_eq!(sw.block_cause(0), None);
             assert!(!sw.is_quiescent());
-            sw.purge(7, &cfg, |_| {});
+            sw.purge(7, |_| {});
             sw.check_invariants();
             assert!(sw.is_quiescent());
         }
@@ -839,23 +825,22 @@ mod tests {
 
     #[test]
     fn purge_releases_the_head_in_every_state() {
-        let cfg = SimConfig::default();
         // How far the victim's head gets before the purge.
         for stage in 0..4 {
             let mut sw = switch4();
-            arrive(&mut sw, 0, 7, &cfg);
-            arrive(&mut sw, 0, 8, &cfg);
+            arrive(&mut sw, 0, 7);
+            arrive(&mut sw, 0, 8);
             if stage >= 1 {
-                sw.start_routing(0, 1, 24, &cfg);
+                sw.start_routing(0, 1, 24);
             }
             if stage >= 2 {
                 sw.request_output(0);
             }
             if stage >= 3 {
                 assert_eq!(sw.arbitrate(1), Some(0));
-                sw.forward_flit(1, 0, &cfg);
+                sw.forward_flit(1, 0);
             }
-            sw.purge(7, &cfg, |_| {});
+            sw.purge(7, |_| {});
             sw.check_invariants();
             // The follower is the head now and starts from scratch.
             assert_eq!((sw.head_pid(0), sw.head(0)), (8, HeadState::Idle));
@@ -864,12 +849,12 @@ mod tests {
         }
         // A non-head entry: the head keeps its connection.
         let mut sw = switch4();
-        arrive(&mut sw, 0, 7, &cfg);
-        arrive(&mut sw, 0, 8, &cfg);
-        sw.start_routing(0, 1, 24, &cfg);
+        arrive(&mut sw, 0, 7);
+        arrive(&mut sw, 0, 8);
+        sw.start_routing(0, 1, 24);
         sw.request_output(0);
         assert_eq!(sw.arbitrate(1), Some(0));
-        sw.purge(8, &cfg, |_| {});
+        sw.purge(8, |_| {});
         sw.check_invariants();
         assert_eq!((sw.head_pid(0), sw.head(0)), (7, HeadState::Granted));
         assert_eq!(sw.open_connection(1), Some((0, 11)));
@@ -877,27 +862,25 @@ mod tests {
 
     #[test]
     fn purge_reports_the_go_it_triggers() {
-        let cfg = SimConfig::default();
         let mut sw = switch4();
         // One long packet fills input 3 past the STOP threshold.
         let mut stop = None;
         for _ in 0..60 {
-            stop = stop.or(sw.flit_in(3, 7, &cfg, || 100).1);
+            stop = stop.or(sw.flit_in(3, 7, || 100).1);
         }
         assert_eq!(stop, Some((3, CTL_STOP)));
         let mut go = Vec::new();
-        sw.purge(7, &cfg, |c| go.push(c));
+        sw.purge(7, |c| go.push(c));
         assert_eq!(go, vec![(3, CTL_GO)]);
         sw.check_invariants();
     }
 
     #[test]
     fn stop_go_thresholds() {
-        let cfg = SimConfig::default();
         let mut p = InPort::new(0);
         let mut stop_at = None;
         for i in 1..=60u16 {
-            if p.on_flit_in(&cfg) == Some(CTL_STOP) {
+            if p.on_flit_in() == Some(CTL_STOP) {
                 stop_at = Some(i);
                 break;
             }
@@ -908,7 +891,7 @@ mod tests {
         // No repeated STOP while draining slightly.
         let mut go_at = None;
         for i in 1..=60u16 {
-            if p.on_flit_out(&cfg) == Some(CTL_GO) {
+            if p.on_flit_out() == Some(CTL_GO) {
                 go_at = Some(i);
                 break;
             }
@@ -920,13 +903,12 @@ mod tests {
 
     #[test]
     fn no_spurious_signals() {
-        let cfg = SimConfig::default();
         let mut p = InPort::new(0);
         for _ in 0..20 {
-            assert_eq!(p.on_flit_in(&cfg), None);
+            assert_eq!(p.on_flit_in(), None);
         }
         for _ in 0..20 {
-            assert_eq!(p.on_flit_out(&cfg), None);
+            assert_eq!(p.on_flit_out(), None);
         }
     }
 

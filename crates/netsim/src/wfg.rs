@@ -24,7 +24,7 @@
 //! back-pressure routinely forms transient cyclic waits that resolve as
 //! buffers drain. Classification therefore also requires quiescence — no
 //! flit moved anywhere for longer than the worst-case forward-progress
-//! bound (`quiescence_threshold`) — before reporting [`StallClass::Deadlock`].
+//! bound (`QUIESCENCE_THRESHOLD`) — before reporting [`StallClass::Deadlock`].
 
 use regnet_topology::NodeId;
 

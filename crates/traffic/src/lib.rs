@@ -8,5 +8,5 @@
 mod load;
 mod pattern;
 
-pub use load::{accepted_flits_per_ns_per_switch, interarrival_cycles, OfferedLoad};
+pub use load::{interarrival_cycles, CYCLE_NS};
 pub use pattern::{random_hotspots, Pattern, PatternSpec};

@@ -7,41 +7,7 @@
 //! 6.25 ns (160 MB/s).
 
 /// Duration of one flit time on a Myrinet link, in nanoseconds.
-pub(crate) const CYCLE_NS: f64 = 6.25;
-
-/// An offered load expressed in the paper's unit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OfferedLoad {
-    /// Payload flits per nanosecond per switch.
-    pub flits_per_ns_per_switch: f64,
-}
-
-impl OfferedLoad {
-    pub fn new(flits_per_ns_per_switch: f64) -> OfferedLoad {
-        assert!(
-            flits_per_ns_per_switch > 0.0,
-            "offered load must be positive"
-        );
-        OfferedLoad {
-            flits_per_ns_per_switch,
-        }
-    }
-
-    /// Mean cycles between message generations at one host.
-    pub fn interarrival_cycles(
-        &self,
-        n_switches: usize,
-        n_hosts: usize,
-        payload_flits: usize,
-    ) -> f64 {
-        interarrival_cycles(
-            self.flits_per_ns_per_switch,
-            n_switches,
-            n_hosts,
-            payload_flits,
-        )
-    }
-}
+pub const CYCLE_NS: f64 = 6.25;
 
 /// Mean cycles between message generations at one host for a target offered
 /// load (flits/ns/switch). Every host generates at the same constant rate
@@ -56,17 +22,6 @@ pub fn interarrival_cycles(
     // load * S = network flits/ns; per host msgs/ns = load*S/(H*P);
     // interarrival ns = H*P/(load*S); cycles = ns / CYCLE_NS.
     (n_hosts * payload_flits) as f64 / (load * n_switches as f64) / CYCLE_NS
-}
-
-/// Accepted traffic in flits/ns/switch from `delivered_payload_flits`
-/// observed during `window_cycles`.
-pub fn accepted_flits_per_ns_per_switch(
-    delivered_payload_flits: u64,
-    window_cycles: u64,
-    n_switches: usize,
-) -> f64 {
-    assert!(window_cycles > 0 && n_switches > 0);
-    delivered_payload_flits as f64 / (window_cycles as f64 * CYCLE_NS) / n_switches as f64
 }
 
 #[cfg(test)]
@@ -92,27 +47,5 @@ mod tests {
         let ia = interarrival_cycles(0.015, 64, 512, 512);
         // H*P/(L*S) = 512*512/(0.015*64) = 273066 ns = 43690 cycles.
         assert!((ia - 43690.0).abs() / 43690.0 < 1e-3, "{ia}");
-    }
-
-    #[test]
-    fn accepted_inverse() {
-        // 1000 messages of 512 flits delivered in 100_000 cycles on 64
-        // switches.
-        let acc = accepted_flits_per_ns_per_switch(512_000, 100_000, 64);
-        assert!((acc - 512_000.0 / (100_000.0 * 6.25 * 64.0)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn offered_load_struct() {
-        let l = OfferedLoad::new(0.03);
-        let a = l.interarrival_cycles(64, 512, 512);
-        let b = interarrival_cycles(0.03, 64, 512, 512);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic]
-    fn rejects_zero_load() {
-        OfferedLoad::new(0.0);
     }
 }

@@ -66,21 +66,18 @@ pub use regnet_traffic as traffic;
 pub mod prelude {
     pub use regnet_core::{
         split_minimal_path, ItbHostPicker, Journey, JourneyTemplate, RouteDb, RouteDbConfig,
-        RoutingScheme, Segment, SegmentEnd,
+        RoutingScheme, SegmentEnd,
     };
-    pub use regnet_mapper::{rebuild_physical_routes, FaultSet, PhysicalRoutes};
-    pub use regnet_metrics::{
-        ChromeTrace, Curve, CurvePoint, SaturationSearch, UtilizationSummary,
-    };
+    pub use regnet_mapper::FaultSet;
+    pub use regnet_metrics::SaturationSearch;
     pub use regnet_netsim::experiment::{Experiment, RunObservation, RunOptions};
     pub use regnet_netsim::{
-        BlockCause, CounterSnapshot, EventJournal, EventKind, EventOptions, FaultEvent,
-        FaultOptions, FaultPlan, FaultTarget, ProfileReport, ReliabilityStats, RunStats, Scheduler,
-        SimConfig, Simulator, StallClass, StallReport, TraceOptions, TraceReport,
+        CounterSnapshot, EventOptions, FaultOptions, FaultPlan, ReliabilityStats, RunStats,
+        Scheduler, SimConfig, Simulator, StallClass, TraceOptions, TraceReport,
     };
     pub use regnet_routing::{LegalDistances, SwitchPath};
     pub use regnet_topology::{
-        gen, DistanceMatrix, HostId, LinkId, Orientation, Port, SpanningTree, SwitchId, Topology,
+        gen, DistanceMatrix, HostId, LinkId, Orientation, SpanningTree, SwitchId, Topology,
         TopologyBuilder,
     };
     pub use regnet_traffic::{Pattern, PatternSpec};
