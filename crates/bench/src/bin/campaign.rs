@@ -398,4 +398,38 @@ mod tests {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// `topo=` and `fault=` reach the same pre-run check as a campaign
+    /// file's `"topos"` and `"faults"`: a switch past the port bound and a
+    /// fault on an element the topology lacks are refused by key, naming
+    /// the port count or the event, before any probe runs.
+    #[test]
+    fn what_if_refuses_a_cell_the_simulator_cannot_run_by_key() {
+        let dir = std::env::temp_dir().join(format!("regnet-whatif-topo-{}", std::process::id()));
+        let base = "scheme=ITB-RR,pattern=uniform,topo=torus:3x3";
+        for (tail, needle) in [
+            (
+                ":61",
+                r#""topos" entry "torus:3x3:61" has 65 ports per switch"#,
+            ),
+            (
+                ":2,fault=fail_host:500@50",
+                r#""faults" entry "fail_host:500@50": cannot fail host 500"#,
+            ),
+            (
+                ":2,fault=fail_link:9999@50",
+                r#""faults" entry "fail_link:9999@50": cannot fail link 9999"#,
+            ),
+            (
+                ":2,fault=fail_switch:77@50",
+                r#""faults" entry "fail_switch:77@50": cannot fail switch 77"#,
+            ),
+        ] {
+            let err =
+                run_what_if(&format!("{base}{tail}"), dir.to_str().unwrap(), true).unwrap_err();
+            assert!(err.contains(needle), "{tail}: {err}");
+        }
+        assert_eq!(ResultStore::open(&dir).unwrap().len(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -8,13 +8,12 @@
 //! whole 200k-cycle run becomes the measurement window).
 
 use regnet_bench::{
-    describe_route_table, parse_diagnose_args, route_table_gauges, save_chrome_trace,
+    describe_route_table, experiment, parse_diagnose_args, route_table_gauges, save_chrome_trace,
+    Topo,
 };
-use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme};
-use regnet_netsim::experiment::RunObservation;
-use regnet_netsim::{EventOptions, FaultOptions, SimConfig, Simulator};
-use regnet_topology::gen;
-use regnet_traffic::{Pattern, PatternSpec};
+use regnet_core::RoutingScheme;
+use regnet_netsim::{EventOptions, FaultOptions, RunOptions};
+use regnet_traffic::PatternSpec;
 
 const USAGE: &str = "usage: diagnose [--events P] [--metrics P] [--fail-link ID@CYCLE]...\n  \
      --events     Chrome trace JSON of the event journal\n  \
@@ -27,21 +26,21 @@ fn main() {
         eprintln!("diagnose: {e}\n{USAGE}");
         std::process::exit(2);
     });
-    let (events_path, metrics_path, fault_plan) = (args.events, args.metrics, args.faults);
-    let topo = gen::torus_2d(8, 8, 8).unwrap();
+    let (events_path, metrics_path) = (args.events, args.metrics);
     let t0 = std::time::Instant::now();
-    let db = RouteDb::build(&topo, RoutingScheme::ItbSp, &RouteDbConfig::default());
-    println!("{}", describe_route_table(&db, t0.elapsed()));
-    let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
-    let mut sim = Simulator::new(&topo, &db, &pattern, SimConfig::default(), 0.001, 1);
-    sim.enable_counters();
-    if events_path.is_some() {
-        sim.enable_events(EventOptions::default());
-    }
-    let faulted = fault_plan.is_some();
-    if let Some(plan) = fault_plan {
-        sim.enable_faults(FaultOptions::with_plan(plan));
-    }
+    let exp = experiment(
+        Topo::Torus.build(),
+        RoutingScheme::ItbSp,
+        PatternSpec::Uniform,
+    );
+    println!("{}", describe_route_table(exp.route_db(), t0.elapsed()));
+    let opts = RunOptions {
+        counters: true,
+        events: events_path.is_some().then(EventOptions::default),
+        faults: args.faults.map(FaultOptions::with_plan),
+        ..RunOptions::default()
+    };
+    let mut sim = exp.make_sim(0.001, &opts);
     if metrics_path.is_some() {
         // Counters are freshly zeroed, so starting the window up front
         // leaves the diagnostic output unchanged.
@@ -49,7 +48,7 @@ fn main() {
     }
     sim.run(200_000);
     println!("{}", sim.dump_state());
-    if faulted {
+    if opts.faults.is_some() {
         println!("{:#?}", sim.reliability());
     }
     println!("{}", sim.analyze_stall().summary);
@@ -60,16 +59,9 @@ fn main() {
         save_chrome_trace(path, journal);
     }
     if let Some(path) = &metrics_path {
-        let obs = RunObservation {
-            stats: sim.end_measurement(200_000),
-            reliability: sim.reliability(),
-            trace: sim.trace_report(),
-            profile: sim.profile_report(),
-            spans: sim.span_report(),
-            journal: None,
-        };
+        let obs = sim.end_observation(200_000);
         let mut reg = obs.metrics_registry();
-        route_table_gauges(&mut reg, &db);
+        route_table_gauges(&mut reg, exp.route_db());
         match std::fs::write(path, reg.to_prometheus()) {
             Ok(()) => println!("metrics exposition -> {path}"),
             Err(e) => eprintln!("diagnose: cannot write {path}: {e}"),

@@ -10,12 +10,13 @@
 //! (`flamegraph.pl`/inferno-compatible), both with the same per-scheme
 //! file suffixing as `--events`.
 
-use regnet_bench::{describe_route_table, parse_probe_args, route_table_gauges, save_chrome_trace};
-use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme};
-use regnet_netsim::experiment::RunObservation;
-use regnet_netsim::{EventOptions, FaultOptions, SimConfig, Simulator, TraceOptions};
-use regnet_topology::gen;
-use regnet_traffic::{Pattern, PatternSpec};
+use regnet_bench::{
+    describe_route_table, experiment, parse_probe_args, route_table_gauges, save_chrome_trace,
+    Mode, Topo,
+};
+use regnet_core::RoutingScheme;
+use regnet_netsim::{EventOptions, FaultOptions, RunOptions, TraceOptions};
+use regnet_traffic::PatternSpec;
 
 /// `path` with the scheme tag spliced in before the extension.
 fn scheme_path(path: &str, scheme: RoutingScheme) -> String {
@@ -42,41 +43,36 @@ fn main() {
     });
     let offered = args.load;
     let (events_path, metrics_path, flame_path) = (args.events, args.metrics, args.flame);
-    let fault_plan = args.faults;
-    let (warmup_cycles, measure_cycles) = (60_000u64, 150_000u64);
-    let topo = gen::torus_2d(8, 8, 8).expect("torus");
-    let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).expect("pattern");
+    let opts = RunOptions {
+        trace: TraceOptions {
+            packet_lifetimes: true,
+            digest: true,
+            ..TraceOptions::default()
+        },
+        counters: true,
+        events: events_path.is_some().then(EventOptions::default),
+        profile: flame_path.is_some(),
+        faults: args.faults.map(FaultOptions::with_plan),
+        ..Mode::Quick.run_options(1)
+    };
+    let topo = Topo::Torus.build();
     for scheme in [
         RoutingScheme::UpDown,
         RoutingScheme::ItbSp,
         RoutingScheme::ItbRr,
     ] {
         let t0 = std::time::Instant::now();
-        let db = RouteDb::build(&topo, scheme, &RouteDbConfig::default());
+        let exp = experiment(topo.clone(), scheme, PatternSpec::Uniform);
         let table_build = t0.elapsed();
-        let mut sim = Simulator::new(&topo, &db, &pattern, SimConfig::default(), offered, 1);
-        sim.enable_trace(TraceOptions {
-            packet_lifetimes: true,
-            digest: true,
-            ..TraceOptions::default()
-        });
-        sim.enable_counters();
-        if events_path.is_some() {
-            sim.enable_events(EventOptions::default());
-        }
-        if flame_path.is_some() {
-            sim.enable_profiler();
-        }
-        if let Some(plan) = &fault_plan {
-            sim.enable_faults(FaultOptions::with_plan(plan.clone()));
-        }
+        let mut sim = exp.make_sim(offered, &opts);
         let build = t0.elapsed();
         let t1 = std::time::Instant::now();
-        sim.run(warmup_cycles);
+        sim.run(opts.warmup_cycles);
         sim.begin_measurement();
-        sim.run(measure_cycles);
-        let stats = sim.end_measurement(measure_cycles);
+        sim.run(opts.measure_cycles);
+        let obs = sim.end_observation(opts.measure_cycles);
         let run = t1.elapsed();
+        let stats = &obs.stats;
         println!(
             "{:8} offered {:.4} accepted {:.4} lat {:8.0} ns itbs {:.3} delivered {:6} [build {:?} run {:?}]",
             scheme.label(),
@@ -88,8 +84,11 @@ fn main() {
             build,
             run
         );
-        println!("         {}", describe_route_table(&db, table_build));
-        if let Some(report) = sim.trace_report() {
+        println!(
+            "         {}",
+            describe_route_table(exp.route_db(), table_build)
+        );
+        if let Some(report) = &obs.trace {
             if let Some(l) = &report.lifetime {
                 println!(
                     "         lifetime p50 {} p99 {} max {} cycles over {} packets",
@@ -103,8 +102,8 @@ fn main() {
                 );
             }
         }
-        if fault_plan.is_some() {
-            let rel = sim.reliability();
+        if opts.faults.is_some() {
+            let rel = &obs.reliability;
             println!(
                 "         faults: {} link fail(s), {} truncated, {} retransmitted, \
                  {} dropped, {} reconfig(s)",
@@ -125,33 +124,25 @@ fn main() {
                 println!("         {line}");
             }
         }
-        if let (Some(path), Some(journal)) = (&events_path, sim.journal()) {
+        if let (Some(path), Some(journal)) = (&events_path, &obs.journal) {
             save_chrome_trace(&scheme_path(path, scheme), journal);
         }
         if let Some(path) = &metrics_path {
-            let obs = RunObservation {
-                stats: stats.clone(),
-                reliability: sim.reliability(),
-                trace: sim.trace_report(),
-                profile: sim.profile_report(),
-                spans: sim.span_report(),
-                journal: None,
-            };
             let out = scheme_path(path, scheme);
             let mut reg = obs.metrics_registry();
-            route_table_gauges(&mut reg, &db);
+            route_table_gauges(&mut reg, exp.route_db());
             match std::fs::write(&out, reg.to_prometheus()) {
                 Ok(()) => println!("         metrics exposition -> {out}"),
                 Err(e) => eprintln!("probe: cannot write {out}: {e}"),
             }
         }
-        if let (Some(path), Some(spans)) = (&flame_path, sim.span_report()) {
+        if let (Some(path), Some(profile)) = (&flame_path, &obs.profile) {
             let out = scheme_path(path, scheme);
-            match std::fs::write(&out, spans.to_collapsed()) {
+            match std::fs::write(&out, profile.to_collapsed()) {
                 Ok(()) => println!("         collapsed stacks -> {out}"),
                 Err(e) => eprintln!("probe: cannot write {out}: {e}"),
             }
-            for line in spans.to_table().lines() {
+            for line in profile.to_table().lines() {
                 println!("         {line}");
             }
         }

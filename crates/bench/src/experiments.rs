@@ -516,7 +516,8 @@ fn util_snapshot(
     let exp = experiment(topo.build(), scheme, pattern);
     let mut opts = mode.run_options(8);
     opts.trace.channel_util_interval = Some(util_trace_interval(mode));
-    let (summary, descs, series) = exp.link_utilization_traced(offered, &opts);
+    let obs = exp.run_observed(offered, &opts);
+    let (summary, descs, series) = exp.link_utilization(&obs);
     let label = format!("{} {}", scheme.label(), pattern.label());
     let util_series = series.map(|s| util_time_series(&format!("{label} @ {offered}"), &descs, &s));
     UtilSnapshot {

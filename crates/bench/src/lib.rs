@@ -114,7 +114,8 @@ pub struct DevArgs {
     pub metrics: Option<String>,
     /// `probe --flame <path>`: collapsed stacks of the self-profiler.
     pub flame: Option<String>,
-    /// Every `--fail-link <id>@<cycle>`; `None` when there is none.
+    /// Every `--fail-link <id>@<cycle>`, each a link of the paper torus
+    /// both binaries run; `None` when there is none.
     pub faults: Option<FaultPlan>,
 }
 
@@ -175,6 +176,8 @@ fn parse_dev_args(args: &[String], takes: &[&str]) -> Result<DevArgs, String> {
             }
         }
     }
+    plan.check(&Topo::Torus.build())
+        .map_err(|e| format!("bad --fail-link: {e}"))?;
     parsed.faults = (!plan.is_empty()).then_some(plan);
     Ok(parsed)
 }
@@ -645,6 +648,15 @@ mod tests {
             (&["--fail-link", "x@5000"], "<id>@<cycle>"),
             (&["--fail-link", "3@soon"], "<id>@<cycle>"),
             (&["--fail-link", "-3@5000"], "<id>@<cycle>"),
+            // The paper torus has 640 links, 0..=639.
+            (
+                &["--fail-link", "640@100"],
+                "cannot fail link 640 at cycle 100: the topology has 640 links",
+            ),
+            (
+                &["--fail-link", "3@50", "--fail-link", "99999@100"],
+                "link 99999",
+            ),
         ] {
             let err = parse_probe_args(&strings(args)).unwrap_err();
             assert!(err.contains(needle), "{args:?}: {err}");
@@ -659,6 +671,7 @@ mod tests {
             (&["--flame", "p.folded"], "unknown flag \"--flame\""),
             (&["--metrics"], "--metrics needs a value"),
             (&["run"], "unexpected argument \"run\""),
+            (&["--fail-link", "99999@100"], "link 99999"),
         ] {
             let err = parse_diagnose_args(&strings(args)).unwrap_err();
             assert!(err.contains(needle), "{args:?}: {err}");
@@ -673,11 +686,11 @@ mod tests {
         };
         assert_eq!(parse_probe_args(&[]), Ok(defaults));
         let mut plan = FaultPlan::new();
-        plan.fail_link(5_000, LinkId(3));
+        plan.fail_link(5_000, LinkId(639));
         plan.fail_link(9_000, LinkId(7));
         let args = [
             "--fail-link",
-            "3@5000",
+            "639@5000",
             "--load",
             "0.03",
             "--flame",

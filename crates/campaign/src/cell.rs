@@ -14,8 +14,7 @@ use std::time::Instant;
 use regnet_core::RouteDbConfig;
 use regnet_metrics::{CurvePoint, JsonValue};
 use regnet_netsim::{
-    ChannelDesc, Experiment, FaultOptions, GoodputSeries, ReliabilityStats, RunOptions, SimConfig,
-    TraceOptions,
+    Experiment, FaultOptions, GoodputSeries, ReliabilityStats, RunOptions, SimConfig, TraceOptions,
 };
 use serde::Serialize;
 
@@ -243,19 +242,7 @@ pub fn run_cell(spec: &CellSpec) -> Result<CellResult, String> {
     let wall_ms = started.elapsed().as_millis() as u64;
     let n_switches = exp.topology().num_switches();
     let accepted = obs.stats.accepted_flits_per_ns_per_switch(n_switches);
-    // Switch-link utilization summary (the paper's Figures 8/9/11 view).
-    let descs = ChannelDesc::of(exp.topology());
-    let mut util_sum = 0.0f64;
-    let mut util_max = 0.0f64;
-    let mut n_links = 0u64;
-    for (d, &busy) in descs.iter().zip(&obs.stats.channel_busy) {
-        if d.switch_link {
-            let util = busy as f64 / obs.stats.window_cycles as f64;
-            util_sum += util;
-            util_max = util_max.max(util);
-            n_links += 1;
-        }
-    }
+    let (util, _, _) = exp.link_utilization(&obs);
     let trace = obs.trace.as_ref();
     Ok(CellResult {
         key: spec.canonical_key(),
@@ -270,12 +257,8 @@ pub fn run_cell(spec: &CellSpec) -> Result<CellResult, String> {
         generated: obs.stats.generated,
         delivered_payload_flits: obs.stats.delivered_payload_flits,
         window_cycles: obs.stats.window_cycles,
-        util_mean: if n_links > 0 {
-            util_sum / n_links as f64
-        } else {
-            0.0
-        },
-        util_max,
+        util_mean: util.mean(),
+        util_max: util.max(),
         digest: trace.and_then(|t| t.digest).map(|d| format!("{d:016x}")),
         digest_events: trace.map_or(0, |t| t.digest_events),
         reliability: obs.reliability,

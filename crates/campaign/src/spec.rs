@@ -12,7 +12,9 @@
 
 use regnet_core::RoutingScheme;
 use regnet_metrics::JsonValue;
-use regnet_netsim::{FaultEvent, FaultPlan, FaultTarget, SimConfig, MAX_PAYLOAD_FLITS};
+use regnet_netsim::{
+    FaultEvent, FaultPlan, FaultTarget, SimConfig, MAX_PAYLOAD_FLITS, MAX_SWITCH_PORTS,
+};
 use regnet_topology::{gen, HostId, LinkId, SwitchId, Topology};
 use regnet_traffic::PatternSpec;
 
@@ -376,27 +378,52 @@ impl CellSpec {
     }
 }
 
-/// Refuse a zero measurement window or goodput interval and a payload
-/// the simulator cannot hold, naming the key, before any cell runs.
-/// A zero window makes a cell's `accepted` 0/0, a NaN its checkpoint
-/// cannot be read back from; a zero interval samples every cycle and
-/// divides by zero on export; a payload past [`MAX_PAYLOAD_FLITS`] would
-/// not fit the simulator's 32-bit flit counts.
+/// Refuse a cell the simulator cannot run, naming the key, before any
+/// cell runs. A zero window makes a cell's `accepted` 0/0, a NaN its
+/// checkpoint cannot be read back from; a zero interval samples every
+/// cycle and divides by zero on export; a payload past
+/// [`MAX_PAYLOAD_FLITS`] would not fit the simulator's 32-bit flit counts.
+/// A topology that does not build or has switches of more than
+/// [`MAX_SWITCH_PORTS`] ports, and a fault event naming an element the
+/// topology lacks, would fail the cell mid-plan. `built` holds the
+/// topologies checked so far, so each distinct one is built once.
 pub(crate) fn check_cell_values(
-    measure_cycles: u64,
-    goodput_interval: Option<u64>,
-    payload_flits: usize,
+    cell: &CellSpec,
+    built: &mut Vec<(TopoSpec, Topology)>,
 ) -> Result<(), String> {
-    if measure_cycles == 0 {
+    if cell.measure_cycles == 0 {
         return Err("\"measure_cycles\" must be positive".into());
     }
-    if goodput_interval == Some(0) {
+    if cell.goodput_interval == Some(0) {
         return Err("\"goodput_interval\" must be positive".into());
     }
-    if !(1..=MAX_PAYLOAD_FLITS).contains(&payload_flits) {
+    if !(1..=MAX_PAYLOAD_FLITS).contains(&cell.payload_flits) {
         return Err(format!(
-            "\"payload_flits\" {payload_flits} must be in 1..={MAX_PAYLOAD_FLITS}"
+            "\"payload_flits\" {} must be in 1..={MAX_PAYLOAD_FLITS}",
+            cell.payload_flits
         ));
+    }
+    let i = match built.iter().position(|(t, _)| *t == cell.topo) {
+        Some(i) => i,
+        None => {
+            let topo = cell.topo.build().map_err(|e| format!("\"topos\": {e}"))?;
+            built.push((cell.topo, topo));
+            built.len() - 1
+        }
+    };
+    let topo = &built[i].1;
+    if topo.max_ports() as usize > MAX_SWITCH_PORTS {
+        return Err(format!(
+            "\"topos\" entry {:?} has {} ports per switch: the simulator takes at most \
+             {MAX_SWITCH_PORTS}",
+            cell.topo.key(),
+            topo.max_ports()
+        ));
+    }
+    if let Some(f) = &cell.faults {
+        f.plan
+            .check(topo)
+            .map_err(|e| format!("\"faults\" entry {:?}: {e}", f.key()))?;
     }
     Ok(())
 }
@@ -540,10 +567,8 @@ impl CampaignSpec {
         let mut order: Vec<String> = Vec::new();
         let mut by_hash: std::collections::HashMap<String, PlannedCell> =
             std::collections::HashMap::new();
+        let mut built = Vec::new();
         for sweep in &self.sweeps {
-            let d = &sweep.defaults;
-            check_cell_values(d.measure_cycles, d.goodput_interval, d.payload_flits)
-                .map_err(|e| format!("sweep {:?}: {e}", sweep.group))?;
             for topo in &sweep.topos {
                 for scheme in &sweep.schemes {
                     for pattern in &sweep.patterns {
@@ -582,6 +607,9 @@ impl CampaignSpec {
                                             }
                                         }
                                         std::collections::hash_map::Entry::Vacant(e) => {
+                                            check_cell_values(&spec, &mut built).map_err(
+                                                |err| format!("sweep {:?}: {err}", sweep.group),
+                                            )?;
                                             let key = spec.canonical_key();
                                             e.insert(PlannedCell {
                                                 spec,
@@ -1188,6 +1216,42 @@ mod tests {
                 err.contains(&format!("\"payload_flits\" {payload} must be in")),
                 "{err}"
             );
+        }
+        // A switch past the simulator's port bound, and a fault event
+        // naming a link, switch or host the topology lacks, would fail
+        // their cell mid-plan: refused by key, naming the port count or
+        // the event. torus:3x3:2 has 36 links, 9 switches and 18 hosts;
+        // torus:3x3:61 has 4 + 61 ports per switch.
+        for (topos, loads_and_faults, expect) in [
+            (
+                r#"["torus:3x3:2", "torus:3x3:61"]"#,
+                "[0.01]",
+                r#""topos" entry "torus:3x3:61" has 65 ports per switch"#,
+            ),
+            (
+                r#"["torus:3x3:2"]"#,
+                r#"[0.01], "faults": ["fail_link:35@50", "fail_link:9999@50"]"#,
+                r#""faults" entry "fail_link:9999@50": cannot fail link 9999 at cycle 50: the topology has 36 links"#,
+            ),
+            (
+                r#"["torus:3x3:2"]"#,
+                r#"[0.01], "faults": ["fail_switch:77@50"]"#,
+                r#""faults" entry "fail_switch:77@50": cannot fail switch 77"#,
+            ),
+            (
+                r#"["torus:3x3:2"]"#,
+                r#"[0.01], "faults": [{"events": [{"cycle": 50, "fail_host": 500}]}]"#,
+                r#""faults" entry "fail_host:500@50": cannot fail host 500 at cycle 50: the topology has 18 hosts"#,
+            ),
+        ] {
+            let text = zero_load
+                .replace(r#"["torus"]"#, topos)
+                .replace("[0.0]", loads_and_faults);
+            let err = CampaignSpec::from_json_str(&text)
+                .unwrap()
+                .expand()
+                .unwrap_err();
+            assert!(err.contains(expect), "{expect:?} not in {err:?}");
         }
         // Integral, but past 2^53: it would run u64::MAX cycles.
         for key in [r#""measure_cycles": 1e300"#, r#""seeds": [1e300]"#] {

@@ -75,14 +75,10 @@ pub fn what_if_all(
     threads: usize,
     mut on_event: impl FnMut(WhatIfEvent<'_>),
 ) -> Result<Vec<WhatIfResult>, String> {
+    let mut built = Vec::new();
     for q in queries {
         q.search.check().map_err(|e| format!("what-if: {e}"))?;
-        check_cell_values(
-            q.cell.measure_cycles,
-            q.cell.goodput_interval,
-            q.cell.payload_flits,
-        )
-        .map_err(|e| format!("what-if: {e}"))?;
+        check_cell_values(&q.cell, &mut built).map_err(|e| format!("what-if: {e}"))?;
     }
     let mut searches: Vec<SaturationSearch> = queries.iter().map(|q| q.search.clone()).collect();
     let mut results: Vec<WhatIfResult> = searches
@@ -189,7 +185,7 @@ pub fn what_if(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::TopoSpec;
+    use crate::spec::{FaultSpec, TopoSpec};
     use regnet_core::RoutingScheme;
     use regnet_traffic::PatternSpec;
 
@@ -254,10 +250,11 @@ mod tests {
         let mut q = WhatIfQuery::new(template());
         q.search.start = 0.0;
         assert!(what_if(&q, &store, |_, _, _| {}).is_err());
-        // A zero window or goodput interval, an over-bound payload, an
-        // infinite load or step, a tolerance the bracket can never meet and
-        // an empty budget are refused before any probe runs, so nothing
-        // lands in the store.
+        // A zero window or goodput interval, an over-bound payload, a
+        // switch past the port bound, a fault on a host the topology lacks,
+        // an infinite load or step, a tolerance the bracket can never meet
+        // and an empty budget are refused before any probe runs, so
+        // nothing lands in the store.
         let search = |edit: fn(&mut SaturationSearch)| {
             let mut q = WhatIfQuery::new(template());
             edit(&mut q.search);
@@ -282,6 +279,24 @@ mod tests {
                 "payload_flits",
                 WhatIfQuery::new(CellSpec {
                     payload_flits: regnet_netsim::MAX_PAYLOAD_FLITS + 1,
+                    ..template()
+                }),
+            ),
+            (
+                "\"topos\" entry \"torus:3x3:61\" has 65 ports",
+                WhatIfQuery::new(CellSpec {
+                    topo: TopoSpec::TorusCustom {
+                        rows: 3,
+                        cols: 3,
+                        hosts: 61,
+                    },
+                    ..template()
+                }),
+            ),
+            (
+                "\"faults\" entry \"fail_host:500@50\": cannot fail host 500",
+                WhatIfQuery::new(CellSpec {
+                    faults: Some(FaultSpec::parse("x", "fail_host:500@50").unwrap()),
                     ..template()
                 }),
             ),

@@ -42,6 +42,10 @@ const _: () = assert!((SLACK_BUFFER_FLITS - STOP_THRESHOLD) as u32 >= 2 * LINK_D
 /// the simulator's 32-bit flit counts.
 pub const MAX_PAYLOAD_FLITS: usize = 1 << 30;
 
+/// Most ports a simulated switch may have: the switch kernel tracks its
+/// ports in `u64` bitmasks.
+pub const MAX_SWITCH_PORTS: usize = 64;
+
 /// The settable parameters of the simulated hardware.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {

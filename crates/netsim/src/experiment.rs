@@ -9,10 +9,10 @@ use regnet_metrics::{CurvePoint, MetricsRegistry, UtilizationSummary};
 use regnet_topology::Topology;
 use regnet_traffic::{Pattern, PatternSpec};
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, MAX_SWITCH_PORTS};
 use crate::events::{EventJournal, EventOptions};
 use crate::faultplan::{FaultOptions, ReliabilityStats};
-use crate::profiler::{ProfileReport, SpanReport};
+use crate::profiler::ProfileReport;
 use crate::sched::Scheduler;
 use crate::sim::{ChannelDesc, RunStats, Simulator};
 use crate::trace::{ChannelUtilSeries, TraceOptions, TraceReport};
@@ -75,8 +75,6 @@ pub struct RunObservation {
     pub reliability: ReliabilityStats,
     pub trace: Option<TraceReport>,
     pub profile: Option<ProfileReport>,
-    /// Hierarchical view of `profile` (phase → component bucket).
-    pub spans: Option<SpanReport>,
     pub journal: Option<Box<EventJournal>>,
 }
 
@@ -241,6 +239,12 @@ impl Experiment {
         cfg: SimConfig,
     ) -> Result<Experiment, String> {
         cfg.validate()?;
+        if topo.max_ports() as usize > MAX_SWITCH_PORTS {
+            return Err(format!(
+                "{} ports per switch: the simulator takes at most {MAX_SWITCH_PORTS}",
+                topo.max_ports()
+            ));
+        }
         let db = RouteDb::build(&topo, scheme, &db_cfg);
         let pattern = Pattern::resolve(pattern, &topo)?;
         Ok(Experiment {
@@ -272,8 +276,7 @@ impl Experiment {
     /// Run one point with every observer selected in `opts` and return the
     /// full [`RunObservation`]: stats, reliability (all zeros unless
     /// `opts.faults` schedules something), trace report, profiler
-    /// breakdown and event journal. Every run of an experiment goes
-    /// through here.
+    /// breakdown and event journal.
     ///
     /// Observers are enabled before warmup, so the journal and the trace
     /// digest see the whole run (warmup included) while
@@ -284,18 +287,14 @@ impl Experiment {
         sim.run(opts.warmup_cycles);
         sim.begin_measurement();
         sim.run(opts.measure_cycles);
-        let stats = sim.end_measurement(opts.measure_cycles);
-        RunObservation {
-            stats,
-            reliability: sim.reliability(),
-            trace: sim.trace_report(),
-            profile: sim.profile_report(),
-            spans: sim.span_report(),
-            journal: sim.take_journal(),
-        }
+        sim.end_observation(opts.measure_cycles)
     }
 
-    fn make_sim(&self, offered: f64, opts: &RunOptions) -> Simulator<'_> {
+    /// A simulator at `offered` with every observer `opts` selects armed
+    /// (its windows are left to the caller): the one constructor from
+    /// options, under [`run_observed`](Experiment::run_observed) and the
+    /// development binaries alike.
+    pub fn make_sim(&self, offered: f64, opts: &RunOptions) -> Simulator<'_> {
         let mut sim = Simulator::new(
             &self.topo,
             &self.db,
@@ -345,45 +344,30 @@ impl Experiment {
         }
     }
 
-    /// Link-utilization summary at one offered load, restricted to
-    /// switch↔switch channels (what the paper's Figures 8/9/11 map), plus
-    /// the per-channel utilization *time series* recorded by the
-    /// `channel_util_interval` observer (rows filtered to switch↔switch
-    /// channels, parallel to the returned descriptors). The series is
-    /// `None` when `opts.trace.channel_util_interval` is unset.
-    pub fn link_utilization_traced(
+    /// A run's link-utilization summary over its window, restricted to
+    /// switch↔switch channels (what the paper's Figures 8/9/11 map), with
+    /// those channels' descriptors and their rows of the utilization
+    /// *time series* (`None` unless the run set
+    /// `trace.channel_util_interval`), parallel to the summary.
+    pub fn link_utilization(
         &self,
-        offered: f64,
-        opts: &RunOptions,
+        obs: &RunObservation,
     ) -> (
         UtilizationSummary,
         Vec<ChannelDesc>,
         Option<ChannelUtilSeries>,
     ) {
-        let obs = self.run_observed(offered, opts);
-        let (stats, descs) = (obs.stats, ChannelDesc::of(&self.topo));
-        let series = obs.trace.and_then(|r| r.channel_util);
-        let mut busy = Vec::new();
-        let mut kept = Vec::new();
-        let mut kept_rows = Vec::new();
-        for (i, (d, &b)) in descs.iter().zip(&stats.channel_busy).enumerate() {
-            if d.switch_link {
-                busy.push(b);
-                kept.push(*d);
-                if let Some(s) = &series {
-                    kept_rows.push(s.busy[i].clone());
-                }
-            }
-        }
-        let series = series.map(|s| ChannelUtilSeries {
-            interval: s.interval,
-            buckets: s.buckets,
-            busy: kept_rows,
-        });
+        let descs = ChannelDesc::of(&self.topo);
+        let keep: Vec<usize> = (0..descs.len()).filter(|&i| descs[i].switch_link).collect();
+        let busy: Vec<u64> = keep.iter().map(|&i| obs.stats.channel_busy[i]).collect();
+        let series = obs.trace.as_ref().and_then(|r| r.channel_util.as_ref());
         (
-            UtilizationSummary::from_busy_cycles(&busy, opts.measure_cycles),
-            kept,
-            series,
+            UtilizationSummary::from_busy_cycles(&busy, obs.stats.window_cycles),
+            keep.iter().map(|&i| descs[i]).collect(),
+            series.map(|s| ChannelUtilSeries {
+                busy: keep.iter().map(|&i| s.busy[i].clone()).collect(),
+                ..*s
+            }),
         )
     }
 }
@@ -483,13 +467,36 @@ mod tests {
     #[test]
     fn link_utilization_switch_links_only() {
         let exp = small_exp(RoutingScheme::UpDown);
-        let (util, descs, _) = exp.link_utilization_traced(0.006, &quick_opts());
+        let obs = exp.run_observed(0.006, &quick_opts());
+        let (util, descs, _) = exp.link_utilization(&obs);
         // 4x4 torus: 32 switch links = 64 directed channels.
         assert_eq!(descs.len(), 64);
         assert_eq!(util.per_channel.len(), 64);
         assert!(util.max() > 0.0);
         assert!(util.max() <= 1.0);
         assert!(descs.iter().all(|d| d.switch_link));
+    }
+
+    /// 4 switch ports + 61 hosts: one more port than the kernel's `u64`
+    /// masks hold. Refused here, not by `Simulator::new`'s assert.
+    #[test]
+    fn a_switch_past_the_port_bound_is_rejected() {
+        let exp = |hosts| {
+            Experiment::new(
+                gen::torus_2d(3, 3, hosts).unwrap(),
+                RoutingScheme::UpDown,
+                RouteDbConfig::default(),
+                PatternSpec::Uniform,
+                SimConfig::default(),
+            )
+        };
+        let err = exp(61).err().unwrap();
+        assert!(err.contains("65 ports per switch"), "{err}");
+        assert!(
+            err.contains(&format!("at most {MAX_SWITCH_PORTS}")),
+            "{err}"
+        );
+        assert_eq!(exp(60).unwrap().topology().max_ports(), 64);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use serde::Serialize;
 
 use regnet_core::RouteDbConfig;
 use regnet_mapper::{FaultSet, PhysicalRoutes};
-use regnet_topology::{HostId, LinkId, SwitchId};
+use regnet_topology::{HostId, LinkId, SwitchId, Topology};
 
 /// What a fault event acts on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,6 +164,25 @@ impl FaultPlan {
 
     pub fn len(&self) -> usize {
         self.events.len()
+    }
+
+    /// Refuse the first event naming a link, switch or host `topo` lacks.
+    pub fn check(&self, topo: &Topology) -> Result<(), String> {
+        for e in &self.events {
+            let (kind, id, n, kinds) = match e.target {
+                FaultTarget::Link(l) => ("link", l.0, topo.num_links(), "links"),
+                FaultTarget::Switch(s) => ("switch", s.0, topo.num_switches(), "switches"),
+                FaultTarget::Host(h) => ("host", h.0, topo.num_hosts(), "hosts"),
+            };
+            if id as usize >= n {
+                let verb = if e.fail { "fail" } else { "repair" };
+                return Err(format!(
+                    "cannot {verb} {kind} {id} at cycle {}: the topology has {n} {kinds}",
+                    e.cycle
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -321,6 +340,48 @@ mod tests {
                     assert!(evs[i - 1].cycle <= e.cycle);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn check_names_the_first_event_the_topology_lacks() {
+        // 9 switches, 18 hosts, 18 switch links + 18 host links.
+        let topo = regnet_topology::gen::torus_2d(3, 3, 2).unwrap();
+        let mut p = FaultPlan::new();
+        p.fail_link(10, LinkId(35))
+            .fail_switch(20, SwitchId(8))
+            .fail_host(30, HostId(17))
+            .repair_host(40, HostId(17));
+        assert_eq!(p.check(&topo), Ok(()));
+        for (event, err) in [
+            (
+                FaultEvent {
+                    cycle: 50,
+                    target: FaultTarget::Link(LinkId(9999)),
+                    fail: true,
+                },
+                "cannot fail link 9999 at cycle 50: the topology has 36 links",
+            ),
+            (
+                FaultEvent {
+                    cycle: 50,
+                    target: FaultTarget::Switch(SwitchId(77)),
+                    fail: false,
+                },
+                "cannot repair switch 77 at cycle 50: the topology has 9 switches",
+            ),
+            (
+                FaultEvent {
+                    cycle: 50,
+                    target: FaultTarget::Host(HostId(18)),
+                    fail: true,
+                },
+                "cannot fail host 18 at cycle 50: the topology has 18 hosts",
+            ),
+        ] {
+            let mut bad = p.clone();
+            bad.push(event).fail_host(60, HostId(500));
+            assert_eq!(bad.check(&topo), Err(err.to_string()));
         }
     }
 

@@ -69,12 +69,12 @@ pub mod threads;
 pub mod trace;
 pub mod wfg;
 
-pub use config::{SimConfig, CYCLE_NS, MAX_PAYLOAD_FLITS};
+pub use config::{SimConfig, CYCLE_NS, MAX_PAYLOAD_FLITS, MAX_SWITCH_PORTS};
 pub use counters::CounterSnapshot;
 pub use events::{BlockCause, Event, EventJournal, EventKind, EventOptions, NO_PACKET};
 pub use experiment::{Experiment, RunObservation, RunOptions};
 pub use faultplan::{FaultEvent, FaultOptions, FaultPlan, FaultTarget, ReliabilityStats};
-pub use profiler::{PhaseProfile, ProfileReport, SpanNode, SpanReport, PHASE_NAMES};
+pub use profiler::{PhaseProfile, ProfileReport, PHASE_NAMES};
 pub use sched::Scheduler;
 pub use sim::{ChannelDesc, RunStats, Simulator};
 pub use trace::{

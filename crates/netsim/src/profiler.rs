@@ -14,19 +14,15 @@
 //! a hashed one-in-`SPAN_SAMPLE` (64) sample of cycles and scaled to the
 //! phase totals at report time.
 //!
-//! Two views of the same data:
-//!
-//! * [`ProfileReport`] — the flat per-phase table (what `benchmark/`
-//!   reports as `netsim.phase.*`).
-//! * [`SpanReport`] — the hierarchical tree *phase → component bucket*
-//!   with a collapsed-stack export ([`SpanReport::to_collapsed`],
-//!   `inferno`/`flamegraph.pl`-compatible), which says where *inside* the
-//!   switch phase a run spends its time.
+//! One report, [`ProfileReport`]: a span per phase with its share of the
+//! run (what `benchmark/` reports as `netsim.phase.*`), each holding its
+//! scaled child spans, so the tree says where *inside* the switch phase a
+//! run spends its time. [`ProfileReport::to_collapsed`] exports it as
+//! collapsed stacks (`inferno`/`flamegraph.pl`-compatible).
 //!
 //! Wall-clock figures are host-machine noise, so they are kept strictly
 //! out of `RunStats` (which must be bit-identical across same-seed runs);
-//! collect them separately with `Simulator::profile_report` /
-//! `Simulator::span_report`.
+//! collect them separately with `Simulator::profile_report`.
 
 use std::collections::BTreeMap;
 
@@ -116,39 +112,29 @@ impl Profiler {
         self.sampled_cycles += 1;
     }
 
+    /// Build the report. Per phase the sampled children are scaled by
+    /// `phase_ns / child_base`, from the cycles they were timed on to the
+    /// whole phase (floor division). Children and phases are timed by
+    /// separate `Instant` pairs, so clock granularity can push the child
+    /// sum a hair past its base — in that case the children are scaled to
+    /// exactly the phase total instead (remainder to the largest child).
+    /// Either way `self_ns + Σ child.ns == ns` holds *exactly* at every
+    /// phase. A phase without a base (no cycle sampled yet, or children
+    /// fed by hand) counts as timed throughout.
     pub(crate) fn report(&self) -> ProfileReport {
         let total_ns: u64 = self.ns.iter().sum();
-        ProfileReport {
-            cycles: self.cycles,
-            total_ns,
-            phases: PHASE_NAMES
-                .iter()
-                .zip(self.ns)
-                .map(|(&name, ns)| PhaseProfile {
-                    name: name.to_string(),
-                    ns,
-                    fraction: if total_ns > 0 {
-                        ns as f64 / total_ns as f64
-                    } else {
-                        0.0
-                    },
-                })
-                .collect(),
-        }
-    }
-
-    /// Build the hierarchical view. Per phase the sampled children are
-    /// scaled by `phase_ns / child_base`, from the cycles they were timed
-    /// on to the whole phase (floor division). Children and phases are
-    /// timed by separate `Instant` pairs, so clock granularity can push
-    /// the child sum a hair past its base — in that case the children are
-    /// scaled to exactly the phase total instead (remainder to the largest
-    /// child). Either way `self + Σ child.total == total` holds *exactly*
-    /// at every node and phase totals equal [`ProfileReport`]'s. A phase
-    /// without a base (no cycle sampled yet, or children fed by hand)
-    /// counts as timed throughout.
-    pub(crate) fn span_report(&self) -> SpanReport {
-        let mut roots = Vec::with_capacity(N_PHASES);
+        let span = |name: &str, ns: u64, self_ns: u64, children| PhaseProfile {
+            name: name.to_string(),
+            ns,
+            fraction: if total_ns > 0 {
+                ns as f64 / total_ns as f64
+            } else {
+                0.0
+            },
+            self_ns,
+            children,
+        };
+        let mut phases = Vec::with_capacity(N_PHASES);
         for (p, &phase_name) in PHASE_NAMES.iter().enumerate() {
             let phase_ns = self.ns[p];
             // BTreeMap order: labels alphabetical — deterministic.
@@ -180,118 +166,57 @@ impl Profiler {
             };
             let children = leaves
                 .iter()
-                .map(|&(label, ns)| SpanNode::leaf(label, ns))
+                .map(|&(label, ns)| span(label, ns, ns, Vec::new()))
                 .collect();
-            roots.push(SpanNode {
-                name: phase_name.to_string(),
-                total_ns: phase_ns,
-                self_ns,
-                children,
-            });
+            phases.push(span(phase_name, phase_ns, self_ns, children));
         }
-        SpanReport {
+        ProfileReport {
             cycles: self.cycles,
             sampled_cycles: self.sampled_cycles,
-            total_ns: self.ns.iter().sum(),
-            roots,
+            total_ns,
+            phases,
         }
     }
 }
 
-/// Wall time attributed to one phase.
+/// Wall time attributed to one phase, or to one child span inside it.
+/// Invariant (enforced at construction): `self_ns + Σ children.ns == ns`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseProfile {
     pub name: String,
+    /// Wall time including the children, ns.
     pub ns: u64,
     /// Share of the total profiled time, in `[0, 1]`.
     pub fraction: f64,
-}
-
-/// Everything the profiler measured.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileReport {
-    /// Cycles simulated while profiling, idle spans the run loop jumped
-    /// over included.
-    pub cycles: u64,
-    /// Total profiled wall time, ns.
-    pub total_ns: u64,
-    /// Per-phase breakdown, in execution order.
-    pub phases: Vec<PhaseProfile>,
-}
-
-impl ProfileReport {
-    /// Simulated cycles per wall-clock second.
-    pub fn cycles_per_sec(&self) -> f64 {
-        if self.total_ns == 0 {
-            return 0.0;
-        }
-        self.cycles as f64 / (self.total_ns as f64 / 1e9)
-    }
-
-    /// Compact percentage table for terminal output.
-    pub fn to_table(&self) -> String {
-        let mut out = format!(
-            "profiled {} cycles in {:.3} s ({:.0} cycles/s)\n",
-            self.cycles,
-            self.total_ns as f64 / 1e9,
-            self.cycles_per_sec()
-        );
-        for p in &self.phases {
-            out.push_str(&format!(
-                "  {:<11} {:>6.2}%  {:>12} ns\n",
-                p.name,
-                p.fraction * 100.0,
-                p.ns
-            ));
-        }
-        out
-    }
-}
-
-/// One node of the span tree. Invariant (enforced at construction):
-/// `self_ns + Σ children.total_ns == total_ns`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanNode {
-    pub name: String,
-    /// Wall time of this span including its children, ns.
-    pub total_ns: u64,
     /// Wall time not attributed to any child, ns.
     pub self_ns: u64,
-    pub children: Vec<SpanNode>,
+    /// The phase's child spans scaled to it, labels in alphabetical
+    /// order; a child has none.
+    pub children: Vec<PhaseProfile>,
 }
 
-impl SpanNode {
-    fn leaf(name: &str, ns: u64) -> SpanNode {
-        SpanNode {
-            name: name.to_string(),
-            total_ns: ns,
-            self_ns: ns,
-            children: Vec::new(),
-        }
-    }
-}
-
-/// The hierarchical profile: one root span per phase, in execution order;
-/// phase totals equal the flat [`ProfileReport`] exactly.
+/// Everything the profiler measured: one span per phase, in execution
+/// order, each with its child spans.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpanReport {
+pub struct ProfileReport {
     /// Cycles simulated while profiling, idle spans the run loop jumped
     /// over included.
     pub cycles: u64,
     /// Stepped cycles whose child spans were timed (about one in 64);
     /// the children are scaled from these to their whole phase.
     pub sampled_cycles: u64,
-    /// Total profiled wall time, ns (== Σ root totals).
+    /// Total profiled wall time, ns (== Σ phase `ns`).
     pub total_ns: u64,
-    pub roots: Vec<SpanNode>,
+    /// Per-phase breakdown, in execution order.
+    pub phases: Vec<PhaseProfile>,
 }
 
-impl SpanReport {
+impl ProfileReport {
     /// Collapsed-stack export: one `frame;frame;frame <self_ns>` line per
     /// span with non-zero self time, rooted at `engine`. Feed to
     /// `inferno-flamegraph` / `flamegraph.pl` for an SVG.
     pub fn to_collapsed(&self) -> String {
-        fn walk(out: &mut String, prefix: &str, node: &SpanNode) {
+        fn walk(out: &mut String, prefix: &str, node: &PhaseProfile) {
             let stack = format!("{prefix};{}", node.name);
             if node.self_ns > 0 {
                 out.push_str(&stack);
@@ -304,31 +229,26 @@ impl SpanReport {
             }
         }
         let mut out = String::new();
-        for root in &self.roots {
-            walk(&mut out, "engine", root);
+        for phase in &self.phases {
+            walk(&mut out, "engine", phase);
         }
         out
     }
 
     /// Indented tree table for terminal output.
     pub fn to_table(&self) -> String {
-        fn walk(out: &mut String, node: &SpanNode, depth: usize, grand_total: u64) {
-            let pct = if grand_total > 0 {
-                node.total_ns as f64 / grand_total as f64 * 100.0
-            } else {
-                0.0
-            };
+        fn walk(out: &mut String, node: &PhaseProfile, depth: usize) {
             out.push_str(&format!(
                 "  {:indent$}{:<width$} {:>6.2}%  {:>12} ns\n",
                 "",
                 node.name,
-                pct,
-                node.total_ns,
+                node.fraction * 100.0,
+                node.ns,
                 indent = depth * 2,
                 width = 24usize.saturating_sub(depth * 2),
             ));
             for c in &node.children {
-                walk(out, c, depth + 1, grand_total);
+                walk(out, c, depth + 1);
             }
         }
         let mut out = format!(
@@ -338,8 +258,8 @@ impl SpanReport {
             self.sampled_cycles,
             self.cycles
         );
-        for root in &self.roots {
-            walk(&mut out, root, 0, self.total_ns);
+        for phase in &self.phases {
+            walk(&mut out, phase, 0);
         }
         out
     }
@@ -349,11 +269,11 @@ impl SpanReport {
 pub(crate) mod tests {
     use super::*;
 
-    pub(crate) fn assert_node_invariant(n: &SpanNode) {
-        let child_sum: u64 = n.children.iter().map(|c| c.total_ns).sum();
+    pub(crate) fn assert_node_invariant(n: &PhaseProfile) {
+        let child_sum: u64 = n.children.iter().map(|c| c.ns).sum();
         assert_eq!(
             n.self_ns + child_sum,
-            n.total_ns,
+            n.ns,
             "span invariant violated at {:?}",
             n.name
         );
@@ -376,7 +296,7 @@ pub(crate) mod tests {
         assert!((sum - 1.0).abs() < 1e-12);
         assert_eq!(r.phases[3].name, "switches");
         assert!((r.phases[3].fraction - 0.6).abs() < 1e-12);
-        assert!(r.cycles_per_sec() > 0.0);
+        assert!(r.to_table().contains("span profile: 10 cycles"));
         assert!(r.to_table().contains("switches"));
     }
 
@@ -384,7 +304,7 @@ pub(crate) mod tests {
     fn empty_profiler_reports_zeros() {
         let r = Profiler::new().report();
         assert_eq!(r.total_ns, 0);
-        assert_eq!(r.cycles_per_sec(), 0.0);
+        assert_eq!(r.sampled_cycles, 0);
         assert!(r.phases.iter().all(|p| p.fraction == 0.0));
     }
 
@@ -430,21 +350,20 @@ pub(crate) mod tests {
             p.add_child(Phase::Switches, "routing", timed.0);
             p.add_child(Phase::Switches, "crossbar", timed.1);
             p.add(Phase::Observers, 50);
-            let spans = p.span_report();
-            let flat = p.report();
-            assert_eq!(spans.total_ns, flat.total_ns);
-            for (root, phase) in spans.roots.iter().zip(&flat.phases) {
-                assert_eq!(root.name, phase.name);
-                assert_eq!(root.total_ns, phase.ns);
-                assert_node_invariant(root);
+            let r = p.report();
+            assert_eq!(r.total_ns, p.ns.iter().sum::<u64>());
+            for ((phase, name), ns) in r.phases.iter().zip(PHASE_NAMES).zip(p.ns) {
+                assert_eq!(phase.name, name);
+                assert_eq!(phase.ns, ns);
+                assert_node_invariant(phase);
             }
             // Unattributed phase time shows up as self time.
-            let sw = &spans.roots[Phase::Switches as usize];
+            let sw = &r.phases[Phase::Switches as usize];
             assert_eq!(sw.children.len(), 2);
             // BTreeMap label order: crossbar before routing.
             assert_eq!(sw.children[0].name, "crossbar");
             assert_eq!(sw.children[1].name, "routing");
-            let got = (sw.self_ns, sw.children[1].total_ns, sw.children[0].total_ns);
+            let got = (sw.self_ns, sw.children[1].ns, sw.children[0].ns);
             assert_eq!(got, want, "child base {base}");
         }
     }
@@ -461,13 +380,11 @@ pub(crate) mod tests {
         p.cycles = 64;
         assert_eq!(p.child_base[Phase::Switches as usize], 300);
         assert_eq!(p.child_base[Phase::Observers as usize], 40);
-        let spans = p.span_report();
-        assert_eq!(spans.sampled_cycles, 1);
-        let sw = &spans.roots[Phase::Switches as usize];
-        assert_eq!((sw.self_ns, sw.children[0].total_ns), (500, 500));
-        assert!(spans
-            .to_table()
-            .contains("children timed on 1 of 64 cycles"));
+        let r = p.report();
+        assert_eq!(r.sampled_cycles, 1);
+        let sw = &r.phases[Phase::Switches as usize];
+        assert_eq!((sw.self_ns, sw.children[0].ns), (500, 500));
+        assert!(r.to_table().contains("children timed on 1 of 64 cycles"));
     }
 
     #[test]
@@ -478,11 +395,11 @@ pub(crate) mod tests {
         p.add_child(Phase::Arrivals, "control", 500);
         p.add_child(Phase::Arrivals, "arrivals", 200);
         p.add_child(Phase::Arrivals, "purge", 303);
-        let spans = p.span_report();
-        let arr = &spans.roots[Phase::Arrivals as usize];
-        assert_eq!(arr.total_ns, 1000);
+        let r = p.report();
+        let arr = &r.phases[Phase::Arrivals as usize];
+        assert_eq!(arr.ns, 1000);
         assert_eq!(arr.self_ns, 0);
-        let child_sum: u64 = arr.children.iter().map(|c| c.total_ns).sum();
+        let child_sum: u64 = arr.children.iter().map(|c| c.ns).sum();
         assert_eq!(child_sum, 1000, "scaled children must sum exactly");
         assert_node_invariant(arr);
         assert_eq!(arr.children.len(), 3);
@@ -495,18 +412,23 @@ pub(crate) mod tests {
         p.add_child(Phase::Switches, "routing", 700);
         p.add_child(Phase::Switches, "crossbar", 100);
         p.add(Phase::Generation, 50);
-        let spans = p.span_report();
-        let collapsed = spans.to_collapsed();
-        assert!(collapsed.contains("engine;switches 200\n"));
-        assert!(collapsed.contains("engine;switches;routing 700\n"));
-        assert!(collapsed.contains("engine;switches;crossbar 100\n"));
-        assert!(collapsed.contains("engine;generation 50\n"));
+        let r = p.report();
+        let collapsed = r.to_collapsed();
+        // Phases in execution order, each followed by its children in
+        // label order; spans without self time are left out.
+        assert_eq!(
+            collapsed,
+            "engine;switches 200\n\
+             engine;switches;crossbar 100\n\
+             engine;switches;routing 700\n\
+             engine;generation 50\n"
+        );
         // Every line's value is a self time; they sum to the grand total.
         let sum: u64 = collapsed
             .lines()
             .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
             .sum();
-        assert_eq!(sum, spans.total_ns);
-        assert!(spans.to_table().contains("crossbar"));
+        assert_eq!(sum, r.total_ns);
+        assert!(r.to_table().contains("crossbar"));
     }
 }

@@ -44,8 +44,12 @@ fn pairs(n: u64) -> u64 {
 impl Simulator<'_> {
     /// Arm the fault-injection runtime with `opts` (see [`FaultOptions`]).
     /// Call before running; events earlier than the current cycle fire
-    /// immediately on the next step.
+    /// immediately on the next step. Panics on an event naming an element
+    /// the topology lacks (see [`FaultPlan::check`](crate::FaultPlan::check)).
     pub fn enable_faults(&mut self, opts: FaultOptions) {
+        if let Err(e) = opts.plan.check(self.topo) {
+            panic!("enable_faults: {e}");
+        }
         self.faults = Some(Box::new(FaultRuntime::new(opts, self.topo.num_hosts())));
     }
 
@@ -542,6 +546,20 @@ mod tests {
             }
         }
         None
+    }
+
+    /// A plan naming a host the topology lacks is refused when armed, not
+    /// by an index out of bounds once the event fires.
+    #[test]
+    #[should_panic(expected = "enable_faults: cannot fail host 500 at cycle 50")]
+    fn arming_a_fault_on_a_missing_host_names_the_event() {
+        let topo = build_ring4();
+        let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let mut sim = Simulator::new(&topo, &db, &pattern, small_cfg(), 0.01, 3);
+        let mut plan = FaultPlan::new();
+        plan.fail_host(50, HostId(500));
+        sim.enable_faults(FaultOptions::with_plan(plan));
     }
 
     /// A NIC asleep under STOP with packets queued behind its worm must

@@ -13,8 +13,9 @@ use crate::config::{
 };
 use crate::counters::CounterSnapshot;
 use crate::events::{EventJournal, EventOptions};
+use crate::experiment::RunObservation;
 use crate::kernel::KernelMeasure;
-use crate::profiler::{ProfileReport, Profiler, SpanReport};
+use crate::profiler::{ProfileReport, Profiler};
 use crate::trace::{TraceOptions, TraceReport, TraceState};
 use crate::wfg::StallReport;
 
@@ -153,12 +154,6 @@ impl Simulator<'_> {
         self.profiler.as_deref().map(|p| p.report())
     }
 
-    /// Hierarchical span view of the same profile (phase → component
-    /// bucket); `None` when profiling was never enabled.
-    pub fn span_report(&self) -> Option<SpanReport> {
-        self.profiler.as_deref().map(|p| p.span_report())
-    }
-
     /// Enable the telemetry observers selected in `opts` (see
     /// [`TraceOptions`]). No-op when nothing is enabled. Call before
     /// running; observers record from this point on.
@@ -223,6 +218,19 @@ impl Simulator<'_> {
             max_pool_flits: m.kernel.max_pool_flits,
             channel_busy: self.channels.busy().to_vec(),
             counters: self.counter_snapshot(),
+        }
+    }
+
+    /// Close the measurement window and collect it with every armed
+    /// observer's report, the event journal taken out of the simulator:
+    /// the one place a [`RunObservation`] is built.
+    pub fn end_observation(&mut self, window_cycles: u64) -> RunObservation {
+        RunObservation {
+            stats: self.end_measurement(window_cycles),
+            reliability: self.reliability(),
+            trace: self.trace_report(),
+            profile: self.profile_report(),
+            journal: self.take_journal(),
         }
     }
 

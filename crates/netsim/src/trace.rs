@@ -181,25 +181,54 @@ pub struct TraceReport {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
+/// One sampled series' clock: it fires at the end of every
+/// `interval`-th cycle, and never when the series is off.
+#[derive(Debug)]
+struct Clock {
+    interval: u64,
+    /// The fire at the end of cycle `next - 1` is the next one.
+    next: u64,
+}
+
+impl Clock {
+    fn new(interval: Option<u64>) -> Clock {
+        let interval = interval.unwrap_or(u64::MAX);
+        Clock {
+            interval,
+            next: interval,
+        }
+    }
+
+    /// Does the series sample at the end of `cycle`? Firing moves the
+    /// clock on by one interval.
+    fn fires(&mut self, cycle: u64) -> bool {
+        let fires = cycle + 1 >= self.next;
+        if fires {
+            self.next = self.next.saturating_add(self.interval);
+        }
+        fires
+    }
+}
+
 /// Live observer state, boxed inside the simulator when tracing is on.
 #[derive(Debug)]
 pub(crate) struct TraceState {
     opts: TraceOptions,
     // Channel-utilization series.
-    util_next_flush: u64,
+    util_clock: Clock,
     util_snapshot: Vec<u64>,
     util_busy: Vec<Vec<u32>>,
     util_buckets: u64,
     // Pool-occupancy series.
-    occ_next_sample: u64,
+    occ_clock: Clock,
     occ_samples: Vec<u64>,
     occ_max: u64,
     // Goodput series.
-    goodput_next_flush: u64,
+    goodput_clock: Clock,
     goodput_acc: u64,
     goodput_samples: Vec<u64>,
     // Unified metrics series.
-    met_next_flush: u64,
+    met_clock: Clock,
     met_samples: Vec<MetricsSample>,
     // Latency histograms.
     lifetime: Histogram,
@@ -213,27 +242,19 @@ pub(crate) struct TraceState {
 
 impl TraceState {
     pub(crate) fn new(opts: TraceOptions, n_channels: usize) -> TraceState {
-        let track_util = opts.channel_util_interval.is_some();
+        let util_channels = opts.channel_util_interval.map_or(0, |_| n_channels);
         TraceState {
-            util_next_flush: opts.channel_util_interval.unwrap_or(u64::MAX),
-            util_snapshot: if track_util {
-                vec![0; n_channels]
-            } else {
-                Vec::new()
-            },
-            util_busy: if track_util {
-                vec![Vec::new(); n_channels]
-            } else {
-                Vec::new()
-            },
+            util_clock: Clock::new(opts.channel_util_interval),
+            util_snapshot: vec![0; util_channels],
+            util_busy: vec![Vec::new(); util_channels],
             util_buckets: 0,
-            occ_next_sample: opts.itb_occupancy_interval.unwrap_or(u64::MAX),
+            occ_clock: Clock::new(opts.itb_occupancy_interval),
             occ_samples: Vec::new(),
             occ_max: 0,
-            goodput_next_flush: opts.goodput_interval.unwrap_or(u64::MAX),
+            goodput_clock: Clock::new(opts.goodput_interval),
             goodput_acc: 0,
             goodput_samples: Vec::new(),
-            met_next_flush: opts.metrics_interval.unwrap_or(u64::MAX),
+            met_clock: Clock::new(opts.metrics_interval),
             met_samples: Vec::new(),
             lifetime: Histogram::new(),
             reinject: Histogram::new(),
@@ -309,33 +330,29 @@ impl TraceState {
         live_packets: u64,
         counters: Option<&CounterSnapshot>,
     ) {
-        if cycle + 1 >= self.util_next_flush {
-            let interval = self.opts.channel_util_interval.unwrap_or(u64::MAX);
+        if self.util_clock.fires(cycle) {
+            let interval = self.util_clock.interval;
             for (i, &now) in busy.iter().enumerate() {
                 let delta = now.saturating_sub(self.util_snapshot[i]);
                 self.util_snapshot[i] = now;
                 self.util_busy[i].push(delta.min(interval) as u32);
             }
             self.util_buckets += 1;
-            self.util_next_flush = self.util_next_flush.saturating_add(interval);
         }
-        if cycle + 1 >= self.occ_next_sample {
-            let total: u64 = nics.iter().map(|n| n.pool_used as u64).sum();
-            self.occ_max = self.occ_max.max(total);
-            self.occ_samples.push(total);
-            self.occ_next_sample = self
-                .occ_next_sample
-                .saturating_add(self.opts.itb_occupancy_interval.unwrap_or(u64::MAX));
-        }
-        if cycle + 1 >= self.goodput_next_flush {
+        if self.goodput_clock.fires(cycle) {
             self.goodput_samples.push(self.goodput_acc);
             self.goodput_acc = 0;
-            self.goodput_next_flush = self
-                .goodput_next_flush
-                .saturating_add(self.opts.goodput_interval.unwrap_or(u64::MAX));
         }
-        if cycle + 1 >= self.met_next_flush {
-            let pool: u64 = nics.iter().map(|n| n.pool_used as u64).sum();
+        let (occ, met) = (self.occ_clock.fires(cycle), self.met_clock.fires(cycle));
+        if !(occ || met) {
+            return;
+        }
+        let pool: u64 = nics.iter().map(|n| n.pool_used as u64).sum();
+        if occ {
+            self.occ_max = self.occ_max.max(pool);
+            self.occ_samples.push(pool);
+        }
+        if met {
             let mut values = Vec::with_capacity(2 + CounterSnapshot::NAMES.len());
             values.push(live_packets);
             values.push(pool);
@@ -346,9 +363,6 @@ impl TraceState {
                 None => values.extend(std::iter::repeat_n(0, CounterSnapshot::NAMES.len())),
             }
             self.met_samples.push(MetricsSample { cycle, values });
-            self.met_next_flush = self
-                .met_next_flush
-                .saturating_add(self.opts.metrics_interval.unwrap_or(u64::MAX));
         }
     }
 
@@ -357,10 +371,10 @@ impl TraceState {
     /// `next - 1`, so the run loop's time skip clamps its target to
     /// `next_tick() - 1`. `u64::MAX` when no sampling observer is armed.
     pub(crate) fn next_tick(&self) -> u64 {
-        self.util_next_flush
-            .min(self.occ_next_sample)
-            .min(self.goodput_next_flush)
-            .min(self.met_next_flush)
+        (self.util_clock.next)
+            .min(self.occ_clock.next)
+            .min(self.goodput_clock.next)
+            .min(self.met_clock.next)
     }
 
     /// The measurement window restarted and channel busy counters were

@@ -37,7 +37,7 @@ fn assert_invisible_on(build: fn() -> Topology, scheme: RoutingScheme, scheduler
             },
         );
         if profile {
-            assert!(obs.spans.is_some_and(|s| s.sampled_cycles > 0));
+            assert!(obs.profile.as_ref().is_some_and(|p| p.sampled_cycles > 0));
         }
         let mut stats = obs.stats;
         stats.counters = None;
