@@ -348,11 +348,16 @@ fn parse_what_if(s: &str) -> Result<WhatIfQuery, String> {
         faults: None,
     });
     let (cell, search) = (&mut query.cell, &mut query.search);
+    let mut seen = Vec::new();
     for part in s.split(',').filter(|p| !p.trim().is_empty()) {
         let (k, v) = part
             .split_once('=')
             .ok_or_else(|| format!("what-if field {part:?} is not key=value"))?;
         let (k, v) = (k.trim(), v.trim());
+        if seen.contains(&k) {
+            return Err(format!("what-if field {k:?} appears twice"));
+        }
+        seen.push(k);
         match k {
             "topo" => topo = Some(TopoSpec::parse(v)?),
             "scheme" => scheme = Some(parse_scheme(v)?),
@@ -397,6 +402,22 @@ mod tests {
             assert!(err.contains("\"payload_flits\""), "{payload}: {err}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A field given twice is refused by name, whichever it is, rather
+    /// than one of its values silently winning.
+    #[test]
+    fn what_if_refuses_a_repeated_field() {
+        let base = "topo=torus:2x2:1,scheme=UP/DOWN,pattern=uniform";
+        for (extra, key) in [
+            ("topo=torus:3x3:1", "topo"),
+            ("seed=1,seed=2", "seed"),
+            ("tol=0.2,tol=0.1", "tol"),
+        ] {
+            let err = parse_what_if(&format!("{base},{extra}")).unwrap_err();
+            assert_eq!(err, format!("what-if field {key:?} appears twice"));
+        }
+        assert!(parse_what_if(base).is_ok());
     }
 
     /// `topo=` and `fault=` reach the same pre-run check as a campaign

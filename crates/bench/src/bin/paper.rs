@@ -11,8 +11,7 @@
 //! sweep fan their cells across `REGNET_THREADS` workers (default: every
 //! core) and publish `target/experiments/status.json` as cells land.
 
-use regnet_bench::experiments::Output;
-use regnet_bench::{paper_usage, parse_paper_args};
+use regnet_bench::{paper_usage, parse_paper_args, Output};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

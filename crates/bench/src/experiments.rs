@@ -15,19 +15,19 @@
 
 use rand::SeedableRng;
 use regnet_campaign::{
-    run_plan, what_if_all, CampaignSpec, CellDefaults, CellResult, CellSpec, FaultSpec,
+    cell, run_plan, what_if_all, CampaignSpec, CellDefaults, CellResult, CellSpec, FaultSpec,
     ResultStore, RunnerOptions, StatusBoard, Sweep, TopoSpec, WhatIfEvent, WhatIfQuery,
 };
 use regnet_core::{ItbHostPicker, RouteDb, RouteDbConfig, RoutingScheme};
 use regnet_metrics::{Curve, CurvePoint, SaturationSearch, TimeSeries, UtilizationSummary};
-use regnet_netsim::experiment::{Experiment, RunOptions};
 use regnet_netsim::threads::threads;
-use regnet_netsim::trace::ChannelUtilSeries;
-use regnet_netsim::{ChannelDesc, FaultPlan, SimConfig, CYCLE_NS};
+use regnet_netsim::{
+    ChannelDesc, ChannelUtilSeries, Experiment, FaultPlan, RunOptions, SimConfig, CYCLE_NS,
+};
 use regnet_topology::{gen, HostId, LinkId, NodeId, SwitchId, Topology};
 use regnet_traffic::{random_hotspots, PatternSpec};
 
-use crate::{experiment, load_ladder, save_curves, save_time_series, Mode, Topo};
+use crate::{load_ladder, save_curves, save_time_series, Mode, Topo};
 
 /// Where a figure's output goes: its text to stdout and to the report
 /// `paper all` saves, its cells to the store under `target/experiments/`.
@@ -146,7 +146,7 @@ pub struct Figure {
 }
 
 /// Every subcommand, in the order `paper all` runs them.
-pub const FIGURES: &[Figure] = &[
+pub(crate) const FIGURES: &[Figure] = &[
     Figure {
         name: "routes",
         stems: &[],
@@ -236,7 +236,7 @@ pub const FIGURES: &[Figure] = &[
 
 /// A hotspot-throughput table (Tables 1–3 of the paper).
 #[derive(Debug)]
-pub struct TableResult {
+pub(crate) struct TableResult {
     pub name: String,
     /// Column labels after the first ("Hotspot") column.
     pub header: Vec<String>,
@@ -246,7 +246,7 @@ pub struct TableResult {
 
 impl TableResult {
     /// Column averages (the paper's "Avg" row).
-    pub fn averages(&self) -> Vec<f64> {
+    pub(crate) fn averages(&self) -> Vec<f64> {
         let cols = self.header.len();
         let mut sums = vec![0.0; cols];
         for (_, vals) in &self.rows {
@@ -258,7 +258,7 @@ impl TableResult {
         sums.iter().map(|s| s / n).collect()
     }
 
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = format!("== {} ==\nHotspot  ", self.name);
         for h in &self.header {
             out.push_str(&format!("{h:>10}"));
@@ -282,7 +282,7 @@ impl TableResult {
 
 /// A link-utilization experiment (Figures 8, 9, 11): labelled snapshots.
 #[derive(Debug)]
-pub struct UtilSnapshot {
+pub(crate) struct UtilSnapshot {
     pub label: String,
     pub offered: f64,
     pub summary: UtilizationSummary,
@@ -293,13 +293,13 @@ pub struct UtilSnapshot {
 }
 
 #[derive(Debug)]
-pub struct UtilReport {
+pub(crate) struct UtilReport {
     pub name: String,
     pub snapshots: Vec<UtilSnapshot>,
 }
 
 impl UtilReport {
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = format!("== {} ==\n", self.name);
         for s in &self.snapshots {
             out.push_str(&format!(
@@ -315,7 +315,7 @@ impl UtilReport {
                 s.summary.imbalance()
             ));
             out.push_str(&format!(
-                "fraction of links under 10%%: {:.0}%  under 12%%: {:.0}%  under 30%%: {:.0}%\n",
+                "fraction of links under 10%: {:.0}%  under 12%: {:.0}%  under 30%: {:.0}%\n",
                 s.summary.fraction_below(0.10) * 100.0,
                 s.summary.fraction_below(0.12) * 100.0,
                 s.summary.fraction_below(0.30) * 100.0
@@ -506,19 +506,42 @@ fn util_time_series(label: &str, descs: &[ChannelDesc], s: &ChannelUtilSeries) -
     ts
 }
 
-fn util_snapshot(
+/// The campaign cell behind one utilization snapshot: paper-default
+/// hardware, seed 8 and `mode`'s windows (`campaigns/paper_figs.json`
+/// holds the quick-mode ones).
+fn util_cell(
     topo: Topo,
     scheme: RoutingScheme,
     pattern: PatternSpec,
-    offered: f64,
+    load: f64,
     mode: Mode,
-) -> UtilSnapshot {
-    let exp = experiment(topo.build(), scheme, pattern);
-    let mut opts = mode.run_options(8);
+) -> CellSpec {
+    let opts = mode.run_options(8);
+    CellSpec {
+        topo: topo.spec(),
+        scheme,
+        pattern,
+        load,
+        seed: opts.seed,
+        warmup_cycles: opts.warmup_cycles,
+        measure_cycles: opts.measure_cycles,
+        payload_flits: SimConfig::default().payload_flits,
+        goodput_interval: None,
+        reconfig_latency_cycles: None,
+        faults: None,
+    }
+}
+
+/// Run `cell` as the campaign does, with the channel-utilization
+/// observer armed on top.
+fn util_snapshot(cell: &CellSpec, mode: Mode) -> UtilSnapshot {
+    let exp = cell::build_experiment(cell).expect("a paper cell");
+    let mut opts = cell::run_options(cell);
     opts.trace.channel_util_interval = Some(util_trace_interval(mode));
-    let obs = exp.run_observed(offered, &opts);
+    let obs = exp.run_observed(cell.load, &opts);
     let (summary, descs, series) = exp.link_utilization(&obs);
-    let label = format!("{} {}", scheme.label(), pattern.label());
+    let label = format!("{} {}", cell.scheme.label(), cell.pattern.label());
+    let offered = cell.load;
     let util_series = series.map(|s| util_time_series(&format!("{label} @ {offered}"), &descs, &s));
     UtilSnapshot {
         label,
@@ -526,6 +549,13 @@ fn util_snapshot(
         summary,
         descs,
         util_series,
+    }
+}
+
+fn util_report(name: String, cells: &[CellSpec], mode: Mode) -> UtilReport {
+    UtilReport {
+        name,
+        snapshots: cells.iter().map(|c| util_snapshot(c, mode)).collect(),
     }
 }
 
@@ -551,31 +581,26 @@ fn emit_util_report(
 /// **Figure 8** — link utilization in the 2-D torus under uniform traffic:
 /// UP/DOWN at its saturation point (0.015), ITB-RR at the same load, and
 /// ITB-RR near its own saturation (0.03).
-pub fn fig08(mode: Mode) -> UtilReport {
-    let snap =
-        |scheme, offered| util_snapshot(Topo::Torus, scheme, PatternSpec::Uniform, offered, mode);
-    UtilReport {
-        name: "Figure 8 — link utilization, 2-D torus, uniform".into(),
-        snapshots: vec![
-            snap(RoutingScheme::UpDown, 0.015),
-            snap(RoutingScheme::ItbRr, 0.015),
-            snap(RoutingScheme::ItbRr, 0.03),
-        ],
-    }
+fn fig08_cells(mode: Mode) -> Vec<CellSpec> {
+    let cell = |scheme, load| util_cell(Topo::Torus, scheme, PatternSpec::Uniform, load, mode);
+    vec![
+        cell(RoutingScheme::UpDown, 0.015),
+        cell(RoutingScheme::ItbRr, 0.015),
+        cell(RoutingScheme::ItbRr, 0.03),
+    ]
 }
 
 fn run_fig08(req: &Request, out: &mut Output) {
-    emit_util_report(&fig08(req.mode), "fig08", |_| "\n".into(), out);
+    let name = "Figure 8 — link utilization, 2-D torus, uniform".into();
+    let report = util_report(name, &fig08_cells(req.mode), req.mode);
+    emit_util_report(&report, "fig08", |_| "\n".into(), out);
 }
 
 /// **Figure 9** — link utilization in the torus with express channels at
 /// UP/DOWN's saturation point (0.066).
-pub fn fig09(mode: Mode) -> UtilReport {
-    let snap = |scheme| util_snapshot(Topo::Express, scheme, PatternSpec::Uniform, 0.066, mode);
-    UtilReport {
-        name: "Figure 9 — link utilization, torus+express, uniform".into(),
-        snapshots: vec![snap(RoutingScheme::UpDown), snap(RoutingScheme::ItbRr)],
-    }
+fn fig09_cells(mode: Mode) -> Vec<CellSpec> {
+    let cell = |scheme| util_cell(Topo::Express, scheme, PatternSpec::Uniform, 0.066, mode);
+    vec![cell(RoutingScheme::UpDown), cell(RoutingScheme::ItbRr)]
 }
 
 /// Mean utilization of the express channels (which connect switches two
@@ -606,28 +631,20 @@ fn express_split(snap: &UtilSnapshot) -> String {
 }
 
 fn run_fig09(req: &Request, out: &mut Output) {
-    emit_util_report(&fig09(req.mode), "fig09", express_split, out);
+    let name = "Figure 9 — link utilization, torus+express, uniform".into();
+    let report = util_report(name, &fig09_cells(req.mode), req.mode);
+    emit_util_report(&report, "fig09", express_split, out);
 }
 
 /// **Figure 11** — link utilization in the torus with 10% hotspot traffic
 /// at UP/DOWN's saturation point (~0.0123).
-pub fn fig11(mode: Mode) -> UtilReport {
-    let topo = Topo::Torus.build();
-    let hotspot = fig11_hotspot(&topo);
+fn fig11_cells(hotspot: HostId, mode: Mode) -> Vec<CellSpec> {
     let pattern = PatternSpec::Hotspot {
         fraction: 0.10,
         host: hotspot,
     };
-    UtilReport {
-        name: format!(
-            "Figure 11 — link utilization, 2-D torus, 10% hotspot at {hotspot} (switch {})",
-            topo.host_switch(hotspot)
-        ),
-        snapshots: vec![
-            util_snapshot(Topo::Torus, RoutingScheme::UpDown, pattern, 0.0123, mode),
-            util_snapshot(Topo::Torus, RoutingScheme::ItbRr, pattern, 0.0123, mode),
-        ],
-    }
+    let cell = |scheme| util_cell(Topo::Torus, scheme, pattern, 0.0123, mode);
+    vec![cell(RoutingScheme::UpDown), cell(RoutingScheme::ItbRr)]
 }
 
 fn fig11_hotspot(topo: &Topology) -> HostId {
@@ -636,7 +653,14 @@ fn fig11_hotspot(topo: &Topology) -> HostId {
 }
 
 fn run_fig11(req: &Request, out: &mut Output) {
-    emit_util_report(&fig11(req.mode), "fig11", |_| "\n".into(), out);
+    let topo = Topo::Torus.build();
+    let hotspot = fig11_hotspot(&topo);
+    let name = format!(
+        "Figure 11 — link utilization, 2-D torus, 10% hotspot at {hotspot} (switch {})",
+        topo.host_switch(hotspot)
+    );
+    let report = util_report(name, &fig11_cells(hotspot, req.mode), req.mode);
+    emit_util_report(&report, "fig11", |_| "\n".into(), out);
     out.put("(root switch is s0, top-left of the grid)\n");
 }
 
@@ -776,12 +800,12 @@ const TABLE3: HotspotTable = HotspotTable {
 
 /// Route-level statistics quoted in section 4.7.1 of the paper.
 #[derive(Debug)]
-pub struct RouteStatsReport {
+pub(crate) struct RouteStatsReport {
     pub rows: Vec<(String, regnet_core::analysis::RouteStats)>,
 }
 
 impl RouteStatsReport {
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::from(
             "topology/scheme              minimal%   avg-dist   avg-itbs   max-itbs   alts\n",
         );
@@ -800,7 +824,7 @@ impl RouteStatsReport {
 }
 
 /// Compute route statistics for every (topology, scheme) cell.
-pub fn route_stats() -> RouteStatsReport {
+pub(crate) fn route_stats() -> RouteStatsReport {
     let mut rows = Vec::new();
     for topo in [Topo::Torus, Topo::Express, Topo::Cplant] {
         let t = topo.build();
@@ -898,7 +922,7 @@ fn run_irregular(req: &Request, out: &mut Output) {
 /// the alternative-route cap, the in-transit pool size, the spanning-tree
 /// root, the in-transit host picker and — with the seeded-random ITB-RND
 /// extension — the path-selection policy.
-pub fn ablations() -> Vec<(String, CurvePoint)> {
+pub(crate) fn ablations() -> Vec<(String, CurvePoint)> {
     let sim = SimConfig {
         payload_flits: 64,
         ..SimConfig::default()
@@ -1181,7 +1205,7 @@ fn run_faults(req: &Request, out: &mut Output) {
 /// Render an 8×8 per-switch utilization map (average utilization of the
 /// switch-link channels leaving each switch) for torus-shaped topologies —
 /// the textual analogue of the paper's greyscale link maps.
-pub fn switch_grid_map(snapshot: &UtilSnapshot, cols: usize, n_switches: usize) -> String {
+pub(crate) fn switch_grid_map(snapshot: &UtilSnapshot, cols: usize, n_switches: usize) -> String {
     let mut sum = vec![0.0f64; n_switches];
     let mut cnt = vec![0usize; n_switches];
     for (d, &u) in snapshot.descs.iter().zip(&snapshot.summary.per_channel) {
@@ -1211,6 +1235,7 @@ pub fn switch_grid_map(snapshot: &UtilSnapshot, cols: usize, n_switches: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regnet_campaign::fnv1a64;
 
     #[test]
     fn ladders_bracket_paper_saturation_points() {
@@ -1282,17 +1307,21 @@ mod tests {
             assert_eq!(paper.len(), 24);
             assert_eq!(paper, group(&format!("fig07 {} uniform", topo.tag())));
         }
-        let hotspot = spec
-            .sweeps
-            .iter()
-            .find(|s| s.group == "fig11 torus hotspot");
-        assert_eq!(
-            hotspot.expect("a fig11 group").patterns,
-            [PatternSpec::Hotspot {
-                fraction: 0.10,
-                host: fig11_hotspot(&Topo::Torus.build()),
-            }]
-        );
+        let hashes = |cells: Vec<CellSpec>| -> Vec<String> {
+            let hash = |c: &CellSpec| format!("{:016x}", fnv1a64(c.canonical_key().as_bytes()));
+            cells.iter().map(hash).collect()
+        };
+        let hotspot = fig11_hotspot(&Topo::Torus.build());
+        for (name, cells) in [
+            ("fig08 torus util", fig08_cells(Mode::Quick)),
+            ("fig09 express util", fig09_cells(Mode::Quick)),
+            ("fig11 torus hotspot", fig11_cells(hotspot, Mode::Quick)),
+        ] {
+            assert_eq!(hashes(cells), group(name), "{name}");
+        }
+        assert_eq!(group("fig08 torus util").len(), 3);
+        assert_eq!(group("fig09 express util").len(), 2);
+        assert_eq!(group("fig11 torus hotspot").len(), 2);
     }
 
     #[test]
@@ -1341,6 +1370,9 @@ mod tests {
         };
         let text = report.render();
         assert!(text.contains("Figure X"));
+        assert!(
+            text.contains("\nfraction of links under 10%: 33%  under 12%: 67%  under 30%: 67%\n")
+        );
         assert!(text.contains("max 50.0%"));
         let grid = switch_grid_map(&report.snapshots[0], 2, 2);
         // Switch 0 has one outgoing switch channel at 50%; switch 1 at 10%.

@@ -2,16 +2,17 @@
 //! binaries: topology construction by name, command-line parsing, standard
 //! sweep parameters, result formatting, and JSON output.
 
-pub mod experiments;
+mod experiments;
 
 use std::io::Write;
 use std::path::Path;
 
+pub use experiments::Output;
 use experiments::{Figure, Request, FIGURES};
 use regnet_campaign::TopoSpec;
 use regnet_core::{RouteDbConfig, RoutingScheme};
 use regnet_metrics::Curve;
-use regnet_netsim::experiment::{Experiment, RunOptions};
+use regnet_netsim::{Experiment, RunOptions};
 use regnet_netsim::{FaultPlan, SimConfig};
 use regnet_topology::{LinkId, Topology};
 use regnet_traffic::PatternSpec;
@@ -28,10 +29,10 @@ pub enum Topo {
 }
 
 impl Topo {
-    pub const ALL: [Topo; 3] = [Topo::Torus, Topo::Express, Topo::Cplant];
+    pub(crate) const ALL: [Topo; 3] = [Topo::Torus, Topo::Express, Topo::Cplant];
 
     /// The campaign spelling of this topology, which is what builds it.
-    pub fn spec(self) -> TopoSpec {
+    pub(crate) fn spec(self) -> TopoSpec {
         match self {
             Topo::Torus => TopoSpec::Torus,
             Topo::Express => TopoSpec::Express,
@@ -44,7 +45,7 @@ impl Topo {
     }
 
     /// The name `--topo` takes and output file names carry.
-    pub fn tag(self) -> &'static str {
+    pub(crate) fn tag(self) -> &'static str {
         match self {
             Topo::Torus => "torus",
             Topo::Express => "express",
@@ -373,7 +374,7 @@ pub fn save_chrome_trace(path: &str, journal: &regnet_netsim::EventJournal) {
 }
 
 /// Geometric load ladder between `lo` and `hi` (inclusive), `n` points.
-pub fn load_ladder(lo: f64, hi: f64, n: usize) -> Vec<f64> {
+pub(crate) fn load_ladder(lo: f64, hi: f64, n: usize) -> Vec<f64> {
     assert!(n >= 2 && hi > lo && lo > 0.0);
     let ratio = (hi / lo).powf(1.0 / (n - 1) as f64);
     (0..n).map(|i| lo * ratio.powi(i as i32)).collect()
@@ -382,7 +383,7 @@ pub fn load_ladder(lo: f64, hi: f64, n: usize) -> Vec<f64> {
 /// Write curves to `target/experiments/<name>.json` (machine-readable) and
 /// as gnuplot-ready `.dat` files plus a `<name>.gp` script; prints the
 /// paths.
-pub fn save_curves(name: &str, curves: &[Curve]) {
+pub(crate) fn save_curves(name: &str, curves: &[Curve]) {
     let dir = Path::new("target/experiments");
     if std::fs::create_dir_all(dir).is_err() {
         return;
@@ -396,7 +397,7 @@ pub fn save_curves(name: &str, curves: &[Curve]) {
         }
         Err(e) => eprintln!("could not save {}: {e}", path.display()),
     }
-    match regnet_metrics::export::write_figure(dir, name, name, curves) {
+    match regnet_metrics::write_figure(dir, name, name, curves) {
         Ok(script) => println!("[saved {} + data]", script.display()),
         Err(e) => eprintln!("could not export plot files for {name}: {e}"),
     }
@@ -431,9 +432,9 @@ pub fn route_table_gauges(reg: &mut regnet_metrics::MetricsRegistry, db: &regnet
 
 /// Write a telemetry time series (e.g. per-link utilization over time) to
 /// `target/experiments/<name>.{json,dat,gp}`; prints the path.
-pub fn save_time_series(name: &str, ts: &regnet_metrics::TimeSeries) {
+pub(crate) fn save_time_series(name: &str, ts: &regnet_metrics::TimeSeries) {
     let dir = Path::new("target/experiments");
-    match regnet_metrics::export::write_time_series(dir, name, ts) {
+    match regnet_metrics::write_time_series(dir, name, ts) {
         Ok(json) => println!("[saved {} + data]", json.display()),
         Err(e) => eprintln!("could not export time series {name}: {e}"),
     }

@@ -56,7 +56,7 @@ pub struct Aggregates {
 
 /// Compute the aggregates for every result present in `results` (partial
 /// campaigns are fine — that is the streaming case).
-pub fn aggregate(plan: &RunPlan, results: &BTreeMap<String, CellResult>) -> Aggregates {
+pub(crate) fn aggregate(plan: &RunPlan, results: &BTreeMap<String, CellResult>) -> Aggregates {
     // group → family key → (display label, points).
     let mut groups: BTreeMap<&str, BTreeMap<String, (String, Vec<CurvePoint>)>> = BTreeMap::new();
     // How many distinct seeds a group spans (labels mention them only

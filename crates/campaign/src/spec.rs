@@ -19,7 +19,7 @@ use regnet_topology::{gen, HostId, LinkId, SwitchId, Topology};
 use regnet_traffic::PatternSpec;
 
 /// Current campaign-file schema identifier.
-pub const CAMPAIGN_SCHEMA: &str = "regnet-campaign-v1";
+pub(crate) const CAMPAIGN_SCHEMA: &str = "regnet-campaign-v1";
 
 /// Topology selector: the paper's three named topologies, a parametric
 /// torus / express torus for scaled campaigns, or a seeded random
@@ -204,7 +204,7 @@ pub fn parse_pattern(s: &str) -> Result<PatternSpec, String> {
 }
 
 /// Canonical spelling of a pattern (stable; feeds the config hash).
-pub fn pattern_key(p: &PatternSpec) -> String {
+pub(crate) fn pattern_key(p: &PatternSpec) -> String {
     match p {
         PatternSpec::Uniform => "uniform".into(),
         PatternSpec::BitReversal => "bit-reversal".into(),
@@ -368,12 +368,12 @@ impl CellSpec {
 
     /// FNV-1a 64 over the canonical key — the cell's identity for dedup,
     /// checkpoint file names and resume.
-    pub fn config_hash(&self) -> u64 {
+    pub(crate) fn config_hash(&self) -> u64 {
         fnv1a64(self.canonical_key().as_bytes())
     }
 
     /// The config hash as the 16-hex-digit spelling used for file names.
-    pub fn hash_hex(&self) -> String {
+    pub(crate) fn hash_hex(&self) -> String {
         format!("{:016x}", self.config_hash())
     }
 }
@@ -663,14 +663,18 @@ const SWEEP_KEYS: [&str; 7] = [
 ];
 
 /// Refuse every member of `obj` that is neither in `known` nor a
-/// `"_comment"`: the parsers below only look up the keys they know, so a
-/// misspelt or retired key would otherwise run something other than what
-/// the file says.
+/// `"_comment"`, and every member that appears twice: the parsers below
+/// only look up the keys they know, and only their first spelling, so a
+/// misspelt, retired or repeated key would otherwise run something other
+/// than what the file says.
 fn check_keys(obj: &JsonValue, known: &[&str], what: &str) -> Result<(), String> {
     let members = obj
         .as_object()
         .ok_or_else(|| format!("{what}: must be a JSON object"))?;
-    for (key, _) in members {
+    for (i, (key, _)) in members.iter().enumerate() {
+        if members[..i].iter().any(|(k, _)| k == key) {
+            return Err(format!("{what}: key {key:?} appears twice"));
+        }
         if key == "scheduler" || key == "schedulers" {
             return Err(format!(
                 "{what}: {key:?}: the engine is no longer selectable; delete the key"
@@ -1164,6 +1168,14 @@ mod tests {
                 r#"fault event: unknown key "fail_lnk""#,
             ),
             (
+                r#"{"label": "a", "label": "b", "events": [{"cycle": 0, "fail_link": 3}]}"#,
+                r#"fault object: key "label" appears twice"#,
+            ),
+            (
+                r#"{"events": [{"cycle": 0, "fail_link": 3, "cycle": 9}]}"#,
+                r#"fault event: key "cycle" appears twice"#,
+            ),
+            (
                 r#"{"events": [{"cycle": 0, "fail_link": 3, "repair_link": 3}]}"#,
                 "needs exactly one of fail_link/",
             ),
@@ -1301,6 +1313,22 @@ mod tests {
                 r#"sweep "g": "scheduler": the engine"#,
             ),
             (2, r#""schedulers": ["scan"]"#, gone),
+            (
+                0,
+                r#""name": "y""#,
+                r#"campaign file: key "name" appears twice"#,
+            ),
+            (1, r#""seed": 5"#, r#"defaults: key "seed" appears twice"#),
+            (
+                2,
+                r#""loads": [0.02, 0.03]"#,
+                r#"sweep "g": key "loads" appears twice"#,
+            ),
+            (
+                2,
+                r#""_comment": "a", "_comment": "b""#,
+                r#"key "_comment" appears twice"#,
+            ),
         ] {
             let text = file(level, &format!(", {extra}"));
             let err = CampaignSpec::from_json_str(&text).unwrap_err();

@@ -24,7 +24,7 @@ use crate::runner::RunnerEvent;
 use crate::store::write_atomically;
 
 /// Schema tag every status file carries.
-pub const STATUS_SCHEMA: &str = "regnet-status-v1";
+pub(crate) const STATUS_SCHEMA: &str = "regnet-status-v1";
 
 /// How many recent completions / errors a snapshot keeps.
 const RECENT_CAP: usize = 8;
@@ -43,7 +43,7 @@ pub struct WorkerStatus {
 /// The whole status file, as written and as parsed back.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StatusSnapshot {
-    /// Always [`STATUS_SCHEMA`].
+    /// Always `"regnet-status-v1"`.
     pub schema: String,
     /// Which binary is publishing (`"campaign"` or `"paper"`).
     pub tool: String,
@@ -416,11 +416,6 @@ impl StatusBoard {
         }
     }
 
-    /// The current snapshot (tests, callers that want the counts).
-    pub fn snapshot(&self) -> &StatusSnapshot {
-        &self.snap
-    }
-
     fn set_worker(&mut self, worker: usize, state: &str, cell: Option<String>) {
         if let Some(w) = self.snap.workers.get_mut(worker) {
             w.state = state.to_string();
@@ -516,7 +511,7 @@ mod tests {
     fn echo_lines_follow_the_board() {
         let path = temp_status("echo");
         let board = StatusBoard::new(&path, "paper", 4, 1);
-        let mut s = board.snapshot().clone();
+        let mut s = board.snap.clone();
         assert_eq!(echo_line("fig07", &s, ""), "[fig07] 0/4 (ETA --:--)");
         s.done = 1;
         s.pending = 3;
@@ -551,7 +546,7 @@ mod tests {
         board.done(0, "k=1");
         let text = fs::read_to_string(&path).unwrap();
         let back = StatusSnapshot::from_json_str(&text).unwrap();
-        assert_eq!(&back, board.snapshot());
+        assert_eq!(&back, &board.snap);
         let _ = fs::remove_dir_all(path.parent().unwrap());
     }
 
@@ -561,7 +556,7 @@ mod tests {
         assert!(validate_status_json("{}").is_err());
         let path = temp_status("bad");
         let board = StatusBoard::new(&path, "t", 1, 1);
-        let good = board.snapshot().to_json_string();
+        let good = board.snap.to_json_string();
         // Wrong schema tag.
         let bad = good.replace(STATUS_SCHEMA, "regnet-status-v0");
         assert!(validate_status_json(&bad).is_err());
@@ -643,7 +638,7 @@ mod tests {
         board.started(1, "torus:8x8:2/UP-DOWN");
         board.done(1, "torus:8x8:2/UP-DOWN");
         board.failed(1, "mesh:4x4:2/ITB-SP", "no such cell");
-        let text = render_status(board.snapshot());
+        let text = render_status(&board.snap);
         assert!(text.contains("[campaign] running"));
         assert!(text.contains("1/3 done, 1 failed, 1 pending"));
         assert!(text.contains("w0 running torus:8x8:2/ITB-RR"));

@@ -144,8 +144,8 @@ fn interrupted_campaign_resumes_to_identical_results() {
     let _ = fs::remove_dir_all(&res_dir);
 }
 
-/// Acceptance: a campaign cell produces exactly what the fig binaries'
-/// directly-driven `Experiment` produces for the same configuration —
+/// Acceptance: a campaign cell produces exactly what a hand-built
+/// `Experiment` produces for the same configuration —
 /// same stats, same digest — even when the direct run enables observers
 /// the campaign doesn't (fig08 traces channel utilization; observers
 /// never perturb results). The cell here is fig08's UP/DOWN point at
@@ -166,11 +166,11 @@ fn campaign_cell_matches_direct_experiment() {
         reconfig_latency_cycles: None,
         faults: None,
     };
-    let cell = regnet_campaign::run_cell(&spec).unwrap();
+    let cell = regnet_campaign::cell::run_cell(&spec).unwrap();
 
-    // The direct path, as crates/bench/src/experiments.rs drives fig08:
-    // same topology constructor, same config, same seed and windows, plus
-    // the channel-utilization trace the fig binary turns on.
+    // The direct path, built by hand: same topology, config, seed and
+    // windows, plus the channel-utilization trace fig08 arms on top of
+    // its cells.
     let exp = Experiment::new(
         regnet_topology::gen::torus_2d(8, 8, 8).unwrap(),
         RoutingScheme::UpDown,

@@ -2,9 +2,8 @@
 //! the paper (fraction of minimal paths, average distance, average number
 //! of in-transit buffers per route).
 
-use regnet_topology::{DistanceMatrix, HostId, Topology};
+use regnet_topology::{DistanceMatrix, Topology};
 
-use crate::journey::SegmentEnd;
 use crate::table::RouteDb;
 
 /// Summary statistics of a [`RouteDb`].
@@ -71,26 +70,10 @@ impl RouteStats {
     }
 }
 
-/// Distribution of in-transit duty over hosts: how many routes use each host
-/// as an in-transit buffer. A heavily skewed distribution would overload a
-/// few NICs.
-pub fn itb_host_load(topo: &Topology, db: &RouteDb) -> Vec<(HostId, usize)> {
-    let mut load = vec![0usize; topo.num_hosts()];
-    for (_, _, alts) in db.iter_pairs() {
-        for t in alts {
-            for seg in t.segments() {
-                if let SegmentEnd::Itb(h) = seg.end {
-                    load[h.idx()] += 1;
-                }
-            }
-        }
-    }
-    topo.hosts().map(|h| (h, load[h.idx()])).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journey::SegmentEnd;
     use crate::scheme::{RouteDbConfig, RoutingScheme};
     use regnet_topology::gen;
 
@@ -166,10 +149,20 @@ mod tests {
     fn itb_load_is_spread() {
         let topo = gen::torus_2d(8, 8, 8).unwrap();
         let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
-        let load = itb_host_load(&topo, &db);
-        let total: usize = load.iter().map(|&(_, l)| l).sum();
+        // How many routes use each host as an in-transit buffer.
+        let mut load = vec![0usize; topo.num_hosts()];
+        for (_, _, alts) in db.iter_pairs() {
+            for t in alts {
+                for seg in t.segments() {
+                    if let SegmentEnd::Itb(h) = seg.end {
+                        load[h.idx()] += 1;
+                    }
+                }
+            }
+        }
+        let total: usize = load.iter().sum();
         assert!(total > 0);
-        let max = load.iter().map(|&(_, l)| l).max().unwrap();
+        let max = *load.iter().max().unwrap();
         // With the Spread picker no single host should carry more than a
         // few percent of all in-transit duty.
         assert!(

@@ -98,14 +98,6 @@ impl Journey {
         self.wire_len_entering_segment(i, payload_flits) - self.segments[i].ports.len()
     }
 
-    /// The in-transit hosts visited, in order.
-    pub fn itb_hosts(&self) -> impl Iterator<Item = HostId> + '_ {
-        self.segments.iter().filter_map(|s| match s.end {
-            SegmentEnd::Itb(h) => Some(h),
-            SegmentEnd::Deliver => None,
-        })
-    }
-
     /// Sanity-check structural invariants (used by tests and debug builds).
     pub fn validate(&self) -> Result<(), String> {
         if self.segments.is_empty() {
@@ -214,7 +206,7 @@ mod tests {
         let j = two_segment_journey();
         assert_eq!(j.num_itbs(), 1);
         assert_eq!(j.total_links(), 3);
-        assert_eq!(j.itb_hosts().collect::<Vec<_>>(), vec![HostId(4)]);
+        assert_eq!(j.segments[0].end, SegmentEnd::Itb(HostId(4)));
         assert!(j.validate().is_ok());
     }
 

@@ -4,7 +4,7 @@ use regnet_routing::minimal::{MinimalDag, PathSet};
 use regnet_routing::{simple_routes, SimpleRoutesConfig, SwitchPath};
 use regnet_topology::{DistanceMatrix, HostId, Orientation, SwitchId, Topology};
 
-use crate::journey::{Journey, Segment, SegmentEnd};
+use crate::journey::Journey;
 use crate::split::{no_itb_host, split_into, ItbHostPicker};
 use crate::table::{RouteDb, RouteDbBuilder};
 
@@ -264,24 +264,6 @@ impl RouteDb {
         };
         alts.get(idx).materialise(src, dst, topo.host_port(dst))
     }
-
-    /// A journey for intra-switch traffic (source and destination hosts on
-    /// the same switch). Exposed for tests; `select` handles this case
-    /// transparently because the switch-pair table contains the trivial
-    /// template.
-    pub fn same_switch_journey(topo: &Topology, src: HostId, dst: HostId) -> Journey {
-        let sw = topo.host_switch(src);
-        debug_assert_eq!(sw, topo.host_switch(dst));
-        Journey {
-            src,
-            dst,
-            segments: vec![Segment {
-                switches: vec![sw],
-                ports: vec![topo.host_port(dst)],
-                end: SegmentEnd::Deliver,
-            }],
-        }
-    }
 }
 
 #[inline]
@@ -385,8 +367,7 @@ mod tests {
         assert_eq!(j.total_links(), 0);
         assert_eq!(j.num_itbs(), 0);
         assert_eq!(j.segments[0].ports, vec![topo.host_port(HostId(1))]);
-        let j2 = RouteDb::same_switch_journey(&topo, HostId(0), HostId(1));
-        assert_eq!(j.segments, j2.segments);
+        assert_eq!(j.segments[0].switches, vec![topo.host_switch(HostId(0))]);
     }
 
     #[test]

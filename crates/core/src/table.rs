@@ -99,7 +99,7 @@ impl RouteDb {
     /// network produces when some switch pairs are unreachable. Callers
     /// must check [`has_route`](RouteDb::has_route) before
     /// [`select`](RouteDb::select).
-    pub fn from_templates_partial(
+    pub(crate) fn from_templates_partial(
         scheme: RoutingScheme,
         n_switches: usize,
         n_hosts: usize,
@@ -145,8 +145,7 @@ impl RouteDb {
 
     /// Does the table hold at least one route for this ordered switch pair?
     /// Always true for databases built by [`build`](RouteDb::build); may be
-    /// false for [`from_templates_partial`](RouteDb::from_templates_partial)
-    /// tables on a partitioned network.
+    /// false for a table built on a partitioned network.
     pub fn has_route(&self, src: SwitchId, dst: SwitchId) -> bool {
         !self.alternatives(src, dst).is_empty()
     }
@@ -434,7 +433,7 @@ impl RouteDbBuilder {
     }
 
     /// Drop everything pushed since the last [`end_route`](Self::end_route).
-    pub fn abort_route(&mut self) {
+    pub(crate) fn abort_route(&mut self) {
         let db = &mut self.db;
         let segs = *db.route_segs.last().expect("offsets start at 0") as usize;
         db.seg_end.truncate(segs);
@@ -445,7 +444,7 @@ impl RouteDbBuilder {
     }
 
     /// Routes the open pair has so far.
-    pub fn routes_in_pair(&self) -> usize {
+    pub(crate) fn routes_in_pair(&self) -> usize {
         let closed = *self.db.pair_routes.last().expect("offsets start at 0");
         self.db.route_segs.len() - 1 - closed as usize
     }

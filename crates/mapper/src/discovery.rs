@@ -57,11 +57,6 @@ impl DiscoveredNetwork {
     pub fn lost_hosts(&self) -> usize {
         self.host_to_new.iter().filter(|h| h.is_none()).count()
     }
-
-    /// Switches of the physical network that are no longer reachable.
-    pub fn lost_switches(&self) -> usize {
-        self.switch_to_new.iter().filter(|s| s.is_none()).count()
-    }
 }
 
 /// Explore the network from `seed`'s switch, honouring `faults`, and build
@@ -163,7 +158,6 @@ mod tests {
         assert_eq!(d.topo.num_hosts(), 32);
         assert_eq!(d.topo.num_switch_links(), physical.num_switch_links());
         assert_eq!(d.lost_hosts(), 0);
-        assert_eq!(d.lost_switches(), 0);
         // Round-trip maps.
         for s in physical.switches() {
             let n = d.switch_to_new[s.idx()].unwrap();
@@ -207,7 +201,6 @@ mod tests {
         assert_eq!(d.topo.num_switches(), 15);
         assert_eq!(d.topo.num_hosts(), 30);
         assert_eq!(d.lost_hosts(), 2);
-        assert_eq!(d.lost_switches(), 1);
         assert!(d.switch_to_new[5].is_none());
     }
 

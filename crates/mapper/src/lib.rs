@@ -13,7 +13,7 @@
 //!   takes after every fault: re-map, rebuild the routing tables for any
 //!   [`RoutingScheme`](regnet_core::RoutingScheme) and translate them back
 //!   into physical ids, as [`PhysicalRoutes`]. The simulator's fault
-//!   machinery (`regnet_netsim::faultplan`) calls it on every
+//!   machinery (`regnet_netsim::FaultPlan`) calls it on every
 //!   reconfiguration.
 //!
 //! # Example

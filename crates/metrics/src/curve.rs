@@ -56,7 +56,7 @@ impl Curve {
 
     /// Sort the points by offered load (stable, total order — NaNs sort
     /// last, though no simulator path produces them).
-    pub fn sort_by_offered(&mut self) {
+    pub(crate) fn sort_by_offered(&mut self) {
         self.points.sort_by(|a, b| a.offered.total_cmp(&b.offered));
     }
 

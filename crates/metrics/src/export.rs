@@ -11,7 +11,7 @@ use crate::curve::{Curve, TimeSeries};
 
 /// Render one curve as a whitespace-separated data table
 /// (`accepted latency_ns p99_ns offered itbs`).
-pub fn curve_to_dat(curve: &Curve) -> String {
+pub(crate) fn curve_to_dat(curve: &Curve) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# {}", curve.label);
     let _ = writeln!(
@@ -30,7 +30,7 @@ pub fn curve_to_dat(curve: &Curve) -> String {
 
 /// A gnuplot script plotting `files` (already written `.dat` paths) in the
 /// paper's style.
-pub fn gnuplot_script(title: &str, output_png: &str, files: &[(String, String)]) -> String {
+pub(crate) fn gnuplot_script(title: &str, output_png: &str, files: &[(String, String)]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "set terminal pngcairo size 900,600");
     let _ = writeln!(out, "set output '{output_png}'");
@@ -76,7 +76,7 @@ pub fn write_figure(
 /// Render a [`TimeSeries`] as a whitespace-separated data table: first
 /// column is the sample's starting cycle, then one column per series.
 /// Ragged series are padded with `nan` (gnuplot skips those points).
-pub fn time_series_to_dat(ts: &TimeSeries) -> String {
+pub(crate) fn time_series_to_dat(ts: &TimeSeries) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# {}", ts.label);
     let _ = write!(out, "# cycle");
@@ -103,7 +103,11 @@ pub fn time_series_to_dat(ts: &TimeSeries) -> String {
 
 /// A gnuplot script plotting every column of a time-series `.dat` file
 /// against the cycle column.
-pub fn time_series_gnuplot_script(ts: &TimeSeries, dat_file: &str, output_png: &str) -> String {
+pub(crate) fn time_series_gnuplot_script(
+    ts: &TimeSeries,
+    dat_file: &str,
+    output_png: &str,
+) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "set terminal pngcairo size 1100,600");
     let _ = writeln!(out, "set output '{output_png}'");

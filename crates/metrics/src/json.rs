@@ -71,13 +71,6 @@ impl JsonValue {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     pub fn as_array(&self) -> Option<&[JsonValue]> {
         match self {
             JsonValue::Array(items) => Some(items),
@@ -349,7 +342,7 @@ mod tests {
             cells[0].get("cycles_per_sec").unwrap().as_f64(),
             Some(1.5e6)
         );
-        assert_eq!(cells[0].get("traced").unwrap().as_bool(), Some(false));
+        assert_eq!(cells[0].get("traced"), Some(&JsonValue::Bool(false)));
         assert_eq!(v.get("rss").unwrap().as_f64(), Some(42.0));
         assert!(v.get("missing").is_none());
     }
@@ -391,6 +384,6 @@ mod tests {
         assert_eq!(v.get("name").unwrap().as_str(), Some("a \"quoted\" name"));
         assert_eq!(v.get("xs").unwrap().as_array().unwrap().len(), 3);
         assert_eq!(v.get("frac").unwrap().as_f64(), Some(0.25));
-        assert_eq!(v.get("on").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("on"), Some(&JsonValue::Bool(true)));
     }
 }

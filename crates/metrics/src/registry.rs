@@ -11,7 +11,7 @@
 
 /// The Prometheus type of a metric family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
+pub(crate) enum MetricKind {
     /// Monotonic event count (`_total` naming convention applies).
     Counter,
     /// Instantaneous value, may go up or down.
@@ -32,7 +32,7 @@ impl MetricKind {
 
 /// The value of one metric point.
 #[derive(Debug, Clone, PartialEq)]
-pub enum MetricValue {
+pub(crate) enum MetricValue {
     Counter(u64),
     Gauge(f64),
     Summary {
@@ -45,7 +45,7 @@ pub enum MetricValue {
 
 /// One sample of a family: a label set plus a value.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MetricPoint {
+pub(crate) struct MetricPoint {
     /// `(key, value)` pairs, rendered in the order given.
     pub labels: Vec<(String, String)>,
     pub value: MetricValue,
@@ -53,7 +53,7 @@ pub struct MetricPoint {
 
 /// All points sharing a metric name.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MetricFamily {
+pub(crate) struct MetricFamily {
     pub name: String,
     pub help: String,
     pub kind: MetricKind,
@@ -104,17 +104,6 @@ impl MetricsRegistry {
         );
     }
 
-    /// Record a gauge sample with labels.
-    pub fn gauge_with(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        self.push(
-            name,
-            help,
-            MetricKind::Gauge,
-            labels,
-            MetricValue::Gauge(value),
-        );
-    }
-
     /// Record a pre-aggregated summary (count, sum, quantiles).
     pub fn summary(
         &mut self,
@@ -135,19 +124,6 @@ impl MetricsRegistry {
                 quantiles: quantiles.to_vec(),
             },
         );
-    }
-
-    /// Look a family up by name.
-    pub fn get(&self, name: &str) -> Option<&MetricFamily> {
-        self.families.iter().find(|f| f.name == name)
-    }
-
-    pub fn families(&self) -> &[MetricFamily] {
-        &self.families
-    }
-
-    pub fn len(&self) -> usize {
-        self.families.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -337,7 +313,7 @@ regnet_drops_total{scheme=\"itb-sp\"} 3
         let mut r = MetricsRegistry::new();
         r.counter_with("x_total", "X", &[("k", "a")], 1);
         r.counter_with("x_total", "X", &[("k", "b")], 2);
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.families.len(), 1);
         let text = r.to_prometheus();
         assert_eq!(text.matches("# TYPE x_total").count(), 1);
         assert!(text.contains("x_total{k=\"a\"} 1\n"));
@@ -383,7 +359,7 @@ regnet_drops_total{scheme=\"itb-sp\"} 3
     #[test]
     fn escaping_help_and_labels() {
         let mut r = MetricsRegistry::new();
-        r.gauge_with("g", "line1\nline2 \\ end", &[("p", "a\"b\\c\nd")], 1.0);
+        r.counter_with("g", "line1\nline2 \\ end", &[("p", "a\"b\\c\nd")], 1);
         let text = r.to_prometheus();
         assert!(text.contains("# HELP g line1\\nline2 \\\\ end\n"));
         assert!(text.contains("g{p=\"a\\\"b\\\\c\\nd\"} 1\n"));

@@ -63,26 +63,6 @@ impl RunningStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// A histogram with logarithmically spaced buckets, good for latency
@@ -159,14 +139,6 @@ impl Histogram {
         }
         Self::bucket_low(self.counts.len() - 1)
     }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
 }
 
 #[cfg(test)]
@@ -192,42 +164,6 @@ mod tests {
         assert!(s.mean().is_nan());
         assert!(s.variance().is_nan());
         assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 20.0).collect();
-        let mut all = RunningStats::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty() {
-        let mut a = RunningStats::new();
-        a.push(1.0);
-        let b = RunningStats::new();
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        let mut c = RunningStats::new();
-        c.merge(&a);
-        assert_eq!(c.count(), 1);
-        assert_eq!(c.mean(), 1.0);
     }
 
     #[test]
@@ -259,35 +195,12 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for v in 0..1000 {
-            if v % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 1000);
-        let med = a.quantile(0.5) as f64;
-        assert!((med - 500.0).abs() < 40.0, "{med}");
-    }
-
-    #[test]
     fn histogram_empty_quantiles_are_zero() {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(h.quantile(q), 0, "q={q}");
         }
-        // Merging an empty histogram is a no-op.
-        let mut a = Histogram::new();
-        a.record(7);
-        a.merge(&h);
-        assert_eq!(a.count(), 1);
-        assert_eq!(a.quantile(1.0), 7);
     }
 
     #[test]

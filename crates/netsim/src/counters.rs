@@ -10,8 +10,9 @@
 //! the determinism suite). The hook sites sit inside the shared
 //! per-component delivery/advance helpers, *below* the scheduler's
 //! dispatch: whether a phase reached a component by scanning everything
-//! or by draining a wake list, the same hooks fire in the same
-//! ascending-index order, so snapshots are also identical across
+//! or by walking the engine's bitsets of occupied channels and active
+//! components, the same hooks fire in the same ascending-index order, so
+//! snapshots are also identical across
 //! [`Scheduler`](crate::Scheduler) modes (`tests/scheduler_equivalence.rs`).
 //!
 //! The hook sites count straight into the [`CounterSnapshot`] the
@@ -20,8 +21,7 @@
 //! binaries.
 
 /// Counter values: live inside the simulator, a copy of them at a point in
-/// time everywhere else. Field order matches [`CounterSnapshot::NAMES`];
-/// iterate with [`as_pairs`](CounterSnapshot::as_pairs).
+/// time everywhere else. Field order matches [`CounterSnapshot::NAMES`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CounterSnapshot {
     /// Flits moved through a switch crossbar.
@@ -68,7 +68,7 @@ pub struct CounterSnapshot {
 }
 
 impl CounterSnapshot {
-    /// Counter names, in [`as_pairs`](CounterSnapshot::as_pairs) order.
+    /// Counter names, in field order.
     pub const NAMES: [&'static str; 19] = [
         "flits_forwarded",
         "flits_injected",
@@ -92,7 +92,7 @@ impl CounterSnapshot {
     ];
 
     /// `(name, value)` pairs in a fixed order, for table printing.
-    pub fn as_pairs(&self) -> [(&'static str, u64); 19] {
+    pub(crate) fn as_pairs(&self) -> [(&'static str, u64); 19] {
         [
             ("flits_forwarded", self.flits_forwarded),
             ("flits_injected", self.flits_injected),

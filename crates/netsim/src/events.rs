@@ -19,9 +19,10 @@
 //! simulator: disabled, each hook site costs one branch. The journal is
 //! order-sensitive (entries are appended as hooks fire), so the hook
 //! sites live in the shared helpers below the scheduler dispatch and the
-//! active-set scheduler sorts every wake list before draining it — the
-//! recorded sequence, and therefore the Chrome trace export, is
-//! byte-identical between [`Scheduler`](crate::Scheduler) modes
+//! engine walks its channel-occupancy and active-component bitsets in
+//! ascending index order, the scan oracle's order — the recorded
+//! sequence, and therefore the Chrome trace export, is byte-identical
+//! between [`Scheduler`](crate::Scheduler) modes
 //! (`tests/scheduler_equivalence.rs::chrome_trace_export_schedulers_agree`).
 
 use std::collections::VecDeque;
@@ -30,9 +31,7 @@ use regnet_metrics::{ChromeArg, ChromeTrace};
 
 use crate::config::CYCLE_NS;
 use crate::faultplan::FaultTarget;
-
-/// `Event::pid` value for events not tied to a packet (fault events).
-pub const NO_PACKET: u32 = u32::MAX;
+use crate::packet::NO_PACKET;
 
 /// Why a worm's head could not advance when it finished routing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +78,7 @@ pub enum EventKind {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
     pub cycle: u64,
-    /// Packet id ([`NO_PACKET`] for fault events). Packet ids are arena
+    /// Packet id (`u32::MAX` for fault events). Packet ids are arena
     /// slots and are reused; journeys are delimited by `Inject` …
     /// `Deliver`/`Drop` pairs, not by pid alone.
     pub pid: u32,

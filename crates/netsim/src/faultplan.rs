@@ -154,7 +154,7 @@ impl FaultPlan {
     }
 
     /// Stable-sort the events by cycle (scripted order breaks ties).
-    pub fn normalize(&mut self) {
+    pub(crate) fn normalize(&mut self) {
         self.events.sort_by_key(|e| e.cycle);
     }
 

@@ -22,10 +22,13 @@
 //!   cut-through — as soon as the output channel is free. The 90 KB ITB
 //!   pool overflows to host memory at a 1 µs penalty.
 //!
-//! The [`experiment`] module provides the high-level API used by the
-//! examples and the paper-reproduction harness: run one offered-load
-//! point. Sweeps and saturation searches are grids of such points, run
-//! by `regnet-campaign`.
+//! [`Experiment`] is the high-level API used by the examples and the
+//! paper-reproduction harness: run one offered-load point. Sweeps and
+//! saturation searches are grids of such points, run by
+//! `regnet-campaign`.
+//!
+//! The modules are private and every name is exported from the crate
+//! root, except [`threads`], which callers name by path.
 //!
 //! # Quickstart
 //!
@@ -33,8 +36,7 @@
 //! use regnet_topology::gen;
 //! use regnet_core::{RouteDbConfig, RoutingScheme};
 //! use regnet_traffic::PatternSpec;
-//! use regnet_netsim::experiment::{Experiment, RunOptions};
-//! use regnet_netsim::SimConfig;
+//! use regnet_netsim::{Experiment, RunOptions, SimConfig};
 //!
 //! let topo = gen::torus_2d(4, 4, 2).unwrap();
 //! let exp = Experiment::new(
@@ -54,24 +56,24 @@
 
 mod channel;
 mod config;
-pub mod counters;
-pub mod events;
-pub mod experiment;
-pub mod faultplan;
+mod counters;
+mod events;
+mod experiment;
+mod faultplan;
 mod kernel;
 mod nic;
 mod packet;
-pub mod profiler;
+mod profiler;
 mod sched;
 mod sim;
 mod switch;
 pub mod threads;
-pub mod trace;
-pub mod wfg;
+mod trace;
+mod wfg;
 
 pub use config::{SimConfig, CYCLE_NS, MAX_PAYLOAD_FLITS, MAX_SWITCH_PORTS};
 pub use counters::CounterSnapshot;
-pub use events::{BlockCause, Event, EventJournal, EventKind, EventOptions, NO_PACKET};
+pub use events::{BlockCause, Event, EventJournal, EventKind, EventOptions};
 pub use experiment::{Experiment, RunObservation, RunOptions};
 pub use faultplan::{FaultEvent, FaultOptions, FaultPlan, FaultTarget, ReliabilityStats};
 pub use profiler::{PhaseProfile, ProfileReport, PHASE_NAMES};

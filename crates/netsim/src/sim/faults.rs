@@ -11,9 +11,10 @@ use regnet_topology::{HostId, SwitchId};
 use super::Simulator;
 use crate::channel::{Receiver, Sender};
 use crate::config::MAX_RETRANSMITS;
-use crate::events::{EventKind, NO_PACKET};
+use crate::events::EventKind;
 use crate::faultplan::{FaultEvent, FaultOptions, FaultRuntime, FaultTarget, ReliabilityStats};
 use crate::nic::Nic;
+use crate::packet::NO_PACKET;
 use crate::switch::HeadState;
 
 /// How the loss phase disposes of a packet the kernel could not move on.

@@ -52,7 +52,7 @@ pub(super) fn directed_channels(topo: &Topology) -> impl Iterator<Item = (LinkEn
 impl ChannelDesc {
     /// Descriptors of every directed channel of `topo`, parallel to
     /// [`RunStats::channel_busy`], without building a simulator.
-    pub fn of(topo: &Topology) -> Vec<ChannelDesc> {
+    pub(crate) fn of(topo: &Topology) -> Vec<ChannelDesc> {
         let desc = |(from, to): (LinkEnd, LinkEnd)| ChannelDesc {
             from: from.node(),
             to: to.node(),
@@ -137,20 +137,20 @@ impl Simulator<'_> {
     }
 
     /// Take the journal out of the simulator (for export after a run).
-    pub fn take_journal(&mut self) -> Option<Box<EventJournal>> {
+    pub(crate) fn take_journal(&mut self) -> Option<Box<EventJournal>> {
         self.journal.take()
     }
 
     /// Enable per-phase wall-time profiling. Wall times never enter
     /// [`RunStats`]; collect them with
     /// [`profile_report`](Simulator::profile_report).
-    pub fn enable_profiler(&mut self) {
+    pub(crate) fn enable_profiler(&mut self) {
         self.profiler = Some(Box::new(Profiler::new()));
     }
 
     /// Per-phase wall-time breakdown; `None` when profiling was never
     /// enabled.
-    pub fn profile_report(&self) -> Option<ProfileReport> {
+    pub(crate) fn profile_report(&self) -> Option<ProfileReport> {
         self.profiler.as_deref().map(|p| p.report())
     }
 
@@ -294,7 +294,7 @@ impl Simulator<'_> {
 
     /// Static channel descriptors (parallel to [`RunStats::channel_busy`]),
     /// read off the channels this simulator built; equal to
-    /// [`ChannelDesc::of`] its topology.
+    /// `ChannelDesc::of` its topology.
     pub fn channel_descriptors(&self) -> Vec<ChannelDesc> {
         (0..self.channels.len() as u32)
             .map(|ci| {

@@ -5,7 +5,8 @@ use std::collections::VecDeque;
 
 use crate::channel::{CTL_GO, CTL_STOP};
 use crate::config::{GO_THRESHOLD, SLACK_BUFFER_FLITS, STOP_THRESHOLD};
-use crate::events::{BlockCause, NO_PACKET};
+use crate::events::BlockCause;
+use crate::packet::NO_PACKET;
 
 /// A packet resident (partially or fully) in one input buffer.
 #[derive(Debug, Clone, Copy, PartialEq)]

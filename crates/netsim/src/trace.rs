@@ -132,7 +132,7 @@ pub struct MetricsSeries {
 
 impl MetricsSeries {
     /// Column names of every series: the two gauges, then the 19 counters.
-    pub fn column_names() -> Vec<String> {
+    pub(crate) fn column_names() -> Vec<String> {
         let mut names = vec!["live_packets".to_string(), "itb_pool_flits".to_string()];
         names.extend(CounterSnapshot::NAMES.iter().map(|s| s.to_string()));
         names

@@ -6,8 +6,7 @@
 //!
 //! Both questions are answered by [`MinimalDag`], the shortest-path DAG
 //! towards one destination. A route table asks it once per source;
-//! [`k_minimal_paths`] and [`count_minimal_paths`] are the one-pair
-//! conveniences over it.
+//! [`k_minimal_paths`] is the one-pair convenience over it.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -204,17 +203,6 @@ impl<'a> MinimalDag<'a> {
     }
 }
 
-/// Number of distinct minimal paths between two switches (dynamic program
-/// over the shortest-path DAG). Saturates at `u64::MAX`.
-pub fn count_minimal_paths(
-    topo: &Topology,
-    dm: &DistanceMatrix,
-    src: SwitchId,
-    dst: SwitchId,
-) -> u64 {
-    MinimalDag::new(topo, dm, dst).count(src)
-}
-
 /// Enumerate up to `k` distinct minimal paths from `src` to `dst`: one
 /// [`MinimalDag::k_paths`] query, as owned paths.
 pub fn k_minimal_paths(
@@ -360,14 +348,20 @@ mod tests {
         let topo = gen::torus_2d(8, 8, 1).unwrap();
         let dm = DistanceMatrix::compute(&topo);
         // Straight line: exactly one minimal path.
-        assert_eq!(count_minimal_paths(&topo, &dm, SwitchId(0), SwitchId(3)), 1);
+        assert_eq!(
+            MinimalDag::new(&topo, &dm, SwitchId(3)).count(SwitchId(0)),
+            1
+        );
         // (0,0) -> (2,2): C(4,2) = 6 lattice paths.
         assert_eq!(
-            count_minimal_paths(&topo, &dm, SwitchId(0), SwitchId(18)),
+            MinimalDag::new(&topo, &dm, SwitchId(18)).count(SwitchId(0)),
             6
         );
         // Same switch: one (empty) path.
-        assert_eq!(count_minimal_paths(&topo, &dm, SwitchId(5), SwitchId(5)), 1);
+        assert_eq!(
+            MinimalDag::new(&topo, &dm, SwitchId(5)).count(SwitchId(5)),
+            1
+        );
     }
 
     #[test]
@@ -392,7 +386,7 @@ mod tests {
         let topo = gen::torus_2d(8, 8, 1).unwrap();
         let dm = DistanceMatrix::compute(&topo);
         // (0,0) -> (4,4) wraps either way: lots of minimal paths.
-        let n = count_minimal_paths(&topo, &dm, SwitchId(0), SwitchId(36));
+        let n = MinimalDag::new(&topo, &dm, SwitchId(36)).count(SwitchId(0));
         assert!(n > 10, "{n}");
         let paths = k_minimal_paths(&topo, &dm, SwitchId(0), SwitchId(36), 10, 3);
         assert_eq!(paths.len(), 10);
@@ -424,7 +418,7 @@ mod tests {
         let topo = gen::torus_2d_express(8, 8, 1).unwrap();
         let dm = DistanceMatrix::compute(&topo);
         for (s, d) in [(0u32, 36u32), (0, 9), (3, 60)] {
-            let n = count_minimal_paths(&topo, &dm, SwitchId(s), SwitchId(d));
+            let n = MinimalDag::new(&topo, &dm, SwitchId(d)).count(SwitchId(s));
             let paths = k_minimal_paths(&topo, &dm, SwitchId(s), SwitchId(d), 64, 5);
             if n <= 64 {
                 assert_eq!(paths.len() as u64, n, "{s}->{d}");
@@ -520,12 +514,12 @@ mod tests {
         let topo = b.build().unwrap();
         let dm = DistanceMatrix::compute(&topo);
         let (src, dst) = (SwitchId(0), SwitchId(65));
-        assert_eq!(count_minimal_paths(&topo, &dm, src, dst), u64::MAX);
+        assert_eq!(MinimalDag::new(&topo, &dm, dst).count(src), u64::MAX);
         assert_eq!(
             reference_count_minimal_paths(&topo, &dm, src, dst),
             u64::MAX
         );
-        assert_eq!(count_minimal_paths(&topo, &dm, SwitchId(2), dst), 1 << 63);
+        assert_eq!(MinimalDag::new(&topo, &dm, dst).count(SwitchId(2)), 1 << 63);
         let paths = k_minimal_paths(&topo, &dm, src, dst, 2, 9);
         assert_eq!(paths, reference_k_minimal_paths(&topo, &dm, src, dst, 2, 9));
         assert_eq!(paths.len(), 1);

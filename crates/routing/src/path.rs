@@ -1,6 +1,6 @@
 //! Switch-level paths and their properties.
 
-use regnet_topology::{DistanceMatrix, HostId, Orientation, Port, SwitchId, Topology};
+use regnet_topology::{DistanceMatrix, Orientation, SwitchId, Topology};
 
 /// A path through the switch graph: the ordered list of switches traversed.
 ///
@@ -37,7 +37,7 @@ impl SwitchPath {
     }
 
     /// Consecutive `(from, to)` hops.
-    pub fn hops(&self) -> impl Iterator<Item = (SwitchId, SwitchId)> + '_ {
+    pub(crate) fn hops(&self) -> impl Iterator<Item = (SwitchId, SwitchId)> + '_ {
         self.0.windows(2).map(|w| (w[0], w[1]))
     }
 
@@ -61,29 +61,6 @@ impl SwitchPath {
     /// if any. This is where an in-transit buffer must be inserted.
     pub fn first_violation(&self, orient: &Orientation) -> Option<usize> {
         first_violation(&self.0, orient)
-    }
-
-    /// Materialise the Myrinet source-route header for this path: one output
-    /// port per switch traversed, ending with the port of the destination
-    /// host on the final switch.
-    ///
-    /// With parallel links between two switches the port is chosen
-    /// deterministically from `select`, a small integer that callers vary to
-    /// spread traffic across the parallel cables.
-    pub fn port_sequence(&self, topo: &Topology, dst_host: HostId, select: usize) -> Vec<Port> {
-        let mut ports = Vec::with_capacity(self.0.len());
-        for (a, b) in self.hops() {
-            let parallel = topo.ports_to(a, b).count();
-            debug_assert!(parallel > 0, "path not connected at {a}->{b}");
-            ports.push(
-                topo.ports_to(a, b)
-                    .nth(select % parallel)
-                    .expect("taken modulo the count"),
-            );
-        }
-        debug_assert_eq!(topo.host_switch(dst_host), self.dst());
-        ports.push(topo.host_port(dst_host));
-        ports
     }
 }
 
@@ -120,7 +97,6 @@ impl std::fmt::Display for SwitchPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use regnet_topology::gen;
 
     fn ring4() -> (Topology, Orientation) {
         let mut b = regnet_topology::TopologyBuilder::new("ring4", 4);
@@ -169,30 +145,6 @@ mod tests {
         let long = SwitchPath::new(vec![SwitchId(0), SwitchId(3), SwitchId(2), SwitchId(1)]);
         assert!(!long.is_minimal(&dm));
         assert!(long.is_connected(&topo));
-    }
-
-    #[test]
-    fn port_sequence_ends_with_host_port() {
-        let topo = gen::torus_2d(4, 4, 2).unwrap();
-        let p = SwitchPath::new(vec![SwitchId(0), SwitchId(1), SwitchId(2)]);
-        let dst = HostId(5); // host 5 = switch 2, second host
-        let ports = p.port_sequence(&topo, dst, 0);
-        assert_eq!(ports.len(), 3);
-        assert_eq!(*ports.last().unwrap(), topo.host_port(dst));
-        // First two ports route 0->1 and 1->2.
-        assert_eq!(ports[0], topo.port_to(SwitchId(0), SwitchId(1)).unwrap());
-        assert_eq!(ports[1], topo.port_to(SwitchId(1), SwitchId(2)).unwrap());
-    }
-
-    #[test]
-    fn port_sequence_spreads_over_parallel_links() {
-        let topo = gen::torus_2d(2, 2, 1).unwrap();
-        let p = SwitchPath::new(vec![SwitchId(0), SwitchId(1)]);
-        let a = p.port_sequence(&topo, HostId(1), 0);
-        let b = p.port_sequence(&topo, HostId(1), 1);
-        assert_ne!(a[0], b[0], "parallel links should be alternated");
-        let c = p.port_sequence(&topo, HostId(1), 2);
-        assert_eq!(a[0], c[0]);
     }
 
     #[test]

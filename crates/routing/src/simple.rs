@@ -63,16 +63,6 @@ impl PairPaths {
             })
         })
     }
-
-    /// Average path length in links over ordered distinct pairs.
-    pub fn average_length(&self) -> f64 {
-        let (mut sum, mut cnt) = (0usize, 0usize);
-        for (_, _, p) in self.iter() {
-            sum += p.len_links();
-            cnt += 1;
-        }
-        sum as f64 / cnt.max(1) as f64
-    }
 }
 
 /// Directed-channel weight table: two slots per link (one per direction).
@@ -235,7 +225,8 @@ mod tests {
         // same-switch pairs, which contribute zero either way).
         let topo = gen::torus_2d(8, 8, 1).unwrap();
         let (routes, _) = routes_for(&topo);
-        let avg = routes.average_length();
+        let lens: Vec<usize> = routes.iter().map(|(_, _, p)| p.len_links()).collect();
+        let avg = lens.iter().sum::<usize>() as f64 / lens.len() as f64;
         assert!(
             (4.3..=4.9).contains(&avg),
             "avg up*/down* distance {avg}, paper says 4.57"

@@ -13,7 +13,7 @@ use crate::graph::{Topology, TopologyBuilder};
 use crate::ids::SwitchId;
 
 /// Default number of ports of a Myrinet switch in the paper.
-pub const MYRINET_PORTS: u8 = 16;
+pub(crate) const MYRINET_PORTS: u8 = 16;
 
 fn torus_builder(
     name: String,

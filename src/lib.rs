@@ -70,10 +70,10 @@ pub mod prelude {
     };
     pub use regnet_mapper::FaultSet;
     pub use regnet_metrics::SaturationSearch;
-    pub use regnet_netsim::experiment::{Experiment, RunObservation, RunOptions};
     pub use regnet_netsim::{
-        CounterSnapshot, EventOptions, FaultOptions, FaultPlan, ReliabilityStats, RunStats,
-        Scheduler, SimConfig, Simulator, StallClass, TraceOptions, TraceReport,
+        CounterSnapshot, EventOptions, Experiment, FaultOptions, FaultPlan, ReliabilityStats,
+        RunObservation, RunOptions, RunStats, Scheduler, SimConfig, Simulator, StallClass,
+        TraceOptions, TraceReport,
     };
     pub use regnet_routing::{LegalDistances, SwitchPath};
     pub use regnet_topology::{

@@ -69,11 +69,11 @@ fn code_words(doc: &str) -> Vec<Vec<(usize, &str)>> {
     spans
 }
 
-/// The `name: "…"` entries of `pub const FIGURES`, plus `all`.
+/// The `name: "…"` entries of `const FIGURES`, plus `all`.
 fn paper_subcommands() -> BTreeSet<String> {
     let src = read("crates/bench/src/experiments.rs");
     let table = src
-        .split_once("pub const FIGURES")
+        .split_once("const FIGURES: ")
         .and_then(|(_, rest)| rest.split_once("\n];"))
         .expect("FIGURES table")
         .0;

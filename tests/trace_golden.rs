@@ -15,7 +15,7 @@
 //! packet-journey flows (`s`/`t`/`f`) are present — including the `t` flow
 //! steps that mark ITB hops.
 
-use regnet::metrics::json::JsonValue;
+use regnet::metrics::JsonValue;
 use regnet::prelude::*;
 
 const GOLDEN: &str = concat!(
