@@ -21,7 +21,8 @@
 //!   path into a legal journey,
 //! * [`RouteDb`] — per-pair route tables for the three schemes evaluated in
 //!   the paper ([`RoutingScheme::UpDown`], [`RoutingScheme::ItbSp`],
-//!   [`RoutingScheme::ItbRr`]),
+//!   [`RoutingScheme::ItbRr`]), built in the topology's own ids or, through
+//!   a [`Relabel`], in another's (the mapper's rebuilds),
 //! * [`analysis`] — route-level statistics (fraction of minimal paths,
 //!   average distance, average ITBs per route) matching section 4.7 of the
 //!   paper.
@@ -45,13 +46,13 @@
 
 pub mod analysis;
 mod journey;
+mod relabel;
 mod scheme;
 mod split;
 mod table;
 
 pub use journey::{Journey, JourneyTemplate, Segment, SegmentEnd};
+pub use relabel::Relabel;
 pub use scheme::{PathSelector, RouteDbConfig, RoutingScheme, SrcSelector};
 pub use split::{split_minimal_path, try_split_minimal_path, ItbHostPicker};
-pub use table::{
-    Alternatives, RouteDb, RouteDbBuilder, RouteFootprint, RouteRef, Routes, SegmentRef,
-};
+pub use table::{Alternatives, RouteDb, RouteFootprint, RouteRef, Routes, SegmentRef};

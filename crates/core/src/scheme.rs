@@ -5,6 +5,7 @@ use regnet_routing::{simple_routes, SimpleRoutesConfig, SwitchPath};
 use regnet_topology::{DistanceMatrix, HostId, Orientation, SwitchId, Topology};
 
 use crate::journey::Journey;
+use crate::relabel::{Relabel, Relabelled, Unchanged};
 use crate::split::{no_itb_host, split_into, ItbHostPicker};
 use crate::table::{RouteDb, RouteDbBuilder};
 
@@ -158,12 +159,27 @@ impl PathSelector {
 impl RouteDb {
     /// Compute the routing tables for `scheme` over `topo`.
     pub fn build(topo: &Topology, scheme: RoutingScheme, cfg: &RouteDbConfig) -> RouteDb {
+        RouteDb::build_relabelled(topo, scheme, cfg, &Unchanged::new(topo))
+    }
+
+    /// Compute the routing tables for `scheme` over `topo` and write them
+    /// through `map`: every written pair gets the routes of the built pair
+    /// `map` names, in `map`'s ids (see [`Relabel`]). No table in `topo`'s
+    /// own ids is made on the way.
+    pub fn build_relabelled<R: Relabel>(
+        topo: &Topology,
+        scheme: RoutingScheme,
+        cfg: &RouteDbConfig,
+        map: &R,
+    ) -> RouteDb {
         let orient = Orientation::compute(topo, cfg.root);
-        let mut table = RouteDbBuilder::new(scheme, topo.num_switches(), topo.num_hosts());
+        let n = map.num_switches() as u32;
+        let mut table = RouteDbBuilder::new(scheme, n as usize, map.num_hosts());
         // The next route of the open pair: `path`, split — unless it needs
         // an in-transit buffer at a hostless switch.
         let add_route = |table: &mut RouteDbBuilder, path: &[SwitchId]| {
-            let usable = split_into(topo, &orient, path, cfg.itb_picker, table);
+            let mut sink = Relabelled { table, map };
+            let usable = split_into(topo, &orient, path, cfg.itb_picker, &mut sink);
             if usable {
                 table.end_route();
             } else {
@@ -178,15 +194,24 @@ impl RouteDb {
             let usable = add_route(table, path.switches());
             assert!(usable, "{}", no_itb_host(path.switches()));
         };
+        // Every written pair in table order, with the built pair it reads.
+        let pairs = || (0..n).flat_map(|s| (0..n).map(move |d| map.pair(SwitchId(s), SwitchId(d))));
 
         match scheme {
             RoutingScheme::UpDown => {
                 let routes = simple_routes(topo, &orient, &SimpleRoutesConfig::default());
-                for s in topo.switches() {
-                    for d in topo.switches() {
+                // One single-segment route per pair.
+                let mut size = [0; 4];
+                for (s, d) in pairs().flatten() {
+                    let links = routes.get(s, d).len_links();
+                    add(&mut size, [1, 1, links + 1, links]);
+                }
+                table.reserve(size);
+                for pair in pairs() {
+                    if let Some((s, d)) = pair {
                         legal_route(&mut table, routes.get(s, d));
-                        table.end_pair();
                     }
+                    table.end_pair();
                 }
             }
             RoutingScheme::ItbSp | RoutingScheme::ItbRr | RoutingScheme::ItbRandom => {
@@ -206,8 +231,23 @@ impl RouteDb {
                 // buffer at a hostless switch (possible on degraded or
                 // exotic topologies, never on the paper's).
                 let mut fallback: Option<regnet_routing::PairPaths> = None;
-                for s in topo.switches() {
-                    for d in topo.switches() {
+                // At most `k` minimal routes of `links` hops per pair, each
+                // split at most `links / 2` times (an in-transit buffer
+                // needs a down hop before its up hop). Only a pair with no
+                // usable minimal route (a fallback) can exceed it.
+                let mut size = [0; 4];
+                for (s, d) in pairs().flatten() {
+                    let r = dags[d.idx()].count(s).min(k as u64) as usize;
+                    let links = dm.get(s, d) as usize;
+                    let segs = 1 + links / 2;
+                    add(
+                        &mut size,
+                        [r, r * segs, r * (links + segs), r * (links + segs - 1)],
+                    );
+                }
+                table.reserve(size);
+                for pair in pairs() {
+                    if let Some((s, d)) = pair {
                         dags[d.idx()].k_paths(s, k, cfg.seed, &mut paths);
                         for p in paths.iter() {
                             add_route(&mut table, p);
@@ -218,8 +258,8 @@ impl RouteDb {
                             });
                             legal_route(&mut table, routes.get(s, d));
                         }
-                        table.end_pair();
                     }
+                    table.end_pair();
                 }
             }
         }
@@ -264,6 +304,10 @@ impl RouteDb {
         };
         alts.get(idx).materialise(src, dst, topo.host_port(dst))
     }
+}
+
+fn add(size: &mut [usize; 4], more: [usize; 4]) {
+    size.iter_mut().zip(more).for_each(|(a, b)| *a += b);
 }
 
 #[inline]

@@ -5,7 +5,6 @@ use regnet_routing::SwitchPath;
 use regnet_topology::{HostId, Orientation, Port, SwitchId, Topology};
 
 use crate::journey::{JourneyTemplate, Segment, SegmentEnd};
-use crate::table::RouteDbBuilder;
 
 /// Strategy for picking which of a switch's hosts serves as the in-transit
 /// host. The paper attaches 8 hosts per switch; spreading in-transit load
@@ -72,6 +71,7 @@ pub fn try_split_minimal_path(
     picker: ItbHostPicker,
 ) -> Option<JourneyTemplate> {
     let mut template = TemplateSink {
+        topo,
         done: Vec::new(),
         open: (Vec::with_capacity(path.switches().len()), Vec::new()),
     };
@@ -80,47 +80,59 @@ pub fn try_split_minimal_path(
     })
 }
 
-/// Where [`split_into`] writes a route: segment by segment, the switches
-/// visited and the port bytes taken. A [`RouteDbBuilder`] when a table is
-/// being built, an owned [`JourneyTemplate`] for one-path callers.
+/// Where [`split_into`] writes a route, segment by segment. The sink picks
+/// each hop's port byte: a table build reads it from a per-build
+/// `(from, to) → ports` table (and may relabel every id, see
+/// [`Relabel`](crate::Relabel)), an owned [`JourneyTemplate`] for
+/// one-path callers scans the topology.
 pub(crate) trait SplitSink {
-    fn switch(&mut self, s: SwitchId);
-    fn port(&mut self, p: Port);
-    fn end_segment(&mut self, end: SegmentEnd);
+    /// A segment opens at switch `s`.
+    fn start(&mut self, s: SwitchId);
+    /// The open segment crosses a link from `a` to `b`; `spread` picks
+    /// among parallel links.
+    fn hop(&mut self, a: SwitchId, b: SwitchId, spread: usize);
+    /// The open segment ends in in-transit host `h`, at its own switch.
+    fn eject(&mut self, h: HostId);
+    /// The open segment ends at the destination switch, one port byte
+    /// short (the destination host's is appended at materialisation).
+    fn deliver(&mut self);
 }
 
-impl SplitSink for RouteDbBuilder {
-    fn switch(&mut self, s: SwitchId) {
-        RouteDbBuilder::switch(self, s);
-    }
-    fn port(&mut self, p: Port) {
-        RouteDbBuilder::port(self, p);
-    }
-    fn end_segment(&mut self, end: SegmentEnd) {
-        RouteDbBuilder::end_segment(self, end);
-    }
-}
-
-struct TemplateSink {
+struct TemplateSink<'a> {
+    topo: &'a Topology,
     done: Vec<Segment>,
     /// Switches and ports of the segment being written.
     open: (Vec<SwitchId>, Vec<Port>),
 }
 
-impl SplitSink for TemplateSink {
-    fn switch(&mut self, s: SwitchId) {
-        self.open.0.push(s);
-    }
-    fn port(&mut self, p: Port) {
-        self.open.1.push(p);
-    }
-    fn end_segment(&mut self, end: SegmentEnd) {
+impl TemplateSink<'_> {
+    fn close(&mut self, end: SegmentEnd) {
         let (switches, ports) = std::mem::take(&mut self.open);
         self.done.push(Segment {
             switches,
             ports,
             end,
         });
+    }
+}
+
+impl SplitSink for TemplateSink<'_> {
+    fn start(&mut self, s: SwitchId) {
+        self.open.0.push(s);
+    }
+    fn hop(&mut self, a: SwitchId, b: SwitchId, spread: usize) {
+        let parallel = self.topo.ports_to(a, b).count();
+        debug_assert!(parallel > 0, "path not connected at {a}->{b}");
+        let port = self.topo.ports_to(a, b).nth(spread % parallel);
+        self.open.1.push(port.expect("taken modulo the count"));
+        self.open.0.push(b);
+    }
+    fn eject(&mut self, h: HostId) {
+        self.open.1.push(self.topo.host_port(h));
+        self.close(SegmentEnd::Itb(h));
+    }
+    fn deliver(&mut self) {
+        self.close(SegmentEnd::Deliver);
     }
 }
 
@@ -139,7 +151,7 @@ pub(crate) fn split_into(
     let mut seen_down = false;
     let mut parallel_select = pair_key(src_sw, dst_sw) as usize;
 
-    route.switch(src_sw);
+    route.start(src_sw);
     for (hop_idx, w) in switches.windows(2).enumerate() {
         let (a, b) = (w[0], w[1]);
         let up = orient.is_up_move(a, b);
@@ -150,28 +162,18 @@ pub(crate) fn split_into(
                 return false;
             };
             debug_assert_eq!(topo.host_switch(itb_host), a);
-            route.port(topo.host_port(itb_host));
-            route.end_segment(SegmentEnd::Itb(itb_host));
-            route.switch(a);
+            route.eject(itb_host);
+            route.start(a);
             seen_down = false;
         }
         if !up {
             seen_down = true;
         }
-        // Port from a to b (spread across parallel links deterministically).
-        let parallel = topo.ports_to(a, b).count();
-        debug_assert!(parallel > 0, "path not connected at {a}->{b}");
-        route.port(
-            topo.ports_to(a, b)
-                .nth(parallel_select % parallel)
-                .expect("taken modulo the count"),
-        );
+        // Spread across parallel links deterministically.
+        route.hop(a, b, parallel_select);
         parallel_select = parallel_select.wrapping_add(1);
-        route.switch(b);
     }
-    // Final segment: one port byte short (destination host port appended at
-    // materialisation time).
-    route.end_segment(SegmentEnd::Deliver);
+    route.deliver();
     true
 }
 

@@ -373,12 +373,12 @@ impl<'a> RouteRef<'a> {
 /// routes of a pair (possibly none), [`end_pair`](RouteDbBuilder::end_pair);
 /// pairs in `src * n_switches + dst` order.
 #[derive(Debug)]
-pub struct RouteDbBuilder {
+pub(crate) struct RouteDbBuilder {
     db: RouteDb,
 }
 
 impl RouteDbBuilder {
-    pub fn new(scheme: RoutingScheme, n_switches: usize, n_hosts: usize) -> RouteDbBuilder {
+    pub(crate) fn new(scheme: RoutingScheme, n_switches: usize, n_hosts: usize) -> RouteDbBuilder {
         let mut pair_routes = Vec::with_capacity(n_switches * n_switches + 1);
         pair_routes.push(0);
         RouteDbBuilder {
@@ -397,30 +397,33 @@ impl RouteDbBuilder {
         }
     }
 
-    /// Reserve room for a table the size of `like` up front, so that
-    /// appending one does not grow the seven vectors by doubling.
-    pub fn reserve_like(&mut self, like: &RouteDb) {
-        let (db, n) = (&mut self.db, |v: usize| v.saturating_sub(1));
-        db.route_segs.reserve_exact(n(like.route_segs.len()));
-        db.seg_switches.reserve_exact(n(like.seg_switches.len()));
-        db.seg_ports.reserve_exact(n(like.seg_ports.len()));
-        db.seg_end.reserve_exact(like.seg_end.len());
-        db.switches.reserve_exact(like.switches.len());
-        db.ports.reserve_exact(like.ports.len());
+    /// Room for a table of `routes` routes, `segments` segments,
+    /// `switches` switch entries and `ports` port bytes, reserved before
+    /// it is written so that each vector is one allocation, not a chain of
+    /// doublings that leaves freed blocks behind. An upper bound will do:
+    /// [`finish`](Self::finish) gives the unused tail back.
+    pub(crate) fn reserve(&mut self, [routes, segments, switches, ports]: [usize; 4]) {
+        let db = &mut self.db;
+        db.route_segs.reserve_exact(routes);
+        db.seg_switches.reserve_exact(segments);
+        db.seg_ports.reserve_exact(segments);
+        db.seg_end.reserve_exact(segments);
+        db.switches.reserve_exact(switches);
+        db.ports.reserve_exact(ports);
     }
 
     /// The open segment visits `s` next.
-    pub fn switch(&mut self, s: SwitchId) {
+    pub(crate) fn switch(&mut self, s: SwitchId) {
         self.db.switches.push(s);
     }
 
     /// The open segment's next output-port byte.
-    pub fn port(&mut self, p: Port) {
+    pub(crate) fn port(&mut self, p: Port) {
         self.db.ports.push(p);
     }
 
     /// Close the open segment.
-    pub fn end_segment(&mut self, end: SegmentEnd) {
+    pub(crate) fn end_segment(&mut self, end: SegmentEnd) {
         self.db.seg_switches.push(self.db.switches.len() as u32);
         self.db.seg_ports.push(self.db.ports.len() as u32);
         self.db.seg_end.push(end);
@@ -428,7 +431,7 @@ impl RouteDbBuilder {
 
     /// The segments closed since the last route make up the next route of
     /// the open pair.
-    pub fn end_route(&mut self) {
+    pub(crate) fn end_route(&mut self) {
         self.db.route_segs.push(self.db.seg_end.len() as u32);
     }
 
@@ -450,14 +453,14 @@ impl RouteDbBuilder {
     }
 
     /// Close the open pair.
-    pub fn end_pair(&mut self) {
+    pub(crate) fn end_pair(&mut self) {
         self.db
             .pair_routes
             .push(self.db.route_segs.len() as u32 - 1);
     }
 
     /// The finished table. Panics unless every ordered pair was closed.
-    pub fn finish(self) -> RouteDb {
+    pub(crate) fn finish(self) -> RouteDb {
         assert_eq!(
             self.db.pair_routes.len(),
             self.db.n_switches * self.db.n_switches + 1,
@@ -468,7 +471,17 @@ impl RouteDbBuilder {
             u32::try_from(self.db.switches.len().max(self.db.ports.len())).is_ok(),
             "route table too large for 32-bit offsets"
         );
-        self.db
+        // Give back what an upper-bound `reserve` left unused: shrinking
+        // reallocates in place, and the freed tails are open to the
+        // allocations that follow instead of idling inside the table.
+        let mut db = self.db;
+        db.route_segs.shrink_to_fit();
+        db.seg_switches.shrink_to_fit();
+        db.seg_ports.shrink_to_fit();
+        db.seg_end.shrink_to_fit();
+        db.switches.shrink_to_fit();
+        db.ports.shrink_to_fit();
+        db
     }
 }
 

@@ -10,11 +10,11 @@
 //!   between the physical and the discovered network (the real Myrinet
 //!   mapper also renumbers after re-mapping).
 //! * [`rebuild_physical_routes`] — the maintenance step a running network
-//!   takes after every fault: re-map, rebuild the routing tables for any
-//!   [`RoutingScheme`](regnet_core::RoutingScheme) and translate them back
-//!   into physical ids, as [`PhysicalRoutes`]. The simulator's fault
-//!   machinery (`regnet_netsim::FaultPlan`) calls it on every
-//!   reconfiguration.
+//!   takes after every fault: re-map and rebuild the routing tables for any
+//!   [`RoutingScheme`](regnet_core::RoutingScheme), written straight in
+//!   physical ids, as [`PhysicalRoutes`]. The simulator's fault machinery
+//!   (`regnet_netsim::FaultPlan`) calls it on every reconfiguration that
+//!   does not return to the fault set of the tables it last replaced.
 //!
 //! # Example
 //!

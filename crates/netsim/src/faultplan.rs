@@ -275,7 +275,22 @@ pub(crate) struct FaultRuntime {
     /// Cycle the pending reconfiguration completes, if one is in flight.
     pub reconfig_due: Option<u64>,
     /// Rebuilt physical routing tables; `None` until the first rebuild.
-    pub routes: Option<PhysicalRoutes>,
+    pub routes: Option<Remap>,
+    /// The tables `routes` last replaced. A reconfiguration for the same
+    /// fault set and seed host swaps them back in instead of rebuilding;
+    /// any other frees them before it builds.
+    pub replaced: Option<Remap>,
+    /// Reconfigurations that swapped `replaced` back in.
+    pub swaps: u64,
+}
+
+/// Rebuilt tables and what they were rebuilt for. Topology, scheme and
+/// `RouteDbConfig` are the run's, so the fault set and the seed host
+/// determine the tables: two rebuilds with the same key are identical.
+pub(crate) struct Remap {
+    pub faults: FaultSet,
+    pub seed: HostId,
+    pub routes: PhysicalRoutes,
 }
 
 impl FaultRuntime {
@@ -293,6 +308,8 @@ impl FaultRuntime {
             host_ok: vec![true; n_hosts],
             reconfig_due: None,
             routes: None,
+            replaced: None,
+            swaps: 0,
         }
     }
 }

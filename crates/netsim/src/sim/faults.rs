@@ -12,7 +12,9 @@ use super::Simulator;
 use crate::channel::{Receiver, Sender};
 use crate::config::MAX_RETRANSMITS;
 use crate::events::EventKind;
-use crate::faultplan::{FaultEvent, FaultOptions, FaultRuntime, FaultTarget, ReliabilityStats};
+use crate::faultplan::{
+    FaultEvent, FaultOptions, FaultRuntime, FaultTarget, ReliabilityStats, Remap,
+};
 use crate::nic::Nic;
 use crate::packet::NO_PACKET;
 use crate::switch::HeadState;
@@ -63,7 +65,8 @@ impl Simulator<'_> {
     /// The routing tables installed by the last successful mid-run
     /// reconfiguration, if any.
     pub fn reconfigured_routes(&self) -> Option<&PhysicalRoutes> {
-        self.faults.as_deref().and_then(|f| f.routes.as_ref())
+        let installed = self.faults.as_deref().and_then(|f| f.routes.as_ref());
+        installed.map(|r| &r.routes)
     }
 
     /// The faults currently in force, if fault injection is enabled.
@@ -359,40 +362,46 @@ impl Simulator<'_> {
     }
 
     /// The reconfiguration latency elapsed: run the mapper on the surviving
-    /// network and swap the rebuilt tables in atomically.
+    /// network and swap the rebuilt tables in atomically — or, when the
+    /// network is back to the fault set the installed tables replaced,
+    /// swap those back in: rebuilding them would give the same bits.
     fn complete_reconfiguration(&mut self, cycle: u64) {
         let scheme = self.db.scheme();
-        let (seed_host, db_cfg) = {
+        let topo = self.topo;
+        let rebuilt = {
             let f = self.faults.as_deref_mut().unwrap();
             f.reconfig_due = None;
-            (f.seed_host, f.db_cfg.clone())
-        };
-        let rebuilt = {
-            let f = self.faults.as_deref().unwrap();
-            let seed = if f.host_up[seed_host.idx()] && f.active.is_host_alive(self.topo, seed_host)
-            {
-                Some(seed_host)
-            } else {
-                // The management host itself is down: the lowest-numbered
-                // live host takes over.
-                self.topo
-                    .hosts()
-                    .find(|&h| f.host_up[h.idx()] && f.active.is_host_alive(self.topo, h))
-            };
-            seed.and_then(|s| {
-                rebuild_physical_routes(self.topo, &f.active, s, scheme, &db_cfg).ok()
+            let alive = |h: HostId| f.host_up[h.idx()] && f.active.is_host_alive(topo, h);
+            // The management host itself may be down: the lowest-numbered
+            // live host takes over.
+            let seed = Some(f.seed_host)
+                .filter(|&h| alive(h))
+                .or_else(|| topo.hosts().find(|&h| alive(h)));
+            seed.and_then(|seed| {
+                // A miss drops the kept tables here, before the build, so
+                // at most the installed tables and the new ones are live.
+                let kept = f.replaced.take();
+                if let Some(r) = kept.filter(|r| r.seed == seed && r.faults == f.active) {
+                    f.swaps += 1;
+                    return Some(r);
+                }
+                let routes =
+                    rebuild_physical_routes(topo, &f.active, seed, scheme, &f.db_cfg).ok()?;
+                Some(Remap {
+                    faults: f.active.clone(),
+                    seed,
+                    routes,
+                })
             })
         };
         match rebuilt {
-            Some(pr) => {
-                let new_ok: Vec<bool> = {
-                    let f = self.faults.as_deref().unwrap();
-                    (0..self.topo.num_hosts())
-                        .map(|h| f.host_up[h] && pr.reachable_hosts[h])
-                        .collect()
-                };
+            Some(remap) => {
+                let f = self.faults.as_deref_mut().unwrap();
+                let new_ok: Vec<bool> = (0..topo.num_hosts())
+                    .map(|h| f.host_up[h] && remap.routes.reachable_hosts[h])
+                    .collect();
                 self.rel.reconfigurations += 1;
-                self.faults.as_deref_mut().unwrap().routes = Some(pr);
+                f.replaced = f.routes.replace(remap);
                 self.apply_host_ok(new_ok, cycle);
             }
             None => {
@@ -651,6 +660,46 @@ mod tests {
         scan.run(due + 1);
         assert_eq!(scan.arena.get(pid).first_inject, due);
         assert_eq!(scan.reliability(), sim.reliability());
+    }
+
+    #[test]
+    fn repairs_after_the_first_swap_the_fault_free_tables_back() {
+        // Four links failed and repaired in turn, as on the benchmark's
+        // faulted torus: repair 1 rebuilds the fault-free tables (nothing
+        // is kept yet), repairs 2-4 swap them back; every failure builds.
+        let topo = gen::torus_2d(4, 4, 2).unwrap();
+        let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let links: Vec<_> = topo.links().iter().filter(|l| l.is_switch_link()).collect();
+        let mut plan = FaultPlan::new();
+        for (k, i) in [3, 12, 20, 29].into_iter().enumerate() {
+            let k = k as u64;
+            plan.fail_link(1_000 * (2 * k + 1), links[i].id);
+            plan.repair_link(1_000 * (2 * k + 2), links[i].id);
+        }
+        let cfg = SimConfig {
+            reconfig_latency_cycles: 300,
+            ..small_cfg()
+        };
+        let mut sim = Simulator::new(&topo, &db, &pattern, cfg, 0.01, 5);
+        sim.enable_faults(FaultOptions::with_plan(plan));
+        let mut swapped = Vec::new();
+        while sim.cycle < 9_000 {
+            sim.run(100);
+            let f = sim.faults.as_deref().unwrap();
+            if sim.rel.reconfigurations > swapped.len() as u64 {
+                swapped.push(f.swaps > swapped.iter().filter(|&&s| s).count() as u64);
+                let kept = f.replaced.as_ref().map(|r| r.faults.is_empty());
+                // What was replaced is kept: after a failure the
+                // fault-free tables, after a repair the failed link's.
+                let failure = swapped.len() % 2 == 1;
+                assert_eq!(kept, (swapped.len() > 1).then_some(failure));
+            }
+        }
+        let (f, t) = (false, true);
+        assert_eq!(swapped, [f, f, f, t, f, t, f, t]);
+        assert_eq!(sim.rel.reconfigurations, 8);
+        assert_eq!(sim.faults.as_deref().unwrap().swaps, 3);
     }
 
     #[test]

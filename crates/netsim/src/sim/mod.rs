@@ -66,7 +66,7 @@ use sink::SeqSink;
 /// rebuild has installed some, the build-time ones before.
 fn route_db<'a>(faults: Option<&'a FaultRuntime>, built: &'a RouteDb) -> &'a RouteDb {
     let rebuilt = faults.and_then(|f| f.routes.as_ref());
-    rebuilt.map_or(built, |r| &r.db)
+    rebuilt.map_or(built, |r| &r.routes.db)
 }
 
 /// Profiler lap: charge the time since `mark` to `phase`. A no-op — and
