@@ -8,6 +8,13 @@
 //! summary bit per non-empty occupancy word. A write sets slot and bit in
 //! one call. The engine walks a row's bits in ascending channel order, the
 //! scan oracle's order; the time skip reads one count.
+//!
+//! A channel may also carry a [`Stream`]: one packet's flits sent on
+//! consecutive cycles by a sender the engine does not visit meanwhile (a
+//! steady run, `kernel.rs`). Those flits occupy no slot; the table counts
+//! them off to the sender and the receiver when either is settled, and
+//! writes the last one into its slot when the run ends, so that the end of
+//! a run is an ordinary arrival. The scan oracle never starts one.
 
 use crate::packet::NO_PACKET;
 
@@ -61,6 +68,68 @@ pub(crate) struct Drain {
     sum: usize,
     base: u32,
     bits: u64,
+}
+
+/// `Stream::end` of a run whose sender still streams.
+pub(crate) const OPEN: u64 = u64::MAX;
+
+/// One packet's flits sent on every cycle of `start..end` and held in no
+/// slot. While the run lasts `end` is [`OPEN`]; a visit of the sender sets
+/// it to the visit's cycle, and a send that cycle extends it by one
+/// ([`Channels::extend`]). The sender's state holds the first `sent`
+/// sends, the receiver's the first `recv` arrivals (counts, so that a
+/// record is 32 bytes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stream {
+    start: u64,
+    end: u64,
+    pub pid: u32,
+    sent: u32,
+    recv: u32,
+    /// The sender's run is over: only arrivals are left to count.
+    closed: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<Option<Stream>>() == 32);
+
+impl Stream {
+    /// The sender's state holds the sends before this cycle.
+    #[inline]
+    fn sent_to(&self) -> u64 {
+        self.start + u64::from(self.sent)
+    }
+
+    /// The receiver's state holds the arrivals before this cycle.
+    #[inline]
+    fn recv_to(&self, delay: u64) -> u64 {
+        self.start + delay + u64::from(self.recv)
+    }
+
+    /// Every flit sent is counted off to the receiver.
+    #[inline]
+    fn drained(&self, delay: u64) -> bool {
+        self.closed && self.recv_to(delay) >= self.end + delay
+    }
+
+    /// Does the sender still stream (not suspended by a visit, not over)?
+    #[inline]
+    pub(crate) fn running(&self) -> bool {
+        self.end == OPEN
+    }
+
+    /// Is the sender's run stopped by a visit in progress?
+    #[inline]
+    pub(crate) fn suspended(&self) -> bool {
+        !self.closed && self.end != OPEN
+    }
+
+    /// Do flits of this stream arrive on every cycle from `cycle` until an
+    /// ordinary arrival, the last flit, is delivered? True from the first
+    /// flit's arrival on, for as long as the record exists.
+    #[inline]
+    pub(crate) fn arriving(&self, cycle: u64, delay: u64) -> bool {
+        self.start + delay <= cycle
+    }
 }
 
 /// One direction of every cable: `delay` rows of one slot per channel.
@@ -174,6 +243,16 @@ pub(crate) struct Channels {
     /// Cycle of each channel's last control send, for the check that a
     /// send never destroys an undelivered symbol.
     ctl_sent_at: Box<[u64]>,
+    /// Each channel's run, if it carries one.
+    streams: Box<[Option<Stream>]>,
+    /// Channels with a run.
+    n_streams: usize,
+    /// The channel into each host's NIC.
+    nic_in: Box<[u32]>,
+    /// Per switch, a bit per port whose input channel carries a run, and
+    /// one per port whose output channel does.
+    runs_in: Box<[u64]>,
+    runs_out: Box<[u64]>,
 }
 
 impl Channels {
@@ -181,6 +260,25 @@ impl Channels {
     pub(crate) fn new(ends: Vec<(Sender, Receiver)>, delay: u32) -> Channels {
         assert!(delay > 0);
         let (rows, n) = (delay as usize, ends.len());
+        let mut nic_in = Vec::new();
+        let switches = ends
+            .iter()
+            .map(|&(sender, receiver)| match (sender, receiver) {
+                (Sender::SwitchOut { sw, .. }, _) | (_, Receiver::SwitchIn { sw, .. }) => {
+                    sw as usize + 1
+                }
+                _ => 0,
+            });
+        let switches = switches.max().unwrap_or(0);
+        for (ci, &(_, receiver)) in ends.iter().enumerate() {
+            if let Receiver::Nic { host } = receiver {
+                let h = host as usize;
+                if nic_in.len() <= h {
+                    nic_in.resize(h + 1, u32::MAX);
+                }
+                nic_in[h] = ci as u32;
+            }
+        }
         Channels {
             delay: delay as u64,
             ends: ends.into(),
@@ -189,7 +287,24 @@ impl Channels {
             data: Lane::new(rows, n),
             ctl: Lane::new(rows, n),
             ctl_sent_at: vec![0; n].into(),
+            streams: vec![None; n].into(),
+            n_streams: 0,
+            nic_in: nic_in.into(),
+            runs_in: vec![0; switches].into(),
+            runs_out: vec![0; switches].into(),
         }
+    }
+
+    /// The cycles a flit spends on a cable.
+    #[inline]
+    pub(crate) fn delay(&self) -> u64 {
+        self.delay
+    }
+
+    /// The channel into NIC `host`.
+    #[inline]
+    pub(crate) fn nic_in(&self, host: u32) -> u32 {
+        self.nic_in[host as usize]
     }
 
     /// The row `cycle`'s arrivals are read from and its sends written to.
@@ -283,23 +398,246 @@ impl Channels {
         self.ctl.next(row.idx, d)
     }
 
-    /// Flits and control symbols in flight: the full slots of every row.
+    /// Flits and control symbols in flight: the full slots of every row,
+    /// plus one per run (a run streams or has flits left to arrive).
     /// O(1); zero is the time skip's "no channel has work".
     pub(crate) fn in_flight(&self) -> usize {
-        self.data.set + self.ctl.set
+        self.data.set + self.ctl.set + self.n_streams
     }
 
-    /// Does any slot hold a flit or a symbol? A raw scan that ignores the
-    /// occupancy bits, for the time skip's cross-check.
+    /// Does any slot hold a flit or a symbol, or any channel carry a run?
+    /// A raw scan that ignores the occupancy bits, for the time skip's
+    /// cross-check.
     pub(crate) fn any_slot_full(&self) -> bool {
         self.data.slots.iter().any(|&v| v != NO_PACKET)
             || self.ctl.slots.iter().any(|&v| v != CTL_NONE)
+            || self.streams.iter().any(Option::is_some)
     }
 
     /// Any data flits in flight on `ci`?
     pub(crate) fn has_data_in_flight(&self, ci: u32) -> bool {
         let rows = self.data.slots.iter().skip(ci as usize);
-        rows.step_by(self.len()).any(|&v| v != NO_PACKET)
+        self.streams[ci as usize].is_some() || rows.step_by(self.len()).any(|&v| v != NO_PACKET)
+    }
+
+    // ---- Runs (module docs). ----
+
+    /// Channels that carry a run.
+    #[inline]
+    pub(crate) fn streams(&self) -> usize {
+        self.n_streams
+    }
+
+    /// Channel `ci`'s run, if it carries one.
+    #[inline]
+    pub(crate) fn stream(&self, ci: u32) -> Option<&Stream> {
+        self.streams[ci as usize].as_ref()
+    }
+
+    /// The ports of switch `sw` whose input channel carries a run.
+    #[inline]
+    pub(crate) fn runs_in(&self, sw: u32) -> u64 {
+        self.runs_in[sw as usize]
+    }
+
+    /// The ports of switch `sw` whose output channel carries a run.
+    #[inline]
+    pub(crate) fn runs_out(&self, sw: u32) -> u64 {
+        self.runs_out[sw as usize]
+    }
+
+    /// Set or clear the port bits of `ci`'s ends.
+    #[inline]
+    fn mark(&mut self, ci: u32, on: bool) {
+        let (sender, receiver) = self.ends[ci as usize];
+        let set = |mask: &mut u64, port: u8| {
+            *mask = (*mask & !(1 << port)) | (u64::from(on) << port);
+        };
+        if let Sender::SwitchOut { sw, port } = sender {
+            set(&mut self.runs_out[sw as usize], port);
+        }
+        if let Receiver::SwitchIn { sw, port } = receiver {
+            set(&mut self.runs_in[sw as usize], port);
+        }
+    }
+
+    /// `ci`'s run leaves the channel.
+    #[inline]
+    fn drop_stream(&mut self, ci: u32) -> Option<Stream> {
+        let st = self.streams[ci as usize].take()?;
+        self.n_streams -= 1;
+        self.mark(ci, false);
+        Some(st)
+    }
+
+    /// The sender of `ci` sent a flit of `pid` at `start - 1` and streams
+    /// one more every cycle from `start` on. The channel must carry no run.
+    pub(crate) fn open(&mut self, ci: u32, pid: u32, start: u64) {
+        let slot = &mut self.streams[ci as usize];
+        debug_assert!(slot.is_none(), "a second run on channel {ci}");
+        *slot = Some(Stream {
+            start,
+            end: OPEN,
+            pid,
+            sent: 0,
+            recv: 0,
+            closed: false,
+        });
+        self.n_streams += 1;
+        self.mark(ci, true);
+    }
+
+    /// Count off the sends of `ci`'s run before `upto` that its sender's
+    /// state does not hold yet: `(packet, sends, cycle of the last)`.
+    #[inline]
+    pub(crate) fn take_sends(&mut self, ci: u32, upto: u64) -> Option<(u32, u32, u64)> {
+        let st = self.streams[ci as usize].as_mut()?;
+        let to = upto.min(st.end);
+        if to <= st.sent_to() {
+            return None;
+        }
+        let n = (to - st.sent_to()) as u32;
+        st.sent += n;
+        Some((st.pid, n, to - 1))
+    }
+
+    /// Count off the arrivals of `ci`'s run before `upto` that its
+    /// receiver's state does not hold yet, as busy cycles of the channel:
+    /// `(packet, arrivals, cycle of the last)`. A closed run whose last
+    /// virtual flit is counted off leaves the channel.
+    #[inline]
+    pub(crate) fn take_arrivals(&mut self, ci: u32, upto: u64) -> Option<(u32, u32, u64)> {
+        let delay = self.delay;
+        let st = self.streams[ci as usize].as_mut()?;
+        let to = upto.min(st.end.saturating_add(delay));
+        let counted = (to > st.recv_to(delay)).then(|| {
+            let n = (to - st.recv_to(delay)) as u32;
+            st.recv += n;
+            (st.pid, n, to - 1)
+        });
+        if st.drained(delay) {
+            self.drop_stream(ci);
+        }
+        if let Some((_, n, _)) = counted {
+            self.busy[ci as usize] += u64::from(n);
+        }
+        counted
+    }
+
+    /// The flit of `ci`'s run arriving at `cycle`, taken like a slot's
+    /// (all earlier arrivals must have been counted off).
+    #[inline]
+    pub(crate) fn take_arrival_at(&mut self, ci: u32, cycle: u64) -> Option<u32> {
+        let st = self.streams[ci as usize].as_ref()?;
+        if st.recv_to(self.delay) != cycle || cycle >= st.end.saturating_add(self.delay) {
+            return None;
+        }
+        debug_assert!(cycle >= st.start + self.delay);
+        self.take_arrivals(ci, cycle + 1).map(|(pid, _, _)| pid)
+    }
+
+    /// A visit of the sender at `cycle`: the run stops streaming there.
+    /// Its sends before `cycle` must have been counted off.
+    #[inline]
+    pub(crate) fn suspend(&mut self, ci: u32, cycle: u64) {
+        let st = self.streams[ci as usize].as_mut().expect("no run");
+        debug_assert!(st.running() && st.sent_to() == cycle);
+        st.end = cycle;
+    }
+
+    /// A send of `pid` at `cycle` by the sender of a run suspended at
+    /// `cycle`: the run takes the flit (the sender's state already holds
+    /// it). False for any other send, which goes into a slot.
+    #[inline]
+    pub(crate) fn extend(&mut self, ci: u32, pid: u32, cycle: u64) -> bool {
+        match self.streams[ci as usize].as_mut() {
+            Some(st) if !st.closed && st.end == cycle && st.pid == pid => {
+                st.end = cycle + 1;
+                st.sent += 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Did the sender of `ci` send a flit of `pid` at `cycle`, into the run
+    /// or into a slot? Valid after the cycle's arrivals were taken.
+    #[inline]
+    pub(crate) fn sent_at(&self, ci: u32, pid: u32, cycle: u64) -> bool {
+        match self.stream(ci) {
+            Some(st) if !st.closed && st.end != OPEN => st.end == cycle + 1 && st.pid == pid,
+            _ => self.data.slots[self.row(cycle).idx * self.data.n + ci as usize] == pid,
+        }
+    }
+
+    /// A suspended run streams again.
+    #[inline]
+    pub(crate) fn resume(&mut self, ci: u32) {
+        let st = self.streams[ci as usize].as_mut().expect("no run");
+        debug_assert!(!st.closed && st.end != OPEN);
+        st.end = OPEN;
+    }
+
+    /// A suspended run is over. Its last flit goes into its slot, so that
+    /// the receiver takes it as an ordinary arrival; a run that never sent
+    /// a flit leaves the channel at once.
+    pub(crate) fn close(&mut self, ci: u32) {
+        let delay = self.delay;
+        let st = self.streams[ci as usize].as_mut().expect("no run");
+        debug_assert!(!st.closed && st.end != OPEN && st.sent_to() == st.end);
+        st.closed = true;
+        if st.end > st.start {
+            st.end -= 1;
+            let (pid, last) = (st.pid, st.end);
+            let old = self.data.put((last % delay) as usize, ci, pid);
+            debug_assert_eq!(old, NO_PACKET, "a run's last flit over a slot");
+        }
+        if st.drained(delay) {
+            self.drop_stream(ci);
+        }
+    }
+
+    /// Fault handling: put every flit of `ci`'s run still in flight at
+    /// `cycle` into its slot and drop the run. Sender and receiver must
+    /// hold every send and arrival before `cycle`.
+    pub(crate) fn unstream(&mut self, ci: u32, cycle: u64) {
+        let Some(st) = self.drop_stream(ci) else {
+            return;
+        };
+        let to = cycle.min(st.end);
+        debug_assert!(st.closed || st.sent_to() == to);
+        debug_assert!(st.recv_to(self.delay) >= cycle.min(st.end.saturating_add(self.delay)));
+        for sent in cycle.saturating_sub(self.delay).max(st.start)..to {
+            let old = self.data.put((sent % self.delay) as usize, ci, st.pid);
+            debug_assert_eq!(old, NO_PACKET, "a run's flit over a slot");
+        }
+    }
+
+    /// The data slots as the scan oracle holds them at `cycle`, flits of
+    /// runs included: `(row, channel, packet)` of every flit in flight, in
+    /// row-major order.
+    pub(crate) fn flits_in_flight(&self, cycle: u64) -> Vec<(usize, u32, u32)> {
+        let n = self.len();
+        let mut slots = self.data.slots.to_vec();
+        for (ci, st) in self.streams.iter().enumerate() {
+            let Some(st) = st else { continue };
+            let to = cycle.min(st.end);
+            for sent in cycle.saturating_sub(self.delay).max(st.start)..to {
+                slots[(sent % self.delay) as usize * n + ci] = st.pid;
+            }
+        }
+        let full = slots
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, v)| v != NO_PACKET);
+        full.map(|(i, v)| (i / n, (i % n) as u32, v)).collect()
+    }
+
+    /// What the state hash reads besides the data slots: dead cables, busy
+    /// counts, control slots and the cycle of each channel's last control
+    /// send.
+    pub(crate) fn control_state(&self) -> (&[bool], &[u64], &[u8], &[u64]) {
+        (&self.dead, &self.busy, &self.ctl.slots, &self.ctl_sent_at)
     }
 
     /// Data flits observed per channel since the last
@@ -493,6 +831,40 @@ pub(crate) mod tests {
         assert_eq!(c.in_flight(), 0);
         assert!(!c.any_slot_full());
         assert!((5..30).all(|cyc| drain_ctl(&mut c, cyc).is_empty()));
+    }
+
+    /// A run's flits are counted off to both ends, take no slot while it
+    /// lasts, and its last one lands in its slot when it closes: the
+    /// arrivals, busy count and slots are those of the same sends made
+    /// one slot at a time.
+    #[test]
+    fn a_run_counts_off_its_flits_and_ends_in_a_slot() {
+        let mut c = chan();
+        // A flit at cycle 9 in its slot, then one per cycle from 10 on.
+        c.send(c.row(9), 0, 7);
+        c.open(0, 7, 10);
+        assert_eq!(c.in_flight(), 2);
+        assert!(c.flits_in_flight(12).iter().all(|&(_, _, pid)| pid == 7));
+        assert_eq!(c.flits_in_flight(12).len(), 3);
+        assert_eq!(c.take_sends(0, 15), Some((7, 5, 14)));
+        assert_eq!(c.take_sends(0, 15), None);
+        // The slot flit arrives at 17, the run's first at 18.
+        assert_eq!(drain_data(&mut c, 17), [(0, 7)]);
+        assert_eq!(c.take_arrivals(0, 18), None);
+        assert_eq!(c.take_arrivals(0, 20), Some((7, 2, 19)));
+        assert_eq!(c.take_arrival_at(0, 20), Some(7));
+        // A visit at 30 sends once more, then ends the run: sends 10..=30,
+        // the last of them (30) in its slot.
+        assert_eq!(c.take_sends(0, 30), Some((7, 15, 29)));
+        c.suspend(0, 30);
+        assert!(c.extend(0, 7, 30) && c.sent_at(0, 7, 30));
+        c.close(0);
+        assert_eq!(c.take_arrivals(0, 38), Some((7, 17, 37)));
+        assert!(c.stream(0).is_none(), "every virtual flit counted off");
+        assert_eq!(drain_data(&mut c, 38), [(0, 7)]);
+        assert_eq!(c.in_flight(), 0);
+        // One per cycle from 10 to 30, 21 arrivals, plus the one at 9.
+        assert_eq!(c.busy(), [22]);
     }
 
     #[test]

@@ -22,16 +22,25 @@
 //! order, over the simulator's `SeqParts`: the component arrays next to
 //! that sink. The full-scan oracle (`Scheduler::Scan`) keeps its own loops
 //! in `sim/mod.rs` and calls the per-component functions directly.
+//!
+//! Below them, the engine's steady runs: a granted connection (or a NIC's
+//! worm) that moves one flit per cycle until an event it can foresee is
+//! streamed as one run, its component visited only at the event, and its
+//! flits counted into the component state when something reads it
+//! (`settle_tx`/`settle_rx`). A run adds no transition of its own: it
+//! ends whenever its component is visited, the visit runs the functions
+//! above per flit, and the run goes on afterwards if the flow is still
+//! steady. The oracle never starts one.
 
 use std::cmp::Reverse;
 
 use regnet_core::{RouteDb, SegmentEnd, SrcSelector};
 use regnet_topology::{HostId, SwitchId, Topology};
 
-use crate::channel::{Drain, Receiver, Sender, CTL_STOP};
+use crate::channel::{Channels, Drain, Receiver, Sender, CTL_STOP};
 use crate::config::{
-    SimConfig, ITB_DETECT_CYCLES, ITB_DMA_CYCLES, ITB_OVERFLOW_PENALTY_CYCLES,
-    SWITCH_ROUTING_CYCLES,
+    SimConfig, GO_THRESHOLD, ITB_DETECT_CYCLES, ITB_DMA_CYCLES, ITB_OVERFLOW_PENALTY_CYCLES,
+    STOP_THRESHOLD, SWITCH_ROUTING_CYCLES,
 };
 use crate::counters::CounterSnapshot;
 use crate::events::EventKind;
@@ -40,7 +49,7 @@ use crate::nic::{Nic, RxState, TxKind, TxState};
 use crate::packet::Packet;
 use crate::sched::Listed;
 use crate::sim::SeqParts;
-use crate::switch::{ports, HeadState, SwitchState};
+use crate::switch::{ports, HeadState, InPort, SwitchState};
 
 /// Measurement-window tallies the kernel feeds.
 #[derive(Debug, Default)]
@@ -149,9 +158,22 @@ pub(crate) fn deliver_ctl(p: &mut SeqParts, ci: u32, symbol: u8) {
         }
     });
     k.activity();
+    // A STOP holds the sender from this cycle's send on: the run it
+    // streams into `ci` ends here.
+    if stopped && k.channels.stream(ci).is_some_and(|st| st.running()) {
+        let cycle = k.cycle;
+        settle_tx(p, ci, cycle);
+        p.sink.channels.suspend(ci, cycle);
+        p.sink.channels.close(ci);
+    }
+    let k = &mut p.sink;
     match sender {
         Sender::SwitchOut { sw, port } => {
-            p.switches[sw as usize].set_stopped(port as usize, stopped)
+            p.switches[sw as usize].set_stopped(port as usize, stopped);
+            // Its next event may move either way: the visit works it out.
+            if let Some(sc) = k.sched.as_deref_mut() {
+                sc.activate_switch(sw);
+            }
         }
         Sender::Nic { host } => {
             p.nics[host as usize].stopped = stopped;
@@ -167,13 +189,38 @@ pub(crate) fn deliver_ctl(p: &mut SeqParts, ci: u32, symbol: u8) {
 /// the channel's receiver.
 #[inline]
 pub(crate) fn deliver_data(p: &mut SeqParts, ci: u32, pid: u32, t: &Tick) {
+    let receiver = p.sink.channels.receiver(ci);
+    // The receiver may hold a run's arrivals or sends still to count: the
+    // flit meets the state a per-flit loop would hold.
+    if let Receiver::SwitchIn { sw, port } = receiver {
+        if let Some(out) = streaming_out(&p.switches[sw as usize], port as usize, p.sink.channels) {
+            settle_tx(p, out, t.cycle);
+        }
+    }
+    if p.sink.channels.stream(ci).is_some() {
+        settle_rx(p, ci, t.cycle);
+    }
     let k = &mut p.sink;
     k.activity();
-    match k.channels.receiver(ci) {
+    match receiver {
         Receiver::SwitchIn { sw, port } => {
             switch_rx(&mut p.switches[sw as usize], sw, port, pid, k);
         }
-        Receiver::Nic { host } => nic_rx(&mut p.nics[host as usize], host, pid, t, k),
+        Receiver::Nic { host } => {
+            let nic = &mut p.nics[host as usize];
+            nic_rx(nic, host, pid, t, k);
+            // A re-injection streaming out of what streams in has its
+            // supply changed: its visit works out the run's next event.
+            if let (Some(tx), Some(sc)) = (nic.tx, k.sched.as_deref_mut()) {
+                if tx.pid == pid
+                    && k.channels
+                        .stream(nic.out_chan)
+                        .is_some_and(|st| st.running())
+                {
+                    sc.activate_nic(host);
+                }
+            }
+        }
     }
 }
 
@@ -418,29 +465,7 @@ pub(crate) fn nic_tx<S: Sink>(nic: &mut Nic, h: u32, t: &Tick, k: &mut S) {
     if nic.stopped {
         return;
     }
-    // Cut-through availability: a re-injected packet can only send flits
-    // that have already arrived *at this NIC* (minus the consumed ITB
-    // mark). The count comes from this NIC's own reception state — if our
-    // rx has moved on, the packet arrived here completely. (A packet can
-    // span several NICs at once when cut-through chains through
-    // consecutive in-transit hosts, so the count must be per-NIC, not
-    // per-packet.)
-    let available = if tx.reinjection {
-        let arrived_here = match nic.rx {
-            Some(rx) if rx.pid == tx.pid => rx.received,
-            _ => tx.total + 1, // fully received (wire included the ITB mark)
-        };
-        if cfg.itb_cut_through {
-            arrived_here.saturating_sub(1)
-        } else if arrived_here > tx.total {
-            tx.total
-        } else {
-            0
-        }
-    } else {
-        tx.total
-    };
-    if tx.sent >= available {
+    if tx.sent >= nic.sendable(cfg.itb_cut_through) {
         if tx.reinjection && tx.sent > 0 {
             // Mid-packet bubble: the tail has not arrived yet.
             k.measure(|m| m.reinject_bubbles += 1);
@@ -519,24 +544,28 @@ fn walk<P>(p: &mut P, set: fn(&mut P) -> &mut Listed, mut visit: impl FnMut(&mut
     }
 }
 
-/// Phase 3: visit the listed switches in ascending order, unlisting those
-/// left quiescent (a per-component predicate).
+/// Phase 3: list the switches whose next event is due, then visit the
+/// listed switches in ascending order. A visit settles the switch's runs,
+/// runs the kernel on it, and unlists it unless it has work next cycle
+/// that no run covers ([`rearm_switch`]).
 #[inline]
 pub(crate) fn switches_phase(p: &mut SeqParts, t: &Tick) {
+    p.sched().drain_switch_wakes(t.cycle);
     walk(
         p,
         |p| &mut p.sched().switches,
         |p, s| {
-            let sw = &mut p.switches[s as usize];
-            switch_phase(sw, s, t, &mut p.sink);
-            !sw.is_quiescent()
+            resume_switch(p, s, t.cycle);
+            switch_phase(&mut p.switches[s as usize], s, t, &mut p.sink);
+            rearm_switch(p, s, t)
         },
     );
 }
 
 /// Phase 4: wake the NICs whose timers fired, then visit the listed NICs
-/// in ascending order, unlisting those with nothing left to send and those
-/// asleep: held by STOP until GO, or frozen until the new tables land.
+/// in ascending order, unlisting those with nothing left to send, those
+/// asleep (held by STOP until GO, or frozen until the new tables land) and
+/// those streaming a steady run.
 #[inline]
 pub(crate) fn nic_tx_phase(p: &mut SeqParts, t: &Tick) {
     p.sched().drain_wakes(t.cycle);
@@ -544,11 +573,388 @@ pub(crate) fn nic_tx_phase(p: &mut SeqParts, t: &Tick) {
         p,
         |p| &mut p.sched().nics,
         |p, h| {
-            let nic = &mut p.nics[h as usize];
-            nic_tx(nic, h, t, &mut p.sink);
-            !(nic.quiescent_for_tx(t.cycle) || nic.held_by_stop() || nic.frozen(t.faults))
+            resume_nic(p, h, t.cycle);
+            nic_tx(&mut p.nics[h as usize], h, t, &mut p.sink);
+            rearm_nic(p, h, t)
         },
     );
+}
+
+// ---------------------------------------------------------------------------
+// Steady runs of the engine
+// ---------------------------------------------------------------------------
+//
+// A granted connection whose flow is steady moves one flit per cycle until
+// an event it can foresee: its tail, its buffered flits running out, a
+// STOP or GO threshold crossing at its input. The engine streams such a
+// connection as a run (`channel::Stream`) and visits its switch or NIC
+// only at the event; what the run moved meanwhile is counted into the
+// component state by `settle_tx`/`settle_rx` whenever anything reads it.
+// Every transition that is not a steady flit is still made by the kernel
+// functions above, on a visit: a run ends whenever its sender is visited,
+// and starts again at the end of the visit if the flow is still steady.
+
+/// The channel of input `port`'s connection, if it streams a run.
+#[inline]
+fn streaming_out(sw: &SwitchState, port: usize, ch: &Channels) -> Option<u32> {
+    let inp = sw.inp[port].as_ref()?;
+    if inp.head() != HeadState::Granted {
+        return None;
+    }
+    let out = sw.out_chan(inp.head_out())?;
+    ch.stream(out).is_some_and(|st| st.running()).then_some(out)
+}
+
+/// Count the arrivals of channel `ci`'s run before `upto` into its
+/// receiver.
+#[inline]
+fn settle_rx(p: &mut SeqParts, ci: u32, upto: u64) {
+    let Some((pid, n, last)) = p.sink.channels.take_arrivals(ci, upto) else {
+        return;
+    };
+    match p.sink.channels.receiver(ci) {
+        Receiver::SwitchIn { sw, port } => p.switches[sw as usize].stream_in(port, pid, n),
+        Receiver::Nic { host } => {
+            let rx = p.nics[host as usize].rx.as_mut();
+            let rx = rx.expect("a run into a NIC receiving nothing");
+            debug_assert_eq!(rx.pid, pid, "a run of another packet");
+            rx.received += n;
+            debug_assert!(rx.received < rx.expected, "a run's last flit is ordinary");
+        }
+    }
+    p.sink.activity_at(last);
+}
+
+/// Count the sends of channel `ci`'s run before `upto` into its sender. A
+/// switch's input is settled first: its buffer counts arrivals before the
+/// flits that leave it.
+#[inline]
+fn settle_tx(p: &mut SeqParts, ci: u32, upto: u64) {
+    match p.sink.channels.sender(ci) {
+        Sender::SwitchOut { sw, port } => {
+            let s = &p.switches[sw as usize];
+            let g = s.outp[port as usize].as_ref().and_then(|o| o.conn_in());
+            if let Some(g) = g {
+                let in_chan = s.inp[g as usize].as_ref().expect("connected input").in_chan;
+                settle_rx(p, in_chan, upto);
+            }
+            let Some((pid, n, last)) = p.sink.channels.take_sends(ci, upto) else {
+                return;
+            };
+            p.switches[sw as usize].stream_out(port as usize, pid, n);
+            p.sink.count(|c| c.flits_forwarded += u64::from(n));
+            p.sink.activity_at(last);
+        }
+        Sender::Nic { host } => {
+            let Some((pid, n, last)) = p.sink.channels.take_sends(ci, upto) else {
+                return;
+            };
+            let tx = p.nics[host as usize].tx.as_mut();
+            let tx = tx.expect("a run from a NIC sending nothing");
+            debug_assert_eq!(tx.pid, pid, "a run of another packet");
+            tx.sent += n;
+            debug_assert!(tx.sent < tx.total, "a run sends no tail");
+            p.sink.count(|c| c.flits_injected += u64::from(n));
+            p.sink.activity_at(last);
+        }
+    }
+}
+
+/// Count every run's sends and arrivals before `upto` into the component
+/// state: afterwards it is what the per-flit loop holds at `upto`.
+pub(crate) fn settle_all(p: &mut SeqParts, upto: u64) {
+    for ci in 0..p.sink.channels.len() as u32 {
+        if p.sink.channels.streams() == 0 {
+            return;
+        }
+        if p.sink.channels.stream(ci).is_some() {
+            settle_tx(p, ci, upto);
+            settle_rx(p, ci, upto);
+        }
+    }
+}
+
+/// End every run at `upto` (fault handling): settle it, put its flits
+/// still in flight into their slots, and list its sender, which goes on
+/// per flit.
+pub(crate) fn unstream_all(p: &mut SeqParts, upto: u64) {
+    settle_all(p, upto);
+    for ci in 0..p.sink.channels.len() as u32 {
+        let Some(st) = p.sink.channels.stream(ci) else {
+            continue;
+        };
+        let running = st.running();
+        p.sink.channels.unstream(ci, upto);
+        if let (true, Some(sc)) = (running, p.sink.sched.as_deref_mut()) {
+            match p.sink.channels.sender(ci) {
+                Sender::SwitchOut { sw, .. } => sc.activate_switch(sw),
+                Sender::Nic { host } => sc.activate_nic(host),
+            }
+        }
+    }
+}
+
+/// Before the kernel visits switch `s` at `cycle`: settle its runs, and
+/// suspend the ones it sends, so that the visit meets the per-flit state.
+/// The flit a run brings in at `cycle` is taken like a slot's, through
+/// [`switch_rx`], so that a STOP it triggers goes back this cycle.
+fn resume_switch(p: &mut SeqParts, s: u32, cycle: u64) {
+    for q in ports(p.sink.channels.runs_out(s)) {
+        let out = p.switches[s as usize].outp[q]
+            .as_ref()
+            .expect("a run from a port")
+            .out_chan;
+        if p.sink.channels.stream(out).is_some_and(|st| st.running()) {
+            settle_tx(p, out, cycle);
+            p.sink.channels.suspend(out, cycle);
+        }
+    }
+    for q in ports(p.sink.channels.runs_in(s)) {
+        let in_chan = p.switches[s as usize].inp[q]
+            .as_ref()
+            .expect("a run into a port")
+            .in_chan;
+        let q = q as u8;
+        settle_rx(p, in_chan, cycle);
+        if let Some(pid) = p.sink.channels.take_arrival_at(in_chan, cycle) {
+            p.sink.activity();
+            switch_rx(&mut p.switches[s as usize], s, q, pid, &mut p.sink);
+        }
+    }
+}
+
+/// After the kernel visited switch `s` at `t.cycle`: stream every
+/// connection whose flow is steady, end the runs of the others, and
+/// schedule the switch's next event. Returns whether the switch stays
+/// listed: it has work next cycle that no run covers.
+fn rearm_switch(p: &mut SeqParts, s: u32, t: &Tick) -> bool {
+    let cycle = t.cycle;
+    let mut next = u64::MAX;
+    // Inputs a run forwards from.
+    let mut streaming = 0u64;
+    let sw = &p.switches[s as usize];
+    let k = &mut p.sink;
+    // Outputs with requests, a connection or a suspended run.
+    for q in ports(sw.busy_outputs() | k.channels.runs_out(s)) {
+        let o = sw.outp[q]
+            .as_ref()
+            .expect("busy or streaming outputs exist");
+        let (out, conn) = (o.out_chan, o.conn_in());
+        let suspended = k.channels.stream(out).is_some_and(|st| st.suspended());
+        let Some(g) = conn else {
+            if suspended {
+                k.channels.close(out);
+            }
+            // A free output with requests arbitrates next cycle.
+            if sw.busy_outputs() & (1 << q) != 0 {
+                next = cycle + 1;
+            }
+            continue;
+        };
+        let flow = flow(sw, g as usize, q, t, k.channels);
+        let steady = match (suspended, &flow) {
+            (true, Flow::Steady(_)) => {
+                k.channels.resume(out);
+                true
+            }
+            (true, _) => {
+                k.channels.close(out);
+                false
+            }
+            // Unless the channel still carries the end of the last run.
+            (false, Flow::Steady(_)) if k.channels.stream(out).is_none() => {
+                k.channels.open(out, sw.head_pid(g as usize), cycle + 1);
+                true
+            }
+            _ => false,
+        };
+        match flow {
+            Flow::Steady(h) if steady => {
+                streaming |= 1 << g;
+                next = next.min(h);
+            }
+            Flow::Waits => {}
+            _ => next = cycle + 1,
+        }
+    }
+    // Inputs with routing work or a run arriving.
+    for q in ports(sw.rcu_ports() | k.channels.runs_in(s)) {
+        let inp = sw.inp[q]
+            .as_ref()
+            .expect("routing or streamed-into inputs exist");
+        if inp.queue().is_empty() {
+            continue;
+        }
+        match inp.head() {
+            HeadState::Idle => next = cycle + 1,
+            HeadState::Routing { ready } => next = next.min(ready),
+            _ => {}
+        }
+        if streaming & (1 << q) == 0 {
+            next = next.min(fill_horizon(inp, cycle, k.channels));
+        }
+    }
+    let keep = next <= cycle + 1;
+    let sc = p
+        .sink
+        .sched
+        .as_deref_mut()
+        .expect("runs without wake state");
+    sc.wake_switch_at(if keep { u64::MAX } else { next }, s);
+    keep
+}
+
+/// What connection `g` → `out` does from the next cycle on.
+#[derive(Debug, PartialEq)]
+enum Flow {
+    /// Streams one flit per cycle until its next event, at this cycle:
+    /// its tail crossing, its buffered flits running out, or its buffer
+    /// falling below the GO threshold.
+    Steady(u64),
+    /// Forwards next cycle, but not steadily: an event is due then, or no
+    /// flit crossed this cycle (a run starts after an ordinary flit).
+    PerFlit,
+    /// Moves nothing until an arrival or a control symbol: STOP-held,
+    /// into a dead cable, or nothing to forward.
+    Waits,
+}
+
+fn flow(sw: &SwitchState, g: usize, out: usize, t: &Tick, ch: &Channels) -> Flow {
+    let (cycle, delay) = (t.cycle, ch.delay());
+    let Some((inp, head)) = sw.inp[g]
+        .as_ref()
+        .and_then(|i| Some((i, i.queue().front()?)))
+    else {
+        return Flow::Waits;
+    };
+    let out_chan = sw.out_chan(out as u8);
+    if sw.is_stopped(out) || out_chan.is_none_or(|c| t.faults.is_some() && ch.is_dead(c)) {
+        return Flow::Waits;
+    }
+    let arriving = ch
+        .stream(inp.in_chan)
+        .filter(|st| st.arriving(cycle + 1, delay));
+    let fed = arriving.is_some_and(|st| st.pid == head.pid);
+    let available = u64::from(head.available());
+    if !fed && available == 0 {
+        return Flow::Waits;
+    }
+    if out_chan.is_none_or(|c| !ch.sent_at(c, head.pid, cycle)) {
+        return Flow::PerFlit;
+    }
+    // Forwards left, the tail's included; the tail crosses on a visit.
+    let left = u64::from(head.expected - 1 - head.forwarded);
+    // Fed one flit per cycle, the buffer holds steady until the tail;
+    // unfed, it drains, and the visit after the last flit finds it empty.
+    let mut h = cycle + if fed { left } else { left.min(available + 1) };
+    let occ = u64::from(inp.occ);
+    if arriving.is_some() {
+        // Each cycle's arrival lands before its forward.
+        if !inp.stop_sent && occ + 1 > u64::from(STOP_THRESHOLD) {
+            return Flow::PerFlit;
+        }
+    } else if inp.stop_sent {
+        // Draining: GO goes back with the flit that brings it below 40.
+        h = h.min(cycle + (occ + 1).saturating_sub(u64::from(GO_THRESHOLD)));
+    }
+    if h > cycle + 1 {
+        Flow::Steady(h)
+    } else {
+        Flow::PerFlit
+    }
+}
+
+/// The cycle input `inp`, which no run forwards from, crosses the STOP
+/// threshold if a run fills it one flit per cycle: the STOP goes back with
+/// that flit, on a visit. `u64::MAX` when nothing streams in or STOP is
+/// already out.
+fn fill_horizon(inp: &InPort, cycle: u64, ch: &Channels) -> u64 {
+    let arriving = ch.stream(inp.in_chan);
+    if inp.stop_sent || !arriving.is_some_and(|st| st.arriving(cycle + 1, ch.delay())) {
+        return u64::MAX;
+    }
+    cycle + u64::from((STOP_THRESHOLD + 1).saturating_sub(inp.occ).max(1))
+}
+
+/// Before the kernel visits NIC `h` at `cycle`: settle and suspend its
+/// run, and count the arrivals of a run into it, a re-injection's
+/// cut-through supply.
+fn resume_nic(p: &mut SeqParts, h: u32, cycle: u64) {
+    let nic = &p.nics[h as usize];
+    let out = nic.out_chan;
+    if p.sink.channels.stream(out).is_some_and(|st| st.running()) {
+        settle_tx(p, out, cycle);
+        p.sink.channels.suspend(out, cycle);
+    }
+    let in_chan = p.sink.channels.nic_in(h);
+    if p.sink.channels.stream(in_chan).is_some() {
+        settle_rx(p, in_chan, cycle + 1);
+    }
+}
+
+/// After the kernel visited NIC `h` at `t.cycle`: stream its worm if the
+/// flow is steady ([`nic_run_horizon`]), else end its run. Returns whether
+/// the NIC stays listed.
+fn rearm_nic(p: &mut SeqParts, h: u32, t: &Tick) -> bool {
+    let cycle = t.cycle;
+    let nic = &p.nics[h as usize];
+    let out = nic.out_chan;
+    let k = &mut p.sink;
+    let suspended = k.channels.stream(out).is_some_and(|st| st.suspended());
+    let horizon = nic_run_horizon(nic, h, t, k.channels);
+    let streams = match (suspended, horizon) {
+        (true, Some(_)) => {
+            k.channels.resume(out);
+            true
+        }
+        (true, None) => {
+            k.channels.close(out);
+            false
+        }
+        (false, Some(_)) if k.channels.stream(out).is_none() => {
+            let tx = nic.tx.expect("a horizon has a worm");
+            k.channels.open(out, tx.pid, cycle + 1);
+            true
+        }
+        _ => false,
+    };
+    if let (true, Some(at)) = (streams, horizon) {
+        let sc = k.sched.as_deref_mut().expect("runs without wake state");
+        sc.wake_nic_at(at, h);
+        return false;
+    }
+    !(nic.quiescent_for_tx(cycle) || nic.held_by_stop() || nic.frozen(t.faults))
+}
+
+/// The cycle of the next event of NIC `h`'s worm, if it can stream from
+/// the next cycle on: the cycle its tail leaves, or a re-injection's
+/// supply runs out. A re-injection is supplied by this NIC's own
+/// reception, as in [`nic_tx`]: fed one flit per cycle by a run into the
+/// NIC, it holds steady (an ordinary arrival lists the NIC again); unfed,
+/// it drains what has arrived. `None` when the flow is not steady:
+/// STOP-held, into a dead cable, no flit sent this cycle, or an event
+/// next cycle.
+fn nic_run_horizon(nic: &Nic, h: u32, t: &Tick, ch: &Channels) -> Option<u64> {
+    let (cycle, tx) = (t.cycle, nic.tx?);
+    if nic.stopped
+        || t.faults.is_some() && ch.is_dead(nic.out_chan)
+        || !ch.sent_at(nic.out_chan, tx.pid, cycle)
+    {
+        return None;
+    }
+    let mut h_at = cycle + u64::from(tx.total - tx.sent);
+    let cut_through = t.cfg.itb_cut_through;
+    let receiving = nic.rx.is_some_and(|rx| rx.pid == tx.pid);
+    let fed = receiving
+        && cut_through
+        && ch
+            .stream(ch.nic_in(h))
+            .is_some_and(|st| st.pid == tx.pid && st.arriving(cycle + 1, ch.delay()));
+    if tx.reinjection && !fed {
+        let available = nic.sendable(cut_through).saturating_sub(tx.sent);
+        h_at = h_at.min(cycle + u64::from(available) + 1);
+    }
+    (h_at > cycle + 1).then_some(h_at)
 }
 
 #[cfg(test)]
@@ -966,6 +1372,167 @@ mod tests {
             k.pkts[0].first_inject, 50,
             "latency counts from the first try"
         );
+    }
+
+    // ---- Steady runs: each horizon is the cycle per-flit stepping meets
+    // the event at.
+
+    /// A channel table wide enough for [`switch`]'s channels and [`nic`]'s.
+    fn table() -> Channels {
+        crate::channel::tests::table(41, crate::config::LINK_DELAY_CYCLES)
+    }
+
+    /// `flits` flits of a `payload`-flit worm for output 2 into input 1,
+    /// routed at cycle 0 and granted at 24, where its first flit crosses;
+    /// `ch` records that send. Returns the flits the worm has here.
+    fn granted_worm(sw: &mut SwitchState, k: &mut Recorder, ch: &mut Channels, flits: u32) -> u32 {
+        let w = World::new();
+        let expected = k.pkts[0].expected_at_next_receiver();
+        for _ in 0..flits.min(expected) {
+            switch_rx(sw, SW, 1, 0, k);
+        }
+        switch_phase(sw, SW, &w.tick(0), k);
+        switch_phase(sw, SW, &w.tick(24), k);
+        assert!(k.take().contains(&Send(22, 0)));
+        ch.send(ch.row(24), 22, 0);
+        expected
+    }
+
+    /// The cycles from 25 on at which per-flit stepping forwards, until
+    /// `until`.
+    fn forward_cycles(sw: &mut SwitchState, k: &mut Recorder, until: u64) -> Vec<u64> {
+        let w = World::new();
+        let mut sent = Vec::new();
+        for cycle in 25..=until {
+            switch_phase(sw, SW, &w.tick(cycle), k);
+            if k.take().contains(&Send(22, 0)) {
+                sent.push(cycle);
+            }
+        }
+        sent
+    }
+
+    #[test]
+    fn a_run_of_a_buffered_worm_ends_when_its_tail_crosses() {
+        let (w, mut sw, mut ch) = (World::new(), switch(), table());
+        let mut k = Recorder::with(vec![packet(30, &[&[2, 0]])]);
+        let expected = granted_worm(&mut sw, &mut k, &mut ch, u32::MAX);
+        let Flow::Steady(h) = flow(&sw, 1, 2, &w.tick(24), &ch) else {
+            panic!("not steady")
+        };
+        // Header byte consumed, one flit across: the tail is the last of
+        // the other `expected - 2`, one per cycle.
+        assert_eq!(h, 22 + u64::from(expected));
+        let sent = forward_cycles(&mut sw, &mut k, h + 3);
+        assert_eq!(sent.last(), Some(&h));
+        assert!(sw.is_quiescent(), "the tail released the connection");
+    }
+
+    #[test]
+    fn an_unfed_run_ends_on_the_cycle_its_buffer_is_empty() {
+        let (w, mut sw, mut ch) = (World::new(), switch(), table());
+        let mut k = Recorder::with(vec![packet(30, &[&[2, 0]])]);
+        granted_worm(&mut sw, &mut k, &mut ch, 10);
+        // Ten in, header consumed, one across: eight to go, then nothing.
+        let Flow::Steady(h) = flow(&sw, 1, 2, &w.tick(24), &ch) else {
+            panic!("not steady")
+        };
+        assert_eq!(h, 24 + 8 + 1);
+        assert_eq!(
+            forward_cycles(&mut sw, &mut k, h),
+            (25..h).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn a_run_fed_by_a_run_lasts_until_its_tail() {
+        let (w, mut sw, mut ch) = (World::new(), switch(), table());
+        let mut k = Recorder::with(vec![packet(30, &[&[2, 0]])]);
+        let expected = granted_worm(&mut sw, &mut k, &mut ch, 10);
+        // Channel 11 (input 1) streams the rest from cycle 25 on.
+        let delay = ch.delay();
+        ch.open(11, 0, 25 - delay);
+        let Flow::Steady(h) = flow(&sw, 1, 2, &w.tick(24), &ch) else {
+            panic!("not steady")
+        };
+        assert_eq!(h, 22 + u64::from(expected));
+        // Stepped per flit with those arrivals: no gap, the tail at `h`.
+        let mut sent = Vec::new();
+        for cycle in 25..=h {
+            if cycle - 25 < u64::from(expected - 10) {
+                switch_rx(&mut sw, SW, 1, 0, &mut k);
+            }
+            switch_phase(&mut sw, SW, &w.tick(cycle), &mut k);
+            if k.take().contains(&Send(22, 0)) {
+                sent.push(cycle);
+            }
+        }
+        assert_eq!(sent, (25..=h).collect::<Vec<_>>());
+        assert!(sw.is_quiescent());
+    }
+
+    #[test]
+    fn a_draining_run_ends_with_the_flit_that_sends_go() {
+        let (w, mut sw, mut ch) = (World::new(), switch(), table());
+        let mut k = Recorder::with(vec![packet(100, &[&[2, 0]])]);
+        // 57 flits: over the STOP threshold; 55 buffered after cycle 24.
+        granted_worm(&mut sw, &mut k, &mut ch, 57);
+        let Flow::Steady(h) = flow(&sw, 1, 2, &w.tick(24), &ch) else {
+            panic!("not steady")
+        };
+        assert_eq!(h, 24 + 55 + 1 - u64::from(GO_THRESHOLD));
+        for cycle in 25..=h {
+            switch_phase(&mut sw, SW, &w.tick(cycle), &mut k);
+            let go = k.take().contains(&Ctl(11, crate::channel::CTL_GO));
+            assert_eq!(go, cycle == h, "cycle {cycle}");
+        }
+    }
+
+    #[test]
+    fn a_buffer_filled_by_a_run_ends_it_with_the_flit_that_sends_stop() {
+        let (w, mut sw, mut ch) = (World::new(), switch(), table());
+        let mut k = Recorder::with(vec![packet(100, &[&[2, 0]])]);
+        for _ in 0..10 {
+            switch_rx(&mut sw, SW, 1, 0, &mut k);
+        }
+        // Routing: nothing leaves while a run sent from cycle 0 streams in
+        // from cycle `at` on.
+        switch_phase(&mut sw, SW, &w.tick(0), &mut k);
+        ch.open(11, 0, 0);
+        let (inp, at) = (sw.inp[1].as_ref().unwrap(), ch.delay());
+        assert_eq!(fill_horizon(inp, at - 2, &ch), u64::MAX, "not arriving yet");
+        // Nine buffered: the 48th arrival makes 57.
+        let h = fill_horizon(inp, at - 1, &ch);
+        assert_eq!(h, at - 1 + 48);
+        k.take();
+        for cycle in at..=h {
+            switch_rx(&mut sw, SW, 1, 0, &mut k);
+            let stop = k.take().contains(&Ctl(11, CTL_STOP));
+            assert_eq!(stop, cycle == h, "cycle {cycle}");
+        }
+    }
+
+    #[test]
+    fn a_nic_run_ends_when_the_tail_leaves() {
+        let (w, mut nic, mut ch) = (World::new(), nic(), table());
+        let mut k = Recorder::with(vec![packet(30, &[&[1]])]);
+        nic.local_queue.push_back(0);
+        nic_tx(&mut nic, 0, &w.tick(50), &mut k);
+        ch.send(ch.row(50), 40, 0);
+        let total = nic.tx.unwrap().total;
+        let h = nic_run_horizon(&nic, 0, &w.tick(50), &ch).unwrap();
+        assert_eq!(h, 50 + u64::from(total) - 1);
+        for cycle in 51..=h {
+            nic_tx(&mut nic, 0, &w.tick(cycle), &mut k);
+            assert_eq!(nic.tx.is_none(), cycle == h, "cycle {cycle}");
+        }
+        // Held by STOP, or no flit sent this cycle: no run.
+        let mut nic2 = self::nic();
+        nic2.local_queue.push_back(0);
+        nic_tx(&mut nic2, 0, &w.tick(50), &mut k);
+        assert_eq!(nic_run_horizon(&nic2, 0, &w.tick(51), &ch), None);
+        nic2.stopped = true;
+        assert_eq!(nic_run_horizon(&nic2, 0, &w.tick(50), &ch), None);
     }
 
     /// The phase loops' walk on ids at both sides of a word boundary and

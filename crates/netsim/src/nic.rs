@@ -117,6 +117,32 @@ impl Nic {
         None
     }
 
+    /// How many flits of the packet in transmission this NIC may have sent
+    /// by now: all of a fresh or retransmitted one. A re-injected packet
+    /// can only send flits that have already arrived *at this NIC* (minus
+    /// the consumed ITB mark) under cut-through, and none before its tail
+    /// under store-and-forward. The count comes from this NIC's own
+    /// reception state — if its rx has moved on, the packet arrived here
+    /// completely. (A packet can span several NICs at once when
+    /// cut-through chains through consecutive in-transit hosts, so the
+    /// count must be per-NIC, not per-packet.)
+    pub(crate) fn sendable(&self, cut_through: bool) -> u32 {
+        let Some(tx) = self.tx.filter(|tx| tx.reinjection) else {
+            return self.tx.map_or(0, |tx| tx.total);
+        };
+        let arrived_here = match self.rx {
+            Some(rx) if rx.pid == tx.pid => rx.received,
+            _ => tx.total + 1, // fully received (wire included the ITB mark)
+        };
+        if cut_through {
+            arrived_here.saturating_sub(1)
+        } else if arrived_here > tx.total {
+            tx.total
+        } else {
+            0
+        }
+    }
+
     /// Nothing for the transmit phase to do at `cycle` — no transmission in
     /// flight, no queued local packet, and no re-injection or
     /// retransmission ready yet. Heap entries that become ready later are

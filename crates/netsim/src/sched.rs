@@ -7,16 +7,21 @@
 //! * [`Scheduler::ActiveSet`] — the engine. The channel table
 //!   (`channel.rs`) is indexed by arrival cycle, so the arrival phases walk
 //!   the set occupancy bits of the current row; switches and NICs are
-//!   listed by one bit each, which a component loses only when provably
+//!   listed by one bit each, which a component loses when provably
 //!   quiescent (or, for a NIC, asleep: held by STOP until GO, or frozen
-//!   by a pending reconfiguration until the new tables land).
-//!   Per cycle the loop touches only components with work, and whenever
+//!   by a pending reconfiguration until the new tables land), or when all
+//!   its work is steady runs: a connection streaming one flit per cycle is
+//!   deferred until its next event, the cycle the component is scheduled
+//!   for (`kernel.rs`, "Steady runs of the engine").
+//!   Per cycle the loop touches only components with work that is not
+//!   steady, and whenever
 //!   nothing is in flight and no bit is set the run loop jumps the clock
 //!   to the next cycle at which *anything* can happen (wake heap,
 //!   generation clocks, fault plan, reconfiguration deadline, trace
 //!   sampling, watchdog boundary; see `sim/skip.rs`).
 //! * `Scheduler::Scan` — the oracle: visit every channel, switch and NIC on
-//!   every cycle, never skip (its loops sit beside the engine's calls in
+//!   every cycle, per flit, never defer a run and never skip (its loops sit
+//!   beside the engine's calls in
 //!   `Simulator::kernel_phases`, `sim/mod.rs`). Trivially correct,
 //!   O(network size) per cycle regardless of load; nothing but the
 //!   equivalence suites selects it.
@@ -106,9 +111,11 @@ impl Listed {
 /// occupancy bits already say which of them have an arrival (`channel.rs`).
 ///
 /// Invariants:
-/// * a switch is listed whenever any of its input buffers holds a packet
-///   (a switch with empty input queues provably has idle heads and no
-///   crossbar connections, so visiting it is a no-op);
+/// * a switch whose input buffers hold a packet is listed, or has its
+///   next event scheduled (`switch_wake`), or waits only for an arrival or
+///   a control symbol, each of which lists it (a switch with empty input
+///   queues provably has idle heads and no crossbar connections, so
+///   visiting it is a no-op);
 /// * a NIC is listed whenever its transmit phase has work *now* (in-flight
 ///   tx, queued local packet, ready re-injection or retransmission),
 ///   except while it sleeps, every visit a no-op, until the event that
@@ -118,6 +125,9 @@ impl Listed {
 ///   - frozen by a pending reconfiguration with no worm in progress
 ///     (`Nic::frozen`): the new tables landing
 ///     (`Simulator::complete_reconfiguration`).
+///
+///   - streaming a steady run: the run's next event (`nic_wake`), or a
+///     visit for any other reason.
 ///
 ///   Heap entries that become ready in the future are covered by
 ///   `nic_wake`, which gets an entry at every heap insertion.
@@ -130,8 +140,18 @@ pub(crate) struct ActiveSched {
     pub(crate) switches: Listed,
     pub(crate) nics: Listed,
     /// `(ready_cycle, host)` wake-ups for NICs whose re-injection or
-    /// retransmission becomes eligible in the future.
+    /// retransmission becomes eligible in the future, or whose steady run
+    /// reaches its next event.
     nic_wake: BinaryHeap<Reverse<(u64, u32)>>,
+    /// `(cycle, switch)` wake-ups of switches a visit left unlisted with
+    /// an event ahead (a run's end, a routing delay, a STOP or GO due).
+    /// Only the entry equal to the switch's `switch_due` is live; a later
+    /// visit replaces it.
+    switch_wake: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Each switch's live wake-up, `u64::MAX` for none.
+    switch_due: Box<[u64]>,
+    /// Switches with a live wake-up.
+    switches_due: usize,
 }
 
 impl ActiveSched {
@@ -140,6 +160,45 @@ impl ActiveSched {
             switches: Listed::new(n_switches),
             nics: Listed::new(n_nics),
             nic_wake: BinaryHeap::new(),
+            switch_wake: BinaryHeap::new(),
+            switch_due: vec![u64::MAX; n_switches].into(),
+            switches_due: 0,
+        }
+    }
+
+    /// Switch `sw`'s next event is at `cycle` (`u64::MAX`: none the switch
+    /// can foresee; an arrival or a control symbol lists it).
+    #[inline]
+    pub(crate) fn wake_switch_at(&mut self, cycle: u64, sw: u32) {
+        let due = &mut self.switch_due[sw as usize];
+        if *due == cycle {
+            return;
+        }
+        self.switches_due += usize::from(cycle != u64::MAX);
+        self.switches_due -= usize::from(*due != u64::MAX);
+        *due = cycle;
+        if cycle != u64::MAX {
+            self.switch_wake.push(Reverse((cycle, sw)));
+        }
+    }
+
+    /// Switch `sw`'s live wake-up, if any.
+    pub(crate) fn switch_due(&self, sw: u32) -> Option<u64> {
+        Some(self.switch_due[sw as usize]).filter(|&c| c != u64::MAX)
+    }
+
+    /// List every switch whose live wake-up is due at or before `cycle`.
+    #[inline]
+    pub(crate) fn drain_switch_wakes(&mut self, cycle: u64) {
+        while let Some(&Reverse((at, sw))) = self.switch_wake.peek() {
+            if at > cycle {
+                break;
+            }
+            self.switch_wake.pop();
+            if self.switch_due[sw as usize] == at {
+                self.wake_switch_at(u64::MAX, sw);
+                self.activate_switch(sw);
+            }
         }
     }
 
@@ -174,11 +233,11 @@ impl ActiveSched {
 
     // ---- Quiescence accessors for the time skip (`sim/skip.rs`).
 
-    /// No switch or NIC is listed: a read of every word (9 on the largest
-    /// paper topology).
+    /// No switch or NIC is listed, and no switch waits for a wake-up: a
+    /// read of every word (9 on the largest paper topology).
     pub(crate) fn active_lists_empty(&self) -> bool {
         let empty = |l: &Listed| l.0.iter().all(|&w| w == 0);
-        empty(&self.switches) && empty(&self.nics)
+        self.switches_due == 0 && empty(&self.switches) && empty(&self.nics)
     }
 
     /// Earliest pending NIC wake-up, if any. Stale entries (the packet was

@@ -85,6 +85,9 @@ impl Simulator<'_> {
     /// reuse, and with it every downstream id, bit-identical between the
     /// two.
     pub(super) fn loss_phase(&mut self, cycle: u64) {
+        if !self.pending_loss.is_empty() {
+            self.unstream(cycle + 1);
+        }
         let mut lost = std::mem::take(&mut self.pending_loss);
         for (loss, pid) in lost.drain(..) {
             match loss {
@@ -98,6 +101,15 @@ impl Simulator<'_> {
     /// Apply every fault event due at `cycle`, purge the truncated worms,
     /// and drive the pending reconfiguration if one is in flight.
     pub(super) fn fault_phase(&mut self, cycle: u64) {
+        let f = self.faults.as_deref().expect("the fault phase runs armed");
+        let event_due = f
+            .events
+            .get(f.next_event)
+            .is_some_and(|ev| ev.cycle <= cycle);
+        if event_due || f.reconfig_due.is_some_and(|due| cycle >= due) {
+            // Faults and purges work on flits in slots.
+            self.unstream(cycle);
+        }
         let mut victims: Vec<u32> = Vec::new();
         let mut applied = false;
         loop {
@@ -196,6 +208,7 @@ impl Simulator<'_> {
     fn kill_host_nic(&mut self, h: usize, victims: &mut Vec<u32>) {
         let nic = &mut self.nics[h];
         nic.next_gen = f64::MAX;
+        self.scheduled_pending -= nic.scheduled.len();
         nic.scheduled.clear();
         nic.stopped = false;
         nic_victims(nic, true, victims);
@@ -296,7 +309,11 @@ impl Simulator<'_> {
         };
         match self.channels.sender(ci) {
             Sender::SwitchOut { sw, port } => {
-                self.switches[sw as usize].set_stopped(port as usize, stopped)
+                self.switches[sw as usize].set_stopped(port as usize, stopped);
+                // As a GO's arrival would.
+                if let Some(sc) = self.sched.as_deref_mut() {
+                    sc.activate_switch(sw);
+                }
             }
             Sender::Nic { host } => self.nics[host as usize].stopped = stopped,
         }
@@ -423,6 +440,7 @@ impl Simulator<'_> {
     /// A packet's worm was truncated somewhere: purge every remaining trace
     /// of it, then either queue a source retransmission or drop it for good.
     fn handle_loss(&mut self, pid: u32, cycle: u64) {
+        debug_assert_eq!(self.channels.streams(), 0, "a purge under steady runs");
         self.purge_packet(pid, cycle);
         self.rel.worms_truncated += 1;
         let (src, retries) = {
@@ -475,7 +493,13 @@ impl Simulator<'_> {
         let row = self.channels.row(cycle);
         for s in 0..self.switches.len() {
             let mut ctl = Vec::new();
-            self.switches[s].purge(pid, |c| ctl.push(c));
+            if self.switches[s].purge(pid, |c| ctl.push(c)) {
+                // The packet behind may need routing, a request may be
+                // gone: the visit works out what is left.
+                if let Some(sc) = self.sched.as_deref_mut() {
+                    sc.activate_switch(s as u32);
+                }
+            }
             for (in_chan, sym) in ctl {
                 // The purge can run in phase 0, before this cycle's control
                 // arrivals were taken: the symbol arriving right now is
@@ -596,6 +620,7 @@ mod tests {
             sim.step();
         }
         let (h, pid) = held(&sim).unwrap();
+        sim.unstream(sim.cycle);
         sim.handle_loss(pid, sim.cycle);
         assert!(sim.nics[h].tx.is_none());
         sim.check_invariants();
@@ -604,7 +629,8 @@ mod tests {
     /// A source with a packet queued while the network re-maps sleeps:
     /// once the fabric has drained it is unlisted and the run loop jumps
     /// the stall; the cycle the new tables land lists it again, and it
-    /// sends its first flit that very cycle, as under the scan.
+    /// sends its first flit that very cycle, as under the scan (and may
+    /// stream the rest as a steady run).
     #[test]
     fn a_frozen_source_sleeps_until_the_new_tables_land() {
         let topo = gen::torus_2d(4, 4, 2).unwrap();
@@ -652,7 +678,12 @@ mod tests {
             .any(|&(from, to)| fail < from && to <= due);
         assert!(jumped, "no jump inside the stall: {:?}", sim.skip_log());
         sim.step();
-        assert!(listed(&sim, h), "NIC {h} not listed when the tables landed");
+        // Visited: listed still, or streaming the worm it started.
+        let streams = sim.channels.stream(sim.nics[h].out_chan).is_some();
+        assert!(
+            listed(&sim, h) || streams,
+            "NIC {h} not listed when the tables landed"
+        );
         assert_eq!(sim.arena.get(pid).first_inject, due);
         sim.check_invariants();
 
@@ -734,6 +765,7 @@ mod tests {
                 if sim.cycle.is_multiple_of(64) {
                     if let Some((case, pid)) = next_purge_case(&sim, &seen) {
                         seen[case] = true;
+                        sim.unstream(sim.cycle);
                         sim.handle_loss(pid, sim.cycle);
                         sim.check_invariants();
                     }

@@ -54,6 +54,7 @@ impl Simulator<'_> {
             );
         }
         nic.scheduled.push_back((at_cycle, dst.0));
+        self.scheduled_pending += 1;
         self.gen_heap.push(Reverse((at_cycle, src.0)));
     }
 
@@ -113,6 +114,7 @@ impl Simulator<'_> {
                 break;
             }
             self.nics[h].scheduled.pop_front();
+            self.scheduled_pending -= 1;
             let src = HostId(h as u32);
             self.create_message(src, HostId(dst), at);
         }

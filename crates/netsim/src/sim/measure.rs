@@ -122,7 +122,8 @@ impl Simulator<'_> {
     }
 
     /// Current counter values; `None` when counting was never enabled.
-    pub fn counter_snapshot(&self) -> Option<CounterSnapshot> {
+    pub fn counter_snapshot(&mut self) -> Option<CounterSnapshot> {
+        self.settle(self.cycle);
         self.counters.as_deref().cloned()
     }
 
@@ -171,6 +172,8 @@ impl Simulator<'_> {
 
     /// Start the measurement window (resets all counters).
     pub fn begin_measurement(&mut self) {
+        // What runs moved before the window is not the window's.
+        self.settle(self.cycle);
         self.measure = Measure {
             on: true,
             ..Measure::default()
@@ -186,6 +189,7 @@ impl Simulator<'_> {
 
     /// Close the measurement window and collect the results.
     pub fn end_measurement(&mut self, window_cycles: u64) -> RunStats {
+        self.settle(self.cycle);
         let m = &self.measure;
         let delivered = m.delivered;
         RunStats {
@@ -243,8 +247,13 @@ impl Simulator<'_> {
         // Before aborting, run the wait-for-graph analyzer so the panic
         // says *what kind* of stall this is (cyclic-dependency deadlock
         // vs. starvation/livelock) and which channels form the cycle.
+        let quiet = |sim: &Self| cycle - sim.last_activity > sim.cfg.watchdog_cycles;
+        if self.arena.live() > 0 && quiet(self) {
+            // Runs move flits without feeding the clock until settled.
+            self.settle(cycle + 1);
+        }
         if self.arena.live() > 0
-            && cycle - self.last_activity > self.cfg.watchdog_cycles
+            && quiet(self)
             && self.nics.iter().all(|n| n.tx.is_none() || n.stopped)
         {
             let report = self.analyze_stall();
@@ -257,6 +266,14 @@ impl Simulator<'_> {
             );
         }
 
+        if self
+            .trace
+            .as_deref()
+            .is_some_and(|tr| cycle + 1 >= tr.next_tick())
+        {
+            // A sample reads busy counts and counters.
+            self.settle(cycle + 1);
+        }
         if let Some(tr) = &mut self.trace {
             let mark = trace_ns.as_ref().map(|_| std::time::Instant::now());
             let live = self.arena.live() as u64;
@@ -279,6 +296,7 @@ impl Simulator<'_> {
     /// [`Deadlock`](crate::wfg::StallClass::Deadlock) (naming the cycle's
     /// channels), or [`Starvation`](crate::wfg::StallClass::Starvation).
     pub fn analyze_stall(&mut self) -> StallReport {
+        self.settle(self.cycle);
         if let Some(c) = self.counters.as_deref_mut() {
             c.wfg_invocations += 1;
         }
@@ -319,7 +337,14 @@ impl Simulator<'_> {
 
     /// Dump a human-readable snapshot of where every live packet is —
     /// diagnostic aid for stalls (used by tests and the `probe` binary).
-    pub fn dump_state(&self) -> String {
+    pub fn dump_state(&mut self) -> String {
+        self.settle(self.cycle);
+        self.describe()
+    }
+
+    /// [`dump_state`](Simulator::dump_state) without settling the runs
+    /// first: their flits are listed as runs.
+    pub(super) fn describe(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         let _ = writeln!(
@@ -329,10 +354,17 @@ impl Simulator<'_> {
             self.arena.live(),
             self.last_activity
         );
+        let (delay, now) = (self.channels.delay(), self.cycle % self.channels.delay());
         let in_flight = (0..self.channels.len() as u32)
             .filter(|&ci| self.channels.has_data_in_flight(ci))
             .count();
         let _ = writeln!(out, "channels with data in flight: {in_flight}");
+        let mut flits = self.channels.flits_in_flight(self.cycle);
+        flits.sort_unstable_by_key(|&(row, ci, _)| (ci, (row as u64 + delay - now) % delay));
+        for chunk in flits.chunk_by(|a, b| a.1 == b.1) {
+            let pids: Vec<u32> = chunk.iter().map(|&(_, _, pid)| pid).collect();
+            let _ = writeln!(out, "  ch {} flits {pids:?}", chunk[0].1);
+        }
         for (h, nic) in self.nics.iter().enumerate() {
             if nic.is_idle() {
                 continue;

@@ -47,7 +47,7 @@ use crate::nic::Nic;
 use crate::packet::PacketArena;
 use crate::profiler::{times_children, Phase, Profiler};
 use crate::sched::{ActiveSched, Scheduler};
-use crate::switch::SwitchState;
+use crate::switch::{HeadState, SwitchState};
 use crate::trace::TraceState;
 
 mod faults;
@@ -133,6 +133,9 @@ pub struct Simulator<'a> {
     /// host coming back) pushes one. An entry may be early or stale —
     /// visiting a host with nothing due is a no-op — never late.
     gen_heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Scripted messages not yet generated, over every NIC's `scheduled`
+    /// queue: what `run_until_drained` waits for besides live packets.
+    scheduled_pending: usize,
     /// Total cycles `run`/`run_until_drained` jumped over (see `skip.rs`).
     skipped_cycles: u64,
     /// Optional `(from, to)` record of every jump — test instrumentation,
@@ -263,6 +266,7 @@ impl<'a> Simulator<'a> {
             gen_heap: (0..topo.num_hosts() as u32)
                 .map(|h| Reverse((0, h)))
                 .collect(),
+            scheduled_pending: 0,
             skipped_cycles: 0,
             skip_log: None,
         };
@@ -302,10 +306,12 @@ impl<'a> Simulator<'a> {
 
     /// Test oracle: recompute every switch's port summaries (the masks the
     /// kernel iterates, the resident-packet count behind quiescence) from
-    /// the port state, and check that the engine lists every switch
-    /// holding a packet and every NIC with something to send that is not
-    /// asleep (held by STOP, or frozen by a pending reconfiguration);
-    /// panic on a mismatch. Valid between steps.
+    /// the port state, and check the engine's wake state: every switch
+    /// holding a packet is listed or has its next event scheduled, unless
+    /// all it waits for is an arrival or a control symbol; every NIC with
+    /// something to send is listed unless asleep (held by STOP, or frozen
+    /// by a pending reconfiguration) or streaming a steady run. Panics on
+    /// a mismatch. Valid between steps.
     pub fn check_invariants(&self) {
         for sw in &self.switches {
             sw.check_invariants();
@@ -313,23 +319,69 @@ impl<'a> Simulator<'a> {
         let Some(sc) = self.sched.as_deref() else {
             return;
         };
+        let streaming = |ci: u32| self.channels.stream(ci).is_some_and(|st| st.running());
         for (s, sw) in self.switches.iter().enumerate() {
-            assert!(
-                sc.switches.contains(s as u32) || sw.is_quiescent(),
-                "switch {s} holds a packet, unlisted"
-            );
+            if sc.switches.contains(s as u32) || sw.is_quiescent() {
+                continue;
+            }
+            let due = sc.switch_due(s as u32).unwrap_or(u64::MAX);
+            for &p in &sw.active_ports {
+                let inp = sw.inp[p as usize].as_ref().expect("active port");
+                let head = inp.queue().front();
+                match inp.head() {
+                    HeadState::Idle => assert!(head.is_none(), "switch {s}: p{p} waits to route"),
+                    HeadState::Routing { ready } => {
+                        assert!(due <= ready, "switch {s}: p{p} routed, no wake-up")
+                    }
+                    HeadState::Granted => {
+                        let out = inp.head_out() as usize;
+                        let out_chan = sw.out_chan(out as u8).expect("granted output");
+                        let supply = head.is_some_and(|h| h.available() > 0);
+                        assert!(
+                            !supply || sw.is_stopped(out) || streaming(out_chan) && due < u64::MAX,
+                            "switch {s}: p{p} -> p{out} has flits to move, unlisted:\n{}",
+                            self.describe()
+                        );
+                    }
+                    HeadState::Requesting => {}
+                }
+            }
         }
         // What became ready by the last cycle stepped was visited then;
         // later readiness is the wake heap's.
         let last = self.cycle.saturating_sub(1);
         let faults = self.faults.as_deref();
         for (h, nic) in self.nics.iter().enumerate() {
-            let idle = nic.quiescent_for_tx(last) || nic.held_by_stop() || nic.frozen(faults);
+            let idle = nic.quiescent_for_tx(last)
+                || nic.held_by_stop()
+                || nic.frozen(faults)
+                || streaming(nic.out_chan);
             assert!(
                 sc.nics.contains(h as u32) || idle,
                 "NIC {h} has work, unlisted:\n{}",
-                self.dump_state()
+                self.describe()
             );
+        }
+    }
+
+    /// Count every steady run's flits moved before `upto` into the
+    /// component state (`kernel.rs`): afterwards switches, NICs, busy
+    /// counts, counters and the watchdog clock are what the per-flit loop
+    /// holds. `upto` is the current cycle between steps and in the fault
+    /// phase, and the next one after NIC transmission.
+    pub(crate) fn settle(&mut self, upto: u64) {
+        if self.channels.streams() > 0 {
+            let (mut p, _, _) = self.split(upto, false);
+            kernel::settle_all(&mut p, upto);
+        }
+    }
+
+    /// [`settle`](Simulator::settle), then end every run: what a fault
+    /// event or a purge is about to touch is all in slots and components.
+    pub(crate) fn unstream(&mut self, upto: u64) {
+        if self.channels.streams() > 0 {
+            let (mut p, _, _) = self.split(upto, false);
+            kernel::unstream_all(&mut p, upto);
         }
     }
 
@@ -362,7 +414,7 @@ impl<'a> Simulator<'a> {
     pub fn run_until_drained(&mut self, max_cycles: u64) -> Option<u64> {
         let end = self.cycle + max_cycles;
         while self.cycle < end {
-            if self.arena.live() == 0 && self.nics.iter().all(|n| n.scheduled.is_empty()) {
+            if self.arena.live() == 0 && self.scheduled_pending == 0 {
                 return Some(self.cycle);
             }
             // Not drained yet: a skip cannot change that (nothing executes
@@ -513,21 +565,27 @@ impl<'a> Simulator<'a> {
     }
 }
 
-#[cfg(test)]
 impl Simulator<'_> {
-    /// FNV-1a over the state the two cycle loops must agree on between
-    /// steps: components, channel table, packets, generation, selector,
-    /// fault progress and measurement tallies. Heaps are hashed sorted.
-    /// The engine's wake state, the skip telemetry and the profiler are
-    /// left out: they are what the loops may differ in.
-    pub(crate) fn state_hash(&self) -> u64 {
+    /// FNV-1a over the settled state the two cycle loops must agree on
+    /// between steps: components, the flits and symbols in flight,
+    /// packets, generation, selector, fault progress and measurement
+    /// tallies. Heaps are hashed sorted. The engine's wake state and runs
+    /// (as runs: their flits count as in flight), the skip telemetry and
+    /// the profiler are left out: they are what the loops may differ in.
+    /// Computed only on request, for the equivalence suites' lockstep
+    /// bisector.
+    #[doc(hidden)]
+    pub fn state_hash(&mut self) -> u64 {
         use std::fmt::Write;
         fn sorted<T: Ord + Copy>(heap: &BinaryHeap<T>) -> Vec<T> {
             let mut v: Vec<T> = heap.iter().copied().collect();
             v.sort_unstable();
             v
         }
-        let mut s = format!("{} {:?} {:?}", self.cycle, self.channels, self.switches);
+        self.settle(self.cycle);
+        let flits = self.channels.flits_in_flight(self.cycle);
+        let control = self.channels.control_state();
+        let mut s = format!("{} {flits:?} {control:?} {:?}", self.cycle, self.switches);
         for n in &self.nics {
             let heaps = (sorted(&n.reinject), sorted(&n.retransmit));
             let (tx, rx, gen) = (n.tx, n.rx, n.next_gen.to_bits());
@@ -908,6 +966,7 @@ mod tests {
                 engine.run(n);
                 oracle.run(n);
                 proptest::prop_assert_eq!(engine.cycle, oracle.cycle);
+                engine.check_invariants();
                 proptest::prop_assert_eq!(
                     engine.state_hash(),
                     oracle.state_hash(),
@@ -915,6 +974,150 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Three switches in a line, one host each: worms from either end
+    /// cross two switches.
+    fn line3() -> Topology {
+        let mut b = TopologyBuilder::new("line3", 3);
+        b.add_switches(3);
+        b.connect(SwitchId(0), SwitchId(1)).unwrap();
+        b.connect(SwitchId(1), SwitchId(2)).unwrap();
+        b.attach_hosts_everywhere(1).unwrap();
+        b.build().unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Settle against stepping: on a two-hop line driven by scripted
+        /// worms (headers arriving behind and beside steady runs) and by
+        /// STOP/GO pairs injected on random channels (control symbols in
+        /// the middle of runs), the engine's settled state equals the
+        /// per-flit oracle's after every cycle — every run's event lands
+        /// on the cycle per-flit stepping meets it.
+        #[test]
+        fn settled_runs_equal_per_flit_stepping_after_every_cycle(
+            payload in proptest::sample::select(vec![20usize, 70, 300, 600]),
+            msgs in proptest::collection::vec((0u64..2_000, 0u32..3, 1u32..3), 1..10),
+            ctl in proptest::collection::vec((0u64..2_000, 1u64..200, 0u32..10), 0..8),
+        ) {
+            let topo = line3();
+            let db = RouteDb::build(&topo, RoutingScheme::UpDown, &RouteDbConfig::default());
+            let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+            let cfg = SimConfig { payload_flits: payload, ..SimConfig::default() };
+            let mut msgs = msgs;
+            msgs.sort_unstable();
+            let start = |scheduler: Scheduler| {
+                let mut sim = Simulator::new(&topo, &db, &pattern, cfg.clone(), 1e-9, 1);
+                sim.set_scheduler(scheduler);
+                sim.stop_generation();
+                for &(at, src, hop) in &msgs {
+                    sim.schedule_message(HostId(src), HostId((src + hop) % 3), at);
+                }
+                sim
+            };
+            let (mut engine, mut oracle) = (start(Scheduler::ActiveSet), start(Scheduler::Scan));
+            // STOP at `at`, GO `hold` cycles later unless the receiver has
+            // sent a STOP of its own (its GO then comes by itself).
+            let mut symbols: Vec<(u64, u32, bool)> = ctl
+                .iter()
+                .flat_map(|&(at, hold, ci)| [(at, ci, true), (at + hold, ci, false)])
+                .collect();
+            symbols.sort_unstable();
+            let mut next = symbols.into_iter().peekable();
+            for cycle in 0..2_600u64 {
+                engine.run(1);
+                oracle.run(1);
+                while let Some(&(_, ci, stop)) = next.peek().filter(|s| s.0 == cycle) {
+                    next.next();
+                    let ci = ci % engine.channels.len() as u32;
+                    let held = match engine.channels.receiver(ci) {
+                        Receiver::SwitchIn { sw, port } => {
+                            engine.switches[sw as usize].inp[port as usize].as_ref().unwrap().stop_sent
+                        }
+                        Receiver::Nic { .. } => false,
+                    };
+                    if stop || !held {
+                        let symbol = if stop { crate::channel::CTL_STOP } else { crate::channel::CTL_GO };
+                        for sim in [&mut engine, &mut oracle] {
+                            let row = sim.channels.row(cycle);
+                            sim.channels.send_ctl(row, ci, symbol);
+                        }
+                    }
+                }
+                engine.check_invariants();
+                proptest::prop_assert_eq!(
+                    engine.state_hash(),
+                    oracle.state_hash(),
+                    "diverged in cycle {}:\n{}\n{}", cycle, engine.dump_state(), oracle.dump_state()
+                );
+            }
+        }
+    }
+
+    /// A cut-through re-injection streams out of what streams into its
+    /// NIC. Held STOP upstream of the NIC for longer than the re-injection
+    /// takes to catch up, it starves mid-packet: the engine visits it per
+    /// flit then, and counts every bubble the oracle counts, in lockstep.
+    #[test]
+    fn a_starved_cut_through_reinjection_counts_every_bubble_in_lockstep() {
+        let topo = build_ring4();
+        let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let cfg = SimConfig::default();
+        let start = |scheduler: Scheduler| {
+            let mut sim = Simulator::new(&topo, &db, &pattern, cfg.clone(), 1e-9, 1);
+            sim.set_scheduler(scheduler);
+            sim.stop_generation();
+            sim.begin_measurement();
+            sim
+        };
+        // The first pair whose route takes an in-transit buffer.
+        let (mut engine, mut oracle) = (start(Scheduler::ActiveSet), start(Scheduler::Scan));
+        let hosts = topo.num_hosts() as u32;
+        let pairs = (0..hosts).flat_map(|s| (0..hosts).map(move |d| (s, d)));
+        let itb = pairs.filter(|&(s, d)| s != d).find_map(|(s, d)| {
+            let mut sel = db.selector();
+            let journey = db.select(&topo, HostId(s), HostId(d), &mut sel);
+            journey.segments.iter().find_map(|seg| match seg.end {
+                regnet_core::SegmentEnd::Itb(h) => Some((s, d, h.0)),
+                _ => None,
+            })
+        });
+        let (src, dst, itb) = itb.expect("ring routes use in-transit buffers");
+        for sim in [&mut engine, &mut oracle] {
+            sim.schedule_message(HostId(src), HostId(dst), 10);
+        }
+        let into_itb = engine.channels.nic_in(itb);
+        let mut stop_at = None;
+        for cycle in 0..6_000u64 {
+            engine.run(1);
+            oracle.run(1);
+            // 150 flits in: hold the switch feeding the NIC for 400 cycles.
+            engine.settle(engine.cycle);
+            let received = engine.nics[itb as usize].rx.map_or(0, |rx| rx.received);
+            let symbol = match stop_at {
+                None if received >= 150 => {
+                    stop_at = Some(cycle);
+                    Some(crate::channel::CTL_STOP)
+                }
+                Some(at) if cycle == at + 400 => Some(crate::channel::CTL_GO),
+                _ => None,
+            };
+            if let Some(symbol) = symbol {
+                for sim in [&mut engine, &mut oracle] {
+                    let row = sim.channels.row(cycle);
+                    sim.channels.send_ctl(row, into_itb, symbol);
+                }
+            }
+            engine.check_invariants();
+            assert_eq!(engine.state_hash(), oracle.state_hash(), "cycle {cycle}");
+        }
+        let (e, o) = (engine.end_measurement(6_000), oracle.end_measurement(6_000));
+        assert_eq!(e, o);
+        assert_eq!(e.delivered, 1);
+        assert!(e.reinject_bubbles > 100, "bubbles: {}", e.reinject_bubbles);
     }
 
     /// The two shims: each retired label selects, and reports as, the

@@ -63,7 +63,9 @@ impl Sink for SeqSink<'_> {
     // wall time on the saturated torus.
     #[inline(always)]
     fn send(&mut self, ci: u32, pid: u32) {
-        self.channels.send(self.row, ci, pid);
+        if !self.channels.extend(ci, pid, self.cycle) {
+            self.channels.send(self.row, ci, pid);
+        }
     }
     #[inline(always)]
     fn send_ctl(&mut self, ci: u32, symbol: u8) {
@@ -181,6 +183,14 @@ pub(crate) struct SeqParts<'s> {
     pub(crate) switches: &'s mut [SwitchState],
     pub(crate) nics: &'s mut [Nic],
     pub(crate) sink: SeqSink<'s>,
+}
+
+impl SeqSink<'_> {
+    /// A steady run moved a flit at `cycle` (watchdog feed, applied late).
+    #[inline]
+    pub(crate) fn activity_at(&mut self, cycle: u64) {
+        *self.last_activity = (*self.last_activity).max(cycle);
+    }
 }
 
 impl SeqParts<'_> {

@@ -6,7 +6,9 @@
 //! empties the network, that is millions of them. So `run` and
 //! `run_until_drained` take the classic discrete-event shortcut over the
 //! engine's own wake state: whenever the network is **provably idle** —
-//! no occupancy bit set in the channel table and no switch or NIC listed —
+//! no occupancy bit set in the channel table, no steady run on any
+//! channel (a run counts as in flight: its sender streams, or its flits
+//! have yet to arrive), and no switch or NIC listed or scheduled —
 //! they compute the earliest future cycle that can possibly have work and
 //! jump the clock straight to it. The `Scan` oracle has no wake state and
 //! never skips.

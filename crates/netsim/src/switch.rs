@@ -574,13 +574,48 @@ impl SwitchState {
         Some((pid, ctl))
     }
 
+    /// `n` more flits of `pid`, the packet arriving at input `port`, have
+    /// come in: [`flit_in`](SwitchState::flit_in) for `n` continuation
+    /// flits at once, on cycles of a steady run, where no STOP is due.
+    #[inline]
+    pub(crate) fn stream_in(&mut self, port: u8, pid: u32, n: u32) {
+        let inp = self.inp[port as usize]
+            .as_mut()
+            .expect("unconnected input port");
+        let back = inp.queue.back_mut().expect("a run into an empty input");
+        debug_assert_eq!(back.pid, pid, "a run of another packet");
+        back.received += n;
+        debug_assert!(
+            back.received < back.expected,
+            "a run's last flit is ordinary"
+        );
+        inp.occ += n as u16;
+    }
+
+    /// `n` more flits of `pid` have crossed from its input to output `out`:
+    /// [`forward_flit`](SwitchState::forward_flit) for `n` flits at once,
+    /// on cycles of a steady run, where no GO is due and the worm goes on.
+    #[inline]
+    pub(crate) fn stream_out(&mut self, out: usize, pid: u32, n: u32) {
+        let g = self.outp[out].as_ref().and_then(|o| o.conn_in);
+        let inp = self.inp_mut(g.expect("a run from an unconnected output") as usize);
+        let head = inp.queue.head.as_mut().expect("granted without head");
+        debug_assert_eq!(head.pid, pid, "a run of another packet");
+        head.forwarded += n;
+        debug_assert!(!head.done(), "a run forwards no tail");
+        debug_assert!(head.received >= u32::from(head.header_consumed) + head.forwarded);
+        inp.occ -= n as u16;
+    }
+
     /// Remove every queue entry of `pid` (a packet lost to a fault), head
     /// or not, in any head state, releasing its request or connection.
     /// `emit` receives the GO of each input the purge drains below the
-    /// threshold, in ascending port order.
-    pub(crate) fn purge(&mut self, pid: u32, mut emit: impl FnMut(CtlOut)) {
-        if self.resident == 0 {
-            return;
+    /// threshold, in ascending port order. Returns whether anything was
+    /// removed.
+    pub(crate) fn purge(&mut self, pid: u32, mut emit: impl FnMut(CtlOut)) -> bool {
+        let resident = self.resident;
+        if resident == 0 {
+            return false;
         }
         for k in 0..self.active_ports.len() {
             let p = self.active_ports[k] as usize;
@@ -612,6 +647,7 @@ impl SwitchState {
             self.resident -= 1;
             self.sync_rcu(p);
         }
+        self.resident != resident
     }
 
     /// Test oracle: recompute every summary from the port state and assert

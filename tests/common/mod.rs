@@ -263,3 +263,128 @@ pub(crate) fn assert_equivalent_observed(build: fn() -> Topology, scheme: Routin
     }
     assert!(!t_scan.is_empty());
 }
+
+/// Lockstep obligation, with a bisector: the engine and the scan oracle
+/// run side by side from the same start, and their
+/// [`Simulator::state_hash`]es are compared every `every` cycles over
+/// `cycles`. On a mismatch the bisector replays fresh pairs from the
+/// start, halving the span between the last equal checkpoint and the
+/// first unequal one down to one cycle; the panic names that cycle and
+/// prints the lines of the two settled `dump_state`s that differ, then
+/// both dumps. Returns the engine's reliability stats and counters.
+pub(crate) fn assert_lockstep(
+    topo: &Topology,
+    scheme: RoutingScheme,
+    (config, load): (&SimConfig, f64),
+    plan: Option<&FaultPlan>,
+    (cycles, every): (u64, u64),
+) -> (ReliabilityStats, CounterSnapshot) {
+    let db = RouteDb::build(topo, scheme, &RouteDbConfig::default());
+    let pattern = Pattern::resolve(PatternSpec::Uniform, topo).unwrap();
+    let start = |scheduler: Scheduler| {
+        let mut sim = Simulator::new(topo, &db, &pattern, config.clone(), load, 8);
+        sim.set_scheduler(scheduler);
+        if let Some(plan) = plan {
+            sim.enable_faults(FaultOptions::with_plan(plan.clone()));
+        }
+        sim.enable_counters();
+        sim
+    };
+    // Both loops after `n` cycles, fresh from the start.
+    let pair_at = |n: u64| {
+        let (mut engine, mut oracle) = (start(Scheduler::default()), start(reference()));
+        engine.run(n);
+        oracle.run(n);
+        (engine, oracle)
+    };
+    let (mut engine, mut oracle) = (start(Scheduler::default()), start(reference()));
+    let mut equal = 0;
+    while equal < cycles {
+        let n = every.min(cycles - equal);
+        engine.run(n);
+        oracle.run(n);
+        if engine.state_hash() == oracle.state_hash() {
+            equal += n;
+            continue;
+        }
+        let (mut lo, mut hi) = (equal, equal + n);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            let (mut e, mut o) = pair_at(mid);
+            if e.state_hash() == o.state_hash() {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let (mut e, mut o) = pair_at(hi);
+        let (e, o) = (e.dump_state(), o.dump_state());
+        let only = |a: &str, b: &str| -> Vec<String> {
+            let theirs: Vec<&str> = b.lines().collect();
+            let lines = a.lines().filter(|l| !theirs.contains(l));
+            lines.map(str::to_string).collect()
+        };
+        panic!(
+            "{} {scheme:?}: engine and oracle diverge in cycle {lo}\n\
+             engine only:\n{}\noracle only:\n{}\n--- engine\n{e}--- oracle\n{o}",
+            topo.name(),
+            only(&e, &o).join("\n"),
+            only(&o, &e).join("\n"),
+        );
+    }
+    let counters = engine.counter_snapshot().expect("counters enabled");
+    assert!(
+        counters.flits_forwarded > 0,
+        "the lockstep must cover real traffic"
+    );
+    (engine.reliability(), counters)
+}
+
+/// Sampling-observer obligation: every observer armed with series sampled
+/// every `interval` cycles, over a `(warmup, measure)` window; with
+/// 512-flit worms an odd interval and window put samples and both window
+/// edges inside steady runs. Every contender's stats and whole trace
+/// report (digest, utilization, occupancy, goodput and metrics series)
+/// must equal the reference's. Returns the reference's stats.
+pub(crate) fn assert_equivalent_sampled(
+    build: fn() -> Topology,
+    scheme: RoutingScheme,
+    (config, load): (&SimConfig, f64),
+    interval: u64,
+    (warmup_cycles, measure_cycles): (u64, u64),
+) -> RunStats {
+    let run = |scheduler: Scheduler| {
+        let exp = Experiment::new(
+            build(),
+            scheme,
+            RouteDbConfig::default(),
+            PatternSpec::Uniform,
+            config.clone(),
+        )
+        .unwrap();
+        let obs = exp.run_observed(
+            load,
+            &RunOptions {
+                warmup_cycles,
+                measure_cycles,
+                trace: TraceOptions::full(interval),
+                ..opts(scheduler)
+            },
+        );
+        (obs.stats, obs.trace.expect("observers enabled"))
+    };
+    let (s_scan, t_scan) = run(reference());
+    for sched in contenders() {
+        let (s_other, t_other) = run(sched);
+        assert_eq!(
+            s_scan, s_other,
+            "RunStats diverged with sampling on ({sched:?})"
+        );
+        assert_eq!(t_scan, t_other, "trace report diverged ({sched:?})");
+    }
+    assert!(
+        s_scan.delivered > 0,
+        "expected deliveries during the window"
+    );
+    s_scan
+}

@@ -194,3 +194,132 @@ fn faulted_stall_drains_schedulers_agree() {
 fn chrome_trace_export_schedulers_agree() {
     assert_equivalent_observed(|| gen::torus_2d(4, 4, 4).unwrap(), RoutingScheme::ItbRr);
 }
+
+// ---- Steady runs. The engine streams a steady connection as one run and
+// visits its switch or NIC only at the run's next event; the rows below
+// put the events runs end at, and the readers that settle them, where the
+// matrix above rarely does.
+
+/// The lockstep bisector on the saturated torus: state hashes equal every
+/// 1,000 cycles, while STOP keeps arriving in the middle of runs.
+#[test]
+fn lockstep_saturated_torus_itb_rr() {
+    let point = (&SimConfig::default(), 0.045);
+    let (_, counters) =
+        assert_lockstep(&torus(), RoutingScheme::ItbRr, point, None, (8_000, 1_000));
+    assert!(
+        counters.ctl_stops > 100,
+        "STOP must cut runs: {}",
+        counters.ctl_stops
+    );
+}
+
+/// The lockstep bisector at the low load the time skip works on.
+#[test]
+fn lockstep_lowload_cplant_itb_sp() {
+    let point = (&SimConfig::default(), 0.001);
+    assert_lockstep(
+        &cplant(),
+        RoutingScheme::ItbSp,
+        point,
+        None,
+        (40_000, 5_000),
+    );
+}
+
+/// The lockstep bisector on the benchmark's faulted torus plan at a tenth
+/// of its length: four links failed and repaired in turn, each under
+/// steady runs, which end in the fault phase with their flits in flight
+/// put back into slots; the victims' worms are truncated.
+#[test]
+fn lockstep_faulted_torus_plan() {
+    let topo = torus();
+    let links: Vec<LinkId> = topo
+        .links()
+        .iter()
+        .filter(|l| l.is_switch_link())
+        .map(|l| l.id)
+        .collect();
+    let total = 20_000;
+    let mut plan = FaultPlan::new();
+    for (k, i) in [3usize, 40, 77, 101].into_iter().enumerate() {
+        let k = k as u64;
+        plan.fail_link(total * (2 * k + 1) / 9, links[i]);
+        plan.repair_link(total * (2 * k + 2) / 9, links[i]);
+    }
+    let config = SimConfig {
+        reconfig_latency_cycles: 1_000,
+        ..SimConfig::default()
+    };
+    let (rel, _) = assert_lockstep(
+        &topo,
+        RoutingScheme::ItbRr,
+        (&config, 0.015),
+        Some(&plan),
+        (total, 1_000),
+    );
+    assert_eq!((rel.link_failures, rel.repairs), (4, 4), "{rel:?}");
+    assert!(
+        rel.worms_truncated > 0 && rel.reconfigurations == 8,
+        "{rel:?}"
+    );
+}
+
+/// A link, a switch and a host fail and come back while runs stream: a
+/// purge that leaves a packet at the head of an input, or a repair that
+/// lifts a STOP, lists the switch for the visit the oracle makes anyway.
+#[test]
+fn lockstep_switch_and_host_faults() {
+    let topo = torus();
+    let link = topo
+        .links()
+        .iter()
+        .filter(|l| l.is_switch_link())
+        .nth(3)
+        .unwrap()
+        .id;
+    let mut plan = FaultPlan::new();
+    plan.fail_link(1_137, link);
+    plan.fail_switch(2_500, SwitchId(2));
+    plan.fail_host(3_100, HostId(6));
+    plan.repair_link(4_000, link);
+    plan.repair_switch(5_500, SwitchId(2));
+    plan.repair_host(6_000, HostId(6));
+    let config = SimConfig {
+        payload_flits: 64,
+        reconfig_latency_cycles: 2_000,
+        retransmit_timeout_cycles: 800,
+        ..SimConfig::default()
+    };
+    let (rel, _) = assert_lockstep(
+        &topo,
+        RoutingScheme::UpDown,
+        (&config, 0.05),
+        Some(&plan),
+        (9_000, 1_500),
+    );
+    assert_eq!(
+        (rel.switch_failures, rel.host_failures, rel.repairs),
+        (1, 1, 3),
+        "{rel:?}"
+    );
+    assert!(
+        rel.worms_truncated > 0 && rel.retransmissions > 0,
+        "{rel:?}"
+    );
+}
+
+/// Sampling ticks every 97 cycles and a window opening at 2,003 and
+/// closing at 11,004 land inside steady runs: the samples and the window
+/// read settled state.
+#[test]
+fn samples_and_window_edges_inside_runs_schedulers_agree() {
+    let stats = assert_equivalent_sampled(
+        || gen::torus_2d(4, 4, 4).unwrap(),
+        RoutingScheme::ItbRr,
+        (&SimConfig::default(), 0.02),
+        97,
+        (2_003, 9_001),
+    );
+    assert!(stats.channel_busy.iter().any(|&b| b > 0));
+}
