@@ -163,12 +163,13 @@ fn run_campaign(
     stop_after: Option<usize>,
     quiet: bool,
 ) -> Result<(), String> {
-    let mut results = store.load_all()?;
-    // Keep only results that belong to this plan (the store may hold
-    // cells from what-if probes or an older campaign revision).
-    let planned: std::collections::BTreeSet<&str> =
-        plan.cells.iter().map(|c| c.hash.as_str()).collect();
-    results.retain(|h, _| planned.contains(h.as_str()));
+    // Load only results that belong to this plan (the store may hold
+    // cells from what-if probes or an older campaign revision), each
+    // checked against its planned key.
+    let mut results = std::collections::BTreeMap::new();
+    for c in plan.cells.iter().filter(|c| store.contains(&c.hash)) {
+        results.insert(c.hash.clone(), store.load(&c.hash, &c.key)?);
+    }
     let resumed = results.len();
     if !quiet {
         eprintln!(

@@ -81,12 +81,11 @@ impl Output {
         };
         let outcome = run_plan(&all, store, &opts, |ev| board.record(&ev));
         finish(board, label, outcome);
-        let load = |hash: &str| store.load(hash).expect("a cell this plan ran");
         let results = |s: &Sweep| {
             plan(std::slice::from_ref(s))
                 .cells
                 .iter()
-                .map(|c| load(&c.hash))
+                .map(|c| store.load(&c.hash, &c.key).expect("a cell this plan ran"))
                 .collect()
         };
         sweeps.iter().map(results).collect()

@@ -137,7 +137,7 @@ pub fn what_if_all(
             // The first probe of a cell ran it; any other reads the store.
             let (result, cached) = match fresh.remove(&cell.hash) {
                 Some(r) => (r, false),
-                None => (store.load(&cell.hash)?, true),
+                None => (store.load(&cell.hash, &cell.key)?, true),
             };
             let load = cell.spec.load;
             let saturated = searches[i].record(load, result.accepted);

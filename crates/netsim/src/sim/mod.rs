@@ -70,7 +70,7 @@ fn route_db<'a>(faults: Option<&'a FaultRuntime>, built: &'a RouteDb) -> &'a Rou
 }
 
 /// Profiler lap: charge the time since `mark` to `phase`. A no-op — and
-/// no `Instant::now()` — unless profiling is on (`mark` is `Some`).
+/// no `Instant::now()` — unless the cycle is sampled (`mark` is `Some`).
 #[inline]
 fn lap(prof: &mut Option<Box<Profiler>>, mark: &mut Option<Instant>, phase: Phase) {
     if let Some(m) = mark {
@@ -371,7 +371,7 @@ impl<'a> Simulator<'a> {
     /// phase, and the next one after NIC transmission.
     pub(crate) fn settle(&mut self, upto: u64) {
         if self.channels.streams() > 0 {
-            let (mut p, _, _) = self.split(upto, false);
+            let (mut p, _, _) = self.split(upto, None);
             kernel::settle_all(&mut p, upto);
         }
     }
@@ -380,7 +380,7 @@ impl<'a> Simulator<'a> {
     /// event or a purge is about to touch is all in slots and components.
     pub(crate) fn unstream(&mut self, upto: u64) {
         if self.channels.streams() > 0 {
-            let (mut p, _, _) = self.split(upto, false);
+            let (mut p, _, _) = self.split(upto, None);
             kernel::unstream_all(&mut p, upto);
         }
     }
@@ -431,41 +431,37 @@ impl<'a> Simulator<'a> {
 
     /// Advance one cycle: the one phase sequence both loops run. Phases
     /// 1–4 are the kernel's (`crate::kernel`); the rest is the same code
-    /// under either. With the profiler on, each phase ends in a lap, and a
-    /// hashed sample of cycles also times the child spans (`sample` holds
-    /// the phase totals that cycle began from); off, `mark` stays `None`
-    /// and no `Instant::now()` is ever called.
+    /// under either. With the profiler on, a hashed sample of cycles
+    /// (`times_children`) ends each phase in a lap and times the child
+    /// spans inside them; on every other cycle, and with the profiler
+    /// off, `mark` stays `None` and no `Instant::now()` is called. The
+    /// `faults` laps run only with a fault plan armed.
     pub fn step(&mut self) {
         let cycle = self.cycle;
-        let sample = self
-            .profiler
-            .as_deref()
-            .filter(|_| times_children(cycle))
-            .map(|p| p.ns);
-        let mut mark = self.profiler.as_ref().map(|_| Instant::now());
+        let sampled = self.profiler.is_some() && times_children(cycle);
+        let mut mark = sampled.then(Instant::now);
         // ---- Phase 0: fault events, purges, reconfig.
         if self.faults.is_some() {
             self.fault_phase(cycle);
+            lap(&mut self.profiler, &mut mark, Phase::Faults);
         }
-        lap(&mut self.profiler, &mut mark, Phase::Faults);
         // ---- Phases 1-4: control, arrivals, switches, NIC transmission.
-        self.kernel_phases(cycle, &mut mark, sample.is_some());
+        self.kernel_phases(cycle, &mut mark);
         // ---- Phase 6: deferred mid-cycle losses (faulted runs).
         if self.faults.is_some() {
             self.loss_phase(cycle);
+            lap(&mut self.profiler, &mut mark, Phase::Faults);
         }
-        lap(&mut self.profiler, &mut mark, Phase::Faults);
         self.gen_phase(cycle);
         lap(&mut self.profiler, &mut mark, Phase::Generation);
         let mut trace_ns = 0u64;
-        self.observer_phase(cycle, sample.is_some().then_some(&mut trace_ns));
+        self.observer_phase(cycle, sampled.then_some(&mut trace_ns));
         lap(&mut self.profiler, &mut mark, Phase::Observers);
         if let Some(p) = self.profiler.as_deref_mut() {
-            if let Some(before) = sample {
+            if sampled {
                 p.add_child(Phase::Observers, "trace", trace_ns);
-                p.end_sample(before);
             }
-            p.cycles += 1;
+            p.end_cycle(sampled);
         }
         self.cycle += 1;
     }
@@ -473,12 +469,13 @@ impl<'a> Simulator<'a> {
     /// Split the simulator into what the kernel phases of one cycle work
     /// on — the component arrays next to the sink that borrows everything
     /// they emit into, and the cycle's constants — plus the profiler, for
-    /// the laps in between. `timed`: the sink times the switch spans.
+    /// the laps in between. `mark`: `Some` on a sampled cycle, where the
+    /// sink times the switch spans.
     #[inline]
     fn split(
         &mut self,
         cycle: u64,
-        timed: bool,
+        mark: Option<Instant>,
     ) -> (SeqParts<'_>, Tick<'_>, &mut Option<Box<Profiler>>) {
         let faults = self.faults.as_deref();
         let tick = Tick {
@@ -501,7 +498,7 @@ impl<'a> Simulator<'a> {
             measure: &mut self.measure,
             last_activity: &mut self.last_activity,
             pending_loss: &mut self.pending_loss,
-            spans: timed.then(|| (Instant::now(), [0; 2])),
+            spans: mark.map(|m| (m, [0; 2])),
         };
         let parts = SeqParts {
             switches: &mut self.switches,
@@ -515,11 +512,11 @@ impl<'a> Simulator<'a> {
     /// walks; `Scheduler::Scan`, the oracle the equivalence suites diff
     /// against, reads the same row for every channel and visits every
     /// switch and NIC, in index order — same kernel, every component.
-    fn kernel_phases(&mut self, cycle: u64, mark: &mut Option<Instant>, timed: bool) {
+    fn kernel_phases(&mut self, cycle: u64, mark: &mut Option<Instant>) {
         let n_channels = self.channels.len() as u32;
         let n_switches = self.switches.len() as u32;
         let n_nics = self.nics.len() as u32;
-        let (mut p, t, prof) = self.split(cycle, timed);
+        let (mut p, t, prof) = self.split(cycle, *mark);
         let scan = p.sink.sched.is_none();
         if scan {
             for ci in 0..n_channels {
@@ -903,9 +900,12 @@ mod tests {
         sim.enable_trace(TraceOptions::full(1_000));
         sim.enable_profiler();
         sim.run(20_000);
+        assert_eq!(sim.skipped_cycles(), 0, "a saturated run steps every cycle");
         let report = sim.profile_report().unwrap();
         assert_eq!(report.cycles, 20_000);
         let sampled = report.sampled_cycles;
+        let hashed = (0..20_000u64).filter(|&c| times_children(c)).count() as u64;
+        assert_eq!(sampled, hashed);
         assert!((20_000 / 128..=20_000 / 32).contains(&sampled), "{sampled}");
         assert_eq!(
             report.total_ns,
@@ -924,6 +924,47 @@ mod tests {
         assert!(child(Phase::Switches, "routing") > 0);
         assert!(child(Phase::Switches, "crossbar") > 0);
         assert!(child(Phase::Observers, "trace") > 0);
+    }
+
+    /// A profiled 4x4 torus run of `cycles`, with `plan` armed if any.
+    fn profiled_run(cycles: u64, plan: Option<FaultPlan>) -> crate::ProfileReport {
+        let topo = gen::torus_2d(4, 4, 2).unwrap();
+        let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let mut sim = Simulator::new(&topo, &db, &pattern, small_cfg(), 0.02, 5);
+        if let Some(plan) = plan {
+            sim.enable_faults(FaultOptions::with_plan(plan));
+        }
+        sim.enable_profiler();
+        sim.run(cycles);
+        sim.profile_report().unwrap()
+    }
+
+    #[test]
+    fn a_fault_free_profiled_run_bills_nothing_to_faults() {
+        let report = profiled_run(10_000, None);
+        assert!(report.total_ns > 0);
+        assert_eq!(report.phases[Phase::Faults as usize].ns, 0);
+    }
+
+    #[test]
+    fn a_link_fail_repair_plan_bills_faults() {
+        let topo = gen::torus_2d(4, 4, 2).unwrap();
+        let link = topo.links().iter().find(|l| l.is_switch_link()).unwrap().id;
+        let mut plan = FaultPlan::single_link(link, 1_500);
+        plan.repair_link(5_000, link);
+        let report = profiled_run(10_000, Some(plan));
+        assert!(report.phases[Phase::Faults as usize].ns > 0);
+    }
+
+    #[test]
+    fn a_run_shorter_than_its_first_sampled_cycle_reports_zeros() {
+        let first = (0..).find(|&c| times_children(c)).unwrap();
+        assert!(first > 0);
+        let report = profiled_run(first, None);
+        assert_eq!((report.cycles, report.sampled_cycles), (first, 0));
+        assert_eq!(report.total_ns, 0);
+        assert!(report.phases.iter().all(|p| p.ns == 0 && p.fraction == 0.0));
     }
 
     proptest::proptest! {

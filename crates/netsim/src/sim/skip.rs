@@ -117,9 +117,9 @@ impl Simulator<'_> {
         }
         self.skipped_cycles += t - c;
         if let Some(p) = self.profiler.as_deref_mut() {
-            // Simulated, not stepped: the report's cycles-per-second
-            // divides by wall time, which the jump also covers.
-            p.cycles += t - c;
+            // Simulated, not stepped: the report's cycles count them, the
+            // scale from sampled to stepped cycles does not.
+            p.skipped_cycles += t - c;
         }
         if let Some(log) = &mut self.skip_log {
             log.push((c, t));
