@@ -5,8 +5,7 @@
 //! campaign <file.json> [--out DIR] [--threads N] [--stop-after N]
 //!                      [--fresh] [--quiet]
 //! campaign <file.json> --dry-run              print the plan and exit
-//! campaign --smoke     [same options; built-in tiny campaign]
-//! campaign <file.json> --what-if "topo=torus,scheme=ITB-RR,pattern=uniform[,start=0.004,...]"
+//! campaign --what-if "topo=torus,scheme=ITB-RR,pattern=uniform[,start=0.004,...]"
 //! campaign --watch <out>/status.json          live terminal dashboard
 //! campaign --check-status <out>/status.json   validate and exit
 //! ```
@@ -24,60 +23,30 @@
 
 use std::process::ExitCode;
 
-use regnet_bench::{parse_campaign_args, CampaignArgs};
+use regnet_bench::{parse_campaign_args, run_with_status, CampaignArgs};
 use regnet_campaign::{
     export_campaign, parse_pattern, parse_scheme, render_status, run_plan, validate_status_json,
-    what_if, CampaignSpec, CellDefaults, CellSpec, FaultSpec, ResultStore, RunPlan, RunnerEvent,
-    RunnerOptions, StatusBoard, TopoSpec, WhatIfQuery,
+    what_if, CampaignSpec, CellDefaults, FaultSpec, ResultStore, RunPlan, RunnerEvent,
+    RunnerOptions, TopoSpec, WhatIfQuery,
 };
-
-/// The built-in `--smoke` campaign: 2 topologies × 2 schemes × 2 loads on
-/// tiny networks with short windows, small enough for CI to run twice
-/// (interrupted + resumed) in seconds.
-const SMOKE_CAMPAIGN: &str = r#"{
-    "schema": "regnet-campaign-v1",
-    "name": "smoke",
-    "defaults": {
-        "warmup_cycles": 2000,
-        "measure_cycles": 10000,
-        "payload_flits": 64,
-        "seed": 7,
-        "goodput_interval": 2500
-    },
-    "sweeps": [
-        {
-            "group": "smoke torus",
-            "topos": ["torus:4x4:2"],
-            "schemes": ["UP/DOWN", "ITB-RR"],
-            "patterns": ["uniform"],
-            "loads": [0.004, 0.008]
-        },
-        {
-            "group": "smoke express",
-            "topos": ["express:4x4:2"],
-            "schemes": ["UP/DOWN", "ITB-RR"],
-            "patterns": ["uniform"],
-            "loads": [0.01, 0.02]
-        }
-    ]
-}"#;
 
 fn usage() -> &'static str {
     "usage: campaign <file.json> [options]\n\
      \n\
      options:\n\
-       --out DIR        results directory (default target/campaigns/<name>)\n\
+       --out DIR        results directory (default target/campaigns/<name>,\n\
+                        target/campaigns/what-if under --what-if)\n\
        --threads N      worker threads (default REGNET_THREADS or all cores)\n\
        --stop-after N   run at most N pending cells, then exit (resumable)\n\
        --fresh          discard existing checkpoints before running\n\
        --dry-run        print the expanded cell plan and exit\n\
        --quiet          suppress per-cell progress lines\n\
-       --smoke          run the built-in tiny CI campaign (no file needed)\n\
        --watch PATH     render a running campaign's status.json as a live\n\
                         dashboard (exits when the campaign does)\n\
        --check-status PATH  validate a status.json and exit non-zero if\n\
                         it is missing, torn or inconsistent\n\
-       --what-if SPEC   bisect for the saturation load of one scenario:\n\
+       --what-if SPEC   bisect for the saturation load of one scenario\n\
+                        (no campaign file):\n\
                         SPEC is comma-separated key=value with keys\n\
                         topo, scheme, pattern (required) and seed, warmup,\n\
                         measure, payload, fault, start, growth, tol, probes"
@@ -113,27 +82,20 @@ fn run(args: CampaignArgs) -> Result<(), String> {
         return watch_status(path);
     }
     let quiet = args.quiet;
+    if let Some(query) = &args.what_if {
+        let out = args.out.as_deref().unwrap_or("target/campaigns/what-if");
+        return run_what_if(query, out, quiet);
+    }
 
-    let (name_hint, text) = if args.smoke {
-        ("smoke".to_string(), SMOKE_CAMPAIGN.to_string())
-    } else {
-        let file = args.file.expect("the argument parser demands a file");
-        let text =
-            std::fs::read_to_string(&file).map_err(|e| format!("cannot read {file}: {e}"))?;
-        (file, text)
-    };
-
-    let spec = CampaignSpec::from_json_str(&text).map_err(|e| format!("{name_hint}: {e}"))?;
+    let file = args.file.expect("the argument parser demands a file");
+    let text = std::fs::read_to_string(&file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    let spec = CampaignSpec::from_json_str(&text).map_err(|e| format!("{file}: {e}"))?;
     let plan = spec.expand()?;
 
     let out = args
         .out
         .unwrap_or_else(|| format!("target/campaigns/{}", spec.name));
     let threads = args.threads.unwrap_or_else(regnet_netsim::threads::threads);
-
-    if let Some(query) = &args.what_if {
-        return run_what_if(query, &out, quiet);
-    }
 
     if args.dry_run {
         println!("campaign {:?}: {} cells", plan.name, plan.len());
@@ -182,39 +144,26 @@ fn run_campaign(
         );
     }
 
-    let pending = plan.len() - resumed;
+    let out_dir = store.root().to_path_buf();
+    let echo = (!quiet).then_some("campaign");
     let opts = RunnerOptions {
         threads,
         stop_after,
     };
-    let out_dir = store.root().to_path_buf();
-    let mut board = StatusBoard::new(
-        out_dir.join("status.json"),
-        "campaign",
-        pending,
-        threads.clamp(1, pending.max(1)),
-    );
-    if !quiet {
-        board = board.echo("campaign");
-    }
     let mut export_err: Option<String> = None;
-    let outcome = run_plan(plan, store, &opts, |ev| {
-        board.record(&ev);
-        if let RunnerEvent::Done(done) = ev {
-            results.insert(done.result.hash.clone(), done.result.clone());
-            if export_err.is_none() {
-                if let Err(e) = export_campaign(plan, &results, &out_dir) {
-                    export_err = Some(e);
+    let outcome = run_with_status(store, "campaign", echo, threads, Some(plan), |board| {
+        run_plan(plan, store, &opts, |ev| {
+            board.record(&ev);
+            if let RunnerEvent::Done(done) = ev {
+                results.insert(done.result.hash.clone(), done.result.clone());
+                if export_err.is_none() {
+                    if let Err(e) = export_campaign(plan, &results, &out_dir) {
+                        export_err = Some(e);
+                    }
                 }
             }
-        }
-    });
-    match &outcome {
-        Err(_) => board.finish("failed"),
-        Ok(o) if o.complete() => board.finish("done"),
-        Ok(_) => board.finish("stopped"),
-    }
-    let outcome = outcome?;
+        })
+    })?;
     if let Some(e) = export_err {
         return Err(e);
     }
@@ -331,38 +280,29 @@ fn run_what_if(spec_str: &str, out: &str, quiet: bool) -> Result<(), String> {
 
 /// Parse the `--what-if` scenario string (`topo=...,scheme=...,...`).
 fn parse_what_if(s: &str) -> Result<WhatIfQuery, String> {
-    let defaults = CellDefaults::default();
-    let mut topo: Option<TopoSpec> = None;
-    let mut scheme = None;
-    let mut pattern = None;
-    let mut query = WhatIfQuery::new(CellSpec {
-        topo: TopoSpec::Torus,
-        scheme: regnet_core::RoutingScheme::UpDown,
-        pattern: regnet_traffic::PatternSpec::Uniform,
-        load: 0.0,
-        seed: defaults.seed,
-        warmup_cycles: defaults.warmup_cycles,
-        measure_cycles: defaults.measure_cycles,
-        payload_flits: defaults.payload_flits,
-        goodput_interval: None,
-        reconfig_latency_cycles: None,
-        faults: None,
-    });
-    let (cell, search) = (&mut query.cell, &mut query.search);
-    let mut seen = Vec::new();
+    let mut fields: Vec<(&str, &str)> = Vec::new();
     for part in s.split(',').filter(|p| !p.trim().is_empty()) {
         let (k, v) = part
             .split_once('=')
             .ok_or_else(|| format!("what-if field {part:?} is not key=value"))?;
         let (k, v) = (k.trim(), v.trim());
-        if seen.contains(&k) {
+        if fields.iter().any(|&(seen, _)| seen == k) {
             return Err(format!("what-if field {k:?} appears twice"));
         }
-        seen.push(k);
+        fields.push((k, v));
+    }
+    let required = |key: &str| match fields.iter().find(|&&(k, _)| k == key) {
+        Some(&(_, v)) => Ok(v),
+        None => Err(format!("what-if needs {key}=...")),
+    };
+    let topo = TopoSpec::parse(required("topo")?)?;
+    let scheme = parse_scheme(required("scheme")?)?;
+    let pattern = parse_pattern(required("pattern")?)?;
+    let mut query = WhatIfQuery::new(CellDefaults::default().cell(topo, scheme, pattern, 0.0));
+    let (cell, search) = (&mut query.cell, &mut query.search);
+    for (k, v) in fields {
         match k {
-            "topo" => topo = Some(TopoSpec::parse(v)?),
-            "scheme" => scheme = Some(parse_scheme(v)?),
-            "pattern" => pattern = Some(parse_pattern(v)?),
+            "topo" | "scheme" | "pattern" => {}
             "seed" => cell.seed = parse_num(k, v)?,
             "warmup" => cell.warmup_cycles = parse_num(k, v)?,
             "measure" => cell.measure_cycles = parse_num(k, v)?,
@@ -375,9 +315,6 @@ fn parse_what_if(s: &str) -> Result<WhatIfQuery, String> {
             other => return Err(format!("unknown what-if field {other:?}")),
         }
     }
-    cell.topo = topo.ok_or("what-if needs topo=...")?;
-    cell.scheme = scheme.ok_or("what-if needs scheme=...")?;
-    cell.pattern = pattern.ok_or("what-if needs pattern=...")?;
     Ok(query)
 }
 
@@ -389,6 +326,33 @@ fn parse_num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `campaigns/smoke.json`, which CI interrupts and resumes, is the
+    /// campaign `campaign --smoke` used to embed, cell for cell.
+    #[test]
+    fn smoke_campaign_cells_are_pinned() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../campaigns/smoke.json");
+        let text = std::fs::read_to_string(path).expect("campaigns/smoke.json is committed");
+        let plan = CampaignSpec::from_json_str(&text)
+            .unwrap()
+            .expand()
+            .unwrap();
+        let hashes: Vec<&str> = plan.cells.iter().map(|c| c.hash.as_str()).collect();
+        assert_eq!(plan.name, "smoke");
+        assert_eq!(
+            hashes,
+            [
+                "061a627c179845d3",
+                "a8a50ed63492c9f7",
+                "9003c27ca4941599",
+                "fbcba80031abda8d",
+                "ed40cd6cc03a1def",
+                "fcde3924f6cd5714",
+                "0c090cb2734d6763",
+                "b5cecd42e7d94268",
+            ]
+        );
+    }
 
     /// `payload=` reaches the same pre-run check as a campaign file's
     /// `payload_flits`: 0 and past the simulator's bound are refused by

@@ -8,9 +8,9 @@
 //! whole 200k-cycle run becomes the measurement window).
 
 use regnet_bench::{
-    describe_route_table, experiment, parse_diagnose_args, route_table_gauges, save_chrome_trace,
-    Topo,
+    describe_route_table, parse_diagnose_args, route_table_gauges, save_chrome_trace,
 };
+use regnet_campaign::{cell, CellDefaults, TopoSpec};
 use regnet_core::RoutingScheme;
 use regnet_netsim::{EventOptions, FaultOptions, RunOptions};
 use regnet_traffic::PatternSpec;
@@ -28,11 +28,13 @@ fn main() {
     });
     let (events_path, metrics_path) = (args.events, args.metrics);
     let t0 = std::time::Instant::now();
-    let exp = experiment(
-        Topo::Torus.build(),
+    let cell = CellDefaults::default().cell(
+        TopoSpec::Torus,
         RoutingScheme::ItbSp,
         PatternSpec::Uniform,
+        0.001,
     );
+    let exp = cell::build_experiment(&cell).expect("a paper cell");
     println!("{}", describe_route_table(exp.route_db(), t0.elapsed()));
     let opts = RunOptions {
         counters: true,
@@ -40,7 +42,7 @@ fn main() {
         faults: args.faults.map(FaultOptions::with_plan),
         ..RunOptions::default()
     };
-    let mut sim = exp.make_sim(0.001, &opts);
+    let mut sim = exp.make_sim(cell.load, &opts);
     if metrics_path.is_some() {
         // Counters are freshly zeroed, so starting the window up front
         // leaves the diagnostic output unchanged.

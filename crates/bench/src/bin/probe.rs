@@ -11,9 +11,9 @@
 //! file suffixing as `--events`.
 
 use regnet_bench::{
-    describe_route_table, experiment, parse_probe_args, route_table_gauges, save_chrome_trace,
-    Mode, Topo,
+    describe_route_table, parse_probe_args, route_table_gauges, save_chrome_trace, Mode,
 };
+use regnet_campaign::{cell, TopoSpec};
 use regnet_core::RoutingScheme;
 use regnet_netsim::{EventOptions, FaultOptions, RunOptions, TraceOptions};
 use regnet_traffic::PatternSpec;
@@ -43,26 +43,26 @@ fn main() {
     });
     let offered = args.load;
     let (events_path, metrics_path, flame_path) = (args.events, args.metrics, args.flame);
+    let quick = Mode::Quick.defaults(1);
+    let cell = |scheme| quick.cell(TopoSpec::Torus, scheme, PatternSpec::Uniform, offered);
     let opts = RunOptions {
         trace: TraceOptions {
             packet_lifetimes: true,
-            digest: true,
-            ..TraceOptions::default()
+            ..TraceOptions::digest_only()
         },
         counters: true,
         events: events_path.is_some().then(EventOptions::default),
         profile: flame_path.is_some(),
         faults: args.faults.map(FaultOptions::with_plan),
-        ..Mode::Quick.run_options(1)
+        ..cell::run_options(&cell(RoutingScheme::UpDown))
     };
-    let topo = Topo::Torus.build();
     for scheme in [
         RoutingScheme::UpDown,
         RoutingScheme::ItbSp,
         RoutingScheme::ItbRr,
     ] {
         let t0 = std::time::Instant::now();
-        let exp = experiment(topo.clone(), scheme, PatternSpec::Uniform);
+        let exp = cell::build_experiment(&cell(scheme)).expect("a paper cell");
         let table_build = t0.elapsed();
         let mut sim = exp.make_sim(offered, &opts);
         let build = t0.elapsed();
@@ -77,7 +77,7 @@ fn main() {
             "{:8} offered {:.4} accepted {:.4} lat {:8.0} ns itbs {:.3} delivered {:6} [build {:?} run {:?}]",
             scheme.label(),
             offered,
-            stats.accepted_flits_per_ns_per_switch(topo.num_switches()),
+            stats.accepted_flits_per_ns_per_switch(exp.topology().num_switches()),
             stats.avg_latency_ns,
             stats.avg_itbs_per_msg,
             stats.delivered,

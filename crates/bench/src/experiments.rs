@@ -27,7 +27,9 @@ use regnet_netsim::{
 use regnet_topology::{gen, HostId, LinkId, NodeId, SwitchId, Topology};
 use regnet_traffic::{random_hotspots, PatternSpec};
 
-use crate::{load_ladder, save_curves, save_time_series, Mode, Topo};
+use crate::{
+    load_ladder, paper_label, run_with_status, save_curves, save_time_series, Mode, PAPER_TOPOS,
+};
 
 /// Where a figure's output goes: its text to stdout and to the report
 /// `paper all` saves, its cells to the store under `target/experiments/`.
@@ -68,19 +70,13 @@ impl Output {
         };
         let store = self.store();
         let all = plan(sweeps);
-        let pending = all
-            .cells
-            .iter()
-            .filter(|c| !store.contains(&c.hash))
-            .count();
-        let workers = threads().clamp(1, pending.max(1));
-        let mut board = status_board(store, label, pending, workers);
         let opts = RunnerOptions {
-            threads: workers,
+            threads: threads(),
             stop_after: None,
         };
-        let outcome = run_plan(&all, store, &opts, |ev| board.record(&ev));
-        finish(board, label, outcome);
+        let work = |board: &mut StatusBoard| run_plan(&all, store, &opts, |ev| board.record(&ev));
+        let run = run_with_status(store, "paper", Some(label), opts.threads, Some(&all), work);
+        run.unwrap_or_else(|e| panic!("{label}: {e}"));
         let results = |s: &Sweep| {
             plan(std::slice::from_ref(s))
                 .cells
@@ -97,27 +93,16 @@ impl Output {
     fn run_searches(&mut self, label: &str, queries: &[WhatIfQuery]) -> Vec<f64> {
         let store = self.store();
         let workers = threads();
-        let mut board = status_board(store, label, 0, workers);
-        let outcome = what_if_all(queries, store, workers, |ev| match ev {
-            WhatIfEvent::Round { cells } => board.add(cells),
-            WhatIfEvent::Cell(ev) => board.record(&ev),
-            WhatIfEvent::Probe { .. } => {}
+        let found = run_with_status(store, "paper", Some(label), workers, None, |board| {
+            what_if_all(queries, store, workers, |ev| match ev {
+                WhatIfEvent::Round { cells } => board.add(cells),
+                WhatIfEvent::Cell(ev) => board.record(&ev),
+                WhatIfEvent::Probe { .. } => {}
+            })
         });
-        let found = finish(board, label, outcome);
+        let found = found.unwrap_or_else(|e| panic!("{label}: {e}"));
         found.iter().map(|r| r.saturation.throughput).collect()
     }
-}
-
-/// One `paper` plan's `status.json`, echoed to stderr under `label`.
-fn status_board(store: &ResultStore, label: &str, pending: usize, workers: usize) -> StatusBoard {
-    let status = store.root().join("status.json");
-    StatusBoard::new(status, "paper", pending, workers).echo(label)
-}
-
-/// Publish the plan's final state; a failed plan ends the figure.
-fn finish<T>(mut board: StatusBoard, label: &str, outcome: Result<T, String>) -> T {
-    board.finish(if outcome.is_ok() { "done" } else { "failed" });
-    outcome.unwrap_or_else(|e| panic!("{label}: {e}"))
 }
 
 /// What a [`Figure`] is asked to run.
@@ -125,7 +110,7 @@ fn finish<T>(mut board: StatusBoard, label: &str, outcome: Result<T, String>) ->
 pub struct Request {
     pub mode: Mode,
     /// One panel per topology, for the figures that have panels.
-    pub topos: Vec<Topo>,
+    pub topos: Vec<TopoSpec>,
     /// Figure 12 only: also run the 4-switch-radius variant.
     pub radius4: bool,
     /// The fault sweep only: its 4x4 CI grid instead of the panels.
@@ -140,7 +125,7 @@ pub struct Figure {
     pub stems: &'static [&'static str],
     /// The `--topo` values it accepts, which are also its default panels;
     /// empty for a figure defined on one topology.
-    pub topos: &'static [Topo],
+    pub topos: &'static [TopoSpec],
     pub run: fn(&Request, &mut Output),
 }
 
@@ -155,20 +140,20 @@ pub(crate) const FIGURES: &[Figure] = &[
     Figure {
         name: "fig07",
         stems: &["fig07"],
-        topos: &Topo::ALL,
-        run: run_fig07,
+        topos: &PAPER_TOPOS,
+        run: |req, out| run_ladders(req, out, &[&FIG07]),
     },
     Figure {
         name: "fig10",
         stems: &["fig10"],
         // CPLANT's 400 hosts are not a power of two, as the paper notes.
-        topos: &[Topo::Torus, Topo::Express],
-        run: run_fig10,
+        topos: &[TopoSpec::Torus, TopoSpec::Express],
+        run: |req, out| run_ladders(req, out, &[&FIG10]),
     },
     Figure {
         name: "fig12",
         stems: &["fig12", "fig12r4"],
-        topos: &Topo::ALL,
+        topos: &PAPER_TOPOS,
         run: run_fig12,
     },
     Figure {
@@ -228,7 +213,7 @@ pub(crate) const FIGURES: &[Figure] = &[
     Figure {
         name: "faults",
         stems: &["fault_throughput_vs_failed_links", "fault_goodput_dip"],
-        topos: &Topo::ALL,
+        topos: &PAPER_TOPOS,
         run: run_faults,
     },
 ];
@@ -327,18 +312,19 @@ impl UtilReport {
 
 /// Offered-load ladder for a (topology, pattern family) cell, bracketing
 /// every scheme's saturation point.
-fn ladder_for(topo: Topo, pattern: &PatternSpec, mode: Mode) -> Vec<f64> {
+fn ladder_for(topo: TopoSpec, pattern: &PatternSpec, mode: Mode) -> Vec<f64> {
     let n = match mode {
         Mode::Quick => 8,
         Mode::Full => 12,
     };
     let (lo, hi) = match (topo, pattern) {
-        (Topo::Torus, PatternSpec::Local { .. }) => (0.01, 0.22),
-        (Topo::Express, PatternSpec::Local { .. }) => (0.01, 0.30),
-        (Topo::Cplant, PatternSpec::Local { .. }) => (0.01, 0.25),
-        (Topo::Torus, _) => (0.003, 0.045),
-        (Topo::Express, _) => (0.008, 0.16),
-        (Topo::Cplant, _) => (0.006, 0.13),
+        (TopoSpec::Torus, PatternSpec::Local { .. }) => (0.01, 0.22),
+        (TopoSpec::Express, PatternSpec::Local { .. }) => (0.01, 0.30),
+        (TopoSpec::Cplant, PatternSpec::Local { .. }) => (0.01, 0.25),
+        (TopoSpec::Torus, _) => (0.003, 0.045),
+        (TopoSpec::Express, _) => (0.008, 0.16),
+        (TopoSpec::Cplant, _) => (0.006, 0.13),
+        (other, _) => unreachable!("{} is not a paper topology", other.key()),
     };
     load_ladder(lo, hi, n)
 }
@@ -358,22 +344,16 @@ struct Ladder {
 impl Ladder {
     /// The panel's cells: every scheme of [`RoutingScheme::all`] at every
     /// load of [`ladder_for`], with `mode`'s windows.
-    fn cells(&self, topo: Topo, mode: Mode) -> Sweep {
-        let opts = mode.run_options(self.seed);
+    fn cells(&self, topo: TopoSpec, mode: Mode) -> Sweep {
         Sweep {
-            group: format!("{}_{}", self.stem, topo.tag()),
-            topos: vec![topo.spec()],
+            group: format!("{}_{}", self.stem, topo.key()),
+            topos: vec![topo],
             schemes: RoutingScheme::all().to_vec(),
             patterns: vec![self.pattern],
             loads: ladder_for(topo, &self.pattern, mode),
             seeds: vec![self.seed],
             faults: vec![None],
-            defaults: CellDefaults {
-                warmup_cycles: opts.warmup_cycles,
-                measure_cycles: opts.measure_cycles,
-                seed: self.seed,
-                ..CellDefaults::default()
-            },
+            defaults: mode.defaults(self.seed),
         }
     }
 }
@@ -419,7 +399,7 @@ const FIG12_RADIUS4: Ladder = Ladder {
 /// Run `ladders` on every requested topology as one plan, then print each
 /// panel and save its curves as `<stem>_<topo>`, topology by topology.
 fn run_ladders(req: &Request, out: &mut Output, ladders: &[&Ladder]) {
-    let panels: Vec<(Topo, &Ladder)> = req
+    let panels: Vec<(TopoSpec, &Ladder)> = req
         .topos
         .iter()
         .flat_map(|&topo| ladders.iter().map(move |&l| (topo, l)))
@@ -427,7 +407,7 @@ fn run_ladders(req: &Request, out: &mut Output, ladders: &[&Ladder]) {
     let sweeps: Vec<Sweep> = panels.iter().map(|&(t, l)| l.cells(t, req.mode)).collect();
     let results = out.run_sweeps(ladders[0].stem, &sweeps);
     for ((topo, ladder), cells) in panels.into_iter().zip(results) {
-        let name = topo.build().name().to_string();
+        let name = topo.build().expect("a paper topology").name().to_string();
         let schemes = RoutingScheme::all();
         let per_scheme = cells.chunks(cells.len() / schemes.len());
         let curves: Vec<Curve> = schemes
@@ -438,9 +418,14 @@ fn run_ladders(req: &Request, out: &mut Output, ladders: &[&Ladder]) {
                 Curve::from_points(label, cells.iter().map(CellResult::curve_point).collect())
             })
             .collect();
-        let title = format!("{} ({}) — {}", ladder.figure, topo.label(), ladder.traffic);
+        let title = format!(
+            "{} ({}) — {}",
+            ladder.figure,
+            paper_label(topo),
+            ladder.traffic
+        );
         out.put(render_panel(&title, &curves));
-        save_curves(&format!("{}_{}", ladder.stem, topo.tag()), &curves);
+        save_curves(&format!("{}_{}", ladder.stem, topo.key()), &curves);
     }
 }
 
@@ -455,14 +440,6 @@ fn render_panel(title: &str, curves: &[Curve]) -> String {
         ));
     }
     out
-}
-
-fn run_fig07(req: &Request, out: &mut Output) {
-    run_ladders(req, out, &[&FIG07]);
-}
-
-fn run_fig10(req: &Request, out: &mut Output) {
-    run_ladders(req, out, &[&FIG10]);
 }
 
 fn run_fig12(req: &Request, out: &mut Output) {
@@ -505,31 +482,10 @@ fn util_time_series(label: &str, descs: &[ChannelDesc], s: &ChannelUtilSeries) -
     ts
 }
 
-/// The campaign cell behind one utilization snapshot: paper-default
-/// hardware, seed 8 and `mode`'s windows (`campaigns/paper_figs.json`
-/// holds the quick-mode ones).
-fn util_cell(
-    topo: Topo,
-    scheme: RoutingScheme,
-    pattern: PatternSpec,
-    load: f64,
-    mode: Mode,
-) -> CellSpec {
-    let opts = mode.run_options(8);
-    CellSpec {
-        topo: topo.spec(),
-        scheme,
-        pattern,
-        load,
-        seed: opts.seed,
-        warmup_cycles: opts.warmup_cycles,
-        measure_cycles: opts.measure_cycles,
-        payload_flits: SimConfig::default().payload_flits,
-        goodput_interval: None,
-        reconfig_latency_cycles: None,
-        faults: None,
-    }
-}
+/// The seed of the campaign cells behind the utilization snapshots,
+/// which run `mode`'s windows (`campaigns/paper_figs.json` holds the
+/// quick-mode ones).
+const UTIL_SEED: u64 = 8;
 
 /// Run `cell` as the campaign does, with the channel-utilization
 /// observer armed on top.
@@ -581,7 +537,11 @@ fn emit_util_report(
 /// UP/DOWN at its saturation point (0.015), ITB-RR at the same load, and
 /// ITB-RR near its own saturation (0.03).
 fn fig08_cells(mode: Mode) -> Vec<CellSpec> {
-    let cell = |scheme, load| util_cell(Topo::Torus, scheme, PatternSpec::Uniform, load, mode);
+    let uniform = PatternSpec::Uniform;
+    let cell = |scheme, load| {
+        mode.defaults(UTIL_SEED)
+            .cell(TopoSpec::Torus, scheme, uniform, load)
+    };
     vec![
         cell(RoutingScheme::UpDown, 0.015),
         cell(RoutingScheme::ItbRr, 0.015),
@@ -598,7 +558,11 @@ fn run_fig08(req: &Request, out: &mut Output) {
 /// **Figure 9** — link utilization in the torus with express channels at
 /// UP/DOWN's saturation point (0.066).
 fn fig09_cells(mode: Mode) -> Vec<CellSpec> {
-    let cell = |scheme| util_cell(Topo::Express, scheme, PatternSpec::Uniform, 0.066, mode);
+    let uniform = PatternSpec::Uniform;
+    let cell = |scheme| {
+        mode.defaults(UTIL_SEED)
+            .cell(TopoSpec::Express, scheme, uniform, 0.066)
+    };
     vec![cell(RoutingScheme::UpDown), cell(RoutingScheme::ItbRr)]
 }
 
@@ -642,7 +606,10 @@ fn fig11_cells(hotspot: HostId, mode: Mode) -> Vec<CellSpec> {
         fraction: 0.10,
         host: hotspot,
     };
-    let cell = |scheme| util_cell(Topo::Torus, scheme, pattern, 0.0123, mode);
+    let cell = |scheme| {
+        mode.defaults(UTIL_SEED)
+            .cell(TopoSpec::Torus, scheme, pattern, 0.0123)
+    };
     vec![cell(RoutingScheme::UpDown), cell(RoutingScheme::ItbRr)]
 }
 
@@ -652,7 +619,7 @@ fn fig11_hotspot(topo: &Topology) -> HostId {
 }
 
 fn run_fig11(req: &Request, out: &mut Output) {
-    let topo = Topo::Torus.build();
+    let topo = TopoSpec::Torus.build().expect("the paper torus");
     let hotspot = fig11_hotspot(&topo);
     let name = format!(
         "Figure 11 — link utilization, 2-D torus, 10% hotspot at {hotspot} (switch {})",
@@ -674,21 +641,11 @@ fn throughput_searches(
     seed: u64,
     mode: Mode,
 ) -> Vec<WhatIfQuery> {
-    let opts = mode.run_options(seed);
+    let mut defaults = mode.defaults(seed);
+    defaults.warmup_cycles /= 2;
+    defaults.measure_cycles /= 2;
     let query = |scheme| WhatIfQuery {
-        cell: CellSpec {
-            topo,
-            scheme,
-            pattern,
-            load: 0.0,
-            seed,
-            warmup_cycles: opts.warmup_cycles / 2,
-            measure_cycles: opts.measure_cycles / 2,
-            payload_flits: SimConfig::default().payload_flits,
-            goodput_interval: None,
-            reconfig_latency_cycles: None,
-            faults: None,
-        },
+        cell: defaults.cell(topo, scheme, pattern, 0.0),
         search: SaturationSearch::new(start),
     };
     RoutingScheme::all().into_iter().map(query).collect()
@@ -699,7 +656,7 @@ fn throughput_searches(
 /// locations.
 struct HotspotTable {
     name: &'static str,
-    topo: Topo,
+    topo: TopoSpec,
     /// Hotspot fractions, one block of scheme columns each, with the
     /// block's label.
     fractions: &'static [(f64, &'static str)],
@@ -719,7 +676,8 @@ impl HotspotTable {
             Mode::Quick => 3,
             Mode::Full => 10,
         };
-        let hotspots = random_hotspots(&self.topo.build(), count, &mut rng);
+        let topo = self.topo.build().expect("a paper topology");
+        let hotspots = random_hotspots(&topo, count, &mut rng);
         let mut header = Vec::new();
         for &(f, _) in self.fractions {
             for scheme in RoutingScheme::all() {
@@ -730,8 +688,9 @@ impl HotspotTable {
         for &host in &hotspots {
             for &(fraction, _) in self.fractions {
                 let pattern = PatternSpec::Hotspot { fraction, host };
-                let topo = self.topo.spec();
-                queries.extend(throughput_searches(topo, pattern, self.start, 21, req.mode));
+                queries.extend(throughput_searches(
+                    self.topo, pattern, self.start, 21, req.mode,
+                ));
             }
         }
         let found = out.run_searches(self.name, &queries);
@@ -772,7 +731,7 @@ impl HotspotTable {
 /// 5% and 10% hotspot load, over several random hotspot locations.
 const TABLE1: HotspotTable = HotspotTable {
     name: "Table 1 — hotspot throughput, 2-D torus",
-    topo: Topo::Torus,
+    topo: TopoSpec::Torus,
     fractions: &[(0.05, "5% hotspot"), (0.10, "10% hotspot")],
     start: 0.004,
     paper: "x2.13 / x2.19 at 5%, x1.40 / x1.48 at 10%",
@@ -782,7 +741,7 @@ const TABLE1: HotspotTable = HotspotTable {
 /// 3% and 5% hotspot load.
 const TABLE2: HotspotTable = HotspotTable {
     name: "Table 2 — hotspot throughput, torus+express",
-    topo: Topo::Express,
+    topo: TopoSpec::Express,
     fractions: &[(0.03, "3% hotspot"), (0.05, "5% hotspot")],
     start: 0.01,
     paper: "x1.13 / x1.12 at 3%, x1.08 / x1.07 at 5%",
@@ -791,7 +750,7 @@ const TABLE2: HotspotTable = HotspotTable {
 /// **Table 3** — hotspot throughput in CPLANT, 5% hotspot load.
 const TABLE3: HotspotTable = HotspotTable {
     name: "Table 3 — hotspot throughput, CPLANT",
-    topo: Topo::Cplant,
+    topo: TopoSpec::Cplant,
     fractions: &[(0.05, "5% hotspot")],
     start: 0.008,
     paper: "x1.24 / x1.32",
@@ -825,8 +784,8 @@ impl RouteStatsReport {
 /// Compute route statistics for every (topology, scheme) cell.
 pub(crate) fn route_stats() -> RouteStatsReport {
     let mut rows = Vec::new();
-    for topo in [Topo::Torus, Topo::Express, Topo::Cplant] {
-        let t = topo.build();
+    for topo in PAPER_TOPOS {
+        let t = topo.build().expect("a paper topology");
         for scheme in RoutingScheme::all() {
             let db = RouteDb::build(&t, scheme, &RouteDbConfig::default());
             let stats = regnet_core::analysis::RouteStats::compute(&t, &db);
@@ -1020,7 +979,7 @@ fn run_ablation(_: &Request, out: &mut Output) {
 struct FaultGrid {
     topo: TopoSpec,
     /// Files go to `target/experiments/fault_*_<tag>.*`.
-    tag: &'static str,
+    tag: String,
     /// Numbers of simultaneously failed links.
     ks: Vec<usize>,
     /// Goodput sampling interval, cycles.
@@ -1030,14 +989,14 @@ struct FaultGrid {
 }
 
 impl FaultGrid {
-    fn new(topo: Topo, mode: Mode) -> FaultGrid {
+    fn new(topo: TopoSpec, mode: Mode) -> FaultGrid {
         let (warmup_cycles, measure_cycles, ks, interval) = match mode {
             Mode::Full => (100_000, 300_000, vec![0, 1, 2, 4, 8, 16], 5_000),
             Mode::Quick => (40_000, 100_000, vec![0, 1, 2, 4, 8], 2_500),
         };
         FaultGrid {
-            topo: topo.spec(),
-            tag: topo.tag(),
+            topo,
+            tag: topo.key(),
             ks,
             interval,
             defaults: CellDefaults {
@@ -1055,7 +1014,7 @@ impl FaultGrid {
     fn smoke() -> FaultGrid {
         FaultGrid {
             topo: TopoSpec::parse("torus:4x4:2").expect("a topology"),
-            tag: "smoke",
+            tag: "smoke".into(),
             ks: vec![0, 1, 2],
             interval: 1_000,
             defaults: CellDefaults {
@@ -1239,13 +1198,13 @@ mod tests {
     #[test]
     fn ladders_bracket_paper_saturation_points() {
         // The ladder must span each scheme's expected knee.
-        let l = ladder_for(Topo::Torus, &PatternSpec::Uniform, Mode::Quick);
+        let l = ladder_for(TopoSpec::Torus, &PatternSpec::Uniform, Mode::Quick);
         assert!(*l.first().unwrap() < 0.01);
         assert!(*l.last().unwrap() > 0.035);
-        let l = ladder_for(Topo::Express, &PatternSpec::Uniform, Mode::Quick);
+        let l = ladder_for(TopoSpec::Express, &PatternSpec::Uniform, Mode::Quick);
         assert!(*l.last().unwrap() > 0.12);
         let l = ladder_for(
-            Topo::Torus,
+            TopoSpec::Torus,
             &PatternSpec::Local { max_switch_dist: 3 },
             Mode::Quick,
         );
@@ -1294,7 +1253,7 @@ mod tests {
                 .filter(|c| c.groups.iter().any(|g| g == name));
             cells.map(|c| c.hash.as_str()).collect()
         };
-        for topo in Topo::ALL {
+        for topo in PAPER_TOPOS {
             let paper = CampaignSpec {
                 name: "fig07".into(),
                 defaults: CellDefaults::default(),
@@ -1304,13 +1263,13 @@ mod tests {
             .unwrap();
             let paper: Vec<&str> = paper.cells.iter().map(|c| c.hash.as_str()).collect();
             assert_eq!(paper.len(), 24);
-            assert_eq!(paper, group(&format!("fig07 {} uniform", topo.tag())));
+            assert_eq!(paper, group(&format!("fig07 {} uniform", topo.key())));
         }
         let hashes = |cells: Vec<CellSpec>| -> Vec<String> {
             let hash = |c: &CellSpec| format!("{:016x}", fnv1a64(c.canonical_key().as_bytes()));
             cells.iter().map(hash).collect()
         };
-        let hotspot = fig11_hotspot(&Topo::Torus.build());
+        let hotspot = fig11_hotspot(&TopoSpec::Torus.build().unwrap());
         for (name, cells) in [
             ("fig08 torus util", fig08_cells(Mode::Quick)),
             ("fig09 express util", fig09_cells(Mode::Quick)),

@@ -9,56 +9,25 @@ use std::path::Path;
 
 pub use experiments::Output;
 use experiments::{Figure, Request, FIGURES};
-use regnet_campaign::TopoSpec;
-use regnet_core::{RouteDbConfig, RoutingScheme};
+use regnet_campaign::{CellDefaults, ResultStore, RunPlan, StatusBoard, TopoSpec};
 use regnet_metrics::Curve;
-use regnet_netsim::{Experiment, RunOptions};
-use regnet_netsim::{FaultPlan, SimConfig};
-use regnet_topology::{LinkId, Topology};
-use regnet_traffic::PatternSpec;
+use regnet_netsim::FaultPlan;
+use regnet_topology::LinkId;
 
-/// The three topologies of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Topo {
-    /// 8×8 2-D torus, 512 hosts (Figure 4).
-    Torus,
-    /// 8×8 2-D torus with express channels (Figure 5).
-    Express,
-    /// CPLANT, 50 switches / 400 hosts (Figure 6).
-    Cplant,
-}
+/// The three topologies of the paper's evaluation, in its order: the 8×8
+/// torus (Figure 4), the torus with express channels (Figure 5) and
+/// CPLANT (Figure 6). `--topo` and output file names spell them by
+/// [`TopoSpec::key`].
+pub(crate) const PAPER_TOPOS: [TopoSpec; 3] =
+    [TopoSpec::Torus, TopoSpec::Express, TopoSpec::Cplant];
 
-impl Topo {
-    pub(crate) const ALL: [Topo; 3] = [Topo::Torus, Topo::Express, Topo::Cplant];
-
-    /// The campaign spelling of this topology, which is what builds it.
-    pub(crate) fn spec(self) -> TopoSpec {
-        match self {
-            Topo::Torus => TopoSpec::Torus,
-            Topo::Express => TopoSpec::Express,
-            Topo::Cplant => TopoSpec::Cplant,
-        }
-    }
-
-    pub fn build(self) -> Topology {
-        self.spec().build().expect("a paper topology")
-    }
-
-    /// The name `--topo` takes and output file names carry.
-    pub(crate) fn tag(self) -> &'static str {
-        match self {
-            Topo::Torus => "torus",
-            Topo::Express => "express",
-            Topo::Cplant => "cplant",
-        }
-    }
-
-    pub fn label(self) -> &'static str {
-        match self {
-            Topo::Torus => "2-D Torus",
-            Topo::Express => "2-D Torus with express channels",
-            Topo::Cplant => "CPLANT",
-        }
+/// How a figure title names one of [`PAPER_TOPOS`].
+pub(crate) fn paper_label(topo: TopoSpec) -> &'static str {
+    match topo {
+        TopoSpec::Torus => "2-D Torus",
+        TopoSpec::Express => "2-D Torus with express channels",
+        TopoSpec::Cplant => "CPLANT",
+        other => unreachable!("{} is not a paper topology", other.key()),
     }
 }
 
@@ -72,35 +41,50 @@ pub enum Mode {
 }
 
 impl Mode {
-    pub fn run_options(self, seed: u64) -> RunOptions {
-        match self {
-            Mode::Quick => RunOptions {
-                warmup_cycles: 60_000,
-                measure_cycles: 150_000,
-                seed,
-                ..RunOptions::default()
-            },
-            Mode::Full => RunOptions {
-                warmup_cycles: 200_000,
-                measure_cycles: 500_000,
-                seed,
-                ..RunOptions::default()
-            },
+    /// This mode's windows and `seed`, on paper-default hardware.
+    pub fn defaults(self, seed: u64) -> CellDefaults {
+        let (warmup_cycles, measure_cycles) = match self {
+            Mode::Quick => (60_000, 150_000),
+            Mode::Full => (200_000, 500_000),
+        };
+        CellDefaults {
+            warmup_cycles,
+            measure_cycles,
+            seed,
+            ..CellDefaults::default()
         }
     }
 }
 
-/// Build the standard experiment for a (topology, scheme, pattern) cell
-/// with paper-default hardware parameters.
-pub fn experiment(topo: Topology, scheme: RoutingScheme, pattern: PatternSpec) -> Experiment {
-    Experiment::new(
-        topo,
-        scheme,
-        RouteDbConfig::default(),
-        pattern,
-        SimConfig::default(),
-    )
-    .expect("experiment construction")
+/// Run pool work with a live `<store>/status.json`: the one run protocol
+/// `paper` and `campaign` share. `work` runs on `threads` workers and
+/// reports to the board, which ends `"done"`, `"stopped"` (work left
+/// pending) or `"failed"`, echoed to stderr under `echo`. `plan` holds the
+/// work's cells when they are known up front: the ones `store` lacks are
+/// the board's total and bound its worker slots. Searches, whose rounds
+/// join the board as they start, pass `None`.
+pub fn run_with_status<T>(
+    store: &ResultStore,
+    tool: &str,
+    echo: Option<&str>,
+    threads: usize,
+    plan: Option<&RunPlan>,
+    work: impl FnOnce(&mut StatusBoard) -> Result<T, String>,
+) -> Result<T, String> {
+    let pending = plan.map(|p| p.cells.iter().filter(|c| !store.contains(&c.hash)).count());
+    let workers = pending.map_or(threads, |n| threads.clamp(1, n.max(1)));
+    let status = store.root().join("status.json");
+    let mut board = StatusBoard::new(status, tool, pending.unwrap_or(0), workers);
+    if let Some(label) = echo {
+        board = board.echo(label);
+    }
+    let outcome = work(&mut board);
+    board.finish(match outcome {
+        Err(_) => "failed",
+        Ok(_) if board.pending() > 0 => "stopped",
+        Ok(_) => "done",
+    });
+    outcome
 }
 
 /// A parsed `probe` or `diagnose` command line. Every flag takes a value.
@@ -177,7 +161,7 @@ fn parse_dev_args(args: &[String], takes: &[&str]) -> Result<DevArgs, String> {
             }
         }
     }
-    plan.check(&Topo::Torus.build())
+    plan.check(&TopoSpec::Torus.build()?)
         .map_err(|e| format!("bad --fail-link: {e}"))?;
     parsed.faults = (!plan.is_empty()).then_some(plan);
     Ok(parsed)
@@ -188,7 +172,7 @@ fn parse_dev_args(args: &[String], takes: &[&str]) -> Result<DevArgs, String> {
 pub struct PaperArgs {
     /// The subcommand; `None` is `all`.
     pub figure: Option<&'static Figure>,
-    pub topo: Option<Topo>,
+    pub topo: Option<TopoSpec>,
     pub radius4: bool,
     pub smoke: bool,
     pub mode: Mode,
@@ -264,23 +248,23 @@ pub fn parse_paper_args(args: &[String]) -> Result<PaperArgs, String> {
 }
 
 /// The `--topo` value among the `panels` that `who` takes.
-fn topo_among(panels: &[Topo], value: Option<&String>, who: &str) -> Result<Topo, String> {
+fn topo_among(panels: &[TopoSpec], value: Option<&String>, who: &str) -> Result<TopoSpec, String> {
     let value = value.ok_or("--topo needs a value")?;
     panels
         .iter()
         .copied()
-        .find(|t| t.tag() == value)
+        .find(|t| t.key() == *value)
         .ok_or_else(|| {
-            let tags: Vec<&str> = panels.iter().map(|t| t.tag()).collect();
-            format!("bad --topo {value:?}: {who} takes {}", tags.join("|"))
+            let keys: Vec<String> = panels.iter().map(TopoSpec::key).collect();
+            format!("bad --topo {value:?}: {who} takes {}", keys.join("|"))
         })
 }
 
 /// A parsed `campaign` command line.
 #[derive(Debug, Default, PartialEq)]
 pub struct CampaignArgs {
-    /// The campaign file; `None` under `--smoke`, `--watch` and
-    /// `--check-status`, which need none.
+    /// The campaign file; `None` under `--what-if`, `--watch` and
+    /// `--check-status`, which take none.
     pub file: Option<String>,
     pub out: Option<String>,
     pub threads: Option<usize>,
@@ -291,7 +275,6 @@ pub struct CampaignArgs {
     pub fresh: bool,
     pub dry_run: bool,
     pub quiet: bool,
-    pub smoke: bool,
 }
 
 /// Parse `campaign`'s arguments (without the program name), as strictly as
@@ -323,7 +306,6 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignArgs, String> {
             "--fresh" => parsed.fresh = true,
             "--dry-run" => parsed.dry_run = true,
             "--quiet" => parsed.quiet = true,
-            "--smoke" => parsed.smoke = true,
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
             file if parsed.file.is_none() => parsed.file = Some(file.to_string()),
             extra => return Err(format!("unexpected argument {extra:?}")),
@@ -334,25 +316,24 @@ pub fn parse_campaign_args(args: &[String]) -> Result<CampaignArgs, String> {
         return Err("--watch and --check-status take their path and nothing else".to_string());
     }
     // What a run would do with them; a what-if query and a dry run do
-    // not run the plan (a single query always runs on one worker).
-    let run_flags = [
+    // not run the plan (a single query always runs on one worker), and a
+    // what-if query reads no campaign file.
+    let run_input = [
         (parsed.dry_run, "--dry-run"),
         (parsed.fresh, "--fresh"),
         (parsed.stop_after.is_some(), "--stop-after"),
         (parsed.threads.is_some(), "--threads"),
+        (parsed.file.is_some(), "a campaign file"),
     ];
     for (mode, name, ignored) in [
-        (parsed.what_if.is_some(), "--what-if", &run_flags[..]),
-        (parsed.dry_run, "--dry-run", &run_flags[1..]),
+        (parsed.what_if.is_some(), "--what-if", &run_input[..]),
+        (parsed.dry_run, "--dry-run", &run_input[1..4]),
     ] {
         if let Some((_, flag)) = ignored.iter().find(|(set, _)| mode && *set) {
             return Err(format!("{name} does not take {flag}"));
         }
     }
-    if parsed.smoke && parsed.file.is_some() {
-        return Err("--smoke runs the built-in campaign: no campaign file".to_string());
-    }
-    if !parsed.smoke && !reads_status && parsed.file.is_none() {
+    if parsed.what_if.is_none() && !reads_status && parsed.file.is_none() {
         return Err("no campaign file given".to_string());
     }
     Ok(parsed)
@@ -450,8 +431,13 @@ mod tests {
 
     #[test]
     fn topo_sizes() {
-        assert_eq!(Topo::Torus.build().num_hosts(), 512);
-        assert_eq!(Topo::Cplant.build().num_hosts(), 400);
+        let hosts = PAPER_TOPOS.map(|t| t.build().unwrap().num_hosts());
+        assert_eq!(hosts, [512, 512, 400]);
+        let labels = PAPER_TOPOS.map(paper_label);
+        assert_eq!(
+            labels,
+            ["2-D Torus", "2-D Torus with express channels", "CPLANT"]
+        );
     }
 
     #[test]
@@ -474,7 +460,7 @@ mod tests {
             a.request(a.figure.unwrap()),
             Request {
                 mode: Mode::Full,
-                topos: vec![Topo::Cplant],
+                topos: vec![TopoSpec::Cplant],
                 radius4: true,
                 smoke: false,
             }
@@ -484,7 +470,7 @@ mod tests {
         let a = parse_paper_args(&strings(&["fig10"])).unwrap();
         assert_eq!(
             a.request(a.figure.unwrap()).topos,
-            [Topo::Torus, Topo::Express]
+            [TopoSpec::Torus, TopoSpec::Express]
         );
 
         let a = parse_paper_args(&strings(&["all", "--full"])).unwrap();
@@ -541,9 +527,10 @@ mod tests {
             (&[][..], "no campaign file given"),
             (&["--dry-run"], "no campaign file given"),
             (
-                &["--smoke", "--dry-run", "--stop-afer", "4"],
+                &["c.json", "--dry-run", "--stop-afer", "4"],
                 "unknown flag \"--stop-afer\"",
             ),
+            (&["--smoke", "--dry-run"], "unknown flag \"--smoke\""),
             (&["c.json", "-q"], "unknown flag \"-q\""),
             (&["c.json", "--stop-after"], "--stop-after needs a value"),
             (&["c.json", "--stop-after", "soon"], "not an integer"),
@@ -567,15 +554,19 @@ mod tests {
                 "--what-if does not take --fresh",
             ),
             (
-                &["--smoke", "--what-if", "topo=torus", "--stop-after", "2"],
+                &["--what-if", "topo=torus", "--stop-after", "2"],
                 "--what-if does not take --stop-after",
             ),
             (
-                &["--smoke", "--what-if", "topo=torus", "--threads", "2"],
+                &["--what-if", "topo=torus", "--threads", "2"],
                 "--what-if does not take --threads",
             ),
             (
-                &["--smoke", "--dry-run", "--fresh"],
+                &["c.json", "--what-if", "topo=torus"],
+                "--what-if does not take a campaign file",
+            ),
+            (
+                &["c.json", "--dry-run", "--fresh"],
                 "--dry-run does not take --fresh",
             ),
             (
@@ -586,7 +577,6 @@ mod tests {
                 &["c.json", "--dry-run", "--threads", "2"],
                 "--dry-run does not take --threads",
             ),
-            (&["--smoke", "c.json"], "--smoke runs the built-in campaign"),
         ] {
             let err = parse_campaign_args(&strings(args)).unwrap_err();
             assert!(err.contains(needle), "{args:?}: {err}");
@@ -603,9 +593,8 @@ mod tests {
                 },
             ),
             (
-                &["--quiet", "--out", "d", "c.json", "--what-if", "topo=torus"],
+                &["--quiet", "--out", "d", "--what-if", "topo=torus"],
                 CampaignArgs {
-                    file: Some("c.json".into()),
                     out: Some("d".into()),
                     what_if: Some("topo=torus".into()),
                     quiet: true,
@@ -613,9 +602,9 @@ mod tests {
                 },
             ),
             (
-                &["--smoke", "--dry-run"],
+                &["c.json", "--dry-run"],
                 CampaignArgs {
-                    smoke: true,
+                    file: Some("c.json".into()),
                     dry_run: true,
                     ..CampaignArgs::default()
                 },

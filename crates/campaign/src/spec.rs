@@ -10,7 +10,7 @@
 //! checkpoint/resume correct: the same cell always hashes the same, no
 //! matter how the JSON was ordered or which sweep produced it.
 
-use regnet_core::RoutingScheme;
+use regnet_core::{Fnv1a, RoutingScheme};
 use regnet_metrics::JsonValue;
 use regnet_netsim::{
     FaultEvent, FaultPlan, FaultTarget, SimConfig, MAX_PAYLOAD_FLITS, MAX_SWITCH_PORTS,
@@ -428,16 +428,11 @@ pub(crate) fn check_cell_values(
     Ok(())
 }
 
-/// FNV-1a 64-bit (same family the trace digest uses).
+/// FNV-1a 64 of `bytes` ([`Fnv1a`], the hash the trace digest folds).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
 }
 
 /// Campaign-wide cell defaults; every sweep may override any of them.
@@ -460,6 +455,32 @@ impl Default for CellDefaults {
             payload_flits: SimConfig::default().payload_flits,
             goodput_interval: None,
             reconfig_latency_cycles: None,
+        }
+    }
+}
+
+impl CellDefaults {
+    /// The fault-free cell of `topo` × `scheme` × `pattern` at `load`
+    /// under these defaults: the one place a [`CellSpec`] is built.
+    pub fn cell(
+        &self,
+        topo: TopoSpec,
+        scheme: RoutingScheme,
+        pattern: PatternSpec,
+        load: f64,
+    ) -> CellSpec {
+        CellSpec {
+            topo,
+            scheme,
+            pattern,
+            load,
+            seed: self.seed,
+            warmup_cycles: self.warmup_cycles,
+            measure_cycles: self.measure_cycles,
+            payload_flits: self.payload_flits,
+            goodput_interval: self.goodput_interval,
+            reconfig_latency_cycles: self.reconfig_latency_cycles,
+            faults: None,
         }
     }
 }
@@ -583,21 +604,10 @@ impl CampaignSpec {
                             }
                             for &seed in &sweep.seeds {
                                 for fault in &sweep.faults {
-                                    let spec = CellSpec {
-                                        topo: *topo,
-                                        scheme: *scheme,
-                                        pattern: *pattern,
-                                        load,
-                                        seed,
-                                        warmup_cycles: sweep.defaults.warmup_cycles,
-                                        measure_cycles: sweep.defaults.measure_cycles,
-                                        payload_flits: sweep.defaults.payload_flits,
-                                        goodput_interval: sweep.defaults.goodput_interval,
-                                        reconfig_latency_cycles: sweep
-                                            .defaults
-                                            .reconfig_latency_cycles,
-                                        faults: fault.clone(),
-                                    };
+                                    let mut spec =
+                                        sweep.defaults.cell(*topo, *scheme, *pattern, load);
+                                    spec.seed = seed;
+                                    spec.faults = fault.clone();
                                     let hash = spec.hash_hex();
                                     match by_hash.entry(hash.clone()) {
                                         std::collections::hash_map::Entry::Occupied(mut e) => {

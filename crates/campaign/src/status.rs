@@ -401,6 +401,11 @@ impl StatusBoard {
         self.publish();
     }
 
+    /// Work items neither landed nor failed yet.
+    pub fn pending(&self) -> u64 {
+        self.snap.pending
+    }
+
     /// Final snapshot: `"done"`, `"failed"` or `"stopped"`. Remaining
     /// pending work stays in the counts (that is what "stopped" means);
     /// all workers go idle.

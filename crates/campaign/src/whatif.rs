@@ -100,10 +100,8 @@ pub fn what_if_all(
             .zip(queries)
             .enumerate()
             .filter_map(|(i, (s, q))| {
-                let spec = CellSpec {
-                    load: s.next_load()?,
-                    ..q.cell.clone()
-                };
+                let mut spec = q.cell.clone();
+                spec.load = s.next_load()?;
                 let cell = PlannedCell {
                     hash: spec.hash_hex(),
                     key: spec.canonical_key(),

@@ -45,12 +45,14 @@
 //! ```
 
 pub mod analysis;
+mod fnv;
 mod journey;
 mod relabel;
 mod scheme;
 mod split;
 mod table;
 
+pub use fnv::Fnv1a;
 pub use journey::{Journey, JourneyTemplate, Segment, SegmentEnd};
 pub use relabel::Relabel;
 pub use scheme::{PathSelector, RouteDbConfig, RoutingScheme, SrcSelector};

@@ -15,6 +15,7 @@
 
 use regnet_topology::{HostId, Port, SwitchId};
 
+use crate::fnv::Fnv1a;
 use crate::journey::{Journey, JourneyTemplate, Segment, SegmentEnd};
 use crate::scheme::RoutingScheme;
 
@@ -191,33 +192,26 @@ impl RouteDb {
     /// every packet identically. Stable across versions; the regression
     /// suite pins the paper networks' tables with it.
     pub fn fingerprint(&self) -> u64 {
-        struct Fnv(u64);
-        impl Fnv {
-            fn byte(&mut self, b: u8) {
-                self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            fn word(&mut self, w: u32) {
-                w.to_le_bytes().into_iter().for_each(|b| self.byte(b));
-            }
-        }
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv1a::new();
+        let word = |h: &mut Fnv1a, w: u32| h.write(&w.to_le_bytes());
         for (_, _, alts) in self.iter_pairs() {
-            h.word(alts.len() as u32);
+            word(&mut h, alts.len() as u32);
             for route in alts {
-                h.word(route.num_segments() as u32);
+                word(&mut h, route.num_segments() as u32);
                 for seg in route.segments() {
-                    h.word(seg.switches.len() as u32);
-                    seg.switches.iter().for_each(|s| h.word(s.0));
-                    h.word(seg.ports.len() as u32);
-                    seg.ports.iter().for_each(|p| h.byte(p.0));
-                    h.word(match seg.end {
+                    word(&mut h, seg.switches.len() as u32);
+                    seg.switches.iter().for_each(|s| word(&mut h, s.0));
+                    word(&mut h, seg.ports.len() as u32);
+                    seg.ports.iter().for_each(|p| h.write(&[p.0]));
+                    let end = match seg.end {
                         SegmentEnd::Deliver => u32::MAX,
                         SegmentEnd::Itb(host) => host.0,
-                    });
+                    };
+                    word(&mut h, end);
                 }
             }
         }
-        h.0
+        h.finish()
     }
 }
 

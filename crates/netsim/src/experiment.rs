@@ -441,29 +441,6 @@ mod tests {
         }
     }
 
-    /// The descriptors come from the topology alone and match, channel for
-    /// channel, what a simulator built on it reports.
-    #[test]
-    fn topology_channel_descriptors_match_the_simulators() {
-        for topo in [
-            gen::torus_2d(8, 8, 8).unwrap(),
-            gen::torus_2d_express(8, 8, 8).unwrap(),
-            gen::cplant().unwrap(),
-        ] {
-            let exp = Experiment::new(
-                topo,
-                RoutingScheme::UpDown,
-                RouteDbConfig::default(),
-                PatternSpec::Uniform,
-                SimConfig::default(),
-            )
-            .unwrap();
-            let sim = exp.make_sim(0.001, &RunOptions::default());
-            assert_eq!(ChannelDesc::of(&exp.topo), sim.channel_descriptors());
-            assert_eq!(sim.channel_descriptors().len(), 2 * exp.topo.num_links());
-        }
-    }
-
     #[test]
     fn link_utilization_switch_links_only() {
         let exp = small_exp(RoutingScheme::UpDown);

@@ -8,6 +8,7 @@ use rand::Rng;
 use regnet_mapper::{rebuild_physical_routes, FaultSet, PhysicalRoutes};
 use regnet_topology::{HostId, SwitchId};
 
+use super::measure::link_channels;
 use super::Simulator;
 use crate::channel::{Receiver, Sender};
 use crate::config::MAX_RETRANSMITS;
@@ -226,8 +227,7 @@ impl Simulator<'_> {
                 .unwrap()
                 .active
                 .is_link_alive(self.topo, lid);
-            let pair = self.link_chans[i];
-            for ci in pair {
+            for ci in link_channels(i) {
                 if !alive && !self.channels.is_dead(ci) {
                     let mut v = self.fail_channel(ci);
                     victims.append(&mut v);

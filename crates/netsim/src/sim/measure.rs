@@ -3,10 +3,9 @@
 //! and the diagnostics (stall analysis, state dump, channel map).
 
 use regnet_metrics::{Histogram, RunningStats};
-use regnet_topology::{HostId, LinkEnd, NodeId, SwitchId, Topology};
+use regnet_topology::{LinkEnd, NodeId, Topology};
 
 use super::Simulator;
-use crate::channel::{Receiver, Sender};
 use crate::config::{
     CYCLE_NS, ITB_DETECT_CYCLES, ITB_DMA_CYCLES, ITB_OVERFLOW_PENALTY_CYCLES, LINK_DELAY_CYCLES,
     SWITCH_ROUTING_CYCLES,
@@ -47,6 +46,13 @@ pub struct ChannelDesc {
 pub(super) fn directed_channels(topo: &Topology) -> impl Iterator<Item = (LinkEnd, LinkEnd)> + '_ {
     let links = topo.links().iter();
     links.flat_map(|l| [(l.ends[0], l.ends[1]), (l.ends[1], l.ends[0])])
+}
+
+/// The two directed channels of link `link` in [`directed_channels`]'
+/// order: `ends[0] → ends[1]`, then back.
+pub(super) fn link_channels(link: usize) -> [u32; 2] {
+    let first = 2 * link as u32;
+    [first, first + 1]
 }
 
 impl ChannelDesc {
@@ -157,8 +163,17 @@ impl Simulator<'_> {
 
     /// Enable the telemetry observers selected in `opts` (see
     /// [`TraceOptions`]). No-op when nothing is enabled. Call before
-    /// running; observers record from this point on.
+    /// running; observers record from this point on. Panics on a zero
+    /// sampling interval, naming the field: it would sample every cycle.
     pub fn enable_trace(&mut self, opts: TraceOptions) {
+        for (field, interval) in [
+            ("channel_util_interval", opts.channel_util_interval),
+            ("itb_occupancy_interval", opts.itb_occupancy_interval),
+            ("goodput_interval", opts.goodput_interval),
+            ("metrics_interval", opts.metrics_interval),
+        ] {
+            assert_ne!(interval, Some(0), "TraceOptions::{field} must be positive");
+        }
         if opts.any() {
             self.trace = Some(Box::new(TraceState::new(opts, self.channels.len())));
         }
@@ -310,29 +325,10 @@ impl Simulator<'_> {
         )
     }
 
-    /// Static channel descriptors (parallel to [`RunStats::channel_busy`]),
-    /// read off the channels this simulator built; equal to
+    /// Static channel descriptors (parallel to [`RunStats::channel_busy`]):
     /// `ChannelDesc::of` its topology.
     pub fn channel_descriptors(&self) -> Vec<ChannelDesc> {
-        (0..self.channels.len() as u32)
-            .map(|ci| {
-                let from = match self.channels.sender(ci) {
-                    Sender::SwitchOut { sw, .. } => NodeId::Switch(SwitchId(sw)),
-                    Sender::Nic { host } => NodeId::Host(HostId(host)),
-                };
-                let to = match self.channels.receiver(ci) {
-                    Receiver::SwitchIn { sw, .. } => NodeId::Switch(SwitchId(sw)),
-                    Receiver::Nic { host } => NodeId::Host(HostId(host)),
-                };
-                let switch_link =
-                    matches!(from, NodeId::Switch(_)) && matches!(to, NodeId::Switch(_));
-                ChannelDesc {
-                    from,
-                    to,
-                    switch_link,
-                }
-            })
-            .collect()
+        ChannelDesc::of(self.topo)
     }
 
     /// Dump a human-readable snapshot of where every live packet is —
@@ -415,8 +411,85 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme};
-    use regnet_topology::TopologyBuilder;
+    use regnet_topology::{HostId, SwitchId, TopologyBuilder};
     use regnet_traffic::{Pattern, PatternSpec};
+
+    /// The channel table a simulator builds is `directed_channels`'
+    /// order, sender end to receiver end, with link `l`'s two channels at
+    /// `link_channels(l)`; its descriptors are the topology's.
+    #[test]
+    fn topology_channel_descriptors_match_the_simulators() {
+        use crate::channel::{Receiver, Sender};
+        use regnet_topology::{gen, Port};
+        for topo in [
+            gen::torus_2d(8, 8, 8).unwrap(),
+            gen::torus_2d_express(8, 8, 8).unwrap(),
+            gen::cplant().unwrap(),
+        ] {
+            let db = RouteDb::build(&topo, RoutingScheme::UpDown, &RouteDbConfig::default());
+            let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+            let sim = Simulator::new(&topo, &db, &pattern, SimConfig::default(), 0.001, 1);
+            let ends: Vec<(LinkEnd, LinkEnd)> = directed_channels(&topo).collect();
+            assert_eq!(ends.len(), 2 * topo.num_links());
+            assert_eq!(sim.channels.len(), ends.len());
+            let switch = |sw, port| LinkEnd::Switch {
+                sw: SwitchId(sw),
+                port: Port(port),
+            };
+            for (ci, &want) in (0u32..).zip(&ends) {
+                let from = match sim.channels.sender(ci) {
+                    Sender::SwitchOut { sw, port } => switch(sw, port),
+                    Sender::Nic { host } => LinkEnd::Host { host: HostId(host) },
+                };
+                let to = match sim.channels.receiver(ci) {
+                    Receiver::SwitchIn { sw, port } => switch(sw, port),
+                    Receiver::Nic { host } => LinkEnd::Host { host: HostId(host) },
+                };
+                assert_eq!((from, to), want, "channel {ci}");
+            }
+            for (l, link) in topo.links().iter().enumerate() {
+                let [there, back] = link_channels(l).map(|ci| ends[ci as usize]);
+                assert_eq!(there, (link.ends[0], link.ends[1]), "link {l}");
+                assert_eq!(back, (link.ends[1], link.ends[0]), "link {l}");
+            }
+            assert_eq!(sim.channel_descriptors(), ChannelDesc::of(&topo));
+        }
+    }
+
+    /// Arm the observers on a ring with one sampling interval zeroed.
+    fn enable_zero_interval(zero: fn(&mut TraceOptions)) {
+        let topo = build_ring4();
+        let db = RouteDb::build(&topo, RoutingScheme::UpDown, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let mut sim = Simulator::new(&topo, &db, &pattern, small_cfg(), 0.01, 1);
+        let mut opts = TraceOptions::full(100);
+        zero(&mut opts);
+        sim.enable_trace(opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "TraceOptions::channel_util_interval must be positive")]
+    fn zero_channel_util_interval_is_refused() {
+        enable_zero_interval(|o| o.channel_util_interval = Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "TraceOptions::itb_occupancy_interval must be positive")]
+    fn zero_itb_occupancy_interval_is_refused() {
+        enable_zero_interval(|o| o.itb_occupancy_interval = Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "TraceOptions::goodput_interval must be positive")]
+    fn zero_goodput_interval_is_refused() {
+        enable_zero_interval(|o| o.goodput_interval = Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "TraceOptions::metrics_interval must be positive")]
+    fn zero_metrics_interval_is_refused() {
+        enable_zero_interval(|o| o.metrics_interval = Some(0));
+    }
 
     #[test]
     fn channel_busy_reported_per_channel() {

@@ -33,7 +33,7 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use regnet_core::{PathSelector, RouteDb};
+use regnet_core::{Fnv1a, PathSelector, RouteDb};
 use regnet_topology::{HostId, LinkEnd, Topology};
 use regnet_traffic::{interarrival_cycles, Pattern};
 
@@ -116,8 +116,6 @@ pub struct Simulator<'a> {
     /// The engine's wake state; `None` runs the full-scan oracle loop (see
     /// [`Scheduler`]).
     sched: Option<Box<ActiveSched>>,
-    /// Directed channel indices per physical link (both directions).
-    link_chans: Vec<[u32; 2]>,
     /// This cycle's deferred losses: worms that hit a dead output and
     /// packets that became unroutable at their source NIC, in the order
     /// the kernel recorded them. Truncated or dropped in the loss phase
@@ -168,8 +166,8 @@ impl<'a> Simulator<'a> {
             cfg.payload_flits,
         );
 
-        // Build channels: two directed channels per physical link, so link
-        // `l`'s are `2l` and `2l + 1`.
+        // Build channels: two directed channels per physical link, link
+        // `l`'s at `link_channels(l)`.
         let mut ends = Vec::with_capacity(topo.num_links() * 2);
         // (sw, port) -> (in_chan, out_chan)
         let ports = topo.max_ports() as usize;
@@ -204,9 +202,6 @@ impl<'a> Simulator<'a> {
             }
         }
         let channels = Channels::new(ends, LINK_DELAY_CYCLES);
-        let link_chans = (0..topo.num_links() as u32)
-            .map(|l| [2 * l, 2 * l + 1])
-            .collect();
 
         let switches: Vec<SwitchState> = topo
             .switches()
@@ -260,7 +255,6 @@ impl<'a> Simulator<'a> {
             journal: None,
             profiler: None,
             sched: None,
-            link_chans,
             pending_loss: Vec::new(),
             gen_frozen: false,
             gen_heap: (0..topo.num_hosts() as u32)
@@ -410,23 +404,25 @@ impl<'a> Simulator<'a> {
     }
 
     /// Step until no packet is live or `max_cycles` elapse; returns the
-    /// cycle at which the network drained.
+    /// cycle at which the network drained, which may be the last one
+    /// allowed (with `max_cycles == 0`, the current one).
     pub fn run_until_drained(&mut self, max_cycles: u64) -> Option<u64> {
         let end = self.cycle + max_cycles;
-        while self.cycle < end {
+        loop {
             if self.arena.live() == 0 && self.scheduled_pending == 0 {
                 return Some(self.cycle);
+            }
+            if self.cycle >= end {
+                return None;
             }
             // Not drained yet: a skip cannot change that (nothing executes
             // inside the jumped span), so the drained cycle this returns is
             // identical to the tick-every-cycle oracle's.
             self.try_time_skip(end);
-            if self.cycle >= end {
-                break;
+            if self.cycle < end {
+                self.step();
             }
-            self.step();
         }
-        None
     }
 
     /// Advance one cycle: the one phase sequence both loops run. Phases
@@ -618,9 +614,9 @@ impl Simulator<'_> {
             m.itb_sum,
         );
         write!(s, " {tallies:?} {} {:?}", m.gen_stall_cycles, m.kernel).unwrap();
-        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        })
+        let mut h = Fnv1a::new();
+        h.write(s.as_bytes());
+        h.finish()
     }
 }
 
@@ -701,6 +697,33 @@ mod tests {
         // No ITBs under up*/down*.
         assert_eq!(stats.avg_itbs_per_msg, 0.0);
         assert_eq!(stats.itb_overflows, 0);
+    }
+
+    /// A drain on the last cycle the budget allows is a drain, and so is
+    /// an empty network given no budget at all.
+    #[test]
+    fn run_until_drained_sees_a_drain_on_its_last_cycle() {
+        let topo = build_ring4();
+        let db = RouteDb::build(&topo, RoutingScheme::UpDown, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        for scheduler in [Scheduler::Scan, Scheduler::ActiveSet] {
+            // Interarrival of ~1e8 cycles: only the scripted message moves.
+            let scripted = || {
+                let mut sim = Simulator::new(&topo, &db, &pattern, small_cfg(), 1e-9, 1);
+                sim.set_scheduler(scheduler);
+                sim.schedule_message(HostId(0), HostId(5), 100);
+                sim
+            };
+            let drained = scripted().run_until_drained(1_000_000).expect("drains");
+            assert_eq!(scripted().run_until_drained(drained - 1), None);
+            let mut sim = scripted();
+            assert_eq!(
+                sim.run_until_drained(drained),
+                Some(drained),
+                "{scheduler:?}"
+            );
+            assert_eq!(sim.run_until_drained(0), Some(drained), "{scheduler:?}");
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 use serde::Serialize;
 
+use regnet_core::Fnv1a;
 use regnet_metrics::Histogram;
 
 use crate::counters::CounterSnapshot;
@@ -178,9 +179,6 @@ pub struct TraceReport {
     pub metrics: Option<MetricsSeries>,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
 /// One sampled series' clock: it fires at the end of every
 /// `interval`-th cycle, and never when the series is off.
 #[derive(Debug)]
@@ -236,7 +234,7 @@ pub(crate) struct TraceState {
     /// pid -> cycle the in-transit NIC started processing the packet.
     reinject_pending: std::collections::HashMap<u32, u64>,
     // Digest.
-    digest: u64,
+    digest: Fnv1a,
     digest_events: u64,
 }
 
@@ -259,7 +257,7 @@ impl TraceState {
             lifetime: Histogram::new(),
             reinject: Histogram::new(),
             reinject_pending: std::collections::HashMap::new(),
-            digest: FNV_OFFSET,
+            digest: Fnv1a::new(),
             digest_events: 0,
             opts,
         }
@@ -267,13 +265,7 @@ impl TraceState {
 
     #[inline]
     fn fold(&mut self, word: u64) {
-        // FNV-1a over the 8 bytes of `word`.
-        let mut h = self.digest;
-        for b in word.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.digest = h;
+        self.digest.write(&word.to_le_bytes());
     }
 
     /// A message was fully delivered.
@@ -388,7 +380,7 @@ impl TraceState {
     /// Snapshot everything recorded so far.
     pub(crate) fn report(&self) -> TraceReport {
         TraceReport {
-            digest: self.opts.digest.then_some(self.digest),
+            digest: self.opts.digest.then_some(self.digest.finish()),
             digest_events: self.digest_events,
             channel_util: self
                 .opts
