@@ -398,11 +398,12 @@ impl Channels {
         self.ctl.next(row.idx, d)
     }
 
-    /// Flits and control symbols in flight: the full slots of every row,
-    /// plus one per run (a run streams or has flits left to arrive).
-    /// O(1); zero is the time skip's "no channel has work".
+    /// Flits and control symbols in slots: the full slots of every row.
+    /// A run's flits hold no slot and are not counted: its sender's next
+    /// event is in the wake-up calendar. O(1); zero is the time skip's "no
+    /// slot has work".
     pub(crate) fn in_flight(&self) -> usize {
-        self.data.set + self.ctl.set + self.n_streams
+        self.data.set + self.ctl.set
     }
 
     /// Does any slot hold a flit or a symbol, or any channel carry a run?
@@ -843,7 +844,7 @@ pub(crate) mod tests {
         // A flit at cycle 9 in its slot, then one per cycle from 10 on.
         c.send(c.row(9), 0, 7);
         c.open(0, 7, 10);
-        assert_eq!(c.in_flight(), 2);
+        assert_eq!((c.in_flight(), c.streams()), (1, 1), "a run holds no slot");
         assert!(c.flits_in_flight(12).iter().all(|&(_, _, pid)| pid == 7));
         assert_eq!(c.flits_in_flight(12).len(), 3);
         assert_eq!(c.take_sends(0, 15), Some((7, 5, 14)));

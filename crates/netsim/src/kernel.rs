@@ -544,13 +544,13 @@ fn walk<P>(p: &mut P, set: fn(&mut P) -> &mut Listed, mut visit: impl FnMut(&mut
     }
 }
 
-/// Phase 3: list the switches whose next event is due, then visit the
-/// listed switches in ascending order. A visit settles the switch's runs,
-/// runs the kernel on it, and unlists it unless it has work next cycle
-/// that no run covers ([`rearm_switch`]).
+/// Phase 3: list the switches and NICs whose next event is due, then
+/// visit the listed switches in ascending order. A visit settles the
+/// switch's runs, runs the kernel on it, and unlists it unless it has
+/// work next cycle that no run covers ([`rearm_switch`]).
 #[inline]
 pub(crate) fn switches_phase(p: &mut SeqParts, t: &Tick) {
-    p.sched().drain_switch_wakes(t.cycle);
+    p.sched().drain(t.cycle);
     walk(
         p,
         |p| &mut p.sched().switches,
@@ -562,13 +562,12 @@ pub(crate) fn switches_phase(p: &mut SeqParts, t: &Tick) {
     );
 }
 
-/// Phase 4: wake the NICs whose timers fired, then visit the listed NICs
-/// in ascending order, unlisting those with nothing left to send, those
+/// Phase 4: visit the listed NICs in ascending order, those phase 3's
+/// drain woke included, unlisting those with nothing left to send, those
 /// asleep (held by STOP until GO, or frozen until the new tables land) and
 /// those streaming a steady run.
 #[inline]
 pub(crate) fn nic_tx_phase(p: &mut SeqParts, t: &Tick) {
-    p.sched().drain_wakes(t.cycle);
     walk(
         p,
         |p| &mut p.sched().nics,
@@ -1557,7 +1556,7 @@ mod tests {
         let words: Vec<u64> = (0..s.nics.words()).map(|w| s.nics.word(w)).collect();
         assert_eq!(words, [1 | 1 << 63, 0, 0, 0, 0, 0, 0, 1 << 63]);
         walk(&mut s, |s| &mut s.nics, |_, _| false);
-        assert!(s.active_lists_empty());
+        assert!(s.nothing_listed());
     }
 
     /// A visit that lists a component of its own kind breaks the copied

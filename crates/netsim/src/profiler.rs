@@ -83,8 +83,10 @@ pub(crate) struct Profiler {
     ns: [u64; N_PHASES],
     children: BTreeMap<(u8, &'static str), u64>,
     stepped_cycles: u64,
-    /// Cycles the run loop jumped over (no phase ran, nothing was timed).
+    /// Cycles the run loop jumped over (no phase ran, nothing was timed),
+    /// and the jumps that did it.
     pub skipped_cycles: u64,
+    pub skip_jumps: u64,
     sampled_cycles: u64,
 }
 
@@ -152,6 +154,8 @@ impl Profiler {
         }
         ProfileReport {
             cycles: self.stepped_cycles + self.skipped_cycles,
+            stepped_cycles: self.stepped_cycles,
+            skip_jumps: self.skip_jumps,
             sampled_cycles: self.sampled_cycles,
             total_ns,
             phases,
@@ -182,6 +186,10 @@ pub struct ProfileReport {
     /// Cycles simulated while profiling, idle spans the run loop jumped
     /// over included.
     pub cycles: u64,
+    /// The cycles of `cycles` the phases ran on, and the jumps (an exact
+    /// count) over the rest.
+    pub stepped_cycles: u64,
+    pub skip_jumps: u64,
     /// Stepped cycles whose phases and child spans were timed (about one
     /// in 64); every span is scaled from these to all stepped cycles.
     pub sampled_cycles: u64,
@@ -232,12 +240,14 @@ impl ProfileReport {
                 walk(out, c, depth + 1);
             }
         }
+        let (stepped, jumps) = (self.stepped_cycles, self.skip_jumps);
         let mut out = format!(
-            "span profile: {} cycles in {:.3} s\n  (children timed on {} of {} cycles)\n",
+            "span profile: {} cycles ({stepped} stepped, {} skipped in {jumps} jumps) \
+             in {:.3} s\n  (children timed on {} of {stepped} stepped cycles)\n",
             self.cycles,
+            self.cycles - stepped,
             self.total_ns as f64 / 1e9,
             self.sampled_cycles,
-            self.cycles
         );
         for phase in &self.phases {
             walk(&mut out, phase, 0);
@@ -298,9 +308,13 @@ pub(crate) mod tests {
         assert!(r.phases.iter().all(|p| p.fraction == 0.0));
         // Stepped cycles with none sampled: nothing to scale from.
         let mut p = stepped(63, 0);
-        p.skipped_cycles = 100;
+        (p.skipped_cycles, p.skip_jumps) = (100, 2);
         let r = p.report();
         assert_eq!((r.cycles, r.total_ns), (163, 0));
+        assert_eq!((r.stepped_cycles, r.skip_jumps), (63, 2));
+        let head = "span profile: 163 cycles (63 stepped, 100 skipped in 2 jumps)";
+        assert!(r.to_table().starts_with(head), "{}", r.to_table());
+        assert!(r.to_table().contains("timed on 0 of 63 stepped cycles"));
         assert!(r.phases.iter().all(|p| p.ns == 0 && p.fraction == 0.0));
     }
 
@@ -359,7 +373,7 @@ pub(crate) mod tests {
             assert_eq!(sw.children[1].name, "routing");
             let got = (sw.ns, sw.self_ns, sw.children[1].ns, sw.children[0].ns);
             assert_eq!(got, want, "{sampled} of {steps} cycles");
-            let line = format!("children timed on {sampled} of {steps} cycles");
+            let line = format!("children timed on {sampled} of {steps} stepped cycles");
             assert!(r.to_table().contains(&line));
         }
     }

@@ -11,14 +11,13 @@
 //!   quiescent (or, for a NIC, asleep: held by STOP until GO, or frozen
 //!   by a pending reconfiguration until the new tables land), or when all
 //!   its work is steady runs: a connection streaming one flit per cycle is
-//!   deferred until its next event, the cycle the component is scheduled
-//!   for (`kernel.rs`, "Steady runs of the engine").
-//!   Per cycle the loop touches only components with work that is not
-//!   steady, and whenever
-//!   nothing is in flight and no bit is set the run loop jumps the clock
-//!   to the next cycle at which *anything* can happen (wake heap,
-//!   generation clocks, fault plan, reconfiguration deadline, trace
-//!   sampling, watchdog boundary; see `sim/skip.rs`).
+//!   deferred until its next event (`kernel.rs`, "Steady runs of the
+//!   engine"). A component waiting for a cycle it can foresee (a run's
+//!   next event, a routing delay, a timer) has an entry in one wake-up
+//!   calendar, which lists it then. Whenever no slot of the channel table
+//!   is full and no bit is set, runs or not, the run loop jumps the clock
+//!   to the next cycle at which *anything* can happen (the calendar,
+//!   generation, faults, trace sampling, the watchdog; `sim/skip.rs`).
 //! * `Scheduler::Scan` — the oracle: visit every channel, switch and NIC on
 //!   every cycle, per flit, never defer a run and never skip (its loops sit
 //!   beside the engine's calls in
@@ -47,9 +46,9 @@ pub enum Scheduler {
     /// reference implementation. For tests; nothing else should select it.
     #[doc(hidden)]
     Scan,
-    /// Occupancy-bit arrivals + one bit per listed switch and NIC, with
-    /// provably idle spans jumped in O(1) (the engine; bit-identical to
-    /// `Scan`).
+    /// Occupancy-bit arrivals, one bit per listed switch and NIC, and a
+    /// wake-up calendar; spans with no full slot and nothing listed are
+    /// jumped, steady runs or not (the engine; bit-identical to `Scan`).
     #[default]
     ActiveSet,
     /// Retired label, not an engine: time skipping used to be a third
@@ -106,16 +105,24 @@ impl Listed {
     }
 }
 
+/// What a wake-up calendar entry lists; a cycle's switches pop first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Wake {
+    Switch,
+    Nic,
+}
+
 /// Run-time state of the active-set scheduler: who the switch and NIC
-/// phases visit. The channels need no such state: the channel table's
-/// occupancy bits already say which of them have an arrival (`channel.rs`).
+/// phases visit, and when the waiting ones are listed again. The channels
+/// need no such state: the channel table's occupancy bits already say
+/// which of them have an arrival (`channel.rs`).
 ///
 /// Invariants:
 /// * a switch whose input buffers hold a packet is listed, or has its
-///   next event scheduled (`switch_wake`), or waits only for an arrival or
-///   a control symbol, each of which lists it (a switch with empty input
-///   queues provably has idle heads and no crossbar connections, so
-///   visiting it is a no-op);
+///   next event in the calendar (`switch_due`), or waits only for an
+///   arrival or a control symbol, each of which lists it (a switch with
+///   empty input queues provably has idle heads and no crossbar
+///   connections, so visiting it is a no-op);
 /// * a NIC is listed whenever its transmit phase has work *now* (in-flight
 ///   tx, queued local packet, ready re-injection or retransmission),
 ///   except while it sleeps, every visit a no-op, until the event that
@@ -126,11 +133,10 @@ impl Listed {
 ///     (`Nic::frozen`): the new tables landing
 ///     (`Simulator::complete_reconfiguration`).
 ///
-///   - streaming a steady run: the run's next event (`nic_wake`), or a
-///     visit for any other reason.
+///   - streaming a steady run: the run's next event (a calendar entry),
+///     or a visit for any other reason.
 ///
-///   Heap entries that become ready in the future are covered by
-///   `nic_wake`, which gets an entry at every heap insertion.
+///   Heap entries that become ready in the future have a calendar entry.
 ///
 /// No switch visit lists a switch and no NIC visit lists a NIC, which is
 /// what lets the phase loops walk a copied word (`kernel.rs`).
@@ -139,19 +145,12 @@ impl Listed {
 pub(crate) struct ActiveSched {
     pub(crate) switches: Listed,
     pub(crate) nics: Listed,
-    /// `(ready_cycle, host)` wake-ups for NICs whose re-injection or
-    /// retransmission becomes eligible in the future, or whose steady run
-    /// reaches its next event.
-    nic_wake: BinaryHeap<Reverse<(u64, u32)>>,
-    /// `(cycle, switch)` wake-ups of switches a visit left unlisted with
-    /// an event ahead (a run's end, a routing delay, a STOP or GO due).
-    /// Only the entry equal to the switch's `switch_due` is live; a later
-    /// visit replaces it.
-    switch_wake: BinaryHeap<Reverse<(u64, u32)>>,
+    /// `(cycle, kind, id)` wake-ups, earliest first. A switch's entry is
+    /// live only while it equals the switch's `switch_due` (a later visit
+    /// replaces it); a NIC's is a hint, a stale one costs a no-op visit.
+    calendar: BinaryHeap<Reverse<(u64, Wake, u32)>>,
     /// Each switch's live wake-up, `u64::MAX` for none.
     switch_due: Box<[u64]>,
-    /// Switches with a live wake-up.
-    switches_due: usize,
 }
 
 impl ActiveSched {
@@ -159,10 +158,8 @@ impl ActiveSched {
         ActiveSched {
             switches: Listed::new(n_switches),
             nics: Listed::new(n_nics),
-            nic_wake: BinaryHeap::new(),
-            switch_wake: BinaryHeap::new(),
+            calendar: BinaryHeap::new(),
             switch_due: vec![u64::MAX; n_switches].into(),
-            switches_due: 0,
         }
     }
 
@@ -174,32 +171,15 @@ impl ActiveSched {
         if *due == cycle {
             return;
         }
-        self.switches_due += usize::from(cycle != u64::MAX);
-        self.switches_due -= usize::from(*due != u64::MAX);
         *due = cycle;
         if cycle != u64::MAX {
-            self.switch_wake.push(Reverse((cycle, sw)));
+            self.calendar.push(Reverse((cycle, Wake::Switch, sw)));
         }
     }
 
     /// Switch `sw`'s live wake-up, if any.
     pub(crate) fn switch_due(&self, sw: u32) -> Option<u64> {
         Some(self.switch_due[sw as usize]).filter(|&c| c != u64::MAX)
-    }
-
-    /// List every switch whose live wake-up is due at or before `cycle`.
-    #[inline]
-    pub(crate) fn drain_switch_wakes(&mut self, cycle: u64) {
-        while let Some(&Reverse((at, sw))) = self.switch_wake.peek() {
-            if at > cycle {
-                break;
-            }
-            self.switch_wake.pop();
-            if self.switch_due[sw as usize] == at {
-                self.wake_switch_at(u64::MAX, sw);
-                self.activate_switch(sw);
-            }
-        }
     }
 
     #[inline]
@@ -212,40 +192,50 @@ impl ActiveSched {
         self.nics.insert(h);
     }
 
-    /// Register a future wake-up for `h` (a heap entry becoming ready at
-    /// `ready`). Stale wake-ups (the packet was purged meanwhile) cost one
-    /// no-op visit.
+    /// Register a future wake-up for `h`: a heap entry becoming ready at
+    /// `ready`, or a run's next event.
     #[inline]
     pub(crate) fn wake_nic_at(&mut self, ready: u64, h: u32) {
-        self.nic_wake.push(Reverse((ready, h)));
+        self.calendar.push(Reverse((ready, Wake::Nic, h)));
     }
 
-    /// List every NIC with a wake-up due at or before `cycle`.
-    pub(crate) fn drain_wakes(&mut self, cycle: u64) {
-        while let Some(&Reverse((ready, h))) = self.nic_wake.peek() {
-            if ready > cycle {
-                break;
+    /// List every switch and NIC whose live wake-up is due by `cycle`.
+    /// Once per cycle, before the switch phase, suffices: every wake-up
+    /// the kernel phases register lies in a later cycle.
+    #[inline]
+    pub(crate) fn drain(&mut self, cycle: u64) {
+        while self.next_wake().is_some_and(|at| at <= cycle) {
+            match self.calendar.pop().expect("a live wake-up").0 {
+                (_, Wake::Switch, sw) => {
+                    self.switch_due[sw as usize] = u64::MAX;
+                    self.activate_switch(sw);
+                }
+                (_, Wake::Nic, h) => self.activate_nic(h),
             }
-            self.nic_wake.pop();
-            self.activate_nic(h);
         }
     }
 
     // ---- Quiescence accessors for the time skip (`sim/skip.rs`).
 
-    /// No switch or NIC is listed, and no switch waits for a wake-up: a
-    /// read of every word (9 on the largest paper topology).
-    pub(crate) fn active_lists_empty(&self) -> bool {
+    /// No switch or NIC is listed: a read of every word (9 on the largest
+    /// paper topology).
+    pub(crate) fn nothing_listed(&self) -> bool {
         let empty = |l: &Listed| l.0.iter().all(|&w| w == 0);
-        self.switches_due == 0 && empty(&self.switches) && empty(&self.nics)
+        empty(&self.switches) && empty(&self.nics)
     }
 
-    /// Earliest pending NIC wake-up, if any. Stale entries (the packet was
-    /// purged meanwhile) still count: waking to a no-op visit is harmless,
-    /// and treating the peek as a time bound keeps the skip target
-    /// conservative.
-    pub(crate) fn next_wake(&self) -> Option<u64> {
-        self.nic_wake.peek().map(|&Reverse((ready, _))| ready)
+    /// The earliest live wake-up in the calendar, if any. Replaced switch
+    /// entries are dropped first, so that they cannot cut a jump short; a
+    /// stale NIC entry still counts, which only shortens the jump.
+    #[inline]
+    pub(crate) fn next_wake(&mut self) -> Option<u64> {
+        while let Some(&Reverse((at, kind, id))) = self.calendar.peek() {
+            if kind == Wake::Nic || self.switch_due[id as usize] == at {
+                return Some(at);
+            }
+            self.calendar.pop();
+        }
+        None
     }
 }
 
@@ -305,13 +295,13 @@ mod tests {
         s.wake_nic_at(20, 1);
         s.wake_nic_at(10, 3);
         s.wake_nic_at(15, 1);
-        s.drain_wakes(9);
+        s.drain(9);
         assert!(listed(&s.nics).is_empty());
-        s.drain_wakes(15);
+        s.drain(15);
         assert_eq!(listed(&s.nics), [1, 3]);
         retire(&mut s.nics, 3);
         retire(&mut s.nics, 1);
-        s.drain_wakes(100);
+        s.drain(100);
         assert_eq!(listed(&s.nics), [1], "cycle-20 wake still fires");
     }
 
@@ -319,19 +309,19 @@ mod tests {
     /// one activation: a host woken three times for the same cycle is one
     /// bit, visited once.
     #[test]
-    fn drain_wakes_duplicate_entries_collapse() {
+    fn duplicate_nic_wakes_collapse() {
         let mut s = ActiveSched::new(1, 4);
         s.wake_nic_at(12, 2);
         s.wake_nic_at(12, 2);
         s.wake_nic_at(12, 2);
         s.wake_nic_at(12, 0);
-        s.drain_wakes(12);
+        s.drain(12);
         assert_eq!(listed(&s.nics), [0, 2]);
         // The heap is fully drained: nothing left to fire later.
         assert_eq!(s.next_wake(), None);
         retire(&mut s.nics, 0);
         retire(&mut s.nics, 2);
-        s.drain_wakes(1_000);
+        s.drain(1_000);
         assert!(listed(&s.nics).is_empty());
     }
 
@@ -345,12 +335,35 @@ mod tests {
         let mut s = ActiveSched::new(1, 4);
         s.wake_nic_at(10, 1); // retransmit timer, packet later purged
         s.wake_nic_at(30, 1); // unrelated later wake for the same host
-        s.drain_wakes(10);
+        s.drain(10);
         assert_eq!(listed(&s.nics), [1]);
         retire(&mut s.nics, 1); // NIC phase found nothing to do
         assert_eq!(s.next_wake(), Some(30), "future wake survives the retire");
-        s.drain_wakes(30);
+        s.drain(30);
         assert_eq!(listed(&s.nics), [1]);
+    }
+
+    /// Switch and NIC wake-ups share the calendar: one drain lists both.
+    /// A replaced switch wake-up is dead: it neither lists the switch nor
+    /// bounds the next wake-up, and a cancelled one (`u64::MAX`) likewise.
+    #[test]
+    fn one_calendar_drops_replaced_switch_wakes() {
+        let mut s = ActiveSched::new(3, 2);
+        s.wake_switch_at(10, 0);
+        s.wake_switch_at(30, 0); // a later visit moved it
+        s.wake_switch_at(12, 1);
+        s.wake_switch_at(u64::MAX, 1); // and this one has none left
+        s.wake_switch_at(20, 2);
+        s.wake_nic_at(20, 1);
+        assert_eq!(s.next_wake(), Some(20), "the replaced tops are gone");
+        assert_eq!((s.switch_due(0), s.switch_due(1)), (Some(30), None));
+        s.drain(20);
+        assert_eq!((listed(&s.switches), listed(&s.nics)), (vec![2], vec![1]));
+        assert_eq!(s.switch_due(2), None, "a fired wake-up is spent");
+        assert_eq!(s.next_wake(), Some(30));
+        s.drain(30);
+        assert_eq!(listed(&s.switches), [0, 2]);
+        assert_eq!(s.next_wake(), None);
     }
 
     /// Row wraparound: with delay d, cycles c and c + d share a row. A
@@ -388,7 +401,7 @@ mod tests {
     fn quiescence_accessors_track_raw_entries() {
         let (mut c, mut s) = (table(8, 4), ActiveSched::new(2, 2));
         assert_eq!(c.in_flight(), 0);
-        assert!(s.active_lists_empty());
+        assert!(s.nothing_listed());
         assert_eq!(s.next_wake(), None);
         c.send(c.row(1), 6, 9);
         c.send_ctl(c.row(1), 6, CTL_STOP);
@@ -401,10 +414,10 @@ mod tests {
         assert_eq!(drain_ctl(&mut c, 6), [(3, CTL_GO)]);
         assert_eq!(c.in_flight(), 0);
         s.activate_nic(1);
-        assert!(!s.active_lists_empty());
+        assert!(!s.nothing_listed());
         // A retire clears the bit at once: nothing stays queued.
         retire(&mut s.nics, 1);
-        assert!(s.active_lists_empty());
+        assert!(s.nothing_listed());
         s.wake_nic_at(40, 0);
         s.wake_nic_at(25, 1);
         assert_eq!(s.next_wake(), Some(25));

@@ -652,8 +652,9 @@ mod tests {
             |sim: &Simulator, h: usize| sim.sched.as_deref().unwrap().nics.contains(h as u32);
         // Drained fabric, and a source with only a fresh packet to send.
         let sleeper = |sim: &Simulator| {
-            let drained =
-                sim.channels.in_flight() == 0 && sim.switches.iter().all(|sw| sw.is_quiescent());
+            let drained = sim.channels.in_flight() == 0
+                && sim.channels.streams() == 0
+                && sim.switches.iter().all(|sw| sw.is_quiescent());
             let fresh_only = |n: &Nic| n.reinject.is_empty() && n.retransmit.is_empty();
             sim.nics
                 .iter()
@@ -675,7 +676,7 @@ mod tests {
         let jumped = sim
             .skip_log()
             .iter()
-            .any(|&(from, to)| fail < from && to <= due);
+            .any(|&(from, to, _)| fail < from && to <= due);
         assert!(jumped, "no jump inside the stall: {:?}", sim.skip_log());
         sim.step();
         // Visited: listed still, or streaming the worm it started.

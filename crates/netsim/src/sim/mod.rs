@@ -136,9 +136,9 @@ pub struct Simulator<'a> {
     scheduled_pending: usize,
     /// Total cycles `run`/`run_until_drained` jumped over (see `skip.rs`).
     skipped_cycles: u64,
-    /// Optional `(from, to)` record of every jump — test instrumentation,
+    /// Optional `(from, to, busy)` record of every jump — test instrumentation,
     /// never enters `RunStats` or the counter snapshot.
-    skip_log: Option<Vec<(u64, u64)>>,
+    skip_log: Option<Vec<(u64, u64, bool)>>,
 }
 
 impl<'a> Simulator<'a> {
@@ -342,7 +342,7 @@ impl<'a> Simulator<'a> {
             }
         }
         // What became ready by the last cycle stepped was visited then;
-        // later readiness is the wake heap's.
+        // later readiness is the calendar's.
         let last = self.cycle.saturating_sub(1);
         let faults = self.faults.as_deref();
         for (h, nic) in self.nics.iter().enumerate() {
@@ -913,7 +913,8 @@ mod tests {
     }
 
     /// A real profiled run fills every child span from its sample of
-    /// cycles and still reconciles with the flat phases at every node.
+    /// stepped cycles, counts its jumps exactly, and still reconciles with
+    /// the flat phases at every node.
     #[test]
     fn sampled_child_spans_survive_a_saturated_run() {
         let topo = gen::torus_2d(4, 4, 2).unwrap();
@@ -922,12 +923,18 @@ mod tests {
         let mut sim = Simulator::new(&topo, &db, &pattern, small_cfg(), 0.08, 3);
         sim.enable_trace(TraceOptions::full(1_000));
         sim.enable_profiler();
+        sim.enable_skip_log();
         sim.run(20_000);
-        assert_eq!(sim.skipped_cycles(), 0, "a saturated run steps every cycle");
         let report = sim.profile_report().unwrap();
         assert_eq!(report.cycles, 20_000);
+        let log = sim.skip_log();
+        let skipped = |c: u64| log.iter().any(|&(from, to, _)| (from..to).contains(&c));
+        let stepped: Vec<u64> = (0..20_000u64).filter(|&c| !skipped(c)).collect();
+        assert_eq!(report.stepped_cycles, stepped.len() as u64);
+        assert_eq!(report.stepped_cycles + sim.skipped_cycles(), 20_000);
+        assert_eq!(report.skip_jumps, log.len() as u64);
         let sampled = report.sampled_cycles;
-        let hashed = (0..20_000u64).filter(|&c| times_children(c)).count() as u64;
+        let hashed = stepped.iter().filter(|&&c| times_children(c)).count() as u64;
         assert_eq!(sampled, hashed);
         assert!((20_000 / 128..=20_000 / 32).contains(&sampled), "{sampled}");
         assert_eq!(

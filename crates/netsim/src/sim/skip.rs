@@ -5,24 +5,23 @@
 //! per idle cycle: at very low load, or while a fault-recovery stall
 //! empties the network, that is millions of them. So `run` and
 //! `run_until_drained` take the classic discrete-event shortcut over the
-//! engine's own wake state: whenever the network is **provably idle** —
-//! no occupancy bit set in the channel table, no steady run on any
-//! channel (a run counts as in flight: its sender streams, or its flits
-//! have yet to arrive), and no switch or NIC listed or scheduled —
-//! they compute the earliest future cycle that can possibly have work and
-//! jump the clock straight to it. The `Scan` oracle has no wake state and
-//! never skips.
+//! engine's own wake state: whenever no slot of the channel table is full
+//! and no switch or NIC is listed — runs or not — they compute the
+//! earliest future cycle that can possibly have work and jump the clock
+//! straight to it. The `Scan` oracle has no wake state and never skips.
 //!
 //! # Why a skip is effect-free
 //!
-//! A cycle with no flit in flight, no control symbol in flight, no busy
-//! switch and no eligible NIC executes seven phases that touch nothing:
-//! the control/arrival phases walk empty rows, the switch/NIC
-//! phases walk empty bitsets, and generation/fault/observer work
-//! only happens at cycles this module treats as *time sources* (below).
-//! Jumping over such cycles therefore leaves every piece of simulator
-//! state — packet arena, RNGs, counters, digests, journal — exactly as
-//! the tick-every-cycle loop would, with two deliberate compensations:
+//! Such a cycle executes seven phases that touch nothing: the
+//! control/arrival phases walk empty rows, the switch/NIC phases walk
+//! empty bitsets, and calendar, generation, fault and observer work only
+//! happens at cycles this module treats as *time sources* (below). A
+//! steady run moves one flit per cycle until its sender's next event, a
+//! calendar entry, and what it moves is counted into the component state
+//! only when read (`Simulator::settle`), stepped or not. Jumping over such
+//! cycles therefore leaves every piece of simulator state — packet arena,
+//! RNGs, counters, digests, journal — exactly as the tick-every-cycle loop
+//! would, with two deliberate compensations:
 //!
 //! * `reconfig_stall_cycles` ticks once per cycle while a
 //!   reconfiguration is pending, so a jump of `t - c` cycles adds
@@ -36,10 +35,11 @@
 //! # Time sources
 //!
 //! The jump target is the minimum over every mechanism that can create
-//! work at a future cycle out of thin air (i.e. without a flit moving):
+//! work at a future cycle without a flit arriving from a slot:
 //!
-//! 1. the NIC wake-up heap (re-injections and retransmission timers
-//!    becoming eligible) — [`ActiveSched::next_wake`](crate::sched::ActiveSched::next_wake);
+//! 1. the wake-up calendar (a run's next event, a routing delay, a
+//!    re-injection or retransmission becoming eligible) —
+//!    [`ActiveSched::next_wake`](crate::sched::ActiveSched::next_wake);
 //! 2. per-host open-loop generation (`ceil(next_gen)`) and the head of
 //!    the closed-loop `scheduled` queue — excluding hosts currently
 //!    failed/unreachable, whose `host_ok` can only flip back at a fault
@@ -53,8 +53,9 @@
 //!    goodput flush) — the flush must *execute* on schedule so the
 //!    sample series stays bit-identical, even when every delta is zero;
 //! 5. the watchdog boundary `last_activity + watchdog + 1`, only while
-//!    packets are live (the watchdog cannot fire otherwise), so a stall
-//!    inside a skipped region still panics at the same cycle;
+//!    packets are live and no run streams (the watchdog cannot fire
+//!    otherwise), so a stall inside a skipped region still panics at the
+//!    same cycle;
 //! 6. the caller's run limit (`run(cycles)` boundaries are exact, so
 //!    `begin`/`end_measurement` land on identical cycles).
 //!
@@ -62,9 +63,12 @@
 //! inside `step` — and the skip telemetry (`skipped_cycles`, the
 //! optional skip log) lives outside `RunStats` and the counter registry,
 //! so result equality with the oracle is preserved by construction.
-//! `tests/proptest_timeskip.rs` checks the quiescence predicate against
-//! a tick-every-cycle `Scan` twin, and the shared harness in
-//! `tests/common/` enforces bit-identical results on every paper topology.
+//! `tests/proptest_timeskip.rs` checks every jump against a
+//! tick-every-cycle `Scan` twin (its raw-state predicate
+//! [`Simulator::cycle_has_pending_work`], or its journal, counters and
+//! state hash where work was deferred across the jump), and the shared
+//! harness in `tests/common/` enforces bit-identical results on every
+//! paper topology.
 
 use super::Simulator;
 
@@ -74,42 +78,41 @@ impl Simulator<'_> {
         self.skipped_cycles
     }
 
-    /// Record every `(from, to)` jump for inspection via
+    /// Record every jump for inspection via
     /// [`skip_log`](Simulator::skip_log). Test instrumentation.
     pub fn enable_skip_log(&mut self) {
         self.skip_log = Some(Vec::new());
     }
 
     /// The jumps recorded since [`enable_skip_log`](Simulator::enable_skip_log):
-    /// each entry `(from, to)` means cycles `from..to` were skipped.
-    pub fn skip_log(&self) -> &[(u64, u64)] {
+    /// `(from, to, busy)` means cycles `from..to` were skipped, `busy` that
+    /// work was deferred across them (a run streamed or a switch held a
+    /// packet, say in its routing delay).
+    pub fn skip_log(&self) -> &[(u64, u64, bool)] {
         self.skip_log.as_deref().unwrap_or(&[])
     }
 
-    /// If the network is provably idle at the current cycle, jump the
-    /// clock to the earliest future cycle that can have work, clamped to
-    /// `limit`. No-op unless idle and the target lies ahead.
+    /// If no slot is full and nothing is listed at the current cycle, jump
+    /// the clock to the earliest future cycle that can have work, clamped
+    /// to `limit`. No-op unless the target lies ahead.
     pub(crate) fn try_time_skip(&mut self, limit: u64) {
-        let Some(sc) = self.sched.as_deref() else {
+        let Some(sc) = self.sched.as_deref_mut() else {
             return;
         };
-        // O(1) quiescence gate: any in-flight flit or control symbol has
-        // its occupancy bit set, and any busy switch or eligible NIC that
-        // is not asleep is listed. Wake-ups already due but not yet drained are
-        // covered by `next_wake` clamping the target to "now".
-        if !(self.channels.in_flight() == 0 && sc.active_lists_empty()) {
+        // O(1) gate: any flit or control symbol in a slot has its
+        // occupancy bit set, and any switch or NIC with work now that no
+        // run covers is listed. Wake-ups already due but not yet drained
+        // are covered by `next_wake` clamping the target to "now".
+        if self.channels.in_flight() > 0 || !sc.nothing_listed() {
             return;
         }
         let c = self.cycle;
-        let t = self.next_cycle_with_work().min(limit);
+        let wake = sc.next_wake().unwrap_or(u64::MAX);
+        let t = wake.min(self.next_cycle_with_work()).min(limit);
         if t <= c {
             return;
         }
-        if self
-            .faults
-            .as_deref()
-            .is_some_and(|f| f.reconfig_due.is_some())
-        {
+        if matches!(self.faults.as_deref(), Some(f) if f.reconfig_due.is_some()) {
             // The scan loop ticks the stall counter once per cycle while
             // a reconfiguration is pending; `t` is clamped to the
             // completion cycle, so the whole span counts.
@@ -117,27 +120,21 @@ impl Simulator<'_> {
         }
         self.skipped_cycles += t - c;
         if let Some(p) = self.profiler.as_deref_mut() {
-            // Simulated, not stepped: the report's cycles count them, the
-            // scale from sampled to stepped cycles does not.
-            p.skipped_cycles += t - c;
+            (p.skipped_cycles, p.skip_jumps) = (p.skipped_cycles + t - c, p.skip_jumps + 1);
         }
         if let Some(log) = &mut self.skip_log {
-            log.push((c, t));
+            let held = self.switches.iter().any(|sw| !sw.is_quiescent());
+            log.push((c, t, held || self.channels.streams() > 0));
         }
         self.cycle = t;
     }
 
-    /// The earliest cycle at which any time source can create work.
-    /// `u64::MAX` when nothing is pending (callers clamp to a run limit).
+    /// The earliest cycle at which a time source other than the calendar
+    /// can create work; `u64::MAX` for none (callers clamp to a limit).
     fn next_cycle_with_work(&self) -> u64 {
-        let sc = self.sched.as_deref().expect("time skip without wake state");
-        let mut t = u64::MAX;
-        if let Some(wake) = sc.next_wake() {
-            t = t.min(wake);
-        }
         // Generation and scheduled messages: the top of the generation
         // phase's heap. It can be early, which only shortens the jump.
-        t = t.min(self.gen_due());
+        let mut t = self.gen_due();
         if let Some(f) = self.faults.as_deref() {
             if let Some(ev) = f.events.get(f.next_event) {
                 t = t.min(ev.cycle);
@@ -151,10 +148,12 @@ impl Simulator<'_> {
             // cycle `next - 1`.
             t = t.min(tr.next_tick().saturating_sub(1));
         }
-        if self.arena.live() > 0 {
+        if self.arena.live() > 0 && self.channels.streams() == 0 {
             // First cycle the watchdog can trip; quiescence with live
             // packets is exactly the state it exists to catch, so the
-            // panic must land on the same cycle as under the oracle.
+            // panic must land on the same cycle as under the oracle. None
+            // trips while a run sends (up to a calendar entry), and with
+            // no run left `last_activity` is settled.
             t = t.min(self.last_activity + self.cfg.watchdog_cycles + 1);
         }
         t
@@ -163,8 +162,9 @@ impl Simulator<'_> {
     /// Does the *current* cycle have pending work? A raw-state scan,
     /// deliberately independent of the active-set bookkeeping, used by
     /// `tests/proptest_timeskip.rs` to cross-check the quiescence
-    /// predicate on a tick-every-cycle twin: no cycle inside a skipped
-    /// span may satisfy this.
+    /// predicate on a tick-every-cycle twin: no cycle inside a span
+    /// skipped with no work deferred (the skip log's `busy`) may satisfy
+    /// this. A run's flits and a switch's routing delay count as work.
     ///
     /// "Work" means an effect observable in results: flits or control
     /// symbols in flight, busy switches, NICs with something to send,

@@ -1,11 +1,21 @@
 //! Property tests for the default engine's time skipping: on random small
 //! topologies × routing schemes × loads × fault plans, the skip target
-//! must never overshoot. The proof runs twice — once on the default
-//! engine with the skip log armed, once on its tick-every-cycle twin, the
-//! `Scan` oracle — and checks, via the raw-state predicate
-//! `Simulator::cycle_has_pending_work` (independent of the engine's
-//! bookkeeping), that no cycle inside a skipped span had anything to do,
-//! and that both runs end in bit-identical results.
+//! must never overshoot. The proof runs the default engine with the skip
+//! log armed, then steps its tick-every-cycle twin, the `Scan` oracle,
+//! through every cycle the engine jumped:
+//!
+//! * a span with no work deferred must be idle by the raw-state predicate
+//!   `Simulator::cycle_has_pending_work` (independent of the engine's
+//!   bookkeeping) on every cycle;
+//! * a span the log marks busy — a steady run streamed across it, or a
+//!   switch held a packet, waiting for a wake-up such as its routing
+//!   delay — has what that predicate counts as work, so there the twin
+//!   must record no journal event and move no counter but the two a run
+//!   moves (`flits_forwarded`, `flits_injected`), and a second engine,
+//!   stopped at both ends of the jump, must hold the twin's settled state
+//!   (`Simulator::state_hash`).
+//!
+//! All runs end in bit-identical results.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -53,8 +63,30 @@ fn plan_for(topo: &Topology, faulty: bool) -> Option<FaultPlan> {
     Some(plan)
 }
 
-/// One case: the engine's skip log is well-formed, no cycle it skipped
-/// had pending work on the scan twin, and both end bit-identical.
+/// The twin's counters, but the two a run moves, and its journal's event
+/// count, after checking that `engine`, run up to the twin's cycle, holds
+/// the twin's settled state.
+fn meet(
+    engine: &mut Simulator<'_>,
+    twin: &mut Simulator<'_>,
+) -> Result<(CounterSnapshot, u64), TestCaseError> {
+    let c = twin.cycle();
+    engine.run(c - engine.cycle());
+    prop_assert_eq!(engine.cycle(), c);
+    prop_assert_eq!(
+        engine.state_hash(),
+        twin.state_hash(),
+        "engine and twin differ at cycle {}",
+        c
+    );
+    let mut counters = twin.counter_snapshot().expect("counters armed");
+    counters.flits_forwarded = 0;
+    counters.flits_injected = 0;
+    Ok((counters, twin.journal().expect("journal armed").recorded()))
+}
+
+/// One case: the engine's skip log is well-formed, every span it skipped
+/// holds on the scan twin (module docs), and all runs end bit-identical.
 /// Returns how many skipped cycles lay inside a reconfiguration stall.
 fn check_case(
     (topo, scheme, payload, load, seed, faulty): Setup,
@@ -68,14 +100,24 @@ fn check_case(
         ..SimConfig::default()
     };
     let plan = plan_for(&topo, faulty);
+    // Every run has counters and journal armed, the skip log on the
+    // engines, and measures from cycle 0.
+    let armed = |scheduler: Scheduler| {
+        let mut sim = Simulator::new(&topo, &db, &pattern, mk_cfg(), load, seed);
+        sim.set_scheduler(scheduler);
+        if let Some(p) = plan.clone() {
+            sim.enable_faults(FaultOptions::with_plan(p));
+        }
+        sim.enable_counters();
+        sim.enable_events(EventOptions::default());
+        if scheduler != Scheduler::Scan {
+            sim.enable_skip_log();
+        }
+        sim.begin_measurement();
+        sim
+    };
 
-    // Default engine, skip log armed.
-    let mut ev = Simulator::new(&topo, &db, &pattern, mk_cfg(), load, seed);
-    if let Some(p) = plan.clone() {
-        ev.enable_faults(FaultOptions::with_plan(p));
-    }
-    ev.enable_skip_log();
-    ev.begin_measurement();
+    let mut ev = armed(Scheduler::default());
     ev.run(RUN_CYCLES);
     let s_ev = ev.end_measurement(RUN_CYCLES);
 
@@ -84,7 +126,7 @@ fn check_case(
     let log = ev.skip_log().to_vec();
     let mut prev_to = 0u64;
     let mut total = 0u64;
-    for &(from, to) in &log {
+    for &(from, to, _) in &log {
         prop_assert!(from < to, "degenerate jump ({from}, {to})");
         prop_assert!(from >= prev_to, "jumps out of order at ({from}, {to})");
         prop_assert!(to <= RUN_CYCLES, "jump overshot the run limit");
@@ -93,46 +135,61 @@ fn check_case(
     }
     prop_assert_eq!(total, ev.skipped_cycles());
 
-    // Re-run on the oracle, which never skips: bit-identical results,
-    // and the raw-state predicate confirms every skipped cycle really
-    // was idle. A cycle whose step ticks the stall counter lies inside
-    // a reconfiguration stall.
-    let mut tw = Simulator::new(&topo, &db, &pattern, mk_cfg(), load, seed);
-    tw.set_scheduler(Scheduler::Scan);
-    if let Some(p) = plan {
-        tw.enable_faults(FaultOptions::with_plan(p));
-    }
-    tw.begin_measurement();
+    // Step the oracle, which never skips, through every cycle, checking
+    // each one the engine jumped; a second engine meets it at both ends
+    // of every busy jump. A cycle whose step ticks the stall counter lies
+    // inside a reconfiguration stall.
+    let mut tw = armed(Scheduler::Scan);
+    let mut lockstep = armed(Scheduler::default());
     let mut li = 0usize;
     let mut in_stall = 0u64;
+    let mut at_jump = None;
     while tw.cycle() < RUN_CYCLES {
         let c = tw.cycle();
         while li < log.len() && c >= log[li].1 {
             li += 1;
         }
-        let skipped = li < log.len() && log[li].0 <= c && c < log[li].1;
-        if skipped {
-            prop_assert!(
+        let span = log.get(li).copied().filter(|&(from, _, _)| from <= c);
+        match span {
+            Some((_, _, false)) => prop_assert!(
                 !tw.cycle_has_pending_work(),
                 "cycle {} was skipped (span {:?}) but had pending work",
                 c,
                 log[li]
-            );
+            ),
+            Some((from, _, true)) if from == c => at_jump = Some(meet(&mut lockstep, &mut tw)?),
+            _ => {}
         }
         let stalled = tw.reliability().reconfig_stall_cycles;
         tw.step();
-        if skipped && tw.reliability().reconfig_stall_cycles > stalled {
+        if span.is_some() && tw.reliability().reconfig_stall_cycles > stalled {
             in_stall += 1;
+        }
+        if let Some((from, to, true)) = span.filter(|&(_, to, _)| to == tw.cycle()) {
+            let (counters, events) = at_jump.take().expect("met at the jump's start");
+            let (counters_after, events_after) = meet(&mut lockstep, &mut tw)?;
+            prop_assert_eq!(events_after, events, "events in span ({}, {})", from, to);
+            prop_assert_eq!(
+                counters_after,
+                counters,
+                "counted in span ({}, {})",
+                from,
+                to
+            );
         }
     }
     let s_tw = tw.end_measurement(RUN_CYCLES);
     prop_assert_eq!(
-        s_ev,
-        s_tw,
+        &s_ev,
+        &s_tw,
         "RunStats diverged from the tick-every-cycle twin"
     );
     prop_assert_eq!(ev.reliability(), tw.reliability());
     prop_assert_eq!(tw.skipped_cycles(), 0, "the oracle must never skip");
+    // Stopping at the jumps' ends moved no jump and changed no result.
+    lockstep.run(RUN_CYCLES - lockstep.cycle());
+    prop_assert_eq!(lockstep.skip_log(), &log[..]);
+    prop_assert_eq!(lockstep.end_measurement(RUN_CYCLES), s_ev);
     Ok(in_stall)
 }
 

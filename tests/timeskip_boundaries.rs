@@ -162,3 +162,52 @@ fn drain_cycle_identical_across_schedulers() {
         "the gaps before cycle 2000 and between the messages must be skipped"
     );
 }
+
+/// A worm crossing an otherwise idle network is streamed, and the time
+/// skip jumps every cycle in which only its run moves: one 512-flit
+/// message from host 0 to host 399 across CPLANT, scheduled at cycle
+/// 1,000, drains at 1,618 under every scheme, the cycle the `Scan`
+/// oracle drains on, and is stepped on a few dozen of those cycles (74;
+/// 619 while a run held the skip off).
+#[test]
+fn a_lone_worm_is_jumped_not_stepped() {
+    let topo = gen::cplant().unwrap();
+    let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+    let cfg = SimConfig {
+        payload_flits: 512,
+        ..SimConfig::default()
+    };
+    for scheme in RoutingScheme::all() {
+        let db = RouteDb::build(&topo, scheme, &RouteDbConfig::default());
+        let drain = |scheduler: Scheduler| {
+            let mut sim = Simulator::new(&topo, &db, &pattern, cfg.clone(), 0.001, 1);
+            sim.set_scheduler(scheduler);
+            sim.stop_generation();
+            sim.schedule_message(HostId(0), HostId(399), 1_000);
+            let drained = sim.run_until_drained(100_000).expect("network must drain");
+            (drained, drained - sim.skipped_cycles())
+        };
+        let (d_scan, stepped_scan) = drain(Scheduler::Scan);
+        let (d, stepped) = drain(Scheduler::default());
+        assert_eq!(d, d_scan, "{scheme:?}: drain cycle diverged");
+        assert_eq!(stepped_scan, d_scan, "the oracle steps every cycle");
+        assert!(
+            stepped <= 100,
+            "{scheme:?}: {stepped} of {d} cycles stepped"
+        );
+    }
+}
+
+/// The benchmark's nearly idle point (CPLANT, ITB-SP, 0.001 flits/ns per
+/// switch, seed 8) spends most of its cycles with worms streaming across
+/// an empty network; the time skip jumps at least 90 % of them.
+#[test]
+fn low_load_cplant_jumps_nine_cycles_in_ten() {
+    let topo = gen::cplant().unwrap();
+    let db = RouteDb::build(&topo, RoutingScheme::ItbSp, &RouteDbConfig::default());
+    let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+    let mut sim = Simulator::new(&topo, &db, &pattern, SimConfig::default(), 0.001, 8);
+    sim.run(400_000);
+    let ratio = sim.skipped_cycles() as f64 / 400_000.0;
+    assert!(ratio >= 0.9, "skipped {ratio:.3} of 400,000 cycles");
+}
