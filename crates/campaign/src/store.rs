@@ -13,6 +13,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::cell::CellResult;
+use crate::spec::fnv1a64;
 
 /// A results directory holding one `cells/<hash>.json` per finished cell.
 pub struct ResultStore {
@@ -59,7 +60,8 @@ impl ResultStore {
         Ok(result)
     }
 
-    /// Read one checkpoint, checking only that it holds `hash`.
+    /// Read one checkpoint, checking that it holds `hash` and that its
+    /// key hashes to it.
     fn read(&self, hash: &str) -> Result<CellResult, String> {
         let path = self.cell_path(hash);
         let text = fs::read_to_string(&path)
@@ -71,6 +73,14 @@ impl ResultStore {
                 "checkpoint {} holds hash {} (file renamed or corrupted)",
                 path.display(),
                 result.hash
+            ));
+        }
+        let key_hash = format!("{:016x}", fnv1a64(result.key.as_bytes()));
+        if key_hash != hash {
+            return Err(format!(
+                "checkpoint {} holds key {:?}, which hashes to {key_hash} (key edited or corrupted)",
+                path.display(),
+                result.key
             ));
         }
         Ok(result)
@@ -166,10 +176,11 @@ mod tests {
     use super::*;
     use regnet_netsim::ReliabilityStats;
 
-    fn fake_result(hash: &str, offered: f64) -> CellResult {
+    /// A checkpoint of the cell `key`, named by the key's hash.
+    fn fake_result(key: &str, offered: f64) -> CellResult {
         CellResult {
-            key: format!("key-of-{hash}"),
-            hash: hash.to_string(),
+            key: key.to_string(),
+            hash: format!("{:016x}", fnv1a64(key.as_bytes())),
             offered,
             accepted: offered * 0.97,
             avg_latency_ns: 812.5,
@@ -197,8 +208,8 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let store = ResultStore::open(&dir).unwrap();
         assert!(store.is_empty());
-        let a = fake_result("00000000000000aa", 0.01);
-        let b = fake_result("00000000000000bb", 0.02);
+        let a = fake_result("topo=torus:4x4:2,load=0.01", 0.01);
+        let b = fake_result("topo=torus:4x4:2,load=0.02", 0.02);
         store.save(&a).unwrap();
         store.save(&b).unwrap();
         assert_eq!(store.len(), 2);
@@ -210,7 +221,9 @@ mod tests {
         assert_eq!(all[&b.hash], b);
         // Re-opening sees the same contents (that *is* resume).
         let reopened = ResultStore::open(&dir).unwrap();
-        assert_eq!(reopened.hashes().unwrap(), vec![a.hash, b.hash]);
+        let mut hashes = vec![a.hash, b.hash];
+        hashes.sort();
+        assert_eq!(reopened.hashes().unwrap(), hashes);
         reopened.clear().unwrap();
         assert!(reopened.is_empty());
         let _ = fs::remove_dir_all(&dir);
@@ -221,7 +234,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("regnet-store2-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let store = ResultStore::open(&dir).unwrap();
-        let a = fake_result("00000000000000aa", 0.01);
+        let a = fake_result("topo=torus:4x4:2,load=0.01", 0.01);
         store.save(&a).unwrap();
         // A kill mid-write leaves a tmp file behind: load_all must skip it.
         fs::write(dir.join("cells/00000000000000bb.json.tmp"), "{garbage").unwrap();
@@ -229,7 +242,7 @@ mod tests {
         // A renamed checkpoint (hash mismatch) must be refused, not
         // silently attributed to the wrong cell.
         fs::copy(
-            dir.join("cells/00000000000000aa.json"),
+            store.cell_path(&a.hash),
             dir.join("cells/00000000000000cc.json"),
         )
         .unwrap();
@@ -242,15 +255,34 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("regnet-store3-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let store = ResultStore::open(&dir).unwrap();
-        // A forged (or colliding) checkpoint: the planned cell's hash,
-        // another cell's key.
-        let mut forged = fake_result("00000000000000aa", 0.01);
-        forged.key = "topo=torus:4x4:2,load=0.5".into();
-        store.save(&forged).unwrap();
+        // The planned cell's hash holding another cell's key: what an FNV-64
+        // collision would leave.
+        let stored = fake_result("topo=torus:4x4:2,load=0.5", 0.5);
+        store.save(&stored).unwrap();
         let planned = "topo=torus:4x4:2,load=0.01";
-        let err = store.load(&forged.hash, planned).unwrap_err();
-        assert!(err.contains(&forged.key) && err.contains(planned), "{err}");
-        assert_eq!(store.load(&forged.hash, &forged.key).unwrap(), forged);
+        let err = store.load(&stored.hash, planned).unwrap_err();
+        assert!(err.contains(&stored.key) && err.contains(planned), "{err}");
+        assert_eq!(store.load(&stored.hash, &stored.key).unwrap(), stored);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checkpoint_whose_key_does_not_hash_to_its_name_is_refused() {
+        let dir = std::env::temp_dir().join(format!("regnet-store4-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = ResultStore::open(&dir).unwrap();
+        let a = fake_result("topo=torus:4x4:2,load=0.01", 0.01);
+        store.save(&a).unwrap();
+        // Edit the stored key in place: `load_all` has no plan to compare
+        // it with, so only the hash can tell.
+        let path = store.cell_path(&a.hash);
+        let text = fs::read_to_string(&path).unwrap();
+        let edited = text.replace("load=0.01", "load=0.5");
+        assert_ne!(edited, text);
+        fs::write(&path, edited).unwrap();
+        let err = store.load_all().unwrap_err();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(store.load(&a.hash, &a.key).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 }
