@@ -35,43 +35,44 @@ pub trait Relabel {
     fn itb(&self, h: HostId) -> (HostId, Port);
 }
 
-/// The identity: the table in the built topology's own ids, each hop
-/// spread over the parallel links from one `(from, to) → ports` table.
+/// The identity: the table in the built topology's own ids, each hop's
+/// port read from one `(from, to)` table.
 pub(crate) struct Unchanged<'a> {
     topo: &'a Topology,
     n: usize,
-    /// Pair `from * n + to` → its entries of `ports`.
-    off: Vec<u32>,
-    /// The ports of `from` that lead to `to`, in `switch_neighbors` order.
-    ports: Vec<Port>,
+    /// Pair `from * n + to` → the port of the one link between them, or
+    /// `FAN | i` when several are: they are `fans[i]`.
+    hop: Vec<u32>,
+    /// The ports of `from` that lead to `to`, in `switch_neighbors` order,
+    /// one list per pair joined by parallel links.
+    fans: Vec<Vec<Port>>,
 }
+
+/// Marks an [`Unchanged`] hop entry that names a list of parallel ports;
+/// `u32::MAX` (a list that does not exist) marks a pair with no link.
+const FAN: u32 = 1 << 31;
 
 impl<'a> Unchanged<'a> {
     pub(crate) fn new(topo: &'a Topology) -> Unchanged<'a> {
         let n = topo.num_switches();
-        let mut off = Vec::with_capacity(n * n + 1);
-        off.push(0);
-        let mut ports = Vec::new();
-        let mut row: Vec<(SwitchId, Port)> = Vec::new();
+        let mut hop = vec![u32::MAX; n * n];
+        let mut fans: Vec<Vec<Port>> = Vec::new();
         for from in topo.switches() {
-            row.clear();
-            row.extend(topo.switch_neighbors(from).map(|(p, to, _)| (to, p)));
-            // Stable: parallel ports keep their neighbour-list order.
-            row.sort_by_key(|&(to, _)| to);
-            let mut next = row.iter().peekable();
-            for to in topo.switches() {
-                while let Some(&(_, p)) = next.next_if(|&&(t, _)| t == to) {
-                    ports.push(p);
+            let row = &mut hop[from.idx() * n..(from.idx() + 1) * n];
+            for (p, to, _) in topo.switch_neighbors(from) {
+                let h = &mut row[to.idx()];
+                if *h == u32::MAX {
+                    *h = u32::from(p.0);
+                } else {
+                    if *h & FAN == 0 {
+                        fans.push(vec![Port(*h as u8)]);
+                        *h = FAN | (fans.len() - 1) as u32;
+                    }
+                    fans[(*h & !FAN) as usize].push(p);
                 }
-                off.push(ports.len() as u32);
             }
         }
-        Unchanged {
-            topo,
-            n,
-            off,
-            ports,
-        }
+        Unchanged { topo, n, hop, fans }
     }
 }
 
@@ -88,10 +89,13 @@ impl Relabel for Unchanged<'_> {
     fn switch(&self, s: SwitchId) -> SwitchId {
         s
     }
+    #[inline]
     fn hop(&self, from: SwitchId, to: SwitchId, spread: usize) -> Port {
-        let i = from.idx() * self.n + to.idx();
-        let parallel = &self.ports[self.off[i] as usize..self.off[i + 1] as usize];
-        debug_assert!(!parallel.is_empty(), "path not connected at {from}->{to}");
+        let h = self.hop[from.idx() * self.n + to.idx()];
+        if h & FAN == 0 {
+            return Port(h as u8);
+        }
+        let parallel = &self.fans[(h & !FAN) as usize];
         parallel[spread % parallel.len()]
     }
     fn itb(&self, h: HostId) -> (HostId, Port) {
@@ -106,20 +110,24 @@ pub(crate) struct Relabelled<'t, 'm, R> {
 }
 
 impl<R: Relabel> SplitSink for Relabelled<'_, '_, R> {
-    fn start(&mut self, s: SwitchId) {
-        self.table.switch(self.map.switch(s));
-    }
-    fn hop(&mut self, a: SwitchId, b: SwitchId, spread: usize) {
-        self.table.port(self.map.hop(a, b, spread));
-        self.table.switch(self.map.switch(b));
-    }
-    fn eject(&mut self, h: HostId) {
-        let (h, port) = self.map.itb(h);
-        self.table.port(port);
-        self.table.end_segment(SegmentEnd::Itb(h));
-    }
-    fn deliver(&mut self) {
-        self.table.end_segment(SegmentEnd::Deliver);
+    fn segment(&mut self, switches: &[SwitchId], spread: usize, end: SegmentEnd) {
+        let map = self.map;
+        self.table.switches(switches.iter().map(|&s| map.switch(s)));
+        self.table.ports(
+            switches
+                .windows(2)
+                .enumerate()
+                .map(|(i, w)| map.hop(w[0], w[1], spread.wrapping_add(i))),
+        );
+        let end = match end {
+            SegmentEnd::Deliver => SegmentEnd::Deliver,
+            SegmentEnd::Itb(h) => {
+                let (h, port) = map.itb(h);
+                self.table.ports([port]);
+                SegmentEnd::Itb(h)
+            }
+        };
+        self.table.end_segment(end);
     }
 }
 

@@ -1,7 +1,7 @@
 //! Route databases for the three routing schemes evaluated in the paper.
 
 use regnet_routing::minimal::{MinimalDag, PathSet};
-use regnet_routing::{simple_routes, SimpleRoutesConfig, SwitchPath};
+use regnet_routing::{first_violation, simple_routes, SimpleRoutesConfig, SwitchPath};
 use regnet_topology::{DistanceMatrix, HostId, Orientation, SwitchId, Topology};
 
 use crate::journey::Journey;
@@ -189,10 +189,14 @@ impl RouteDb {
         };
         // up*/down* routes never need one, so they always split — into
         // exactly one segment.
-        let legal_route = |table: &mut RouteDbBuilder, path: &SwitchPath| {
-            debug_assert!(path.is_legal(&orient), "{path} must not need ITBs");
-            let usable = add_route(table, path.switches());
-            assert!(usable, "{}", no_itb_host(path.switches()));
+        let legal_route = |table: &mut RouteDbBuilder, path: &[SwitchId]| {
+            debug_assert!(
+                first_violation(path, &orient).is_none(),
+                "{} must not need ITBs",
+                SwitchPath::new(path.to_vec())
+            );
+            let usable = add_route(table, path);
+            assert!(usable, "{}", no_itb_host(path));
         };
         // Every written pair in table order, with the built pair it reads.
         let pairs = || (0..n).flat_map(|s| (0..n).map(move |d| map.pair(SwitchId(s), SwitchId(d))));
@@ -203,7 +207,7 @@ impl RouteDb {
                 // One single-segment route per pair.
                 let mut size = [0; 4];
                 for (s, d) in pairs().flatten() {
-                    let links = routes.get(s, d).len_links();
+                    let links = routes.get(s, d).len() - 1;
                     add(&mut size, [1, 1, links + 1, links]);
                 }
                 table.reserve(size);

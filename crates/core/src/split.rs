@@ -2,7 +2,7 @@
 //! hosts at the forbidden transitions — the heart of the ITB mechanism.
 
 use regnet_routing::SwitchPath;
-use regnet_topology::{HostId, Orientation, Port, SwitchId, Topology};
+use regnet_topology::{HostId, Orientation, SwitchId, Topology};
 
 use crate::journey::{JourneyTemplate, Segment, SegmentEnd};
 
@@ -29,7 +29,8 @@ impl ItbHostPicker {
             ItbHostPicker::Spread => {
                 // Fibonacci hash of the key.
                 let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-                hosts[(h as usize) % hosts.len()]
+                // `h` has 32 bits: the narrow division gives the same host.
+                hosts[(h as u32 % hosts.len() as u32) as usize]
             }
         })
     }
@@ -72,11 +73,10 @@ pub fn try_split_minimal_path(
 ) -> Option<JourneyTemplate> {
     let mut template = TemplateSink {
         topo,
-        done: Vec::new(),
-        open: (Vec::with_capacity(path.switches().len()), Vec::new()),
+        segments: Vec::new(),
     };
     split_into(topo, orient, path.switches(), picker, &mut template).then_some(JourneyTemplate {
-        segments: template.done,
+        segments: template.segments,
     })
 }
 
@@ -86,60 +86,47 @@ pub fn try_split_minimal_path(
 /// [`Relabel`](crate::Relabel)), an owned [`JourneyTemplate`] for
 /// one-path callers scans the topology.
 pub(crate) trait SplitSink {
-    /// A segment opens at switch `s`.
-    fn start(&mut self, s: SwitchId);
-    /// The open segment crosses a link from `a` to `b`; `spread` picks
-    /// among parallel links.
-    fn hop(&mut self, a: SwitchId, b: SwitchId, spread: usize);
-    /// The open segment ends in in-transit host `h`, at its own switch.
-    fn eject(&mut self, h: HostId);
-    /// The open segment ends at the destination switch, one port byte
-    /// short (the destination host's is appended at materialisation).
-    fn deliver(&mut self);
+    /// A segment visits `switches`, its hop `i` (from `switches[i]`)
+    /// taking parallel link `spread + i` modulo the links between its
+    /// ends, and ends as `end`: in an in-transit host at its last switch,
+    /// or at the destination switch one port byte short (the destination
+    /// host's is appended at materialisation).
+    fn segment(&mut self, switches: &[SwitchId], spread: usize, end: SegmentEnd);
 }
 
 struct TemplateSink<'a> {
     topo: &'a Topology,
-    done: Vec<Segment>,
-    /// Switches and ports of the segment being written.
-    open: (Vec<SwitchId>, Vec<Port>),
+    segments: Vec<Segment>,
 }
 
-impl TemplateSink<'_> {
-    fn close(&mut self, end: SegmentEnd) {
-        let (switches, ports) = std::mem::take(&mut self.open);
-        self.done.push(Segment {
-            switches,
+impl SplitSink for TemplateSink<'_> {
+    fn segment(&mut self, switches: &[SwitchId], spread: usize, end: SegmentEnd) {
+        // One port byte per hop, and the in-transit host's.
+        let mut ports = Vec::with_capacity(switches.len());
+        ports.extend(switches.windows(2).enumerate().map(|(i, w)| {
+            let parallel = self.topo.ports_to(w[0], w[1]).count();
+            debug_assert!(parallel > 0, "path not connected at {}->{}", w[0], w[1]);
+            let port = self
+                .topo
+                .ports_to(w[0], w[1])
+                .nth(spread.wrapping_add(i) % parallel);
+            port.expect("taken modulo the count")
+        }));
+        if let SegmentEnd::Itb(h) = end {
+            ports.push(self.topo.host_port(h));
+        }
+        self.segments.push(Segment {
+            switches: switches.to_vec(),
             ports,
             end,
         });
     }
 }
 
-impl SplitSink for TemplateSink<'_> {
-    fn start(&mut self, s: SwitchId) {
-        self.open.0.push(s);
-    }
-    fn hop(&mut self, a: SwitchId, b: SwitchId, spread: usize) {
-        let parallel = self.topo.ports_to(a, b).count();
-        debug_assert!(parallel > 0, "path not connected at {a}->{b}");
-        let port = self.topo.ports_to(a, b).nth(spread % parallel);
-        self.open.1.push(port.expect("taken modulo the count"));
-        self.open.0.push(b);
-    }
-    fn eject(&mut self, h: HostId) {
-        self.open.1.push(self.topo.host_port(h));
-        self.close(SegmentEnd::Itb(h));
-    }
-    fn deliver(&mut self) {
-        self.close(SegmentEnd::Deliver);
-    }
-}
-
 /// The splitter itself: write the split of the path visiting `switches`
-/// into `route`. Returns `false`, part-way through, when the path needs an
-/// in-transit buffer at a hostless switch; what was written so far is the
-/// caller's to discard.
+/// into `route`. Returns `false` when the path needs an in-transit buffer
+/// at a hostless switch; what was written so far is the caller's to
+/// discard.
 pub(crate) fn split_into(
     topo: &Topology,
     orient: &Orientation,
@@ -148,10 +135,11 @@ pub(crate) fn split_into(
     route: &mut impl SplitSink,
 ) -> bool {
     let (src_sw, dst_sw) = (switches[0], switches[switches.len() - 1]);
+    // Hop `i` spreads across parallel links by `spread + i`.
+    let spread = pair_key(src_sw, dst_sw) as usize;
+    // The open segment starts at `switches[start]`.
+    let mut start = 0;
     let mut seen_down = false;
-    let mut parallel_select = pair_key(src_sw, dst_sw) as usize;
-
-    route.start(src_sw);
     for (hop_idx, w) in switches.windows(2).enumerate() {
         let (a, b) = (w[0], w[1]);
         let up = orient.is_up_move(a, b);
@@ -162,18 +150,22 @@ pub(crate) fn split_into(
                 return false;
             };
             debug_assert_eq!(topo.host_switch(itb_host), a);
-            route.eject(itb_host);
-            route.start(a);
+            let segment = &switches[start..=hop_idx];
+            route.segment(
+                segment,
+                spread.wrapping_add(start),
+                SegmentEnd::Itb(itb_host),
+            );
+            start = hop_idx;
             seen_down = false;
         }
-        if !up {
-            seen_down = true;
-        }
-        // Spread across parallel links deterministically.
-        route.hop(a, b, parallel_select);
-        parallel_select = parallel_select.wrapping_add(1);
+        seen_down |= !up;
     }
-    route.deliver();
+    route.segment(
+        &switches[start..],
+        spread.wrapping_add(start),
+        SegmentEnd::Deliver,
+    );
     true
 }
 

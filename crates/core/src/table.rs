@@ -406,14 +406,14 @@ impl RouteDbBuilder {
         db.ports.reserve_exact(ports);
     }
 
-    /// The open segment visits `s` next.
-    pub(crate) fn switch(&mut self, s: SwitchId) {
-        self.db.switches.push(s);
+    /// The open segment visits `switches` next.
+    pub(crate) fn switches(&mut self, switches: impl IntoIterator<Item = SwitchId>) {
+        self.db.switches.extend(switches);
     }
 
-    /// The open segment's next output-port byte.
-    pub(crate) fn port(&mut self, p: Port) {
-        self.db.ports.push(p);
+    /// The open segment's next output-port bytes.
+    pub(crate) fn ports(&mut self, ports: impl IntoIterator<Item = Port>) {
+        self.db.ports.extend(ports);
     }
 
     /// Close the open segment.
@@ -550,13 +550,13 @@ mod tests {
     #[test]
     fn aborted_route_leaves_no_trace() {
         let mut b = RouteDbBuilder::new(RoutingScheme::ItbRr, 1, 1);
-        b.switch(SwitchId(0));
-        b.port(Port(1));
+        b.switches([SwitchId(0)]);
+        b.ports([Port(1)]);
         b.end_segment(SegmentEnd::Itb(HostId(0)));
-        b.switch(SwitchId(0));
+        b.switches([SwitchId(0)]);
         b.abort_route();
         assert_eq!(b.routes_in_pair(), 0);
-        b.switch(SwitchId(0));
+        b.switches([SwitchId(0)]);
         b.end_segment(SegmentEnd::Deliver);
         b.end_route();
         assert_eq!(b.routes_in_pair(), 1);

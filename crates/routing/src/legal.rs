@@ -38,9 +38,19 @@ pub struct LegalDistances {
 impl LegalDistances {
     /// Backward BFS from `dest`.
     pub fn to_dest(topo: &Topology, orient: &Orientation, dest: SwitchId) -> LegalDistances {
+        LegalDistances::bfs(topo, orient, dest, &mut VecDeque::new())
+    }
+
+    /// [`to_dest`](LegalDistances::to_dest) with the caller's (empty)
+    /// BFS queue.
+    fn bfs(
+        topo: &Topology,
+        orient: &Orientation,
+        dest: SwitchId,
+        queue: &mut VecDeque<(SwitchId, Phase)>,
+    ) -> LegalDistances {
         let n = topo.num_switches();
         let mut dist = vec![u16::MAX; 2 * n];
-        let mut queue: VecDeque<(SwitchId, Phase)> = VecDeque::new();
         dist[2 * dest.idx()] = 0;
         dist[2 * dest.idx() + 1] = 0;
         queue.push_back((dest, Phase::Up));
@@ -88,8 +98,9 @@ impl LegalDistances {
     /// Compute legal distances for every destination. Returns one entry per
     /// switch, indexed by destination id.
     pub fn all_destinations(topo: &Topology, orient: &Orientation) -> Vec<LegalDistances> {
+        let mut queue = VecDeque::with_capacity(2 * topo.num_switches());
         topo.switches()
-            .map(|d| LegalDistances::to_dest(topo, orient, d))
+            .map(|d| LegalDistances::bfs(topo, orient, d, &mut queue))
             .collect()
     }
 }

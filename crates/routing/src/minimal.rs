@@ -19,19 +19,37 @@ use crate::path::SwitchPath;
 /// the neighbours one link closer to `dst`, and how many distinct minimal
 /// paths lead on from there.
 ///
-/// The path count of a switch is the sum over its next hops, i.e. a
-/// property of the *destination*; it is memoised here so that every source
-/// asking about the same destination shares the work. Queries allocate
-/// nothing but what the caller's [`PathSet`] grows to.
+/// Both are properties of the *destination*, memoised here so that every
+/// source asking about the same destination shares the work, and both are
+/// filled in on a switch's first visit, so a one-pair query touches only
+/// its own sub-DAG. Beyond the DAG's own lists, queries allocate nothing
+/// but what the caller's [`PathSet`] grows to.
 #[derive(Debug, Clone)]
 pub struct MinimalDag<'a> {
     topo: &'a Topology,
     dm: &'a DistanceMatrix,
     dst: SwitchId,
-    /// Minimal paths from each switch to `dst` (each of several parallel
+    /// Per switch: its minimal-path count and its runs of `next`.
+    nodes: Vec<Node>,
+    /// Next hops, two runs per visited switch: the neighbours one link
+    /// closer to `dst` in `switch_neighbors` (port) order, once per
+    /// parallel link (what walks draw from), then the same in ascending
+    /// order, once each (what the DFS visits).
+    next: Vec<SwitchId>,
+}
+
+/// One switch of a [`MinimalDag`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Node {
+    /// Minimal paths from the switch to `dst` (each of several parallel
     /// links making a path of its own), saturating at `u64::MAX`. 0 = not
-    /// computed yet: every switch of a connected network has a path.
-    counts: Vec<u64>,
+    /// visited yet: every switch of a connected network has a path.
+    count: u64,
+    /// Its next hops: `next[start..start + len]` in port order, then
+    /// `ulen` distinct ones in ascending order.
+    start: u32,
+    len: u16,
+    ulen: u16,
 }
 
 /// Equal-length switch paths stored back to back: what
@@ -48,8 +66,6 @@ pub struct PathSet {
     order: Vec<u32>,
     /// The path being extended.
     walk: Vec<SwitchId>,
-    /// DFS candidates, one sorted run per level of `walk`.
-    candidates: Vec<SwitchId>,
 }
 
 impl PathSet {
@@ -83,38 +99,65 @@ fn chunk(switches: &[SwitchId], stride: usize, i: u32) -> &[SwitchId] {
 impl<'a> MinimalDag<'a> {
     /// The DAG of minimal paths towards `dst`.
     pub fn new(topo: &'a Topology, dm: &'a DistanceMatrix, dst: SwitchId) -> MinimalDag<'a> {
-        let mut counts = vec![0u64; topo.num_switches()];
-        counts[dst.idx()] = 1;
+        let mut nodes = vec![Node::default(); topo.num_switches()];
+        nodes[dst.idx()].count = 1;
         MinimalDag {
             topo,
             dm,
             dst,
-            counts,
+            nodes,
+            // Room for a one-pair query's sub-DAG, typically; a whole
+            // table's DAG grows it a few times.
+            next: Vec::with_capacity(topo.num_switches()),
         }
     }
 
-    /// The neighbours of `s` one link closer to the destination, in
-    /// `switch_neighbors` (port) order, once per parallel link.
-    fn next_hops(&self, s: SwitchId) -> impl Iterator<Item = SwitchId> + 'a {
-        let (dm, dst) = (self.dm, self.dst);
-        let ds = dm.get(s, dst);
-        self.topo
-            .switch_neighbors(s)
-            .filter(move |&(_, t, _)| dm.get(t, dst) + 1 == ds)
-            .map(|(_, t, _)| t)
+    /// The next hops of a visited switch, in port order, once per link.
+    fn next_hops(&self, s: SwitchId) -> &[SwitchId] {
+        let Node { start, len, .. } = self.nodes[s.idx()];
+        let start = start as usize;
+        &self.next[start..start + len as usize]
+    }
+
+    /// The next switches of a visited switch, in ascending order.
+    fn next_switches(&self, s: SwitchId) -> &[SwitchId] {
+        let Node {
+            start, len, ulen, ..
+        } = self.nodes[s.idx()];
+        let start = start as usize + len as usize;
+        &self.next[start..start + ulen as usize]
     }
 
     /// Number of distinct minimal paths from `src` to the destination.
-    /// Saturates at `u64::MAX`.
+    /// Saturates at `u64::MAX`. Visits (lists the next hops of) every
+    /// switch of `src`'s sub-DAG.
     pub fn count(&mut self, src: SwitchId) -> u64 {
-        if self.counts[src.idx()] == 0 {
+        if self.nodes[src.idx()].count == 0 {
+            let (dm, dst) = (self.dm, self.dst);
+            let ds = dm.get(src, dst);
+            let start = self.next.len();
+            self.next.extend(
+                self.topo
+                    .switch_neighbors(src)
+                    .filter(|&(_, t, _)| dm.get(t, dst) + 1 == ds)
+                    .map(|(_, t, _)| t),
+            );
+            let end = self.next.len();
+            self.next.extend_from_within(start..end);
+            sort_dedup_tail(&mut self.next, end);
+            let ulen = self.next.len() - end;
             let mut total = 0u64;
-            for t in self.next_hops(src) {
-                total = total.saturating_add(self.count(t));
+            for i in start..end {
+                total = total.saturating_add(self.count(self.next[i]));
             }
-            self.counts[src.idx()] = total;
+            self.nodes[src.idx()] = Node {
+                count: total,
+                start: start as u32,
+                len: (end - start) as u16,
+                ulen: ulen as u16,
+            };
         }
-        self.counts[src.idx()]
+        self.nodes[src.idx()].count
     }
 
     /// Fill `out` with up to `k` distinct minimal paths from `src` to the
@@ -138,11 +181,13 @@ impl<'a> MinimalDag<'a> {
 
         out.switches.reserve(want * out.stride);
         out.walk.reserve(out.stride);
+        out.order.clear();
         if total <= k as u64 * 4 {
             // Few enough paths: take the first `k` of the exhaustive
             // enumeration. The DFS visits next hops in ascending order, so
             // it emits paths in lexicographic order and can stop there.
-            self.dfs(out, k);
+            self.dfs(out, k * out.stride);
+            out.order.extend(0..out.found() as u32);
         } else {
             // Sample by randomised walks until `want` distinct paths are found.
             let mut rng = SmallRng::seed_from_u64(seed ^ ((src.0 as u64) << 32) ^ dst.0 as u64);
@@ -153,32 +198,28 @@ impl<'a> MinimalDag<'a> {
                 out.walk.truncate(1);
                 let mut cur = src;
                 while cur != dst {
-                    let choices = self.next_hops(cur).count();
-                    cur = self
-                        .next_hops(cur)
-                        .nth(rng.gen_range(0..choices))
-                        .expect("drawn below the count");
+                    let choices = self.next_hops(cur);
+                    cur = choices[rng.gen_range(0..choices.len())];
                     out.walk.push(cur);
                 }
                 if !out.switches.chunks_exact(out.stride).any(|p| p == out.walk) {
                     out.switches.extend_from_slice(&out.walk);
                 }
             }
+            // Each path was found once, so sorting needs no dedup.
+            out.order.extend(0..out.found() as u32);
+            let (stride, switches) = (out.stride, &out.switches);
+            out.order
+                .sort_unstable_by_key(|&i| chunk(switches, stride, i));
         }
-        // Both branches find each path once, so sorting needs no dedup.
-        out.order.clear();
-        out.order.extend(0..out.found() as u32);
-        let (stride, switches) = (out.stride, &out.switches);
-        out.order
-            .sort_unstable_by_key(|&i| chunk(switches, stride, i));
-        out.order.truncate(k);
     }
 
     /// Append the minimal paths that extend `out.walk`, in lexicographic
-    /// order (next hops are visited in ascending switch order), until `out`
-    /// holds `cap` paths.
+    /// order (next switches are visited in ascending order, parallel links
+    /// leading to the same switch path once), until `out` holds `cap`
+    /// switches' worth of them.
     fn dfs(&self, out: &mut PathSet, cap: usize) {
-        if out.found() >= cap {
+        if out.switches.len() >= cap {
             return;
         }
         let cur = *out.walk.last().expect("the walk starts at the source");
@@ -186,21 +227,25 @@ impl<'a> MinimalDag<'a> {
             out.switches.extend_from_slice(&out.walk);
             return;
         }
-        let base = out.candidates.len();
-        out.candidates.extend(self.next_hops(cur));
-        out.candidates[base..].sort_unstable();
-        for i in base..out.candidates.len() {
-            let t = out.candidates[i];
-            // Parallel links lead to the same switch path: take it once.
-            if i > base && out.candidates[i - 1] == t {
-                continue;
-            }
+        for &t in self.next_switches(cur) {
             out.walk.push(t);
             self.dfs(out, cap);
             out.walk.pop();
         }
-        out.candidates.truncate(base);
     }
+}
+
+/// Sort `v[from..]` and drop its repeats.
+fn sort_dedup_tail(v: &mut Vec<SwitchId>, from: usize) {
+    v[from..].sort_unstable();
+    let mut kept = from;
+    for i in from..v.len() {
+        if kept == from || v[i] != v[kept - 1] {
+            v[kept] = v[i];
+            kept += 1;
+        }
+    }
+    v.truncate(kept);
 }
 
 /// Enumerate up to `k` distinct minimal paths from `src` to `dst`: one

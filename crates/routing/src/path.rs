@@ -36,14 +36,11 @@ impl SwitchPath {
         self.0.len() - 1
     }
 
-    /// Consecutive `(from, to)` hops.
-    pub(crate) fn hops(&self) -> impl Iterator<Item = (SwitchId, SwitchId)> + '_ {
-        self.0.windows(2).map(|w| (w[0], w[1]))
-    }
-
     /// Is every hop between adjacent switches?
     pub fn is_connected(&self, topo: &Topology) -> bool {
-        self.hops().all(|(a, b)| topo.port_to(a, b).is_some())
+        self.0
+            .windows(2)
+            .all(|w| topo.port_to(w[0], w[1]).is_some())
     }
 
     /// Does the path satisfy the up\*/down\* rule (zero or more up moves

@@ -85,6 +85,7 @@ fn cplant_routes_lengths() {
     let mut non_minimal = 0;
     let mut total = 0;
     for (s, d, p) in routes.iter() {
+        let p = SwitchPath::new(p.to_vec());
         assert!(p.is_legal(&orient));
         total += 1;
         if p.len_links() != dm.get(s, d) as usize {

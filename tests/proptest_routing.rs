@@ -10,7 +10,7 @@ use regnet::core::{
 };
 use regnet::mapper::discover;
 use regnet::prelude::*;
-use regnet::routing::{minimal, simple_routes, SimpleRoutesConfig};
+use regnet::routing::{minimal, simple_routes, SimpleRoutesConfig, SwitchPath};
 
 /// Strategy: a random connected irregular topology.
 fn arb_topology() -> impl Strategy<Value = Topology> {
@@ -68,7 +68,8 @@ fn assert_table_is_the_per_pair_composition(topo: &Topology) -> Result<(), TestC
         if usable.is_empty() {
             // Every minimal path needs an in-transit buffer at a hostless
             // switch: one legal route, no ITBs.
-            let fallback = split_minimal_path(topo, &orient, legal.get(s, d), cfg.itb_picker);
+            let path = SwitchPath::new(legal.get(s, d).to_vec());
+            let fallback = split_minimal_path(topo, &orient, &path, cfg.itb_picker);
             prop_assert_eq!(fallback.num_itbs(), 0);
             prop_assert_eq!(alts.to_owned(), vec![fallback], "{}->{} fallback", s, d);
         } else {
