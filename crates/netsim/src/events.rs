@@ -6,8 +6,9 @@
 //! arrival/route/head-advance, block with cause, ITB eject/re-inject,
 //! delivery, drop, fault fire/repair — stamped with the cycle and the
 //! packet id. Entries live in a bounded ring: when the ring fills, the
-//! oldest entries are evicted (and counted), so a journal on a long run
-//! degrades to "the most recent N events" instead of unbounded memory.
+//! oldest packet entries are evicted (and counted), so a journal on a long
+//! run degrades to "the most recent N events, plus every fault fire and
+//! repair" instead of unbounded memory.
 //!
 //! The journal exports Chrome `trace_event` JSON
 //! ([`EventJournal::to_chrome`]): switches and NICs become tracks, events
@@ -72,6 +73,17 @@ pub enum EventKind {
     FaultFire { target: FaultTarget },
     /// A fault was repaired.
     FaultRepair { target: FaultTarget },
+}
+
+impl EventKind {
+    /// A fault firing or being repaired: the events the journal never
+    /// evicts.
+    fn is_fault(&self) -> bool {
+        matches!(
+            self,
+            EventKind::FaultFire { .. } | EventKind::FaultRepair { .. }
+        )
+    }
 }
 
 /// One journal entry.
@@ -191,7 +203,8 @@ const FAULTS: (u32, u32) = (PID_JOURNEYS, 0);
 /// Journal configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventOptions {
-    /// Ring capacity in events; the oldest entries are evicted beyond it.
+    /// Ring capacity in events; the oldest packet entries are evicted
+    /// beyond it (fault entries never are).
     pub capacity: usize,
 }
 
@@ -226,12 +239,25 @@ impl EventJournal {
     // switch loop.
     #[inline(never)]
     pub(crate) fn record(&mut self, cycle: u64, pid: u32, kind: EventKind) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.evicted += 1;
+        self.recorded += 1;
+        if self.ring.len() >= self.capacity {
+            // Make room by the oldest packet event: fault markers are few
+            // and are what a long run's trace is read for, so they stay,
+            // still counting toward the capacity. With only those left, a
+            // packet event is not kept and a fault one is.
+            match self.ring.iter().position(|e| !e.kind.is_fault()) {
+                Some(oldest) => {
+                    self.ring.remove(oldest);
+                    self.evicted += 1;
+                }
+                None if kind.is_fault() => {}
+                None => {
+                    self.evicted += 1;
+                    return;
+                }
+            }
         }
         self.ring.push_back(Event { cycle, pid, kind });
-        self.recorded += 1;
     }
 
     /// Events currently in the ring, oldest first.
@@ -382,6 +408,36 @@ mod tests {
         assert_eq!(j.evicted(), 2);
         let cycles: Vec<u64> = j.events().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn ring_never_evicts_fault_markers() {
+        let fire = EventKind::FaultFire {
+            target: FaultTarget::Link(regnet_topology::LinkId(5)),
+        };
+        let repair = EventKind::FaultRepair {
+            target: FaultTarget::Host(regnet_topology::HostId(4)),
+        };
+        let mut j = EventJournal::new(EventOptions { capacity: 3 });
+        j.record(0, 0, EventKind::Drop);
+        j.record(1, NO_PACKET, fire);
+        for c in 2..6u64 {
+            j.record(c, c as u32, EventKind::Drop);
+        }
+        // The fault stays where it was recorded; packet events age out
+        // around it.
+        let cycles: Vec<u64> = j.events().map(|e| e.cycle).collect();
+        assert_eq!(cycles, vec![1, 4, 5]);
+        assert_eq!((j.recorded(), j.evicted()), (6, 3));
+        j.record(6, NO_PACKET, repair);
+        j.record(7, NO_PACKET, fire);
+        // Only fault markers left: a packet event is not kept, a fault
+        // event is, past the capacity.
+        j.record(8, 8, EventKind::Drop);
+        j.record(9, NO_PACKET, repair);
+        let kept: Vec<(u64, bool)> = j.events().map(|e| (e.cycle, e.kind.is_fault())).collect();
+        assert_eq!(kept, vec![(1, true), (6, true), (7, true), (9, true)]);
+        assert_eq!((j.recorded(), j.evicted()), (10, 6));
     }
 
     #[test]
