@@ -4,6 +4,7 @@ use regnet_routing::minimal::{MinimalDag, PathSet};
 use regnet_routing::{first_violation, simple_routes, SimpleRoutesConfig, SwitchPath};
 use regnet_topology::{DistanceMatrix, HostId, Orientation, SwitchId, Topology};
 
+use crate::fnv::Fnv1a;
 use crate::journey::Journey;
 use crate::relabel::{Relabel, Relabelled, Unchanged};
 use crate::split::{no_itb_host, split_into, ItbHostPicker};
@@ -153,6 +154,17 @@ impl PathSelector {
     /// The selection state of one source host.
     pub fn src_mut(&mut self, src: HostId) -> &mut SrcSelector {
         &mut self.per_src[src.idx()]
+    }
+
+    /// Feed the whole selection state into `h`: what a comparison of two
+    /// simulators' states reads, without formatting a counter per host
+    /// pair (262,144 on the 512-host torus).
+    #[doc(hidden)]
+    pub fn hash_into(&self, h: &mut Fnv1a) {
+        for s in &self.per_src {
+            h.write(&s.rr);
+            h.write(format!("{:?}", s.rng).as_bytes());
+        }
     }
 }
 

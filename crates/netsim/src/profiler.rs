@@ -159,6 +159,7 @@ impl Profiler {
             sampled_cycles: self.sampled_cycles,
             total_ns,
             phases,
+            engine: EngineCounts::default(),
         }
     }
 }
@@ -179,8 +180,59 @@ pub struct PhaseProfile {
     pub children: Vec<PhaseProfile>,
 }
 
+/// Exact counts of the engine's work, next to the sampled spans: plain
+/// increments in its wake state, counted on every stepped cycle from the
+/// first and never scaled. All zero under the `Scan` oracle, which keeps
+/// no wake state and streams no run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineCounts {
+    /// Visits of the switch phase and of the NIC phase.
+    pub switch_visits: u64,
+    pub nic_visits: u64,
+    /// Steady runs started, and ended before their sender's next visit
+    /// could resume them.
+    pub runs_opened: u64,
+    pub runs_closed: u64,
+    /// Runs out of a visited switch settled and suspended for the visit,
+    /// and runs it left streaming through it.
+    pub runs_suspended: u64,
+    pub runs_left_streaming: u64,
+    /// Wake-up calendar entries pushed, and switch entries popped after a
+    /// later visit had replaced them.
+    pub calendar_pushes: u64,
+    pub stale_pops: u64,
+}
+
+impl EngineCounts {
+    /// `n` per switch visit (0 without one).
+    fn per_switch_visit(&self, n: u64) -> f64 {
+        n as f64 / self.switch_visits.max(1) as f64
+    }
+
+    /// The lines [`ProfileReport::to_table`] prints below the spans.
+    fn to_table(self) -> String {
+        format!(
+            "engine counts: {} switch visits, {} NIC visits\n  \
+             runs: {} opened, {} closed, {} suspended by a switch visit, \
+             {} left streaming through one\n  \
+             per switch visit: {:.3} runs suspended, {:.3} left streaming\n  \
+             calendar: {} pushes, {} stale pops\n",
+            self.switch_visits,
+            self.nic_visits,
+            self.runs_opened,
+            self.runs_closed,
+            self.runs_suspended,
+            self.runs_left_streaming,
+            self.per_switch_visit(self.runs_suspended),
+            self.per_switch_visit(self.runs_left_streaming),
+            self.calendar_pushes,
+            self.stale_pops,
+        )
+    }
+}
+
 /// Everything the profiler measured: one span per phase, in execution
-/// order, each with its child spans.
+/// order, each with its child spans, and the engine's exact counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
     /// Cycles simulated while profiling, idle spans the run loop jumped
@@ -198,6 +250,8 @@ pub struct ProfileReport {
     pub total_ns: u64,
     /// Per-phase breakdown, in execution order.
     pub phases: Vec<PhaseProfile>,
+    /// What the engine did on those cycles, counted exactly.
+    pub engine: EngineCounts,
 }
 
 impl ProfileReport {
@@ -252,6 +306,7 @@ impl ProfileReport {
         for phase in &self.phases {
             walk(&mut out, phase, 0);
         }
+        out.push_str(&self.engine.to_table());
         out
     }
 }

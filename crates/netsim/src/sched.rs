@@ -37,6 +37,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::profiler::EngineCounts;
+
 /// Which cycle loop [`crate::Simulator`] runs: the engine every simulator
 /// starts on, or the oracle the equivalence suites diff it against. See
 /// the module docs for the contract between the two.
@@ -123,6 +125,13 @@ enum Wake {
 ///   arrival or a control symbol, each of which lists it (a switch with
 ///   empty input queues provably has idle heads and no crossbar
 ///   connections, so visiting it is a no-op);
+/// * an unlisted switch's calendar entry is the earliest of the next
+///   events stored with its runs (`Stream::due`) and of those of its
+///   other ports; a visit works out anew only the events of the ports it
+///   touches (`kernel.rs`, "Steady runs of the engine") and keeps the
+///   others, so the entry moves, and a push happens, only when that
+///   earliest moves. A listed switch's entry is left as it was: it lists
+///   the switch at most once more;
 /// * a NIC is listed whenever its transmit phase has work *now* (in-flight
 ///   tx, queued local packet, ready re-injection or retransmission),
 ///   except while it sleeps, every visit a no-op, until the event that
@@ -151,6 +160,9 @@ pub(crate) struct ActiveSched {
     calendar: BinaryHeap<Reverse<(u64, Wake, u32)>>,
     /// Each switch's live wake-up, `u64::MAX` for none.
     switch_due: Box<[u64]>,
+    /// What the engine did so far, counted exactly (the profiler reports
+    /// it): the calendar counts itself, the kernel the rest.
+    pub(crate) counts: EngineCounts,
 }
 
 impl ActiveSched {
@@ -160,11 +172,13 @@ impl ActiveSched {
             nics: Listed::new(n_nics),
             calendar: BinaryHeap::new(),
             switch_due: vec![u64::MAX; n_switches].into(),
+            counts: EngineCounts::default(),
         }
     }
 
     /// Switch `sw`'s next event is at `cycle` (`u64::MAX`: none the switch
-    /// can foresee; an arrival or a control symbol lists it).
+    /// can foresee; an arrival or a control symbol lists it). Pushes only
+    /// if that moves its live entry.
     #[inline]
     pub(crate) fn wake_switch_at(&mut self, cycle: u64, sw: u32) {
         let due = &mut self.switch_due[sw as usize];
@@ -174,6 +188,7 @@ impl ActiveSched {
         *due = cycle;
         if cycle != u64::MAX {
             self.calendar.push(Reverse((cycle, Wake::Switch, sw)));
+            self.counts.calendar_pushes += 1;
         }
     }
 
@@ -197,6 +212,7 @@ impl ActiveSched {
     #[inline]
     pub(crate) fn wake_nic_at(&mut self, ready: u64, h: u32) {
         self.calendar.push(Reverse((ready, Wake::Nic, h)));
+        self.counts.calendar_pushes += 1;
     }
 
     /// List every switch and NIC whose live wake-up is due by `cycle`.
@@ -234,6 +250,7 @@ impl ActiveSched {
                 return Some(at);
             }
             self.calendar.pop();
+            self.counts.stale_pops += 1;
         }
         None
     }

@@ -155,10 +155,17 @@ impl Simulator<'_> {
         self.profiler = Some(Box::new(Profiler::new()));
     }
 
-    /// Per-phase wall-time breakdown; `None` when profiling was never
-    /// enabled.
+    /// Per-phase wall-time breakdown and the engine's exact counts;
+    /// `None` when profiling was never enabled.
     pub(crate) fn profile_report(&self) -> Option<ProfileReport> {
-        self.profiler.as_deref().map(|p| p.report())
+        let engine = self
+            .sched
+            .as_deref()
+            .map_or_else(Default::default, |sc| sc.counts);
+        self.profiler.as_deref().map(|p| ProfileReport {
+            engine,
+            ..p.report()
+        })
     }
 
     /// Enable the telemetry observers selected in `opts` (see

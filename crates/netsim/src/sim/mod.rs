@@ -301,8 +301,9 @@ impl<'a> Simulator<'a> {
     /// Test oracle: recompute every switch's port summaries (the masks the
     /// kernel iterates, the resident-packet count behind quiescence) from
     /// the port state, and check the engine's wake state: every switch
-    /// holding a packet is listed or has its next event scheduled, unless
-    /// all it waits for is an arrival or a control symbol; every NIC with
+    /// holding a packet is listed or has its next event scheduled, no
+    /// later than any of its runs' stored next events, unless all it
+    /// waits for is an arrival or a control symbol; every NIC with
     /// something to send is listed unless asleep (held by STOP, or frozen
     /// by a pending reconfiguration) or streaming a steady run. Panics on
     /// a mismatch. Valid between steps.
@@ -330,9 +331,17 @@ impl<'a> Simulator<'a> {
                     HeadState::Granted => {
                         let out = inp.head_out() as usize;
                         let out_chan = sw.out_chan(out as u8).expect("granted output");
+                        if let Some(run) = self.channels.stream(out_chan).filter(|st| st.running())
+                        {
+                            assert!(
+                                due <= run.due(),
+                                "switch {s}: the run p{p} -> p{out} is due before its wake-up"
+                            );
+                            continue;
+                        }
                         let supply = head.is_some_and(|h| h.available() > 0);
                         assert!(
-                            !supply || sw.is_stopped(out) || streaming(out_chan) && due < u64::MAX,
+                            !supply || sw.is_stopped(out),
                             "switch {s}: p{p} -> p{out} has flits to move, unlisted:\n{}",
                             self.describe()
                         );
@@ -537,7 +546,7 @@ impl<'a> Simulator<'a> {
         lap(prof, mark, Phase::Arrivals);
         if scan {
             for s in 0..n_switches {
-                kernel::switch_phase(&mut p.switches[s as usize], s, &t, &mut p.sink);
+                kernel::switch_phase(&mut p.switches[s as usize], s, 0, &t, &mut p.sink);
             }
         } else {
             kernel::switches_phase(&mut p, &t);
@@ -591,12 +600,7 @@ impl Simulator<'_> {
             write!(s, " {} {gen} {:?} {:?}", n.pool_used, n.rng, n.scheduled).unwrap();
         }
         write!(s, "|{:?} {:?}", self.arena, sorted(&self.gen_heap)).unwrap();
-        write!(
-            s,
-            " {:?} {:?} {}",
-            self.selector, self.rel, self.last_activity
-        )
-        .unwrap();
+        write!(s, " {:?} {}", self.rel, self.last_activity).unwrap();
         if let Some(f) = self.faults.as_deref() {
             write!(s, " {} {:?} {:?}", f.next_event, f.reconfig_due, f.host_ok).unwrap();
         }
@@ -616,6 +620,7 @@ impl Simulator<'_> {
         write!(s, " {tallies:?} {} {:?}", m.gen_stall_cycles, m.kernel).unwrap();
         let mut h = Fnv1a::new();
         h.write(s.as_bytes());
+        self.selector.hash_into(&mut h);
         h.finish()
     }
 }
@@ -623,9 +628,11 @@ impl Simulator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::Stream;
     use crate::config::CYCLE_NS;
     use crate::faultplan::{FaultOptions, FaultPlan};
     use crate::profiler::tests::assert_node_invariant;
+    use crate::profiler::EngineCounts;
     use crate::trace::TraceOptions;
     use regnet_core::{RouteDbConfig, RoutingScheme};
     use regnet_topology::{gen, SwitchId, TopologyBuilder};
@@ -1125,6 +1132,207 @@ mod tests {
                 );
             }
         }
+    }
+
+    // ---- A visit leaves the runs of ports it has no work on streaming.
+    // One switch, six hosts: h0 -> h1 and h2 -> h3 stream through it as
+    // runs from their first flits on, and the switch is visited for one
+    // other cause. The other run's record must come out of that step as it
+    // went in (neither settled nor suspended), and the engine's settled
+    // state must equal the per-flit oracle's every cycle.
+
+    /// One switch with six hosts.
+    fn star6() -> Topology {
+        let mut b = TopologyBuilder::new("star6", 6);
+        b.add_switches(1);
+        b.attach_hosts_everywhere(6).unwrap();
+        b.build().unwrap()
+    }
+
+    /// Engine and oracle on [`star6`], stepped in lockstep.
+    struct TwoRuns<'a> {
+        engine: Simulator<'a>,
+        oracle: Simulator<'a>,
+    }
+
+    impl<'a> TwoRuns<'a> {
+        /// h0 -> h1 at cycle 0, h2 -> h3 at 40, and `more` for both loops.
+        fn new(
+            topo: &'a Topology,
+            db: &'a RouteDb,
+            pattern: &'a Pattern,
+            more: &[(u32, u32, u64)],
+        ) -> TwoRuns<'a> {
+            let start = |scheduler| {
+                let mut sim = Simulator::new(topo, db, pattern, SimConfig::default(), 1e-9, 1);
+                sim.set_scheduler(scheduler);
+                sim.stop_generation();
+                for &(src, dst, at) in [(0, 1, 0), (2, 3, 40)].iter().chain(more) {
+                    sim.schedule_message(HostId(src), HostId(dst), at);
+                }
+                sim
+            };
+            let mut both = TwoRuns {
+                engine: start(Scheduler::ActiveSet),
+                oracle: start(Scheduler::Scan),
+            };
+            // Both worms cross the switch, each as a run.
+            while both.engine.cycle < 120 {
+                both.step();
+            }
+            assert!(both.run_to(1).is_some_and(|st| st.running()));
+            assert!(both.run_to(3).is_some_and(|st| st.running()));
+            both
+        }
+
+        /// The switch's run into host `h`'s NIC.
+        fn run_to(&self, h: u32) -> Option<Stream> {
+            self.engine
+                .channels
+                .stream(self.engine.channels.nic_in(h))
+                .copied()
+        }
+
+        /// Both loops step one cycle and must agree, settled.
+        fn step(&mut self) {
+            self.engine.run(1);
+            self.oracle.run(1);
+            self.engine.check_invariants();
+            let cycle = self.engine.cycle;
+            let (e, o) = (self.engine.state_hash(), self.oracle.state_hash());
+            assert_eq!(e, o, "diverged by cycle {cycle}");
+        }
+
+        /// Step one cycle with the state hash read only afterwards (it
+        /// settles every run); returns the runs into h1 and h3 as they
+        /// were before and after the step, and what the engine counted.
+        fn step_watched(&mut self) -> ([Option<Stream>; 2], [Option<Stream>; 2], EngineCounts) {
+            let before = [self.run_to(1), self.run_to(3)];
+            let counts = self.engine.sched.as_deref().unwrap().counts;
+            self.engine.run(1);
+            self.oracle.run(1);
+            let after = [self.run_to(1), self.run_to(3)];
+            let now = self.engine.sched.as_deref().unwrap().counts;
+            let delta = EngineCounts {
+                switch_visits: now.switch_visits - counts.switch_visits,
+                runs_suspended: now.runs_suspended - counts.runs_suspended,
+                runs_left_streaming: now.runs_left_streaming - counts.runs_left_streaming,
+                ..EngineCounts::default()
+            };
+            self.engine.check_invariants();
+            assert_eq!(self.engine.state_hash(), self.oracle.state_hash());
+            (before, after, delta)
+        }
+
+        /// Step until `cause` holds after a step; that step's visit must
+        /// leave both runs streaming as they were.
+        fn visit_leaves_both_runs(&mut self, what: &str, cause: impl Fn(&Simulator) -> bool) {
+            for _ in 0..200 {
+                let (before, after, delta) = self.step_watched();
+                if !cause(&self.engine) {
+                    continue;
+                }
+                assert_eq!(delta.switch_visits, 1, "{what}: the switch is visited");
+                assert_eq!(before, after, "{what}: a run was settled or suspended");
+                assert_eq!(
+                    (delta.runs_suspended, delta.runs_left_streaming),
+                    (0, 2),
+                    "{what}"
+                );
+                return;
+            }
+            panic!("{what}: never happened");
+        }
+
+        /// Lockstep on until both worms are delivered.
+        fn finish(&mut self) {
+            while self.engine.packets_in_flight() > 0 {
+                self.step();
+            }
+            assert_eq!(self.oracle.packets_in_flight(), 0);
+        }
+    }
+
+    /// The state of input `port` of the star's switch.
+    fn input(sim: &Simulator, port: usize) -> (HeadState, usize) {
+        let inp = sim.switches[0].inp[port].as_ref().unwrap();
+        (inp.head(), inp.queue().len())
+    }
+
+    #[test]
+    fn untouched_runs_stream_through_a_slot_arrival() {
+        let topo = star6();
+        let db = RouteDb::build(&topo, RoutingScheme::UpDown, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let mut both = TwoRuns::new(&topo, &db, &pattern, &[(4, 5, 150)]);
+        // h4's header: the first flit of a NIC's worm travels in a slot.
+        both.visit_leaves_both_runs("slot arrival", |sim| input(sim, 4).1 == 1);
+        both.finish();
+    }
+
+    #[test]
+    fn untouched_runs_stream_through_stop_and_go() {
+        let topo = star6();
+        let db = RouteDb::build(&topo, RoutingScheme::UpDown, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let mut both = TwoRuns::new(&topo, &db, &pattern, &[]);
+        // STOP, then GO, on the idle output towards h5.
+        let into_h5 = both.engine.channels.nic_in(5);
+        for (symbol, stopped) in [
+            (crate::channel::CTL_STOP, true),
+            (crate::channel::CTL_GO, false),
+        ] {
+            let cycle = both.engine.cycle - 1;
+            for sim in [&mut both.engine, &mut both.oracle] {
+                let row = sim.channels.row(cycle);
+                sim.channels.send_ctl(row, into_h5, symbol);
+            }
+            let Sender::SwitchOut { port, .. } = both.engine.channels.sender(into_h5) else {
+                unreachable!("a switch drives a NIC's link")
+            };
+            both.visit_leaves_both_runs(if stopped { "STOP" } else { "GO" }, |sim| {
+                sim.switches[0].is_stopped(port as usize) == stopped
+            });
+        }
+        both.finish();
+    }
+
+    #[test]
+    fn untouched_runs_stream_through_routing_and_a_grant() {
+        let topo = star6();
+        let db = RouteDb::build(&topo, RoutingScheme::UpDown, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let mut both = TwoRuns::new(&topo, &db, &pattern, &[(4, 5, 150)]);
+        // The header arrives and is routed; 150 ns later its routing ends
+        // and the free output is granted in one visit.
+        while !matches!(input(&both.engine, 4).0, HeadState::Routing { .. }) {
+            both.step();
+        }
+        both.visit_leaves_both_runs("routing and grant", |sim| {
+            input(sim, 4).0 == HeadState::Granted
+        });
+        both.finish();
+    }
+
+    #[test]
+    fn untouched_runs_stream_through_the_other_runs_event() {
+        let topo = star6();
+        let db = RouteDb::build(&topo, RoutingScheme::UpDown, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let mut both = TwoRuns::new(&topo, &db, &pattern, &[]);
+        // h0's worm started first: its tail is due first.
+        let due = |h| both.run_to(h).unwrap().due();
+        let (due, later) = (due(1), due(3));
+        assert!(due < later);
+        while both.engine.cycle < due {
+            both.step();
+        }
+        let (before, after, delta) = both.step_watched();
+        assert_eq!(delta.switch_visits, 1, "the run's event is a visit");
+        assert_ne!(before[0], after[0], "the due run is suspended and ends");
+        assert_eq!(before[1], after[1], "the other run streams on untouched");
+        assert_eq!((delta.runs_suspended, delta.runs_left_streaming), (1, 1));
+        both.finish();
     }
 
     /// A cut-through re-injection streams out of what streams into its

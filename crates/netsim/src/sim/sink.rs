@@ -13,6 +13,7 @@ use crate::events::{EventJournal, EventKind};
 use crate::kernel::{KernelMeasure, Sink, SwitchSpan};
 use crate::nic::Nic;
 use crate::packet::{Packet, PacketArena};
+use crate::profiler::EngineCounts;
 use crate::sched::ActiveSched;
 use crate::switch::SwitchState;
 use crate::trace::TraceState;
@@ -190,6 +191,14 @@ impl SeqSink<'_> {
     #[inline]
     pub(crate) fn activity_at(&mut self, cycle: u64) {
         *self.last_activity = (*self.last_activity).max(cycle);
+    }
+
+    /// The engine's exact counts. Only the engine moves runs and walks
+    /// listed components, so only its code asks.
+    #[inline]
+    pub(crate) fn counts(&mut self) -> &mut EngineCounts {
+        let sched = self.sched.as_deref_mut();
+        &mut sched.expect("engine work without wake state").counts
     }
 }
 

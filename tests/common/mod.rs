@@ -275,9 +275,32 @@ pub(crate) fn assert_equivalent_observed(build: fn() -> Topology, scheme: Routin
 pub(crate) fn assert_lockstep(
     topo: &Topology,
     scheme: RoutingScheme,
+    point: (&SimConfig, f64),
+    plan: Option<&FaultPlan>,
+    span: (u64, u64),
+) -> (ReliabilityStats, CounterSnapshot) {
+    lockstep(topo, scheme, point, plan, span, false)
+}
+
+/// [`assert_lockstep`] with the event journal and every trace recorder
+/// armed, sampling every 1,000 cycles: the recorders settle runs at their
+/// ticks, and what they recorded must be equal at the end too.
+pub(crate) fn assert_lockstep_recorded(
+    topo: &Topology,
+    scheme: RoutingScheme,
+    point: (&SimConfig, f64),
+    span: (u64, u64),
+) -> (ReliabilityStats, CounterSnapshot) {
+    lockstep(topo, scheme, point, None, span, true)
+}
+
+fn lockstep(
+    topo: &Topology,
+    scheme: RoutingScheme,
     (config, load): (&SimConfig, f64),
     plan: Option<&FaultPlan>,
     (cycles, every): (u64, u64),
+    recorders: bool,
 ) -> (ReliabilityStats, CounterSnapshot) {
     let db = RouteDb::build(topo, scheme, &RouteDbConfig::default());
     let pattern = Pattern::resolve(PatternSpec::Uniform, topo).unwrap();
@@ -288,6 +311,10 @@ pub(crate) fn assert_lockstep(
             sim.enable_faults(FaultOptions::with_plan(plan.clone()));
         }
         sim.enable_counters();
+        if recorders {
+            sim.enable_events(EventOptions::default());
+            sim.enable_trace(TraceOptions::full(1000));
+        }
         sim
     };
     // Both loops after `n` cycles, fresh from the start.
@@ -330,6 +357,15 @@ pub(crate) fn assert_lockstep(
             topo.name(),
             only(&e, &o).join("\n"),
             only(&o, &e).join("\n"),
+        );
+    }
+    if recorders {
+        let chrome = |sim: &Simulator| sim.journal().expect("journal armed").to_chrome().to_json();
+        assert_eq!(chrome(&engine), chrome(&oracle), "journals diverged");
+        assert_eq!(
+            engine.trace_report(),
+            oracle.trace_report(),
+            "recorders diverged"
         );
     }
     let counters = engine.counter_snapshot().expect("counters enabled");

@@ -214,6 +214,28 @@ fn lockstep_saturated_torus_itb_rr() {
     );
 }
 
+/// The lockstep bisector on every cycle of the saturated torus's first
+/// 3,000: a visit leaves the runs of the ports it has no work on
+/// streaming, and the settled state must still equal the oracle's after
+/// each one.
+#[test]
+fn lockstep_every_cycle_saturated_torus_itb_rr() {
+    let point = (&SimConfig::default(), 0.045);
+    let (_, counters) = assert_lockstep(&torus(), RoutingScheme::ItbRr, point, None, (3_000, 1));
+    assert!(counters.flits_forwarded > 100_000, "{counters:?}");
+}
+
+/// The same with the journal and every trace recorder armed, as the
+/// benchmark's `observed_torus` runs them, at a fifth of the length
+/// `lockstep_saturated_torus_itb_rr` runs.
+#[test]
+fn lockstep_recorded_saturated_torus_itb_rr() {
+    let point = (&SimConfig::default(), 0.045);
+    let (_, counters) =
+        assert_lockstep_recorded(&torus(), RoutingScheme::ItbRr, point, (4_000, 250));
+    assert!(counters.ctl_stops > 0, "{counters:?}");
+}
+
 /// The lockstep bisector at the low load the time skip works on.
 #[test]
 fn lockstep_lowload_cplant_itb_sp() {
