@@ -4,7 +4,6 @@ use regnet_routing::minimal::{MinimalDag, PathSet};
 use regnet_routing::{first_violation, simple_routes, SimpleRoutesConfig, SwitchPath};
 use regnet_topology::{DistanceMatrix, HostId, Orientation, SwitchId, Topology};
 
-use crate::fnv::Fnv1a;
 use crate::journey::Journey;
 use crate::relabel::{Relabel, Relabelled, Unchanged};
 use crate::split::{no_itb_host, split_into, ItbHostPicker};
@@ -103,7 +102,7 @@ impl Default for RouteDbConfig {
 /// Selection state is grouped by source: every selection a host makes
 /// reads and writes only its own `SrcSelector`, so the simulator's kernel
 /// can borrow one source's state without the whole [`PathSelector`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SrcSelector {
     /// ITB-RR: one round-robin counter per destination.
     rr: Vec<u8>,
@@ -139,7 +138,7 @@ impl SrcSelector {
 /// The paper round-robins "from all the alternative minimal paths" per
 /// source-destination pair; we keep one counter per ordered *host* pair,
 /// grouped per source host (see [`SrcSelector`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathSelector {
     per_src: Vec<SrcSelector>,
 }
@@ -154,17 +153,6 @@ impl PathSelector {
     /// The selection state of one source host.
     pub fn src_mut(&mut self, src: HostId) -> &mut SrcSelector {
         &mut self.per_src[src.idx()]
-    }
-
-    /// Feed the whole selection state into `h`: what a comparison of two
-    /// simulators' states reads, without formatting a counter per host
-    /// pair (262,144 on the 512-host torus).
-    #[doc(hidden)]
-    pub fn hash_into(&self, h: &mut Fnv1a) {
-        for s in &self.per_src {
-            h.write(&s.rr);
-            h.write(format!("{:?}", s.rng).as_bytes());
-        }
     }
 }
 

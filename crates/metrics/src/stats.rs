@@ -65,10 +65,19 @@ impl RunningStats {
     }
 }
 
+/// Equal bit for bit: the same samples pushed in the same order (`0.0`
+/// and `-0.0` differ, a NaN equals itself).
+impl PartialEq for RunningStats {
+    fn eq(&self, o: &Self) -> bool {
+        let bits = |s: &Self| [s.mean, s.m2, s.min, s.max].map(f64::to_bits);
+        self.count == o.count && bits(self) == bits(o)
+    }
+}
+
 /// A histogram with logarithmically spaced buckets, good for latency
 /// distributions spanning several orders of magnitude. Sub-bucket linear
 /// resolution keeps the quantile error under ~3%.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// 32 sub-buckets per power of two.
     counts: Vec<u64>,
@@ -144,6 +153,21 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn running_stats_compare_by_bits() {
+        let pushed = |x: f64| {
+            let mut s = RunningStats::new();
+            s.push(x);
+            s
+        };
+        // `min` and `max` keep the sign of a zero, which `==` on f64
+        // ignores.
+        assert_ne!(pushed(0.0), pushed(-0.0));
+        assert_eq!(pushed(f64::NAN), pushed(f64::NAN));
+        assert_eq!(pushed(2.5), pushed(2.5));
+        assert_ne!(pushed(2.5), RunningStats::new());
+    }
 
     #[test]
     fn running_stats_basics() {

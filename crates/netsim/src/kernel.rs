@@ -57,7 +57,7 @@ use crate::sim::SeqParts;
 use crate::switch::{ports, HeadState, InPort, SwitchState};
 
 /// Measurement-window tallies the kernel feeds.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct KernelMeasure {
     pub max_pool_flits: u32,
     pub itb_overflows: u64,

@@ -9,7 +9,7 @@ use rand::rngs::SmallRng;
 use crate::faultplan::FaultRuntime;
 
 /// Reception progress for the packet currently streaming into this NIC.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct RxState {
     pub pid: u32,
     pub received: u32,
@@ -20,7 +20,7 @@ pub(crate) struct RxState {
 }
 
 /// Transmission progress for the packet currently leaving this NIC.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct TxState {
     pub pid: u32,
     pub sent: u32,

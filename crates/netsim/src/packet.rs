@@ -8,7 +8,7 @@ pub(crate) const NO_PACKET: u32 = u32::MAX;
 /// A message in flight. One message = one packet (the paper's messages are
 /// single packets of 32–1024 bytes), so the packet carries the message's
 /// timestamps.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct Packet {
     pub journey: Journey,
     /// Payload flits.
@@ -63,7 +63,7 @@ impl Packet {
 /// The packets in flight, in a slab: stable u32 ids, O(1) alloc/free,
 /// freed slots reused last-freed-first (so the order of removals decides
 /// every later id).
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct PacketArena {
     slots: Vec<Option<Packet>>,
     free: Vec<u32>,

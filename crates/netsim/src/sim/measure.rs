@@ -104,7 +104,7 @@ impl RunStats {
 }
 
 /// The open window's tallies.
-#[derive(Default)]
+#[derive(Default, PartialEq)]
 pub(super) struct Measure {
     pub(super) on: bool,
     pub(super) latency: RunningStats,

@@ -33,7 +33,7 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use regnet_core::{Fnv1a, PathSelector, RouteDb};
+use regnet_core::{PathSelector, RouteDb};
 use regnet_topology::{HostId, LinkEnd, Topology};
 use regnet_traffic::{interarrival_cycles, Pattern};
 
@@ -568,60 +568,44 @@ impl<'a> Simulator<'a> {
 }
 
 impl Simulator<'_> {
-    /// FNV-1a over the settled state the two cycle loops must agree on
-    /// between steps: components, the flits and symbols in flight,
-    /// packets, generation, selector, fault progress and measurement
-    /// tallies. Heaps are hashed sorted. The engine's wake state and runs
-    /// (as runs: their flits count as in flight), the skip telemetry and
-    /// the profiler are left out: they are what the loops may differ in.
-    /// Computed only on request, for the equivalence suites' lockstep
-    /// bisector.
+    /// Do `self` and `other` hold the same settled state? Settles both,
+    /// then compares what the two cycle loops must agree on between
+    /// steps: components, the flits and symbols in flight, packets,
+    /// generation, selector, fault progress and measurement tallies.
+    /// Heaps are compared sorted, floats by bits. The engine's wake state
+    /// and runs (as runs: their flits count as in flight), the skip
+    /// telemetry and the profiler are left out: they are what the loops
+    /// may differ in. For the equivalence suites' lockstep bisector.
     #[doc(hidden)]
-    pub fn state_hash(&mut self) -> u64 {
-        use std::fmt::Write;
+    pub fn same_state(&mut self, other: &mut Simulator<'_>) -> bool {
         fn sorted<T: Ord + Copy>(heap: &BinaryHeap<T>) -> Vec<T> {
             let mut v: Vec<T> = heap.iter().copied().collect();
             v.sort_unstable();
             v
         }
-        self.settle(self.cycle);
-        let flits = self.channels.flits_in_flight(self.cycle);
-        let control = self.channels.control_state();
-        let mut s = format!("{} {flits:?} {control:?} {:?}", self.cycle, self.switches);
-        for n in &self.nics {
+        fn nic(n: &Nic) -> impl PartialEq + '_ {
             let heaps = (sorted(&n.reinject), sorted(&n.retransmit));
             let (tx, rx, gen) = (n.tx, n.rx, n.next_gen.to_bits());
-            write!(
-                s,
-                "|{} {:?} {heaps:?} {tx:?} {rx:?}",
-                n.stopped, n.local_queue
-            )
-            .unwrap();
-            write!(s, " {} {gen} {:?} {:?}", n.pool_used, n.rng, n.scheduled).unwrap();
+            let queues = (&n.local_queue, &n.scheduled);
+            (n.stopped, queues, heaps, tx, rx, n.pool_used, gen, &n.rng)
         }
-        write!(s, "|{:?} {:?}", self.arena, sorted(&self.gen_heap)).unwrap();
-        write!(s, " {:?} {}", self.rel, self.last_activity).unwrap();
-        if let Some(f) = self.faults.as_deref() {
-            write!(s, " {} {:?} {:?}", f.next_event, f.reconfig_due, f.host_ok).unwrap();
+        fn faults(f: Option<&FaultRuntime>) -> impl PartialEq + '_ {
+            f.map(|f| (f.next_event, f.reconfig_due, &f.host_ok))
         }
-        let m = &self.measure;
-        write!(
-            s,
-            " {} {:?} {:?} {:?}",
-            m.on, m.latency, m.total_latency, m.hist
-        )
-        .unwrap();
-        let tallies = (
-            m.delivered,
-            m.delivered_payload_flits,
-            m.generated,
-            m.itb_sum,
-        );
-        write!(s, " {tallies:?} {} {:?}", m.gen_stall_cycles, m.kernel).unwrap();
-        let mut h = Fnv1a::new();
-        h.write(s.as_bytes());
-        self.selector.hash_into(&mut h);
-        h.finish()
+        self.settle(self.cycle);
+        other.settle(other.cycle);
+        let (a, b) = (&*self, &*other);
+        a.cycle == b.cycle
+            && a.channels.control_state() == b.channels.control_state()
+            && a.channels.flits_in_flight(a.cycle) == b.channels.flits_in_flight(b.cycle)
+            && a.switches == b.switches
+            && a.nics.iter().map(nic).eq(b.nics.iter().map(nic))
+            && a.arena == b.arena
+            && sorted(&a.gen_heap) == sorted(&b.gen_heap)
+            && (&a.rel, a.last_activity) == (&b.rel, b.last_activity)
+            && faults(a.faults.as_deref()) == faults(b.faults.as_deref())
+            && a.measure == b.measure
+            && a.selector == b.selector
     }
 }
 
@@ -1012,7 +996,7 @@ mod tests {
         /// schemes and loads, half of them with a link that fails and is
         /// repaired under a re-map short enough to complete and drain.
         #[test]
-        fn engine_and_oracle_state_hash_agree_after_every_run(
+        fn engine_and_oracle_same_state_after_every_run(
             point in (
                 (4usize..9, 2usize..4, 1usize..3, 0u64..500),
                 0usize..3,
@@ -1045,13 +1029,125 @@ mod tests {
                 oracle.run(n);
                 proptest::prop_assert_eq!(engine.cycle, oracle.cycle);
                 engine.check_invariants();
-                proptest::prop_assert_eq!(
-                    engine.state_hash(),
-                    oracle.state_hash(),
+                proptest::prop_assert!(
+                    engine.same_state(&mut oracle),
                     "states diverged by cycle {}", engine.cycle
                 );
             }
         }
+    }
+
+    /// `same_state` reads every field family it names. Two identical
+    /// simulators, busy and mid-window with a fault plan armed: one value
+    /// changed in one of them makes them differ, and the same change in
+    /// the other makes them equal again. Both run the scan loop, which
+    /// streams nothing, so settling cannot undo a change.
+    #[test]
+    fn same_state_sees_a_change_in_every_field_family() {
+        let topo = build_ring4();
+        let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let link = topo.links().iter().find(|l| l.is_switch_link()).unwrap().id;
+        let start = || {
+            let mut sim = Simulator::new(&topo, &db, &pattern, small_cfg(), 0.1, 7);
+            sim.set_scheduler(Scheduler::Scan);
+            let plan = FaultPlan::single_link(link, 1_000_000);
+            sim.enable_faults(FaultOptions::with_plan(plan));
+            sim.run(300);
+            sim.begin_measurement();
+            sim.run(300);
+            sim
+        };
+        let (mut a, mut b) = (start(), start());
+        assert!(a.same_state(&mut b));
+        let empty = (0..a.channels.len() as u32).find(|&ci| !a.channels.has_data_in_flight(ci));
+        let empty = empty.expect("an idle channel");
+        let pid = a.nics.iter().find_map(|n| n.tx.map(|t| t.pid));
+        let pid = pid.expect("a packet in transmission");
+        let port = a.switches[0].active_ports[0] as usize;
+        // The next-generation times first agree on 0.0, so that the next
+        // change (to -0.0) differs only by bits.
+        for sim in [&mut a, &mut b] {
+            sim.nics[0].next_gen = 0.0;
+        }
+        let mut check = |what: &str, change: &dyn Fn(&mut Simulator<'_>)| {
+            change(&mut b);
+            assert!(!a.same_state(&mut b), "{what} is not compared");
+            change(&mut a);
+            assert!(a.same_state(&mut b), "{what}: equal again");
+        };
+        check("cycle", &|s| s.cycle += 1);
+        check("control state", &|s| s.channels.reset_busy());
+        check("flits in flight", &|s| {
+            let row = s.channels.row(s.cycle);
+            s.channels.send(row, empty, pid);
+        });
+        check("switch", &|s| {
+            let inp = s.switches[0].inp[port].as_mut().unwrap();
+            inp.stop_sent = !inp.stop_sent;
+        });
+        check("NIC stopped", &|s| s.nics[0].stopped ^= true);
+        check("NIC local queue", &|s| s.nics[0].local_queue.push_back(pid));
+        check("NIC reinject", &|s| {
+            s.nics[0].reinject.push(Reverse((9, pid)))
+        });
+        check("NIC retransmit", &|s| {
+            s.nics[0].retransmit.push(Reverse((9, pid)))
+        });
+        let (sent, total, reinjection) = (0, 1, true);
+        check("NIC tx", &|s| {
+            s.nics[0].tx = Some(crate::nic::TxState {
+                pid,
+                sent,
+                total,
+                reinjection,
+            })
+        });
+        let (received, expected, deliver) = (0, 1, true);
+        check("NIC rx", &|s| {
+            s.nics[0].rx = Some(crate::nic::RxState {
+                pid,
+                received,
+                expected,
+                deliver,
+            })
+        });
+        check("NIC pool", &|s| s.nics[0].pool_used += 1);
+        check("NIC next_gen", &|s| {
+            s.nics[0].next_gen = -s.nics[0].next_gen
+        });
+        check("NIC rng", &|s| {
+            s.nics[0].rng.gen::<u64>();
+        });
+        check("NIC scheduled", &|s| s.nics[0].scheduled.push_back((9, 1)));
+        check("arena", &|s| s.arena.get_mut(pid).retries += 1);
+        check("generation heap", &|s| s.gen_heap.push(Reverse((9, 0))));
+        check("reliability", &|s| s.rel.retransmissions += 1);
+        check("last activity", &|s| s.last_activity += 1);
+        check("fault next event", &|s| {
+            s.faults.as_mut().unwrap().next_event += 1
+        });
+        check("fault reconfig due", &|s| {
+            let f = s.faults.as_mut().unwrap();
+            f.reconfig_due = Some(f.reconfig_due.map_or(9, |c| c + 1));
+        });
+        check("fault host_ok", &|s| {
+            s.faults.as_mut().unwrap().host_ok[0] ^= true
+        });
+        check("measure on", &|s| s.measure.on ^= true);
+        check("latency", &|s| s.measure.latency.push(1.0));
+        check("total latency", &|s| s.measure.total_latency.push(1.0));
+        check("histogram", &|s| s.measure.hist.record(1));
+        check("delivered", &|s| s.measure.delivered += 1);
+        check("payload", &|s| s.measure.delivered_payload_flits += 1);
+        check("generated", &|s| s.measure.generated += 1);
+        check("itb sum", &|s| s.measure.itb_sum += 1);
+        check("generation stalls", &|s| s.measure.gen_stall_cycles += 1);
+        check("kernel tallies", &|s| s.measure.kernel.itb_overflows += 1);
+        check("selector", &|s| {
+            let (db, topo) = (s.db, s.topo);
+            db.select(topo, HostId(0), HostId(5), &mut s.selector);
+        });
     }
 
     /// Three switches in a line, one host each: worms from either end
@@ -1125,9 +1221,8 @@ mod tests {
                     }
                 }
                 engine.check_invariants();
-                proptest::prop_assert_eq!(
-                    engine.state_hash(),
-                    oracle.state_hash(),
+                proptest::prop_assert!(
+                    engine.same_state(&mut oracle),
                     "diverged in cycle {}:\n{}\n{}", cycle, engine.dump_state(), oracle.dump_state()
                 );
             }
@@ -1199,11 +1294,13 @@ mod tests {
             self.oracle.run(1);
             self.engine.check_invariants();
             let cycle = self.engine.cycle;
-            let (e, o) = (self.engine.state_hash(), self.oracle.state_hash());
-            assert_eq!(e, o, "diverged by cycle {cycle}");
+            assert!(
+                self.engine.same_state(&mut self.oracle),
+                "diverged by cycle {cycle}"
+            );
         }
 
-        /// Step one cycle with the state hash read only afterwards (it
+        /// Step one cycle with the states compared only afterwards (that
         /// settles every run); returns the runs into h1 and h3 as they
         /// were before and after the step, and what the engine counted.
         fn step_watched(&mut self) -> ([Option<Stream>; 2], [Option<Stream>; 2], EngineCounts) {
@@ -1220,7 +1317,7 @@ mod tests {
                 ..EngineCounts::default()
             };
             self.engine.check_invariants();
-            assert_eq!(self.engine.state_hash(), self.oracle.state_hash());
+            assert!(self.engine.same_state(&mut self.oracle));
             (before, after, delta)
         }
 
@@ -1391,7 +1488,7 @@ mod tests {
                 }
             }
             engine.check_invariants();
-            assert_eq!(engine.state_hash(), oracle.state_hash(), "cycle {cycle}");
+            assert!(engine.same_state(&mut oracle), "cycle {cycle}");
         }
         let (e, o) = (engine.end_measurement(6_000), oracle.end_measurement(6_000));
         assert_eq!(e, o);

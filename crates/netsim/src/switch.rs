@@ -40,7 +40,7 @@ impl InPkt {
 /// behind it (a channel carries one packet's flits back to back), so
 /// neither a continuation flit's arrival nor a crossbar transfer touches
 /// the out-of-line buffer.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct PortQueue {
     head: Option<InPkt>,
     rest: VecDeque<InPkt>,
@@ -119,7 +119,7 @@ pub(crate) enum HeadState {
 /// One switch input port: slack buffer + routing control unit. The queue
 /// and the head's routing state are private: they change only through the
 /// [`SwitchState`] transitions, which keep the port bitmasks in step.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct InPort {
     /// Channel whose flits arrive here (index into the simulator's channel
     /// table); stop/go symbols are sent back on it.
@@ -210,7 +210,7 @@ impl InPort {
 }
 
 /// One switch output port.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct OutPort {
     /// Channel this port drives.
     pub out_chan: u32,
@@ -288,7 +288,7 @@ fn rr_grant(want: u64, rr: u8) -> Option<u8> {
 ///
 /// An output that is both connected and stopped has no work: it neither
 /// arbitrates nor transfers until GO.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct SwitchState {
     /// Indexed by port; `None` where nothing is connected.
     pub inp: Vec<Option<InPort>>,

@@ -265,13 +265,14 @@ pub(crate) fn assert_equivalent_observed(build: fn() -> Topology, scheme: Routin
 }
 
 /// Lockstep obligation, with a bisector: the engine and the scan oracle
-/// run side by side from the same start, and their
-/// [`Simulator::state_hash`]es are compared every `every` cycles over
-/// `cycles`. On a mismatch the bisector replays fresh pairs from the
-/// start, halving the span between the last equal checkpoint and the
-/// first unequal one down to one cycle; the panic names that cycle and
-/// prints the lines of the two settled `dump_state`s that differ, then
-/// both dumps. Returns the engine's reliability stats and counters.
+/// run side by side from the same start, and their settled states are
+/// compared field for field ([`Simulator::same_state`]) every `every`
+/// cycles over `cycles`. On a mismatch the bisector replays fresh pairs
+/// from the start, halving the span between the last equal checkpoint
+/// and the first unequal one down to one cycle; the panic names that
+/// cycle and prints the lines of the two settled `dump_state`s that
+/// differ, then both dumps. Returns the engine's reliability stats and
+/// counters.
 pub(crate) fn assert_lockstep(
     topo: &Topology,
     scheme: RoutingScheme,
@@ -330,7 +331,7 @@ fn lockstep(
         let n = every.min(cycles - equal);
         engine.run(n);
         oracle.run(n);
-        if engine.state_hash() == oracle.state_hash() {
+        if engine.same_state(&mut oracle) {
             equal += n;
             continue;
         }
@@ -338,7 +339,7 @@ fn lockstep(
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
             let (mut e, mut o) = pair_at(mid);
-            if e.state_hash() == o.state_hash() {
+            if e.same_state(&mut o) {
                 lo = mid;
             } else {
                 hi = mid;
