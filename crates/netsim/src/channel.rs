@@ -7,7 +7,8 @@
 //! and control symbol arriving at `c`, an occupancy bit per channel and a
 //! summary bit per non-empty occupancy word. A write sets slot and bit in
 //! one call. The engine walks a row's bits in ascending channel order, the
-//! scan oracle's order; the time skip reads one count.
+//! scan oracle's order; the time skip reads the summary words of the rows
+//! ahead, for the cycle of the next arrival ([`Channels::next_arrival`]).
 //!
 //! A channel may also carry a [`Stream`]: one packet's flits sent on
 //! consecutive cycles by a sender the engine does not visit meanwhile (a
@@ -178,6 +179,18 @@ impl<T: Slot> Lane<T> {
         }
     }
 
+    /// Does a slot of `row` hold something? One summary word up to 4,096
+    /// channels.
+    #[inline]
+    fn row_full(&self, row: usize) -> bool {
+        if self.sums == 1 {
+            self.summary[row] != 0
+        } else {
+            let sums = &self.summary[row * self.sums..(row + 1) * self.sums];
+            sums.iter().any(|&s| s != 0)
+        }
+    }
+
     /// Write `v` into channel `ci`'s slot of `row`; returns what it held.
     #[inline]
     fn put(&mut self, row: usize, ci: u32, v: T) -> T {
@@ -319,10 +332,18 @@ impl Channels {
     }
 
     /// The row `cycle`'s arrivals are read from and its sends written to.
+    /// A mask, not a division, for the Myrinet delay of 8.
     #[inline]
     pub(crate) fn row(&self, cycle: u64) -> Row {
-        let idx = (cycle % self.delay) as usize;
-        Row { cycle, idx }
+        let idx = if self.delay.is_power_of_two() {
+            cycle & (self.delay - 1)
+        } else {
+            cycle % self.delay
+        };
+        Row {
+            cycle,
+            idx: idx as usize,
+        }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -415,6 +436,29 @@ impl Channels {
     /// slot has work".
     pub(crate) fn in_flight(&self) -> usize {
         self.data.set + self.ctl.set
+    }
+
+    /// The first cycle from `cycle` on at which a data flit or a control
+    /// symbol arrives from a slot; `u64::MAX` if no slot is full. Row
+    /// `(cycle + k) % delay` holds the arrivals of `cycle + k` for `k <
+    /// delay`, so the rows before the one found are empty. A run's flits
+    /// hold no slot and do not count. The time skip asks before every
+    /// step, so `cycle`'s own row is read first. Call it between steps: a row walk in progress has cleared summary
+    /// bits of flits it has not handed out yet.
+    #[inline]
+    pub(crate) fn next_arrival(&self, cycle: u64) -> u64 {
+        let full = |r: usize| self.data.row_full(r) || self.ctl.row_full(r);
+        let (rows, mut r) = (self.delay as usize, self.row(cycle).idx);
+        if full(r) {
+            return cycle;
+        }
+        for k in 1..self.delay {
+            r = if r + 1 == rows { 0 } else { r + 1 };
+            if full(r) {
+                return cycle + k;
+            }
+        }
+        u64::MAX
     }
 
     /// Does any slot hold a flit or a symbol, or any channel carry a run?
@@ -985,6 +1029,18 @@ pub(crate) mod tests {
             }
         }
 
+        /// The first cycle from `cycle` on with a flit or symbol arriving.
+        fn next_arrival(&self, cycle: u64) -> u64 {
+            let full = |k: u64| {
+                let s = ((cycle + k) % self.delay) as usize;
+                let full = |r: &Ring| r.data[s] != NO_PACKET || r.ctl[s] != CTL_NONE;
+                self.rings.iter().any(full)
+            };
+            (0..self.delay)
+                .find(|&k| full(k))
+                .map_or(u64::MAX, |k| cycle + k)
+        }
+
         fn in_flight(&self) -> usize {
             let full = |r: &Ring| {
                 let data = r.data.iter().filter(|&&v| v != NO_PACKET).count();
@@ -1013,8 +1069,9 @@ pub(crate) mod tests {
         /// take, a control rewrite as a purge makes it), then both rows
         /// drained by the engine's walk or the scan's takes, then sends
         /// (data, control, same-cycle supersedes). Table and rings must
-        /// agree on every arrival, victim list and busy count, and the
-        /// table's count on whether anything is in flight.
+        /// agree on every arrival, victim list and busy count, the table's
+        /// count on whether anything is in flight, and the cycle of the
+        /// next arrival before the walks and after the sends.
         #[test]
         fn table_matches_per_channel_rings(
             n in 1usize..9_001,
@@ -1051,6 +1108,7 @@ pub(crate) mod tests {
                     }
                     _ => {}
                 }
+                prop_assert_eq!(t.next_arrival(cycle), m.next_arrival(cycle));
                 let want_ctl: Vec<(u32, u8)> = (0..n as u32)
                     .map(|ci| (ci, m.take_ctl(cycle, ci)))
                     .filter(|&(_, s)| s != CTL_NONE)
@@ -1084,6 +1142,8 @@ pub(crate) mod tests {
                 let in_flight = m.in_flight();
                 prop_assert_eq!(t.in_flight(), in_flight, "cycle {}", cycle);
                 prop_assert_eq!(t.any_slot_full(), in_flight > 0);
+                let next = m.next_arrival(cycle + 1);
+                prop_assert_eq!(t.next_arrival(cycle + 1), next, "cycle {}", cycle);
             }
             let busy: Vec<u64> = m.rings.iter().map(|r| r.busy).collect();
             prop_assert_eq!(t.busy(), &busy[..]);

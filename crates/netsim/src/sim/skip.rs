@@ -5,22 +5,26 @@
 //! per idle cycle: at very low load, or while a fault-recovery stall
 //! empties the network, that is millions of them. So `run` and
 //! `run_until_drained` take the classic discrete-event shortcut over the
-//! engine's own wake state: whenever no slot of the channel table is full
-//! and no switch or NIC is listed — runs or not — they compute the
-//! earliest future cycle that can possibly have work and jump the clock
-//! straight to it. The `Scan` oracle has no wake state and never skips.
+//! engine's own wake state: whenever no switch or NIC is listed and no
+//! flit or control symbol lands in the current cycle's row — runs and
+//! cables in flight or not — they compute the earliest future cycle that
+//! can possibly have work and jump the clock straight to it. The `Scan`
+//! oracle has no wake state and never skips.
 //!
 //! # Why a skip is effect-free
 //!
 //! Such a cycle executes seven phases that touch nothing: the
-//! control/arrival phases walk empty rows, the switch/NIC phases walk
+//! control/arrival phases walk empty rows (the rows between now and the
+//! next arrival, source 7 below, hold nothing), the switch/NIC phases walk
 //! empty bitsets, and calendar, generation, fault and observer work only
-//! happens at cycles this module treats as *time sources* (below). A
-//! steady run moves one flit per cycle until its sender's next event, a
-//! calendar entry, and what it moves is counted into the component state
-//! only when read (`Simulator::settle`), stepped or not. Jumping over such
-//! cycles therefore leaves every piece of simulator state — packet arena,
-//! RNGs, counters, digests, journal — exactly as the tick-every-cycle loop
+//! happens at cycles this module treats as *time sources* (below). A flit
+//! or symbol on a cable is written into the row of its arrival cycle when
+//! sent, so it waits there untouched until that cycle. A steady run moves
+//! one flit per cycle until its sender's next event, a calendar entry, and
+//! what it moves is counted into the component state only when read
+//! (`Simulator::settle`), stepped or not. Jumping over such cycles
+//! therefore leaves every piece of simulator state — packet arena, RNGs,
+//! counters, digests, journal — exactly as the tick-every-cycle loop
 //! would, with two deliberate compensations:
 //!
 //! * `reconfig_stall_cycles` ticks once per cycle while a
@@ -30,12 +34,13 @@
 //! * `gen_stall_cycles` needs no compensation: a stalled host is due
 //!   again the next cycle, so `gen_due` blocks skipping entirely. Its NIC
 //!   is busy too: listed, or asleep under STOP, which implies a packet
-//!   resident at its switch (an active switch) or a GO in flight.
+//!   resident at its switch (an active switch) or a GO in flight, whose
+//!   arrival bounds the jump.
 //!
 //! # Time sources
 //!
 //! The jump target is the minimum over every mechanism that can create
-//! work at a future cycle without a flit arriving from a slot:
+//! work at a future cycle:
 //!
 //! 1. the wake-up calendar (a run's next event, a routing delay, a
 //!    re-injection or retransmission becoming eligible) —
@@ -57,7 +62,12 @@
 //!    otherwise), so a stall inside a skipped region still panics at the
 //!    same cycle;
 //! 6. the caller's run limit (`run(cycles)` boundaries are exact, so
-//!    `begin`/`end_measurement` land on identical cycles).
+//!    `begin`/`end_measurement` land on identical cycles);
+//! 7. the next arrival from a slot: the first cycle whose row of the
+//!    channel table holds a data flit or a control symbol
+//!    ([`Channels::next_arrival`](crate::channel::Channels::next_arrival)).
+//!    A flit sent at `c` lands at `c + delay`, so a worm's crossing of a
+//!    cable outside a run costs its two ends' steps, not `delay` of them.
 //!
 //! Skipping happens at the top of `run`/`run_until_drained` — never
 //! inside `step` — and the skip telemetry (`skipped_cycles`, the
@@ -66,9 +76,10 @@
 //! `tests/proptest_timeskip.rs` checks every jump against a
 //! tick-every-cycle `Scan` twin (its raw-state predicate
 //! [`Simulator::cycle_has_pending_work`], or its journal, counters and
-//! state hash where work was deferred across the jump), and the shared
-//! harness in `tests/common/` enforces bit-identical results on every
-//! paper topology.
+//! state, field for field, at both ends where work was deferred across
+//! the jump: a run streamed, a switch waited or a slot was full), and the
+//! shared harness in `tests/common/` enforces bit-identical results on
+//! every paper topology.
 
 use super::Simulator;
 
@@ -86,29 +97,42 @@ impl Simulator<'_> {
 
     /// The jumps recorded since [`enable_skip_log`](Simulator::enable_skip_log):
     /// `(from, to, busy)` means cycles `from..to` were skipped, `busy` that
-    /// work was deferred across them (a run streamed or a switch held a
-    /// packet, say in its routing delay).
+    /// work was deferred across them: a run streamed, a switch held a
+    /// packet (say in its routing delay), or a flit or control symbol was
+    /// in flight on a cable, to land at `to` or later.
     pub fn skip_log(&self) -> &[(u64, u64, bool)] {
         self.skip_log.as_deref().unwrap_or(&[])
     }
 
-    /// If no slot is full and nothing is listed at the current cycle, jump
+    /// Flits and control symbols in the slots of the channel table; a
+    /// run's flits hold none. A jump that starts with one in a slot is
+    /// logged busy ([`skip_log`](Simulator::skip_log)). Test
+    /// instrumentation.
+    #[doc(hidden)]
+    pub fn slots_full(&self) -> usize {
+        self.channels.in_flight()
+    }
+
+    /// If nothing is listed and nothing lands at the current cycle, jump
     /// the clock to the earliest future cycle that can have work, clamped
     /// to `limit`. No-op unless the target lies ahead.
     pub(crate) fn try_time_skip(&mut self, limit: u64) {
         let Some(sc) = self.sched.as_deref_mut() else {
             return;
         };
-        // O(1) gate: any flit or control symbol in a slot has its
-        // occupancy bit set, and any switch or NIC with work now that no
-        // run covers is listed. Wake-ups already due but not yet drained
-        // are covered by `next_wake` clamping the target to "now".
-        if self.channels.in_flight() > 0 || !sc.nothing_listed() {
+        // O(1) gate: a flit or control symbol landing now is in the
+        // current row, and any switch or NIC with work now that no run
+        // covers is listed. The row goes first: on a saturated network
+        // most cycles fail there, and it costs a summary word per lane.
+        // Wake-ups already due but not yet drained are covered by
+        // `next_wake` clamping the target to "now".
+        let c = self.cycle;
+        let slot = self.channels.next_arrival(c);
+        if slot <= c || !sc.nothing_listed() {
             return;
         }
-        let c = self.cycle;
         let wake = sc.next_wake().unwrap_or(u64::MAX);
-        let t = wake.min(self.next_cycle_with_work()).min(limit);
+        let t = wake.min(slot).min(self.next_cycle_with_work()).min(limit);
         if t <= c {
             return;
         }
@@ -124,7 +148,8 @@ impl Simulator<'_> {
         }
         if let Some(log) = &mut self.skip_log {
             let held = self.switches.iter().any(|sw| !sw.is_quiescent());
-            log.push((c, t, held || self.channels.streams() > 0));
+            let moving = self.channels.streams() > 0 || self.channels.in_flight() > 0;
+            log.push((c, t, held || moving));
         }
         self.cycle = t;
     }
@@ -164,7 +189,9 @@ impl Simulator<'_> {
     /// `tests/proptest_timeskip.rs` to cross-check the quiescence
     /// predicate on a tick-every-cycle twin: no cycle inside a span
     /// skipped with no work deferred (the skip log's `busy`) may satisfy
-    /// this. A run's flits and a switch's routing delay count as work.
+    /// this. A run's flits, a flit or symbol in flight in a slot and a
+    /// switch's routing delay count as work: each is work deferred to a
+    /// later cycle, a time source of the skip.
     ///
     /// "Work" means an effect observable in results: flits or control
     /// symbols in flight, busy switches, NICs with something to send,
@@ -172,7 +199,7 @@ impl Simulator<'_> {
     /// reconfiguration due, a telemetry flush due, or a watchdog trip.
     /// A NIC whose worm STOP holds counts as work although the engine lets
     /// it sleep: STOP implies a packet resident at its switch or a GO in
-    /// flight, either of which blocks the skip.
+    /// flight, either of which marks a skip over it busy.
     /// A NIC frozen by a pending reconfiguration (`Nic::frozen`) is
     /// excluded, as the stall tick is: its visit is a no-op until the
     /// tables land, and the completion cycle is itself a time source and
@@ -226,5 +253,64 @@ impl Simulator<'_> {
             return true;
         }
         false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{build_ring4, small_cfg};
+    use super::Simulator;
+    use crate::sched::Scheduler;
+    use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme};
+    use regnet_topology::HostId;
+    use regnet_traffic::{Pattern, PatternSpec};
+
+    /// One worm on an idle ring: its header crosses each cable with
+    /// nothing listed, the NIC or the switch behind it streaming the rest
+    /// as a run. Every jump that starts with a flit or a stop/go symbol in
+    /// a slot is logged busy and ends no later than that arrival, and some
+    /// end exactly there. The run drains on the scan oracle's cycle, with
+    /// its results and state.
+    #[test]
+    fn a_worm_crossing_a_cable_with_nothing_listed_is_jumped() {
+        let topo = build_ring4();
+        let db = RouteDb::build(&topo, RoutingScheme::UpDown, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let scripted = |scheduler: Scheduler| {
+            let mut sim = Simulator::new(&topo, &db, &pattern, small_cfg(), 1e-9, 1);
+            sim.set_scheduler(scheduler);
+            sim.enable_skip_log();
+            sim.schedule_message(HostId(0), HostId(5), 100);
+            sim.begin_measurement();
+            sim
+        };
+        let mut scan = scripted(Scheduler::Scan);
+        let drained = scan.run_until_drained(100_000).expect("drains");
+        let mut engine = scripted(Scheduler::default());
+        assert_eq!(engine.run_until_drained(100_000), Some(drained));
+        assert!(engine.same_state(&mut scan));
+        assert_eq!(
+            engine.end_measurement(drained),
+            scan.end_measurement(drained)
+        );
+        let (mut over_slots, mut to_arrival) = (0, 0);
+        for &(from, to, busy) in engine.skip_log() {
+            let mut sim = scripted(Scheduler::default());
+            sim.run(from);
+            if sim.slots_full() > 0 {
+                let arrival = sim.channels.next_arrival(from);
+                assert!(busy, "({from}, {to}) is not logged busy");
+                assert!(
+                    to <= arrival,
+                    "({from}, {to}) jumps an arrival at {arrival}"
+                );
+                over_slots += 1;
+                to_arrival += usize::from(to == arrival);
+            }
+        }
+        assert!(
+            to_arrival > 0,
+            "{over_slots} jumps over slots, none to the arrival"
+        );
     }
 }

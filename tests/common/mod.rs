@@ -267,12 +267,14 @@ pub(crate) fn assert_equivalent_observed(build: fn() -> Topology, scheme: Routin
 /// Lockstep obligation, with a bisector: the engine and the scan oracle
 /// run side by side from the same start, and their settled states are
 /// compared field for field ([`Simulator::same_state`]) every `every`
-/// cycles over `cycles`. On a mismatch the bisector replays fresh pairs
-/// from the start, halving the span between the last equal checkpoint
-/// and the first unequal one down to one cycle; the panic names that
-/// cycle and prints the lines of the two settled `dump_state`s that
-/// differ, then both dumps. Returns the engine's reliability stats and
-/// counters.
+/// cycles over `cycles`. Each check settles the engine's runs and `run`
+/// stops at each checkpoint, so a pair checked often is not the engine
+/// production runs: after the checkpoints, a fresh pair run unchecked to
+/// `cycles` is compared too. On a mismatch the bisector replays fresh
+/// unchecked pairs from cycle 0, halving the span down to one cycle; the
+/// panic names that cycle and prints the lines of the two settled
+/// `dump_state`s that differ, then both dumps. Returns the engine's
+/// reliability stats and counters.
 pub(crate) fn assert_lockstep(
     topo: &Topology,
     scheme: RoutingScheme,
@@ -318,24 +320,25 @@ fn lockstep(
         }
         sim
     };
-    // Both loops after `n` cycles, fresh from the start.
+    // Both loops after `n` cycles, fresh from the start and unchecked on
+    // the way.
     let pair_at = |n: u64| {
         let (mut engine, mut oracle) = (start(Scheduler::default()), start(reference()));
         engine.run(n);
         oracle.run(n);
         (engine, oracle)
     };
-    let (mut engine, mut oracle) = (start(Scheduler::default()), start(reference()));
-    let mut equal = 0;
-    while equal < cycles {
-        let n = every.min(cycles - equal);
-        engine.run(n);
-        oracle.run(n);
-        if engine.same_state(&mut oracle) {
-            equal += n;
-            continue;
-        }
-        let (mut lo, mut hi) = (equal, equal + n);
+    // The states differ after `hi` cycles: name the first cycle a fresh
+    // pair diverges in and panic.
+    let diverged = |hi: u64| -> ! {
+        let (mut e, mut o) = pair_at(hi);
+        assert!(
+            !e.same_state(&mut o),
+            "{} {scheme:?}: engine and oracle differ after {hi} cycles only when \
+             checked every {every} cycles on the way",
+            topo.name()
+        );
+        let (mut lo, mut hi) = (0, hi);
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
             let (mut e, mut o) = pair_at(mid);
@@ -359,6 +362,21 @@ fn lockstep(
             only(&e, &o).join("\n"),
             only(&o, &e).join("\n"),
         );
+    };
+    let (mut engine, mut oracle) = (start(Scheduler::default()), start(reference()));
+    let mut equal = 0;
+    while equal < cycles {
+        let n = every.min(cycles - equal);
+        engine.run(n);
+        oracle.run(n);
+        if !engine.same_state(&mut oracle) {
+            diverged(equal + n);
+        }
+        equal += n;
+    }
+    let (mut e, mut o) = pair_at(cycles);
+    if !e.same_state(&mut o) {
+        diverged(cycles);
     }
     if recorders {
         let chrome = |sim: &Simulator| sim.journal().expect("journal armed").to_chrome().to_json();

@@ -7,15 +7,17 @@
 //! * a span with no work deferred must be idle by the raw-state predicate
 //!   `Simulator::cycle_has_pending_work` (independent of the engine's
 //!   bookkeeping) on every cycle;
-//! * a span the log marks busy — a steady run streamed across it, or a
+//! * a span the log marks busy — a steady run streamed across it, a
 //!   switch held a packet, waiting for a wake-up such as its routing
-//!   delay — has what that predicate counts as work, so there the twin
+//!   delay, or a flit or stop/go symbol was on a cable, landing at the
+//!   jump's end or later — has what that predicate counts as work, so there the twin
 //!   must record no journal event and move no counter but the two a run
 //!   moves (`flits_forwarded`, `flits_injected`), and a second engine,
 //!   stopped at both ends of the jump, must hold the twin's settled state,
 //!   field for field (`Simulator::same_state`).
 //!
-//! All runs end in bit-identical results.
+//! All runs end in bit-identical results. Each family must have jumped a
+//! span with a slot full in at least one case.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -84,13 +86,21 @@ fn meet(
     Ok((counters, twin.journal().expect("journal armed").recorded()))
 }
 
+/// What one case jumped, besides the spans every case has.
+struct Jumped {
+    /// Skipped cycles inside a reconfiguration stall.
+    in_stall: u64,
+    /// Jumps that started with a flit or symbol in a slot of the engine's
+    /// channel table.
+    over_slots: u64,
+}
+
 /// One case: the engine's skip log is well-formed, every span it skipped
 /// holds on the scan twin (module docs), and all runs end bit-identical.
-/// Returns how many skipped cycles lay inside a reconfiguration stall.
 fn check_case(
     (topo, scheme, payload, load, seed, faulty): Setup,
     reconfig_latency_cycles: u64,
-) -> Result<u64, TestCaseError> {
+) -> Result<Jumped, TestCaseError> {
     let db = RouteDb::build(&topo, scheme, &RouteDbConfig::default());
     let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
     let mk_cfg = || SimConfig {
@@ -142,6 +152,7 @@ fn check_case(
     let mut lockstep = armed(Scheduler::default());
     let mut li = 0usize;
     let mut in_stall = 0u64;
+    let mut over_slots = 0u64;
     let mut at_jump = None;
     while tw.cycle() < RUN_CYCLES {
         let c = tw.cycle();
@@ -156,7 +167,10 @@ fn check_case(
                 c,
                 log[li]
             ),
-            Some((from, _, true)) if from == c => at_jump = Some(meet(&mut lockstep, &mut tw)?),
+            Some((from, _, true)) if from == c => {
+                at_jump = Some(meet(&mut lockstep, &mut tw)?);
+                over_slots += u64::from(lockstep.slots_full() > 0);
+            }
             _ => {}
         }
         let stalled = tw.reliability().reconfig_stall_cycles;
@@ -189,16 +203,27 @@ fn check_case(
     lockstep.run(RUN_CYCLES - lockstep.cycle());
     prop_assert_eq!(lockstep.skip_log(), &log[..]);
     prop_assert_eq!(lockstep.end_measurement(RUN_CYCLES), s_ev);
-    Ok(in_stall)
+    Ok(Jumped {
+        in_stall,
+        over_slots,
+    })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn skipped_spans_never_overshoot(setup in arb_setup()) {
-        check_case(setup, SimConfig::default().reconfig_latency_cycles)?;
+/// The random family: 16 cases of `arb_setup`, at least one of which
+/// jumped a span with a slot full (a flit or a stop/go symbol crossing a
+/// cable while nothing was listed).
+#[test]
+fn skipped_spans_never_overshoot() {
+    let mut rng = TestRng::for_test("proptest_timeskip::skipped_spans_never_overshoot");
+    let (cases, mut slot_cases) = (16, 0);
+    for case in 0..cases {
+        let setup = arb_setup().generate(&mut rng);
+        match check_case(setup, SimConfig::default().reconfig_latency_cycles) {
+            Ok(jumped) => slot_cases += usize::from(jumped.over_slots > 0),
+            Err(e) => panic!("[case {}/{cases}] {e}", case + 1),
+        }
     }
+    assert!(slot_cases > 0, "no case jumped a span with a slot full");
 }
 
 /// The faulted family: a latency of 3,000–8,000 cycles lets the re-map
@@ -206,17 +231,21 @@ proptest! {
 /// complete inside the run and the network drain before it ends, so the
 /// engine's sources sleep through the stalls and the skip jumps them. The
 /// oracle check above then covers skips inside a stall and the completion
-/// wake; at least one case must have jumped inside one.
+/// wake; at least one case must have jumped inside one, and at least one
+/// a span with a slot full.
 #[test]
 fn skips_inside_reconfiguration_stalls_never_overshoot() {
     let strategy = (arb_setup(), 3_000u64..8_001);
     let mut rng = TestRng::for_test("skips_inside_reconfiguration_stalls_never_overshoot");
-    let (cases, mut stalled_cases) = (12, 0);
+    let (cases, mut stalled_cases, mut slot_cases) = (12, 0, 0);
     for case in 0..cases {
         let ((topo, scheme, payload, load, seed, _), latency) = strategy.generate(&mut rng);
         let setup = (topo, scheme, payload, load, seed, true);
         match check_case(setup, latency) {
-            Ok(in_stall) => stalled_cases += usize::from(in_stall > 0),
+            Ok(jumped) => {
+                stalled_cases += usize::from(jumped.in_stall > 0);
+                slot_cases += usize::from(jumped.over_slots > 0);
+            }
             Err(e) => panic!("[case {}/{cases}, latency {latency}] {e}", case + 1),
         }
     }
@@ -224,4 +253,5 @@ fn skips_inside_reconfiguration_stalls_never_overshoot() {
         stalled_cases > 0,
         "no case jumped inside a reconfiguration stall"
     );
+    assert!(slot_cases > 0, "no case jumped a span with a slot full");
 }

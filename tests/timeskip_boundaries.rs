@@ -164,11 +164,12 @@ fn drain_cycle_identical_across_schedulers() {
 }
 
 /// A worm crossing an otherwise idle network is streamed, and the time
-/// skip jumps every cycle in which only its run moves: one 512-flit
-/// message from host 0 to host 399 across CPLANT, scheduled at cycle
-/// 1,000, drains at 1,618 under every scheme, the cycle the `Scan`
-/// oracle drains on, and is stepped on a few dozen of those cycles (74;
-/// 619 while a run held the skip off).
+/// skip jumps every cycle in which only its run moves or its flits fly
+/// down a cable: one 512-flit message from host 0 to host 399 across
+/// CPLANT, scheduled at cycle 1,000, drains at 1,618 under every scheme,
+/// the cycle the `Scan` oracle drains on, and is stepped on a handful of
+/// those cycles (18; 74 while a full slot held the skip off, 619 while a
+/// run did).
 #[test]
 fn a_lone_worm_is_jumped_not_stepped() {
     let topo = gen::cplant().unwrap();
@@ -191,16 +192,14 @@ fn a_lone_worm_is_jumped_not_stepped() {
         let (d, stepped) = drain(Scheduler::default());
         assert_eq!(d, d_scan, "{scheme:?}: drain cycle diverged");
         assert_eq!(stepped_scan, d_scan, "the oracle steps every cycle");
-        assert!(
-            stepped <= 100,
-            "{scheme:?}: {stepped} of {d} cycles stepped"
-        );
+        assert!(stepped <= 25, "{scheme:?}: {stepped} of {d} cycles stepped");
     }
 }
 
 /// The benchmark's nearly idle point (CPLANT, ITB-SP, 0.001 flits/ns per
-/// switch, seed 8) spends most of its cycles with worms streaming across
-/// an empty network; the time skip jumps at least 90 % of them.
+/// switch, seed 8) spends most of its cycles with worms streaming and
+/// flying across an empty network; the time skip jumps at least 98 % of
+/// them (0.987; 0.946 while a full slot held the skip off).
 #[test]
 fn low_load_cplant_jumps_nine_cycles_in_ten() {
     let topo = gen::cplant().unwrap();
@@ -209,5 +208,5 @@ fn low_load_cplant_jumps_nine_cycles_in_ten() {
     let mut sim = Simulator::new(&topo, &db, &pattern, SimConfig::default(), 0.001, 8);
     sim.run(400_000);
     let ratio = sim.skipped_cycles() as f64 / 400_000.0;
-    assert!(ratio >= 0.9, "skipped {ratio:.3} of 400,000 cycles");
+    assert!(ratio >= 0.98, "skipped {ratio:.3} of 400,000 cycles");
 }
