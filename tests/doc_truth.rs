@@ -5,6 +5,9 @@
 //! `FIGURES` table of `crates/bench/src/experiments.rs`, and every `--flag`
 //! written after a bench binary's name must be one that binary parses.
 //!
+//! The perf ledger, `BENCH_history.json`, must hold entries that say
+//! where they were measured and cover every benchmark workload.
+//!
 //! Text only — nothing is built or simulated. What counts as a path: a
 //! word with a `/` whose first component is a top-level entry or a crate
 //! directory (`netsim/src/kernel.rs` is read as under `crates/`), or a
@@ -15,6 +18,8 @@
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+
+use regnet_metrics::JsonValue;
 
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 
@@ -211,4 +216,81 @@ fn documents_name_only_what_exists() {
         lies.len(),
         lies.join("\n")
     );
+}
+
+/// What a ledger entry's manifest must name: the host, both revisions and
+/// how the pairs were run.
+const MANIFEST: [&str; 8] = [
+    "nproc",
+    "cpu",
+    "rustc",
+    "parent_rev",
+    "change_rev",
+    "seeds",
+    "seconds",
+    "pairs",
+];
+
+/// Every entry of `BENCH_history.json` has a manifest and reports each
+/// workload `BENCHMARK.json` lists on each of its end-to-end metrics: the
+/// parent's and the change's median with quartiles, their ratio, the
+/// pairs run (at least the manifest's `pairs`) and the pairs the change
+/// won.
+#[test]
+fn bench_history_entries_have_a_manifest_and_every_workload() {
+    let parse = |rel: &str| JsonValue::parse(&read(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
+    let bench = parse("BENCHMARK.json");
+    let names = |key: &str| -> Vec<String> {
+        let list = bench.get(key).and_then(JsonValue::as_array);
+        let list = list.unwrap_or_else(|| panic!("BENCHMARK.json has no {key:?} list"));
+        let name = |v: &JsonValue| {
+            v.get("name")
+                .and_then(JsonValue::as_str)
+                .map(str::to_string)
+        };
+        list.iter()
+            .map(|v| name(v).expect("a named entry"))
+            .collect()
+    };
+    let (workloads, metrics) = (names("workloads"), names("end_to_end"));
+    assert_eq!(workloads.len(), 5, "{workloads:?}");
+    let history = parse("BENCH_history.json");
+    let entries = history.get("entries").and_then(JsonValue::as_array);
+    let entries = entries.expect("BENCH_history.json has no \"entries\" list");
+    assert!(!entries.is_empty(), "BENCH_history.json has no entry");
+    for (i, entry) in entries.iter().enumerate() {
+        let at = |what: String| format!("BENCH_history.json entry {i}: {what}");
+        let manifest = entry.get("manifest").and_then(JsonValue::as_object);
+        let manifest = manifest.unwrap_or_else(|| panic!("{}", at("no manifest".into())));
+        for key in MANIFEST {
+            let named = manifest.iter().any(|(k, _)| k == key);
+            assert!(named, "{}", at(format!("the manifest names no {key:?}")));
+        }
+        let pairs = entry.get("manifest").and_then(|m| m.get("pairs"));
+        let pairs = pairs.and_then(JsonValue::as_u64).filter(|&n| n > 0);
+        let pairs = pairs.unwrap_or_else(|| panic!("{}", at("no pair count".into())));
+        let rows = entry.get("workloads");
+        for w in &workloads {
+            let row = rows.and_then(|r| r.get(w));
+            let row = row.unwrap_or_else(|| panic!("{}", at(format!("no workload {w:?}"))));
+            for m in &metrics {
+                let cell = row.get(m);
+                let cell = cell.unwrap_or_else(|| panic!("{}", at(format!("{w}: no {m:?}"))));
+                for side in ["parent", "change"] {
+                    for q in ["median", "q1", "q3"] {
+                        let v = cell.get(side).and_then(|s| s.get(q));
+                        let ok = v.and_then(JsonValue::as_f64).is_some();
+                        assert!(ok, "{}", at(format!("{w} {m}: no {side} {q}")));
+                    }
+                }
+                let ratio = cell.get("ratio").and_then(JsonValue::as_f64);
+                assert!(ratio.is_some(), "{}", at(format!("{w} {m}: no ratio")));
+                let ran = cell.get("pairs").and_then(JsonValue::as_u64);
+                let won = cell.get("won").and_then(JsonValue::as_u64);
+                let ok = matches!((won, ran), (Some(won), Some(ran)) if won <= ran && ran >= pairs);
+                let what = format!("{w} {m}: won {won:?} of {ran:?} pairs, at least {pairs} run");
+                assert!(ok, "{}", at(what));
+            }
+        }
+    }
 }
