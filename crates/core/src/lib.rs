@@ -57,4 +57,6 @@ pub use journey::{Journey, JourneyTemplate, Segment, SegmentEnd};
 pub use relabel::Relabel;
 pub use scheme::{PathSelector, RouteDbConfig, RoutingScheme, SrcSelector};
 pub use split::{split_minimal_path, try_split_minimal_path, ItbHostPicker};
-pub use table::{Alternatives, RouteDb, RouteFootprint, RouteRef, Routes, SegmentRef};
+pub use table::{
+    Alternatives, RouteDb, RouteFootprint, RouteRef, Routes, SegmentRef, SegmentSwitches,
+};

@@ -104,7 +104,13 @@ impl Default for RouteDbConfig {
 /// can borrow one source's state without the whole [`PathSelector`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SrcSelector {
-    /// ITB-RR: one round-robin counter per destination.
+    /// This source's host id.
+    src: u32,
+    /// Hosts of the network: the length of `rr` once allocated.
+    n_hosts: u32,
+    /// ITB-RR: picks made so far per destination (mod 256), allocated on
+    /// the source's first round-robin pick, so the other schemes keep
+    /// nothing per pair.
     rr: Vec<u8>,
     /// ITB-RND: this source's seeded stream.
     rng: rand::rngs::SmallRng,
@@ -112,23 +118,27 @@ pub struct SrcSelector {
 
 impl SrcSelector {
     fn new(src: usize, n_hosts: usize) -> SrcSelector {
-        // Stagger the starting alternative per pair. If every pair started
-        // at index 0, sparse traffic (few messages per pair) would collapse
-        // round-robin into "everyone picks the first alternative", which is
-        // lexicographically correlated across pairs and unbalances links.
-        let rr = (0..n_hosts)
-            .map(|d| (fxhash((src * n_hosts + d) as u64, 0x5157) & 0xFF) as u8)
-            .collect();
         SrcSelector {
-            rr,
+            src: src as u32,
+            n_hosts: n_hosts as u32,
+            rr: Vec::new(),
             rng: rand::SeedableRng::seed_from_u64(fxhash(0x5E1EC7, src as u64)),
         }
     }
 
     fn next(&mut self, dst: HostId, n_alts: usize) -> usize {
-        let slot = &mut self.rr[dst.idx()];
-        let pick = *slot as usize % n_alts;
-        *slot = slot.wrapping_add(1);
+        if self.rr.is_empty() {
+            self.rr = vec![0; self.n_hosts as usize];
+        }
+        let count = &mut self.rr[dst.idx()];
+        // Stagger the starting alternative per pair. If every pair started
+        // at index 0, sparse traffic (few messages per pair) would collapse
+        // round-robin into "everyone picks the first alternative", which is
+        // lexicographically correlated across pairs and unbalances links.
+        let pair = u64::from(self.src) * u64::from(self.n_hosts) + u64::from(dst.0);
+        let stagger = fxhash(pair, 0x5157) as u8;
+        let pick = stagger.wrapping_add(*count) as usize % n_alts;
+        *count = count.wrapping_add(1);
         pick
     }
 }
@@ -205,10 +215,10 @@ impl RouteDb {
             RoutingScheme::UpDown => {
                 let routes = simple_routes(topo, &orient, &SimpleRoutesConfig::default());
                 // One single-segment route per pair.
-                let mut size = [0; 4];
+                let mut size = [0; 3];
                 for (s, d) in pairs().flatten() {
                     let links = routes.get(s, d).len() - 1;
-                    add(&mut size, [1, 1, links + 1, links]);
+                    add(&mut size, [1, 1, links + 1]);
                 }
                 table.reserve(size);
                 for pair in pairs() {
@@ -239,15 +249,12 @@ impl RouteDb {
                 // split at most `links / 2` times (an in-transit buffer
                 // needs a down hop before its up hop). Only a pair with no
                 // usable minimal route (a fallback) can exceed it.
-                let mut size = [0; 4];
+                let mut size = [0; 3];
                 for (s, d) in pairs().flatten() {
                     let r = dags[d.idx()].count(s).min(k as u64) as usize;
                     let links = dm.get(s, d) as usize;
                     let segs = 1 + links / 2;
-                    add(
-                        &mut size,
-                        [r, r * segs, r * (links + segs), r * (links + segs - 1)],
-                    );
+                    add(&mut size, [r, r * segs, r * (links + segs)]);
                 }
                 table.reserve(size);
                 for pair in pairs() {
@@ -310,7 +317,7 @@ impl RouteDb {
     }
 }
 
-fn add(size: &mut [usize; 4], more: [usize; 4]) {
+fn add(size: &mut [usize; 3], more: [usize; 3]) {
     size.iter_mut().zip(more).for_each(|(a, b)| *a += b);
 }
 
@@ -431,6 +438,30 @@ mod tests {
                         j.validate().unwrap_or_else(|e| panic!("{scheme}: {e}"));
                         assert_eq!(j.src, src);
                         assert_eq!(j.dst, dst);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn round_robin_counts_from_the_pair_stagger() {
+        // The eager form: one counter per ordered host pair, starting at
+        // the pair's stagger, made for every pair up front.
+        let n_hosts = 7;
+        let mut sel = PathSelector::new(n_hosts);
+        assert!(sel.per_src.iter().all(|s| s.rr.is_empty()));
+        for src in 0..n_hosts {
+            for dst in 0..n_hosts {
+                let mut slot = (fxhash((src * n_hosts + dst) as u64, 0x5157) & 0xFF) as u8;
+                for n_alts in [1, 3, 10, 7] {
+                    for _ in 0..300 {
+                        let want = slot as usize % n_alts;
+                        slot = slot.wrapping_add(1);
+                        let got = sel
+                            .src_mut(HostId(src as u32))
+                            .next(HostId(dst as u32), n_alts);
+                        assert_eq!(got, want, "{src}->{dst} of {n_alts}");
                     }
                 }
             }

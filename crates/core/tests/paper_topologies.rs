@@ -17,10 +17,10 @@ fn check_db(topo: &Topology, scheme: RoutingScheme) {
         for t in alts {
             // Segment chain: starts at s, ends at d, hands over at ITBs.
             let segments: Vec<_> = t.segments().collect();
-            assert_eq!(segments[0].switches[0], s);
-            assert_eq!(*segments.last().unwrap().switches.last().unwrap(), d);
+            assert_eq!(segments[0].switches.get(0), s);
+            assert_eq!(segments.last().unwrap().switches.last(), Some(d));
             for w in segments.windows(2) {
-                assert_eq!(*w[0].switches.last().unwrap(), w[1].switches[0]);
+                assert_eq!(w[0].switches.last(), w[1].switches.first());
             }
             for seg in &segments {
                 let p = SwitchPath::new(seg.switches.to_vec());
@@ -117,34 +117,57 @@ fn alternative_roots_keep_invariants() {
 /// networks, recorded from the per-pair, nested-`Vec` builder this one
 /// replaced. A one-byte change in any port choice moves them. The three
 /// ITB schemes share one table (they differ in how a source picks from it).
+///
+/// Next to each fingerprint, the table's footprint: routes, segments and
+/// heap bytes. The bytes pin the layout (16-bit switch ids, one offset
+/// vector for switches and ports, 4-byte segment ends); the layout before
+/// it took 206,864 / 1,499,932 B (torus UP/DOWN / ITB), 167,184 / 926,906
+/// (express) and 100,026 / 704,070 (CPLANT).
 #[test]
 fn paper_tables_are_pinned() {
-    let pinned: [(&str, Topology, [u64; 2]); 3] = [
+    type Pin = (u64, [usize; 3]);
+    let pinned: [(&str, Topology, [Pin; 2]); 3] = [
         (
             "torus",
             gen::torus_2d(8, 8, 8).unwrap(),
-            [0x27eb20e7b6ab96f8, 0x3d1e813ebb51eb84],
+            [
+                (0x27eb20e7b6ab96f8, [4096, 4096, 133_132]),
+                (0x3d1e813ebb51eb84, [22_720, 40_092, 892_352]),
+            ],
         ),
         (
             "express",
             gen::torus_2d_express(8, 8, 8).unwrap(),
-            [0x0ab4caf4b548a247, 0x9f13351cdb6f3257],
+            [
+                (0x0ab4caf4b548a247, [4096, 4096, 109_324]),
+                (0x9f13351cdb6f3257, [18_368, 27_202, 559_586]),
+            ],
         ),
         (
             "cplant",
             gen::cplant().unwrap(),
-            [0x9a74d0fef55cf304, 0x58ef4932f2349115],
+            [
+                (0x9a74d0fef55cf304, [2500, 2500, 65_518]),
+                (0x58ef4932f2349115, [13_756, 21_296, 422_634]),
+            ],
         ),
     ];
     for (name, topo, [updown, itb]) in pinned {
         for scheme in RoutingScheme::extended() {
             let db = RouteDb::build(&topo, scheme, &RouteDbConfig::default());
-            let want = if scheme.uses_itbs() { itb } else { updown };
+            let (fingerprint, [routes, segments, bytes]) =
+                if scheme.uses_itbs() { itb } else { updown };
             assert_eq!(
                 db.fingerprint(),
-                want,
+                fingerprint,
                 "{name} {scheme}: got {:#018x}",
                 db.fingerprint()
+            );
+            let fp = db.footprint();
+            assert_eq!(
+                (fp.routes, fp.segments, fp.bytes),
+                (routes, segments, bytes),
+                "{name} {scheme}: footprint"
             );
         }
     }

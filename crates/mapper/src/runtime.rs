@@ -77,25 +77,25 @@ impl PhysicalRoutes {
                     if seg.ports.len() != expect_ports {
                         return Err(format!("{ps}->{pd}: segment {si} port count"));
                     }
-                    if seg.switches.first() != entry_switch.as_ref() {
+                    if seg.switches.first() != entry_switch {
                         return Err(format!("{ps}->{pd}: segment {si} entry switch"));
                     }
                     mapped.clear();
-                    for &s in seg.switches {
+                    for s in seg.switches.iter() {
                         let Some(ns) = d.switch_to_new[s.idx()] else {
                             return Err(format!("{ps}->{pd}: segment {si} visits lost switch {s}"));
                         };
                         mapped.push(ns);
                     }
                     for i in 0..seg.switches.len() - 1 {
-                        match physical.port_target(seg.switches[i], seg.ports[i]) {
+                        let next = seg.switches.get(i + 1);
+                        match physical.port_target(seg.switches.get(i), seg.ports[i]) {
                             Some(PortTarget::Switch { to, link, .. })
-                                if to == seg.switches[i + 1] && link_alive[link.idx()] => {}
+                                if to == next && link_alive[link.idx()] => {}
                             other => {
                                 return Err(format!(
                                     "{ps}->{pd}: segment {si} hop {i} does not cross a live \
-                                     link to {}: {other:?}",
-                                    seg.switches[i + 1]
+                                     link to {next}: {other:?}"
                                 ));
                             }
                         }
@@ -105,7 +105,7 @@ impl PhysicalRoutes {
                         return Err(format!("{ps}->{pd}: illegal segment: {path}"));
                     }
                     match seg.end {
-                        SegmentEnd::Deliver if seg.switches.last() != Some(&pd) => {
+                        SegmentEnd::Deliver if seg.switches.last() != Some(pd) => {
                             return Err(format!("{ps}->{pd}: route ends elsewhere"));
                         }
                         SegmentEnd::Deliver => {}
@@ -443,7 +443,7 @@ mod tests {
             .iter_pairs()
             .find(|(_, _, alts)| {
                 alts.iter()
-                    .any(|r| r.segments().any(|seg| seg.switches.contains(&lost)))
+                    .any(|r| r.segments().any(|seg| seg.switches.contains(lost)))
             })
             .unwrap();
         let err = bad.verify(&physical, &faults).unwrap_err();
@@ -503,11 +503,12 @@ mod tests {
             for (_, _, alts) in pr.db.iter_pairs() {
                 for t in alts {
                     for seg in t.segments() {
-                        for (i, w) in seg.switches.windows(2).enumerate() {
+                        let switches = seg.switches.to_vec();
+                        for (i, w) in switches.windows(2).enumerate() {
                             if w == [a, b] || w == [b, a] {
                                 // A parallel live link is fine; the exact
                                 // dead one is not.
-                                let pt = physical.port_target(seg.switches[i], seg.ports[i]);
+                                let pt = physical.port_target(w[0], seg.ports[i]);
                                 if let Some(PortTarget::Switch { link, .. }) = pt {
                                     assert_ne!(link, l, "route crosses the dead link");
                                 }

@@ -6,7 +6,9 @@
 //! written after a bench binary's name must be one that binary parses.
 //!
 //! The perf ledger, `BENCH_history.json`, must hold entries that say
-//! where they were measured and cover every benchmark workload.
+//! where they were measured and cover every benchmark workload, and every
+//! `[perf_opt]` change CHANGES.md lists since the ledger began must have
+//! one.
 //!
 //! Text only — nothing is built or simulated. What counts as a path: a
 //! word with a `/` whose first component is a top-level entry or a crate
@@ -231,6 +233,24 @@ const MANIFEST: [&str; 8] = [
     "pairs",
 ];
 
+fn parse(rel: &str) -> JsonValue {
+    JsonValue::parse(&read(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+}
+
+/// The ledger's entries; each names the CHANGES.md entry (`- PR N`) it
+/// measured as `"pr": N`.
+fn ledger() -> Vec<JsonValue> {
+    let history = parse("BENCH_history.json");
+    let entries = history.get("entries").and_then(JsonValue::as_array);
+    let entries = entries.expect("BENCH_history.json has no \"entries\" list");
+    assert!(!entries.is_empty(), "BENCH_history.json has no entry");
+    entries.to_vec()
+}
+
+/// The number of the first CHANGES.md entry whose `[perf_opt]` line must
+/// have a ledger entry: the ledger's first entry measured it.
+const LEDGER_FROM_PR: u64 = 52;
+
 /// Every entry of `BENCH_history.json` has a manifest and reports each
 /// workload `BENCHMARK.json` lists on each of its end-to-end metrics: the
 /// parent's and the change's median with quartiles, their ratio, the
@@ -238,7 +258,6 @@ const MANIFEST: [&str; 8] = [
 /// won.
 #[test]
 fn bench_history_entries_have_a_manifest_and_every_workload() {
-    let parse = |rel: &str| JsonValue::parse(&read(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
     let bench = parse("BENCHMARK.json");
     let names = |key: &str| -> Vec<String> {
         let list = bench.get(key).and_then(JsonValue::as_array);
@@ -254,12 +273,10 @@ fn bench_history_entries_have_a_manifest_and_every_workload() {
     };
     let (workloads, metrics) = (names("workloads"), names("end_to_end"));
     assert_eq!(workloads.len(), 5, "{workloads:?}");
-    let history = parse("BENCH_history.json");
-    let entries = history.get("entries").and_then(JsonValue::as_array);
-    let entries = entries.expect("BENCH_history.json has no \"entries\" list");
-    assert!(!entries.is_empty(), "BENCH_history.json has no entry");
-    for (i, entry) in entries.iter().enumerate() {
+    for (i, entry) in ledger().iter().enumerate() {
         let at = |what: String| format!("BENCH_history.json entry {i}: {what}");
+        let pr = entry.get("pr").and_then(JsonValue::as_u64);
+        assert!(pr.is_some(), "{}", at("no PR number".into()));
         let manifest = entry.get("manifest").and_then(JsonValue::as_object);
         let manifest = manifest.unwrap_or_else(|| panic!("{}", at("no manifest".into())));
         for key in MANIFEST {
@@ -293,4 +310,32 @@ fn bench_history_entries_have_a_manifest_and_every_workload() {
             }
         }
     }
+}
+
+/// Every `- PR N [perf_opt]` line of CHANGES.md with `N` from
+/// `LEDGER_FROM_PR` on has a ledger entry whose `"pr"` is `N`: a speed or
+/// memory claim counts only as a measured row.
+#[test]
+fn perf_changes_have_a_ledger_entry() {
+    let measured: BTreeSet<u64> = ledger()
+        .iter()
+        .filter_map(|e| e.get("pr").and_then(JsonValue::as_u64))
+        .collect();
+    let claimed: BTreeSet<u64> = read("CHANGES.md")
+        .lines()
+        .filter_map(|line| {
+            let (n, rest) = line.strip_prefix("- PR ")?.split_once(' ')?;
+            rest.starts_with("[perf_opt]").then(|| n.parse().ok())?
+        })
+        .filter(|&n| n >= LEDGER_FROM_PR)
+        .collect();
+    assert!(
+        claimed.contains(&LEDGER_FROM_PR),
+        "CHANGES.md lists no PR {LEDGER_FROM_PR} [perf_opt] line"
+    );
+    let missing: Vec<_> = claimed.difference(&measured).collect();
+    assert!(
+        missing.is_empty(),
+        "[perf_opt] PRs with no BENCH_history.json entry: {missing:?}"
+    );
 }

@@ -255,3 +255,23 @@ fn skips_inside_reconfiguration_stalls_never_overshoot() {
     );
     assert!(slot_cases > 0, "no case jumped a span with a slot full");
 }
+
+/// The lone-flit family: one-flit payloads at a low load on small fixed
+/// networks, so a worm's last flits cross their final cable with no run
+/// streaming, no switch holding a packet and nothing listed. A jump over
+/// such a span defers nothing but the full slot, so only the skip log's
+/// slot term marks it busy; logged idle, the raw predicate would find the
+/// slot's work on the twin.
+#[test]
+fn jumps_over_a_lone_flit_in_flight_are_checked() {
+    let mut slot_cases = 0;
+    for (case, scheme) in RoutingScheme::all().into_iter().enumerate() {
+        let topo = gen::irregular_random(5, 2, 1, case as u64).expect("topology");
+        let setup = (topo, scheme, 1, 0.001, 7 + case as u64, false);
+        match check_case(setup, SimConfig::default().reconfig_latency_cycles) {
+            Ok(jumped) => slot_cases += usize::from(jumped.over_slots > 0),
+            Err(e) => panic!("[{scheme}] {e}"),
+        }
+    }
+    assert_eq!(slot_cases, 3, "a scheme jumped no span with a slot full");
+}
