@@ -614,6 +614,7 @@ mod tests {
     use super::*;
     use crate::channel::Stream;
     use crate::config::CYCLE_NS;
+    use crate::events::EventOptions;
     use crate::faultplan::{FaultOptions, FaultPlan};
     use crate::profiler::tests::assert_node_invariant;
     use crate::profiler::EngineCounts;
@@ -1494,6 +1495,59 @@ mod tests {
         assert_eq!(e, o);
         assert_eq!(e.delivered, 1);
         assert!(e.reinject_bubbles > 100, "bubbles: {}", e.reinject_bubbles);
+    }
+
+    /// `end_observation` moves the trace series out: with every recorder
+    /// armed, its report equals a copy taken just before, and each
+    /// utilization row holds no spare capacity.
+    #[test]
+    fn end_observation_moves_the_trace_out_unchanged() {
+        let topo = build_ring4();
+        let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let mut sim = Simulator::new(&topo, &db, &pattern, small_cfg(), 0.05, 5);
+        sim.enable_counters();
+        sim.enable_events(EventOptions::default());
+        sim.enable_trace(TraceOptions::full(100));
+        sim.enable_profiler();
+        sim.run(2_000);
+        sim.begin_measurement();
+        sim.run(3_050);
+        let copied = sim.trace_report().expect("trace armed");
+        let obs = sim.end_observation(3_050);
+        let moved = obs.trace.expect("trace armed");
+        assert_eq!(moved, copied);
+        let util = moved.channel_util.as_ref().expect("utilization armed");
+        assert_eq!(util.buckets, 50);
+        assert_eq!(util.busy.len(), sim.channels.len());
+        assert!(util.busy.iter().all(|row| row.len() == 50));
+        assert!(util.busy.iter().all(|row| row.capacity() == row.len()));
+        assert!(moved.metrics.unwrap().samples.iter().any(|s| s.values[0] > 0));
+        assert!(obs.journal.is_some_and(|j| !j.is_empty()));
+        assert!(sim.trace_report().is_none() && sim.journal().is_none());
+    }
+
+    /// A journal entry names hosts in 16 bits: `enable_events` refuses a
+    /// network of 65,537 hosts (1,058 switches in a line, 64 ports each)
+    /// before it records anything. Its table is a small ring's; the
+    /// refusal comes before a cycle could read it.
+    #[test]
+    #[should_panic(expected = "at most 65,536 hosts and 65,536 switches, this network has 65537 hosts")]
+    fn enable_events_refuses_ids_a_journal_entry_cannot_hold() {
+        let mut b = TopologyBuilder::new("line", 64);
+        let first = b.add_switches(1_058);
+        for s in 1..1_058u32 {
+            b.connect(SwitchId(first.0 + s - 1), SwitchId(first.0 + s)).unwrap();
+        }
+        for h in 0..(1 << 16) + 1 {
+            b.attach_host(SwitchId(h / 62)).unwrap();
+        }
+        let topo = b.build().unwrap();
+        let ring = build_ring4();
+        let db = RouteDb::build(&ring, RoutingScheme::UpDown, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let mut sim = Simulator::new(&topo, &db, &pattern, small_cfg(), 1e-9, 1);
+        sim.enable_events(EventOptions::default());
     }
 
     /// The two shims: each retired label selects, and reports as, the

@@ -113,6 +113,16 @@ impl Simulator<'_> {
         self.channels.in_flight()
     }
 
+    /// Steady runs streaming plus switches holding a packet: the work
+    /// besides full slots that marks a jump busy
+    /// ([`skip_log`](Simulator::skip_log)). A jump that starts with a slot
+    /// full and none of these defers only the slot. Test instrumentation.
+    #[doc(hidden)]
+    pub fn runs_and_held_switches(&self) -> usize {
+        let held = self.switches.iter().filter(|sw| !sw.is_quiescent());
+        self.channels.streams() + held.count()
+    }
+
     /// If nothing is listed and nothing lands at the current cycle, jump
     /// the clock to the earliest future cycle that can have work, clamped
     /// to `limit`. No-op unless the target lies ahead.

@@ -208,6 +208,14 @@ impl Clock {
     }
 }
 
+/// The sampled series of a [`TraceState`], copied or moved out of it.
+struct Series {
+    util_busy: Vec<Vec<u32>>,
+    occ: Vec<u64>,
+    goodput: Vec<u64>,
+    metrics: Vec<MetricsSample>,
+}
+
 /// Live observer state, boxed inside the simulator when tracing is on.
 #[derive(Debug)]
 pub(crate) struct TraceState {
@@ -377,8 +385,34 @@ impl TraceState {
         }
     }
 
-    /// Snapshot everything recorded so far.
+    /// Snapshot everything recorded so far: the series are copied.
     pub(crate) fn report(&self) -> TraceReport {
+        self.report_with(Series {
+            util_busy: self.util_busy.clone(),
+            occ: self.occ_samples.clone(),
+            goodput: self.goodput_samples.clone(),
+            metrics: self.met_samples.clone(),
+        })
+    }
+
+    /// Everything recorded, the series moved into the report, each row
+    /// shrunk to its length: no sample is held twice.
+    pub(crate) fn into_report(mut self) -> TraceReport {
+        fn shrunk<T>(mut v: Vec<T>) -> Vec<T> {
+            v.shrink_to_fit();
+            v
+        }
+        let util_busy = std::mem::take(&mut self.util_busy);
+        let series = Series {
+            util_busy: util_busy.into_iter().map(shrunk).collect(),
+            occ: shrunk(std::mem::take(&mut self.occ_samples)),
+            goodput: shrunk(std::mem::take(&mut self.goodput_samples)),
+            metrics: shrunk(std::mem::take(&mut self.met_samples)),
+        };
+        self.report_with(series)
+    }
+
+    fn report_with(&self, series: Series) -> TraceReport {
         TraceReport {
             digest: self.opts.digest.then_some(self.digest.finish()),
             digest_events: self.digest_events,
@@ -388,19 +422,19 @@ impl TraceState {
                 .map(|interval| ChannelUtilSeries {
                     interval,
                     buckets: self.util_buckets,
-                    busy: self.util_busy.clone(),
+                    busy: series.util_busy,
                 }),
             itb_occupancy: self
                 .opts
                 .itb_occupancy_interval
                 .map(|interval| OccupancySeries {
                     interval,
-                    samples: self.occ_samples.clone(),
+                    samples: series.occ,
                     max: self.occ_max,
                 }),
             goodput: self.opts.goodput_interval.map(|interval| GoodputSeries {
                 interval,
-                samples: self.goodput_samples.clone(),
+                samples: series.goodput,
             }),
             lifetime: self
                 .opts
@@ -413,7 +447,7 @@ impl TraceState {
             metrics: self.opts.metrics_interval.map(|interval| MetricsSeries {
                 interval,
                 names: MetricsSeries::column_names(),
-                samples: self.met_samples.clone(),
+                samples: series.metrics,
             }),
         }
     }

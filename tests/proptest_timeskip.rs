@@ -17,7 +17,8 @@
 //!   field for field (`Simulator::same_state`).
 //!
 //! All runs end in bit-identical results. Each family must have jumped a
-//! span with a slot full in at least one case.
+//! span with a slot full in at least one case, and the lone-flit family,
+//! under every scheme, a span whose only deferred work was a full slot.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -93,6 +94,9 @@ struct Jumped {
     /// Jumps that started with a flit or symbol in a slot of the engine's
     /// channel table.
     over_slots: u64,
+    /// Of those, the jumps that deferred nothing else: no run streaming,
+    /// no switch holding a packet.
+    slot_only: u64,
 }
 
 /// One case: the engine's skip log is well-formed, every span it skipped
@@ -152,7 +156,7 @@ fn check_case(
     let mut lockstep = armed(Scheduler::default());
     let mut li = 0usize;
     let mut in_stall = 0u64;
-    let mut over_slots = 0u64;
+    let (mut over_slots, mut slot_only) = (0u64, 0u64);
     let mut at_jump = None;
     while tw.cycle() < RUN_CYCLES {
         let c = tw.cycle();
@@ -169,7 +173,10 @@ fn check_case(
             ),
             Some((from, _, true)) if from == c => {
                 at_jump = Some(meet(&mut lockstep, &mut tw)?);
-                over_slots += u64::from(lockstep.slots_full() > 0);
+                if lockstep.slots_full() > 0 {
+                    over_slots += 1;
+                    slot_only += u64::from(lockstep.runs_and_held_switches() == 0);
+                }
             }
             _ => {}
         }
@@ -206,6 +213,7 @@ fn check_case(
     Ok(Jumped {
         in_stall,
         over_slots,
+        slot_only,
     })
 }
 
@@ -261,17 +269,21 @@ fn skips_inside_reconfiguration_stalls_never_overshoot() {
 /// streaming, no switch holding a packet and nothing listed. A jump over
 /// such a span defers nothing but the full slot, so only the skip log's
 /// slot term marks it busy; logged idle, the raw predicate would find the
-/// slot's work on the twin.
+/// slot's work on the twin. Every scheme must make such a jump (about a
+/// hundred each at this load; at 0.001 the two ITB schemes' worms
+/// overlap and they make none).
 #[test]
 fn jumps_over_a_lone_flit_in_flight_are_checked() {
-    let mut slot_cases = 0;
     for (case, scheme) in RoutingScheme::all().into_iter().enumerate() {
         let topo = gen::irregular_random(5, 2, 1, case as u64).expect("topology");
-        let setup = (topo, scheme, 1, 0.001, 7 + case as u64, false);
+        let setup = (topo, scheme, 1, 0.0003, 7 + case as u64, false);
         match check_case(setup, SimConfig::default().reconfig_latency_cycles) {
-            Ok(jumped) => slot_cases += usize::from(jumped.over_slots > 0),
+            Ok(jumped) => assert!(
+                jumped.slot_only > 0,
+                "[{scheme}] no jump deferred only a full slot ({} over slots)",
+                jumped.over_slots
+            ),
             Err(e) => panic!("[{scheme}] {e}"),
         }
     }
-    assert_eq!(slot_cases, 3, "a scheme jumped no span with a slot full");
 }
