@@ -183,8 +183,8 @@ impl RouteDb {
         map: &R,
     ) -> RouteDb {
         let orient = Orientation::compute(topo, cfg.root);
-        let n = map.num_switches() as u32;
-        let mut table = RouteDbBuilder::new(scheme, n as usize, map.num_hosts());
+        let n = map.written().num_switches() as u32;
+        let mut table = RouteDbBuilder::new(scheme, map.written());
         // The next route of the open pair: `path`, split — unless it needs
         // an in-transit buffer at a hostless switch.
         let add_route = |table: &mut RouteDbBuilder, path: &[SwitchId]| {
@@ -218,7 +218,7 @@ impl RouteDb {
                 let mut size = [0; 3];
                 for (s, d) in pairs().flatten() {
                     let links = routes.get(s, d).len() - 1;
-                    add(&mut size, [1, 1, links + 1]);
+                    add(&mut size, [1, 1, links]);
                 }
                 table.reserve(size);
                 for pair in pairs() {
@@ -247,14 +247,15 @@ impl RouteDb {
                 let mut fallback: Option<regnet_routing::PairPaths> = None;
                 // At most `k` minimal routes of `links` hops per pair, each
                 // split at most `links / 2` times (an in-transit buffer
-                // needs a down hop before its up hop). Only a pair with no
-                // usable minimal route (a fallback) can exceed it.
+                // needs a down hop before its up hop), a port byte per hop
+                // and per in-transit host. Only a pair with no usable
+                // minimal route (a fallback) can exceed it.
                 let mut size = [0; 3];
                 for (s, d) in pairs().flatten() {
                     let r = dags[d.idx()].count(s).min(k as u64) as usize;
                     let links = dm.get(s, d) as usize;
                     let segs = 1 + links / 2;
-                    add(&mut size, [r, r * segs, r * (links + segs)]);
+                    add(&mut size, [r, r * segs, r * (links + segs - 1)]);
                 }
                 table.reserve(size);
                 for pair in pairs() {

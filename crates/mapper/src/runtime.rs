@@ -67,31 +67,33 @@ impl PhysicalRoutes {
             .iter()
             .map(|l| faults.is_link_alive(physical, l.id))
             .collect();
-        let mut mapped: Vec<SwitchId> = Vec::new();
+        // One walk per segment: its physical switches, then their
+        // discovered ids.
+        let (mut walked, mut mapped): (Vec<SwitchId>, Vec<SwitchId>) = (Vec::new(), Vec::new());
         for (ps, pd, alts) in self.db.iter_pairs() {
             for t in alts {
-                let mut entry_switch = Some(ps);
                 for (si, seg) in t.segments().enumerate() {
                     let is_final = si == t.num_segments() - 1;
                     let expect_ports = seg.switches.len() - usize::from(is_final);
                     if seg.ports.len() != expect_ports {
                         return Err(format!("{ps}->{pd}: segment {si} port count"));
                     }
-                    if seg.switches.first() != entry_switch {
-                        return Err(format!("{ps}->{pd}: segment {si} entry switch"));
-                    }
+                    walked.clear();
+                    walked.extend(seg.switches.iter());
                     mapped.clear();
-                    for s in seg.switches.iter() {
+                    for &s in &walked {
                         let Some(ns) = d.switch_to_new[s.idx()] else {
                             return Err(format!("{ps}->{pd}: segment {si} visits lost switch {s}"));
                         };
                         mapped.push(ns);
                     }
-                    for i in 0..seg.switches.len() - 1 {
-                        let next = seg.switches.get(i + 1);
-                        match physical.port_target(seg.switches.get(i), seg.ports[i]) {
-                            Some(PortTarget::Switch { to, link, .. })
-                                if to == next && link_alive[link.idx()] => {}
+                    // The table stores port bytes and walks the topology,
+                    // so each hop reaches the listed next switch; whether
+                    // over a live link is this audit's to check.
+                    for (i, w) in walked.windows(2).enumerate() {
+                        let next = w[1];
+                        match physical.port_target(w[0], seg.ports[i]) {
+                            Some(PortTarget::Switch { link, .. }) if link_alive[link.idx()] => {}
                             other => {
                                 return Err(format!(
                                     "{ps}->{pd}: segment {si} hop {i} does not cross a live \
@@ -101,11 +103,11 @@ impl PhysicalRoutes {
                         }
                     }
                     if first_violation(&mapped, &orient).is_some() {
-                        let path = SwitchPath::new(seg.switches.to_vec());
+                        let path = SwitchPath::new(walked.clone());
                         return Err(format!("{ps}->{pd}: illegal segment: {path}"));
                     }
                     match seg.end {
-                        SegmentEnd::Deliver if seg.switches.last() != Some(pd) => {
+                        SegmentEnd::Deliver if walked.last() != Some(&pd) => {
                             return Err(format!("{ps}->{pd}: route ends elsewhere"));
                         }
                         SegmentEnd::Deliver => {}
@@ -119,7 +121,6 @@ impl PhysicalRoutes {
                             if seg.ports.last() != Some(&physical.host_port(h)) {
                                 return Err(format!("{ps}->{pd}: wrong port for ITB host {h}"));
                             }
-                            entry_switch = Some(physical.host_switch(h));
                         }
                     }
                 }
@@ -184,20 +185,14 @@ impl<'a> ToPhysical<'a> {
 }
 
 impl Relabel for ToPhysical<'_> {
-    fn num_switches(&self) -> usize {
-        self.physical.num_switches()
-    }
-    fn num_hosts(&self) -> usize {
-        self.physical.num_hosts()
+    fn written(&self) -> &Topology {
+        self.physical
     }
     fn pair(&self, s: SwitchId, d: SwitchId) -> Option<(SwitchId, SwitchId)> {
         Some((
             self.d.switch_to_new[s.idx()]?,
             self.d.switch_to_new[d.idx()]?,
         ))
-    }
-    fn switch(&self, s: SwitchId) -> SwitchId {
-        self.d.switch_from_new[s.idx()]
     }
     fn hop(&self, from: SwitchId, to: SwitchId, _spread: usize) -> Port {
         self.hop[from.idx() * self.d.switch_from_new.len() + to.idx()]
@@ -333,8 +328,7 @@ mod tests {
         physical: &Topology,
         templates: Vec<Vec<JourneyTemplate>>,
     ) -> PhysicalRoutes {
-        let (n, hosts) = (physical.num_switches(), physical.num_hosts());
-        let db = RouteDb::from_templates(pr.db.scheme(), n, hosts, templates);
+        let db = RouteDb::from_templates(pr.db.scheme(), physical, templates);
         PhysicalRoutes { db, ..pr.clone() }
     }
 

@@ -560,7 +560,7 @@ mod tests {
                 }]);
             }
         }
-        let db = RouteDb::from_templates(RoutingScheme::UpDown, n, topo.num_hosts(), templates);
+        let db = RouteDb::from_templates(RoutingScheme::UpDown, &topo, templates);
         let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
         let mut sim = Simulator::new(&topo, &db, &pattern, SimConfig::default(), 0.0001, 1);
         sim.stop_generation();

@@ -76,12 +76,7 @@ fn assert_table_is_the_per_pair_composition(topo: &Topology) -> Result<(), TestC
             prop_assert_eq!(alts.to_owned(), usable, "{}->{}", s, d);
         }
     }
-    let again = RouteDb::from_templates(
-        db.scheme(),
-        topo.num_switches(),
-        topo.num_hosts(),
-        db.to_templates(),
-    );
+    let again = RouteDb::from_templates(db.scheme(), topo, db.to_templates());
     prop_assert_eq!(again.fingerprint(), db.fingerprint());
     prop_assert!(again == db, "flat store round trip");
     Ok(())
