@@ -251,6 +251,61 @@ mod tests {
     }
 
     #[test]
+    fn truncated_and_empty_checkpoints_are_refused_and_fail_a_resume() {
+        use crate::runner::{run_plan, RunnerOptions};
+        use crate::spec::CampaignSpec;
+        let plan = CampaignSpec::from_json_str(
+            r#"{
+                "name": "store-test",
+                "defaults": {"warmup_cycles": 2000, "measure_cycles": 10000, "seed": 7},
+                "sweeps": [
+                    {"group": "g", "topos": ["torus:4x4:2"], "schemes": ["UP/DOWN"],
+                     "patterns": ["uniform"], "loads": [0.004, 0.008]}
+                ]
+            }"#,
+        )
+        .unwrap()
+        .expand()
+        .unwrap();
+        for (tag, half) in [("half", true), ("empty", false)] {
+            let dir =
+                std::env::temp_dir().join(format!("regnet-store5-{tag}-{}", std::process::id()));
+            let _ = fs::remove_dir_all(&dir);
+            let store = ResultStore::open(&dir).unwrap();
+            for c in &plan.cells {
+                store.save(&fake_result(&c.key, 0.004)).unwrap();
+            }
+            // Cut the first cell's checkpoint to half its bytes, or to none.
+            let cell = &plan.cells[0];
+            let path = store.cell_path(&cell.hash);
+            let bytes = fs::read(&path).unwrap();
+            let kept = if half { bytes.len() / 2 } else { 0 };
+            fs::write(&path, &bytes[..kept]).unwrap();
+            let want = format!("corrupt checkpoint {}", path.display());
+            let err = store.load(&cell.hash, &cell.key).unwrap_err();
+            assert!(err.contains(&want), "{tag}: {err}");
+            let err = store.load_all().unwrap_err();
+            assert!(err.contains(&want), "{tag}: {err}");
+            // A resume neither re-runs the cell (its file exists) nor
+            // reuses it: loading the plan's checkpoints, as `campaign`
+            // does before it runs anything, fails naming the file.
+            assert!(store.contains(&cell.hash));
+            let out = run_plan(&plan, &store, &RunnerOptions::default(), |_| {
+                panic!("{tag}: a resume ran a checkpointed cell")
+            })
+            .unwrap();
+            assert_eq!((out.ran, out.skipped), (0, plan.len()));
+            let err = plan
+                .cells
+                .iter()
+                .try_for_each(|c| store.load(&c.hash, &c.key).map(drop))
+                .unwrap_err();
+            assert!(err.contains(&want), "{tag}: {err}");
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
     fn a_checkpoint_with_the_right_hash_and_another_key_is_refused() {
         let dir = std::env::temp_dir().join(format!("regnet-store3-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);

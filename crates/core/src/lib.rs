@@ -15,10 +15,10 @@
 //!
 //! This crate provides:
 //!
-//! * [`Journey`] / [`JourneyTemplate`] — multi-segment source routes with
-//!   in-transit hosts and their wire-format accounting,
+//! * [`Header`] — the port bytes and ITB marks a source writes into a
+//!   packet, and [`JourneyTemplate`], a multi-segment route in owned form,
 //! * [`split_minimal_path`] — the placement algorithm that turns any minimal
-//!   path into a legal journey,
+//!   path into a legal route,
 //! * [`RouteDb`] — per-pair route tables for the three schemes evaluated in
 //!   the paper ([`RoutingScheme::UpDown`], [`RoutingScheme::ItbSp`],
 //!   [`RoutingScheme::ItbRr`]), built in the topology's own ids or, through
@@ -35,17 +35,19 @@
 //!
 //! let topo = gen::torus_2d(4, 4, 2).unwrap();
 //! let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
-//! let mut selector = db.selector();
-//! let journey = db.select(&topo, HostId(0), HostId(21), &mut selector);
-//! // Every ITB journey is minimal in switch hops:
+//! let (src, dst) = (HostId(0), HostId(21));
+//! let route = db.choose_from(&topo, src, dst, db.selector().src_mut(src));
+//! // Every ITB route is minimal in switch hops:
 //! let dm = DistanceMatrix::compute(&topo);
-//! let src_sw = topo.host_switch(HostId(0));
-//! let dst_sw = topo.host_switch(HostId(21));
-//! assert_eq!(journey.total_links(), dm.get(src_sw, dst_sw) as usize);
+//! let (src_sw, dst_sw) = (topo.host_switch(src), topo.host_switch(dst));
+//! assert_eq!(route.total_links(), dm.get(src_sw, dst_sw) as usize);
+//! // Its header has an ITB mark per in-transit buffer:
+//! assert_eq!(route.header(topo.host_port(dst)).num_itbs(), route.num_itbs());
 //! ```
 
 pub mod analysis;
 mod fnv;
+mod header;
 mod journey;
 mod relabel;
 mod scheme;
@@ -53,7 +55,8 @@ mod split;
 mod table;
 
 pub use fnv::Fnv1a;
-pub use journey::{Journey, JourneyTemplate, Segment, SegmentEnd};
+pub use header::{Header, ITB_MARK};
+pub use journey::{JourneyTemplate, Segment, SegmentEnd};
 pub use relabel::Relabel;
 pub use scheme::{PathSelector, RouteDbConfig, RoutingScheme, SrcSelector};
 pub use split::{split_minimal_path, try_split_minimal_path, ItbHostPicker};

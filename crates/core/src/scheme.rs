@@ -4,10 +4,10 @@ use regnet_routing::minimal::{MinimalDag, PathSet};
 use regnet_routing::{first_violation, simple_routes, SimpleRoutesConfig, SwitchPath};
 use regnet_topology::{DistanceMatrix, HostId, Orientation, SwitchId, Topology};
 
-use crate::journey::Journey;
+use crate::header::Header;
 use crate::relabel::{Relabel, Relabelled, Unchanged};
 use crate::split::{no_itb_host, split_into, ItbHostPicker};
-use crate::table::{RouteDb, RouteDbBuilder};
+use crate::table::{RouteDb, RouteDbBuilder, RouteRef};
 
 /// The routing schemes compared in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -283,15 +283,15 @@ impl RouteDb {
         PathSelector::new(self.num_hosts())
     }
 
-    /// Materialise the route a packet from `src` to `dst` should take now,
-    /// according to the scheme's path-selection policy.
+    /// The header a packet from `src` to `dst` carries: the route the
+    /// scheme's path-selection policy takes now, written for `dst`.
     pub fn select(
         &self,
         topo: &Topology,
         src: HostId,
         dst: HostId,
         selector: &mut PathSelector,
-    ) -> Journey {
+    ) -> Header {
         self.select_from(topo, src, dst, selector.src_mut(src))
     }
 
@@ -304,7 +304,20 @@ impl RouteDb {
         src: HostId,
         dst: HostId,
         selector: &mut SrcSelector,
-    ) -> Journey {
+    ) -> Header {
+        self.choose_from(topo, src, dst, selector)
+            .header(topo.host_port(dst))
+    }
+
+    /// The route [`select_from`](RouteDb::select_from) writes the header
+    /// of, drawn the same way.
+    pub fn choose_from(
+        &self,
+        topo: &Topology,
+        src: HostId,
+        dst: HostId,
+        selector: &mut SrcSelector,
+    ) -> RouteRef<'_> {
         let (ss, ds) = (topo.host_switch(src), topo.host_switch(dst));
         let alts = self.alternatives(ss, ds);
         let idx = match self.scheme() {
@@ -314,7 +327,7 @@ impl RouteDb {
             RoutingScheme::ItbRr => selector.next(dst, alts.len()),
             RoutingScheme::ItbRandom => rand::Rng::gen_range(&mut selector.rng, 0..alts.len()),
         };
-        alts.get(idx).materialise(src, dst, topo.host_port(dst))
+        alts.get(idx)
     }
 }
 
@@ -359,7 +372,7 @@ mod tests {
 
         let mut sel = db.selector();
         let (src, dst) = (HostId(0), HostId(21)); // hosts on switches 0 and 10
-        let picks: Vec<Journey> = (0..alts.len())
+        let picks: Vec<Header> = (0..alts.len())
             .map(|_| db.select(&topo, src, dst, &mut sel))
             .collect();
         // Round robin must visit every alternative once before repeating.
@@ -418,16 +431,13 @@ mod tests {
         let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
         let mut sel = db.selector();
         // Hosts 0 and 1 both live on switch 0.
-        let j = db.select(&topo, HostId(0), HostId(1), &mut sel);
-        j.validate().unwrap();
-        assert_eq!(j.total_links(), 0);
-        assert_eq!(j.num_itbs(), 0);
-        assert_eq!(j.segments[0].ports, vec![topo.host_port(HostId(1))]);
-        assert_eq!(j.segments[0].switches, vec![topo.host_switch(HostId(0))]);
+        let h = db.select(&topo, HostId(0), HostId(1), &mut sel);
+        assert_eq!(h.bytes(), [topo.host_port(HostId(1))]);
+        assert_eq!(h.walk(&topo, HostId(0)), Ok(vec![HostId(1)]));
     }
 
     #[test]
-    fn materialised_journeys_validate() {
+    fn selected_headers_walk_to_their_destination() {
         let topo = torus();
         for scheme in RoutingScheme::all() {
             let db = RouteDb::build(&topo, scheme, &RouteDbConfig::default());
@@ -435,10 +445,12 @@ mod tests {
             for src in topo.hosts().take(8) {
                 for dst in topo.hosts() {
                     if src != dst {
-                        let j = db.select(&topo, src, dst, &mut sel);
-                        j.validate().unwrap_or_else(|e| panic!("{scheme}: {e}"));
-                        assert_eq!(j.src, src);
-                        assert_eq!(j.dst, dst);
+                        let h = db.select(&topo, src, dst, &mut sel);
+                        let hosts = h
+                            .walk(&topo, src)
+                            .unwrap_or_else(|e| panic!("{scheme}: {e}"));
+                        assert_eq!(hosts.last(), Some(&dst));
+                        assert_eq!(hosts.len(), h.num_itbs() + 1);
                     }
                 }
             }
@@ -479,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn itb_random_selects_valid_journeys_deterministically() {
+    fn itb_random_selects_valid_routes_deterministically() {
         let topo = torus();
         let db = RouteDb::build(&topo, RoutingScheme::ItbRandom, &RouteDbConfig::default());
         let dm = DistanceMatrix::compute(&topo);
@@ -487,13 +499,15 @@ mod tests {
             let mut sel = db.selector();
             (0..20)
                 .map(|i| {
-                    let j = db.select(&topo, HostId(i % 8), HostId(21), &mut sel);
-                    j.validate().unwrap();
+                    let (src, dst) = (HostId(i % 8), HostId(21));
+                    let route = db.choose_from(&topo, src, dst, sel.src_mut(src));
                     assert_eq!(
-                        j.total_links(),
-                        dm.get(topo.host_switch(HostId(i % 8)), SwitchId(10)) as usize
+                        route.total_links(),
+                        dm.get(topo.host_switch(src), SwitchId(10)) as usize
                     );
-                    j
+                    let h = route.header(topo.host_port(dst));
+                    assert_eq!(h.walk(&topo, src).unwrap().last(), Some(&dst));
+                    h
                 })
                 .collect::<Vec<_>>()
         };
@@ -531,12 +545,12 @@ mod tests {
         let rev = db.alternatives(SwitchId(4), SwitchId(2));
         assert_eq!(rev.get(0).num_itbs(), 0);
         assert_eq!(rev.get(0).total_links(), 4);
-        // Materialised journeys still validate.
+        // Its header walks the detour: four links, then the destination.
         let mut sel = db.selector();
         let (src, dst) = (topo.hosts_of(SwitchId(2))[0], topo.hosts_of(SwitchId(4))[0]);
-        let j = db.select(&topo, src, dst, &mut sel);
-        j.validate().unwrap();
-        assert_eq!(j.total_links(), 4);
+        let h = db.select(&topo, src, dst, &mut sel);
+        assert_eq!(h.walk(&topo, src), Ok(vec![dst]));
+        assert_eq!(h.bytes().len(), 5);
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl ItbHostPicker {
 /// because a freshly injected packet has taken no link yet).
 ///
 /// The returned template's final segment is one port byte short (the
-/// destination host port is appended at materialisation); in-transit
+/// destination host's port ends the header written for a host pair); in-transit
 /// segments are complete, ending with the in-transit host's port byte.
 ///
 /// Panics if a switch at a transition point has no hosts (the mechanism
@@ -90,7 +90,7 @@ pub(crate) trait SplitSink {
     /// taking parallel link `spread + i` modulo the links between its
     /// ends, and ends as `end`: in an in-transit host at its last switch,
     /// or at the destination switch one port byte short (the destination
-    /// host's is appended at materialisation).
+    /// host's ends the header written for a host pair).
     fn segment(&mut self, switches: &[SwitchId], spread: usize, end: SegmentEnd);
 }
 
@@ -183,7 +183,8 @@ fn pair_key(a: SwitchId, b: SwitchId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use regnet_topology::{gen, DistanceMatrix, Port, TopologyBuilder};
+    use crate::header::{Header, ITB_MARK};
+    use regnet_topology::{gen, DistanceMatrix, TopologyBuilder};
 
     /// Every segment of a split must itself be a legal up*/down* path.
     fn assert_segments_legal(t: &JourneyTemplate, orient: &Orientation) {
@@ -304,18 +305,27 @@ mod tests {
     }
 
     #[test]
-    fn materialised_journey_is_well_formed() {
+    fn split_route_writes_a_well_formed_header() {
         let (topo, orient) = ring4();
         let p = SwitchPath::new(vec![SwitchId(1), SwitchId(2), SwitchId(3)]);
         let t = split_minimal_path(&topo, &orient, &p, ItbHostPicker::First);
-        let dst = topo.hosts_of(SwitchId(3))[1];
-        let j = t.materialise(topo.hosts_of(SwitchId(1))[0], dst, topo.host_port(dst));
-        j.validate().unwrap();
-        assert_eq!(j.num_itbs(), 1);
-        // Header: 3 port bytes + 1 itb host port + 1 mark + 1 type = wait:
-        // seg0 ports = [1->2, itb host port] (2), seg1 = [2->3, dst port] (2),
-        // plus 1 mark + 1 type = 6.
-        assert_eq!(j.header_flits_at_injection(), 6);
-        let _ = Port(0); // keep Port import used in this test module
+        assert_eq!(t.num_itbs(), 1);
+        let SegmentEnd::Itb(itb) = t.segments[0].end else {
+            panic!("the first segment ends in transit")
+        };
+        let (src, dst) = (topo.hosts_of(SwitchId(1))[0], topo.hosts_of(SwitchId(3))[1]);
+        let header = Header::new(
+            [
+                &t.segments[0].ports[..],
+                &[ITB_MARK],
+                &t.segments[1].ports,
+                &[topo.host_port(dst)],
+            ]
+            .concat(),
+        );
+        assert_eq!(header.walk(&topo, src), Ok(vec![itb, dst]));
+        // seg0 = [1->2, itb host port], seg1 = [2->3, dst port], plus
+        // 1 mark + 1 type = 6.
+        assert_eq!(header.header_flits_entering_segment(0), 6);
     }
 }

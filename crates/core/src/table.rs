@@ -34,7 +34,8 @@
 use regnet_topology::{HostId, Port, PortTarget, SwitchId, Topology};
 
 use crate::fnv::Fnv1a;
-use crate::journey::{Journey, JourneyTemplate, Segment, SegmentEnd};
+use crate::header::{Header, ITB_MARK};
+use crate::journey::{JourneyTemplate, Segment, SegmentEnd};
 use crate::scheme::RoutingScheme;
 
 /// Most switches a table can name in its 16-bit switch ids.
@@ -51,8 +52,8 @@ const NO_SWITCH: u16 = u16::MAX;
 /// The routing table of the whole network for one scheme: for every ordered
 /// switch pair, the list of alternative routes.
 ///
-/// Routes are stored per *switch* pair as templates and materialised per
-/// *host* pair on demand (the only host-specific byte is the final port).
+/// Routes are stored per *switch* pair as templates; the header written
+/// for a *host* pair adds its only host-specific byte, the final port.
 /// [`alternatives`](RouteDb::alternatives) lends them out as views;
 /// [`JourneyTemplate`] is the owned form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -568,38 +569,25 @@ impl<'a> RouteRef<'a> {
         self.segments().map(|s| s.len_links()).sum()
     }
 
-    /// Materialise the route for a concrete host pair: one walk over its
-    /// port bytes.
-    ///
-    /// `dst_port` is the destination host's port on the final switch.
-    pub fn materialise(&self, src: HostId, dst: HostId, dst_port: Port) -> Journey {
+    /// The header a source writes for this route to the host on port
+    /// `dst_port` of its last switch: the route's port bytes, which are
+    /// one span of the table, an ITB mark after each in-transit segment's,
+    /// and `dst_port`. One allocation of the exact size; no switch is
+    /// walked.
+    pub fn header(&self, dst_port: Port) -> Header {
         let db = self.db;
         let segs = span(&db.route_segs, self.route);
-        let mut segments = Vec::with_capacity(segs.len());
-        let mut at = self.src;
+        let bytes = db.seg_ports[segs.end] - db.seg_ports[segs.start];
+        // A mark per segment but the last, then the destination's port.
+        let mut header = Vec::with_capacity(bytes as usize + segs.len());
         for g in segs {
-            let seg = db.segment(g, at);
-            let mut switches = Vec::with_capacity(seg.switches.len());
-            switches.push(at);
-            for &p in seg.switches.hops {
-                at = db.step(at, p);
-                switches.push(at);
+            header.extend_from_slice(&db.ports[span(&db.seg_ports, g)]);
+            if db.seg_end[g] != DELIVER {
+                header.push(ITB_MARK);
             }
-            // A port byte per switch, the destination host's included.
-            let mut ports = Vec::with_capacity(switches.len());
-            ports.extend_from_slice(seg.ports);
-            if let SegmentEnd::Itb(h) = seg.end {
-                at = db.host_switch(h);
-            }
-            segments.push(Segment {
-                switches,
-                ports,
-                end: seg.end,
-            });
         }
-        let last = segments.last_mut().expect("route has segments");
-        last.ports.push(dst_port);
-        Journey { src, dst, segments }
+        header.push(dst_port);
+        Header::new(header)
     }
 
     /// The route as an owned template.
@@ -831,20 +819,18 @@ mod tests {
         let via_itb = alts.get(1);
         assert_eq!((via_itb.num_itbs(), via_itb.total_links()), (1, 1));
         assert_eq!(via_itb.to_owned(), sample(&topo)[1][1]);
-        let j = via_itb.materialise(HostId(0), HostId(2), Port(9));
         let [itb, hop] = [
             &sample(&topo)[1][1].segments[0],
             &sample(&topo)[1][1].segments[1],
         ]
         .map(|s| s.ports[0]);
         assert_eq!(
-            j.segments[1].ports,
-            vec![hop, Port(9)],
-            "destination port appended to the final segment only"
+            via_itb.header(Port(9)).bytes(),
+            [itb, ITB_MARK, hop, Port(9)],
+            "a mark after the in-transit segment, the destination port last"
         );
-        assert_eq!(j.segments[0].ports, vec![itb]);
-        let want = sample(&topo)[1][1].materialise(HostId(0), HostId(2), Port(9));
-        assert_eq!(j, want);
+        let direct = sample(&topo)[1][0].segments[0].ports[0];
+        assert_eq!(alts.get(0).header(Port(9)).bytes(), [direct, Port(9)]);
         assert_eq!(alts.iter().len(), 2);
         assert_eq!(alts.into_iter().map(|r| r.num_itbs()).sum::<usize>(), 1);
     }

@@ -3,7 +3,7 @@
 //! checks only (no simulation), so this covers all ~4k pairs per network
 //! in seconds.
 
-use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme, SegmentEnd};
+use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme, SegmentEnd, ITB_MARK};
 use regnet_routing::SwitchPath;
 use regnet_topology::{gen, DistanceMatrix, Orientation, SwitchId, Topology};
 
@@ -41,6 +41,43 @@ fn check_db(topo: &Topology, scheme: RoutingScheme) {
                 );
             } else {
                 assert_eq!(t.num_itbs(), 0);
+            }
+        }
+    }
+    check_headers(topo, &db);
+}
+
+/// For every switch pair, from one of its source hosts to one of its
+/// destination hosts, twice (round robin moves on): the header `select`
+/// writes is the port bytes of the route `choose_from` draws, a mark after
+/// each in-transit segment's, then the destination's port; walked on the
+/// topology it ejects at the route's in-transit hosts and ends at the
+/// destination.
+fn check_headers(topo: &Topology, db: &RouteDb) {
+    let scheme = db.scheme();
+    let (mut chooser, mut selector) = (db.selector(), db.selector());
+    for s in topo.switches() {
+        for d in topo.switches() {
+            let (from, to) = (topo.hosts_of(s), topo.hosts_of(d));
+            if from.is_empty() || to.is_empty() {
+                continue;
+            }
+            let (src, dst) = (from[d.idx() % from.len()], to[s.idx() % to.len()]);
+            for _ in 0..2 {
+                let route = db.choose_from(topo, src, dst, chooser.src_mut(src));
+                let (mut want, mut hosts) = (Vec::new(), Vec::new());
+                for seg in route.segments() {
+                    want.extend_from_slice(seg.ports);
+                    if let SegmentEnd::Itb(h) = seg.end {
+                        want.push(ITB_MARK);
+                        hosts.push(h);
+                    }
+                }
+                want.push(topo.host_port(dst));
+                hosts.push(dst);
+                let header = db.select(topo, src, dst, &mut selector);
+                assert_eq!(header.bytes(), want, "{scheme} {src}->{dst}");
+                assert_eq!(header.walk(topo, src), Ok(hosts), "{scheme} {src}->{dst}");
             }
         }
     }

@@ -515,7 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn translated_routes_materialise_and_validate() {
+    fn translated_routes_write_headers_that_walk_through_live_hosts() {
         let physical = gen::torus_2d(4, 4, 2).unwrap();
         let faults = FaultSet::switch(SwitchId(5));
         let pr = rebuild_physical_routes(
@@ -527,17 +527,25 @@ mod tests {
         )
         .unwrap();
         pr.verify(&physical, &faults).unwrap();
-        let mut sel = pr.db.selector();
+        let (mut sel, mut in_transit) = (pr.db.selector(), 0);
         for src in physical.hosts() {
             for dst in physical.hosts() {
                 if src == dst || !pr.reachable_hosts[src.idx()] || !pr.reachable_hosts[dst.idx()] {
                     continue;
                 }
-                let j = pr.db.select(&physical, src, dst, &mut sel);
-                j.validate().unwrap();
-                assert_eq!((j.src, j.dst), (src, dst));
+                let header = pr.db.select(&physical, src, dst, &mut sel);
+                let hosts = header.walk(&physical, src).unwrap();
+                assert_eq!(hosts.last(), Some(&dst), "{src}->{dst}");
+                for &h in &hosts[..hosts.len() - 1] {
+                    in_transit += 1;
+                    assert!(
+                        faults.is_host_alive(&physical, h) && pr.reachable_hosts[h.idx()],
+                        "{src}->{dst}: in-transit host {h} is dead or unreachable"
+                    );
+                }
             }
         }
+        assert!(in_transit > 0, "no header went through an in-transit host");
         assert_eq!(pr.lost_hosts(), 2);
         assert!(pr.unreachable_pairs(&physical) > 0);
     }

@@ -261,7 +261,10 @@ fn target_word(target: FaultTarget) -> u32 {
         FaultTarget::Switch(s) => (1, id16(s.0)),
         FaultTarget::Host(h) => (2, id16(h.0)),
     };
-    debug_assert!((id as usize) < MAX_LINKS, "fault target id {id} does not fit in 30 bits");
+    debug_assert!(
+        (id as usize) < MAX_LINKS,
+        "fault target id {id} does not fit in 30 bits"
+    );
     kind << 30 | id
 }
 
@@ -506,7 +509,7 @@ impl EventJournal {
             });
         }
 
-        // Journey correlation: pids are reused, so each Inject opens a
+        // Packet correlation: pids are reused, so each Inject opens a
         // fresh journey id and later events of that pid attach to it. A
         // retransmission injects a pid whose journey is still open: it is
         // one more flow step of that journey.
@@ -599,7 +602,12 @@ mod tests {
         // event is, past the capacity.
         j.record(8, 8, EventKind::Drop);
         j.record(9, NO_PACKET, repair);
-        let fault = |k| matches!(k, EventKind::FaultFire { .. } | EventKind::FaultRepair { .. });
+        let fault = |k| {
+            matches!(
+                k,
+                EventKind::FaultFire { .. } | EventKind::FaultRepair { .. }
+            )
+        };
         let kept: Vec<(u64, bool)> = j.events().map(|e| (e.cycle, fault(e.kind))).collect();
         assert_eq!(kept, vec![(1, true), (6, true), (7, true), (9, true)]);
         assert_eq!((j.recorded(), j.evicted()), (10, 6));
@@ -913,8 +921,11 @@ mod tests {
             .enumerate()
             .flat_map(|(i, kind)| {
                 let i = i as u64;
-                [(0, 0), (top - i, NO_PACKET), (i, i as u32)]
-                    .map(|(cycle, pid)| Event { cycle, pid, kind })
+                [(0, 0), (top - i, NO_PACKET), (i, i as u32)].map(|(cycle, pid)| Event {
+                    cycle,
+                    pid,
+                    kind,
+                })
             })
             .collect();
         let mut j = EventJournal::new(EventOptions {

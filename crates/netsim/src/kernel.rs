@@ -39,7 +39,7 @@
 
 use std::cmp::Reverse;
 
-use regnet_core::{RouteDb, SegmentEnd, SrcSelector};
+use regnet_core::{RouteDb, SrcSelector};
 use regnet_topology::{HostId, SwitchId, Topology};
 
 use crate::channel::{Channels, Drain, Receiver, Sender, Stream, CTL_STOP};
@@ -265,52 +265,47 @@ pub(crate) fn nic_rx<S: Sink>(nic: &mut Nic, host: u32, pid: u32, t: &Tick, k: &
     if is_new {
         let pkt = k.pkt(pid);
         let expected = pkt.expected_at_next_receiver();
-        let end = pkt.journey.segments[pkt.seg as usize].end;
-        debug_assert!(!pkt.on_final_segment() || matches!(end, SegmentEnd::Deliver));
-        let deliver = match end {
-            SegmentEnd::Deliver => {
-                debug_assert_eq!(pkt.journey.dst.0, host, "misrouted packet");
-                true
+        // Only an ITB mark ejects a packet into the pool; the header of a
+        // packet that arrives at its destination is used up.
+        let deliver = if !pkt.at_itb_mark() {
+            debug_assert_eq!(pkt.dst.0, host, "misrouted packet");
+            debug_assert_eq!(pkt.header.bytes().len(), pkt.pos as usize);
+            true
+        } else {
+            // In-transit processing: recognise the packet (275 ns),
+            // program the DMA (200 ns), reserve pool space.
+            let mut ready = t.cycle + ITB_DETECT_CYCLES + ITB_DMA_CYCLES;
+            // `pool_used` never exceeds the pool, so the difference
+            // cannot underflow where the sum could overflow.
+            let overflow = expected > cfg.itb_pool_flits - nic.pool_used;
+            if overflow {
+                // Overflow to host memory: considerably more overhead
+                // (paper section 3).
+                pkt.pool_reserved = 0;
+                ready += ITB_OVERFLOW_PENALTY_CYCLES;
+            } else {
+                nic.pool_used += expected;
+                pkt.pool_reserved = expected;
             }
-            SegmentEnd::Itb(itb_host) => {
-                debug_assert_eq!(itb_host.0, host, "misrouted in-transit packet");
-                // In-transit processing: recognise the packet (275 ns),
-                // program the DMA (200 ns), reserve pool space.
-                pkt.itbs_used += 1;
-                let mut ready = t.cycle + ITB_DETECT_CYCLES + ITB_DMA_CYCLES;
-                // `pool_used` never exceeds the pool, so the difference
-                // cannot underflow where the sum could overflow.
-                let overflow = expected > cfg.itb_pool_flits - nic.pool_used;
+            // The packet enters its next segment: this NIC strips the
+            // ITB mark.
+            pkt.pos += 1;
+            let pool_used = nic.pool_used;
+            k.measure(|m| {
                 if overflow {
-                    // Overflow to host memory: considerably more overhead
-                    // (paper section 3).
-                    pkt.pool_reserved = 0;
-                    ready += ITB_OVERFLOW_PENALTY_CYCLES;
+                    m.itb_overflows += 1;
                 } else {
-                    nic.pool_used += expected;
-                    pkt.pool_reserved = expected;
+                    m.max_pool_flits = m.max_pool_flits.max(pool_used);
                 }
-                // The packet enters its next segment (the ITB mark is
-                // stripped by this NIC).
-                pkt.seg += 1;
-                pkt.hop = 0;
-                let pool_used = nic.pool_used;
-                k.measure(|m| {
-                    if overflow {
-                        m.itb_overflows += 1;
-                    } else {
-                        m.max_pool_flits = m.max_pool_flits.max(pool_used);
-                    }
-                });
-                nic.reinject.push(Reverse((ready, pid)));
-                k.wake_nic_at(ready, host);
-                k.count(|c| {
-                    c.itb_ejections += 1;
-                    c.itb_overflows += u64::from(overflow);
-                });
-                k.itb_eject(pid, host, overflow);
-                false
-            }
+            });
+            nic.reinject.push(Reverse((ready, pid)));
+            k.wake_nic_at(ready, host);
+            k.count(|c| {
+                c.itb_ejections += 1;
+                c.itb_overflows += u64::from(overflow);
+            });
+            k.itb_eject(pid, host, overflow);
+            false
         };
         nic.rx = Some(RxState {
             pid,
@@ -448,11 +443,10 @@ pub(crate) fn nic_tx<S: Sink>(nic: &mut Nic, h: u32, t: &Tick, k: &mut S) {
         while let Some((pid, kind)) = nic.pick_next_tx(cycle, cfg.itb_priority) {
             // Fresh and retransmitted packets route from scratch: under
             // faults, re-validate the pair and — once a rebuild has been
-            // installed — re-select the journey from the current tables
+            // installed — write a new header from the current tables
             // (in-transit packets keep their remaining route).
             if let (Some(f), true) = (t.faults, kind != TxKind::Reinject) {
-                let journey = &k.pkt(pid).journey;
-                let (src, dst) = (journey.src, journey.dst);
+                let (src, dst) = (k.pkt(pid).src, k.pkt(pid).dst);
                 let routable = f.host_ok[src.idx()]
                     && f.host_ok[dst.idx()]
                     && t.db
@@ -464,17 +458,16 @@ pub(crate) fn nic_tx<S: Sink>(nic: &mut Nic, h: u32, t: &Tick, k: &mut S) {
                     continue;
                 }
                 if f.routes.is_some() {
-                    let journey = t.db.select_from(t.topo, src, dst, k.selector(src));
-                    let pkt = k.pkt(pid);
-                    pkt.journey = journey;
-                    pkt.seg = 0;
-                    pkt.hop = 0;
+                    // Its cursor is at 0 already: the packet is fresh, or a
+                    // loss reset it.
+                    let header = t.db.select_from(t.topo, src, dst, k.selector(src));
+                    k.pkt(pid).header = header;
                 }
             }
             nic.tx = Some(TxState {
                 pid,
                 sent: 0,
-                total: k.pkt(pid).wire_len_current_segment(),
+                total: k.pkt(pid).expected_at_next_receiver(),
                 reinjection: kind == TxKind::Reinject,
             });
             break;
@@ -496,7 +489,7 @@ pub(crate) fn nic_tx<S: Sink>(nic: &mut Nic, h: u32, t: &Tick, k: &mut S) {
         if pkt.first_inject == u64::MAX {
             pkt.first_inject = cycle;
         }
-        let (src, dst) = (pkt.journey.src.0, pkt.journey.dst.0);
+        let (src, dst) = (pkt.src.0, pkt.dst.0);
         k.journal(|| (tx.pid, EventKind::Inject { src, dst }));
     }
     k.send(nic.out_chan, tx.pid);
@@ -1052,7 +1045,7 @@ mod tests {
     use crate::channel::{CTL_GO, CTL_STOP};
     use crate::events::BlockCause;
     use crate::faultplan::{FaultOptions, FaultPlan};
-    use regnet_core::{Journey, RouteDbConfig, RoutingScheme, Segment};
+    use regnet_core::{Header, RouteDbConfig, RoutingScheme, ITB_MARK};
     use regnet_topology::{Port, TopologyBuilder};
 
     #[derive(Debug, PartialEq)]
@@ -1172,31 +1165,19 @@ mod tests {
         Nic::new(40, rand::rngs::SmallRng::seed_from_u64(0))
     }
 
-    /// A packet from host 0 to host 9, one journey segment per
-    /// port list; every segment but the last ends in host 4's in-transit
-    /// buffer.
+    /// A packet from host 0 to host 9 whose header holds `segments`' port
+    /// bytes, joined by ITB marks: every segment but the last ends in an
+    /// in-transit buffer.
     fn packet(payload: u32, segments: &[&[u8]]) -> Packet {
-        let segments = segments.iter().enumerate().map(|(i, ports)| Segment {
-            switches: (0..=ports.len() as u32).map(SwitchId).collect(),
-            ports: ports.iter().map(|&p| Port(p)).collect(),
-            end: if i + 1 < segments.len() {
-                SegmentEnd::Itb(HostId(4))
-            } else {
-                SegmentEnd::Deliver
-            },
-        });
+        let bytes: Vec<Port> = segments.join(&ITB_MARK.0).into_iter().map(Port).collect();
         Packet {
-            journey: Journey {
-                src: HostId(0),
-                dst: HostId(9),
-                segments: segments.collect(),
-            },
+            src: HostId(0),
+            dst: HostId(9),
+            header: Header::new(bytes),
+            pos: 0,
             payload,
-            seg: 0,
-            hop: 0,
             gen_cycle: 0,
             first_inject: u64::MAX,
-            itbs_used: 0,
             pool_reserved: 0,
             retries: 0,
         }
@@ -1272,7 +1253,7 @@ mod tests {
         // ascending port order; then 150 ns = 24 cycles of nothing.
         switch_phase(&mut sw, SW, 0, &w.tick(0), &mut k);
         assert_eq!(k.take(), [route(0, 0, 2), route(1, 1, 2)]);
-        assert_eq!((k.pkts[0].hop, k.pkts[1].hop), (1, 1));
+        assert_eq!((k.pkts[0].pos, k.pkts[1].pos), (1, 1));
         switch_phase(&mut sw, SW, 0, &w.tick(23), &mut k);
         assert_eq!(k.take(), []);
 
@@ -1331,16 +1312,13 @@ mod tests {
         let w = World::new();
         let mut nic = nic();
         let mut k = Recorder::with(vec![packet(20, &[&[1], &[3, 2]])]);
-        k.pkts[0].hop = 1; // the one switch of segment 0 is behind it
+        k.pkts[0].pos = 1; // the one switch of segment 0 is behind it
         let wire = 1 + 2 + 1 + 20; // ITB mark, segment 1's ports, type, payload
         nic_rx(&mut nic, 4, 0, &w.tick(100), &mut k);
         // Recognition (44) + DMA set-up (32) cycles after the header.
         assert_eq!(k.take(), [Wake(176, 4), ItbEject(0, 4, false)]);
         let p = &k.pkts[0];
-        assert_eq!(
-            (p.seg, p.hop, p.itbs_used, p.pool_reserved),
-            (1, 0, 1, wire)
-        );
+        assert_eq!((p.pos, p.pool_reserved), (2, wire));
         assert_eq!((nic.pool_used, k.measure.max_pool_flits), (wire, wire));
         assert_eq!((k.counters.itb_ejections, k.counters.itb_overflows), (1, 0));
 
@@ -1379,7 +1357,7 @@ mod tests {
         let mut nic = nic();
         nic.pool_used = 10;
         let mut k = Recorder::with(vec![packet(20, &[&[1], &[3, 2]])]);
-        k.pkts[0].hop = 1;
+        k.pkts[0].pos = 1;
         nic_rx(&mut nic, 4, 0, &w.tick(100), &mut k);
         // 10 + 24 > 30: nothing reserved, and the overflow penalty (160)
         // on top of recognition + DMA.
@@ -1394,7 +1372,7 @@ mod tests {
         let w = World::new();
         let mut nic = nic();
         let mut k = Recorder::with(vec![packet(5, &[&[1]])]);
-        k.pkts[0].hop = 1;
+        k.pkts[0].pos = 1;
         for n in 1..=6 {
             nic_rx(&mut nic, 9, 0, &w.tick(n), &mut k);
             let want = (n == 6).then_some(Deliver(0, 9));
@@ -1432,8 +1410,8 @@ mod tests {
         let w = World::faulted([true, false]);
         let mut nic = nic();
         let mut k = Recorder::with(vec![packet(8, &[&[0, 1]]), packet(8, &[&[0]])]);
-        k.pkts[0].journey.dst = HostId(1);
-        k.pkts[1].journey.dst = HostId(0);
+        k.pkts[0].dst = HostId(1);
+        k.pkts[1].dst = HostId(0);
         nic.local_queue.extend([0, 1]);
         nic_tx(&mut nic, 0, &w.tick(50), &mut k);
         let inject = Journal(1, EventKind::Inject { src: 0, dst: 0 });

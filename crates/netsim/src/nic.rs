@@ -35,8 +35,8 @@ pub(crate) enum TxKind {
     Fresh,
     /// An in-transit packet continuing its journey (holds pool space).
     Reinject,
-    /// A source retransmission of a packet lost to a fault; restarts the
-    /// journey from segment 0.
+    /// A source retransmission of a packet lost to a fault; restarts from
+    /// the header's first byte.
     Retransmit,
 }
 

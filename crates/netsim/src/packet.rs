@@ -1,6 +1,7 @@
 //! Packet state and the packet arena.
 
-use regnet_core::Journey;
+use regnet_core::{Header, ITB_MARK};
+use regnet_topology::HostId;
 
 /// Sentinel for "no packet".
 pub(crate) const NO_PACKET: u32 = u32::MAX;
@@ -10,21 +11,20 @@ pub(crate) const NO_PACKET: u32 = u32::MAX;
 /// timestamps.
 #[derive(Debug, PartialEq)]
 pub(crate) struct Packet {
-    pub journey: Journey,
+    pub src: HostId,
+    pub dst: HostId,
+    /// The route header its source wrote.
+    pub header: Header,
+    /// Header bytes consumed so far, by switches and in-transit NICs.
+    pub pos: u32,
     /// Payload flits.
     pub payload: u32,
-    /// Current segment of the journey.
-    pub seg: u8,
-    /// Port bytes of the current segment already consumed by switches.
-    pub hop: u8,
     /// Cycle the generator created the message.
     pub gen_cycle: u64,
     /// Cycle the first flit of the first transmission entered the network
     /// at the source NIC (`u64::MAX` until then). A retransmission keeps
     /// it, so network latency counts from the first attempt.
     pub first_inject: u64,
-    /// In-transit buffers visited so far (reset by a retransmission).
-    pub itbs_used: u8,
     /// Flits reserved in the in-transit pool of the NIC currently holding
     /// this packet (0 when it overflowed to host memory).
     pub pool_reserved: u32,
@@ -33,30 +33,27 @@ pub(crate) struct Packet {
 }
 
 impl Packet {
-    /// Wire length (flits) of this packet at the start of its current
-    /// segment.
-    pub(crate) fn wire_len_current_segment(&self) -> u32 {
-        self.journey
-            .wire_len_entering_segment(self.seg as usize, self.payload as usize) as u32
-    }
-
     /// Flits that will arrive at the receiver the packet is currently
-    /// heading into, given `hop` port bytes of the segment were consumed.
+    /// heading into: the header bytes not yet consumed, the type byte and
+    /// the payload.
+    #[inline]
     pub(crate) fn expected_at_next_receiver(&self) -> u32 {
-        self.wire_len_current_segment() - self.hop as u32
+        self.header
+            .flits_from(self.pos as usize, self.payload as usize) as u32
     }
 
     /// The output port the current switch must use, advancing the cursor.
+    #[inline]
     pub(crate) fn consume_port_byte(&mut self) -> u8 {
-        let seg = &self.journey.segments[self.seg as usize];
-        let p = seg.ports[self.hop as usize];
-        self.hop += 1;
+        let p = self.header.bytes()[self.pos as usize];
+        self.pos += 1;
         p.0
     }
 
-    /// Is the packet on its final segment?
-    pub(crate) fn on_final_segment(&self) -> bool {
-        self.seg as usize == self.journey.segments.len() - 1
+    /// Is the next header byte an ITB mark, so that the NIC the packet
+    /// arrives at ejects it into its pool?
+    pub(crate) fn at_itb_mark(&self) -> bool {
+        self.header.bytes().get(self.pos as usize) == Some(&ITB_MARK)
     }
 }
 
@@ -116,55 +113,37 @@ impl PacketArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use regnet_core::{Segment, SegmentEnd};
-    use regnet_topology::{HostId, Port, SwitchId};
+    use regnet_topology::Port;
 
     fn packet() -> Packet {
         Packet {
-            journey: Journey {
-                src: HostId(0),
-                dst: HostId(9),
-                segments: vec![
-                    Segment {
-                        switches: vec![SwitchId(0), SwitchId(1)],
-                        ports: vec![Port(1), Port(9)],
-                        end: SegmentEnd::Itb(HostId(4)),
-                    },
-                    Segment {
-                        switches: vec![SwitchId(1), SwitchId(2)],
-                        ports: vec![Port(0), Port(8)],
-                        end: SegmentEnd::Deliver,
-                    },
-                ],
-            },
+            src: HostId(0),
+            dst: HostId(9),
+            header: Header::new([1, 9, 255, 0, 8].map(Port).to_vec()),
+            pos: 0,
             payload: 64,
-            seg: 0,
-            hop: 0,
             gen_cycle: 0,
             first_inject: u64::MAX,
-            itbs_used: 0,
             pool_reserved: 0,
             retries: 0,
         }
     }
 
     #[test]
-    fn wire_accounting_follows_hops() {
+    fn the_cursor_reads_the_header() {
         let mut p = packet();
-        // Header: 4 ports + 1 mark + 1 type = 6; wire = 70.
-        assert_eq!(p.wire_len_current_segment(), 70);
         assert_eq!(p.expected_at_next_receiver(), 70);
         assert_eq!(p.consume_port_byte(), 1);
-        assert_eq!(p.expected_at_next_receiver(), 69);
         assert_eq!(p.consume_port_byte(), 9);
-        // Arriving at the ITB host: 68 flits (mark + seg1 header + type + payload).
+        // Arriving at the ITB host, which strips the mark.
+        assert!(p.at_itb_mark());
         assert_eq!(p.expected_at_next_receiver(), 68);
-        assert!(!p.on_final_segment());
-        // The ITB strips the mark and the packet enters segment 1.
-        p.seg = 1;
-        p.hop = 0;
-        assert_eq!(p.wire_len_current_segment(), 67);
-        assert!(p.on_final_segment());
+        p.pos += 1;
+        assert!(!p.at_itb_mark());
+        assert_eq!((p.consume_port_byte(), p.consume_port_byte()), (0, 8));
+        // At the destination: the type byte and the payload.
+        assert!(!p.at_itb_mark());
+        assert_eq!(p.expected_at_next_receiver(), 65);
     }
 
     #[test]

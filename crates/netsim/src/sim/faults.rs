@@ -445,16 +445,14 @@ impl Simulator<'_> {
         self.rel.worms_truncated += 1;
         let (src, retries) = {
             let p = self.arena.get(pid);
-            (p.journey.src, p.retries)
+            (p.src, p.retries)
         };
         let can_retry =
             retries < MAX_RETRANSMITS && self.faults.as_deref().unwrap().host_ok[src.idx()];
         if can_retry {
             let pkt = self.arena.get_mut(pid);
             pkt.retries += 1;
-            pkt.seg = 0;
-            pkt.hop = 0;
-            pkt.itbs_used = 0;
+            pkt.pos = 0;
             let due = cycle + self.cfg.retransmit_timeout_cycles;
             self.nics[src.idx()].retransmit.push(Reverse((due, pid)));
             if let Some(sc) = self.sched.as_deref_mut() {

@@ -68,19 +68,19 @@ impl Simulator<'_> {
         }
     }
 
-    /// Create one message from `src` to `dst`: one packet, on a journey
-    /// drawn from the current tables.
+    /// Create one message from `src` to `dst`: one packet, carrying a
+    /// header written from the current tables.
     fn create_message(&mut self, src: HostId, dst: HostId, gen_cycle: u64) {
         let db = route_db(self.faults.as_deref(), self.db);
-        let journey = db.select(self.topo, src, dst, &mut self.selector);
+        let header = db.select(self.topo, src, dst, &mut self.selector);
         let pid = self.arena.insert(Packet {
-            journey,
+            src,
+            dst,
+            header,
+            pos: 0,
             payload: self.cfg.payload_flits as u32,
-            seg: 0,
-            hop: 0,
             gen_cycle,
             first_inject: u64::MAX,
-            itbs_used: 0,
             pool_reserved: 0,
             retries: 0,
         });

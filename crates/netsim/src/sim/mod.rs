@@ -1455,9 +1455,9 @@ mod tests {
         let hosts = topo.num_hosts() as u32;
         let pairs = (0..hosts).flat_map(|s| (0..hosts).map(move |d| (s, d)));
         let itb = pairs.filter(|&(s, d)| s != d).find_map(|(s, d)| {
-            let mut sel = db.selector();
-            let journey = db.select(&topo, HostId(s), HostId(d), &mut sel);
-            journey.segments.iter().find_map(|seg| match seg.end {
+            let (src, mut sel) = (HostId(s), db.selector());
+            let route = db.choose_from(&topo, src, HostId(d), sel.src_mut(src));
+            route.segments().find_map(|seg| match seg.end {
                 regnet_core::SegmentEnd::Itb(h) => Some((s, d, h.0)),
                 _ => None,
             })
@@ -1522,7 +1522,12 @@ mod tests {
         assert_eq!(util.busy.len(), sim.channels.len());
         assert!(util.busy.iter().all(|row| row.len() == 50));
         assert!(util.busy.iter().all(|row| row.capacity() == row.len()));
-        assert!(moved.metrics.unwrap().samples.iter().any(|s| s.values[0] > 0));
+        assert!(moved
+            .metrics
+            .unwrap()
+            .samples
+            .iter()
+            .any(|s| s.values[0] > 0));
         assert!(obs.journal.is_some_and(|j| !j.is_empty()));
         assert!(sim.trace_report().is_none() && sim.journal().is_none());
     }
@@ -1532,12 +1537,15 @@ mod tests {
     /// before it records anything. Its table is a small ring's; the
     /// refusal comes before a cycle could read it.
     #[test]
-    #[should_panic(expected = "at most 65,536 hosts and 65,536 switches, this network has 65537 hosts")]
+    #[should_panic(
+        expected = "at most 65,536 hosts and 65,536 switches, this network has 65537 hosts"
+    )]
     fn enable_events_refuses_ids_a_journal_entry_cannot_hold() {
         let mut b = TopologyBuilder::new("line", 64);
         let first = b.add_switches(1_058);
         for s in 1..1_058u32 {
-            b.connect(SwitchId(first.0 + s - 1), SwitchId(first.0 + s)).unwrap();
+            b.connect(SwitchId(first.0 + s - 1), SwitchId(first.0 + s))
+                .unwrap();
         }
         for h in 0..(1 << 16) + 1 {
             b.attach_host(SwitchId(h / 62)).unwrap();

@@ -127,16 +127,18 @@ impl Sink for SeqSink<'_> {
     }
     /// Arena bookkeeping, measurement, counters, journal and trace hooks
     /// of a completed delivery: the packet is the whole message, so its
-    /// delivery is the message's.
+    /// delivery is the message's, through every in-transit buffer its
+    /// header marks.
     #[inline(never)]
     fn deliver(&mut self, pid: u32, host: u32) {
         let cycle = self.cycle;
         let pkt = self.arena.remove(pid);
+        let itbs = pkt.header.num_itbs() as u64;
         if self.measure.on {
             let m = &mut *self.measure;
             m.delivered += 1;
             m.delivered_payload_flits += pkt.payload as u64;
-            m.itb_sum += pkt.itbs_used as u64;
+            m.itb_sum += itbs;
             m.latency.push((cycle - pkt.first_inject) as f64);
             m.hist.record(cycle - pkt.first_inject);
             m.total_latency.push((cycle - pkt.gen_cycle) as f64);
@@ -149,10 +151,10 @@ impl Sink for SeqSink<'_> {
         if let Some(tr) = self.trace.as_deref_mut() {
             tr.on_message_delivered(
                 cycle,
-                pkt.journey.src.0,
-                pkt.journey.dst.0,
+                pkt.src.0,
+                pkt.dst.0,
                 pkt.payload as u64,
-                pkt.itbs_used as u64,
+                itbs,
                 pkt.first_inject,
             );
         }

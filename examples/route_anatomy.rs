@@ -7,6 +7,7 @@
 //! Run with: `cargo run --example route_anatomy`
 
 use regnet::core::analysis::RouteStats;
+use regnet::core::ITB_MARK;
 use regnet::prelude::*;
 use regnet::routing::minimal;
 
@@ -67,21 +68,35 @@ fn main() {
         }
     }
 
-    // Materialise for a concrete host pair and show the wire header.
+    // The header the ITB-SP table writes for a concrete host pair: one
+    // port byte per switch, an ITB mark after each in-transit segment, and
+    // the type byte every header ends with.
     let src = topo.hosts_of(SwitchId(3))[0];
     let dst = topo.hosts_of(SwitchId(5))[1];
-    let journey = template.materialise(src, dst, topo.host_port(dst));
-    journey.validate().unwrap();
+    let db = RouteDb::build(&topo, RoutingScheme::ItbSp, &RouteDbConfig::default());
+    let header = db.select(&topo, src, dst, &mut db.selector());
+    let bytes: Vec<String> = header
+        .bytes()
+        .iter()
+        .map(|&p| match p {
+            ITB_MARK => "ITB".to_string(),
+            p => p.0.to_string(),
+        })
+        .collect();
+    let ejects: Vec<String> = header
+        .walk(&topo, src)
+        .unwrap()
+        .iter()
+        .map(|h| h.to_string())
+        .collect();
     println!(
-        "\njourney {src} -> {dst}: {} header flits at injection \
-         ({} port bytes + {} ITB mark(s) + 1 type byte)",
-        journey.header_flits_at_injection(),
-        journey
-            .segments
-            .iter()
-            .map(|s| s.ports.len())
-            .sum::<usize>(),
-        journey.num_itbs()
+        "\nheader {src} -> {dst}: [{} type] = {} flits at injection \
+         ({} port bytes + {} ITB mark(s) + 1 type byte), ejected at {}",
+        bytes.join(" "),
+        header.header_flits_entering_segment(0),
+        header.bytes().len() - header.num_itbs(),
+        header.num_itbs(),
+        ejects.join(" then ")
     );
 
     // Finally: the same analysis over the whole paper-scale torus.

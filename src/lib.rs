@@ -14,7 +14,7 @@
 //! |--------|-------|----------|
 //! | [`topology`] | `regnet-topology` | switch/host/link graphs, torus / express-torus / CPLANT / mesh / hypercube / irregular generators, spanning trees, up/down orientation |
 //! | [`routing`] | `regnet-routing` | up\*/down\* legal paths, `simple_routes` emulation, minimal-path enumeration |
-//! | [`core`] | `regnet-core` | the ITB mechanism: journey splitting, route databases, path-selection policies, route analysis |
+//! | [`core`] | `regnet-core` | the ITB mechanism: route splitting, packet headers, route databases, path-selection policies, route analysis |
 //! | [`traffic`] | `regnet-traffic` | uniform / bit-reversal / hotspot / local patterns, offered-load conversion |
 //! | [`mapper`] | `regnet-mapper` | fault sets, network discovery, and the re-map + route-rebuild step every faulted run takes |
 //! | [`netsim`] | `regnet-netsim` | the flit-level simulator (pipelined links, stop&go, cut-through switches, ITB NICs), fault plans and the experiment driver |
@@ -65,7 +65,7 @@ pub use regnet_traffic as traffic;
 /// The types needed by typical experiments, in one import.
 pub mod prelude {
     pub use regnet_core::{
-        split_minimal_path, ItbHostPicker, Journey, JourneyTemplate, RouteDb, RouteDbConfig,
+        split_minimal_path, Header, ItbHostPicker, JourneyTemplate, RouteDb, RouteDbConfig,
         RoutingScheme, SegmentEnd,
     };
     pub use regnet_mapper::FaultSet;

@@ -169,13 +169,15 @@ proptest! {
         }
     }
 
-    /// Route databases materialise valid journeys for every host pair on
-    /// any topology, under every scheme.
+    /// The header `select` writes for a host pair, walked on the topology
+    /// from the source host's switch, ejects at each in-transit host of
+    /// the route `choose_from` draws and ends at the destination, on any
+    /// multigraph under every scheme.
     #[test]
-    fn route_db_materialises_valid_journeys(topo in arb_topology(), scheme_pick in 0u8..3) {
-        let scheme = RoutingScheme::all()[scheme_pick as usize];
+    fn route_db_headers_walk_to_their_destination(topo in arb_multigraph(), scheme_pick in 0u8..4) {
+        let scheme = RoutingScheme::extended()[scheme_pick as usize];
         let db = RouteDb::build(&topo, scheme, &RouteDbConfig::default());
-        let mut sel = db.selector();
+        let (mut chooser, mut selector) = (db.selector(), db.selector());
         let hosts: Vec<HostId> = topo.hosts().collect();
         // Sample pairs rather than the full quadratic set.
         for (i, &src) in hosts.iter().enumerate() {
@@ -183,20 +185,22 @@ proptest! {
             if src == dst {
                 continue;
             }
-            let j = db.select(&topo, src, dst, &mut sel);
-            prop_assert!(j.validate().is_ok(), "{:?}", j.validate());
-            prop_assert_eq!(j.src, src);
-            prop_assert_eq!(j.dst, dst);
+            let route = db.choose_from(&topo, src, dst, chooser.src_mut(src));
+            let header = db.select(&topo, src, dst, &mut selector);
             // The final port byte must address the destination host.
-            let last_seg = j.segments.last().unwrap();
-            prop_assert_eq!(*last_seg.ports.last().unwrap(), topo.host_port(dst));
-            // Journey switches must chain across segments.
-            for w in j.segments.windows(2) {
-                prop_assert_eq!(
-                    *w[0].switches.last().unwrap(),
-                    w[1].switches[0],
-                    "segments must hand over at the same switch"
-                );
+            prop_assert_eq!(header.bytes().last(), Some(&topo.host_port(dst)));
+            let walked = header.walk(&topo, src);
+            prop_assert!(walked.is_ok(), "{}->{}: {:?}", src, dst, walked);
+            let walked = walked.unwrap();
+            prop_assert_eq!(walked.last(), Some(&dst));
+            prop_assert_eq!(walked.len(), route.num_segments());
+            // Segments must chain: each in-transit host is attached where
+            // its segment ends and the next one starts.
+            let segments: Vec<_> = route.segments().collect();
+            for (w, &h) in segments.windows(2).zip(&walked) {
+                prop_assert_eq!(w[0].end, SegmentEnd::Itb(h));
+                prop_assert_eq!(w[0].switches.last(), Some(topo.host_switch(h)));
+                prop_assert_eq!(w[1].switches.first(), Some(topo.host_switch(h)));
             }
         }
     }
