@@ -35,7 +35,7 @@ fn main() {
         0.001,
     );
     let exp = cell::build_experiment(&cell).expect("a paper cell");
-    println!("{}", describe_route_table(exp.route_db(), t0.elapsed()));
+    println!("{}", describe_route_table(&exp, t0.elapsed()));
     let opts = RunOptions {
         counters: true,
         events: events_path.is_some().then(EventOptions::default),

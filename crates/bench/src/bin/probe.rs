@@ -84,10 +84,7 @@ fn main() {
             build,
             run
         );
-        println!(
-            "         {}",
-            describe_route_table(exp.route_db(), table_build)
-        );
+        println!("         {}", describe_route_table(&exp, table_build));
         if let Some(report) = &obs.trace {
             if let Some(l) = &report.lifetime {
                 println!(

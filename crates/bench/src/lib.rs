@@ -11,7 +11,7 @@ pub use experiments::Output;
 use experiments::{Figure, Request, FIGURES};
 use regnet_campaign::{CellDefaults, ResultStore, RunPlan, StatusBoard, TopoSpec};
 use regnet_metrics::Curve;
-use regnet_netsim::FaultPlan;
+use regnet_netsim::{Experiment, FaultPlan};
 use regnet_topology::LinkId;
 
 /// The three topologies of the paper's evaluation, in its order: the 8×8
@@ -384,13 +384,14 @@ pub(crate) fn save_curves(name: &str, curves: &[Curve]) {
     }
 }
 
-/// What a route table holds and cost to build, as `probe`/`diagnose`
-/// print it.
-pub fn describe_route_table(db: &regnet_core::RouteDb, built_in: std::time::Duration) -> String {
+/// What an experiment's route table holds and cost to build, as
+/// `probe`/`diagnose` print it.
+pub fn describe_route_table(exp: &Experiment, built_in: std::time::Duration) -> String {
+    let db = exp.route_db();
     format!(
         "route table: {} (built in {built_in:?}, fingerprint {:016x})",
         db.footprint(),
-        db.fingerprint()
+        db.fingerprint(exp.topology())
     )
 }
 

@@ -14,7 +14,7 @@
 //! byte; the in-transit host's NIC consumes the mark before re-injection.
 //! The type byte is not stored: every header has one.
 
-use regnet_topology::{HostId, Port, PortTarget, Topology};
+use regnet_topology::{HostId, Port, PortTarget, SwitchId, Topology};
 
 /// The byte that ends an in-transit segment. No port byte can equal it:
 /// a switch has at most 255 ports, numbered from 0.
@@ -74,16 +74,20 @@ impl Header {
     /// the segment after a mark starts at that host's switch. The
     /// simulator reads bytes only; tests check with this what they say.
     pub fn walk(&self, topo: &Topology, src: HostId) -> Result<Vec<HostId>, String> {
-        let mut at = topo.host_switch(src);
+        let mut hops = PortWalk::new(topo, topo.host_switch(src), self.0.iter().copied());
         let mut hosts = Vec::new();
         for (si, seg) in self.segments().enumerate() {
-            for (i, &p) in seg.iter().enumerate() {
-                match (topo.port_target(at, p), i + 1 == seg.len()) {
-                    (Some(PortTarget::Switch { to, .. }), false) => at = to,
-                    (Some(PortTarget::Host { host, .. }), true) => {
-                        hosts.push(host);
-                        at = topo.host_switch(host);
-                    }
+            if seg.is_empty() {
+                return Err(format!("segment {si} has no port byte"));
+            }
+            for (i, hop) in hops.by_ref().take(seg.len()).enumerate() {
+                let (at, p, to) = match hop {
+                    Ok(hop) => (hop.at, hop.port, Some(hop.to)),
+                    Err(end) => (end.at, end.port, None),
+                };
+                match (to, i + 1 == seg.len()) {
+                    (Some(PortTarget::Switch { .. }), false) => {}
+                    (Some(PortTarget::Host { host, .. }), true) => hosts.push(host),
                     (_, last) => {
                         let to = if last { "host" } else { "switch" };
                         return Err(format!(
@@ -92,17 +96,195 @@ impl Header {
                     }
                 }
             }
-            if hosts.len() == si {
-                return Err(format!("segment {si} has no port byte"));
-            }
         }
         Ok(hosts)
+    }
+}
+
+/// One port byte read on a walk: the switch that reads it, the byte, and
+/// what the byte's port leads to. A [`PortTarget::Switch`] names its link,
+/// so the directed channel `at → to` follows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hop {
+    pub at: SwitchId,
+    pub port: Port,
+    pub to: PortTarget,
+}
+
+/// A port byte that leads nowhere: byte `byte` of segment `seg` (counted
+/// from 0, marks between segments), read at switch `at`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeadEnd {
+    pub seg: usize,
+    pub byte: usize,
+    pub at: SwitchId,
+    pub port: Port,
+}
+
+impl std::fmt::Display for DeadEnd {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let DeadEnd { seg, byte, .. } = self;
+        write!(
+            f,
+            "segment {seg} byte {byte}: {} of {} leads nowhere",
+            self.port, self.at
+        )
+    }
+}
+
+/// Port bytes walked on a topology from a start switch: a [`Hop`] per
+/// byte, or a [`DeadEnd`] where a byte leads nowhere (readers stop
+/// there). A byte that reaches a host leaves the walk at that host's
+/// switch, so the segment after an ITB mark starts where its in-transit
+/// host is attached; the mark itself yields nothing. The one place outside
+/// the simulator's switches that maps a port byte to where it leads.
+#[derive(Debug, Clone)]
+pub struct PortWalk<'t, I> {
+    topo: &'t Topology,
+    at: SwitchId,
+    seg: usize,
+    byte: usize,
+    bytes: I,
+}
+
+impl<'t, I: Iterator<Item = Port>> PortWalk<'t, I> {
+    /// Walk `bytes`, marks allowed, on `topo` from switch `start`.
+    pub fn new(
+        topo: &'t Topology,
+        start: SwitchId,
+        bytes: impl IntoIterator<IntoIter = I>,
+    ) -> PortWalk<'t, I> {
+        PortWalk {
+            topo,
+            at: start,
+            seg: 0,
+            byte: 0,
+            bytes: bytes.into_iter(),
+        }
+    }
+}
+
+impl<I: Iterator<Item = Port>> Iterator for PortWalk<'_, I> {
+    type Item = Result<Hop, DeadEnd>;
+
+    fn next(&mut self) -> Option<Result<Hop, DeadEnd>> {
+        let mut port = self.bytes.next()?;
+        while port == ITB_MARK {
+            (self.seg, self.byte) = (self.seg + 1, 0);
+            port = self.bytes.next()?;
+        }
+        let (at, byte) = (self.at, self.byte);
+        self.byte += 1;
+        let Some(to) = self.topo.port_target(at, port) else {
+            let seg = self.seg;
+            return Some(Err(DeadEnd {
+                seg,
+                byte,
+                at,
+                port,
+            }));
+        };
+        self.at = match to {
+            PortTarget::Switch { to, .. } => to,
+            PortTarget::Host { host, .. } => self.topo.host_switch(host),
+        };
+        Some(Ok(Hop { at, port, to }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regnet_topology::TopologyBuilder;
+
+    /// Two switches joined by one link; two hosts on switch 0, one on
+    /// switch 1. Returns the topology, the link's port on each switch and
+    /// the hosts' ports.
+    fn line() -> (Topology, [Port; 2], [Port; 3]) {
+        let mut b = TopologyBuilder::new("line", 8);
+        b.add_switches(2);
+        b.connect(SwitchId(0), SwitchId(1)).unwrap();
+        for s in [0, 0, 1] {
+            b.attach_host(SwitchId(s)).unwrap();
+        }
+        let topo = b.build().unwrap();
+        let link = [(0, 1), (1, 0)].map(|(a, b)| topo.port_to(SwitchId(a), SwitchId(b)).unwrap());
+        let hosts = [0, 1, 2].map(|h| topo.host_port(HostId(h)));
+        (topo, link, hosts)
+    }
+
+    #[test]
+    fn the_walk_reads_each_byte_where_the_one_before_led() {
+        let (topo, [out, back], [h0, h1, h2]) = line();
+        // To host 1, then (after the mark, from host 1's switch) over the
+        // link to host 2.
+        let bytes = [h1, ITB_MARK, out, h2];
+        let hops: Vec<Hop> = PortWalk::new(&topo, SwitchId(0), bytes)
+            .map(Result::unwrap)
+            .collect();
+        let at_ports: Vec<(SwitchId, Port)> = hops.iter().map(|h| (h.at, h.port)).collect();
+        assert_eq!(
+            at_ports,
+            [(SwitchId(0), h1), (SwitchId(0), out), (SwitchId(1), h2)]
+        );
+        assert!(matches!(
+            hops[0].to,
+            PortTarget::Host {
+                host: HostId(1),
+                ..
+            }
+        ));
+        assert!(matches!(
+            hops[1].to,
+            PortTarget::Switch { to: SwitchId(1), to_port, .. } if to_port == back
+        ));
+        assert!(matches!(
+            hops[2].to,
+            PortTarget::Host {
+                host: HostId(2),
+                ..
+            }
+        ));
+        // A port nothing is attached to is a dead end that names its
+        // segment and byte; so is a mark where a port byte is due.
+        let mut walk = PortWalk::new(&topo, SwitchId(1), [back, h0, ITB_MARK, Port(7)]);
+        assert!(walk.next().unwrap().is_ok() && walk.next().unwrap().is_ok());
+        let end = walk.next().unwrap().unwrap_err();
+        let want = DeadEnd {
+            seg: 1,
+            byte: 0,
+            at: SwitchId(0),
+            port: Port(7),
+        };
+        assert_eq!(end, want);
+        assert_eq!(end.to_string(), "segment 1 byte 0: p7 of s0 leads nowhere");
+    }
+
+    #[test]
+    fn header_walk_names_the_byte_that_goes_astray() {
+        let (topo, [out, _], [_, h1, h2]) = line();
+        let walk = |bytes: &[Port]| Header::new(bytes.to_vec()).walk(&topo, HostId(0));
+        assert_eq!(
+            walk(&[h1, ITB_MARK, out, h2]),
+            Ok(vec![HostId(1), HostId(2)])
+        );
+        let errors = [
+            (&[out][..], "segment 0 byte 0: p0 of s0 leads to no host"),
+            (&[h1, h2], "segment 0 byte 0: p2 of s0 leads to no switch"),
+            (
+                &[out, Port(7)],
+                "segment 0 byte 1: p7 of s1 leads to no host",
+            ),
+            (
+                &[h1, ITB_MARK, ITB_MARK, out, h2],
+                "segment 1 has no port byte",
+            ),
+            (&[h1, ITB_MARK], "segment 1 has no port byte"),
+        ];
+        for (bytes, want) in errors {
+            assert_eq!(walk(bytes), Err(want.to_string()), "{bytes:?}");
+        }
+    }
 
     /// Three port bytes to an in-transit host, then two to the
     /// destination.

@@ -16,7 +16,9 @@
 //! This crate provides:
 //!
 //! * [`Header`] — the port bytes and ITB marks a source writes into a
-//!   packet, and [`JourneyTemplate`], a multi-segment route in owned form,
+//!   packet; [`PortWalk`], which walks port bytes on a topology, a
+//!   [`Hop`] (switch, byte, where it leads) per byte; and
+//!   [`JourneyTemplate`], a multi-segment route in owned form,
 //! * [`split_minimal_path`] — the placement algorithm that turns any minimal
 //!   path into a legal route,
 //! * [`RouteDb`] — per-pair route tables for the three schemes evaluated in
@@ -55,11 +57,9 @@ mod split;
 mod table;
 
 pub use fnv::Fnv1a;
-pub use header::{Header, ITB_MARK};
+pub use header::{DeadEnd, Header, Hop, PortWalk, ITB_MARK};
 pub use journey::{JourneyTemplate, Segment, SegmentEnd};
 pub use relabel::Relabel;
 pub use scheme::{PathSelector, RouteDbConfig, RoutingScheme, SrcSelector};
 pub use split::{split_minimal_path, try_split_minimal_path, ItbHostPicker};
-pub use table::{
-    Alternatives, RouteDb, RouteFootprint, RouteRef, Routes, SegmentRef, SegmentSwitches,
-};
+pub use table::{Alternatives, RouteDb, RouteFootprint, RouteRef, Routes, SegmentRef};

@@ -106,6 +106,10 @@ pub(crate) struct Relabelled<'t, 'm, R> {
 }
 
 impl<R: Relabel> SplitSink for Relabelled<'_, '_, R> {
+    // Left to the compiler, this fell out of line from `split_into`, and
+    // the call per segment cost the ITB builds 1.5–4.5 % (minimum of 201
+    // builds, 2-vCPU Xeon).
+    #[inline]
     fn segment(&mut self, switches: &[SwitchId], spread: usize, end: SegmentEnd) {
         let map = self.map;
         self.table.ports(

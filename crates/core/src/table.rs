@@ -5,49 +5,40 @@
 //! ```text
 //! pair (s, d) ──pair_routes──▶ routes ──route_segs──▶ segments ──seg_ports──▶ ports  u8
 //!                                                     seg_end  u16
-//! next:        switch × port ──▶ the switch that port leads to  u16
-//! host_switch: host ──▶ the switch it is attached to             u16
 //! ```
 //!
-//! Each of the first three arrows is a CSR offset vector (`n + 1` entries
-//! of `u32`, item `i` owning `off[i]..off[i + 1]` of the next level). A
-//! segment stores one port byte per hop, and an in-transit segment one
-//! more, for its in-transit host. A delivering segment's last byte
-//! addresses the destination host, which differs per host pair: it is not
-//! stored. `seg_end` is the in-transit host's id, or `DELIVER`.
+//! Each arrow is a CSR offset vector (`n + 1` entries of `u32`, item `i`
+//! owning `off[i]..off[i + 1]` of the next level). A segment stores one
+//! port byte per hop, and an in-transit segment one more, for its
+//! in-transit host. A delivering segment's last byte addresses the
+//! destination host, which differs per host pair: it is not stored.
+//! `seg_end` is the in-transit host's id, or `DELIVER`.
 //!
-//! No switch id is stored per route: the topology the table is written
-//! for determines them, and its two small maps hold what a walk needs of
-//! it. A route's first segment starts at its pair's source switch, a later
-//! one where the previous segment's in-transit host is attached, and each
-//! hop goes where `next` says its port leads. [`SegmentSwitches`] walks
-//! that, a load per hop.
+//! No switch id is stored: the topology the table is written for
+//! determines them. A route starts at its pair's source switch, and its
+//! bytes walked on that topology ([`RouteRef::walk`], a
+//! [`PortWalk`](crate::PortWalk)) name every switch and link it crosses;
+//! an in-transit host's byte leaves the walk at that host's switch, where
+//! the next segment starts.
 //!
-//! So a table is seven allocations however many routes it holds, cloning
-//! it is seven `memcpy`s, and a table appended in pair order has exactly
+//! So a table is five allocations however many routes it holds, cloning
+//! it is five `memcpy`s, and a table appended in pair order has exactly
 //! one representation — `==` on the vectors is equality of the routes. It
 //! costs 4 bytes per switch pair and per route, 6 per segment and 1 per
-//! port byte, plus 2 per host and per switch and switch-facing port for
-//! the maps. Ids are 16-bit: a table covers at most 65,536 switches and
-//! 65,535 hosts.
+//! port byte. Host ids are 16-bit: a table names at most 65,535 hosts.
 
 use regnet_topology::{HostId, Port, PortTarget, SwitchId, Topology};
 
 use crate::fnv::Fnv1a;
-use crate::header::{Header, ITB_MARK};
+use crate::header::{Header, Hop, PortWalk, ITB_MARK};
 use crate::journey::{JourneyTemplate, Segment, SegmentEnd};
 use crate::scheme::RoutingScheme;
 
-/// Most switches a table can name in its 16-bit switch ids.
-const MAX_SWITCHES: usize = 1 << 16;
 /// `seg_end` of a delivering segment; any other value is an in-transit
 /// host's id.
 const DELIVER: u16 = u16::MAX;
 /// Most hosts a table can name: every id below `DELIVER`.
 const MAX_HOSTS: usize = DELIVER as usize;
-/// A `next` entry whose port leads to a host or to nothing. A walk never
-/// reads one: every stored hop leaves by a switch-facing port.
-const NO_SWITCH: u16 = u16::MAX;
 
 /// The routing table of the whole network for one scheme: for every ordered
 /// switch pair, the list of alternative routes.
@@ -71,14 +62,6 @@ pub struct RouteDb {
     seg_end: Vec<u16>,
     /// One byte per hop, and an in-transit segment's host port.
     ports: Vec<Port>,
-    /// `s * stride + p` → the switch port `p` of switch `s` leads to, or
-    /// `NO_SWITCH`.
-    next: Vec<u16>,
-    /// One past the highest switch-facing port of any switch.
-    stride: usize,
-    /// Host → the switch it is attached to, where the segment after its
-    /// in-transit segment starts.
-    host_switch: Vec<u16>,
 }
 
 /// What a [`RouteDb`] holds and what it costs to keep.
@@ -121,9 +104,10 @@ impl RouteDb {
     /// checked path. It does refuse what the layout cannot store: a switch
     /// id `topo` lacks; a segment whose port bytes are not one per switch
     /// (in-transit) or one fewer (delivering); a hop whose port byte does
-    /// not lead to the segment's next switch; and a segment that does not
-    /// start at its pair's source switch (the first) or at the switch of
-    /// the previous segment's in-transit host (a later one).
+    /// not lead to the segment's next switch, or an in-transit segment
+    /// whose last byte does not lead to its host; and a segment that does
+    /// not start at its pair's source switch (the first) or at the switch
+    /// of the previous segment's in-transit host (a later one).
     pub fn from_templates(
         scheme: RoutingScheme,
         topo: &Topology,
@@ -178,13 +162,11 @@ impl RouteDb {
                          source switch or the previous segment's in-transit host's",
                         seg.switches[0]
                     );
+                    let mut hops = PortWalk::new(topo, start, seg.ports.iter().copied());
+                    let mut next = || hops.next().and_then(Result::ok).map(|hop| hop.to);
                     for (i, w) in seg.switches.windows(2).enumerate() {
-                        let to = match topo.port_target(w[0], seg.ports[i]) {
-                            Some(PortTarget::Switch { to, .. }) => Some(to),
-                            _ => None,
-                        };
                         assert!(
-                            to == Some(w[1]),
+                            matches!(next(), Some(PortTarget::Switch { to, .. }) if to == w[1]),
                             "{src}->{dst}: segment {si} hop {i}: port {} of {} does not lead to {}",
                             seg.ports[i].0,
                             w[0],
@@ -193,10 +175,12 @@ impl RouteDb {
                     }
                     if let SegmentEnd::Itb(h) = seg.end {
                         assert!(
-                            h.idx() < topo.num_hosts(),
-                            "in-transit host {h} out of range"
+                            matches!(next(), Some(PortTarget::Host { host, .. }) if host == h),
+                            "{src}->{dst}: segment {si}: its last port byte does not lead to \
+                             in-transit host {h}"
                         );
-                        start = topo.host_switch(h);
+                        // Where `h` is attached: the next segment's start.
+                        start = seg.switches[seg.switches.len() - 1];
                     }
                     b.ports(seg.ports.iter().copied());
                     b.end_segment(seg.end);
@@ -209,10 +193,11 @@ impl RouteDb {
     }
 
     /// The table as owned templates, indexed like
-    /// [`from_templates`](RouteDb::from_templates) takes them.
-    pub fn to_templates(&self) -> Vec<Vec<JourneyTemplate>> {
+    /// [`from_templates`](RouteDb::from_templates) takes them, its
+    /// switches walked on `topo`, the topology it was written for.
+    pub fn to_templates(&self, topo: &Topology) -> Vec<Vec<JourneyTemplate>> {
         self.iter_pairs()
-            .map(|(_, _, alts)| alts.to_owned())
+            .map(|(_, _, alts)| alts.to_owned(topo))
             .collect()
     }
 
@@ -264,24 +249,24 @@ impl RouteDb {
                 + size_of_val(&self.route_segs[..])
                 + size_of_val(&self.seg_ports[..])
                 + size_of_val(&self.seg_end[..])
-                + size_of_val(&self.ports[..])
-                + size_of_val(&self.next[..])
-                + size_of_val(&self.host_switch[..]),
+                + size_of_val(&self.ports[..]),
         }
     }
 
     /// FNV-1a over every pair → alternative → segment (switch ids, port
-    /// bytes, how it ends): two tables with the same fingerprint route
+    /// bytes, how it ends), the switches walked on `topo`, the topology the
+    /// table was written for: two tables with the same fingerprint route
     /// every packet identically. Stable across versions; the regression
     /// suite pins the paper networks' tables with it.
-    pub fn fingerprint(&self) -> u64 {
+    pub fn fingerprint(&self, topo: &Topology) -> u64 {
         let mut h = Fnv1a::new();
         let word = |h: &mut Fnv1a, w: u32| h.write(&w.to_le_bytes());
         for (_, _, alts) in self.iter_pairs() {
             word(&mut h, alts.len() as u32);
             for route in alts {
-                word(&mut h, route.num_segments() as u32);
-                for seg in route.segments() {
+                let route = route.to_owned(topo);
+                word(&mut h, route.segments.len() as u32);
+                for seg in &route.segments {
                     word(&mut h, seg.switches.len() as u32);
                     seg.switches.iter().for_each(|s| word(&mut h, s.0));
                     word(&mut h, seg.ports.len() as u32);
@@ -297,41 +282,15 @@ impl RouteDb {
         h.finish()
     }
 
-    /// The switch host `h` is attached to.
-    fn host_switch(&self, h: HostId) -> SwitchId {
-        SwitchId(u32::from(self.host_switch[h.idx()]))
-    }
-
-    /// Segment `g`, starting at switch `start`.
-    fn segment(&self, g: usize, start: SwitchId) -> SegmentRef<'_> {
-        let ports = &self.ports[span(&self.seg_ports, g)];
-        let (hops, end) = match self.seg_end[g] {
-            DELIVER => (ports, SegmentEnd::Deliver),
-            host => (
-                &ports[..ports.len() - 1],
-                SegmentEnd::Itb(HostId(u32::from(host))),
-            ),
-        };
+    /// Segment `g`.
+    fn segment(&self, g: usize) -> SegmentRef<'_> {
         SegmentRef {
-            switches: SegmentSwitches {
-                db: self,
-                start,
-                hops,
+            ports: &self.ports[span(&self.seg_ports, g)],
+            end: match self.seg_end[g] {
+                DELIVER => SegmentEnd::Deliver,
+                host => SegmentEnd::Itb(HostId(u32::from(host))),
             },
-            ports,
-            end,
         }
-    }
-
-    /// The switch a hop from `at` out of `port` arrives at.
-    #[inline]
-    fn step(&self, at: SwitchId, port: Port) -> SwitchId {
-        debug_assert!(
-            port.idx() < self.stride,
-            "{at}: port {} leads to no switch",
-            port.0
-        );
-        SwitchId(u32::from(self.next[at.idx() * self.stride + port.idx()]))
     }
 }
 
@@ -368,9 +327,9 @@ impl<'a> Alternatives<'a> {
         self.into_iter()
     }
 
-    /// The alternatives as owned templates.
-    pub fn to_owned(&self) -> Vec<JourneyTemplate> {
-        self.iter().map(|r| r.to_owned()).collect()
+    /// The alternatives as owned templates, walked on `topo`.
+    pub fn to_owned(&self, topo: &Topology) -> Vec<JourneyTemplate> {
+        self.iter().map(|r| r.to_owned(topo)).collect()
     }
 }
 
@@ -419,125 +378,20 @@ pub struct RouteRef<'a> {
     route: usize,
 }
 
-/// One segment of a route, borrowed: the fields of a [`Segment`] read in
-/// place. The final segment's `ports` is one byte short, as in a
-/// [`JourneyTemplate`].
+/// One segment of a route, borrowed: a [`Segment`]'s port bytes and end,
+/// read in place. The final segment's `ports` is one byte short, as in a
+/// [`JourneyTemplate`]; its switches are walked ([`RouteRef::walk`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentRef<'a> {
-    pub switches: SegmentSwitches<'a>,
     pub ports: &'a [Port],
     pub end: SegmentEnd,
 }
 
-/// The switches of a [`SegmentRef`] in travel order, walked from its first
-/// switch through the table's neighbour map, one hop per port byte: `len`
-/// and `first` are free, `get(i)` and `last` walk `i` and every hop.
-#[derive(Clone, Copy)]
-pub struct SegmentSwitches<'a> {
-    db: &'a RouteDb,
-    start: SwitchId,
-    /// The port bytes of the hops (an in-transit host's left out).
-    hops: &'a [Port],
-}
-
-impl<'a> SegmentSwitches<'a> {
-    pub fn len(&self) -> usize {
-        self.hops.len() + 1
-    }
-
-    /// Never: a segment visits at least its first switch.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The `i`-th switch. Panics when out of range.
-    pub fn get(&self, i: usize) -> SwitchId {
-        assert!(i < self.len(), "switch {i} of {}", self.len());
-        self.walk(&self.hops[..i])
-    }
-
-    pub fn first(&self) -> Option<SwitchId> {
-        Some(self.start)
-    }
-
-    pub fn last(&self) -> Option<SwitchId> {
-        Some(self.walk(self.hops))
-    }
-
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = SwitchId> + 'a {
-        Walk {
-            db: self.db,
-            at: Some(self.start),
-            hops: self.hops.iter(),
-        }
-    }
-
-    pub fn contains(&self, s: SwitchId) -> bool {
-        self.iter().any(|t| t == s)
-    }
-
-    pub fn to_vec(&self) -> Vec<SwitchId> {
-        self.iter().collect()
-    }
-
-    /// Where `hops` lead from the first switch.
-    fn walk(&self, hops: &[Port]) -> SwitchId {
-        hops.iter().fold(self.start, |at, &p| self.db.step(at, p))
-    }
-}
-
-impl PartialEq for SegmentSwitches<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for SegmentSwitches<'_> {}
-
-impl std::fmt::Debug for SegmentSwitches<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-/// The walk of a [`SegmentSwitches`]: `at`, then one switch per hop.
-struct Walk<'a> {
-    db: &'a RouteDb,
-    at: Option<SwitchId>,
-    hops: std::slice::Iter<'a, Port>,
-}
-
-impl Iterator for Walk<'_> {
-    type Item = SwitchId;
-
-    #[inline]
-    fn next(&mut self) -> Option<SwitchId> {
-        let at = self.at?;
-        self.at = self.hops.next().map(|&p| self.db.step(at, p));
-        Some(at)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = usize::from(self.at.is_some()) + self.hops.len();
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for Walk<'_> {}
-
 impl SegmentRef<'_> {
-    /// Switch-to-switch links traversed by this segment.
+    /// Switch-to-switch links traversed by this segment: a byte each, the
+    /// in-transit host's left out.
     pub fn len_links(&self) -> usize {
-        self.switches.len() - 1
-    }
-
-    /// The segment as an owned [`Segment`].
-    pub fn to_owned(self) -> Segment {
-        Segment {
-            switches: self.switches.to_vec(),
-            ports: self.ports.to_vec(),
-            end: self.end,
-        }
+        self.ports.len() - usize::from(self.end != SegmentEnd::Deliver)
     }
 }
 
@@ -546,17 +400,24 @@ impl<'a> RouteRef<'a> {
         span(&self.db.route_segs, self.route).len()
     }
 
-    /// The route's segments, in travel order: each after the first starts
-    /// where the in-transit host that ends the one before it is attached.
+    /// The route's segments, in travel order.
     pub fn segments(&self) -> impl Iterator<Item = SegmentRef<'a>> + 'a {
         let db = self.db;
-        span(&db.route_segs, self.route).scan(self.src, move |at, g| {
-            let seg = db.segment(g, *at);
-            if let SegmentEnd::Itb(h) = seg.end {
-                *at = db.host_switch(h);
-            }
-            Some(seg)
-        })
+        span(&db.route_segs, self.route).map(move |g| db.segment(g))
+    }
+
+    /// The route walked on `topo`, the topology the table was written for:
+    /// a [`Hop`] per stored port byte (the in-transit hosts' included, the
+    /// destination's not stored), from the pair's source switch. Panics
+    /// where a byte leads nowhere: `topo` is not the table's.
+    pub fn walk(&self, topo: &'a Topology) -> impl Iterator<Item = Hop> + 'a {
+        let db = self.db;
+        let bytes = span(&db.route_segs, self.route).flat_map(move |g| {
+            let mark = (db.seg_end[g] != DELIVER).then_some(ITB_MARK);
+            db.ports[span(&db.seg_ports, g)].iter().copied().chain(mark)
+        });
+        PortWalk::new(topo, self.src, bytes)
+            .map(|hop| hop.unwrap_or_else(|end| panic!("{end}: not the table's topology")))
     }
 
     /// Number of in-transit buffers on this route.
@@ -590,10 +451,25 @@ impl<'a> RouteRef<'a> {
         Header::new(header)
     }
 
-    /// The route as an owned template.
-    pub fn to_owned(&self) -> JourneyTemplate {
+    /// The route as an owned template, its switches walked on `topo`.
+    pub fn to_owned(&self, topo: &'a Topology) -> JourneyTemplate {
+        let (mut hops, mut at) = (self.walk(topo), self.src);
+        let segments = self.segments().map(|seg| {
+            let mut switches = vec![at];
+            for hop in hops.by_ref().take(seg.ports.len()) {
+                if let PortTarget::Switch { to, .. } = hop.to {
+                    switches.push(to);
+                    at = to;
+                }
+            }
+            Segment {
+                switches,
+                ports: seg.ports.to_vec(),
+                end: seg.end,
+            }
+        });
         JourneyTemplate {
-            segments: self.segments().map(SegmentRef::to_owned).collect(),
+            segments: segments.collect(),
         }
     }
 }
@@ -611,32 +487,14 @@ pub(crate) struct RouteDbBuilder {
 }
 
 impl RouteDbBuilder {
-    /// A builder for a table over `topo`, its two maps filled in.
-    /// Panics above 65,536 switches or 65,535 hosts: the table stores
-    /// their ids in 16 bits.
+    /// A builder for a table over `topo`. Panics above 65,535 hosts: the
+    /// table stores their ids in 16 bits.
     pub(crate) fn new(scheme: RoutingScheme, topo: &Topology) -> RouteDbBuilder {
         let (n_switches, n_hosts) = (topo.num_switches(), topo.num_hosts());
-        assert!(
-            n_switches <= MAX_SWITCHES,
-            "{n_switches} switches: a route table names at most {MAX_SWITCHES} in its 16-bit ids"
-        );
         assert!(
             n_hosts <= MAX_HOSTS,
             "{n_hosts} hosts: a route table names at most {MAX_HOSTS} in its 16-bit ids"
         );
-        let stride = topo
-            .switches()
-            .flat_map(|s| topo.switch_neighbors(s))
-            .map(|(p, _, _)| p.idx() + 1)
-            .max()
-            .unwrap_or(0);
-        let mut next = vec![NO_SWITCH; n_switches * stride];
-        for s in topo.switches() {
-            for (p, to, _) in topo.switch_neighbors(s) {
-                next[s.idx() * stride + p.idx()] = to.0 as u16;
-            }
-        }
-        let host_switch = topo.hosts().map(|h| topo.host_switch(h).0 as u16).collect();
         let mut pair_routes = Vec::with_capacity(n_switches * n_switches + 1);
         pair_routes.push(0);
         RouteDbBuilder {
@@ -649,9 +507,6 @@ impl RouteDbBuilder {
                 seg_ports: vec![0],
                 seg_end: Vec::new(),
                 ports: Vec::new(),
-                next,
-                stride,
-                host_switch,
             },
         }
     }
@@ -801,10 +656,11 @@ mod tests {
     fn templates_round_trip_through_the_flat_store() {
         let topo = two_switches();
         let db = RouteDb::from_templates_partial(RoutingScheme::ItbRr, &topo, sample(&topo));
-        assert_eq!(db.to_templates(), sample(&topo));
-        let again = RouteDb::from_templates_partial(RoutingScheme::ItbRr, &topo, db.to_templates());
+        assert_eq!(db.to_templates(&topo), sample(&topo));
+        let again =
+            RouteDb::from_templates_partial(RoutingScheme::ItbRr, &topo, db.to_templates(&topo));
         assert_eq!(again, db);
-        assert_eq!(again.fingerprint(), db.fingerprint());
+        assert_eq!(again.fingerprint(&topo), db.fingerprint(&topo));
         assert!(!db.has_route(SwitchId(1), SwitchId(0)));
         let fp = db.footprint();
         assert_eq!((fp.routes, fp.segments), (4, 5));
@@ -818,7 +674,7 @@ mod tests {
         assert_eq!(alts.len(), 2);
         let via_itb = alts.get(1);
         assert_eq!((via_itb.num_itbs(), via_itb.total_links()), (1, 1));
-        assert_eq!(via_itb.to_owned(), sample(&topo)[1][1]);
+        assert_eq!(via_itb.to_owned(&topo), sample(&topo)[1][1]);
         let [itb, hop] = [
             &sample(&topo)[1][1].segments[0],
             &sample(&topo)[1][1].segments[1],
@@ -920,13 +776,28 @@ mod tests {
             why.contains("s0->s1: segment 0 starts at s1, not at s0"),
             "{why}"
         );
+        // An in-transit segment whose last byte reaches another host, or
+        // a switch.
+        let other = topo.hosts_of(SwitchId(0))[1];
+        for last in [topo.host_port(other), link] {
+            let why = refusal(vec![
+                seg(&[0], &[last], SegmentEnd::Itb(itb)),
+                seg(&[0, 1], &[link], SegmentEnd::Deliver),
+            ]);
+            let want = format!(
+                "s0->s1: segment 0: its last port byte does not lead to in-transit host {itb}"
+            );
+            assert!(why.contains(&want), "{why}");
+        }
     }
 
-    /// Every view of `db`, a table of `scheme` over `topo`, against what
+    /// Every route of `db`, a table of `scheme` over `topo`, against what
     /// the owned splitter emits for the same paths: each pair's sampled
     /// minimal paths that split (for an ITB scheme), else its
-    /// `simple_routes` path. And each segment's `len`/`get`/`first`/`last`/
-    /// `contains`/`to_vec` against its `iter`.
+    /// `simple_routes` path. The views read its port bytes and ends; its
+    /// walk reads each byte at the template's switch and leads to the
+    /// next one, or to the in-transit host after an in-transit segment's
+    /// last byte.
     fn assert_views_walk_the_splits(topo: &Topology, scheme: RoutingScheme, db: &RouteDb) {
         let cfg = RouteDbConfig::default();
         let orient = Orientation::compute(topo, cfg.root);
@@ -949,23 +820,29 @@ mod tests {
             for (route, want) in alts.iter().zip(&want) {
                 assert_eq!(route.num_segments(), want.segments.len());
                 for (seg, want) in route.segments().zip(&want.segments) {
-                    let walked: Vec<SwitchId> = seg.switches.iter().collect();
-                    assert_eq!(walked, want.switches, "{scheme} {s}->{d}");
                     assert_eq!((seg.ports, seg.end), (&want.ports[..], want.end));
-                    let views = seg.switches;
-                    assert_eq!(views.len(), walked.len());
-                    assert!(!views.is_empty());
-                    assert_eq!(views.first(), walked.first().copied());
-                    assert_eq!(views.last(), walked.last().copied());
-                    assert_eq!(views.to_vec(), walked);
-                    for (i, &w) in walked.iter().enumerate() {
-                        assert_eq!(views.get(i), w);
-                    }
-                    for t in topo.switches() {
-                        assert_eq!(views.contains(t), walked.contains(&t));
-                    }
-                    assert_eq!(seg.len_links(), walked.len() - 1);
+                    assert_eq!(seg.len_links(), want.switches.len() - 1);
                 }
+                let mut hops = route.walk(topo);
+                for seg in &want.segments {
+                    for (i, &port) in seg.ports.iter().enumerate() {
+                        let hop = hops.next().expect("a hop per stored byte");
+                        assert_eq!((hop.at, hop.port), (seg.switches[i], port));
+                        match hop.to {
+                            PortTarget::Switch { to, .. } => {
+                                assert_eq!(Some(&to), seg.switches.get(i + 1))
+                            }
+                            PortTarget::Host { host, .. } => {
+                                assert_eq!(
+                                    (i + 1, SegmentEnd::Itb(host)),
+                                    (seg.ports.len(), seg.end)
+                                )
+                            }
+                        }
+                    }
+                }
+                assert_eq!(hops.next(), None, "{scheme} {s}->{d}");
+                assert_eq!(&route.to_owned(topo), want, "{scheme} {s}->{d}");
             }
         }
     }
@@ -999,7 +876,7 @@ mod tests {
             for scheme in [RoutingScheme::UpDown, RoutingScheme::ItbRr] {
                 let db = RouteDb::build(&topo, scheme, &RouteDbConfig::default());
                 assert_views_walk_the_splits(&topo, scheme, &db);
-                let templates = db.to_templates();
+                let templates = db.to_templates(&topo);
                 let again = RouteDb::from_templates(scheme, &topo, templates.clone());
                 prop_assert!(again == db, "{}: round trip", scheme);
                 let written = templates.iter().flatten().flat_map(|t| &t.segments);
@@ -1014,7 +891,7 @@ mod tests {
                     g += 1;
                 }
                 prop_assert_eq!(g, again.seg_end.len());
-                prop_assert_eq!(again.to_templates(), templates);
+                prop_assert_eq!(again.to_templates(&topo), templates);
             }
         }
     }

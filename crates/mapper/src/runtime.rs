@@ -67,40 +67,40 @@ impl PhysicalRoutes {
             .iter()
             .map(|l| faults.is_link_alive(physical, l.id))
             .collect();
-        // One walk per segment: its physical switches, then their
-        // discovered ids.
-        let (mut walked, mut mapped): (Vec<SwitchId>, Vec<SwitchId>) = (Vec::new(), Vec::new());
+        // One walk per route, read a segment at a time: its physical
+        // switches and the first dead link it crosses, then their ids.
+        let (mut walked, mut mapped) = (Vec::new(), Vec::new());
         for (ps, pd, alts) in self.db.iter_pairs() {
             for t in alts {
+                let (mut hops, mut at) = (t.walk(physical), ps);
                 for (si, seg) in t.segments().enumerate() {
-                    let is_final = si == t.num_segments() - 1;
-                    let expect_ports = seg.switches.len() - usize::from(is_final);
-                    if seg.ports.len() != expect_ports {
+                    let mut dead = None;
+                    walked.clear();
+                    walked.push(at);
+                    for hop in hops.by_ref().take(seg.ports.len()) {
+                        if let PortTarget::Switch { to, link, .. } = hop.to {
+                            let i = walked.len() - 1;
+                            dead = dead.or((!link_alive[link.idx()]).then_some((i, hop.to)));
+                            walked.push(to);
+                            at = to;
+                        }
+                    }
+                    let is_final = si + 1 == t.num_segments();
+                    if seg.ports.len() != walked.len() - usize::from(is_final) {
                         return Err(format!("{ps}->{pd}: segment {si} port count"));
                     }
-                    walked.clear();
-                    walked.extend(seg.switches.iter());
                     mapped.clear();
                     for &s in &walked {
-                        let Some(ns) = d.switch_to_new[s.idx()] else {
-                            return Err(format!("{ps}->{pd}: segment {si} visits lost switch {s}"));
-                        };
-                        mapped.push(ns);
+                        let lost = || format!("{ps}->{pd}: segment {si} visits lost switch {s}");
+                        mapped.push(d.switch_to_new[s.idx()].ok_or_else(lost)?);
                     }
-                    // The table stores port bytes and walks the topology,
-                    // so each hop reaches the listed next switch; whether
-                    // over a live link is this audit's to check.
-                    for (i, w) in walked.windows(2).enumerate() {
-                        let next = w[1];
-                        match physical.port_target(w[0], seg.ports[i]) {
-                            Some(PortTarget::Switch { link, .. }) if link_alive[link.idx()] => {}
-                            other => {
-                                return Err(format!(
-                                    "{ps}->{pd}: segment {si} hop {i} does not cross a live \
-                                     link to {next}: {other:?}"
-                                ));
-                            }
-                        }
+                    // Whether the walked hops are live is this audit's to check.
+                    if let Some((i, hop)) = dead {
+                        return Err(format!(
+                            "{ps}->{pd}: segment {si} hop {i} does not cross a live link to {}: \
+                             {hop:?}",
+                            walked[i + 1]
+                        ));
                     }
                     if first_violation(&mapped, &orient).is_some() {
                         let path = SwitchPath::new(walked.clone());
@@ -236,7 +236,7 @@ mod tests {
                 }
             }
         }
-        let translate = |seg: regnet_core::SegmentRef<'_>| {
+        let translate = |seg: Segment| {
             let switches: Vec<SwitchId> = seg
                 .switches
                 .iter()
@@ -268,7 +268,12 @@ mod tests {
                         .alternatives(ns, nd)
                         .iter()
                         .map(|r| JourneyTemplate {
-                            segments: r.segments().map(translate).collect(),
+                            segments: r
+                                .to_owned(&d.topo)
+                                .segments
+                                .into_iter()
+                                .map(translate)
+                                .collect(),
                         })
                         .collect(),
                     _ => Vec::new(),
@@ -313,7 +318,7 @@ mod tests {
                 let want = reference_rebuild(&physical, &faults, seed, scheme, &cfg);
                 match rebuild_physical_routes(&physical, &faults, seed, scheme, &cfg) {
                     Ok(pr) => {
-                        prop_assert_eq!(Ok(pr.db.to_templates()), want, "{}", scheme);
+                        prop_assert_eq!(Ok(pr.db.to_templates(&physical)), want, "{}", scheme);
                         prop_assert_eq!(pr.verify(&physical, &faults), Ok(()), "{}", scheme);
                     }
                     Err(e) => prop_assert_eq!(Err(e), want.map(|_| ()), "{}", scheme),
@@ -341,7 +346,7 @@ mod tests {
         let cfg = RouteDbConfig::default();
         let pr = rebuild_physical_routes(&physical, &faults, HostId(0), RoutingScheme::ItbRr, &cfg)
             .unwrap();
-        let mut templates = pr.db.to_templates();
+        let mut templates = pr.db.to_templates(&physical);
         let n = physical.num_switches();
         let victim = templates
             .iter()
@@ -392,9 +397,9 @@ mod tests {
             rebuild_physical_routes(&physical, &faults, HostId(0), RoutingScheme::UpDown, &cfg)
                 .unwrap();
         // Only pair (a, b) gets the old route; the rest are the rebuilt ones.
-        let mut templates = pr.db.to_templates();
+        let mut templates = pr.db.to_templates(&physical);
         let n = physical.num_switches();
-        templates[a.idx() * n + b.idx()] = healthy.db.alternatives(a, b).to_owned();
+        templates[a.idx() * n + b.idx()] = healthy.db.alternatives(a, b).to_owned(&physical);
         assert_eq!(
             templates[a.idx() * n + b.idx()][0].segments[0].switches,
             [a, b]
@@ -436,8 +441,10 @@ mod tests {
             .db
             .iter_pairs()
             .find(|(_, _, alts)| {
-                alts.iter()
-                    .any(|r| r.segments().any(|seg| seg.switches.contains(lost)))
+                alts.iter().any(|r| {
+                    let segments = r.to_owned(&physical).segments;
+                    segments.iter().any(|seg| seg.switches.contains(&lost))
+                })
             })
             .unwrap();
         let err = bad.verify(&physical, &faults).unwrap_err();
@@ -492,21 +499,12 @@ mod tests {
             .unwrap();
             pr.verify(&physical, &faults).unwrap();
             assert_eq!(pr.lost_hosts(), 0);
-            // No route template may cross the dead link.
-            let (a, b) = physical.link(l).switch_ends().unwrap();
+            // No route may cross the dead link (a parallel live one may).
             for (_, _, alts) in pr.db.iter_pairs() {
                 for t in alts {
-                    for seg in t.segments() {
-                        let switches = seg.switches.to_vec();
-                        for (i, w) in switches.windows(2).enumerate() {
-                            if w == [a, b] || w == [b, a] {
-                                // A parallel live link is fine; the exact
-                                // dead one is not.
-                                let pt = physical.port_target(w[0], seg.ports[i]);
-                                if let Some(PortTarget::Switch { link, .. }) = pt {
-                                    assert_ne!(link, l, "route crosses the dead link");
-                                }
-                            }
+                    for hop in t.walk(&physical) {
+                        if let PortTarget::Switch { link, .. } = hop.to {
+                            assert_ne!(link, l, "route crosses the dead link");
                         }
                     }
                 }

@@ -56,7 +56,10 @@ fn rebuilt_tables_are_pinned() {
                 ..RouteDbConfig::default()
             };
             let in_discovered = RouteDb::build(&pr.discovered.topo, scheme, &root);
-            let got = (pr.db.fingerprint(), in_discovered.fingerprint());
+            let got = (
+                pr.db.fingerprint(&topo),
+                in_discovered.fingerprint(&pr.discovered.topo),
+            );
             assert_eq!(
                 got,
                 (db, discovered_db),

@@ -15,8 +15,8 @@
 //! 32-bit payload — two 16-bit host ids, a 16-bit switch id and two port
 //! (or port and cause) bytes, a host id and the overflow bit, or a 2-bit
 //! fault target kind and a 30-bit element id. So the journal names at
-//! most 65,536 hosts and 65,536 switches, the route table's own switch
-//! limit ([`Simulator::enable_events`](crate::Simulator::enable_events)
+//! most 65,536 hosts and 65,536 switches
+//! ([`Simulator::enable_events`](crate::Simulator::enable_events)
 //! refuses a larger network), and cycles below 2⁶⁰. Recording packs;
 //! every reader ([`EventJournal::events`], [`EventJournal::journey`],
 //! [`EventJournal::blocked_packets`], [`EventJournal::to_chrome`])

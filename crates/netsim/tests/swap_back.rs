@@ -50,8 +50,8 @@ fn check_every_reconfiguration(topo: &Topology, scheme: RoutingScheme, plan: Fau
                 .unwrap();
         let installed = sim.reconfigured_routes().unwrap();
         assert_eq!(
-            installed.db.fingerprint(),
-            fresh.db.fingerprint(),
+            installed.db.fingerprint(topo),
+            fresh.db.fingerprint(topo),
             "{scheme}: reconfiguration {done} at cycle {}",
             sim.cycle()
         );

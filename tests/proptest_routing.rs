@@ -71,13 +71,13 @@ fn assert_table_is_the_per_pair_composition(topo: &Topology) -> Result<(), TestC
             let path = SwitchPath::new(legal.get(s, d).to_vec());
             let fallback = split_minimal_path(topo, &orient, &path, cfg.itb_picker);
             prop_assert_eq!(fallback.num_itbs(), 0);
-            prop_assert_eq!(alts.to_owned(), vec![fallback], "{}->{} fallback", s, d);
+            prop_assert_eq!(alts.to_owned(topo), vec![fallback], "{}->{} fallback", s, d);
         } else {
-            prop_assert_eq!(alts.to_owned(), usable, "{}->{}", s, d);
+            prop_assert_eq!(alts.to_owned(topo), usable, "{}->{}", s, d);
         }
     }
-    let again = RouteDb::from_templates(db.scheme(), topo, db.to_templates());
-    prop_assert_eq!(again.fingerprint(), db.fingerprint());
+    let again = RouteDb::from_templates(db.scheme(), topo, db.to_templates(topo));
+    prop_assert_eq!(again.fingerprint(topo), db.fingerprint(topo));
     prop_assert!(again == db, "flat store round trip");
     Ok(())
 }
@@ -196,11 +196,11 @@ proptest! {
             prop_assert_eq!(walked.len(), route.num_segments());
             // Segments must chain: each in-transit host is attached where
             // its segment ends and the next one starts.
-            let segments: Vec<_> = route.segments().collect();
+            let segments = route.to_owned(&topo).segments;
             for (w, &h) in segments.windows(2).zip(&walked) {
                 prop_assert_eq!(w[0].end, SegmentEnd::Itb(h));
-                prop_assert_eq!(w[0].switches.last(), Some(topo.host_switch(h)));
-                prop_assert_eq!(w[1].switches.first(), Some(topo.host_switch(h)));
+                prop_assert_eq!(w[0].switches.last(), Some(&topo.host_switch(h)));
+                prop_assert_eq!(w[1].switches.first(), Some(&topo.host_switch(h)));
             }
         }
     }
