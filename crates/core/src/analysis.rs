@@ -73,8 +73,8 @@ impl RouteStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journey::SegmentEnd;
     use crate::scheme::{RouteDbConfig, RoutingScheme};
+    use crate::table::SegmentEnd;
     use regnet_topology::gen;
 
     #[test]

@@ -74,31 +74,49 @@ impl Header {
     /// the segment after a mark starts at that host's switch. The
     /// simulator reads bytes only; tests check with this what they say.
     pub fn walk(&self, topo: &Topology, src: HostId) -> Result<Vec<HostId>, String> {
-        let mut hops = PortWalk::new(topo, topo.host_switch(src), self.0.iter().copied());
-        let mut hosts = Vec::new();
-        for (si, seg) in self.segments().enumerate() {
-            if seg.is_empty() {
-                return Err(format!("segment {si} has no port byte"));
-            }
-            for (i, hop) in hops.by_ref().take(seg.len()).enumerate() {
-                let (at, p, to) = match hop {
-                    Ok(hop) => (hop.at, hop.port, Some(hop.to)),
-                    Err(end) => (end.at, end.port, None),
-                };
-                match (to, i + 1 == seg.len()) {
-                    (Some(PortTarget::Switch { .. }), false) => {}
-                    (Some(PortTarget::Host { host, .. }), true) => hosts.push(host),
-                    (_, last) => {
-                        let to = if last { "host" } else { "switch" };
-                        return Err(format!(
-                            "segment {si} byte {i}: {p} of {at} leads to no {to}"
-                        ));
-                    }
+        hosts_reached(topo, topo.host_switch(src), &self.0, false)
+    }
+}
+
+/// The rule [`Header::walk`] and
+/// [`RouteDb::from_templates`](crate::RouteDb::from_templates) read port
+/// bytes by: `bytes`, marks included, walked on `topo` from switch
+/// `start`. Every segment has a byte; its last byte leads to a host and
+/// every other byte to a switch. Returns the hosts reached, in order. With
+/// `short`, the bytes are a route's as a table stores them: the delivering
+/// segment is one byte short (the destination's port is written per host
+/// pair), so it ends at a switch and may have no byte.
+pub(crate) fn hosts_reached(
+    topo: &Topology,
+    start: SwitchId,
+    bytes: &[Port],
+    short: bool,
+) -> Result<Vec<HostId>, String> {
+    let mut hops = PortWalk::new(topo, start, bytes.iter().copied());
+    let (mut hosts, marks) = (Vec::new(), bytes.iter().filter(|&&p| p == ITB_MARK).count());
+    for (si, seg) in bytes.split(|&p| p == ITB_MARK).enumerate() {
+        let to_host = !short || si < marks;
+        if seg.is_empty() && to_host {
+            return Err(format!("segment {si} has no port byte"));
+        }
+        for (i, hop) in hops.by_ref().take(seg.len()).enumerate() {
+            let (at, p, to) = match hop {
+                Ok(hop) => (hop.at, hop.port, Some(hop.to)),
+                Err(end) => (end.at, end.port, None),
+            };
+            match (to, to_host && i + 1 == seg.len()) {
+                (Some(PortTarget::Switch { .. }), false) => {}
+                (Some(PortTarget::Host { host, .. }), true) => hosts.push(host),
+                (_, last) => {
+                    let to = if last { "host" } else { "switch" };
+                    return Err(format!(
+                        "segment {si} byte {i}: {p} of {at} leads to no {to}"
+                    ));
                 }
             }
         }
-        Ok(hosts)
     }
+    Ok(hosts)
 }
 
 /// One port byte read on a walk: the switch that reads it, the byte, and

@@ -16,15 +16,17 @@
 //! This crate provides:
 //!
 //! * [`Header`] — the port bytes and ITB marks a source writes into a
-//!   packet; [`PortWalk`], which walks port bytes on a topology, a
-//!   [`Hop`] (switch, byte, where it leads) per byte; and
-//!   [`JourneyTemplate`], a multi-segment route in owned form,
+//!   packet, and [`PortWalk`], which walks port bytes on a topology, a
+//!   [`Hop`] (switch, byte, where it leads) per byte: the one reader of a
+//!   route's bytes,
 //! * [`split_minimal_path`] — the placement algorithm that turns any minimal
-//!   path into a legal route,
+//!   path into a legal route, in a route's owned form: its port bytes, an
+//!   ITB mark after each in-transit segment's ([`RouteRef::to_owned`]),
 //! * [`RouteDb`] — per-pair route tables for the three schemes evaluated in
 //!   the paper ([`RoutingScheme::UpDown`], [`RoutingScheme::ItbSp`],
 //!   [`RoutingScheme::ItbRr`]), built in the topology's own ids or, through
-//!   a [`Relabel`], in another's (the mapper's rebuilds),
+//!   a [`Relabel`], in another's (the mapper's rebuilds); both read each
+//!   hop's port byte from an [`Unchanged`] table,
 //! * [`analysis`] — route-level statistics (fraction of minimal paths,
 //!   average distance, average ITBs per route) matching section 4.7 of the
 //!   paper.
@@ -50,7 +52,6 @@
 pub mod analysis;
 mod fnv;
 mod header;
-mod journey;
 mod relabel;
 mod scheme;
 mod split;
@@ -58,8 +59,7 @@ mod table;
 
 pub use fnv::Fnv1a;
 pub use header::{DeadEnd, Header, Hop, PortWalk, ITB_MARK};
-pub use journey::{JourneyTemplate, Segment, SegmentEnd};
-pub use relabel::Relabel;
+pub use relabel::{Relabel, Unchanged};
 pub use scheme::{PathSelector, RouteDbConfig, RoutingScheme, SrcSelector};
 pub use split::{split_minimal_path, try_split_minimal_path, ItbHostPicker};
-pub use table::{Alternatives, RouteDb, RouteFootprint, RouteRef, Routes, SegmentRef};
+pub use table::{Alternatives, RouteDb, RouteFootprint, RouteRef, Routes, SegmentEnd, SegmentRef};

@@ -6,11 +6,10 @@
 //! [`RouteDb::build_relabelled`]: crate::RouteDb::build_relabelled
 //! [`RouteDb::build`]: crate::RouteDb::build
 
-use regnet_topology::{HostId, Port, SwitchId, Topology};
+use regnet_topology::{HostId, LinkId, Port, SwitchId, Topology};
 
-use crate::journey::SegmentEnd;
 use crate::split::SplitSink;
-use crate::table::RouteDbBuilder;
+use crate::table::{RouteDbBuilder, SegmentEnd};
 
 /// How a table built on one topology (the *built* ids) is written out:
 /// which built pair each written pair takes its routes from, and what
@@ -37,8 +36,10 @@ pub trait Relabel {
 }
 
 /// The identity: the table in the built topology's own ids, each hop's
-/// port read from one `(from, to)` table.
-pub(crate) struct Unchanged<'a> {
+/// port read from one `(from, to)` table. The mapper's rebuild reads its
+/// physical hops from one too, over the live links.
+#[derive(Debug)]
+pub struct Unchanged<'a> {
     topo: &'a Topology,
     n: usize,
     /// Pair `from * n + to` → the port of the one link between them, or
@@ -54,13 +55,20 @@ pub(crate) struct Unchanged<'a> {
 const FAN: u32 = 1 << 31;
 
 impl<'a> Unchanged<'a> {
-    pub(crate) fn new(topo: &'a Topology) -> Unchanged<'a> {
+    /// The identity over every link of `topo`.
+    pub fn new(topo: &'a Topology) -> Unchanged<'a> {
+        Unchanged::live(topo, |_| true)
+    }
+
+    /// The identity over the switch links of `topo` that `live` keeps: a
+    /// hop between switches no kept link joins panics.
+    pub fn live(topo: &'a Topology, live: impl Fn(LinkId) -> bool) -> Unchanged<'a> {
         let n = topo.num_switches();
         let mut hop = vec![u32::MAX; n * n];
         let mut fans: Vec<Vec<Port>> = Vec::new();
         for from in topo.switches() {
             let row = &mut hop[from.idx() * n..(from.idx() + 1) * n];
-            for (p, to, _) in topo.switch_neighbors(from) {
+            for (p, to, _) in topo.switch_neighbors(from).filter(|&(.., l)| live(l)) {
                 let h = &mut row[to.idx()];
                 if *h == u32::MAX {
                     *h = u32::from(p.0);
@@ -150,6 +158,20 @@ mod tests {
                         assert_eq!(map.hop(a, b, spread), want[spread % want.len()]);
                     }
                 }
+            }
+            // With the first of two parallel links dead, a table of the
+            // live links gives its sibling's port, whatever the spread.
+            let (a, b) = topo
+                .switches()
+                .flat_map(|a| topo.switches().map(move |b| (a, b)))
+                .find(|&(a, b)| topo.ports_to(a, b).count() == 2)
+                .expect("parallel links");
+            let mut links = topo.switch_neighbors(a).filter(|&(_, to, _)| to == b);
+            let (_, _, dead) = links.next().unwrap();
+            let (sibling, _, _) = links.next().unwrap();
+            let live = Unchanged::live(&topo, |l| l != dead);
+            for spread in 0..4 {
+                assert_eq!(live.hop(a, b, spread), sibling);
             }
         }
     }

@@ -2,9 +2,10 @@
 //! hosts at the forbidden transitions — the heart of the ITB mechanism.
 
 use regnet_routing::SwitchPath;
-use regnet_topology::{HostId, Orientation, SwitchId, Topology};
+use regnet_topology::{HostId, Orientation, Port, SwitchId, Topology};
 
-use crate::journey::{JourneyTemplate, Segment, SegmentEnd};
+use crate::header::ITB_MARK;
+use crate::table::SegmentEnd;
 
 /// Strategy for picking which of a switch's hosts serves as the in-transit
 /// host. The paper attaches 8 hosts per switch; spreading in-transit load
@@ -43,9 +44,12 @@ impl ItbHostPicker {
 /// current switch and start a new segment there (phase resets to "up",
 /// because a freshly injected packet has taken no link yet).
 ///
-/// The returned template's final segment is one port byte short (the
-/// destination host's port ends the header written for a host pair); in-transit
-/// segments are complete, ending with the in-transit host's port byte.
+/// Returns the route in owned form ([`RouteRef::to_owned`]): each
+/// segment's port bytes, an in-transit one's ending with its host's port
+/// byte and an ITB mark. The final segment is one port byte short (the
+/// destination host's port ends the header written for a host pair).
+///
+/// [`RouteRef::to_owned`]: crate::RouteRef::to_owned
 ///
 /// Panics if a switch at a transition point has no hosts (the mechanism
 /// needs a NIC to buffer in); in the paper's topologies every switch has 8.
@@ -56,7 +60,7 @@ pub fn split_minimal_path(
     orient: &Orientation,
     path: &SwitchPath,
     picker: ItbHostPicker,
-) -> JourneyTemplate {
+) -> Vec<Port> {
     try_split_minimal_path(topo, orient, path, picker)
         .unwrap_or_else(|| panic!("{}", no_itb_host(path.switches())))
 }
@@ -70,21 +74,19 @@ pub fn try_split_minimal_path(
     orient: &Orientation,
     path: &SwitchPath,
     picker: ItbHostPicker,
-) -> Option<JourneyTemplate> {
+) -> Option<Vec<Port>> {
     let mut template = TemplateSink {
         topo,
-        segments: Vec::new(),
+        bytes: Vec::new(),
     };
-    split_into(topo, orient, path.switches(), picker, &mut template).then_some(JourneyTemplate {
-        segments: template.segments,
-    })
+    split_into(topo, orient, path.switches(), picker, &mut template).then_some(template.bytes)
 }
 
 /// Where [`split_into`] writes a route, segment by segment. The sink picks
 /// each hop's port byte: a table build reads it from a per-build
 /// `(from, to) → ports` table (and may relabel every id, see
-/// [`Relabel`](crate::Relabel)), an owned [`JourneyTemplate`] for
-/// one-path callers scans the topology.
+/// [`Relabel`](crate::Relabel)), a route's owned bytes for one-path
+/// callers scan the topology.
 pub(crate) trait SplitSink {
     /// A segment visits `switches`, its hop `i` (from `switches[i]`)
     /// taking parallel link `spread + i` modulo the links between its
@@ -96,30 +98,25 @@ pub(crate) trait SplitSink {
 
 struct TemplateSink<'a> {
     topo: &'a Topology,
-    segments: Vec<Segment>,
+    bytes: Vec<Port>,
 }
 
 impl SplitSink for TemplateSink<'_> {
     fn segment(&mut self, switches: &[SwitchId], spread: usize, end: SegmentEnd) {
-        // One port byte per hop, and the in-transit host's.
-        let mut ports = Vec::with_capacity(switches.len());
-        ports.extend(switches.windows(2).enumerate().map(|(i, w)| {
-            let parallel = self.topo.ports_to(w[0], w[1]).count();
-            debug_assert!(parallel > 0, "path not connected at {}->{}", w[0], w[1]);
-            let port = self
-                .topo
-                .ports_to(w[0], w[1])
-                .nth(spread.wrapping_add(i) % parallel);
-            port.expect("taken modulo the count")
-        }));
+        // One port byte per hop, then the in-transit host's and a mark.
+        self.bytes
+            .extend(switches.windows(2).enumerate().map(|(i, w)| {
+                let parallel = self.topo.ports_to(w[0], w[1]).count();
+                debug_assert!(parallel > 0, "path not connected at {}->{}", w[0], w[1]);
+                let port = self
+                    .topo
+                    .ports_to(w[0], w[1])
+                    .nth(spread.wrapping_add(i) % parallel);
+                port.expect("taken modulo the count")
+            }));
         if let SegmentEnd::Itb(h) = end {
-            ports.push(self.topo.host_port(h));
+            self.bytes.extend([self.topo.host_port(h), ITB_MARK]);
         }
-        self.segments.push(Segment {
-            switches: switches.to_vec(),
-            ports,
-            end,
-        });
     }
 }
 
@@ -183,15 +180,55 @@ fn pair_key(a: SwitchId, b: SwitchId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::header::{Header, ITB_MARK};
-    use regnet_topology::{gen, DistanceMatrix, TopologyBuilder};
+    use crate::header::{Header, PortWalk};
+    use regnet_topology::{gen, DistanceMatrix, PortTarget, TopologyBuilder};
 
-    /// Every segment of a split must itself be a legal up*/down* path.
-    fn assert_segments_legal(t: &JourneyTemplate, orient: &Orientation) {
-        for seg in &t.segments {
-            let p = SwitchPath::new(seg.switches.clone());
-            assert!(p.is_legal(orient), "segment {p} not legal");
+    /// The segments of `path`'s split: each one's switches, walked on
+    /// `topo` from the path's first switch, and how it ends.
+    fn segments(
+        topo: &Topology,
+        path: &SwitchPath,
+        bytes: &[Port],
+    ) -> Vec<(SwitchPath, SegmentEnd)> {
+        let mut segs = vec![(vec![path.src()], SegmentEnd::Deliver)];
+        for hop in PortWalk::new(topo, path.src(), bytes.iter().copied()) {
+            match hop.expect("a port byte of the split").to {
+                PortTarget::Switch { to, .. } => segs.last_mut().unwrap().0.push(to),
+                PortTarget::Host { host, .. } => {
+                    segs.last_mut().unwrap().1 = SegmentEnd::Itb(host);
+                    segs.push((vec![topo.host_switch(host)], SegmentEnd::Deliver));
+                }
+            }
         }
+        segs.into_iter()
+            .map(|(s, end)| (SwitchPath::new(s), end))
+            .collect()
+    }
+
+    /// Split `path`: every segment must itself be a legal up*/down* path,
+    /// an in-transit one ending where its host is attached, and the
+    /// segments must cross the path's links and no more.
+    fn split_legally(
+        topo: &Topology,
+        orient: &Orientation,
+        path: &SwitchPath,
+        picker: ItbHostPicker,
+    ) -> Vec<(SwitchPath, SegmentEnd)> {
+        let bytes = split_minimal_path(topo, orient, path, picker);
+        let segs = segments(topo, path, &bytes);
+        for (p, end) in &segs {
+            assert!(p.is_legal(orient), "segment {p} not legal");
+            if let SegmentEnd::Itb(h) = *end {
+                assert_eq!(topo.host_switch(h), p.dst());
+            }
+        }
+        let links: usize = segs.iter().map(|(p, _)| p.len_links()).sum();
+        assert_eq!(links, path.len_links());
+        assert_eq!(
+            bytes.iter().filter(|&&p| p == ITB_MARK).count(),
+            segs.len() - 1
+        );
+        segs
     }
 
     fn ring4() -> (Topology, Orientation) {
@@ -211,12 +248,11 @@ mod tests {
         let (topo, orient) = ring4();
         // 2 -> 1 -> 0 is all-up: no ITB needed.
         let p = SwitchPath::new(vec![SwitchId(2), SwitchId(1), SwitchId(0)]);
-        let t = split_minimal_path(&topo, &orient, &p, ItbHostPicker::First);
-        assert_eq!(t.num_itbs(), 0);
-        assert_eq!(t.segments[0].switches.len(), 3);
+        let segs = split_legally(&topo, &orient, &p, ItbHostPicker::First);
+        assert_eq!(segs, [(p.clone(), SegmentEnd::Deliver)]);
         // Ports: 2->1, 1->0; destination port appended later.
-        assert_eq!(t.segments[0].ports.len(), 2);
-        assert_segments_legal(&t, &orient);
+        let bytes = split_minimal_path(&topo, &orient, &p, ItbHostPicker::First);
+        assert_eq!(bytes.len(), 2);
     }
 
     #[test]
@@ -225,20 +261,21 @@ mod tests {
         // Levels: [0,1,2,1]. Path 1 -> 2 -> 3: 1->2 down, 2->3 up: forbidden
         // at hop 1, so an ITB is placed at switch 2.
         let p = SwitchPath::new(vec![SwitchId(1), SwitchId(2), SwitchId(3)]);
-        let t = split_minimal_path(&topo, &orient, &p, ItbHostPicker::First);
-        assert_eq!(t.num_itbs(), 1);
-        match t.segments[0].end {
-            SegmentEnd::Itb(h) => assert_eq!(topo.host_switch(h), SwitchId(2)),
-            SegmentEnd::Deliver => panic!("expected ITB end"),
-        }
-        assert_eq!(t.segments[0].switches, vec![SwitchId(1), SwitchId(2)]);
-        assert_eq!(t.segments[1].switches, vec![SwitchId(2), SwitchId(3)]);
-        // Segment 0 ports: 1->2 plus the ITB host port (complete).
-        assert_eq!(t.segments[0].ports.len(), 2);
-        // Segment 1 ports: 2->3 only (destination port appended later).
-        assert_eq!(t.segments[1].ports.len(), 1);
-        assert_segments_legal(&t, &orient);
-        assert_eq!(t.total_links(), 2);
+        let segs = split_legally(&topo, &orient, &p, ItbHostPicker::First);
+        let itb = topo.hosts_of(SwitchId(2))[0];
+        let halves = [[1, 2], [2, 3]].map(|s| SwitchPath::new(s.map(SwitchId).to_vec()));
+        let [first, second] = halves;
+        assert_eq!(
+            segs,
+            [(first, SegmentEnd::Itb(itb)), (second, SegmentEnd::Deliver)]
+        );
+        // Segment 0: 1->2 plus the ITB host port (complete) and a mark;
+        // segment 1: 2->3 only (destination port appended later).
+        let hop = |a, b| topo.port_to(SwitchId(a), SwitchId(b)).unwrap();
+        assert_eq!(
+            split_minimal_path(&topo, &orient, &p, ItbHostPicker::First),
+            [hop(1, 2), topo.host_port(itb), ITB_MARK, hop(2, 3)]
+        );
     }
 
     #[test]
@@ -255,10 +292,9 @@ mod tests {
                 }
                 let paths = regnet_routing::minimal::k_minimal_paths(&topo, &dm, s, d, 2, 11);
                 for p in paths {
-                    let t = split_minimal_path(&topo, &orient, &p, ItbHostPicker::Spread);
-                    assert_segments_legal(&t, &orient);
-                    assert_eq!(t.total_links(), dm.get(s, d) as usize);
-                    total_itbs += t.num_itbs();
+                    assert_eq!(p.len_links(), dm.get(s, d) as usize);
+                    let segs = split_legally(&topo, &orient, &p, ItbHostPicker::Spread);
+                    total_itbs += segs.len() - 1;
                     pairs += 1;
                 }
             }
@@ -284,9 +320,8 @@ mod tests {
                     continue;
                 }
                 for p in regnet_routing::minimal::k_minimal_paths(&topo, &dm, s, d, 2, 3) {
-                    let t = split_minimal_path(&topo, &orient, &p, ItbHostPicker::Spread);
-                    for seg in &t.segments {
-                        if let SegmentEnd::Itb(h) = seg.end {
+                    for (_, end) in split_legally(&topo, &orient, &p, ItbHostPicker::Spread) {
+                        if let SegmentEnd::Itb(h) = end {
                             used.insert((topo.host_switch(h), h));
                         }
                     }
@@ -308,21 +343,10 @@ mod tests {
     fn split_route_writes_a_well_formed_header() {
         let (topo, orient) = ring4();
         let p = SwitchPath::new(vec![SwitchId(1), SwitchId(2), SwitchId(3)]);
-        let t = split_minimal_path(&topo, &orient, &p, ItbHostPicker::First);
-        assert_eq!(t.num_itbs(), 1);
-        let SegmentEnd::Itb(itb) = t.segments[0].end else {
-            panic!("the first segment ends in transit")
-        };
+        let bytes = split_minimal_path(&topo, &orient, &p, ItbHostPicker::First);
+        let itb = topo.hosts_of(SwitchId(2))[0];
         let (src, dst) = (topo.hosts_of(SwitchId(1))[0], topo.hosts_of(SwitchId(3))[1]);
-        let header = Header::new(
-            [
-                &t.segments[0].ports[..],
-                &[ITB_MARK],
-                &t.segments[1].ports,
-                &[topo.host_port(dst)],
-            ]
-            .concat(),
-        );
+        let header = Header::new([&bytes[..], &[topo.host_port(dst)]].concat());
         assert_eq!(header.walk(&topo, src), Ok(vec![itb, dst]));
         // seg0 = [1->2, itb host port], seg1 = [2->3, dst port], plus
         // 1 mark + 1 type = 6.

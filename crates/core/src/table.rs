@@ -19,7 +19,9 @@
 //! bytes walked on that topology ([`RouteRef::walk`], a
 //! [`PortWalk`](crate::PortWalk)) name every switch and link it crosses;
 //! an in-transit host's byte leaves the walk at that host's switch, where
-//! the next segment starts.
+//! the next segment starts. A route's owned form is the same bytes, a mark
+//! after each in-transit segment's ([`RouteRef::to_owned`]);
+//! [`RouteDb::from_templates`] reads them back by the walk's rule.
 //!
 //! So a table is five allocations however many routes it holds, cloning
 //! it is five `memcpy`s, and a table appended in pair order has exactly
@@ -30,8 +32,7 @@
 use regnet_topology::{HostId, Port, PortTarget, SwitchId, Topology};
 
 use crate::fnv::Fnv1a;
-use crate::header::{Header, Hop, PortWalk, ITB_MARK};
-use crate::journey::{JourneyTemplate, Segment, SegmentEnd};
+use crate::header::{hosts_reached, Header, Hop, PortWalk, ITB_MARK};
 use crate::scheme::RoutingScheme;
 
 /// `seg_end` of a delivering segment; any other value is an in-transit
@@ -45,8 +46,8 @@ const MAX_HOSTS: usize = DELIVER as usize;
 ///
 /// Routes are stored per *switch* pair as templates; the header written
 /// for a *host* pair adds its only host-specific byte, the final port.
-/// [`alternatives`](RouteDb::alternatives) lends them out as views;
-/// [`JourneyTemplate`] is the owned form.
+/// [`alternatives`](RouteDb::alternatives) lends them out as views; a
+/// route's owned form is its stored bytes ([`RouteRef::to_owned`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteDb {
     scheme: RoutingScheme,
@@ -94,24 +95,24 @@ fn span(off: &[u32], i: usize) -> std::ops::Range<usize> {
 impl RouteDb {
     /// Build a database over `topo` directly from per-switch-pair
     /// templates, bypassing route computation. `templates` is indexed
-    /// `src.idx() * n_switches + dst.idx()` and every pair must have at
-    /// least one alternative.
+    /// `src.idx() * n_switches + dst.idx()`, every pair must have at least
+    /// one alternative, and each is a route's owned form
+    /// ([`RouteRef::to_owned`]).
     ///
     /// This deliberately performs **no legality checking**: tests use it to
     /// inject route sets with cyclic channel dependencies and verify that
     /// the simulator's wait-for-graph analyzer detects the resulting
     /// deadlock. Don't use it for real routing tables — `build` is the
-    /// checked path. It does refuse what the layout cannot store: a switch
-    /// id `topo` lacks; a segment whose port bytes are not one per switch
-    /// (in-transit) or one fewer (delivering); a hop whose port byte does
-    /// not lead to the segment's next switch, or an in-transit segment
-    /// whose last byte does not lead to its host; and a segment that does
-    /// not start at its pair's source switch (the first) or at the switch
-    /// of the previous segment's in-transit host (a later one).
+    /// checked path. It does refuse, naming the pair, the segment and the
+    /// byte, bytes that [`Header::walk`]'s rule cannot read from the pair's
+    /// source switch: an empty in-transit segment, a byte that leads
+    /// nowhere, an in-transit segment whose last byte does not reach a
+    /// host, and a delivering byte that does not reach a switch. Each
+    /// in-transit host is the one its segment's last byte reaches.
     pub fn from_templates(
         scheme: RoutingScheme,
         topo: &Topology,
-        templates: Vec<Vec<JourneyTemplate>>,
+        templates: Vec<Vec<Vec<Port>>>,
     ) -> RouteDb {
         assert!(
             templates.iter().all(|alts| !alts.is_empty()),
@@ -128,7 +129,7 @@ impl RouteDb {
     pub(crate) fn from_templates_partial(
         scheme: RoutingScheme,
         topo: &Topology,
-        templates: Vec<Vec<JourneyTemplate>>,
+        templates: Vec<Vec<Vec<Port>>>,
     ) -> RouteDb {
         let n = topo.num_switches();
         assert_eq!(
@@ -139,51 +140,13 @@ impl RouteDb {
         let mut b = RouteDbBuilder::new(scheme, topo);
         for (pair, alts) in templates.iter().enumerate() {
             let (src, dst) = (SwitchId((pair / n) as u32), SwitchId((pair % n) as u32));
-            for t in alts {
-                let mut start = src;
-                for (si, seg) in t.segments.iter().enumerate() {
-                    let delivers = seg.end == SegmentEnd::Deliver;
-                    assert!(
-                        !seg.switches.is_empty()
-                            && seg.ports.len() + usize::from(delivers) == seg.switches.len(),
-                        "{} port bytes for {} switches: an in-transit segment has one per \
-                         switch, a delivering one a byte fewer",
-                        seg.ports.len(),
-                        seg.switches.len()
-                    );
-                    assert!(
-                        seg.switches.iter().all(|s| s.idx() < n),
-                        "switch id out of range in {:?}",
-                        seg.switches
-                    );
-                    assert!(
-                        seg.switches[0] == start,
-                        "{src}->{dst}: segment {si} starts at {}, not at {start}: the pair's \
-                         source switch or the previous segment's in-transit host's",
-                        seg.switches[0]
-                    );
-                    let mut hops = PortWalk::new(topo, start, seg.ports.iter().copied());
-                    let mut next = || hops.next().and_then(Result::ok).map(|hop| hop.to);
-                    for (i, w) in seg.switches.windows(2).enumerate() {
-                        assert!(
-                            matches!(next(), Some(PortTarget::Switch { to, .. }) if to == w[1]),
-                            "{src}->{dst}: segment {si} hop {i}: port {} of {} does not lead to {}",
-                            seg.ports[i].0,
-                            w[0],
-                            w[1]
-                        );
-                    }
-                    if let SegmentEnd::Itb(h) = seg.end {
-                        assert!(
-                            matches!(next(), Some(PortTarget::Host { host, .. }) if host == h),
-                            "{src}->{dst}: segment {si}: its last port byte does not lead to \
-                             in-transit host {h}"
-                        );
-                        // Where `h` is attached: the next segment's start.
-                        start = seg.switches[seg.switches.len() - 1];
-                    }
-                    b.ports(seg.ports.iter().copied());
-                    b.end_segment(seg.end);
+            for bytes in alts {
+                let hosts = hosts_reached(topo, src, bytes, true)
+                    .unwrap_or_else(|why| panic!("{src}->{dst}: {why}"));
+                let mut ends = hosts.into_iter().map(SegmentEnd::Itb);
+                for seg in bytes.split(|&p| p == ITB_MARK) {
+                    b.ports(seg.iter().copied());
+                    b.end_segment(ends.next().unwrap_or(SegmentEnd::Deliver));
                 }
                 b.end_route();
             }
@@ -192,12 +155,11 @@ impl RouteDb {
         b.finish()
     }
 
-    /// The table as owned templates, indexed like
-    /// [`from_templates`](RouteDb::from_templates) takes them, its
-    /// switches walked on `topo`, the topology it was written for.
-    pub fn to_templates(&self, topo: &Topology) -> Vec<Vec<JourneyTemplate>> {
+    /// The table as owned routes, indexed like
+    /// [`from_templates`](RouteDb::from_templates) takes them.
+    pub fn to_templates(&self) -> Vec<Vec<Vec<Port>>> {
         self.iter_pairs()
-            .map(|(_, _, alts)| alts.to_owned(topo))
+            .map(|(_, _, alts)| alts.to_owned())
             .collect()
     }
 
@@ -264,11 +226,19 @@ impl RouteDb {
         for (_, _, alts) in self.iter_pairs() {
             word(&mut h, alts.len() as u32);
             for route in alts {
-                let route = route.to_owned(topo);
-                word(&mut h, route.segments.len() as u32);
-                for seg in &route.segments {
-                    word(&mut h, seg.switches.len() as u32);
-                    seg.switches.iter().for_each(|s| word(&mut h, s.0));
+                word(&mut h, route.num_segments() as u32);
+                let (mut hops, mut at) = (route.walk(topo), route.src);
+                for seg in route.segments() {
+                    // The segment's switches: where it starts, then one
+                    // per link.
+                    word(&mut h, seg.len_links() as u32 + 1);
+                    word(&mut h, at.0);
+                    for hop in hops.by_ref().take(seg.ports.len()) {
+                        if let PortTarget::Switch { to, .. } = hop.to {
+                            word(&mut h, to.0);
+                            at = to;
+                        }
+                    }
                     word(&mut h, seg.ports.len() as u32);
                     seg.ports.iter().for_each(|p| h.write(&[p.0]));
                     let end = match seg.end {
@@ -327,9 +297,9 @@ impl<'a> Alternatives<'a> {
         self.into_iter()
     }
 
-    /// The alternatives as owned templates, walked on `topo`.
-    pub fn to_owned(&self, topo: &Topology) -> Vec<JourneyTemplate> {
-        self.iter().map(|r| r.to_owned(topo)).collect()
+    /// The alternatives in owned form ([`RouteRef::to_owned`]).
+    pub fn to_owned(&self) -> Vec<Vec<Port>> {
+        self.iter().map(|r| r.to_owned()).collect()
     }
 }
 
@@ -369,7 +339,7 @@ impl<'a> Iterator for Routes<'a> {
 
 impl ExactSizeIterator for Routes<'_> {}
 
-/// One route of a [`RouteDb`]: a [`JourneyTemplate`] read in place.
+/// One route of a [`RouteDb`], read in place.
 #[derive(Debug, Clone, Copy)]
 pub struct RouteRef<'a> {
     db: &'a RouteDb,
@@ -378,9 +348,20 @@ pub struct RouteRef<'a> {
     route: usize,
 }
 
-/// One segment of a route, borrowed: a [`Segment`]'s port bytes and end,
-/// read in place. The final segment's `ports` is one byte short, as in a
-/// [`JourneyTemplate`]; its switches are walked ([`RouteRef::walk`]).
+/// How a segment ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SegmentEnd {
+    /// The packet is delivered: this is the final segment.
+    Deliver,
+    /// The packet is ejected into an in-transit buffer at this host and
+    /// re-injected for the next segment.
+    Itb(HostId),
+}
+
+/// One segment of a route, borrowed: its port bytes and how it ends, read
+/// in place. An in-transit segment's last byte addresses its host; the
+/// final segment's `ports` is one byte short (the destination's is
+/// written per host pair). Its switches are walked ([`RouteRef::walk`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentRef<'a> {
     pub ports: &'a [Port],
@@ -411,13 +392,18 @@ impl<'a> RouteRef<'a> {
     /// destination's not stored), from the pair's source switch. Panics
     /// where a byte leads nowhere: `topo` is not the table's.
     pub fn walk(&self, topo: &'a Topology) -> impl Iterator<Item = Hop> + 'a {
+        PortWalk::new(topo, self.src, self.bytes())
+            .map(|hop| hop.unwrap_or_else(|end| panic!("{end}: not the table's topology")))
+    }
+
+    /// The stored bytes: each segment's port bytes, an ITB mark after an
+    /// in-transit segment's.
+    fn bytes(&self) -> impl Iterator<Item = Port> + 'a {
         let db = self.db;
-        let bytes = span(&db.route_segs, self.route).flat_map(move |g| {
+        span(&db.route_segs, self.route).flat_map(move |g| {
             let mark = (db.seg_end[g] != DELIVER).then_some(ITB_MARK);
             db.ports[span(&db.seg_ports, g)].iter().copied().chain(mark)
-        });
-        PortWalk::new(topo, self.src, bytes)
-            .map(|hop| hop.unwrap_or_else(|end| panic!("{end}: not the table's topology")))
+        })
     }
 
     /// Number of in-transit buffers on this route.
@@ -451,26 +437,12 @@ impl<'a> RouteRef<'a> {
         Header::new(header)
     }
 
-    /// The route as an owned template, its switches walked on `topo`.
-    pub fn to_owned(&self, topo: &'a Topology) -> JourneyTemplate {
-        let (mut hops, mut at) = (self.walk(topo), self.src);
-        let segments = self.segments().map(|seg| {
-            let mut switches = vec![at];
-            for hop in hops.by_ref().take(seg.ports.len()) {
-                if let PortTarget::Switch { to, .. } = hop.to {
-                    switches.push(to);
-                    at = to;
-                }
-            }
-            Segment {
-                switches,
-                ports: seg.ports.to_vec(),
-                end: seg.end,
-            }
-        });
-        JourneyTemplate {
-            segments: segments.collect(),
-        }
+    /// The route in owned form: its port bytes as the table stores them
+    /// and [`walk`](RouteRef::walk) reads them, an ITB mark after each
+    /// in-transit segment's, the destination's port left out. What
+    /// [`RouteDb::from_templates`] takes.
+    pub fn to_owned(&self) -> Vec<Port> {
+        self.bytes().collect()
     }
 }
 
@@ -604,14 +576,6 @@ mod tests {
     use regnet_routing::{simple_routes, SimpleRoutesConfig, SwitchPath};
     use regnet_topology::{gen, DistanceMatrix, Orientation, TopologyBuilder};
 
-    fn seg(switches: &[u32], ports: &[Port], end: SegmentEnd) -> Segment {
-        Segment {
-            switches: switches.iter().map(|&s| SwitchId(s)).collect(),
-            ports: ports.to_vec(),
-            end,
-        }
-    }
-
     /// Two switches joined by two parallel links, two hosts on switch 0
     /// and one on switch 1.
     fn two_switches() -> Topology {
@@ -628,27 +592,14 @@ mod tests {
 
     /// On [`two_switches`]: 0->1 has two alternatives (one through an
     /// in-transit host), 1->0 has none.
-    fn sample(topo: &Topology) -> Vec<Vec<JourneyTemplate>> {
-        let trivial = |s| JourneyTemplate {
-            segments: vec![seg(&[s], &[], SegmentEnd::Deliver)],
-        };
+    fn sample(topo: &Topology) -> Vec<Vec<Vec<Port>>> {
         let links: Vec<Port> = topo.ports_to(SwitchId(0), SwitchId(1)).collect();
-        let itb = topo.hosts_of(SwitchId(0))[1];
+        let itb = topo.host_port(topo.hosts_of(SwitchId(0))[1]);
         vec![
-            vec![trivial(0)],
-            vec![
-                JourneyTemplate {
-                    segments: vec![seg(&[0, 1], &[links[0]], SegmentEnd::Deliver)],
-                },
-                JourneyTemplate {
-                    segments: vec![
-                        seg(&[0], &[topo.host_port(itb)], SegmentEnd::Itb(itb)),
-                        seg(&[0, 1], &[links[1]], SegmentEnd::Deliver),
-                    ],
-                },
-            ],
+            vec![vec![]],
+            vec![vec![links[0]], vec![itb, ITB_MARK, links[1]]],
             vec![],
-            vec![trivial(1)],
+            vec![vec![]],
         ]
     }
 
@@ -656,9 +607,8 @@ mod tests {
     fn templates_round_trip_through_the_flat_store() {
         let topo = two_switches();
         let db = RouteDb::from_templates_partial(RoutingScheme::ItbRr, &topo, sample(&topo));
-        assert_eq!(db.to_templates(&topo), sample(&topo));
-        let again =
-            RouteDb::from_templates_partial(RoutingScheme::ItbRr, &topo, db.to_templates(&topo));
+        assert_eq!(db.to_templates(), sample(&topo));
+        let again = RouteDb::from_templates_partial(RoutingScheme::ItbRr, &topo, db.to_templates());
         assert_eq!(again, db);
         assert_eq!(again.fingerprint(&topo), db.fingerprint(&topo));
         assert!(!db.has_route(SwitchId(1), SwitchId(0)));
@@ -674,18 +624,30 @@ mod tests {
         assert_eq!(alts.len(), 2);
         let via_itb = alts.get(1);
         assert_eq!((via_itb.num_itbs(), via_itb.total_links()), (1, 1));
-        assert_eq!(via_itb.to_owned(&topo), sample(&topo)[1][1]);
-        let [itb, hop] = [
-            &sample(&topo)[1][1].segments[0],
-            &sample(&topo)[1][1].segments[1],
-        ]
-        .map(|s| s.ports[0]);
+        let stored = &sample(&topo)[1][1];
+        assert_eq!(via_itb.to_owned(), *stored);
+        let (itb, hop) = (stored[0], stored[2]);
+        let host = topo.hosts_of(SwitchId(0))[1];
+        let segments: Vec<SegmentRef> = via_itb.segments().collect();
+        assert_eq!(
+            segments,
+            [
+                SegmentRef {
+                    ports: &[itb],
+                    end: SegmentEnd::Itb(host)
+                },
+                SegmentRef {
+                    ports: &[hop],
+                    end: SegmentEnd::Deliver
+                }
+            ]
+        );
         assert_eq!(
             via_itb.header(Port(9)).bytes(),
             [itb, ITB_MARK, hop, Port(9)],
             "a mark after the in-transit segment, the destination port last"
         );
-        let direct = sample(&topo)[1][0].segments[0].ports[0];
+        let direct = sample(&topo)[1][0][0];
         assert_eq!(alts.get(0).header(Port(9)).bytes(), [direct, Port(9)]);
         assert_eq!(alts.iter().len(), 2);
         assert_eq!(alts.into_iter().map(|r| r.num_itbs()).sum::<usize>(), 1);
@@ -708,96 +670,69 @@ mod tests {
         assert_eq!(b.routes_in_pair(), 1);
         b.end_pair();
         let db = b.finish();
-        let only = RouteDb::from_templates(
-            RoutingScheme::ItbRr,
-            &topo,
-            vec![vec![JourneyTemplate {
-                segments: vec![seg(&[0], &[], SegmentEnd::Deliver)],
-            }]],
-        );
+        let only = RouteDb::from_templates(RoutingScheme::ItbRr, &topo, vec![vec![vec![]]]);
         assert_eq!(db, only);
     }
 
-    /// What `from_templates` panics with when route `0 -> 1`'s first
-    /// alternative is `segments`.
-    fn refusal(segments: Vec<Segment>) -> String {
-        let topo = two_switches();
-        let mut templates = sample(&topo);
-        templates[1][0].segments = segments;
-        let refused = std::panic::catch_unwind(|| {
-            RouteDb::from_templates_partial(RoutingScheme::ItbRr, &topo, templates)
-        })
-        .expect_err("refused");
-        refused
-            .downcast_ref::<String>()
-            .expect("a formatted message")
-            .clone()
-    }
-
     #[test]
-    fn from_templates_refuses_a_segment_the_layout_cannot_hold() {
-        // A delivering segment with a byte per switch, and an in-transit
-        // one a byte short.
-        let topo = two_switches();
-        let (link, itb) = (topo.port_to(SwitchId(0), SwitchId(1)).unwrap(), HostId(1));
-        for bad in [
-            seg(&[0, 1], &[link, Port(4)], SegmentEnd::Deliver),
-            seg(&[0, 1], &[link], SegmentEnd::Itb(itb)),
-        ] {
-            let why = refusal(vec![bad]);
-            assert!(why.contains("port bytes for 2 switches"), "{why}");
-        }
-    }
-
-    #[test]
-    fn from_templates_refuses_switches_the_ports_do_not_lead_to() {
+    fn from_templates_refuses_bytes_the_walk_cannot_read() {
         let topo = two_switches();
         let link = topo.port_to(SwitchId(0), SwitchId(1)).unwrap();
-        let itb = topo.hosts_of(SwitchId(0))[0];
-        let to_itb = topo.host_port(itb);
-        // A hop out of a host's port.
-        let why = refusal(vec![seg(&[0, 1], &[to_itb], SegmentEnd::Deliver)]);
-        let want = format!(
-            "s0->s1: segment 0 hop 0: port {} of s0 does not lead to s1",
-            to_itb.0
-        );
-        assert!(why.contains(&want), "{why}");
-        // The hop after an in-transit host, not from its switch.
-        let why = refusal(vec![
-            seg(&[0], &[to_itb], SegmentEnd::Itb(itb)),
-            seg(&[1, 0, 1], &[link, link], SegmentEnd::Deliver),
-        ]);
-        let want = "s0->s1: segment 1 starts at s1, not at s0: the pair's source switch or \
-                    the previous segment's in-transit host's";
-        assert!(why.contains(want), "{why}");
-        // Nor the first segment from anywhere but the pair's source.
-        let why = refusal(vec![seg(&[1], &[], SegmentEnd::Deliver)]);
-        assert!(
-            why.contains("s0->s1: segment 0 starts at s1, not at s0"),
-            "{why}"
-        );
-        // An in-transit segment whose last byte reaches another host, or
-        // a switch.
-        let other = topo.hosts_of(SwitchId(0))[1];
-        for last in [topo.host_port(other), link] {
-            let why = refusal(vec![
-                seg(&[0], &[last], SegmentEnd::Itb(itb)),
-                seg(&[0, 1], &[link], SegmentEnd::Deliver),
-            ]);
-            let want = format!(
-                "s0->s1: segment 0: its last port byte does not lead to in-transit host {itb}"
+        let itb = topo.host_port(topo.hosts_of(SwitchId(0))[0]);
+        let dst = topo.host_port(topo.hosts_of(SwitchId(1))[0]);
+        // What `from_templates` panics with when route `0 -> 1`'s first
+        // alternative is `bytes`.
+        let refusal = |bytes: Vec<Port>| {
+            let mut templates = sample(&topo);
+            templates[1][0] = bytes;
+            let refused = std::panic::catch_unwind(|| {
+                RouteDb::from_templates_partial(RoutingScheme::ItbRr, &topo, templates)
+            })
+            .expect_err("refused");
+            refused
+                .downcast_ref::<String>()
+                .expect("a formatted message")
+                .clone()
+        };
+        let cases = [
+            // A byte that leads nowhere.
+            (
+                vec![Port(7)],
+                "segment 0 byte 0: p7 of s0 leads to no switch".into(),
+            ),
+            // An in-transit segment whose last byte reaches a switch.
+            (
+                vec![link, ITB_MARK, link],
+                format!("segment 0 byte 0: {link} of s0 leads to no host"),
+            ),
+            // A delivering segment that is not one byte short: its last
+            // byte reaches the destination host.
+            (
+                vec![link, dst],
+                format!("segment 0 byte 1: {dst} of s1 leads to no switch"),
+            ),
+            // A leading mark, and two marks in a row.
+            (vec![ITB_MARK, link], "segment 0 has no port byte".into()),
+            (
+                vec![itb, ITB_MARK, ITB_MARK, link],
+                "segment 1 has no port byte".into(),
+            ),
+        ];
+        for (bytes, want) in cases {
+            assert_eq!(
+                refusal(bytes.clone()),
+                format!("s0->s1: {want}"),
+                "{bytes:?}"
             );
-            assert!(why.contains(&want), "{why}");
         }
     }
 
-    /// Every route of `db`, a table of `scheme` over `topo`, against what
-    /// the owned splitter emits for the same paths: each pair's sampled
-    /// minimal paths that split (for an ITB scheme), else its
-    /// `simple_routes` path. The views read its port bytes and ends; its
-    /// walk reads each byte at the template's switch and leads to the
-    /// next one, or to the in-transit host after an in-transit segment's
-    /// last byte.
+    /// Every route of `db`, a table of `scheme` over `topo`, against the
+    /// paths it was split from: each pair's sampled minimal paths that
+    /// split (for an ITB scheme), else its `simple_routes` path. A route's
+    /// bytes are the splitter's for its path, the views read them a
+    /// segment at a time, and its walk visits the path's switches,
+    /// ejecting at each in-transit segment's host.
     fn assert_views_walk_the_splits(topo: &Topology, scheme: RoutingScheme, db: &RouteDb) {
         let cfg = RouteDbConfig::default();
         let orient = Orientation::compute(topo, cfg.root);
@@ -805,44 +740,38 @@ mod tests {
         let legal = simple_routes(topo, &orient, &SimpleRoutesConfig::default());
         let picker = cfg.itb_picker;
         for (s, d, alts) in db.iter_pairs() {
-            let mut want: Vec<JourneyTemplate> = Vec::new();
+            let mut want: Vec<(SwitchPath, Vec<Port>)> = Vec::new();
             if scheme.uses_itbs() {
                 want = k_minimal_paths(topo, &dm, s, d, cfg.max_alternatives, cfg.seed)
-                    .iter()
-                    .filter_map(|p| try_split_minimal_path(topo, &orient, p, picker))
+                    .into_iter()
+                    .filter_map(|p| {
+                        let bytes = try_split_minimal_path(topo, &orient, &p, picker)?;
+                        Some((p, bytes))
+                    })
                     .collect();
             }
             if want.is_empty() {
                 let path = SwitchPath::new(legal.get(s, d).to_vec());
-                want.push(split_minimal_path(topo, &orient, &path, picker));
+                let bytes = split_minimal_path(topo, &orient, &path, picker);
+                want.push((path, bytes));
             }
             assert_eq!(alts.len(), want.len(), "{scheme} {s}->{d}");
-            for (route, want) in alts.iter().zip(&want) {
-                assert_eq!(route.num_segments(), want.segments.len());
-                for (seg, want) in route.segments().zip(&want.segments) {
-                    assert_eq!((seg.ports, seg.end), (&want.ports[..], want.end));
-                    assert_eq!(seg.len_links(), want.switches.len() - 1);
-                }
-                let mut hops = route.walk(topo);
-                for seg in &want.segments {
-                    for (i, &port) in seg.ports.iter().enumerate() {
-                        let hop = hops.next().expect("a hop per stored byte");
-                        assert_eq!((hop.at, hop.port), (seg.switches[i], port));
-                        match hop.to {
-                            PortTarget::Switch { to, .. } => {
-                                assert_eq!(Some(&to), seg.switches.get(i + 1))
-                            }
-                            PortTarget::Host { host, .. } => {
-                                assert_eq!(
-                                    (i + 1, SegmentEnd::Itb(host)),
-                                    (seg.ports.len(), seg.end)
-                                )
-                            }
-                        }
+            for (route, (path, bytes)) in alts.iter().zip(&want) {
+                assert_eq!(&route.to_owned(), bytes, "{scheme} {s}->{d}");
+                let (mut visited, mut ends) = (vec![s], Vec::new());
+                for hop in route.walk(topo) {
+                    assert_eq!(Some(&hop.at), visited.last(), "{scheme} {s}->{d}");
+                    match hop.to {
+                        PortTarget::Switch { to, .. } => visited.push(to),
+                        PortTarget::Host { host, .. } => ends.push(SegmentEnd::Itb(host)),
                     }
                 }
-                assert_eq!(hops.next(), None, "{scheme} {s}->{d}");
-                assert_eq!(&route.to_owned(topo), want, "{scheme} {s}->{d}");
+                ends.push(SegmentEnd::Deliver);
+                assert_eq!(visited, path.switches(), "{scheme} {s}->{d}");
+                let segs = bytes.split(|&p| p == ITB_MARK);
+                let views = route.segments().map(|seg| (seg.ports, seg.end));
+                assert!(views.eq(segs.zip(ends)), "{scheme} {s}->{d}");
+                assert_eq!(route.total_links(), path.len_links());
             }
         }
     }
@@ -869,29 +798,33 @@ mod tests {
         /// fallbacks), UP/DOWN and ITB tables walk what the splitter
         /// emits, survive the owned round trip as equal vectors, and hold
         /// each written segment as its port bytes (a delivering one without
-        /// the destination's) and its in-transit host.
+        /// the destination's) and the host its last byte reaches.
         #[test]
         fn layout_round_trips_on_multigraphs(n in 3usize..14, extra in 0usize..16, seed in any::<u64>()) {
             let topo = gen::irregular_multigraph(n, extra, seed).unwrap();
             for scheme in [RoutingScheme::UpDown, RoutingScheme::ItbRr] {
                 let db = RouteDb::build(&topo, scheme, &RouteDbConfig::default());
                 assert_views_walk_the_splits(&topo, scheme, &db);
-                let templates = db.to_templates(&topo);
+                let templates = db.to_templates();
                 let again = RouteDb::from_templates(scheme, &topo, templates.clone());
                 prop_assert!(again == db, "{}: round trip", scheme);
-                let written = templates.iter().flatten().flat_map(|t| &t.segments);
                 let mut g = 0;
-                for seg in written {
-                    prop_assert_eq!(&again.ports[span(&again.seg_ports, g)], &seg.ports[..]);
-                    let end = match seg.end {
-                        SegmentEnd::Deliver => DELIVER,
-                        SegmentEnd::Itb(h) => h.0 as u16,
-                    };
-                    prop_assert_eq!(again.seg_end[g], end);
-                    g += 1;
+                let ns = topo.num_switches();
+                for (pair, bytes) in templates.iter().enumerate().flat_map(|(i, a)| a.iter().map(move |b| (i, b))) {
+                    let start = SwitchId((pair / ns) as u32);
+                    let mut hosts = PortWalk::new(&topo, start, bytes.iter().copied())
+                        .filter_map(|hop| match hop.unwrap().to {
+                            PortTarget::Host { host, .. } => Some(host.0 as u16),
+                            PortTarget::Switch { .. } => None,
+                        });
+                    for seg in bytes.split(|&p| p == ITB_MARK) {
+                        prop_assert_eq!(&again.ports[span(&again.seg_ports, g)], seg);
+                        prop_assert_eq!(again.seg_end[g], hosts.next().unwrap_or(DELIVER));
+                        g += 1;
+                    }
                 }
                 prop_assert_eq!(g, again.seg_end.len());
-                prop_assert_eq!(again.to_templates(&topo), templates);
+                prop_assert_eq!(again.to_templates(), templates);
             }
         }
     }

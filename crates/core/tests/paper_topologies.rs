@@ -3,9 +3,30 @@
 //! checks only (no simulation), so this covers all ~4k pairs per network
 //! in seconds.
 
-use regnet_core::{RouteDb, RouteDbConfig, RoutingScheme, SegmentEnd, ITB_MARK};
+use regnet_core::{RouteDb, RouteDbConfig, RouteRef, RoutingScheme, SegmentEnd, ITB_MARK};
 use regnet_routing::SwitchPath;
-use regnet_topology::{gen, DistanceMatrix, Orientation, SwitchId, Topology};
+use regnet_topology::{gen, DistanceMatrix, Orientation, PortTarget, SwitchId, Topology};
+
+/// The segments of `route`, a route of a pair from switch `s`, walked on
+/// `topo`: each one's switches, and the host its last byte ejects at. The
+/// views' segment ends must be the walk's.
+fn segments(topo: &Topology, s: SwitchId, route: RouteRef) -> Vec<(SwitchPath, SegmentEnd)> {
+    let mut segs = vec![(vec![s], SegmentEnd::Deliver)];
+    for hop in route.walk(topo) {
+        match hop.to {
+            PortTarget::Switch { to, .. } => segs.last_mut().unwrap().0.push(to),
+            PortTarget::Host { host, .. } => {
+                segs.last_mut().unwrap().1 = SegmentEnd::Itb(host);
+                segs.push((vec![topo.host_switch(host)], SegmentEnd::Deliver));
+            }
+        }
+    }
+    let ends = segs.iter().map(|&(_, end)| end);
+    assert!(ends.eq(route.segments().map(|seg| seg.end)), "{s}: ends");
+    segs.into_iter()
+        .map(|(switches, end)| (SwitchPath::new(switches), end))
+        .collect()
+}
 
 fn check_db(topo: &Topology, scheme: RoutingScheme) {
     let cfg = RouteDbConfig::default();
@@ -16,20 +37,19 @@ fn check_db(topo: &Topology, scheme: RoutingScheme) {
         assert!(!alts.is_empty(), "{scheme} {s}->{d}: no route");
         for t in alts {
             // Segment chain: starts at s, ends at d, hands over at ITBs.
-            let segments = t.to_owned(topo).segments;
-            assert_eq!(segments[0].switches[0], s);
-            assert_eq!(segments.last().unwrap().switches.last(), Some(&d));
+            let segments = segments(topo, s, t);
+            assert_eq!(segments[0].0.src(), s);
+            assert_eq!(segments.last().unwrap().0.dst(), d);
             for w in segments.windows(2) {
-                assert_eq!(w[0].switches.last(), w[1].switches.first());
+                assert_eq!(w[0].0.dst(), w[1].0.src());
             }
-            for seg in segments {
-                let p = SwitchPath::new(seg.switches);
+            for (p, end) in segments {
                 assert!(p.is_connected(topo), "{scheme} {s}->{d}: segment {p}");
                 assert!(
                     p.is_legal(&orient),
                     "{scheme} {s}->{d}: illegal segment {p}"
                 );
-                if let SegmentEnd::Itb(h) = seg.end {
+                if let SegmentEnd::Itb(h) = end {
                     assert_eq!(topo.host_switch(h), p.dst());
                 }
             }
@@ -141,8 +161,8 @@ fn alternative_roots_keep_invariants() {
         for (s, d, alts) in db.iter_pairs() {
             for t in alts {
                 assert_eq!(t.total_links(), dm.get(s, d) as usize);
-                for seg in t.to_owned(&topo).segments {
-                    assert!(SwitchPath::new(seg.switches).is_legal(&orient));
+                for (p, _) in segments(&topo, s, t) {
+                    assert!(p.is_legal(&orient));
                 }
             }
         }

@@ -14,7 +14,7 @@
 //! Pairs that ended up in different components simply have no route — the
 //! resulting table is *partial* (check [`RouteDb::has_route`]).
 
-use regnet_core::{Relabel, RouteDb, RouteDbConfig, RoutingScheme, SegmentEnd};
+use regnet_core::{Relabel, RouteDb, RouteDbConfig, RoutingScheme, SegmentEnd, Unchanged};
 use regnet_routing::{first_violation, SwitchPath};
 use regnet_topology::{HostId, Orientation, Port, PortTarget, SwitchId, Topology};
 
@@ -159,28 +159,17 @@ pub fn rebuild_physical_routes(
 struct ToPhysical<'a> {
     physical: &'a Topology,
     d: &'a DiscoveredNetwork,
-    /// Discovered `(from, to)` → the port every hop between them leaves
-    /// by: the lowest-numbered port of `from`'s physical switch that
-    /// reaches `to`'s over a live link (a dead parallel sibling is
-    /// skipped; live parallel links are not spread over).
-    hop: Vec<Option<Port>>,
+    /// The physical topology over its live links. A hop leaves by the
+    /// first port of `from`'s physical switch that reaches `to`'s (a dead
+    /// parallel sibling is skipped; live parallel links are not spread
+    /// over).
+    live: Unchanged<'a>,
 }
 
 impl<'a> ToPhysical<'a> {
     fn new(physical: &'a Topology, faults: &FaultSet, d: &'a DiscoveredNetwork) -> Self {
-        let n = d.switch_from_new.len();
-        let mut hop = vec![None; n * n];
-        for (from, &pfrom) in d.switch_from_new.iter().enumerate() {
-            for (port, pto, link) in physical.switch_neighbors(pfrom) {
-                if let Some(to) = d.switch_to_new[pto.idx()] {
-                    let slot = &mut hop[from * n + to.idx()];
-                    if slot.is_none() && faults.is_link_alive(physical, link) {
-                        *slot = Some(port);
-                    }
-                }
-            }
-        }
-        ToPhysical { physical, d, hop }
+        let live = Unchanged::live(physical, |l| faults.is_link_alive(physical, l));
+        ToPhysical { physical, d, live }
     }
 }
 
@@ -195,8 +184,8 @@ impl Relabel for ToPhysical<'_> {
         ))
     }
     fn hop(&self, from: SwitchId, to: SwitchId, _spread: usize) -> Port {
-        self.hop[from.idx() * self.d.switch_from_new.len() + to.idx()]
-            .expect("discovered link lost its physical counterpart")
+        let physical = |s: SwitchId| self.d.switch_from_new[s.idx()];
+        self.live.hop(physical(from), physical(to), 0)
     }
     fn itb(&self, h: HostId) -> (HostId, Port) {
         let ph = self.d.host_from_new[h.idx()];
@@ -208,7 +197,7 @@ impl Relabel for ToPhysical<'_> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use regnet_core::{JourneyTemplate, Segment};
+    use regnet_core::{Hop, ITB_MARK};
     use regnet_topology::{gen, LinkId};
 
     /// The rebuild as it was before tables were written straight in
@@ -221,7 +210,7 @@ mod tests {
         seed: HostId,
         scheme: RoutingScheme,
         cfg: &RouteDbConfig,
-    ) -> Result<Vec<Vec<JourneyTemplate>>, MapperError> {
+    ) -> Result<Vec<Vec<Vec<Port>>>, MapperError> {
         let d = discover(physical, faults, seed)?;
         let mut db_cfg = cfg.clone();
         db_cfg.root = SwitchId(0);
@@ -236,28 +225,14 @@ mod tests {
                 }
             }
         }
-        let translate = |seg: Segment| {
-            let switches: Vec<SwitchId> = seg
-                .switches
-                .iter()
-                .map(|s| d.switch_from_new[s.idx()])
-                .collect();
-            let mut ports: Vec<Port> = switches
-                .windows(2)
-                .map(|w| live_port[w[0].idx() * n + w[1].idx()].unwrap())
-                .collect();
-            let end = match seg.end {
-                SegmentEnd::Deliver => SegmentEnd::Deliver,
-                SegmentEnd::Itb(h) => {
-                    let ph = d.host_from_new[h.idx()];
-                    ports.push(physical.host_port(ph));
-                    SegmentEnd::Itb(ph)
-                }
-            };
-            Segment {
-                switches,
-                ports,
-                end,
+        // A hop's physical port, or an in-transit host's and its mark.
+        let translate = |hop: Hop| match hop.to {
+            PortTarget::Switch { to, .. } => {
+                let [from, to] = [hop.at, to].map(|s| d.switch_from_new[s.idx()]);
+                vec![live_port[from.idx() * n + to.idx()].unwrap()]
+            }
+            PortTarget::Host { host, .. } => {
+                vec![physical.host_port(d.host_from_new[host.idx()]), ITB_MARK]
             }
         };
         let mut tables = Vec::with_capacity(n * n);
@@ -267,14 +242,7 @@ mod tests {
                     (Some(ns), Some(nd)) => mapped_db
                         .alternatives(ns, nd)
                         .iter()
-                        .map(|r| JourneyTemplate {
-                            segments: r
-                                .to_owned(&d.topo)
-                                .segments
-                                .into_iter()
-                                .map(translate)
-                                .collect(),
-                        })
+                        .map(|r| r.walk(&d.topo).flat_map(translate).collect())
                         .collect(),
                     _ => Vec::new(),
                 };
@@ -318,7 +286,7 @@ mod tests {
                 let want = reference_rebuild(&physical, &faults, seed, scheme, &cfg);
                 match rebuild_physical_routes(&physical, &faults, seed, scheme, &cfg) {
                     Ok(pr) => {
-                        prop_assert_eq!(Ok(pr.db.to_templates(&physical)), want, "{}", scheme);
+                        prop_assert_eq!(Ok(pr.db.to_templates()), want, "{}", scheme);
                         prop_assert_eq!(pr.verify(&physical, &faults), Ok(()), "{}", scheme);
                     }
                     Err(e) => prop_assert_eq!(Err(e), want.map(|_| ()), "{}", scheme),
@@ -331,7 +299,7 @@ mod tests {
     fn with_table(
         pr: &PhysicalRoutes,
         physical: &Topology,
-        templates: Vec<Vec<JourneyTemplate>>,
+        templates: Vec<Vec<Vec<Port>>>,
     ) -> PhysicalRoutes {
         let db = RouteDb::from_templates(pr.db.scheme(), physical, templates);
         PhysicalRoutes { db, ..pr.clone() }
@@ -346,22 +314,17 @@ mod tests {
         let cfg = RouteDbConfig::default();
         let pr = rebuild_physical_routes(&physical, &faults, HostId(0), RoutingScheme::ItbRr, &cfg)
             .unwrap();
-        let mut templates = pr.db.to_templates(&physical);
+        let mut templates = pr.db.to_templates();
         let n = physical.num_switches();
+        let one_itb = |t: &Vec<Port>| t.iter().filter(|&&p| p == ITB_MARK).count() == 1;
         let victim = templates
             .iter()
-            .position(|alts| alts.iter().any(|t| t.num_itbs() == 1))
+            .position(|alts| alts.iter().any(one_itb))
             .expect("the torus needs ITBs");
-        let route = templates[victim]
-            .iter_mut()
-            .find(|t| t.num_itbs() == 1)
-            .unwrap();
-        let second = route.segments.pop().unwrap();
-        let first = &mut route.segments[0];
-        first.ports.pop();
-        first.ports.extend(&second.ports);
-        first.switches.extend(&second.switches[1..]);
-        first.end = SegmentEnd::Deliver;
+        let route = templates[victim].iter_mut().find(|t| one_itb(t)).unwrap();
+        // Drop the in-transit host's byte and the mark after it.
+        let mark = route.iter().position(|&p| p == ITB_MARK).unwrap();
+        route.drain(mark - 1..=mark);
         let bad = with_table(&pr, &physical, templates);
         let (s, d) = (victim / n, victim % n);
         let err = bad.verify(&physical, &faults).unwrap_err();
@@ -397,13 +360,14 @@ mod tests {
             rebuild_physical_routes(&physical, &faults, HostId(0), RoutingScheme::UpDown, &cfg)
                 .unwrap();
         // Only pair (a, b) gets the old route; the rest are the rebuilt ones.
-        let mut templates = pr.db.to_templates(&physical);
+        let mut templates = pr.db.to_templates();
         let n = physical.num_switches();
-        templates[a.idx() * n + b.idx()] = healthy.db.alternatives(a, b).to_owned(&physical);
-        assert_eq!(
-            templates[a.idx() * n + b.idx()][0].segments[0].switches,
-            [a, b]
+        let old = healthy.db.alternatives(a, b);
+        let hops: Vec<Hop> = old.get(0).walk(&physical).collect();
+        assert!(
+            matches!(hops[..], [Hop { at, to: PortTarget::Switch { to, .. }, .. }] if at == a && to == b)
         );
+        templates[a.idx() * n + b.idx()] = old.to_owned();
         let err = with_table(&pr, &physical, templates)
             .verify(&physical, &faults)
             .unwrap_err();
@@ -442,8 +406,10 @@ mod tests {
             .iter_pairs()
             .find(|(_, _, alts)| {
                 alts.iter().any(|r| {
-                    let segments = r.to_owned(&physical).segments;
-                    segments.iter().any(|seg| seg.switches.contains(&lost))
+                    r.walk(&physical).any(|hop| {
+                        hop.at == lost
+                            || matches!(hop.to, PortTarget::Switch { to, .. } if to == lost)
+                    })
                 })
             })
             .unwrap();

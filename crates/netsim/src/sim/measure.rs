@@ -531,7 +531,6 @@ mod tests {
     #[test]
     fn seeded_cyclic_routes_classified_as_deadlock_with_named_cycle() {
         use crate::wfg::StallClass;
-        use regnet_core::{JourneyTemplate, Segment, SegmentEnd};
         use regnet_topology::Port;
 
         let topo = build_ring4();
@@ -544,20 +543,15 @@ mod tests {
         let mut templates = Vec::with_capacity(n * n);
         for a in 0..n as u32 {
             for b in 0..n as u32 {
-                let hops = ((b + 4 - a) % 4) as usize;
-                let switches: Vec<SwitchId> =
-                    (0..=hops).map(|k| SwitchId((a + k as u32) % 4)).collect();
-                let ports: Vec<Port> = switches
-                    .windows(2)
-                    .map(|w| topo.port_to(w[0], w[1]).unwrap())
+                // Hop from switch `s % 4` to the next one, for `s` from
+                // `a` up to `b` clockwise.
+                let ports: Vec<Port> = (a..a + (b + 4 - a) % 4)
+                    .map(|s| {
+                        topo.port_to(SwitchId(s % 4), SwitchId((s + 1) % 4))
+                            .unwrap()
+                    })
                     .collect();
-                templates.push(vec![JourneyTemplate {
-                    segments: vec![Segment {
-                        switches,
-                        ports,
-                        end: SegmentEnd::Deliver,
-                    }],
-                }]);
+                templates.push(vec![ports]);
             }
         }
         let db = RouteDb::from_templates(RoutingScheme::UpDown, &topo, templates);

@@ -7,9 +7,10 @@
 //! Run with: `cargo run --example route_anatomy`
 
 use regnet::core::analysis::RouteStats;
-use regnet::core::ITB_MARK;
+use regnet::core::{PortWalk, ITB_MARK};
 use regnet::prelude::*;
 use regnet::routing::minimal;
+use regnet::topology::PortTarget;
 
 fn main() {
     // An 8-switch ring: small enough to trace by hand, cyclic enough that
@@ -52,12 +53,24 @@ fn main() {
         dm.get(SwitchId(3), SwitchId(5))
     );
 
-    // The ITB mechanism keeps the minimal path by splitting it.
-    let template = split_minimal_path(&topo, &orient, path, ItbHostPicker::Spread);
-    println!("\nITB split into {} segment(s):", template.segments.len());
-    for (i, seg) in template.segments.iter().enumerate() {
-        let switches: Vec<String> = seg.switches.iter().map(|s| s.to_string()).collect();
-        match seg.end {
+    // The ITB mechanism keeps the minimal path by splitting it. The split
+    // is port bytes; walking them from the path's first switch names the
+    // switches of each segment and the host it ejects into.
+    let bytes = split_minimal_path(&topo, &orient, path, ItbHostPicker::Spread);
+    let mut segments = vec![(vec![path.src()], SegmentEnd::Deliver)];
+    for hop in PortWalk::new(&topo, path.src(), bytes) {
+        match hop.expect("the split's bytes lead somewhere").to {
+            PortTarget::Switch { to, .. } => segments.last_mut().unwrap().0.push(to),
+            PortTarget::Host { host, .. } => {
+                segments.last_mut().unwrap().1 = SegmentEnd::Itb(host);
+                segments.push((vec![topo.host_switch(host)], SegmentEnd::Deliver));
+            }
+        }
+    }
+    println!("\nITB split into {} segment(s):", segments.len());
+    for (i, (switches, end)) in segments.iter().enumerate() {
+        let switches: Vec<String> = switches.iter().map(|s| s.to_string()).collect();
+        match end {
             SegmentEnd::Itb(h) => println!(
                 "  segment {i}: {} -> eject into in-transit buffer at {h}",
                 switches.join("->")

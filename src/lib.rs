@@ -65,8 +65,8 @@ pub use regnet_traffic as traffic;
 /// The types needed by typical experiments, in one import.
 pub mod prelude {
     pub use regnet_core::{
-        split_minimal_path, Header, ItbHostPicker, JourneyTemplate, RouteDb, RouteDbConfig,
-        RoutingScheme, SegmentEnd,
+        split_minimal_path, Header, ItbHostPicker, RouteDb, RouteDbConfig, RoutingScheme,
+        SegmentEnd,
     };
     pub use regnet_mapper::FaultSet;
     pub use regnet_metrics::SaturationSearch;

@@ -5,12 +5,13 @@
 use proptest::prelude::*;
 
 use regnet::core::{
-    split_minimal_path, try_split_minimal_path, ItbHostPicker, RouteDb, RouteDbConfig,
-    RoutingScheme,
+    split_minimal_path, try_split_minimal_path, ItbHostPicker, PortWalk, RouteDb, RouteDbConfig,
+    RoutingScheme, ITB_MARK,
 };
 use regnet::mapper::discover;
 use regnet::prelude::*;
 use regnet::routing::{minimal, simple_routes, SimpleRoutesConfig, SwitchPath};
+use regnet::topology::{Port, PortTarget};
 
 /// Strategy: a random connected irregular topology.
 fn arb_topology() -> impl Strategy<Value = Topology> {
@@ -49,10 +50,28 @@ fn arb_discovered() -> impl Strategy<Value = Topology> {
         })
 }
 
+/// The segments of `bytes`, a route in owned form, walked on `topo` from
+/// switch `start`: each one's switches, and how it ends.
+fn segments(topo: &Topology, start: SwitchId, bytes: &[Port]) -> Vec<(SwitchPath, SegmentEnd)> {
+    let mut segs = vec![(vec![start], SegmentEnd::Deliver)];
+    for hop in PortWalk::new(topo, start, bytes.iter().copied()) {
+        match hop.expect("a byte that leads somewhere").to {
+            PortTarget::Switch { to, .. } => segs.last_mut().unwrap().0.push(to),
+            PortTarget::Host { host, .. } => {
+                segs.last_mut().unwrap().1 = SegmentEnd::Itb(host);
+                segs.push((vec![topo.host_switch(host)], SegmentEnd::Deliver));
+            }
+        }
+    }
+    segs.into_iter()
+        .map(|(switches, end)| (SwitchPath::new(switches), end))
+        .collect()
+}
+
 /// The flat table against the per-pair public functions it is built from:
 /// every pair holds exactly the usable splits of its sampled minimal
 /// paths, a pair with none falls back to the `simple_routes` path, and the
-/// table survives a trip through owned templates.
+/// table survives a trip through its owned bytes.
 fn assert_table_is_the_per_pair_composition(topo: &Topology) -> Result<(), TestCaseError> {
     let cfg = RouteDbConfig::default();
     let orient = Orientation::compute(topo, cfg.root);
@@ -60,7 +79,7 @@ fn assert_table_is_the_per_pair_composition(topo: &Topology) -> Result<(), TestC
     let legal = simple_routes(topo, &orient, &SimpleRoutesConfig::default());
     let db = RouteDb::build(topo, RoutingScheme::ItbRr, &cfg);
     for (s, d, alts) in db.iter_pairs() {
-        let usable: Vec<JourneyTemplate> =
+        let usable: Vec<Vec<Port>> =
             minimal::k_minimal_paths(topo, &dm, s, d, cfg.max_alternatives, cfg.seed)
                 .iter()
                 .filter_map(|p| try_split_minimal_path(topo, &orient, p, cfg.itb_picker))
@@ -70,13 +89,13 @@ fn assert_table_is_the_per_pair_composition(topo: &Topology) -> Result<(), TestC
             // switch: one legal route, no ITBs.
             let path = SwitchPath::new(legal.get(s, d).to_vec());
             let fallback = split_minimal_path(topo, &orient, &path, cfg.itb_picker);
-            prop_assert_eq!(fallback.num_itbs(), 0);
-            prop_assert_eq!(alts.to_owned(topo), vec![fallback], "{}->{} fallback", s, d);
+            prop_assert!(!fallback.contains(&ITB_MARK));
+            prop_assert_eq!(alts.to_owned(), vec![fallback], "{}->{} fallback", s, d);
         } else {
-            prop_assert_eq!(alts.to_owned(topo), usable, "{}->{}", s, d);
+            prop_assert_eq!(alts.to_owned(), usable, "{}->{}", s, d);
         }
     }
-    let again = RouteDb::from_templates(db.scheme(), topo, db.to_templates(topo));
+    let again = RouteDb::from_templates(db.scheme(), topo, db.to_templates());
     prop_assert_eq!(again.fingerprint(topo), db.fingerprint(topo));
     prop_assert!(again == db, "flat store round trip");
     Ok(())
@@ -156,13 +175,15 @@ proptest! {
         let src = SwitchId(seed as u32 % n);
         let dst = SwitchId((seed >> 16) as u32 % n);
         for path in minimal::k_minimal_paths(&topo, &dm, src, dst, 5, seed) {
-            let t = split_minimal_path(&topo, &orient, &path, ItbHostPicker::Spread);
-            prop_assert_eq!(t.total_links(), dm.get(src, dst) as usize);
-            for seg in &t.segments {
-                let p = SwitchPath::new(seg.switches.clone());
+            let bytes = split_minimal_path(&topo, &orient, &path, ItbHostPicker::Spread);
+            let segs = segments(&topo, src, &bytes);
+            let links: usize = segs.iter().map(|(p, _)| p.len_links()).sum();
+            prop_assert_eq!(links, dm.get(src, dst) as usize);
+            prop_assert_eq!(segs.last().unwrap().0.dst(), dst);
+            for (p, end) in segs {
                 prop_assert!(p.is_legal(&orient), "illegal segment {}", p);
                 prop_assert!(p.is_connected(&topo));
-                if let SegmentEnd::Itb(h) = seg.end {
+                if let SegmentEnd::Itb(h) = end {
                     prop_assert_eq!(topo.host_switch(h), p.dst());
                 }
             }
@@ -196,11 +217,15 @@ proptest! {
             prop_assert_eq!(walked.len(), route.num_segments());
             // Segments must chain: each in-transit host is attached where
             // its segment ends and the next one starts.
-            let segments = route.to_owned(&topo).segments;
-            for (w, &h) in segments.windows(2).zip(&walked) {
-                prop_assert_eq!(w[0].end, SegmentEnd::Itb(h));
-                prop_assert_eq!(w[0].switches.last(), Some(&topo.host_switch(h)));
-                prop_assert_eq!(w[1].switches.first(), Some(&topo.host_switch(h)));
+            let (s, d) = (topo.host_switch(src), topo.host_switch(dst));
+            let segs = segments(&topo, s, &route.to_owned());
+            prop_assert_eq!(segs.last().unwrap().0.dst(), d);
+            let ends = route.segments().map(|seg| seg.end);
+            prop_assert!(ends.eq(segs.iter().map(|&(_, end)| end)), "{}->{}", src, dst);
+            for (w, &h) in segs.windows(2).zip(&walked) {
+                prop_assert_eq!(w[0].1, SegmentEnd::Itb(h));
+                prop_assert_eq!(w[0].0.dst(), topo.host_switch(h));
+                prop_assert_eq!(w[1].0.src(), topo.host_switch(h));
             }
         }
     }
