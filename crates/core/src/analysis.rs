@@ -74,8 +74,7 @@ impl RouteStats {
 mod tests {
     use super::*;
     use crate::scheme::{RouteDbConfig, RoutingScheme};
-    use crate::table::SegmentEnd;
-    use regnet_topology::gen;
+    use regnet_topology::{gen, PortTarget};
 
     #[test]
     fn paper_torus_updown_stats() {
@@ -153,9 +152,9 @@ mod tests {
         let mut load = vec![0usize; topo.num_hosts()];
         for (_, _, alts) in db.iter_pairs() {
             for t in alts {
-                for seg in t.segments() {
-                    if let SegmentEnd::Itb(h) = seg.end {
-                        load[h.idx()] += 1;
+                for hop in t.walk(&topo) {
+                    if let PortTarget::Host { host, .. } = hop.to {
+                        load[host.idx()] += 1;
                     }
                 }
             }

@@ -74,7 +74,7 @@ impl Header {
     /// the segment after a mark starts at that host's switch. The
     /// simulator reads bytes only; tests check with this what they say.
     pub fn walk(&self, topo: &Topology, src: HostId) -> Result<Vec<HostId>, String> {
-        hosts_reached(topo, topo.host_switch(src), &self.0, false)
+        hosts_reached(topo, topo.host_switch(src), &self.0, false).map(|(hosts, _)| hosts)
     }
 }
 
@@ -82,16 +82,17 @@ impl Header {
 /// [`RouteDb::from_templates`](crate::RouteDb::from_templates) read port
 /// bytes by: `bytes`, marks included, walked on `topo` from switch
 /// `start`. Every segment has a byte; its last byte leads to a host and
-/// every other byte to a switch. Returns the hosts reached, in order. With
-/// `short`, the bytes are a route's as a table stores them: the delivering
-/// segment is one byte short (the destination's port is written per host
-/// pair), so it ends at a switch and may have no byte.
+/// every other byte to a switch. Returns the hosts reached, in order, and
+/// the switch the walk ends at. With `short`, the bytes are a route's as a
+/// table stores them: the delivering segment is one byte short (the
+/// destination's port is written per host pair), so it ends at a switch
+/// and may have no byte.
 pub(crate) fn hosts_reached(
     topo: &Topology,
     start: SwitchId,
     bytes: &[Port],
     short: bool,
-) -> Result<Vec<HostId>, String> {
+) -> Result<(Vec<HostId>, SwitchId), String> {
     let mut hops = PortWalk::new(topo, start, bytes.iter().copied());
     let (mut hosts, marks) = (Vec::new(), bytes.iter().filter(|&&p| p == ITB_MARK).count());
     for (si, seg) in bytes.split(|&p| p == ITB_MARK).enumerate() {
@@ -116,7 +117,7 @@ pub(crate) fn hosts_reached(
             }
         }
     }
-    Ok(hosts)
+    Ok((hosts, hops.at))
 }
 
 /// One port byte read on a walk: the switch that reads it, the byte, and

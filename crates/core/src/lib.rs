@@ -24,9 +24,10 @@
 //!   ITB mark after each in-transit segment's ([`RouteRef::to_owned`]),
 //! * [`RouteDb`] — per-pair route tables for the three schemes evaluated in
 //!   the paper ([`RoutingScheme::UpDown`], [`RoutingScheme::ItbSp`],
-//!   [`RoutingScheme::ItbRr`]), built in the topology's own ids or, through
-//!   a [`Relabel`], in another's (the mapper's rebuilds); both read each
-//!   hop's port byte from an [`Unchanged`] table,
+//!   [`RoutingScheme::ItbRr`]), each route stored as its owned bytes in
+//!   one span ([`RouteRef::bytes`]), built in the topology's own ids or,
+//!   through a [`Relabel`], in another's (the mapper's rebuilds); both
+//!   read each hop's port byte from an [`Unchanged`] table,
 //! * [`analysis`] — route-level statistics (fraction of minimal paths,
 //!   average distance, average ITBs per route) matching section 4.7 of the
 //!   paper.
@@ -62,4 +63,4 @@ pub use header::{DeadEnd, Header, Hop, PortWalk, ITB_MARK};
 pub use relabel::{Relabel, Unchanged};
 pub use scheme::{PathSelector, RouteDbConfig, RoutingScheme, SrcSelector};
 pub use split::{split_minimal_path, try_split_minimal_path, ItbHostPicker};
-pub use table::{Alternatives, RouteDb, RouteFootprint, RouteRef, Routes, SegmentEnd, SegmentRef};
+pub use table::{Alternatives, RouteDb, RouteFootprint, RouteRef, Routes};

@@ -8,14 +8,15 @@
 
 use regnet_topology::{HostId, LinkId, Port, SwitchId, Topology};
 
+use crate::header::ITB_MARK;
 use crate::split::SplitSink;
-use crate::table::{RouteDbBuilder, SegmentEnd};
+use crate::table::RouteDbBuilder;
 
 /// How a table built on one topology (the *built* ids) is written out:
 /// which built pair each written pair takes its routes from, and what
-/// every port byte and in-transit host becomes. No switch id is written:
-/// the table stores port bytes and walks the written topology for its
-/// switches, so a written hop's port must lead where the built hop goes.
+/// every port byte becomes. No switch or host id is written: the table
+/// stores port bytes and walks the written topology for its switches and
+/// in-transit hosts, so a written byte must lead where the built one goes.
 pub trait Relabel {
     /// The topology the table is written for: its switches, hosts and the
     /// links every written port byte leaves by. Its pairs are written in
@@ -30,9 +31,9 @@ pub trait Relabel {
     /// neighbour `to`; `spread` picks among parallel links if the
     /// relabelling spreads over them.
     fn hop(&self, from: SwitchId, to: SwitchId, spread: usize) -> Port;
-    /// A built in-transit host's written id, and the port byte its switch
-    /// reaches it by.
-    fn itb(&self, h: HostId) -> (HostId, Port);
+    /// The written port byte by which a built in-transit host's switch
+    /// reaches it.
+    fn itb(&self, h: HostId) -> Port;
 }
 
 /// The identity: the table in the built topology's own ids, each hop's
@@ -101,13 +102,14 @@ impl Relabel for Unchanged<'_> {
         let parallel = &self.fans[(h & !FAN) as usize];
         parallel[spread % parallel.len()]
     }
-    fn itb(&self, h: HostId) -> (HostId, Port) {
-        (h, self.topo.host_port(h))
+    fn itb(&self, h: HostId) -> Port {
+        self.topo.host_port(h)
     }
 }
 
 /// A [`RouteDbBuilder`] written through a [`Relabel`]: each segment's port
-/// bytes, its switches left to the written topology.
+/// bytes and an in-transit one's mark, its switches and host left to the
+/// written topology.
 pub(crate) struct Relabelled<'t, 'm, R> {
     pub(crate) table: &'t mut RouteDbBuilder,
     pub(crate) map: &'m R,
@@ -118,7 +120,7 @@ impl<R: Relabel> SplitSink for Relabelled<'_, '_, R> {
     // the call per segment cost the ITB builds 1.5–4.5 % (minimum of 201
     // builds, 2-vCPU Xeon).
     #[inline]
-    fn segment(&mut self, switches: &[SwitchId], spread: usize, end: SegmentEnd) {
+    fn segment(&mut self, switches: &[SwitchId], spread: usize, itb: Option<HostId>) {
         let map = self.map;
         self.table.ports(
             switches
@@ -126,15 +128,9 @@ impl<R: Relabel> SplitSink for Relabelled<'_, '_, R> {
                 .enumerate()
                 .map(|(i, w)| map.hop(w[0], w[1], spread.wrapping_add(i))),
         );
-        let end = match end {
-            SegmentEnd::Deliver => SegmentEnd::Deliver,
-            SegmentEnd::Itb(h) => {
-                let (h, port) = map.itb(h);
-                self.table.ports([port]);
-                SegmentEnd::Itb(h)
-            }
-        };
-        self.table.end_segment(end);
+        if let Some(h) = itb {
+            self.table.ports([map.itb(h), ITB_MARK]);
+        }
     }
 }
 

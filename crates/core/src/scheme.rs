@@ -215,10 +215,10 @@ impl RouteDb {
             RoutingScheme::UpDown => {
                 let routes = simple_routes(topo, &orient, &SimpleRoutesConfig::default());
                 // One single-segment route per pair.
-                let mut size = [0; 3];
+                let mut size = [0; 2];
                 for (s, d) in pairs().flatten() {
                     let links = routes.get(s, d).len() - 1;
-                    add(&mut size, [1, 1, links]);
+                    add(&mut size, [1, links]);
                 }
                 table.reserve(size);
                 for pair in pairs() {
@@ -248,14 +248,13 @@ impl RouteDb {
                 // At most `k` minimal routes of `links` hops per pair, each
                 // split at most `links / 2` times (an in-transit buffer
                 // needs a down hop before its up hop), a port byte per hop
-                // and per in-transit host. Only a pair with no usable
-                // minimal route (a fallback) can exceed it.
-                let mut size = [0; 3];
+                // and per in-transit host and a mark per cut. Only a pair
+                // with no usable minimal route (a fallback) can exceed it.
+                let mut size = [0; 2];
                 for (s, d) in pairs().flatten() {
                     let r = dags[d.idx()].count(s).min(k as u64) as usize;
                     let links = dm.get(s, d) as usize;
-                    let segs = 1 + links / 2;
-                    add(&mut size, [r, r * segs, r * (links + segs - 1)]);
+                    add(&mut size, [r, r * (links + 2 * (links / 2))]);
                 }
                 table.reserve(size);
                 for pair in pairs() {
@@ -331,7 +330,7 @@ impl RouteDb {
     }
 }
 
-fn add(size: &mut [usize; 3], more: [usize; 3]) {
+fn add(size: &mut [usize; 2], more: [usize; 2]) {
     size.iter_mut().zip(more).for_each(|(a, b)| *a += b);
 }
 

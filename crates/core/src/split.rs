@@ -5,7 +5,6 @@ use regnet_routing::SwitchPath;
 use regnet_topology::{HostId, Orientation, Port, SwitchId, Topology};
 
 use crate::header::ITB_MARK;
-use crate::table::SegmentEnd;
 
 /// Strategy for picking which of a switch's hosts serves as the in-transit
 /// host. The paper attaches 8 hosts per switch; spreading in-transit load
@@ -90,10 +89,10 @@ pub fn try_split_minimal_path(
 pub(crate) trait SplitSink {
     /// A segment visits `switches`, its hop `i` (from `switches[i]`)
     /// taking parallel link `spread + i` modulo the links between its
-    /// ends, and ends as `end`: in an in-transit host at its last switch,
-    /// or at the destination switch one port byte short (the destination
-    /// host's ends the header written for a host pair).
-    fn segment(&mut self, switches: &[SwitchId], spread: usize, end: SegmentEnd);
+    /// ends, and ends in `itb`, an in-transit host at its last switch, or
+    /// with `None` at the destination switch one port byte short (the
+    /// destination host's ends the header written for a host pair).
+    fn segment(&mut self, switches: &[SwitchId], spread: usize, itb: Option<HostId>);
 }
 
 struct TemplateSink<'a> {
@@ -102,7 +101,7 @@ struct TemplateSink<'a> {
 }
 
 impl SplitSink for TemplateSink<'_> {
-    fn segment(&mut self, switches: &[SwitchId], spread: usize, end: SegmentEnd) {
+    fn segment(&mut self, switches: &[SwitchId], spread: usize, itb: Option<HostId>) {
         // One port byte per hop, then the in-transit host's and a mark.
         self.bytes
             .extend(switches.windows(2).enumerate().map(|(i, w)| {
@@ -114,7 +113,7 @@ impl SplitSink for TemplateSink<'_> {
                     .nth(spread.wrapping_add(i) % parallel);
                 port.expect("taken modulo the count")
             }));
-        if let SegmentEnd::Itb(h) = end {
+        if let Some(h) = itb {
             self.bytes.extend([self.topo.host_port(h), ITB_MARK]);
         }
     }
@@ -148,21 +147,13 @@ pub(crate) fn split_into(
             };
             debug_assert_eq!(topo.host_switch(itb_host), a);
             let segment = &switches[start..=hop_idx];
-            route.segment(
-                segment,
-                spread.wrapping_add(start),
-                SegmentEnd::Itb(itb_host),
-            );
+            route.segment(segment, spread.wrapping_add(start), Some(itb_host));
             start = hop_idx;
             seen_down = false;
         }
         seen_down |= !up;
     }
-    route.segment(
-        &switches[start..],
-        spread.wrapping_add(start),
-        SegmentEnd::Deliver,
-    );
+    route.segment(&switches[start..], spread.wrapping_add(start), None);
     true
 }
 
@@ -184,19 +175,20 @@ mod tests {
     use regnet_topology::{gen, DistanceMatrix, PortTarget, TopologyBuilder};
 
     /// The segments of `path`'s split: each one's switches, walked on
-    /// `topo` from the path's first switch, and how it ends.
+    /// `topo` from the path's first switch, and the in-transit host it
+    /// ends in, if any.
     fn segments(
         topo: &Topology,
         path: &SwitchPath,
         bytes: &[Port],
-    ) -> Vec<(SwitchPath, SegmentEnd)> {
-        let mut segs = vec![(vec![path.src()], SegmentEnd::Deliver)];
+    ) -> Vec<(SwitchPath, Option<HostId>)> {
+        let mut segs = vec![(vec![path.src()], None)];
         for hop in PortWalk::new(topo, path.src(), bytes.iter().copied()) {
             match hop.expect("a port byte of the split").to {
                 PortTarget::Switch { to, .. } => segs.last_mut().unwrap().0.push(to),
                 PortTarget::Host { host, .. } => {
-                    segs.last_mut().unwrap().1 = SegmentEnd::Itb(host);
-                    segs.push((vec![topo.host_switch(host)], SegmentEnd::Deliver));
+                    segs.last_mut().unwrap().1 = Some(host);
+                    segs.push((vec![topo.host_switch(host)], None));
                 }
             }
         }
@@ -213,12 +205,12 @@ mod tests {
         orient: &Orientation,
         path: &SwitchPath,
         picker: ItbHostPicker,
-    ) -> Vec<(SwitchPath, SegmentEnd)> {
+    ) -> Vec<(SwitchPath, Option<HostId>)> {
         let bytes = split_minimal_path(topo, orient, path, picker);
         let segs = segments(topo, path, &bytes);
         for (p, end) in &segs {
             assert!(p.is_legal(orient), "segment {p} not legal");
-            if let SegmentEnd::Itb(h) = *end {
+            if let Some(h) = *end {
                 assert_eq!(topo.host_switch(h), p.dst());
             }
         }
@@ -249,7 +241,7 @@ mod tests {
         // 2 -> 1 -> 0 is all-up: no ITB needed.
         let p = SwitchPath::new(vec![SwitchId(2), SwitchId(1), SwitchId(0)]);
         let segs = split_legally(&topo, &orient, &p, ItbHostPicker::First);
-        assert_eq!(segs, [(p.clone(), SegmentEnd::Deliver)]);
+        assert_eq!(segs, [(p.clone(), None)]);
         // Ports: 2->1, 1->0; destination port appended later.
         let bytes = split_minimal_path(&topo, &orient, &p, ItbHostPicker::First);
         assert_eq!(bytes.len(), 2);
@@ -265,10 +257,7 @@ mod tests {
         let itb = topo.hosts_of(SwitchId(2))[0];
         let halves = [[1, 2], [2, 3]].map(|s| SwitchPath::new(s.map(SwitchId).to_vec()));
         let [first, second] = halves;
-        assert_eq!(
-            segs,
-            [(first, SegmentEnd::Itb(itb)), (second, SegmentEnd::Deliver)]
-        );
+        assert_eq!(segs, [(first, Some(itb)), (second, None)]);
         // Segment 0: 1->2 plus the ITB host port (complete) and a mark;
         // segment 1: 2->3 only (destination port appended later).
         let hop = |a, b| topo.port_to(SwitchId(a), SwitchId(b)).unwrap();
@@ -321,7 +310,7 @@ mod tests {
                 }
                 for p in regnet_routing::minimal::k_minimal_paths(&topo, &dm, s, d, 2, 3) {
                     for (_, end) in split_legally(&topo, &orient, &p, ItbHostPicker::Spread) {
-                        if let SegmentEnd::Itb(h) = end {
+                        if let Some(h) = end {
                             used.insert((topo.host_switch(h), h));
                         }
                     }

@@ -3,43 +3,35 @@
 //! borrowed views that read them and the builder that writes them.
 //!
 //! ```text
-//! pair (s, d) ──pair_routes──▶ routes ──route_segs──▶ segments ──seg_ports──▶ ports  u8
-//!                                                     seg_end  u16
+//! pair (s, d) ──pair_routes──▶ routes ──route_ports──▶ ports  u8
 //! ```
 //!
 //! Each arrow is a CSR offset vector (`n + 1` entries of `u32`, item `i`
-//! owning `off[i]..off[i + 1]` of the next level). A segment stores one
-//! port byte per hop, and an in-transit segment one more, for its
-//! in-transit host. A delivering segment's last byte addresses the
-//! destination host, which differs per host pair: it is not stored.
-//! `seg_end` is the in-transit host's id, or `DELIVER`.
+//! owning `off[i]..off[i + 1]` of the next level). A route's span is its
+//! owned form ([`RouteRef::to_owned`]): one port byte per hop, and after
+//! an in-transit segment its host's byte and an [`ITB_MARK`]. A
+//! delivering segment's last byte addresses the destination host, which
+//! differs per host pair: it is not stored.
 //!
-//! No switch id is stored: the topology the table is written for
+//! No switch or host id is stored: the topology the table is written for
 //! determines them. A route starts at its pair's source switch, and its
 //! bytes walked on that topology ([`RouteRef::walk`], a
 //! [`PortWalk`](crate::PortWalk)) name every switch and link it crosses;
-//! an in-transit host's byte leaves the walk at that host's switch, where
-//! the next segment starts. A route's owned form is the same bytes, a mark
-//! after each in-transit segment's ([`RouteRef::to_owned`]);
-//! [`RouteDb::from_templates`] reads them back by the walk's rule.
+//! an in-transit host's byte names that host and leaves the walk at its
+//! switch, where the next segment starts. [`RouteDb::from_templates`]
+//! reads routes back by the walk's rule.
 //!
-//! So a table is five allocations however many routes it holds, cloning
-//! it is five `memcpy`s, and a table appended in pair order has exactly
+//! So a table is three allocations however many routes it holds, cloning
+//! it is three `memcpy`s, and a table appended in pair order has exactly
 //! one representation — `==` on the vectors is equality of the routes. It
-//! costs 4 bytes per switch pair and per route, 6 per segment and 1 per
-//! port byte. Host ids are 16-bit: a table names at most 65,535 hosts.
+//! costs 4 bytes per switch pair and per route and 1 per port byte and
+//! per mark.
 
-use regnet_topology::{HostId, Port, PortTarget, SwitchId, Topology};
+use regnet_topology::{Port, PortTarget, SwitchId, Topology};
 
 use crate::fnv::Fnv1a;
 use crate::header::{hosts_reached, Header, Hop, PortWalk, ITB_MARK};
 use crate::scheme::RoutingScheme;
-
-/// `seg_end` of a delivering segment; any other value is an in-transit
-/// host's id.
-const DELIVER: u16 = u16::MAX;
-/// Most hosts a table can name: every id below `DELIVER`.
-const MAX_HOSTS: usize = DELIVER as usize;
 
 /// The routing table of the whole network for one scheme: for every ordered
 /// switch pair, the list of alternative routes.
@@ -55,13 +47,10 @@ pub struct RouteDb {
     n_hosts: usize,
     /// Pair `s * n_switches + d` → its routes.
     pair_routes: Vec<u32>,
-    /// Route → its segments.
-    route_segs: Vec<u32>,
-    /// Segment → its entries of `ports`.
-    seg_ports: Vec<u32>,
-    /// Segment → its in-transit host, or `DELIVER`.
-    seg_end: Vec<u16>,
-    /// One byte per hop, and an in-transit segment's host port.
+    /// Route → its entries of `ports`.
+    route_ports: Vec<u32>,
+    /// One byte per hop; after an in-transit segment, its host's port and
+    /// a mark.
     ports: Vec<Port>,
 }
 
@@ -107,8 +96,9 @@ impl RouteDb {
     /// byte, bytes that [`Header::walk`]'s rule cannot read from the pair's
     /// source switch: an empty in-transit segment, a byte that leads
     /// nowhere, an in-transit segment whose last byte does not reach a
-    /// host, and a delivering byte that does not reach a switch. Each
-    /// in-transit host is the one its segment's last byte reaches.
+    /// host, and a delivering byte that does not reach a switch; and,
+    /// naming the pair, a route that ends on another switch than the
+    /// pair's destination.
     pub fn from_templates(
         scheme: RoutingScheme,
         topo: &Topology,
@@ -141,13 +131,10 @@ impl RouteDb {
         for (pair, alts) in templates.iter().enumerate() {
             let (src, dst) = (SwitchId((pair / n) as u32), SwitchId((pair % n) as u32));
             for bytes in alts {
-                let hosts = hosts_reached(topo, src, bytes, true)
+                let (_, end) = hosts_reached(topo, src, bytes, true)
                     .unwrap_or_else(|why| panic!("{src}->{dst}: {why}"));
-                let mut ends = hosts.into_iter().map(SegmentEnd::Itb);
-                for seg in bytes.split(|&p| p == ITB_MARK) {
-                    b.ports(seg.iter().copied());
-                    b.end_segment(ends.next().unwrap_or(SegmentEnd::Deliver));
-                }
+                assert!(end == dst, "{src}->{dst}: route ends at {end}, not {dst}");
+                b.ports(bytes.iter().copied());
                 b.end_route();
             }
             b.end_pair();
@@ -204,47 +191,51 @@ impl RouteDb {
     /// What the table holds and what it costs to keep.
     pub fn footprint(&self) -> RouteFootprint {
         use std::mem::size_of_val;
+        let routes = self.route_ports.len() - 1;
+        let marks = self.ports.iter().filter(|&&p| p == ITB_MARK).count();
         RouteFootprint {
-            routes: self.route_segs.len() - 1,
-            segments: self.seg_end.len(),
+            routes,
+            segments: routes + marks,
             bytes: size_of_val(&self.pair_routes[..])
-                + size_of_val(&self.route_segs[..])
-                + size_of_val(&self.seg_ports[..])
-                + size_of_val(&self.seg_end[..])
+                + size_of_val(&self.route_ports[..])
                 + size_of_val(&self.ports[..]),
         }
     }
 
     /// FNV-1a over every pair → alternative → segment (switch ids, port
-    /// bytes, how it ends), the switches walked on `topo`, the topology the
-    /// table was written for: two tables with the same fingerprint route
-    /// every packet identically. Stable across versions; the regression
-    /// suite pins the paper networks' tables with it.
+    /// bytes, how it ends), the switches and in-transit hosts walked on
+    /// `topo`, the topology the table was written for: two tables with the
+    /// same fingerprint route every packet identically. Stable across
+    /// versions; the regression suite pins the paper networks' tables with
+    /// it.
     pub fn fingerprint(&self, topo: &Topology) -> u64 {
         let mut h = Fnv1a::new();
         let word = |h: &mut Fnv1a, w: u32| h.write(&w.to_le_bytes());
         for (_, _, alts) in self.iter_pairs() {
             word(&mut h, alts.len() as u32);
             for route in alts {
-                word(&mut h, route.num_segments() as u32);
+                let itbs = route.num_itbs();
+                word(&mut h, itbs as u32 + 1);
                 let (mut hops, mut at) = (route.walk(topo), route.src);
-                for seg in route.segments() {
+                for (si, seg) in route.segments().enumerate() {
                     // The segment's switches: where it starts, then one
-                    // per link.
-                    word(&mut h, seg.len_links() as u32 + 1);
+                    // per link; an in-transit segment's last byte is its
+                    // host's.
+                    word(&mut h, (seg.len() - usize::from(si < itbs)) as u32 + 1);
                     word(&mut h, at.0);
-                    for hop in hops.by_ref().take(seg.ports.len()) {
-                        if let PortTarget::Switch { to, .. } = hop.to {
-                            word(&mut h, to.0);
-                            at = to;
+                    let mut end = u32::MAX;
+                    for hop in hops.by_ref().take(seg.len()) {
+                        match hop.to {
+                            PortTarget::Switch { to, .. } => {
+                                word(&mut h, to.0);
+                                at = to;
+                            }
+                            PortTarget::Host { host, .. } => end = host.0,
                         }
                     }
-                    word(&mut h, seg.ports.len() as u32);
-                    seg.ports.iter().for_each(|p| h.write(&[p.0]));
-                    let end = match seg.end {
-                        SegmentEnd::Deliver => u32::MAX,
-                        SegmentEnd::Itb(host) => host.0,
-                    };
+                    word(&mut h, seg.len() as u32);
+                    seg.iter().for_each(|p| h.write(&[p.0]));
+                    // How it ends: in its in-transit host, or delivered.
                     word(&mut h, end);
                 }
             }
@@ -252,15 +243,9 @@ impl RouteDb {
         h.finish()
     }
 
-    /// Segment `g`.
-    fn segment(&self, g: usize) -> SegmentRef<'_> {
-        SegmentRef {
-            ports: &self.ports[span(&self.seg_ports, g)],
-            end: match self.seg_end[g] {
-                DELIVER => SegmentEnd::Deliver,
-                host => SegmentEnd::Itb(HostId(u32::from(host))),
-            },
-        }
+    /// Route `r`'s bytes.
+    fn route(&self, r: usize) -> &[Port] {
+        &self.ports[span(&self.route_ports, r)]
     }
 }
 
@@ -287,9 +272,8 @@ impl<'a> Alternatives<'a> {
     pub fn get(&self, i: usize) -> RouteRef<'a> {
         assert!(i < self.len(), "alternative {i} of {}", self.len());
         RouteRef {
-            db: self.db,
             src: self.src,
-            route: self.routes.0 + i,
+            bytes: self.db.route(self.routes.0 + i),
         }
     }
 
@@ -329,7 +313,10 @@ impl<'a> Iterator for Routes<'a> {
 
     fn next(&mut self) -> Option<RouteRef<'a>> {
         let (db, src) = (self.db, self.src);
-        self.routes.next().map(|route| RouteRef { db, src, route })
+        self.routes.next().map(|r| RouteRef {
+            src,
+            bytes: db.route(r),
+        })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -339,52 +326,29 @@ impl<'a> Iterator for Routes<'a> {
 
 impl ExactSizeIterator for Routes<'_> {}
 
-/// One route of a [`RouteDb`], read in place.
+/// One route of a [`RouteDb`], read in place: its stored bytes, from its
+/// pair's source switch.
 #[derive(Debug, Clone, Copy)]
 pub struct RouteRef<'a> {
-    db: &'a RouteDb,
     /// The pair's source switch, where the first segment starts.
     src: SwitchId,
-    route: usize,
-}
-
-/// How a segment ends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegmentEnd {
-    /// The packet is delivered: this is the final segment.
-    Deliver,
-    /// The packet is ejected into an in-transit buffer at this host and
-    /// re-injected for the next segment.
-    Itb(HostId),
-}
-
-/// One segment of a route, borrowed: its port bytes and how it ends, read
-/// in place. An in-transit segment's last byte addresses its host; the
-/// final segment's `ports` is one byte short (the destination's is
-/// written per host pair). Its switches are walked ([`RouteRef::walk`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SegmentRef<'a> {
-    pub ports: &'a [Port],
-    pub end: SegmentEnd,
-}
-
-impl SegmentRef<'_> {
-    /// Switch-to-switch links traversed by this segment: a byte each, the
-    /// in-transit host's left out.
-    pub fn len_links(&self) -> usize {
-        self.ports.len() - usize::from(self.end != SegmentEnd::Deliver)
-    }
+    bytes: &'a [Port],
 }
 
 impl<'a> RouteRef<'a> {
-    pub fn num_segments(&self) -> usize {
-        span(&self.db.route_segs, self.route).len()
+    /// The stored bytes, the route's owned form in place: one port byte
+    /// per hop, and after an in-transit segment its host's byte and an
+    /// ITB mark; the destination's port left out.
+    pub fn bytes(&self) -> &'a [Port] {
+        self.bytes
     }
 
-    /// The route's segments, in travel order.
-    pub fn segments(&self) -> impl Iterator<Item = SegmentRef<'a>> + 'a {
-        let db = self.db;
-        span(&db.route_segs, self.route).map(move |g| db.segment(g))
+    /// The port bytes of each segment, in travel order, as
+    /// [`Header::segments`] splits them: an in-transit segment's last
+    /// byte is its host's, the delivering segment's is not stored. Its
+    /// switches and host are walked ([`walk`](RouteRef::walk)).
+    pub fn segments(&self) -> impl Iterator<Item = &'a [Port]> + 'a {
+        self.bytes.split(|&p| p == ITB_MARK)
     }
 
     /// The route walked on `topo`, the topology the table was written for:
@@ -392,154 +356,109 @@ impl<'a> RouteRef<'a> {
     /// destination's not stored), from the pair's source switch. Panics
     /// where a byte leads nowhere: `topo` is not the table's.
     pub fn walk(&self, topo: &'a Topology) -> impl Iterator<Item = Hop> + 'a {
-        PortWalk::new(topo, self.src, self.bytes())
+        PortWalk::new(topo, self.src, self.bytes.iter().copied())
             .map(|hop| hop.unwrap_or_else(|end| panic!("{end}: not the table's topology")))
     }
 
-    /// The stored bytes: each segment's port bytes, an ITB mark after an
-    /// in-transit segment's.
-    fn bytes(&self) -> impl Iterator<Item = Port> + 'a {
-        let db = self.db;
-        span(&db.route_segs, self.route).flat_map(move |g| {
-            let mark = (db.seg_end[g] != DELIVER).then_some(ITB_MARK);
-            db.ports[span(&db.seg_ports, g)].iter().copied().chain(mark)
-        })
-    }
-
-    /// Number of in-transit buffers on this route.
+    /// Number of in-transit buffers on this route: one per mark.
     pub fn num_itbs(&self) -> usize {
-        self.num_segments() - 1
+        self.bytes.iter().filter(|&&p| p == ITB_MARK).count()
     }
 
-    /// Total switch-to-switch links traversed.
+    /// Total switch-to-switch links traversed: a byte each, the in-transit
+    /// hosts' bytes and the marks left out.
     pub fn total_links(&self) -> usize {
-        self.segments().map(|s| s.len_links()).sum()
+        self.bytes.len() - 2 * self.num_itbs()
     }
 
     /// The header a source writes for this route to the host on port
-    /// `dst_port` of its last switch: the route's port bytes, which are
-    /// one span of the table, an ITB mark after each in-transit segment's,
-    /// and `dst_port`. One allocation of the exact size; no switch is
-    /// walked.
+    /// `dst_port` of its last switch: the stored bytes, then `dst_port`.
+    /// One allocation of the exact size; no switch is walked.
     pub fn header(&self, dst_port: Port) -> Header {
-        let db = self.db;
-        let segs = span(&db.route_segs, self.route);
-        let bytes = db.seg_ports[segs.end] - db.seg_ports[segs.start];
-        // A mark per segment but the last, then the destination's port.
-        let mut header = Vec::with_capacity(bytes as usize + segs.len());
-        for g in segs {
-            header.extend_from_slice(&db.ports[span(&db.seg_ports, g)]);
-            if db.seg_end[g] != DELIVER {
-                header.push(ITB_MARK);
-            }
-        }
+        let mut header = Vec::with_capacity(self.bytes.len() + 1);
+        header.extend_from_slice(self.bytes);
         header.push(dst_port);
         Header::new(header)
     }
 
-    /// The route in owned form: its port bytes as the table stores them
-    /// and [`walk`](RouteRef::walk) reads them, an ITB mark after each
-    /// in-transit segment's, the destination's port left out. What
-    /// [`RouteDb::from_templates`] takes.
+    /// The route in owned form: its [`bytes`](RouteRef::bytes), as
+    /// [`walk`](RouteRef::walk) reads them and [`RouteDb::from_templates`]
+    /// takes them.
     pub fn to_owned(&self) -> Vec<Port> {
-        self.bytes().collect()
+        self.bytes.to_vec()
     }
 }
 
-/// Appends routes to a [`RouteDb`] in table order: the port bytes of a
-/// segment, [`end_segment`](RouteDbBuilder::end_segment); the segments of
-/// a route, [`end_route`](RouteDbBuilder::end_route); the routes of a pair
+/// Appends routes to a [`RouteDb`] in table order: the bytes of a route
+/// in owned form, [`ports`](RouteDbBuilder::ports), then
+/// [`end_route`](RouteDbBuilder::end_route); the routes of a pair
 /// (possibly none), [`end_pair`](RouteDbBuilder::end_pair); pairs in
-/// `src * n_switches + dst` order. A segment is given a byte per hop, and
-/// an in-transit one its host's too. Its switches are not given: they are
-/// where the bytes lead in the topology the builder was made for.
+/// `src * n_switches + dst` order. A route is given a port byte per hop,
+/// and after an in-transit segment its host's byte and an ITB mark. Its
+/// switches and hosts are not given: they are where the bytes lead in the
+/// topology the builder was made for.
 #[derive(Debug)]
 pub(crate) struct RouteDbBuilder {
     db: RouteDb,
 }
 
 impl RouteDbBuilder {
-    /// A builder for a table over `topo`. Panics above 65,535 hosts: the
-    /// table stores their ids in 16 bits.
+    /// A builder for a table over `topo`.
     pub(crate) fn new(scheme: RoutingScheme, topo: &Topology) -> RouteDbBuilder {
-        let (n_switches, n_hosts) = (topo.num_switches(), topo.num_hosts());
-        assert!(
-            n_hosts <= MAX_HOSTS,
-            "{n_hosts} hosts: a route table names at most {MAX_HOSTS} in its 16-bit ids"
-        );
+        let n_switches = topo.num_switches();
         let mut pair_routes = Vec::with_capacity(n_switches * n_switches + 1);
         pair_routes.push(0);
         RouteDbBuilder {
             db: RouteDb {
                 scheme,
                 n_switches,
-                n_hosts,
+                n_hosts: topo.num_hosts(),
                 pair_routes,
-                route_segs: vec![0],
-                seg_ports: vec![0],
-                seg_end: Vec::new(),
+                route_ports: vec![0],
                 ports: Vec::new(),
             },
         }
     }
 
-    /// Room for a table of `routes` routes, `segments` segments and
-    /// `ports` port bytes, reserved before it is written so that each
-    /// vector is one allocation, not a chain of doublings that leaves
-    /// freed blocks behind. An upper bound will do:
-    /// [`finish`](Self::finish) gives the unused tail back.
-    pub(crate) fn reserve(&mut self, [routes, segments, ports]: [usize; 3]) {
-        let db = &mut self.db;
-        db.route_segs.reserve_exact(routes);
-        db.seg_ports.reserve_exact(segments);
-        db.seg_end.reserve_exact(segments);
-        db.ports.reserve_exact(ports);
+    /// Room for a table of `routes` routes and `bytes` bytes, marks
+    /// included, reserved before it is written so that each vector is one
+    /// allocation, not a chain of doublings that leaves freed blocks
+    /// behind. An upper bound will do: [`finish`](Self::finish) gives the
+    /// unused tail back.
+    pub(crate) fn reserve(&mut self, [routes, bytes]: [usize; 2]) {
+        self.db.route_ports.reserve_exact(routes);
+        self.db.ports.reserve_exact(bytes);
     }
 
-    /// The open segment's next output-port bytes.
+    /// The open route's next bytes.
     pub(crate) fn ports(&mut self, ports: impl IntoIterator<Item = Port>) {
         self.db.ports.extend(ports);
     }
 
-    /// Close the open segment.
-    pub(crate) fn end_segment(&mut self, end: SegmentEnd) {
-        let db = &mut self.db;
-        db.seg_end.push(match end {
-            SegmentEnd::Deliver => DELIVER,
-            SegmentEnd::Itb(h) => {
-                debug_assert!(h.idx() < db.n_hosts, "{h} of {} hosts", db.n_hosts);
-                h.0 as u16
-            }
-        });
-        db.seg_ports.push(db.ports.len() as u32);
-    }
-
-    /// The segments closed since the last route make up the next route of
-    /// the open pair.
+    /// The bytes given since the last route make up the next route of the
+    /// open pair.
     pub(crate) fn end_route(&mut self) {
-        self.db.route_segs.push(self.db.seg_end.len() as u32);
+        self.db.route_ports.push(self.db.ports.len() as u32);
     }
 
     /// Drop everything pushed since the last [`end_route`](Self::end_route).
     pub(crate) fn abort_route(&mut self) {
         let db = &mut self.db;
-        let segs = *db.route_segs.last().expect("offsets start at 0") as usize;
-        db.seg_end.truncate(segs);
-        db.seg_ports.truncate(segs + 1);
-        db.ports.truncate(db.seg_ports[segs] as usize);
+        let end = *db.route_ports.last().expect("offsets start at 0");
+        db.ports.truncate(end as usize);
     }
 
     /// Routes the open pair has so far.
     pub(crate) fn routes_in_pair(&self) -> usize {
         let closed = *self.db.pair_routes.last().expect("offsets start at 0");
-        self.db.route_segs.len() - 1 - closed as usize
+        self.db.route_ports.len() - 1 - closed as usize
     }
 
     /// Close the open pair.
     pub(crate) fn end_pair(&mut self) {
         self.db
             .pair_routes
-            .push(self.db.route_segs.len() as u32 - 1);
+            .push(self.db.route_ports.len() as u32 - 1);
     }
 
     /// The finished table. Panics unless every ordered pair was closed.
@@ -549,18 +468,18 @@ impl RouteDbBuilder {
             self.db.n_switches * self.db.n_switches + 1,
             "one (possibly empty) route list per ordered switch pair"
         );
-        // Every offset pushed is at most this length.
+        // Every offset pushed is at most the byte count or the route
+        // count; empty routes can outnumber the bytes.
+        let (bytes, routes) = (self.db.ports.len(), self.db.route_ports.len());
         assert!(
-            u32::try_from(self.db.ports.len()).is_ok(),
+            u32::try_from(bytes.max(routes)).is_ok(),
             "route table too large for 32-bit offsets"
         );
         // Give back what an upper-bound `reserve` left unused: shrinking
         // reallocates in place, and the freed tails are open to the
         // allocations that follow instead of idling inside the table.
         let mut db = self.db;
-        db.route_segs.shrink_to_fit();
-        db.seg_ports.shrink_to_fit();
-        db.seg_end.shrink_to_fit();
+        db.route_ports.shrink_to_fit();
         db.ports.shrink_to_fit();
         db
     }
@@ -627,21 +546,9 @@ mod tests {
         let stored = &sample(&topo)[1][1];
         assert_eq!(via_itb.to_owned(), *stored);
         let (itb, hop) = (stored[0], stored[2]);
-        let host = topo.hosts_of(SwitchId(0))[1];
-        let segments: Vec<SegmentRef> = via_itb.segments().collect();
-        assert_eq!(
-            segments,
-            [
-                SegmentRef {
-                    ports: &[itb],
-                    end: SegmentEnd::Itb(host)
-                },
-                SegmentRef {
-                    ports: &[hop],
-                    end: SegmentEnd::Deliver
-                }
-            ]
-        );
+        assert_eq!(via_itb.bytes(), &stored[..]);
+        let segments: Vec<&[Port]> = via_itb.segments().collect();
+        assert_eq!(segments, [&[itb][..], &[hop]]);
         assert_eq!(
             via_itb.header(Port(9)).bytes(),
             [itb, ITB_MARK, hop, Port(9)],
@@ -660,12 +567,9 @@ mod tests {
         let h = b.attach_host(SwitchId(0)).unwrap();
         let topo = b.build().unwrap();
         let mut b = RouteDbBuilder::new(RoutingScheme::ItbRr, &topo);
-        b.ports([topo.host_port(h)]);
-        b.end_segment(SegmentEnd::Itb(h));
-        b.ports([Port(0)]);
+        b.ports([topo.host_port(h), ITB_MARK, Port(0)]);
         b.abort_route();
         assert_eq!(b.routes_in_pair(), 0);
-        b.end_segment(SegmentEnd::Deliver);
         b.end_route();
         assert_eq!(b.routes_in_pair(), 1);
         b.end_pair();
@@ -717,6 +621,9 @@ mod tests {
                 vec![itb, ITB_MARK, ITB_MARK, link],
                 "segment 1 has no port byte".into(),
             ),
+            // Bytes the walk reads, but they stop short of the pair's
+            // destination switch.
+            (vec![], "route ends at s0, not s1".into()),
         ];
         for (bytes, want) in cases {
             assert_eq!(
@@ -730,9 +637,8 @@ mod tests {
     /// Every route of `db`, a table of `scheme` over `topo`, against the
     /// paths it was split from: each pair's sampled minimal paths that
     /// split (for an ITB scheme), else its `simple_routes` path. A route's
-    /// bytes are the splitter's for its path, the views read them a
-    /// segment at a time, and its walk visits the path's switches,
-    /// ejecting at each in-transit segment's host.
+    /// bytes are the splitter's for its path, and its walk visits the
+    /// path's switches, ejecting at a host once per in-transit segment.
     fn assert_views_walk_the_splits(topo: &Topology, scheme: RoutingScheme, db: &RouteDb) {
         let cfg = RouteDbConfig::default();
         let orient = Orientation::compute(topo, cfg.root);
@@ -757,20 +663,17 @@ mod tests {
             }
             assert_eq!(alts.len(), want.len(), "{scheme} {s}->{d}");
             for (route, (path, bytes)) in alts.iter().zip(&want) {
-                assert_eq!(&route.to_owned(), bytes, "{scheme} {s}->{d}");
-                let (mut visited, mut ends) = (vec![s], Vec::new());
+                assert_eq!(route.bytes(), &bytes[..], "{scheme} {s}->{d}");
+                let (mut visited, mut ejections) = (vec![s], 0);
                 for hop in route.walk(topo) {
                     assert_eq!(Some(&hop.at), visited.last(), "{scheme} {s}->{d}");
                     match hop.to {
                         PortTarget::Switch { to, .. } => visited.push(to),
-                        PortTarget::Host { host, .. } => ends.push(SegmentEnd::Itb(host)),
+                        PortTarget::Host { .. } => ejections += 1,
                     }
                 }
-                ends.push(SegmentEnd::Deliver);
                 assert_eq!(visited, path.switches(), "{scheme} {s}->{d}");
-                let segs = bytes.split(|&p| p == ITB_MARK);
-                let views = route.segments().map(|seg| (seg.ports, seg.end));
-                assert!(views.eq(segs.zip(ends)), "{scheme} {s}->{d}");
+                assert_eq!(ejections, route.num_itbs(), "{scheme} {s}->{d}");
                 assert_eq!(route.total_links(), path.len_links());
             }
         }
@@ -797,8 +700,7 @@ mod tests {
         /// On random multigraphs (parallel links, hostless switches, ITB
         /// fallbacks), UP/DOWN and ITB tables walk what the splitter
         /// emits, survive the owned round trip as equal vectors, and hold
-        /// each written segment as its port bytes (a delivering one without
-        /// the destination's) and the host its last byte reaches.
+        /// each written route as its owned bytes, in one span.
         #[test]
         fn layout_round_trips_on_multigraphs(n in 3usize..14, extra in 0usize..16, seed in any::<u64>()) {
             let topo = gen::irregular_multigraph(n, extra, seed).unwrap();
@@ -808,22 +710,12 @@ mod tests {
                 let templates = db.to_templates();
                 let again = RouteDb::from_templates(scheme, &topo, templates.clone());
                 prop_assert!(again == db, "{}: round trip", scheme);
-                let mut g = 0;
-                let ns = topo.num_switches();
-                for (pair, bytes) in templates.iter().enumerate().flat_map(|(i, a)| a.iter().map(move |b| (i, b))) {
-                    let start = SwitchId((pair / ns) as u32);
-                    let mut hosts = PortWalk::new(&topo, start, bytes.iter().copied())
-                        .filter_map(|hop| match hop.unwrap().to {
-                            PortTarget::Host { host, .. } => Some(host.0 as u16),
-                            PortTarget::Switch { .. } => None,
-                        });
-                    for seg in bytes.split(|&p| p == ITB_MARK) {
-                        prop_assert_eq!(&again.ports[span(&again.seg_ports, g)], seg);
-                        prop_assert_eq!(again.seg_end[g], hosts.next().unwrap_or(DELIVER));
-                        g += 1;
-                    }
+                let mut r = 0;
+                for bytes in templates.iter().flatten() {
+                    prop_assert_eq!(again.route(r), &bytes[..]);
+                    r += 1;
                 }
-                prop_assert_eq!(g, again.seg_end.len());
+                prop_assert_eq!(r, again.route_ports.len() - 1);
                 prop_assert_eq!(again.to_templates(), templates);
             }
         }

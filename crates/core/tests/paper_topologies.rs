@@ -3,26 +3,24 @@
 //! checks only (no simulation), so this covers all ~4k pairs per network
 //! in seconds.
 
-use regnet_core::{RouteDb, RouteDbConfig, RouteRef, RoutingScheme, SegmentEnd, ITB_MARK};
+use regnet_core::{RouteDb, RouteDbConfig, RouteRef, RoutingScheme};
 use regnet_routing::SwitchPath;
-use regnet_topology::{gen, DistanceMatrix, Orientation, PortTarget, SwitchId, Topology};
+use regnet_topology::{gen, DistanceMatrix, HostId, Orientation, PortTarget, SwitchId, Topology};
 
 /// The segments of `route`, a route of a pair from switch `s`, walked on
-/// `topo`: each one's switches, and the host its last byte ejects at. The
-/// views' segment ends must be the walk's.
-fn segments(topo: &Topology, s: SwitchId, route: RouteRef) -> Vec<(SwitchPath, SegmentEnd)> {
-    let mut segs = vec![(vec![s], SegmentEnd::Deliver)];
+/// `topo`: each one's switches, and the in-transit host its last byte
+/// ejects at (`None` for the delivering segment).
+fn segments(topo: &Topology, s: SwitchId, route: RouteRef) -> Vec<(SwitchPath, Option<HostId>)> {
+    let mut segs = vec![(vec![s], None)];
     for hop in route.walk(topo) {
         match hop.to {
             PortTarget::Switch { to, .. } => segs.last_mut().unwrap().0.push(to),
             PortTarget::Host { host, .. } => {
-                segs.last_mut().unwrap().1 = SegmentEnd::Itb(host);
-                segs.push((vec![topo.host_switch(host)], SegmentEnd::Deliver));
+                segs.last_mut().unwrap().1 = Some(host);
+                segs.push((vec![topo.host_switch(host)], None));
             }
         }
     }
-    let ends = segs.iter().map(|&(_, end)| end);
-    assert!(ends.eq(route.segments().map(|seg| seg.end)), "{s}: ends");
     segs.into_iter()
         .map(|(switches, end)| (SwitchPath::new(switches), end))
         .collect()
@@ -49,7 +47,7 @@ fn check_db(topo: &Topology, scheme: RoutingScheme) {
                     p.is_legal(&orient),
                     "{scheme} {s}->{d}: illegal segment {p}"
                 );
-                if let SegmentEnd::Itb(h) = end {
+                if let Some(h) = end {
                     assert_eq!(topo.host_switch(h), p.dst());
                 }
             }
@@ -69,10 +67,9 @@ fn check_db(topo: &Topology, scheme: RoutingScheme) {
 
 /// For every switch pair, from one of its source hosts to one of its
 /// destination hosts, twice (round robin moves on): the header `select`
-/// writes is the port bytes of the route `choose_from` draws, a mark after
-/// each in-transit segment's, then the destination's port; walked on the
-/// topology it ejects at the route's in-transit hosts and ends at the
-/// destination.
+/// writes is the stored bytes of the route `choose_from` draws, then the
+/// destination's port; walked on the topology it ejects at the hosts the
+/// route's walk reaches and ends at the destination.
 fn check_headers(topo: &Topology, db: &RouteDb) {
     let scheme = db.scheme();
     let (mut chooser, mut selector) = (db.selector(), db.selector());
@@ -85,14 +82,15 @@ fn check_headers(topo: &Topology, db: &RouteDb) {
             let (src, dst) = (from[d.idx() % from.len()], to[s.idx() % to.len()]);
             for _ in 0..2 {
                 let route = db.choose_from(topo, src, dst, chooser.src_mut(src));
-                let (mut want, mut hosts) = (Vec::new(), Vec::new());
-                for seg in route.segments() {
-                    want.extend_from_slice(seg.ports);
-                    if let SegmentEnd::Itb(h) = seg.end {
-                        want.push(ITB_MARK);
-                        hosts.push(h);
-                    }
-                }
+                let mut want = route.bytes().to_vec();
+                let mut hosts: Vec<HostId> = route
+                    .walk(topo)
+                    .filter_map(|hop| match hop.to {
+                        PortTarget::Host { host, .. } => Some(host),
+                        PortTarget::Switch { .. } => None,
+                    })
+                    .collect();
+                assert_eq!(hosts.len(), route.num_itbs());
                 want.push(topo.host_port(dst));
                 hosts.push(dst);
                 let header = db.select(topo, src, dst, &mut selector);
@@ -175,10 +173,11 @@ fn alternative_roots_keep_invariants() {
 /// replaced. A one-byte change in any port choice moves them. The three
 /// ITB schemes share one table (they differ in how a source picks from it).
 ///
-/// Next to each fingerprint, the table's footprint: routes, segments and
-/// heap bytes. The bytes pin the layout: port bytes only, no switch id
-/// (walked on the topology), 2-byte segment ends, no filler byte. Its
-/// history, torus UP/DOWN / ITB, express, CPLANT:
+/// Next to each fingerprint, the table's footprint: routes, segments
+/// (routes plus ITB marks) and heap bytes. The bytes pin the layout: each
+/// route one span of its owned bytes, no switch or host id (walked on the
+/// topology), no filler byte. Its history, torus UP/DOWN / ITB, express,
+/// CPLANT:
 ///
 /// - 32-bit switch ids, separate switch and port offsets, 8-byte segment
 ///   ends: 206,864 / 1,499,932 B, 167,184 / 926,906, 100,026 / 704,070;
@@ -188,7 +187,11 @@ fn alternative_roots_keep_invariants() {
 /// - port bytes only, switches walked through the table's own switch ×
 ///   port neighbour map and host → switch map: 77,324 / 481,424,
 ///   69,900 / 320,794, 42,614 / 243,066;
-/// - port bytes only, switches walked on the topology: the pins below.
+/// - port bytes only, switches walked on the topology, a segment level
+///   (route → segments → bytes offsets) and a 2-byte in-transit host id
+///   per segment: 75,788 / 479,888, 67,852 / 318,746, 41,014 / 241,466;
+/// - each route's owned bytes in one span, an ITB mark where a segment
+///   ended, in-transit hosts walked: the pins below.
 #[test]
 fn paper_tables_are_pinned() {
     type Pin = (u64, [usize; 3]);
@@ -197,24 +200,24 @@ fn paper_tables_are_pinned() {
             "torus",
             gen::torus_2d(8, 8, 8).unwrap(),
             [
-                (0x27eb20e7b6ab96f8, [4096, 4096, 75_788]),
-                (0x3d1e813ebb51eb84, [22_720, 40_092, 479_888]),
+                (0x27eb20e7b6ab96f8, [4096, 4096, 51_208]),
+                (0x3d1e813ebb51eb84, [22_720, 40_092, 256_704]),
             ],
         ),
         (
             "express",
             gen::torus_2d_express(8, 8, 8).unwrap(),
             [
-                (0x0ab4caf4b548a247, [4096, 4096, 67_852]),
-                (0x9f13351cdb6f3257, [18_368, 27_202, 318_746]),
+                (0x0ab4caf4b548a247, [4096, 4096, 43_272]),
+                (0x9f13351cdb6f3257, [18_368, 27_202, 164_364]),
             ],
         ),
         (
             "cplant",
             gen::cplant().unwrap(),
             [
-                (0x9a74d0fef55cf304, [2500, 2500, 41_014]),
-                (0x58ef4932f2349115, [13_756, 21_296, 241_466]),
+                (0x9a74d0fef55cf304, [2500, 2500, 26_010]),
+                (0x58ef4932f2349115, [13_756, 21_296, 121_226]),
             ],
         ),
     ];

@@ -14,7 +14,7 @@
 //! Pairs that ended up in different components simply have no route — the
 //! resulting table is *partial* (check [`RouteDb::has_route`]).
 
-use regnet_core::{Relabel, RouteDb, RouteDbConfig, RoutingScheme, SegmentEnd, Unchanged};
+use regnet_core::{Relabel, RouteDb, RouteDbConfig, RoutingScheme, Unchanged};
 use regnet_routing::{first_violation, SwitchPath};
 use regnet_topology::{HostId, Orientation, Port, PortTarget, SwitchId, Topology};
 
@@ -68,25 +68,29 @@ impl PhysicalRoutes {
             .map(|l| faults.is_link_alive(physical, l.id))
             .collect();
         // One walk per route, read a segment at a time: its physical
-        // switches and the first dead link it crosses, then their ids.
+        // switches, the first dead link it crosses and the in-transit host
+        // its last byte reaches, then the switches' ids.
         let (mut walked, mut mapped) = (Vec::new(), Vec::new());
         for (ps, pd, alts) in self.db.iter_pairs() {
             for t in alts {
-                let (mut hops, mut at) = (t.walk(physical), ps);
+                let (mut hops, mut at, itbs) = (t.walk(physical), ps, t.num_itbs());
                 for (si, seg) in t.segments().enumerate() {
-                    let mut dead = None;
+                    let (mut dead, mut itb) = (None, None);
                     walked.clear();
                     walked.push(at);
-                    for hop in hops.by_ref().take(seg.ports.len()) {
-                        if let PortTarget::Switch { to, link, .. } = hop.to {
-                            let i = walked.len() - 1;
-                            dead = dead.or((!link_alive[link.idx()]).then_some((i, hop.to)));
-                            walked.push(to);
-                            at = to;
+                    for hop in hops.by_ref().take(seg.len()) {
+                        match hop.to {
+                            PortTarget::Switch { to, link, .. } => {
+                                let i = walked.len() - 1;
+                                dead = dead.or((!link_alive[link.idx()]).then_some((i, hop.to)));
+                                walked.push(to);
+                                at = to;
+                            }
+                            PortTarget::Host { host, .. } => itb = Some(host),
                         }
                     }
-                    let is_final = si + 1 == t.num_segments();
-                    if seg.ports.len() != walked.len() - usize::from(is_final) {
+                    // The delivering segment's last byte is not stored.
+                    if seg.len() != walked.len() - usize::from(si == itbs) {
                         return Err(format!("{ps}->{pd}: segment {si} port count"));
                     }
                     mapped.clear();
@@ -106,20 +110,17 @@ impl PhysicalRoutes {
                         let path = SwitchPath::new(walked.clone());
                         return Err(format!("{ps}->{pd}: illegal segment: {path}"));
                     }
-                    match seg.end {
-                        SegmentEnd::Deliver if walked.last() != Some(&pd) => {
+                    match itb {
+                        None if walked.last() != Some(&pd) => {
                             return Err(format!("{ps}->{pd}: route ends elsewhere"));
                         }
-                        SegmentEnd::Deliver => {}
-                        SegmentEnd::Itb(h) => {
+                        None => {}
+                        Some(h) => {
                             if !faults.is_host_alive(physical, h) {
                                 return Err(format!("{ps}->{pd}: dead in-transit host {h}"));
                             }
                             if !self.reachable_hosts[h.idx()] {
                                 return Err(format!("{ps}->{pd}: unreachable in-transit host {h}"));
-                            }
-                            if seg.ports.last() != Some(&physical.host_port(h)) {
-                                return Err(format!("{ps}->{pd}: wrong port for ITB host {h}"));
                             }
                         }
                     }
@@ -187,9 +188,8 @@ impl Relabel for ToPhysical<'_> {
         let physical = |s: SwitchId| self.d.switch_from_new[s.idx()];
         self.live.hop(physical(from), physical(to), 0)
     }
-    fn itb(&self, h: HostId) -> (HostId, Port) {
-        let ph = self.d.host_from_new[h.idx()];
-        (ph, self.physical.host_port(ph))
+    fn itb(&self, h: HostId) -> Port {
+        self.physical.host_port(self.d.host_from_new[h.idx()])
     }
 }
 
@@ -331,6 +331,84 @@ mod tests {
         assert!(
             err.starts_with(&format!("s{s}->s{d}: illegal segment")),
             "{err}"
+        );
+    }
+
+    /// The first route of `pr`'s table, in pair order, that ejects into
+    /// an in-transit host: its pair's index, its alternative and the host.
+    fn first_itb(pr: &PhysicalRoutes, physical: &Topology) -> (usize, usize, HostId) {
+        let mut routes = pr
+            .db
+            .iter_pairs()
+            .enumerate()
+            .flat_map(|(pair, (_, _, alts))| {
+                alts.iter()
+                    .enumerate()
+                    .map(move |(alt, route)| (pair, alt, route))
+            });
+        routes
+            .find_map(|(pair, alt, route)| {
+                route.walk(physical).find_map(|hop| match hop.to {
+                    PortTarget::Host { host, .. } => Some((pair, alt, host)),
+                    PortTarget::Switch { .. } => None,
+                })
+            })
+            .expect("the torus needs ITBs")
+    }
+
+    #[test]
+    fn verify_rejects_a_dead_in_transit_host() {
+        // The first route through an in-transit host, its host byte
+        // pointed at the switch's other host, which the fault set kills.
+        // No earlier route ejects anywhere, so its pair is the one named.
+        let physical = gen::torus_2d(4, 4, 2).unwrap();
+        let cfg = RouteDbConfig::default();
+        let pr = rebuild_physical_routes(
+            &physical,
+            &FaultSet::new(),
+            HostId(0),
+            RoutingScheme::ItbRr,
+            &cfg,
+        )
+        .unwrap();
+        let (pair, alt, itb) = first_itb(&pr, &physical);
+        let hosts = physical.hosts_of(physical.host_switch(itb));
+        let other = *hosts.iter().find(|&&h| h != itb).unwrap();
+        let mut templates = pr.db.to_templates();
+        let route = &mut templates[pair][alt];
+        let mark = route.iter().position(|&p| p == ITB_MARK).unwrap();
+        assert_eq!(route[mark - 1], physical.host_port(itb));
+        route[mark - 1] = physical.host_port(other);
+        let faults = FaultSet::host(other);
+        let err = with_table(&pr, &physical, templates)
+            .verify(&physical, &faults)
+            .unwrap_err();
+        let n = physical.num_switches();
+        let (s, d) = (pair / n, pair % n);
+        assert_eq!(err, format!("s{s}->s{d}: dead in-transit host {other}"));
+    }
+
+    #[test]
+    fn verify_rejects_an_unreachable_in_transit_host() {
+        // The fault-free table checked as if the first in-transit host it
+        // ejects into had been left out of the map.
+        let physical = gen::torus_2d(4, 4, 2).unwrap();
+        let cfg = RouteDbConfig::default();
+        let faults = FaultSet::new();
+        let pr = rebuild_physical_routes(&physical, &faults, HostId(0), RoutingScheme::ItbRr, &cfg)
+            .unwrap();
+        let (pair, _, itb) = first_itb(&pr, &physical);
+        let mut reachable_hosts = pr.reachable_hosts.clone();
+        reachable_hosts[itb.idx()] = false;
+        let bad = PhysicalRoutes {
+            reachable_hosts,
+            ..pr
+        };
+        let n = physical.num_switches();
+        let (s, d) = (pair / n, pair % n);
+        assert_eq!(
+            bad.verify(&physical, &faults),
+            Err(format!("s{s}->s{d}: unreachable in-transit host {itb}"))
         );
     }
 

@@ -620,7 +620,7 @@ mod tests {
     use crate::profiler::EngineCounts;
     use crate::trace::TraceOptions;
     use regnet_core::{RouteDbConfig, RoutingScheme};
-    use regnet_topology::{gen, SwitchId, TopologyBuilder};
+    use regnet_topology::{gen, PortTarget, SwitchId, TopologyBuilder};
     use regnet_traffic::PatternSpec;
 
     pub(super) fn small_cfg() -> SimConfig {
@@ -1457,9 +1457,9 @@ mod tests {
         let itb = pairs.filter(|&(s, d)| s != d).find_map(|(s, d)| {
             let (src, mut sel) = (HostId(s), db.selector());
             let route = db.choose_from(&topo, src, HostId(d), sel.src_mut(src));
-            route.segments().find_map(|seg| match seg.end {
-                regnet_core::SegmentEnd::Itb(h) => Some((s, d, h.0)),
-                _ => None,
+            route.walk(&topo).find_map(|hop| match hop.to {
+                PortTarget::Host { host, .. } => Some((s, d, host.0)),
+                PortTarget::Switch { .. } => None,
             })
         });
         let (src, dst, itb) = itb.expect("ring routes use in-transit buffers");

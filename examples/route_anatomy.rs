@@ -57,13 +57,13 @@ fn main() {
     // is port bytes; walking them from the path's first switch names the
     // switches of each segment and the host it ejects into.
     let bytes = split_minimal_path(&topo, &orient, path, ItbHostPicker::Spread);
-    let mut segments = vec![(vec![path.src()], SegmentEnd::Deliver)];
+    let mut segments = vec![(vec![path.src()], None)];
     for hop in PortWalk::new(&topo, path.src(), bytes) {
         match hop.expect("the split's bytes lead somewhere").to {
             PortTarget::Switch { to, .. } => segments.last_mut().unwrap().0.push(to),
             PortTarget::Host { host, .. } => {
-                segments.last_mut().unwrap().1 = SegmentEnd::Itb(host);
-                segments.push((vec![topo.host_switch(host)], SegmentEnd::Deliver));
+                segments.last_mut().unwrap().1 = Some(host);
+                segments.push((vec![topo.host_switch(host)], None));
             }
         }
     }
@@ -71,11 +71,11 @@ fn main() {
     for (i, (switches, end)) in segments.iter().enumerate() {
         let switches: Vec<String> = switches.iter().map(|s| s.to_string()).collect();
         match end {
-            SegmentEnd::Itb(h) => println!(
+            Some(h) => println!(
                 "  segment {i}: {} -> eject into in-transit buffer at {h}",
                 switches.join("->")
             ),
-            SegmentEnd::Deliver => {
+            None => {
                 println!("  segment {i}: {} -> deliver", switches.join("->"))
             }
         }

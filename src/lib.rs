@@ -66,7 +66,6 @@ pub use regnet_traffic as traffic;
 pub mod prelude {
     pub use regnet_core::{
         split_minimal_path, Header, ItbHostPicker, RouteDb, RouteDbConfig, RoutingScheme,
-        SegmentEnd,
     };
     pub use regnet_mapper::FaultSet;
     pub use regnet_metrics::SaturationSearch;

@@ -387,3 +387,25 @@ fn readme_quotes_the_pinned_route_table_bytes() {
         "README.md quotes {figure} B for the torus ITB table"
     );
 }
+
+/// DESIGN.md §4 gives the same table's size as "The paper torus's ITB
+/// table is … in N B": N must be the pinned bytes too.
+#[test]
+fn design_quotes_the_pinned_route_table_bytes() {
+    let design = read("DESIGN.md");
+    let design = design.split_whitespace().collect::<Vec<_>>().join(" ");
+    let (_, sentence) = design
+        .split_once("The paper torus's ITB table is ")
+        .expect("DESIGN.md gives the torus ITB table's bytes");
+    let (before, _) = sentence.split_once(" B").expect("… in N B");
+    let figure = before.rsplit(' ').next().unwrap();
+    let quoted: u64 = figure
+        .replace(',', "")
+        .parse()
+        .unwrap_or_else(|e| panic!("{figure:?}: {e}"));
+    assert_eq!(
+        quoted,
+        pinned_torus_itb_bytes(),
+        "DESIGN.md quotes {figure} B for the torus ITB table"
+    );
+}

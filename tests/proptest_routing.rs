@@ -51,15 +51,16 @@ fn arb_discovered() -> impl Strategy<Value = Topology> {
 }
 
 /// The segments of `bytes`, a route in owned form, walked on `topo` from
-/// switch `start`: each one's switches, and how it ends.
-fn segments(topo: &Topology, start: SwitchId, bytes: &[Port]) -> Vec<(SwitchPath, SegmentEnd)> {
-    let mut segs = vec![(vec![start], SegmentEnd::Deliver)];
+/// switch `start`: each one's switches, and the in-transit host it ends
+/// in (`None` for the delivering segment).
+fn segments(topo: &Topology, start: SwitchId, bytes: &[Port]) -> Vec<(SwitchPath, Option<HostId>)> {
+    let mut segs = vec![(vec![start], None)];
     for hop in PortWalk::new(topo, start, bytes.iter().copied()) {
         match hop.expect("a byte that leads somewhere").to {
             PortTarget::Switch { to, .. } => segs.last_mut().unwrap().0.push(to),
             PortTarget::Host { host, .. } => {
-                segs.last_mut().unwrap().1 = SegmentEnd::Itb(host);
-                segs.push((vec![topo.host_switch(host)], SegmentEnd::Deliver));
+                segs.last_mut().unwrap().1 = Some(host);
+                segs.push((vec![topo.host_switch(host)], None));
             }
         }
     }
@@ -183,7 +184,7 @@ proptest! {
             for (p, end) in segs {
                 prop_assert!(p.is_legal(&orient), "illegal segment {}", p);
                 prop_assert!(p.is_connected(&topo));
-                if let SegmentEnd::Itb(h) = end {
+                if let Some(h) = end {
                     prop_assert_eq!(topo.host_switch(h), p.dst());
                 }
             }
@@ -214,16 +215,14 @@ proptest! {
             prop_assert!(walked.is_ok(), "{}->{}: {:?}", src, dst, walked);
             let walked = walked.unwrap();
             prop_assert_eq!(walked.last(), Some(&dst));
-            prop_assert_eq!(walked.len(), route.num_segments());
+            prop_assert_eq!(walked.len(), route.num_itbs() + 1);
             // Segments must chain: each in-transit host is attached where
             // its segment ends and the next one starts.
             let (s, d) = (topo.host_switch(src), topo.host_switch(dst));
-            let segs = segments(&topo, s, &route.to_owned());
+            let segs = segments(&topo, s, route.bytes());
             prop_assert_eq!(segs.last().unwrap().0.dst(), d);
-            let ends = route.segments().map(|seg| seg.end);
-            prop_assert!(ends.eq(segs.iter().map(|&(_, end)| end)), "{}->{}", src, dst);
             for (w, &h) in segs.windows(2).zip(&walked) {
-                prop_assert_eq!(w[0].1, SegmentEnd::Itb(h));
+                prop_assert_eq!(w[0].1, Some(h));
                 prop_assert_eq!(w[0].0.dst(), topo.host_switch(h));
                 prop_assert_eq!(w[1].0.src(), topo.host_switch(h));
             }
