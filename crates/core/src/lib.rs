@@ -51,6 +51,7 @@
 //! ```
 
 pub mod analysis;
+mod fill;
 mod fnv;
 mod header;
 mod relabel;
@@ -58,9 +59,10 @@ mod scheme;
 mod split;
 mod table;
 
+pub use fill::RouteFill;
 pub use fnv::Fnv1a;
 pub use header::{DeadEnd, Header, Hop, PortWalk, ITB_MARK};
-pub use relabel::{Relabel, Unchanged};
+pub use relabel::{HopTable, Relabel, Unchanged};
 pub use scheme::{PathSelector, RouteDbConfig, RoutingScheme, SrcSelector};
 pub use split::{split_minimal_path, try_split_minimal_path, ItbHostPicker};
 pub use table::{Alternatives, RouteDb, RouteFootprint, RouteRef, Routes};

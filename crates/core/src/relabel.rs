@@ -36,12 +36,11 @@ pub trait Relabel {
     fn itb(&self, h: HostId) -> Port;
 }
 
-/// The identity: the table in the built topology's own ids, each hop's
-/// port read from one `(from, to)` table. The mapper's rebuild reads its
-/// physical hops from one too, over the live links.
-#[derive(Debug)]
-pub struct Unchanged<'a> {
-    topo: &'a Topology,
+/// Each switch pair's port byte over a set of links, read per hop: what
+/// [`Unchanged`] writes, and what the mapper's fill writes physical hops
+/// from, over the live links. It owns its table and borrows no topology.
+#[derive(Debug, Clone)]
+pub struct HopTable {
     n: usize,
     /// Pair `from * n + to` → the port of the one link between them, or
     /// `FAN | i` when several are: they are `fans[i]`.
@@ -51,19 +50,14 @@ pub struct Unchanged<'a> {
     fans: Vec<Vec<Port>>,
 }
 
-/// Marks an [`Unchanged`] hop entry that names a list of parallel ports;
+/// Marks a [`HopTable`] entry that names a list of parallel ports;
 /// `u32::MAX` (a list that does not exist) marks a pair with no link.
 const FAN: u32 = 1 << 31;
 
-impl<'a> Unchanged<'a> {
-    /// The identity over every link of `topo`.
-    pub fn new(topo: &'a Topology) -> Unchanged<'a> {
-        Unchanged::live(topo, |_| true)
-    }
-
-    /// The identity over the switch links of `topo` that `live` keeps: a
-    /// hop between switches no kept link joins panics.
-    pub fn live(topo: &'a Topology, live: impl Fn(LinkId) -> bool) -> Unchanged<'a> {
+impl HopTable {
+    /// The hops over the switch links of `topo` that `live` keeps: a hop
+    /// between switches no kept link joins panics.
+    pub fn new(topo: &Topology, live: impl Fn(LinkId) -> bool) -> HopTable {
         let n = topo.num_switches();
         let mut hop = vec![u32::MAX; n * n];
         let mut fans: Vec<Vec<Port>> = Vec::new();
@@ -82,7 +76,35 @@ impl<'a> Unchanged<'a> {
                 }
             }
         }
-        Unchanged { topo, n, hop, fans }
+        HopTable { n, hop, fans }
+    }
+
+    /// The port byte of a hop from `from` to its neighbour `to`; `spread`
+    /// picks among parallel links.
+    #[inline]
+    pub fn hop(&self, from: SwitchId, to: SwitchId, spread: usize) -> Port {
+        let h = self.hop[from.idx() * self.n + to.idx()];
+        if h & FAN == 0 {
+            return Port(h as u8);
+        }
+        let parallel = &self.fans[(h & !FAN) as usize];
+        parallel[spread % parallel.len()]
+    }
+}
+
+/// The identity: the table in the built topology's own ids, each hop's
+/// port read from a [`HopTable`] over every link.
+#[derive(Debug)]
+pub struct Unchanged<'a> {
+    topo: &'a Topology,
+    hops: HopTable,
+}
+
+impl<'a> Unchanged<'a> {
+    /// The identity over every link of `topo`.
+    pub fn new(topo: &'a Topology) -> Unchanged<'a> {
+        let hops = HopTable::new(topo, |_| true);
+        Unchanged { topo, hops }
     }
 }
 
@@ -95,12 +117,7 @@ impl Relabel for Unchanged<'_> {
     }
     #[inline]
     fn hop(&self, from: SwitchId, to: SwitchId, spread: usize) -> Port {
-        let h = self.hop[from.idx() * self.n + to.idx()];
-        if h & FAN == 0 {
-            return Port(h as u8);
-        }
-        let parallel = &self.fans[(h & !FAN) as usize];
-        parallel[spread % parallel.len()]
+        self.hops.hop(from, to, spread)
     }
     fn itb(&self, h: HostId) -> Port {
         self.topo.host_port(h)
@@ -155,8 +172,8 @@ mod tests {
                     }
                 }
             }
-            // With the first of two parallel links dead, a table of the
-            // live links gives its sibling's port, whatever the spread.
+            // With the first of two parallel links dead, a hop table of
+            // the live links gives its sibling's port, whatever the spread.
             let (a, b) = topo
                 .switches()
                 .flat_map(|a| topo.switches().map(move |b| (a, b)))
@@ -165,7 +182,7 @@ mod tests {
             let mut links = topo.switch_neighbors(a).filter(|&(_, to, _)| to == b);
             let (_, _, dead) = links.next().unwrap();
             let (sibling, _, _) = links.next().unwrap();
-            let live = Unchanged::live(&topo, |l| l != dead);
+            let live = HopTable::new(&topo, |l| l != dead);
             for spread in 0..4 {
                 assert_eq!(live.hop(a, b, spread), sibling);
             }

@@ -1,7 +1,7 @@
 //! Route databases for the three routing schemes evaluated in the paper.
 
 use regnet_routing::minimal::{MinimalDag, PathSet};
-use regnet_routing::{first_violation, simple_routes, SimpleRoutesConfig, SwitchPath};
+use regnet_routing::{first_violation, simple_routes, PairPaths, SimpleRoutesConfig, SwitchPath};
 use regnet_topology::{DistanceMatrix, HostId, Orientation, SwitchId, Topology};
 
 use crate::header::Header;
@@ -175,7 +175,9 @@ impl RouteDb {
     /// Compute the routing tables for `scheme` over `topo` and write them
     /// through `map`: every written pair gets the routes of the built pair
     /// `map` names, in `map`'s ids (see [`Relabel`]). No table in `topo`'s
-    /// own ids is made on the way.
+    /// own ids is made on the way. Every pair is written by the routine
+    /// [`RouteFill`](crate::RouteFill) writes one pair on first use with,
+    /// so the two give the same bytes.
     pub fn build_relabelled<R: Relabel>(
         topo: &Topology,
         scheme: RoutingScheme,
@@ -183,37 +185,22 @@ impl RouteDb {
         map: &R,
     ) -> RouteDb {
         let orient = Orientation::compute(topo, cfg.root);
+        let router = PairRouter {
+            topo,
+            cfg,
+            orient: &orient,
+            map,
+        };
         let n = map.written().num_switches() as u32;
         let mut table = RouteDbBuilder::new(scheme, map.written());
-        // The next route of the open pair: `path`, split — unless it needs
-        // an in-transit buffer at a hostless switch.
-        let add_route = |table: &mut RouteDbBuilder, path: &[SwitchId]| {
-            let mut sink = Relabelled { table, map };
-            let usable = split_into(topo, &orient, path, cfg.itb_picker, &mut sink);
-            if usable {
-                table.end_route();
-            } else {
-                table.abort_route();
-            }
-            usable
-        };
-        // up*/down* routes never need one, so they always split — into
-        // exactly one segment.
-        let legal_route = |table: &mut RouteDbBuilder, path: &[SwitchId]| {
-            debug_assert!(
-                first_violation(path, &orient).is_none(),
-                "{} must not need ITBs",
-                SwitchPath::new(path.to_vec())
-            );
-            let usable = add_route(table, path);
-            assert!(usable, "{}", no_itb_host(path));
-        };
         // Every written pair in table order, with the built pair it reads.
         let pairs = || (0..n).flat_map(|s| (0..n).map(move |d| map.pair(SwitchId(s), SwitchId(d))));
+        let mut legal = None;
 
         match scheme {
             RoutingScheme::UpDown => {
-                let routes = simple_routes(topo, &orient, &SimpleRoutesConfig::default());
+                let routes =
+                    legal.insert(simple_routes(topo, &orient, &SimpleRoutesConfig::default()));
                 // One single-segment route per pair.
                 let mut size = [0; 2];
                 for (s, d) in pairs().flatten() {
@@ -222,29 +209,20 @@ impl RouteDb {
                 }
                 table.reserve(size);
                 for pair in pairs() {
-                    if let Some((s, d)) = pair {
-                        legal_route(&mut table, routes.get(s, d));
+                    if let Some(pair) = pair {
+                        router.write_pair(&mut table, pair, None, &mut legal);
                     }
                     table.end_pair();
                 }
             }
             RoutingScheme::ItbSp | RoutingScheme::ItbRr | RoutingScheme::ItbRandom => {
                 let dm = DistanceMatrix::compute(topo);
-                // ITB-SP uses a single fixed path per pair, but we still
-                // sample the same alternative set and hash-pick one so the
-                // fixed choices are spread across the path space rather
-                // than biased to low switch ids.
                 let k = cfg.max_alternatives;
                 let mut dags: Vec<MinimalDag> = topo
                     .switches()
                     .map(|d| MinimalDag::new(topo, &dm, d))
                     .collect();
                 let mut paths = PathSet::default();
-                // Legal fallback routes, computed lazily: only needed when
-                // *every* minimal path of a pair requires an in-transit
-                // buffer at a hostless switch (possible on degraded or
-                // exotic topologies, never on the paper's).
-                let mut fallback: Option<regnet_routing::PairPaths> = None;
                 // At most `k` minimal routes of `links` hops per pair, each
                 // split at most `links / 2` times (an in-transit buffer
                 // needs a down hop before its up hop), a port byte per hop
@@ -259,16 +237,8 @@ impl RouteDb {
                 table.reserve(size);
                 for pair in pairs() {
                     if let Some((s, d)) = pair {
-                        dags[d.idx()].k_paths(s, k, cfg.seed, &mut paths);
-                        for p in paths.iter() {
-                            add_route(&mut table, p);
-                        }
-                        if table.routes_in_pair() == 0 {
-                            let routes = fallback.get_or_insert_with(|| {
-                                simple_routes(topo, &orient, &SimpleRoutesConfig::default())
-                            });
-                            legal_route(&mut table, routes.get(s, d));
-                        }
+                        let minimal = Some((&mut dags[d.idx()], &mut paths));
+                        router.write_pair(&mut table, (s, d), minimal, &mut legal);
                     }
                     table.end_pair();
                 }
@@ -319,14 +289,101 @@ impl RouteDb {
     ) -> RouteRef<'_> {
         let (ss, ds) = (topo.host_switch(src), topo.host_switch(dst));
         let alts = self.alternatives(ss, ds);
-        let idx = match self.scheme() {
-            RoutingScheme::UpDown => 0,
-            // Fixed per pair, but spread across pairs.
-            RoutingScheme::ItbSp => (fxhash(src.0 as u64, dst.0 as u64) as usize) % alts.len(),
-            RoutingScheme::ItbRr => selector.next(dst, alts.len()),
-            RoutingScheme::ItbRandom => rand::Rng::gen_range(&mut selector.rng, 0..alts.len()),
+        alts.get(pick(self.scheme(), src, dst, alts.len(), selector))
+    }
+}
+
+/// The alternative `scheme`'s path-selection policy takes now for a
+/// message from `src` to `dst`, of the `n_alts` its switch pair has.
+pub(crate) fn pick(
+    scheme: RoutingScheme,
+    src: HostId,
+    dst: HostId,
+    n_alts: usize,
+    selector: &mut SrcSelector,
+) -> usize {
+    match scheme {
+        RoutingScheme::UpDown => 0,
+        // Fixed per pair, but spread across pairs.
+        RoutingScheme::ItbSp => (fxhash(src.0 as u64, dst.0 as u64) as usize) % n_alts,
+        RoutingScheme::ItbRr => selector.next(dst, n_alts),
+        RoutingScheme::ItbRandom => rand::Rng::gen_range(&mut selector.rng, 0..n_alts),
+    }
+}
+
+/// One network's routes, a pair at a time: the routine
+/// [`RouteDb::build_relabelled`] runs for every written pair in table
+/// order and [`RouteFill`](crate::RouteFill) for a pair on its first use.
+/// A pair's routes depend only on the pair (its seeded walk over its
+/// destination's [`MinimalDag`]), the orientation and `map`, so the order
+/// pairs are written in changes no byte.
+pub(crate) struct PairRouter<'a, R> {
+    /// The topology the routes are built on.
+    pub(crate) topo: &'a Topology,
+    pub(crate) cfg: &'a RouteDbConfig,
+    pub(crate) orient: &'a Orientation,
+    pub(crate) map: &'a R,
+}
+
+impl<R: Relabel> PairRouter<'_, R> {
+    /// Append built pair `(s, d)`'s routes to `table`'s open pair. With
+    /// `minimal` (the DAG towards `d` and a scratch set), an ITB scheme's:
+    /// up to `max_alternatives` minimal paths, each split, and the legal
+    /// route if none splits. Without, UP/DOWN's one legal route. `legal`
+    /// is the network's `simple_routes`, computed on first need.
+    pub(crate) fn write_pair(
+        &self,
+        table: &mut RouteDbBuilder,
+        (s, d): (SwitchId, SwitchId),
+        minimal: Option<(&mut MinimalDag<'_>, &mut PathSet)>,
+        legal: &mut Option<PairPaths>,
+    ) {
+        if let Some((dag, paths)) = minimal {
+            // ITB-SP uses a single fixed path per pair, but we still
+            // sample the same alternative set and hash-pick one so the
+            // fixed choices are spread across the path space rather
+            // than biased to low switch ids.
+            dag.k_paths(s, self.cfg.max_alternatives, self.cfg.seed, paths);
+            for p in paths.iter() {
+                self.add_route(table, p);
+            }
+            // The legal route is needed only when *every* minimal path of
+            // a pair requires an in-transit buffer at a hostless switch
+            // (possible on degraded or exotic topologies, never on the
+            // paper's).
+            if table.routes_in_pair() > 0 {
+                return;
+            }
+        }
+        let (topo, orient) = (self.topo, self.orient);
+        let routes = legal
+            .get_or_insert_with(|| simple_routes(topo, orient, &SimpleRoutesConfig::default()));
+        let path = routes.get(s, d);
+        // up*/down* routes never need an in-transit buffer, so they always
+        // split — into exactly one segment.
+        debug_assert!(
+            first_violation(path, orient).is_none(),
+            "{} must not need ITBs",
+            SwitchPath::new(path.to_vec())
+        );
+        let usable = self.add_route(table, path);
+        assert!(usable, "{}", no_itb_host(path));
+    }
+
+    /// The next route of the open pair: `path`, split — unless it needs
+    /// an in-transit buffer at a hostless switch.
+    fn add_route(&self, table: &mut RouteDbBuilder, path: &[SwitchId]) -> bool {
+        let mut sink = Relabelled {
+            table,
+            map: self.map,
         };
-        alts.get(idx)
+        let usable = split_into(self.topo, self.orient, path, self.cfg.itb_picker, &mut sink);
+        if usable {
+            table.end_route();
+        } else {
+            table.abort_route();
+        }
+        usable
     }
 }
 

@@ -397,7 +397,7 @@ impl<'a> RouteRef<'a> {
 /// and after an in-transit segment its host's byte and an ITB mark. Its
 /// switches and hosts are not given: they are where the bytes lead in the
 /// topology the builder was made for.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct RouteDbBuilder {
     db: RouteDb,
 }
@@ -452,6 +452,28 @@ impl RouteDbBuilder {
     pub(crate) fn routes_in_pair(&self) -> usize {
         let closed = *self.db.pair_routes.last().expect("offsets start at 0");
         self.db.route_ports.len() - 1 - closed as usize
+    }
+
+    /// Pairs closed so far.
+    pub(crate) fn pairs(&self) -> usize {
+        self.db.pair_routes.len() - 1
+    }
+
+    /// The routes of the `i`-th pair closed, a pair whose source switch is
+    /// `src`.
+    pub(crate) fn pair(&self, i: usize, src: SwitchId) -> Alternatives<'_> {
+        let routes = span(&self.db.pair_routes, i);
+        Alternatives {
+            db: &self.db,
+            src,
+            routes: (routes.start, routes.end),
+        }
+    }
+
+    /// Routes and bytes written so far, as [`reserve`](Self::reserve)
+    /// takes them.
+    pub(crate) fn size(&self) -> [usize; 2] {
+        [self.db.route_ports.len() - 1, self.db.ports.len()]
     }
 
     /// Close the open pair.

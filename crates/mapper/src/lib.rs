@@ -12,9 +12,13 @@
 //! * [`rebuild_physical_routes`] — the maintenance step a running network
 //!   takes after every fault: re-map and rebuild the routing tables for any
 //!   [`RoutingScheme`](regnet_core::RoutingScheme), written straight in
-//!   physical ids, as [`PhysicalRoutes`]. The simulator's fault machinery
-//!   (`regnet_netsim::FaultPlan`) calls it on every reconfiguration that
-//!   does not return to the fault set of the tables it last replaced.
+//!   physical ids, as [`PhysicalRoutes`]. The per-network work is done
+//!   once; a switch pair's routes are written the first time a packet
+//!   asks for them ([`PhysicalRoutes::select`]), and
+//!   [`PhysicalRoutes::db`] completes the table. The simulator's fault
+//!   machinery (`regnet_netsim::FaultPlan`) calls it on every
+//!   reconfiguration that does not return to the fault set of the tables
+//!   it last replaced.
 //!
 //! # Example
 //!

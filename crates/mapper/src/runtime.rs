@@ -6,15 +6,25 @@
 //! does), which is the right model for static re-mapping — but a *running*
 //! simulator keeps its physical switch/channel state and cannot renumber
 //! mid-flight. [`rebuild_physical_routes`] bridges the two worlds: it runs
-//! discovery and builds a fresh [`RouteDb`] for the requested scheme on the
+//! discovery and readies a table for the requested scheme on the
 //! discovered topology (root = the seed's switch, exactly what the MCP's
-//! re-mapping would elect), writing every route straight in physical switch
-//! ids, physical port bytes and physical in-transit host ids
-//! ([`RouteDb::build_relabelled`]); no table in discovered ids is made.
-//! Pairs that ended up in different components simply have no route — the
-//! resulting table is *partial* (check [`RouteDb::has_route`]).
+//! re-mapping would elect), written straight in physical port bytes; no
+//! table in discovered ids is made. A re-map does its per-network work
+//! once — discovery, the orientation, the distance matrix (or UP/DOWN's
+//! routes) and the table of live hops — and writes a switch pair's routes
+//! the first time a packet asks for them ([`PhysicalRoutes::select`]),
+//! by the routine [`RouteDb::build_relabelled`] writes every pair with;
+//! [`PhysicalRoutes::db`] writes the rest and gives the whole table. A
+//! pair's routes depend only on the pair, the orientation and the live
+//! hops, so the order pairs are asked for changes no byte. Pairs that
+//! ended up in different components simply have no route — the table is
+//! *partial* (check [`PhysicalRoutes::has_route`]).
 
-use regnet_core::{Relabel, RouteDb, RouteDbConfig, RoutingScheme, Unchanged};
+use std::cell::{OnceCell, RefCell};
+
+use regnet_core::{
+    Header, HopTable, Relabel, RouteDb, RouteDbConfig, RouteFill, RoutingScheme, SrcSelector,
+};
 use regnet_routing::{first_violation, SwitchPath};
 use regnet_topology::{HostId, Orientation, Port, PortTarget, SwitchId, Topology};
 
@@ -23,16 +33,29 @@ use crate::fault::FaultSet;
 
 /// Routing tables rebuilt after a fault, expressed in physical ids, plus
 /// everything needed to audit them.
+///
+/// A pair's routes are written on the first [`select`](Self::select)
+/// that needs them, so a table holds the pairs traffic asked for; the
+/// mutation is internal (a `RefCell`: one simulator, one thread).
+/// [`db`](Self::db) completes it.
 #[derive(Debug, Clone)]
 pub struct PhysicalRoutes {
-    /// The rebuilt tables in **physical** coordinates. Partial: switch
-    /// pairs separated by the faults have no alternatives; check
-    /// [`RouteDb::has_route`] before selecting.
-    pub db: RouteDb,
     /// Physical host id → still reachable from the seed's component.
     pub reachable_hosts: Vec<bool>,
     /// The discovery result the tables were built from (id maps included).
     pub discovered: DiscoveredNetwork,
+    /// The pairs written so far; `None` once `table` holds them all.
+    fill: RefCell<Option<Fill>>,
+    /// The whole table, once [`db`](Self::db) was asked for it.
+    table: OnceCell<RouteDb>,
+}
+
+/// A table being written pair by pair, and the live hops it is written
+/// with.
+#[derive(Debug, Clone)]
+struct Fill {
+    routes: RouteFill,
+    live: HopTable,
 }
 
 impl PhysicalRoutes {
@@ -50,13 +73,66 @@ impl PhysicalRoutes {
         n * (n - 1) - live * (live - 1)
     }
 
+    /// Does physical switch pair `(s, d)` have a route? Read off
+    /// discovery, without writing the pair: both switches were mapped.
+    pub fn has_route(&self, s: SwitchId, d: SwitchId) -> bool {
+        let mapped = |x: SwitchId| self.discovered.switch_to_new[x.idx()].is_some();
+        mapped(s) && mapped(d)
+    }
+
+    /// The header a packet from `src` to `dst` carries, as
+    /// [`RouteDb::select_from`] draws it from the whole table; the pair's
+    /// routes are written first if no packet asked for them yet.
+    /// `physical` is the topology the routes were rebuilt for; the pair
+    /// must [`has_route`](Self::has_route).
+    pub fn select(
+        &self,
+        physical: &Topology,
+        src: HostId,
+        dst: HostId,
+        selector: &mut SrcSelector,
+    ) -> Header {
+        if let Some(db) = self.table.get() {
+            return db.select_from(physical, src, dst, selector);
+        }
+        let mut fill = self.fill.borrow_mut();
+        let Fill { routes, live } = fill.as_mut().expect("a table or its fill");
+        let map = ToPhysical::new(physical, &self.discovered, live);
+        routes.select(&self.discovered.topo, &map, src, dst, selector)
+    }
+
+    /// The whole table in physical coordinates, every pair written.
+    /// Partial: switch pairs separated by the faults have no
+    /// alternatives. `physical` is the topology the routes were rebuilt
+    /// for.
+    pub fn db(&self, physical: &Topology) -> &RouteDb {
+        self.table.get_or_init(|| {
+            let Fill { routes, live } = self.fill.take().expect("a table or its fill");
+            let map = ToPhysical::new(physical, &self.discovered, &live);
+            routes.complete(&self.discovered.topo, &map)
+        })
+    }
+
+    /// The physical switch pairs whose routes have been written so far,
+    /// in pair order: every pair once [`db`](Self::db) was asked for.
+    pub fn filled_pairs(&self) -> Vec<(SwitchId, SwitchId)> {
+        match &*self.fill.borrow() {
+            Some(fill) => fill.routes.filled().collect(),
+            None => {
+                let n = self.discovered.switch_to_new.len() as u32;
+                let ids = (0..n).flat_map(|s| (0..n).map(move |d| (SwitchId(s), SwitchId(d))));
+                ids.collect()
+            }
+        }
+    }
+
     /// Audit the rebuilt tables: every route must traverse only live links
     /// and switches still in the map, with live, reachable in-transit
     /// hosts, and each segment, mapped back through
     /// `discovered.switch_to_new`, must be up\*/down\*-legal on the
     /// discovered topology (the scheme's deadlock-freedom invariant). It
-    /// checks the physical table in use, nothing else. Cheap enough to run
-    /// after every reconfiguration in tests.
+    /// checks the whole physical table ([`db`](Self::db)), nothing else.
+    /// Cheap enough to run after every reconfiguration in tests.
     pub fn verify(&self, physical: &Topology, faults: &FaultSet) -> Result<(), String> {
         // The up*/down* tree lives in discovered coordinates; its root is
         // the seed's switch = discovered switch 0.
@@ -71,7 +147,7 @@ impl PhysicalRoutes {
         // switches, the first dead link it crosses and the in-transit host
         // its last byte reaches, then the switches' ids.
         let (mut walked, mut mapped) = (Vec::new(), Vec::new());
-        for (ps, pd, alts) in self.db.iter_pairs() {
+        for (ps, pd, alts) in self.db(physical).iter_pairs() {
             for t in alts {
                 let (mut hops, mut at, itbs) = (t.walk(physical), ps, t.num_itbs());
                 for (si, seg) in t.segments().enumerate() {
@@ -131,8 +207,9 @@ impl PhysicalRoutes {
     }
 }
 
-/// Re-map the network after `faults` and rebuild `scheme`'s routing tables
-/// in **physical** coordinates (see the module docs). `cfg.root` is
+/// Re-map the network after `faults` and ready `scheme`'s routing tables
+/// in **physical** coordinates (see the module docs): the per-network
+/// work is done here, each pair's routes on first use. `cfg.root` is
 /// ignored: the up\*/down\* root is the seed's switch, as a real
 /// re-mapping from that vantage point would elect.
 pub fn rebuild_physical_routes(
@@ -145,13 +222,15 @@ pub fn rebuild_physical_routes(
     let discovered = discover(physical, faults, seed)?;
     let mut db_cfg = cfg.clone();
     db_cfg.root = SwitchId(0);
-    let map = ToPhysical::new(physical, faults, &discovered);
-    let db = RouteDb::build_relabelled(&discovered.topo, scheme, &db_cfg, &map);
+    let live = HopTable::new(physical, |l| faults.is_link_alive(physical, l));
+    let map = ToPhysical::new(physical, &discovered, &live);
+    let routes = RouteFill::new(&discovered.topo, scheme, &db_cfg, &map);
     let reachable_hosts: Vec<bool> = discovered.host_to_new.iter().map(|h| h.is_some()).collect();
     Ok(PhysicalRoutes {
-        db,
         reachable_hosts,
         discovered,
+        fill: RefCell::new(Some(Fill { routes, live })),
+        table: OnceCell::new(),
     })
 }
 
@@ -160,16 +239,14 @@ pub fn rebuild_physical_routes(
 struct ToPhysical<'a> {
     physical: &'a Topology,
     d: &'a DiscoveredNetwork,
-    /// The physical topology over its live links. A hop leaves by the
-    /// first port of `from`'s physical switch that reaches `to`'s (a dead
-    /// parallel sibling is skipped; live parallel links are not spread
-    /// over).
-    live: Unchanged<'a>,
+    /// The physical topology's live links. A hop leaves by the first port
+    /// of `from`'s physical switch that reaches `to`'s (a dead parallel
+    /// sibling is skipped; live parallel links are not spread over).
+    live: &'a HopTable,
 }
 
 impl<'a> ToPhysical<'a> {
-    fn new(physical: &'a Topology, faults: &FaultSet, d: &'a DiscoveredNetwork) -> Self {
-        let live = Unchanged::live(physical, |l| faults.is_link_alive(physical, l));
+    fn new(physical: &'a Topology, d: &'a DiscoveredNetwork, live: &'a HopTable) -> Self {
         ToPhysical { physical, d, live }
     }
 }
@@ -257,7 +334,13 @@ mod tests {
 
         /// The direct physical build equals build-then-translate, on
         /// multigraphs (parallel links, hostless switches) under random
-        /// link, switch and host faults, and passes `verify`.
+        /// link, switch and host faults, and passes `verify`. Before the
+        /// table is completed, the host pairs of `asks` (repeats among
+        /// them) select their routes in random order, writing their
+        /// switch pairs first: the completed table is the same, and so is
+        /// every header, drawn again from it with a fresh selector.
+        /// `has_route`, answered from discovery, agrees with the
+        /// completed table on every pair, partitioned networks included.
         #[test]
         fn direct_build_equals_build_then_translate(
             n in 4usize..14,
@@ -265,7 +348,10 @@ mod tests {
             tseed in 0u64..1000,
             dead_links in proptest::collection::vec(any::<u32>(), 0..4),
             dead_switches in proptest::collection::vec(any::<u32>(), 0..2),
-            dead_hosts in proptest::collection::vec(any::<u32>(), 0..3),
+            (dead_hosts, asks) in (
+                proptest::collection::vec(any::<u32>(), 0..3),
+                proptest::collection::vec(any::<u32>(), 0..40),
+            ),
         ) {
             let physical = gen::irregular_multigraph(n, extra, tseed).unwrap();
             let mut faults = FaultSet::new();
@@ -286,7 +372,32 @@ mod tests {
                 let want = reference_rebuild(&physical, &faults, seed, scheme, &cfg);
                 match rebuild_physical_routes(&physical, &faults, seed, scheme, &cfg) {
                     Ok(pr) => {
-                        prop_assert_eq!(Ok(pr.db.to_templates()), want, "{}", scheme);
+                        let hosts = physical.num_hosts() as u32;
+                        let switch = |h: u32| physical.host_switch(HostId(h));
+                        let asked: Vec<(HostId, HostId)> = asks
+                            .iter()
+                            .map(|&a| (a % hosts, a / hosts % hosts))
+                            .filter(|&(s, d)| pr.has_route(switch(s), switch(d)))
+                            .map(|(s, d)| (HostId(s), HostId(d)))
+                            .collect();
+                        let mut sel = pr.clone().db(&physical).selector();
+                        let headers: Vec<Header> = asked
+                            .iter()
+                            .map(|&(s, d)| pr.select(&physical, s, d, sel.src_mut(s)))
+                            .collect();
+                        let mut written: Vec<_> = asked.iter().map(|&(s, d)| (switch(s.0), switch(d.0))).collect();
+                        written.sort_unstable();
+                        written.dedup();
+                        prop_assert_eq!(pr.filled_pairs(), written, "{}", scheme);
+                        let db = pr.db(&physical);
+                        prop_assert_eq!(Ok(db.to_templates()), want, "{}", scheme);
+                        let mut again = db.selector();
+                        for (&(s, d), header) in asked.iter().zip(&headers) {
+                            prop_assert_eq!(&db.select(&physical, s, d, &mut again), header);
+                        }
+                        for (s, d, _) in db.iter_pairs() {
+                            prop_assert_eq!(pr.has_route(s, d), db.has_route(s, d), "{}->{}", s, d);
+                        }
                         prop_assert_eq!(pr.verify(&physical, &faults), Ok(()), "{}", scheme);
                     }
                     Err(e) => prop_assert_eq!(Err(e), want.map(|_| ()), "{}", scheme),
@@ -301,8 +412,13 @@ mod tests {
         physical: &Topology,
         templates: Vec<Vec<Vec<Port>>>,
     ) -> PhysicalRoutes {
-        let db = RouteDb::from_templates(pr.db.scheme(), physical, templates);
-        PhysicalRoutes { db, ..pr.clone() }
+        let db = RouteDb::from_templates(pr.db(physical).scheme(), physical, templates);
+        PhysicalRoutes {
+            reachable_hosts: pr.reachable_hosts.clone(),
+            discovered: pr.discovered.clone(),
+            fill: RefCell::new(None),
+            table: OnceCell::from(db),
+        }
     }
 
     #[test]
@@ -314,7 +430,7 @@ mod tests {
         let cfg = RouteDbConfig::default();
         let pr = rebuild_physical_routes(&physical, &faults, HostId(0), RoutingScheme::ItbRr, &cfg)
             .unwrap();
-        let mut templates = pr.db.to_templates();
+        let mut templates = pr.db(&physical).to_templates();
         let n = physical.num_switches();
         let one_itb = |t: &Vec<Port>| t.iter().filter(|&&p| p == ITB_MARK).count() == 1;
         let victim = templates
@@ -337,15 +453,15 @@ mod tests {
     /// The first route of `pr`'s table, in pair order, that ejects into
     /// an in-transit host: its pair's index, its alternative and the host.
     fn first_itb(pr: &PhysicalRoutes, physical: &Topology) -> (usize, usize, HostId) {
-        let mut routes = pr
-            .db
-            .iter_pairs()
-            .enumerate()
-            .flat_map(|(pair, (_, _, alts))| {
-                alts.iter()
-                    .enumerate()
-                    .map(move |(alt, route)| (pair, alt, route))
-            });
+        let mut routes =
+            pr.db(physical)
+                .iter_pairs()
+                .enumerate()
+                .flat_map(|(pair, (_, _, alts))| {
+                    alts.iter()
+                        .enumerate()
+                        .map(move |(alt, route)| (pair, alt, route))
+                });
         routes
             .find_map(|(pair, alt, route)| {
                 route.walk(physical).find_map(|hop| match hop.to {
@@ -374,7 +490,7 @@ mod tests {
         let (pair, alt, itb) = first_itb(&pr, &physical);
         let hosts = physical.hosts_of(physical.host_switch(itb));
         let other = *hosts.iter().find(|&&h| h != itb).unwrap();
-        let mut templates = pr.db.to_templates();
+        let mut templates = pr.db(&physical).to_templates();
         let route = &mut templates[pair][alt];
         let mark = route.iter().position(|&p| p == ITB_MARK).unwrap();
         assert_eq!(route[mark - 1], physical.host_port(itb));
@@ -438,9 +554,9 @@ mod tests {
             rebuild_physical_routes(&physical, &faults, HostId(0), RoutingScheme::UpDown, &cfg)
                 .unwrap();
         // Only pair (a, b) gets the old route; the rest are the rebuilt ones.
-        let mut templates = pr.db.to_templates();
+        let mut templates = pr.db(&physical).to_templates();
         let n = physical.num_switches();
-        let old = healthy.db.alternatives(a, b);
+        let old = healthy.db(&physical).alternatives(a, b);
         let hops: Vec<Hop> = old.get(0).walk(&physical).collect();
         assert!(
             matches!(hops[..], [Hop { at, to: PortTarget::Switch { to, .. }, .. }] if at == a && to == b)
@@ -475,12 +591,9 @@ mod tests {
         .unwrap();
         let pr = rebuild_physical_routes(&physical, &faults, HostId(0), RoutingScheme::ItbRr, &cfg)
             .unwrap();
-        let bad = PhysicalRoutes {
-            db: healthy.db.clone(),
-            ..pr
-        };
+        let bad = with_table(&pr, &physical, healthy.db(&physical).to_templates());
         let (s, d, _) = healthy
-            .db
+            .db(&physical)
             .iter_pairs()
             .find(|(_, _, alts)| {
                 alts.iter().any(|r| {
@@ -513,7 +626,7 @@ mod tests {
             .unwrap();
             for s in physical.switches() {
                 for d in physical.switches() {
-                    assert!(pr.db.has_route(s, d), "{scheme} {s}->{d}");
+                    assert!(pr.has_route(s, d), "{scheme} {s}->{d}");
                 }
             }
             assert!(pr.reachable_hosts.iter().all(|&r| r));
@@ -544,7 +657,7 @@ mod tests {
             pr.verify(&physical, &faults).unwrap();
             assert_eq!(pr.lost_hosts(), 0);
             // No route may cross the dead link (a parallel live one may).
-            for (_, _, alts) in pr.db.iter_pairs() {
+            for (_, _, alts) in pr.db(&physical).iter_pairs() {
                 for t in alts {
                     for hop in t.walk(&physical) {
                         if let PortTarget::Switch { link, .. } = hop.to {
@@ -569,13 +682,13 @@ mod tests {
         )
         .unwrap();
         pr.verify(&physical, &faults).unwrap();
-        let (mut sel, mut in_transit) = (pr.db.selector(), 0);
+        let (mut sel, mut in_transit) = (pr.db(&physical).selector(), 0);
         for src in physical.hosts() {
             for dst in physical.hosts() {
                 if src == dst || !pr.reachable_hosts[src.idx()] || !pr.reachable_hosts[dst.idx()] {
                     continue;
                 }
-                let header = pr.db.select(&physical, src, dst, &mut sel);
+                let header = pr.select(&physical, src, dst, sel.src_mut(src));
                 let hosts = header.walk(&physical, src).unwrap();
                 assert_eq!(hosts.last(), Some(&dst), "{src}->{dst}");
                 for &h in &hosts[..hosts.len() - 1] {

@@ -86,9 +86,12 @@ fn partition_rebuilds_both_halves() {
                 continue;
             }
             if s.0 < 4 && d.0 < 4 {
-                assert!(left.db.has_route(s, d), "{s}->{d} should stay routable");
+                assert!(
+                    left.db(&topo).has_route(s, d),
+                    "{s}->{d} should stay routable"
+                );
             } else if (s.0 < 4) != (d.0 < 4) {
-                assert!(!left.db.has_route(s, d), "{s}->{d} crosses the cut");
+                assert!(!left.db(&topo).has_route(s, d), "{s}->{d} crosses the cut");
             }
         }
     }
@@ -119,8 +122,8 @@ fn repair_restores_pair_coverage() {
     for s in topo.switches() {
         for d in topo.switches() {
             assert_eq!(
-                healed.db.has_route(s, d),
-                baseline.db.has_route(s, d),
+                healed.db(&topo).has_route(s, d),
+                baseline.db(&topo).has_route(s, d),
                 "{s}->{d} coverage differs from the pre-fault tables"
             );
         }

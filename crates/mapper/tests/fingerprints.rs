@@ -57,7 +57,7 @@ fn rebuilt_tables_are_pinned() {
             };
             let in_discovered = RouteDb::build(&pr.discovered.topo, scheme, &root);
             let got = (
-                pr.db.fingerprint(&topo),
+                pr.db(&topo).fingerprint(&topo),
                 in_discovered.fingerprint(&pr.discovered.topo),
             );
             assert_eq!(

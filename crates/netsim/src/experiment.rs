@@ -435,7 +435,10 @@ mod tests {
         let mut sim = exp.make_sim(0.003, &opts);
         sim.run(60_000);
         assert_eq!(sim.reliability().reconfigurations, 2);
-        let rebuilt = &sim.reconfigured_routes().expect("tables were swapped").db;
+        let rebuilt = sim
+            .reconfigured_routes()
+            .expect("tables were swapped")
+            .db(exp.topology());
         for (s, d, alts) in rebuilt.iter_pairs() {
             assert_eq!(alts.len(), 1, "{s}->{d} after the repair");
         }

@@ -39,7 +39,8 @@
 
 use std::cmp::Reverse;
 
-use regnet_core::{RouteDb, SrcSelector};
+use regnet_core::{Header, RouteDb, SrcSelector};
+use regnet_mapper::PhysicalRoutes;
 use regnet_topology::{HostId, SwitchId, Topology};
 
 use crate::channel::{Channels, Drain, Receiver, Sender, Stream, CTL_STOP};
@@ -76,8 +77,42 @@ pub(crate) struct Tick<'a> {
     pub faults: Option<&'a FaultRuntime>,
     /// The table fresh and retransmitted packets route from: the
     /// reconfigured tables once installed, the build-time ones before.
-    pub db: &'a RouteDb,
+    pub db: Tables<'a>,
     pub topo: &'a Topology,
+}
+
+/// The tables new headers are written from: the build-time table, or the
+/// tables a re-map installed, which write a switch pair's routes on its
+/// first `select`. Generation and the NIC's re-select reach either
+/// through this one `has_route`/`select` pair.
+#[derive(Clone, Copy)]
+pub(crate) enum Tables<'a> {
+    Built(&'a RouteDb),
+    Remapped(&'a PhysicalRoutes),
+}
+
+impl Tables<'_> {
+    /// Does switch pair `(s, d)` have a route?
+    pub(crate) fn has_route(self, s: SwitchId, d: SwitchId) -> bool {
+        match self {
+            Tables::Built(db) => db.has_route(s, d),
+            Tables::Remapped(routes) => routes.has_route(s, d),
+        }
+    }
+
+    /// The header a packet from `src` to `dst` carries now.
+    pub(crate) fn select(
+        self,
+        topo: &Topology,
+        src: HostId,
+        dst: HostId,
+        selector: &mut SrcSelector,
+    ) -> Header {
+        match self {
+            Tables::Built(db) => db.select_from(topo, src, dst, selector),
+            Tables::Remapped(routes) => routes.select(topo, src, dst, selector),
+        }
+    }
 }
 
 /// The two child spans the profiler shows below the switch phase.
@@ -460,7 +495,7 @@ pub(crate) fn nic_tx<S: Sink>(nic: &mut Nic, h: u32, t: &Tick, k: &mut S) {
                 if f.routes.is_some() {
                     // Its cursor is at 0 already: the packet is fresh, or a
                     // loss reset it.
-                    let header = t.db.select_from(t.topo, src, dst, k.selector(src));
+                    let header = t.db.select(t.topo, src, dst, k.selector(src));
                     k.pkt(pid).header = header;
                 }
             }
@@ -1230,7 +1265,7 @@ mod tests {
                 cycle,
                 cfg: &self.cfg,
                 faults: self.faults.as_ref(),
-                db: &self.db,
+                db: Tables::Built(&self.db),
                 topo: &self.topo,
             }
         }

@@ -76,7 +76,7 @@ pub use counters::CounterSnapshot;
 pub use events::{BlockCause, Event, EventJournal, EventKind, EventOptions};
 pub use experiment::{Experiment, RunObservation, RunOptions};
 pub use faultplan::{FaultEvent, FaultOptions, FaultPlan, FaultTarget, ReliabilityStats};
-pub use profiler::{EngineCounts, PhaseProfile, ProfileReport, PHASE_NAMES};
+pub use profiler::{EngineCounts, PhaseProfile, ProfileReport, RemapTimes, PHASE_NAMES};
 pub use sched::Scheduler;
 pub use sim::{ChannelDesc, RunStats, Simulator};
 pub use trace::{

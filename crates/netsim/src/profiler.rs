@@ -82,6 +82,8 @@ pub(crate) enum Phase {
 pub(crate) struct Profiler {
     ns: [u64; N_PHASES],
     children: BTreeMap<(u8, &'static str), u64>,
+    /// Every re-map of the run, timed exactly.
+    remaps: RemapTimes,
     stepped_cycles: u64,
     /// Cycles the run loop jumped over (no phase ran, nothing was timed),
     /// and the jumps that did it.
@@ -104,6 +106,18 @@ impl Profiler {
     #[inline]
     pub(crate) fn add_child(&mut self, phase: Phase, label: &'static str, ns: u64) {
         *self.children.entry((phase as u8, label)).or_insert(0) += ns;
+    }
+
+    /// Count a re-map that took `ns`: a swap-back of the replaced tables
+    /// (`swap`) or a rebuild.
+    pub(crate) fn add_remap(&mut self, swap: bool, ns: u64) {
+        let r = &mut self.remaps;
+        let (count, total) = match swap {
+            true => (&mut r.swaps, &mut r.swap_ns),
+            false => (&mut r.rebuilds, &mut r.rebuild_ns),
+        };
+        *count += 1;
+        *total += ns;
     }
 
     /// Count a stepped cycle; `sampled`: its phases and children were
@@ -159,6 +173,7 @@ impl Profiler {
             sampled_cycles: self.sampled_cycles,
             total_ns,
             phases,
+            remaps: self.remaps,
             engine: EngineCounts::default(),
         }
     }
@@ -178,6 +193,32 @@ pub struct PhaseProfile {
     /// The phase's child spans scaled to it, labels in alphabetical
     /// order; a child has none.
     pub children: Vec<PhaseProfile>,
+}
+
+/// The re-maps of a profiled run, each timed from end to end rather than
+/// sampled: a re-map runs on a handful of cycles of a run, so the
+/// one-in-64 sample of the `faults` phase bills it 64 times over or not
+/// at all. Rebuilds ran the mapper (a failed attempt counts as one);
+/// swap-backs reinstalled the tables the last re-map replaced.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RemapTimes {
+    pub rebuilds: u64,
+    pub rebuild_ns: u64,
+    pub swaps: u64,
+    pub swap_ns: u64,
+}
+
+impl RemapTimes {
+    /// The line [`ProfileReport::to_table`] prints below the spans.
+    fn to_table(self) -> String {
+        format!(
+            "re-maps (each timed): {} rebuilds in {:.3} ms, {} swap-backs in {:.3} ms\n",
+            self.rebuilds,
+            self.rebuild_ns as f64 / 1e6,
+            self.swaps,
+            self.swap_ns as f64 / 1e6,
+        )
+    }
 }
 
 /// Exact counts of the engine's work, next to the sampled spans: plain
@@ -250,6 +291,9 @@ pub struct ProfileReport {
     pub total_ns: u64,
     /// Per-phase breakdown, in execution order.
     pub phases: Vec<PhaseProfile>,
+    /// Every re-map, timed exactly; also inside `faults` on a sampled
+    /// cycle.
+    pub remaps: RemapTimes,
     /// What the engine did on those cycles, counted exactly.
     pub engine: EngineCounts,
 }
@@ -306,6 +350,7 @@ impl ProfileReport {
         for phase in &self.phases {
             walk(&mut out, phase, 0);
         }
+        out.push_str(&self.remaps.to_table());
         out.push_str(&self.engine.to_table());
         out
     }

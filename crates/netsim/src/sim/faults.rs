@@ -2,6 +2,7 @@
 //! and the replay of the kernel's deferred losses after NIC transmission.
 
 use std::cmp::Reverse;
+use std::time::Instant;
 
 use rand::Rng;
 
@@ -381,8 +382,20 @@ impl Simulator<'_> {
     /// The reconfiguration latency elapsed: run the mapper on the surviving
     /// network and swap the rebuilt tables in atomically — or, when the
     /// network is back to the fault set the installed tables replaced,
-    /// swap those back in: rebuilding them would give the same bits.
+    /// swap those back in: rebuilding them would give the same bits. A
+    /// profiled run times every one.
     fn complete_reconfiguration(&mut self, cycle: u64) {
+        let start = self.profiler.is_some().then(Instant::now);
+        let swaps = self.faults.as_deref().unwrap().swaps;
+        self.reconfigure(cycle);
+        if let (Some(p), Some(start)) = (self.profiler.as_deref_mut(), start) {
+            let swapped = self.faults.as_deref().unwrap().swaps > swaps;
+            p.add_remap(swapped, start.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// [`complete_reconfiguration`](Self::complete_reconfiguration)'s work.
+    fn reconfigure(&mut self, cycle: u64) {
         let scheme = self.db.scheme();
         let topo = self.topo;
         let rebuilt = {

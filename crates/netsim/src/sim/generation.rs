@@ -72,7 +72,7 @@ impl Simulator<'_> {
     /// header written from the current tables.
     fn create_message(&mut self, src: HostId, dst: HostId, gen_cycle: u64) {
         let db = route_db(self.faults.as_deref(), self.db);
-        let header = db.select(self.topo, src, dst, &mut self.selector);
+        let header = db.select(self.topo, src, dst, self.selector.src_mut(src));
         let pid = self.arena.insert(Packet {
             src,
             dst,

@@ -42,7 +42,7 @@ use crate::config::{SimConfig, LINK_DELAY_CYCLES, MAX_SWITCH_PORTS};
 use crate::counters::CounterSnapshot;
 use crate::events::EventJournal;
 use crate::faultplan::{FaultRuntime, ReliabilityStats};
-use crate::kernel::{self, Tick};
+use crate::kernel::{self, Tables, Tick};
 use crate::nic::Nic;
 use crate::packet::PacketArena;
 use crate::profiler::{times_children, Phase, Profiler};
@@ -64,9 +64,11 @@ use sink::SeqSink;
 
 /// The tables new routes are drawn from: the reconfigured ones once a
 /// rebuild has installed some, the build-time ones before.
-fn route_db<'a>(faults: Option<&'a FaultRuntime>, built: &'a RouteDb) -> &'a RouteDb {
-    let rebuilt = faults.and_then(|f| f.routes.as_ref());
-    rebuilt.map_or(built, |r| &r.routes.db)
+fn route_db<'a>(faults: Option<&'a FaultRuntime>, built: &'a RouteDb) -> Tables<'a> {
+    match faults.and_then(|f| f.routes.as_ref()) {
+        Some(r) => Tables::Remapped(&r.routes),
+        None => Tables::Built(built),
+    }
 }
 
 /// Profiler lap: charge the time since `mark` to `phase`. A no-op — and
@@ -977,6 +979,40 @@ mod tests {
         plan.repair_link(5_000, link);
         let report = profiled_run(10_000, Some(plan));
         assert!(report.phases[Phase::Faults as usize].ns > 0);
+    }
+
+    #[test]
+    fn every_remap_is_timed_rebuilds_and_swap_backs_apart() {
+        // A link fails, is repaired and fails again: a rebuild, a rebuild
+        // of the fault-free tables, then a swap-back of the first.
+        let topo = gen::torus_2d(4, 4, 2).unwrap();
+        let link = topo.links().iter().find(|l| l.is_switch_link()).unwrap().id;
+        let db = RouteDb::build(&topo, RoutingScheme::ItbRr, &RouteDbConfig::default());
+        let pattern = Pattern::resolve(PatternSpec::Uniform, &topo).unwrap();
+        let cfg = SimConfig {
+            reconfig_latency_cycles: 400,
+            ..small_cfg()
+        };
+        let mut sim = Simulator::new(&topo, &db, &pattern, cfg, 0.02, 5);
+        let mut plan = FaultPlan::single_link(link, 1_000);
+        plan.repair_link(3_000, link).fail_link(5_000, link);
+        sim.enable_faults(FaultOptions::with_plan(plan));
+        sim.enable_profiler();
+        sim.run(8_000);
+        let rel = sim.reliability();
+        let report = sim.profile_report().unwrap();
+        let remaps = report.remaps;
+        assert_eq!((rel.reconfigurations, rel.reconfig_failures), (3, 0));
+        assert_eq!(remaps.rebuilds + remaps.swaps, rel.reconfigurations);
+        assert_eq!((remaps.rebuilds, remaps.swaps), (2, 1));
+        assert!(remaps.rebuild_ns > 0 && remaps.swap_ns > 0);
+        let line = "re-maps (each timed): 2 rebuilds in ";
+        assert!(report.to_table().contains(line), "{}", report.to_table());
+        // A fault-free run has no re-map to time.
+        assert_eq!(
+            profiled_run(10_000, None).remaps,
+            crate::RemapTimes::default()
+        );
     }
 
     #[test]

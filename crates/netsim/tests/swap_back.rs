@@ -50,8 +50,8 @@ fn check_every_reconfiguration(topo: &Topology, scheme: RoutingScheme, plan: Fau
                 .unwrap();
         let installed = sim.reconfigured_routes().unwrap();
         assert_eq!(
-            installed.db.fingerprint(topo),
-            fresh.db.fingerprint(topo),
+            installed.db(topo).fingerprint(topo),
+            fresh.db(topo).fingerprint(topo),
             "{scheme}: reconfiguration {done} at cycle {}",
             sim.cycle()
         );
