@@ -25,9 +25,11 @@
 //! * [`RouteDb`] — per-pair route tables for the three schemes evaluated in
 //!   the paper ([`RoutingScheme::UpDown`], [`RoutingScheme::ItbSp`],
 //!   [`RoutingScheme::ItbRr`]), each route stored as its owned bytes in
-//!   one span ([`RouteRef::bytes`]), built in the topology's own ids or,
-//!   through a [`Relabel`], in another's (the mapper's rebuilds); both
-//!   read each hop's port byte from an [`Unchanged`] table,
+//!   one span ([`RouteRef::bytes`]), all written by one writer,
+//!   [`RouteFill`]: [`RouteDb::build`] completes one in the topology's own
+//!   ids ([`Unchanged`]), the mapper's rebuilds fill one a pair at a time
+//!   through a [`Relabel`] into another's. Every hop's port byte, in a
+//!   table or a one-path split, is read from a [`HopTable`],
 //! * [`analysis`] — route-level statistics (fraction of minimal paths,
 //!   average distance, average ITBs per route) matching section 4.7 of the
 //!   paper.

@@ -1,16 +1,12 @@
 //! Writing a table built on one topology in another's ids: the mapper
 //! builds routes on the renumbered, discovered network and the simulator
-//! needs them in physical ids. [`RouteDb::build_relabelled`] does both in
-//! its one loop; [`RouteDb::build`] is the same loop under the identity.
-//!
-//! [`RouteDb::build_relabelled`]: crate::RouteDb::build_relabelled
-//! [`RouteDb::build`]: crate::RouteDb::build
+//! needs them in physical ids. A [`RouteFill`](crate::RouteFill) writes
+//! through a [`Relabel`]; [`RouteDb::build`](crate::RouteDb::build) is a
+//! fill completed under the identity, [`Unchanged`]. Every hop's port
+//! byte, in every table and every one-path split, is read from a
+//! [`HopTable`].
 
 use regnet_topology::{HostId, LinkId, Port, SwitchId, Topology};
-
-use crate::header::ITB_MARK;
-use crate::split::SplitSink;
-use crate::table::RouteDbBuilder;
 
 /// How a table built on one topology (the *built* ids) is written out:
 /// which built pair each written pair takes its routes from, and what
@@ -124,38 +120,15 @@ impl Relabel for Unchanged<'_> {
     }
 }
 
-/// A [`RouteDbBuilder`] written through a [`Relabel`]: each segment's port
-/// bytes and an in-transit one's mark, its switches and host left to the
-/// written topology.
-pub(crate) struct Relabelled<'t, 'm, R> {
-    pub(crate) table: &'t mut RouteDbBuilder,
-    pub(crate) map: &'m R,
-}
-
-impl<R: Relabel> SplitSink for Relabelled<'_, '_, R> {
-    // Left to the compiler, this fell out of line from `split_into`, and
-    // the call per segment cost the ITB builds 1.5–4.5 % (minimum of 201
-    // builds, 2-vCPU Xeon).
-    #[inline]
-    fn segment(&mut self, switches: &[SwitchId], spread: usize, itb: Option<HostId>) {
-        let map = self.map;
-        self.table.ports(
-            switches
-                .windows(2)
-                .enumerate()
-                .map(|(i, w)| map.hop(w[0], w[1], spread.wrapping_add(i))),
-        );
-        if let Some(h) = itb {
-            self.table.ports([map.itb(h), ITB_MARK]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use regnet_topology::gen;
 
+    /// The oracle of [`HopTable`], the one place a hop's port byte is
+    /// chosen: it gives the `spread`-th of the ports the neighbour scan
+    /// (`Topology::ports_to`) finds, in scan order, and over live links
+    /// only the live ones.
     #[test]
     fn hop_ports_match_the_neighbour_scan() {
         // A 2-ary torus dimension doubles links: parallel ports in order.

@@ -1,13 +1,15 @@
-//! Route databases for the three routing schemes evaluated in the paper.
+//! The routing schemes evaluated in the paper, the configuration a table
+//! is built with, and how a source picks one of a pair's alternatives.
+//! [`RouteDb::build`] writes the table through [`RouteFill`], the one
+//! route writer.
 
-use regnet_routing::minimal::{MinimalDag, PathSet};
-use regnet_routing::{first_violation, simple_routes, PairPaths, SimpleRoutesConfig, SwitchPath};
-use regnet_topology::{DistanceMatrix, HostId, Orientation, SwitchId, Topology};
+use regnet_topology::{HostId, SwitchId, Topology};
 
+use crate::fill::RouteFill;
 use crate::header::Header;
-use crate::relabel::{Relabel, Relabelled, Unchanged};
-use crate::split::{no_itb_host, split_into, ItbHostPicker};
-use crate::table::{RouteDb, RouteDbBuilder, RouteRef};
+use crate::relabel::Unchanged;
+use crate::split::ItbHostPicker;
+use crate::table::{RouteDb, RouteRef};
 
 /// The routing schemes compared in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -167,84 +169,11 @@ impl PathSelector {
 }
 
 impl RouteDb {
-    /// Compute the routing tables for `scheme` over `topo`.
+    /// Compute the routing tables for `scheme` over `topo`: a
+    /// [`RouteFill`] nothing asked yet, completed, under the identity.
     pub fn build(topo: &Topology, scheme: RoutingScheme, cfg: &RouteDbConfig) -> RouteDb {
-        RouteDb::build_relabelled(topo, scheme, cfg, &Unchanged::new(topo))
-    }
-
-    /// Compute the routing tables for `scheme` over `topo` and write them
-    /// through `map`: every written pair gets the routes of the built pair
-    /// `map` names, in `map`'s ids (see [`Relabel`]). No table in `topo`'s
-    /// own ids is made on the way. Every pair is written by the routine
-    /// [`RouteFill`](crate::RouteFill) writes one pair on first use with,
-    /// so the two give the same bytes.
-    pub fn build_relabelled<R: Relabel>(
-        topo: &Topology,
-        scheme: RoutingScheme,
-        cfg: &RouteDbConfig,
-        map: &R,
-    ) -> RouteDb {
-        let orient = Orientation::compute(topo, cfg.root);
-        let router = PairRouter {
-            topo,
-            cfg,
-            orient: &orient,
-            map,
-        };
-        let n = map.written().num_switches() as u32;
-        let mut table = RouteDbBuilder::new(scheme, map.written());
-        // Every written pair in table order, with the built pair it reads.
-        let pairs = || (0..n).flat_map(|s| (0..n).map(move |d| map.pair(SwitchId(s), SwitchId(d))));
-        let mut legal = None;
-
-        match scheme {
-            RoutingScheme::UpDown => {
-                let routes =
-                    legal.insert(simple_routes(topo, &orient, &SimpleRoutesConfig::default()));
-                // One single-segment route per pair.
-                let mut size = [0; 2];
-                for (s, d) in pairs().flatten() {
-                    let links = routes.get(s, d).len() - 1;
-                    add(&mut size, [1, links]);
-                }
-                table.reserve(size);
-                for pair in pairs() {
-                    if let Some(pair) = pair {
-                        router.write_pair(&mut table, pair, None, &mut legal);
-                    }
-                    table.end_pair();
-                }
-            }
-            RoutingScheme::ItbSp | RoutingScheme::ItbRr | RoutingScheme::ItbRandom => {
-                let dm = DistanceMatrix::compute(topo);
-                let k = cfg.max_alternatives;
-                let mut dags: Vec<MinimalDag> = topo
-                    .switches()
-                    .map(|d| MinimalDag::new(topo, &dm, d))
-                    .collect();
-                let mut paths = PathSet::default();
-                // At most `k` minimal routes of `links` hops per pair, each
-                // split at most `links / 2` times (an in-transit buffer
-                // needs a down hop before its up hop), a port byte per hop
-                // and per in-transit host and a mark per cut. Only a pair
-                // with no usable minimal route (a fallback) can exceed it.
-                let mut size = [0; 2];
-                for (s, d) in pairs().flatten() {
-                    let r = dags[d.idx()].count(s).min(k as u64) as usize;
-                    let links = dm.get(s, d) as usize;
-                    add(&mut size, [r, r * (links + 2 * (links / 2))]);
-                }
-                table.reserve(size);
-                for pair in pairs() {
-                    if let Some((s, d)) = pair {
-                        let minimal = Some((&mut dags[d.idx()], &mut paths));
-                        router.write_pair(&mut table, (s, d), minimal, &mut legal);
-                    }
-                    table.end_pair();
-                }
-            }
-        }
-        table.finish()
+        let map = Unchanged::new(topo);
+        RouteFill::new(topo, scheme, cfg, &map).complete(topo, &map)
     }
 
     /// Fresh per-pair selection state (one per simulation run).
@@ -311,86 +240,6 @@ pub(crate) fn pick(
     }
 }
 
-/// One network's routes, a pair at a time: the routine
-/// [`RouteDb::build_relabelled`] runs for every written pair in table
-/// order and [`RouteFill`](crate::RouteFill) for a pair on its first use.
-/// A pair's routes depend only on the pair (its seeded walk over its
-/// destination's [`MinimalDag`]), the orientation and `map`, so the order
-/// pairs are written in changes no byte.
-pub(crate) struct PairRouter<'a, R> {
-    /// The topology the routes are built on.
-    pub(crate) topo: &'a Topology,
-    pub(crate) cfg: &'a RouteDbConfig,
-    pub(crate) orient: &'a Orientation,
-    pub(crate) map: &'a R,
-}
-
-impl<R: Relabel> PairRouter<'_, R> {
-    /// Append built pair `(s, d)`'s routes to `table`'s open pair. With
-    /// `minimal` (the DAG towards `d` and a scratch set), an ITB scheme's:
-    /// up to `max_alternatives` minimal paths, each split, and the legal
-    /// route if none splits. Without, UP/DOWN's one legal route. `legal`
-    /// is the network's `simple_routes`, computed on first need.
-    pub(crate) fn write_pair(
-        &self,
-        table: &mut RouteDbBuilder,
-        (s, d): (SwitchId, SwitchId),
-        minimal: Option<(&mut MinimalDag<'_>, &mut PathSet)>,
-        legal: &mut Option<PairPaths>,
-    ) {
-        if let Some((dag, paths)) = minimal {
-            // ITB-SP uses a single fixed path per pair, but we still
-            // sample the same alternative set and hash-pick one so the
-            // fixed choices are spread across the path space rather
-            // than biased to low switch ids.
-            dag.k_paths(s, self.cfg.max_alternatives, self.cfg.seed, paths);
-            for p in paths.iter() {
-                self.add_route(table, p);
-            }
-            // The legal route is needed only when *every* minimal path of
-            // a pair requires an in-transit buffer at a hostless switch
-            // (possible on degraded or exotic topologies, never on the
-            // paper's).
-            if table.routes_in_pair() > 0 {
-                return;
-            }
-        }
-        let (topo, orient) = (self.topo, self.orient);
-        let routes = legal
-            .get_or_insert_with(|| simple_routes(topo, orient, &SimpleRoutesConfig::default()));
-        let path = routes.get(s, d);
-        // up*/down* routes never need an in-transit buffer, so they always
-        // split — into exactly one segment.
-        debug_assert!(
-            first_violation(path, orient).is_none(),
-            "{} must not need ITBs",
-            SwitchPath::new(path.to_vec())
-        );
-        let usable = self.add_route(table, path);
-        assert!(usable, "{}", no_itb_host(path));
-    }
-
-    /// The next route of the open pair: `path`, split — unless it needs
-    /// an in-transit buffer at a hostless switch.
-    fn add_route(&self, table: &mut RouteDbBuilder, path: &[SwitchId]) -> bool {
-        let mut sink = Relabelled {
-            table,
-            map: self.map,
-        };
-        let usable = split_into(self.topo, self.orient, path, self.cfg.itb_picker, &mut sink);
-        if usable {
-            table.end_route();
-        } else {
-            table.abort_route();
-        }
-        usable
-    }
-}
-
-fn add(size: &mut [usize; 2], more: [usize; 2]) {
-    size.iter_mut().zip(more).for_each(|(a, b)| *a += b);
-}
-
 #[inline]
 fn fxhash(a: u64, b: u64) -> u64 {
     let mut h = a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b;
@@ -402,7 +251,7 @@ fn fxhash(a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use regnet_topology::gen;
+    use regnet_topology::{gen, DistanceMatrix};
 
     fn torus() -> Topology {
         gen::torus_2d(4, 4, 2).unwrap()

@@ -1,10 +1,15 @@
 //! Splitting a minimal path into up\*/down\*-legal segments with in-transit
 //! hosts at the forbidden transitions — the heart of the ITB mechanism.
+//! One splitter writes every route's bytes, each hop's port byte
+//! [`Relabel::hop`]'s (a [`HopTable`](crate::HopTable) load): a table's
+//! into its builder's span, a one-path caller's into an owned route
+//! through [`Unchanged`].
 
 use regnet_routing::SwitchPath;
 use regnet_topology::{HostId, Orientation, Port, SwitchId, Topology};
 
 use crate::header::ITB_MARK;
+use crate::relabel::{Relabel, Unchanged};
 
 /// Strategy for picking which of a switch's hosts serves as the in-transit
 /// host. The paper attaches 8 hosts per switch; spreading in-transit load
@@ -74,65 +79,33 @@ pub fn try_split_minimal_path(
     path: &SwitchPath,
     picker: ItbHostPicker,
 ) -> Option<Vec<Port>> {
-    let mut template = TemplateSink {
-        topo,
-        bytes: Vec::new(),
-    };
-    split_into(topo, orient, path.switches(), picker, &mut template).then_some(template.bytes)
+    let (map, mut bytes) = (Unchanged::new(topo), Vec::new());
+    split_into(topo, orient, path.switches(), picker, &map, &mut bytes).then_some(bytes)
 }
 
-/// Where [`split_into`] writes a route, segment by segment. The sink picks
-/// each hop's port byte: a table build reads it from a per-build
-/// `(from, to) → ports` table (and may relabel every id, see
-/// [`Relabel`](crate::Relabel)), a route's owned bytes for one-path
-/// callers scan the topology.
-pub(crate) trait SplitSink {
-    /// A segment visits `switches`, its hop `i` (from `switches[i]`)
-    /// taking parallel link `spread + i` modulo the links between its
-    /// ends, and ends in `itb`, an in-transit host at its last switch, or
-    /// with `None` at the destination switch one port byte short (the
-    /// destination host's ends the header written for a host pair).
-    fn segment(&mut self, switches: &[SwitchId], spread: usize, itb: Option<HostId>);
-}
-
-struct TemplateSink<'a> {
-    topo: &'a Topology,
-    bytes: Vec<Port>,
-}
-
-impl SplitSink for TemplateSink<'_> {
-    fn segment(&mut self, switches: &[SwitchId], spread: usize, itb: Option<HostId>) {
-        // One port byte per hop, then the in-transit host's and a mark.
-        self.bytes
-            .extend(switches.windows(2).enumerate().map(|(i, w)| {
-                let parallel = self.topo.ports_to(w[0], w[1]).count();
-                debug_assert!(parallel > 0, "path not connected at {}->{}", w[0], w[1]);
-                let port = self
-                    .topo
-                    .ports_to(w[0], w[1])
-                    .nth(spread.wrapping_add(i) % parallel);
-                port.expect("taken modulo the count")
-            }));
-        if let Some(h) = itb {
-            self.bytes.extend([self.topo.host_port(h), ITB_MARK]);
-        }
-    }
-}
-
-/// The splitter itself: write the split of the path visiting `switches`
-/// into `route`. Returns `false` when the path needs an in-transit buffer
-/// at a hostless switch; what was written so far is the caller's to
-/// discard.
+/// The splitter itself: append the split of the path visiting
+/// `switches`, a path of `topo`, to `bytes`, written through `map`: hop
+/// `i` (from `switches[i]`) as `map`'s port byte for parallel link
+/// `spread + i`, and an in-transit segment's end as its host's byte and
+/// an [`ITB_MARK`]. The delivering segment ends one byte short (the
+/// destination host's ends the header written for a host pair). Returns
+/// `false` when the path needs an in-transit buffer at a hostless
+/// switch; what was appended so far is the caller's to discard.
 pub(crate) fn split_into(
     topo: &Topology,
     orient: &Orientation,
     switches: &[SwitchId],
     picker: ItbHostPicker,
-    route: &mut impl SplitSink,
+    map: &impl Relabel,
+    bytes: &mut Vec<Port>,
 ) -> bool {
     let (src_sw, dst_sw) = (switches[0], switches[switches.len() - 1]);
     // Hop `i` spreads across parallel links by `spread + i`.
     let spread = pair_key(src_sw, dst_sw) as usize;
+    let hops = |bytes: &mut Vec<Port>, from: usize, to: usize| {
+        let hop = |i: usize| map.hop(switches[i], switches[i + 1], spread.wrapping_add(i));
+        bytes.extend((from..to).map(hop));
+    };
     // The open segment starts at `switches[start]`.
     let mut start = 0;
     let mut seen_down = false;
@@ -146,14 +119,14 @@ pub(crate) fn split_into(
                 return false;
             };
             debug_assert_eq!(topo.host_switch(itb_host), a);
-            let segment = &switches[start..=hop_idx];
-            route.segment(segment, spread.wrapping_add(start), Some(itb_host));
+            hops(bytes, start, hop_idx);
+            bytes.extend([map.itb(itb_host), ITB_MARK]);
             start = hop_idx;
             seen_down = false;
         }
         seen_down |= !up;
     }
-    route.segment(&switches[start..], spread.wrapping_add(start), None);
+    hops(bytes, start, switches.len() - 1);
     true
 }
 

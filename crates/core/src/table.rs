@@ -134,8 +134,10 @@ impl RouteDb {
                 let (_, end) = hosts_reached(topo, src, bytes, true)
                     .unwrap_or_else(|why| panic!("{src}->{dst}: {why}"));
                 assert!(end == dst, "{src}->{dst}: route ends at {end}, not {dst}");
-                b.ports(bytes.iter().copied());
-                b.end_route();
+                b.route(|span| {
+                    span.extend_from_slice(bytes);
+                    true
+                });
             }
             b.end_pair();
         }
@@ -389,10 +391,9 @@ impl<'a> RouteRef<'a> {
     }
 }
 
-/// Appends routes to a [`RouteDb`] in table order: the bytes of a route
-/// in owned form, [`ports`](RouteDbBuilder::ports), then
-/// [`end_route`](RouteDbBuilder::end_route); the routes of a pair
-/// (possibly none), [`end_pair`](RouteDbBuilder::end_pair); pairs in
+/// Appends routes to a [`RouteDb`] in table order: each route in owned
+/// form, written by [`route`](RouteDbBuilder::route); the routes of a
+/// pair (possibly none), [`end_pair`](RouteDbBuilder::end_pair); pairs in
 /// `src * n_switches + dst` order. A route is given a port byte per hop,
 /// and after an in-transit segment its host's byte and an ITB mark. Its
 /// switches and hosts are not given: they are where the bytes lead in the
@@ -430,28 +431,19 @@ impl RouteDbBuilder {
         self.db.ports.reserve_exact(bytes);
     }
 
-    /// The open route's next bytes.
-    pub(crate) fn ports(&mut self, ports: impl IntoIterator<Item = Port>) {
-        self.db.ports.extend(ports);
-    }
-
-    /// The bytes given since the last route make up the next route of the
-    /// open pair.
-    pub(crate) fn end_route(&mut self) {
-        self.db.route_ports.push(self.db.ports.len() as u32);
-    }
-
-    /// Drop everything pushed since the last [`end_route`](Self::end_route).
-    pub(crate) fn abort_route(&mut self) {
+    /// The open pair's next route: `write` appends its bytes to the
+    /// table's span of port bytes and says whether it is usable. A route
+    /// it refuses leaves no trace. Returns `write`'s answer.
+    pub(crate) fn route(&mut self, write: impl FnOnce(&mut Vec<Port>) -> bool) -> bool {
         let db = &mut self.db;
-        let end = *db.route_ports.last().expect("offsets start at 0");
-        db.ports.truncate(end as usize);
-    }
-
-    /// Routes the open pair has so far.
-    pub(crate) fn routes_in_pair(&self) -> usize {
-        let closed = *self.db.pair_routes.last().expect("offsets start at 0");
-        self.db.route_ports.len() - 1 - closed as usize
+        let usable = write(&mut db.ports);
+        if usable {
+            db.route_ports.push(db.ports.len() as u32);
+        } else {
+            let end = *db.route_ports.last().expect("offsets start at 0");
+            db.ports.truncate(end as usize);
+        }
+        usable
     }
 
     /// Pairs closed so far.
@@ -468,12 +460,6 @@ impl RouteDbBuilder {
             src,
             routes: (routes.start, routes.end),
         }
-    }
-
-    /// Routes and bytes written so far, as [`reserve`](Self::reserve)
-    /// takes them.
-    pub(crate) fn size(&self) -> [usize; 2] {
-        [self.db.route_ports.len() - 1, self.db.ports.len()]
     }
 
     /// Close the open pair.
@@ -589,11 +575,12 @@ mod tests {
         let h = b.attach_host(SwitchId(0)).unwrap();
         let topo = b.build().unwrap();
         let mut b = RouteDbBuilder::new(RoutingScheme::ItbRr, &topo);
-        b.ports([topo.host_port(h), ITB_MARK, Port(0)]);
-        b.abort_route();
-        assert_eq!(b.routes_in_pair(), 0);
-        b.end_route();
-        assert_eq!(b.routes_in_pair(), 1);
+        let refused = b.route(|span| {
+            span.extend([topo.host_port(h), ITB_MARK, Port(0)]);
+            false
+        });
+        assert!(!refused && b.db.ports.is_empty());
+        assert!(b.route(|_| true));
         b.end_pair();
         let db = b.finish();
         let only = RouteDb::from_templates(RoutingScheme::ItbRr, &topo, vec![vec![vec![]]]);

@@ -3,7 +3,10 @@
 //! checks only (no simulation), so this covers all ~4k pairs per network
 //! in seconds.
 
-use regnet_core::{RouteDb, RouteDbConfig, RouteRef, RoutingScheme};
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+use regnet_core::{Header, RouteDb, RouteDbConfig, RouteFill, RouteRef, RoutingScheme, Unchanged};
 use regnet_routing::SwitchPath;
 use regnet_topology::{gen, DistanceMatrix, HostId, Orientation, PortTarget, SwitchId, Topology};
 
@@ -167,6 +170,8 @@ fn alternative_roots_keep_invariants() {
     }
 }
 
+type Pin = (u64, [usize; 3]);
+
 /// The tables themselves, not only the runs that use them: FNV-1a
 /// fingerprints ([`RouteDb::fingerprint`]) of every table of the paper's
 /// networks, recorded from the per-pair, nested-`Vec` builder this one
@@ -192,10 +197,10 @@ fn alternative_roots_keep_invariants() {
 ///   per segment: 75,788 / 479,888, 67,852 / 318,746, 41,014 / 241,466;
 /// - each route's owned bytes in one span, an ITB mark where a segment
 ///   ended, in-transit hosts walked: the pins below.
-#[test]
-fn paper_tables_are_pinned() {
-    type Pin = (u64, [usize; 3]);
-    let pinned: [(&str, Topology, [Pin; 2]); 3] = [
+///
+/// Each network's pins are its UP/DOWN table's, then its ITB table's.
+fn pinned() -> [(&'static str, Topology, [Pin; 2]); 3] {
+    [
         (
             "torus",
             gen::torus_2d(8, 8, 8).unwrap(),
@@ -220,24 +225,79 @@ fn paper_tables_are_pinned() {
                 (0x58ef4932f2349115, [13_756, 21_296, 121_226]),
             ],
         ),
-    ];
-    for (name, topo, [updown, itb]) in pinned {
+    ]
+}
+
+/// `db`, a table over the paper network `name`, against the pins of its
+/// scheme.
+fn assert_pinned(name: &str, topo: &Topology, db: &RouteDb, [updown, itb]: [Pin; 2]) {
+    let scheme = db.scheme();
+    let (fingerprint, [routes, segments, bytes]) = if scheme.uses_itbs() { itb } else { updown };
+    assert_eq!(
+        db.fingerprint(topo),
+        fingerprint,
+        "{name} {scheme}: got {:#018x}",
+        db.fingerprint(topo)
+    );
+    let fp = db.footprint();
+    assert_eq!(
+        (fp.routes, fp.segments, fp.bytes),
+        (routes, segments, bytes),
+        "{name} {scheme}: footprint"
+    );
+}
+
+#[test]
+fn paper_tables_are_pinned() {
+    for (name, topo, pins) in pinned() {
         for scheme in RoutingScheme::extended() {
             let db = RouteDb::build(&topo, scheme, &RouteDbConfig::default());
-            let (fingerprint, [routes, segments, bytes]) =
-                if scheme.uses_itbs() { itb } else { updown };
-            assert_eq!(
-                db.fingerprint(&topo),
-                fingerprint,
-                "{name} {scheme}: got {:#018x}",
-                db.fingerprint(&topo)
-            );
-            let fp = db.footprint();
-            assert_eq!(
-                (fp.routes, fp.segments, fp.bytes),
-                (routes, segments, bytes),
-                "{name} {scheme}: footprint"
-            );
+            assert_pinned(name, &topo, &db, pins);
+        }
+    }
+}
+
+/// A [`RouteFill`] that a seeded random multiset of host pairs asked, in
+/// random order, completes to the table [`RouteDb::build`] writes, the
+/// pinned one. Every header drawn while it filled is the one the
+/// completed table's `select_from` draws with a fresh selector, and it
+/// wrote exactly the switch pairs asked.
+#[test]
+fn a_filled_table_completes_to_the_pinned_one() {
+    let mut rng = SmallRng::seed_from_u64(70);
+    let cfg = RouteDbConfig::default();
+    for (name, topo, pins) in pinned() {
+        let n = topo.num_hosts() as u32;
+        for scheme in RoutingScheme::extended() {
+            let mut asks: Vec<(HostId, HostId)> = (0..150)
+                .map(|_| (HostId(rng.gen_range(0..n)), HostId(rng.gen_range(0..n))))
+                .collect();
+            let repeats: Vec<_> = (0..50).map(|_| asks[rng.gen_range(0..150usize)]).collect();
+            asks.extend(repeats);
+            asks.shuffle(&mut rng);
+            let built = RouteDb::build(&topo, scheme, &cfg);
+            let map = Unchanged::new(&topo);
+            let mut fill = RouteFill::new(&topo, scheme, &cfg, &map);
+            let mut sel = built.selector();
+            let headers: Vec<Header> = asks
+                .iter()
+                .map(|&(s, d)| fill.select(&topo, &map, s, d, sel.src_mut(s)))
+                .collect();
+            let mut asked: Vec<_> = asks
+                .iter()
+                .map(|&(s, d)| (topo.host_switch(s), topo.host_switch(d)))
+                .collect();
+            asked.sort_unstable();
+            asked.dedup();
+            assert_eq!(fill.filled().collect::<Vec<_>>(), asked, "{name} {scheme}");
+            let db = fill.complete(&topo, &map);
+            assert!(db == built, "{name} {scheme}: not the built table");
+            assert_pinned(name, &topo, &db, pins);
+            let mut again = db.selector();
+            for (&(s, d), header) in asks.iter().zip(&headers) {
+                let drawn = db.select_from(&topo, s, d, again.src_mut(s));
+                assert_eq!(&drawn, header, "{name} {scheme} {s}->{d}");
+            }
         }
     }
 }

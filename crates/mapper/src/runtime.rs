@@ -11,10 +11,10 @@
 //! re-mapping would elect), written straight in physical port bytes; no
 //! table in discovered ids is made. A re-map does its per-network work
 //! once — discovery, the orientation, the distance matrix (or UP/DOWN's
-//! routes) and the table of live hops — and writes a switch pair's routes
-//! the first time a packet asks for them ([`PhysicalRoutes::select`]),
-//! by the routine [`RouteDb::build_relabelled`] writes every pair with;
-//! [`PhysicalRoutes::db`] writes the rest and gives the whole table. A
+//! routes) and the [`HopTable`] of live links every hop's byte is read
+//! from — and writes a switch pair's routes the first time a packet asks
+//! for them ([`PhysicalRoutes::select`]) into a [`RouteFill`], the writer
+//! [`RouteDb::build`] completes; [`PhysicalRoutes::db`] completes it. A
 //! pair's routes depend only on the pair, the orientation and the live
 //! hops, so the order pairs are asked for changes no byte. Pairs that
 //! ended up in different components simply have no route — the table is

@@ -9,7 +9,8 @@
 //! where they were measured and cover every benchmark workload, and every
 //! `[perf_opt]` change CHANGES.md lists since the ledger began must have
 //! one. README.md's route-table size must be the torus ITB table's pinned
-//! bytes.
+//! bytes. No first-party crate may hold more non-test lines than DESIGN.md
+//! §3's code-size table gives it.
 //!
 //! Text only — nothing is built or simulated. What counts as a path: a
 //! word with a `/` whose first component is a top-level entry or a crate
@@ -408,4 +409,60 @@ fn design_quotes_the_pinned_route_table_bytes() {
         pinned_torus_itb_bytes(),
         "DESIGN.md quotes {figure} B for the torus ITB table"
     );
+}
+
+/// Non-test lines of the `.rs` files below `dir`: each file's lines
+/// before its first `#[cfg(test)]` line, all of a file with none.
+fn non_test_lines(dir: &Path) -> usize {
+    let mut total = 0;
+    for name in dir_names(dir) {
+        let path = dir.join(&name);
+        if path.is_dir() {
+            total += non_test_lines(&path);
+        } else if name.ends_with(".rs") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            total += text
+                .lines()
+                .take_while(|l| l.trim() != "#[cfg(test)]")
+                .count();
+        }
+    }
+    total
+}
+
+/// DESIGN.md §3's code-size table has a row for every first-party crate
+/// (`crates/*/src` and the root `src`), and no crate holds more non-test
+/// lines than its row.
+#[test]
+fn crates_stay_within_their_recorded_size() {
+    let design = read("DESIGN.md");
+    let rows: Vec<(String, usize)> = design
+        .lines()
+        .skip_while(|l| !l.starts_with("| crate sources | non-test lines |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .map(|row| {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            let cap = cells[2].replace(',', "");
+            let cap = cap.parse().unwrap_or_else(|e| panic!("{row}: {e}"));
+            (cells[1].trim_matches('`').to_string(), cap)
+        })
+        .collect();
+    let mut crates: Vec<String> = dir_names(&root().join("crates"))
+        .into_iter()
+        .map(|c| format!("crates/{c}/src"))
+        .chain(["src".to_string()])
+        .collect();
+    let mut named: Vec<String> = rows.iter().map(|(dir, _)| dir.clone()).collect();
+    crates.sort();
+    named.sort();
+    assert_eq!(named, crates, "one DESIGN.md §3 code-size row per crate");
+    let over: Vec<String> = rows
+        .iter()
+        .filter_map(|(dir, cap)| {
+            let lines = non_test_lines(&root().join(dir));
+            (lines > *cap).then(|| format!("{dir}: {lines} lines, {cap} allowed"))
+        })
+        .collect();
+    assert!(over.is_empty(), "crates over DESIGN.md §3's size: {over:?}");
 }
