@@ -144,9 +144,9 @@ impl RouteFill {
         route.header(written.host_port(dst))
     }
 
-    /// The whole table, in one pass in pair order: a pair already written
-    /// is copied, every other is written, each destination's
-    /// [`MinimalDag`] built once for the pass.
+    /// The whole table, in one pass in pair order: every pair is written,
+    /// each destination's [`MinimalDag`] built once for the pass. The
+    /// pairs asked for before are written again, to the same bytes.
     pub fn complete<R: Relabel>(self, topo: &Topology, map: &R) -> RouteDb {
         let RouteFill {
             scheme,
@@ -154,8 +154,11 @@ impl RouteFill {
             mut writer,
             n,
             slot,
-            table: asked,
+            table,
         } = self;
+        // The pairs asked for so far are written again below, to the
+        // same bytes: free their table before the new one is reserved.
+        drop((slot, table));
         // Every written pair in table order, with the built pair it reads.
         let n = n as u32;
         let pairs = || (0..n).flat_map(|s| (0..n).map(move |d| map.pair(SwitchId(s), SwitchId(d))));
@@ -187,16 +190,8 @@ impl RouteFill {
         }
         let mut table = RouteDbBuilder::new(scheme, map.written());
         table.reserve(size);
-        for (pair, built) in pairs().enumerate() {
-            if slot[pair] != 0 {
-                let src = SwitchId(pair as u32 / n);
-                for route in asked.pair(slot[pair] as usize - 1, src) {
-                    table.route(|span| {
-                        span.extend_from_slice(route.bytes());
-                        true
-                    });
-                }
-            } else if let Some(built) = built {
+        for built in pairs() {
+            if let Some(built) = built {
                 // None for UP/DOWN, which has no DAGs.
                 let dag = dags.get_mut(built.1.idx());
                 writer.write_pair(topo, map, &mut table, built, dag);

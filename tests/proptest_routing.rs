@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 
 use regnet::core::{
-    split_minimal_path, try_split_minimal_path, ItbHostPicker, PortWalk, RouteDb, RouteDbConfig,
-    RoutingScheme, ITB_MARK,
+    split_minimal_path, try_split_minimal_path, ItbHostPicker, PortWalk, Relabel, RouteDb,
+    RouteDbConfig, RoutingScheme, Unchanged, ITB_MARK,
 };
 use regnet::mapper::discover;
 use regnet::prelude::*;
@@ -72,8 +72,26 @@ fn segments(topo: &Topology, start: SwitchId, bytes: &[Port]) -> Vec<(SwitchPath
 /// The flat table against the per-pair public functions it is built from:
 /// every pair holds exactly the usable splits of its sampled minimal
 /// paths, a pair with none falls back to the `simple_routes` path, and the
-/// table survives a trip through its owned bytes.
+/// table survives a trip through its owned bytes. Both sides pick a hop's
+/// port by the one hop rule, so that rule is checked first against the
+/// neighbour scan: the `spread`-th of the ports `ports_to` finds, parallel
+/// links included.
 fn assert_table_is_the_per_pair_composition(topo: &Topology) -> Result<(), TestCaseError> {
+    let map = Unchanged::new(topo);
+    for a in topo.switches() {
+        for b in topo.switches() {
+            let scan: Vec<Port> = topo.ports_to(a, b).collect();
+            for spread in 0..scan.len() * 2 {
+                prop_assert_eq!(
+                    map.hop(a, b, spread),
+                    scan[spread % scan.len()],
+                    "{}->{}",
+                    a,
+                    b
+                );
+            }
+        }
+    }
     let cfg = RouteDbConfig::default();
     let orient = Orientation::compute(topo, cfg.root);
     let dm = DistanceMatrix::compute(topo);
